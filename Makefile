@@ -5,7 +5,7 @@ GO ?= go
 
 # Coverage floor (percent) enforced on the packages new code lands in.
 COVER_FLOOR ?= 60
-COVER_PKGS ?= ./internal/server ./internal/core ./internal/histstore ./internal/metrics ./internal/cluster ./internal/scenario
+COVER_PKGS ?= ./internal/server ./internal/core ./internal/histstore ./internal/metrics ./internal/cluster ./internal/scenario ./internal/framelog
 
 # The regression-gated benchmarks: the Q12/Q13 serving sweeps, the
 # cold (uncached) window searches the incremental shared-Gram solver
@@ -21,7 +21,7 @@ SWEEP_COUNT ?= 5
 # Where `make profile-sweep` drops its CPU profiles.
 PROFILE_DIR ?= profiles
 
-.PHONY: all build vet fmt-check lint linkcheck test test-short bench bench-smoke bench-sweep bench-json ablate-prune scenarios profile-sweep profile-serve cover help
+.PHONY: all build vet fmt-check lint linkcheck test test-short test-bench fuzz-smoke bench bench-smoke bench-sweep bench-json ablate-prune scenarios profile-sweep profile-serve cover help
 
 all: build lint test
 
@@ -54,6 +54,15 @@ test:
 ## test-short: quick feedback loop without the race detector
 test-short:
 	$(GO) test ./...
+
+## test-bench: vet + test the bench/ module — it imports histstore, cluster, metrics and server but is invisible to ./...
+test-bench:
+	$(GO) vet -C bench ./...
+	$(GO) test -C bench ./...
+
+## fuzz-smoke: 20 s of FuzzScan over the one frame decoder
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz=FuzzScan -fuzztime=20s ./internal/framelog
 
 ## bench: run every benchmark properly (slow)
 bench:

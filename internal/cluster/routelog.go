@@ -1,15 +1,14 @@
 package cluster
 
 import (
-	"bufio"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
 	"sync"
+
+	"repro/internal/framelog"
 )
 
 // RouteLog persists the epoch-versioned routing overrides to disk so a
@@ -17,18 +16,14 @@ import (
 // gossip reaches it — a former owner whose federations were taken over
 // while it was down must redirect, not serve, from the moment it boots.
 //
-// The format is a tiny append log with the same framing and torn-tail
-// discipline as the histstore WAL: each record is
-//
-//	length uint32 LE  payload byte count
-//	crc    uint32 LE  CRC-32C (Castagnoli) of the payload
-//	payload           JSON {"epoch": N, "overrides": {fed: memberID}}
-//
-// On open the log replays every intact frame and truncates at the first
-// torn or corrupt one, so a crash mid-append loses at most the record
-// being written — and that record's table is re-committed by the next
-// gossip exchange anyway. Appends are fsynced: table commits are rare
-// (ownership changes only), so durability costs nothing measurable.
+// The format is a tiny append log of framelog frames (DESIGN.md
+// "Framed logs"), each payload the JSON {"epoch": N, "overrides": {fed:
+// memberID}}. On open the log replays every intact frame and truncates
+// at the first torn or corrupt one, so a crash mid-append loses at most
+// the record being written — and that record's table is re-committed by
+// the next gossip exchange anyway. Appends are fsynced: table commits
+// are rare (ownership changes only), so durability costs nothing
+// measurable.
 type RouteLog struct {
 	mu        sync.Mutex
 	f         *os.File
@@ -46,7 +41,6 @@ type routeRecord struct {
 }
 
 const (
-	routeFrameHeaderSize = 8
 	// maxRoutePayload bounds one record; a larger length field is
 	// corruption, not an allocation request.
 	maxRoutePayload = 1 << 20
@@ -55,20 +49,19 @@ const (
 	routeLogCompactBytes = 1 << 16
 )
 
-var routeCRCTable = crc32.MakeTable(crc32.Castagnoli)
-
 // OpenRouteLog opens (creating if needed) the route log at path and
 // recovers the last intact record. The parent directory is created.
 func OpenRouteLog(path string) (*RouteLog, error) {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return nil, fmt.Errorf("cluster: route log: %w", err)
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: route log: %w", err)
-	}
-	l := &RouteLog{f: f, path: path}
-	validEnd, err := scanRouteLog(f, func(rec routeRecord) {
+	l := &RouteLog{path: path}
+	var err error
+	l.f, l.size, _, err = framelog.OpenAppend(path, maxRoutePayload, func(_ int64, p []byte) error {
+		var rec routeRecord
+		if err := json.Unmarshal(p, &rec); err != nil {
+			return fmt.Errorf("%w: %v", framelog.ErrCorrupt, err)
+		}
 		// Frames are appended with monotonically increasing epochs, but
 		// take the max anyway — concurrent committers can persist out of
 		// order across a crash boundary.
@@ -76,75 +69,12 @@ func OpenRouteLog(path string) (*RouteLog, error) {
 			l.epoch = rec.Epoch
 			l.overrides = rec.Overrides
 		}
+		return nil
 	})
 	if err != nil {
-		f.Close()
 		return nil, fmt.Errorf("cluster: route log %s: %w", path, err)
 	}
-	// Torn-tail discipline: truncate to the valid prefix so the next
-	// append starts on a frame boundary.
-	if fi, statErr := f.Stat(); statErr == nil && fi.Size() > validEnd {
-		if err := f.Truncate(validEnd); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("cluster: route log %s: %w", path, err)
-		}
-	}
-	if _, err := f.Seek(validEnd, io.SeekStart); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("cluster: route log %s: %w", path, err)
-	}
-	l.size = validEnd
 	return l, nil
-}
-
-// scanRouteLog reads frames in order, invoking fn for each intact one,
-// and returns the byte offset at which the valid prefix ends. Torn or
-// corrupt frames end the scan with a nil error (the caller truncates
-// there); reader I/O failures are returned as errors.
-func scanRouteLog(r io.Reader, fn func(routeRecord)) (int64, error) {
-	br := bufio.NewReader(r)
-	var off int64
-	header := make([]byte, routeFrameHeaderSize)
-	var payload []byte
-	for {
-		if _, err := io.ReadFull(br, header); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				return off, nil
-			}
-			return off, err
-		}
-		n := binary.LittleEndian.Uint32(header)
-		crc := binary.LittleEndian.Uint32(header[4:])
-		if n == 0 || n > maxRoutePayload {
-			return off, nil
-		}
-		if cap(payload) < int(n) {
-			payload = make([]byte, n)
-		}
-		payload = payload[:n]
-		if _, err := io.ReadFull(br, payload); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				return off, nil
-			}
-			return off, err
-		}
-		if crc32.Checksum(payload, routeCRCTable) != crc {
-			return off, nil
-		}
-		var rec routeRecord
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			return off, nil
-		}
-		fn(rec)
-		off += int64(routeFrameHeaderSize) + int64(n)
-	}
-}
-
-// appendRouteFrame appends one complete frame (header + payload) to buf.
-func appendRouteFrame(buf, payload []byte) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, routeCRCTable))
-	return append(buf, payload...)
 }
 
 // Last returns the recovered (or most recently appended) table state:
@@ -176,7 +106,7 @@ func (l *RouteLog) Append(epoch uint64, overrides map[string]string) error {
 	if err != nil {
 		return fmt.Errorf("cluster: route log: %w", err)
 	}
-	frame := appendRouteFrame(nil, payload)
+	frame := framelog.Append(nil, payload)
 	if l.size+int64(len(frame)) > routeLogCompactBytes {
 		return l.compactLocked(epoch, overrides, frame)
 	}
@@ -192,33 +122,24 @@ func (l *RouteLog) Append(epoch uint64, overrides map[string]string) error {
 	return nil
 }
 
-// compactLocked rewrites the log as a single frame — temp file, fsync,
-// rename, exactly the histstore snapshot discipline — and swaps the
-// open handle to it. Caller holds l.mu.
+// compactLocked rewrites the log as a single frame and swaps the open
+// handle to the new file. Caller holds l.mu.
 func (l *RouteLog) compactLocked(epoch uint64, overrides map[string]string, frame []byte) error {
-	tmp := l.path + ".tmp"
-	tf, err := os.Create(tmp)
+	err := framelog.WriteFileAtomic(l.path, func(w io.Writer) error {
+		_, err := w.Write(frame)
+		return err
+	})
 	if err != nil {
 		return fmt.Errorf("cluster: route log compact: %w", err)
 	}
-	if _, err = tf.Write(frame); err == nil {
-		err = tf.Sync()
-	}
-	if err != nil {
-		tf.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("cluster: route log compact: %w", err)
-	}
-	if err := os.Rename(tmp, l.path); err != nil {
-		tf.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("cluster: route log compact: %w", err)
-	}
+	// The new table is durable from here. Should the reopen fail, l.f is
+	// nil and every later append fails loudly instead of landing in the
+	// unlinked old file.
 	l.f.Close()
-	l.f = tf
-	l.size = int64(len(frame))
-	l.epoch = epoch
-	l.overrides = overrides
+	l.size, l.epoch, l.overrides = int64(len(frame)), epoch, overrides
+	if l.f, err = os.OpenFile(l.path, os.O_WRONLY|os.O_APPEND, 0o644); err != nil {
+		return fmt.Errorf("cluster: route log compact: %w", err)
+	}
 	return nil
 }
 

@@ -79,12 +79,12 @@ func TestConcurrentEstimateWhileAppending(t *testing.T) {
 			}
 		}(r)
 	}
-	// Concurrent persistence: Save must snapshot cleanly mid-append.
+	// Concurrent persistence: a snapshot must save cleanly mid-append.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < savePasses; i++ {
-			if err := h.Save(discard{}); err != nil {
+			if err := SaveSnapshot(h.Snapshot(), discard{}); err != nil {
 				errc <- err
 				return
 			}

@@ -9,24 +9,15 @@ import (
 
 // History persistence: a versioned JSON snapshot of the whole log.
 //
-// This format is now owned by internal/histstore, which layers an
-// append-only WAL on top of it: a histstore shard's snapshot.json is
-// exactly the document Save writes, and recovery is snapshot + WAL
-// suffix. The whole-file round trip below is kept for two reasons:
-//
-//   - as the snapshot encoder/decoder histstore itself uses
-//     (SaveSnapshot / LoadHistory), and
-//   - as the ONE-WAY IMPORT PATH for legacy saves: a file written by
-//     History.Save can be dropped in as (or imported via
-//     histstore.Store.ImportLegacy into) a shard snapshot, after which
-//     the shard's WAL takes over and the file is only ever rewritten
-//     by checkpoints.
-//
-// Deprecated as a storage strategy: calling Save/LoadHistory directly
-// gives you a point-in-time file with no durability for later appends
-// and no crash story. New code should open histories through a
-// histstore.Store (see internal/histstore and ires.SchedulerConfig.
-// Store) and let checkpoints manage the snapshot.
+// This is the snapshot codec of internal/histstore, which layers an
+// append-only WAL on top of it: a shard's snapshot.json is exactly the
+// document SaveSnapshot writes, and recovery is snapshot + WAL suffix.
+// A document saved by any earlier release can be dropped in as a
+// shard's snapshot.json; the shard's WAL takes over from there and the
+// file is only ever rewritten by checkpoints. On its own the document
+// is a point-in-time file with no durability for later appends and no
+// crash story — keep live histories in a histstore.Store (see
+// ires.SchedulerConfig.Store).
 
 // persistVersion is bumped on incompatible format changes.
 const persistVersion = 1
@@ -46,21 +37,10 @@ type obsSnapshot struct {
 	Costs []float64 `json:"costs"`
 }
 
-// Save writes the history as versioned JSON. The write captures a
-// point-in-time snapshot, so it is safe while other goroutines append.
-//
-// Deprecated: prefer a histstore.Store, which keeps this document as
-// its compacting snapshot and adds a WAL for the appends in between.
-// Save remains supported as the legacy export (and histstore import)
-// format.
-func (h *History) Save(w io.Writer) error {
-	return SaveSnapshot(h.Snapshot(), w)
-}
-
 // SaveSnapshot writes a point-in-time history snapshot as versioned
-// JSON — the same document History.Save produces, usable from an
-// already-captured snapshot so durable checkpoints need not re-lock
-// the live history.
+// JSON. It takes an already-captured snapshot so durable checkpoints
+// need not re-lock the live history, and so the write is safe while
+// other goroutines append.
 func SaveSnapshot(s *Snapshot, w io.Writer) error {
 	snap := historySnapshot{
 		Version:      persistVersion,
@@ -80,9 +60,8 @@ func SaveSnapshot(s *Snapshot, w io.Writer) error {
 	return nil
 }
 
-// LoadHistory reads a history previously written by Save (or a
-// histstore snapshot — same format), validating every observation
-// against the declared dimensions.
+// LoadHistory reads a document written by SaveSnapshot, validating
+// every observation against the declared dimensions.
 func LoadHistory(r io.Reader) (*History, error) {
 	var snap historySnapshot
 	if err := json.NewDecoder(r).Decode(&snap); err != nil {

@@ -16,7 +16,7 @@ func TestHistorySaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := h.Save(&buf); err != nil {
+	if err := SaveSnapshot(h.Snapshot(), &buf); err != nil {
 		t.Fatal(err)
 	}
 	got, err := LoadHistory(&buf)
@@ -86,7 +86,7 @@ func TestLoadHistoryRejectsGarbage(t *testing.T) {
 func TestSaveEmptyHistory(t *testing.T) {
 	h := mustHistory(t, 1, "t")
 	var buf bytes.Buffer
-	if err := h.Save(&buf); err != nil {
+	if err := SaveSnapshot(h.Snapshot(), &buf); err != nil {
 		t.Fatal(err)
 	}
 	got, err := LoadHistory(&buf)

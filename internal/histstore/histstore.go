@@ -6,8 +6,8 @@
 // serving layer uses one Store per federation and one shard per query).
 // Each shard is
 //
-//	<root>/<name>/snapshot.json   compacting snapshot (the legacy
-//	                              History.Save format, see
+//	<root>/<name>/snapshot.json   compacting snapshot (the
+//	                              core.SaveSnapshot document, see
 //	                              internal/core/persist.go)
 //	<root>/<name>/wal.log         CRC-framed append-only WAL of the
 //	                              observations since that snapshot
@@ -27,7 +27,6 @@
 package histstore
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -38,13 +37,13 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/framelog"
 	"repro/internal/metrics"
 )
 
 const (
 	snapshotName = "snapshot.json"
 	walName      = "wal.log"
-	tmpSuffix    = ".tmp"
 )
 
 // Default group-commit knobs; see Options.
@@ -252,18 +251,20 @@ func (s *Store) openShard(name string, dim int, metricNames []string) (*shard, e
 	}
 	// Leftover temp files are failed checkpoints; the durable state
 	// they were meant to replace is still intact.
-	_ = os.Remove(filepath.Join(dir, snapshotName+tmpSuffix))
-	_ = os.Remove(filepath.Join(dir, walName+tmpSuffix))
+	_ = os.Remove(filepath.Join(dir, snapshotName+framelog.TmpSuffix))
+	_ = os.Remove(filepath.Join(dir, walName+framelog.TmpSuffix))
 
 	h, snapCount, err := loadSnapshot(filepath.Join(dir, snapshotName), dim, metricNames)
 	if err != nil {
 		return nil, fmt.Errorf("histstore: shard %q: %w", name, err)
 	}
-	wal, err := os.OpenFile(filepath.Join(dir, walName), os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("histstore: shard %q: %w", name, err)
-	}
-	validEnd, err := scanWAL(wal, func(seq uint64, o core.Observation) error {
+	// A torn tail (a crash mid-write) is dropped, so the next append
+	// starts on a clean frame boundary.
+	wal, _, torn, err := framelog.OpenAppend(filepath.Join(dir, walName), maxFramePayload, func(_ int64, p []byte) error {
+		seq, o, err := decodePayload(p)
+		if err != nil {
+			return err
+		}
 		if seq < uint64(h.Len()) {
 			// Already applied: either covered by the snapshot (a
 			// checkpoint renamed the new snapshot but crashed before
@@ -283,23 +284,10 @@ func (s *Store) openShard(name string, dim int, metricNames []string) (*shard, e
 		return h.Append(o)
 	})
 	if err != nil {
-		wal.Close()
 		return nil, fmt.Errorf("histstore: shard %q: replaying wal: %w", name, err)
 	}
-	// Drop the torn tail (a crash mid-write) so the next append starts
-	// on a clean frame boundary.
-	if fi, statErr := wal.Stat(); statErr == nil && fi.Size() > validEnd {
-		if err := wal.Truncate(validEnd); err != nil {
-			wal.Close()
-			return nil, fmt.Errorf("histstore: shard %q: truncating torn wal tail: %w", name, err)
-		}
-		if s.obs != nil {
-			s.obs.tornTails.Inc()
-		}
-	}
-	if _, err := wal.Seek(validEnd, io.SeekStart); err != nil {
-		wal.Close()
-		return nil, fmt.Errorf("histstore: shard %q: %w", name, err)
+	if torn && s.obs != nil {
+		s.obs.tornTails.Inc()
 	}
 	sh := &shard{
 		name:      name,
@@ -390,43 +378,6 @@ func (s *Store) CheckpointAll() error {
 		if err := sh.checkpoint(sh.hist.Snapshot()); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// ImportLegacy installs a document written by core.History.Save as the
-// named shard's base snapshot — the one-way migration path off the
-// legacy whole-file JSON format. The shard must not be open and must
-// not already hold durable state.
-func (s *Store) ImportLegacy(name string, r io.Reader) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, open := s.shards[name]; open {
-		return fmt.Errorf("histstore: legacy import into open shard %q", name)
-	}
-	dir := s.shardDir(name)
-	if _, err := os.Stat(filepath.Join(dir, snapshotName)); err == nil {
-		return fmt.Errorf("histstore: shard %q already has a snapshot", name)
-	}
-	if fi, err := os.Stat(filepath.Join(dir, walName)); err == nil && fi.Size() > 0 {
-		return fmt.Errorf("histstore: shard %q already has WAL records", name)
-	}
-	raw, err := io.ReadAll(r)
-	if err != nil {
-		return fmt.Errorf("histstore: legacy import: %w", err)
-	}
-	if _, err := core.LoadHistory(bytes.NewReader(raw)); err != nil {
-		return fmt.Errorf("histstore: legacy import: %w", err)
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("histstore: legacy import: %w", err)
-	}
-	tmp := filepath.Join(dir, snapshotName+tmpSuffix)
-	if err := os.WriteFile(tmp, raw, 0o644); err != nil {
-		return fmt.Errorf("histstore: legacy import: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, snapshotName)); err != nil {
-		return fmt.Errorf("histstore: legacy import: %w", err)
 	}
 	return nil
 }
@@ -759,24 +710,10 @@ func (sh *shard) checkpoint(snap *core.Snapshot) (err error) {
 	if count == sh.snapCount && sh.nextSeq == sh.snapCount {
 		return nil // nothing new since the last checkpoint
 	}
-	snapPath := filepath.Join(sh.dir, snapshotName)
-	tmp := snapPath + tmpSuffix
-	f, err := os.Create(tmp)
+	err = framelog.WriteFileAtomic(filepath.Join(sh.dir, snapshotName), func(w io.Writer) error {
+		return core.SaveSnapshot(snap, w)
+	})
 	if err != nil {
-		return fmt.Errorf("histstore: checkpoint: %w", err)
-	}
-	if err := core.SaveSnapshot(snap, f); err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("histstore: checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp, snapPath); err != nil {
-		os.Remove(tmp)
 		return fmt.Errorf("histstore: checkpoint: %w", err)
 	}
 	// From here on the new snapshot is the durable truth; compact the
@@ -801,55 +738,37 @@ func (sh *shard) checkpoint(snap *core.Snapshot) (err error) {
 }
 
 // rewriteWAL replaces the WAL with only the frames whose sequence is
-// not covered by the snapshot, via write-temp + rename.
+// not covered by the snapshot.
 func (sh *shard) rewriteWAL(covered uint64) error {
 	walPath := filepath.Join(sh.dir, walName)
 	src, err := os.Open(walPath)
 	if err != nil {
 		return fmt.Errorf("histstore: compacting wal: %w", err)
 	}
-	tmpPath := walPath + tmpSuffix
-	dst, err := os.Create(tmpPath)
-	if err != nil {
-		src.Close()
-		return fmt.Errorf("histstore: compacting wal: %w", err)
-	}
-	var buf []byte
-	_, err = scanWAL(src, func(seq uint64, o core.Observation) error {
-		if seq < covered {
-			return nil
-		}
-		buf = appendFrame(buf[:0], seq, o)
-		_, werr := dst.Write(buf)
-		return werr
+	defer src.Close()
+	err = framelog.WriteFileAtomic(walPath, func(dst io.Writer) error {
+		var buf []byte
+		_, err := framelog.Scan(src, maxFramePayload, framelog.TruncateTornTail, func(_ int64, p []byte) error {
+			seq, err := frameSeq(p)
+			if err != nil || seq < covered {
+				return err
+			}
+			buf = framelog.Append(buf[:0], p)
+			_, err = dst.Write(buf)
+			return err
+		})
+		return err
 	})
-	src.Close()
-	if err == nil {
-		err = dst.Sync()
-	}
-	if cerr := dst.Close(); err == nil {
-		err = cerr
-	}
 	if err != nil {
-		os.Remove(tmpPath)
-		return fmt.Errorf("histstore: compacting wal: %w", err)
-	}
-	if err := os.Rename(tmpPath, walPath); err != nil {
-		os.Remove(tmpPath)
 		return fmt.Errorf("histstore: compacting wal: %w", err)
 	}
 	// The old handle still points at the replaced (now unlinked) inode;
 	// reopen. If the reopen fails the shard is unusable: writes through
 	// the stale handle would be acknowledged yet land in a deleted
 	// file, so mark it broken and fail loudly instead.
-	wal, err := os.OpenFile(walPath, os.O_RDWR, 0o644)
+	wal, err := os.OpenFile(walPath, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		sh.broken = fmt.Errorf("reopening compacted wal: %w", err)
-		return fmt.Errorf("histstore: %w", sh.broken)
-	}
-	if _, err := wal.Seek(0, io.SeekEnd); err != nil {
-		wal.Close()
-		sh.broken = fmt.Errorf("seeking compacted wal: %w", err)
 		return fmt.Errorf("histstore: %w", sh.broken)
 	}
 	sh.wal.Close()

@@ -4,14 +4,19 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/framelog"
+	"repro/internal/metrics"
 )
 
 var testMetrics = []string{"time_s", "money_usd"}
+
+// testFrameSize is the WAL frame size of one obsAt observation: header,
+// seq + counts, one feature and two costs.
+const testFrameSize = framelog.HeaderSize + 12 + 8*3
 
 func openStore(t *testing.T, dir string, opts Options) *Store {
 	t.Helper()
@@ -181,7 +186,7 @@ func TestCheckpointWithStaleSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := int64(3 * (frameHeaderSize + framePayloadSize(obsAt(0)))); fi.Size() != want {
+	if want := int64(3 * testFrameSize); fi.Size() != want {
 		t.Fatalf("wal holds %d bytes after partial checkpoint, want %d", fi.Size(), want)
 	}
 	if err := s.Close(); err != nil {
@@ -221,10 +226,11 @@ func TestRecoverySkipsCoveredFrames(t *testing.T) {
 	wantPrefix(t, openHist(t, s2, "Q12"), 7)
 }
 
-// TestTornTailEveryByteOffset is the crash-recovery property test:
-// whatever byte the WAL is cut at inside its final frame, replay comes
-// back with a valid prefix — no panic, no partial record — and the
-// shard keeps working.
+// TestTornTailEveryByteOffset is the WAL's torn-tail policy: a log cut
+// inside its final frame recovers the prefix before it, is truncated
+// there and counted, and the shard keeps working. That EVERY cut yields
+// a valid prefix is framelog's property (its test of the same name);
+// here the first, a middle and the last byte of the tail frame stand in.
 func TestTornTailEveryByteOffset(t *testing.T) {
 	const n = 6
 	master := t.TempDir()
@@ -237,12 +243,11 @@ func TestTornTailEveryByteOffset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frameSize := frameHeaderSize + framePayloadSize(obsAt(0))
-	if len(walBytes) != n*frameSize {
-		t.Fatalf("wal is %d bytes, want %d", len(walBytes), n*frameSize)
+	if len(walBytes) != n*testFrameSize {
+		t.Fatalf("wal is %d bytes, want %d", len(walBytes), n*testFrameSize)
 	}
-	tailStart := (n - 1) * frameSize
-	for cut := tailStart; cut < len(walBytes); cut++ {
+	tailStart := (n - 1) * testFrameSize
+	for _, cut := range []int{tailStart + 1, tailStart + framelog.HeaderSize, len(walBytes) - 1} {
 		dir := t.TempDir()
 		if err := os.MkdirAll(filepath.Join(dir, "Q12"), 0o755); err != nil {
 			t.Fatal(err)
@@ -250,21 +255,21 @@ func TestTornTailEveryByteOffset(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir, "Q12", walName), walBytes[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		s2 := openStore(t, dir, Options{})
+		reg := metrics.NewRegistry()
+		s2 := openStore(t, dir, Options{Metrics: reg, MetricsStore: "t"})
 		h := openHist(t, s2, "Q12")
-		wantN := n - 1 // every cut leaves the tail frame incomplete
-		if h.Len() != wantN {
-			t.Fatalf("cut at %d: recovered %d observations, want %d", cut, h.Len(), wantN)
+		wantPrefix(t, h, n-1)
+		if got := s2.obs.tornTails.Value(); got != 1 {
+			t.Fatalf("cut at %d: torn tails counted = %v, want 1", cut, got)
 		}
-		wantPrefix(t, h, wantN)
 		// The torn tail was truncated: appending and re-recovering
 		// yields a clean continuation.
-		appendN(t, h, wantN, 1)
+		appendN(t, h, n-1, 1)
 		if err := s2.Close(); err != nil {
 			t.Fatal(err)
 		}
 		s3 := openStore(t, dir, Options{})
-		wantPrefix(t, openHist(t, s3, "Q12"), wantN+1)
+		wantPrefix(t, openHist(t, s3, "Q12"), n)
 		if err := s3.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -285,8 +290,8 @@ func TestCorruptMidFrameTruncates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frameSize := frameHeaderSize + framePayloadSize(obsAt(0))
-	raw[2*frameSize+frameHeaderSize+3] ^= 0xff // payload of frame 2
+	const frameSize = testFrameSize
+	raw[2*frameSize+framelog.HeaderSize+3] ^= 0xff // payload of frame 2
 	if err := os.WriteFile(walPath, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -300,40 +305,49 @@ func TestCorruptMidFrameTruncates(t *testing.T) {
 	}
 }
 
-func TestImportLegacy(t *testing.T) {
-	legacy, err := core.NewHistory(1, testMetrics...)
+// TestDroppedInSnapshotOpens: a document written by core.SaveSnapshot
+// (what the retired History.Save produced) dropped in as a shard's
+// snapshot.json is a valid shard — it opens, and the WAL takes over
+// for everything appended afterwards.
+func TestDroppedInSnapshotOpens(t *testing.T) {
+	saved, err := core.NewHistory(1, testMetrics...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 6; i++ {
-		if err := legacy.Append(obsAt(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var buf bytes.Buffer
-	if err := legacy.Save(&buf); err != nil {
+	appendN(t, saved, 0, 6)
+	var doc bytes.Buffer
+	if err := core.SaveSnapshot(saved.Snapshot(), &doc); err != nil {
 		t.Fatal(err)
 	}
-	saved := buf.Bytes()
-
 	dir := t.TempDir()
-	s := openStore(t, dir, Options{})
-	defer s.Close()
-	if err := s.ImportLegacy("Q12", bytes.NewReader(saved)); err != nil {
+	if err := os.MkdirAll(filepath.Join(dir, "Q12"), 0o755); err != nil {
 		t.Fatal(err)
 	}
+	if err := os.WriteFile(filepath.Join(dir, "Q12", snapshotName), doc.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := openStore(t, dir, Options{})
 	h := openHist(t, s, "Q12")
 	wantPrefix(t, h, 6)
-	// One-way: with durable state in place, a second import is refused.
-	if err := s.ImportLegacy("Q12", bytes.NewReader(saved)); err == nil {
-		t.Fatal("import over existing shard accepted")
+	appendN(t, h, 6, 3)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
 	}
-	// Garbage never lands on disk.
-	if err := s.ImportLegacy("Q14", strings.NewReader("not json")); err == nil {
-		t.Fatal("garbage import accepted")
+	if fi, err := os.Stat(filepath.Join(dir, "Q12", walName)); err != nil || fi.Size() != 3*testFrameSize {
+		t.Fatalf("wal after 3 appends: %v (err %v), want %d bytes", fi, err, 3*testFrameSize)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "Q14", snapshotName)); !os.IsNotExist(err) {
-		t.Fatalf("garbage import left a snapshot: %v", err)
+	s2 := openStore(t, dir, Options{})
+	defer s2.Close()
+	wantPrefix(t, openHist(t, s2, "Q12"), 9)
+	// A garbage document fails the open instead of starting empty.
+	if err := os.MkdirAll(filepath.Join(dir, "Q14"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "Q14", snapshotName), []byte("not json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s2.OpenHistory("Q14", 1, testMetrics); err == nil {
+		t.Fatal("shard with a garbage snapshot opened")
 	}
 }
 
@@ -482,5 +496,65 @@ func TestShardNameEscaping(t *testing.T) {
 	appendN(t, h, 0, 1)
 	if _, err := os.Stat(filepath.Join(dir, "..", "escape")); !os.IsNotExist(err) {
 		t.Fatal("shard escaped the store root")
+	}
+}
+
+// TestGoldenFixtures pins the on-disk formats against files written by
+// the commit BEFORE the codecs moved onto internal/framelog (its
+// histstore.Open → 6 appends → Checkpoint → 5 appends → Close, plus the
+// same WAL cut 5 bytes into its last frame): today's decoders read
+// them, and today's encoders reproduce them byte for byte.
+func TestGoldenFixtures(t *testing.T) {
+	golden := func(name string) []byte {
+		raw, err := os.ReadFile(filepath.Join("testdata", "golden", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	install := func(wal []byte) string {
+		dir := t.TempDir()
+		if err := os.MkdirAll(filepath.Join(dir, "Q12"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		for name, raw := range map[string][]byte{snapshotName: golden("Q12/" + snapshotName), walName: wal} {
+			if err := os.WriteFile(filepath.Join(dir, "Q12", name), raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return dir
+	}
+	// Decode: the parent-written shard recovers whole, the torn one
+	// recovers its prefix and is cut back to it.
+	s := openStore(t, install(golden("Q12/"+walName)), Options{})
+	wantPrefix(t, openHist(t, s, "Q12"), 11)
+	s.Close()
+	tornDir := install(golden("wal-torn.log"))
+	s = openStore(t, tornDir, Options{})
+	wantPrefix(t, openHist(t, s, "Q12"), 10)
+	s.Close()
+	if fi, err := os.Stat(filepath.Join(tornDir, "Q12", walName)); err != nil || fi.Size() != 4*testFrameSize {
+		t.Fatalf("torn fixture after recovery: %v (err %v), want %d bytes", fi, err, 4*testFrameSize)
+	}
+	// Encode: the same operations write the same bytes.
+	dir := t.TempDir()
+	s = openStore(t, dir, Options{})
+	h := openHist(t, s, "Q12")
+	appendN(t, h, 0, 6)
+	if err := s.Checkpoint("Q12", h.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, h, 6, 5)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{snapshotName, walName} {
+		got, err := os.ReadFile(filepath.Join(dir, "Q12", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, golden("Q12/"+name)) {
+			t.Errorf("%s differs from the parent-written fixture", name)
+		}
 	}
 }

@@ -5,74 +5,37 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
 
 	"repro/internal/core"
+	"repro/internal/framelog"
 )
 
 // Shard transfer wire format — the histstore side of cluster handoff
-// and standby replication. A shard export is a short sequence of
-// CRC-framed sections, each
+// and standby replication. A shard export is three framelog frames
+// (DESIGN.md "Framed logs") whose payload opens with a kind:
 //
-//	kind uint32 LE  sectionSnapshot or sectionWAL
-//	len  uint32 LE  payload byte count
-//	crc  uint32 LE  CRC-32C (Castagnoli) of the payload
-//	payload
+//	kind uint32 LE  sectionSnapshot, sectionWAL, then sectionEnd
+//	body            the section's bytes (empty for sectionEnd)
 //
-// followed by a sectionEnd marker with an empty payload. The snapshot
-// payload is the shard's snapshot.json bytes verbatim (empty when the
-// shard has never checkpointed) and the WAL payload is the raw wal.log
-// framing — the same bytes scanWAL replays, so the importing side
-// recovers with exactly the code path a restart uses.
+// The snapshot body is the shard's snapshot.json bytes verbatim (empty
+// when the shard has never checkpointed) and the WAL body is the raw
+// wal.log framing — the same bytes a shard open replays, so the
+// importing side recovers with exactly the code path a restart uses.
+// The format is wire-only: both ends of a stream run the same build.
 
 const (
 	sectionSnapshot = 1
 	sectionWAL      = 2
 	sectionEnd      = 3
 
-	sectionHeaderSize = 12
 	// maxSectionPayload bounds one section (a full snapshot or WAL);
-	// far above any real shard, far below an allocation attack.
+	// far above any real shard. framelog grows a buffer this large only
+	// as its bytes arrive, so the bound is not an allocation request.
 	maxSectionPayload = 1 << 30
 )
-
-// writeSection frames one section onto w.
-func writeSection(w io.Writer, kind uint32, payload []byte) error {
-	var hdr [sectionHeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:], kind)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[8:], crc32.Checksum(payload, crcTable))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
-}
-
-// readSection reads and CRC-validates one section from r.
-func readSection(r io.Reader) (kind uint32, payload []byte, err error) {
-	var hdr [sectionHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, err
-	}
-	kind = binary.LittleEndian.Uint32(hdr[0:])
-	n := binary.LittleEndian.Uint32(hdr[4:])
-	crc := binary.LittleEndian.Uint32(hdr[8:])
-	if n > maxSectionPayload {
-		return 0, nil, fmt.Errorf("histstore: section of %d bytes exceeds the %d limit", n, maxSectionPayload)
-	}
-	payload = make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, err
-	}
-	if crc32.Checksum(payload, crcTable) != crc {
-		return 0, nil, errors.New("histstore: section crc mismatch")
-	}
-	return kind, payload, nil
-}
 
 // ExportShard streams the named open shard's durable state — snapshot
 // plus WAL — to w in the section format above. The shard lock is held
@@ -102,14 +65,18 @@ func (s *Store) ExportShard(name string, w io.Writer, arm func(next uint64)) err
 	if err != nil {
 		return fmt.Errorf("histstore: export %q: %w", name, err)
 	}
-	if err := writeSection(w, sectionSnapshot, snap); err != nil {
-		return fmt.Errorf("histstore: export %q: %w", name, err)
-	}
-	if err := writeSection(w, sectionWAL, wal); err != nil {
-		return fmt.Errorf("histstore: export %q: %w", name, err)
-	}
-	if err := writeSection(w, sectionEnd, nil); err != nil {
-		return fmt.Errorf("histstore: export %q: %w", name, err)
+	var buf []byte
+	for _, sec := range []struct {
+		kind uint32
+		body []byte
+	}{{sectionSnapshot, snap}, {sectionWAL, wal}, {sectionEnd, nil}} {
+		var at int
+		buf, at = framelog.Begin(buf[:0])
+		buf = binary.LittleEndian.AppendUint32(buf, sec.kind)
+		buf = framelog.Finish(append(buf, sec.body...), at)
+		if _, err := w.Write(buf); err != nil {
+			return fmt.Errorf("histstore: export %q: %w", name, err)
+		}
 	}
 	if arm != nil {
 		arm(sh.nextSeq)
@@ -131,26 +98,31 @@ func (s *Store) ImportShard(name string, r io.Reader) error {
 	}
 	s.closeReplica(name)
 	var snap, wal []byte
-	var haveSnap, haveWAL bool
-	for {
-		kind, payload, err := readSection(r)
-		if err != nil {
-			return fmt.Errorf("histstore: import %q: %w", name, err)
+	var haveSnap, haveWAL, ended bool
+	_, err := framelog.Scan(r, maxSectionPayload, framelog.Strict, func(_ int64, p []byte) error {
+		if len(p) < 4 || ended {
+			return fmt.Errorf("%w: section without a kind, or after the end marker", framelog.ErrCorrupt)
 		}
-		switch kind {
+		// The payload is only valid during the callback: keep a copy.
+		switch kind := binary.LittleEndian.Uint32(p); kind {
 		case sectionSnapshot:
-			snap, haveSnap = payload, true
+			snap, haveSnap = append([]byte(nil), p[4:]...), true
 		case sectionWAL:
-			wal, haveWAL = payload, true
+			wal, haveWAL = append([]byte(nil), p[4:]...), true
 		case sectionEnd:
-			if !haveSnap || !haveWAL {
-				return fmt.Errorf("histstore: import %q: truncated stream", name)
-			}
-			return s.installShard(name, snap, wal)
+			ended = true
 		default:
-			return fmt.Errorf("histstore: import %q: unknown section kind %d", name, kind)
+			return fmt.Errorf("unknown section kind %d", kind)
 		}
+		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("histstore: import %q: %w", name, err)
 	}
+	if !haveSnap || !haveWAL || !ended {
+		return fmt.Errorf("histstore: import %q: truncated stream", name)
+	}
+	return s.installShard(name, snap, wal)
 }
 
 // installShard validates and atomically writes an imported shard's
@@ -164,51 +136,33 @@ func (s *Store) installShard(name string, snap, wal []byte) error {
 			return fmt.Errorf("histstore: import %q: snapshot: %w", name, err)
 		}
 	}
-	validEnd, err := scanWAL(bytes.NewReader(wal), func(uint64, core.Observation) error { return nil })
+	_, err := framelog.Scan(bytes.NewReader(wal), maxFramePayload, framelog.Strict, func(_ int64, p []byte) error {
+		_, err := frameSeq(p)
+		return err
+	})
 	if err != nil {
 		return fmt.Errorf("histstore: import %q: wal: %w", name, err)
-	}
-	if validEnd != int64(len(wal)) {
-		return fmt.Errorf("histstore: import %q: wal corrupt at byte %d of %d", name, validEnd, len(wal))
 	}
 	dir := s.shardDir(name)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("histstore: import %q: %w", name, err)
 	}
-	snapPath := filepath.Join(dir, snapshotName)
+	write := func(file string, data []byte) error {
+		return framelog.WriteFileAtomic(filepath.Join(dir, file), func(w io.Writer) error {
+			_, err := w.Write(data)
+			return err
+		})
+	}
 	if len(snap) > 0 {
-		if err := writeFileDurable(snapPath, snap); err != nil {
-			return fmt.Errorf("histstore: import %q: %w", name, err)
-		}
-	} else if err := os.Remove(snapPath); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("histstore: import %q: %w", name, err)
+		err = write(snapshotName, snap)
+	} else if err = os.Remove(filepath.Join(dir, snapshotName)); os.IsNotExist(err) {
+		err = nil
 	}
-	if err := writeFileDurable(filepath.Join(dir, walName), wal); err != nil {
-		return fmt.Errorf("histstore: import %q: %w", name, err)
-	}
-	return nil
-}
-
-// writeFileDurable writes path atomically: temp file, fsync, rename.
-func writeFileDurable(path string, data []byte) error {
-	tmp := path + tmpSuffix
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err = f.Write(data); err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
+	if err == nil {
+		err = write(walName, wal)
 	}
 	if err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
+		return fmt.Errorf("histstore: import %q: %w", name, err)
 	}
 	return nil
 }
@@ -246,33 +200,19 @@ func (s *Store) openReplica(name string) (*replica, error) {
 	} else if !os.IsNotExist(err) {
 		return nil, err
 	}
-	f, err := os.OpenFile(filepath.Join(dir, walName), os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	validEnd, err := scanWAL(f, func(seq uint64, _ core.Observation) error {
+	// Same torn-tail policy as a real open: the handle comes back cut to
+	// the valid prefix, so the next append starts on a frame boundary.
+	f, _, _, err := framelog.OpenAppend(filepath.Join(dir, walName), maxFramePayload, func(_ int64, p []byte) error {
+		seq, err := frameSeq(p)
 		// Replica WALs are written in order, so the last intact frame
 		// defines the tail (duplicates below next were overlap-skipped
 		// at append time and cannot appear).
-		if seq >= next {
+		if err == nil && seq >= next {
 			next = seq + 1
 		}
-		return nil
+		return err
 	})
 	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	// Same torn-tail policy as a real open: truncate to the valid
-	// prefix so the next append starts on a frame boundary.
-	if fi, statErr := f.Stat(); statErr == nil && fi.Size() > validEnd {
-		if err := f.Truncate(validEnd); err != nil {
-			f.Close()
-			return nil, err
-		}
-	}
-	if _, err := f.Seek(validEnd, io.SeekStart); err != nil {
-		f.Close()
 		return nil, err
 	}
 	r := &replica{f: f, next: next}
@@ -325,39 +265,27 @@ func (s *Store) AppendReplicaFrames(name string, from uint64, frames []byte) (ui
 	}
 	// Walk the batch's framing to find where the overlap ends, checking
 	// that the sequence numbers are in fact contiguous from `from`.
-	skip := int64(0)
 	seq := from
-	validEnd, err := scanWAL(bytes.NewReader(frames), func(gotSeq uint64, _ core.Observation) error {
-		if gotSeq != seq {
-			return fmt.Errorf("frame %d out of order (want %d)", gotSeq, seq)
+	offset := int64(len(frames)) // of the first new frame (sequence r.next)
+	_, err = framelog.Scan(bytes.NewReader(frames), maxFramePayload, framelog.Strict, func(off int64, p []byte) error {
+		got, err := frameSeq(p)
+		if err != nil {
+			return err
+		}
+		if got != seq {
+			return fmt.Errorf("frame %d out of order (want %d)", got, seq)
+		}
+		if got == r.next {
+			offset = off
 		}
 		seq++
-		if gotSeq < r.next {
-			skip = -1 // marker: recompute below via a second pass
-		}
 		return nil
 	})
 	if err != nil {
 		return r.next, fmt.Errorf("histstore: replica %q: %w", name, err)
 	}
-	if validEnd != int64(len(frames)) {
-		return r.next, fmt.Errorf("histstore: replica %q: corrupt frame batch at byte %d of %d", name, validEnd, len(frames))
-	}
 	if seq <= r.next {
 		return r.next, nil // entire batch already applied
-	}
-	// Find the byte offset of the first new frame (sequence r.next).
-	var offset int64
-	if skip != 0 {
-		cur := from
-		rest := frames
-		for cur < r.next {
-			n := binary.LittleEndian.Uint32(rest)
-			adv := int64(frameHeaderSize) + int64(n)
-			offset += adv
-			rest = rest[adv:]
-			cur++
-		}
 	}
 	if _, err := r.f.Write(frames[offset:]); err != nil {
 		return r.next, fmt.Errorf("histstore: replica %q: %w", name, err)

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/framelog"
 )
 
 // walFrames reads a shard's raw WAL bytes and the byte offset of every
@@ -25,7 +26,7 @@ func walFrames(t *testing.T, dir, shard string) ([]byte, []int64) {
 	off := int64(0)
 	for off < int64(len(raw)) {
 		n := binary.LittleEndian.Uint32(raw[off:])
-		off += int64(frameHeaderSize) + int64(n)
+		off += framelog.HeaderSize + int64(n)
 		bounds = append(bounds, off)
 	}
 	return raw, bounds
@@ -173,11 +174,30 @@ func TestExportImportGuards(t *testing.T) {
 	if err := s.ImportShard("Q12", bytes.NewReader(buf.Bytes())); err == nil {
 		t.Error("import into open shard succeeded")
 	}
-	// Corrupt stream: flip a payload byte.
+	// A stream is three frames ending in the end marker (header + kind);
+	// anything else — a flipped payload byte, a missing end marker, a
+	// section after it, an unknown kind — is refused before disk.
+	const endFrameSize = framelog.HeaderSize + 4
 	raw := buf.Bytes()
-	raw[len(raw)-sectionHeaderSize-1] ^= 0xff
-	if err := s.ImportShard("Q13", bytes.NewReader(raw)); err == nil {
-		t.Error("corrupt import stream accepted")
+	flipped := append([]byte(nil), raw...)
+	flipped[len(flipped)-endFrameSize-1] ^= 0xff
+	unknown := framelog.Append(append([]byte(nil), raw[:len(raw)-endFrameSize]...), []byte{9, 0, 0, 0})
+	for name, stream := range map[string][]byte{
+		"flipped byte":   flipped,
+		"no end marker":  raw[:len(raw)-endFrameSize],
+		"torn end":       raw[:len(raw)-1],
+		"data after end": append(append([]byte(nil), raw...), raw[:endFrameSize]...),
+		"unknown kind":   unknown,
+	} {
+		if err := s.ImportShard("Q13", bytes.NewReader(stream)); err == nil {
+			t.Errorf("%s: import stream accepted", name)
+		}
+		if _, err := os.Stat(filepath.Join(s.Root(), "Q13")); !os.IsNotExist(err) {
+			t.Errorf("%s: refused import touched disk: %v", name, err)
+		}
+	}
+	if err := s.ImportShard("Q13", bytes.NewReader(raw)); err != nil {
+		t.Errorf("the unmodified stream was refused: %v", err)
 	}
 }
 

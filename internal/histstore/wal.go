@@ -1,53 +1,36 @@
 package histstore
 
 import (
-	"bufio"
 	"encoding/binary"
-	"errors"
-	"hash/crc32"
-	"io"
+	"fmt"
 	"math"
 
 	"repro/internal/core"
+	"repro/internal/framelog"
 )
 
-// WAL framing: every record is
+// WAL records are framelog frames (DESIGN.md "Framed logs") whose
+// payload is
 //
-//	length uint32 LE  payload byte count
-//	crc    uint32 LE  CRC-32C (Castagnoli) of the payload
-//	payload:
-//	  seq  uint64 LE  global observation index, 0-based across the
-//	                  shard's lifetime (snapshot + WAL)
-//	  nx   uint16 LE  feature count
-//	  nc   uint16 LE  cost count
-//	  x    nx × float64 LE
-//	  c    nc × float64 LE
+//	seq  uint64 LE  global observation index, 0-based across the
+//	                shard's lifetime (snapshot + WAL)
+//	nx   uint16 LE  feature count
+//	nc   uint16 LE  cost count
+//	x    nx × float64 LE
+//	c    nc × float64 LE
 //
 // The sequence number makes replay idempotent against any crash point
 // in the checkpoint protocol: frames already covered by the snapshot
 // are skipped by seq, so "snapshot renamed but WAL not yet compacted"
 // recovers to exactly the same history as a clean shutdown.
 
-const (
-	frameHeaderSize = 8
-	// maxFramePayload bounds a single record; anything larger in the
-	// length field is treated as corruption, not an allocation request.
-	maxFramePayload = 1 << 20
-)
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-// framePayloadSize is the payload byte count for one observation.
-func framePayloadSize(o core.Observation) int {
-	return 8 + 2 + 2 + 8*(len(o.X)+len(o.Costs))
-}
+// maxFramePayload bounds a single record; anything larger in the
+// length field is treated as corruption, not an allocation request.
+const maxFramePayload = 1 << 20
 
 // appendFrame appends one complete frame (header + payload) to buf.
 func appendFrame(buf []byte, seq uint64, o core.Observation) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(framePayloadSize(o)))
-	crcAt := len(buf)
-	buf = binary.LittleEndian.AppendUint32(buf, 0) // patched below
-	payloadAt := len(buf)
+	buf, at := framelog.Begin(buf)
 	buf = binary.LittleEndian.AppendUint64(buf, seq)
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(o.X)))
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(o.Costs)))
@@ -57,23 +40,32 @@ func appendFrame(buf []byte, seq uint64, o core.Observation) []byte {
 	for _, v := range o.Costs {
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 	}
-	binary.LittleEndian.PutUint32(buf[crcAt:], crc32.Checksum(buf[payloadAt:], crcTable))
-	return buf
+	return framelog.Finish(buf, at)
+}
+
+// frameSeq validates a CRC-checked payload's shape and returns its
+// sequence number without decoding the observation — all a replica or
+// an import, which only forward the bytes, need. A misshapen payload is
+// framelog.ErrCorrupt: the scan's policy decides what that means.
+func frameSeq(p []byte) (uint64, error) {
+	if len(p) < 12 {
+		return 0, fmt.Errorf("%w: payload shorter than fixed fields", framelog.ErrCorrupt)
+	}
+	nx := int(binary.LittleEndian.Uint16(p[8:]))
+	nc := int(binary.LittleEndian.Uint16(p[10:]))
+	if len(p) != 12+8*(nx+nc) {
+		return 0, fmt.Errorf("%w: payload size disagrees with counts", framelog.ErrCorrupt)
+	}
+	return binary.LittleEndian.Uint64(p), nil
 }
 
 // decodePayload parses a CRC-validated payload.
 func decodePayload(p []byte) (seq uint64, o core.Observation, err error) {
-	if len(p) < 12 {
-		return 0, o, errors.New("histstore: payload shorter than fixed fields")
+	if seq, err = frameSeq(p); err != nil {
+		return 0, o, err
 	}
-	seq = binary.LittleEndian.Uint64(p)
-	nx := int(binary.LittleEndian.Uint16(p[8:]))
-	nc := int(binary.LittleEndian.Uint16(p[10:]))
-	if len(p) != 12+8*(nx+nc) {
-		return 0, o, errors.New("histstore: payload size disagrees with counts")
-	}
-	o.X = make([]float64, nx)
-	o.Costs = make([]float64, nc)
+	o.X = make([]float64, binary.LittleEndian.Uint16(p[8:]))
+	o.Costs = make([]float64, binary.LittleEndian.Uint16(p[10:]))
 	at := 12
 	for i := range o.X {
 		o.X[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[at:]))
@@ -84,53 +76,4 @@ func decodePayload(p []byte) (seq uint64, o core.Observation, err error) {
 		at += 8
 	}
 	return seq, o, nil
-}
-
-// scanWAL reads frames from r in order, invoking fn for each intact
-// one, and returns the byte offset at which the valid prefix ends. A
-// torn or corrupt frame — short header, impossible length, short
-// payload, CRC mismatch, undecodable payload — ends the scan at that
-// frame's start offset with a nil error: the caller truncates there
-// and the log is whole again. Reader I/O failures and fn errors are
-// returned as errors (an fn rejection is a consistency problem, not
-// corruption — the caller must not truncate on it).
-func scanWAL(r io.Reader, fn func(seq uint64, o core.Observation) error) (int64, error) {
-	br := bufio.NewReader(r)
-	var off int64
-	header := make([]byte, frameHeaderSize)
-	var payload []byte
-	for {
-		if _, err := io.ReadFull(br, header); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				return off, nil
-			}
-			return off, err
-		}
-		n := binary.LittleEndian.Uint32(header)
-		crc := binary.LittleEndian.Uint32(header[4:])
-		if n == 0 || n > maxFramePayload {
-			return off, nil
-		}
-		if cap(payload) < int(n) {
-			payload = make([]byte, n)
-		}
-		payload = payload[:n]
-		if _, err := io.ReadFull(br, payload); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				return off, nil
-			}
-			return off, err
-		}
-		if crc32.Checksum(payload, crcTable) != crc {
-			return off, nil
-		}
-		seq, o, err := decodePayload(payload)
-		if err != nil {
-			return off, nil
-		}
-		if err := fn(seq, o); err != nil {
-			return off, err
-		}
-		off += int64(frameHeaderSize) + int64(n)
-	}
 }

@@ -436,6 +436,25 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return h.bounds[len(h.bounds)-1]
 }
 
+// Merged returns a detached histogram holding the summed buckets of hs
+// — children of one family, hence sharing bounds — so one Quantile call
+// answers for the whole group (e.g. a federation across its queries).
+func Merged(hs ...*Histogram) *Histogram {
+	if len(hs) == 0 {
+		return newHistogram(nil)
+	}
+	m := newHistogram(hs[0].bounds)
+	for _, h := range hs {
+		for i := range h.counts {
+			c := h.counts[i].Load()
+			m.counts[i].Add(c)
+			m.count.Add(c)
+		}
+		addFloat(&m.sum, h.Sum())
+	}
+	return m
+}
+
 // Histogram registers (or fetches) an unlabeled histogram with the
 // given bucket upper bounds (strictly increasing; +Inf implicit). Nil
 // buckets select DefBuckets.

@@ -4,9 +4,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"time"
+
+	"repro/internal/framelog"
 )
 
 // Event is one arrival in a recorded or generated schedule: fire the
@@ -19,21 +20,18 @@ type Event struct {
 	Query      string
 }
 
-// Trace file layout — the histstore WAL framing with a magic header:
+// Trace file layout — a magic header, then framelog frames (DESIGN.md
+// "Framed logs"):
 //
 //	8 bytes  magic "MIDTRC01" (format version in the last two bytes)
-//	frames:  len uint32 LE | crc uint32 LE | payload
 //	payload: offsetNanos uint64 LE
 //	         fedLen uint16 LE | federation bytes
 //	         qLen   uint16 LE | query bytes
 //
-// The CRC is crc32.Castagnoli over the payload. Unlike the WAL, a
-// torn or corrupt frame is a hard error: a trace is a complete
-// artifact, and replaying a silent prefix would break the byte-exact
-// reproducibility contract.
+// Unlike the WAL, a torn or corrupt frame is a hard error: a trace is a
+// complete artifact, and replaying a silent prefix would break the
+// byte-exact reproducibility contract.
 var traceMagic = [8]byte{'M', 'I', 'D', 'T', 'R', 'C', '0', '1'}
-
-var traceCRC = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrTraceCorrupt reports a malformed or truncated trace file.
 var ErrTraceCorrupt = errors.New("scenario: corrupt trace")
@@ -68,20 +66,13 @@ func (tw *TraceWriter) Append(ev Event) error {
 		return fmt.Errorf("scenario: event names too long (federation %d, query %d bytes)",
 			len(ev.Federation), len(ev.Query))
 	}
-	payload := 8 + 2 + len(ev.Federation) + 2 + len(ev.Query)
-	need := 8 + payload
-	if cap(tw.buf) < need {
-		tw.buf = make([]byte, need)
-	}
-	b := tw.buf[:need]
-	binary.LittleEndian.PutUint32(b[0:4], uint32(payload))
-	p := b[8:]
-	binary.LittleEndian.PutUint64(p[0:8], uint64(ev.Offset))
-	binary.LittleEndian.PutUint16(p[8:10], uint16(len(ev.Federation)))
-	off := 10 + copy(p[10:], ev.Federation)
-	binary.LittleEndian.PutUint16(p[off:off+2], uint16(len(ev.Query)))
-	copy(p[off+2:], ev.Query)
-	binary.LittleEndian.PutUint32(b[4:8], crc32.Checksum(p, traceCRC))
+	b, at := framelog.Begin(tw.buf[:0])
+	b = binary.LittleEndian.AppendUint64(b, uint64(ev.Offset))
+	b = binary.LittleEndian.AppendUint16(b, uint16(len(ev.Federation)))
+	b = append(b, ev.Federation...)
+	b = binary.LittleEndian.AppendUint16(b, uint16(len(ev.Query)))
+	b = framelog.Finish(append(b, ev.Query...), at)
+	tw.buf = b
 	if _, err := tw.w.Write(b); err != nil {
 		return fmt.Errorf("scenario: write trace frame: %w", err)
 	}
@@ -114,38 +105,23 @@ func ReadTrace(r io.Reader) ([]Event, error) {
 		return nil, fmt.Errorf("%w: bad magic %q", ErrTraceCorrupt, magic[:])
 	}
 	var events []Event
-	var hdr [8]byte
-	for {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			if err == io.EOF {
-				return events, nil
-			}
-			return nil, fmt.Errorf("%w: torn frame header: %v", ErrTraceCorrupt, err)
+	_, err := framelog.Scan(r, maxTracePayload, framelog.Strict, func(_ int64, p []byte) error {
+		if len(p) < 12 {
+			return fmt.Errorf("frame %d payload %d bytes", len(events), len(p))
 		}
-		n := binary.LittleEndian.Uint32(hdr[0:4])
-		if n < 12 || n > maxTracePayload {
-			return nil, fmt.Errorf("%w: frame payload %d bytes", ErrTraceCorrupt, n)
-		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return nil, fmt.Errorf("%w: torn frame payload: %v", ErrTraceCorrupt, err)
-		}
-		if crc32.Checksum(payload, traceCRC) != binary.LittleEndian.Uint32(hdr[4:8]) {
-			return nil, fmt.Errorf("%w: frame %d CRC mismatch", ErrTraceCorrupt, len(events))
-		}
-		fedLen := int(binary.LittleEndian.Uint16(payload[8:10]))
-		if 10+fedLen+2 > int(n) {
-			return nil, fmt.Errorf("%w: frame %d name lengths exceed payload", ErrTraceCorrupt, len(events))
-		}
-		qOff := 10 + fedLen
-		qLen := int(binary.LittleEndian.Uint16(payload[qOff : qOff+2]))
-		if qOff+2+qLen != int(n) {
-			return nil, fmt.Errorf("%w: frame %d name lengths exceed payload", ErrTraceCorrupt, len(events))
+		qOff := 10 + int(binary.LittleEndian.Uint16(p[8:10]))
+		if qOff+2 > len(p) || qOff+2+int(binary.LittleEndian.Uint16(p[qOff:])) != len(p) {
+			return fmt.Errorf("frame %d name lengths exceed payload", len(events))
 		}
 		events = append(events, Event{
-			Offset:     time.Duration(binary.LittleEndian.Uint64(payload[0:8])),
-			Federation: string(payload[10:qOff]),
-			Query:      string(payload[qOff+2 : qOff+2+qLen]),
+			Offset:     time.Duration(binary.LittleEndian.Uint64(p)),
+			Federation: string(p[10:qOff]),
+			Query:      string(p[qOff+2:]),
 		})
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrTraceCorrupt, err)
 	}
+	return events, nil
 }

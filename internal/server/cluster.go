@@ -1168,33 +1168,25 @@ func (s *Server) handleHandoffAbort(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleTakeover (POST /v1/admin/takeover?federation=) promotes this
-// node to fed's owner from locally replicated state — the recovery
-// path after the owner died. The receiving state holds requests that
-// arrive mid-promotion.
+// node to fed's owner from locally replicated state — the operator's
+// recovery path after the owner died: promote with no eligibility gate
+// and no fence.
 func (s *Server) handleTakeover(w http.ResponseWriter, r *http.Request) {
-	cs := s.cluster
 	fed := r.URL.Query().Get("federation")
 	t, ok := s.tenants[fed]
 	if !ok {
 		writeError(w, http.StatusNotFound, "server: unknown federation %q", fed)
 		return
 	}
-	if !t.beginReceiving() {
+	epoch, err := s.promote(t, nil)
+	switch {
+	case errors.Is(err, errNotRemote):
 		writeError(w, http.StatusConflict, "federation %q is %s here", fed, tenantStateName(t.state.Load()))
 		return
-	}
-	t.activateMu.Lock()
-	if err := s.activateTenant(t); err != nil {
-		t.finishReceiving(tenantRemote)
-		t.activateMu.Unlock()
+	case err != nil:
 		writeError(w, http.StatusInternalServerError, "takeover of %q: %v", fed, err)
 		return
 	}
-	epoch := cs.applyOverride(fed, cs.self.ID, cs.table.Load().Epoch()+1)
-	t.finishReceiving(tenantActive)
-	t.activateMu.Unlock()
-	cs.takeovers.Inc()
-	cs.gossip()
 	recovered := make(map[string]int, len(t.queries))
 	for _, q := range sortedQueries(t) {
 		if h := t.sched.History(q); h != nil {
@@ -1204,7 +1196,7 @@ func (s *Server) handleTakeover(w http.ResponseWriter, r *http.Request) {
 	s.log.Info("takeover complete", "federation", fed, "epoch", epoch)
 	writeJSON(w, http.StatusOK, HandoffResponse{
 		Federation:   fed,
-		To:           cs.self.ID,
+		To:           s.cluster.self.ID,
 		Epoch:        epoch,
 		Observations: recovered,
 	})

@@ -14,6 +14,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -157,18 +158,8 @@ func (s *Server) autoFailover(dead cluster.Member) {
 	}
 }
 
-// promoteStandby runs one fenced auto-promotion. The fence is the
-// routing epoch observed before activation: if the table moved while
-// shipped state was being opened — another node promoted first and its
-// gossip arrived, or the owner turned out alive and moved the tenant —
-// the promotion aborts and releases what it opened, rather than
-// committing a second owner on top of a table it no longer understands.
-// Two nodes fencing on the SAME observed epoch can still both commit
-// (neither sees the other's move until gossip); they mint equal epochs,
-// and the commutative equal-epoch merge in adoptTable settles on one
-// owner while demoteStaleOwner stands the loser down — the documented
-// settle path, reached only through a window the fence already made
-// narrow.
+// promoteStandby runs one auto-promotion: the eligibility gate, then
+// promote fenced on the dead owner.
 func (s *Server) promoteStandby(t *tenant, dead cluster.Member) bool {
 	cs := s.cluster
 	// Eligibility: when replication is on, promote only from a replica
@@ -189,35 +180,68 @@ func (s *Server) promoteStandby(t *tenant, dead cluster.Member) bool {
 			return false
 		}
 	}
+	epoch, err := s.promote(t, &dead)
+	if err != nil {
+		return false // promote logged why, unless someone else got here first
+	}
+	s.log.Warn("auto-promoted federation after owner death",
+		"federation", t.name, "owner", dead.ID, "epoch", epoch)
+	return true
+}
+
+// errNotRemote: an operator takeover or inbound handoff got here first.
+var errNotRemote = errors.New("tenant is not remote on this node")
+
+// promote is the one activation path from locally replicated state —
+// the manual POST /v1/admin/takeover (dead nil: no fence) and the
+// detector's auto-promotion (dead set) both end here. The receiving
+// state holds requests that arrive mid-promotion. It returns the
+// committed epoch.
+//
+// With dead set the promotion is fenced on the routing epoch observed
+// before activation: if the table moved while shipped state was being
+// opened — another node promoted first and its gossip arrived, or the
+// owner turned out alive and moved the tenant — the promotion aborts
+// and releases what it opened, rather than committing a second owner on
+// top of a table it no longer understands. Two nodes fencing on the
+// SAME observed epoch can still both commit (neither sees the other's
+// move until gossip); they mint equal epochs, and the commutative
+// equal-epoch merge in adoptTable settles on one owner while
+// demoteStaleOwner stands the loser down — the documented settle path,
+// reached only through a window the fence already made narrow.
+func (s *Server) promote(t *tenant, dead *cluster.Member) (uint64, error) {
+	cs := s.cluster
 	fence := cs.table.Load().Epoch()
 	if !t.beginReceiving() {
-		return false // an operator takeover or inbound handoff got here first
+		return 0, errNotRemote
 	}
 	t.activateMu.Lock()
 	defer t.activateMu.Unlock()
 	if err := s.activateTenant(t); err != nil {
 		t.finishReceiving(tenantRemote)
-		s.log.Warn("auto-promotion failed", "federation", t.name, "error", err.Error())
-		return false
+		if dead != nil {
+			s.log.Warn("auto-promotion failed", "federation", t.name, "error", err.Error())
+		}
+		return 0, err
 	}
 	// Re-check the fence after activation: opening shipped state takes
 	// real time, and the table may have moved underneath it.
 	tab := cs.table.Load()
-	if tab.Epoch() != fence || tab.Owner(t.name).ID != dead.ID {
+	if dead != nil && (tab.Epoch() != fence || tab.Owner(t.name).ID != dead.ID) {
 		s.releaseTenantState(t)
 		t.finishReceiving(tenantRemote)
 		s.log.Warn("auto-promotion fenced off", "federation", t.name,
 			"fence", fence, "epoch", tab.Epoch(), "owner", tab.Owner(t.name).ID)
-		return false
+		return 0, errors.New("routing table moved during activation")
 	}
-	epoch := cs.applyOverride(t.name, cs.self.ID, fence+1)
+	epoch := cs.applyOverride(t.name, cs.self.ID, tab.Epoch()+1)
 	t.finishReceiving(tenantActive)
 	cs.takeovers.Inc()
-	cs.autoTakeovers.Inc()
+	if dead != nil {
+		cs.autoTakeovers.Inc()
+	}
 	cs.gossip()
-	s.log.Warn("auto-promoted federation after owner death",
-		"federation", t.name, "owner", dead.ID, "epoch", epoch)
-	return true
+	return epoch, nil
 }
 
 // kickRebalance wakes the rebalance loop; a kick while one is queued

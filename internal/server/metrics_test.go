@@ -1,14 +1,19 @@
 package server
 
 import (
+	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/metrics"
+	"repro/internal/tpch"
 )
 
 // scrape fetches and parses GET /metrics.
@@ -176,11 +181,108 @@ func TestMetricsMirrorsStats(t *testing.T) {
 		postQuery(t, ts.URL, QueryRequest{Query: "Q13", Weights: []float64{1, 1}})
 	}
 	sc := scrape(t, ts.URL)
-	stats := srv.tenants["test"].stats.snapshot()
+	stats := getStats(t, ts.URL).Federations["test"]
 	if got := sc.Values[`midas_requests_completed_total{federation="test"}`]; got != float64(stats.Completed) {
 		t.Errorf("metrics completed %v != stats %d", got, stats.Completed)
 	}
 	if got := sc.Values[`midas_sweeps_started_total{federation="test"}`]; got != float64(stats.Sweeps) {
 		t.Errorf("metrics sweeps %v != stats %d", got, stats.Sweeps)
+	}
+}
+
+// getStats fetches GET /v1/stats.
+func getStats(t *testing.T, url string) StatsResponse {
+	t.Helper()
+	resp, err := http.Get(url + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out StatsResponse
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestStatsPercentilesMatchScrape: /v1/stats has no latency store of
+// its own — its percentiles are the request-duration histogram's, so
+// they equal histogram_quantile recomputed (here: independently, from
+// the text exposition) over a scrape of the same quiescent server, with
+// the federation's queries summed.
+func TestStatsPercentilesMatchScrape(t *testing.T) {
+	srv := newTestServer(t, &stubSched{}, Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	if st := getStats(t, ts.URL).Federations["test"]; st.P50MS != 0 || st.P90MS != 0 || st.P99MS != 0 {
+		t.Fatalf("percentiles before any request = %v/%v/%v, want zeros", st.P50MS, st.P90MS, st.P99MS)
+	}
+	// Real round trips on two queries (µs-scale against a stub: the
+	// buckets below 1 ms are what resolves them), plus synthetic
+	// observations across the ladder and into +Inf so every
+	// interpolation case runs whatever this machine's speed.
+	for i := 0; i < 20; i++ {
+		for _, q := range []string{"Q12", "Q13"} {
+			if resp, body := postQuery(t, ts.URL, QueryRequest{Query: q, Weights: []float64{1, 1}}); resp.StatusCode != http.StatusOK {
+				t.Fatalf("submit = %d, body %s", resp.StatusCode, body)
+			}
+		}
+	}
+	for i, secs := range []float64{3e-5, 8e-5, 4e-4, 0.003, 0.04, 0.04, 0.7, 2, 45} {
+		srv.tenants["test"].latency[tpch.AllQueries[i%2]].Observe(secs)
+	}
+
+	// Sum the cumulative bucket series over the federation's queries.
+	sc := scrape(t, ts.URL)
+	cum := map[float64]float64{}
+	for id, v := range sc.Values {
+		name, labels, _ := strings.Cut(id, "{")
+		if name != "midas_request_duration_seconds_bucket" || !strings.Contains(labels, `federation="test"`) {
+			continue
+		}
+		_, le, _ := strings.Cut(strings.TrimSuffix(labels, `"}`), `le="`)
+		bound, err := strconv.ParseFloat(le, 64) // "+Inf" parses
+		if err != nil {
+			t.Fatalf("series %s: %v", id, err)
+		}
+		cum[bound] += v
+	}
+	bounds := make([]float64, 0, len(cum))
+	for b := range cum {
+		bounds = append(bounds, b)
+	}
+	sort.Float64s(bounds)
+	if bounds[0] > 1e-5 || bounds[len(bounds)-2] < 30 || len(bounds) > 25 {
+		t.Fatalf("request buckets %v do not span 10 µs..30 s in at most 24 bounds", bounds)
+	}
+	quantile := func(q float64) float64 {
+		rank := q * cum[math.Inf(1)]
+		for i, b := range bounds {
+			if cum[b] < rank {
+				continue
+			}
+			if math.IsInf(b, 1) {
+				return bounds[i-1]
+			}
+			lower, below := 0.0, 0.0
+			if i > 0 {
+				lower, below = bounds[i-1], cum[bounds[i-1]]
+			}
+			return lower + (b-lower)*(rank-below)/(cum[b]-below)
+		}
+		return math.NaN()
+	}
+	st := getStats(t, ts.URL).Federations["test"]
+	for _, c := range []struct {
+		name string
+		got  float64
+		q    float64
+	}{{"p50", st.P50MS, 0.50}, {"p90", st.P90MS, 0.90}, {"p99", st.P99MS, 0.99}} {
+		if want := quantile(c.q) * 1e3; math.Abs(c.got-want) > 1e-9*want {
+			t.Errorf("/v1/stats %s = %v ms, scrape says %v ms", c.name, c.got, want)
+		}
+	}
+	if st.P99MS != 30e3 {
+		t.Errorf("p99 = %v ms, want the highest finite bound (the 45 s outlier sits in +Inf)", st.P99MS)
 	}
 }

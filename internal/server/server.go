@@ -417,7 +417,7 @@ func (s *Server) registerMetrics() {
 		func() float64 { return time.Since(s.start).Seconds() })
 	s.reqSeconds = reg.HistogramVec("midas_request_duration_seconds",
 		"Server-side wall time of one completed scheduling round.",
-		nil, "federation", "query")
+		requestBuckets, "federation", "query")
 	for _, t := range s.tenants {
 		t.registerMetrics(reg)
 		// Pre-bind each (federation, query) latency child: HistogramVec
@@ -894,7 +894,6 @@ func (s *Server) serveSubmit(ctx context.Context, sc *serveScratch, body []byte,
 		t.stats.plansEstimated.Add(int64(dec.PlansEstimated))
 		t.stats.planSpace.Store(int64(dec.PlanSpace))
 	}
-	t.stats.observe(float64(latency) / float64(time.Millisecond))
 	t.latency[q].Observe(latency.Seconds())
 	s.logRequest(ctx, t.name, q, dec, coalesced, latency, http.StatusOK, nil)
 	sc.resp = QueryResponse{
@@ -1065,7 +1064,11 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Federations: make(map[string]FederationStats, len(s.tenants)),
 	}
 	for name, t := range s.tenants {
-		resp.Federations[name] = t.stats.snapshot()
+		children := make([]*metrics.Histogram, 0, len(t.latency))
+		for _, h := range t.latency {
+			children = append(children, h)
+		}
+		resp.Federations[name] = t.stats.snapshot(metrics.Merged(children...))
 	}
 	if cs := s.cluster; cs != nil {
 		tab := cs.table.Load()

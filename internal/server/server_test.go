@@ -321,28 +321,6 @@ func TestMultiTenantRouting(t *testing.T) {
 	}
 }
 
-func TestLatencyQuantiles(t *testing.T) {
-	if p50, p90, p99 := latencyQuantiles(nil); p50 != 0 || p90 != 0 || p99 != 0 {
-		t.Fatalf("empty quantiles = %v/%v/%v", p50, p90, p99)
-	}
-	sample := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	p50, p90, p99 := latencyQuantiles(sample)
-	if p50 < 5 || p50 > 6 || p90 < 9 || p99 > 10 || p99 < p90 || p90 < p50 {
-		t.Fatalf("quantiles = %v/%v/%v", p50, p90, p99)
-	}
-}
-
-func TestLatencyRingWraps(t *testing.T) {
-	st := newTenantStats()
-	for i := 0; i < latencyWindow+10; i++ {
-		st.observe(float64(i))
-	}
-	snap := st.snapshot()
-	if snap.P50MS == 0 {
-		t.Fatalf("p50 = 0 after %d observations", latencyWindow+10)
-	}
-}
-
 // TestServeIntegration exercises the full stack — real scheduler, real
 // scaled executor — through the HTTP API once.
 func TestServeIntegration(t *testing.T) {

@@ -1,20 +1,22 @@
 package server
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/metrics"
-	"repro/internal/stats"
 )
 
-// latencyWindow bounds the per-tenant latency reservoir; percentiles
-// are computed over the most recent observations, which is what a
-// serving dashboard wants anyway.
-const latencyWindow = 1 << 14
+// requestBuckets are the fixed bounds of midas_request_duration_seconds,
+// 10 µs to 30 s in 1–2.5–5 steps: a solo round trip is ~35 µs
+// server-side and a cold wide sweep runs to seconds, and /v1/stats
+// percentiles are only as fine as the bucket they land in.
+var requestBuckets = []float64{
+	1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 1e-2,
+	2.5e-2, 5e-2, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30,
+}
 
-// tenantStats aggregates one federation's serving counters and latency
-// distribution. All methods are safe for concurrent use.
+// tenantStats aggregates one federation's serving counters. All
+// methods are safe for concurrent use.
 type tenantStats struct {
 	received      atomic.Int64
 	completed     atomic.Int64
@@ -35,15 +37,10 @@ type tenantStats struct {
 	// at assembly before serving starts (newTenantStats defaults it to
 	// "full", matching the scheduler default).
 	prunePolicy string
-
-	mu   sync.Mutex
-	ring []float64 // most recent completion latencies, ms
-	next int
-	n    int // filled entries, ≤ len(ring)
 }
 
 func newTenantStats() *tenantStats {
-	return &tenantStats{ring: make([]float64, latencyWindow), prunePolicy: "full"}
+	return &tenantStats{prunePolicy: "full"}
 }
 
 // register publishes the counters as scrape-time collectors reading
@@ -87,34 +84,11 @@ func (t *tenantStats) register(reg *metrics.Registry, federation string) {
 		"federation", federation)
 }
 
-// observe records one completion latency in milliseconds.
-func (t *tenantStats) observe(ms float64) {
-	t.mu.Lock()
-	t.ring[t.next] = ms
-	t.next = (t.next + 1) % len(t.ring)
-	if t.n < len(t.ring) {
-		t.n++
-	}
-	t.mu.Unlock()
-}
-
-// latencyQuantiles renders p50/p90/p99 of a sample; an empty sample
-// reports zeros rather than an error.
-func latencyQuantiles(sample []float64) (p50, p90, p99 float64) {
-	qs, err := stats.Quantiles(sample, 0.50, 0.90, 0.99)
-	if err != nil {
-		return 0, 0, 0
-	}
-	return qs[0], qs[1], qs[2]
-}
-
-// snapshot renders the stats for /v1/stats.
-func (t *tenantStats) snapshot() FederationStats {
-	t.mu.Lock()
-	sample := make([]float64, t.n)
-	copy(sample, t.ring[:t.n])
-	t.mu.Unlock()
-	p50, p90, p99 := latencyQuantiles(sample)
+// snapshot renders the stats for /v1/stats. The percentiles are
+// lifetime estimates from latency, the tenant's request-duration
+// histogram summed over its queries — the series a /metrics scrape
+// reads, so histogram_quantile over that scrape gives these numbers.
+func (t *tenantStats) snapshot(latency *metrics.Histogram) FederationStats {
 	return FederationStats{
 		Received:           t.received.Load(),
 		Completed:          t.completed.Load(),
@@ -129,8 +103,8 @@ func (t *tenantStats) snapshot() FederationStats {
 		HistoryTruncated:   t.histTruncated.Load(),
 		Checkpoints:        t.checkpoints.Load(),
 		CheckpointFailures: t.checkpointErr.Load(),
-		P50MS:              p50,
-		P90MS:              p90,
-		P99MS:              p99,
+		P50MS:              latency.Quantile(0.50) * 1e3,
+		P90MS:              latency.Quantile(0.90) * 1e3,
+		P99MS:              latency.Quantile(0.99) * 1e3,
 	}
 }

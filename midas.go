@@ -36,7 +36,6 @@ import (
 	"repro/internal/cloud"
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/experiments"
 	"repro/internal/federation"
 	"repro/internal/histstore"
 	"repro/internal/ires"
@@ -44,7 +43,6 @@ import (
 	"repro/internal/ml"
 	"repro/internal/moo"
 	"repro/internal/regression"
-	"repro/internal/scenario"
 	"repro/internal/server"
 	"repro/internal/tpch"
 	"repro/internal/workload"
@@ -70,21 +68,6 @@ type HistorySnapshot = core.Snapshot
 // Observation is one execution record.
 type Observation = core.Observation
 
-// Estimate is the result of one EstimateCostValue call.
-type Estimate = core.Estimate
-
-// Window policies for DREAM (paper default: most recent observations).
-const (
-	MostRecent    = core.MostRecent
-	UniformSample = core.UniformSample
-)
-
-// Growth policies for DREAM's window (paper default: grow by one).
-const (
-	GrowByOne = core.GrowByOne
-	Doubling  = core.Doubling
-)
-
 // DefaultRequiredR2 is the paper's R²require = 0.8.
 const DefaultRequiredR2 = core.DefaultRequiredR2
 
@@ -105,11 +88,14 @@ func NewHistory(dim int, metrics ...string) (*History, error) {
 	return core.NewHistory(dim, metrics...)
 }
 
-// LoadHistory reads a history previously written with History.Save —
-// the legacy whole-file format, still readable as the one-way import
-// path into a durable store (DurableHistoryStore.ImportLegacy). New
-// code should keep histories in a store instead of Save/Load files.
-var LoadHistory = core.LoadHistory
+// SaveSnapshot and LoadHistory are the snapshot codec: a versioned JSON
+// document of a whole history, the same one a DurableHistoryStore keeps
+// as each shard's snapshot.json. On its own such a file has no
+// durability for later appends; keep live histories in a store.
+var (
+	SaveSnapshot = core.SaveSnapshot
+	LoadHistory  = core.LoadHistory
+)
 
 // ---------------------------------------------------------------------------
 // Durable history store (WAL + snapshots)
@@ -127,14 +113,6 @@ type (
 	DurableHistoryStore = histstore.Store
 	// HistoryStoreOptions tunes a DurableHistoryStore (WAL fsync).
 	HistoryStoreOptions = histstore.Options
-	// HistorySink is core's write-ahead tee: every History.Append
-	// flows through the attached sink before becoming visible.
-	HistorySink = core.HistorySink
-	// ServerStoreConfig makes a QueryServer's tenant histories durable
-	// (ServerConfig.Store): data directory, checkpoint interval, WAL
-	// fsync. cmd/midasd exposes these as -data-dir,
-	// -checkpoint-interval and -wal-fsync.
-	ServerStoreConfig = server.StoreConfig
 )
 
 // OpenHistoryStore opens (creating the directory if needed) a durable
@@ -148,44 +126,20 @@ func OpenHistoryStore(dir string, opts HistoryStoreOptions) (*DurableHistoryStor
 // ---------------------------------------------------------------------------
 // Observability (metrics + structured logs)
 
-type (
-	// MetricsRegistry is a zero-dependency, concurrency-safe metrics
-	// registry (counters, gauges, fixed-bucket histograms with
-	// p50/p90/p99 extraction) that renders the Prometheus text format.
-	// Every layer of the serving stack publishes into one: set
-	// ServerConfig.Metrics (or SchedulerConfig.Metrics +
-	// MetricsFederation for a bare scheduler, HistoryStoreOptions.Metrics
-	// for a bare store) and scrape it via Registry.Handler — which is
-	// what midasd serves at GET /metrics. Instrumentation is
-	// observation-only: metered and unmetered runs make byte-identical
-	// decisions.
-	MetricsRegistry = metrics.Registry
-	// Counter is a monotonically non-decreasing metric.
-	Counter = metrics.Counter
-	// Gauge is a metric that can go up and down.
-	Gauge = metrics.Gauge
-	// Histogram buckets observations and extracts approximate
-	// quantiles (Quantile(0.5), …).
-	Histogram = metrics.Histogram
-	// EstimatorStats is the DREAM estimator's observation-only
-	// instrumentation: window searches, refits, the most recent fitted
-	// window size (the drift signal), and model-cache hits/misses. Read
-	// it with DREAMEstimator.Stats.
-	EstimatorStats = core.EstimatorStats
-)
+// MetricsRegistry is a zero-dependency, concurrency-safe metrics
+// registry (counters, gauges, fixed-bucket histograms with
+// p50/p90/p99 extraction) that renders the Prometheus text format.
+// Every layer of the serving stack publishes into one: set
+// ServerConfig.Metrics (or SchedulerConfig.Metrics +
+// MetricsFederation for a bare scheduler, HistoryStoreOptions.Metrics
+// for a bare store) and scrape it via Registry.Handler — which is
+// what midasd serves at GET /metrics. Instrumentation is
+// observation-only: metered and unmetered runs make byte-identical
+// decisions.
+type MetricsRegistry = metrics.Registry
 
 // NewMetricsRegistry returns an empty metrics registry.
 func NewMetricsRegistry() *MetricsRegistry { return metrics.NewRegistry() }
-
-// MetricDefBuckets is the default histogram bucket ladder (1 ms–30 s),
-// sized for request and sweep latencies.
-var MetricDefBuckets = metrics.DefBuckets
-
-// MetricExponentialBuckets builds n histogram bucket bounds starting
-// at start and growing by factor.
-func MetricExponentialBuckets(start, factor float64, n int) []float64 {
-	return metrics.ExponentialBuckets(start, factor, n)
-}
 
 // ---------------------------------------------------------------------------
 // Regression and baseline learners
@@ -203,9 +157,6 @@ func FitMLR(samples []Sample) (*MLRModel, error) {
 
 // Learner trains single-metric cost predictors (Best-ML candidates).
 type Learner = ml.Learner
-
-// Predictor is a trained cost model.
-type Predictor = ml.Predictor
 
 // The IReS Modelling learners named in the paper, plus the robust
 // regressor from its Rousseeuw & Leroy reference.
@@ -233,21 +184,6 @@ type NSGAIIConfig = moo.NSGAIIConfig
 
 // NSGAII runs the Non-dominated Sorting Genetic Algorithm II.
 func NSGAII(p Problem, cfg NSGAIIConfig) (*moo.Result, error) { return moo.NSGAII(p, cfg) }
-
-// NSGAG runs the authors' grid-based NSGA variant.
-func NSGAG(p Problem, cfg NSGAIIConfig, divisions int) (*moo.Result, error) {
-	return moo.NSGAG(p, cfg, divisions)
-}
-
-// SPEA2 runs the Strength Pareto Evolutionary Algorithm 2 (paper
-// reference [37]).
-func SPEA2(p Problem, cfg NSGAIIConfig) (*moo.Result, error) { return moo.SPEA2(p, cfg) }
-
-// MOEADConfig parameterizes MOEA/D.
-type MOEADConfig = moo.MOEADConfig
-
-// MOEAD runs the decomposition-based optimizer (paper reference [36]).
-func MOEAD(p Problem, cfg MOEADConfig) (*moo.Result, error) { return moo.MOEAD(p, cfg) }
 
 // KneePoint selects the knee of a two-objective Pareto set — a
 // weight-free selection strategy (paper future work).
@@ -279,23 +215,9 @@ func WeightedSum(costs, weights []float64) (float64, error) {
 // ---------------------------------------------------------------------------
 // Cloud federation substrate
 
-// The pay-as-you-go substrate of the paper's Table 1.
-type (
-	// Provider is one cloud vendor's catalog: instance types, storage
-	// and egress pricing.
-	Provider = cloud.Provider
-	// InstanceType is one rentable machine shape (vCPU, memory,
-	// hourly price).
-	InstanceType = cloud.InstanceType
-	// Cluster is a rented set of instances at one site.
-	Cluster = cloud.Cluster
-	// Link models the network between two sites (bandwidth, egress
-	// pricing).
-	Link = cloud.Link
-	// LoadProcess is the drifting background-load model an executor
-	// samples per execution.
-	LoadProcess = cloud.LoadProcess
-)
+// Provider is one cloud vendor's catalog — instance types, storage and
+// egress pricing: the pay-as-you-go substrate of the paper's Table 1.
+type Provider = cloud.Provider
 
 // Provider catalogs from the paper's Table 1 (plus Google for the
 // architecture figure's three-cloud setup).
@@ -304,9 +226,6 @@ var (
 	Microsoft = cloud.Microsoft
 	Google    = cloud.Google
 )
-
-// EngineProfile is a simulated database engine personality.
-type EngineProfile = engine.Profile
 
 // The engines of the paper's Figure 1.
 var (
@@ -321,10 +240,6 @@ var (
 type (
 	// Federation is the MIDAS topology (sites, catalog, links).
 	Federation = federation.Federation
-	// FederationConfig assembles a Federation.
-	FederationConfig = federation.Config
-	// Site pairs a provider with an engine at one location.
-	Site = federation.Site
 	// Plan is one equivalent QEP of a two-table query.
 	Plan = federation.Plan
 	// Outcome is the measured cost of one execution.
@@ -337,38 +252,11 @@ type (
 	ScaledExecutor = federation.ScaledExecutor
 	// Calibration holds per-query operator statistics per unit SF.
 	Calibration = federation.Calibration
-	// PlanLattice is a query's full QEP space in factored form (join
-	// side × left choice × right choice) — sized, indexable and
-	// enumerable without materializing the plans until asked.
-	// Federation.PlanLattice builds one; Federation.EnumeratePlans
-	// remains the batch convenience over it.
-	PlanLattice = federation.PlanLattice
-	// PlanIterator streams a lattice's plans in deterministic order
-	// (Next/Reset), with random access through At — the lazy seam
-	// PrunePolicy implementations pull from.
-	PlanIterator = federation.PlanIterator
 )
-
-// ErrBadNodeChoices tags cluster-size menu validation failures (empty
-// menu, non-positive or duplicate entries); test with errors.Is.
-var ErrBadNodeChoices = federation.ErrBadNodeChoices
-
-// ValidateNodeChoices rejects malformed cluster-size menus up front.
-func ValidateNodeChoices(nodeChoices []int) error {
-	return federation.ValidateNodeChoices(nodeChoices)
-}
 
 // NodeRange returns the dense menu {1, 2, …, n} — the knob that grows
 // the QEP lattice toward the paper's Example 3.1 regime.
 func NodeRange(n int) []int { return federation.NodeRange(n) }
-
-// NewWideFederation is the paper's two-site deployment with both
-// sites' cluster caps raised to maxNodes: with the NodeRange(maxNodes)
-// menu the lattice holds 2·maxNodes² QEPs (18,432 at maxNodes 96 —
-// Example 3.1's 18,200-plan regime).
-func NewWideFederation(seed int64, maxNodes int) (*Federation, error) {
-	return federation.WideTopology(seed, maxNodes)
-}
 
 // Metrics are the cost objectives (time_s, money_usd).
 var Metrics = federation.Metrics
@@ -376,9 +264,6 @@ var Metrics = federation.Metrics
 // FeatureDim is the plan feature dimension (paper Example 2.1 features
 // plus the join-placement indicator).
 const FeatureDim = federation.FeatureDim
-
-// NewFederation validates and builds a federation.
-func NewFederation(cfg FederationConfig) (*Federation, error) { return federation.New(cfg) }
 
 // NewDefaultFederation reproduces the paper's two-site Hive+PostgreSQL
 // deployment across Amazon and Microsoft.
@@ -454,10 +339,6 @@ type (
 	CostModel = ires.CostModel
 	// DREAMModel adapts DREAM to the Modelling contract.
 	DREAMModel = ires.DREAMModel
-	// CompositeDREAMModel is the operator-level DREAM variant.
-	CompositeDREAMModel = ires.CompositeDREAMModel
-	// BMLModel is the windowed Best-ML baseline.
-	BMLModel = ires.BMLModel
 	// Policy is the user query policy (weights + constraints).
 	Policy = ires.Policy
 	// Decision reports one scheduling round.
@@ -472,19 +353,12 @@ type (
 	// UniformSample window ablation is the exception — see
 	// Scheduler.Parallelism), including across a store-backed restart.
 	SchedulerConfig = ires.SchedulerConfig
-	// PlanSource is the streaming plan-supply seam: anything that can
-	// hand the scheduler plans one at a time (Next/Reset/Size/At). A
-	// federation PlanIterator is the canonical implementation.
-	PlanSource = ires.PlanSource
 	// PrunePolicy decides which QEPs of the lattice a sweep actually
-	// estimates. Set SchedulerConfig.Prune; nil means FullSweep. The
-	// interface is closed — use the constructors below.
+	// estimates. Set SchedulerConfig.Prune; nil sweeps the whole
+	// lattice, the paper's behavior. The interface is closed — GreedyPrune
+	// below is the constructor.
 	PrunePolicy = ires.PrunePolicy
 )
-
-// FullSweep estimates every plan — the paper's behavior and the
-// default when SchedulerConfig.Prune is nil.
-func FullSweep() PrunePolicy { return ires.FullSweep() }
 
 // GreedyPrune estimates at most budget plans (0 = a size-derived
 // default): a coarse lattice scaffold followed by a cost-ordered walk
@@ -492,28 +366,8 @@ func FullSweep() PrunePolicy { return ires.FullSweep() }
 // of candidates is dominated. Deterministic at any Parallelism.
 func GreedyPrune(budget int) PrunePolicy { return ires.GreedyPrune(budget) }
 
-// TopKPrune estimates a deterministic uniform sample of k plans
-// (0 = a size-derived default) — the simple baseline GreedyPrune is
-// judged against.
-func TopKPrune(k int, seed int64) PrunePolicy { return ires.TopK(k, seed) }
-
-// ParsePrunePolicy resolves a policy by name ("", "full", "greedy",
-// "topk") plus budget — the form config files and midasd flags use.
-func ParsePrunePolicy(name string, budget int) (PrunePolicy, error) {
-	return ires.ParsePrunePolicy(name, budget)
-}
-
 // NewDREAMModel builds a DREAM Modelling module.
 func NewDREAMModel(cfg DREAMConfig) (*DREAMModel, error) { return ires.NewDREAMModel(cfg) }
-
-// NewCompositeDREAMModel builds the operator-level DREAM Modelling
-// module (requires histories recorded with BreakdownMetrics).
-func NewCompositeDREAMModel(cfg DREAMConfig) (*CompositeDREAMModel, error) {
-	return ires.NewCompositeDREAMModel(cfg)
-}
-
-// BreakdownMetrics extends Metrics with per-operator timings.
-var BreakdownMetrics = federation.BreakdownMetrics
 
 // NewScheduler assembles the pipeline.
 func NewScheduler(fed *Federation, exec Executor, model CostModel, nodeChoices []int, seed int64) (*Scheduler, error) {
@@ -543,68 +397,21 @@ type (
 	ServerConfig = server.Config
 	// ServerFederationSpec declares one hosted federation.
 	ServerFederationSpec = server.FederationSpec
-	// QueryRequest is the body of POST /v1/queries; cmd/midasload
-	// speaks the same contract.
-	QueryRequest = server.QueryRequest
-	// QueryResponse reports one completed scheduling round over the
-	// wire.
-	QueryResponse = server.QueryResponse
 	// LoadConfig parameterizes one load-generation run against a
 	// serving instance.
 	LoadConfig = workload.LoadConfig
 	// LoadReport summarizes a load run: QPS, latency percentiles,
 	// per-status counts.
 	LoadReport = workload.LoadReport
-	// OpenLoadConfig parameterizes an open-loop (schedule-driven)
-	// load run.
-	OpenLoadConfig = workload.OpenLoadConfig
-	// ScenarioSpec names one scenario: an arrival process, a rate, an
-	// event budget, and a chaos profile, all under one seed.
-	ScenarioSpec = scenario.Spec
-	// ScenarioEvent is one (offset, federation, query) arrival of a
-	// generated or recorded trace.
-	ScenarioEvent = scenario.Event
-	// ChaosProfile names a fault-injection preset for the simulated
-	// cloud.
-	ChaosProfile = cloud.ChaosProfile
 )
 
 // NewQueryServer builds the configured federations (calibration +
 // bootstrap; the slow part) and returns a ready server.
 func NewQueryServer(cfg ServerConfig) (*QueryServer, error) { return server.New(cfg) }
 
-// LoadFederationSpecs reads a JSON federation config file.
-var LoadFederationSpecs = server.LoadSpecsFile
-
 // RunLoad drives N concurrent closed-loop clients against a serving
 // instance and reports sustained QPS and latency percentiles.
 var RunLoad = workload.RunLoad
-
-// RunOpenLoad fires a pre-generated event schedule at a serving
-// instance open-loop (arrivals decoupled from service rate) and
-// reports through the same summarization path as RunLoad.
-var RunOpenLoad = workload.RunOpenLoad
-
-// Scenario engine: seeded arrival schedules, byte-exact trace
-// record/replay, and chaos attachment over the simulated cloud.
-var (
-	// ScenarioMatrix returns the standard (arrival × chaos) scenario
-	// grid under one base seed.
-	ScenarioMatrix = scenario.Matrix
-	// WriteTrace / ReadTrace serialize an event schedule to the
-	// CRC-framed trace format midasload records and replays.
-	WriteTrace = scenario.WriteTrace
-	ReadTrace  = scenario.ReadTrace
-	// AttachChaos wires a fault-injection profile onto every site of a
-	// federation; DetachChaos restores the well-behaved cloud.
-	AttachChaos = scenario.AttachChaos
-	DetachChaos = scenario.DetachChaos
-	// ParseChaosProfile resolves a named chaos profile (see
-	// ChaosProfileNames).
-	ParseChaosProfile = cloud.ParseChaosProfile
-	// ChaosProfileNames lists the named chaos profiles.
-	ChaosProfileNames = cloud.ChaosProfileNames
-)
 
 // ---------------------------------------------------------------------------
 // Evaluation harness
@@ -616,8 +423,6 @@ type (
 	EvalHarness = workload.Harness
 	// ModelSpec names one model under evaluation.
 	ModelSpec = workload.ModelSpec
-	// ResultTable is a rendered experiment table.
-	ResultTable = experiments.Table
 )
 
 // NewEvalHarness builds an evaluation harness on the default topology.

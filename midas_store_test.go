@@ -1,7 +1,6 @@
 package midas_test
 
 import (
-	"bytes"
 	"testing"
 
 	midas "repro"
@@ -9,7 +8,7 @@ import (
 
 // TestFacadeDurableHistoryStore drives the exported durability surface:
 // open a store, record through a history it owns, recover in a fresh
-// store, and import a legacy Save document.
+// store.
 func TestFacadeDurableHistoryStore(t *testing.T) {
 	dir := t.TempDir()
 	store, err := midas.OpenHistoryStore(dir, midas.HistoryStoreOptions{})
@@ -51,29 +50,5 @@ func TestFacadeDurableHistoryStore(t *testing.T) {
 	}
 	if got := h2.At(12).Costs[0]; got != 26 {
 		t.Fatalf("last recovered cost = %v, want 26", got)
-	}
-
-	// Legacy one-way import: a History.Save document becomes a shard's
-	// base snapshot.
-	legacy, err := midas.NewHistory(1, "time_s")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := legacy.Append(midas.Observation{X: []float64{1}, Costs: []float64{1}}); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := legacy.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := again.ImportLegacy("imported", &buf); err != nil {
-		t.Fatal(err)
-	}
-	h3, err := again.OpenHistory("imported", 1, []string{"time_s"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h3.Len() != 1 {
-		t.Fatalf("imported %d observations, want 1", h3.Len())
 	}
 }

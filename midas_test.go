@@ -116,7 +116,7 @@ func TestFacadeDREAMAndPersistence(t *testing.T) {
 		t.Errorf("estimate = %v, want 12", e.Values()[0])
 	}
 	var buf bytes.Buffer
-	if err := h.Save(&buf); err != nil {
+	if err := SaveSnapshot(h.Snapshot(), &buf); err != nil {
 		t.Fatal(err)
 	}
 	h2, err := LoadHistory(&buf)
