@@ -10,12 +10,14 @@ COVER_PKGS ?= ./internal/server ./internal/core ./internal/histstore ./internal/
 # The regression-gated benchmarks: the Q12/Q13 serving sweeps, the
 # cold (uncached) window searches the incremental shared-Gram solver
 # owns, the pooled serving hot path (ServeHotPath reports allocs/op,
-# the zero-alloc regression signal), and the PlanSweep full-vs-greedy
-# family over the wide (Example 3.1) lattice. The minimum of COUNT
-# runs is compared by cmd/benchgate in CI. The fsync-bound ServeDurable
+# the zero-alloc regression signal), the PlanSweep full-vs-greedy
+# family over the wide (Example 3.1) lattice, SweepRound (one whole
+# 2,048-plan round, window search included) and internal/moo's
+# ParetoFront shapes. The minimum of COUNT runs is compared by
+# cmd/benchgate in CI. The fsync-bound ServeDurable
 # and WALAppend* benchmarks are deliberately NOT gated — fsync latency
 # is hardware noise a CI gate must not key on.
-SWEEP_PATTERN ?= Q1[23]Sweep|WindowSearchCold|DREAMEstimateUncached|ServeHotPath|PlanSweep|RouteLookup
+SWEEP_PATTERN ?= Q1[23]Sweep|WindowSearchCold|DREAMEstimateUncached|ServeHotPath|PlanSweep|SweepRound|ParetoFront|RouteLookup
 SWEEP_COUNT ?= 5
 
 # Where `make profile-sweep` drops its CPU profiles.
@@ -60,9 +62,10 @@ test-bench:
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench ./...
 
-## fuzz-smoke: 20 s of FuzzScan over the one frame decoder
+## fuzz-smoke: 20 s of FuzzScan over the one frame decoder, then 10 s of FuzzParetoFront against its all-pairs oracle
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz=FuzzScan -fuzztime=20s ./internal/framelog
+	$(GO) test -run '^$$' -fuzz=FuzzParetoFront -fuzztime=10s ./internal/moo
 
 ## bench: run every benchmark properly (slow)
 bench:
@@ -74,7 +77,7 @@ bench-smoke:
 
 ## bench-sweep: repeated runs of the regression-gated sweep + cold-search benchmarks
 bench-sweep:
-	$(GO) test -run '^$$' -bench '$(SWEEP_PATTERN)' -benchtime 10x -count $(SWEEP_COUNT) .
+	$(GO) test -run '^$$' -bench '$(SWEEP_PATTERN)' -benchtime 10x -count $(SWEEP_COUNT) . ./internal/moo
 
 ## ablate-prune: full-vs-GreedyPrune quality smoke — fails if pruned decisions drift past tolerance
 ablate-prune:

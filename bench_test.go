@@ -399,33 +399,7 @@ func BenchmarkQ13SweepParallel(b *testing.B)   { benchPlanSweep(b, tpch.QueryQ13
 // drives OptimizeWSM on the default two-site topology.
 func benchWidePlanSweep(b *testing.B, maxNodes int, prune ires.PrunePolicy) {
 	b.Helper()
-	fed, err := federation.WideTopology(1, maxNodes)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cal, err := federation.Calibrate(fed, 0.004, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	exec, err := federation.NewScaledExecutor(fed, cal, 0.05)
-	if err != nil {
-		b.Fatal(err)
-	}
-	model, err := ires.NewDREAMModel(core.Config{MMax: 3 * (federation.FeatureDim + 2)})
-	if err != nil {
-		b.Fatal(err)
-	}
-	sched, err := ires.NewSchedulerWithConfig(fed, exec, model, ires.SchedulerConfig{
-		NodeChoices: federation.NodeRange(maxNodes),
-		Seed:        1,
-		Prune:       prune,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := sched.Bootstrap(tpch.QueryQ12, 24); err != nil {
-		b.Fatal(err)
-	}
+	sched := wideScheduler(b, 1, maxNodes, 0.05, prune)
 	ctx := context.Background()
 	if _, err := sched.PlanSweep(ctx, tpch.QueryQ12); err != nil {
 		b.Fatal(err)
@@ -436,6 +410,41 @@ func benchWidePlanSweep(b *testing.B, maxNodes int, prune ires.PrunePolicy) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// wideScheduler assembles a DREAM scheduler over WideTopology(seed,
+// maxNodes) + NodeRange(maxNodes) — 2·maxNodes² QEPs — with a scaled
+// executor at the given scale factor and a 24-observation Q12 history.
+func wideScheduler(b *testing.B, seed int64, maxNodes int, scale float64, prune ires.PrunePolicy) *ires.Scheduler {
+	b.Helper()
+	fed, err := federation.WideTopology(seed, maxNodes)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cal, err := federation.Calibrate(fed, 0.004, seed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	exec, err := federation.NewScaledExecutor(fed, cal, scale)
+	if err != nil {
+		b.Fatal(err)
+	}
+	model, err := ires.NewDREAMModel(core.Config{MMax: 3 * (federation.FeatureDim + 2)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sched, err := ires.NewSchedulerWithConfig(fed, exec, model, ires.SchedulerConfig{
+		NodeChoices: federation.NodeRange(maxNodes),
+		Seed:        seed,
+		Prune:       prune,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := sched.Bootstrap(tpch.QueryQ12, 24); err != nil {
+		b.Fatal(err)
+	}
+	return sched
 }
 
 // BenchmarkPlanSweep contrasts the default full sweep with GreedyPrune
@@ -461,6 +470,29 @@ func BenchmarkPlanSweep(b *testing.B) {
 			b.Run(pol.name+"/"+sz.name, func(b *testing.B) {
 				benchWidePlanSweep(b, sz.maxNodes, pol.prune())
 			})
+		}
+	}
+}
+
+// BenchmarkSweepRound is one whole scheduling round on the 2,048-plan
+// lattice (WideTopology(42, 32) over NodeRange(32), the end-to-end
+// benchmark's sweep tenant): PlanSweep, then DecideFromSweep, whose
+// recorded execution bumps the history version — so, unlike
+// BenchmarkPlanSweep's warm sweeps, every iteration pays one window
+// search next to its 2,048 predictions and the Pareto reduction.
+func BenchmarkSweepRound(b *testing.B) {
+	sched := wideScheduler(b, 42, 32, 0.1, nil)
+	ctx := context.Background()
+	pol := ires.Policy{Weights: []float64{1, 1}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sw, err := sched.PlanSweep(ctx, tpch.QueryQ12)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := sched.DecideFromSweep(sw, pol); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

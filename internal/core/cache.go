@@ -1,6 +1,9 @@
 package core
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // The model cache exploits a structural property of Algorithm 1: the
 // window search — which windows are tried, which models are fitted,
@@ -35,13 +38,24 @@ type fitEntry struct {
 // fitCache is a bounded FIFO map of window fits. FIFO (not LRU) is
 // deliberate: keys are monotonically growing history versions, so the
 // oldest entry is also the least likely to be requested again.
+//
+// A sweep asks for one key thousands of times in a row, so the entry
+// the previous call resolved also sits in an atomic slot that a repeat
+// of its key reads without taking mu.
 type fitCache struct {
+	last atomic.Pointer[keyedFit]
+	hits atomic.Uint64
+
 	mu     sync.Mutex
 	max    int
 	order  []fitKey
 	m      map[fitKey]*fitEntry
-	hits   uint64
 	misses uint64
+}
+
+type keyedFit struct {
+	key   fitKey
+	entry *fitEntry
 }
 
 func newFitCache(max int) *fitCache {
@@ -51,14 +65,21 @@ func newFitCache(max int) *fitCache {
 	return &fitCache{max: max, m: make(map[fitKey]*fitEntry, max)}
 }
 
-// get returns the cached fit for k, computing it at most once across
-// concurrent callers. Errors are cached too: a window search that fails
-// for one plan fails identically for every plan of the same version.
-func (c *fitCache) get(k fitKey, compute func() (*windowFit, error)) (*windowFit, error) {
+// entry returns k's single-flight slot, inserting an empty one (and
+// counting a miss) the first time the key is seen. The caller computes
+// through the slot's once, so concurrent callers racing on a fresh key
+// share one window search, and a failed search fails identically —
+// without refitting — for every plan of that version.
+func (c *fitCache) entry(k fitKey) *fitEntry {
+	if l := c.last.Load(); l != nil && l.key == k {
+		c.hits.Add(1)
+		return l.entry
+	}
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	e, ok := c.m[k]
 	if ok {
-		c.hits++
+		c.hits.Add(1)
 	} else {
 		c.misses++
 		e = &fitEntry{}
@@ -69,13 +90,12 @@ func (c *fitCache) get(k fitKey, compute func() (*windowFit, error)) (*windowFit
 			c.order = c.order[1:]
 		}
 	}
-	c.mu.Unlock()
-	e.once.Do(func() { e.fit, e.err = compute() })
-	return e.fit, e.err
+	c.last.Store(&keyedFit{key: k, entry: e})
+	return e
 }
 
 func (c *fitCache) stats() (hits, misses uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.hits, c.misses
+	return c.hits.Load(), c.misses
 }

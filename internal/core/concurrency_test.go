@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -247,5 +248,204 @@ func TestCacheEviction(t *testing.T) {
 	_, misses := est.CacheStats()
 	if misses != 10 {
 		t.Errorf("misses = %d, want 10 (every append invalidates)", misses)
+	}
+}
+
+// hammerFitCache runs estimator goroutines over several histories while
+// appenders move their versions, through both entry points. Every
+// estimate is checked against an uncached estimator on the same
+// snapshot, so a fit served for the wrong (history, version) shows as a
+// wrong value. It returns the number of cached-estimator calls and the
+// distinct (history, version) keys they asked for.
+func hammerFitCache(t *testing.T, est *Estimator, during func(histories []*History) error) (calls uint64, keys int) {
+	t.Helper()
+	const (
+		nHist      = 3
+		estimators = 6
+		rounds     = 120
+		plans      = 8
+		appenders  = 2
+		appends    = 40
+	)
+	ref, err := NewEstimator(Config{MMax: est.cfg.MMax, CacheSize: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	histories := make([]*History, nHist)
+	for i := range histories {
+		histories[i] = seedHistory(t, 20+5*i)
+	}
+	type key struct {
+		hist    int
+		version uint64
+	}
+	var (
+		wg   sync.WaitGroup
+		mu   sync.Mutex
+		seen = map[key]bool{}
+		errc = make(chan error, estimators+appenders+1)
+		n    atomic.Uint64
+	)
+	for a := 0; a < appenders; a++ {
+		wg.Add(1)
+		go func(a int) {
+			defer wg.Done()
+			for i := 0; i < appends; i++ {
+				x := float64((a + i) % 13)
+				if err := histories[(a+i)%nHist].Append(Observation{X: []float64{x}, Costs: []float64{2*x + 1, 0.5 * x}}); err != nil {
+					errc <- err
+					return
+				}
+			}
+		}(a)
+	}
+	for g := 0; g < estimators; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				hi := (g + r) % nHist
+				s := histories[hi].Snapshot()
+				mu.Lock()
+				seen[key{hi, s.Version()}] = true
+				mu.Unlock()
+				x := []float64{float64(r % 10)}
+				refEst, err := ref.EstimateSnapshot(s, x)
+				if err != nil {
+					errc <- err
+					return
+				}
+				want := fmt.Sprint(refEst.Values())
+				for p := 0; p < plans; p++ {
+					var got []float64
+					if p%2 == 0 {
+						got, err = est.PredictSnapshot(nil, s, x)
+					} else {
+						var e *Estimate
+						if e, err = est.EstimateSnapshot(s, x); err == nil {
+							got = e.Values()
+						}
+					}
+					n.Add(1)
+					if err != nil {
+						errc <- err
+						return
+					}
+					if fmt.Sprint(got) != want {
+						errc <- fmt.Errorf("history %d version %d: got %v, uncached reference %s", hi, s.Version(), got, want)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	if during != nil {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := during(histories); err != nil {
+				errc <- err
+			}
+		}()
+	}
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Fatal(err)
+	}
+	return n.Load(), len(seen)
+}
+
+// TestFitCacheHammer pins the lock-free repeat-key path to the cache's
+// contract under -race: one window search per (history, version) no
+// matter how many goroutines race on a fresh key, a hit or a miss
+// counted for every call, and nothing cached surviving SetCacheSize.
+func TestFitCacheHammer(t *testing.T) {
+	t.Run("one search per key", func(t *testing.T) {
+		est, err := NewEstimator(Config{MMax: 12, CacheSize: 1024}) // room for every key: no eviction
+		if err != nil {
+			t.Fatal(err)
+		}
+		calls, keys := hammerFitCache(t, est, nil)
+		st := est.Stats()
+		if st.WindowSearches != uint64(keys) || st.CacheMisses != uint64(keys) {
+			t.Errorf("%d window searches, %d misses for %d distinct (history, version) keys", st.WindowSearches, st.CacheMisses, keys)
+		}
+		if st.CacheHits+st.CacheMisses != calls {
+			t.Errorf("hits %d + misses %d != %d calls", st.CacheHits, st.CacheMisses, calls)
+		}
+	})
+	t.Run("SetCacheSize drops every fit", func(t *testing.T) {
+		est, err := NewEstimator(Config{MMax: 12, CacheSize: 1024})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, keys := hammerFitCache(t, est, func(histories []*History) error {
+			x := []float64{1}
+			for i := 0; i < 50; i++ {
+				s := histories[i%len(histories)].Snapshot()
+				before, err := est.fitFor(s, x)
+				if err != nil {
+					return err
+				}
+				again, err := est.fitFor(s, x)
+				if err != nil {
+					return err
+				}
+				if again != before {
+					return fmt.Errorf("resize %d: a repeated key was searched twice within one cache", i)
+				}
+				est.SetCacheSize(1024)
+				after, err := est.fitFor(s, x)
+				if err != nil {
+					return err
+				}
+				if after == before {
+					return fmt.Errorf("resize %d: a fit cached before SetCacheSize was served after it", i)
+				}
+			}
+			return nil
+		})
+		if got := est.Stats().WindowSearches; got < uint64(keys) {
+			t.Errorf("%d window searches for %d distinct keys", got, keys)
+		}
+	})
+}
+
+// TestFitCacheCachesErrors: a window search that fails for one plan
+// fails identically, and without searching again, for every plan of the
+// same version — on the repeat-key path too.
+func TestFitCacheCachesErrors(t *testing.T) {
+	c := newFitCache(4)
+	k := fitKey{owner: seedHistory(t, 1), version: 1}
+	boom := fmt.Errorf("singular")
+	searches := 0
+	for i := 0; i < 5; i++ {
+		ent := c.entry(k)
+		ent.once.Do(func() { searches++; ent.err = boom })
+		if ent.err != boom {
+			t.Fatalf("call %d: err = %v", i, ent.err)
+		}
+	}
+	if hits, misses := c.stats(); searches != 1 || hits != 4 || misses != 1 {
+		t.Errorf("searches %d, hits %d, misses %d; want 1, 4, 1", searches, hits, misses)
+	}
+}
+
+// With caching off there is no cache and no slot: every call searches.
+func TestNoFastPathWhenCachingOff(t *testing.T) {
+	h := seedHistory(t, 40)
+	est, err := NewEstimator(Config{MMax: 15, CacheSize: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := h.Snapshot()
+	for i := 0; i < 5; i++ {
+		if _, err := est.PredictSnapshot(nil, s, []float64{2}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := est.Stats(); st.WindowSearches != 5 || st.CacheHits != 0 || st.CacheMisses != 0 || est.cache.Load() != nil {
+		t.Errorf("caching off: %+v", st)
 	}
 }

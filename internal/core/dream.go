@@ -252,6 +252,10 @@ func (s *Snapshot) Dim() int { return s.owner.dim }
 // Metrics returns the metric names in cost-vector order.
 func (s *Snapshot) Metrics() []string { return s.owner.Metrics() }
 
+// NumMetrics returns the length of the cost vector, without the copy
+// Metrics makes.
+func (s *Snapshot) NumMetrics() int { return len(s.owner.metrics) }
+
 // Version reports the history version the snapshot was taken at.
 func (s *Snapshot) Version() uint64 { return s.version }
 
@@ -331,8 +335,10 @@ type Estimator struct {
 	// far the window grows; each in-flight search owns one fitter.
 	fitters sync.Pool
 
-	cacheMu sync.Mutex
-	cache   *fitCache // nil when caching is disabled
+	// cache is nil when caching is disabled. It is read once per
+	// estimated plan, hence a pointer load and not a mutex; SetCacheSize
+	// swaps in a fresh cache, which drops every fit the old one held.
+	cache atomic.Pointer[fitCache]
 
 	// Observation-only instrumentation counters (see Stats): they are
 	// written with atomics on the side of the fit path and never read
@@ -365,27 +371,24 @@ func NewEstimator(cfg Config) (*Estimator, error) {
 // cache. Resizing drops all cached fits. Zero restores
 // DefaultCacheSize.
 func (e *Estimator) SetCacheSize(n int) {
-	e.cacheMu.Lock()
-	defer e.cacheMu.Unlock()
 	if n < 0 || e.cfg.Window != MostRecent {
-		e.cache = nil
+		e.cache.Store(nil)
 		return
 	}
 	if n == 0 {
 		n = DefaultCacheSize
 	}
-	e.cache = newFitCache(n)
+	e.cache.Store(newFitCache(n))
 }
 
 // CacheStats reports model-cache hits and misses since construction or
 // the last SetCacheSize call. Both are zero when caching is disabled.
 func (e *Estimator) CacheStats() (hits, misses uint64) {
-	e.cacheMu.Lock()
-	defer e.cacheMu.Unlock()
-	if e.cache == nil {
+	cache := e.cache.Load()
+	if cache == nil {
 		return 0, 0
 	}
-	return e.cache.stats()
+	return cache.stats()
 }
 
 // EstimatorStats is a point-in-time view of the estimator's
@@ -488,15 +491,7 @@ func (e *Estimator) EstimateCostValue(h *History, x []float64) (*Estimate, error
 // many plans should take the snapshot once so every plan is scored
 // against the same history version (and hits the same cached fit).
 func (e *Estimator) EstimateSnapshot(s *Snapshot, x []float64) (*Estimate, error) {
-	if len(x) != s.Dim() {
-		return nil, fmt.Errorf("core: plan has %d features, history has %d", len(x), s.Dim())
-	}
-	minM := regression.MinObservations(s.Dim())
-	if s.Len() < minM {
-		return nil, fmt.Errorf("%w: have %d observations, need %d", ErrInsufficientHistory, s.Len(), minM)
-	}
-
-	fit, err := e.fitFor(s, minM)
+	fit, err := e.fitFor(s, x)
 	if err != nil {
 		return nil, err
 	}
@@ -537,18 +532,46 @@ type windowFit struct {
 	refits int
 }
 
-// fitFor returns the window-search result for the snapshot, serving it
-// from the model cache when possible.
-func (e *Estimator) fitFor(s *Snapshot, minM int) (*windowFit, error) {
-	e.cacheMu.Lock()
-	cache := e.cache
-	e.cacheMu.Unlock()
+// PredictSnapshot is EstimateSnapshot reduced to the cost vector: it
+// appends ĉₙ(p) for every metric, in metric order, to dst and returns
+// the extended slice. The values are bit-identical to
+// EstimateSnapshot(s, x).Values() and the errors are the same; what it
+// skips is the per-metric diagnostics (R², model, the prediction
+// interval behind StdErr), which a scheduler scoring one plan among
+// thousands never reads.
+func (e *Estimator) PredictSnapshot(dst []float64, s *Snapshot, x []float64) ([]float64, error) {
+	fit, err := e.fitFor(s, x)
+	if err != nil {
+		return nil, err
+	}
+	for _, model := range fit.models {
+		v, err := model.Predict(x)
+		if err != nil {
+			return nil, err
+		}
+		dst = append(dst, v)
+	}
+	return dst, nil
+}
+
+// fitFor checks that plan features x fit the snapshot and that the
+// snapshot holds enough history for a model, then returns the
+// window-search result, serving it from the model cache when possible.
+func (e *Estimator) fitFor(s *Snapshot, x []float64) (*windowFit, error) {
+	if len(x) != s.Dim() {
+		return nil, fmt.Errorf("core: plan has %d features, history has %d", len(x), s.Dim())
+	}
+	minM := regression.MinObservations(s.Dim())
+	if s.Len() < minM {
+		return nil, fmt.Errorf("%w: have %d observations, need %d", ErrInsufficientHistory, s.Len(), minM)
+	}
+	cache := e.cache.Load()
 	if cache == nil {
 		return e.searchWindow(s, minM)
 	}
-	return cache.get(fitKey{owner: s.owner, version: s.version}, func() (*windowFit, error) {
-		return e.searchWindow(s, minM)
-	})
+	ent := cache.entry(fitKey{owner: s.owner, version: s.version})
+	ent.once.Do(func() { ent.fit, ent.err = e.searchWindow(s, minM) })
+	return ent.fit, ent.err
 }
 
 // searchWindow is Algorithm 1's window-growth loop: fit every metric on

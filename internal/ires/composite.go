@@ -45,6 +45,7 @@ const (
 	bdRight
 	bdShip
 	bdFinal
+	bdCount // len(federation.BreakdownMetrics)
 )
 
 // Estimate implements CostModel. The returned vector is in
@@ -56,16 +57,15 @@ func (m *CompositeDREAMModel) Estimate(h *core.History, x []float64) ([]float64,
 
 // EstimateSnapshot implements SnapshotCostModel.
 func (m *CompositeDREAMModel) EstimateSnapshot(s *core.Snapshot, x []float64) ([]float64, error) {
-	metrics := s.Metrics()
-	if len(metrics) != len(federation.BreakdownMetrics) {
+	if n := s.NumMetrics(); n != len(federation.BreakdownMetrics) {
 		return nil, fmt.Errorf("ires: composite model needs a %d-metric breakdown history, got %d",
-			len(federation.BreakdownMetrics), len(metrics))
+			len(federation.BreakdownMetrics), n)
 	}
-	est, err := m.Est.EstimateSnapshot(s, x)
+	var pieces [bdCount]float64
+	v, err := m.Est.PredictSnapshot(pieces[:0], s, x)
 	if err != nil {
 		return nil, err
 	}
-	v := est.Values()
 	left, right, ship, final := clampZero(v[bdLeft]), clampZero(v[bdRight]), clampZero(v[bdShip]), clampZero(v[bdFinal])
 	prep := left
 	if right > prep {

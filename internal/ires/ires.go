@@ -84,11 +84,10 @@ func (m *DREAMModel) Estimate(h *core.History, x []float64) ([]float64, error) {
 
 // EstimateSnapshot implements SnapshotCostModel.
 func (m *DREAMModel) EstimateSnapshot(s *core.Snapshot, x []float64) ([]float64, error) {
-	est, err := m.Est.EstimateSnapshot(s, x)
+	vals, err := m.Est.PredictSnapshot(make([]float64, 0, s.NumMetrics()), s, x)
 	if err != nil {
 		return nil, err
 	}
-	vals := est.Values()
 	for i, v := range vals {
 		if v < 0 {
 			vals[i] = 0
@@ -646,33 +645,8 @@ func (s *Scheduler) DecideFromSweep(sw *Sweep, pol Policy) (*Decision, error) {
 // bestWithConstraints applies Algorithm 2 with constraints evaluated on
 // the raw costs but the weighted sum computed on normalized costs.
 func bestWithConstraints(raw, normalized [][]float64, weights, constraints []float64) (int, error) {
-	if len(constraints) > 0 {
-		var feasible []int
-		for i, c := range raw {
-			ok := true
-			for n, b := range constraints {
-				if n < len(c) && c[n] > b {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				feasible = append(feasible, i)
-			}
-		}
-		if len(feasible) > 0 {
-			sub := make([][]float64, len(feasible))
-			for i, idx := range feasible {
-				sub[i] = normalized[idx]
-			}
-			best, err := moo.ArgminWeightedSum(sub, weights)
-			if err != nil {
-				return 0, err
-			}
-			return feasible[best], nil
-		}
-	}
-	return moo.ArgminWeightedSum(normalized, weights)
+	return moo.ArgminWeightedSumWhere(normalized, weights,
+		func(i int) bool { return moo.WithinBounds(raw[i], constraints) })
 }
 
 // Default policy fallbacks, hoisted to package level so an empty

@@ -57,7 +57,7 @@ func (s *Scheduler) InstrumentScheduler(reg *metrics.Registry, federation string
 		federation: federation,
 		sweepSeconds: reg.HistogramVec("midas_sweep_duration_seconds",
 			"Wall time of one plan sweep (enumerate, estimate every QEP, Pareto-reduce).",
-			nil, "federation", "query"),
+			metrics.DefBuckets, "federation", "query"),
 		plansEstimated: reg.CounterVec("midas_plans_estimated_total",
 			"Query execution plans scored by the Modelling module (after pruning).",
 			"federation", "query"),

@@ -1,6 +1,9 @@
 package ires
 
 import (
+	"context"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -80,5 +83,54 @@ func TestInstrumentSchedulerNilRegistry(t *testing.T) {
 	s.InstrumentScheduler(nil, "x")
 	if s.obs != nil {
 		t.Fatal("nil registry should leave the scheduler uninstrumented")
+	}
+}
+
+// TestSweepHistogramResolvesSweeps: the sweep histogram shares the
+// request ladder, whose floor is far enough below a millisecond that a
+// sweep does not vanish into the lowest bucket — not the 18-plan one
+// (≈18 µs) and not the 2,048-plan one (≈0.2 ms), which cannot finish
+// 2,048 predictions inside the lowest bound on any machine.
+func TestSweepHistogramResolvesSweeps(t *testing.T) {
+	reg := metrics.NewRegistry()
+	s := buildWideStack(t, 42, 32, SchedulerConfig{Seed: 42, Metrics: reg, MetricsFederation: "wide"})
+	if err := s.Bootstrap(tpch.QueryQ12, 24); err != nil {
+		t.Fatal(err)
+	}
+	sw, err := s.PlanSweep(context.Background(), tpch.QueryQ12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sw.Plans) != 2048 {
+		t.Fatalf("swept %d plans, want 2048", len(sw.Plans))
+	}
+
+	var buf strings.Builder
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	sc, err := metrics.ParseText(strings.NewReader(buf.String()))
+	if err != nil {
+		t.Fatalf("scrape does not parse: %v", err)
+	}
+	lowest, inLowest := math.Inf(1), 0.0
+	for id, v := range sc.Values {
+		rest, ok := strings.CutPrefix(id, `midas_sweep_duration_seconds_bucket{federation="wide",query="Q12",le="`)
+		if !ok {
+			continue
+		}
+		bound, err := strconv.ParseFloat(strings.TrimSuffix(rest, `"}`), 64)
+		if err != nil {
+			t.Fatalf("series %s: %v", id, err)
+		}
+		if bound < lowest {
+			lowest, inLowest = bound, v
+		}
+	}
+	if lowest > 50e-6 {
+		t.Errorf("lowest sweep bucket is %v s, want a bound ≤ 50 µs", lowest)
+	}
+	if inLowest != 0 {
+		t.Errorf("the 2,048-plan sweep fell in the lowest bucket (le=%v)", lowest)
 	}
 }

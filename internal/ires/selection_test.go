@@ -1,6 +1,7 @@
 package ires
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/moo"
@@ -75,4 +76,49 @@ func TestGASelectStrategies(t *testing.T) {
 		t.Errorf("money-first pick ($%v) dearer than time-first ($%v)", mf[1], tf[1])
 	}
 	_ = knee // knee needs no policy input; its validity is selecting at all
+}
+
+// TestBestWithConstraints pins Algorithm 2 as the scheduler applies it
+// — constraints on the raw costs, the weighted sum on the normalized
+// ones — including the fallback to the whole set, and that a selection
+// on the serving path does not allocate.
+func TestBestWithConstraints(t *testing.T) {
+	raw := [][]float64{{90, 1}, {40, 4}, {40, 4}, {10, 9}}
+	normalized := moo.NormalizeCosts(raw)
+	for _, tc := range []struct {
+		name                 string
+		weights, constraints []float64
+		want                 int
+	}{
+		{"unconstrained, first of tied minima", []float64{1, 1}, nil, 1},
+		{"raw bound leaves one plan", []float64{1, 1}, []float64{20}, 3},
+		{"raw bounds leave the tied pair and the cheap plan", []float64{1, 1}, []float64{95, 5}, 1},
+		{"no feasible plan → whole-set winner", []float64{1, 3}, []float64{5, 0.5}, 0},
+		{"bounds past the cost dimension constrain nothing", []float64{3, 1}, []float64{100, 100, 0}, 3},
+	} {
+		got, err := bestWithConstraints(raw, normalized, tc.weights, tc.constraints)
+		if err != nil || got != tc.want {
+			t.Errorf("%s: got %d, %v; want %d", tc.name, got, err, tc.want)
+		}
+	}
+	if _, err := bestWithConstraints(raw, normalized, []float64{0, 0}, []float64{20}); !errors.Is(err, moo.ErrWeights) {
+		t.Errorf("zero weights: got %v, want ErrWeights", err)
+	}
+	if _, err := bestWithConstraints(raw, normalized, []float64{1}, nil); !errors.Is(err, moo.ErrDimension) {
+		t.Errorf("short weights: got %v, want ErrDimension", err)
+	}
+	if _, err := bestWithConstraints(nil, nil, []float64{1, 1}, []float64{20}); !errors.Is(err, moo.ErrNoPlans) {
+		t.Errorf("empty set: got %v, want ErrNoPlans", err)
+	}
+
+	sw := &Sweep{FrontIdx: []int{0, 1, 2, 3}, FrontCosts: raw, Normalized: normalized}
+	for _, pol := range []Policy{{}, {Weights: []float64{1, 3}, Constraints: []float64{95, 5}}, {Constraints: []float64{5, 0.5}}} {
+		if allocs := testing.AllocsPerRun(100, func() {
+			if _, err := sw.Select(pol); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("policy %+v: %v allocations per selection, want 0", pol, allocs)
+		}
+	}
 }

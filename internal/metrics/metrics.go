@@ -503,10 +503,14 @@ func checkBuckets(name string, buckets []float64) []float64 {
 	return buckets
 }
 
-// DefBuckets covers request/sweep latencies from 1 ms to 30 s — the
-// range the serving stack's round trips actually span.
+// DefBuckets is the one latency ladder of the serving stack — request
+// and sweep durations both use it — 10 µs to 30 s in 1–2.5–5 steps: a
+// solo round trip is ~35 µs server-side, an 18-plan sweep ~18 µs, a
+// 2,048-plan one ~0.2 ms and a cold wide sweep runs to seconds, and
+// /v1/stats percentiles are only as fine as the bucket they land in.
 var DefBuckets = []float64{
-	0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30,
+	1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 1e-2,
+	2.5e-2, 5e-2, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30,
 }
 
 // ExponentialBuckets returns n bucket bounds starting at start and

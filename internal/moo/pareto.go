@@ -52,41 +52,57 @@ func ParetoDominates(a, b []float64) (bool, error) {
 	if len(a) != len(b) {
 		return false, fmt.Errorf("%w: %d vs %d", ErrDimension, len(a), len(b))
 	}
+	return paretoDominates(a, b), nil
+}
+
+// paretoDominates is ParetoDominates for vectors already known to be
+// of equal length.
+func paretoDominates(a, b []float64) bool {
 	strictlyBetter := false
 	for i := range a {
 		switch {
 		case a[i] > b[i]:
-			return false, nil
+			return false
 		case a[i] < b[i]:
 			strictlyBetter = true
 		}
 	}
-	return strictlyBetter, nil
+	return strictlyBetter
 }
 
-// ParetoFront returns the indices of the non-dominated cost vectors in
-// costs — the Pareto set of eq. 13's trade-off space. Ties (identical
-// vectors) are all kept.
+// ParetoFront returns the indices, ascending, of the non-dominated cost
+// vectors in costs — the Pareto set of eq. 13's trade-off space. Ties
+// (identical vectors) are all kept. Rows of differing length are
+// ErrDimension.
+//
+// It is one pass that keeps a running front: a candidate dominated by a
+// front member is dropped, otherwise it evicts the members it dominates
+// and joins. That is O(n·|front|) — quadratic only when the front itself
+// is Θ(n) (an antichain). NaN components compare as ties in
+// ParetoDominates, which makes dominance non-transitive; for NaN-bearing
+// input the result is deterministic but otherwise unspecified.
 func ParetoFront(costs [][]float64) ([]int, error) {
+	for _, c := range costs {
+		if len(c) != len(costs[0]) {
+			return nil, fmt.Errorf("%w: %d vs %d", ErrDimension, len(costs[0]), len(c))
+		}
+	}
 	var front []int
+candidates:
 	for i, ci := range costs {
-		dominated := false
-		for j, cj := range costs {
-			if i == j {
-				continue
-			}
-			dom, err := ParetoDominates(cj, ci)
-			if err != nil {
-				return nil, err
-			}
-			if dom {
-				dominated = true
-				break
+		for _, j := range front {
+			if paretoDominates(costs[j], ci) {
+				continue candidates
 			}
 		}
-		if !dominated {
-			front = append(front, i)
+		kept := 0
+		for _, j := range front {
+			if !paretoDominates(ci, costs[j]) {
+				front[kept] = j
+				kept++
+			}
 		}
+		front = append(front[:kept], i)
 	}
 	return front, nil
 }

@@ -1,7 +1,12 @@
 package moo
 
 import (
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -203,5 +208,195 @@ func TestPropertyDominanceLaws(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// paretoFrontOracle is the all-pairs definition ParetoFront replaced:
+// index i is in the front iff no other row Pareto-dominates it.
+func paretoFrontOracle(costs [][]float64) ([]int, error) {
+	var front []int
+	for i, ci := range costs {
+		dominated := false
+		for j, cj := range costs {
+			if i == j {
+				continue
+			}
+			dom, err := ParetoDominates(cj, ci)
+			if err != nil {
+				return nil, err
+			}
+			if dom {
+				dominated = true
+				break
+			}
+		}
+		if !dominated {
+			front = append(front, i)
+		}
+	}
+	return front, nil
+}
+
+// Property: the running front equals the all-pairs oracle. Values come
+// from a small integer grid so ties, duplicate rows and per-dimension
+// equalities are common, with ±Inf mixed in.
+func TestParetoFrontMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(20190326))
+	dims := []int{1, 2, 3, 5}
+	for trial := 0; trial < 10000; trial++ {
+		m := dims[rng.Intn(len(dims))]
+		n := rng.Intn(301)
+		if trial%4 != 0 {
+			n = rng.Intn(40) // keep most trials cheap for the quadratic oracle
+		}
+		grid := 2 + rng.Intn(6)
+		costs := make([][]float64, n)
+		for i := range costs {
+			row := make([]float64, m)
+			for k := range row {
+				switch r := rng.Intn(40); r {
+				case 0:
+					row[k] = math.Inf(1)
+				case 1:
+					row[k] = math.Inf(-1)
+				default:
+					row[k] = float64(rng.Intn(grid))
+				}
+			}
+			costs[i] = row
+		}
+		want, err := paretoFrontOracle(costs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ParetoFront(costs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d (n=%d, M=%d): front %v, oracle %v\ncosts %v", trial, n, m, got, want, costs)
+		}
+	}
+}
+
+// A ragged matrix is ErrDimension wherever the short row sits — the
+// single pass compares fewer pairs than the oracle did, so it cannot
+// rely on meeting the bad row in a comparison.
+func TestParetoFrontRaggedRows(t *testing.T) {
+	for bad := 0; bad < 4; bad++ {
+		costs := [][]float64{{1, 1}, {2, 2}, {3, 3}, {4, 4}}
+		costs[bad] = []float64{0}
+		if _, err := ParetoFront(costs); !errors.Is(err, ErrDimension) {
+			t.Errorf("short row at %d: got %v, want ErrDimension", bad, err)
+		}
+		if _, err := paretoFrontOracle(costs); !errors.Is(err, ErrDimension) {
+			t.Errorf("oracle, short row at %d: got %v, want ErrDimension", bad, err)
+		}
+	}
+	if front, err := ParetoFront([][]float64{{7}}); err != nil || !slices.Equal(front, []int{0}) {
+		t.Errorf("single row: %v, %v", front, err)
+	}
+	if front, err := ParetoFront(nil); err != nil || front != nil {
+		t.Errorf("empty: %v, %v", front, err)
+	}
+}
+
+// FuzzParetoFront decodes the input as a row width and float64 values.
+// NaN-free matrices must match the oracle exactly; any matrix must come
+// back without a panic and with strictly ascending in-range indices.
+func FuzzParetoFront(f *testing.F) {
+	le := binary.LittleEndian
+	seed := func(m byte, vals ...float64) {
+		b := []byte{m}
+		for _, v := range vals {
+			b = le.AppendUint64(b, math.Float64bits(v))
+		}
+		f.Add(b)
+	}
+	seed(2, 1, 5, 2, 4, 3, 3, 3, 5, 5, 1, 6, 6)
+	seed(2, 1, 1, 1, 1, 2, 2)
+	seed(1, 3, 1, 2, math.Inf(1), math.Inf(-1))
+	seed(3, math.NaN(), 1, 2, 0, math.NaN(), 3, 1, 1, 1)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		m := int(data[0]%5) + 1
+		data = data[1:]
+		n := len(data) / (8 * m)
+		if n > 256 {
+			n = 256
+		}
+		costs := make([][]float64, n)
+		hasNaN := false
+		for i := range costs {
+			row := make([]float64, m)
+			for k := range row {
+				row[k] = math.Float64frombits(le.Uint64(data[8*(i*m+k):]))
+				hasNaN = hasNaN || math.IsNaN(row[k])
+			}
+			costs[i] = row
+		}
+		got, err := ParetoFront(costs)
+		if err != nil {
+			t.Fatalf("rectangular matrix: %v", err)
+		}
+		for k, idx := range got {
+			if idx < 0 || idx >= n || (k > 0 && idx <= got[k-1]) {
+				t.Fatalf("front %v not strictly ascending within [0,%d)", got, n)
+			}
+		}
+		if hasNaN {
+			return
+		}
+		want, _ := paretoFrontOracle(costs)
+		if !slices.Equal(got, want) {
+			t.Fatalf("front %v, oracle %v\ncosts %v", got, want, costs)
+		}
+	})
+}
+
+// paretoBenchCosts builds n two-objective rows of the named shape:
+// front1 has one row dominating all others and placed last (the order
+// that made the all-pairs loop quadratic), front64 has a 64-row
+// trade-off curve ahead of rows it dominates, antichain is all front —
+// the remaining O(n²) worst case.
+func paretoBenchCosts(shape string, n int) [][]float64 {
+	costs := make([][]float64, n)
+	for i := range costs {
+		f := float64(i)
+		switch shape {
+		case "front1":
+			costs[i] = []float64{float64(n) - f, float64(n) - f}
+		case "front64":
+			if i < 64 {
+				costs[i] = []float64{f, 63 - f}
+			} else {
+				costs[i] = []float64{64 + f, 64 + float64(i%97)}
+			}
+		default: // antichain
+			costs[i] = []float64{f, float64(n) - f}
+		}
+	}
+	return costs
+}
+
+var paretoSink []int
+
+func BenchmarkParetoFront(b *testing.B) {
+	for _, shape := range []string{"front1", "front64", "antichain"} {
+		for _, n := range []int{2048, 18432} {
+			costs := paretoBenchCosts(shape, n)
+			b.Run(fmt.Sprintf("%s/n%d", shape, n), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					front, err := ParetoFront(costs)
+					if err != nil {
+						b.Fatal(err)
+					}
+					paretoSink = front
+				}
+			})
+		}
 	}
 }

@@ -12,14 +12,9 @@ var ErrNoPlans = errors.New("moo: no plans to select from")
 // ErrWeights is returned for invalid weighted-sum weights.
 var ErrWeights = errors.New("moo: invalid weights")
 
-// WeightedSum scalarizes a cost vector with the Weighted Sum Model
-// (Helff & Orazio 2016): Σ wₙ·cₙ. Weights must be non-negative and not
-// all zero; they are normalized to sum to 1 so scores are comparable
-// across weight settings.
-func WeightedSum(costs, weights []float64) (float64, error) {
-	if len(costs) != len(weights) {
-		return 0, fmt.Errorf("%w: %d costs vs %d weights", ErrDimension, len(costs), len(weights))
-	}
+// weightTotal validates weighted-sum weights — non-negative, not NaN,
+// not all zero — and returns their sum, the normalizer.
+func weightTotal(weights []float64) (float64, error) {
 	var wSum float64
 	for _, w := range weights {
 		if w < 0 || math.IsNaN(w) {
@@ -30,32 +25,88 @@ func WeightedSum(costs, weights []float64) (float64, error) {
 	if wSum == 0 {
 		return 0, fmt.Errorf("%w: weights sum to zero", ErrWeights)
 	}
+	return wSum, nil
+}
+
+// WeightedSum scalarizes a cost vector with the Weighted Sum Model
+// (Helff & Orazio 2016): Σ wₙ·cₙ. Weights must be non-negative and not
+// all zero; they are normalized to sum to 1 so scores are comparable
+// across weight settings.
+func WeightedSum(costs, weights []float64) (float64, error) {
+	if len(costs) != len(weights) {
+		return 0, fmt.Errorf("%w: %d costs vs %d weights", ErrDimension, len(costs), len(weights))
+	}
+	wSum, err := weightTotal(weights)
+	if err != nil {
+		return 0, err
+	}
+	return scalarize(costs, weights, wSum), nil
+}
+
+// scalarize is Σ (wₙ/wSum)·cₙ for weights weightTotal accepted and
+// len(costs) == len(weights).
+func scalarize(costs, weights []float64, wSum float64) float64 {
 	var s float64
 	for i, c := range costs {
 		s += (weights[i] / wSum) * c
 	}
-	return s, nil
+	return s
+}
+
+// ArgminWeightedSumWhere is the one weighted-sum selection loop: the
+// index of the first row of scores with the smallest WeightedSum among
+// the rows feasible(i) admits. A nil feasible admits every row; when it
+// admits none the whole set competes (Algorithm 2 line 6). The weights
+// are validated and totalled once, not per row, and the loop does not
+// allocate.
+func ArgminWeightedSumWhere(scores [][]float64, weights []float64, feasible func(i int) bool) (int, error) {
+	if len(scores) == 0 {
+		return 0, ErrNoPlans
+	}
+	wSum, wErr := weightTotal(weights)
+	for {
+		best, bestScore, competed := -1, math.Inf(1), false
+		for i, c := range scores {
+			if feasible != nil && !feasible(i) {
+				continue
+			}
+			competed = true
+			// Per competing row, dimension before weights: the order
+			// WeightedSum reports them in.
+			if len(c) != len(weights) {
+				return 0, fmt.Errorf("%w: %d costs vs %d weights", ErrDimension, len(c), len(weights))
+			}
+			if wErr != nil {
+				return 0, wErr
+			}
+			if s := scalarize(c, weights, wSum); s < bestScore {
+				best, bestScore = i, s
+			}
+		}
+		if competed {
+			return best, nil
+		}
+		feasible = nil
+	}
 }
 
 // ArgminWeightedSum returns the index of the plan with the smallest
 // weighted-sum score. Used both as the WSM baseline optimizer (paper
 // Figure 3, right path) and inside BestInPareto.
 func ArgminWeightedSum(costs [][]float64, weights []float64) (int, error) {
-	if len(costs) == 0 {
-		return 0, ErrNoPlans
-	}
-	best := -1
-	bestScore := math.Inf(1)
-	for i, c := range costs {
-		s, err := WeightedSum(c, weights)
-		if err != nil {
-			return 0, err
-		}
-		if s < bestScore {
-			best, bestScore = i, s
+	return ArgminWeightedSumWhere(costs, weights, nil)
+}
+
+// WithinBounds reports whether cost vector c meets the per-metric upper
+// bounds: cₙ ≤ boundsₙ for every bounded metric n. Bounds beyond c's
+// dimension constrain nothing.
+func WithinBounds(c, bounds []float64) bool {
+	for n, b := range bounds {
+		if n < len(c) && c[n] > b {
+			return false
 		}
 	}
-	return best, nil
+	return true
 }
 
 // BestInPareto implements the paper's Algorithm 2: given the cost
@@ -71,31 +122,7 @@ func BestInPareto(costs [][]float64, weights, constraints []float64) (int, error
 	if len(constraints) > len(costs[0]) {
 		return 0, fmt.Errorf("%w: %d constraints for %d metrics", ErrDimension, len(constraints), len(costs[0]))
 	}
-	var feasible []int
-	for i, c := range costs {
-		ok := true
-		for n, b := range constraints {
-			if c[n] > b {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			feasible = append(feasible, i)
-		}
-	}
-	if len(feasible) == 0 {
-		return ArgminWeightedSum(costs, weights)
-	}
-	sub := make([][]float64, len(feasible))
-	for i, idx := range feasible {
-		sub[i] = costs[idx]
-	}
-	best, err := ArgminWeightedSum(sub, weights)
-	if err != nil {
-		return 0, err
-	}
-	return feasible[best], nil
+	return ArgminWeightedSumWhere(costs, weights, func(i int) bool { return WithinBounds(costs[i], constraints) })
 }
 
 // NormalizeCosts rescales each objective column to [0,1] across the

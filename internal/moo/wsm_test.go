@@ -3,6 +3,7 @@ package moo
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -171,5 +172,151 @@ func TestPropertyBestInParetoFeasibility(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// bestInParetoOracle is the pre-unification selection, kept as the
+// reference: filter the feasible rows of raw into a sub-matrix of
+// scores, take the weighted-sum argmin with the weights re-validated per
+// row, and fall back to the whole set when nothing is feasible.
+func bestInParetoOracle(raw, scores [][]float64, weights, constraints []float64) (int, error) {
+	argmin := func(rows [][]float64) (int, error) {
+		if len(rows) == 0 {
+			return 0, ErrNoPlans
+		}
+		best, bestScore := -1, math.Inf(1)
+		for i, c := range rows {
+			s, err := WeightedSum(c, weights)
+			if err != nil {
+				return 0, err
+			}
+			if s < bestScore {
+				best, bestScore = i, s
+			}
+		}
+		return best, nil
+	}
+	var feasible []int
+	for i, c := range raw {
+		if WithinBounds(c, constraints) {
+			feasible = append(feasible, i)
+		}
+	}
+	if len(feasible) == 0 {
+		return argmin(scores)
+	}
+	sub := make([][]float64, len(feasible))
+	for i, idx := range feasible {
+		sub[i] = scores[idx]
+	}
+	best, err := argmin(sub)
+	if err != nil {
+		return 0, err
+	}
+	return feasible[best], nil
+}
+
+// TestSelectionMatchesOracle pins BestInPareto, ArgminWeightedSum and
+// ArgminWeightedSumWhere to the answers and errors of the loop they
+// replaced, branch by branch.
+func TestSelectionMatchesOracle(t *testing.T) {
+	costs := [][]float64{{9, 1}, {4, 4}, {4, 4}, {1, 9}, {6, 2}}
+	cases := []struct {
+		name        string
+		costs       [][]float64
+		weights     []float64
+		constraints []float64
+		want        int
+		wantErr     error
+	}{
+		{name: "unconstrained, first of tied minima", costs: costs, weights: []float64{1, 1}, want: 1},
+		{name: "one feasible", costs: costs, weights: []float64{1, 1}, constraints: []float64{2}, want: 3},
+		{name: "feasible subset, tie-break inside it", costs: costs, weights: []float64{1, 1}, constraints: []float64{5, 5}, want: 1},
+		{name: "second metric bound only bites", costs: costs, weights: []float64{1, 0}, constraints: []float64{100, 3}, want: 4},
+		{name: "no feasible plan → whole-set winner", costs: costs, weights: []float64{3, 1}, constraints: []float64{0.5, 0.5}, want: 3},
+		{name: "weights need not sum to 1", costs: costs, weights: []float64{0, 7}, want: 0},
+		{name: "negative weight", costs: costs, weights: []float64{-1, 1}, wantErr: ErrWeights},
+		{name: "NaN weight", costs: costs, weights: []float64{math.NaN(), 1}, wantErr: ErrWeights},
+		{name: "zero weights", costs: costs, weights: []float64{0, 0}, wantErr: ErrWeights},
+		{name: "weights of the wrong length", costs: costs, weights: []float64{1}, wantErr: ErrDimension},
+		{name: "dimension reported before weights", costs: costs, weights: []float64{-1}, wantErr: ErrDimension},
+		{name: "ragged feasible row", costs: [][]float64{{1, 1}, {0}}, weights: []float64{1, 1}, wantErr: ErrDimension},
+		{name: "ragged row outside the feasible set is never scored", costs: [][]float64{{1, 1}, {9}}, weights: []float64{1, 1}, constraints: []float64{5}, want: 0},
+		{name: "no plans", weights: []float64{1, 1}, wantErr: ErrNoPlans},
+	}
+	for _, tc := range cases {
+		want, wantErr := bestInParetoOracle(tc.costs, tc.costs, tc.weights, tc.constraints)
+		if !errors.Is(wantErr, tc.wantErr) || (wantErr == nil && want != tc.want) {
+			t.Fatalf("%s: oracle = %d, %v; the table expects %d, %v", tc.name, want, wantErr, tc.want, tc.wantErr)
+		}
+		got, err := BestInPareto(tc.costs, tc.weights, tc.constraints)
+		if got != want || !sameError(err, wantErr) {
+			t.Errorf("%s: BestInPareto = %d, %v; oracle %d, %v", tc.name, got, err, want, wantErr)
+		}
+		if len(tc.constraints) == 0 {
+			got, err := ArgminWeightedSum(tc.costs, tc.weights)
+			if got != want || !sameError(err, wantErr) {
+				t.Errorf("%s: ArgminWeightedSum = %d, %v; oracle %d, %v", tc.name, got, err, want, wantErr)
+			}
+		}
+	}
+
+	// Feasibility judged on one matrix, scores taken from another — the
+	// scheduler's raw-vs-normalized split — over random small-grid input.
+	rng := rand.New(rand.NewSource(2))
+	for trial := 0; trial < 5000; trial++ {
+		n, m := 1+rng.Intn(12), 1+rng.Intn(3)
+		raw, scores := make([][]float64, n), make([][]float64, n)
+		for i := range raw {
+			raw[i], scores[i] = make([]float64, m), make([]float64, m)
+			for k := 0; k < m; k++ {
+				raw[i][k], scores[i][k] = float64(rng.Intn(5)), float64(rng.Intn(4))/3
+			}
+		}
+		weights := make([]float64, m)
+		for k := range weights {
+			weights[k] = float64(rng.Intn(4))
+		}
+		constraints := make([]float64, rng.Intn(m+2)) // may exceed m: extra bounds constrain nothing
+		for k := range constraints {
+			constraints[k] = float64(rng.Intn(5))
+		}
+		want, wantErr := bestInParetoOracle(raw, scores, weights, constraints)
+		got, err := ArgminWeightedSumWhere(scores, weights, func(i int) bool { return WithinBounds(raw[i], constraints) })
+		if got != want || !sameError(err, wantErr) {
+			t.Fatalf("trial %d: ArgminWeightedSumWhere = %d, %v; oracle %d, %v\nraw %v\nscores %v\nweights %v constraints %v",
+				trial, got, err, want, wantErr, raw, scores, weights, constraints)
+		}
+	}
+}
+
+func sameError(a, b error) bool {
+	if a == nil || b == nil {
+		return a == nil && b == nil
+	}
+	return a.Error() == b.Error()
+}
+
+// A selection is per request on the serving path; none of the three
+// entry points may allocate.
+func TestSelectionDoesNotAllocate(t *testing.T) {
+	costs := [][]float64{{9, 1}, {4, 4}, {1, 9}, {6, 2}}
+	weights := []float64{1, 2}
+	for name, constraints := range map[string][]float64{
+		"feasible subset":  {5, 5},
+		"no feasible plan": {0, 0},
+		"unconstrained":    nil,
+	} {
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := BestInPareto(costs, weights, constraints); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ArgminWeightedSum(costs, weights); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %v allocations per selection, want 0", name, allocs)
+		}
 	}
 }

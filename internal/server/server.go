@@ -417,7 +417,7 @@ func (s *Server) registerMetrics() {
 		func() float64 { return time.Since(s.start).Seconds() })
 	s.reqSeconds = reg.HistogramVec("midas_request_duration_seconds",
 		"Server-side wall time of one completed scheduling round.",
-		requestBuckets, "federation", "query")
+		metrics.DefBuckets, "federation", "query")
 	for _, t := range s.tenants {
 		t.registerMetrics(reg)
 		// Pre-bind each (federation, query) latency child: HistogramVec

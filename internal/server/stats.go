@@ -6,15 +6,6 @@ import (
 	"repro/internal/metrics"
 )
 
-// requestBuckets are the fixed bounds of midas_request_duration_seconds,
-// 10 µs to 30 s in 1–2.5–5 steps: a solo round trip is ~35 µs
-// server-side and a cold wide sweep runs to seconds, and /v1/stats
-// percentiles are only as fine as the bucket they land in.
-var requestBuckets = []float64{
-	1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 1e-2,
-	2.5e-2, 5e-2, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30,
-}
-
 // tenantStats aggregates one federation's serving counters. All
 // methods are safe for concurrent use.
 type tenantStats struct {
