@@ -62,10 +62,11 @@ test-bench:
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench ./...
 
-## fuzz-smoke: 20 s of FuzzScan over the one frame decoder, then 10 s of FuzzParetoFront against its all-pairs oracle
+## fuzz-smoke: 20 s of FuzzScan over the one frame decoder, 10 s of FuzzParetoFront against its all-pairs oracle, then 10 s of FuzzReplay (arbitrary bytes as a shard's wal.log)
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz=FuzzScan -fuzztime=20s ./internal/framelog
 	$(GO) test -run '^$$' -fuzz=FuzzParetoFront -fuzztime=10s ./internal/moo
+	$(GO) test -run '^$$' -fuzz=FuzzReplay -fuzztime=10s ./internal/histstore
 
 ## bench: run every benchmark properly (slow)
 bench:

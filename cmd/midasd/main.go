@@ -13,16 +13,16 @@
 // process exits 0.
 //
 // With -data-dir, every query history is durable: recorded executions
-// are written ahead to a per-query WAL under that directory, compacted
-// into snapshots every -checkpoint-interval (and at drain, and via
-// POST /v1/admin/checkpoint), and replayed on the next boot — a
-// restarted daemon estimates from exactly the history it had, instead
-// of re-paying cold-start bootstrap sweeps. -wal-fsync trades append
+// are written ahead to a per-query WAL under that directory, fsynced
+// every -checkpoint-interval (and at drain, and via POST
+// /v1/admin/checkpoint), and replayed on the next boot — a restarted
+// daemon estimates from exactly the history it had, instead of
+// re-paying cold-start bootstrap sweeps. -wal-fsync trades append
 // throughput for durability against machine (not just process) crashes;
 // -wal-group-commit buys the same durability at a fraction of the cost
-// by coalescing concurrent appends onto shared fsyncs (tuned with
-// -wal-commit-interval and -wal-commit-batch) — no response leaves the
-// daemon before the fsync covering its recorded execution returns.
+// by coalescing concurrent appends onto shared fsyncs — no response
+// leaves the daemon before the fsync covering its recorded execution
+// returns.
 //
 // With -chaos, a named fault-injection profile (site outages,
 // stragglers, price spikes, autoscaling resizes — see
@@ -117,11 +117,9 @@ func run() error {
 		drainTimeout   = flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget")
 
 		dataDir            = flag.String("data-dir", "", "root directory for durable query histories (empty = in-memory only)")
-		checkpointInterval = flag.Duration("checkpoint-interval", time.Minute, "periodic WAL→snapshot compaction; 0 disables the timer (requires -data-dir)")
+		checkpointInterval = flag.Duration("checkpoint-interval", time.Minute, "periodic WAL fsync: bounds what a machine crash can lose without -wal-fsync/-wal-group-commit, a no-op with either; 0 disables the timer (requires -data-dir)")
 		walFsync           = flag.Bool("wal-fsync", false, "fsync the history WAL after every recorded execution (requires -data-dir)")
 		walGroupCommit     = flag.Bool("wal-group-commit", false, "coalesce WAL fsyncs across concurrent appends: per-append durability at a fraction of -wal-fsync's cost (requires -data-dir; supersedes -wal-fsync)")
-		walCommitInterval  = flag.Duration("wal-commit-interval", 0, "group-commit max delay waiting for companion appends before the fsync is issued (0 = none: sync as soon as the committer is free; requires -wal-group-commit)")
-		walCommitBatch     = flag.Int("wal-commit-batch", 0, "group-commit max batch before a delayed fsync is issued early (0 = default 128; requires -wal-group-commit)")
 
 		nodeID        = flag.String("node-id", "", "this node's name in -cluster-peers (cluster mode)")
 		clusterPeers  = flag.String("cluster-peers", "", `cluster membership as "id=url,id=url,..." including this node; empty = standalone`)
@@ -159,9 +157,6 @@ func run() error {
 	if *dataDir == "" && (*walFsync || *walGroupCommit || *checkpointInterval != time.Minute) {
 		logger.Warn("-wal-fsync/-wal-group-commit/-checkpoint-interval have no effect without -data-dir")
 	}
-	if !*walGroupCommit && (*walCommitInterval != 0 || *walCommitBatch != 0) {
-		logger.Warn("-wal-commit-interval/-wal-commit-batch have no effect without -wal-group-commit")
-	}
 	var storeCfg server.StoreConfig
 	if *dataDir != "" {
 		storeCfg = server.StoreConfig{
@@ -169,8 +164,6 @@ func run() error {
 			CheckpointInterval: *checkpointInterval,
 			Fsync:              *walFsync,
 			GroupCommit:        *walGroupCommit,
-			CommitInterval:     *walCommitInterval,
-			CommitBatch:        *walCommitBatch,
 		}
 		logger.Info("durable histories enabled",
 			"data_dir", *dataDir, "checkpoint_interval", checkpointInterval.String(),

@@ -51,33 +51,22 @@ type Observation struct {
 // HistorySink receives every observation appended to a History, in
 // append order, before the observation becomes visible in memory — the
 // seam a durable store (internal/histstore) plugs into without core
-// knowing anything about disks. RecordObservation is called with the
-// History's internal lock held, so implementations must not call back
-// into the History; they should do their own (brief) synchronization
-// and I/O and return.
+// knowing anything about disks. The write happens under the History
+// lock (preserving sink order == memory order) while the wait for
+// whatever makes it durable — an fsync, a standby's acknowledgement —
+// happens after the lock is released, which is exactly what lets
+// concurrent appends pile onto one flush, and overlap their replication
+// round trips, instead of serializing one each.
 type HistorySink interface {
-	// RecordObservation persists one validated observation. An error
+	// RecordObservation persists one validated observation write-ahead,
+	// possibly leaving it buffered, and returns a ticket for
+	// WaitObservation. Called with the History's internal lock held, so
+	// implementations must not call back into the History; they should
+	// do their own (brief) synchronization and I/O and return. An error
 	// aborts the append: the observation is NOT added to the in-memory
-	// history, preserving write-ahead semantics (durable state is never
-	// behind a state the caller observed).
-	RecordObservation(o Observation) error
-}
-
-// PendingSink is the group-commit extension of HistorySink: the sink
-// may defer the expensive durability step (an fsync) and coalesce it
-// across many appends, as long as each append can later block until a
-// flush covering it has completed. History.Append uses it when the
-// attached sink implements it: the write happens under the History
-// lock (preserving WAL order == memory order), while the durability
-// wait happens after the lock is released — which is exactly what lets
-// concurrent appends pile onto one fsync instead of serializing a disk
-// flush each.
-type PendingSink interface {
-	HistorySink
-	// RecordObservationPending persists o write-ahead like
-	// RecordObservation but may leave it buffered; it returns a ticket
-	// for WaitObservation. Called with the History lock held.
-	RecordObservationPending(o Observation) (ticket uint64, err error)
+	// history (durable state is never behind a state the caller
+	// observed).
+	RecordObservation(o Observation) (ticket uint64, err error)
 	// WaitObservation blocks until the ticketed observation is durable
 	// to the sink's configured level (e.g. its covering fsync has
 	// returned) or the sink has failed. Called WITHOUT the History
@@ -103,10 +92,6 @@ type History struct {
 	obs     []Observation
 	version uint64
 	sink    HistorySink
-	// pending is sink's PendingSink view, resolved once at SetSink so
-	// Append does not pay a type assertion per call; nil when the sink
-	// does not support deferred durability.
-	pending PendingSink
 }
 
 // NewHistory creates a history for the given feature dimension and
@@ -156,20 +141,18 @@ func (h *History) Version() uint64 {
 // History to appenders; observations appended earlier are not replayed
 // into it.
 func (h *History) SetSink(sink HistorySink) {
-	pending, _ := sink.(PendingSink)
 	h.mu.Lock()
 	h.sink = sink
-	h.pending = pending
 	h.mu.Unlock()
 }
 
 // Append records a completed execution. With a sink attached the
 // observation is persisted first (write-ahead): a sink error aborts the
-// append and the in-memory history is unchanged. With a PendingSink the
-// durability wait runs after the history lock is released, so
-// concurrent appenders coalesce onto shared flushes; a wait error means
-// the observation is in memory but its durability is unconfirmed — the
-// caller must not acknowledge the write.
+// append and the in-memory history is unchanged. The sink's durability
+// wait runs after the history lock is released, so concurrent appenders
+// coalesce onto shared flushes; a wait error means the observation is
+// in memory but its durability is unconfirmed — the caller must not
+// acknowledge the write.
 func (h *History) Append(o Observation) error {
 	if len(o.X) != h.dim {
 		return fmt.Errorf("core: observation has %d features, history wants %d", len(o.X), h.dim)
@@ -183,19 +166,11 @@ func (h *History) Append(o Observation) error {
 	copy(c, o.Costs)
 	stored := Observation{X: x, Costs: c}
 	h.mu.Lock()
-	var (
-		ticket  uint64
-		pending PendingSink
-	)
-	if h.pending != nil {
-		t, err := h.pending.RecordObservationPending(stored)
-		if err != nil {
-			h.mu.Unlock()
-			return fmt.Errorf("core: history sink: %w", err)
-		}
-		ticket, pending = t, h.pending
-	} else if h.sink != nil {
-		if err := h.sink.RecordObservation(stored); err != nil {
+	sink := h.sink
+	var ticket uint64
+	if sink != nil {
+		var err error
+		if ticket, err = sink.RecordObservation(stored); err != nil {
 			h.mu.Unlock()
 			return fmt.Errorf("core: history sink: %w", err)
 		}
@@ -203,8 +178,8 @@ func (h *History) Append(o Observation) error {
 	h.obs = append(h.obs, stored)
 	h.version++
 	h.mu.Unlock()
-	if pending != nil {
-		if err := pending.WaitObservation(ticket); err != nil {
+	if sink != nil {
+		if err := sink.WaitObservation(ticket); err != nil {
 			return fmt.Errorf("core: history sink: %w", err)
 		}
 	}

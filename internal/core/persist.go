@@ -9,12 +9,11 @@ import (
 
 // History persistence: a versioned JSON snapshot of the whole log.
 //
-// This is the snapshot codec of internal/histstore, which layers an
-// append-only WAL on top of it: a shard's snapshot.json is exactly the
-// document SaveSnapshot writes, and recovery is snapshot + WAL suffix.
-// A document saved by any earlier release can be dropped in as a
-// shard's snapshot.json; the shard's WAL takes over from there and the
-// file is only ever rewritten by checkpoints. On its own the document
+// internal/histstore keeps live histories in an append-only WAL and
+// uses this document, with zero observations, as each shard's
+// snapshot.json shape header. A document saved by any earlier release
+// can still be dropped in as a shard's snapshot.json: the first open
+// folds its observations into the shard's WAL. On its own the document
 // is a point-in-time file with no durability for later appends and no
 // crash story — keep live histories in a histstore.Store (see
 // ires.SchedulerConfig.Store).
@@ -38,9 +37,8 @@ type obsSnapshot struct {
 }
 
 // SaveSnapshot writes a point-in-time history snapshot as versioned
-// JSON. It takes an already-captured snapshot so durable checkpoints
-// need not re-lock the live history, and so the write is safe while
-// other goroutines append.
+// JSON. It takes an already-captured snapshot, so the write is safe
+// while other goroutines append.
 func SaveSnapshot(s *Snapshot, w io.Writer) error {
 	snap := historySnapshot{
 		Version:      persistVersion,

@@ -5,21 +5,37 @@ import (
 	"testing"
 )
 
-// recordingSink captures appended observations; failAfter > 0 makes the
-// sink error once that many observations were recorded.
+// recordingSink fakes a durable sink: Record stages the observation and
+// hands out a ticket; Wait records which tickets were awaited. failAfter
+// > 0 makes Record error once that many observations were recorded,
+// waitErr makes every Wait fail (a lost fsync).
 type recordingSink struct {
+	hist      *History // when non-nil, WaitObservation reads it (lock-order probe)
 	obs       []Observation
+	waited    []uint64
 	failAfter int
+	waitErr   error
 }
 
 var errSinkFull = errors.New("sink full")
 
-func (s *recordingSink) RecordObservation(o Observation) error {
+func (s *recordingSink) RecordObservation(o Observation) (uint64, error) {
 	if s.failAfter > 0 && len(s.obs) >= s.failAfter {
-		return errSinkFull
+		return 0, errSinkFull
 	}
 	s.obs = append(s.obs, o)
-	return nil
+	return uint64(len(s.obs) - 1), nil
+}
+
+func (s *recordingSink) WaitObservation(ticket uint64) error {
+	if s.hist != nil {
+		// Reading the history from Wait deadlocks if Append still holds
+		// the write lock — this enforces the documented contract that
+		// WaitObservation runs after the lock is released.
+		_ = s.hist.Len()
+	}
+	s.waited = append(s.waited, ticket)
+	return s.waitErr
 }
 
 func TestHistorySinkSeesAppendsInOrder(t *testing.T) {
@@ -49,61 +65,19 @@ func TestHistorySinkSeesAppendsInOrder(t *testing.T) {
 	}
 }
 
-// pendingSink fakes a group-commit sink: Pending stages the
-// observation and hands out a ticket; Wait records which tickets were
-// awaited (and can fail to model a lost fsync).
-type pendingSink struct {
-	hist        *History // when non-nil, WaitObservation reads it (lock-order probe)
-	obs         []Observation
-	tickets     uint64
-	waited      []uint64
-	directCalls int
-	pendingErr  error
-	waitErr     error
-}
-
-func (s *pendingSink) RecordObservation(o Observation) error {
-	s.directCalls++
-	return nil
-}
-
-func (s *pendingSink) RecordObservationPending(o Observation) (uint64, error) {
-	if s.pendingErr != nil {
-		return 0, s.pendingErr
-	}
-	s.obs = append(s.obs, o)
-	tk := s.tickets
-	s.tickets++
-	return tk, nil
-}
-
-func (s *pendingSink) WaitObservation(ticket uint64) error {
-	if s.hist != nil {
-		// Reading the history from Wait deadlocks if Append still holds
-		// the write lock — this enforces the documented contract that
-		// WaitObservation runs after the lock is released.
-		_ = s.hist.Len()
-	}
-	s.waited = append(s.waited, ticket)
-	return s.waitErr
-}
-
+// TestHistoryPendingSinkPath: every ticket Record hands out is awaited,
+// in issue order, after the history lock is released.
 func TestHistoryPendingSinkPath(t *testing.T) {
 	h := mustHistory(t, 1, "t")
-	sink := &pendingSink{hist: h}
+	sink := &recordingSink{hist: h}
 	h.SetSink(sink)
 	for i := 0; i < 4; i++ {
 		if err := h.Append(Observation{X: []float64{float64(i)}, Costs: []float64{float64(i)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// The pending path was used — never the plain RecordObservation —
-	// and every ticket was awaited, in issue order.
-	if sink.directCalls != 0 {
-		t.Fatalf("plain RecordObservation called %d times on a PendingSink", sink.directCalls)
-	}
 	if len(sink.obs) != 4 || len(sink.waited) != 4 {
-		t.Fatalf("pending %d / waited %d, want 4 / 4", len(sink.obs), len(sink.waited))
+		t.Fatalf("recorded %d / waited %d, want 4 / 4", len(sink.obs), len(sink.waited))
 	}
 	for i, tk := range sink.waited {
 		if tk != uint64(i) {
@@ -114,24 +88,28 @@ func TestHistoryPendingSinkPath(t *testing.T) {
 
 func TestHistoryPendingErrorAbortsAppend(t *testing.T) {
 	h := mustHistory(t, 1, "t")
-	sink := &pendingSink{pendingErr: errSinkFull}
+	sink := &recordingSink{failAfter: 1}
 	h.SetSink(sink)
+	if err := h.Append(Observation{X: []float64{0}, Costs: []float64{0}}); err != nil {
+		t.Fatal(err)
+	}
 	err := h.Append(Observation{X: []float64{1}, Costs: []float64{1}})
 	if !errors.Is(err, errSinkFull) {
 		t.Fatalf("append error = %v, want errSinkFull", err)
 	}
-	// Write-ahead failed, so memory must not hold the observation.
-	if h.Len() != 0 || h.Version() != 0 {
-		t.Fatalf("failed pending append reached memory: len %d version %d", h.Len(), h.Version())
+	// Write-ahead failed, so memory must not hold the observation, and
+	// there is no ticket to wait on.
+	if h.Len() != 1 || h.Version() != 1 {
+		t.Fatalf("failed append reached memory: len %d version %d", h.Len(), h.Version())
 	}
-	if len(sink.waited) != 0 {
-		t.Fatal("WaitObservation called for a failed pending append")
+	if len(sink.waited) != 1 {
+		t.Fatalf("WaitObservation called %d times, want once (for the append that succeeded)", len(sink.waited))
 	}
 }
 
 func TestHistoryWaitErrorKeepsObservation(t *testing.T) {
 	h := mustHistory(t, 1, "t")
-	sink := &pendingSink{waitErr: errSinkFull}
+	sink := &recordingSink{waitErr: errSinkFull}
 	h.SetSink(sink)
 	err := h.Append(Observation{X: []float64{1}, Costs: []float64{1}})
 	if !errors.Is(err, errSinkFull) {

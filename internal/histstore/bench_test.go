@@ -1,7 +1,10 @@
 package histstore
 
 import (
+	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/core"
@@ -90,53 +93,90 @@ func BenchmarkWALAppendGroupCommit(b *testing.B) {
 	})
 }
 
-// BenchmarkRecovery measures a cold open replaying snapshot + WAL at a
-// few realistic history sizes (half snapshotted, half in the WAL).
+// BenchmarkRecovery measures a cold open replaying the WAL at a few
+// realistic history sizes, and (legacy) the one-time open-plus-fold of
+// a directory an older build compacted: half the observations in
+// snapshot.json, half in wal.log.
 func BenchmarkRecovery(b *testing.B) {
+	// write fills a fresh store with size observations and closes it.
+	write := func(b *testing.B, size int) string {
+		dir := b.TempDir()
+		s, err := Open(dir, Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		h, err := s.OpenHistory("bench", federation.FeatureDim, federation.Metrics)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i := 0; i < size; i++ {
+			if err := h.Append(benchObs(i)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := s.Close(); err != nil {
+			b.Fatal(err)
+		}
+		return dir
+	}
+	reopen := func(b *testing.B, dir string, size int) {
+		s, err := Open(dir, Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		h, err := s.OpenHistory("bench", federation.FeatureDim, federation.Metrics)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if h.Len() != size {
+			b.Fatalf("recovered %d, want %d", h.Len(), size)
+		}
+		if err := s.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
 	for _, size := range []int{100, 1000, 10000} {
 		b.Run(fmt.Sprintf("n=%d", size), func(b *testing.B) {
-			dir := b.TempDir()
-			s, err := Open(dir, Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			h, err := s.OpenHistory("bench", federation.FeatureDim, federation.Metrics)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for i := 0; i < size/2; i++ {
-				if err := h.Append(benchObs(i)); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if err := s.Checkpoint("bench", h.Snapshot()); err != nil {
-				b.Fatal(err)
-			}
-			for i := size / 2; i < size; i++ {
-				if err := h.Append(benchObs(i)); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if err := s.Close(); err != nil {
-				b.Fatal(err)
-			}
+			dir := write(b, size)
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s2, err := Open(dir, Options{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				h2, err := s2.OpenHistory("bench", federation.FeatureDim, federation.Metrics)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if h2.Len() != size {
-					b.Fatalf("recovered %d, want %d", h2.Len(), size)
-				}
-				if err := s2.Close(); err != nil {
-					b.Fatal(err)
-				}
+				reopen(b, dir, size)
 			}
 		})
 	}
+	b.Run("legacy/n=10000", func(b *testing.B) {
+		const size = 10000
+		shard := filepath.Join(write(b, size), "bench")
+		wal, err := os.ReadFile(filepath.Join(shard, walName))
+		if err != nil {
+			b.Fatal(err)
+		}
+		half, err := core.NewHistory(federation.FeatureDim, federation.Metrics...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i := 0; i < size/2; i++ {
+			if err := half.Append(benchObs(i)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		var snap bytes.Buffer
+		if err := core.SaveSnapshot(half.Snapshot(), &snap); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			if err := os.WriteFile(filepath.Join(shard, snapshotName), snap.Bytes(), 0o644); err != nil {
+				b.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(shard, walName), wal[len(wal)/2:], 0o644); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			reopen(b, filepath.Dir(shard), size)
+		}
+	})
 }

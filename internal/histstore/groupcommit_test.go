@@ -7,7 +7,6 @@ import (
 	"os/exec"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 )
@@ -37,7 +36,7 @@ func gcOpen(t testing.TB, dir string, opts Options) (*Store, *core.History) {
 }
 
 // TestGroupCommitRecoveryEquivalence drives an identical append (and
-// mid-stream checkpoint) sequence through a group-commit store and a
+// mid-stream Sync) sequence through a group-commit store and a
 // per-append-fsync control, and asserts both recover byte-identical
 // state: group commit changes when fsyncs happen, never what is
 // recovered.
@@ -55,10 +54,10 @@ func TestGroupCommitRecoveryEquivalence(t *testing.T) {
 			t.Fatalf("control append %d: %v", i, err)
 		}
 		if i == n/2 {
-			if err := stGC.CheckpointAll(); err != nil {
+			if err := stGC.Sync(); err != nil {
 				t.Fatal(err)
 			}
-			if err := stCtl.CheckpointAll(); err != nil {
+			if err := stCtl.Sync(); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -98,7 +97,7 @@ func TestGroupCommitRecoveryEquivalence(t *testing.T) {
 // a close + recovery, with per-writer order preserved.
 func TestGroupCommitConcurrentAppends(t *testing.T) {
 	dir := t.TempDir()
-	st, h := gcOpen(t, dir, Options{GroupCommit: true, CommitInterval: 200 * time.Microsecond})
+	st, h := gcOpen(t, dir, Options{GroupCommit: true})
 	const writers, perWriter = 8, 50
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
@@ -165,41 +164,6 @@ func TestGroupCommitCloseFailsLateAppends(t *testing.T) {
 	}
 }
 
-// TestGroupCommitCheckpointReleasesWaiters covers the checkpoint
-// watermark path: a checkpoint makes everything durable, so it must
-// count as covering any not-yet-group-fsynced appends.
-func TestGroupCommitCheckpointReleasesWaiters(t *testing.T) {
-	dir := t.TempDir()
-	// An hour-long commit interval: only checkpoints (and close) make
-	// appends durable, so an Append returning proves the checkpoint
-	// advanced the watermark.
-	st, h := gcOpen(t, dir, Options{GroupCommit: true, CommitInterval: time.Hour})
-	done := make(chan error, 1)
-	go func() { done <- h.Append(gcObs(0, 0)) }()
-	// Wait for the append to land in the WAL (visible in memory), then
-	// checkpoint; the append's durability wait must resolve.
-	for i := 0; h.Len() == 0 && i < 1000; i++ {
-		time.Sleep(time.Millisecond)
-	}
-	if h.Len() != 1 {
-		t.Fatal("append never reached the WAL")
-	}
-	if err := st.CheckpointAll(); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("append: %v", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("append still blocked after checkpoint; watermark not advanced")
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // ---------------------------------------------------------------------------
 // SIGKILL crash test: a child process appends through group commit and
 // reports each acknowledged write on stdout; the parent kills it
@@ -217,7 +181,7 @@ func TestGroupCommitCrashChild(t *testing.T) {
 	if dir == "" {
 		t.Skip("crash-child helper; driven by TestGroupCommitCrashRecovery")
 	}
-	st, h := gcOpen(t, dir, Options{GroupCommit: true, CommitInterval: 200 * time.Microsecond})
+	st, h := gcOpen(t, dir, Options{GroupCommit: true})
 	defer st.Close()
 	var mu sync.Mutex
 	out := bufio.NewWriter(os.Stdout)

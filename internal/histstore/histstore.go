@@ -6,27 +6,31 @@
 // serving layer uses one Store per federation and one shard per query).
 // Each shard is
 //
-//	<root>/<name>/snapshot.json   compacting snapshot (the
-//	                              core.SaveSnapshot document, see
-//	                              internal/core/persist.go)
-//	<root>/<name>/wal.log         CRC-framed append-only WAL of the
-//	                              observations since that snapshot
+//	<root>/<name>/wal.log         CRC-framed append-only log of every
+//	                              observation, sequence 0 onwards — the
+//	                              history itself; it only grows
+//	<root>/<name>/snapshot.json   shape header: the core.SaveSnapshot
+//	                              document (internal/core/persist.go)
+//	                              with zero observations, written once
 //
 // Appends flow in through core.HistorySink: OpenHistory returns a
 // *core.History wired so every Append lands in the WAL before it
-// becomes visible in memory (write-ahead). Checkpoint atomically
-// replaces the snapshot with a newer point-in-time view and compacts
-// the WAL down to the uncovered suffix.
+// becomes visible in memory (write-ahead). Sync is the durability
+// point: one fsync per open shard.
 //
-// Recovery is deterministic and torn-tail-tolerant: replay = snapshot +
-// WAL suffix, with frames already covered by the snapshot skipped by
-// sequence number and the log truncated at the first corrupt frame. A
-// recovered history holds byte-identical observations in identical
-// order to the history that wrote it, so DREAM's window fit — and every
-// estimate derived from it — is identical too.
+// Recovery is deterministic and torn-tail-tolerant: check the header's
+// shape, replay the WAL in sequence order, truncate it at the first
+// corrupt frame. A recovered history holds byte-identical observations
+// in identical order to the history that wrote it, so DREAM's window
+// fit — and every estimate derived from it — is identical too.
+//
+// A shard an older, compacting build wrote (the first observations in
+// snapshot.json, the rest in wal.log) recovers by the same rule and is
+// folded into this layout once, at open.
 package histstore
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -44,14 +48,6 @@ import (
 const (
 	snapshotName = "snapshot.json"
 	walName      = "wal.log"
-)
-
-// Default group-commit knobs; see Options.
-const (
-	// DefaultCommitBatchSize fsyncs early once this many appends are
-	// buffered, bounding how much acknowledged-but-unsynced work one
-	// flush covers.
-	DefaultCommitBatchSize = 128
 )
 
 // Options tunes a Store.
@@ -72,30 +68,17 @@ type Options struct {
 	// When set, Fsync's per-append sync is skipped (the group fsync
 	// supersedes it).
 	GroupCommit bool
-	// CommitInterval is the committer's max-delay: how long it waits
-	// for companion appends before issuing the fsync. The default (<=
-	// 0) adds no delay at all — the committer syncs as soon as it is
-	// free, and batches form naturally from the appends that arrive
-	// while the previous fsync is in flight. A positive interval
-	// trades per-append latency for larger batches, which only pays
-	// off on devices whose sync cost dwarfs the wait (e.g. spinning
-	// disks).
-	CommitInterval time.Duration
-	// CommitBatchSize is the committer's max-batch: once this many
-	// appends are waiting, the fsync is issued without waiting out
-	// CommitInterval. 0 defaults to DefaultCommitBatchSize.
-	CommitBatchSize int
 	// Mirror, when non-nil, observes every WAL append for replication:
 	// AppendFrame is invoked under the shard lock immediately after the
 	// frame reaches the local WAL (so mirror order is exactly WAL
 	// order) with the raw on-disk frame bytes — the mirror must copy
 	// them before returning and must not block. WaitFrame is invoked
-	// outside the shard lock before the append is acknowledged; a
-	// mirror that replicates synchronously blocks there until the
-	// frame is on the standby (or it has decided to degrade).
+	// outside the shard and History locks before the append is
+	// acknowledged; a mirror that replicates synchronously blocks there
+	// until the frame is on the standby (or it has decided to degrade).
 	Mirror Mirror
 	// Metrics, when non-nil, registers the store's health instruments
-	// (WAL append latency, checkpoint duration and failures, recovery
+	// (WAL append latency, Sync duration and failures, recovery
 	// time and recovered observation counts) on the given registry,
 	// labeled store=MetricsStore. Purely observational: a metered store
 	// persists and recovers byte-identical state to an unmetered one.
@@ -114,7 +97,7 @@ type Mirror interface {
 	AppendFrame(shard string, seq uint64, frame []byte)
 	// WaitFrame blocks until the frame with sequence seq is replicated
 	// (or replication for the shard has been abandoned). Called outside
-	// the shard lock, after local durability.
+	// the shard and History locks, after local durability.
 	WaitFrame(shard string, seq uint64) error
 }
 
@@ -151,7 +134,7 @@ type storeObs struct {
 
 // newStoreObs registers the store's instruments; see Options.Metrics.
 func newStoreObs(reg *metrics.Registry, store string) *storeObs {
-	// Appends are ~1 µs, checkpoints and recoveries span ms to seconds;
+	// Appends are ~1 µs, fsyncs and recoveries span ms to seconds;
 	// two bucket ladders keep both ends readable.
 	appendBuckets := metrics.ExponentialBuckets(1e-6, 4, 12) // 1 µs .. ~4 s
 	fileOpBuckets := metrics.ExponentialBuckets(1e-4, 4, 10) // 100 µs .. ~26 s
@@ -160,16 +143,16 @@ func newStoreObs(reg *metrics.Registry, store string) *storeObs {
 			"Latency of one write-ahead WAL append (including fsync when enabled).",
 			appendBuckets, "store").With(store),
 		checkpointSeconds: reg.HistogramVec("midas_histstore_checkpoint_seconds",
-			"Duration of one shard checkpoint (snapshot replace + WAL compaction).",
+			"Duration of one shard checkpoint: the WAL fsync Store.Sync issues (near zero when every append was already synced).",
 			fileOpBuckets, "store").With(store),
 		checkpoints: reg.CounterVec("midas_histstore_checkpoints_total",
-			"Completed shard checkpoints (no-op checkpoints included).",
+			"Completed shard checkpoints (Store.Sync WAL fsyncs, no-op ones included).",
 			"store").With(store),
 		checkpointFailures: reg.CounterVec("midas_histstore_checkpoint_failures_total",
-			"Shard checkpoints that failed.",
+			"Shard checkpoints whose WAL fsync failed; the shard refuses appends afterwards.",
 			"store").With(store),
 		recoverySeconds: reg.HistogramVec("midas_histstore_recovery_seconds",
-			"Duration of one shard open (snapshot load + WAL replay).",
+			"Duration of one shard open (header check + WAL replay, plus the one-time fold of a compacted layout).",
 			fileOpBuckets, "store").With(store),
 		recoveredObs: reg.CounterVec("midas_histstore_recovered_observations_total",
 			"Observations recovered from durable state across shard opens.",
@@ -196,9 +179,6 @@ func Open(root string, opts Options) (*Store, error) {
 	if err := os.MkdirAll(root, 0o755); err != nil {
 		return nil, fmt.Errorf("histstore: %w", err)
 	}
-	if opts.GroupCommit && opts.CommitBatchSize <= 0 {
-		opts.CommitBatchSize = DefaultCommitBatchSize
-	}
 	s := &Store{root: root, opts: opts, shards: make(map[string]*shard)}
 	if opts.Metrics != nil {
 		label := opts.MetricsStore
@@ -222,7 +202,7 @@ func (s *Store) shardDir(name string) string {
 // OpenHistory opens (recovering, if durable state exists) or creates
 // the named shard and returns its live history: appends to the returned
 // History are written ahead to the shard's WAL, and the observations
-// recovered from snapshot + WAL are already in it. Repeated calls with
+// recovered from it are already in it. Repeated calls with
 // the same name return the same *core.History. dim and metrics must
 // match any previously persisted state.
 func (s *Store) OpenHistory(name string, dim int, metrics []string) (*core.History, error) {
@@ -249,15 +229,19 @@ func (s *Store) openShard(name string, dim int, metricNames []string) (*shard, e
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("histstore: shard %q: %w", name, err)
 	}
-	// Leftover temp files are failed checkpoints; the durable state
-	// they were meant to replace is still intact.
+	// Leftover temp files are writes that never committed (a header, an
+	// import, an interrupted fold); the durable state they were meant
+	// to replace is still intact.
 	_ = os.Remove(filepath.Join(dir, snapshotName+framelog.TmpSuffix))
 	_ = os.Remove(filepath.Join(dir, walName+framelog.TmpSuffix))
 
-	h, snapCount, err := loadSnapshot(filepath.Join(dir, snapshotName), dim, metricNames)
+	h, hasHeader, err := loadSnapshot(filepath.Join(dir, snapshotName), dim, metricNames)
 	if err != nil {
 		return nil, fmt.Errorf("histstore: shard %q: %w", name, err)
 	}
+	// Observations in snapshot.json itself: only a shard compacted by
+	// an older build has any.
+	compacted := h.Len()
 	// A torn tail (a crash mid-write) is dropped, so the next append
 	// starts on a clean frame boundary.
 	wal, _, torn, err := framelog.OpenAppend(filepath.Join(dir, walName), maxFramePayload, func(_ int64, p []byte) error {
@@ -266,9 +250,9 @@ func (s *Store) openShard(name string, dim int, metricNames []string) (*shard, e
 			return err
 		}
 		if seq < uint64(h.Len()) {
-			// Already applied: either covered by the snapshot (a
-			// checkpoint renamed the new snapshot but crashed before
-			// compacting the WAL) or a duplicate frame (handoff and
+			// Already applied: either covered by a compacted snapshot
+			// (an older build's checkpoint, or a fold, that crashed
+			// between its two writes) or a duplicate frame (handoff and
 			// replication streams may deliver overlapping suffixes).
 			// Replay is idempotent: skip, don't fail.
 			return nil
@@ -289,23 +273,33 @@ func (s *Store) openShard(name string, dim int, metricNames []string) (*shard, e
 	if torn && s.obs != nil {
 		s.obs.tornTails.Inc()
 	}
-	sh := &shard{
-		name:      name,
-		dir:       dir,
-		opts:      s.opts,
-		obs:       s.obs,
-		hist:      h,
-		wal:       wal,
-		nextSeq:   uint64(h.Len()),
-		snapCount: snapCount,
+	switch {
+	case compacted > 0:
+		wal, err = foldShard(dir, h, wal)
+	case !hasHeader:
+		err = writeHeader(dir, h)
 	}
-	if s.opts.GroupCommit {
+	if err != nil {
+		if wal != nil {
+			wal.Close()
+		}
+		return nil, fmt.Errorf("histstore: shard %q: %w", name, err)
+	}
+	sh := &shard{
+		name:    name,
+		dir:     dir,
+		opts:    s.opts,
+		obs:     s.obs,
+		hist:    h,
+		wal:     wal,
+		nextSeq: uint64(h.Len()),
 		// Everything replayed so far is durable (it was read back off
-		// disk), so the committer starts with an empty pending window.
-		sh.gcSynced = sh.nextSeq
-		sh.gcCond = sync.NewCond(&sh.gcMu)
+		// disk), so the watermark starts with nothing pending.
+		gcSynced: uint64(h.Len()),
+	}
+	sh.gcCond = sync.NewCond(&sh.gcMu)
+	if s.opts.GroupCommit {
 		sh.gcKick = make(chan struct{}, 1)
-		sh.gcFull = make(chan struct{}, 1)
 		sh.gcStop = make(chan struct{})
 		sh.gcDone = make(chan struct{})
 		go sh.commitLoop()
@@ -318,82 +312,123 @@ func (s *Store) openShard(name string, dim int, metricNames []string) (*shard, e
 	return sh, nil
 }
 
-// loadSnapshot reads the shard snapshot if present (validating its
-// shape against the requested one) or starts an empty history.
-func loadSnapshot(path string, dim int, metrics []string) (*core.History, uint64, error) {
+// loadSnapshot reads the shard's snapshot.json if present (validating
+// its shape against the requested one) or starts an empty history.
+func loadSnapshot(path string, dim int, metrics []string) (h *core.History, found bool, err error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
 		h, err := core.NewHistory(dim, metrics...)
-		return h, 0, err
+		return h, false, err
 	}
 	if err != nil {
-		return nil, 0, err
+		return nil, false, err
 	}
 	defer f.Close()
-	h, err := core.LoadHistory(f)
-	if err != nil {
-		return nil, 0, err
+	if h, err = core.LoadHistory(f); err != nil {
+		return nil, false, err
 	}
 	if h.Dim() != dim {
-		return nil, 0, fmt.Errorf("snapshot has dim %d, want %d", h.Dim(), dim)
+		return nil, false, fmt.Errorf("snapshot has dim %d, want %d", h.Dim(), dim)
 	}
 	hm := h.Metrics()
 	if len(hm) != len(metrics) {
-		return nil, 0, fmt.Errorf("snapshot has %d metrics, want %d", len(hm), len(metrics))
+		return nil, false, fmt.Errorf("snapshot has %d metrics, want %d", len(hm), len(metrics))
 	}
 	for i := range hm {
 		if hm[i] != metrics[i] {
-			return nil, 0, fmt.Errorf("snapshot metric %d is %q, want %q", i, hm[i], metrics[i])
+			return nil, false, fmt.Errorf("snapshot metric %d is %q, want %q", i, hm[i], metrics[i])
 		}
 	}
-	return h, uint64(h.Len()), nil
+	return h, true, nil
 }
 
-// Checkpoint compacts the named shard: the snapshot file is atomically
-// replaced with snap (write temp, fsync, rename) and the WAL is
-// rewritten down to the records snap does not cover. snap must be a
-// snapshot of the history OpenHistory returned for this shard. A crash
-// at any point leaves a recoverable shard: replay skips WAL records the
-// surviving snapshot already covers.
-func (s *Store) Checkpoint(name string, snap *core.Snapshot) error {
-	s.mu.Lock()
-	sh := s.shards[name]
-	s.mu.Unlock()
-	if sh == nil {
-		return fmt.Errorf("histstore: checkpoint of unopened shard %q", name)
+// writeHeader writes the shard's shape header: h's dim and metric names
+// as a snapshot document with zero observations.
+func writeHeader(dir string, h *core.History) error {
+	empty, err := core.NewHistory(h.Dim(), h.Metrics()...)
+	if err != nil {
+		return err
 	}
-	return sh.checkpoint(snap)
+	return framelog.WriteFileAtomic(filepath.Join(dir, snapshotName), func(w io.Writer) error {
+		return core.SaveSnapshot(empty.Snapshot(), w)
+	})
 }
 
-// CheckpointAll compacts every open shard against its history's current
-// snapshot.
-func (s *Store) CheckpointAll() error {
+// foldShard rewrites a compacted shard into the one-file layout: every
+// recovered observation as WAL frames 0..Len-1, then the header. A
+// crash between the two writes leaves the old snapshot beside a whole
+// WAL, which replays to the same history (covered frames are skipped by
+// sequence) and folds again at the next open. The replaced inode's
+// handle is closed; the returned one appends to the new file.
+func foldShard(dir string, h *core.History, old *os.File) (*os.File, error) {
+	old.Close()
+	walPath := filepath.Join(dir, walName)
+	snap := h.Snapshot()
+	err := framelog.WriteFileAtomic(walPath, func(w io.Writer) error {
+		bw := bufio.NewWriter(w)
+		var buf []byte
+		for i := 0; i < snap.Len(); i++ {
+			buf = appendFrame(buf[:0], uint64(i), snap.At(i))
+			if _, err := bw.Write(buf); err != nil {
+				return err
+			}
+		}
+		return bw.Flush()
+	})
+	if err == nil {
+		err = writeHeader(dir, h)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("folding compacted snapshot: %w", err)
+	}
+	return os.OpenFile(walPath, os.O_WRONLY|os.O_APPEND, 0o644)
+}
+
+// Sync is the store's durability point: it fsyncs the WAL of every open
+// shard that has appends no fsync covers yet (releasing any group-commit
+// waiters on them), so everything appended before the call survives a
+// machine crash. Every shard is attempted even when one fails — a sick
+// shard must not keep healthy ones from syncing — and the first error
+// is returned.
+func (s *Store) Sync() error {
 	s.mu.Lock()
 	shards := make([]*shard, 0, len(s.shards))
 	for _, sh := range s.shards {
 		shards = append(shards, sh)
 	}
 	s.mu.Unlock()
+	var first error
 	for _, sh := range shards {
-		if err := sh.checkpoint(sh.hist.Snapshot()); err != nil {
-			return err
+		began := time.Now()
+		err := sh.syncBatch()
+		if err != nil && first == nil {
+			first = fmt.Errorf("histstore: shard %q: %w", sh.name, err)
 		}
+		if s.obs == nil {
+			continue
+		}
+		if err != nil {
+			s.obs.checkpointFailures.Inc()
+			continue
+		}
+		s.obs.checkpoints.Inc()
+		s.obs.checkpointSeconds.Observe(time.Since(began).Seconds())
 	}
-	return nil
+	return first
 }
 
 // Close stops every shard's group committer (after one final covering
 // fsync, so no acknowledged-in-flight append is abandoned) and closes
 // every open shard's WAL handle. Appends to histories opened through
 // the store fail afterwards (and, per the write-ahead contract, leave
-// the in-memory history unchanged). Checkpoint first: Close does not
-// compact.
+// the in-memory history unchanged). Sync first: without group commit,
+// Close does not fsync.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var first error
 	for name, sh := range s.shards {
-		if sh.gcCond != nil {
+		if sh.gcStop != nil {
 			close(sh.gcStop)
 			<-sh.gcDone
 			sh.gcMu.Lock()
@@ -419,6 +454,14 @@ func (s *Store) Close() error {
 	return first
 }
 
+// walFile is what a shard needs of its WAL handle: an *os.File, or a
+// fault injector in tests.
+type walFile interface {
+	io.Writer
+	Sync() error
+	Close() error
+}
+
 // shard is one named history's durable state. It implements
 // core.HistorySink, so the History it recovered writes every new
 // observation through it.
@@ -429,98 +472,45 @@ type shard struct {
 	obs  *storeObs // nil when the store is unmetered
 	hist *core.History
 
-	mu        sync.Mutex
-	wal       *os.File
-	buf       []byte // frame scratch, reused across appends
-	nextSeq   uint64 // sequence of the next record to append
-	snapCount uint64 // observations covered by snapshot.json
-	// broken, once set, fails every subsequent append and checkpoint:
-	// the WAL handle can no longer be trusted to reach durable storage
-	// (e.g. the post-compaction reopen failed, leaving the handle on
-	// the replaced inode), and acknowledging writes would silently
-	// break the write-ahead contract.
+	mu      sync.Mutex
+	wal     walFile
+	buf     []byte // frame scratch, reused across appends
+	nextSeq uint64 // sequence of the next record to append
+	// broken, once set, fails every subsequent append, Sync and export:
+	// a WAL write or fsync failed, so the log may end in a torn frame
+	// that recovery will cut at, or hold pages the kernel dropped —
+	// acknowledging anything written after it would silently break the
+	// write-ahead contract.
 	broken error
 
-	// Group-commit state; initialised (and the committer goroutine
-	// started) only when Options.GroupCommit is set. Lock order is
-	// sh.mu → gcMu, never the reverse: the committer and the append
-	// path take gcMu while holding sh.mu, waiters take gcMu alone.
+	// Durable watermark, kept in every mode so Sync knows what is
+	// pending; the committer goroutine and its channels exist only when
+	// Options.GroupCommit is set. Lock order is sh.mu → gcMu, never the
+	// reverse: the committer and the append path take gcMu while
+	// holding sh.mu, waiters take gcMu alone.
 	gcMu     sync.Mutex
 	gcCond   *sync.Cond    // broadcast on gcSynced / gcErr / gcClosed changes
 	gcSynced uint64        // sequences below this are covered by an fsync
-	gcErr    error         // sticky first group-fsync failure
+	gcErr    error         // sticky first fsync failure
 	gcClosed bool          // Close ran; no further fsync will ever come
 	gcKick   chan struct{} // buffered(1): un-synced appends exist
-	gcFull   chan struct{} // buffered(1): max-batch reached, skip the delay
 	gcStop   chan struct{}
 	gcDone   chan struct{}
 }
 
-var _ core.PendingSink = (*shard)(nil)
+var _ core.HistorySink = (*shard)(nil)
 
 // RecordObservation implements core.HistorySink: frame the observation
 // and append it to the WAL (write-ahead — the caller only makes the
 // observation visible in memory after this returns nil). It is called
 // with the owning History's lock held, which makes WAL order identical
-// to in-memory order by construction.
-func (sh *shard) RecordObservation(o core.Observation) error {
-	if sh.opts.GroupCommit {
-		// Direct callers get the same durability as the pending path:
-		// write, then block until the covering group fsync returns.
-		ticket, err := sh.RecordObservationPending(o)
-		if err != nil {
-			return err
-		}
-		return sh.WaitObservation(ticket)
-	}
+// to in-memory order by construction. Whatever the append still has to
+// wait for — the covering group fsync, the mirror — the caller waits
+// for in WaitObservation, after releasing that lock.
+func (sh *shard) RecordObservation(o core.Observation) (uint64, error) {
 	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	if sh.broken != nil {
-		sh.mu.Unlock()
-		return fmt.Errorf("histstore: shard unusable: %w", sh.broken)
-	}
-	var began time.Time
-	if sh.obs != nil {
-		began = time.Now()
-	}
-	sh.buf = appendFrame(sh.buf[:0], sh.nextSeq, o)
-	if _, err := sh.wal.Write(sh.buf); err != nil {
-		sh.mu.Unlock()
-		return fmt.Errorf("histstore: wal append: %w", err)
-	}
-	if sh.opts.Fsync {
-		if err := sh.wal.Sync(); err != nil {
-			sh.mu.Unlock()
-			return fmt.Errorf("histstore: wal fsync: %w", err)
-		}
-	}
-	seq := sh.nextSeq
-	sh.nextSeq++
-	if sh.opts.Mirror != nil {
-		sh.opts.Mirror.AppendFrame(sh.name, seq, sh.buf)
-	}
-	if sh.obs != nil {
-		sh.obs.walAppendSeconds.Observe(time.Since(began).Seconds())
-	}
-	sh.mu.Unlock()
-	if sh.opts.Mirror != nil {
-		return sh.opts.Mirror.WaitFrame(sh.name, seq)
-	}
-	return nil
-}
-
-// RecordObservationPending implements core.PendingSink: append the frame
-// to the WAL (write-ahead, under the owning History's lock like
-// RecordObservation) but defer durability to the covering group fsync,
-// which the caller waits for via WaitObservation after releasing the
-// History lock. Without GroupCommit the store has no deferred-durability
-// window, so this is RecordObservation with a no-op ticket.
-func (sh *shard) RecordObservationPending(o core.Observation) (uint64, error) {
-	if !sh.opts.GroupCommit {
-		return 0, sh.RecordObservation(o)
-	}
-	sh.mu.Lock()
-	if sh.broken != nil {
-		sh.mu.Unlock()
 		return 0, fmt.Errorf("histstore: shard unusable: %w", sh.broken)
 	}
 	var began time.Time
@@ -529,63 +519,64 @@ func (sh *shard) RecordObservationPending(o core.Observation) (uint64, error) {
 	}
 	sh.buf = appendFrame(sh.buf[:0], sh.nextSeq, o)
 	if _, err := sh.wal.Write(sh.buf); err != nil {
-		sh.mu.Unlock()
-		return 0, fmt.Errorf("histstore: wal append: %w", err)
+		// A short write leaves a torn frame mid-log: recovery would cut
+		// there and drop everything appended after it.
+		sh.broken = fmt.Errorf("wal append: %w", err)
+		return 0, fmt.Errorf("histstore: %w", sh.broken)
 	}
-	ticket := sh.nextSeq
+	seq := sh.nextSeq
 	sh.nextSeq++
+	if sh.opts.Fsync && !sh.opts.GroupCommit {
+		if err := sh.wal.Sync(); err != nil {
+			// The frame is in the log but not acknowledged; a later
+			// append must not be either (see syncBatch).
+			sh.broken = fmt.Errorf("wal fsync: %w", err)
+			return 0, fmt.Errorf("histstore: %w", sh.broken)
+		}
+		sh.gcMu.Lock()
+		sh.gcSynced = sh.nextSeq
+		sh.gcMu.Unlock()
+	}
 	if sh.opts.Mirror != nil {
-		sh.opts.Mirror.AppendFrame(sh.name, ticket, sh.buf)
+		sh.opts.Mirror.AppendFrame(sh.name, seq, sh.buf)
 	}
 	if sh.obs != nil {
 		sh.obs.walAppendSeconds.Observe(time.Since(began).Seconds())
 	}
-	sh.gcMu.Lock()
-	full := ticket+1-sh.gcSynced >= uint64(sh.opts.CommitBatchSize)
-	sh.gcMu.Unlock()
-	sh.mu.Unlock()
-	// Wake the committer; when the batch is full, also tell it to skip
-	// its max-delay. Both channels are buffered(1), so a pending token
-	// means "state already reflects this" and dropping is correct.
-	select {
-	case sh.gcKick <- struct{}{}:
-	default:
-	}
-	if full {
+	if sh.gcKick != nil {
+		// Wake the committer. The channel is buffered(1), so a pending
+		// token means "state already reflects this" and dropping is
+		// correct.
 		select {
-		case sh.gcFull <- struct{}{}:
+		case sh.gcKick <- struct{}{}:
 		default:
 		}
 	}
-	return ticket, nil
+	return seq, nil
 }
 
-// WaitObservation implements core.PendingSink: block until the ticket's
-// append is durable (its covering fsync returned), the committer hit a
-// sticky error, or the store closed. Durability wins over a sticky
-// error: a write the disk has already accepted is acknowledged even if
-// a later fsync failed.
+// WaitObservation implements core.HistorySink. Under group commit it
+// blocks until the ticket's append is durable (its covering fsync
+// returned), the committer hit a sticky error, or the store closed.
+// Durability wins over a sticky error: a write the disk has already
+// accepted is acknowledged even if a later fsync failed.
 func (sh *shard) WaitObservation(ticket uint64) error {
-	if !sh.opts.GroupCommit {
-		return nil
+	if sh.opts.GroupCommit {
+		sh.gcMu.Lock()
+		for sh.gcSynced <= ticket {
+			if sh.gcErr != nil {
+				err := sh.gcErr
+				sh.gcMu.Unlock()
+				return fmt.Errorf("histstore: group commit: %w", err)
+			}
+			if sh.gcClosed {
+				sh.gcMu.Unlock()
+				return errors.New("histstore: store closed before group commit")
+			}
+			sh.gcCond.Wait()
+		}
+		sh.gcMu.Unlock()
 	}
-	sh.gcMu.Lock()
-	for {
-		if sh.gcSynced > ticket {
-			break
-		}
-		if sh.gcErr != nil {
-			err := sh.gcErr
-			sh.gcMu.Unlock()
-			return fmt.Errorf("histstore: group commit: %w", err)
-		}
-		if sh.gcClosed {
-			sh.gcMu.Unlock()
-			return errors.New("histstore: store closed before group commit")
-		}
-		sh.gcCond.Wait()
-	}
-	sh.gcMu.Unlock()
 	// Locally durable; now wait for the mirror (which never fails an
 	// acknowledged-durable write — it degrades instead).
 	if sh.opts.Mirror != nil {
@@ -596,76 +587,40 @@ func (sh *shard) WaitObservation(ticket uint64) error {
 
 // commitLoop is the shard's committer goroutine: woken by the first
 // append after a flush, it issues the one fsync covering everything
-// written so far. With no CommitInterval the sync starts immediately —
-// batches form naturally from the appends that pile up while the
-// previous fsync is in flight; with one, the committer first waits up
-// to the interval for companions (cut short when the batch fills or
-// the store closes).
+// written so far. The sync starts immediately — batches form from the
+// appends that pile up while the previous fsync is in flight.
 func (sh *shard) commitLoop() {
 	defer close(sh.gcDone)
-	var timer *time.Timer
 	for {
 		select {
 		case <-sh.gcStop:
 			// Final flush so every in-flight waiter resolves durable.
-			sh.syncBatch()
+			_ = sh.syncBatch() // a failure reaches the waiters as gcErr
 			return
 		case <-sh.gcKick:
+			_ = sh.syncBatch() // likewise
 		}
-		if d := sh.opts.CommitInterval; d > 0 {
-			if timer == nil {
-				timer = time.NewTimer(d)
-			} else {
-				timer.Reset(d)
-			}
-			select {
-			case <-timer.C:
-			case <-sh.gcFull:
-				if !timer.Stop() {
-					<-timer.C
-				}
-			case <-sh.gcStop:
-				if !timer.Stop() {
-					<-timer.C
-				}
-				sh.syncBatch()
-				return
-			}
-		}
-		sh.syncBatch()
 	}
 }
 
-// syncBatch fsyncs the WAL once and advances the durable watermark over
-// every append written before the sync, waking their waiters. Called
-// only from commitLoop.
-func (sh *shard) syncBatch() {
+// syncBatch fsyncs the WAL once, unless nothing was appended since the
+// last fsync, and advances the durable watermark over every append
+// written before the sync, waking their waiters. Called from commitLoop
+// and Store.Sync.
+func (sh *shard) syncBatch() error {
 	sh.mu.Lock()
-	if sh.broken != nil {
-		err := sh.broken
-		sh.mu.Unlock()
-		sh.gcMu.Lock()
-		if sh.gcErr == nil {
-			sh.gcErr = err
-		}
-		sh.gcCond.Broadcast()
-		sh.gcMu.Unlock()
-		return
-	}
 	target := sh.nextSeq
 	sh.gcMu.Lock()
 	pending := target > sh.gcSynced
 	sh.gcMu.Unlock()
-	if !pending {
-		sh.mu.Unlock()
-		return
+	if sh.broken == nil && pending {
+		if err := sh.wal.Sync(); err != nil {
+			// An fsync the kernel rejected may have dropped dirty pages;
+			// nothing appended afterwards could be trusted either.
+			sh.broken = fmt.Errorf("wal fsync: %w", err)
+		}
 	}
-	err := sh.wal.Sync()
-	if err != nil {
-		// An fsync the kernel rejected may have dropped dirty pages;
-		// nothing appended afterwards could be trusted either.
-		sh.broken = fmt.Errorf("group-commit fsync: %w", err)
-	}
+	err := sh.broken
 	sh.mu.Unlock()
 	sh.gcMu.Lock()
 	defer sh.gcMu.Unlock()
@@ -673,105 +628,15 @@ func (sh *shard) syncBatch() {
 		if sh.gcErr == nil {
 			sh.gcErr = err
 		}
-	} else if target > sh.gcSynced {
+		err = fmt.Errorf("shard unusable: %w", err)
+	} else if target > sh.gcSynced { // re-checked: a concurrent syncBatch may have passed us
 		batch := target - sh.gcSynced
 		sh.gcSynced = target
-		if sh.obs != nil {
+		if sh.obs != nil && sh.opts.GroupCommit {
 			sh.obs.commitBatch.Observe(float64(batch))
 			sh.obs.fsyncsAvoided.Add(float64(batch - 1))
 		}
 	}
 	sh.gcCond.Broadcast()
-}
-
-func (sh *shard) checkpoint(snap *core.Snapshot) (err error) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if sh.obs != nil {
-		began := time.Now()
-		defer func() {
-			if err != nil {
-				sh.obs.checkpointFailures.Inc()
-				return
-			}
-			sh.obs.checkpoints.Inc()
-			sh.obs.checkpointSeconds.Observe(time.Since(began).Seconds())
-		}()
-	}
-	if sh.broken != nil {
-		return fmt.Errorf("histstore: shard unusable: %w", sh.broken)
-	}
-	count := uint64(snap.Len())
-	if count < sh.snapCount {
-		// A snapshot older than the durable one cannot move the shard
-		// forward; keep what is on disk.
-		return nil
-	}
-	if count == sh.snapCount && sh.nextSeq == sh.snapCount {
-		return nil // nothing new since the last checkpoint
-	}
-	err = framelog.WriteFileAtomic(filepath.Join(sh.dir, snapshotName), func(w io.Writer) error {
-		return core.SaveSnapshot(snap, w)
-	})
-	if err != nil {
-		return fmt.Errorf("histstore: checkpoint: %w", err)
-	}
-	// From here on the new snapshot is the durable truth; compact the
-	// WAL down to the suffix it does not cover. Appends are blocked on
-	// sh.mu, so the file cannot grow under the rewrite.
-	if err := sh.rewriteWAL(count); err != nil {
-		return err
-	}
-	sh.snapCount = count
-	if sh.gcCond != nil {
-		// The checkpoint fsynced the snapshot and the compacted WAL, so
-		// every append written so far is durable; release any waiters
-		// without charging the committer another fsync.
-		sh.gcMu.Lock()
-		if sh.nextSeq > sh.gcSynced {
-			sh.gcSynced = sh.nextSeq
-		}
-		sh.gcCond.Broadcast()
-		sh.gcMu.Unlock()
-	}
-	return nil
-}
-
-// rewriteWAL replaces the WAL with only the frames whose sequence is
-// not covered by the snapshot.
-func (sh *shard) rewriteWAL(covered uint64) error {
-	walPath := filepath.Join(sh.dir, walName)
-	src, err := os.Open(walPath)
-	if err != nil {
-		return fmt.Errorf("histstore: compacting wal: %w", err)
-	}
-	defer src.Close()
-	err = framelog.WriteFileAtomic(walPath, func(dst io.Writer) error {
-		var buf []byte
-		_, err := framelog.Scan(src, maxFramePayload, framelog.TruncateTornTail, func(_ int64, p []byte) error {
-			seq, err := frameSeq(p)
-			if err != nil || seq < covered {
-				return err
-			}
-			buf = framelog.Append(buf[:0], p)
-			_, err = dst.Write(buf)
-			return err
-		})
-		return err
-	})
-	if err != nil {
-		return fmt.Errorf("histstore: compacting wal: %w", err)
-	}
-	// The old handle still points at the replaced (now unlinked) inode;
-	// reopen. If the reopen fails the shard is unusable: writes through
-	// the stale handle would be acknowledged yet land in a deleted
-	// file, so mark it broken and fail loudly instead.
-	wal, err := os.OpenFile(walPath, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		sh.broken = fmt.Errorf("reopening compacted wal: %w", err)
-		return fmt.Errorf("histstore: %w", sh.broken)
-	}
-	sh.wal.Close()
-	sh.wal = wal
-	return nil
+	return err
 }

@@ -2,6 +2,7 @@ package histstore
 
 import (
 	"bytes"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"sync"
@@ -67,6 +68,67 @@ func wantPrefix(t *testing.T, h *core.History, n int) {
 	}
 }
 
+// wantLayout asserts the shard directory is in the one-file layout:
+// wal.log holds exactly frames 0..n-1 of the test observations' shape
+// and snapshot.json is a header — the right shape, zero observations.
+// It returns the WAL bytes.
+func wantLayout(t *testing.T, dir, shard string, n int) []byte {
+	t.Helper()
+	wal, err := os.ReadFile(filepath.Join(dir, shard, walName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(wal) != n*testFrameSize {
+		t.Fatalf("wal.log is %d bytes, want %d frames = %d", len(wal), n, n*testFrameSize)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, shard, snapshotName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr, err := core.LoadHistory(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hdr.Len() != 0 || len(raw) >= 1024 {
+		t.Fatalf("snapshot.json holds %d observations in %d bytes, want a header", hdr.Len(), len(raw))
+	}
+	if hdr.Dim() != 1 || len(hdr.Metrics()) != len(testMetrics) {
+		t.Fatalf("header shape = dim %d metrics %v", hdr.Dim(), hdr.Metrics())
+	}
+	return wal
+}
+
+// compactedSnapshot is the snapshot.json an older, compacting build
+// left behind after checkpointing the first n test observations.
+func compactedSnapshot(t *testing.T, n int) []byte {
+	t.Helper()
+	h, err := core.NewHistory(1, testMetrics...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, h, 0, n)
+	var doc bytes.Buffer
+	if err := core.SaveSnapshot(h.Snapshot(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	return doc.Bytes()
+}
+
+// installShard writes a shard directory holding the given files.
+func installShard(t *testing.T, shard string, files map[string][]byte) string {
+	t.Helper()
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, shard), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for name, raw := range files {
+		if err := os.WriteFile(filepath.Join(dir, shard, name), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
 func TestAppendRecoverRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, dir, Options{})
@@ -80,7 +142,7 @@ func TestAppendRecoverRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Fresh process: recovery replays the WAL (no snapshot yet).
+	// Fresh process: recovery replays the WAL.
 	s2 := openStore(t, dir, Options{})
 	defer s2.Close()
 	h2 := openHist(t, s2, "Q12")
@@ -93,137 +155,175 @@ func TestAppendRecoverRoundTrip(t *testing.T) {
 	s3 := openStore(t, dir, Options{})
 	defer s3.Close()
 	wantPrefix(t, openHist(t, s3, "Q12"), 12)
+	wantLayout(t, dir, "Q12", 12)
 }
 
-// TestRecoveredEstimatesIdentical is the determinism contract: a
-// recovered history produces byte-identical DREAM estimates.
+// TestRecoveredEstimatesIdentical is the determinism contract, checked
+// over seeded random schedules of append, Sync and crash (the directory
+// as a dead machine would leave it: wal.log cut at an arbitrary byte at
+// or beyond its size at the last Sync). Whatever the cut, the recovered
+// history is a prefix of what was appended that holds everything
+// appended before that Sync, and it produces bit-identical DREAM
+// estimates to a history that was never persisted. Along the way
+// wal.log only ever grows.
 func TestRecoveredEstimatesIdentical(t *testing.T) {
-	dir := t.TempDir()
-	s := openStore(t, dir, Options{})
-	h := openHist(t, s, "Q13")
-	appendN(t, h, 0, 20)
 	est, err := core.NewEstimator(core.Config{MMax: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := est.EstimateCostValue(h, []float64{7})
-	if err != nil {
-		t.Fatal(err)
+	// A history too short to fit fails the same way on both sides.
+	estimate := func(h *core.History) (core.Estimate, string) {
+		e, err := est.EstimateCostValue(h, []float64{7})
+		if err != nil {
+			return core.Estimate{}, err.Error()
+		}
+		return *e, ""
 	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	s2 := openStore(t, dir, Options{})
-	defer s2.Close()
-	got, err := est.EstimateCostValue(openHist(t, s2, "Q13"), []float64{7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.WindowSize != want.WindowSize || got.Converged != want.Converged {
-		t.Fatalf("window fit differs: %d/%v vs %d/%v",
-			got.WindowSize, got.Converged, want.WindowSize, want.Converged)
-	}
-	for i := range want.Metrics {
-		if got.Metrics[i].Value != want.Metrics[i].Value || got.Metrics[i].R2 != want.Metrics[i].R2 {
-			t.Fatalf("metric %d estimate differs: %+v vs %+v", i, got.Metrics[i], want.Metrics[i])
+	modes := []Options{{}, {Fsync: true}, {GroupCommit: true}}
+	for seed := int64(1); seed <= 9; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		opts := modes[seed%3]
+		dir := t.TempDir()
+		s := openStore(t, dir, opts)
+		h := openHist(t, s, "Q13")
+		walPath := filepath.Join(dir, "Q13", walName)
+		header, err := os.ReadFile(filepath.Join(dir, "Q13", snapshotName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var appended, syncedN int
+		var syncedSize, lastSize int64
+		for step := 0; step < 80; step++ {
+			switch r := rng.Intn(10); {
+			case r < 6:
+				n := 1 + rng.Intn(4)
+				appendN(t, h, appended, n)
+				appended += n
+				if opts.Fsync || opts.GroupCommit {
+					// Every acknowledged append is its own durability point.
+					syncedN, syncedSize = appended, int64(appended*testFrameSize)
+				}
+			case r < 8:
+				if err := s.Sync(); err != nil {
+					t.Fatal(err)
+				}
+				syncedN, syncedSize = appended, int64(appended*testFrameSize)
+			default:
+				wal, err := os.ReadFile(walPath)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cut := syncedSize + rng.Int63n(int64(len(wal))-syncedSize+1)
+				crashed := installShard(t, "Q13", map[string][]byte{snapshotName: header, walName: wal[:cut]})
+				s2 := openStore(t, crashed, Options{})
+				h2 := openHist(t, s2, "Q13")
+				if got := h2.Len(); got != int(cut)/testFrameSize || got < syncedN || got > appended {
+					t.Fatalf("seed %d step %d: cut at %d of %d recovered %d observations (synced %d, appended %d)",
+						seed, step, cut, len(wal), got, syncedN, appended)
+				}
+				wantPrefix(t, h2, h2.Len())
+				// Torn-tail truncation at open is the one way the log shrinks.
+				wantLayout(t, crashed, "Q13", h2.Len())
+				ref, err := core.NewHistory(1, testMetrics...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				appendN(t, ref, 0, h2.Len())
+				want, wantErr := estimate(ref)
+				got, gotErr := estimate(h2)
+				if gotErr != wantErr || got.WindowSize != want.WindowSize || got.Converged != want.Converged {
+					t.Fatalf("seed %d step %d: window fit differs: %d/%v/%q vs %d/%v/%q", seed, step,
+						got.WindowSize, got.Converged, gotErr, want.WindowSize, want.Converged, wantErr)
+				}
+				for i := range want.Metrics {
+					if got.Metrics[i].Value != want.Metrics[i].Value || got.Metrics[i].R2 != want.Metrics[i].R2 {
+						t.Fatalf("seed %d step %d: metric %d estimate differs: %+v vs %+v",
+							seed, step, i, got.Metrics[i], want.Metrics[i])
+					}
+				}
+				if err := s2.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			fi, err := os.Stat(walPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fi.Size() < lastSize || fi.Size() != int64(appended*testFrameSize) {
+				t.Fatalf("seed %d step %d: wal.log went from %d to %d bytes with %d appended",
+					seed, step, lastSize, fi.Size(), appended)
+			}
+			lastSize = fi.Size()
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
 
-func TestCheckpointCompactsWAL(t *testing.T) {
+// TestSyncNeverRewritesWAL: a durability point fsyncs the one file the
+// appends already went to — same inode, same bytes, no second encoding
+// — and later appends extend it.
+func TestSyncNeverRewritesWAL(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, dir, Options{})
 	h := openHist(t, s, "Q12")
 	appendN(t, h, 0, 8)
-
 	walPath := filepath.Join(dir, "Q12", walName)
 	before, err := os.Stat(walPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if before.Size() == 0 {
-		t.Fatal("wal empty before checkpoint")
-	}
-	if err := s.Checkpoint("Q12", h.Snapshot()); err != nil {
+	beforeBytes := wantLayout(t, dir, "Q12", 8)
+	if err := s.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	after, err := os.Stat(walPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if after.Size() != 0 {
-		t.Fatalf("wal holds %d bytes after full checkpoint, want 0", after.Size())
+	if !os.SameFile(before, after) || !bytes.Equal(beforeBytes, wantLayout(t, dir, "Q12", 8)) {
+		t.Fatal("Sync replaced or rewrote wal.log")
 	}
-	if _, err := os.Stat(filepath.Join(dir, "Q12", snapshotName)); err != nil {
-		t.Fatalf("no snapshot after checkpoint: %v", err)
-	}
-
-	// Appends after the checkpoint land in the (fresh) WAL; recovery
-	// stitches snapshot + suffix back together.
 	appendN(t, h, 8, 4)
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(wantLayout(t, dir, "Q12", 12), beforeBytes) {
+		t.Fatal("appends after a Sync did not extend the same log")
 	}
 	s2 := openStore(t, dir, Options{})
 	defer s2.Close()
 	wantPrefix(t, openHist(t, s2, "Q12"), 12)
 }
 
-// TestCheckpointWithStaleSnapshot: a snapshot taken before further
-// appends compacts only its prefix; the newer records stay in the WAL.
-func TestCheckpointWithStaleSnapshot(t *testing.T) {
-	dir := t.TempDir()
-	s := openStore(t, dir, Options{})
-	h := openHist(t, s, "Q12")
-	appendN(t, h, 0, 5)
-	snap := h.Snapshot() // covers 5
-	appendN(t, h, 5, 3)  // 3 more after the snapshot was taken
-	if err := s.Checkpoint("Q12", snap); err != nil {
-		t.Fatal(err)
-	}
-	fi, err := os.Stat(filepath.Join(dir, "Q12", walName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := int64(3 * testFrameSize); fi.Size() != want {
-		t.Fatalf("wal holds %d bytes after partial checkpoint, want %d", fi.Size(), want)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s2 := openStore(t, dir, Options{})
-	defer s2.Close()
-	wantPrefix(t, openHist(t, s2, "Q12"), 8)
-}
-
-// TestRecoverySkipsCoveredFrames simulates a crash between the
-// checkpoint's snapshot rename and its WAL compaction: the WAL still
-// holds every frame, the snapshot covers a prefix, and replay must not
-// duplicate the overlap.
+// TestRecoverySkipsCoveredFrames: a shard an older build left crashed
+// between its checkpoint's snapshot rename and its WAL compaction — the
+// WAL still holds every frame, the snapshot covers a prefix — and the
+// same shape a fold leaves when it crashes between its two writes.
+// Replay must not duplicate the overlap, and the open folds it.
 func TestRecoverySkipsCoveredFrames(t *testing.T) {
-	dir := t.TempDir()
-	s := openStore(t, dir, Options{})
-	h := openHist(t, s, "Q12")
-	appendN(t, h, 0, 7)
-	walPath := filepath.Join(dir, "Q12", walName)
-	full, err := os.ReadFile(walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Checkpoint("Q12", h.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
+	src := t.TempDir()
+	s := openStore(t, src, Options{})
+	appendN(t, openHist(t, s, "Q12"), 0, 7)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Undo the compaction, as if the crash hit before the WAL rewrite.
-	if err := os.WriteFile(walPath, full, 0o644); err != nil {
-		t.Fatal(err)
+	full := wantLayout(t, src, "Q12", 7)
+	for _, covered := range []int{3, 7} {
+		dir := installShard(t, "Q12", map[string][]byte{snapshotName: compactedSnapshot(t, covered), walName: full})
+		s2 := openStore(t, dir, Options{})
+		wantPrefix(t, openHist(t, s2, "Q12"), 7)
+		if err := s2.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(wantLayout(t, dir, "Q12", 7), full) {
+			t.Fatalf("snapshot covering %d: folded wal.log differs from the log that was never compacted", covered)
+		}
 	}
-	s2 := openStore(t, dir, Options{})
-	defer s2.Close()
-	wantPrefix(t, openHist(t, s2, "Q12"), 7)
 }
 
 // TestTornTailEveryByteOffset is the WAL's torn-tail policy: a log cut
@@ -307,61 +407,54 @@ func TestCorruptMidFrameTruncates(t *testing.T) {
 
 // TestDroppedInSnapshotOpens: a document written by core.SaveSnapshot
 // (what the retired History.Save produced) dropped in as a shard's
-// snapshot.json is a valid shard — it opens, and the WAL takes over
-// for everything appended afterwards.
+// snapshot.json is a valid shard — it opens, its observations are
+// folded into the WAL, and the WAL takes over for everything appended
+// afterwards.
 func TestDroppedInSnapshotOpens(t *testing.T) {
-	saved, err := core.NewHistory(1, testMetrics...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	appendN(t, saved, 0, 6)
-	var doc bytes.Buffer
-	if err := core.SaveSnapshot(saved.Snapshot(), &doc); err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	if err := os.MkdirAll(filepath.Join(dir, "Q12"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "Q12", snapshotName), doc.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	dir := installShard(t, "Q12", map[string][]byte{snapshotName: compactedSnapshot(t, 6)})
 	s := openStore(t, dir, Options{})
 	h := openHist(t, s, "Q12")
 	wantPrefix(t, h, 6)
+	wantLayout(t, dir, "Q12", 6)
 	appendN(t, h, 6, 3)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if fi, err := os.Stat(filepath.Join(dir, "Q12", walName)); err != nil || fi.Size() != 3*testFrameSize {
-		t.Fatalf("wal after 3 appends: %v (err %v), want %d bytes", fi, err, 3*testFrameSize)
-	}
+	wantLayout(t, dir, "Q12", 9)
 	s2 := openStore(t, dir, Options{})
 	defer s2.Close()
 	wantPrefix(t, openHist(t, s2, "Q12"), 9)
-	// A garbage document fails the open instead of starting empty.
-	if err := os.MkdirAll(filepath.Join(dir, "Q14"), 0o755); err != nil {
+	// A garbage document fails the open instead of starting empty, and
+	// the failed open deletes nothing.
+	garbage := filepath.Join(dir, "Q14", snapshotName)
+	if err := os.MkdirAll(filepath.Dir(garbage), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "Q14", snapshotName), []byte("not json"), 0o644); err != nil {
+	if err := os.WriteFile(garbage, []byte("not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s2.OpenHistory("Q14", 1, testMetrics); err == nil {
 		t.Fatal("shard with a garbage snapshot opened")
+	}
+	if raw, err := os.ReadFile(garbage); err != nil || string(raw) != "not json" {
+		t.Fatalf("failed open touched the snapshot: %q (err %v)", raw, err)
+	}
+	if entries, err := os.ReadDir(filepath.Dir(garbage)); err != nil || len(entries) != 1 {
+		t.Fatalf("failed open left %d files beside the snapshot (err %v)", len(entries)-1, err)
 	}
 }
 
 func TestOpenHistoryShapeMismatch(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, dir, Options{})
-	// Shard A: WAL only. Shard B: compacted into a snapshot.
+	// Shard A: WAL only, as a build that wrote no header left it.
+	// Shard B: WAL plus the header every shard gets at creation.
 	appendN(t, openHist(t, s, "A"), 0, 3)
-	hb := openHist(t, s, "B")
-	appendN(t, hb, 0, 3)
-	if err := s.Checkpoint("B", hb.Snapshot()); err != nil {
+	appendN(t, openHist(t, s, "B"), 0, 3)
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Close(); err != nil {
+	if err := os.Remove(filepath.Join(dir, "A", snapshotName)); err != nil {
 		t.Fatal(err)
 	}
 	s2 := openStore(t, dir, Options{})
@@ -370,17 +463,21 @@ func TestOpenHistoryShapeMismatch(t *testing.T) {
 	if _, err := s2.OpenHistory("A", 2, testMetrics); err == nil {
 		t.Fatal("dim mismatch against WAL accepted")
 	}
+	if _, err := os.Stat(filepath.Join(dir, "A", snapshotName)); !os.IsNotExist(err) {
+		t.Fatalf("failed open wrote a header for the wrong shape: %v", err)
+	}
 	if _, err := s2.OpenHistory("B", 2, testMetrics); err == nil {
-		t.Fatal("dim mismatch against snapshot accepted")
+		t.Fatal("dim mismatch against header accepted")
 	}
 	if _, err := s2.OpenHistory("B", 1, []string{"other", "names"}); err == nil {
-		t.Fatal("metric mismatch against snapshot accepted")
+		t.Fatal("metric mismatch against header accepted")
 	}
 	// The failed opens destroyed nothing: correct shapes still recover.
 	s3 := openStore(t, dir, Options{})
 	defer s3.Close()
 	wantPrefix(t, openHist(t, s3, "A"), 3)
 	wantPrefix(t, openHist(t, s3, "B"), 3)
+	wantLayout(t, dir, "A", 3)
 }
 
 func TestFsyncOptionAppends(t *testing.T) {
@@ -413,9 +510,10 @@ func TestAppendAfterCloseFailsCleanly(t *testing.T) {
 	}
 }
 
-// TestConcurrentAppendsAndCheckpoints drives appenders against periodic
-// checkpoints under the race detector, then verifies the recovered
-// history is identical to the live one — WAL order is memory order.
+// TestConcurrentAppendsAndCheckpoints drives appenders against
+// back-to-back Syncs under the race detector, then verifies the
+// recovered history is identical to the live one — WAL order is memory
+// order.
 func TestConcurrentAppendsAndCheckpoints(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, dir, Options{})
@@ -451,7 +549,7 @@ func TestConcurrentAppendsAndCheckpoints(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				if err := s.Checkpoint("Q12", h.Snapshot()); err != nil {
+				if err := s.Sync(); err != nil {
 					t.Error(err)
 					return
 				}
@@ -464,7 +562,7 @@ func TestConcurrentAppendsAndCheckpoints(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	if err := s.CheckpointAll(); err != nil {
+	if err := s.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -503,7 +601,9 @@ func TestShardNameEscaping(t *testing.T) {
 // the commit BEFORE the codecs moved onto internal/framelog (its
 // histstore.Open → 6 appends → Checkpoint → 5 appends → Close, plus the
 // same WAL cut 5 bytes into its last frame): today's decoders read
-// them, and today's encoders reproduce them byte for byte.
+// them, today's encoders reproduce them byte for byte, and the
+// compacted layout they are in folds into the one-file layout — from
+// every point a crash can interrupt the fold at.
 func TestGoldenFixtures(t *testing.T) {
 	golden := func(name string) []byte {
 		raw, err := os.ReadFile(filepath.Join("testdata", "golden", name))
@@ -512,49 +612,87 @@ func TestGoldenFixtures(t *testing.T) {
 		}
 		return raw
 	}
-	install := func(wal []byte) string {
-		dir := t.TempDir()
-		if err := os.MkdirAll(filepath.Join(dir, "Q12"), 0o755); err != nil {
+	snap, suffix := golden("Q12/"+snapshotName), golden("Q12/"+walName)
+	// Decode: the parent-written shard recovers whole and is folded —
+	// frames 0..5 re-encoded from the snapshot's observations, frames
+	// 6..10 byte-identical to the fixture's.
+	dir := installShard(t, "Q12", map[string][]byte{snapshotName: snap, walName: suffix})
+	s := openStore(t, dir, Options{})
+	h := openHist(t, s, "Q12")
+	wantPrefix(t, h, 11)
+	folded := wantLayout(t, dir, "Q12", 11)
+	if !bytes.Equal(folded[6*testFrameSize:], suffix) {
+		t.Error("folded wal.log does not end in the fixture's frames")
+	}
+	// Encode: the snapshot codec still writes the fixture's bytes.
+	first6, err := core.NewHistory(1, testMetrics...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 6; i++ {
+		if err := first6.Append(h.At(i)); err != nil {
 			t.Fatal(err)
 		}
-		for name, raw := range map[string][]byte{snapshotName: golden("Q12/" + snapshotName), walName: wal} {
-			if err := os.WriteFile(filepath.Join(dir, "Q12", name), raw, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return dir
 	}
-	// Decode: the parent-written shard recovers whole, the torn one
-	// recovers its prefix and is cut back to it.
-	s := openStore(t, install(golden("Q12/"+walName)), Options{})
+	var doc bytes.Buffer
+	if err := core.SaveSnapshot(first6.Snapshot(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(doc.Bytes(), snap) {
+		t.Errorf("%s of the recovered prefix differs from the parent-written fixture", snapshotName)
+	}
+	s.Close()
+	// The fold happens once: a second open finds a fixed point and
+	// leaves the log it appends to alone.
+	before, err := os.Stat(filepath.Join(dir, "Q12", walName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s = openStore(t, dir, Options{})
 	wantPrefix(t, openHist(t, s, "Q12"), 11)
 	s.Close()
-	tornDir := install(golden("wal-torn.log"))
+	after, err := os.Stat(filepath.Join(dir, "Q12", walName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !os.SameFile(before, after) || !bytes.Equal(wantLayout(t, dir, "Q12", 11), folded) {
+		t.Error("re-opening a folded shard rewrote wal.log")
+	}
+	// Crash points of the fold: during its first write (a leftover temp
+	// file beside the untouched fixture) and between its two (the whole
+	// WAL beside the old snapshot). Both recover and fold to the same.
+	for name, files := range map[string]map[string][]byte{
+		"during the wal rewrite": {snapshotName: snap, walName: suffix, walName + framelog.TmpSuffix: folded[:100]},
+		"between the two writes": {snapshotName: snap, walName: folded},
+	} {
+		dir := installShard(t, "Q12", files)
+		s := openStore(t, dir, Options{})
+		wantPrefix(t, openHist(t, s, "Q12"), 11)
+		s.Close()
+		if !bytes.Equal(wantLayout(t, dir, "Q12", 11), folded) {
+			t.Errorf("crash %s: folded to a different log", name)
+		}
+		if _, err := os.Stat(filepath.Join(dir, "Q12", walName+framelog.TmpSuffix)); !os.IsNotExist(err) {
+			t.Errorf("crash %s: temp file survived the open: %v", name, err)
+		}
+	}
+	// The torn fixture recovers its prefix: the tail frame is dropped,
+	// not folded.
+	tornDir := installShard(t, "Q12", map[string][]byte{snapshotName: snap, walName: golden("wal-torn.log")})
 	s = openStore(t, tornDir, Options{})
 	wantPrefix(t, openHist(t, s, "Q12"), 10)
 	s.Close()
-	if fi, err := os.Stat(filepath.Join(tornDir, "Q12", walName)); err != nil || fi.Size() != 4*testFrameSize {
-		t.Fatalf("torn fixture after recovery: %v (err %v), want %d bytes", fi, err, 4*testFrameSize)
+	if !bytes.Equal(wantLayout(t, tornDir, "Q12", 10), folded[:10*testFrameSize]) {
+		t.Error("torn fixture folded to something other than the first 10 frames")
 	}
-	// Encode: the same operations write the same bytes.
-	dir := t.TempDir()
+	// Encode: the same appends write the same frames.
+	dir = t.TempDir()
 	s = openStore(t, dir, Options{})
-	h := openHist(t, s, "Q12")
-	appendN(t, h, 0, 6)
-	if err := s.Checkpoint("Q12", h.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	appendN(t, h, 6, 5)
+	appendN(t, openHist(t, s, "Q12"), 0, 11)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{snapshotName, walName} {
-		got, err := os.ReadFile(filepath.Join(dir, "Q12", name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, golden("Q12/"+name)) {
-			t.Errorf("%s differs from the parent-written fixture", name)
-		}
+	if !bytes.Equal(wantLayout(t, dir, "Q12", 11), folded) {
+		t.Errorf("%s differs from the folded parent-written fixture", walName)
 	}
 }

@@ -20,10 +20,11 @@ import (
 //	kind uint32 LE  sectionSnapshot, sectionWAL, then sectionEnd
 //	body            the section's bytes (empty for sectionEnd)
 //
-// The snapshot body is the shard's snapshot.json bytes verbatim (empty
-// when the shard has never checkpointed) and the WAL body is the raw
-// wal.log framing — the same bytes a shard open replays, so the
-// importing side recovers with exactly the code path a restart uses.
+// The snapshot body is the shard's snapshot.json bytes verbatim (the
+// shape header; empty in a stream from a build that wrote none) and the
+// WAL body is the raw wal.log framing — the same bytes a shard open
+// replays, so the importing side recovers with exactly the code path a
+// restart uses.
 // The format is wire-only: both ends of a stream run the same build.
 
 const (
@@ -31,13 +32,13 @@ const (
 	sectionWAL      = 2
 	sectionEnd      = 3
 
-	// maxSectionPayload bounds one section (a full snapshot or WAL);
+	// maxSectionPayload bounds one section (a shard's whole WAL);
 	// far above any real shard. framelog grows a buffer this large only
 	// as its bytes arrive, so the bound is not an allocation request.
 	maxSectionPayload = 1 << 30
 )
 
-// ExportShard streams the named open shard's durable state — snapshot
+// ExportShard streams the named open shard's durable state — header
 // plus WAL — to w in the section format above. The shard lock is held
 // for the duration, so the export is a consistent point-in-time cut:
 // no append lands between the exported WAL tail and the cut.

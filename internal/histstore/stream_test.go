@@ -120,13 +120,7 @@ func TestExportImportRoundTrip(t *testing.T) {
 	src := openStore(t, srcDir, Options{})
 	defer src.Close()
 	h := openHist(t, src, "Q12")
-	appendN(t, h, 0, 15)
-	// Checkpoint part of the history so the export carries both a
-	// snapshot and a WAL suffix.
-	if err := src.Checkpoint("Q12", h.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	appendN(t, h, 15, 5)
+	appendN(t, h, 0, 20)
 
 	var buf bytes.Buffer
 	var armed uint64
@@ -158,6 +152,22 @@ func TestExportImportRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantPrefix(t, openHist(t, dst2, "Q12"), 20)
+
+	// The wire format did not move: a stream the parent commit exported
+	// (15 observations compacted into its snapshot section, 5 in its
+	// WAL section) imports, opens to the same history and is folded.
+	legacy, err := os.ReadFile(filepath.Join("testdata", "golden", "export.stream"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst3Dir := t.TempDir()
+	dst3 := openStore(t, dst3Dir, Options{})
+	defer dst3.Close()
+	if err := dst3.ImportShard("Q12", bytes.NewReader(legacy)); err != nil {
+		t.Fatal(err)
+	}
+	wantPrefix(t, openHist(t, dst3, "Q12"), 20)
+	wantLayout(t, dst3Dir, "Q12", 20)
 }
 
 func TestExportImportGuards(t *testing.T) {

@@ -13,16 +13,17 @@ import (
 // payload is
 //
 //	seq  uint64 LE  global observation index, 0-based across the
-//	                shard's lifetime (snapshot + WAL)
+//	                shard's lifetime
 //	nx   uint16 LE  feature count
 //	nc   uint16 LE  cost count
 //	x    nx × float64 LE
 //	c    nc × float64 LE
 //
-// The sequence number makes replay idempotent against any crash point
-// in the checkpoint protocol: frames already covered by the snapshot
-// are skipped by seq, so "snapshot renamed but WAL not yet compacted"
-// recovers to exactly the same history as a clean shutdown.
+// The sequence number makes replay idempotent: a frame whose
+// observation is already applied — a duplicate from an overlapping
+// replication batch, or one a compacted snapshot from an older build
+// covers — is skipped by seq, and a gap is detected instead of papered
+// over.
 
 // maxFramePayload bounds a single record; anything larger in the
 // length field is treated as corruption, not an allocation request.

@@ -12,7 +12,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -203,18 +202,17 @@ type Policy struct {
 
 // HistoryStore is the durable-history seam: a scheduler given one
 // constructs its per-query histories through the store (recovering
-// whatever the store already holds) instead of fresh in memory, and
-// checkpoints them back through it. internal/histstore implements this
-// with a per-query WAL + snapshot shard; the interface keeps ires free
-// of any storage dependency.
+// whatever the store already holds) instead of fresh in memory.
+// internal/histstore implements this with one WAL per query; the
+// interface keeps ires free of any storage dependency.
 type HistoryStore interface {
 	// OpenHistory returns the named history, recovered from durable
 	// state when present and wired so subsequent appends are persisted.
 	// Repeated opens of one name return the same *core.History.
 	OpenHistory(name string, dim int, metrics []string) (*core.History, error)
-	// Checkpoint durably compacts the named history to the given
-	// point-in-time snapshot.
-	Checkpoint(name string, snap *core.Snapshot) error
+	// Sync makes every observation appended so far, to any history the
+	// store has open, durable against a machine crash.
+	Sync() error
 }
 
 // Scheduler is the MIDAS/IReS pipeline instance.
@@ -327,35 +325,17 @@ func (s *Scheduler) History(q tpch.QueryID) *core.History {
 	return h
 }
 
-// Checkpoint durably compacts every query history opened so far through
-// the attached Store; without one it is a no-op. Each history is
-// checkpointed at its own current snapshot, so it is safe to call while
-// requests append concurrently.
+// Checkpoint is a durability point: every observation recorded so far
+// is fsynced through the attached Store; without one it is a no-op. It
+// is safe to call while requests append concurrently.
 func (s *Scheduler) Checkpoint() error {
 	if s.Store == nil {
 		return nil
 	}
-	s.histMu.Lock()
-	type entry struct {
-		q tpch.QueryID
-		h *core.History
+	if err := s.Store.Sync(); err != nil {
+		return fmt.Errorf("ires: checkpointing: %w", err)
 	}
-	entries := make([]entry, 0, len(s.histories))
-	for q, h := range s.histories {
-		entries = append(entries, entry{q, h})
-	}
-	s.histMu.Unlock()
-	sort.Slice(entries, func(i, j int) bool { return entries[i].q < entries[j].q })
-	// Every query is attempted even when one fails: a sick shard must
-	// not keep healthy shards' WALs from compacting. The first error
-	// is reported.
-	var first error
-	for _, e := range entries {
-		if err := s.Store.Checkpoint(e.q.String(), e.h.Snapshot()); err != nil && first == nil {
-			first = fmt.Errorf("ires: checkpointing %v: %w", e.q, err)
-		}
-	}
-	return first
+	return nil
 }
 
 // DropHistories detaches every history opened so far from its durable

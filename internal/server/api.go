@@ -125,8 +125,8 @@ type FederationStats struct {
 	// HistoryTruncated counts /v1/history responses that dropped
 	// observations to the page limit.
 	HistoryTruncated int64 `json:"history_truncated"`
-	// Checkpoints and CheckpointFailures count durable history
-	// compactions (periodic, admin-triggered and drain-time).
+	// Checkpoints and CheckpointFailures count history WAL fsyncs
+	// (periodic, admin-triggered and drain-time).
 	Checkpoints        int64 `json:"checkpoints"`
 	CheckpointFailures int64 `json:"checkpoint_failures"`
 	// Latency percentiles (ms) over the most recent completions.

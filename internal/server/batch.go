@@ -123,9 +123,9 @@ func (t *tenant) registerMetrics(reg *metrics.Registry) {
 	t.stats.register(reg, t.name)
 }
 
-// checkpoint compacts the tenant's histories to durable snapshots when
-// its scheduler supports it; schedulers without the Checkpointer
-// capability (or without a store) have nothing to compact.
+// checkpoint fsyncs the tenant's histories when its scheduler supports
+// it; schedulers without the Checkpointer capability (or without a
+// store) have nothing to sync.
 func (t *tenant) checkpoint() error {
 	cp, ok := t.sched.(Checkpointer)
 	if !ok {

@@ -12,11 +12,11 @@ package server
 // Ownership moves two ways:
 //
 //   - POST /v1/admin/handoff — a live migration. The owner drains the
-//     tenant's in-flight requests, checkpoints, streams every query
-//     shard (snapshot + WAL suffix, CRC-framed) to the target, and the
-//     target activates under a bumped routing epoch. Requests arriving
-//     mid-handoff are redirected to the target, which holds them until
-//     activation; nobody observes an error.
+//     tenant's in-flight requests, streams every query shard (its
+//     WAL, CRC-framed) to the target, and the target activates under
+//     a bumped routing epoch. Requests arriving mid-handoff are
+//     redirected to the target, which holds them until activation;
+//     nobody observes an error.
 //   - POST /v1/admin/takeover — disaster recovery. A standby that has
 //     been receiving the owner's WAL frames synchronously (see
 //     Replicate) promotes itself from the replicated state after the
@@ -785,7 +785,7 @@ func (s *Server) handleHandoff(w http.ResponseWriter, r *http.Request) {
 
 // handoffTenant runs the source half of a live migration: flip to
 // sending (new requests now chase the target), drain in-flight ones,
-// checkpoint, stream every shard, activate the target under a bumped
+// stream every shard, activate the target under a bumped
 // epoch, then release local state and gossip the new table. Any
 // failure before activation aborts the target's half and restores the
 // tenant to active — the handoff is all-or-nothing. Activation itself
@@ -823,12 +823,6 @@ func (s *Server) handoffTenant(ctx context.Context, t *tenant, target cluster.Me
 	if err := t.drainInflight(ctx); err != nil {
 		abort()
 		return 0, nil, fmt.Errorf("drain: %w", err)
-	}
-	// Compact so the streamed state is a snapshot plus a short WAL
-	// suffix rather than the whole append log.
-	if err := t.checkpoint(); err != nil {
-		abort()
-		return 0, nil, fmt.Errorf("checkpoint: %w", err)
 	}
 	// The outbound stream supersedes any standby stream: the target
 	// rebuilds its replica from the handoff itself.
@@ -1340,8 +1334,8 @@ func (s *Server) bootstrapRoutes() {
 
 // syncLoop keeps every owned tenant's standby armed: any shard whose
 // replication stream is not currently streaming (never armed, or
-// degraded by a standby outage) gets a fresh full sync — checkpoint,
-// export, ship, release — after which the synchronous frame stream
+// degraded by a standby outage) gets a fresh full sync — export,
+// ship, release — after which the synchronous frame stream
 // resumes. A standby that keeps failing (down, hung, partitioned) is
 // retried under exponential backoff — up to 2^5 intervals between
 // attempts — so a dead peer costs one slow ship per backoff window
@@ -1394,24 +1388,14 @@ func (s *Server) syncTenant(t *tenant) bool {
 	if !ok {
 		return true
 	}
-	checkpointed := false
 	healthy := true
 	for _, q := range sortedQueries(t) {
 		shard := q.String()
 		if rep.Streaming(shard) {
 			continue
 		}
-		if !checkpointed {
-			// One compaction per round keeps each export a snapshot
-			// plus a short suffix.
-			if err := t.checkpoint(); err != nil {
-				s.log.Warn("standby sync checkpoint failed", "federation", t.name, "error", err.Error())
-				return false
-			}
-			checkpointed = true
-		}
 		// Hold the stream at the export cut: frames appended while the
-		// snapshot is in flight buffer locally and ship only after the
+		// export is in flight buffer locally and ship only after the
 		// standby confirms the import they extend. Acks do not wait on
 		// a held stream, so a hung standby slows only this sync.
 		var buf bytes.Buffer

@@ -195,13 +195,11 @@ func buildTenant(spec FederationSpec, storeCfg StoreConfig, reg *metrics.Registr
 		// federation name is a single safe directory element.
 		root := filepath.Join(storeCfg.Dir, url.PathEscape(sp.Name))
 		store, err = histstore.Open(root, histstore.Options{
-			Fsync:           storeCfg.Fsync,
-			GroupCommit:     storeCfg.GroupCommit,
-			CommitInterval:  storeCfg.CommitInterval,
-			CommitBatchSize: storeCfg.CommitBatch,
-			Mirror:          mirror,
-			Metrics:         reg,
-			MetricsStore:    sp.Name,
+			Fsync:        storeCfg.Fsync,
+			GroupCommit:  storeCfg.GroupCommit,
+			Mirror:       mirror,
+			Metrics:      reg,
+			MetricsStore: sp.Name,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("server: federation %q: opening history store: %w", sp.Name, err)

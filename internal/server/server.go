@@ -26,7 +26,7 @@
 //	POST /v1/queries          submit a query + policy, get the decision
 //	GET  /v1/history/{query}  recorded executions of one query (paged)
 //	GET  /v1/stats            counters and latency percentiles
-//	POST /v1/admin/checkpoint compact histories to durable snapshots
+//	POST /v1/admin/checkpoint fsync every history's WAL now
 //	GET  /healthz             liveness (503 while draining)
 //	GET  /readyz              readiness (503 while draining or mid-handoff)
 //
@@ -72,14 +72,15 @@ const defaultHistoryLimit = 500
 // StoreConfig declares where (and how) tenant histories persist.
 type StoreConfig struct {
 	// Dir is the root data directory; each federation gets its own
-	// subdirectory of per-query WAL+snapshot shards. Empty disables
+	// subdirectory of per-query WAL shards. Empty disables
 	// persistence entirely — histories live and die in memory, the
 	// pre-durability behavior.
 	Dir string
-	// CheckpointInterval compacts every tenant's WALs into snapshots on
-	// this period. 0 disables the timer; checkpoints still run at drain
-	// and via POST /v1/admin/checkpoint, and the WAL alone already makes
-	// every recorded execution durable.
+	// CheckpointInterval fsyncs every tenant's WALs on this period: the
+	// bound on what a machine crash can lose without Fsync or
+	// GroupCommit (with either, the tick finds nothing left to sync).
+	// 0 disables the timer; checkpoints still run at drain and via POST
+	// /v1/admin/checkpoint.
 	CheckpointInterval time.Duration
 	// Fsync syncs the WAL after every recorded execution (histstore
 	// Options.Fsync): durable against machine crashes, much slower.
@@ -91,13 +92,6 @@ type StoreConfig struct {
 	// the fsync count. Supersedes Fsync's per-append sync when both
 	// are set.
 	GroupCommit bool
-	// CommitInterval and CommitBatch tune the group committer
-	// (histstore Options.CommitInterval / CommitBatchSize). Zero
-	// CommitInterval adds no artificial delay — fsyncs batch whatever
-	// accumulated while the previous one was in flight; zero
-	// CommitBatch takes the histstore default.
-	CommitInterval time.Duration
-	CommitBatch    int
 }
 
 // Config assembles a Server.
@@ -433,13 +427,13 @@ func (s *Server) registerMetrics() {
 // Checkpointer is the optional scheduler capability behind periodic,
 // admin and drain-time checkpoints; ires.Scheduler implements it (a
 // no-op without an attached store). Stub schedulers without it simply
-// have nothing to compact.
+// have nothing to sync.
 type Checkpointer interface {
 	Checkpoint() error
 }
 
-// checkpointLoop compacts every tenant's histories on the configured
-// period until the server's lifetime context ends.
+// checkpointLoop checkpoints every tenant on the configured period
+// until the server's lifetime context ends.
 func (s *Server) checkpointLoop() {
 	defer close(s.cpDone)
 	tick := time.NewTicker(s.cfg.Store.CheckpointInterval)
@@ -515,9 +509,8 @@ func (s *Server) Drain(ctx context.Context) error {
 		case <-idle:
 		case <-ctx.Done():
 			// Best-effort final checkpoint even on an aborted drain:
-			// snapshot-based compaction is safe under the appends the
-			// straggling requests may still make, and the WAL covers
-			// whatever lands after it. Stores stay open for those
+			// an fsync is safe under the appends the straggling
+			// requests may still make. Stores stay open for those
 			// stragglers; the process is exiting anyway.
 			s.stopCheckpointLoop()
 			_ = s.checkpointAll()
@@ -528,8 +521,8 @@ func (s *Server) Drain(ctx context.Context) error {
 	// a late tick cannot race the store close below and record spurious
 	// failures on a clean shutdown.
 	s.stopCheckpointLoop()
-	// Final checkpoint: a cleanly drained instance restarts from a
-	// compact snapshot with an empty WAL.
+	// Final checkpoint: every acknowledged observation is fsynced
+	// before the stores close.
 	err := s.checkpointAll()
 	for _, t := range s.tenants {
 		if cerr := t.closeStore(); cerr != nil && err == nil {
@@ -566,9 +559,8 @@ func (s *Server) stopCheckpointLoop() {
 	}
 }
 
-// handleCheckpoint (POST /v1/admin/checkpoint) compacts histories to
-// durable snapshots on demand — the hook operators hit before risky
-// deploys. With ?federation= only that tenant is checkpointed.
+// handleCheckpoint (POST /v1/admin/checkpoint) fsyncs every history's
+// WAL on demand — the hook operators hit before risky deploys. With ?federation= only that tenant is checkpointed.
 func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		// The drain itself runs the final checkpoint; after it the

@@ -98,7 +98,7 @@ var (
 )
 
 // ---------------------------------------------------------------------------
-// Durable history store (WAL + snapshots)
+// Durable history store (one WAL per history)
 
 type (
 	// HistoryStore is the scheduler's durable-history seam: set
@@ -107,9 +107,9 @@ type (
 	// touch and persisted through it on every recorded execution.
 	HistoryStore = ires.HistoryStore
 	// DurableHistoryStore implements HistoryStore on disk: one shard
-	// per history holding a CRC-framed append-only WAL plus a
-	// compacting snapshot, with deterministic, torn-tail-tolerant
-	// crash recovery. See internal/histstore.
+	// per history holding a CRC-framed append-only WAL, with
+	// deterministic, torn-tail-tolerant crash recovery. See
+	// internal/histstore.
 	DurableHistoryStore = histstore.Store
 	// HistoryStoreOptions tunes a DurableHistoryStore (WAL fsync).
 	HistoryStoreOptions = histstore.Options
@@ -117,8 +117,8 @@ type (
 
 // OpenHistoryStore opens (creating the directory if needed) a durable
 // history store rooted at dir. Histories opened through the store are
-// recovered from its snapshot + WAL and warm-start any scheduler they
-// are wired into.
+// recovered from its WAL and warm-start any scheduler they are wired
+// into.
 func OpenHistoryStore(dir string, opts HistoryStoreOptions) (*DurableHistoryStore, error) {
 	return histstore.Open(dir, opts)
 }

@@ -24,10 +24,10 @@ func TestFacadeDurableHistoryStore(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := store.Checkpoint("demo", h.Snapshot()); err != nil {
+	if err := store.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	for i := 11; i <= 13; i++ { // post-checkpoint appends live in the WAL
+	for i := 11; i <= 13; i++ { // appends after a durability point extend the same WAL
 		if err := h.Append(midas.Observation{X: []float64{float64(i)}, Costs: []float64{2 * float64(i)}}); err != nil {
 			t.Fatal(err)
 		}
