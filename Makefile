@@ -7,8 +7,8 @@ GO ?= go
 COVER_FLOOR ?= 60
 COVER_PKGS ?= ./internal/server ./internal/core ./internal/histstore ./internal/metrics ./internal/cluster ./internal/scenario ./internal/framelog
 
-# The regression-gated benchmarks: the Q12/Q13 serving sweeps, the
-# cold (uncached) window searches the incremental shared-Gram solver
+# The regression-gated benchmarks: the Q12/Q13 serving sweeps (cached
+# vs uncached), the cold (uncached) window searches the incremental shared-Gram solver
 # owns, the pooled serving hot path (ServeHotPath reports allocs/op,
 # the zero-alloc regression signal), the PlanSweep full-vs-greedy
 # family over the wide (Example 3.1) lattice, SweepRound (one whole
@@ -23,7 +23,7 @@ SWEEP_COUNT ?= 5
 # Where `make profile-sweep` drops its CPU profiles.
 PROFILE_DIR ?= profiles
 
-.PHONY: all build vet fmt-check lint linkcheck test test-short test-bench fuzz-smoke bench bench-smoke bench-sweep bench-json ablate-prune scenarios profile-sweep profile-serve cover help
+.PHONY: all build vet fmt-check lint linkcheck test test-cpus test-short test-bench fuzz-smoke bench bench-smoke bench-sweep bench-json ablate-prune scenarios profile-sweep profile-serve cover help
 
 all: build lint test
 
@@ -53,6 +53,10 @@ linkcheck:
 test:
 	$(GO) test -race ./...
 
+## test-cpus: the estimation and serving cores under the race detector at GOMAXPROCS 1, 2 and 4 — "byte-identical at any GOMAXPROCS" is the determinism contract
+test-cpus:
+	$(GO) test -race -cpu 1,2,4 ./internal/core ./internal/ires ./internal/server
+
 ## test-short: quick feedback loop without the race detector
 test-short:
 	$(GO) test ./...
@@ -62,11 +66,12 @@ test-bench:
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench ./...
 
-## fuzz-smoke: 20 s of FuzzScan over the one frame decoder, 10 s of FuzzParetoFront against its all-pairs oracle, then 10 s of FuzzReplay (arbitrary bytes as a shard's wal.log)
+## fuzz-smoke: 20 s of FuzzScan over the one frame decoder, 10 s of FuzzParetoFront against its all-pairs oracle, 10 s of FuzzReplay (arbitrary bytes as a shard's wal.log), then 10 s of FuzzDecodeRequest (a poisoned body through one pooled request scratch)
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz=FuzzScan -fuzztime=20s ./internal/framelog
 	$(GO) test -run '^$$' -fuzz=FuzzParetoFront -fuzztime=10s ./internal/moo
 	$(GO) test -run '^$$' -fuzz=FuzzReplay -fuzztime=10s ./internal/histstore
+	$(GO) test -run '^$$' -fuzz=FuzzDecodeRequest -fuzztime=10s ./internal/server
 
 ## bench: run every benchmark properly (slow)
 bench:

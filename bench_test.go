@@ -324,16 +324,15 @@ func BenchmarkWindowSearchCold(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel plan-space estimation (paper Example 3.1, tentpole of the
-// concurrent pipeline): sweep every enumerated QEP of a query through
-// the Modelling module, sequentially vs. fanned out over the worker
-// pool with the per-(history, version) model cache.
+// Plan-space estimation (paper Example 3.1): sweep every enumerated QEP
+// of a query through the Modelling module, with a full Algorithm 1
+// window search per plan vs. one cached model fit per history version.
 
-// benchPlanSweep builds a scheduler with the given estimation knobs,
+// benchPlanSweep builds a scheduler with the given model-cache size,
 // bootstraps a history, and measures full plan-space sweeps via
 // OptimizeWSM (estimate every QEP + weighted-sum selection; no
 // execution, so the history — and the model fit — stay fixed).
-func benchPlanSweep(b *testing.B, q tpch.QueryID, workers, cacheSize int) {
+func benchPlanSweep(b *testing.B, q tpch.QueryID, cacheSize int) {
 	b.Helper()
 	fed, err := federation.DefaultTopology(1)
 	if err != nil {
@@ -357,7 +356,6 @@ func benchPlanSweep(b *testing.B, q tpch.QueryID, workers, cacheSize int) {
 	sched, err := ires.NewSchedulerWithConfig(fed, exec, model, ires.SchedulerConfig{
 		NodeChoices: []int{1, 2, 3, 4, 5, 6, 8, 10, 12, 14, 16},
 		Seed:        1,
-		Parallelism: workers,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -374,22 +372,18 @@ func benchPlanSweep(b *testing.B, q tpch.QueryID, workers, cacheSize int) {
 	}
 }
 
-// BenchmarkQ12SweepSequential is the seed behaviour: one worker, no
-// model cache — every plan pays a full Algorithm 1 window search.
-func BenchmarkQ12SweepSequential(b *testing.B) { benchPlanSweep(b, tpch.QueryQ12, 1, -1) }
+// BenchmarkQ12SweepUncached is the seed behaviour: no model cache —
+// every plan pays a full Algorithm 1 window search.
+func BenchmarkQ12SweepUncached(b *testing.B) { benchPlanSweep(b, tpch.QueryQ12, -1) }
 
-// BenchmarkQ12SweepParallel is the concurrent pipeline: GOMAXPROCS
-// workers sharing one cached model fit per history version.
-func BenchmarkQ12SweepParallel(b *testing.B) { benchPlanSweep(b, tpch.QueryQ12, 0, 0) }
+// BenchmarkQ12SweepCached shares one cached model fit per history
+// version across the sweep (the default configuration).
+func BenchmarkQ12SweepCached(b *testing.B) { benchPlanSweep(b, tpch.QueryQ12, 0) }
 
-// BenchmarkQ12SweepParallelUncached isolates the worker-pool
-// contribution: parallel fan-out, cache off.
-func BenchmarkQ12SweepParallelUncached(b *testing.B) { benchPlanSweep(b, tpch.QueryQ12, 0, -1) }
-
-// BenchmarkQ13SweepSequential / Parallel repeat the contrast on the
+// BenchmarkQ13SweepUncached / Cached repeat the contrast on the
 // second-largest plan space.
-func BenchmarkQ13SweepSequential(b *testing.B) { benchPlanSweep(b, tpch.QueryQ13, 1, -1) }
-func BenchmarkQ13SweepParallel(b *testing.B)   { benchPlanSweep(b, tpch.QueryQ13, 0, 0) }
+func BenchmarkQ13SweepUncached(b *testing.B) { benchPlanSweep(b, tpch.QueryQ13, -1) }
+func BenchmarkQ13SweepCached(b *testing.B)   { benchPlanSweep(b, tpch.QueryQ13, 0) }
 
 // benchWidePlanSweep measures one warm PlanSweep over a WideTopology
 // lattice of 2·maxNodes² QEPs under the given prune policy (nil = the

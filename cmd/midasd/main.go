@@ -101,7 +101,6 @@ func run() error {
 		seed        = flag.Int64("seed", 42, "base random seed")
 		sf          = flag.Float64("sf", 0.1, "simulated data scale (0.1 ≈ 100 MiB)")
 		calibSF     = flag.Float64("calib-sf", 0.004, "calibration scale factor")
-		parallelism = flag.Int("parallelism", 0, "estimation worker pool (0 = GOMAXPROCS)")
 		cacheSize   = flag.Int("cache-size", 0, "model cache size (0 = default, negative disables)")
 		nodeChoices = flag.String("node-choices", "1,2,4", "comma-separated cluster-size menu (no duplicates)")
 		bootstrap   = flag.Int("bootstrap", 20, "bootstrap executions per served query")
@@ -148,7 +147,7 @@ func run() error {
 	slog.SetDefault(logger)
 
 	specs, err := federationSpecs(*configPath, *name, *topology, *seed, *sf, *calibSF,
-		*parallelism, *cacheSize, *nodeChoices, *bootstrap, *queries, *prunePolicy, *pruneBudget,
+		*cacheSize, *nodeChoices, *bootstrap, *queries, *prunePolicy, *pruneBudget,
 		*chaos, *chaosSeed)
 	if err != nil {
 		return err
@@ -276,7 +275,7 @@ func debugMux(srv *server.Server) *http.ServeMux {
 // and "prune_budget" JSON fields override the flags (which apply only
 // to the single-federation mode).
 func federationSpecs(configPath, name, topology string, seed int64, sf, calibSF float64,
-	parallelism, cacheSize int, nodeChoices string, bootstrap int, queries,
+	cacheSize int, nodeChoices string, bootstrap int, queries,
 	prunePolicy string, pruneBudget int, chaos string, chaosSeed int64) ([]server.FederationSpec, error) {
 	if configPath != "" {
 		specs, err := server.LoadSpecsFile(configPath)
@@ -298,7 +297,6 @@ func federationSpecs(configPath, name, topology string, seed int64, sf, calibSF 
 		Seed:        seed,
 		SF:          sf,
 		CalibSF:     calibSF,
-		Parallelism: parallelism,
 		CacheSize:   cacheSize,
 		NodeChoices: nodes,
 		Bootstrap:   bootstrap,

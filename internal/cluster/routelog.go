@@ -125,19 +125,23 @@ func (l *RouteLog) Append(epoch uint64, overrides map[string]string) error {
 // compactLocked rewrites the log as a single frame and swaps the open
 // handle to the new file. Caller holds l.mu.
 func (l *RouteLog) compactLocked(epoch uint64, overrides map[string]string, frame []byte) error {
-	err := framelog.WriteFileAtomic(l.path, func(w io.Writer) error {
+	werr := framelog.WriteFileAtomic(l.path, func(w io.Writer) error {
 		_, err := w.Write(frame)
 		return err
 	})
-	if err != nil {
-		return fmt.Errorf("cluster: route log compact: %w", err)
-	}
-	// The new table is durable from here. Should the reopen fail, l.f is
-	// nil and every later append fails loudly instead of landing in the
-	// unlinked old file.
+	// Reopen whether or not the write succeeded: a failed directory
+	// fsync reports after the rename, and either file the path can name
+	// is a whole log. Should the reopen fail, l.f is nil and every later
+	// append fails loudly instead of landing in an unlinked file.
 	l.f.Close()
+	var err error
+	l.f, err = os.OpenFile(l.path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if werr != nil {
+		return fmt.Errorf("cluster: route log compact: %w", werr)
+	}
+	// The new table is durable from here.
 	l.size, l.epoch, l.overrides = int64(len(frame)), epoch, overrides
-	if l.f, err = os.OpenFile(l.path, os.O_WRONLY|os.O_APPEND, 0o644); err != nil {
+	if err != nil {
 		return fmt.Errorf("cluster: route log compact: %w", err)
 	}
 	return nil

@@ -211,25 +211,6 @@ func TestCacheReusesFitAcrossPlans(t *testing.T) {
 	}
 }
 
-// TestCacheDisabledForUniformSample: the recency ablation redraws its
-// window per call, so caching must be off regardless of CacheSize.
-func TestCacheDisabledForUniformSample(t *testing.T) {
-	h := seedHistory(t, 40)
-	est, err := NewEstimator(Config{MMax: 15, Window: UniformSample, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		if _, err := est.EstimateCostValue(h, []float64{1}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	hits, misses := est.CacheStats()
-	if hits != 0 || misses != 0 {
-		t.Errorf("UniformSample used the cache: hits=%d misses=%d", hits, misses)
-	}
-}
-
 // TestCacheEviction keeps the cache bounded as history versions grow.
 func TestCacheEviction(t *testing.T) {
 	h := seedHistory(t, 40)

@@ -21,7 +21,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/regression"
-	"repro/internal/stats"
 )
 
 // DefaultRequiredR2 is the paper's recommended fit-quality threshold:
@@ -236,16 +235,6 @@ func (s *Snapshot) Version() uint64 { return s.version }
 
 func (s *Snapshot) metricName(n int) string { return s.owner.metrics[n] }
 
-// metricSamples materializes the m selected observations as regression
-// samples for metric index n.
-func metricSamples(obs []Observation, n int) []regression.Sample {
-	out := make([]regression.Sample, len(obs))
-	for i, o := range obs {
-		out[i] = regression.Sample{X: o.X, C: o.Costs[n]}
-	}
-	return out
-}
-
 // GrowthPolicy selects how the window expands when fit quality is
 // insufficient. The paper's Algorithm 1 uses GrowByOne; Doubling is an
 // ablation that trades window tightness for fewer refits.
@@ -259,19 +248,6 @@ const (
 	Doubling
 )
 
-// WindowPolicy selects which observations enter a window of size m.
-type WindowPolicy int
-
-const (
-	// MostRecent takes the m newest observations (DREAM's choice: the
-	// new training set "has the updated value and avoids using the
-	// expired information").
-	MostRecent WindowPolicy = iota
-	// UniformSample draws m observations uniformly from the whole
-	// history — the recency ablation.
-	UniformSample
-)
-
 // Config parameterizes a DREAM estimator.
 type Config struct {
 	// RequiredR2 is the per-metric fit threshold; a single global value
@@ -282,17 +258,11 @@ type Config struct {
 	MMax int
 	// Growth selects the window growth schedule.
 	Growth GrowthPolicy
-	// Window selects which observations form a window of size m.
-	Window WindowPolicy
-	// Seed drives UniformSample; ignored for MostRecent.
-	Seed int64
 	// CacheSize bounds the per-(history, version) model cache: the
 	// window search of Algorithm 1 does not depend on the plan being
 	// estimated, so its fitted models are reused for every plan
 	// estimated against the same history version. Zero selects
-	// DefaultCacheSize; a negative value disables caching. The cache
-	// only applies to the MostRecent window policy — UniformSample
-	// redraws its window on every call by design.
+	// DefaultCacheSize; a negative value disables caching.
 	CacheSize int
 }
 
@@ -300,10 +270,6 @@ type Config struct {
 // concurrent use by multiple goroutines.
 type Estimator struct {
 	cfg Config
-
-	mu         sync.Mutex // guards rng and idxScratch (UniformSample window draws)
-	rng        *stats.RNG
-	idxScratch []int // partial Fisher–Yates scratch, reused across draws
 
 	// fitters pools the incremental shared-Gram fitters so a window
 	// search in steady state performs O(1) allocations regardless of how
@@ -337,7 +303,7 @@ func NewEstimator(cfg Config) (*Estimator, error) {
 	if cfg.MMax < 0 {
 		return nil, fmt.Errorf("core: negative MMax %d", cfg.MMax)
 	}
-	e := &Estimator{cfg: cfg, rng: stats.NewRNG(cfg.Seed)}
+	e := &Estimator{cfg: cfg}
 	e.SetCacheSize(cfg.CacheSize)
 	return e, nil
 }
@@ -346,7 +312,7 @@ func NewEstimator(cfg Config) (*Estimator, error) {
 // cache. Resizing drops all cached fits. Zero restores
 // DefaultCacheSize.
 func (e *Estimator) SetCacheSize(n int) {
-	if n < 0 || e.cfg.Window != MostRecent {
+	if n < 0 {
 		e.cache.Store(nil)
 		return
 	}
@@ -462,9 +428,9 @@ func (e *Estimator) EstimateCostValue(h *History, x []float64) (*Estimate, error
 }
 
 // EstimateSnapshot runs Algorithm 1 against a point-in-time history
-// snapshot. Concurrent estimators fanning one scheduling round over
-// many plans should take the snapshot once so every plan is scored
-// against the same history version (and hits the same cached fit).
+// snapshot. A scheduling round scoring many plans should take the
+// snapshot once so every plan is scored against the same history
+// version (and hits the same cached fit).
 func (e *Estimator) EstimateSnapshot(s *Snapshot, x []float64) (*Estimate, error) {
 	fit, err := e.fitFor(s, x)
 	if err != nil {
@@ -551,11 +517,10 @@ func (e *Estimator) fitFor(s *Snapshot, x []float64) (*windowFit, error) {
 
 // searchWindow is Algorithm 1's window-growth loop: fit every metric on
 // the current window, grow until all models reach RequiredR2 or the
-// window hits Mmax. MostRecent windows grow at their old end, so the
-// search runs incrementally against one shared-Gram fitter
-// (searchWindowIncremental); UniformSample redraws the whole window per
-// step by design and keeps the per-window batch path
-// (searchWindowSampled).
+// window hits Mmax. The window is the most recent m observations (the
+// new training set "has the updated value and avoids using the expired
+// information"), so it grows at its old end and the search runs
+// incrementally against one shared-Gram fitter.
 func (e *Estimator) searchWindow(s *Snapshot, minM int) (*windowFit, error) {
 	mmax := e.cfg.MMax
 	if mmax == 0 || mmax > s.Len() {
@@ -564,16 +529,7 @@ func (e *Estimator) searchWindow(s *Snapshot, minM int) (*windowFit, error) {
 	if mmax < minM {
 		mmax = minM
 	}
-
-	var (
-		fit *windowFit
-		err error
-	)
-	if e.cfg.Window == UniformSample {
-		fit, err = e.searchWindowSampled(s, minM, mmax)
-	} else {
-		fit, err = e.searchWindowIncremental(s, minM, mmax)
-	}
+	fit, err := e.searchWindowIncremental(s, minM, mmax)
 	if err != nil {
 		return nil, err
 	}
@@ -581,48 +537,6 @@ func (e *Estimator) searchWindow(s *Snapshot, minM int) (*windowFit, error) {
 	e.refitsTotal.Add(uint64(fit.refits))
 	e.lastWindowSize.Store(int64(fit.windowSize))
 	e.lastConverged.Store(fit.converged)
-	return fit, nil
-}
-
-// searchWindowSampled is the legacy per-window loop, retained for the
-// UniformSample recency ablation: each step redraws an unrelated
-// window, so there is no shared state to update incrementally.
-func (e *Estimator) searchWindowSampled(s *Snapshot, minM, mmax int) (*windowFit, error) {
-	nMetrics := len(s.owner.metrics)
-	fit := &windowFit{
-		models: make([]*regression.Model, nMetrics),
-		r2s:    make([]float64, nMetrics),
-	}
-	for i := range fit.r2s {
-		fit.r2s[i] = -1 // "R²n ← ∅" (Algorithm 1 line 3): no model yet
-	}
-
-	m := minM
-	for {
-		window := e.window(s, m)
-		allGood := true
-		for n := 0; n < nMetrics; n++ {
-			model, err := regression.Fit(metricSamples(window, n), regression.FitOptions{})
-			if err != nil {
-				return nil, fmt.Errorf("core: metric %q window %d: %w", s.metricName(n), m, err)
-			}
-			fit.refits++
-			fit.models[n] = model
-			fit.r2s[n] = model.R2
-			if model.R2 < e.cfg.RequiredR2 {
-				allGood = false
-			}
-		}
-		if allGood {
-			fit.converged = true
-			break
-		}
-		if m >= mmax {
-			break
-		}
-		m = e.grow(m, mmax)
-	}
-	fit.windowSize = m
 	return fit, nil
 }
 
@@ -637,7 +551,7 @@ func (e *Estimator) TrainingWindow(h *History, x []float64) ([]Observation, erro
 	if err != nil {
 		return nil, err
 	}
-	window := e.window(s, est.WindowSize)
+	window := s.obs[s.Len()-est.WindowSize:]
 	out := make([]Observation, len(window))
 	copy(out, window)
 	return out, nil
@@ -654,36 +568,4 @@ func (e *Estimator) grow(m, mmax int) int {
 		m = mmax
 	}
 	return m
-}
-
-func (e *Estimator) window(s *Snapshot, m int) []Observation {
-	if m > s.Len() {
-		m = s.Len()
-	}
-	switch e.cfg.Window {
-	case UniformSample:
-		// Partial Fisher–Yates: draw exactly the m indices the window
-		// needs (m swaps, m variates) instead of permuting the whole
-		// history, with the index scratch reused across draws. Only the
-		// returned window escapes the lock; the scratch never does.
-		out := make([]Observation, m)
-		e.mu.Lock()
-		n := s.Len()
-		if cap(e.idxScratch) < n {
-			e.idxScratch = make([]int, n)
-		}
-		idx := e.idxScratch[:n]
-		for i := range idx {
-			idx[i] = i
-		}
-		for i := 0; i < m; i++ {
-			j := i + e.rng.Intn(n-i)
-			idx[i], idx[j] = idx[j], idx[i]
-			out[i] = s.obs[idx[i]]
-		}
-		e.mu.Unlock()
-		return out
-	default:
-		return s.obs[s.Len()-m:]
-	}
 }

@@ -209,7 +209,8 @@ func TestEstimateRespectsMMax(t *testing.T) {
 
 func TestEstimateUsesMostRecentData(t *testing.T) {
 	// Regime change: old observations follow cost = x, recent ones
-	// follow cost = 10x. DREAM on MostRecent must track the new regime.
+	// follow cost = 10x. DREAM's most-recent window must track the new
+	// regime.
 	h := mustHistory(t, 1, "time")
 	rng := stats.NewRNG(4)
 	for i := 0; i < 50; i++ {
@@ -256,25 +257,6 @@ func TestDoublingGrowth(t *testing.T) {
 	}
 	if estDbl.Refits >= estOne.Refits {
 		t.Errorf("doubling refits (%d) not fewer than grow-by-one (%d)", estDbl.Refits, estOne.Refits)
-	}
-}
-
-func TestUniformSampleWindow(t *testing.T) {
-	h := mustHistory(t, 1, "time")
-	rng := stats.NewRNG(6)
-	for i := 0; i < 30; i++ {
-		x := rng.Uniform(1, 10)
-		if err := h.Append(Observation{X: []float64{x}, Costs: []float64{2 * x}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	e := mustEstimator(t, Config{Window: UniformSample, Seed: 7})
-	est, err := e.EstimateCostValue(h, []float64{5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(est.Values()[0]-10) > 1e-6 {
-		t.Errorf("uniform-sample estimate = %v, want 10", est.Values()[0])
 	}
 }
 

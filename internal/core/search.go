@@ -12,7 +12,7 @@ import (
 // step re-ran a batch fit for every metric, rebuilding the m×(L+1)
 // design matrix and recomputing AᵀA from scratch — even though the
 // design matrix is identical across all K metrics of a window, and a
-// MostRecent window of size m+1 is the size-m window plus exactly one
+// most-recent window of size m+1 is the size-m window plus exactly one
 // older observation. Both redundancies fall to the shared-Gram
 // incremental fitter:
 //
@@ -38,9 +38,8 @@ func (e *Estimator) fitterFor(l, k int) *regression.IncrementalFitter {
 	return regression.NewIncrementalFitter(l, k)
 }
 
-// searchWindowIncremental runs Algorithm 1's window-growth loop for
-// MostRecent windows by feeding observations into one shared-Gram
-// fitter as the window grows.
+// searchWindowIncremental runs Algorithm 1's window-growth loop by
+// feeding observations into one shared-Gram fitter as the window grows.
 func (e *Estimator) searchWindowIncremental(s *Snapshot, minM, mmax int) (*windowFit, error) {
 	nMetrics := len(s.owner.metrics)
 	fitter := e.fitterFor(s.Dim(), nMetrics)

@@ -11,14 +11,59 @@ import (
 	"repro/internal/stats"
 )
 
-// The legacy per-window batch loop (searchWindowSampled) is the
-// reference implementation of Algorithm 1: for MostRecent windows it
-// fits every metric from scratch at every growth step, exactly what the
-// incremental shared-Gram search replaced. These tests hold the two
+// The legacy per-window batch loop (searchWindowReference, below) is
+// the reference implementation of Algorithm 1: it fits every metric
+// from scratch at every growth step, exactly what the incremental
+// shared-Gram search replaced. These tests hold the two
 // equivalent — same chosen window, same convergence, same coefficients
 // and R² within 1e-9, same ridge-fallback behavior — across randomized
 // histories, which is what lets the hot path be fast without being a
 // second source of truth.
+
+// searchWindowReference is Algorithm 1 as written: one batch MLR fit
+// per metric per window size, over the m most recent observations.
+func searchWindowReference(e *Estimator, s *Snapshot, minM, mmax int) (*windowFit, error) {
+	nMetrics := len(s.owner.metrics)
+	fit := &windowFit{
+		models: make([]*regression.Model, nMetrics),
+		r2s:    make([]float64, nMetrics),
+	}
+	for i := range fit.r2s {
+		fit.r2s[i] = -1 // "R²n ← ∅" (Algorithm 1 line 3): no model yet
+	}
+
+	m := minM
+	for {
+		window := s.obs[s.Len()-m:]
+		allGood := true
+		for n := 0; n < nMetrics; n++ {
+			samples := make([]regression.Sample, len(window))
+			for i, o := range window {
+				samples[i] = regression.Sample{X: o.X, C: o.Costs[n]}
+			}
+			model, err := regression.Fit(samples, regression.FitOptions{})
+			if err != nil {
+				return nil, fmt.Errorf("core: metric %q window %d: %w", s.metricName(n), m, err)
+			}
+			fit.refits++
+			fit.models[n] = model
+			fit.r2s[n] = model.R2
+			if model.R2 < e.cfg.RequiredR2 {
+				allGood = false
+			}
+		}
+		if allGood {
+			fit.converged = true
+			break
+		}
+		if m >= mmax {
+			break
+		}
+		m = e.grow(m, mmax)
+	}
+	fit.windowSize = m
+	return fit, nil
+}
 
 func close9(a, b float64) bool {
 	return math.Abs(a-b) <= 1e-9*(1+math.Max(math.Abs(a), math.Abs(b)))
@@ -40,7 +85,7 @@ func compareSearches(t *testing.T, e *Estimator, s *Snapshot) {
 		mmax = minM
 	}
 	inc, incErr := e.searchWindowIncremental(s, minM, mmax)
-	ref, refErr := e.searchWindowSampled(s, minM, mmax)
+	ref, refErr := searchWindowReference(e, s, minM, mmax)
 	if (incErr == nil) != (refErr == nil) {
 		t.Fatalf("search disagreement: incremental %v, reference %v", incErr, refErr)
 	}
@@ -178,10 +223,9 @@ func TestIncrementalSearchStats(t *testing.T) {
 }
 
 // TestIncrementalSearchDeterministicUnderConcurrency is the
-// Parallelism contract at the core layer: any number of goroutines
-// hammering the same snapshot through pooled fitters must produce
-// byte-identical estimates to a sequential run. (ires' scheduler-level
-// determinism tests cover the same property across worker-pool sizes.)
+// request-concurrency contract at the core layer: any number of
+// goroutines hammering the same snapshot through pooled fitters must
+// produce byte-identical estimates to a sequential run.
 func TestIncrementalSearchDeterministicUnderConcurrency(t *testing.T) {
 	h := seedHistory(t, 60)
 	e := mustEstimator(t, Config{RequiredR2: 0.95, MMax: 25, CacheSize: -1})
@@ -225,34 +269,5 @@ func TestIncrementalSearchDeterministicUnderConcurrency(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
-	}
-}
-
-// TestUniformSampleDrawsDistinctIndices pins the partial Fisher–Yates
-// rewrite: a drawn window must hold m distinct observations.
-func TestUniformSampleDrawsDistinctIndices(t *testing.T) {
-	h := mustHistory(t, 1, "time")
-	for i := 0; i < 40; i++ {
-		// Unique x per index makes duplicates detectable from values.
-		if err := h.Append(Observation{X: []float64{float64(i)}, Costs: []float64{float64(i)}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	e := mustEstimator(t, Config{Window: UniformSample, Seed: 3})
-	s := h.Snapshot()
-	for _, m := range []int{3, 10, 40} {
-		for trial := 0; trial < 20; trial++ {
-			w := e.window(s, m)
-			if len(w) != m {
-				t.Fatalf("window size %d, want %d", len(w), m)
-			}
-			seen := make(map[float64]bool, m)
-			for _, o := range w {
-				if seen[o.X[0]] {
-					t.Fatalf("m=%d trial %d: duplicate observation %v in window", m, trial, o.X[0])
-				}
-				seen[o.X[0]] = true
-			}
-		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/federation"
 	"repro/internal/ires"
 	"repro/internal/moo"
+	"repro/internal/stats"
 	"repro/internal/tpch"
 	"repro/internal/workload"
 )
@@ -30,8 +31,9 @@ func (o *AblationOptions) setDefaults() {
 
 // runDREAMVariant scores one DREAM configuration with the standard
 // workload protocol, averaged over reps, and reports mean MRE plus the
-// mean converged window size.
-func runDREAMVariant(cfg core.Config, opts AblationOptions, q tpch.QueryID) (mre float64, meanWindow float64, refits float64, err error) {
+// mean converged window size. wrap, when non-nil, decorates each rep's
+// DREAM model (given the rep's seed) before it is scored.
+func runDREAMVariant(cfg core.Config, opts AblationOptions, q tpch.QueryID, wrap func(*ires.DREAMModel, int64) ires.CostModel) (mre float64, meanWindow float64, refits float64, err error) {
 	opts.setDefaults()
 	var mreSum, windowSum, refitSum float64
 	var windowN int
@@ -41,9 +43,13 @@ func runDREAMVariant(cfg core.Config, opts AblationOptions, q tpch.QueryID) (mre
 		if err != nil {
 			return 0, 0, 0, err
 		}
-		model, err := ires.NewDREAMModel(cfg)
+		dream, err := ires.NewDREAMModel(cfg)
 		if err != nil {
 			return 0, 0, 0, err
+		}
+		var model ires.CostModel = dream
+		if wrap != nil {
+			model = wrap(dream, seed)
 		}
 		res, err := h.Run(workload.EvalConfig{
 			Query: q, SF: 0.1, Seed: seed,
@@ -91,7 +97,7 @@ func AblationWindowGrowth(opts AblationOptions) (*Table, error) {
 		{"grow-by-one (paper)", core.GrowByOne},
 		{"doubling", core.Doubling},
 	} {
-		mre, win, refits, err := runDREAMVariant(core.Config{Growth: tc.growth, MMax: mmax}, opts, tpch.QueryQ12)
+		mre, win, refits, err := runDREAMVariant(core.Config{Growth: tc.growth, MMax: mmax}, opts, tpch.QueryQ12, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -113,7 +119,7 @@ func AblationR2Threshold(opts AblationOptions) (*Table, error) {
 	}
 	mmax := 3 * (federation.FeatureDim + 2)
 	for _, r2 := range []float64{0.6, 0.7, 0.8, 0.9, 0.95} {
-		mre, win, _, err := runDREAMVariant(core.Config{RequiredR2: r2, MMax: mmax}, opts, tpch.QueryQ12)
+		mre, win, _, err := runDREAMVariant(core.Config{RequiredR2: r2, MMax: mmax}, opts, tpch.QueryQ12, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -126,6 +132,34 @@ func AblationR2Threshold(opts AblationOptions) (*Table, error) {
 	return t, nil
 }
 
+// shuffledHistoryModel is the recency ablation's uniform-sample arm:
+// the ordinary DREAM estimator run against a seeded shuffle of the
+// history's observations — the most recent m of a shuffled history is
+// a uniform sample of m, so the window search is unchanged and only
+// recency is taken away.
+type shuffledHistoryModel struct {
+	dream *ires.DREAMModel
+	seed  int64
+}
+
+func (m shuffledHistoryModel) Name() string { return "dream_uniform" }
+
+func (m shuffledHistoryModel) Estimate(h *core.History, x []float64) ([]float64, error) {
+	s := h.Snapshot()
+	shuffled, err := core.NewHistory(s.Dim(), s.Metrics()...)
+	if err != nil {
+		return nil, err
+	}
+	// One permutation per history version: every plan scored against
+	// the same history sees the same sample.
+	for _, i := range stats.NewRNG(m.seed ^ int64(s.Version())).Perm(s.Len()) {
+		if err := shuffled.Append(s.At(i)); err != nil {
+			return nil, err
+		}
+	}
+	return m.dream.Estimate(shuffled, x)
+}
+
 // AblationRecency contrasts DREAM's most-recent window with a uniform
 // sample over all history — isolating how much of DREAM's accuracy
 // comes from recency rather than window size.
@@ -136,13 +170,18 @@ func AblationRecency(opts AblationOptions) (*Table, error) {
 	}
 	mmax := 3 * (federation.FeatureDim + 2)
 	for _, tc := range []struct {
-		name   string
-		window core.WindowPolicy
+		name string
+		cfg  core.Config
+		wrap func(*ires.DREAMModel, int64) ires.CostModel
 	}{
-		{"most recent (paper)", core.MostRecent},
-		{"uniform sample", core.UniformSample},
+		{"most recent (paper)", core.Config{MMax: mmax}, nil},
+		// Every call builds a fresh shuffled history, so a fit cached
+		// under its identity could never be hit.
+		{"uniform sample", core.Config{MMax: mmax, CacheSize: -1}, func(d *ires.DREAMModel, seed int64) ires.CostModel {
+			return shuffledHistoryModel{dream: d, seed: seed}
+		}},
 	} {
-		mre, _, _, err := runDREAMVariant(core.Config{Window: tc.window, MMax: mmax, Seed: opts.Seed}, opts, tpch.QueryQ12)
+		mre, _, _, err := runDREAMVariant(tc.cfg, opts, tpch.QueryQ12, tc.wrap)
 		if err != nil {
 			return nil, err
 		}
@@ -252,9 +291,8 @@ func AblationOptimizer(opts AblationOptions) (*Table, error) {
 		"NSGA-II", fmt.Sprintf("%d", len(ga.Plans)), fmt.Sprintf("%.1f ms", float64(gaTime.Microseconds())/1000),
 	})
 
-	// NSGA-G through the same problem embedding: reuse OptimizeGA's
-	// machinery by running NSGAG over the exhaustive estimates instead —
-	// enumerate, estimate, then reduce with each strategy.
+	// The exhaustive baseline: enumerate, estimate every plan, reduce to
+	// the Pareto set.
 	start = time.Now()
 	plans, err := fed.EnumeratePlans(tpch.QueryQ12, sched.NodeChoices)
 	if err != nil {

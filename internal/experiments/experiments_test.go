@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/ires"
 	"repro/internal/tpch"
 )
 
@@ -167,6 +169,56 @@ func TestAblationPrune(t *testing.T) {
 	if last.CountReduction < 10 {
 		t.Errorf("count reduction at maxNodes=%d is %.1fx, want >= 10x",
 			last.MaxNodes, last.CountReduction)
+	}
+}
+
+// TestShuffledHistoryModel: the recency ablation's uniform arm sees a
+// sample of the whole history (so it misses a regime change the
+// most-recent window tracks), is a pure function of (seed, history
+// version), and leaves the history it was handed untouched.
+func TestShuffledHistoryModel(t *testing.T) {
+	h, err := core.NewHistory(1, "time")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 60; i++ {
+		x := float64(1 + i%9)
+		c := x
+		if i >= 50 { // regime change: the newest ten cost 10x
+			c = 10 * x
+		}
+		if err := h.Append(core.Observation{X: []float64{x}, Costs: []float64{c}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dream, err := ires.NewDREAMModel(core.Config{MMax: 9, CacheSize: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recent, err := dream.Estimate(h, []float64{5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(recent[0]-50) > 1e-6 {
+		t.Fatalf("most-recent estimate = %v, want 50", recent[0])
+	}
+	uniform := shuffledHistoryModel{dream: dream, seed: 3}
+	a, err := uniform.Estimate(h, []float64{5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := uniform.Estimate(h, []float64{5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a[0] != b[0] {
+		t.Errorf("same seed and history version drew different samples: %v vs %v", a[0], b[0])
+	}
+	if math.Abs(a[0]-50) < 1 {
+		t.Errorf("uniform-sample estimate %v tracks the new regime like the most-recent window", a[0])
+	}
+	if h.Len() != 60 {
+		t.Errorf("history grew to %d observations", h.Len())
 	}
 }
 

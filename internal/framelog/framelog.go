@@ -20,6 +20,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"path/filepath"
 )
 
 // HeaderSize is the byte count of the length+crc prefix.
@@ -178,8 +179,11 @@ func OpenAppend(path string, maxPayload int, fn func(off int64, payload []byte) 
 // WriteFileAtomic replaces path with whatever write produces, so that a
 // crash at any point leaves either the old file or the complete new
 // one: the content is staged in a sibling temp file, fsynced, and
-// renamed over path. A leftover temp file is a failed write and is
-// safe to delete.
+// renamed over path, and the directory is fsynced so the rename itself
+// survives a crash. A leftover temp file is a failed write and is safe
+// to delete. When only the directory fsync fails the new file is in
+// place and complete but the error is returned: the caller must treat
+// the write as not durable.
 func WriteFileAtomic(path string, write func(io.Writer) error) error {
 	tmp := path + TmpSuffix
 	f, err := os.Create(tmp)
@@ -197,6 +201,21 @@ func WriteFileAtomic(path string, write func(io.Writer) error) error {
 	}
 	if err != nil {
 		os.Remove(tmp)
+		return err
+	}
+	return syncDir(filepath.Dir(path))
+}
+
+// syncDir fsyncs a directory, making the names in it durable. It is a
+// variable so tests can observe the call and inject its failure.
+var syncDir = func(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
 	}
 	return err
 }

@@ -287,6 +287,71 @@ func TestWriteFileAtomic(t *testing.T) {
 	}
 }
 
+// TestWriteFileAtomicSyncsDirectory drives the directory fsync through
+// its seam: exactly one call per successful write, after the rename and
+// on the file's own directory; its failure is the write's failure (the
+// complete new file stays); a write that never renamed never syncs.
+func TestWriteFileAtomicSyncsDirectory(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "file")
+	real := syncDir
+	defer func() { syncDir = real }()
+	var calls []string
+	var fail error
+	syncDir = func(d string) error {
+		calls = append(calls, d)
+		if raw, _ := os.ReadFile(path); string(raw) != "new" {
+			t.Errorf("directory synced before the rename: file = %q", raw)
+		}
+		if _, err := os.Stat(path + TmpSuffix); !os.IsNotExist(err) {
+			t.Errorf("directory synced with the temp file still present: %v", err)
+		}
+		if fail != nil {
+			return fail
+		}
+		return real(d)
+	}
+	write := func(p, s string, werr error) error {
+		return WriteFileAtomic(p, func(w io.Writer) error {
+			if _, err := io.WriteString(w, s); err != nil {
+				return err
+			}
+			return werr
+		})
+	}
+
+	if err := write(path, "new", nil); err != nil {
+		t.Fatal(err)
+	}
+	if len(calls) != 1 || calls[0] != dir {
+		t.Fatalf("directory syncs after one write = %q, want [%q]", calls, dir)
+	}
+
+	fail = errors.New("dir fsync: EIO")
+	if err := write(path, "new", nil); err != fail {
+		t.Fatalf("failing directory sync: err = %v, want %v", err, fail)
+	}
+	if raw, _ := os.ReadFile(path); string(raw) != "new" {
+		t.Fatalf("file after a failed directory sync = %q, want the complete new content", raw)
+	}
+
+	calls = nil
+	if err := write(path, "half", errors.New("boom")); err == nil {
+		t.Fatal("failed content write reported success")
+	}
+	// Renaming a file over a non-empty directory fails.
+	blocked := filepath.Join(dir, "blocked")
+	if err := os.MkdirAll(filepath.Join(blocked, "child"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := write(blocked, "new", nil); err == nil {
+		t.Fatal("rename over a non-empty directory reported success")
+	}
+	if len(calls) != 0 {
+		t.Fatalf("directory synced %d times for writes that never renamed", len(calls))
+	}
+}
+
 // FuzzScan: arbitrary bytes never panic the scanner, never make it
 // hold more than maxPayload (+ what actually arrived), both modes agree
 // on the valid prefix, and Scan(Append(x)) == x.

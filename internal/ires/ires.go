@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/federation"
+	"repro/internal/metrics"
 	"repro/internal/ml"
 	"repro/internal/moo"
 	"repro/internal/regression"
@@ -31,11 +32,11 @@ var ErrNoHistory = errors.New("ires: no history for query")
 // CostModel is the Modelling module contract: predict the cost vector
 // of a plan with feature vector x from the execution history h.
 //
-// Estimate must be safe for concurrent use: unless the scheduler is
-// configured with Parallelism = 1, plan estimation fans out across
-// goroutines. The models in this package are safe; a custom model with
-// unsynchronized internal state needs its own locking (or a scheduler
-// pinned to Parallelism 1).
+// Estimate must be safe for concurrent use: one round scores its plans
+// in a loop, but a scheduler serves concurrent requests and each runs
+// its own round against the one model. The models in this package are
+// safe; a custom model with unsynchronized internal state needs its own
+// locking.
 type CostModel interface {
 	Name() string
 	Estimate(h *core.History, x []float64) ([]float64, error)
@@ -222,15 +223,6 @@ type Scheduler struct {
 	Model CostModel
 	// NodeChoices is the cluster-size menu used when enumerating QEPs.
 	NodeChoices []int
-	// Parallelism bounds the plan-estimation worker pool (Submit,
-	// OptimizeWSM). 0 means GOMAXPROCS; 1 forces the sequential path.
-	// Plan decisions are identical for any value as long as the model
-	// estimates deterministically — true for the default MostRecent
-	// DREAM window and all models in this package. A UniformSample
-	// DREAM window redraws randomly per call, so its results depend on
-	// evaluation order; pin Parallelism to 1 to keep that ablation
-	// reproducible.
-	Parallelism int
 	// Store, when non-nil, owns every query history: OpenHistory
 	// recovers prior observations and persists new ones. Set it before
 	// the first query is touched (histories already created in memory
@@ -239,8 +231,8 @@ type Scheduler struct {
 	// Prune selects which QEPs of the lattice PlanSweep estimates
 	// (see PrunePolicy). Nil means FullSweep(): every plan, in lattice
 	// order — the paper's behavior. The bundled policies are
-	// deterministic at any Parallelism, so the byte-identical-decisions
-	// guarantee holds for pruned sweeps too.
+	// deterministic, so the byte-identical-decisions guarantee holds
+	// for pruned sweeps too.
 	Prune PrunePolicy
 
 	histMu    sync.Mutex
@@ -287,6 +279,63 @@ func NewScheduler(fed *federation.Federation, exec federation.Executor, model Co
 		histories:   make(map[tpch.QueryID]*core.History),
 		rng:         stats.NewRNG(seed),
 	}, nil
+}
+
+// SchedulerConfig bundles the scheduler assembly knobs.
+type SchedulerConfig struct {
+	// NodeChoices is the cluster-size menu used when enumerating QEPs;
+	// nil selects the default {1, 2, 4, 8, 16}.
+	NodeChoices []int
+	// Seed drives the scheduler's own randomness (Bootstrap sampling).
+	Seed int64
+	// CacheSize overrides the Modelling module's per-(history, version)
+	// model cache when the model supports it (DREAM variants do).
+	// 0 keeps the model's own configuration; negative disables caching.
+	CacheSize int
+	// Prune selects which QEPs of the lattice PlanSweep estimates. Nil
+	// keeps the default FullSweep() — every plan, byte-identical to the
+	// historic eager enumeration. See GreedyPrune and TopK for the
+	// bounded-budget policies.
+	Prune PrunePolicy
+	// Store injects a durable history store (see HistoryStore): query
+	// histories are recovered from it at first touch and every recorded
+	// execution is persisted through it. Nil keeps histories in memory.
+	Store HistoryStore
+	// Metrics, when non-nil, registers the scheduler's observation-only
+	// instruments (sweep duration, plans estimated, DREAM window and
+	// model-cache series) on the given registry, labeled with
+	// MetricsFederation. See Scheduler.InstrumentScheduler.
+	Metrics *metrics.Registry
+	// MetricsFederation is the value of the "federation" label on every
+	// metric series this scheduler emits (empty = "default").
+	MetricsFederation string
+}
+
+// ModelCacheSizer is implemented by Modelling modules whose underlying
+// estimator keeps a per-(history, version) model cache.
+type ModelCacheSizer interface {
+	SetModelCacheSize(n int)
+}
+
+// NewSchedulerWithConfig assembles a scheduler from a SchedulerConfig:
+// NewScheduler plus the store, prune policy, model-cache size and
+// metrics registry.
+func NewSchedulerWithConfig(fed *federation.Federation, exec federation.Executor, model CostModel, cfg SchedulerConfig) (*Scheduler, error) {
+	s, err := NewScheduler(fed, exec, model, cfg.NodeChoices, cfg.Seed)
+	if err != nil {
+		return nil, err
+	}
+	s.Store = cfg.Store
+	s.Prune = cfg.Prune
+	if cfg.CacheSize != 0 {
+		if ms, ok := model.(ModelCacheSizer); ok {
+			ms.SetModelCacheSize(cfg.CacheSize)
+		}
+	}
+	if cfg.Metrics != nil {
+		s.InstrumentScheduler(cfg.Metrics, cfg.MetricsFederation)
+	}
+	return s, nil
 }
 
 // OpenHistory returns (creating — or, with a Store, recovering — if
@@ -470,7 +519,7 @@ func (s *Scheduler) Submit(q tpch.QueryID, pol Policy) (*Decision, error) {
 	return s.SubmitContext(context.Background(), q, pol)
 }
 
-// SubmitContext is Submit with cancellation: the estimation fan-out
+// SubmitContext is Submit with cancellation: the estimation sweep
 // (the expensive step over tens of thousands of equivalent QEPs)
 // observes ctx and aborts early when it is cancelled.
 func (s *Scheduler) SubmitContext(ctx context.Context, q tpch.QueryID, pol Policy) (*Decision, error) {
@@ -510,10 +559,10 @@ type Sweep struct {
 	Policy                    string
 }
 
-// PlanSweep builds the QEP lattice of q, pulls plans through the
-// configured PrunePolicy (default: all of them) into the estimation
-// pool, scoring each against one history snapshot, and reduces to the
-// Pareto set. The expensive fan-out observes ctx.
+// PlanSweep builds the QEP lattice of q, estimates the plans the
+// configured PrunePolicy selects (default: all of them), each against
+// one history snapshot, and reduces to the Pareto set. The estimation
+// loop observes ctx.
 func (s *Scheduler) PlanSweep(ctx context.Context, q tpch.QueryID) (sw *Sweep, err error) {
 	if s.obs != nil {
 		began := time.Now()
@@ -540,11 +589,7 @@ func (s *Scheduler) PlanSweep(ctx context.Context, q tpch.QueryID) (sw *Sweep, e
 	if pruner == nil {
 		pruner = FullSweep()
 	}
-	plans, costs, err := pruner.sweep(ctx, &planSweeper{
-		s:         s,
-		src:       lat.Iterator(),
-		estimateX: s.estimateFn(h),
-	})
+	plans, costs, err := pruner.sweep(ctx, s.sweeper(h, lat.Iterator()))
 	if err != nil {
 		return nil, err
 	}

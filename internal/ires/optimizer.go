@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/federation"
 	"repro/internal/moo"
@@ -24,32 +23,21 @@ import (
 // planProblem embeds the discrete QEP space into a continuous box for
 // NSGA-II: x = (joinAtLeft?, leftChoice, rightChoice) ∈ [0,1]³, decoded
 // by thresholding and index rounding. Objective values come from the
-// Modelling module. Evaluate is safe for concurrent use, so the moo
-// optimizers may fan fitness evaluation out over their Workers pool;
-// each decoded plan is estimated exactly once (single-flight cache).
+// Modelling module; each decoded plan is estimated exactly once.
 type planProblem struct {
-	sched *Scheduler
-	query tpch.QueryID
-	// estimateX scores a feature vector against the round's history
-	// snapshot (or live history for non-snapshot models).
-	estimateX func(x []float64) ([]float64, error)
-	choices   []int
+	// round scores plans against the run's one history snapshot.
+	round   *planSweeper
+	query   tpch.QueryID
+	choices []int
 	// maxLeft/maxRight cap the decoded node counts at the owning
 	// sites' capacities, so the front only contains executable plans.
 	maxLeft, maxRight int
 
-	mu sync.Mutex
-	// evals counts Modelling evaluations (the expensive step).
-	evals int
-	// cache avoids re-estimating the same decoded plan.
-	cache map[federation.Plan]*planEval
-	err   error
-}
-
-// planEval is a single-flight cache slot for one decoded plan.
-type planEval struct {
-	once  sync.Once
-	costs []float64
+	// cache avoids re-estimating the same decoded plan; its size is the
+	// number of Modelling evaluations (the expensive step).
+	cache map[federation.Plan][]float64
+	// err is the first estimation failure.
+	err error
 }
 
 // Bounds implements moo.Problem.
@@ -78,50 +66,23 @@ func (p *planProblem) decode(x []float64) federation.Plan {
 	}
 }
 
-// Evaluate implements moo.Problem.
+// Evaluate implements moo.Problem. A plan the model cannot score gets
+// an infinite cost vector (and is not retried); the first such error
+// fails the whole run.
 func (p *planProblem) Evaluate(x []float64) []float64 {
 	plan := p.decode(x)
-	p.mu.Lock()
-	e, ok := p.cache[plan]
-	if !ok {
-		e = &planEval{}
-		p.cache[plan] = e
+	if c, ok := p.cache[plan]; ok {
+		return c
 	}
-	p.mu.Unlock()
-	e.once.Do(func() { e.costs = p.estimate(plan) })
-	return e.costs
-}
-
-// estimate scores one decoded plan with the Modelling module, recording
-// the first error encountered.
-func (p *planProblem) estimate(plan federation.Plan) []float64 {
-	feats, err := p.sched.Exec.Features(plan)
+	c, err := p.round.score(plan)
 	if err != nil {
-		p.setErr(err)
-		return []float64{math.Inf(1), math.Inf(1)}
-	}
-	c, err := p.estimateX(feats)
-	if err != nil {
-		p.setErr(err)
-		return []float64{math.Inf(1), math.Inf(1)}
-	}
-	for j, v := range c {
-		if v < 0 {
-			c[j] = 0
+		if p.err == nil {
+			p.err = err
 		}
+		c = []float64{math.Inf(1), math.Inf(1)}
 	}
-	p.mu.Lock()
-	p.evals++
-	p.mu.Unlock()
+	p.cache[plan] = c
 	return c
-}
-
-func (p *planProblem) setErr(err error) {
-	p.mu.Lock()
-	if p.err == nil {
-		p.err = err
-	}
-	p.mu.Unlock()
 }
 
 // GAResult is the reusable output of the GA optimization path.
@@ -170,22 +131,12 @@ func (s *Scheduler) OptimizeGA(q tpch.QueryID, cfg moo.NSGAIIConfig) (*GAResult,
 		return nil, err
 	}
 	prob := &planProblem{
-		sched:     s,
-		query:     q,
-		estimateX: s.estimateFn(h),
-		choices:   s.NodeChoices,
-		maxLeft:   leftSite.MaxNodes,
-		maxRight:  rightSite.MaxNodes,
-		cache:     make(map[federation.Plan]*planEval),
-	}
-	if cfg.Workers == 0 {
-		// Inherit the scheduler's estimation parallelism: fitness
-		// evaluation goes through the same Modelling hot path.
-		if s.Parallelism == 0 {
-			cfg.Workers = -1 // GOMAXPROCS
-		} else {
-			cfg.Workers = s.Parallelism
-		}
+		round:    s.sweeper(h, nil),
+		query:    q,
+		choices:  s.NodeChoices,
+		maxLeft:  leftSite.MaxNodes,
+		maxRight: rightSite.MaxNodes,
+		cache:    make(map[federation.Plan][]float64),
 	}
 	res, err := moo.NSGAII(prob, cfg)
 	if err != nil {
@@ -194,7 +145,7 @@ func (s *Scheduler) OptimizeGA(q tpch.QueryID, cfg moo.NSGAIIConfig) (*GAResult,
 	if prob.err != nil {
 		return nil, prob.err
 	}
-	out := &GAResult{ModelEvaluations: prob.evals}
+	out := &GAResult{ModelEvaluations: len(prob.cache)}
 	seen := make(map[federation.Plan]bool)
 	for _, ind := range res.Front {
 		plan := prob.decode(ind.X)
@@ -203,7 +154,7 @@ func (s *Scheduler) OptimizeGA(q tpch.QueryID, cfg moo.NSGAIIConfig) (*GAResult,
 		}
 		seen[plan] = true
 		out.Plans = append(out.Plans, plan)
-		out.Costs = append(out.Costs, prob.cache[plan].costs)
+		out.Costs = append(out.Costs, prob.cache[plan])
 	}
 	return out, nil
 }
@@ -233,18 +184,18 @@ func (s *Scheduler) OptimizeWSMContext(ctx context.Context, q tpch.QueryID, pol 
 	if h.Len() == 0 {
 		return nil, fmt.Errorf("%w: %v", ErrNoHistory, q)
 	}
-	plans, err := s.Fed.EnumeratePlans(q, s.NodeChoices)
+	lat, err := s.lattice(q)
 	if err != nil {
 		return nil, err
 	}
+	plans := lat.Plans()
 	if len(plans) == 0 {
 		return nil, moo.ErrNoPlans
 	}
-	costs, err := s.estimatePlans(ctx, h, plans)
+	costs, err := s.sweeper(h, lat.Iterator()).estimate(ctx, nil)
 	if err != nil {
 		return nil, err
 	}
-	evals := len(plans)
 	weights := pol.Weights
 	if len(weights) == 0 {
 		weights = []float64{1, 1}
@@ -253,5 +204,5 @@ func (s *Scheduler) OptimizeWSMContext(ctx context.Context, q tpch.QueryID, pol 
 	if err != nil {
 		return nil, err
 	}
-	return &WSMResult{Plan: plans[idx], ModelEvaluations: evals}, nil
+	return &WSMResult{Plan: plans[idx], ModelEvaluations: len(plans)}, nil
 }

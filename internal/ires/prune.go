@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/federation"
 	"repro/internal/moo"
 	"repro/internal/stats"
@@ -14,22 +15,22 @@ import (
 
 // The plan-supply seam. PlanSweep no longer estimates a pre-built
 // slice: it hands a PlanSource (the lazy lattice iterator) to a
-// PrunePolicy, which decides which QEPs are worth scoring and pulls
-// exactly those through the scheduler's bounded worker pool. FullSweep
-// is the reference — every plan, in lattice order, byte-identical to
-// the historic eager path. GreedyPrune and TopK trade a bounded amount
-// of decision quality for an order-of-magnitude cheaper sweep in the
-// paper's Example 3.1 regime (≈18,200 QEPs per query); the tolerance is
-// pinned by experiments.AblationPrune and the property tests in
-// prune_test.go. SNIPPETS-adjacent prior art: greedy enumeration with
-// early termination routinely keeps plan quality within ~13% while
-// planning orders of magnitude faster.
+// PrunePolicy, which decides which QEPs are worth scoring and estimates
+// exactly those. FullSweep is the reference — every plan, in lattice
+// order, byte-identical to the historic eager path. GreedyPrune and
+// TopK trade a bounded amount of decision quality for an
+// order-of-magnitude cheaper sweep in the paper's Example 3.1 regime
+// (≈18,200 QEPs per query); the tolerance is pinned by
+// experiments.AblationPrune and the property tests in prune_test.go.
+// SNIPPETS-adjacent prior art: greedy enumeration with early
+// termination routinely keeps plan quality within ~13% while planning
+// orders of magnitude faster.
 
 // PlanSource supplies plans to a sweep: a lazy, resettable,
 // deterministic-order generator with a positional view (Size/At), so
-// prune policies can sample the space without draining it and the
-// estimation fan-out can address work by index. The canonical
-// implementation is *federation.PlanIterator.
+// prune policies can sample the space without draining it and
+// estimate plans by index. The canonical implementation is
+// *federation.PlanIterator.
 type PlanSource interface {
 	// Next yields plans in a fixed order until exhausted.
 	Next() (federation.Plan, bool)
@@ -38,7 +39,8 @@ type PlanSource interface {
 	// Size is the total number of plans.
 	Size() int
 	// At returns the i-th plan of the fixed order without moving the
-	// cursor. Must be safe for concurrent use.
+	// cursor. Must be safe for concurrent use: concurrent requests
+	// sweep one cached lattice.
 	At(i int) federation.Plan
 }
 
@@ -55,26 +57,77 @@ type LatticeSource interface {
 
 var _ LatticeSource = (*federation.PlanIterator)(nil)
 
-// planSweeper is the machinery a PrunePolicy drives: the plan source,
-// the round's snapshot-bound estimator, and the scheduler's bounded
-// worker pool.
+// planSweeper is one scheduling round's estimator: the scheduler, the
+// plan source a PrunePolicy draws from (nil outside a sweep), and the
+// per-plan scoring function bound to the round's history snapshot.
 type planSweeper struct {
-	s         *Scheduler
-	src       PlanSource
+	s   *Scheduler
+	src PlanSource
+	// estimateX scores a feature vector against the round's history
+	// snapshot (or the live history for non-snapshot models).
 	estimateX func(x []float64) ([]float64, error)
 }
 
-// estimateAt scores the plans at the given source positions, fanned out
-// over the scheduler's pool; the returned cost vectors are positional
-// with idx.
-func (ps *planSweeper) estimateAt(ctx context.Context, idx []int) ([][]float64, error) {
-	return ps.s.estimateIndexed(ctx, ps.estimateX,
-		func(i int) federation.Plan { return ps.src.At(idx[i]) }, len(idx))
+// sweeper binds one round to h. Snapshot-capable models get a single
+// point-in-time snapshot, so every plan of the round is scored against
+// one history version even while other requests append observations.
+func (s *Scheduler) sweeper(h *core.History, src PlanSource) *planSweeper {
+	ps := &planSweeper{s: s, src: src}
+	if sm, ok := s.Model.(SnapshotCostModel); ok {
+		snap := h.Snapshot()
+		ps.estimateX = func(x []float64) ([]float64, error) { return sm.EstimateSnapshot(snap, x) }
+	} else {
+		ps.estimateX = func(x []float64) ([]float64, error) { return s.Model.Estimate(h, x) }
+	}
+	return ps
 }
 
-// estimateAll scores every plan in source order.
-func (ps *planSweeper) estimateAll(ctx context.Context) ([][]float64, error) {
-	return ps.s.estimateIndexed(ctx, ps.estimateX, ps.src.At, ps.src.Size())
+// score is the per-plan step of every optimizer: the plan's features,
+// the model's cost vector, clamped.
+func (ps *planSweeper) score(p federation.Plan) ([]float64, error) {
+	x, err := ps.s.Exec.Features(p)
+	if err != nil {
+		return nil, fmt.Errorf("ires: features of %v: %w", p, err)
+	}
+	c, err := ps.estimateX(x)
+	if err != nil {
+		return nil, fmt.Errorf("ires: estimating %v: %w", p, err)
+	}
+	// Negative predictions are meaningless for time/money; clamp
+	// so dominance computations stay sane.
+	for j, v := range c {
+		if v < 0 {
+			c[j] = 0
+		}
+	}
+	return c, nil
+}
+
+// estimate scores the plans at the given source positions — every plan,
+// in source order, when idx is nil — and returns their cost vectors
+// positionally. It stops at the first error, so a failure is always the
+// one with the lowest position, and checks ctx before each plan.
+func (ps *planSweeper) estimate(ctx context.Context, idx []int) ([][]float64, error) {
+	n := len(idx)
+	if idx == nil {
+		n = ps.src.Size()
+	}
+	costs := make([][]float64, n)
+	for i := range costs {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		at := i
+		if idx != nil {
+			at = idx[i]
+		}
+		c, err := ps.score(ps.src.At(at))
+		if err != nil {
+			return nil, err
+		}
+		costs[i] = c
+	}
+	return costs, nil
 }
 
 // plansOf materializes the full source. The lattice-backed iterator
@@ -94,11 +147,11 @@ func plansOf(src PlanSource) []federation.Plan {
 
 // PrunePolicy decides which QEPs of a plan source get estimated during
 // a sweep. Policies must be deterministic for a fixed (source, history
-// snapshot) regardless of the scheduler's Parallelism — the PR 1
-// byte-identical-decisions guarantee extends to pruned sweeps. The
-// policy set is closed (the sweep hook is unexported); construct one
-// with FullSweep, GreedyPrune, or TopK, or parse a wire name with
-// ParsePrunePolicy.
+// snapshot) — the byte-identical-decisions guarantee (cached vs
+// uncached, any GOMAXPROCS, any request concurrency) extends to pruned
+// sweeps. The policy set is closed (the sweep hook is unexported);
+// construct one with FullSweep, GreedyPrune, or TopK, or parse a wire
+// name with ParsePrunePolicy.
 type PrunePolicy interface {
 	// Name is the policy's wire identifier ("full", "greedy", "topk"),
 	// surfaced in Sweep/Decision and the serving API.
@@ -124,7 +177,7 @@ func FullSweep() PrunePolicy { return fullSweep{} }
 func (fullSweep) Name() string { return "full" }
 
 func (fullSweep) sweep(ctx context.Context, ps *planSweeper) ([]federation.Plan, [][]float64, error) {
-	costs, err := ps.estimateAll(ctx)
+	costs, err := ps.estimate(ctx, nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -161,9 +214,8 @@ func GreedyPrune(budget int) PrunePolicy { return greedyPrune{budget: budget} }
 // Name implements PrunePolicy.
 func (greedyPrune) Name() string { return "greedy" }
 
-// greedyChunk is the refinement batch size. It is a fixed constant —
-// never derived from the worker count — so the estimated set (and with
-// it the sweep) is byte-identical at any Parallelism.
+// greedyChunk is the refinement batch size: how many candidates are
+// estimated between two checks for a dominated prefix.
 const greedyChunk = 64
 
 func (g greedyPrune) sweep(ctx context.Context, ps *planSweeper) ([]federation.Plan, [][]float64, error) {
@@ -180,7 +232,7 @@ func (g greedyPrune) sweep(ctx context.Context, ps *planSweeper) ([]federation.P
 	}
 
 	scaffold, strides := greedyScaffold(ps.src, budget/2)
-	costs, err := ps.estimateAt(ctx, scaffold)
+	costs, err := ps.estimate(ctx, scaffold)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -236,7 +288,7 @@ func (g greedyPrune) sweep(ctx context.Context, ps *planSweeper) ([]federation.P
 			chunk = chunk[:greedyChunk]
 		}
 		queue = queue[len(chunk):]
-		chunkCosts, err := ps.estimateAt(ctx, chunk)
+		chunkCosts, err := ps.estimate(ctx, chunk)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -453,7 +505,7 @@ func (t topKPrune) sweep(ctx context.Context, ps *planSweeper) ([]federation.Pla
 		return fullSweep{}.sweep(ctx, ps)
 	}
 	// Partial Fisher-Yates: the first k entries of a seed-determined
-	// permutation, independent of Parallelism by construction.
+	// permutation.
 	rng := stats.NewRNG(t.seed ^ int64(n)<<17 ^ 0x746f706b) // "topk"
 	perm := make([]int, n)
 	for i := range perm {
@@ -465,7 +517,7 @@ func (t topKPrune) sweep(ctx context.Context, ps *planSweeper) ([]federation.Pla
 	}
 	idx := perm[:k]
 	sort.Ints(idx)
-	costs, err := ps.estimateAt(ctx, idx)
+	costs, err := ps.estimate(ctx, idx)
 	if err != nil {
 		return nil, nil, err
 	}

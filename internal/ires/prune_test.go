@@ -112,10 +112,10 @@ func TestFullSweepExplicitMatchesDefault(t *testing.T) {
 	}
 }
 
-// TestPrunedSweepDeterministicAcrossParallelism extends the PR 1
-// byte-identical guarantee to pruned sweeps: same seed + policy must
-// produce the same estimated set, costs and front at any Parallelism.
-func TestPrunedSweepDeterministicAcrossParallelism(t *testing.T) {
+// TestPrunedSweepCachedMatchesUncached extends the byte-identical
+// guarantee to pruned sweeps: same seed + policy must produce the same
+// estimated set, costs and front with the model cache on or off.
+func TestPrunedSweepCachedMatchesUncached(t *testing.T) {
 	const maxNodes = 24 // 2×24×24 = 1,152 plans
 	for _, tc := range []struct {
 		name  string
@@ -125,24 +125,24 @@ func TestPrunedSweepDeterministicAcrossParallelism(t *testing.T) {
 		{"topk", func() PrunePolicy { return TopK(160, 3) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			seq := buildWideStack(t, 42, maxNodes, SchedulerConfig{Seed: 42, Parallelism: 1, CacheSize: -1, Prune: tc.prune()})
-			par := buildWideStack(t, 42, maxNodes, SchedulerConfig{Seed: 42, Parallelism: 8, Prune: tc.prune()})
-			for _, s := range []*Scheduler{seq, par} {
+			uncached := buildWideStack(t, 42, maxNodes, SchedulerConfig{Seed: 42, CacheSize: -1, Prune: tc.prune()})
+			cached := buildWideStack(t, 42, maxNodes, SchedulerConfig{Seed: 42, Prune: tc.prune()})
+			for _, s := range []*Scheduler{uncached, cached} {
 				if err := s.Bootstrap(tpch.QueryQ12, 25); err != nil {
 					t.Fatal(err)
 				}
 			}
-			a, err := seq.PlanSweep(context.Background(), tpch.QueryQ12)
+			a, err := uncached.PlanSweep(context.Background(), tpch.QueryQ12)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := par.PlanSweep(context.Background(), tpch.QueryQ12)
+			b, err := cached.PlanSweep(context.Background(), tpch.QueryQ12)
 			if err != nil {
 				t.Fatal(err)
 			}
 			got, want := renderSweep(b), renderSweep(a)
 			if got != want {
-				t.Fatalf("%s sweep depends on Parallelism:\nP=1:\n%s\nP=8:\n%s", tc.name, want, got)
+				t.Fatalf("%s sweep depends on the model cache:\nuncached:\n%s\ncached:\n%s", tc.name, want, got)
 			}
 			if a.PlansEstimated >= a.PlanSpace {
 				t.Fatalf("%s did not prune: estimated %d of %d", tc.name, a.PlansEstimated, a.PlanSpace)

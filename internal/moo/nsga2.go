@@ -33,13 +33,6 @@ type NSGAIIConfig struct {
 	EtaMutation  float64
 	// Seed makes runs reproducible.
 	Seed int64
-	// Workers bounds the fitness-evaluation worker pool: 0 evaluates
-	// sequentially (historical behaviour), a negative value uses
-	// GOMAXPROCS, anything else is taken literally. With Workers > 1
-	// the Problem's Evaluate must be safe for concurrent use. Results
-	// are identical for any value: all random draws happen on the main
-	// loop before evaluations are fanned out.
-	Workers int
 }
 
 // Individual is one evaluated member of the final population.
@@ -90,10 +83,9 @@ func NSGAII(p Problem, cfg NSGAIIConfig) (*Result, error) {
 		cfg.EtaMutation = 20
 	}
 	rng := stats.NewRNG(cfg.Seed)
-	workers := resolveWorkers(cfg.Workers)
 
 	evals := 0
-	pop := evalBatch(p, randomPopulation(cfg.PopSize, lo, hi, rng), workers)
+	pop := evalBatch(p, randomPopulation(cfg.PopSize, lo, hi, rng))
 	evals += len(pop)
 
 	for gen := 0; gen < cfg.Generations; gen++ {
@@ -111,7 +103,7 @@ func NSGAII(p Problem, cfg NSGAIIConfig) (*Result, error) {
 			childXs = append(childXs, c1, c2)
 		}
 		evals += len(childXs)
-		combined := append(pop, evalBatch(p, childXs, workers)...)
+		combined := append(pop, evalBatch(p, childXs)...)
 		pop, err = environmentalSelection(combined, cfg.PopSize)
 		if err != nil {
 			return nil, err
@@ -149,6 +141,16 @@ func randomPopulation(popSize int, lo, hi []float64, rng *stats.RNG) [][]float64
 		xs[i] = x
 	}
 	return xs
+}
+
+// evalBatch evaluates a batch of decision vectors into Individuals,
+// preserving input order.
+func evalBatch(p Problem, xs [][]float64) []Individual {
+	batch := make([]Individual, len(xs))
+	for i, x := range xs {
+		batch[i] = Individual{X: x, Costs: p.Evaluate(x)}
+	}
+	return batch
 }
 
 func costsOf(pop []Individual) [][]float64 {

@@ -140,24 +140,27 @@ type badBounds struct{}
 func (badBounds) Bounds() (lo, hi []float64)     { return []float64{1}, []float64{0} }
 func (badBounds) Evaluate(x []float64) []float64 { return []float64{x[0]} }
 
-func TestNSGAGOnSchaffer(t *testing.T) {
-	res, err := NSGAG(schaffer{}, NSGAIIConfig{PopSize: 60, Generations: 60, Seed: 4}, 6)
+// countingProblem wraps zdt1 with an evaluation counter.
+type countingProblem struct {
+	zdt1
+	n int
+}
+
+func (c *countingProblem) Evaluate(x []float64) []float64 {
+	c.n++
+	return c.zdt1.Evaluate(x)
+}
+
+// TestNSGAIIEvaluationCount: Result.Evaluations is the number of
+// Evaluate calls the problem saw — one per individual per batch.
+func TestNSGAIIEvaluationCount(t *testing.T) {
+	p := &countingProblem{zdt1: zdt1{dim: 6}}
+	res, err := NSGAII(p, NSGAIIConfig{PopSize: 16, Generations: 5, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Front) == 0 {
-		t.Fatal("empty front")
-	}
-	for _, ind := range res.Front {
-		if ind.X[0] < -0.2 || ind.X[0] > 2.2 {
-			t.Errorf("NSGA-G front member x = %v outside Pareto set", ind.X[0])
-		}
-	}
-}
-
-func TestNSGAGDefaultDivisions(t *testing.T) {
-	if _, err := NSGAG(schaffer{}, NSGAIIConfig{PopSize: 10, Generations: 3, Seed: 5}, 0); err != nil {
-		t.Fatal(err)
+	if want := 16 * (5 + 1); res.Evaluations != want || p.n != want {
+		t.Fatalf("reported %d evaluations, problem saw %d, want %d", res.Evaluations, p.n, want)
 	}
 }
 

@@ -218,20 +218,27 @@ func TestChaosGossipPartitionDuringHandoff(t *testing.T) {
 	target := (owner + 1) % 3
 	third := 3 - owner - target
 
-	// Partition: the third node drops every gossip exchange (inbound
-	// route posts), as a switch dropping its control-plane traffic
-	// would. Data-plane requests still flow.
-	real := tc.servers[third].Handler()
+	// Partition: every gossip exchange (route post) is dropped, as a
+	// switch dropping control-plane traffic would; data-plane requests
+	// still flow. The third node's inbound posts are the partition
+	// proper. The other two refuse posts as well because an exchange is
+	// answered with the receiver's table: the third node's own boot-time
+	// exchange (bootstrapRoutes, a goroutine that may not have run yet)
+	// would otherwise pull the new table through the partition. The
+	// handoff itself needs no gossip — both ends apply the override.
 	var partitioned atomic.Bool
 	partitioned.Store(true)
-	wrapped := http.Handler(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if partitioned.Load() && r.URL.Path == "/v1/admin/route" {
-			http.Error(w, "injected: partitioned", http.StatusServiceUnavailable)
-			return
-		}
-		real.ServeHTTP(w, r)
-	}))
-	tc.late[third].h.Store(&wrapped)
+	for i := range tc.servers {
+		real := tc.servers[i].Handler()
+		wrapped := http.Handler(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if partitioned.Load() && r.URL.Path == "/v1/admin/route" {
+				http.Error(w, "injected: partitioned", http.StatusServiceUnavailable)
+				return
+			}
+			real.ServeHTTP(w, r)
+		}))
+		tc.late[i].h.Store(&wrapped)
+	}
 
 	// Ownership moves while the third node cannot hear about it.
 	resp, err := http.Post(tc.https[owner].URL+"/v1/admin/handoff?federation=alpha&target="+tc.members[target].ID, "", nil)

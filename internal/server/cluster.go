@@ -572,14 +572,17 @@ func (s *Server) routeTenant(ctx context.Context, sc *serveScratch, t *tenant, r
 // says why.
 func (s *Server) writeRedirect(sc *serveScratch, t *tenant, resp *bytes.Buffer) int {
 	cs := s.cluster
+	// Hint before table: a committing handoff updates the table and only
+	// then clears the hint, so a nil hint here means the table read next
+	// already names the new owner — the other order can pair a stale
+	// table with a cleared hint and redirect the client at this node.
+	hint := t.ownerHint.Load()
 	tab := cs.table.Load()
 	owner := tab.Owner(t.name)
-	if owner.ID == cs.self.ID {
-		// Mid-handoff the table still points here; the hint set when
+	if owner.ID == cs.self.ID && hint != nil {
+		// Mid-handoff the table still points here; the hint set before
 		// the tenant entered sending names the real destination.
-		if m := t.ownerHint.Load(); m != nil {
-			owner = *m
-		}
+		owner = *hint
 	}
 	cs.redirects.Inc()
 	sc.location = owner.Addr + "/v1/queries"
@@ -783,37 +786,57 @@ func (s *Server) handleHandoff(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handoffTenant runs the source half of a live migration: flip to
-// sending (new requests now chase the target), drain in-flight ones,
-// stream every shard, activate the target under a bumped
-// epoch, then release local state and gossip the new table. Any
-// failure before activation aborts the target's half and restores the
-// tenant to active — the handoff is all-or-nothing. Activation itself
-// is the one step whose failure cannot be taken at face value (the
-// target may have committed and the ack been lost), so an activate
+// handoffTenant runs the source half of a live migration: prepare the
+// target (it now holds requests), flip to sending (new requests now
+// chase the target), drain in-flight ones, stream every shard, activate
+// the target under a bumped epoch, then release local state and gossip
+// the new table. The target must be holding before the source starts
+// redirecting: until prepare lands it is still remote and answers 307
+// back at this node, and a client bounced between the two at loopback
+// speed burns its whole redirect budget inside one scheduling delay.
+// Any failure before activation aborts the target's half and restores
+// the tenant to active — the handoff is all-or-nothing. Activation
+// itself is the one step whose failure cannot be taken at face value
+// (the target may have committed and the ack been lost), so an activate
 // error is settled by verification before anything is reverted.
 func (s *Server) handoffTenant(ctx context.Context, t *tenant, target cluster.Member) (uint64, map[string]int, error) {
 	cs := s.cluster
-	if !t.state.CompareAndSwap(tenantActive, tenantSending) {
-		return 0, nil, fmt.Errorf("federation is %s here, not active", tenantStateName(t.state.Load()))
+	if st := t.state.Load(); st != tenantActive {
+		return 0, nil, fmt.Errorf("federation is %s here, not active", tenantStateName(st))
 	}
-	t.ownerHint.Store(&target)
-	revert := func() {
-		t.state.Store(tenantActive)
-		t.ownerHint.Store(nil)
+	// Claiming the hint is what makes the handoff single-entry now that
+	// the state flips only after a round trip: a second handoff of this
+	// federation stops here, before it could prepare — and later abort —
+	// a target of its own. The hint is not read while the tenant is
+	// active, and is in place before the first redirect needs it.
+	hint := &target
+	if !t.ownerHint.CompareAndSwap(nil, hint) {
+		return 0, nil, errors.New("another handoff of this federation is in flight")
 	}
 	s.log.Info("handoff started", "federation", t.name, "target", target.ID)
 
 	fedQ := "?federation=" + t.name
 	if err := cs.post(target.Addr+"/v1/admin/handoff/prepare"+fedQ, nil); err != nil {
-		revert()
+		t.ownerHint.CompareAndSwap(hint, nil)
 		return 0, nil, fmt.Errorf("prepare: %w", err)
 	}
-	abort := func() {
+	// (A stale-owner demotion can take active→sending first and
+	// overwrite the hint, hence the compare-and-swap release.)
+	abortTarget := func() {
 		if err := cs.post(target.Addr+"/v1/admin/handoff/abort"+fedQ, nil); err != nil {
 			s.log.Warn("handoff abort failed", "federation", t.name, "error", err.Error())
 		}
-		revert()
+		t.ownerHint.CompareAndSwap(hint, nil)
+	}
+	if !t.state.CompareAndSwap(tenantActive, tenantSending) {
+		abortTarget()
+		return 0, nil, fmt.Errorf("federation is %s here, not active", tenantStateName(t.state.Load()))
+	}
+	// Serve here again before the target lets go of the requests it
+	// holds: released, they chase the table back to this node.
+	abort := func() {
+		t.state.Store(tenantActive)
+		abortTarget()
 	}
 
 	// Drain: requests that loaded state before the flip finish under

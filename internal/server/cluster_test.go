@@ -314,9 +314,17 @@ func TestClusterHandoffMovesOwnership(t *testing.T) {
 // TestClusterHandoffSubmitHammer bounces ownership back and forth
 // while clients hammer both nodes; every request must complete 200
 // after at most a few redirects — nobody may observe an error from the
-// migration machinery. Run with -race this doubles as the concurrency
-// check on the tenant state machine.
+// migration machinery. Within one handoff a request sees at most two
+// 307s in a row (stale node → source → target, which holds it): the
+// target holds before the source redirects, so nothing is bounced
+// between the two. A request quicker than the pause between handoffs
+// overlaps at most one, so more than two 307s there is a ping-pong; a
+// slower one (the client descheduled under -race) may chase ownership
+// across several handoffs, which is what the 8-hop budget is for. Run
+// with -race this doubles as the concurrency check on the tenant state
+// machine.
 func TestClusterHandoffSubmitHammer(t *testing.T) {
+	const bounce = 20 * time.Millisecond // pause between handoffs
 	tc := newTestCluster(t, 2, []string{"alpha"})
 	req, _ := json.Marshal(QueryRequest{Federation: "alpha", Query: "Q12", Weights: []float64{1, 1}})
 
@@ -337,7 +345,7 @@ func TestClusterHandoffSubmitHammer(t *testing.T) {
 				// Start at alternating nodes and follow redirects by
 				// hand, bounded by a budget.
 				url := tc.https[(w+i)%2].URL + "/v1/queries"
-				status := 0
+				status, redirects, began := 0, 0, time.Now()
 				for hop := 0; hop < 8; hop++ {
 					resp, err := noRedirectClient.Post(url, "application/json", strings.NewReader(string(req)))
 					if err != nil {
@@ -352,13 +360,14 @@ func TestClusterHandoffSubmitHammer(t *testing.T) {
 					status = resp.StatusCode
 					if status == http.StatusTemporaryRedirect {
 						url = resp.Header.Get("Location")
+						redirects++
 						continue
 					}
 					break
 				}
-				if status != http.StatusOK {
+				if took := time.Since(began); status != http.StatusOK || (redirects > 2 && took < bounce) {
 					select {
-					case errCh <- fmt.Errorf("request ended %d", status):
+					case errCh <- fmt.Errorf("request ended %d after %d consecutive 307s in %v", status, redirects, took):
 					default:
 					}
 					return
@@ -381,7 +390,7 @@ func TestClusterHandoffSubmitHammer(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("round %d handoff: %d %s", round, resp.StatusCode, body)
 		}
-		time.Sleep(20 * time.Millisecond)
+		time.Sleep(bounce)
 	}
 	close(stop)
 	wg.Wait()

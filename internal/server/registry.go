@@ -55,9 +55,6 @@ type FederationSpec struct {
 	CalibSF float64 `json:"calib_sf,omitempty"`
 	// NodeChoices is the cluster-size menu (default {1, 2, 4}).
 	NodeChoices []int `json:"node_choices,omitempty"`
-	// Parallelism bounds the scheduler's estimation pool (0 =
-	// GOMAXPROCS).
-	Parallelism int `json:"parallelism,omitempty"`
 	// CacheSize tunes the Modelling module's model cache (0 = default).
 	CacheSize int `json:"cache_size,omitempty"`
 	// PrunePolicy selects which QEPs of the lattice each sweep
@@ -183,7 +180,6 @@ func buildTenant(spec FederationSpec, storeCfg StoreConfig, reg *metrics.Registr
 	schedCfg := ires.SchedulerConfig{
 		NodeChoices:       sp.NodeChoices,
 		Seed:              sp.Seed,
-		Parallelism:       sp.Parallelism,
 		CacheSize:         sp.CacheSize,
 		Prune:             pruner,
 		Metrics:           reg,

@@ -683,9 +683,11 @@ func (sc *serveScratch) decodeRequest(body []byte) error {
 		sc.dec = json.NewDecoder(sc.rd)
 		return err
 	}
-	// More() skips trailing whitespace (draining it from the buffer)
-	// and reports whether another value follows.
-	if sc.dec.More() {
+	// Token skips trailing whitespace and answers io.EOF only when
+	// nothing else follows. (More() cannot tell: it reports false for a
+	// stray '}' or ']' exactly as for end of input, and would leave that
+	// byte buffered in front of the next request's body.)
+	if _, err := sc.dec.Token(); err != io.EOF {
 		sc.dec = json.NewDecoder(sc.rd)
 		return errors.New("trailing data after JSON value")
 	}

@@ -343,15 +343,12 @@ type (
 	Policy = ires.Policy
 	// Decision reports one scheduling round.
 	Decision = ires.Decision
-	// SchedulerConfig adds the parallel-estimation and durability
-	// knobs: Parallelism bounds the worker pool that fans plan
-	// estimation out (0 = GOMAXPROCS, 1 = sequential), CacheSize tunes
-	// the Modelling module's per-(history, version) model cache, and
-	// Store injects a durable HistoryStore the scheduler recovers from
-	// and records through. Decisions are byte-identical for any
-	// setting with deterministic models (the default; the
-	// UniformSample window ablation is the exception — see
-	// Scheduler.Parallelism), including across a store-backed restart.
+	// SchedulerConfig adds the model-cache and durability knobs:
+	// CacheSize tunes the Modelling module's per-(history, version)
+	// model cache, and Store injects a durable HistoryStore the
+	// scheduler recovers from and records through. Decisions are
+	// byte-identical cached or uncached, at any GOMAXPROCS and any
+	// request concurrency, including across a store-backed restart.
 	SchedulerConfig = ires.SchedulerConfig
 	// PrunePolicy decides which QEPs of the lattice a sweep actually
 	// estimates. Set SchedulerConfig.Prune; nil sweeps the whole
@@ -363,7 +360,7 @@ type (
 // GreedyPrune estimates at most budget plans (0 = a size-derived
 // default): a coarse lattice scaffold followed by a cost-ordered walk
 // around the running Pareto front that stops early once a whole chunk
-// of candidates is dominated. Deterministic at any Parallelism.
+// of candidates is dominated. Deterministic for a fixed history.
 func GreedyPrune(budget int) PrunePolicy { return ires.GreedyPrune(budget) }
 
 // NewDREAMModel builds a DREAM Modelling module.
@@ -374,8 +371,8 @@ func NewScheduler(fed *Federation, exec Executor, model CostModel, nodeChoices [
 	return ires.NewScheduler(fed, exec, model, nodeChoices, seed)
 }
 
-// NewSchedulerWithConfig assembles the pipeline with explicit
-// parallelism and model-cache knobs.
+// NewSchedulerWithConfig assembles the pipeline from a
+// SchedulerConfig (model cache, prune policy, durable store, metrics).
 func NewSchedulerWithConfig(fed *Federation, exec Executor, model CostModel, cfg SchedulerConfig) (*Scheduler, error) {
 	return ires.NewSchedulerWithConfig(fed, exec, model, cfg)
 }

@@ -45,10 +45,10 @@ func TestFacadeFullPipeline(t *testing.T) {
 	}
 }
 
-// TestFacadeParallelScheduler drives the concurrent pipeline through
-// the public API: GOMAXPROCS workers, model cache on, and a history
-// snapshot taken mid-run.
-func TestFacadeParallelScheduler(t *testing.T) {
+// TestFacadeSchedulerWithConfig drives the config-assembled scheduler
+// through the public API: model cache on, and a history snapshot taken
+// mid-run.
+func TestFacadeSchedulerWithConfig(t *testing.T) {
 	fed, err := NewDefaultFederation(19)
 	if err != nil {
 		t.Fatal(err)
@@ -66,9 +66,8 @@ func TestFacadeParallelScheduler(t *testing.T) {
 		t.Fatal(err)
 	}
 	sched, err := NewSchedulerWithConfig(fed, exec, model, SchedulerConfig{
-		Seed:        19,
-		Parallelism: 0, // GOMAXPROCS
-		CacheSize:   DefaultModelCacheSize,
+		Seed:      19,
+		CacheSize: DefaultModelCacheSize,
 	})
 	if err != nil {
 		t.Fatal(err)
