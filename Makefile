@@ -7,16 +7,16 @@ GO ?= go
 COVER_FLOOR ?= 60
 COVER_PKGS ?= ./internal/server ./internal/core ./internal/histstore ./internal/metrics ./internal/cluster ./internal/scenario ./internal/framelog
 
-# The regression-gated benchmarks: the Q12/Q13 serving sweeps (cached
-# vs uncached), the cold (uncached) window searches the incremental shared-Gram solver
-# owns, the pooled serving hot path (ServeHotPath reports allocs/op,
-# the zero-alloc regression signal), the PlanSweep full-vs-greedy
-# family over the wide (Example 3.1) lattice, SweepRound (one whole
-# 2,048-plan round, window search included) and internal/moo's
-# ParetoFront shapes. The minimum of COUNT runs is compared by
-# cmd/benchgate in CI. The fsync-bound ServeDurable
-# and WALAppend* benchmarks are deliberately NOT gated — fsync latency
-# is hardware noise a CI gate must not key on.
+# The micro-benchmarks `make bench-sweep` prints for benchstat: the
+# Q12/Q13 serving sweeps (cached vs uncached), the cold (uncached)
+# window searches the incremental shared-Gram solver owns, the pooled
+# serving hot path, the PlanSweep full-vs-greedy family over the wide
+# (Example 3.1) lattice, SweepRound (one whole 2,048-plan round, window
+# search included) and internal/moo's ParetoFront shapes. Nothing gates
+# on them: CI's regression gate is `bench -compare` over bench/ against
+# BENCHMARK.json's bounds, and allocation budgets are ordinary tests
+# (TestServeSubmitAllocBudget). The fsync-bound ServeDurable and
+# WALAppend* benchmarks are left out — fsync latency is hardware noise.
 SWEEP_PATTERN ?= Q1[23]Sweep|WindowSearchCold|DREAMEstimateUncached|ServeHotPath|PlanSweep|SweepRound|ParetoFront|RouteLookup
 SWEEP_COUNT ?= 5
 
@@ -81,7 +81,7 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
-## bench-sweep: repeated runs of the regression-gated sweep + cold-search benchmarks
+## bench-sweep: repeated runs of the sweep + cold-search micro-benchmarks, for benchstat
 bench-sweep:
 	$(GO) test -run '^$$' -bench '$(SWEEP_PATTERN)' -benchtime 10x -count $(SWEEP_COUNT) . ./internal/moo
 

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/federation"
 	"repro/internal/ires"
@@ -194,8 +193,7 @@ func BenchmarkDREAMEstimate(b *testing.B) {
 // benchDREAMEstimateUncached measures Algorithm 1 with the model cache
 // disabled over the realistic federated history. The workload knobs
 // stay outside the function so the two named variants below keep their
-// meanings (and their merge-base comparability in the benchgate)
-// stable.
+// meanings (and their comparability across commits) stable.
 func benchDREAMEstimateUncached(b *testing.B, timeNoise, moneyNoise, requiredR2 float64) {
 	b.Helper()
 	h, err := core.NewHistory(federation.FeatureDim, federation.Metrics...)
@@ -233,7 +231,7 @@ func benchDREAMEstimateUncached(b *testing.B, timeNoise, moneyNoise, requiredR2 
 // BenchmarkDREAMEstimateUncached is the same measurement as
 // BenchmarkDREAMEstimate with the model cache disabled — the seed
 // repo's sequential estimation path, kept (workload unchanged since
-// PR 1, so the benchgate's merge-base comparison stays meaningful) as
+// PR 1, so comparisons across commits stay meaningful) as
 // the baseline the parallel pipeline is judged against. On this
 // near-clean data the search converges at the minimal window, so it
 // measures the fixed per-estimate cost, not window growth.
@@ -445,7 +443,7 @@ func wideScheduler(b *testing.B, seed int64, maxNodes int, scale float64, prune 
 // at two lattice sizes: P200 (maxNodes 10) and P18200 (maxNodes 96, the
 // paper's Example 3.1 regime of 18,200+ equivalent QEPs). The Greedy
 // cases use the policy's default budget and must stay well under their
-// Full counterparts — this family is regression-gated by the benchgate.
+// Full counterparts.
 func BenchmarkPlanSweep(b *testing.B) {
 	for _, pol := range []struct {
 		name  string
@@ -549,23 +547,6 @@ func BenchmarkFederatedQ12Execution(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := ex.Execute(plan); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkQ1Engine measures the single-table pricing-summary plan over
-// generated data at SF 0.005.
-func BenchmarkQ1Engine(b *testing.B) {
-	db, err := tpch.Generate(0.005, tpch.GenOptions{Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	rel := engine.ToRelationQ1(db)
-	plan := engine.BuildQ1Plan(tpch.DefaultQ1Params())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := engine.Run(plan, map[string]*engine.Relation{"lineitem": rel}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -10,8 +10,8 @@ import (
 // BenchmarkRouteLookup measures the cluster routing decision every
 // request pays before any scheduling work: federation name → owning
 // member through the epoch-versioned table (consistent-hash ring plus
-// override map). It sits on the serving hot path, so it is benchgate-
-// pinned and must stay allocation-free.
+// override map). It sits on the serving hot path, so it must stay
+// allocation-free (checked below before the timed loop).
 func BenchmarkRouteLookup(b *testing.B) {
 	members := make([]cluster.Member, 5)
 	for i := range members {

@@ -111,8 +111,7 @@ func run() error {
 		chaosSeed   = flag.Int64("chaos-seed", 0, "seed for the fault schedule (0 = -seed)")
 
 		queueDepth     = flag.Int("queue-depth", 1024, "bounded admission queue depth")
-		requestTimeout = flag.Duration("request-timeout", 30*time.Second, "per-request budget (exceeded → 504)")
-		sweepTimeout   = flag.Duration("sweep-timeout", 60*time.Second, "per-plan-sweep budget")
+		requestTimeout = flag.Duration("request-timeout", 30*time.Second, "per-request budget, plan sweep included (exceeded → 504)")
 		drainTimeout   = flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget")
 
 		dataDir            = flag.String("data-dir", "", "root directory for durable query histories (empty = in-memory only)")
@@ -123,10 +122,9 @@ func run() error {
 		nodeID        = flag.String("node-id", "", "this node's name in -cluster-peers (cluster mode)")
 		clusterPeers  = flag.String("cluster-peers", "", `cluster membership as "id=url,id=url,..." including this node; empty = standalone`)
 		replicate     = flag.Bool("cluster-replicate", false, "ship each owned federation's WAL to its standby synchronously")
-		syncInterval  = flag.Duration("cluster-sync-interval", 2*time.Second, "standby catch-up snapshot cadence (requires -cluster-replicate)")
+		syncInterval  = flag.Duration("cluster-sync-interval", 2*time.Second, "cadence of the standby sync loop: re-arms degraded replication streams with a full shard sync (requires -cluster-replicate)")
 		autoFailover  = flag.Bool("cluster-auto-failover", false, "probe peers and auto-promote this node's standby federations when their owner is confirmed dead")
-		probeInterval = flag.Duration("cluster-probe-interval", time.Second, "failure-detector probe cadence (requires -cluster-auto-failover)")
-		probeTimeout  = flag.Duration("cluster-probe-timeout", 0, "per-probe deadline (0 = probe interval)")
+		probeInterval = flag.Duration("cluster-probe-interval", time.Second, "failure-detector probe cadence and per-probe deadline (requires -cluster-auto-failover)")
 		suspectAfter  = flag.Int("cluster-suspect-after", 3, "consecutive probe misses before a peer is suspect (pauses rebalancing)")
 		downAfter     = flag.Int("cluster-down-after", 6, "consecutive probe misses before a peer is declared dead (triggers auto-failover)")
 		autoRebalance = flag.Bool("cluster-auto-rebalance", false, "drift federations back to their ring-computed owners after membership settles (requires -cluster-auto-failover)")
@@ -183,7 +181,6 @@ func run() error {
 		clusterCfg.AutoFailover = *autoFailover
 		clusterCfg.AutoRebalance = *autoRebalance
 		clusterCfg.ProbeInterval = *probeInterval
-		clusterCfg.ProbeTimeout = *probeTimeout
 		clusterCfg.SuspectAfter = *suspectAfter
 		clusterCfg.DownAfter = *downAfter
 		logger.Info("cluster mode", "node", clusterCfg.NodeID,
@@ -197,7 +194,6 @@ func run() error {
 		Federations:    specs,
 		QueueDepth:     *queueDepth,
 		RequestTimeout: *requestTimeout,
-		SweepTimeout:   *sweepTimeout,
 		Store:          storeCfg,
 		Cluster:        clusterCfg,
 		Logger:         logger,

@@ -232,13 +232,6 @@ func (s *SiteChaos) window(lo, hi int) int {
 	return lo + s.rng.Intn(hi-lo+1)
 }
 
-// current returns the active load multiplier without advancing time.
-func (s *SiteChaos) current() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.loadMult
-}
-
 // PriceFactor returns the active price multiplier (1 outside spikes).
 func (s *SiteChaos) PriceFactor() float64 {
 	s.mu.Lock()

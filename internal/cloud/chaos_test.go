@@ -87,9 +87,6 @@ func TestChaosOutageEscapesLoadClamp(t *testing.T) {
 	if f <= lp.MaxFactor {
 		t.Fatalf("outage multiplier was clamped away: factor %v <= MaxFactor %v", f, lp.MaxFactor)
 	}
-	if c := lp.Current(); c <= lp.MaxFactor {
-		t.Fatalf("Current must see the open outage window too, got %v", c)
-	}
 }
 
 func TestChaosNilAttachChangesNothing(t *testing.T) {

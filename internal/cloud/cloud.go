@@ -137,12 +137,6 @@ func NewCluster(p *Provider, instanceName string, nodes int) (*Cluster, error) {
 	return &Cluster{Provider: p, Type: it, Nodes: nodes}, nil
 }
 
-// TotalVCPU returns the aggregate vCPU count.
-func (c *Cluster) TotalVCPU() int { return c.Nodes * c.Type.VCPU }
-
-// TotalMemoryGiB returns the aggregate memory.
-func (c *Cluster) TotalMemoryGiB() float64 { return float64(c.Nodes) * c.Type.MemoryGiB }
-
 // PricePerHour returns the aggregate rental price.
 func (c *Cluster) PricePerHour() float64 { return float64(c.Nodes) * c.Type.PricePerHour }
 
@@ -272,25 +266,6 @@ func (lp *LoadProcess) Tick() float64 {
 	}
 	if lp.chaos != nil {
 		f *= lp.chaos.advance(lp.tick)
-	}
-	return f
-}
-
-// Current returns the load factor without advancing time (diurnal and
-// walk state as of the last Tick, without fresh noise).
-func (lp *LoadProcess) Current() float64 {
-	lp.mu.Lock()
-	defer lp.mu.Unlock()
-	diurnal := lp.DiurnalAmplitude * math.Sin(2*math.Pi*float64(lp.tick)/lp.DiurnalPeriod)
-	f := 1 + lp.walk + diurnal
-	if f < lp.MinFactor {
-		f = lp.MinFactor
-	}
-	if f > lp.MaxFactor {
-		f = lp.MaxFactor
-	}
-	if lp.chaos != nil {
-		f *= lp.chaos.current()
 	}
 	return f
 }

@@ -35,11 +35,9 @@ func (s PeerStatus) String() string {
 
 // DetectorConfig tunes the probe cadence and the suspicion thresholds.
 type DetectorConfig struct {
-	// ProbeInterval is the gap between probes to a responsive peer
-	// (default 1s).
+	// ProbeInterval is the gap between probes to a responsive peer and
+	// the deadline of each probe round-trip (default 1s).
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one probe round-trip (default ProbeInterval).
-	ProbeTimeout time.Duration
 	// SuspectAfter is the consecutive missed probes before a peer turns
 	// suspect (default 3).
 	SuspectAfter int
@@ -56,9 +54,6 @@ type DetectorConfig struct {
 func (c *DetectorConfig) setDefaults() {
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = time.Second
-	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = c.ProbeInterval
 	}
 	if c.SuspectAfter <= 0 {
 		c.SuspectAfter = 3
@@ -184,7 +179,7 @@ func (d *Detector) watch(p *peerState) {
 			return
 		case <-timer.C:
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), d.cfg.ProbeTimeout)
+		ctx, cancel := context.WithTimeout(context.Background(), d.cfg.ProbeInterval)
 		began := time.Now()
 		err := d.probe(ctx, p.member)
 		cancel()

@@ -151,8 +151,8 @@ func TestDetectorProbeCallbackAndStop(t *testing.T) {
 func TestDetectorConfigDefaults(t *testing.T) {
 	var c DetectorConfig
 	c.setDefaults()
-	if c.ProbeInterval != time.Second || c.ProbeTimeout != time.Second {
-		t.Fatalf("interval/timeout defaults: %v/%v", c.ProbeInterval, c.ProbeTimeout)
+	if c.ProbeInterval != time.Second {
+		t.Fatalf("interval default: %v", c.ProbeInterval)
 	}
 	if c.SuspectAfter != 3 || c.DownAfter != 6 {
 		t.Fatalf("threshold defaults: %d/%d", c.SuspectAfter, c.DownAfter)

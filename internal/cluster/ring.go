@@ -23,8 +23,8 @@ type Member struct {
 	Addr string `json:"addr"`
 }
 
-// DefaultVirtualNodes is the per-member vnode count when RingConfig
-// leaves it zero. 128 points per member keeps the expected placement
+// DefaultVirtualNodes is the per-member vnode count NewRing uses when
+// asked for zero. 128 points per member keeps the expected placement
 // imbalance under ~10% for small clusters while a full ring rebuild
 // stays microseconds.
 const DefaultVirtualNodes = 128

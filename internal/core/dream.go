@@ -540,23 +540,6 @@ func (e *Estimator) searchWindow(s *Snapshot, minM int) (*windowFit, error) {
 	return fit, nil
 }
 
-// TrainingWindow returns the reduced training set DREAM would hand to a
-// downstream Modelling module (paper Figure 2): the most recent m
-// observations where m is the converged window size for plan features
-// x. It is exposed so external learners can be trained on DREAM-sized
-// windows.
-func (e *Estimator) TrainingWindow(h *History, x []float64) ([]Observation, error) {
-	s := h.Snapshot()
-	est, err := e.EstimateSnapshot(s, x)
-	if err != nil {
-		return nil, err
-	}
-	window := s.obs[s.Len()-est.WindowSize:]
-	out := make([]Observation, len(window))
-	copy(out, window)
-	return out, nil
-}
-
 func (e *Estimator) grow(m, mmax int) int {
 	switch e.cfg.Growth {
 	case Doubling:

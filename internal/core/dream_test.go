@@ -260,28 +260,6 @@ func TestDoublingGrowth(t *testing.T) {
 	}
 }
 
-func TestTrainingWindow(t *testing.T) {
-	h := mustHistory(t, 2, "time", "money")
-	rng := stats.NewRNG(8)
-	if err := fillLinear(h, rng, 30, 0); err != nil {
-		t.Fatal(err)
-	}
-	e := mustEstimator(t, Config{})
-	win, err := e.TrainingWindow(h, []float64{3, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(win) != regression.MinObservations(2) {
-		t.Errorf("training window size = %d, want %d", len(win), regression.MinObservations(2))
-	}
-	// Must be the most recent observations.
-	last := h.At(h.Len() - 1)
-	got := win[len(win)-1]
-	if got.X[0] != last.X[0] || got.Costs[0] != last.Costs[0] {
-		t.Error("training window is not the most recent slice of history")
-	}
-}
-
 func TestEstimateValuesOrder(t *testing.T) {
 	h := mustHistory(t, 1, "a", "b", "c")
 	rng := stats.NewRNG(9)

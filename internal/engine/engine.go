@@ -243,6 +243,24 @@ func (j *HashJoin) Execute(ctx *Context) (*Relation, error) {
 	return out, nil
 }
 
+// joinSchema builds the concatenated output schema, disambiguating
+// duplicate right-side names with an "r_" prefix.
+func joinSchema(left, right Schema) Schema {
+	out := make(Schema, 0, len(left)+len(right))
+	out = append(out, left...)
+	seen := make(map[string]bool, len(left))
+	for _, c := range left {
+		seen[c] = true
+	}
+	for _, c := range right {
+		if seen[c] {
+			c = "r_" + c
+		}
+		out = append(out, c)
+	}
+	return out
+}
+
 func concatRows(a, b Row) Row {
 	out := make(Row, 0, len(a)+len(b))
 	out = append(out, a...)

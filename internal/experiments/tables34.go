@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 
 	"repro/internal/tpch"
@@ -36,23 +35,6 @@ type MREResult struct {
 	SF float64
 	// MRE[query][model] is the mean time-MRE across repetitions.
 	MRE map[tpch.QueryID]map[string]float64
-}
-
-// BestModel returns the lowest-MRE model for a query.
-func (r *MREResult) BestModel(q tpch.QueryID) string {
-	best, bestV := "", -1.0
-	names := make([]string, 0, len(r.MRE[q]))
-	for name := range r.MRE[q] {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		v := r.MRE[q][name]
-		if best == "" || v < bestV {
-			best, bestV = name, v
-		}
-	}
-	return best
 }
 
 // RunMRE executes the Tables 3/4 campaign at the given scale factor:

@@ -190,9 +190,6 @@ func Open(root string, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// Root reports the store's root directory.
-func (s *Store) Root() string { return s.root }
-
 // shardDir maps a shard name to its directory; names are path-escaped
 // so any query or tenant name is a single safe path element.
 func (s *Store) shardDir(name string) string {

@@ -202,7 +202,7 @@ func TestExportImportGuards(t *testing.T) {
 		if err := s.ImportShard("Q13", bytes.NewReader(stream)); err == nil {
 			t.Errorf("%s: import stream accepted", name)
 		}
-		if _, err := os.Stat(filepath.Join(s.Root(), "Q13")); !os.IsNotExist(err) {
+		if _, err := os.Stat(filepath.Join(s.root, "Q13")); !os.IsNotExist(err) {
 			t.Errorf("%s: refused import touched disk: %v", name, err)
 		}
 	}

@@ -363,15 +363,15 @@ func (s *Scheduler) OpenHistory(q tpch.QueryID) (*core.History, error) {
 	return h, nil
 }
 
-// History returns the execution history of a query, creating it if
-// needed. Without a Store this cannot fail; with one, an unrecoverable
-// shard panics — use OpenHistory (at boot) when a store is attached.
+// History returns the execution history of a query, or nil when nothing
+// has opened it yet (OpenHistory, and through it Bootstrap, Record and
+// the sweeps). A pure lookup: it never creates a history and never
+// touches the Store, so a read cannot turn a shard this scheduler does
+// not own — a standby's replica — into a live one.
 func (s *Scheduler) History(q tpch.QueryID) *core.History {
-	h, err := s.OpenHistory(q)
-	if err != nil {
-		panic(err)
-	}
-	return h
+	s.histMu.Lock()
+	defer s.histMu.Unlock()
+	return s.histories[q]
 }
 
 // Checkpoint is a durability point: every observation recorded so far

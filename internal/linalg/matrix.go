@@ -167,15 +167,6 @@ func (m *Matrix) Add(n *Matrix) (*Matrix, error) {
 	return out, nil
 }
 
-// Scale returns s·m as a new matrix.
-func (m *Matrix) Scale(s float64) *Matrix {
-	out := New(m.rows, m.cols)
-	for i := range m.data {
-		out.data[i] = s * m.data[i]
-	}
-	return out
-}
-
 // AddOuter adds the outer product v·vᵀ to the square matrix m in
 // place — the rank-1 Gram update (AᵀA += a·aᵀ) at the heart of the
 // incremental window search.

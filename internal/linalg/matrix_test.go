@@ -135,7 +135,7 @@ func TestInverseIdentity(t *testing.T) {
 	}
 }
 
-func TestAddAndScale(t *testing.T) {
+func TestAdd(t *testing.T) {
 	a, _ := FromRows([][]float64{{1, 2}, {3, 4}})
 	b, _ := FromRows([][]float64{{10, 20}, {30, 40}})
 	s, err := a.Add(b)
@@ -144,10 +144,6 @@ func TestAddAndScale(t *testing.T) {
 	}
 	if s.At(1, 1) != 44 {
 		t.Errorf("Add(1,1) = %v, want 44", s.At(1, 1))
-	}
-	sc := a.Scale(2)
-	if sc.At(0, 1) != 4 {
-		t.Errorf("Scale(0,1) = %v, want 4", sc.At(0, 1))
 	}
 	if _, err := a.Add(New(3, 3)); !errors.Is(err, ErrShape) {
 		t.Errorf("Add shape mismatch: got %v, want ErrShape", err)

@@ -61,49 +61,6 @@ func KneePoint(costs [][]float64) (int, error) {
 	return best, nil
 }
 
-// EpsilonConstraint minimizes the primary objective subject to upper
-// bounds on the others: plan i is feasible when costs[i][m] ≤
-// epsilons[m] for every non-primary objective m with a finite bound.
-// epsilons is indexed like the cost vectors; the primary entry is
-// ignored. If nothing is feasible, the plan closest to feasibility
-// (smallest total constraint violation) is returned.
-func EpsilonConstraint(costs [][]float64, primary int, epsilons []float64) (int, error) {
-	if len(costs) == 0 {
-		return 0, ErrNoPlans
-	}
-	nObj := len(costs[0])
-	if primary < 0 || primary >= nObj {
-		return 0, fmt.Errorf("%w: primary objective %d of %d", ErrDimension, primary, nObj)
-	}
-	if len(epsilons) != nObj {
-		return 0, fmt.Errorf("%w: %d epsilons for %d objectives", ErrDimension, len(epsilons), nObj)
-	}
-	best, bestVal := -1, math.Inf(1)
-	fallback, fallbackViolation := -1, math.Inf(1)
-	for i, c := range costs {
-		violation := 0.0
-		for m, e := range epsilons {
-			if m == primary || math.IsInf(e, 1) {
-				continue
-			}
-			if c[m] > e {
-				violation += c[m] - e
-			}
-		}
-		if violation == 0 {
-			if c[primary] < bestVal {
-				best, bestVal = i, c[primary]
-			}
-		} else if violation < fallbackViolation {
-			fallback, fallbackViolation = i, violation
-		}
-	}
-	if best >= 0 {
-		return best, nil
-	}
-	return fallback, nil
-}
-
 // Lexicographic orders objectives by priority: the plan minimizing the
 // first objective wins; ties within `tolerance` (relative) fall through
 // to the next objective, and so on. order lists objective indices by

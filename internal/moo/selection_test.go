@@ -43,51 +43,6 @@ func TestKneePointEdgeCases(t *testing.T) {
 	}
 }
 
-func TestEpsilonConstraint(t *testing.T) {
-	costs := [][]float64{
-		{1, 100}, // fastest but expensive
-		{5, 10},
-		{8, 5},
-	}
-	// Minimize time subject to money ≤ 20 → plan 1.
-	i, err := EpsilonConstraint(costs, 0, []float64{math.Inf(1), 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if i != 1 {
-		t.Errorf("selected %d, want 1", i)
-	}
-	// Unbounded epsilon = plain argmin of the primary.
-	i, err = EpsilonConstraint(costs, 0, []float64{math.Inf(1), math.Inf(1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if i != 0 {
-		t.Errorf("unconstrained selected %d, want 0", i)
-	}
-	// Infeasible everywhere → closest to feasibility (plan 2: violation 5-1=4).
-	i, err = EpsilonConstraint(costs, 0, []float64{math.Inf(1), 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if i != 2 {
-		t.Errorf("infeasible fallback selected %d, want 2", i)
-	}
-}
-
-func TestEpsilonConstraintErrors(t *testing.T) {
-	if _, err := EpsilonConstraint(nil, 0, nil); !errors.Is(err, ErrNoPlans) {
-		t.Errorf("got %v, want ErrNoPlans", err)
-	}
-	costs := [][]float64{{1, 2}}
-	if _, err := EpsilonConstraint(costs, 5, []float64{1, 2}); !errors.Is(err, ErrDimension) {
-		t.Errorf("bad primary: got %v, want ErrDimension", err)
-	}
-	if _, err := EpsilonConstraint(costs, 0, []float64{1}); !errors.Is(err, ErrDimension) {
-		t.Errorf("bad epsilons: got %v, want ErrDimension", err)
-	}
-}
-
 func TestLexicographic(t *testing.T) {
 	costs := [][]float64{
 		{10, 1},
@@ -168,19 +123,9 @@ func TestPropertySelectionsInRangeAndSane(t *testing.T) {
 		if err != nil || k < 0 || k >= n {
 			return false
 		}
-		e, err := EpsilonConstraint(costs, 0, []float64{math.Inf(1), math.Inf(1)})
-		if err != nil || e < 0 || e >= n {
-			return false
-		}
 		l, err := Lexicographic(costs, []int{0, 1}, 0.05)
 		if err != nil || l < 0 || l >= n {
 			return false
-		}
-		// Epsilon-unconstrained must be a primary-objective minimizer.
-		for _, c := range costs {
-			if c[0] < costs[e][0] {
-				return false
-			}
 		}
 		return true
 	}

@@ -57,52 +57,6 @@ type Sample struct {
 	C float64   // observed cost (time, money, energy, …)
 }
 
-// Dataset is an ordered collection of samples; order matters because
-// DREAM windows select the most recent observations.
-type Dataset struct {
-	dim     int
-	samples []Sample
-}
-
-// NewDataset returns an empty dataset for feature dimension dim.
-func NewDataset(dim int) *Dataset {
-	return &Dataset{dim: dim}
-}
-
-// Dim returns the feature dimension L.
-func (d *Dataset) Dim() int { return d.dim }
-
-// Len returns the number of samples.
-func (d *Dataset) Len() int { return len(d.samples) }
-
-// Add appends a sample, validating its dimension.
-func (d *Dataset) Add(s Sample) error {
-	if len(s.X) != d.dim {
-		return fmt.Errorf("%w: sample has %d features, dataset wants %d", ErrDimension, len(s.X), d.dim)
-	}
-	d.samples = append(d.samples, s)
-	return nil
-}
-
-// At returns the i-th sample (oldest first).
-func (d *Dataset) At(i int) Sample { return d.samples[i] }
-
-// Tail returns the m most recent samples (a view; do not mutate).
-func (d *Dataset) Tail(m int) []Sample {
-	if m >= len(d.samples) {
-		return d.samples
-	}
-	return d.samples[len(d.samples)-m:]
-}
-
-// Head returns the m oldest samples (a view; do not mutate).
-func (d *Dataset) Head(m int) []Sample {
-	if m >= len(d.samples) {
-		return d.samples
-	}
-	return d.samples[:m]
-}
-
 // Model is a fitted MLR model.
 type Model struct {
 	// Beta holds the fitted coefficients [β̂₀, β̂₁, …, β̂_L]; Beta[0] is
@@ -279,9 +233,4 @@ func (m *Model) PredictWithInterval(x []float64) (pred, stderr float64, err erro
 		quad = 0 // numerical guard: (AᵀA)⁻¹ is PSD in exact arithmetic
 	}
 	return pred, math.Sqrt(m.sigma2 * (1 + quad)), nil
-}
-
-// FitDataset fits over the full dataset.
-func FitDataset(d *Dataset, opts FitOptions) (*Model, error) {
-	return Fit(d.samples, opts)
 }

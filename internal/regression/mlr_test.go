@@ -185,45 +185,6 @@ func TestPredictDimensionError(t *testing.T) {
 	}
 }
 
-func TestDataset(t *testing.T) {
-	d := NewDataset(2)
-	if d.Dim() != 2 || d.Len() != 0 {
-		t.Fatal("fresh dataset wrong shape")
-	}
-	for i := 0; i < 5; i++ {
-		if err := d.Add(Sample{X: []float64{float64(i), float64(2 * i)}, C: float64(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := d.Add(Sample{X: []float64{1}, C: 0}); !errors.Is(err, ErrDimension) {
-		t.Fatalf("got %v, want ErrDimension", err)
-	}
-	if d.Len() != 5 {
-		t.Errorf("Len = %d, want 5", d.Len())
-	}
-	if got := d.At(3).C; got != 3 {
-		t.Errorf("At(3).C = %v, want 3", got)
-	}
-	tail := d.Tail(2)
-	if len(tail) != 2 || tail[0].C != 3 || tail[1].C != 4 {
-		t.Errorf("Tail(2) = %v", tail)
-	}
-	head := d.Head(2)
-	if len(head) != 2 || head[0].C != 0 || head[1].C != 1 {
-		t.Errorf("Head(2) = %v", head)
-	}
-	if len(d.Tail(99)) != 5 || len(d.Head(99)) != 5 {
-		t.Error("oversized window should clamp to Len")
-	}
-	m, err := FitDataset(d, FitOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.N != 5 {
-		t.Errorf("model N = %d, want 5", m.N)
-	}
-}
-
 func TestMinObservations(t *testing.T) {
 	for l := 1; l < 10; l++ {
 		if got := MinObservations(l); got != l+2 {

@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/cloud"
@@ -139,11 +138,4 @@ func DetachChaos(fed *federation.Federation) {
 		site.Load.AttachChaos(nil)
 		site.Provider.AttachChaos(nil)
 	}
-}
-
-// Describe summarizes a spec for logs and flag help.
-func (s Spec) Describe() string {
-	s = s.withDefaults()
-	return fmt.Sprintf("%s: %s arrivals at %g/s, chaos=%s, %d events, seed %d",
-		s.Name, s.Arrival, s.Rate, s.Chaos, s.Events, s.Seed)
 }

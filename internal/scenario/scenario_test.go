@@ -109,12 +109,3 @@ func TestAttachChaosWiresEverySite(t *testing.T) {
 		t.Fatal("disabled profile must return nil")
 	}
 }
-
-func TestDescribeMentionsTheAxes(t *testing.T) {
-	d := Spec{Arrival: "diurnal", Chaos: "mixed", Seed: 3}.Describe()
-	for _, frag := range []string{"diurnal", "mixed"} {
-		if !bytes.Contains([]byte(d), []byte(frag)) {
-			t.Fatalf("Describe() = %q missing %q", d, frag)
-		}
-	}
-}

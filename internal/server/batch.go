@@ -24,21 +24,20 @@ type tenant struct {
 	// memory. The scheduler owns the flow of data through it — the
 	// tenant only closes it at drain.
 	store *histstore.Store
-	// admit is this tenant's admission semaphore (one per federation so
-	// tenants cannot head-of-line-block each other); sized and set by
-	// newServer before any request is served.
-	admit chan struct{}
 	// latency holds the pre-bound per-query request-latency histograms
 	// (see Server.registerMetrics); immutable once serving starts.
 	latency map[tpch.QueryID]*metrics.Histogram
 
+	// inflight counts the tenant's submissions from registration (before
+	// the drain flag and the ownership state are loaded) to completion.
+	// It is the admission bound (compared with QueueDepth), what Drain
+	// waits on after setting draining, and what an outbound handoff
+	// waits on after flipping state to sending.
+	inflight atomic.Int64
+
 	// Cluster-mode ownership state (see cluster.go). The zero state is
 	// tenantActive, so standalone servers never touch any of this.
 	state atomic.Int32
-	// inflight counts submissions between the cluster routing gate and
-	// completion; an outbound handoff flips state to sending, then
-	// waits for this to reach zero before streaming the histories.
-	inflight atomic.Int64
 	// ownerHint names the handoff target while state is sending — the
 	// routing table only learns the new owner once the move commits.
 	ownerHint atomic.Pointer[cluster.Member]
@@ -149,11 +148,16 @@ func (t *tenant) closeStore() error {
 
 // sweepBatch is one in-flight plan sweep that any number of concurrent
 // submissions of the same query share. The leader runs the sweep and
-// publishes (sweep, err) before closing done; followers only wait.
+// publishes (sweep, err, abandoned) before closing done; followers only
+// wait.
 type sweepBatch struct {
 	done  chan struct{}
 	sweep *ires.Sweep
 	err   error
+	// abandoned marks a sweep that failed because its leader's own
+	// context ended: the error is the leader's, not the query's, so
+	// followers do not inherit it.
+	abandoned bool
 	// joined counts the followers waiting on this batch (observability
 	// and test synchronization).
 	joined atomic.Int64
@@ -161,62 +165,43 @@ type sweepBatch struct {
 
 // sharedSweep returns a plan sweep for q, coalescing with an in-flight
 // sweep when one exists. The second return reports whether the caller
-// joined another request's sweep (false = this call was the leader).
+// used another request's sweep (false = this call led one).
 //
-// waitCtx bounds only this caller's wait. The sweep itself runs under a
-// context obtained from newSweepCtx *inside the detached goroutine and
-// cancelled only when the sweep returns* — so neither a follower giving
-// up, nor the leading request timing out or its client disconnecting,
-// can cancel work other requests are waiting on.
-func (t *tenant) sharedSweep(waitCtx context.Context, newSweepCtx func() (context.Context, context.CancelFunc), q tpch.QueryID) (*ires.Sweep, bool, error) {
-	t.mu.Lock()
-	if b, ok := t.pending[q]; ok {
+// The leader runs the sweep itself, under its own request context, so
+// ctx bounds both a follower's wait and a leader's sweep. A leader whose
+// context ends mid-sweep fails only itself: its batch is abandoned, and
+// the first follower to wake with a live context leads the next one.
+// Any other sweep error is the query's and is shared with the batch.
+func (t *tenant) sharedSweep(ctx context.Context, q tpch.QueryID) (*ires.Sweep, bool, error) {
+	for {
+		t.mu.Lock()
+		b, ok := t.pending[q]
+		if !ok {
+			b = &sweepBatch{done: make(chan struct{})}
+			t.pending[q] = b
+			t.mu.Unlock()
+
+			t.stats.sweeps.Add(1)
+			b.sweep, b.err = t.sched.PlanSweep(ctx, q)
+			b.abandoned = b.err != nil && ctx.Err() != nil
+			t.mu.Lock()
+			delete(t.pending, q)
+			t.mu.Unlock()
+			close(b.done)
+			return b.sweep, false, b.err
+		}
 		t.mu.Unlock()
 		b.joined.Add(1)
 		select {
 		case <-b.done:
-			return b.sweep, true, b.err
-		case <-waitCtx.Done():
-			return nil, true, waitCtx.Err()
+			if !b.abandoned {
+				return b.sweep, true, b.err
+			}
+			if err := ctx.Err(); err != nil {
+				return nil, true, err
+			}
+		case <-ctx.Done():
+			return nil, true, ctx.Err()
 		}
-	}
-	b := &sweepBatch{done: make(chan struct{})}
-	t.pending[q] = b
-	t.mu.Unlock()
-
-	t.stats.sweeps.Add(1)
-	// A leader that cannot be cancelled (Done() == nil, e.g. an
-	// embedder driving ServeSubmit with context.Background) would wait
-	// out the whole sweep regardless, so the detached goroutine buys
-	// nothing — run the sweep inline and skip the spawn. Followers
-	// still coalesce through t.pending either way.
-	if waitCtx.Done() == nil {
-		sweepCtx, cancel := newSweepCtx()
-		b.sweep, b.err = t.sched.PlanSweep(sweepCtx, q)
-		cancel()
-		t.mu.Lock()
-		delete(t.pending, q)
-		t.mu.Unlock()
-		close(b.done)
-		return b.sweep, false, b.err
-	}
-
-	// The sweep runs detached: if the leading request times out or its
-	// client disconnects, the batch still completes for the requests
-	// that joined it.
-	go func() {
-		sweepCtx, cancel := newSweepCtx()
-		defer cancel()
-		b.sweep, b.err = t.sched.PlanSweep(sweepCtx, q)
-		t.mu.Lock()
-		delete(t.pending, q)
-		t.mu.Unlock()
-		close(b.done)
-	}()
-	select {
-	case <-b.done:
-		return b.sweep, false, b.err
-	case <-waitCtx.Done():
-		return nil, false, waitCtx.Err()
 	}
 }

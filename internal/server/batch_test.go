@@ -1,11 +1,15 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -31,11 +35,8 @@ func TestSharedSweepCoalesces(t *testing.T) {
 	}
 	const followers = 10
 	results := make(chan result, followers+1)
-	bgSweep := func() (context.Context, context.CancelFunc) {
-		return context.WithCancel(context.Background())
-	}
 	run := func() {
-		sw, co, err := tn.sharedSweep(ctx, bgSweep, tpch.QueryQ12)
+		sw, co, err := tn.sharedSweep(ctx, tpch.QueryQ12)
 		results <- result{sw, co, err}
 	}
 
@@ -74,44 +75,75 @@ func TestSharedSweepCoalesces(t *testing.T) {
 	}
 }
 
-// TestLeaderTimeoutKeepsSweepAlive pins the detachment contract: the
-// leading request giving up must not cancel the sweep that coalesced
-// followers are waiting on.
-func TestLeaderTimeoutKeepsSweepAlive(t *testing.T) {
+// TestFollowerLeadsAfterLeaderGivesUp pins what a leader's own context
+// ending does to its batch: the leader returns at once with its context
+// error, and a follower with a live context is not failed by it — it
+// leads the next sweep itself.
+func TestFollowerLeadsAfterLeaderGivesUp(t *testing.T) {
 	stub := &stubSched{block: make(chan struct{}), started: make(chan struct{})}
 	tn := newTenant("test", stub, tpch.AllQueries)
-	bgSweep := func() (context.Context, context.CancelFunc) {
-		return context.WithCancel(context.Background())
-	}
 
 	leaderCtx, cancelLeader := context.WithCancel(context.Background())
 	leaderDone := make(chan error, 1)
 	go func() {
-		_, _, err := tn.sharedSweep(leaderCtx, bgSweep, tpch.QueryQ12)
+		_, _, err := tn.sharedSweep(leaderCtx, tpch.QueryQ12)
 		leaderDone <- err
 	}()
 	<-stub.started
 
 	followerDone := make(chan error, 1)
 	go func() {
-		sw, coalesced, err := tn.sharedSweep(context.Background(), bgSweep, tpch.QueryQ12)
-		if err == nil && (sw == nil || !coalesced) {
-			err = errors.New("follower did not coalesce onto a live sweep")
+		sw, coalesced, err := tn.sharedSweep(context.Background(), tpch.QueryQ12)
+		if err == nil && (sw == nil || coalesced) {
+			err = errors.New("follower should have led a sweep of its own")
 		}
 		followerDone <- err
 	}()
 	batch := pendingBatch(t, tn, tpch.QueryQ12)
 	waitFor(t, 5*time.Second, func() bool { return batch.joined.Load() == 1 })
 
-	// The leader abandons its wait mid-sweep...
+	// The leader gives up mid-sweep and returns immediately...
 	cancelLeader()
 	if err := <-leaderDone; !errors.Is(err, context.Canceled) {
 		t.Fatalf("leader err = %v", err)
 	}
-	// ...and the follower still gets the completed sweep.
+	// ...and the follower, its own context live, leads the second sweep.
+	waitFor(t, 5*time.Second, func() bool { return stub.calls() == 2 })
 	close(stub.block)
 	if err := <-followerDone; err != nil {
 		t.Fatalf("follower err = %v", err)
+	}
+	if got := stub.calls(); got != 2 {
+		t.Fatalf("PlanSweep calls = %d, want 2", got)
+	}
+	if sweeps, coalesced := tn.stats.sweeps.Load(), tn.stats.coalesced.Load(); sweeps != 2 || coalesced != 0 {
+		t.Fatalf("sweeps = %d, coalesced = %d; want 2 and 0", sweeps, coalesced)
+	}
+}
+
+// TestLeaderFailureIsShared pins the other half: a sweep that fails
+// while its leader's context is live failed for the query, and its
+// followers share that error instead of re-running it.
+func TestLeaderFailureIsShared(t *testing.T) {
+	boom := errors.New("boom")
+	stub := &stubSched{block: make(chan struct{}), started: make(chan struct{}), failSweep: boom}
+	tn := newTenant("test", stub, tpch.AllQueries)
+
+	errs := make(chan error, 2)
+	run := func() {
+		_, _, err := tn.sharedSweep(context.Background(), tpch.QueryQ12)
+		errs <- err
+	}
+	go run()
+	<-stub.started
+	go run()
+	batch := pendingBatch(t, tn, tpch.QueryQ12)
+	waitFor(t, 5*time.Second, func() bool { return batch.joined.Load() == 1 })
+	close(stub.block)
+	for i := 0; i < 2; i++ {
+		if err := <-errs; !errors.Is(err, boom) {
+			t.Fatalf("err = %v, want boom", err)
+		}
 	}
 	if got := stub.calls(); got != 1 {
 		t.Fatalf("PlanSweep calls = %d, want 1", got)
@@ -300,21 +332,104 @@ func TestDrainCompletesInflight(t *testing.T) {
 	}
 }
 
+// drainWitness is a stub scheduler that counts the executions finishing
+// after the test has seen Drain return — the work a closed store would
+// have lost.
+type drainWitness struct {
+	stubSched
+	drained *atomic.Bool
+	late    *atomic.Int64
+}
+
+func (d *drainWitness) DecideFromSweep(sw *ires.Sweep, pol ires.Policy) (*ires.Decision, error) {
+	runtime.Gosched() // widen the window between admission and completion
+	dec, err := d.stubSched.DecideFromSweep(sw, pol)
+	if d.drained.Load() {
+		d.late.Add(1)
+	}
+	return dec, err
+}
+
+// TestDrainSubmitHammer races Drain against a crowd of submitters (run
+// with -race). The in-flight counter and the draining flag are two
+// independent atomics; this is the property their ordering must give:
+// every submission is either served in full before Drain returns (200)
+// or refused (503), and none is served afterwards.
+func TestDrainSubmitHammer(t *testing.T) {
+	for round := 0; round < 50; round++ {
+		var drained atomic.Bool
+		var late, served atomic.Int64
+		scheds := map[string]QueryScheduler{
+			"a": &drainWitness{drained: &drained, late: &late},
+			"b": &drainWitness{drained: &drained, late: &late},
+		}
+		srv, err := NewWithSchedulers(Config{QueueDepth: 4096}, scheds, tpch.AllQueries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const workers = 16
+		feds, queries := []string{"a", "b"}, []string{"Q12", "Q13", "Q14"}
+		body := func(w int) []byte {
+			return []byte(fmt.Sprintf(`{"federation": %q, "query": %q}`, feds[w%2], queries[w%3]))
+		}
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				var resp bytes.Buffer
+				// Submit until refused: a worker sees 200s, then the drain.
+				for {
+					resp.Reset()
+					switch status := srv.ServeSubmit(context.Background(), body(w), &resp); status {
+					case http.StatusOK:
+						served.Add(1)
+					case http.StatusServiceUnavailable:
+						return
+					default:
+						t.Errorf("status %d: %s", status, resp.String())
+						return
+					}
+				}
+			}(w)
+		}
+		waitFor(t, 5*time.Second, func() bool { return served.Load() >= workers })
+		if err := srv.Drain(context.Background()); err != nil {
+			t.Fatalf("drain: %v", err)
+		}
+		drained.Store(true)
+		wg.Wait()
+		var resp bytes.Buffer
+		for w := 0; w < 2; w++ {
+			if status := srv.ServeSubmit(context.Background(), body(w), &resp); status != http.StatusServiceUnavailable {
+				t.Fatalf("submission after Drain returned = %d, want 503", status)
+			}
+		}
+		if late.Load() != 0 {
+			t.Fatalf("round %d: %d submissions executed after Drain returned", round, late.Load())
+		}
+	}
+}
+
 // TestDrainTimeout verifies that a drain bounded by an already-expired
 // context reports the requests it abandoned.
 func TestDrainTimeout(t *testing.T) {
 	stub := &stubSched{block: make(chan struct{}), started: make(chan struct{})}
-	defer close(stub.block)
 	srv := newTestServer(t, stub, Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
+	// Released before ts.Close, which waits for the stuck request: an
+	// aborted drain leaves the requests it gave up on to their own
+	// deadlines.
+	defer close(stub.block)
 
 	go func() { _, _, _ = tryPostQuery(ts.URL, QueryRequest{Query: "Q12"}) }()
 	<-stub.started
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	if err := srv.Drain(ctx); err == nil {
-		t.Fatal("drain with stuck request should error")
+	err := srv.Drain(ctx)
+	if !errors.Is(err, context.DeadlineExceeded) || !strings.Contains(err.Error(), "1 requests still in flight") {
+		t.Fatalf("drain with stuck request: %v", err)
 	}
 }

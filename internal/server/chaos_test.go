@@ -646,6 +646,61 @@ func TestReadyzDegradedReplication(t *testing.T) {
 	}
 }
 
+// TestHistoryReadOnStandbyKeepsReplicating: a history read sent to the
+// standby is redirected to the owner like a submission, and leaves the
+// replica shard alone. (Answering it there would open the replica as a
+// live history, after which every shipped frame and every re-arming sync
+// is refused and the next takeover loses the writes acked since.)
+func TestHistoryReadOnStandbyKeepsReplicating(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full serving stack")
+	}
+	servers, https, _, owner := newReplicatedPair(t)
+	standby := 1 - owner
+	chaosSubmit(t, https[owner].URL)
+
+	const path = "/v1/history/Q12?federation=paper&limit=1"
+	resp, err := noRedirectClient.Get(https[standby].URL + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusTemporaryRedirect {
+		t.Fatalf("history read on the standby = %d, want 307", resp.StatusCode)
+	}
+	if got, want := resp.Header.Get("Location"), https[owner].URL+path; got != want {
+		t.Fatalf("Location = %q, want %q", got, want)
+	}
+
+	for i := 0; i < 4; i++ {
+		chaosSubmit(t, https[owner].URL)
+	}
+	if !servers[owner].cluster.repl["paper"].Streaming("Q12") {
+		t.Fatal("replication stream degraded after a history read on the standby")
+	}
+
+	// Kill the owner; the standby recovers every acked write: 12
+	// bootstrap + 5 decisions.
+	https[owner].Close()
+	tresp, err := http.Post(https[standby].URL+"/v1/admin/takeover?federation=paper", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hr HandoffResponse
+	err = json.NewDecoder(tresp.Body).Decode(&hr)
+	tresp.Body.Close()
+	if err != nil || tresp.StatusCode != http.StatusOK {
+		t.Fatalf("takeover: %d (%+v) %v", tresp.StatusCode, hr, err)
+	}
+	if hr.Observations["Q12"] != 17 {
+		t.Fatalf("takeover recovered %d observations, want 17", hr.Observations["Q12"])
+	}
+	if err := servers[standby].Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestChaosKillTakeoverDeterminism is the chaos form of PR 8's
 // acceptance invariant: after an owner is killed without warning and
 // the standby promotes from the replicated WAL, the first post-recovery

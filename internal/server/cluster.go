@@ -58,8 +58,6 @@ type ClusterConfig struct {
 	// Peers is the full member set, this node included. Federation
 	// names are consistent-hashed over it.
 	Peers []cluster.Member
-	// VirtualNodes tunes ring balance (0 = cluster.DefaultVirtualNodes).
-	VirtualNodes int
 	// Replicate ships every owned federation's WAL appends to the
 	// federation's standby (the ring's next distinct member)
 	// synchronously: an acked write is on the standby before the
@@ -78,10 +76,9 @@ type ClusterConfig struct {
 	// detector can only be as good as its thresholds, and an operator
 	// who prefers paging to automation keeps the manual path.
 	AutoFailover bool
-	// ProbeInterval is the failure detector's probe cadence (default 1s).
+	// ProbeInterval is the failure detector's probe cadence and each
+	// probe's deadline (default 1s).
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one health probe (default ProbeInterval).
-	ProbeTimeout time.Duration
 	// SuspectAfter / DownAfter are the consecutive-miss thresholds for
 	// the suspect and down verdicts (defaults 3 and 2×SuspectAfter).
 	SuspectAfter int
@@ -101,9 +98,6 @@ func (c *ClusterConfig) setDefaults() {
 	}
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = time.Second
-	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = c.ProbeInterval
 	}
 	if c.SuspectAfter <= 0 {
 		c.SuspectAfter = 3
@@ -221,7 +215,7 @@ func newClusterState(cfg *ClusterConfig, storeDir string) (*clusterState, error)
 	}
 	c := *cfg
 	c.setDefaults()
-	ring, err := cluster.NewRing(c.Peers, c.VirtualNodes)
+	ring, err := cluster.NewRing(c.Peers, 0)
 	if err != nil {
 		return nil, fmt.Errorf("server: cluster: %w", err)
 	}
@@ -542,16 +536,18 @@ func (s *Server) registerClusterMetrics() {
 // Hot-path routing
 // ---------------------------------------------------------------------
 
-// routeTenant is the cluster gate on the submit path. It returns
-// (0, true) when the request should be served locally; otherwise the
-// response (redirect or hold-timeout error) is already rendered and the
-// returned status stands. The caller has already registered the
-// request in t.inflight, so an outbound handoff's drain cannot miss it.
-func (s *Server) routeTenant(ctx context.Context, sc *serveScratch, t *tenant, resp *bytes.Buffer) (int, bool) {
+// routeTenant is the ownership gate every tenant-addressed request
+// passes (submissions and history reads). It returns 0 when the request
+// should be served locally; otherwise the response (redirect or
+// hold-timeout error) is already rendered into resp — a redirect's
+// target, the owner's address plus path, into *location — and the
+// returned status stands. A submission has already registered in
+// t.inflight, so an outbound handoff's drain cannot miss it.
+func (s *Server) routeTenant(ctx context.Context, t *tenant, path string, location *string, resp *bytes.Buffer) int {
 	for {
 		switch st := t.state.Load(); st {
 		case tenantActive:
-			return 0, true
+			return 0
 		case tenantReceiving:
 			// An inbound handoff is materializing this tenant here; it
 			// completes in milliseconds, so holding the request beats
@@ -559,18 +555,18 @@ func (s *Server) routeTenant(ctx context.Context, sc *serveScratch, t *tenant, r
 			// redirecting forward.
 			if !t.waitActive(ctx) {
 				return writeErrorBuf(resp, http.StatusServiceUnavailable,
-					"federation %q handoff still in progress", t.name), false
+					"federation %q handoff still in progress", t.name)
 			}
 		default: // tenantRemote, tenantSending
-			return s.writeRedirect(sc, t, resp), false
+			return s.writeRedirect(t, path, location, resp)
 		}
 	}
 }
 
-// writeRedirect renders the 307: the owner's submit URL goes in the
-// Location header (handleSubmit copies it from the scratch), the body
+// writeRedirect renders the 307: the owner's URL for path goes in
+// *location (the handlers copy it to the Location header), the body
 // says why.
-func (s *Server) writeRedirect(sc *serveScratch, t *tenant, resp *bytes.Buffer) int {
+func (s *Server) writeRedirect(t *tenant, path string, location *string, resp *bytes.Buffer) int {
 	cs := s.cluster
 	// Hint before table: a committing handoff updates the table and only
 	// then clears the hint, so a nil hint here means the table read next
@@ -585,7 +581,7 @@ func (s *Server) writeRedirect(sc *serveScratch, t *tenant, resp *bytes.Buffer) 
 		owner = *hint
 	}
 	cs.redirects.Inc()
-	sc.location = owner.Addr + "/v1/queries"
+	*location = owner.Addr + path
 	return writeErrorBuf(resp, http.StatusTemporaryRedirect,
 		"federation %q is served by %s (epoch %d)", t.name, owner.ID, tab.Epoch())
 }

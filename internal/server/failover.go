@@ -38,7 +38,6 @@ func (s *Server) initDetector() {
 	}
 	d := cluster.NewDetector(cluster.DetectorConfig{
 		ProbeInterval: cs.cfg.ProbeInterval,
-		ProbeTimeout:  cs.cfg.ProbeTimeout,
 		SuspectAfter:  cs.cfg.SuspectAfter,
 		DownAfter:     cs.cfg.DownAfter,
 	}, peers, s.probePeer)

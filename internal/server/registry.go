@@ -31,7 +31,9 @@ type QueryScheduler interface {
 	// DecideFromSweep selects under one request's policy, executes the
 	// winner and records the outcome.
 	DecideFromSweep(sw *ires.Sweep, pol ires.Policy) (*ires.Decision, error)
-	// History exposes the query's execution log for /v1/history.
+	// History exposes the query's execution log for /v1/history; nil
+	// when the scheduler holds none (a tenant another node owns). It
+	// must not create or open one.
 	History(q tpch.QueryID) *core.History
 }
 

@@ -9,10 +9,10 @@
 //
 // With Config.Store.Dir set, every tenant's histories are durable: one
 // histstore root per federation, observations written ahead to a WAL as
-// they are recorded, snapshots compacted on a timer, on demand and at
-// drain, and schedulers warm-started from the recovered histories on
-// boot — a restarted midasd estimates from exactly the history it had
-// when it stopped.
+// they are recorded, the WAL fsynced on a timer, on demand and at drain,
+// and schedulers warm-started from the recovered histories on boot — a
+// restarted midasd estimates from exactly the history it had when it
+// stopped.
 //
 // With Config.Cluster set, the server is one member of a consistent-
 // hash sharded cluster (see cluster.go): it owns a subset of the hosted
@@ -98,20 +98,16 @@ type StoreConfig struct {
 type Config struct {
 	// Federations declares the hosted tenants; at least one.
 	Federations []FederationSpec
-	// QueueDepth bounds concurrently admitted requests per federation;
-	// excess submissions to that tenant are rejected with 429 (default
-	// 1024). The bound is per tenant so one hot federation saturating
-	// its queue cannot head-of-line-block the others.
+	// QueueDepth bounds the submissions one federation may have in
+	// flight; excess submissions to that tenant are rejected with 429
+	// (default 1024). The bound is per tenant so one hot federation
+	// saturating its queue cannot head-of-line-block the others.
 	QueueDepth int
-	// RequestTimeout caps one submission end to end unless the request
-	// carries its own shorter timeout_ms (default 30s; negative
-	// disables the per-request deadline entirely). Expiry → 504.
+	// RequestTimeout caps one submission end to end — the plan sweep it
+	// leads included — unless the request carries its own shorter
+	// timeout_ms (default 30s; negative disables the per-request
+	// deadline entirely). Expiry → 504.
 	RequestTimeout time.Duration
-	// SweepTimeout caps one plan sweep. Sweeps run detached from the
-	// requesting client so coalesced followers can still use them
-	// (default 60s; negative disables the sweep deadline, which also
-	// keeps the deadline context's allocations off the hot path).
-	SweepTimeout time.Duration
 	// Store makes tenant histories durable; the zero value keeps them
 	// in memory.
 	Store StoreConfig
@@ -135,7 +131,6 @@ type Config struct {
 }
 
 func (c *Config) setDefaults() {
-	// Zero takes the default (a negative depth would panic make(chan)).
 	// A negative RequestTimeout is meaningful: no per-request deadline,
 	// which also keeps context.WithTimeout's allocations off the hot
 	// path for embedders that bound requests elsewhere.
@@ -144,9 +139,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.RequestTimeout == 0 {
 		c.RequestTimeout = 30 * time.Second
-	}
-	if c.SweepTimeout == 0 {
-		c.SweepTimeout = 60 * time.Second
 	}
 	if c.Metrics == nil {
 		c.Metrics = metrics.NewRegistry()
@@ -171,23 +163,16 @@ type Server struct {
 
 	start time.Time
 
-	// draining mirrors the drain state for lock-free handler reads; the
-	// authoritative transition happens under drainMu together with the
-	// in-flight count, so no request can slip past a drain.
-	draining  atomic.Bool
-	drainMu   sync.Mutex
-	inflightN int
-	// idle is non-nil while a drain waits for in-flight requests; it is
-	// closed when the last one finishes.
-	idle chan struct{}
+	// draining is set once, by Drain. A submission increments its
+	// tenant's in-flight counter and then loads this flag; Drain stores
+	// the flag and then reads the counters — so every request either
+	// sees the drain (503) or is seen by it (waited for).
+	draining atomic.Bool
 
-	// lifeCtx outlives any single request; sweeps run under it so a
-	// disconnecting client cannot cancel a batch others joined.
+	// lifeCtx ends the background loops (checkpoint, standby sync,
+	// rebalance, handoff resolution); Drain cancels it.
 	lifeCtx  context.Context
 	lifeStop context.CancelFunc
-	// sweepCtx is the newSweepCtx method value, bound once so the hot
-	// path does not allocate a fresh closure per request.
-	sweepCtx func() (context.Context, context.CancelFunc)
 
 	// cpDone is closed when the periodic checkpoint loop exits; nil
 	// when no loop was started.
@@ -196,30 +181,6 @@ type Server struct {
 	// cluster is this server's cluster membership; nil in standalone
 	// mode, which keeps the submit hot path to a single pointer check.
 	cluster *clusterState
-}
-
-// beginRequest registers an in-flight request unless the server is
-// draining.
-func (s *Server) beginRequest() bool {
-	s.drainMu.Lock()
-	defer s.drainMu.Unlock()
-	if s.draining.Load() {
-		return false
-	}
-	s.inflightN++
-	return true
-}
-
-// endRequest retires an in-flight request, waking a waiting drain when
-// it was the last one.
-func (s *Server) endRequest() {
-	s.drainMu.Lock()
-	s.inflightN--
-	if s.inflightN == 0 && s.idle != nil {
-		close(s.idle)
-		s.idle = nil
-	}
-	s.drainMu.Unlock()
 }
 
 // New builds the tenants declared in cfg (topology, calibration,
@@ -323,14 +284,7 @@ func newServer(cfg Config, tenants map[string]*tenant, cs *clusterState) *Server
 		lifeCtx:  ctx,
 		lifeStop: stop,
 	}
-	s.sweepCtx = s.newSweepCtx
 	s.cluster = cs
-	// Admission is sharded per tenant: each federation gets its own
-	// QueueDepth-slot semaphore, so a hot tenant saturating its queue
-	// sheds its own load without head-of-line-blocking the others.
-	for _, t := range tenants {
-		t.admit = make(chan struct{}, cfg.QueueDepth)
-	}
 	if len(tenants) == 1 {
 		for name := range tenants {
 			s.sole = name
@@ -383,21 +337,17 @@ func (s *Server) registerMetrics() {
 	for _, t := range s.tenants {
 		t := t
 		reg.GaugeFunc("midas_admission_queue_depth",
-			"Requests currently holding one of this federation's admission slots.",
-			func() float64 { return float64(len(t.admit)) },
+			"Submissions to this federation currently in flight (held and redirected ones included).",
+			func() float64 { return float64(t.inflight.Load()) },
 			"federation", t.name)
 		reg.GaugeFunc("midas_admission_queue_capacity",
-			"Per-federation admission slot limit (ServerConfig.QueueDepth); beyond it submissions get 429.",
-			func() float64 { return float64(cap(t.admit)) },
+			"Per-federation in-flight limit (ServerConfig.QueueDepth); beyond it submissions get 429.",
+			func() float64 { return float64(s.cfg.QueueDepth) },
 			"federation", t.name)
 	}
 	reg.GaugeFunc("midas_inflight_requests",
-		"Admitted requests between drain registration and completion.",
-		func() float64 {
-			s.drainMu.Lock()
-			defer s.drainMu.Unlock()
-			return float64(s.inflightN)
-		})
+		"Submissions in flight across every federation; a drain waits for this to reach zero.",
+		func() float64 { return float64(s.inflight()) })
 	reg.GaugeFunc("midas_draining",
 		"1 while the server drains (healthz 503, submissions rejected), else 0.",
 		func() float64 {
@@ -488,33 +438,31 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// inflight sums the tenants' in-flight submission counters.
+func (s *Server) inflight() int64 {
+	var n int64
+	for _, t := range s.tenants {
+		n += t.inflight.Load()
+	}
+	return n
+}
+
 // Drain stops admitting work and waits for in-flight requests to
 // complete, or for ctx to expire. New submissions — and health checks —
 // get 503 immediately, so load balancers rotate the instance out while
 // accepted work finishes.
 func (s *Server) Drain(ctx context.Context) error {
-	s.drainMu.Lock()
 	s.draining.Store(true)
-	s.log.Info("drain started", "inflight", s.inflightN)
-	var idle chan struct{}
-	if s.inflightN > 0 {
-		if s.idle == nil {
-			s.idle = make(chan struct{})
-		}
-		idle = s.idle
-	}
-	s.drainMu.Unlock()
-	if idle != nil {
-		select {
-		case <-idle:
-		case <-ctx.Done():
+	s.log.Info("drain started", "inflight", s.inflight())
+	for _, t := range s.tenants {
+		if err := t.drainInflight(ctx); err != nil {
 			// Best-effort final checkpoint even on an aborted drain:
 			// an fsync is safe under the appends the straggling
 			// requests may still make. Stores stay open for those
 			// stragglers; the process is exiting anyway.
 			s.stopCheckpointLoop()
 			_ = s.checkpointAll()
-			return fmt.Errorf("server: drain aborted with requests in flight: %w", ctx.Err())
+			return fmt.Errorf("server: drain aborted, federation %q: %w", t.name, err)
 		}
 	}
 	// Stop the periodic checkpoint loop before the final checkpoint so
@@ -765,12 +713,18 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	sc.buf.Reset()
 	status := s.serveSubmit(r.Context(), sc, body, &sc.buf)
-	if sc.location != "" {
-		w.Header().Set("Location", sc.location)
+	writeBuffered(w, status, sc.location, sc.buf.Bytes())
+}
+
+// writeBuffered sends a response rendered into a buffer; location, when
+// set (a cluster redirect), becomes the Location header.
+func writeBuffered(w http.ResponseWriter, status int, location string, body []byte) {
+	if location != "" {
+		w.Header().Set("Location", location)
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_, _ = w.Write(sc.buf.Bytes())
+	_, _ = w.Write(body)
 }
 
 // ServeSubmit runs one query submission end to end — decode,
@@ -788,15 +742,22 @@ func (s *Server) ServeSubmit(ctx context.Context, body []byte, resp *bytes.Buffe
 
 func (s *Server) serveSubmit(ctx context.Context, sc *serveScratch, body []byte, resp *bytes.Buffer) int {
 	sc.location = ""
-	if s.draining.Load() {
-		return writeErrorBuf(resp, http.StatusServiceUnavailable, "server is draining")
-	}
 	if err := sc.decodeRequest(body); err != nil {
 		return writeErrorBuf(resp, http.StatusBadRequest, "bad request body: %v", err)
 	}
 	t, err := s.tenantFor(sc.req.Federation)
 	if err != nil {
 		return writeErrorBuf(resp, http.StatusNotFound, "%v", err)
+	}
+	// The request's one registration. It precedes the loads of the drain
+	// flag and of the tenant's ownership state, and both Drain and an
+	// outbound handoff store first and read this counter second: whoever
+	// flips after this request's load still finds it here and waits for
+	// it. The same count is the admission bound below.
+	inflight := t.inflight.Add(1)
+	defer t.inflight.Add(-1)
+	if s.draining.Load() {
+		return writeErrorBuf(resp, http.StatusServiceUnavailable, "server is draining")
 	}
 	q, err := tpch.ParseQueryID(sc.req.Query)
 	if err != nil {
@@ -806,12 +767,7 @@ func (s *Server) serveSubmit(ctx context.Context, sc *serveScratch, body []byte,
 		return writeErrorBuf(resp, http.StatusBadRequest, "federation %q does not serve %v", t.name, q)
 	}
 	if s.cluster != nil {
-		// The inflight registration precedes the state load, so an
-		// outbound handoff that flips the state afterwards still sees
-		// this request in its drain.
-		t.inflight.Add(1)
-		defer t.inflight.Add(-1)
-		if status, local := s.routeTenant(ctx, sc, t, resp); !local {
+		if status := s.routeTenant(ctx, t, "/v1/queries", &sc.location, resp); status != 0 {
 			return status
 		}
 	}
@@ -822,13 +778,11 @@ func (s *Server) serveSubmit(ctx context.Context, sc *serveScratch, body []byte,
 
 	t.stats.received.Add(1)
 
-	// Admission: the tenant's queue bounds how many of its submissions
+	// Admission: QueueDepth bounds how many of the tenant's submissions
 	// may be in flight at once; beyond that the server sheds this
 	// tenant's load instead of queueing unboundedly (other tenants'
-	// queues are unaffected).
-	select {
-	case t.admit <- struct{}{}:
-	default:
+	// counters are unaffected).
+	if inflight > int64(s.cfg.QueueDepth) {
 		t.stats.rejected.Add(1)
 		// Debug, not Info: under sustained overload a line per shed
 		// request would turn the log into its own incident.
@@ -837,15 +791,6 @@ func (s *Server) serveSubmit(ctx context.Context, sc *serveScratch, body []byte,
 			slog.Int("status", http.StatusTooManyRequests))
 		return writeErrorBuf(resp, http.StatusTooManyRequests, "admission queue full (depth %d)", s.cfg.QueueDepth)
 	}
-	defer func() { <-t.admit }()
-
-	// Register with the drain accounting; a drain that began after the
-	// entry check wins here, so no request starts work the drained
-	// lifeCtx would immediately cancel.
-	if !s.beginRequest() {
-		return writeErrorBuf(resp, http.StatusServiceUnavailable, "server is draining")
-	}
-	defer s.endRequest()
 
 	timeout := s.cfg.RequestTimeout
 	if sc.req.TimeoutMS > 0 {
@@ -953,25 +898,10 @@ func (s *Server) logRequest(ctx context.Context, federation string, q tpch.Query
 	s.log.LogAttrs(ctx, level, "request", attrs...)
 }
 
-// newSweepCtx hands a sweep its own budget, rooted in the server's
-// lifetime rather than any request's: only the sweep goroutine itself
-// cancels it. A negative SweepTimeout skips the deadline context
-// entirely — sweeps then run until done or server shutdown.
-func (s *Server) newSweepCtx() (context.Context, context.CancelFunc) {
-	if s.cfg.SweepTimeout < 0 {
-		return s.lifeCtx, noopCancel
-	}
-	return context.WithTimeout(s.lifeCtx, s.cfg.SweepTimeout)
-}
-
-// noopCancel stands in for a CancelFunc when no deadline context was
-// created (package-level so handing it out never allocates).
-func noopCancel() {}
-
 // submit runs one admitted round: share a sweep, then select + execute
 // under this request's policy.
 func (s *Server) submit(ctx context.Context, t *tenant, q tpch.QueryID, pol ires.Policy) (*ires.Decision, bool, error) {
-	sw, coalesced, err := t.sharedSweep(ctx, s.sweepCtx, q)
+	sw, coalesced, err := t.sharedSweep(ctx, q)
 	if err != nil {
 		return nil, coalesced, err
 	}
@@ -1002,7 +932,26 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "federation %q does not serve %v", t.name, q)
 		return
 	}
-	snap := t.sched.History(q).Snapshot()
+	if s.cluster != nil {
+		// The same ownership gate as a submission: only the owner holds
+		// the history, and opening a standby's replica shard to answer a
+		// read would end its replication.
+		var location string
+		var buf bytes.Buffer
+		if status := s.routeTenant(r.Context(), t, r.URL.RequestURI(), &location, &buf); status != 0 {
+			writeBuffered(w, status, location, buf.Bytes())
+			return
+		}
+	}
+	h := t.sched.History(q)
+	if h == nil {
+		// Nothing opened it here: ownership was released between the gate
+		// and the lookup (a handoff committed — the retry is redirected),
+		// or an embedder's scheduler has not touched the query yet.
+		writeError(w, http.StatusServiceUnavailable, "federation %q has no open history for %v on this node", t.name, q)
+		return
+	}
+	snap := h.Snapshot()
 	// Paged, most recent first: a serving dashboard cares about now,
 	// and a warm multi-thousand-observation history must not be
 	// serialized whole by default. offset skips the newest entries, so

@@ -41,10 +41,6 @@ func (g *RNG) LogNormal(mu, sigma float64) float64 {
 // Intn returns a uniform integer in [0, n).
 func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
 
-// Int63 returns a non-negative pseudo-random 63-bit integer; used to
-// derive independent child seeds.
-func (g *RNG) Int63() int64 { return g.r.Int63() }
-
 // Perm returns a random permutation of [0, n).
 func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
 

@@ -127,30 +127,6 @@ func MRE(actual, predicted []float64) (float64, error) {
 	return s / float64(n), nil
 }
 
-// MAE returns the mean absolute error.
-func MAE(actual, predicted []float64) (float64, error) {
-	if len(actual) != len(predicted) {
-		return 0, ErrLength
-	}
-	if len(actual) == 0 {
-		return 0, ErrEmpty
-	}
-	var s float64
-	for i := range actual {
-		s += math.Abs(predicted[i] - actual[i])
-	}
-	return s / float64(len(actual)), nil
-}
-
-// RMSE returns the root mean squared error.
-func RMSE(actual, predicted []float64) (float64, error) {
-	sse, err := SSE(actual, predicted)
-	if err != nil {
-		return 0, err
-	}
-	return math.Sqrt(sse / float64(len(actual))), nil
-}
-
 // Quantile returns the q-quantile (0 ≤ q ≤ 1) of xs using linear
 // interpolation between order statistics.
 func Quantile(xs []float64, q float64) (float64, error) {

@@ -115,23 +115,6 @@ func TestMRE(t *testing.T) {
 	}
 }
 
-func TestMAEAndRMSE(t *testing.T) {
-	mae, err := MAE([]float64{1, 2}, []float64{2, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(mae, 1.5, 1e-12) {
-		t.Errorf("MAE = %v, want 1.5", mae)
-	}
-	rmse, err := RMSE([]float64{0, 0}, []float64{3, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(rmse, math.Sqrt(12.5), 1e-12) {
-		t.Errorf("RMSE = %v, want sqrt(12.5)", rmse)
-	}
-}
-
 func TestQuantile(t *testing.T) {
 	xs := []float64{4, 1, 3, 2}
 	for _, tc := range []struct {

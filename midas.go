@@ -189,11 +189,6 @@ func NSGAII(p Problem, cfg NSGAIIConfig) (*moo.Result, error) { return moo.NSGAI
 // weight-free selection strategy (paper future work).
 func KneePoint(costs [][]float64) (int, error) { return moo.KneePoint(costs) }
 
-// EpsilonConstraint minimizes one objective under bounds on the others.
-func EpsilonConstraint(costs [][]float64, primary int, epsilons []float64) (int, error) {
-	return moo.EpsilonConstraint(costs, primary, epsilons)
-}
-
 // Lexicographic selects by objective priority with tolerance bands.
 func Lexicographic(costs [][]float64, order []int, tolerance float64) (int, error) {
 	return moo.Lexicographic(costs, order, tolerance)

@@ -178,13 +178,6 @@ func TestFacadeMOO(t *testing.T) {
 	if k != 1 {
 		t.Errorf("knee = %d, want 1", k)
 	}
-	e, err := EpsilonConstraint(costs, 0, []float64{math.Inf(1), 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e != 1 {
-		t.Errorf("epsilon = %d, want 1", e)
-	}
 	l, err := Lexicographic(costs, []int{1, 0}, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -17,15 +17,15 @@ import (
 // ---------------------------------------------------------------------------
 // Serving hot path: one submission end to end through the server's
 // pooled decode → admission → select → execute → record → encode
-// pipeline. BenchmarkServeHotPath is benchgate-tracked for both ns/op
-// and allocs/op (the pools hold the steady state at single-digit
-// allocations per request); the ServeDurable family measures the same
-// path against a real WAL under the three durability settings.
+// pipeline. TestServeSubmitAllocBudget holds its allocations per
+// request to a budget (the pools keep the steady state at single
+// digits); the ServeDurable family measures the same path against a
+// real WAL under the three durability settings.
 
 // buildServeScheduler assembles a full paper-scale scheduler (default
 // topology, calibrated scaled executor, DREAM model) with an optional
 // durable store, bootstrapped so serving starts warm.
-func buildServeScheduler(b *testing.B, store *histstore.Store) *ires.Scheduler {
+func buildServeScheduler(b testing.TB, store *histstore.Store) *ires.Scheduler {
 	b.Helper()
 	fed, err := federation.DefaultTopology(1)
 	if err != nil {
@@ -76,36 +76,43 @@ func (f *fixedSweepSched) PlanSweep(ctx context.Context, q tpch.QueryID) (*ires.
 	return f.sweep, nil
 }
 
-// newServeBench wires a one-tenant server around sched.
-func newServeBench(b *testing.B, sched server.QueryScheduler) *server.Server {
+// newFixedSweepSched builds the serving scheduler and pins its Q12
+// sweep.
+func newFixedSweepSched(b testing.TB, store *histstore.Store) *fixedSweepSched {
 	b.Helper()
-	srv, err := server.NewWithSchedulers(server.Config{
-		// Negative disables the per-request and per-sweep deadlines:
-		// the benchmark measures the serving pipeline, not context
-		// machinery.
-		RequestTimeout: -1,
-		SweepTimeout:   -1,
-	}, map[string]server.QueryScheduler{"bench": sched}, []tpch.QueryID{tpch.QueryQ12})
+	sched := buildServeScheduler(b, store)
+	sw, err := sched.PlanSweep(context.Background(), tpch.QueryQ12)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return &fixedSweepSched{Scheduler: sched, sweep: sw}
+}
+
+// newServeBench wires a one-tenant server around sched.
+func newServeBench(b testing.TB, cfg server.Config, sched server.QueryScheduler) *server.Server {
+	b.Helper()
+	srv, err := server.NewWithSchedulers(cfg, map[string]server.QueryScheduler{"bench": sched}, []tpch.QueryID{tpch.QueryQ12})
 	if err != nil {
 		b.Fatal(err)
 	}
 	return srv
 }
 
+// noDeadline is the embedder configuration: no per-request deadline, so
+// a submission driven with context.Background() builds no context at
+// all — the floor of the serving path, not what midasd runs.
+var noDeadline = server.Config{RequestTimeout: -1}
+
 var serveBody = []byte(`{"query": "Q12", "weights": [1, 1]}`)
 
 // BenchmarkServeHotPath measures one full submission — decode,
 // admission, Pareto selection, simulated execution, history append,
 // response encode — with the sweep precomputed (the coalesced steady
-// state) and histories in memory. Benchgate-tracked: allocs/op is the
-// regression signal for the pooled request path.
+// state), histories in memory and no request deadline: the floor under
+// every midasd request. TestServeSubmitAllocBudget pins its allocs/op
+// and those of the default configuration.
 func BenchmarkServeHotPath(b *testing.B) {
-	sched := buildServeScheduler(b, nil)
-	sw, err := sched.PlanSweep(context.Background(), tpch.QueryQ12)
-	if err != nil {
-		b.Fatal(err)
-	}
-	srv := newServeBench(b, &fixedSweepSched{Scheduler: sched, sweep: sw})
+	srv := newServeBench(b, noDeadline, newFixedSweepSched(b, nil))
 	ctx := context.Background()
 	var resp bytes.Buffer
 	b.ReportAllocs()
@@ -114,6 +121,48 @@ func BenchmarkServeHotPath(b *testing.B) {
 		resp.Reset()
 		if status := srv.ServeSubmit(ctx, serveBody, &resp); status != http.StatusOK {
 			b.Fatalf("submit = %d: %s", status, resp.String())
+		}
+	}
+}
+
+// raceEnabled is set by race_test.go when the race detector is
+// compiled in: sync.Pool drops entries at random there, so allocation
+// counts mean nothing.
+var raceEnabled bool
+
+// TestServeSubmitAllocBudget is the regression gate on the pooled
+// request path: allocations per submission are deterministic, so they
+// are a test, not a benchmark to compare. Two configurations — the
+// no-deadline floor BenchmarkServeHotPath times, and what midasd runs:
+// the default Config (30 s request deadline) under a cancellable
+// context, as net/http hands every handler.
+func TestServeSubmitAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	fixed := newFixedSweepSched(t, nil)
+	cancellable, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for _, tc := range []struct {
+		name   string
+		cfg    server.Config
+		ctx    context.Context
+		budget float64
+	}{
+		{"no-deadline", noDeadline, context.Background(), 7},
+		{"default-config", server.Config{}, cancellable, 11},
+	} {
+		srv := newServeBench(t, tc.cfg, fixed)
+		var resp bytes.Buffer
+		allocs := testing.AllocsPerRun(200, func() {
+			resp.Reset()
+			if status := srv.ServeSubmit(tc.ctx, serveBody, &resp); status != http.StatusOK {
+				t.Fatalf("submit = %d: %s", status, resp.String())
+			}
+		})
+		t.Logf("%s: %.1f allocs per submission, budget %.0f", tc.name, allocs, tc.budget)
+		if allocs > tc.budget {
+			t.Errorf("%s: over the allocation budget", tc.name)
 		}
 	}
 }
@@ -127,12 +176,7 @@ func benchServeDurable(b *testing.B, opts histstore.Options) {
 		b.Fatal(err)
 	}
 	defer store.Close()
-	sched := buildServeScheduler(b, store)
-	sw, err := sched.PlanSweep(context.Background(), tpch.QueryQ12)
-	if err != nil {
-		b.Fatal(err)
-	}
-	srv := newServeBench(b, &fixedSweepSched{Scheduler: sched, sweep: sw})
+	srv := newServeBench(b, noDeadline, newFixedSweepSched(b, store))
 	ctx := context.Background()
 	// Durable submissions block on fsync, not CPU: run many goroutines
 	// per core so group commit has concurrency to coalesce even on
@@ -152,9 +196,7 @@ func benchServeDurable(b *testing.B, opts histstore.Options) {
 
 // BenchmarkServeDurable spans the durability ladder docs/performance.md
 // tabulates: WAL without fsync, per-append fsync, and group commit
-// (per-append durability at coalesced-fsync cost). Deliberately not in
-// the benchgate pattern — fsync latency is hardware-dependent noise a
-// CI gate must not key on.
+// (per-append durability at coalesced-fsync cost).
 func BenchmarkServeDurable(b *testing.B) {
 	b.Run("wal", func(b *testing.B) { benchServeDurable(b, histstore.Options{}) })
 	b.Run("fsync", func(b *testing.B) { benchServeDurable(b, histstore.Options{Fsync: true}) })
