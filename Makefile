@@ -66,7 +66,7 @@ test-bench:
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench ./...
 
-## fuzz-smoke: 20 s of FuzzScan over the one frame decoder, 10 s of FuzzParetoFront against its all-pairs oracle, 10 s of FuzzReplay (arbitrary bytes as a shard's wal.log), then 10 s of FuzzDecodeRequest (a poisoned body through one pooled request scratch)
+## fuzz-smoke: 20 s of FuzzScan over the one frame decoder, 10 s of FuzzParetoFront against its all-pairs oracle, 10 s of FuzzReplay (arbitrary bytes as a shard's WAL, whole as wal.log or split across two segments), then 10 s of FuzzDecodeRequest (a poisoned body through one pooled request scratch)
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz=FuzzScan -fuzztime=20s ./internal/framelog
 	$(GO) test -run '^$$' -fuzz=FuzzParetoFront -fuzztime=10s ./internal/moo

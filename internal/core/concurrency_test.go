@@ -104,36 +104,70 @@ type discard struct{}
 func (discard) Write(p []byte) (int, error) { return len(p), nil }
 
 // TestSnapshotImmutableUnderAppend verifies a snapshot is a frozen view:
-// appends after the snapshot do not change what it exposes.
+// appends after the snapshot do not change what it exposes — not even
+// the ones that trim a bounded history, which move it to a new array
+// while a reader is still walking the snapshot's (run under -race).
 func TestSnapshotImmutableUnderAppend(t *testing.T) {
-	h := seedHistory(t, 10)
-	s := h.Snapshot()
-	if s.Len() != 10 {
-		t.Fatalf("snapshot Len = %d, want 10", s.Len())
-	}
-	v := s.Version()
-	last := s.At(9)
+	for _, retain := range []int{0, 8} {
+		t.Run(fmt.Sprintf("retain=%d", retain), func(t *testing.T) {
+			h := seedHistory(t, 10)
+			h.SetRetain(retain)
+			s := h.Snapshot()
+			if s.Len() != 10 || s.Base() != 0 {
+				t.Fatalf("snapshot Len, Base = %d, %d, want 10, 0", s.Len(), s.Base())
+			}
+			v := s.Version()
+			want := fmt.Sprintf("%+v", snapshotObs(s))
 
-	for i := 0; i < 50; i++ {
-		if err := h.Append(Observation{X: []float64{99}, Costs: []float64{1, 1}}); err != nil {
-			t.Fatal(err)
-		}
+			stop, done := make(chan struct{}), make(chan struct{})
+			go func() {
+				defer close(done)
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					if got := fmt.Sprintf("%+v", snapshotObs(s)); got != want {
+						t.Errorf("snapshot observations changed under append:\n%s\nwant\n%s", got, want)
+						return
+					}
+				}
+			}()
+			for i := 0; i < 50; i++ {
+				if err := h.Append(Observation{X: []float64{99}, Costs: []float64{1, 1}}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			close(stop)
+			<-done
+			if s.Len() != 10 || s.Base() != 0 {
+				t.Errorf("snapshot Len, Base changed to %d, %d after appends", s.Len(), s.Base())
+			}
+			if s.Version() != v {
+				t.Errorf("snapshot version changed: %d -> %d", v, s.Version())
+			}
+			if got := fmt.Sprintf("%+v", snapshotObs(s)); got != want {
+				t.Errorf("snapshot observations changed:\n%s\nwant\n%s", got, want)
+			}
+			if h.Len() != 60 || h.Version() != 60 {
+				t.Errorf("history Len, Version = %d, %d, want 60, 60", h.Len(), h.Version())
+			}
+			// 60 appended, bound 8: everything below (60/8 − 1)·8 went.
+			if wantBase := int(RetainedBase(60, uint64(retain))); h.Base() != wantBase || (retain > 0 && wantBase != 48) {
+				t.Errorf("history Base = %d, want %d", h.Base(), wantBase)
+			}
+		})
 	}
-	if s.Len() != 10 {
-		t.Errorf("snapshot Len changed to %d after appends", s.Len())
+}
+
+// snapshotObs copies out every observation a snapshot holds.
+func snapshotObs(s *Snapshot) []Observation {
+	out := make([]Observation, 0, s.Len()-s.Base())
+	for i := s.Base(); i < s.Len(); i++ {
+		out = append(out, s.At(i))
 	}
-	if s.Version() != v {
-		t.Errorf("snapshot version changed: %d -> %d", v, s.Version())
-	}
-	if got := s.At(9); got.X[0] != last.X[0] || got.Costs[0] != last.Costs[0] {
-		t.Errorf("snapshot observation changed: %+v -> %+v", last, got)
-	}
-	if h.Len() != 60 {
-		t.Errorf("history Len = %d, want 60", h.Len())
-	}
-	if h.Version() == v {
-		t.Error("history version did not advance on append")
-	}
+	return out
 }
 
 // TestCachedEstimateMatchesUncached asserts the model cache is purely a

@@ -76,7 +76,10 @@ type HistorySink interface {
 }
 
 // History is an append-only, time-ordered log of observations for one
-// operator or query template. Index 0 is the oldest observation.
+// operator or query template. Index 0 is the oldest observation ever
+// appended; a history with a retention bound (SetRetain) holds only the
+// newest ones, from index Base on, while Len and every index keep
+// counting from the first.
 //
 // A History is safe for concurrent use: appends take a write lock and
 // bump a version counter, reads take a read lock. Concurrent estimators
@@ -88,7 +91,9 @@ type History struct {
 	dim     int
 
 	mu      sync.RWMutex
+	base    int // index of obs[0]
 	obs     []Observation
+	retain  int // 0 = keep everything; see SetRetain
 	version uint64
 	sink    HistorySink
 }
@@ -96,15 +101,26 @@ type History struct {
 // NewHistory creates a history for the given feature dimension and
 // named cost metrics (e.g. "time_s", "money_usd").
 func NewHistory(dim int, metrics ...string) (*History, error) {
+	return NewHistoryAt(0, dim, metrics...)
+}
+
+// NewHistoryAt creates a history whose first base observations are
+// already gone: Len and Version start at base and the next Append is
+// observation number base. It is how a durable store resumes a history
+// whose oldest observations it has dropped.
+func NewHistoryAt(base, dim int, metrics ...string) (*History, error) {
 	if len(metrics) == 0 {
 		return nil, ErrNoMetrics
 	}
 	if dim <= 0 {
 		return nil, fmt.Errorf("core: non-positive feature dimension %d", dim)
 	}
+	if base < 0 {
+		return nil, fmt.Errorf("core: negative history base %d", base)
+	}
 	ms := make([]string, len(metrics))
 	copy(ms, metrics)
-	return &History{metrics: ms, dim: dim}, nil
+	return &History{metrics: ms, dim: dim, base: base, version: uint64(base)}, nil
 }
 
 // Metrics returns the metric names in cost-vector order.
@@ -117,11 +133,60 @@ func (h *History) Metrics() []string {
 // Dim returns the feature dimension L.
 func (h *History) Dim() int { return h.dim }
 
-// Len returns the number of observations.
+// Len returns the number of observations ever appended, retained or
+// not: the index the next Append gets.
 func (h *History) Len() int {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	return len(h.obs)
+	return h.base + len(h.obs)
+}
+
+// Base returns the index of the oldest observation still held: 0 unless
+// a retention bound has dropped older ones. At(i) is defined for
+// Base() ≤ i < Len().
+func (h *History) Base() int {
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	return h.base
+}
+
+// RetainedBase is the retention rule every holder of a bounded history
+// applies — memory here, the owner's disk and the standby's replica in
+// internal/histstore — so that they agree without talking to each
+// other: with retain = R > 0 and n observations appended, everything
+// below (⌊n/R⌋ − 1)·R may go, which keeps between R and 2R. Zero retain
+// keeps everything.
+func RetainedBase(n, retain uint64) uint64 {
+	if retain == 0 || n < 2*retain {
+		return 0
+	}
+	return (n/retain - 1) * retain
+}
+
+// SetRetain bounds the history to the newest retain..2·retain
+// observations (RetainedBase), trimming at once and then on every
+// Append that crosses a multiple of retain; zero lifts the bound
+// without bringing anything back. A model that reads at most the newest
+// retain observations cannot tell a bounded history from an unbounded
+// one.
+func (h *History) SetRetain(retain int) {
+	h.mu.Lock()
+	h.retain = max(retain, 0)
+	h.trimLocked()
+	h.mu.Unlock()
+}
+
+// trimLocked drops what RetainedBase allows by copying the observations
+// kept into a fresh array — snapshots taken earlier keep reading the old
+// one — sized so that appends up to the next trim never reallocate.
+func (h *History) trimLocked() {
+	keep := int(RetainedBase(uint64(h.base+len(h.obs)), uint64(h.retain)))
+	if keep <= h.base {
+		return
+	}
+	kept := h.obs[keep-h.base:]
+	h.obs = append(make([]Observation, 0, 2*h.retain), kept...) // len(kept) < 2·retain
+	h.base = keep
 }
 
 // Version returns a counter that increments on every Append. A fitted
@@ -176,6 +241,9 @@ func (h *History) Append(o Observation) error {
 	}
 	h.obs = append(h.obs, stored)
 	h.version++
+	if h.retain > 0 && (h.base+len(h.obs))%h.retain == 0 {
+		h.trimLocked()
+	}
 	h.mu.Unlock()
 	if sink != nil {
 		if err := sink.WaitObservation(ticket); err != nil {
@@ -185,23 +253,26 @@ func (h *History) Append(o Observation) error {
 	return nil
 }
 
-// At returns the i-th observation, oldest first.
+// At returns the i-th observation ever appended, oldest first; i must
+// not be below Base.
 func (h *History) At(i int) Observation {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	return h.obs[i]
+	return h.obs[i-h.base]
 }
 
 // Snapshot captures an immutable view of the current history. The
 // returned snapshot is safe to read without locking while other
-// goroutines keep appending: observations are never mutated in place,
-// so the captured prefix stays valid forever.
+// goroutines keep appending: observations are never mutated in place
+// and a trim moves the history to a new array, so the captured range
+// stays valid forever.
 func (h *History) Snapshot() *Snapshot {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
 	return &Snapshot{
 		owner:   h,
 		version: h.version,
+		base:    h.base,
 		obs:     h.obs[:len(h.obs):len(h.obs)],
 	}
 }
@@ -211,14 +282,20 @@ func (h *History) Snapshot() *Snapshot {
 type Snapshot struct {
 	owner   *History
 	version uint64
+	base    int
 	obs     []Observation
 }
 
-// Len returns the number of observations in the snapshot.
-func (s *Snapshot) Len() int { return len(s.obs) }
+// Len returns the number of observations appended when the snapshot was
+// taken; the snapshot holds those from Base on.
+func (s *Snapshot) Len() int { return s.base + len(s.obs) }
 
-// At returns the i-th observation, oldest first.
-func (s *Snapshot) At(i int) Observation { return s.obs[i] }
+// Base returns the index of the oldest observation the snapshot holds.
+func (s *Snapshot) Base() int { return s.base }
+
+// At returns the i-th observation ever appended, oldest first; i must
+// not be below Base.
+func (s *Snapshot) At(i int) Observation { return s.obs[i-s.base] }
 
 // Dim returns the feature dimension L.
 func (s *Snapshot) Dim() int { return s.owner.dim }
@@ -503,8 +580,8 @@ func (e *Estimator) fitFor(s *Snapshot, x []float64) (*windowFit, error) {
 		return nil, fmt.Errorf("core: plan has %d features, history has %d", len(x), s.Dim())
 	}
 	minM := regression.MinObservations(s.Dim())
-	if s.Len() < minM {
-		return nil, fmt.Errorf("%w: have %d observations, need %d", ErrInsufficientHistory, s.Len(), minM)
+	if len(s.obs) < minM {
+		return nil, fmt.Errorf("%w: have %d observations, need %d", ErrInsufficientHistory, len(s.obs), minM)
 	}
 	cache := e.cache.Load()
 	if cache == nil {
@@ -523,8 +600,8 @@ func (e *Estimator) fitFor(s *Snapshot, x []float64) (*windowFit, error) {
 // incrementally against one shared-Gram fitter.
 func (e *Estimator) searchWindow(s *Snapshot, minM int) (*windowFit, error) {
 	mmax := e.cfg.MMax
-	if mmax == 0 || mmax > s.Len() {
-		mmax = s.Len()
+	if mmax == 0 || mmax > len(s.obs) {
+		mmax = len(s.obs)
 	}
 	if mmax < minM {
 		mmax = minM

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -383,5 +385,89 @@ func TestEstimateCarriesStdErr(t *testing.T) {
 	// be informative (neither zero nor absurd).
 	if est.WindowSize > regression.MinObservations(1)+1 && (se < 0.3 || se > 5) {
 		t.Errorf("StdErr = %v at window %d, want ≈1", se, est.WindowSize)
+	}
+}
+
+// TestBoundedHistory pins what a retention bound changes and what it
+// must not: Len, Version and every index keep counting from the first
+// observation, Base follows RetainedBase, and an estimator whose window
+// fits inside the bound — or asks for "the whole history" — cannot tell
+// the bounded history from a fresh one holding the same suffix.
+func TestBoundedHistory(t *testing.T) {
+	const retain, n = 16, 101 // 101: the newest three observations are not collinear
+	full := seedHistory(t, n)
+	bounded := seedHistory(t, 10)
+	bounded.SetRetain(retain)
+	for i := 10; i < n; i++ {
+		if err := bounded.Append(full.At(i)); err != nil {
+			t.Fatal(err)
+		}
+		held := bounded.Len() - bounded.Base()
+		if bounded.Base() != int(RetainedBase(uint64(i+1), retain)) || (i+1 >= retain && (held < retain || held >= 2*retain)) {
+			t.Fatalf("after %d appends: base %d, %d held, bound %d", i+1, bounded.Base(), held, retain)
+		}
+	}
+	if bounded.Len() != n || bounded.Version() != n || bounded.Base() != 80 {
+		t.Fatalf("Len, Version, Base = %d, %d, %d, want %d, %d, 80", bounded.Len(), bounded.Version(), bounded.Base(), n, n)
+	}
+	// The same suffix as a history of its own, resumed at the base.
+	resumed, err := NewHistoryAt(bounded.Base(), 1, "time_s", "money_usd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := bounded.Base(); i < n; i++ {
+		if got, want := fmt.Sprint(bounded.At(i)), fmt.Sprint(full.At(i)); got != want {
+			t.Fatalf("At(%d) = %s, want %s", i, got, want)
+		}
+		if err := resumed.Append(full.At(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if resumed.Len() != n || resumed.Version() != n || resumed.Base() != bounded.Base() {
+		t.Fatalf("resumed Len, Version, Base = %d, %d, %d", resumed.Len(), resumed.Version(), resumed.Base())
+	}
+	for _, tc := range []struct {
+		mmax int
+		ref  *History // what the bounded estimate must equal
+	}{{12, full}, {0, resumed}} {
+		est, err := NewEstimator(Config{MMax: tc.mmax, RequiredR2: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := est.EstimateCostValue(bounded, []float64{5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := est.EstimateCostValue(tc.ref, []float64{5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(got.Values()) != fmt.Sprint(want.Values()) || got.WindowSize != want.WindowSize {
+			t.Errorf("MMax %d: bounded %v over %d, reference %v over %d", tc.mmax, got.Values(), got.WindowSize, want.Values(), want.WindowSize)
+		}
+		if tc.mmax == 0 && got.WindowSize != n-bounded.Base() {
+			t.Errorf("whole-history window = %d, want the %d held", got.WindowSize, n-bounded.Base())
+		}
+	}
+	// Lifting the bound brings nothing back; a tighter one trims at once.
+	bounded.SetRetain(0)
+	if bounded.Base() != 80 {
+		t.Errorf("Base after lifting the bound = %d, want 80", bounded.Base())
+	}
+	full.SetRetain(retain)
+	if full.Base() != 80 || full.Len() != n {
+		t.Errorf("SetRetain on a long history: Base, Len = %d, %d, want 80, %d", full.Base(), full.Len(), n)
+	}
+	// A saved document holds what the history holds.
+	var doc bytes.Buffer
+	if err := SaveSnapshot(full.Snapshot(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadHistory(&doc)
+	if err != nil || loaded.Len() != n-80 || fmt.Sprint(loaded.At(0)) != fmt.Sprint(full.At(80)) {
+		t.Errorf("saved bounded history loads as %d observations (err %v), want %d", loaded.Len(), err, n-80)
+	}
+	if _, err := NewHistoryAt(-1, 1, "time_s"); err == nil {
+		t.Error("negative base accepted")
 	}
 }

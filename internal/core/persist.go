@@ -38,16 +38,17 @@ type obsSnapshot struct {
 
 // SaveSnapshot writes a point-in-time history snapshot as versioned
 // JSON. It takes an already-captured snapshot, so the write is safe
-// while other goroutines append.
+// while other goroutines append. The document has no notion of a base:
+// it holds the observations the snapshot holds, and loads as a history
+// that starts with them.
 func SaveSnapshot(s *Snapshot, w io.Writer) error {
 	snap := historySnapshot{
 		Version:      persistVersion,
 		Dim:          s.Dim(),
 		Metrics:      s.Metrics(),
-		Observations: make([]obsSnapshot, s.Len()),
+		Observations: make([]obsSnapshot, len(s.obs)),
 	}
-	for i := range snap.Observations {
-		o := s.At(i)
+	for i, o := range s.obs {
 		snap.Observations[i] = obsSnapshot{X: o.X, Costs: o.Costs}
 	}
 	enc := json.NewEncoder(w)

@@ -206,8 +206,13 @@ func WriteFileAtomic(path string, write func(io.Writer) error) error {
 	return syncDir(filepath.Dir(path))
 }
 
-// syncDir fsyncs a directory, making the names in it durable. It is a
-// variable so tests can observe the call and inject its failure.
+// SyncDir fsyncs a directory, making the names in it durable: what a
+// caller that creates a file by another route than WriteFileAtomic owes
+// it before relying on the name.
+func SyncDir(dir string) error { return syncDir(dir) }
+
+// syncDir is a variable so tests can observe the call and inject its
+// failure.
 var syncDir = func(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {

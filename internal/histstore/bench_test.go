@@ -93,15 +93,16 @@ func BenchmarkWALAppendGroupCommit(b *testing.B) {
 	})
 }
 
-// BenchmarkRecovery measures a cold open replaying the WAL at a few
-// realistic history sizes, and (legacy) the one-time open-plus-fold of
-// a directory an older build compacted: half the observations in
-// snapshot.json, half in wal.log.
+// BenchmarkRecovery measures a cold open replaying the WAL — linear in
+// the history without a retention bound, flat with one, export-B being
+// what a handoff or standby sync of the opened shard ships — and
+// (legacy) the one-time open-plus-fold of a directory an older build
+// compacted: half the observations in snapshot.json, half in wal.log.
 func BenchmarkRecovery(b *testing.B) {
 	// write fills a fresh store with size observations and closes it.
-	write := func(b *testing.B, size int) string {
+	write := func(b *testing.B, size int, opts Options) string {
 		dir := b.TempDir()
-		s, err := Open(dir, Options{})
+		s, err := Open(dir, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -119,8 +120,8 @@ func BenchmarkRecovery(b *testing.B) {
 		}
 		return dir
 	}
-	reopen := func(b *testing.B, dir string, size int) {
-		s, err := Open(dir, Options{})
+	reopen := func(b *testing.B, dir string, size int, opts Options) *Store {
+		s, err := Open(dir, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -131,23 +132,42 @@ func BenchmarkRecovery(b *testing.B) {
 		if h.Len() != size {
 			b.Fatalf("recovered %d, want %d", h.Len(), size)
 		}
-		if err := s.Close(); err != nil {
-			b.Fatal(err)
-		}
+		return s
 	}
-	for _, size := range []int{100, 1000, 10000} {
-		b.Run(fmt.Sprintf("n=%d", size), func(b *testing.B) {
-			dir := write(b, size)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				reopen(b, dir, size)
+	for _, tc := range []struct {
+		retain int
+		sizes  []int
+	}{{0, []int{100, 1000, 10000, 100000}}, {1024, []int{10000, 100000, 1000000}}} {
+		for _, size := range tc.sizes {
+			name, opts := fmt.Sprintf("n=%d", size), Options{Retain: tc.retain}
+			if tc.retain > 0 {
+				name = fmt.Sprintf("retain=%d/%s", tc.retain, name)
 			}
-		})
+			b.Run(name, func(b *testing.B) {
+				dir := write(b, size, opts)
+				var export bytes.Buffer
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					s := reopen(b, dir, size, opts)
+					if i == 0 {
+						b.StopTimer()
+						if err := s.ExportShard("bench", &export, nil); err != nil {
+							b.Fatal(err)
+						}
+						b.StartTimer()
+					}
+					if err := s.Close(); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(export.Len()), "export-B")
+			})
+		}
 	}
 	b.Run("legacy/n=10000", func(b *testing.B) {
 		const size = 10000
-		shard := filepath.Join(write(b, size), "bench")
+		shard := filepath.Join(write(b, size, Options{}), "bench")
 		wal, err := os.ReadFile(filepath.Join(shard, walName))
 		if err != nil {
 			b.Fatal(err)
@@ -176,7 +196,9 @@ func BenchmarkRecovery(b *testing.B) {
 				b.Fatal(err)
 			}
 			b.StartTimer()
-			reopen(b, filepath.Dir(shard), size)
+			if err := reopen(b, filepath.Dir(shard), size, Options{}).Close(); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 }

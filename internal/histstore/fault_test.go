@@ -56,9 +56,9 @@ func TestFailedAppendBreaksShard(t *testing.T) {
 			h := openHist(t, s, "Q12")
 			appendN(t, h, 0, 5)
 			sh := s.shards["Q12"]
-			fw := &faultyWAL{walFile: sh.wal}
+			fw := &faultyWAL{walFile: sh.wal.f}
 			sh.mu.Lock()
-			sh.wal = fw
+			sh.wal.f = fw
 			sh.mu.Unlock()
 
 			fault := tc.fault(fw)

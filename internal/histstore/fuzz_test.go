@@ -11,12 +11,15 @@ import (
 	"repro/internal/framelog"
 )
 
-// FuzzReplay feeds arbitrary bytes to a shard open as its wal.log, with
-// and without a header beside it. Whatever the bytes: no panic, no
-// allocation beyond one frame bound plus a multiple of the bytes read,
-// an open that fails leaves the log alone, and one that succeeds
-// recovers exactly the contiguous 0..k-1 run of frames the surviving
-// log holds — a fixed point of a second open.
+// FuzzReplay feeds arbitrary bytes to a shard open as its WAL — whole
+// as wal.log or, with a non-zero split, cut in two at that byte with
+// the rest as one later segment — with and without a header beside it.
+// Whatever the bytes: no panic, no allocation beyond one frame bound
+// plus a multiple of the bytes read, an open that fails leaves every
+// file alone, and one that succeeds leaves the closed segment alone,
+// cuts the newest to a prefix and recovers exactly the contiguous
+// 0..k-1 run of frames the surviving files hold between them — never a
+// history with a hole, and a fixed point of a second open.
 func FuzzReplay(f *testing.F) {
 	var whole, gap, wrongDim []byte
 	for i := 0; i < 4; i++ {
@@ -26,8 +29,10 @@ func FuzzReplay(f *testing.F) {
 	wrongDim = appendFrame(wrongDim, 0, core.Observation{X: []float64{1, 2}, Costs: []float64{3, 4}})
 	for _, seed := range [][]byte{nil, whole, whole[:len(whole)-5], append(whole[:2*testFrameSize:2*testFrameSize], whole...), gap, wrongDim,
 		{0xff, 0xff, 0x0f, 0x00, 1, 2, 3, 4, 5}, make([]byte, 64)} {
-		f.Add(seed, true)
-		f.Add(seed, false)
+		for _, split := range []uint16{0, 1, testFrameSize, 2 * testFrameSize, 2*testFrameSize + 3} {
+			f.Add(seed, true, split)
+			f.Add(seed, false, split)
+		}
 	}
 	var header bytes.Buffer
 	empty, err := core.NewHistory(1, testMetrics...)
@@ -37,8 +42,21 @@ func FuzzReplay(f *testing.F) {
 	if err := core.SaveSnapshot(empty.Snapshot(), &header); err != nil {
 		f.Fatal(err)
 	}
-	f.Fuzz(func(t *testing.T, wal []byte, withHeader bool) {
-		files := map[string][]byte{walName: wal}
+	f.Fuzz(func(t *testing.T, wal []byte, withHeader bool, split uint16) {
+		// The segments, oldest first. The later one is named for the
+		// frame count a log cut at a frame boundary would have rolled at.
+		type segment struct {
+			name  string
+			input []byte
+		}
+		segs := []segment{{walName, wal}}
+		if cut := int(split) % (len(wal) + 1); cut > 0 {
+			segs = []segment{{walName, wal[:cut]}, {segmentName(uint64(max(cut/testFrameSize, 1))), wal[cut:]}}
+		}
+		files := map[string][]byte{}
+		for _, seg := range segs {
+			files[seg.name] = seg.input
+		}
 		if withHeader {
 			files[snapshotName] = header.Bytes()
 		}
@@ -57,46 +75,55 @@ func FuzzReplay(f *testing.F) {
 		h, closeStore, err := open()
 		runtime.ReadMemStats(&after)
 		closeStore()
-		// A forged length field costs at most one frame bound of memory,
-		// however little data follows it.
-		if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(maxFramePayload+32*len(wal)+128<<10); grew > limit {
+		// A forged length field costs at most one frame bound of memory
+		// per file, however little data follows it.
+		if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(len(segs)*maxFramePayload+32*len(wal)+128<<10); grew > limit {
 			t.Fatalf("opening a %d-byte log allocated %d bytes, want ≤ %d", len(wal), grew, limit)
 		}
-		survived, rerr := os.ReadFile(filepath.Join(shard, walName))
-		if rerr != nil {
-			t.Fatal(rerr)
+		survived := make([][]byte, len(segs))
+		for i, seg := range segs {
+			var rerr error
+			if survived[i], rerr = os.ReadFile(filepath.Join(shard, seg.name)); rerr != nil {
+				t.Fatal(rerr)
+			}
+			// A CRC-valid frame that cannot be applied (a sequence gap,
+			// the wrong shape) is not a torn tail, and a closed segment
+			// has no tail to forgive: only the newest segment of a log
+			// that opened is ever cut.
+			if (err != nil || i < len(segs)-1) && !bytes.Equal(survived[i], seg.input) {
+				t.Fatalf("open (err %v) rewrote %s: %d → %d bytes", err, seg.name, len(seg.input), len(survived[i]))
+			}
+			if !bytes.HasPrefix(seg.input, survived[i]) {
+				t.Fatalf("surviving %s (%d bytes) is not a prefix of the input (%d bytes)", seg.name, len(survived[i]), len(seg.input))
+			}
 		}
 		if err != nil {
-			// A CRC-valid frame that cannot be applied (a sequence gap,
-			// the wrong shape) is not a torn tail: nothing is cut.
-			if !bytes.Equal(survived, wal) {
-				t.Fatalf("failed open (%v) rewrote wal.log: %d → %d bytes", err, len(wal), len(survived))
-			}
 			return
 		}
-		if !bytes.HasPrefix(wal, survived) {
-			t.Fatalf("surviving wal.log (%d bytes) is not a prefix of the input (%d bytes)", len(survived), len(wal))
-		}
-		// The surviving log is whole frames, each a duplicate of or the
-		// successor to what precedes it, and the history is exactly
+		// The surviving files are whole frames, each a duplicate of or
+		// the successor to what precedes it, and the history is exactly
 		// their first occurrences.
 		next := uint64(0)
-		end, err := framelog.Scan(bytes.NewReader(survived), maxFramePayload, framelog.Strict, func(_ int64, p []byte) error {
-			seq, o, err := decodePayload(p)
-			if err != nil || seq > next {
-				t.Fatalf("surviving frame seq %d after %d observations (err %v)", seq, next, err)
-			}
-			if seq == next {
-				if got := h.At(int(seq)); !sameBits(got, o) {
-					t.Fatalf("observation %d = %+v, log holds %+v", seq, got, o)
+		for i, seg := range segs {
+			end, err := framelog.Scan(bytes.NewReader(survived[i]), maxFramePayload, framelog.Strict, func(_ int64, p []byte) error {
+				seq, o, err := decodePayload(p)
+				if err != nil || seq > next {
+					t.Fatalf("surviving frame seq %d in %s after %d observations (err %v)", seq, seg.name, next, err)
 				}
-				next++
+				if seq == next {
+					if got := h.At(int(seq)); !sameBits(got, o) {
+						t.Fatalf("observation %d = %+v, log holds %+v", seq, got, o)
+					}
+					next++
+				}
+				return nil
+			})
+			if err != nil || end != int64(len(survived[i])) {
+				t.Fatalf("surviving %s scans to %d of %d bytes (err %v)", seg.name, end, len(survived[i]), err)
 			}
-			return nil
-		})
-		if err != nil || end != int64(len(survived)) || int(next) != h.Len() {
-			t.Fatalf("surviving log scans to %d of %d bytes, %d observations vs %d recovered (err %v)",
-				end, len(survived), next, h.Len(), err)
+		}
+		if int(next) != h.Len() || h.Base() != 0 {
+			t.Fatalf("the files hold %d observations, the history [%d, %d)", next, h.Base(), h.Len())
 		}
 		h2, closeStore, err := open()
 		closeStore()
@@ -108,8 +135,10 @@ func FuzzReplay(f *testing.F) {
 				t.Fatalf("second open: observation %d differs", i)
 			}
 		}
-		if again, err := os.ReadFile(filepath.Join(shard, walName)); err != nil || !bytes.Equal(again, survived) {
-			t.Fatalf("second open changed wal.log (err %v)", err)
+		for i, seg := range segs {
+			if again, err := os.ReadFile(filepath.Join(shard, seg.name)); err != nil || !bytes.Equal(again, survived[i]) {
+				t.Fatalf("second open changed %s (err %v)", seg.name, err)
+			}
 		}
 	})
 }

@@ -6,9 +6,11 @@
 // serving layer uses one Store per federation and one shard per query).
 // Each shard is
 //
-//	<root>/<name>/wal.log         CRC-framed append-only log of every
-//	                              observation, sequence 0 onwards — the
-//	                              history itself; it only grows
+//	<root>/<name>/wal*.log        CRC-framed append-only log of
+//	                              observations, one frame each, numbered
+//	                              from 0 — the history itself, in
+//	                              segments (segments.go): wal.log alone
+//	                              unless Options.Retain rolls and trims
 //	<root>/<name>/snapshot.json   shape header: the core.SaveSnapshot
 //	                              document (internal/core/persist.go)
 //	                              with zero observations, written once
@@ -19,10 +21,11 @@
 // point: one fsync per open shard.
 //
 // Recovery is deterministic and torn-tail-tolerant: check the header's
-// shape, replay the WAL in sequence order, truncate it at the first
-// corrupt frame. A recovered history holds byte-identical observations
-// in identical order to the history that wrote it, so DREAM's window
-// fit — and every estimate derived from it — is identical too.
+// shape, replay the segments present in sequence order, truncate the
+// newest at the first corrupt frame. A recovered history holds
+// byte-identical observations in identical order to the history that
+// wrote it, from the same base on, so DREAM's window fit — and every
+// estimate derived from it — is identical too.
 //
 // A shard an older, compacting build wrote (the first observations in
 // snapshot.json, the rest in wal.log) recovers by the same rule and is
@@ -45,10 +48,7 @@ import (
 	"repro/internal/metrics"
 )
 
-const (
-	snapshotName = "snapshot.json"
-	walName      = "wal.log"
-)
+const snapshotName = "snapshot.json"
 
 // Options tunes a Store.
 type Options struct {
@@ -68,6 +68,13 @@ type Options struct {
 	// When set, Fsync's per-append sync is skipped (the group fsync
 	// supersedes it).
 	GroupCommit bool
+	// Retain, when positive, bounds every shard — the history in memory,
+	// its WAL on disk and a standby's replica of it alike — to the newest
+	// Retain..2·Retain observations by the one rule core.RetainedBase.
+	// Sequence numbers and History.Len keep counting from the first
+	// observation ever appended. Zero keeps everything, in one wal.log.
+	// It must cover the largest window any model fits on the history.
+	Retain int
 	// Mirror, when non-nil, observes every WAL append for replication:
 	// AppendFrame is invoked under the shard lock immediately after the
 	// frame reaches the local WAL (so mirror order is exactly WAL
@@ -111,6 +118,11 @@ type Store struct {
 	mu     sync.Mutex
 	shards map[string]*shard
 
+	// How a roll creates a segment and unlinks one: the file system, or
+	// a fault injector in tests.
+	createSegment func(path string) (walFile, error)
+	removeSegment func(path string) error
+
 	// Replica shards: WAL files this store appends raw mirrored frames
 	// to without ever opening them as histories (the standby half of
 	// cluster replication). Keyed by shard name, lazily initialised.
@@ -127,6 +139,7 @@ type storeObs struct {
 	checkpointFailures *metrics.Counter
 	recoverySeconds    *metrics.Histogram
 	recoveredObs       *metrics.Counter
+	retainedObs        *metrics.Gauge
 	tornTails          *metrics.Counter
 	commitBatch        *metrics.Histogram
 	fsyncsAvoided      *metrics.Counter
@@ -155,7 +168,10 @@ func newStoreObs(reg *metrics.Registry, store string) *storeObs {
 			"Duration of one shard open (header check + WAL replay, plus the one-time fold of a compacted layout).",
 			fileOpBuckets, "store").With(store),
 		recoveredObs: reg.CounterVec("midas_histstore_recovered_observations_total",
-			"Observations recovered from durable state across shard opens.",
+			"Observations read back from durable state across shard opens.",
+			"store").With(store),
+		retainedObs: reg.GaugeVec("midas_histstore_retained_observations",
+			"Observations the open shards hold on disk; with retention on, at most twice the bound per shard plus what an older layout has yet to shed.",
 			"store").With(store),
 		tornTails: reg.CounterVec("midas_histstore_torn_tails_total",
 			"WAL tails truncated at a torn or corrupt frame during recovery.",
@@ -179,7 +195,11 @@ func Open(root string, opts Options) (*Store, error) {
 	if err := os.MkdirAll(root, 0o755); err != nil {
 		return nil, fmt.Errorf("histstore: %w", err)
 	}
-	s := &Store{root: root, opts: opts, shards: make(map[string]*shard)}
+	if opts.Retain < 0 {
+		return nil, fmt.Errorf("histstore: negative Retain %d", opts.Retain)
+	}
+	s := &Store{root: root, opts: opts, shards: make(map[string]*shard),
+		createSegment: createSegment, removeSegment: os.Remove}
 	if opts.Metrics != nil {
 		label := opts.MetricsStore
 		if label == "" {
@@ -226,22 +246,33 @@ func (s *Store) openShard(name string, dim int, metricNames []string) (*shard, e
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("histstore: shard %q: %w", name, err)
 	}
-	// Leftover temp files are writes that never committed (a header, an
-	// import, an interrupted fold); the durable state they were meant
-	// to replace is still intact.
-	_ = os.Remove(filepath.Join(dir, snapshotName+framelog.TmpSuffix))
-	_ = os.Remove(filepath.Join(dir, walName+framelog.TmpSuffix))
-
+	starts, err := listSegments(dir)
+	if err != nil {
+		return nil, fmt.Errorf("histstore: shard %q: %w", name, err)
+	}
+	if len(starts) == 0 {
+		starts = []uint64{0}
+	}
 	h, hasHeader, err := loadSnapshot(filepath.Join(dir, snapshotName), dim, metricNames)
 	if err != nil {
 		return nil, fmt.Errorf("histstore: shard %q: %w", name, err)
 	}
 	// Observations in snapshot.json itself: only a shard compacted by
-	// an older build has any.
+	// an older build has any, and such a build never rolled.
 	compacted := h.Len()
-	// A torn tail (a crash mid-write) is dropped, so the next append
-	// starts on a clean frame boundary.
-	wal, _, torn, err := framelog.OpenAppend(filepath.Join(dir, walName), maxFramePayload, func(_ int64, p []byte) error {
+	switch {
+	case compacted > 0 && (len(starts) > 1 || starts[0] != 0):
+		return nil, fmt.Errorf("histstore: shard %q: snapshot.json holds %d observations beside a rolled wal", name, compacted)
+	case compacted == 0:
+		// The history resumes where the oldest segment present starts,
+		// and stays bounded while the replay runs.
+		if h, err = core.NewHistoryAt(int(starts[0]), dim, metricNames...); err != nil {
+			return nil, fmt.Errorf("histstore: shard %q: %w", name, err)
+		}
+		h.SetRetain(s.opts.Retain)
+	}
+	replayed := compacted
+	apply := func(_ int64, p []byte) error {
 		seq, o, err := decodePayload(p)
 		if err != nil {
 			return err
@@ -262,17 +293,36 @@ func (s *Store) openShard(name string, dim int, metricNames []string) (*shard, e
 		if seq > uint64(h.Len()) {
 			return fmt.Errorf("wal sequence gap: frame %d, history has %d observations", seq, h.Len())
 		}
+		replayed++
 		return h.Append(o)
-	})
-	if err != nil {
-		return nil, fmt.Errorf("histstore: shard %q: replaying wal: %w", name, err)
+	}
+	var wal *os.File
+	var torn bool
+	for i, start := range starts {
+		path := filepath.Join(dir, segmentName(start))
+		if uint64(h.Len()) < start {
+			err = fmt.Errorf("wal sequence gap: segment %s, history has %d observations", segmentName(start), h.Len())
+		} else if i < len(starts)-1 {
+			// A closed segment was complete when the log rolled past it:
+			// a bad frame in one is damage, not a torn write.
+			err = scanFile(path, apply)
+		} else {
+			// A torn tail (a crash mid-write) is dropped, so the next
+			// append starts on a clean frame boundary.
+			wal, _, torn, err = framelog.OpenAppend(path, maxFramePayload, apply)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("histstore: shard %q: replaying wal: %w", name, err)
+		}
 	}
 	if torn && s.obs != nil {
 		s.obs.tornTails.Inc()
 	}
 	switch {
 	case compacted > 0:
-		wal, err = foldShard(dir, h, wal)
+		if wal, err = foldShard(dir, h, wal); err == nil {
+			h.SetRetain(s.opts.Retain) // the files shed the prefix as the log rolls
+		}
 	case !hasHeader:
 		err = writeHeader(dir, h)
 	}
@@ -284,11 +334,10 @@ func (s *Store) openShard(name string, dim int, metricNames []string) (*shard, e
 	}
 	sh := &shard{
 		name:    name,
-		dir:     dir,
 		opts:    s.opts,
 		obs:     s.obs,
 		hist:    h,
-		wal:     wal,
+		wal:     s.segLog(dir, wal, starts),
 		nextSeq: uint64(h.Len()),
 		// Everything replayed so far is durable (it was read back off
 		// disk), so the watermark starts with nothing pending.
@@ -304,9 +353,21 @@ func (s *Store) openShard(name string, dim int, metricNames []string) (*shard, e
 	h.SetSink(sh)
 	if s.obs != nil {
 		s.obs.recoverySeconds.Observe(time.Since(began).Seconds())
-		s.obs.recoveredObs.Add(float64(h.Len()))
+		s.obs.recoveredObs.Add(float64(replayed))
+		s.obs.retainedObs.Add(float64(sh.wal.held(sh.nextSeq)))
 	}
 	return sh, nil
+}
+
+// scanFile replays one closed segment: every frame must be intact.
+func scanFile(path string, fn func(off int64, payload []byte) error) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	_, err = framelog.Scan(f, maxFramePayload, framelog.Strict, fn)
+	return err
 }
 
 // loadSnapshot reads the shard's snapshot.json if present (validating
@@ -434,15 +495,18 @@ func (s *Store) Close() error {
 			sh.gcMu.Unlock()
 		}
 		sh.mu.Lock()
-		if err := sh.wal.Close(); err != nil && first == nil {
+		if err := sh.wal.f.Close(); err != nil && first == nil {
 			first = err
+		}
+		if s.obs != nil {
+			s.obs.retainedObs.Add(-float64(sh.wal.held(sh.nextSeq)))
 		}
 		sh.mu.Unlock()
 		delete(s.shards, name)
 	}
 	s.replMu.Lock()
 	for name, r := range s.replicas {
-		if err := r.f.Close(); err != nil && first == nil {
+		if err := r.wal.f.Close(); err != nil && first == nil {
 			first = err
 		}
 		delete(s.replicas, name)
@@ -451,26 +515,17 @@ func (s *Store) Close() error {
 	return first
 }
 
-// walFile is what a shard needs of its WAL handle: an *os.File, or a
-// fault injector in tests.
-type walFile interface {
-	io.Writer
-	Sync() error
-	Close() error
-}
-
 // shard is one named history's durable state. It implements
 // core.HistorySink, so the History it recovered writes every new
 // observation through it.
 type shard struct {
 	name string
-	dir  string
 	opts Options
 	obs  *storeObs // nil when the store is unmetered
 	hist *core.History
 
 	mu      sync.Mutex
-	wal     walFile
+	wal     segLog
 	buf     []byte // frame scratch, reused across appends
 	nextSeq uint64 // sequence of the next record to append
 	// broken, once set, fails every subsequent append, Sync and export:
@@ -514,8 +569,21 @@ func (sh *shard) RecordObservation(o core.Observation) (uint64, error) {
 	if sh.obs != nil {
 		began = time.Now()
 	}
+	held := sh.wal.held(sh.nextSeq)
+	rolled, err := sh.wal.rollIfDue(sh.nextSeq)
+	if err != nil {
+		sh.broken = err
+		return 0, fmt.Errorf("histstore: %w", sh.broken)
+	}
+	if rolled && sh.wal.durable {
+		// The roll's fsync covered every frame written so far.
+		sh.gcMu.Lock()
+		sh.gcSynced = sh.nextSeq
+		sh.gcCond.Broadcast()
+		sh.gcMu.Unlock()
+	}
 	sh.buf = appendFrame(sh.buf[:0], sh.nextSeq, o)
-	if _, err := sh.wal.Write(sh.buf); err != nil {
+	if _, err := sh.wal.f.Write(sh.buf); err != nil {
 		// A short write leaves a torn frame mid-log: recovery would cut
 		// there and drop everything appended after it.
 		sh.broken = fmt.Errorf("wal append: %w", err)
@@ -524,7 +592,7 @@ func (sh *shard) RecordObservation(o core.Observation) (uint64, error) {
 	seq := sh.nextSeq
 	sh.nextSeq++
 	if sh.opts.Fsync && !sh.opts.GroupCommit {
-		if err := sh.wal.Sync(); err != nil {
+		if err := sh.wal.sync(); err != nil {
 			// The frame is in the log but not acknowledged; a later
 			// append must not be either (see syncBatch).
 			sh.broken = fmt.Errorf("wal fsync: %w", err)
@@ -539,6 +607,7 @@ func (sh *shard) RecordObservation(o core.Observation) (uint64, error) {
 	}
 	if sh.obs != nil {
 		sh.obs.walAppendSeconds.Observe(time.Since(began).Seconds())
+		sh.obs.retainedObs.Add(float64(sh.wal.held(sh.nextSeq)) - float64(held))
 	}
 	if sh.gcKick != nil {
 		// Wake the committer. The channel is buffered(1), so a pending
@@ -611,7 +680,7 @@ func (sh *shard) syncBatch() error {
 	pending := target > sh.gcSynced
 	sh.gcMu.Unlock()
 	if sh.broken == nil && pending {
-		if err := sh.wal.Sync(); err != nil {
+		if err := sh.wal.sync(); err != nil {
 			// An fsync the kernel rejected may have dropped dirty pages;
 			// nothing appended afterwards could be trusted either.
 			sh.broken = fmt.Errorf("wal fsync: %w", err)

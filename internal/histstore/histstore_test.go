@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -57,15 +58,7 @@ func appendN(t *testing.T, h *core.History, start, n int) {
 // wantPrefix asserts h holds exactly the first n test observations.
 func wantPrefix(t *testing.T, h *core.History, n int) {
 	t.Helper()
-	if h.Len() != n {
-		t.Fatalf("history len = %d, want %d", h.Len(), n)
-	}
-	for i := 0; i < n; i++ {
-		got, want := h.At(i), obsAt(i)
-		if got.X[0] != want.X[0] || got.Costs[0] != want.Costs[0] || got.Costs[1] != want.Costs[1] {
-			t.Fatalf("observation %d = %+v, want %+v", i, got, want)
-		}
-	}
+	wantRange(t, h, 0, n)
 }
 
 // wantLayout asserts the shard directory is in the one-file layout:
@@ -158,14 +151,77 @@ func TestAppendRecoverRoundTrip(t *testing.T) {
 	wantLayout(t, dir, "Q12", 12)
 }
 
+// wantRange asserts h counts n observations and holds exactly the test
+// observations base..n-1.
+func wantRange(t *testing.T, h *core.History, base, n int) {
+	t.Helper()
+	if h.Len() != n || h.Base() != base {
+		t.Fatalf("history holds [%d, %d), want [%d, %d)", h.Base(), h.Len(), base, n)
+	}
+	for i := base; i < n; i++ {
+		if got, want := h.At(i), obsAt(i); !sameBits(got, want) {
+			t.Fatalf("observation %d = %+v, want %+v", i, got, want)
+		}
+	}
+}
+
+// liveStarts is where the segments of a log that rolled every retain
+// frames start once n frames are written: the one the last frame went
+// to and, the rule keeping at least retain frames, the one before it.
+func liveStarts(retain, n int) []uint64 {
+	if retain == 0 || n <= retain {
+		return []uint64{0}
+	}
+	newest := uint64((n - 1) / retain * retain)
+	return []uint64{newest - uint64(retain), newest}
+}
+
+// wantSegments asserts the shard directory holds exactly the segments
+// starting at starts, whole test-observation frames running on from one
+// file to the next up to frame n-1, and nothing else but the header.
+func wantSegments(t *testing.T, dir, shard string, starts []uint64, n int) {
+	t.Helper()
+	got, err := listSegments(filepath.Join(dir, shard))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, starts) {
+		t.Fatalf("segments start at %v, want %v (%d appended)", got, starts, n)
+	}
+	for i, start := range starts {
+		end := uint64(n)
+		if i+1 < len(starts) {
+			end = starts[i+1]
+		}
+		fi, err := os.Stat(filepath.Join(dir, shard, segmentName(start)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fi.Size() != int64(end-start)*testFrameSize {
+			t.Fatalf("%s is %d bytes, want frames %d..%d = %d", segmentName(start), fi.Size(), start, end-1, int64(end-start)*testFrameSize)
+		}
+	}
+	entries, err := os.ReadDir(filepath.Join(dir, shard))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != len(starts)+1 {
+		t.Fatalf("shard directory holds %d files, want %d segments and the header", len(entries), len(starts))
+	}
+}
+
 // TestRecoveredEstimatesIdentical is the determinism contract, checked
-// over seeded random schedules of append, Sync and crash (the directory
-// as a dead machine would leave it: wal.log cut at an arbitrary byte at
-// or beyond its size at the last Sync). Whatever the cut, the recovered
-// history is a prefix of what was appended that holds everything
-// appended before that Sync, and it produces bit-identical DREAM
-// estimates to a history that was never persisted. Along the way
-// wal.log only ever grows.
+// over seeded random schedules of append, Sync, reopen and crash, with
+// and without a retention bound small enough that the schedule rolls
+// and trims the log several times. A crash is the directory as a dead
+// machine would leave it: the closed segments whole, the newest cut at
+// an arbitrary byte at or beyond its size at the last Sync. Whatever
+// the cut, the recovered history counts a prefix of what was appended
+// that includes everything appended before that Sync, holds the suffix
+// of it the retention rule keeps, and produces bit-identical DREAM
+// estimates to a history that was never persisted and never bounded.
+// Along the way the directory is exactly the segments the rule leaves:
+// without a bound, a wal.log that only grows.
 func TestRecoveredEstimatesIdentical(t *testing.T) {
 	est, err := core.NewEstimator(core.Config{MMax: 10})
 	if err != nil {
@@ -180,20 +236,19 @@ func TestRecoveredEstimatesIdentical(t *testing.T) {
 		return *e, ""
 	}
 	modes := []Options{{}, {Fsync: true}, {GroupCommit: true}}
-	for seed := int64(1); seed <= 9; seed++ {
+	for seed := int64(1); seed <= 12; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		opts := modes[seed%3]
+		opts.Retain = []int{0, 16}[seed%2]
 		dir := t.TempDir()
 		s := openStore(t, dir, opts)
 		h := openHist(t, s, "Q13")
-		walPath := filepath.Join(dir, "Q13", walName)
 		header, err := os.ReadFile(filepath.Join(dir, "Q13", snapshotName))
 		if err != nil {
 			t.Fatal(err)
 		}
 		var appended, syncedN int
-		var syncedSize, lastSize int64
-		for step := 0; step < 80; step++ {
+		for step := 0; step < 100; step++ {
 			switch r := rng.Intn(10); {
 			case r < 6:
 				n := 1 + rng.Intn(4)
@@ -201,59 +256,72 @@ func TestRecoveredEstimatesIdentical(t *testing.T) {
 				appended += n
 				if opts.Fsync || opts.GroupCommit {
 					// Every acknowledged append is its own durability point.
-					syncedN, syncedSize = appended, int64(appended*testFrameSize)
+					syncedN = appended
 				}
-			case r < 8:
+			case r < 7:
 				if err := s.Sync(); err != nil {
 					t.Fatal(err)
 				}
-				syncedN, syncedSize = appended, int64(appended*testFrameSize)
-			default:
-				wal, err := os.ReadFile(walPath)
-				if err != nil {
+				syncedN = appended
+			case r < 8:
+				if err := s.Close(); err != nil {
 					t.Fatal(err)
 				}
-				cut := syncedSize + rng.Int63n(int64(len(wal))-syncedSize+1)
-				crashed := installShard(t, "Q13", map[string][]byte{snapshotName: header, walName: wal[:cut]})
-				s2 := openStore(t, crashed, Options{})
-				h2 := openHist(t, s2, "Q13")
-				if got := h2.Len(); got != int(cut)/testFrameSize || got < syncedN || got > appended {
-					t.Fatalf("seed %d step %d: cut at %d of %d recovered %d observations (synced %d, appended %d)",
-						seed, step, cut, len(wal), got, syncedN, appended)
+				s = openStore(t, dir, opts)
+				h = openHist(t, s, "Q13")
+			default:
+				starts := liveStarts(opts.Retain, appended)
+				newest := starts[len(starts)-1]
+				files := map[string][]byte{snapshotName: header}
+				for _, start := range starts {
+					if files[segmentName(start)], err = os.ReadFile(filepath.Join(dir, "Q13", segmentName(start))); err != nil {
+						t.Fatal(err)
+					}
 				}
-				wantPrefix(t, h2, h2.Len())
-				// Torn-tail truncation at open is the one way the log shrinks.
-				wantLayout(t, crashed, "Q13", h2.Len())
+				wal := files[segmentName(newest)]
+				synced := int64(max(syncedN-int(newest), 0)) * testFrameSize
+				cut := synced + rng.Int63n(int64(len(wal))-synced+1)
+				files[segmentName(newest)] = wal[:cut]
+				crashed := installShard(t, "Q13", files)
+				s2 := openStore(t, crashed, Options{Retain: opts.Retain})
+				h2 := openHist(t, s2, "Q13")
+				got := h2.Len()
+				if got != int(newest)+int(cut)/testFrameSize || got < syncedN || got > appended {
+					t.Fatalf("seed %d step %d: cut at %d of %d in %s recovered %d observations (synced %d, appended %d)",
+						seed, step, cut, len(wal), segmentName(newest), got, syncedN, appended)
+				}
+				// Memory trims as the count reaches a multiple of the bound,
+				// the files one append later, as the log rolls.
+				wantRange(t, h2, max(int(starts[0]), int(core.RetainedBase(uint64(got), uint64(opts.Retain)))), got)
+				// Torn-tail truncation at open is the one way a file shrinks.
+				wantSegments(t, crashed, "Q13", starts, got)
 				ref, err := core.NewHistory(1, testMetrics...)
 				if err != nil {
 					t.Fatal(err)
 				}
-				appendN(t, ref, 0, h2.Len())
+				appendN(t, ref, 0, got)
 				want, wantErr := estimate(ref)
-				got, gotErr := estimate(h2)
-				if gotErr != wantErr || got.WindowSize != want.WindowSize || got.Converged != want.Converged {
+				have, haveErr := estimate(h2)
+				if haveErr != wantErr || have.WindowSize != want.WindowSize || have.Converged != want.Converged {
 					t.Fatalf("seed %d step %d: window fit differs: %d/%v/%q vs %d/%v/%q", seed, step,
-						got.WindowSize, got.Converged, gotErr, want.WindowSize, want.Converged, wantErr)
+						have.WindowSize, have.Converged, haveErr, want.WindowSize, want.Converged, wantErr)
 				}
 				for i := range want.Metrics {
-					if got.Metrics[i].Value != want.Metrics[i].Value || got.Metrics[i].R2 != want.Metrics[i].R2 {
+					if have.Metrics[i].Value != want.Metrics[i].Value || have.Metrics[i].R2 != want.Metrics[i].R2 {
 						t.Fatalf("seed %d step %d: metric %d estimate differs: %+v vs %+v",
-							seed, step, i, got.Metrics[i], want.Metrics[i])
+							seed, step, i, have.Metrics[i], want.Metrics[i])
 					}
 				}
 				if err := s2.Close(); err != nil {
 					t.Fatal(err)
 				}
 			}
-			fi, err := os.Stat(walPath)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fi.Size() < lastSize || fi.Size() != int64(appended*testFrameSize) {
-				t.Fatalf("seed %d step %d: wal.log went from %d to %d bytes with %d appended",
-					seed, step, lastSize, fi.Size(), appended)
-			}
-			lastSize = fi.Size()
+			starts := liveStarts(opts.Retain, appended)
+			wantSegments(t, dir, "Q13", starts, appended)
+			wantRange(t, h, int(core.RetainedBase(uint64(appended), uint64(opts.Retain))), appended)
+		}
+		if opts.Retain > 0 && appended < 4*opts.Retain {
+			t.Fatalf("seed %d: %d appends never trimmed twice", seed, appended)
 		}
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
@@ -515,8 +583,16 @@ func TestAppendAfterCloseFailsCleanly(t *testing.T) {
 // recovered history is identical to the live one — WAL order is memory
 // order.
 func TestConcurrentAppendsAndCheckpoints(t *testing.T) {
+	// Unbounded, and bounded tightly enough that the appenders roll the
+	// log and trim the history a dozen times under the checkpointer.
+	for _, opts := range []Options{{}, {Retain: testRetain}, {Retain: testRetain, GroupCommit: true}} {
+		testConcurrentAppendsAndCheckpoints(t, opts)
+	}
+}
+
+func testConcurrentAppendsAndCheckpoints(t *testing.T, opts Options) {
 	dir := t.TempDir()
-	s := openStore(t, dir, Options{})
+	s := openStore(t, dir, opts)
 	h := openHist(t, s, "Q12")
 	const (
 		appenders = 4
@@ -569,13 +645,13 @@ func TestConcurrentAppendsAndCheckpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2 := openStore(t, dir, Options{})
+	s2 := openStore(t, dir, opts)
 	defer s2.Close()
 	h2 := openHist(t, s2, "Q12")
-	if h2.Len() != h.Len() {
-		t.Fatalf("recovered %d observations, live has %d", h2.Len(), h.Len())
+	if h2.Len() != h.Len() || h2.Base() != h.Base() || h.Base() != retainedBase(h.Len(), opts.Retain) {
+		t.Fatalf("recovered [%d, %d), live has [%d, %d)", h2.Base(), h2.Len(), h.Base(), h.Len())
 	}
-	for i := 0; i < h.Len(); i++ {
+	for i := h.Base(); i < h.Len(); i++ {
 		if h.At(i).X[0] != h2.At(i).X[0] {
 			t.Fatalf("observation %d diverged: live %v, recovered %v", i, h.At(i).X, h2.At(i).X)
 		}

@@ -22,9 +22,10 @@ import (
 //
 // The snapshot body is the shard's snapshot.json bytes verbatim (the
 // shape header; empty in a stream from a build that wrote none) and the
-// WAL body is the raw wal.log framing — the same bytes a shard open
-// replays, so the importing side recovers with exactly the code path a
-// restart uses.
+// WAL body is the raw framing of every segment present, oldest first —
+// the same bytes a shard open replays, so the importing side recovers
+// with exactly the code path a restart uses. The first frame's sequence
+// number is the base the shipped history starts at.
 // The format is wire-only: both ends of a stream run the same build.
 
 const (
@@ -32,7 +33,7 @@ const (
 	sectionWAL      = 2
 	sectionEnd      = 3
 
-	// maxSectionPayload bounds one section (a shard's whole WAL);
+	// maxSectionPayload bounds one section (every frame a shard holds);
 	// far above any real shard. framelog grows a buffer this large only
 	// as its bytes arrive, so the bound is not an allocation request.
 	maxSectionPayload = 1 << 30
@@ -58,13 +59,17 @@ func (s *Store) ExportShard(name string, w io.Writer, arm func(next uint64)) err
 	if sh.broken != nil {
 		return fmt.Errorf("histstore: shard unusable: %w", sh.broken)
 	}
-	snap, err := os.ReadFile(filepath.Join(sh.dir, snapshotName))
+	snap, err := os.ReadFile(filepath.Join(sh.wal.dir, snapshotName))
 	if err != nil && !os.IsNotExist(err) {
 		return fmt.Errorf("histstore: export %q: %w", name, err)
 	}
-	wal, err := os.ReadFile(filepath.Join(sh.dir, walName))
-	if err != nil {
-		return fmt.Errorf("histstore: export %q: %w", name, err)
+	var wal []byte
+	for _, start := range sh.wal.starts {
+		seg, err := os.ReadFile(filepath.Join(sh.wal.dir, segmentName(start)))
+		if err != nil {
+			return fmt.Errorf("histstore: export %q: %w", name, err)
+		}
+		wal = append(wal, seg...)
 	}
 	var buf []byte
 	for _, sec := range []struct {
@@ -126,27 +131,54 @@ func (s *Store) ImportShard(name string, r io.Reader) error {
 	return s.installShard(name, snap, wal)
 }
 
-// installShard validates and atomically writes an imported shard's
-// files. Caller holds s.mu.
+// installShard validates and writes an imported shard's files: the
+// header, and the WAL as the one segment its first frame names. Caller
+// holds s.mu.
 func (s *Store) installShard(name string, snap, wal []byte) error {
 	// Validate before touching disk: the snapshot must parse and the
 	// WAL must be wholly intact — an export is a clean cut, so a torn
 	// tail here is transfer corruption, not a crash artifact.
+	var compacted uint64
 	if len(snap) > 0 {
-		if _, err := loadSnapshotBytes(snap); err != nil {
+		var err error
+		if compacted, err = loadSnapshotBytes(snap); err != nil {
 			return fmt.Errorf("histstore: import %q: snapshot: %w", name, err)
 		}
 	}
-	_, err := framelog.Scan(bytes.NewReader(wal), maxFramePayload, framelog.Strict, func(_ int64, p []byte) error {
-		_, err := frameSeq(p)
+	var base uint64
+	_, err := framelog.Scan(bytes.NewReader(wal), maxFramePayload, framelog.Strict, func(off int64, p []byte) error {
+		seq, err := frameSeq(p)
+		if off == 0 {
+			base = seq
+		}
 		return err
 	})
 	if err != nil {
 		return fmt.Errorf("histstore: import %q: wal: %w", name, err)
 	}
+	if compacted > 0 {
+		// A compacting build's stream: the snapshot holds what precedes
+		// the frames, and the open folds the two into one wal.log.
+		base = 0
+	}
 	dir := s.shardDir(name)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("histstore: import %q: %w", name, err)
+	}
+	// Whatever segments an earlier ownership left go first, oldest first
+	// (a crash part-way leaves a run that still opens); the one the import
+	// is about to replace goes by the rename.
+	stale, err := listSegments(dir)
+	if err != nil {
+		return fmt.Errorf("histstore: import %q: %w", name, err)
+	}
+	for _, start := range stale {
+		if start == base {
+			continue
+		}
+		if err := os.Remove(filepath.Join(dir, segmentName(start))); err != nil {
+			return fmt.Errorf("histstore: import %q: %w", name, err)
+		}
 	}
 	write := func(file string, data []byte) error {
 		return framelog.WriteFileAtomic(filepath.Join(dir, file), func(w io.Writer) error {
@@ -160,7 +192,7 @@ func (s *Store) installShard(name string, snap, wal []byte) error {
 		err = nil
 	}
 	if err == nil {
-		err = write(walName, wal)
+		err = write(segmentName(base), wal)
 	}
 	if err != nil {
 		return fmt.Errorf("histstore: import %q: %w", name, err)
@@ -174,10 +206,11 @@ func (s *Store) installShard(name string, snap, wal []byte) error {
 // sync (ImportShard).
 var ErrReplicaGap = errors.New("histstore: replica frame batch leaves a sequence gap")
 
-// replica is the standby-side state of one mirrored shard: an open WAL
-// handle positioned at the tail plus the next expected sequence.
+// replica is the standby-side state of one mirrored shard: the append
+// end of its WAL — rolled and trimmed by the rule the owner's is — plus
+// the next expected sequence.
 type replica struct {
-	f    *os.File
+	wal  segLog
 	next uint64
 }
 
@@ -191,19 +224,30 @@ func (s *Store) openReplica(name string) (*replica, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	next := uint64(0)
+	starts, err := listSegments(dir)
+	if err != nil {
+		return nil, err
+	}
+	if len(starts) == 0 {
+		starts = []uint64{0}
+	}
+	// Only the newest segment is read: a log rolls to a segment exactly
+	// when its tail reaches that segment's start, and a promotion replays
+	// (and checks) them all.
+	newest := starts[len(starts)-1]
+	next := newest
 	if raw, err := os.ReadFile(filepath.Join(dir, snapshotName)); err == nil {
 		n, err := loadSnapshotBytes(raw)
 		if err != nil {
 			return nil, fmt.Errorf("replica snapshot: %w", err)
 		}
-		next = n
+		next = max(next, n)
 	} else if !os.IsNotExist(err) {
 		return nil, err
 	}
 	// Same torn-tail policy as a real open: the handle comes back cut to
 	// the valid prefix, so the next append starts on a frame boundary.
-	f, _, _, err := framelog.OpenAppend(filepath.Join(dir, walName), maxFramePayload, func(_ int64, p []byte) error {
+	f, _, _, err := framelog.OpenAppend(filepath.Join(dir, segmentName(newest)), maxFramePayload, func(_ int64, p []byte) error {
 		seq, err := frameSeq(p)
 		// Replica WALs are written in order, so the last intact frame
 		// defines the tail (duplicates below next were overlap-skipped
@@ -216,7 +260,7 @@ func (s *Store) openReplica(name string) (*replica, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &replica{f: f, next: next}
+	r := &replica{next: next, wal: s.segLog(dir, f, starts)}
 	if s.replicas == nil {
 		s.replicas = make(map[string]*replica)
 	}
@@ -229,7 +273,7 @@ func (s *Store) openReplica(name string) (*replica, error) {
 func (s *Store) closeReplica(name string) {
 	s.replMu.Lock()
 	if r, ok := s.replicas[name]; ok {
-		r.f.Close()
+		r.wal.f.Close()
 		delete(s.replicas, name)
 	}
 	s.replMu.Unlock()
@@ -264,10 +308,16 @@ func (s *Store) AppendReplicaFrames(name string, from uint64, frames []byte) (ui
 	if from > r.next {
 		return r.next, fmt.Errorf("%w: shard %q has %d, batch starts at %d", ErrReplicaGap, name, r.next, from)
 	}
-	// Walk the batch's framing to find where the overlap ends, checking
-	// that the sequence numbers are in fact contiguous from `from`.
+	// Walk the batch's framing to find where the overlap ends and where
+	// among the new frames a segment begins, checking that the sequence
+	// numbers are in fact contiguous from `from`.
 	seq := from
 	offset := int64(len(frames)) // of the first new frame (sequence r.next)
+	type cut struct {
+		off int64
+		seq uint64
+	}
+	var rolls []cut
 	_, err = framelog.Scan(bytes.NewReader(frames), maxFramePayload, framelog.Strict, func(off int64, p []byte) error {
 		got, err := frameSeq(p)
 		if err != nil {
@@ -279,6 +329,9 @@ func (s *Store) AppendReplicaFrames(name string, from uint64, frames []byte) (ui
 		if got == r.next {
 			offset = off
 		}
+		if got >= r.next && r.wal.retain > 0 && got%r.wal.retain == 0 {
+			rolls = append(rolls, cut{off, got})
+		}
 		seq++
 		return nil
 	})
@@ -288,13 +341,32 @@ func (s *Store) AppendReplicaFrames(name string, from uint64, frames []byte) (ui
 	if seq <= r.next {
 		return r.next, nil // entire batch already applied
 	}
-	if _, err := r.f.Write(frames[offset:]); err != nil {
+	// A failed write or roll may leave part of the batch in the file
+	// while r.next stays behind; the duplicates a retry then appends are
+	// skipped by sequence when the shard is opened.
+	write := func(p []byte) error {
+		if len(p) == 0 {
+			return nil
+		}
+		_, err := r.wal.f.Write(p)
+		return err
+	}
+	for _, c := range rolls {
+		if err = write(frames[offset:c.off]); err == nil {
+			_, err = r.wal.rollIfDue(c.seq)
+		}
+		if err != nil {
+			return r.next, fmt.Errorf("histstore: replica %q: %w", name, err)
+		}
+		offset = c.off
+	}
+	if err := write(frames[offset:]); err != nil {
 		return r.next, fmt.Errorf("histstore: replica %q: %w", name, err)
 	}
-	if s.opts.Fsync || s.opts.GroupCommit {
+	if r.wal.durable {
 		// The source counts a shipped frame as replicated; give the
 		// replica the same crash durability class as the primary WAL.
-		if err := r.f.Sync(); err != nil {
+		if err := r.wal.f.Sync(); err != nil {
 			return r.next, fmt.Errorf("histstore: replica %q: %w", name, err)
 		}
 	}

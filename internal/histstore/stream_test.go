@@ -115,59 +115,98 @@ func TestReplayGapStillFails(t *testing.T) {
 	}
 }
 
+// testFrames is the raw WAL framing of test observations from..to-1:
+// what a mirror ships for them, testFrameSize bytes each.
+func testFrames(from, to int) []byte {
+	var raw []byte
+	for i := from; i < to; i++ {
+		raw = appendFrame(raw, uint64(i), obsAt(i))
+	}
+	return raw
+}
+
+// transferCases are the two shapes of source a handoff or a standby sync
+// ships: a log that never rolled, and — bounded, with two bounds' worth
+// of observations behind it before the test's own — one that has.
+var transferCases = []struct {
+	name   string
+	retain int
+	off    int // observations the source holds before the test's first
+}{{"unbounded", 0, 0}, {"rolled", testRetain, 2 * testRetain}}
+
 func TestExportImportRoundTrip(t *testing.T) {
-	srcDir, dstDir := t.TempDir(), t.TempDir()
-	src := openStore(t, srcDir, Options{})
-	defer src.Close()
-	h := openHist(t, src, "Q12")
-	appendN(t, h, 0, 20)
+	for _, tc := range transferCases {
+		t.Run(tc.name, func(t *testing.T) {
+			n := tc.off + 20
+			opts := Options{Retain: tc.retain}
+			src := openStore(t, t.TempDir(), opts)
+			defer src.Close()
+			h := openHist(t, src, "Q12")
+			appendN(t, h, 0, n)
 
-	var buf bytes.Buffer
-	var armed uint64
-	if err := src.ExportShard("Q12", &buf, func(next uint64) { armed = next }); err != nil {
-		t.Fatal(err)
-	}
-	if armed != 20 {
-		t.Fatalf("arm callback got next=%d, want 20", armed)
-	}
+			var buf bytes.Buffer
+			var armed uint64
+			if err := src.ExportShard("Q12", &buf, func(next uint64) { armed = next }); err != nil {
+				t.Fatal(err)
+			}
+			if int(armed) != n {
+				t.Fatalf("arm callback got next=%d, want %d", armed, n)
+			}
+			// A bounded shard ships the segments it holds, not its past.
+			base := int(liveStarts(tc.retain, n)[0])
+			if tc.retain > 0 && (base == 0 || n-base > 2*tc.retain) {
+				t.Fatalf("source holds [%d, %d): not a rolled shard within its bound", base, n)
+			}
+			if want := (n-base)*testFrameSize + 300; buf.Len() > want {
+				t.Fatalf("export of frames %d..%d is %d bytes, want ≤ %d", base, n-1, buf.Len(), want)
+			}
 
-	dst := openStore(t, dstDir, Options{})
-	defer dst.Close()
-	if err := dst.ImportShard("Q12", bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	wantPrefix(t, openHist(t, dst, "Q12"), 20)
+			dstDir := t.TempDir()
+			dst := openStore(t, dstDir, opts)
+			defer dst.Close()
+			if err := dst.ImportShard("Q12", bytes.NewReader(buf.Bytes())); err != nil {
+				t.Fatal(err)
+			}
+			wantRange(t, openHist(t, dst, "Q12"), max(base, retainedBase(n, tc.retain)), n)
+			wantSegments(t, dstDir, "Q12", []uint64{uint64(base)}, n)
 
-	// Import must replace stale prior state, not merge with it.
-	dst2Dir := t.TempDir()
-	dst2 := openStore(t, dst2Dir, Options{})
-	stale := openHist(t, dst2, "Q12")
-	if err := stale.Append(core.Observation{X: []float64{99}, Costs: []float64{1, 1}}); err != nil {
-		t.Fatal(err)
-	}
-	dst2.Close()
-	dst2 = openStore(t, dst2Dir, Options{})
-	defer dst2.Close()
-	if err := dst2.ImportShard("Q12", bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	wantPrefix(t, openHist(t, dst2, "Q12"), 20)
+			// Import must replace stale prior state, not merge with it:
+			// here a longer history of other observations, rolled further.
+			dst2Dir := t.TempDir()
+			dst2 := openStore(t, dst2Dir, opts)
+			stale := openHist(t, dst2, "Q12")
+			for i := 0; i < n+tc.off+1; i++ {
+				if err := stale.Append(core.Observation{X: []float64{99}, Costs: []float64{1, 1}}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			dst2.Close()
+			dst2 = openStore(t, dst2Dir, opts)
+			defer dst2.Close()
+			if err := dst2.ImportShard("Q12", bytes.NewReader(buf.Bytes())); err != nil {
+				t.Fatal(err)
+			}
+			wantRange(t, openHist(t, dst2, "Q12"), max(base, retainedBase(n, tc.retain)), n)
+			wantSegments(t, dst2Dir, "Q12", []uint64{uint64(base)}, n)
 
-	// The wire format did not move: a stream the parent commit exported
-	// (15 observations compacted into its snapshot section, 5 in its
-	// WAL section) imports, opens to the same history and is folded.
-	legacy, err := os.ReadFile(filepath.Join("testdata", "golden", "export.stream"))
-	if err != nil {
-		t.Fatal(err)
+			// The wire format did not move: a stream the parent commit exported
+			// (15 observations compacted into its snapshot section, 5 in its
+			// WAL section) imports, opens to the same history and is folded.
+			legacy, err := os.ReadFile(filepath.Join("testdata", "golden", "export.stream"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			dst3Dir := t.TempDir()
+			dst3 := openStore(t, dst3Dir, opts)
+			defer dst3.Close()
+			if err := dst3.ImportShard("Q12", bytes.NewReader(legacy)); err != nil {
+				t.Fatal(err)
+			}
+			wantRange(t, openHist(t, dst3, "Q12"), retainedBase(20, tc.retain), 20)
+			wantLayout(t, dst3Dir, "Q12", 20)
+			wantSegments(t, dst3Dir, "Q12", []uint64{0}, 20)
+		})
 	}
-	dst3Dir := t.TempDir()
-	dst3 := openStore(t, dst3Dir, Options{})
-	defer dst3.Close()
-	if err := dst3.ImportShard("Q12", bytes.NewReader(legacy)); err != nil {
-		t.Fatal(err)
-	}
-	wantPrefix(t, openHist(t, dst3, "Q12"), 20)
-	wantLayout(t, dst3Dir, "Q12", 20)
 }
 
 func TestExportImportGuards(t *testing.T) {
@@ -212,51 +251,112 @@ func TestExportImportGuards(t *testing.T) {
 }
 
 func TestReplicaAppendOverlapAndGap(t *testing.T) {
-	// Source shard: 10 observations, exported at 4.
-	srcDir := t.TempDir()
-	src := openStore(t, srcDir, Options{})
-	defer src.Close()
-	h := openHist(t, src, "Q12")
-	appendN(t, h, 0, 4)
-	var syncBuf bytes.Buffer
-	if err := src.ExportShard("Q12", &syncBuf, nil); err != nil {
-		t.Fatal(err)
-	}
-	appendN(t, h, 4, 6)
-	raw, bounds := walFrames(t, srcDir, "Q12")
+	for _, tc := range transferCases {
+		t.Run(tc.name, func(t *testing.T) {
+			// Source shard: off+10 observations, exported at off+4. What
+			// ships afterwards is frames(i, j): test frames off+i..off+j-1.
+			off, opts := tc.off, Options{Retain: tc.retain}
+			frames := func(i, j int) []byte { return testFrames(off+i, off+j) }
+			src := openStore(t, t.TempDir(), opts)
+			defer src.Close()
+			appendN(t, openHist(t, src, "Q12"), 0, off+4)
+			var syncBuf bytes.Buffer
+			if err := src.ExportShard("Q12", &syncBuf, nil); err != nil {
+				t.Fatal(err)
+			}
 
-	dst := openStore(t, t.TempDir(), Options{})
-	defer dst.Close()
-	if err := dst.ImportShard("Q12", bytes.NewReader(syncBuf.Bytes())); err != nil {
-		t.Fatal(err)
+			dstDir := t.TempDir()
+			dst := openStore(t, dstDir, opts)
+			defer func() { dst.Close() }()
+			if err := dst.ImportShard("Q12", bytes.NewReader(syncBuf.Bytes())); err != nil {
+				t.Fatal(err)
+			}
+			wantNext := func(step string, want int, next uint64, err error) {
+				t.Helper()
+				if err != nil || int(next) != off+want {
+					t.Fatalf("%s: next=%d err=%v, want %d", step, next, err, off+want)
+				}
+			}
+			next, err := dst.ReplicaSeq("Q12")
+			wantNext("replica after the import", 4, next, err)
+			// Ship frames 4..6, overlapping from 2.
+			next, err = dst.AppendReplicaFrames("Q12", uint64(off+2), frames(2, 7))
+			wantNext("overlap append", 7, next, err)
+			// Re-ship the same batch: no-op.
+			next, err = dst.AppendReplicaFrames("Q12", uint64(off+2), frames(2, 7))
+			wantNext("duplicate append", 7, next, err)
+			// A gap (skipping frames 7..8) must be rejected.
+			if _, err := dst.AppendReplicaFrames("Q12", uint64(off+9), frames(9, 10)); !errors.Is(err, ErrReplicaGap) {
+				t.Fatalf("gap append err = %v, want ErrReplicaGap", err)
+			}
+			// Finish the stream — for the rolled source, across the multiple
+			// of the bound at off+8, where the replica rolls as the owner did.
+			next, err = dst.AppendReplicaFrames("Q12", uint64(off+7), frames(7, 10))
+			wantNext("tail append", 10, next, err)
+			replicaStarts := []uint64{0}
+			if tc.retain > 0 {
+				replicaStarts = []uint64{uint64(off - tc.retain), uint64(off + tc.retain)}
+			}
+			wantSegments(t, dstDir, "Q12", replicaStarts, off+10)
+			// A restarted standby finds its place from the newest segment.
+			if err := dst.Close(); err != nil {
+				t.Fatal(err)
+			}
+			dst = openStore(t, dstDir, opts)
+			next, err = dst.ReplicaSeq("Q12")
+			wantNext("replica after a restart", 10, next, err)
+			// Promote: the replica opens as a live history holding exactly
+			// the source's observations.
+			wantRange(t, openHist(t, dst, "Q12"), retainedBase(off+10, tc.retain), off+10)
+			// Once open, further replica appends must be refused.
+			if _, err := dst.AppendReplicaFrames("Q12", uint64(off+10), nil); err == nil {
+				t.Error("replica append to open shard succeeded")
+			}
+			if _, err := dst.ReplicaSeq("Q12"); err == nil {
+				t.Error("replica query of open shard succeeded")
+			}
+		})
 	}
-	if next, err := dst.ReplicaSeq("Q12"); err != nil || next != 4 {
-		t.Fatalf("replica at %d (%v), want 4", next, err)
-	}
-	// Ship frames 4..7, overlapping from 2.
-	if next, err := dst.AppendReplicaFrames("Q12", 2, raw[bounds[2]:bounds[7]]); err != nil || next != 7 {
-		t.Fatalf("overlap append: next=%d err=%v", next, err)
-	}
-	// Re-ship the same batch: no-op.
-	if next, err := dst.AppendReplicaFrames("Q12", 2, raw[bounds[2]:bounds[7]]); err != nil || next != 7 {
-		t.Fatalf("duplicate append: next=%d err=%v", next, err)
-	}
-	// A gap (skipping frames 7..8) must be rejected.
-	if _, err := dst.AppendReplicaFrames("Q12", 9, raw[bounds[9]:]); !errors.Is(err, ErrReplicaGap) {
-		t.Fatalf("gap append err = %v, want ErrReplicaGap", err)
-	}
-	// Finish the stream and promote: the replica opens as a live
-	// history holding exactly the source's observations.
-	if next, err := dst.AppendReplicaFrames("Q12", 7, raw[bounds[7]:]); err != nil || next != 10 {
-		t.Fatalf("tail append: next=%d err=%v", next, err)
-	}
-	wantPrefix(t, openHist(t, dst, "Q12"), 10)
-	// Once open, further replica appends must be refused.
-	if _, err := dst.AppendReplicaFrames("Q12", 10, nil); err == nil {
-		t.Error("replica append to open shard succeeded")
-	}
-	if _, err := dst.ReplicaSeq("Q12"); err == nil {
-		t.Error("replica query of open shard succeeded")
+}
+
+// TestReplicaRollsAndTrims: a standby fed one long stream holds what the
+// owner holds — the same segments, by the same rule, without either
+// telling the other — and promotes to the same history.
+func TestReplicaRollsAndTrims(t *testing.T) {
+	const n = 7*testRetain + 5
+	for _, durable := range []bool{false, true} {
+		opts := Options{Retain: testRetain, GroupCommit: durable}
+		m := newMirrorLog()
+		srcOpts := opts
+		srcOpts.Mirror = m
+		srcDir, dstDir := t.TempDir(), t.TempDir()
+		src, dst := openStore(t, srcDir, srcOpts), openStore(t, dstDir, opts)
+		h := openHist(t, src, "Q12")
+		// The stream starts, as a standby's does, with a sync.
+		shipped := 3
+		appendN(t, h, 0, shipped)
+		var syncBuf bytes.Buffer
+		if err := src.ExportShard("Q12", &syncBuf, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := dst.ImportShard("Q12", &syncBuf); err != nil {
+			t.Fatal(err)
+		}
+		for _, upTo := range []int{testRetain, testRetain + 1, 3*testRetain - 1, 6 * testRetain, n} { // batches that end at, after and span rolls
+			appendN(t, h, shipped, upTo-shipped)
+			m.mu.Lock()
+			batch := m.shards["Q12"][shipped*testFrameSize : upTo*testFrameSize]
+			m.mu.Unlock()
+			if next, err := dst.AppendReplicaFrames("Q12", uint64(shipped), batch); err != nil || int(next) != upTo {
+				t.Fatalf("durable=%v: shipping %d..%d: next=%d err=%v", durable, shipped, upTo-1, next, err)
+			}
+			shipped = upTo
+			wantSegments(t, srcDir, "Q12", liveStarts(testRetain, upTo), upTo)
+			wantSegments(t, dstDir, "Q12", liveStarts(testRetain, upTo), upTo)
+		}
+		wantRange(t, openHist(t, dst, "Q12"), retainedBase(n, testRetain), n)
+		src.Close()
+		dst.Close()
 	}
 }
 
@@ -266,53 +366,62 @@ func TestReplicaAppendOverlapAndGap(t *testing.T) {
 // to the promotion, so every append either lands before the shard goes
 // live or is refused — never a second handle on the live WAL.
 func TestReplicaAppendVsPromotionRace(t *testing.T) {
-	srcDir := t.TempDir()
-	src := openStore(t, srcDir, Options{})
-	defer src.Close()
-	h := openHist(t, src, "Q12")
-	appendN(t, h, 0, 12)
-	raw, bounds := walFrames(t, srcDir, "Q12")
-
-	dst := openStore(t, t.TempDir(), Options{})
-	defer dst.Close()
-	if next, err := dst.AppendReplicaFrames("Q12", 0, raw[:bounds[6]]); err != nil || next != 6 {
-		t.Fatalf("seed append: next=%d err=%v", next, err)
-	}
-
-	start := make(chan struct{})
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			<-start
-			for i := 0; i < 50; i++ {
-				// Overlapping suffix batches, as a retrying shipper sends.
-				_, _ = dst.AppendReplicaFrames("Q12", 4, raw[bounds[4]:])
+	for _, tc := range transferCases {
+		t.Run(tc.name, func(t *testing.T) {
+			// The standby was synced at off+6 of the source's off+12; for the
+			// rolled source the racing batches cross a roll at off+8.
+			off, opts := tc.off, Options{Retain: tc.retain}
+			src := openStore(t, t.TempDir(), opts)
+			defer src.Close()
+			appendN(t, openHist(t, src, "Q12"), 0, off+6)
+			var syncBuf bytes.Buffer
+			if err := src.ExportShard("Q12", &syncBuf, nil); err != nil {
+				t.Fatal(err)
 			}
-		}()
-	}
-	wg.Add(1)
-	var promoted *core.History
-	go func() {
-		defer wg.Done()
-		<-start
-		var err error
-		promoted, err = dst.OpenHistory("Q12", 1, testMetrics)
-		if err != nil {
-			t.Errorf("promotion open: %v", err)
-		}
-	}()
-	close(start)
-	wg.Wait()
-	// The promoted history is an intact prefix of the source, and the
-	// shard refuses replica traffic from here on.
-	if promoted == nil || promoted.Len() < 6 || promoted.Len() > 12 {
-		t.Fatalf("promoted history has %d observations, want 6..12", promoted.Len())
-	}
-	wantPrefix(t, promoted, promoted.Len())
-	if _, err := dst.AppendReplicaFrames("Q12", 4, raw[bounds[4]:]); err == nil {
-		t.Error("replica append to promoted shard succeeded")
+			dst := openStore(t, t.TempDir(), opts)
+			defer dst.Close()
+			if err := dst.ImportShard("Q12", bytes.NewReader(syncBuf.Bytes())); err != nil {
+				t.Fatal(err)
+			}
+			suffix := testFrames(off+4, off+12)
+
+			start := make(chan struct{})
+			var wg sync.WaitGroup
+			for g := 0; g < 4; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					<-start
+					for i := 0; i < 50; i++ {
+						// Overlapping suffix batches, as a retrying shipper sends.
+						_, _ = dst.AppendReplicaFrames("Q12", uint64(off+4), suffix)
+					}
+				}()
+			}
+			wg.Add(1)
+			var promoted *core.History
+			go func() {
+				defer wg.Done()
+				<-start
+				var err error
+				promoted, err = dst.OpenHistory("Q12", 1, testMetrics)
+				if err != nil {
+					t.Errorf("promotion open: %v", err)
+				}
+			}()
+			close(start)
+			wg.Wait()
+			// The promoted history is an intact prefix of the source, and the
+			// shard refuses replica traffic from here on.
+			if promoted == nil || promoted.Len() < off+6 || promoted.Len() > off+12 {
+				t.Fatalf("promoted history has %d observations, want %d..%d", promoted.Len(), off+6, off+12)
+			}
+			base := max(int(liveStarts(tc.retain, off+6)[0]), retainedBase(promoted.Len(), tc.retain))
+			wantRange(t, promoted, base, promoted.Len())
+			if _, err := dst.AppendReplicaFrames("Q12", uint64(off+4), suffix); err == nil {
+				t.Error("replica append to promoted shard succeeded")
+			}
+		})
 	}
 }
 

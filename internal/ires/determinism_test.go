@@ -235,3 +235,44 @@ func TestSchedulerWithConfigDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRetainedDecisionsIdentical: bounding the histories must change no
+// decision and no estimate, because the model reads at most its MMax
+// newest observations and the bound is far above that. Two schedulers,
+// same seed, one keeping its newest 1,024..2,048 observations: 5,000
+// submissions — three trims — decide byte-identically, and the histories
+// agree on every observation the bounded one still holds.
+func TestRetainedDecisionsIdentical(t *testing.T) {
+	const retain, submissions = 1024, 5000
+	choices := []int{1, 2, 4}
+	keepAll := buildStack(t, 42, SchedulerConfig{NodeChoices: choices, Seed: 42})
+	bounded := buildStack(t, 42, SchedulerConfig{NodeChoices: choices, Seed: 42, Retain: retain})
+	for _, s := range []*Scheduler{keepAll, bounded} {
+		if err := s.Bootstrap(tpch.QueryQ12, 20); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pol := Policy{Weights: []float64{1, 1}}
+	for round := 0; round < submissions; round++ {
+		a, err := keepAll.Submit(tpch.QueryQ12, pol)
+		if err != nil {
+			t.Fatalf("round %d unbounded: %v", round, err)
+		}
+		b, err := bounded.Submit(tpch.QueryQ12, pol)
+		if err != nil {
+			t.Fatalf("round %d bounded: %v", round, err)
+		}
+		if renderDecision(a) != renderDecision(b) {
+			t.Fatalf("round %d: bounded decision diverged:\nall:     %s\nbounded: %s", round, renderDecision(a), renderDecision(b))
+		}
+	}
+	all, kept := keepAll.History(tpch.QueryQ12), bounded.History(tpch.QueryQ12)
+	if all.Base() != 0 || kept.Len() != all.Len() || kept.Base() != 3*retain {
+		t.Fatalf("histories: unbounded [%d, %d), bounded [%d, %d)", all.Base(), all.Len(), kept.Base(), kept.Len())
+	}
+	for i := kept.Base(); i < kept.Len(); i++ {
+		if fmt.Sprint(kept.At(i)) != fmt.Sprint(all.At(i)) {
+			t.Fatalf("observation %d differs: %v vs %v", i, kept.At(i), all.At(i))
+		}
+	}
+}

@@ -123,7 +123,10 @@ func (m *BMLModel) Name() string {
 
 // Estimate implements CostModel: train one model per metric on the
 // window, then predict.
-func (m *BMLModel) Estimate(h *core.History, x []float64) ([]float64, error) {
+func (m *BMLModel) Estimate(hist *core.History, x []float64) ([]float64, error) {
+	// One snapshot: an append that trims the history in between must not
+	// move the window under the loop below.
+	h := hist.Snapshot()
 	if h.Len() == 0 {
 		return nil, ErrNoHistory
 	}
@@ -131,13 +134,10 @@ func (m *BMLModel) Estimate(h *core.History, x []float64) ([]float64, error) {
 	if learner == nil {
 		learner = ml.BML{Seed: m.Seed}
 	}
-	n := regression.MinObservations(h.Dim())
-	window := h.Len()
+	// "Everything" is everything the history still holds.
+	window := h.Len() - h.Base()
 	if m.WindowMultiple > 0 {
-		window = m.WindowMultiple * n
-		if window > h.Len() {
-			window = h.Len()
-		}
+		window = min(window, m.WindowMultiple*regression.MinObservations(h.Dim()))
 	}
 	start := h.Len() - window
 	metrics := h.Metrics()
@@ -237,6 +237,7 @@ type Scheduler struct {
 
 	histMu    sync.Mutex
 	histories map[tpch.QueryID]*core.History
+	retain    int // SchedulerConfig.Retain
 	rng       *stats.RNG
 
 	// planCache holds each query's QEP lattice: the space depends only
@@ -301,6 +302,11 @@ type SchedulerConfig struct {
 	// histories are recovered from it at first touch and every recorded
 	// execution is persisted through it. Nil keeps histories in memory.
 	Store HistoryStore
+	// Retain bounds every in-memory history the scheduler creates itself
+	// to its newest Retain..2·Retain observations (core.History.SetRetain);
+	// zero keeps everything. It must cover the model's largest window. A
+	// Store bounds the histories it opens by its own setting.
+	Retain int
 	// Metrics, when non-nil, registers the scheduler's observation-only
 	// instruments (sweep duration, plans estimated, DREAM window and
 	// model-cache series) on the given registry, labeled with
@@ -326,6 +332,7 @@ func NewSchedulerWithConfig(fed *federation.Federation, exec federation.Executor
 		return nil, err
 	}
 	s.Store = cfg.Store
+	s.retain = cfg.Retain
 	s.Prune = cfg.Prune
 	if cfg.CacheSize != 0 {
 		if ms, ok := model.(ModelCacheSizer); ok {
@@ -353,8 +360,8 @@ func (s *Scheduler) OpenHistory(q tpch.QueryID) (*core.History, error) {
 	var err error
 	if s.Store != nil {
 		h, err = s.Store.OpenHistory(q.String(), federation.FeatureDim, federation.Metrics)
-	} else {
-		h, err = core.NewHistory(federation.FeatureDim, federation.Metrics...)
+	} else if h, err = core.NewHistory(federation.FeatureDim, federation.Metrics...); err == nil {
+		h.SetRetain(s.retain)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("ires: opening history for %v: %w", q, err)

@@ -82,13 +82,16 @@ type ObservationJSON struct {
 
 // HistoryResponse is the body of GET /v1/history/{query}. Observations
 // are most recent first, paged by ?limit= (default 500) and ?offset=
-// (entries to skip from the newest end); Len is always the full
-// history length, so offset+len(observations) < Len means more pages
-// remain (also flagged by Truncated).
+// (entries to skip from the newest end). Len counts every observation
+// ever recorded and Base is the index of the oldest one still held
+// (historyRetain drops older ones), so pages remain while
+// offset+len(observations) < Len-Base. Truncated flags a page that
+// stopped short of observation 0 for either reason: the limit, or Base.
 type HistoryResponse struct {
 	Federation   string            `json:"federation"`
 	Query        string            `json:"query"`
 	Len          int               `json:"len"`
+	Base         int               `json:"base"`
 	Offset       int               `json:"offset"`
 	Truncated    bool              `json:"truncated"`
 	Metrics      []string          `json:"metrics"`

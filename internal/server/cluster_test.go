@@ -419,11 +419,20 @@ func TestClusterMigrationDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full serving stack")
 	}
+	// The rolled history is two observations short of its third roll:
+	// the stream ships two segments, the new owner rolls on its first
+	// decision, and the handoff back lands on stale segments.
+	for name, bootstrap := range map[string]int{"short history": 12, "rolled history": 3*historyRetain - 2} {
+		t.Run(name, func(t *testing.T) { testClusterMigrationDeterminism(t, bootstrap) })
+	}
+}
+
+func testClusterMigrationDeterminism(t *testing.T, bootstrap int) {
 	spec := FederationSpec{
 		Name:        "paper",
 		SF:          0.05,
 		NodeChoices: []int{1, 2},
-		Bootstrap:   12,
+		Bootstrap:   bootstrap,
 		Queries:     []string{"Q12"},
 	}
 	// Two real nodes, separate data dirs, shared ring.
@@ -518,13 +527,13 @@ func TestClusterMigrationDeterminism(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("handoff: %d (%+v)", resp.StatusCode, hr)
 	}
-	// Zero acked-write loss: all 14 observations (12 bootstrap + 2
-	// decisions) crossed.
-	if hr.Observations["Q12"] != 14 {
-		t.Fatalf("handoff moved %d observations, want 14", hr.Observations["Q12"])
+	// Zero acked-write loss: every observation (bootstrap + 2
+	// decisions) crossed, by count — a bounded history ships its tail.
+	if hr.Observations["Q12"] != bootstrap+2 {
+		t.Fatalf("handoff moved %d observations, want %d", hr.Observations["Q12"], bootstrap+2)
 	}
-	if got := histLen(https[target].URL); got != 14 {
-		t.Fatalf("new owner history = %d, want 14", got)
+	if got := histLen(https[target].URL); got != bootstrap+2 {
+		t.Fatalf("new owner history = %d, want %d", got, bootstrap+2)
 	}
 
 	// The first post-handoff decision must match the never-moved
@@ -561,8 +570,8 @@ func TestClusterMigrationDeterminism(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("handoff back: %d", resp.StatusCode)
 	}
-	if got := histLen(https[owner].URL); got != 15 {
-		t.Fatalf("after round trip history = %d, want 15", got)
+	if got := histLen(https[owner].URL); got != bootstrap+3 {
+		t.Fatalf("after round trip history = %d, want %d", got, bootstrap+3)
 	}
 	for _, srv := range servers {
 		if err := srv.Drain(context.Background()); err != nil {
@@ -581,11 +590,20 @@ func TestClusterReplicationTakeover(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full serving stack")
 	}
+	// The rolled history is two observations short of its third roll:
+	// the standby is synced from two segments and its replica rolls, as
+	// the owner's WAL does, under the streamed decisions.
+	for name, bootstrap := range map[string]int{"short history": 12, "rolled history": 3*historyRetain - 2} {
+		t.Run(name, func(t *testing.T) { testClusterReplicationTakeover(t, bootstrap) })
+	}
+}
+
+func testClusterReplicationTakeover(t *testing.T, bootstrap int) {
 	spec := FederationSpec{
 		Name:        "paper",
 		SF:          0.05,
 		NodeChoices: []int{1, 2},
-		Bootstrap:   12,
+		Bootstrap:   bootstrap,
 		Queries:     []string{"Q12"},
 	}
 	late := []*lateHandler{{}, {}}
@@ -663,9 +681,9 @@ func TestClusterReplicationTakeover(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("takeover: %d (%+v)", resp.StatusCode, hr)
 	}
-	// Zero acked-write loss: 12 bootstrap + 3 decisions.
-	if hr.Observations["Q12"] != 15 {
-		t.Fatalf("takeover recovered %d observations, want 15", hr.Observations["Q12"])
+	// Zero acked-write loss: bootstrap + 3 decisions.
+	if hr.Observations["Q12"] != bootstrap+3 {
+		t.Fatalf("takeover recovered %d observations, want %d", hr.Observations["Q12"], bootstrap+3)
 	}
 	// The promoted node serves.
 	resp2, body := postQueryNoRedirect(t, https[standby].URL,

@@ -122,6 +122,10 @@ func (sp *FederationSpec) queries() ([]tpch.QueryID, error) {
 	return out, nil
 }
 
+// dreamMMax caps Algorithm 1's window for every hosted tenant at three
+// times the statistical minimum L+2: no estimate reads further back.
+const dreamMMax = 3 * (federation.FeatureDim + 2)
+
 // buildTenant assembles the spec's scheduler: topology, calibration,
 // scaled executor, DREAM model, and — with a store configured — the
 // tenant's durable history root. Every served query is then opened
@@ -175,7 +179,7 @@ func buildTenant(spec FederationSpec, storeCfg StoreConfig, reg *metrics.Registr
 	if err != nil {
 		return nil, fmt.Errorf("server: federation %q: %w", sp.Name, err)
 	}
-	model, err := ires.NewDREAMModel(core.Config{MMax: 3 * (federation.FeatureDim + 2)})
+	model, err := ires.NewDREAMModel(core.Config{MMax: dreamMMax})
 	if err != nil {
 		return nil, fmt.Errorf("server: federation %q: %w", sp.Name, err)
 	}
@@ -184,6 +188,7 @@ func buildTenant(spec FederationSpec, storeCfg StoreConfig, reg *metrics.Registr
 		Seed:              sp.Seed,
 		CacheSize:         sp.CacheSize,
 		Prune:             pruner,
+		Retain:            historyRetain,
 		Metrics:           reg,
 		MetricsFederation: sp.Name,
 	}
@@ -195,6 +200,7 @@ func buildTenant(spec FederationSpec, storeCfg StoreConfig, reg *metrics.Registr
 		store, err = histstore.Open(root, histstore.Options{
 			Fsync:        storeCfg.Fsync,
 			GroupCommit:  storeCfg.GroupCommit,
+			Retain:       historyRetain,
 			Mirror:       mirror,
 			Metrics:      reg,
 			MetricsStore: sp.Name,

@@ -69,6 +69,14 @@ import (
 // /v1/stats.
 const defaultHistoryLimit = 500
 
+// historyRetain bounds every hosted history, in memory, in its WAL and
+// on its standby, to its newest historyRetain..2·historyRetain
+// observations (core.RetainedBase). An estimate reads at most the MMax
+// newest and a default history page is defaultHistoryLimit, so nothing
+// the server computes or returns by default can tell; what stops growing
+// with uptime is a tenant's heap, boot, handoff and standby sync.
+const historyRetain = 1024
+
 // StoreConfig declares where (and how) tenant histories persist.
 type StoreConfig struct {
 	// Dir is the root data directory; each federation gets its own
@@ -978,7 +986,8 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 	if offset > total {
 		offset = total
 	}
-	page := total - offset // observations at or before the offset
+	// Observations at or before the offset that are still held.
+	page := max(total-offset-snap.Base(), 0)
 	if limit < page {
 		page = limit
 	}
@@ -986,6 +995,7 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 		Federation:   t.name,
 		Query:        q.String(),
 		Len:          total,
+		Base:         snap.Base(),
 		Offset:       offset,
 		Metrics:      snap.Metrics(),
 		Observations: make([]ObservationJSON, 0, page),

@@ -74,6 +74,23 @@ func TestHistoryPagingAndTruncationStats(t *testing.T) {
 	if got := srv.tenants["test"].stats.histTruncated.Load(); got != 2 {
 		t.Fatalf("history_truncated = %d, want 2", got)
 	}
+
+	// A bounded history: len keeps counting every observation recorded,
+	// base says where what is held starts, and pages stop there.
+	h.SetRetain(2) // holds observations 2..4
+	hr = getPage("/v1/history/Q13?limit=1000000")
+	if hr.Len != 5 || hr.Base != 2 || len(hr.Observations) != 3 || !hr.Truncated || hr.Observations[2].X[0] != 2 {
+		t.Fatalf("whole bounded history: %+v", hr)
+	}
+	hr = getPage("/v1/history/Q13?offset=2&limit=2")
+	if hr.Len != 5 || hr.Base != 2 || len(hr.Observations) != 1 || hr.Observations[0].X[0] != 2 || !hr.Truncated {
+		t.Fatalf("page that reaches the base: %+v", hr)
+	}
+	hr = getPage("/v1/history/Q13?offset=3")
+	if hr.Len != 5 || len(hr.Observations) != 0 || !hr.Truncated {
+		t.Fatalf("page below the base: %+v", hr)
+	}
+
 	resp, err := http.Get(ts.URL + "/v1/history/Q13?offset=-1")
 	if err != nil {
 		t.Fatal(err)
@@ -81,6 +98,110 @@ func TestHistoryPagingAndTruncationStats(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("negative offset: status %d", resp.StatusCode)
+	}
+}
+
+// TestHistoryRetainCoversEveryReader pins the bound against the two
+// things that read back into a history: an estimate (dreamMMax newest
+// observations) and a default page of GET /v1/history. Twice over, so
+// the R the rule always keeps covers both with room.
+func TestHistoryRetainCoversEveryReader(t *testing.T) {
+	if historyRetain < 2*dreamMMax || historyRetain < 2*defaultHistoryLimit {
+		t.Fatalf("historyRetain = %d, want ≥ 2·%d (MMax) and ≥ 2·%d (default page)", historyRetain, dreamMMax, defaultHistoryLimit)
+	}
+}
+
+// TestServeBoundedHistoryAcrossRestart: a tenant whose history has
+// passed the bound twice over keeps counting every observation, holds
+// and serves the newest ones, keeps at most three WAL segments, and
+// comes back from a restart with the same history and the same next
+// decision as a tenant that was never restarted.
+func TestServeBoundedHistoryAcrossRestart(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full serving stack")
+	}
+	const bootstrap = 2*historyRetain + 40
+	spec := FederationSpec{Name: "paper", SF: 0.05, NodeChoices: []int{1, 2}, Bootstrap: bootstrap, Queries: []string{"Q12"}}
+	dir := t.TempDir()
+	durable := Config{Federations: []FederationSpec{spec}, Store: StoreConfig{Dir: dir}}
+	history := func(ts *httptest.Server, query string) HistoryResponse {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/history/Q12" + query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var hr HistoryResponse
+		if err := json.NewDecoder(resp.Body).Decode(&hr); err != nil {
+			t.Fatal(err)
+		}
+		return hr
+	}
+	submit := func(ts *httptest.Server) QueryResponse {
+		t.Helper()
+		resp, body := postQuery(t, ts.URL, QueryRequest{Query: "Q12", Weights: []float64{1, 1}})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("submit: %d %s", resp.StatusCode, body)
+		}
+		var qr QueryResponse
+		if err := json.Unmarshal(body, &qr); err != nil {
+			t.Fatal(err)
+		}
+		return qr
+	}
+	wantHistory := func(ts *httptest.Server, n int) HistoryResponse {
+		t.Helper()
+		hr := history(ts, "?limit=1000000")
+		if hr.Len != n || hr.Base != historyRetain || len(hr.Observations) != n-historyRetain || !hr.Truncated {
+			t.Fatalf("history: len %d base %d, %d observations, truncated %v; want len %d base %d",
+				hr.Len, hr.Base, len(hr.Observations), hr.Truncated, n, historyRetain)
+		}
+		segments, err := filepath.Glob(filepath.Join(dir, "paper", "Q12", "wal*.log"))
+		if err != nil || len(segments) == 0 || len(segments) > 3 {
+			t.Fatalf("shard holds segments %v (err %v), want 1..3", segments, err)
+		}
+		return hr
+	}
+
+	srv1, err := New(durable)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts1 := httptest.NewServer(srv1.Handler())
+	submit(ts1)
+	submit(ts1)
+	before := wantHistory(ts1, bootstrap+2)
+	ts1.Close() // the crash: no drain, no checkpoint
+
+	// Control: in memory, same bound, same requests, never restarted.
+	ctrl, err := New(Config{Federations: []FederationSpec{spec}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tsC := httptest.NewServer(ctrl.Handler())
+	defer tsC.Close()
+	submit(tsC)
+	submit(tsC)
+	if hr := history(tsC, "?limit=0"); hr.Len != bootstrap+2 || hr.Base != historyRetain {
+		t.Fatalf("in-memory control: len %d base %d", hr.Len, hr.Base)
+	}
+	want := submit(tsC)
+
+	srv2, err := New(durable)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts2 := httptest.NewServer(srv2.Handler())
+	defer ts2.Close()
+	after := wantHistory(ts2, bootstrap+2)
+	for i := range before.Observations {
+		if before.Observations[i].Costs[0] != after.Observations[i].Costs[0] || before.Observations[i].X[0] != after.Observations[i].X[0] {
+			t.Fatalf("observation %d from the newest differs across the restart", i)
+		}
+	}
+	if got := submit(ts2); got.Plan != want.Plan || got.EstimatedTimeS != want.EstimatedTimeS || got.EstimatedUSD != want.EstimatedUSD {
+		t.Fatalf("post-restart decision %+v (%v s, %v $), control %+v (%v s, %v $)",
+			got.Plan, got.EstimatedTimeS, got.EstimatedUSD, want.Plan, want.EstimatedTimeS, want.EstimatedUSD)
 	}
 }
 
