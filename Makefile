@@ -5,7 +5,7 @@ GO ?= go
 
 # Coverage floor (percent) enforced on the packages new code lands in.
 COVER_FLOOR ?= 60
-COVER_PKGS ?= ./internal/server ./internal/core ./internal/histstore ./internal/metrics ./internal/cluster ./internal/scenario ./internal/framelog
+COVER_PKGS ?= ./internal/server ./internal/core ./internal/histstore ./internal/metrics ./internal/cluster ./internal/scenario ./internal/framelog ./internal/ires ./internal/federation
 
 # The micro-benchmarks `make bench-sweep` prints for benchstat: the
 # Q12/Q13 serving sweeps (cached vs uncached), the cold (uncached)
@@ -93,13 +93,18 @@ ablate-prune:
 scenarios:
 	$(GO) run ./cmd/midasctl scenarios
 
-## profile-sweep: CPU profile of the cold window-search benchmarks into $(PROFILE_DIR)/
+## profile-sweep: CPU profiles of the cold window-search benchmarks and of one whole 2,048-plan round (SweepRound, -cpu 1) into $(PROFILE_DIR)/
 profile-sweep:
 	mkdir -p $(PROFILE_DIR)
 	$(GO) test -run '^$$' -bench 'WindowSearchCold' -benchtime 200x \
 		-cpuprofile $(PROFILE_DIR)/cold-sweep.cpu.pprof \
 		-o $(PROFILE_DIR)/cold-sweep.test .
-	@echo "profile written; inspect with: go tool pprof $(PROFILE_DIR)/cold-sweep.test $(PROFILE_DIR)/cold-sweep.cpu.pprof"
+	$(GO) test -run '^$$' -bench 'SweepRound' -benchtime 5000x -cpu 1 \
+		-cpuprofile $(PROFILE_DIR)/sweep-round.cpu.pprof \
+		-o $(PROFILE_DIR)/sweep-round.test .
+	@echo "profiles written; inspect with:"
+	@echo "  go tool pprof $(PROFILE_DIR)/cold-sweep.test $(PROFILE_DIR)/cold-sweep.cpu.pprof"
+	@echo "  go tool pprof -top -cum $(PROFILE_DIR)/sweep-round.test $(PROFILE_DIR)/sweep-round.cpu.pprof"
 
 ## profile-serve: CPU + allocation profiles of the serving hot path into $(PROFILE_DIR)/
 profile-serve:

@@ -324,7 +324,8 @@ func BenchmarkWindowSearchCold(b *testing.B) {
 // ---------------------------------------------------------------------------
 // Plan-space estimation (paper Example 3.1): sweep every enumerated QEP
 // of a query through the Modelling module, with a full Algorithm 1
-// window search per plan vs. one cached model fit per history version.
+// window search per chunk of plans vs. one cached model fit per history
+// version.
 
 // benchPlanSweep builds a scheduler with the given model-cache size,
 // bootstraps a history, and measures full plan-space sweeps via
@@ -370,8 +371,11 @@ func benchPlanSweep(b *testing.B, q tpch.QueryID, cacheSize int) {
 	}
 }
 
-// BenchmarkQ12SweepUncached is the seed behaviour: no model cache —
-// every plan pays a full Algorithm 1 window search.
+// BenchmarkQ12SweepUncached runs without the model cache: every chunk of
+// 256 plans — here the whole 88-plan sweep — pays one Algorithm 1 window
+// search, so it reads one search above Cached. The seed's behaviour, a
+// search per plan, is gone from sweeps; what a refit per plan costs is
+// measured by BenchmarkDREAMEstimateUncached.
 func BenchmarkQ12SweepUncached(b *testing.B) { benchPlanSweep(b, tpch.QueryQ12, -1) }
 
 // BenchmarkQ12SweepCached shares one cached model fit per history
@@ -379,7 +383,8 @@ func BenchmarkQ12SweepUncached(b *testing.B) { benchPlanSweep(b, tpch.QueryQ12, 
 func BenchmarkQ12SweepCached(b *testing.B) { benchPlanSweep(b, tpch.QueryQ12, 0) }
 
 // BenchmarkQ13SweepUncached / Cached repeat the contrast on the
-// second-largest plan space.
+// second-largest plan space (one search per sweep there too; the
+// per-plan refit cost is BenchmarkDREAMEstimateUncached's).
 func BenchmarkQ13SweepUncached(b *testing.B) { benchPlanSweep(b, tpch.QueryQ13, -1) }
 func BenchmarkQ13SweepCached(b *testing.B)   { benchPlanSweep(b, tpch.QueryQ13, 0) }
 
@@ -407,7 +412,7 @@ func benchWidePlanSweep(b *testing.B, maxNodes int, prune ires.PrunePolicy) {
 // wideScheduler assembles a DREAM scheduler over WideTopology(seed,
 // maxNodes) + NodeRange(maxNodes) — 2·maxNodes² QEPs — with a scaled
 // executor at the given scale factor and a 24-observation Q12 history.
-func wideScheduler(b *testing.B, seed int64, maxNodes int, scale float64, prune ires.PrunePolicy) *ires.Scheduler {
+func wideScheduler(b testing.TB, seed int64, maxNodes int, scale float64, prune ires.PrunePolicy) *ires.Scheduler {
 	b.Helper()
 	fed, err := federation.WideTopology(seed, maxNodes)
 	if err != nil {

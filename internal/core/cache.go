@@ -65,23 +65,28 @@ func newFitCache(max int) *fitCache {
 	return &fitCache{max: max, m: make(map[fitKey]*fitEntry, max)}
 }
 
-// entry returns k's single-flight slot, inserting an empty one (and
-// counting a miss) the first time the key is seen. The caller computes
-// through the slot's once, so concurrent callers racing on a fresh key
-// share one window search, and a failed search fails identically —
-// without refitting — for every plan of that version.
-func (c *fitCache) entry(k fitKey) *fitEntry {
+// entry returns k's single-flight slot, inserting an empty one the
+// first time the key is seen. plans ≥ 1 is how many plans the caller
+// scores through the slot, and the counters move by that many lookups —
+// one miss and plans−1 hits on a fresh key, plans hits otherwise — so a
+// chunk reads on the hit ratio exactly as its plans looked up one by
+// one would. The caller computes through the slot's once, so concurrent
+// callers racing on a fresh key share one window search, and a failed
+// search fails identically — without refitting — for every plan of that
+// version.
+func (c *fitCache) entry(k fitKey, plans int) *fitEntry {
 	if l := c.last.Load(); l != nil && l.key == k {
-		c.hits.Add(1)
+		c.hits.Add(uint64(plans))
 		return l.entry
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.m[k]
 	if ok {
-		c.hits.Add(1)
+		c.hits.Add(uint64(plans))
 	} else {
 		c.misses++
+		c.hits.Add(uint64(plans - 1))
 		e = &fitEntry{}
 		c.m[k] = e
 		c.order = append(c.order, k)

@@ -396,14 +396,13 @@ func TestFitCacheHammer(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, keys := hammerFitCache(t, est, func(histories []*History) error {
-			x := []float64{1}
 			for i := 0; i < 50; i++ {
 				s := histories[i%len(histories)].Snapshot()
-				before, err := est.fitFor(s, x)
+				before, err := est.fitFor(s, 1)
 				if err != nil {
 					return err
 				}
-				again, err := est.fitFor(s, x)
+				again, err := est.fitFor(s, 1)
 				if err != nil {
 					return err
 				}
@@ -411,7 +410,7 @@ func TestFitCacheHammer(t *testing.T) {
 					return fmt.Errorf("resize %d: a repeated key was searched twice within one cache", i)
 				}
 				est.SetCacheSize(1024)
-				after, err := est.fitFor(s, x)
+				after, err := est.fitFor(s, 1)
 				if err != nil {
 					return err
 				}
@@ -436,7 +435,7 @@ func TestFitCacheCachesErrors(t *testing.T) {
 	boom := fmt.Errorf("singular")
 	searches := 0
 	for i := 0; i < 5; i++ {
-		ent := c.entry(k)
+		ent := c.entry(k, 1)
 		ent.once.Do(func() { searches++; ent.err = boom })
 		if ent.err != boom {
 			t.Fatalf("call %d: err = %v", i, ent.err)
@@ -444,6 +443,58 @@ func TestFitCacheCachesErrors(t *testing.T) {
 	}
 	if hits, misses := c.stats(); searches != 1 || hits != 4 || misses != 1 {
 		t.Errorf("searches %d, hits %d, misses %d; want 1, 4, 1", searches, hits, misses)
+	}
+}
+
+// TestPredictRowsMatchesPerPlan: a chunk yields, bit for bit, what its
+// rows yield one by one, and the cache counts it as that many lookups —
+// one miss and n−1 hits on a fresh version, n hits after — while paying
+// for one; with caching off it is one window search per chunk.
+func TestPredictRowsMatchesPerPlan(t *testing.T) {
+	h := seedHistory(t, 40)
+	s := h.Snapshot()
+	xs := []float64{0, 3, 7.5, 11, 16, 40, -2}
+	for _, cacheSize := range []int{0, -1} {
+		ref, err := NewEstimator(Config{MMax: 15, CacheSize: cacheSize})
+		if err != nil {
+			t.Fatal(err)
+		}
+		est, err := NewEstimator(Config{MMax: 15, CacheSize: cacheSize})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []float64
+		for _, x := range xs {
+			if want, err = ref.PredictSnapshot(want, s, []float64{x}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		prefix := []float64{42}
+		for call := 0; call < 2; call++ {
+			got, err := est.PredictRows(prefix, s, xs, 1)
+			if err != nil || fmt.Sprint(got) != fmt.Sprint(append([]float64{42}, want...)) {
+				t.Fatalf("cache %d: PredictRows = %v, %v; row by row %v", cacheSize, got, err, want)
+			}
+		}
+		st, refSt := est.Stats(), ref.Stats()
+		n := uint64(len(xs))
+		if cacheSize == 0 {
+			if st.WindowSearches != 1 || st.CacheMisses != 1 || st.CacheHits != 2*n-1 {
+				t.Errorf("cached: %d searches, %d misses, %d hits for two chunks of %d rows", st.WindowSearches, st.CacheMisses, st.CacheHits, n)
+			}
+			if refSt.CacheMisses != 1 || refSt.CacheHits != n-1 {
+				t.Errorf("row by row: %d misses, %d hits for %d rows", refSt.CacheMisses, refSt.CacheHits, n)
+			}
+		} else if st.WindowSearches != 2 || refSt.WindowSearches != n {
+			t.Errorf("uncached: %d searches for two chunks, %d for %d rows", st.WindowSearches, refSt.WindowSearches, n)
+		}
+		// No rows: nothing appended, nothing counted, nothing searched.
+		if got, err := est.PredictRows(prefix, s, nil, 1); err != nil || len(got) != 1 || est.Stats() != st {
+			t.Errorf("empty chunk: %v, %v, stats %+v → %+v", got, err, st, est.Stats())
+		}
+		if _, err := est.PredictRows(nil, s, xs, 2); err == nil {
+			t.Error("rows of the wrong width accepted")
+		}
 	}
 }
 

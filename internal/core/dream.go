@@ -17,6 +17,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -509,7 +510,10 @@ func (e *Estimator) EstimateCostValue(h *History, x []float64) (*Estimate, error
 // snapshot once so every plan is scored against the same history
 // version (and hits the same cached fit).
 func (e *Estimator) EstimateSnapshot(s *Snapshot, x []float64) (*Estimate, error) {
-	fit, err := e.fitFor(s, x)
+	if err := s.checkDim(len(x)); err != nil {
+		return nil, err
+	}
+	fit, err := e.fitFor(s, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -556,29 +560,58 @@ type windowFit struct {
 // EstimateSnapshot(s, x).Values() and the errors are the same; what it
 // skips is the per-metric diagnostics (R², model, the prediction
 // interval behind StdErr), which a scheduler scoring one plan among
-// thousands never reads.
+// thousands never reads. It is PredictRows over one row.
 func (e *Estimator) PredictSnapshot(dst []float64, s *Snapshot, x []float64) ([]float64, error) {
-	fit, err := e.fitFor(s, x)
+	return e.PredictRows(dst, s, x, len(x))
+}
+
+// PredictRows is PredictSnapshot for a chunk of plans: xs holds their
+// feature vectors back to back, dim values each, and the cost vectors
+// are appended to dst in the same order, one value per metric — what
+// PredictSnapshot would append row by row, bit for bit. The chunk pays
+// for one fit lookup (the checks, the cache, the single-flight wait)
+// and then only the per-metric dot products; the model cache counts it
+// as one lookup per row all the same. With caching off the chunk runs
+// one window search, which never depended on the plan. An error leaves
+// nothing appended.
+func (e *Estimator) PredictRows(dst []float64, s *Snapshot, xs []float64, dim int) ([]float64, error) {
+	if err := s.checkDim(dim); err != nil {
+		return nil, err
+	}
+	n := len(xs) / dim
+	if n == 0 {
+		return dst, nil
+	}
+	fit, err := e.fitFor(s, n)
 	if err != nil {
 		return nil, err
 	}
-	for _, model := range fit.models {
-		v, err := model.Predict(x)
-		if err != nil {
-			return nil, err
+	dst = slices.Grow(dst, n*len(fit.models))
+	for ; len(xs) >= dim; xs = xs[dim:] {
+		for _, model := range fit.models {
+			v, err := model.Predict(xs[:dim])
+			if err != nil {
+				return nil, err
+			}
+			dst = append(dst, v)
 		}
-		dst = append(dst, v)
 	}
 	return dst, nil
 }
 
-// fitFor checks that plan features x fit the snapshot and that the
-// snapshot holds enough history for a model, then returns the
-// window-search result, serving it from the model cache when possible.
-func (e *Estimator) fitFor(s *Snapshot, x []float64) (*windowFit, error) {
-	if len(x) != s.Dim() {
-		return nil, fmt.Errorf("core: plan has %d features, history has %d", len(x), s.Dim())
+// checkDim reports whether plans of dim features fit the snapshot.
+func (s *Snapshot) checkDim(dim int) error {
+	if dim != s.Dim() {
+		return fmt.Errorf("core: plan has %d features, history has %d", dim, s.Dim())
 	}
+	return nil
+}
+
+// fitFor checks that the snapshot holds enough history for a model,
+// then returns the window-search result, serving it from the model
+// cache when possible. plans is how many plans the caller scores with
+// the fit: the cache counts that many lookups.
+func (e *Estimator) fitFor(s *Snapshot, plans int) (*windowFit, error) {
 	minM := regression.MinObservations(s.Dim())
 	if len(s.obs) < minM {
 		return nil, fmt.Errorf("%w: have %d observations, need %d", ErrInsufficientHistory, len(s.obs), minM)
@@ -587,7 +620,7 @@ func (e *Estimator) fitFor(s *Snapshot, x []float64) (*windowFit, error) {
 	if cache == nil {
 		return e.searchWindow(s, minM)
 	}
-	ent := cache.entry(fitKey{owner: s.owner, version: s.version})
+	ent := cache.entry(fitKey{owner: s.owner, version: s.version}, plans)
 	ent.once.Do(func() { ent.fit, ent.err = e.searchWindow(s, minM) })
 	return ent.fit, ent.err
 }

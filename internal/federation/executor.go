@@ -17,6 +17,16 @@ type Executor interface {
 	Features(p Plan) ([]float64, error)
 }
 
+// InputSizer is the optional Executor capability a sweep batches on:
+// the sizes in bytes of a query's two input tables, which is everything
+// about a feature vector that is the executor's to know. An executor
+// that has it promises Features(p) = Features(p, InputBytes(p.Query)),
+// so a sweep resolves the sizes once per query and writes its feature
+// rows with AppendFeatures instead of asking plan by plan.
+type InputSizer interface {
+	InputBytes(q tpch.QueryID) (leftBytes, rightBytes float64, err error)
+}
+
 // ---------------------------------------------------------------------------
 // FullExecutor
 
@@ -98,14 +108,21 @@ func (e *FullExecutor) Execute(p Plan) (*Outcome, error) {
 	return out, nil
 }
 
+// InputBytes implements InputSizer.
+func (e *FullExecutor) InputBytes(q tpch.QueryID) (leftBytes, rightBytes float64, err error) {
+	leftTable, rightTable := q.Tables()
+	if leftBytes, err = e.DB.TableBytes(leftTable); err != nil {
+		return 0, 0, err
+	}
+	if rightBytes, err = e.DB.TableBytes(rightTable); err != nil {
+		return 0, 0, err
+	}
+	return leftBytes, rightBytes, nil
+}
+
 // Features implements Executor.
 func (e *FullExecutor) Features(p Plan) ([]float64, error) {
-	leftTable, rightTable := p.Query.Tables()
-	lb, err := e.DB.TableBytes(leftTable)
-	if err != nil {
-		return nil, err
-	}
-	rb, err := e.DB.TableBytes(rightTable)
+	lb, rb, err := e.InputBytes(p.Query)
 	if err != nil {
 		return nil, err
 	}
@@ -204,16 +221,25 @@ func (e *ScaledExecutor) Execute(p Plan) (*Outcome, error) {
 	return e.Fed.cost(p.Query, p, scalePieces(pc, e.SF))
 }
 
-// Features implements Executor.
-func (e *ScaledExecutor) Features(p Plan) ([]float64, error) {
-	leftTable, rightTable := p.Query.Tables()
+// InputBytes implements InputSizer.
+func (e *ScaledExecutor) InputBytes(q tpch.QueryID) (leftBytes, rightBytes float64, err error) {
+	leftTable, rightTable := q.Tables()
 	lb, ok := e.Cal.tblByte[leftTable]
 	if !ok {
-		return nil, fmt.Errorf("federation: table %q not calibrated", leftTable)
+		return 0, 0, fmt.Errorf("federation: table %q not calibrated", leftTable)
 	}
 	rb, ok := e.Cal.tblByte[rightTable]
 	if !ok {
-		return nil, fmt.Errorf("federation: table %q not calibrated", rightTable)
+		return 0, 0, fmt.Errorf("federation: table %q not calibrated", rightTable)
 	}
-	return Features(p, lb*e.SF, rb*e.SF), nil
+	return lb * e.SF, rb * e.SF, nil
+}
+
+// Features implements Executor.
+func (e *ScaledExecutor) Features(p Plan) ([]float64, error) {
+	lb, rb, err := e.InputBytes(p.Query)
+	if err != nil {
+		return nil, err
+	}
+	return Features(p, lb, rb), nil
 }

@@ -193,17 +193,24 @@ var FeatureNames = [FeatureDim]string{
 // x of the paper's cost model (eq. 5): the sizes of the two input
 // tables in MiB and the number of VMs at each cloud.
 func Features(p Plan, leftBytes, rightBytes float64) []float64 {
+	return AppendFeatures(make([]float64, 0, FeatureDim), p, leftBytes, rightBytes)
+}
+
+// AppendFeatures appends Features(p, leftBytes, rightBytes) to dst: the
+// form a sweep uses to lay a chunk of plans out as FeatureDim-wide rows
+// of one buffer.
+func AppendFeatures(dst []float64, p Plan, leftBytes, rightBytes float64) []float64 {
 	joinLeft := 0.0
 	if p.JoinAtLeft {
 		joinLeft = 1
 	}
-	return []float64{
-		leftBytes / (1024 * 1024),
-		rightBytes / (1024 * 1024),
+	return append(dst,
+		leftBytes/(1024*1024),
+		rightBytes/(1024*1024),
 		float64(p.NodesLeft),
 		float64(p.NodesRight),
 		joinLeft,
-	}
+	)
 }
 
 // Metrics are the two cost objectives of every experiment in the paper.

@@ -264,6 +264,51 @@ func TestCalibrationAndScaledExecutor(t *testing.T) {
 	}
 }
 
+// TestInputSizerMatchesFeatures pins the promise a sweep batches on:
+// rows laid out with AppendFeatures from InputBytes are the executors'
+// own per-plan feature vectors, bit for bit.
+func TestInputSizerMatchesFeatures(t *testing.T) {
+	fed := defaultFed(t)
+	cal, err := Calibrate(fed, 0.005, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scaled, err := NewScaledExecutor(fed, cal, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, exec := range []Executor{scaled, NewFullExecutor(fed, smallDB(t))} {
+		for _, q := range tpch.AllQueries {
+			plans, err := fed.EnumeratePlans(q, []int{1, 2, 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			lb, rb, err := exec.(InputSizer).InputBytes(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var rows []float64
+			for _, p := range plans {
+				rows = AppendFeatures(rows, p, lb, rb)
+			}
+			for i, p := range plans {
+				x, err := exec.Features(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for k, v := range x {
+					if math.Float64bits(v) != math.Float64bits(rows[i*FeatureDim+k]) {
+						t.Fatalf("%T %v: feature %d = %v, row has %v", exec, p, k, v, rows[i*FeatureDim+k])
+					}
+				}
+			}
+		}
+		if _, _, err := exec.(InputSizer).InputBytes(tpch.QueryID(99)); err == nil {
+			t.Errorf("%T: sizes for an unknown query", exec)
+		}
+	}
+}
+
 func TestScaledExecutorValidation(t *testing.T) {
 	fed := defaultFed(t)
 	cal, err := Calibrate(fed, 0.005, 5)

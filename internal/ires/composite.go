@@ -57,26 +57,26 @@ func (m *CompositeDREAMModel) Estimate(h *core.History, x []float64) ([]float64,
 
 // EstimateSnapshot implements SnapshotCostModel.
 func (m *CompositeDREAMModel) EstimateSnapshot(s *core.Snapshot, x []float64) ([]float64, error) {
-	if n := s.NumMetrics(); n != len(federation.BreakdownMetrics) {
-		return nil, fmt.Errorf("ires: composite model needs a %d-metric breakdown history, got %d",
-			len(federation.BreakdownMetrics), n)
+	return m.EstimateRows(make([]float64, 0, len(federation.Metrics)), s, x, len(x))
+}
+
+// EstimateRows implements BatchCostModel: one prediction of the pieces
+// for the whole chunk, then the composition rule row by row.
+func (m *CompositeDREAMModel) EstimateRows(dst []float64, s *core.Snapshot, xs []float64, dim int) ([]float64, error) {
+	if n := s.NumMetrics(); n != bdCount {
+		return nil, fmt.Errorf("ires: composite model needs a %d-metric breakdown history, got %d", bdCount, n)
 	}
-	var pieces [bdCount]float64
-	v, err := m.Est.PredictSnapshot(pieces[:0], s, x)
+	pieces, err := m.Est.PredictRows(nil, s, xs, dim)
 	if err != nil {
 		return nil, err
 	}
-	left, right, ship, final := clampZero(v[bdLeft]), clampZero(v[bdRight]), clampZero(v[bdShip]), clampZero(v[bdFinal])
-	prep := left
-	if right > prep {
-		prep = right
+	clampRows(pieces)
+	for ; len(pieces) > 0; pieces = pieces[bdCount:] {
+		prep := pieces[bdLeft]
+		if pieces[bdRight] > prep {
+			prep = pieces[bdRight]
+		}
+		dst = append(dst, prep+pieces[bdShip]+pieces[bdFinal], pieces[bdMoney])
 	}
-	return []float64{prep + ship + final, clampZero(v[bdMoney])}, nil
-}
-
-func clampZero(v float64) float64 {
-	if v < 0 {
-		return 0
-	}
-	return v
+	return dst, nil
 }

@@ -9,7 +9,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/federation"
+	"repro/internal/ml"
 	"repro/internal/moo"
+	"repro/internal/stats"
 	"repro/internal/tpch"
 )
 
@@ -22,15 +24,35 @@ func buildStack(t *testing.T, seed int64, cfg SchedulerConfig) *Scheduler {
 	if err != nil {
 		t.Fatal(err)
 	}
+	model, err := NewDREAMModel(core.Config{MMax: 3 * (federation.FeatureDim + 2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return stackOn(t, fed, seed, model, cfg)
+}
+
+// wideStack is buildStack over federation.WideTopology(seed, maxNodes)
+// and the dense node menu — 2·maxNodes² plans per query — around the
+// given model.
+func wideStack(t *testing.T, seed int64, maxNodes int, model CostModel, cfg SchedulerConfig) *Scheduler {
+	t.Helper()
+	fed, err := federation.WideTopology(seed, maxNodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.NodeChoices = federation.NodeRange(maxNodes)
+	return stackOn(t, fed, seed, model, cfg)
+}
+
+// stackOn calibrates fed and assembles a scheduler over its scaled
+// executor.
+func stackOn(t *testing.T, fed *federation.Federation, seed int64, model CostModel, cfg SchedulerConfig) *Scheduler {
+	t.Helper()
 	cal, err := federation.Calibrate(fed, 0.004, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	exec, err := federation.NewScaledExecutor(fed, cal, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	model, err := NewDREAMModel(core.Config{MMax: 3 * (federation.FeatureDim + 2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +164,9 @@ func TestCachedOptimizeGAMatchesUncached(t *testing.T) {
 }
 
 // TestSubmitContextCancelled: a cancelled context aborts the estimation
-// loop instead of running the full plan sweep.
+// loop instead of running the full plan sweep — before the first chunk
+// when it is cancelled already, at the next chunk boundary when it is
+// cancelled mid-sweep.
 func TestSubmitContextCancelled(t *testing.T) {
 	s := buildStack(t, 5, SchedulerConfig{})
 	if err := s.Bootstrap(tpch.QueryQ12, 20); err != nil {
@@ -154,6 +178,48 @@ func TestSubmitContextCancelled(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
+
+	// Example 3.1's lattice, 72 chunks: the model cancels the request
+	// while it scores the third one.
+	dream, err := NewDREAMModel(core.Config{MMax: 3 * (federation.FeatureDim + 2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	model := &countingBatchModel{DREAMModel: dream}
+	model.onChunk = func() {
+		if model.chunks == 3 {
+			cancel()
+		}
+	}
+	wide := wideStack(t, 5, 96, model, SchedulerConfig{Seed: 5})
+	if err := wide.Bootstrap(tpch.QueryQ12, 24); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := wide.SubmitContext(ctx, tpch.QueryQ12, Policy{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if model.rows != 3*sweepChunk {
+		t.Fatalf("%d of 18,432 plans scored after a cancel during chunk 3, want %d", model.rows, 3*sweepChunk)
+	}
+}
+
+// countingBatchModel is a DREAM model that counts the chunks and rows it
+// is asked to score, calling onChunk before each chunk.
+type countingBatchModel struct {
+	*DREAMModel
+	chunks, rows int
+	onChunk      func()
+}
+
+func (m *countingBatchModel) EstimateRows(dst []float64, s *core.Snapshot, xs []float64, dim int) ([]float64, error) {
+	m.chunks++
+	m.rows += len(xs) / dim
+	if m.onChunk != nil {
+		m.onChunk()
+	}
+	return m.DREAMModel.EstimateRows(dst, s, xs, dim)
 }
 
 // scriptedModel is a CostModel whose n-th Estimate call (1-based) runs
@@ -178,11 +244,13 @@ func (m *scriptedModel) Estimate(h *core.History, x []float64) ([]float64, error
 }
 
 // TestEstimateLoopStopsAtFirstFailure pins the two exits of the
-// per-plan loop: a model error is reported for the lowest failing plan
-// index (named in the message) and nothing after it is estimated; a
-// context cancelled mid-sweep stops the loop before the next plan.
+// estimation loop on a lattice of two chunks: a model error past the
+// first chunk is reported for the lowest failing plan index (named in
+// the message) and nothing after it is estimated; a context cancelled
+// mid-chunk stops the loop before the next chunk. The scripted model has
+// only the per-plan method, so this is the adapter's bookkeeping too.
 func TestEstimateLoopStopsAtFirstFailure(t *testing.T) {
-	s := buildStack(t, 5, SchedulerConfig{})
+	s := wideStack(t, 5, 16, &scriptedModel{}, SchedulerConfig{Seed: 5})
 	if err := s.Bootstrap(tpch.QueryQ12, 20); err != nil {
 		t.Fatal(err)
 	}
@@ -190,8 +258,11 @@ func TestEstimateLoopStopsAtFirstFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(plans) <= sweepChunk || len(plans) > 2*sweepChunk {
+		t.Fatalf("%d plans, want two chunks of %d", len(plans), sweepChunk)
+	}
 
-	const failAt = 7 // 0-based plan index
+	const failAt = sweepChunk + 44 // 0-based plan index
 	model := &scriptedModel{failFrom: failAt + 1}
 	s.Model = model
 	_, err = s.PlanSweep(context.Background(), tpch.QueryQ12)
@@ -205,6 +276,26 @@ func TestEstimateLoopStopsAtFirstFailure(t *testing.T) {
 		t.Fatalf("OptimizeWSM err = %v, want the model failure", err)
 	}
 
+	// A feature failure further on does not mask the model's: the rows
+	// before it are still scored.
+	model = &scriptedModel{failFrom: failAt + 1}
+	s.Model = model
+	exec := s.Exec
+	s.Exec = failingFeatures{Executor: exec, failAt: plans[failAt+9]}
+	_, err = s.PlanSweep(context.Background(), tpch.QueryQ12)
+	if err == nil || !strings.Contains(err.Error(), "estimating "+plans[failAt].String()) || model.calls != failAt+1 {
+		t.Fatalf("err = %v after %d calls, want the model failure at plan %d", err, model.calls, failAt)
+	}
+	// On its own it is reported for its plan, and the model sees exactly
+	// the plans before it.
+	model = &scriptedModel{}
+	s.Model = model
+	_, err = s.PlanSweep(context.Background(), tpch.QueryQ12)
+	if err == nil || !strings.Contains(err.Error(), "features of "+plans[failAt+9].String()) || model.calls != failAt+9 {
+		t.Fatalf("err = %v after %d calls, want the feature failure at plan %d", err, model.calls, failAt+9)
+	}
+	s.Exec = exec
+
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	model = &scriptedModel{onCall: func(n int) {
@@ -216,8 +307,222 @@ func TestEstimateLoopStopsAtFirstFailure(t *testing.T) {
 	if _, err := s.PlanSweep(ctx, tpch.QueryQ12); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if model.calls != 3 {
-		t.Fatalf("model saw %d calls after a cancel during call 3", model.calls)
+	if model.calls != sweepChunk {
+		t.Fatalf("model saw %d calls after a cancel during call 3, want the chunk of %d finished and no more", model.calls, sweepChunk)
+	}
+}
+
+// failingFeatures is an executor whose Features fails for one plan.
+type failingFeatures struct {
+	federation.Executor
+	failAt federation.Plan
+}
+
+func (e failingFeatures) Features(p federation.Plan) ([]float64, error) {
+	if p == e.failAt {
+		return nil, errors.New("scripted feature failure")
+	}
+	return e.Executor.Features(p)
+}
+
+// perPlanModel and perPlanExecutor expose only the per-plan methods of
+// what they wrap — the way bench/trace.go's decorators do — so a
+// scheduler assembled from them scores every chunk through the adapters.
+type perPlanModel struct{ inner SnapshotCostModel }
+
+func (m perPlanModel) Name() string { return m.inner.Name() }
+func (m perPlanModel) Estimate(h *core.History, x []float64) ([]float64, error) {
+	return m.inner.Estimate(h, x)
+}
+func (m perPlanModel) EstimateSnapshot(s *core.Snapshot, x []float64) ([]float64, error) {
+	return m.inner.EstimateSnapshot(s, x)
+}
+
+type perPlanExecutor struct{ inner federation.Executor }
+
+func (e perPlanExecutor) Execute(p federation.Plan) (*federation.Outcome, error) {
+	return e.inner.Execute(p)
+}
+func (e perPlanExecutor) Features(p federation.Plan) ([]float64, error) {
+	return e.inner.Features(p)
+}
+
+// breakdownStore opens every history with the operator-level metric set
+// the composite model needs.
+type breakdownStore struct{ open map[string]*core.History }
+
+func (b breakdownStore) OpenHistory(name string, dim int, _ []string) (*core.History, error) {
+	if h, ok := b.open[name]; ok {
+		return h, nil
+	}
+	h, err := core.NewHistory(dim, federation.BreakdownMetrics...)
+	b.open[name] = h
+	return h, err
+}
+func (breakdownStore) Sync() error { return nil }
+
+// requireSameSweep fails unless two sweeps agree on every plan, every
+// cost bit and the front.
+func requireSameSweep(t *testing.T, round int, got, want *Sweep) {
+	t.Helper()
+	if len(got.Plans) != len(want.Plans) || len(got.Costs) != len(want.Costs) ||
+		got.PlanSpace != want.PlanSpace || got.Policy != want.Policy {
+		t.Fatalf("round %d: sweep shapes differ: %d/%d plans, %d/%d costs", round, len(got.Plans), len(want.Plans), len(got.Costs), len(want.Costs))
+	}
+	for i := range want.Plans {
+		if got.Plans[i] != want.Plans[i] || !equalBits(got.Costs[i], want.Costs[i]) {
+			t.Fatalf("round %d: position %d: %v %v, want %v %v", round, i, got.Plans[i], got.Costs[i], want.Plans[i], want.Costs[i])
+		}
+	}
+	if fmt.Sprint(got.FrontIdx) != fmt.Sprint(want.FrontIdx) {
+		t.Fatalf("round %d: fronts differ: %v vs %v", round, got.FrontIdx, want.FrontIdx)
+	}
+}
+
+// TestBatchedSweepMatchesPerPlan: a sweep is scored chunk by chunk when
+// model and executor can and plan by plan, through the adapters, when a
+// decorator hides that — and nobody can tell from the results. Every
+// prune policy × every bundled model × cache on and off, on a lattice of
+// two chunks: the sweeps (plans, every cost bit, front) and the decisions
+// of 50 rounds (10 where noted) are identical on both routes, and so are
+// the two Figure 3 optimizers.
+func TestBatchedSweepMatchesPerPlan(t *testing.T) {
+	const maxNodes = 12 // 288 plans
+	const q = tpch.QueryQ12
+	dreamCfg := func(cacheSize int) core.Config {
+		return core.Config{MMax: 3 * (federation.FeatureDim + 2), CacheSize: cacheSize}
+	}
+	models := []struct {
+		name      string
+		breakdown bool
+		build     func() (CostModel, error)
+	}{
+		{"dream", false, func() (CostModel, error) { return NewDREAMModel(dreamCfg(0)) }},
+		{"dream-uncached", false, func() (CostModel, error) { return NewDREAMModel(dreamCfg(-1)) }},
+		{"composite", true, func() (CostModel, error) { return NewCompositeDREAMModel(dreamCfg(0)) }},
+		{"composite-uncached", true, func() (CostModel, error) { return NewCompositeDREAMModel(dreamCfg(-1)) }},
+		{"bml", false, func() (CostModel, error) { return &BMLModel{Learner: ml.LeastSquares{}, WindowMultiple: 3}, nil }},
+	}
+	policies := []PrunePolicy{FullSweep(), GreedyPrune(270), TopK(270, 9)}
+	pol := Policy{Weights: []float64{1, 1}}
+
+	// record executes p and appends the measurement: Scheduler.Record's
+	// job, which cannot write the six-metric breakdown rows itself.
+	record := func(t *testing.T, s *Scheduler, p federation.Plan) string {
+		t.Helper()
+		out, err := s.Exec.Execute(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x, err := s.features(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := s.OpenHistory(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := h.Append(core.Observation{X: x, Costs: out.BreakdownCosts()}); err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("plan=%+v outcome=%+v", p, *out)
+	}
+
+	for _, m := range models {
+		for _, prune := range policies {
+			t.Run(m.name+"/"+prune.Name(), func(t *testing.T) {
+				t.Parallel()
+				// Without a cache the per-plan route refits for every plan,
+				// 288 times a sweep: the full sweep pays for 50 rounds of
+				// that, the pruned ones for 10.
+				rounds := 50
+				if m.name != "dream" && m.name != "composite" && prune.Name() != "full" {
+					rounds = 10
+				}
+				var stacks [2]*Scheduler // batched, per plan
+				for i := range stacks {
+					model, err := m.build()
+					if err != nil {
+						t.Fatal(err)
+					}
+					cfg := SchedulerConfig{Seed: 21, Prune: prune}
+					if m.breakdown {
+						cfg.Store = breakdownStore{open: map[string]*core.History{}}
+					}
+					s := wideStack(t, 21, maxNodes, model, cfg)
+					if i == 1 {
+						s.Exec = perPlanExecutor{s.Exec}
+						if sm, ok := s.Model.(SnapshotCostModel); ok {
+							s.Model = perPlanModel{sm}
+						}
+					}
+					if !m.breakdown {
+						if err := s.Bootstrap(q, 24); err != nil {
+							t.Fatal(err)
+						}
+					} else {
+						plans, err := s.plans(q)
+						if err != nil {
+							t.Fatal(err)
+						}
+						rng := stats.NewRNG(21)
+						for n := 0; n < 24; n++ {
+							record(t, s, plans[rng.Intn(len(plans))])
+						}
+					}
+					stacks[i] = s
+				}
+				for round := 0; round < rounds; round++ {
+					var sweeps [2]*Sweep
+					var decisions [2]string
+					for i, s := range stacks {
+						sw, err := s.PlanSweep(context.Background(), q)
+						if err != nil {
+							t.Fatalf("round %d route %d: %v", round, i, err)
+						}
+						sweeps[i] = sw
+						if m.breakdown {
+							idx, err := sw.Select(pol)
+							if err != nil {
+								t.Fatal(err)
+							}
+							decisions[i] = record(t, s, sw.Plans[idx])
+							continue
+						}
+						dec, err := s.DecideFromSweep(sw, pol)
+						if err != nil {
+							t.Fatalf("round %d route %d: %v", round, i, err)
+						}
+						decisions[i] = renderDecision(dec)
+					}
+					requireSameSweep(t, round, sweeps[0], sweeps[1])
+					if decisions[0] != decisions[1] {
+						t.Fatalf("round %d decisions diverge:\nbatched:  %s\nper plan: %s", round, decisions[0], decisions[1])
+					}
+				}
+				if m.name != "dream" || prune.Name() != "full" {
+					return
+				}
+				// Figure 3's optimizers share the loop: the weighted sum
+				// scores the lattice in chunks, the GA in batches of one.
+				var wsm [2]*WSMResult
+				var ga [2]string
+				for i, s := range stacks {
+					var err error
+					if wsm[i], err = s.OptimizeWSM(q, Policy{Weights: []float64{2, 1}}); err != nil {
+						t.Fatal(err)
+					}
+					res, err := s.OptimizeGA(q, moo.NSGAIIConfig{PopSize: 24, Generations: 10, Seed: 3})
+					if err != nil {
+						t.Fatal(err)
+					}
+					ga[i] = fmt.Sprintf("%+v %v %d", res.Plans, res.Costs, res.ModelEvaluations)
+				}
+				if *wsm[0] != *wsm[1] || ga[0] != ga[1] {
+					t.Fatalf("optimizers diverge:\nbatched:  %+v %s\nper plan: %+v %s", *wsm[0], ga[0], *wsm[1], ga[1])
+				}
+			})
+		}
 	}
 }
 

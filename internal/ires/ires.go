@@ -36,7 +36,8 @@ var ErrNoHistory = errors.New("ires: no history for query")
 // in a loop, but a scheduler serves concurrent requests and each runs
 // its own round against the one model. The models in this package are
 // safe; a custom model with unsynchronized internal state needs its own
-// locking.
+// locking. x is the caller's scratch — a row of a sweep's feature
+// buffer — and is only valid during the call: copy it to keep it.
 type CostModel interface {
 	Name() string
 	Estimate(h *core.History, x []float64) ([]float64, error)
@@ -50,6 +51,19 @@ type CostModel interface {
 type SnapshotCostModel interface {
 	CostModel
 	EstimateSnapshot(s *core.Snapshot, x []float64) ([]float64, error)
+}
+
+// BatchCostModel is the optional capability a sweep batches on: score a
+// chunk of plans in one call. xs holds the plans' feature vectors back
+// to back, dim values each; the cost vectors, all of one length, are
+// appended to dst in the same order. The values are, bit for bit, what
+// EstimateSnapshot returns row by row, and an error appends nothing and
+// is the one every row of the chunk would have failed with. A model
+// without it is scored through EstimateSnapshot (or Estimate), one plan
+// at a time.
+type BatchCostModel interface {
+	SnapshotCostModel
+	EstimateRows(dst []float64, s *core.Snapshot, xs []float64, dim int) ([]float64, error)
 }
 
 // ---------------------------------------------------------------------------
@@ -84,16 +98,26 @@ func (m *DREAMModel) Estimate(h *core.History, x []float64) ([]float64, error) {
 
 // EstimateSnapshot implements SnapshotCostModel.
 func (m *DREAMModel) EstimateSnapshot(s *core.Snapshot, x []float64) ([]float64, error) {
-	vals, err := m.Est.PredictSnapshot(make([]float64, 0, s.NumMetrics()), s, x)
+	return m.EstimateRows(make([]float64, 0, s.NumMetrics()), s, x, len(x))
+}
+
+// EstimateRows implements BatchCostModel.
+func (m *DREAMModel) EstimateRows(dst []float64, s *core.Snapshot, xs []float64, dim int) ([]float64, error) {
+	out, err := m.Est.PredictRows(dst, s, xs, dim)
 	if err != nil {
 		return nil, err
 	}
-	for i, v := range vals {
+	clampRows(out[len(dst):])
+	return out, nil
+}
+
+// clampRows clamps cost values at zero, in place.
+func clampRows(costs []float64) {
+	for i, v := range costs {
 		if v < 0 {
-			vals[i] = 0
+			costs[i] = 0
 		}
 	}
-	return vals, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -504,8 +528,11 @@ func (s *Scheduler) Bootstrap(q tpch.QueryID, n int) error {
 
 // Decision reports one scheduling round.
 type Decision struct {
-	Plan      federation.Plan
-	Estimated []float64 // model-predicted cost vector of the chosen plan
+	Plan federation.Plan
+	// Estimated is the model-predicted cost vector of the chosen plan: a
+	// read-only view into the sweep's cost matrix (it keeps the matrix
+	// alive; copy it to hold on to a decision for long).
+	Estimated []float64
 	Outcome   *federation.Outcome
 	// ParetoSize is the size of the Pareto plan set the choice was made
 	// from; PlanSpace the size of the full QEP lattice; PlansEstimated
@@ -549,7 +576,8 @@ type Sweep struct {
 	// lattice under FullSweep (the default), the pruned subset under a
 	// pruning policy.
 	Plans []federation.Plan
-	// Costs is the model cost vector of every plan, in plan order.
+	// Costs is the model cost vector of every plan, in plan order: capped
+	// views, one per plan, into one flat plans × metrics matrix.
 	Costs [][]float64
 	// FrontIdx indexes the Pareto-optimal plans within Plans.
 	FrontIdx []int
@@ -569,7 +597,7 @@ type Sweep struct {
 // PlanSweep builds the QEP lattice of q, estimates the plans the
 // configured PrunePolicy selects (default: all of them), each against
 // one history snapshot, and reduces to the Pareto set. The estimation
-// loop observes ctx.
+// loop observes ctx between chunks of 256 plans.
 func (s *Scheduler) PlanSweep(ctx context.Context, q tpch.QueryID) (sw *Sweep, err error) {
 	if s.obs != nil {
 		began := time.Now()
@@ -596,7 +624,7 @@ func (s *Scheduler) PlanSweep(ctx context.Context, q tpch.QueryID) (sw *Sweep, e
 	if pruner == nil {
 		pruner = FullSweep()
 	}
-	plans, costs, err := pruner.sweep(ctx, s.sweeper(h, lat.Iterator()))
+	plans, costs, err := pruner.sweep(ctx, s.sweeper(q, h, lat.Iterator()))
 	if err != nil {
 		return nil, err
 	}

@@ -74,8 +74,10 @@ func (p *planProblem) Evaluate(x []float64) []float64 {
 	if c, ok := p.cache[plan]; ok {
 		return c
 	}
-	c, err := p.round.score(plan)
-	if err != nil {
+	var c []float64
+	if costs, err := p.round.estimate(context.Background(), []federation.Plan{plan}); err == nil {
+		c = costs[0]
+	} else {
 		if p.err == nil {
 			p.err = err
 		}
@@ -131,7 +133,7 @@ func (s *Scheduler) OptimizeGA(q tpch.QueryID, cfg moo.NSGAIIConfig) (*GAResult,
 		return nil, err
 	}
 	prob := &planProblem{
-		round:    s.sweeper(h, nil),
+		round:    s.sweeper(q, h, nil),
 		query:    q,
 		choices:  s.NodeChoices,
 		maxLeft:  leftSite.MaxNodes,
@@ -192,7 +194,7 @@ func (s *Scheduler) OptimizeWSMContext(ctx context.Context, q tpch.QueryID, pol 
 	if len(plans) == 0 {
 		return nil, moo.ErrNoPlans
 	}
-	costs, err := s.sweeper(h, lat.Iterator()).estimate(ctx, nil)
+	costs, err := s.sweeper(q, h, nil).estimate(ctx, plans)
 	if err != nil {
 		return nil, err
 	}

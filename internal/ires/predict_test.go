@@ -50,6 +50,15 @@ func randomHistory(t *testing.T, rng *rand.Rand, dim, n int, metrics []string) *
 	return h
 }
 
+// clampZero is the reference clamp the composite's expected value is
+// built with.
+func clampZero(v float64) float64 {
+	if v < 0 {
+		return 0
+	}
+	return v
+}
+
 func equalBits(a, b []float64) bool {
 	if len(a) != len(b) {
 		return false

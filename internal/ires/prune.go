@@ -2,6 +2,7 @@ package ires
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/federation"
 	"repro/internal/moo"
 	"repro/internal/stats"
+	"repro/internal/tpch"
 )
 
 // The plan-supply seam. PlanSweep no longer estimates a pre-built
@@ -57,75 +59,165 @@ type LatticeSource interface {
 
 var _ LatticeSource = (*federation.PlanIterator)(nil)
 
-// planSweeper is one scheduling round's estimator: the scheduler, the
-// plan source a PrunePolicy draws from (nil outside a sweep), and the
-// per-plan scoring function bound to the round's history snapshot.
+// planSweeper is one scheduling round's estimator: the plan source a
+// PrunePolicy draws from (nil outside a sweep) and the two batch steps
+// of scoring, bound to the round's query and history snapshot.
 type planSweeper struct {
-	s   *Scheduler
 	src PlanSource
-	// estimateX scores a feature vector against the round's history
-	// snapshot (or the live history for non-snapshot models).
-	estimateX func(x []float64) ([]float64, error)
+	// features appends the plans' feature vectors to dst, FeatureDim
+	// values each; on a failure the rows before the failing plan's are
+	// still appended, which is how estimate knows which plan it was.
+	features func(dst []float64, plans []federation.Plan) ([]float64, error)
+	// costs appends the cost vectors, all of one length, of the
+	// FeatureDim-wide feature rows in xs to dst, scored against the
+	// round's history snapshot (the live history for non-snapshot
+	// models). An error that is not a *rowError is the first row's.
+	costs func(dst, xs []float64) ([]float64, error)
 }
 
-// sweeper binds one round to h. Snapshot-capable models get a single
-// point-in-time snapshot, so every plan of the round is scored against
-// one history version even while other requests append observations.
-func (s *Scheduler) sweeper(h *core.History, src PlanSource) *planSweeper {
-	ps := &planSweeper{s: s, src: src}
-	if sm, ok := s.Model.(SnapshotCostModel); ok {
-		snap := h.Snapshot()
-		ps.estimateX = func(x []float64) ([]float64, error) { return sm.EstimateSnapshot(snap, x) }
+// rowError is how the per-plan cost adapter says which row of the chunk
+// failed; estimate names the plan at that position.
+type rowError struct {
+	row int
+	err error
+}
+
+func (e *rowError) Error() string { return e.err.Error() }
+func (e *rowError) Unwrap() error { return e.err }
+
+// sweeper binds one round to q and h. Snapshot-capable models get a
+// single point-in-time snapshot, so every plan of the round is scored
+// against one history version even while other requests append
+// observations. An executor that knows the query's input sizes
+// (federation.InputSizer) and a model that scores chunks
+// (BatchCostModel) are used as such; one that only has the per-plan
+// method — a decorator that wraps it, a custom model — is wrapped here,
+// once, in an adapter that loops, so the estimation loop itself has one
+// shape.
+func (s *Scheduler) sweeper(q tpch.QueryID, h *core.History, src PlanSource) *planSweeper {
+	ps := &planSweeper{src: src}
+	if sizer, ok := s.Exec.(federation.InputSizer); ok {
+		lb, rb, err := sizer.InputBytes(q)
+		ps.features = func(dst []float64, plans []federation.Plan) ([]float64, error) {
+			if err != nil {
+				return dst, err
+			}
+			for _, p := range plans {
+				dst = federation.AppendFeatures(dst, p, lb, rb)
+			}
+			return dst, nil
+		}
 	} else {
-		ps.estimateX = func(x []float64) ([]float64, error) { return s.Model.Estimate(h, x) }
+		ps.features = perPlanFeatures(s.Exec)
+	}
+	switch m := s.Model.(type) {
+	case BatchCostModel:
+		snap := h.Snapshot()
+		ps.costs = func(dst, xs []float64) ([]float64, error) {
+			return m.EstimateRows(dst, snap, xs, federation.FeatureDim)
+		}
+	case SnapshotCostModel:
+		snap := h.Snapshot()
+		ps.costs = perPlanCosts(func(x []float64) ([]float64, error) { return m.EstimateSnapshot(snap, x) })
+	default:
+		ps.costs = perPlanCosts(func(x []float64) ([]float64, error) { return m.Estimate(h, x) })
 	}
 	return ps
 }
 
-// score is the per-plan step of every optimizer: the plan's features,
-// the model's cost vector, clamped.
-func (ps *planSweeper) score(p federation.Plan) ([]float64, error) {
-	x, err := ps.s.Exec.Features(p)
-	if err != nil {
-		return nil, fmt.Errorf("ires: features of %v: %w", p, err)
-	}
-	c, err := ps.estimateX(x)
-	if err != nil {
-		return nil, fmt.Errorf("ires: estimating %v: %w", p, err)
-	}
-	// Negative predictions are meaningless for time/money; clamp
-	// so dominance computations stay sane.
-	for j, v := range c {
-		if v < 0 {
-			c[j] = 0
+// perPlanFeatures adapts an executor that only has the per-plan method
+// to planSweeper.features.
+func perPlanFeatures(exec federation.Executor) func(dst []float64, plans []federation.Plan) ([]float64, error) {
+	return func(dst []float64, plans []federation.Plan) ([]float64, error) {
+		for _, p := range plans {
+			x, err := exec.Features(p)
+			if err == nil && len(x) != federation.FeatureDim {
+				err = fmt.Errorf("ires: executor returned %d features, want %d", len(x), federation.FeatureDim)
+			}
+			if err != nil {
+				return dst, err
+			}
+			dst = append(dst, x...)
 		}
+		return dst, nil
 	}
-	return c, nil
 }
 
-// estimate scores the plans at the given source positions — every plan,
-// in source order, when idx is nil — and returns their cost vectors
-// positionally. It stops at the first error, so a failure is always the
-// one with the lowest position, and checks ctx before each plan.
-func (ps *planSweeper) estimate(ctx context.Context, idx []int) ([][]float64, error) {
-	n := len(idx)
-	if idx == nil {
-		n = ps.src.Size()
+// perPlanCosts adapts a per-plan scoring function to planSweeper.costs.
+func perPlanCosts(estimateX func(x []float64) ([]float64, error)) func(dst, xs []float64) ([]float64, error) {
+	return func(dst, xs []float64) ([]float64, error) {
+		k := -1
+		for i := 0; len(xs) > 0; i, xs = i+1, xs[federation.FeatureDim:] {
+			c, err := estimateX(xs[:federation.FeatureDim:federation.FeatureDim])
+			if k < 0 {
+				k = len(c)
+			}
+			if err == nil && len(c) != k {
+				err = fmt.Errorf("ires: model returned %d costs after %d per plan", len(c), k)
+			}
+			if err != nil {
+				return dst, &rowError{i, err}
+			}
+			dst = append(dst, c...)
+		}
+		return dst, nil
 	}
-	costs := make([][]float64, n)
-	for i := range costs {
+}
+
+// sweepChunk is how many plans estimate lays out and scores at a time:
+// large enough that the per-chunk steps (the fit lookup, the ctx check)
+// vanish against the per-plan arithmetic, small enough that the feature
+// scratch stays in L1.
+const sweepChunk = 256
+
+// estimate scores plans and returns their cost vectors positionally:
+// per chunk of sweepChunk plans, one pass writes the feature rows into
+// a scratch buffer, one asks the model for the chunk's cost rows, one
+// clamps them. The cost vectors are capped views into one flat matrix
+// that lives as long as they do; the scratch dies with the call. A
+// failure is always the one with the lowest position — rows before a
+// feature failure are still scored, in case the model fails earlier —
+// and nothing past it is scored. ctx is checked between chunks.
+func (ps *planSweeper) estimate(ctx context.Context, plans []federation.Plan) ([][]float64, error) {
+	n := len(plans)
+	flat := make([]float64, 0, n*len(federation.Metrics))
+	scratch := make([]float64, 0, min(n, sweepChunk)*federation.FeatureDim)
+	k := 0 // cost-vector length, fixed by the first chunk
+	for lo := 0; lo < n; lo += sweepChunk {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		at := i
-		if idx != nil {
-			at = idx[i]
+		chunk := plans[lo:min(lo+sweepChunk, n)]
+		xs, ferr := ps.features(scratch, chunk)
+		rows, scored := len(xs)/federation.FeatureDim, len(flat)
+		var err error
+		if rows > 0 {
+			flat, err = ps.costs(flat, xs)
 		}
-		c, err := ps.score(ps.src.At(at))
 		if err != nil {
-			return nil, err
+			row := 0
+			var re *rowError
+			if errors.As(err, &re) {
+				row, err = re.row, re.err
+			}
+			return nil, fmt.Errorf("ires: estimating %v: %w", chunk[row], err)
 		}
-		costs[i] = c
+		if ferr != nil {
+			return nil, fmt.Errorf("ires: features of %v: %w", chunk[rows], ferr)
+		}
+		if lo == 0 {
+			k = (len(flat) - scored) / rows
+		}
+		if len(flat)-scored != rows*k {
+			return nil, fmt.Errorf("ires: model returned %d costs for %d plans, want %d each", len(flat)-scored, rows, k)
+		}
+		// Negative predictions are meaningless for time/money; clamp
+		// so dominance computations stay sane.
+		clampRows(flat[scored:])
+	}
+	costs := make([][]float64, n)
+	for i := range costs {
+		costs[i] = flat[i*k : (i+1)*k : (i+1)*k]
 	}
 	return costs, nil
 }
@@ -141,6 +233,15 @@ func plansOf(src PlanSource) []federation.Plan {
 	out := make([]federation.Plan, 0, src.Size())
 	for p, ok := src.Next(); ok; p, ok = src.Next() {
 		out = append(out, p)
+	}
+	return out
+}
+
+// plansAt returns the source's plans at the given positions.
+func plansAt(src PlanSource, idx []int) []federation.Plan {
+	out := make([]federation.Plan, len(idx))
+	for i, at := range idx {
+		out[i] = src.At(at)
 	}
 	return out
 }
@@ -177,11 +278,12 @@ func FullSweep() PrunePolicy { return fullSweep{} }
 func (fullSweep) Name() string { return "full" }
 
 func (fullSweep) sweep(ctx context.Context, ps *planSweeper) ([]federation.Plan, [][]float64, error) {
-	costs, err := ps.estimate(ctx, nil)
+	plans := plansOf(ps.src)
+	costs, err := ps.estimate(ctx, plans)
 	if err != nil {
 		return nil, nil, err
 	}
-	return plansOf(ps.src), costs, nil
+	return plans, costs, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -232,7 +334,8 @@ func (g greedyPrune) sweep(ctx context.Context, ps *planSweeper) ([]federation.P
 	}
 
 	scaffold, strides := greedyScaffold(ps.src, budget/2)
-	costs, err := ps.estimate(ctx, scaffold)
+	plans := plansAt(ps.src, scaffold)
+	costs, err := ps.estimate(ctx, plans)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -288,10 +391,12 @@ func (g greedyPrune) sweep(ctx context.Context, ps *planSweeper) ([]federation.P
 			chunk = chunk[:greedyChunk]
 		}
 		queue = queue[len(chunk):]
-		chunkCosts, err := ps.estimate(ctx, chunk)
+		chunkPlans := plansAt(ps.src, chunk)
+		chunkCosts, err := ps.estimate(ctx, chunkPlans)
 		if err != nil {
 			return nil, nil, err
 		}
+		plans = append(plans, chunkPlans...)
 		improved := false
 		for i, flat := range chunk {
 			sel = append(sel, flat)
@@ -309,10 +414,6 @@ func (g greedyPrune) sweep(ctx context.Context, ps *planSweeper) ([]federation.P
 		}
 	}
 
-	plans := make([]federation.Plan, len(sel))
-	for i, flat := range sel {
-		plans[i] = ps.src.At(flat)
-	}
 	return plans, costs, nil
 }
 
@@ -445,8 +546,7 @@ func greedyCandidates(src PlanSource, sel []int, costs [][]float64, front []int,
 			}
 			continue
 		}
-		sides, left, right := lat.Dims()
-		_ = sides
+		_, left, right := lat.Dims()
 		block := left * right
 		side, rem := flat/block, flat%block
 		li, ri := rem/right, rem%right
@@ -517,13 +617,10 @@ func (t topKPrune) sweep(ctx context.Context, ps *planSweeper) ([]federation.Pla
 	}
 	idx := perm[:k]
 	sort.Ints(idx)
-	costs, err := ps.estimate(ctx, idx)
+	plans := plansAt(ps.src, idx)
+	costs, err := ps.estimate(ctx, plans)
 	if err != nil {
 		return nil, nil, err
-	}
-	plans := make([]federation.Plan, len(idx))
-	for i, flat := range idx {
-		plans[i] = ps.src.At(flat)
 	}
 	return plans, costs, nil
 }

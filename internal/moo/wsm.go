@@ -150,8 +150,9 @@ func NormalizeCosts(costs [][]float64) [][]float64 {
 		}
 	}
 	out := make([][]float64, len(costs))
+	flat := make([]float64, len(costs)*nObj) // the rows are capped views into it
 	for i, c := range costs {
-		row := make([]float64, nObj)
+		row := flat[i*nObj : (i+1)*nObj : (i+1)*nObj]
 		for m, v := range c {
 			if hi[m] > lo[m] {
 				row[m] = (v - lo[m]) / (hi[m] - lo[m])

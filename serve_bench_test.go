@@ -167,6 +167,36 @@ func TestServeSubmitAllocBudget(t *testing.T) {
 	}
 }
 
+// TestPlanSweepAllocBudget is the same kind of gate for the sweep: a warm
+// PlanSweep lays its plans out in a fixed number of buffers — a feature
+// scratch, one cost matrix, the row views — so its allocation count does
+// not scale with the lattice. Deterministic, hence a test with a pinned
+// figure and no baseline to compare against.
+func TestPlanSweepAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	ctx := context.Background()
+	sweepAllocs := func(maxNodes int) float64 {
+		sched := wideScheduler(t, 42, maxNodes, 0.1, nil)
+		allocs := testing.AllocsPerRun(50, func() {
+			if _, err := sched.PlanSweep(ctx, tpch.QueryQ12); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%d plans: %.1f allocs per warm sweep", 2*maxNodes*maxNodes, allocs)
+		return allocs
+	}
+	small, large := sweepAllocs(3), sweepAllocs(32)
+	if large-small > 6 {
+		t.Errorf("2,048 plans cost %.0f allocations more than 18: the count scales with the lattice again", large-small)
+	}
+	const budget = 22
+	if large > budget {
+		t.Errorf("2,048-plan sweep: %.1f allocs, budget %d", large, budget)
+	}
+}
+
 // benchServeDurable is BenchmarkServeHotPath against a real WAL,
 // parallelized: concurrent submissions are exactly the regime where
 // group commit coalesces fsyncs.
