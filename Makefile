@@ -23,7 +23,7 @@ SWEEP_COUNT ?= 5
 # Where `make profile-sweep` drops its CPU profiles.
 PROFILE_DIR ?= profiles
 
-.PHONY: all build vet fmt-check lint linkcheck test test-cpus test-short test-bench fuzz-smoke bench bench-smoke bench-sweep bench-json ablate-prune scenarios profile-sweep profile-serve cover help
+.PHONY: all build vet fmt-check lint linkcheck test test-cpus test-short test-bench fuzz-smoke bench bench-smoke bench-sweep bench-json ablate-prune scenarios profile-sweep profile-cluster profile-serve cover help
 
 all: build lint test
 
@@ -66,12 +66,13 @@ test-bench:
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench ./...
 
-## fuzz-smoke: 20 s of FuzzScan over the one frame decoder, 10 s of FuzzParetoFront against its all-pairs oracle, 10 s of FuzzReplay (arbitrary bytes as a shard's WAL, whole as wal.log or split across two segments), then 10 s of FuzzDecodeRequest (a poisoned body through one pooled request scratch)
+## fuzz-smoke: 20 s of FuzzScan over the one frame decoder, 10 s of FuzzParetoFront against its all-pairs oracle, 10 s of FuzzReplay (arbitrary bytes as a shard's WAL, whole as wal.log or split across two segments), 10 s of FuzzDecodeRequest (a poisoned body through one pooled request scratch), then 10 s of FuzzReplicateStream (arbitrary bytes after the replication handshake against a reference replica)
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz=FuzzScan -fuzztime=20s ./internal/framelog
 	$(GO) test -run '^$$' -fuzz=FuzzParetoFront -fuzztime=10s ./internal/moo
 	$(GO) test -run '^$$' -fuzz=FuzzReplay -fuzztime=10s ./internal/histstore
 	$(GO) test -run '^$$' -fuzz=FuzzDecodeRequest -fuzztime=10s ./internal/server
+	$(GO) test -run '^$$' -fuzz=FuzzReplicateStream -fuzztime=10s ./internal/server
 
 ## bench: run every benchmark properly (slow)
 bench:
@@ -105,6 +106,15 @@ profile-sweep:
 	@echo "profiles written; inspect with:"
 	@echo "  go tool pprof $(PROFILE_DIR)/cold-sweep.test $(PROFILE_DIR)/cold-sweep.cpu.pprof"
 	@echo "  go tool pprof -top -cum $(PROFILE_DIR)/sweep-round.test $(PROFILE_DIR)/sweep-round.cpu.pprof"
+
+## profile-cluster: CPU profile of the replication hop (ReplicatedAppend, -cpu 1: owner, standby and the loopback stream between them in one process) into $(PROFILE_DIR)/
+profile-cluster:
+	mkdir -p $(PROFILE_DIR)
+	$(GO) test -run '^$$' -bench 'ReplicatedAppend' -benchtime 100000x -cpu 1 \
+		-cpuprofile $(PROFILE_DIR)/replicated-append.cpu.pprof \
+		-o $(PROFILE_DIR)/replicated-append.test ./internal/server
+	@echo "profile written; inspect with:"
+	@echo "  go tool pprof -top -cum $(PROFILE_DIR)/replicated-append.test $(PROFILE_DIR)/replicated-append.cpu.pprof"
 
 ## profile-serve: CPU + allocation profiles of the serving hot path into $(PROFILE_DIR)/
 profile-serve:

@@ -175,11 +175,13 @@ func (r *Replicator) Streaming(shard string) bool {
 	return s.state == replStreaming
 }
 
-// maxBufferedBytes bounds the frames buffered for shipment per shard.
-// A held stream no longer blocks acks, so a standby hung mid-sync would
-// otherwise let the buffer grow without bound; past this the stream
-// degrades to local durability and waits for the next full sync.
-const maxBufferedBytes = 8 << 20
+// MaxBufferedBytes bounds the frames buffered for shipment per shard —
+// and so the largest batch a ShipFunc is ever handed, which is what lets
+// the standby refuse anything longer. A held stream no longer blocks
+// acks, so a standby hung mid-sync would otherwise let the buffer grow
+// without bound; past this the stream degrades to local durability and
+// waits for the next full sync.
+const MaxBufferedBytes = 8 << 20
 
 // AppendFrame buffers one raw WAL frame for shipment. Called under the
 // shard's WAL lock; must not block or ship inline.
@@ -204,7 +206,7 @@ func (r *Replicator) AppendFrame(shard string, seq uint64, frame []byte) {
 		}
 		return
 	}
-	if len(s.buf)+len(frame) > maxBufferedBytes {
+	if len(s.buf)+len(frame) > MaxBufferedBytes {
 		s.state = replDegraded
 		s.buf = nil
 		s.bufCount = 0
@@ -212,7 +214,7 @@ func (r *Replicator) AppendFrame(shard string, seq uint64, frame []byte) {
 		s.mu.Unlock()
 		if r.OnDegrade != nil {
 			r.OnDegrade(shard, fmt.Errorf("cluster: replication buffer for %s exceeded %d bytes (standby stalled)",
-				shard, maxBufferedBytes))
+				shard, MaxBufferedBytes))
 		}
 		return
 	}

@@ -39,8 +39,8 @@ func chaosPaperSpec() FederationSpec {
 
 // newReplicatedPair builds two real nodes with synchronous WAL
 // replication armed for Q12 and returns them with the current owner
-// index. Callers kill nodes by closing the httptest listener.
-func newReplicatedPair(t *testing.T) (servers []*Server, https []*httptest.Server, members []cluster.Member, owner int) {
+// index. Callers kill nodes with testNode.Kill.
+func newReplicatedPair(t *testing.T) (servers []*Server, https []*testNode, members []cluster.Member, owner int) {
 	servers, https, members, owner, _ = newReplicatedPairCfg(t, nil)
 	return servers, https, members, owner
 }
@@ -48,17 +48,22 @@ func newReplicatedPair(t *testing.T) (servers []*Server, https []*httptest.Serve
 // newReplicatedPairCfg is newReplicatedPair with a cluster-config hook
 // (the auto-failover chaos tests turn the detector on and speed up its
 // probes) and the swappable handlers returned for fault injection.
-func newReplicatedPairCfg(t *testing.T, mutate func(*ClusterConfig)) (servers []*Server, https []*httptest.Server, members []cluster.Member, owner int, late []*lateHandler) {
+func newReplicatedPairCfg(t *testing.T, mutate func(*ClusterConfig)) (servers []*Server, https []*testNode, members []cluster.Member, owner int, late []*lateHandler) {
+	t.Helper()
+	return newReplicatedNodes(t, 2, mutate)
+}
+
+// newReplicatedNodes is newReplicatedPairCfg over n nodes.
+func newReplicatedNodes(t *testing.T, n int, mutate func(*ClusterConfig)) (servers []*Server, https []*testNode, members []cluster.Member, owner int, late []*lateHandler) {
 	t.Helper()
 	spec := chaosPaperSpec()
-	late = []*lateHandler{{}, {}}
-	for i := 0; i < 2; i++ {
-		ts := httptest.NewServer(late[i])
-		t.Cleanup(ts.Close)
+	for i := 0; i < n; i++ {
+		late = append(late, &lateHandler{})
+		ts := newTestNode(t, "", late[i])
 		https = append(https, ts)
 		members = append(members, cluster.Member{ID: fmt.Sprintf("n%d", i), Addr: ts.URL})
 	}
-	for i := 0; i < 2; i++ {
+	for i := 0; i < n; i++ {
 		ccfg := &ClusterConfig{
 			NodeID: members[i].ID, Peers: members,
 			Replicate:    true,
@@ -371,7 +376,7 @@ func TestChaosTakeoverDuringReplay(t *testing.T) {
 
 	// SIGKILL the owner mid-replay and promote the standby from its
 	// synchronously replicated WAL.
-	https[owner].Close()
+	https[owner].Kill()
 	resp, err := http.Post(https[standby].URL+"/v1/admin/takeover?federation=paper", "", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -554,7 +559,7 @@ func TestChaosAutoPromotionDeterminism(t *testing.T) {
 	// The standby must hold the owner's "streaming" report before the
 	// kill, or the eligibility gate (correctly) refuses to promote.
 	waitPeerReplStreaming(t, servers[standby], members[owner].ID, "paper")
-	https[owner].Close()
+	https[owner].Kill()
 
 	deadline := time.Now().Add(20 * time.Second)
 	for servers[standby].tenants["paper"].state.Load() != tenantActive {
@@ -612,7 +617,7 @@ func TestReadyzDegradedReplication(t *testing.T) {
 
 	// Kill the standby; the next acked write's frame ship fails and the
 	// stream degrades to local-only durability.
-	https[standby].Close()
+	https[standby].Kill()
 	chaosSubmit(t, https[owner].URL)
 
 	deadline := time.Now().Add(15 * time.Second)
@@ -682,7 +687,7 @@ func TestHistoryReadOnStandbyKeepsReplicating(t *testing.T) {
 
 	// Kill the owner; the standby recovers every acked write: 12
 	// bootstrap + 5 decisions.
-	https[owner].Close()
+	https[owner].Kill()
 	tresp, err := http.Post(https[standby].URL+"/v1/admin/takeover?federation=paper", "", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -727,7 +732,7 @@ func TestChaosKillTakeoverDeterminism(t *testing.T) {
 	}
 	want := chaosSubmit(t, tsC.URL) // the control's fourth decision
 
-	https[owner].Close()
+	https[owner].Kill()
 	resp, err := http.Post(https[standby].URL+"/v1/admin/takeover?federation=paper", "", nil)
 	if err != nil {
 		t.Fatal(err)

@@ -19,8 +19,8 @@ package server
 //     nobody observes an error.
 //   - POST /v1/admin/takeover — disaster recovery. A standby that has
 //     been receiving the owner's WAL frames synchronously (see
-//     Replicate) promotes itself from the replicated state after the
-//     owner dies.
+//     Replicate and replstream.go) promotes itself from the replicated
+//     state after the owner dies.
 //
 // Epochs order routing tables: every mutation bumps the epoch, nodes
 // gossip tables after mutations (POST /v1/admin/route), and the higher
@@ -36,6 +36,7 @@ import (
 	"hash/fnv"
 	"io"
 	"math/rand"
+	"net"
 	"net/http"
 	"path/filepath"
 	"sort"
@@ -46,7 +47,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/histstore"
 	"repro/internal/metrics"
 	"repro/internal/tpch"
 )
@@ -159,10 +159,13 @@ type clusterState struct {
 	self  cluster.Member
 	table atomic.Pointer[cluster.Table]
 	// repl holds one Replicator per federation when Replicate is on;
-	// it doubles as each tenant store's histstore.Mirror.
-	repl   map[string]*cluster.Replicator
-	client *http.Client
-	srv    *Server // set by newServer before any request or loop runs
+	// it doubles as each tenant store's histstore.Mirror. streams holds
+	// the connection each one ships through (replstream.go); both maps
+	// are complete before the server serves and never change.
+	repl    map[string]*cluster.Replicator
+	streams map[string]*replStream
+	client  *http.Client
+	srv     *Server // set by newServer before any request or loop runs
 
 	// routes persists every committed routing table so a restart recovers
 	// the last known placements from disk before any gossip arrives. Nil
@@ -178,6 +181,14 @@ type clusterState struct {
 	// from the replica.
 	peerMu   sync.Mutex
 	peerRepl map[string]map[string]string
+
+	// accepted is the standby half of replstream.go: the upgraded
+	// connections this node is reading batches from, each with a
+	// goroutine acceptedWG counts. acceptedClosed is set by closeStreams.
+	acceptedMu     sync.Mutex
+	accepted       map[net.Conn]struct{}
+	acceptedClosed bool
+	acceptedWG     sync.WaitGroup
 
 	syncDone chan struct{} // closed when the standby sync loop exits
 	// rebalanceKick wakes the rebalance loop (buffered 1: a kick during
@@ -228,6 +239,8 @@ func newClusterState(cfg *ClusterConfig, storeDir string) (*clusterState, error)
 		cfg:      c,
 		self:     self,
 		repl:     make(map[string]*cluster.Replicator),
+		streams:  make(map[string]*replStream),
+		accepted: make(map[net.Conn]struct{}),
 		client:   &http.Client{Timeout: c.PeerTimeout},
 		peerRepl: make(map[string]map[string]string),
 	}
@@ -278,22 +291,12 @@ func (cs *clusterState) replicating() bool {
 	return cs.cfg.Replicate && len(cs.cfg.Peers) > 1
 }
 
-// newReplicator builds fed's replicator-mirror: frames ship to
-// whichever member the *current* table names as fed's standby.
+// newReplicator builds fed's replicator-mirror: frames ship down fed's
+// stream to whichever member the *current* table names as its standby.
 func (cs *clusterState) newReplicator(fed string) *cluster.Replicator {
-	rep := cluster.NewReplicator(func(shard string, from uint64, frames []byte, count int) error {
-		standby, ok := cs.table.Load().Standby(fed)
-		if !ok {
-			return fmt.Errorf("federation %q has no standby", fed)
-		}
-		url := fmt.Sprintf("%s/v1/admin/replicate?federation=%s&query=%s&from=%d",
-			standby.Addr, fed, shard, from)
-		if err := cs.post(url, bytes.NewReader(frames)); err != nil {
-			return err
-		}
-		cs.framesShipped.Add(float64(count))
-		return nil
-	})
+	st := &replStream{cs: cs, fed: fed}
+	cs.streams[fed] = st
+	rep := cluster.NewReplicator(st.ship)
 	rep.OnDegrade = func(shard string, err error) {
 		cs.replDegradedN.Inc()
 		cs.srv.log.Warn("replication degraded", "federation", fed, "query", shard, "error", err.Error())
@@ -527,6 +530,12 @@ func (s *Server) registerClusterMetrics() {
 		"WAL frames shipped to standbys on the synchronous replication stream.")
 	cs.replDegradedN = reg.Counter("midas_cluster_replication_degraded_total",
 		"Times a shard's replication stream degraded to local-only durability.")
+	shipSeconds := reg.HistogramVec("midas_replication_ship_seconds",
+		"Owner-side wall time of one WAL batch shipped to the standby and acked (an acked write's replicate-wait; failures and redials included).",
+		metrics.DefBuckets, "federation")
+	for fed, st := range cs.streams {
+		st.seconds = shipSeconds.With(fed)
+	}
 	cs.handoffSeconds = reg.Histogram("midas_cluster_handoff_seconds",
 		"End-to-end duration of outbound tenant handoffs.",
 		metrics.ExponentialBuckets(1e-3, 4, 10))
@@ -674,46 +683,7 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, RouteUpdate{Epoch: tab.Epoch(), Overrides: tab.Overrides()})
 }
 
-// handleReplicate (POST /v1/admin/replicate?federation=&query=&from=)
-// appends the body's raw WAL frames to the named shard's replica log —
-// the standby half of synchronous replication. 409 on a sequence gap
-// tells the owner to degrade and re-arm with a full sync.
-func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
-	t, q, ok := s.clusterShardParams(w, r)
-	if !ok {
-		return
-	}
-	if t.state.Load() == tenantActive {
-		writeError(w, http.StatusConflict, "federation %q is active on this node", t.name)
-		return
-	}
-	if t.store == nil {
-		writeError(w, http.StatusBadRequest, "federation %q has no durable store", t.name)
-		return
-	}
-	from, err := strconv.ParseUint(r.URL.Query().Get("from"), 10, 64)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad from sequence: %v", err)
-		return
-	}
-	frames, err := io.ReadAll(http.MaxBytesReader(w, r.Body, int64(maxShipBytes)))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "reading frames: %v", err)
-		return
-	}
-	next, err := t.store.AppendReplicaFrames(q.String(), from, frames)
-	if err != nil {
-		status := http.StatusInternalServerError
-		if errors.Is(err, histstore.ErrReplicaGap) {
-			status = http.StatusConflict
-		}
-		writeError(w, status, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, ReplicateResponse{Next: next})
-}
-
-// maxShipBytes bounds one replication or handoff section body (1 GiB,
+// maxShipBytes bounds one handoff or standby-sync section body (1 GiB,
 // matching histstore's stream section limit).
 const maxShipBytes = 1 << 30
 

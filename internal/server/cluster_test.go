@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -30,11 +31,67 @@ func (l *lateHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	http.Error(w, "not ready", http.StatusServiceUnavailable)
 }
 
+// testNode is an httptest.Server a test can kill the way SIGKILL kills a
+// process: the listener and every connection it ever accepted go at once.
+// httptest.Server.Close alone is a polite shutdown — it waits for
+// requests and never touches a hijacked connection, so an upgraded
+// replication stream into a "dead" node would go on appending and acking.
+type testNode struct {
+	*httptest.Server
+	ln *connTracker
+}
+
+type connTracker struct {
+	net.Listener
+	mu    sync.Mutex
+	conns []net.Conn
+}
+
+func (l *connTracker) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.mu.Lock()
+		l.conns = append(l.conns, c)
+		l.mu.Unlock()
+	}
+	return c, err
+}
+
+// newTestNode serves h on a fresh loopback port, or on addr when a test
+// restarts a killed node where its peers expect it.
+func newTestNode(t *testing.T, addr string, h http.Handler) *testNode {
+	t.Helper()
+	ts := httptest.NewUnstartedServer(h)
+	if addr != "" {
+		ts.Listener.Close()
+		ln, err := net.Listen("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts.Listener = ln
+	}
+	n := &testNode{Server: ts, ln: &connTracker{Listener: ts.Listener}}
+	ts.Listener = n.ln
+	ts.Start()
+	t.Cleanup(ts.Close)
+	return n
+}
+
+func (n *testNode) Kill() {
+	n.ln.Close()
+	n.ln.mu.Lock()
+	for _, c := range n.ln.conns {
+		c.Close()
+	}
+	n.ln.mu.Unlock()
+	n.Close()
+}
+
 // testCluster is n stub-backed cluster members hosting the same
 // federations.
 type testCluster struct {
 	servers []*Server
-	https   []*httptest.Server
+	https   []*testNode
 	members []cluster.Member
 	// late are the swappable handlers fronting each member; a test can
 	// re-Store one to wrap a node's real handler with fault injection.
@@ -53,8 +110,7 @@ func newTestClusterCfg(t *testing.T, n int, feds []string, mutate func(i int, cf
 	late := make([]*lateHandler, n)
 	for i := 0; i < n; i++ {
 		late[i] = &lateHandler{}
-		ts := httptest.NewServer(late[i])
-		t.Cleanup(ts.Close)
+		ts := newTestNode(t, "", late[i])
 		tc.https = append(tc.https, ts)
 		tc.members = append(tc.members, cluster.Member{ID: fmt.Sprintf("n%d", i), Addr: ts.URL})
 	}
@@ -437,11 +493,10 @@ func testClusterMigrationDeterminism(t *testing.T, bootstrap int) {
 	}
 	// Two real nodes, separate data dirs, shared ring.
 	late := []*lateHandler{{}, {}}
-	var https []*httptest.Server
+	var https []*testNode
 	var members []cluster.Member
 	for i := 0; i < 2; i++ {
-		ts := httptest.NewServer(late[i])
-		defer ts.Close()
+		ts := newTestNode(t, "", late[i])
 		https = append(https, ts)
 		members = append(members, cluster.Member{ID: fmt.Sprintf("n%d", i), Addr: ts.URL})
 	}
@@ -607,11 +662,10 @@ func testClusterReplicationTakeover(t *testing.T, bootstrap int) {
 		Queries:     []string{"Q12"},
 	}
 	late := []*lateHandler{{}, {}}
-	var https []*httptest.Server
+	var https []*testNode
 	var members []cluster.Member
 	for i := 0; i < 2; i++ {
-		ts := httptest.NewServer(late[i])
-		defer ts.Close()
+		ts := newTestNode(t, "", late[i])
 		https = append(https, ts)
 		members = append(members, cluster.Member{ID: fmt.Sprintf("n%d", i), Addr: ts.URL})
 	}
@@ -666,7 +720,7 @@ func testClusterReplicationTakeover(t *testing.T, bootstrap int) {
 	}
 
 	// Kill the owner: close its listener without drain or checkpoint.
-	https[owner].Close()
+	https[owner].Kill()
 
 	// Promote the standby from replicated state.
 	resp, err := http.Post(https[standby].URL+"/v1/admin/takeover?federation=paper", "", nil)

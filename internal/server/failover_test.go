@@ -51,7 +51,7 @@ func TestAutoFailoverPromotesStandby(t *testing.T) {
 
 	// SIGKILL: the owner's listener dies; its process state is irrelevant
 	// from the survivor's point of view.
-	tc.https[owner].Close()
+	tc.https[owner].Kill()
 
 	deadline := time.Now().Add(15 * time.Second)
 	for tc.servers[survivor].tenants["alpha"].state.Load() != tenantActive {

@@ -126,6 +126,18 @@ func (sp *FederationSpec) queries() ([]tpch.QueryID, error) {
 // times the statistical minimum L+2: no estimate reads further back.
 const dreamMMax = 3 * (federation.FeatureDim + 2)
 
+// calibrations remembers, for the length of one New, the calibration of
+// each (CalibSF, Seed) already paid for. Calibrating generates a TPC-H
+// database and runs the four queries over it — nearly all of a tenant
+// build — and reads nothing of the topology, so every tenant sharing the
+// pair shares the result, which is read-only once built.
+type calibrations map[calibKey]*federation.Calibration
+
+type calibKey struct {
+	sf   float64
+	seed int64
+}
+
 // buildTenant assembles the spec's scheduler: topology, calibration,
 // scaled executor, DREAM model, and — with a store configured — the
 // tenant's durable history root. Every served query is then opened
@@ -139,8 +151,9 @@ const dreamMMax = 3 * (federation.FeatureDim + 2)
 // same topology, calibration and models on every node), so a cold
 // tenant activated later by a handoff or takeover decides exactly as a
 // warm-built one would. mirror, when non-nil, receives every WAL
-// append of the tenant's store (cluster replication).
-func buildTenant(spec FederationSpec, storeCfg StoreConfig, reg *metrics.Registry, cold bool, mirror histstore.Mirror) (*tenant, error) {
+// append of the tenant's store (cluster replication). calibs, when
+// non-nil, is consulted before calibrating and remembers the result.
+func buildTenant(spec FederationSpec, storeCfg StoreConfig, reg *metrics.Registry, cold bool, mirror histstore.Mirror, calibs calibrations) (*tenant, error) {
 	sp := spec.withDefaults()
 	if sp.Name == "" {
 		return nil, fmt.Errorf("server: federation spec without a name")
@@ -171,9 +184,16 @@ func buildTenant(spec FederationSpec, storeCfg StoreConfig, reg *metrics.Registr
 	if err != nil {
 		return nil, fmt.Errorf("server: federation %q: %w", sp.Name, err)
 	}
-	cal, err := federation.Calibrate(fed, sp.CalibSF, sp.Seed)
-	if err != nil {
-		return nil, fmt.Errorf("server: federation %q: calibrate: %w", sp.Name, err)
+	key := calibKey{sp.CalibSF, sp.Seed}
+	cal := calibs[key]
+	if cal == nil {
+		cal, err = federation.Calibrate(fed, sp.CalibSF, sp.Seed)
+		if err != nil {
+			return nil, fmt.Errorf("server: federation %q: calibrate: %w", sp.Name, err)
+		}
+		if calibs != nil {
+			calibs[key] = cal
+		}
 	}
 	exec, err := federation.NewScaledExecutor(fed, cal, sp.SF)
 	if err != nil {

@@ -1,8 +1,13 @@
 package server
 
 import (
+	"context"
+	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/ires"
+	"repro/internal/tpch"
 )
 
 func TestLoadSpecsWrappedAndBare(t *testing.T) {
@@ -44,22 +49,22 @@ func TestSpecDefaults(t *testing.T) {
 }
 
 func TestSpecValidation(t *testing.T) {
-	if _, err := buildTenant(FederationSpec{}, StoreConfig{}, nil, false, nil); err == nil {
+	if _, err := buildTenant(FederationSpec{}, StoreConfig{}, nil, false, nil, nil); err == nil {
 		t.Fatal("nameless spec should error")
 	}
-	if _, err := buildTenant(FederationSpec{Name: "x", Topology: "mars"}, StoreConfig{}, nil, false, nil); err == nil {
+	if _, err := buildTenant(FederationSpec{Name: "x", Topology: "mars"}, StoreConfig{}, nil, false, nil, nil); err == nil {
 		t.Fatal("unknown topology should error")
 	}
-	if _, err := buildTenant(FederationSpec{Name: "x", Queries: []string{"Q1"}}, StoreConfig{}, nil, false, nil); err == nil {
+	if _, err := buildTenant(FederationSpec{Name: "x", Queries: []string{"Q1"}}, StoreConfig{}, nil, false, nil, nil); err == nil {
 		t.Fatal("unstudied query should error")
 	}
-	if _, err := buildTenant(FederationSpec{Name: "x", PrunePolicy: "mars"}, StoreConfig{}, nil, false, nil); err == nil {
+	if _, err := buildTenant(FederationSpec{Name: "x", PrunePolicy: "mars"}, StoreConfig{}, nil, false, nil, nil); err == nil {
 		t.Fatal("unknown prune policy should error")
 	}
-	if _, err := buildTenant(FederationSpec{Name: "x", PruneBudget: 100}, StoreConfig{}, nil, false, nil); err == nil {
+	if _, err := buildTenant(FederationSpec{Name: "x", PruneBudget: 100}, StoreConfig{}, nil, false, nil, nil); err == nil {
 		t.Fatal("prune budget without a pruning policy should error")
 	}
-	if _, err := buildTenant(FederationSpec{Name: "x", PrunePolicy: "greedy", PruneBudget: -1}, StoreConfig{}, nil, false, nil); err == nil {
+	if _, err := buildTenant(FederationSpec{Name: "x", PrunePolicy: "greedy", PruneBudget: -1}, StoreConfig{}, nil, false, nil, nil); err == nil {
 		t.Fatal("negative prune budget should error")
 	}
 	if _, err := New(Config{}); err == nil {
@@ -74,5 +79,46 @@ func TestSpecValidation(t *testing.T) {
 	}
 	if _, err := NewWithSchedulers(Config{}, nil, nil); err == nil {
 		t.Fatal("no schedulers should error")
+	}
+}
+
+// TestCalibrationMemoDecidesIdentically: New calibrates once per
+// (CalibSF, Seed), not once per tenant. Two specs sharing the pair — on
+// different topologies, since the claim is that calibration reads none of
+// it — must decide byte-identically whether the second reuses the first's
+// calibration or pays for its own.
+func TestCalibrationMemoDecidesIdentically(t *testing.T) {
+	specs := []FederationSpec{
+		{Name: "a", Queries: []string{"Q12"}, Bootstrap: 12},
+		{Name: "b", Topology: "threecloud", Queries: []string{"Q12"}, Bootstrap: 12},
+	}
+	run := func(calibs calibrations) string {
+		var out strings.Builder
+		for _, sp := range specs {
+			tn, err := buildTenant(sp, StoreConfig{}, nil, false, nil, calibs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 5; i++ {
+				sw, err := tn.sched.PlanSweep(context.Background(), tpch.QueryQ12)
+				if err != nil {
+					t.Fatal(err)
+				}
+				dec, err := tn.sched.DecideFromSweep(sw, ires.Policy{Weights: []float64{1, 1}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				fmt.Fprintf(&out, "%s %+v %v %+v\n", sp.Name, dec.Plan, dec.Estimated, *dec.Outcome)
+			}
+		}
+		return out.String()
+	}
+	memo := make(calibrations)
+	with, without := run(memo), run(nil)
+	if len(memo) != 1 {
+		t.Fatalf("memo holds %d calibrations for two specs sharing (CalibSF, Seed), want 1", len(memo))
+	}
+	if with != without {
+		t.Fatalf("decisions differ with the memo:\n%s\nwithout:\n%s", with, without)
 	}
 }

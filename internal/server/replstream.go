@@ -1,0 +1,429 @@
+package server
+
+// Replication stream: how an owner's WAL frames reach its standby. One
+// long-lived connection per federation, opened by the owner with an
+// HTTP/1.1 upgrade and then speaking a two-message binary protocol, so an
+// acked write costs one small write and one small read on an open socket
+// instead of an HTTP request.
+//
+//	owner → standby   POST /v1/admin/replicate/stream?federation=F
+//	                  Connection: Upgrade, Upgrade: midas-repl/1
+//	standby → owner   101 Switching Protocols (anything else: refused)
+//
+// then, in lock step, any number of
+//
+//	batch   size uint32 LE  byte count of everything after this word
+//	        from uint64 LE  WAL sequence of the first frame
+//	        qlen uint8      length of the query name
+//	        query           qlen bytes ("Q12")
+//	        frames          size-9-qlen bytes, exactly as histstore wrote
+//	                        them (framelog framing, CRC per frame)
+//	ack     status uint16 LE  an HTTP status: 200, 400, 409, 413, 500
+//	        mlen   uint16 LE  length of the error text (0 with 200)
+//	        next   uint64 LE  the replica's next expected sequence
+//	        text              mlen bytes
+//
+// Either end closes the connection after any ack but 200; the owner's
+// replicator then degrades the shard and the standby sync loop re-arms it
+// with a full sync, exactly as after a failed request.
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"io"
+	"net"
+	"net/http"
+	"net/url"
+	"strings"
+	"sync"
+	"time"
+
+	"repro/internal/cluster"
+	"repro/internal/histstore"
+	"repro/internal/metrics"
+	"repro/internal/tpch"
+)
+
+const (
+	replStreamProto = "midas-repl/1"
+	replStreamPath  = "/v1/admin/replicate/stream"
+
+	replBatchHeader = 4 + 8 + 1 // size, from, qlen
+	replAckHeader   = 2 + 2 + 8 // status, mlen, next
+	// replMaxBatch is the largest size word a standby accepts: a
+	// Replicator never hands its ShipFunc more than MaxBufferedBytes.
+	replMaxBatch = 8 + 1 + 255 + cluster.MaxBufferedBytes
+	// replSmallBatch is how many frame bytes ride in the same write (and
+	// the same retained buffer) as the batch header; a serving-shape frame
+	// is 76. Longer batches are written, and read, through buffers that
+	// are dropped afterwards, so an idle stream holds a few hundred bytes.
+	replSmallBatch = 512
+	replMaxAckText = 512
+)
+
+var errStreamsClosed = errors.New("replication streams are closed (server draining)")
+
+// ---------------------------------------------------------------------
+// Owner side
+// ---------------------------------------------------------------------
+
+// replStream is the owner end of one federation's stream and that
+// federation's cluster.ShipFunc.
+type replStream struct {
+	cs  *clusterState
+	fed string
+	// seconds times every ship, failures and dials included; bound by
+	// registerClusterMetrics before the sync loop can arm anything.
+	seconds *metrics.Histogram
+
+	// mu serializes ships (a batch and its ack) and guards the rest.
+	mu     sync.Mutex
+	conn   net.Conn // nil before the first ship and after any error
+	peer   string   // address conn was dialled to
+	closed bool     // Drain ran: dial no more
+	buf    []byte   // batch header + a small batch
+	ack    [replAckHeader]byte
+}
+
+func (st *replStream) ship(shard string, from uint64, frames []byte, count int) error {
+	began := time.Now()
+	err := st.send(shard, from, frames, count)
+	st.seconds.Observe(time.Since(began).Seconds())
+	if err != nil {
+		return err
+	}
+	st.cs.framesShipped.Add(float64(count))
+	return nil
+}
+
+// send delivers one batch to whichever member the current table names as
+// the federation's standby, (re)dialling when there is no connection or
+// it leads to a former standby, and waits for the ack. Any failure closes
+// the connection.
+func (st *replStream) send(shard string, from uint64, frames []byte, count int) error {
+	cs := st.cs
+	standby, ok := cs.table.Load().Standby(st.fed)
+	if !ok {
+		return fmt.Errorf("federation %q has no standby", st.fed)
+	}
+	if len(shard) > 255 {
+		return fmt.Errorf("shard name %q too long for a replication batch", shard)
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.closed {
+		return errStreamsClosed
+	}
+	if st.conn != nil && st.peer != standby.Addr {
+		st.drop()
+	}
+	if st.conn == nil {
+		conn, err := cs.dialStream(standby.Addr, st.fed)
+		if err != nil {
+			return fmt.Errorf("replication stream to %s: %w", standby.ID, err)
+		}
+		st.conn, st.peer = conn, standby.Addr
+	}
+	if err := st.exchange(shard, from, frames, count); err != nil {
+		st.drop()
+		return fmt.Errorf("replicating %s/%s to %s: %w", st.fed, shard, standby.ID, err)
+	}
+	return nil
+}
+
+func (st *replStream) exchange(shard string, from uint64, frames []byte, count int) error {
+	if err := st.conn.SetDeadline(time.Now().Add(st.cs.cfg.PeerTimeout)); err != nil {
+		return err
+	}
+	buf := binary.LittleEndian.AppendUint32(st.buf[:0], uint32(8+1+len(shard)+len(frames)))
+	buf = binary.LittleEndian.AppendUint64(buf, from)
+	buf = append(append(buf, byte(len(shard))), shard...)
+	if len(frames) <= replSmallBatch {
+		buf, frames = append(buf, frames...), nil
+	}
+	st.buf = buf
+	if _, err := st.conn.Write(buf); err != nil {
+		return err
+	}
+	if len(frames) > 0 {
+		if _, err := st.conn.Write(frames); err != nil {
+			return err
+		}
+	}
+	if _, err := io.ReadFull(st.conn, st.ack[:]); err != nil {
+		return fmt.Errorf("reading ack: %w", err)
+	}
+	status := int(binary.LittleEndian.Uint16(st.ack[0:]))
+	mlen := int(binary.LittleEndian.Uint16(st.ack[2:]))
+	next := binary.LittleEndian.Uint64(st.ack[4:])
+	if status != http.StatusOK {
+		text := make([]byte, min(mlen, replMaxAckText))
+		n, _ := io.ReadFull(st.conn, text) // a cut-off text still beats none
+		return fmt.Errorf("standby answered %d: %s", status, text[:n])
+	}
+	if want := from + uint64(count); next < want {
+		return fmt.Errorf("standby acked up to sequence %d, batch ends at %d", next, want)
+	}
+	return nil
+}
+
+// drop closes the connection; the next ship dials afresh. Caller holds mu.
+func (st *replStream) drop() {
+	if st.conn != nil {
+		st.conn.Close()
+		st.conn = nil
+	}
+}
+
+// dialStream opens a connection to the peer at addr and upgrades it to
+// fed's replication stream. The whole handshake runs under PeerTimeout
+// and ends with the server's lifetime.
+func (cs *clusterState) dialStream(addr, fed string) (net.Conn, error) {
+	req, err := http.NewRequest(http.MethodPost, addr+replStreamPath+"?federation="+url.QueryEscape(fed), nil)
+	if err != nil {
+		return nil, err
+	}
+	if req.URL.Scheme != "http" {
+		return nil, fmt.Errorf("peer address %q: replication streams speak plain HTTP/1.1 only", addr)
+	}
+	req.Header.Set("Connection", "Upgrade")
+	req.Header.Set("Upgrade", replStreamProto)
+	host := req.URL.Host
+	if req.URL.Port() == "" {
+		host = net.JoinHostPort(req.URL.Hostname(), "80")
+	}
+	deadline := time.Now().Add(cs.cfg.PeerTimeout)
+	conn, err := (&net.Dialer{Deadline: deadline}).DialContext(cs.srv.lifeCtx, "tcp", host)
+	if err != nil {
+		return nil, err
+	}
+	fail := func(err error) (net.Conn, error) {
+		conn.Close()
+		return nil, err
+	}
+	if err := conn.SetDeadline(deadline); err != nil {
+		return fail(err)
+	}
+	if err := req.Write(conn); err != nil {
+		return fail(err)
+	}
+	// A reader this small cannot hide much of the stream: whatever it
+	// holds past the response is checked below, then it is garbage.
+	br := bufio.NewReaderSize(conn, 64)
+	resp, err := http.ReadResponse(br, req)
+	if err != nil {
+		return fail(err)
+	}
+	if resp.StatusCode != http.StatusSwitchingProtocols || !strings.EqualFold(resp.Header.Get("Upgrade"), replStreamProto) {
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+		resp.Body.Close()
+		return fail(fmt.Errorf("%s: upgrade refused: %s: %s", req.URL.Path, resp.Status, bytes.TrimSpace(msg)))
+	}
+	if br.Buffered() != 0 {
+		return fail(errors.New("standby sent data before the first batch"))
+	}
+	return conn, nil
+}
+
+// ---------------------------------------------------------------------
+// Standby side
+// ---------------------------------------------------------------------
+
+// handleReplicateStream (POST /v1/admin/replicate/stream?federation=)
+// turns the connection into the federation's replication stream: it
+// checks what can be checked once, takes the connection over, answers
+// 101 and returns. The batches are served by a goroutine the server owns
+// (serveReplicaStream) until the owner hangs up or Drain closes it.
+func (s *Server) handleReplicateStream(w http.ResponseWriter, r *http.Request) {
+	fed := r.URL.Query().Get("federation")
+	t, ok := s.tenants[fed]
+	if !ok {
+		writeError(w, http.StatusNotFound, "server: unknown federation %q", fed)
+		return
+	}
+	if !strings.EqualFold(r.Header.Get("Upgrade"), replStreamProto) {
+		w.Header().Set("Upgrade", replStreamProto)
+		writeError(w, http.StatusUpgradeRequired, "this endpoint only upgrades to %s", replStreamProto)
+		return
+	}
+	if t.store == nil {
+		writeError(w, http.StatusBadRequest, "federation %q has no durable store", t.name)
+		return
+	}
+	if s.draining.Load() {
+		writeError(w, http.StatusServiceUnavailable, "server is draining")
+		return
+	}
+	conn, brw, err := http.NewResponseController(w).Hijack()
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "connection cannot be upgraded: %v", err)
+		return
+	}
+	// From here the connection is ours: net/http neither answers on it
+	// nor closes it — not in Close or Shutdown either — and whatever
+	// deadlines the http.Server was configured with may still stand.
+	if brw.Reader.Buffered() != 0 {
+		// Batches sent before the 101 sit in a buffer this handler is
+		// about to drop.
+		_, _ = io.WriteString(conn, "HTTP/1.1 400 Bad Request\r\nConnection: close\r\nContent-Length: 0\r\n\r\n")
+		conn.Close()
+		return
+	}
+	if !s.cluster.trackStream(conn) {
+		conn.Close() // Drain got in between the flag and here
+		return
+	}
+	_, err = io.WriteString(conn, "HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: "+replStreamProto+"\r\n\r\n")
+	if err == nil {
+		err = conn.SetDeadline(time.Time{})
+	}
+	if err != nil {
+		s.cluster.untrackStream(conn)
+		return
+	}
+	go func() {
+		defer s.cluster.untrackStream(conn)
+		t.serveReplicaStream(conn)
+	}()
+}
+
+// serveReplicaStream reads batches off an upgraded connection and
+// answers each with an ack until the peer hangs up, the framing is lost
+// or a batch is refused. conn is closed by the caller.
+func (t *tenant) serveReplicaStream(conn net.Conn) {
+	// Small on purpose: a serving-shape batch fits, so header and frames
+	// arrive in one read, and a long one is read straight into its own
+	// buffer.
+	br := bufio.NewReaderSize(conn, replSmallBatch)
+	var (
+		hdr  [replBatchHeader]byte
+		ack  [replAckHeader]byte
+		body []byte
+	)
+	for {
+		if _, err := io.ReadFull(br, hdr[:]); err != nil {
+			return
+		}
+		size := int(binary.LittleEndian.Uint32(hdr[0:]))
+		from := binary.LittleEndian.Uint64(hdr[4:])
+		qlen := int(hdr[12])
+		var (
+			status int
+			next   uint64
+			err    error
+		)
+		switch {
+		case size > replMaxBatch:
+			// Refused on the size word alone, before a byte is allocated.
+			status, err = http.StatusRequestEntityTooLarge, fmt.Errorf("batch of %d bytes exceeds %d", size, replMaxBatch)
+		case size < 8+1+qlen:
+			status, err = http.StatusBadRequest, fmt.Errorf("batch size %d too short for a %d-byte query name", size, qlen)
+		default:
+			n := size - 8 - 1
+			if cap(body) < n {
+				body = make([]byte, n)
+			}
+			body = body[:n]
+			if _, err := io.ReadFull(br, body); err != nil {
+				return
+			}
+			status, next, err = t.appendReplica(body[:qlen], from, body[qlen:])
+			if cap(body) > replSmallBatch {
+				body = nil
+			}
+		}
+		var text string
+		if err != nil {
+			text = err.Error()
+			text = text[:min(len(text), replMaxAckText)]
+		}
+		binary.LittleEndian.PutUint16(ack[0:], uint16(status))
+		binary.LittleEndian.PutUint16(ack[2:], uint16(len(text)))
+		binary.LittleEndian.PutUint64(ack[4:], next)
+		if _, werr := conn.Write(append(ack[:], text...)); werr != nil || err != nil {
+			return
+		}
+	}
+}
+
+// appendReplica applies one batch to the standby's replica of the named
+// shard. The status is what the ack carries: 409 tells the owner its
+// stream no longer extends what this node holds (the federation is
+// served here, or frames are missing) and a full sync must re-arm it.
+func (t *tenant) appendReplica(query []byte, from uint64, frames []byte) (int, uint64, error) {
+	q, ok := t.servedQuery(query)
+	if !ok {
+		return http.StatusBadRequest, 0, fmt.Errorf("federation %q does not serve %q", t.name, query)
+	}
+	if t.state.Load() == tenantActive {
+		return http.StatusConflict, 0, fmt.Errorf("federation %q is active on this node", t.name)
+	}
+	next, err := t.store.AppendReplicaFrames(q.String(), from, frames)
+	if errors.Is(err, histstore.ErrReplicaGap) {
+		return http.StatusConflict, next, err
+	}
+	if err != nil {
+		return http.StatusInternalServerError, next, err
+	}
+	return http.StatusOK, next, nil
+}
+
+// servedQuery resolves a query name off the wire without allocating.
+func (t *tenant) servedQuery(name []byte) (tpch.QueryID, bool) {
+	for q := range t.queries {
+		if q.String() == string(name) {
+			return q, true
+		}
+	}
+	return 0, false
+}
+
+// ---------------------------------------------------------------------
+// Lifetime
+// ---------------------------------------------------------------------
+
+// trackStream registers an accepted stream so closeStreams can end it;
+// false once closeStreams ran.
+func (cs *clusterState) trackStream(conn net.Conn) bool {
+	cs.acceptedMu.Lock()
+	defer cs.acceptedMu.Unlock()
+	if cs.acceptedClosed {
+		return false
+	}
+	cs.accepted[conn] = struct{}{}
+	cs.acceptedWG.Add(1)
+	return true
+}
+
+// untrackStream closes an accepted stream and forgets it.
+func (cs *clusterState) untrackStream(conn net.Conn) {
+	conn.Close()
+	cs.acceptedMu.Lock()
+	delete(cs.accepted, conn)
+	cs.acceptedMu.Unlock()
+	cs.acceptedWG.Done()
+}
+
+// closeStreams ends replication on this node for good: the streams it
+// dialled are closed and dial no more, the ones it accepted are closed
+// and their goroutines waited for — net/http's Close and Shutdown do not
+// know hijacked connections. A ship in flight finishes or fails first
+// (within PeerTimeout).
+func (cs *clusterState) closeStreams() {
+	for _, st := range cs.streams {
+		st.mu.Lock()
+		st.closed = true
+		st.drop()
+		st.mu.Unlock()
+	}
+	cs.acceptedMu.Lock()
+	cs.acceptedClosed = true
+	for conn := range cs.accepted {
+		conn.Close() // its goroutine's next read or write fails
+	}
+	cs.acceptedMu.Unlock()
+	cs.acceptedWG.Wait()
+}

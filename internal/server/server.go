@@ -36,7 +36,9 @@
 //	POST /v1/admin/handoff    live-migrate a federation to a peer
 //	POST /v1/admin/takeover   promote this standby after an owner death
 //	POST /v1/admin/route      table gossip (server-to-server)
-//	POST /v1/admin/replicate  standby WAL shipping (server-to-server)
+//	POST /v1/admin/replicate/stream
+//	                          standby WAL shipping, upgraded to a stream
+//	                          (server-to-server, see replstream.go)
 //	POST /v1/admin/handoff/{prepare,receive,activate,abort}
 //	                          handoff sub-steps (server-to-server)
 package server
@@ -231,6 +233,7 @@ func New(cfg Config) (*Server, error) {
 			_ = t.closeStore()
 		}
 	}
+	calibs := make(calibrations)
 	for i := range cfg.Federations {
 		// In cluster mode every node builds every tenant — the
 		// scheduler assembly is deterministic, so activation after a
@@ -241,7 +244,7 @@ func New(cfg Config) (*Server, error) {
 		if cs != nil && cs.replicating() {
 			mirror = cs.newReplicator(cfg.Federations[i].Name)
 		}
-		t, err := buildTenant(cfg.Federations[i], cfg.Store, cfg.Metrics, !owned, mirror)
+		t, err := buildTenant(cfg.Federations[i], cfg.Store, cfg.Metrics, !owned, mirror, calibs)
 		if err != nil {
 			closeBuilt()
 			return nil, err
@@ -440,7 +443,7 @@ func (s *Server) Handler() http.Handler {
 		mux.HandleFunc("POST /v1/admin/handoff/activate", s.handleHandoffActivate)
 		mux.HandleFunc("POST /v1/admin/handoff/abort", s.handleHandoffAbort)
 		mux.HandleFunc("POST /v1/admin/route", s.handleRoute)
-		mux.HandleFunc("POST /v1/admin/replicate", s.handleReplicate)
+		mux.HandleFunc("POST "+replStreamPath, s.handleReplicateStream)
 		mux.HandleFunc("POST /v1/admin/takeover", s.handleTakeover)
 	}
 	return mux
@@ -477,6 +480,11 @@ func (s *Server) Drain(ctx context.Context) error {
 	// a late tick cannot race the store close below and record spurious
 	// failures on a clean shutdown.
 	s.stopCheckpointLoop()
+	// Replication streams are hijacked connections with goroutines of
+	// their own, appending to the stores closed below: end them first.
+	if s.cluster != nil {
+		s.cluster.closeStreams()
+	}
 	// Final checkpoint: every acknowledged observation is fsynced
 	// before the stores close.
 	err := s.checkpointAll()
