@@ -389,10 +389,9 @@ func BenchmarkQ13SweepUncached(b *testing.B) { benchPlanSweep(b, tpch.QueryQ13, 
 func BenchmarkQ13SweepCached(b *testing.B)   { benchPlanSweep(b, tpch.QueryQ13, 0) }
 
 // benchWidePlanSweep measures one warm PlanSweep over a WideTopology
-// lattice of 2·maxNodes² QEPs under the given prune policy (nil = the
-// default full sweep). The model cache is warmed outside the timer, so
-// the measurement isolates per-plan estimation work — the cost the
-// prune layer exists to cut. Distinct from benchPlanSweep above, which
+// lattice of 2·maxNodes² QEPs under the given prune policy. The model
+// cache is warmed outside the timer, so the measurement isolates
+// per-plan estimation work — the cost the prune layer exists to cut. Distinct from benchPlanSweep above, which
 // drives OptimizeWSM on the default two-site topology.
 func benchWidePlanSweep(b *testing.B, maxNodes int, prune ires.PrunePolicy) {
 	b.Helper()
@@ -444,28 +443,31 @@ func wideScheduler(b testing.TB, seed int64, maxNodes int, scale float64, prune 
 	return sched
 }
 
-// BenchmarkPlanSweep contrasts the default full sweep with GreedyPrune
-// at two lattice sizes: P200 (maxNodes 10) and P18200 (maxNodes 96, the
-// paper's Example 3.1 regime of 18,200+ equivalent QEPs). The Greedy
-// cases use the policy's default budget and must stay well under their
-// Full counterparts.
+// BenchmarkPlanSweep is the full sweep against GreedyPrune (default
+// budget) over the sizes that decide where pruning pays: P128, the
+// largest lattice midasd can serve and under GreedyPrune's 256-plan
+// floor, so its Greedy arm is the full sweep; P2048, the end-to-end
+// benchmark's sweep tenant; P8192; and P18432, the paper's Example 3.1
+// regime. docs/performance.md publishes the grid.
 func BenchmarkPlanSweep(b *testing.B) {
 	for _, pol := range []struct {
 		name  string
-		prune func() ires.PrunePolicy
+		prune ires.PrunePolicy
 	}{
-		{"Full", func() ires.PrunePolicy { return nil }},
-		{"Greedy", func() ires.PrunePolicy { return ires.GreedyPrune(0) }},
+		{"Full", ires.FullSweep()},
+		{"Greedy", ires.GreedyPrune(0)},
 	} {
 		for _, sz := range []struct {
 			name     string
 			maxNodes int
 		}{
-			{"P200", 10},
-			{"P18200", 96},
+			{"P128", 8},
+			{"P2048", 32},
+			{"P8192", 64},
+			{"P18432", 96},
 		} {
 			b.Run(pol.name+"/"+sz.name, func(b *testing.B) {
-				benchWidePlanSweep(b, sz.maxNodes, pol.prune())
+				benchWidePlanSweep(b, sz.maxNodes, pol.prune)
 			})
 		}
 	}

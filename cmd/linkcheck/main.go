@@ -5,12 +5,18 @@
 // mailto links are skipped — the gate is deterministic and runs
 // offline, so CI cannot flake on someone else's web server.
 //
+// It also holds published numbers to their source: outside the documents
+// that own measurements (docs/performance.md, bench/README.md,
+// CHANGES.md), a performance figure — "8.3k rps", "291 ms", "7 allocs" —
+// must sit within two lines of a link into one of them, so a reader can
+// check it and the next re-measurement knows what else to update.
+//
 // Usage:
 //
 //	linkcheck README.md DESIGN.md docs/
 //
 // Directories are walked for *.md files. Exit status 1 lists every
-// broken link as file:line: message.
+// broken link and unsourced figure as file:line: message.
 package main
 
 import (
@@ -19,6 +25,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"unicode"
 )
@@ -47,7 +54,7 @@ func main() {
 		for _, b := range broken {
 			fmt.Println(b)
 		}
-		fmt.Printf("linkcheck: %d broken link(s) in %d file(s)\n", len(broken), len(files))
+		fmt.Printf("linkcheck: %d problem(s) in %d file(s)\n", len(broken), len(files))
 		os.Exit(1)
 	}
 	fmt.Printf("linkcheck: %d file(s) clean\n", len(files))
@@ -86,17 +93,43 @@ func collect(args []string) ([]string, error) {
 // inline style.
 var linkRE = regexp.MustCompile(`!?\[[^\]]*\]\(([^()\s]+)(?:\s+"[^"]*")?\)`)
 
-// checkFile validates every link in one markdown file.
+// figureRE matches a published performance figure: a number followed by
+// a throughput, latency or allocation unit.
+var figureRE = regexp.MustCompile(`\d[\d,.]*[\s\x{00A0}\x{202F}]?k?[\s\x{00A0}\x{202F}]?(?:rps|µs|ms|allocs)\b`)
+
+// figureSources are the documents that own measured numbers, relative
+// to the repository root. Anywhere else a figure rots unnoticed, so it
+// must sit within figureReach lines of a link into one of these.
+var figureSources = []string{"docs/performance.md", "bench/README.md", "CHANGES.md"}
+
+const figureReach = 2
+
+// isFigureSource reports whether path is one of figureSources.
+func isFigureSource(path string) bool {
+	abs, err := filepath.Abs(path)
+	if err != nil {
+		return false
+	}
+	rel, err := filepath.Rel(repoRoot(filepath.Dir(abs)), abs)
+	return err == nil && slices.Contains(figureSources, filepath.ToSlash(rel))
+}
+
+// checkFile validates every link in one markdown file, and that every
+// performance figure in it is near a link into a figure source.
 func checkFile(path string) ([]string, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
 	var problems []string
+	lines := strings.Split(string(raw), "\n")
+	sourced := make([]bool, len(lines))   // the line links into a figure source
+	figures := make([]string, len(lines)) // the line's first figure, if it needs one
+	ownsFigures := isFigureSource(path)
 	inFence := false
-	for i, line := range strings.Split(string(raw), "\n") {
-		// Links inside fenced code blocks are illustrative, not
-		// navigation; skip them.
+	for i, line := range lines {
+		// Links and numbers inside fenced code blocks are illustrative,
+		// not navigation or claims; skip them.
 		if strings.HasPrefix(strings.TrimSpace(line), "```") {
 			inFence = !inFence
 			continue
@@ -108,6 +141,19 @@ func checkFile(path string) ([]string, error) {
 			if msg := checkTarget(path, m[1]); msg != "" {
 				problems = append(problems, fmt.Sprintf("%s:%d: %s", path, i+1, msg))
 			}
+			file, _, _ := strings.Cut(m[1], "#")
+			if file != "" && isFigureSource(filepath.Join(filepath.Dir(path), file)) {
+				sourced[i] = true
+			}
+		}
+		if !ownsFigures {
+			figures[i] = figureRE.FindString(line)
+		}
+	}
+	for i, fig := range figures {
+		if fig != "" && !slices.Contains(sourced[max(0, i-figureReach):min(len(lines), i+figureReach+1)], true) {
+			problems = append(problems, fmt.Sprintf("%s:%d: figure %q is not within %d lines of a link into %s",
+				path, i+1, fig, figureReach, strings.Join(figureSources, ", ")))
 		}
 	}
 	return problems, nil

@@ -105,6 +105,51 @@ func TestRepoRootEscapeSkippedButInsideChecked(t *testing.T) {
 	}
 }
 
+// TestFiguresNeedASource pins the figure rule: a performance number is
+// fine in a figure source, in a fence, and within two lines of a link
+// into a source; anywhere else it is reported, however it is spelled.
+func TestFiguresNeedASource(t *testing.T) {
+	dir := t.TempDir()
+	write(t, dir, "go.mod", "module tmp\n")
+	write(t, dir, "docs/performance.md", "# Numbers\nthe sweep takes 145 µs\n")
+	write(t, dir, "CHANGES.md", "PR 1: 9.9k rps\n")
+	md := write(t, dir, "docs/guide.md", strings.Join([]string{
+		"# Guide",
+		"the sweep takes 145 µs at 2,048 plans", // line 2: two lines above the link
+		"",
+		"(see [the grid](performance.md#numbers))",
+		"",
+		"and 5.2 ms at 18,432", // line 6: two lines below it
+		"",
+		"a round trip is 8.3k rps here", // line 8: three lines below
+		"",
+		"",
+		"**7 allocs/op** ([history](../CHANGES.md))", // same line
+		"",
+		"",
+		"",
+		"it was 291 ms once ([guide](guide.md#guide))", // a link, but not into a source
+		"```",
+		"p50 0.03 ms",
+		"```",
+		"timeout_ms is 500, 30 s, 12 plans, ms alone", // not figures
+		"",
+	}, "\n"))
+	probs, err := checkFile(md)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(probs) != 2 || !strings.Contains(probs[0], `guide.md:8: figure "8.3k rps"`) ||
+		!strings.Contains(probs[1], `guide.md:15: figure "291 ms"`) {
+		t.Fatalf("want exactly lines 8 and 15 reported, got:\n%s", strings.Join(probs, "\n"))
+	}
+	for _, src := range []string{"docs/performance.md", "CHANGES.md"} {
+		if probs, err := checkFile(filepath.Join(dir, src)); err != nil || len(probs) != 0 {
+			t.Fatalf("%s owns its figures: %v %v", src, probs, err)
+		}
+	}
+}
+
 func TestCollectWalksDirectories(t *testing.T) {
 	dir := t.TempDir()
 	write(t, dir, "a.md", "# A\n")

@@ -91,122 +91,112 @@ func parseLogLevel(s string) (slog.Level, error) {
 	}
 }
 
+// options holds the value of every midasd flag: in the configuration
+// field it sets where that is a plain value, as text where it is parsed.
+type options struct {
+	addr, configPath, logLevel, debugAddr string
+	drainTimeout                          time.Duration
+
+	server  server.Config         // QueueDepth, RequestTimeout
+	spec    server.FederationSpec // the single-federation flags
+	store   server.StoreConfig
+	cluster server.ClusterConfig
+
+	nodeChoices, queries, clusterPeers string // → spec.NodeChoices, spec.Queries, cluster.Peers
+}
+
+// newFlagSet defines every midasd flag, bound to o. The flag tables of
+// docs/operations.md list exactly this set (TestFlagsMatchRunbook).
+func newFlagSet(o *options) *flag.FlagSet {
+	fs := flag.NewFlagSet("midasd", flag.ExitOnError)
+	fs.StringVar(&o.addr, "addr", ":8642", "listen address")
+	fs.StringVar(&o.configPath, "config", "", "JSON federation config; overrides the single-federation flags")
+
+	fs.StringVar(&o.spec.Name, "name", "default", "federation name (single-federation mode)")
+	fs.StringVar(&o.spec.Topology, "topology", "default", "topology: default or threecloud")
+	fs.Int64Var(&o.spec.Seed, "seed", 42, "base random seed")
+	fs.Float64Var(&o.spec.SF, "sf", 0.1, "simulated data scale (0.1 ≈ 100 MiB)")
+	fs.StringVar(&o.nodeChoices, "node-choices", "1,2,4", "comma-separated cluster-size menu (no duplicates)")
+	fs.IntVar(&o.spec.Bootstrap, "bootstrap", 20, "bootstrap executions per served query")
+	fs.StringVar(&o.queries, "queries", "", "comma-separated query subset (default: all)")
+	fs.StringVar(&o.spec.Chaos, "chaos", "", "fault-injection profile applied to the simulated cloud after bootstrap: "+strings.Join(cloud.ChaosProfileNames(), ", "))
+	fs.Int64Var(&o.spec.ChaosSeed, "chaos-seed", 0, "seed for the fault schedule (0 = -seed)")
+
+	fs.IntVar(&o.server.QueueDepth, "queue-depth", 1024, "bounded admission queue depth")
+	fs.DurationVar(&o.server.RequestTimeout, "request-timeout", 30*time.Second, "per-request budget, plan sweep included (exceeded → 504)")
+	fs.DurationVar(&o.drainTimeout, "drain-timeout", 30*time.Second, "graceful shutdown budget")
+
+	fs.StringVar(&o.store.Dir, "data-dir", "", "root directory for durable query histories (empty = in-memory only)")
+	fs.DurationVar(&o.store.CheckpointInterval, "checkpoint-interval", time.Minute, "periodic WAL fsync: bounds what a machine crash can lose without -wal-fsync/-wal-group-commit, a no-op with either; 0 disables the timer (requires -data-dir)")
+	fs.BoolVar(&o.store.Fsync, "wal-fsync", false, "fsync the history WAL after every recorded execution (requires -data-dir)")
+	fs.BoolVar(&o.store.GroupCommit, "wal-group-commit", false, "coalesce WAL fsyncs across concurrent appends: per-append durability at a fraction of -wal-fsync's cost (requires -data-dir; supersedes -wal-fsync)")
+
+	fs.StringVar(&o.cluster.NodeID, "node-id", "", "this node's name in -cluster-peers (cluster mode)")
+	fs.StringVar(&o.clusterPeers, "cluster-peers", "", `cluster membership as "id=url,id=url,..." including this node; empty = standalone`)
+	fs.BoolVar(&o.cluster.Replicate, "cluster-replicate", false, "ship each owned federation's WAL to its standby synchronously")
+	fs.DurationVar(&o.cluster.SyncInterval, "cluster-sync-interval", 2*time.Second, "cadence of the standby sync loop: re-arms degraded replication streams with a full shard sync (requires -cluster-replicate)")
+	fs.BoolVar(&o.cluster.AutoFailover, "cluster-auto-failover", false, "probe peers and auto-promote this node's standby federations when their owner is confirmed dead")
+	fs.DurationVar(&o.cluster.ProbeInterval, "cluster-probe-interval", time.Second, "failure-detector probe cadence and per-probe deadline (requires -cluster-auto-failover)")
+	fs.IntVar(&o.cluster.SuspectAfter, "cluster-suspect-after", 3, "consecutive probe misses before a peer is suspect (pauses rebalancing)")
+	fs.IntVar(&o.cluster.DownAfter, "cluster-down-after", 6, "consecutive probe misses before a peer is declared dead (triggers auto-failover)")
+	fs.BoolVar(&o.cluster.AutoRebalance, "cluster-auto-rebalance", false, "drift federations back to their ring-computed owners after membership settles (requires -cluster-auto-failover)")
+
+	fs.StringVar(&o.logLevel, "log-level", "info", "minimum log level: debug, info, warn, error (debug enables per-request lines)")
+	fs.StringVar(&o.debugAddr, "debug-addr", "", "optional second listener with net/http/pprof and /metrics (keep it private)")
+	return fs
+}
+
 func run() error {
-	var (
-		addr       = flag.String("addr", ":8642", "listen address")
-		configPath = flag.String("config", "", "JSON federation config; overrides the single-federation flags")
-
-		name        = flag.String("name", "default", "federation name (single-federation mode)")
-		topology    = flag.String("topology", "default", "topology: default or threecloud")
-		seed        = flag.Int64("seed", 42, "base random seed")
-		sf          = flag.Float64("sf", 0.1, "simulated data scale (0.1 ≈ 100 MiB)")
-		calibSF     = flag.Float64("calib-sf", 0.004, "calibration scale factor")
-		cacheSize   = flag.Int("cache-size", 0, "model cache size (0 = default, negative disables)")
-		nodeChoices = flag.String("node-choices", "1,2,4", "comma-separated cluster-size menu (no duplicates)")
-		bootstrap   = flag.Int("bootstrap", 20, "bootstrap executions per served query")
-		queries     = flag.String("queries", "", "comma-separated query subset (default: all)")
-		prunePolicy = flag.String("prune-policy", "full", "plan-sweep prune policy: full (estimate every QEP), greedy (cost-ordered walk with early termination), topk (deterministic sample)")
-		pruneBudget = flag.Int("prune-budget", 0, "max QEPs estimated per sweep for greedy/topk (0 = policy default)")
-		chaos       = flag.String("chaos", "", "fault-injection profile applied to the simulated cloud after bootstrap: "+strings.Join(cloud.ChaosProfileNames(), ", "))
-		chaosSeed   = flag.Int64("chaos-seed", 0, "seed for the fault schedule (0 = -seed)")
-
-		queueDepth     = flag.Int("queue-depth", 1024, "bounded admission queue depth")
-		requestTimeout = flag.Duration("request-timeout", 30*time.Second, "per-request budget, plan sweep included (exceeded → 504)")
-		drainTimeout   = flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget")
-
-		dataDir            = flag.String("data-dir", "", "root directory for durable query histories (empty = in-memory only)")
-		checkpointInterval = flag.Duration("checkpoint-interval", time.Minute, "periodic WAL fsync: bounds what a machine crash can lose without -wal-fsync/-wal-group-commit, a no-op with either; 0 disables the timer (requires -data-dir)")
-		walFsync           = flag.Bool("wal-fsync", false, "fsync the history WAL after every recorded execution (requires -data-dir)")
-		walGroupCommit     = flag.Bool("wal-group-commit", false, "coalesce WAL fsyncs across concurrent appends: per-append durability at a fraction of -wal-fsync's cost (requires -data-dir; supersedes -wal-fsync)")
-
-		nodeID        = flag.String("node-id", "", "this node's name in -cluster-peers (cluster mode)")
-		clusterPeers  = flag.String("cluster-peers", "", `cluster membership as "id=url,id=url,..." including this node; empty = standalone`)
-		replicate     = flag.Bool("cluster-replicate", false, "ship each owned federation's WAL to its standby synchronously")
-		syncInterval  = flag.Duration("cluster-sync-interval", 2*time.Second, "cadence of the standby sync loop: re-arms degraded replication streams with a full shard sync (requires -cluster-replicate)")
-		autoFailover  = flag.Bool("cluster-auto-failover", false, "probe peers and auto-promote this node's standby federations when their owner is confirmed dead")
-		probeInterval = flag.Duration("cluster-probe-interval", time.Second, "failure-detector probe cadence and per-probe deadline (requires -cluster-auto-failover)")
-		suspectAfter  = flag.Int("cluster-suspect-after", 3, "consecutive probe misses before a peer is suspect (pauses rebalancing)")
-		downAfter     = flag.Int("cluster-down-after", 6, "consecutive probe misses before a peer is declared dead (triggers auto-failover)")
-		autoRebalance = flag.Bool("cluster-auto-rebalance", false, "drift federations back to their ring-computed owners after membership settles (requires -cluster-auto-failover)")
-
-		logLevel  = flag.String("log-level", "info", "minimum log level: debug, info, warn, error (debug enables per-request lines)")
-		debugAddr = flag.String("debug-addr", "", "optional second listener with net/http/pprof and /metrics (keep it private)")
-	)
-	flag.Parse()
-	if flag.NArg() != 0 {
-		flag.Usage()
-		return fmt.Errorf("unexpected arguments: %v", flag.Args())
+	var o options
+	fs := newFlagSet(&o)
+	_ = fs.Parse(os.Args[1:]) // ExitOnError: Parse exits on a bad flag itself
+	if fs.NArg() != 0 {
+		fs.Usage()
+		return fmt.Errorf("unexpected arguments: %v", fs.Args())
 	}
-	level, err := parseLogLevel(*logLevel)
+	level, err := parseLogLevel(o.logLevel)
 	if err != nil {
 		return err
 	}
 	logger := slog.New(slog.NewJSONHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
 	slog.SetDefault(logger)
 
-	specs, err := federationSpecs(*configPath, *name, *topology, *seed, *sf, *calibSF,
-		*cacheSize, *nodeChoices, *bootstrap, *queries, *prunePolicy, *pruneBudget,
-		*chaos, *chaosSeed)
-	if err != nil {
+	cfg := o.server
+	cfg.Logger = logger
+	if cfg.Federations, err = federationSpecs(&o); err != nil {
 		return err
 	}
 
-	if *dataDir == "" && (*walFsync || *walGroupCommit || *checkpointInterval != time.Minute) {
+	if o.store.Dir != "" {
+		cfg.Store = o.store
+		logger.Info("durable histories enabled",
+			"data_dir", o.store.Dir, "checkpoint_interval", o.store.CheckpointInterval.String(),
+			"wal_fsync", o.store.Fsync, "wal_group_commit", o.store.GroupCommit)
+	} else if o.store.Fsync || o.store.GroupCommit || o.store.CheckpointInterval != time.Minute {
 		logger.Warn("-wal-fsync/-wal-group-commit/-checkpoint-interval have no effect without -data-dir")
 	}
-	var storeCfg server.StoreConfig
-	if *dataDir != "" {
-		storeCfg = server.StoreConfig{
-			Dir:                *dataDir,
-			CheckpointInterval: *checkpointInterval,
-			Fsync:              *walFsync,
-			GroupCommit:        *walGroupCommit,
-		}
-		logger.Info("durable histories enabled",
-			"data_dir", *dataDir, "checkpoint_interval", checkpointInterval.String(),
-			"wal_fsync", *walFsync, "wal_group_commit", *walGroupCommit)
-	}
 
-	clusterCfg, err := parseClusterFlags(*nodeID, *clusterPeers, *replicate, *syncInterval)
-	if err != nil {
+	if cfg.Cluster, err = clusterConfig(&o); err != nil {
 		return err
 	}
-	if clusterCfg == nil && (*autoFailover || *autoRebalance) {
-		return fmt.Errorf("-cluster-auto-failover/-cluster-auto-rebalance require -cluster-peers")
-	}
-	if *autoRebalance && !*autoFailover {
-		return fmt.Errorf("-cluster-auto-rebalance requires -cluster-auto-failover (the rebalancer rides the failure detector)")
-	}
-	if clusterCfg != nil {
-		clusterCfg.AutoFailover = *autoFailover
-		clusterCfg.AutoRebalance = *autoRebalance
-		clusterCfg.ProbeInterval = *probeInterval
-		clusterCfg.SuspectAfter = *suspectAfter
-		clusterCfg.DownAfter = *downAfter
-		logger.Info("cluster mode", "node", clusterCfg.NodeID,
-			"peers", len(clusterCfg.Peers), "replicate", clusterCfg.Replicate,
-			"auto_failover", *autoFailover, "auto_rebalance", *autoRebalance)
+	if c := cfg.Cluster; c != nil {
+		logger.Info("cluster mode", "node", c.NodeID,
+			"peers", len(c.Peers), "replicate", c.Replicate,
+			"auto_failover", c.AutoFailover, "auto_rebalance", c.AutoRebalance)
 	}
 
-	logger.Info("building federations (calibration + recovery + bootstrap)", "count", len(specs))
+	logger.Info("building federations (calibration + recovery + bootstrap)", "count", len(cfg.Federations))
 	began := time.Now()
-	srv, err := server.New(server.Config{
-		Federations:    specs,
-		QueueDepth:     *queueDepth,
-		RequestTimeout: *requestTimeout,
-		Store:          storeCfg,
-		Cluster:        clusterCfg,
-		Logger:         logger,
-	})
+	srv, err := server.New(cfg)
 	if err != nil {
 		return err
 	}
 	logger.Info("federations ready", "elapsed_s", time.Since(began).Seconds())
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	httpSrv := &http.Server{Addr: o.addr, Handler: srv.Handler()}
 	errCh := make(chan error, 1)
 	go func() {
-		logger.Info("serving", "addr", *addr)
+		logger.Info("serving", "addr", o.addr)
 		if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 			errCh <- err
 			return
@@ -215,10 +205,10 @@ func run() error {
 	}()
 
 	var debugSrv *http.Server
-	if *debugAddr != "" {
-		debugSrv = &http.Server{Addr: *debugAddr, Handler: debugMux(srv)}
+	if o.debugAddr != "" {
+		debugSrv = &http.Server{Addr: o.debugAddr, Handler: debugMux(srv)}
 		go func() {
-			logger.Info("debug listener (pprof + metrics)", "addr", *debugAddr)
+			logger.Info("debug listener (pprof + metrics)", "addr", o.debugAddr)
 			if err := debugSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				// The debug listener is an operator convenience; losing
 				// it should not take the serving process down.
@@ -233,10 +223,10 @@ func run() error {
 	case err := <-errCh:
 		return err
 	case sig := <-stop:
-		logger.Info("draining", "signal", sig.String(), "budget", drainTimeout.String())
+		logger.Info("draining", "signal", sig.String(), "budget", o.drainTimeout.String())
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), o.drainTimeout)
 	defer cancel()
 	drainErr := srv.Drain(ctx)
 	if err := httpSrv.Shutdown(ctx); err != nil && drainErr == nil {
@@ -267,71 +257,56 @@ func debugMux(srv *server.Server) *http.ServeMux {
 }
 
 // federationSpecs resolves the hosted federations from -config or the
-// single-federation flags. With -config, per-federation "prune_policy"
-// and "prune_budget" JSON fields override the flags (which apply only
-// to the single-federation mode).
-func federationSpecs(configPath, name, topology string, seed int64, sf, calibSF float64,
-	cacheSize int, nodeChoices string, bootstrap int, queries,
-	prunePolicy string, pruneBudget int, chaos string, chaosSeed int64) ([]server.FederationSpec, error) {
-	if configPath != "" {
-		specs, err := server.LoadSpecsFile(configPath)
+// single-federation flags.
+func federationSpecs(o *options) ([]server.FederationSpec, error) {
+	if o.configPath != "" {
+		specs, err := server.LoadSpecsFile(o.configPath)
 		if err != nil {
 			return nil, err
 		}
 		if len(specs) == 0 {
-			return nil, fmt.Errorf("config %s declares no federations", configPath)
+			return nil, fmt.Errorf("config %s declares no federations", o.configPath)
 		}
 		return specs, nil
 	}
-	nodes, err := parseInts(nodeChoices)
-	if err != nil {
+	spec := o.spec
+	var err error
+	if spec.NodeChoices, err = parseInts(o.nodeChoices); err != nil {
 		return nil, fmt.Errorf("bad -node-choices: %w", err)
 	}
-	spec := server.FederationSpec{
-		Name:        name,
-		Topology:    topology,
-		Seed:        seed,
-		SF:          sf,
-		CalibSF:     calibSF,
-		CacheSize:   cacheSize,
-		NodeChoices: nodes,
-		Bootstrap:   bootstrap,
-		PrunePolicy: prunePolicy,
-		PruneBudget: pruneBudget,
-		Chaos:       chaos,
-		ChaosSeed:   chaosSeed,
-	}
-	if queries != "" {
-		spec.Queries = strings.Split(queries, ",")
+	if o.queries != "" {
+		spec.Queries = strings.Split(o.queries, ",")
 	}
 	return []server.FederationSpec{spec}, nil
 }
 
-// parseClusterFlags resolves -node-id/-cluster-peers into a cluster
-// config; both empty means standalone.
-func parseClusterFlags(nodeID, peers string, replicate bool, syncInterval time.Duration) (*server.ClusterConfig, error) {
-	if peers == "" {
-		if nodeID != "" {
+// clusterConfig resolves the cluster flags; no -node-id and no
+// -cluster-peers means standalone (nil).
+func clusterConfig(o *options) (*server.ClusterConfig, error) {
+	if o.clusterPeers == "" {
+		if o.cluster.NodeID != "" {
 			return nil, fmt.Errorf("-node-id requires -cluster-peers")
+		}
+		if o.cluster.AutoFailover || o.cluster.AutoRebalance {
+			return nil, fmt.Errorf("-cluster-auto-failover/-cluster-auto-rebalance require -cluster-peers")
 		}
 		return nil, nil
 	}
-	if nodeID == "" {
+	if o.cluster.NodeID == "" {
 		return nil, fmt.Errorf("-cluster-peers requires -node-id")
 	}
-	cfg := &server.ClusterConfig{
-		NodeID:       nodeID,
-		Replicate:    replicate,
-		SyncInterval: syncInterval,
-	}
-	for _, part := range strings.Split(peers, ",") {
+	cfg := o.cluster
+	for _, part := range strings.Split(o.clusterPeers, ",") {
 		id, url, ok := strings.Cut(strings.TrimSpace(part), "=")
 		if !ok || id == "" || url == "" {
 			return nil, fmt.Errorf(`bad -cluster-peers entry %q (want "id=url")`, part)
 		}
 		cfg.Peers = append(cfg.Peers, cluster.Member{ID: id, Addr: strings.TrimRight(url, "/")})
 	}
-	return cfg, nil
+	if cfg.AutoRebalance && !cfg.AutoFailover {
+		return nil, fmt.Errorf("-cluster-auto-rebalance requires -cluster-auto-failover (the rebalancer rides the failure detector)")
+	}
+	return &cfg, nil
 }
 
 func parseInts(csv string) ([]int, error) {

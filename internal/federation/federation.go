@@ -164,13 +164,12 @@ func (p Plan) String() string {
 }
 
 // EnumeratePlans expands a query into its equivalent QEPs over the
-// given cluster-size choices (paper Example 3.1). It is the batch
-// convenience form of PlanIterator: the returned slice is the
-// iterator's walk materialized in the same deterministic order
-// (join-at-left first, then per-site sizes in menu order). Node
-// choices beyond a site's MaxNodes are skipped; empty, non-positive,
-// or duplicate menus are rejected (see ValidateNodeChoices). The slice
-// is shared with the lattice — treat it as read-only.
+// given cluster-size choices (paper Example 3.1): the lattice's walk in
+// its one deterministic order (join-at-left first, then per-site sizes
+// in menu order). Node choices beyond a site's MaxNodes are skipped;
+// empty, non-positive, or duplicate menus are rejected (see
+// ValidateNodeChoices). The slice is shared with the lattice — treat it
+// as read-only.
 func (f *Federation) EnumeratePlans(q tpch.QueryID, nodeChoices []int) ([]Plan, error) {
 	lat, err := f.PlanLattice(q, nodeChoices)
 	if err != nil {

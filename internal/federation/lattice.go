@@ -8,13 +8,12 @@ import (
 	"repro/internal/tpch"
 )
 
-// This file is the streaming half of plan enumeration. A PlanLattice is
-// the validated descriptor of one query's QEP space — 2 join placements
-// × the feasible cluster sizes at each site — and a PlanIterator walks
-// it lazily in a fixed order. EnumeratePlans (federation.go's historic
-// batch API) is a thin wrapper that materializes the walk; everything
-// downstream that wants to avoid touching all ~18,200 plans of the
-// paper's Example 3.1 regime pulls from the iterator instead.
+// A PlanLattice is the validated descriptor of one query's QEP space —
+// 2 join placements × the feasible cluster sizes at each site — in one
+// fixed order. Plans() is the whole walk, materialized once and shared
+// (EnumeratePlans hands out the same slice); At(i) is one point of it,
+// for a prune policy that wants a few hundred of the ~18,200 plans of
+// the paper's Example 3.1 regime without touching the rest.
 
 // ErrBadNodeChoices wraps every node-choice validation failure, so
 // callers can distinguish a malformed menu from enumeration errors.
@@ -114,9 +113,6 @@ func (f *Federation) PlanLattice(q tpch.QueryID, nodeChoices []int) (*PlanLattic
 	return &PlanLattice{query: q, left: lc, right: rc}, nil
 }
 
-// Query returns the query the lattice enumerates plans for.
-func (l *PlanLattice) Query() tpch.QueryID { return l.query }
-
 // Size is the number of QEPs in the lattice: 2 join placements × the
 // feasible sizes per site.
 func (l *PlanLattice) Size() int { return 2 * len(l.left) * len(l.right) }
@@ -129,7 +125,7 @@ func (l *PlanLattice) Dims() (sides, left, right int) {
 }
 
 // Index maps a lattice point to its flat position in iteration order
-// (side-major, then left axis, then right axis — the order Next and At
+// (side-major, then left axis, then right axis — the order At and Plans
 // share). side 0 is join-at-left, matching the historic EnumeratePlans
 // order.
 func (l *PlanLattice) Index(side, li, ri int) int {
@@ -164,62 +160,4 @@ func (l *PlanLattice) Plans() []Plan {
 		l.plans = plans
 	})
 	return l.plans
-}
-
-// Iterator returns a fresh cursor over the lattice. Iterators are
-// cheap; take one per consumer rather than sharing (a PlanIterator is
-// not safe for concurrent use, but its positional At/Size views are).
-func (l *PlanLattice) Iterator() *PlanIterator {
-	return &PlanIterator{lat: l}
-}
-
-// PlanIterator is a lazy, resettable generator over a PlanLattice in
-// deterministic order: join-at-left plans first, then join-at-right,
-// each in (left size, right size) menu order — exactly the historic
-// EnumeratePlans order, so a full drain is byte-identical to the batch
-// API. It also exposes the positional (Size/At) and shape (Dims/Index)
-// views prune policies use to sample the lattice without draining it.
-type PlanIterator struct {
-	lat  *PlanLattice
-	next int
-}
-
-// Next returns the next plan in iteration order, or ok=false once the
-// lattice is exhausted.
-func (it *PlanIterator) Next() (Plan, bool) {
-	if it.next >= it.lat.Size() {
-		return Plan{}, false
-	}
-	p := it.lat.At(it.next)
-	it.next++
-	return p, true
-}
-
-// Reset rewinds the iterator to the first plan.
-func (it *PlanIterator) Reset() { it.next = 0 }
-
-// Size is the total number of plans the iterator ranges over.
-func (it *PlanIterator) Size() int { return it.lat.Size() }
-
-// At returns the i-th plan without moving the cursor.
-func (it *PlanIterator) At(i int) Plan { return it.lat.At(i) }
-
-// Dims exposes the underlying lattice shape (see PlanLattice.Dims).
-func (it *PlanIterator) Dims() (sides, left, right int) { return it.lat.Dims() }
-
-// Index maps a lattice point to its flat position (see
-// PlanLattice.Index).
-func (it *PlanIterator) Index(side, li, ri int) int { return it.lat.Index(side, li, ri) }
-
-// Lattice returns the iterated lattice.
-func (it *PlanIterator) Lattice() *PlanLattice { return it.lat }
-
-// PlanIterator builds the lattice for q and returns a cursor over it —
-// the streaming counterpart of EnumeratePlans.
-func (f *Federation) PlanIterator(q tpch.QueryID, nodeChoices []int) (*PlanIterator, error) {
-	lat, err := f.PlanLattice(q, nodeChoices)
-	if err != nil {
-		return nil, err
-	}
-	return lat.Iterator(), nil
 }

@@ -51,40 +51,26 @@ func TestEnumeratePlansRejectsBadMenus(t *testing.T) {
 	}
 }
 
-// TestIteratorMatchesEnumerate pins the iterator contract: draining
-// Next reproduces the batch slice exactly, Reset rewinds, and the
-// positional At view agrees with the cursor order.
-func TestIteratorMatchesEnumerate(t *testing.T) {
+// TestLatticeAtMatchesEnumerate pins the positional view: At(i) is the
+// i-th plan of the batch slice, over the whole lattice.
+func TestLatticeAtMatchesEnumerate(t *testing.T) {
 	fed := defaultFed(t)
 	choices := []int{1, 2, 4, 8, 16} // 8 and 16 exceed postgres-azure capacity
 	plans, err := fed.EnumeratePlans(tpch.QueryQ12, choices)
 	if err != nil {
 		t.Fatal(err)
 	}
-	it, err := fed.PlanIterator(tpch.QueryQ12, choices)
+	lat, err := fed.PlanLattice(tpch.QueryQ12, choices)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if it.Size() != len(plans) {
-		t.Fatalf("iterator Size = %d, want %d", it.Size(), len(plans))
+	if lat.Size() != len(plans) {
+		t.Fatalf("lattice Size = %d, want %d", lat.Size(), len(plans))
 	}
-	for pass := 0; pass < 2; pass++ {
-		for i, want := range plans {
-			got, ok := it.Next()
-			if !ok {
-				t.Fatalf("pass %d: iterator exhausted at %d/%d", pass, i, len(plans))
-			}
-			if got != want {
-				t.Fatalf("pass %d: plan %d = %v, want %v", pass, i, got, want)
-			}
-			if at := it.At(i); at != want {
-				t.Fatalf("At(%d) = %v, want %v", i, at, want)
-			}
+	for i, want := range plans {
+		if at := lat.At(i); at != want {
+			t.Fatalf("At(%d) = %v, want %v", i, at, want)
 		}
-		if _, ok := it.Next(); ok {
-			t.Fatalf("pass %d: iterator yields past Size", pass)
-		}
-		it.Reset()
 	}
 }
 
@@ -114,9 +100,6 @@ func TestLatticeDimsAndIndex(t *testing.T) {
 			}
 		}
 	}
-	if lat.Query() != tpch.QueryQ12 {
-		t.Fatalf("Query = %v", lat.Query())
-	}
 }
 
 func TestNodeRange(t *testing.T) {
@@ -136,15 +119,15 @@ func TestWideTopologyReachesPaperRegime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	it, err := fed.PlanIterator(tpch.QueryQ12, NodeRange(96))
+	lat, err := fed.PlanLattice(tpch.QueryQ12, NodeRange(96))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if it.Size() != 2*96*96 {
-		t.Fatalf("Size = %d, want %d", it.Size(), 2*96*96)
+	if lat.Size() != 2*96*96 {
+		t.Fatalf("Size = %d, want %d", lat.Size(), 2*96*96)
 	}
-	if it.Size() < 18200 {
-		t.Fatalf("Size = %d, below the paper's 18,200-plan regime", it.Size())
+	if lat.Size() < 18200 {
+		t.Fatalf("Size = %d, below the paper's 18,200-plan regime", lat.Size())
 	}
 	if _, err := WideTopology(1, 0); err == nil {
 		t.Fatal("WideTopology(…, 0) accepted")

@@ -34,9 +34,6 @@ func NewCompositeDREAMModel(cfg core.Config) (*CompositeDREAMModel, error) {
 // Name implements CostModel.
 func (m *CompositeDREAMModel) Name() string { return "dream-composite" }
 
-// SetModelCacheSize implements ModelCacheSizer.
-func (m *CompositeDREAMModel) SetModelCacheSize(n int) { m.Est.SetCacheSize(n) }
-
 // breakdown indices in federation.BreakdownMetrics.
 const (
 	bdTime = iota

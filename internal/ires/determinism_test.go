@@ -15,16 +15,30 @@ import (
 	"repro/internal/tpch"
 )
 
-// buildStack assembles one complete scheduler stack (federation,
-// calibration, scaled executor, DREAM model) with the given estimation
-// knobs. Two stacks built with the same seed are bit-identical.
-func buildStack(t *testing.T, seed int64, cfg SchedulerConfig) *Scheduler {
+// stackModel builds the DREAM Modelling module of the stacks below with
+// the given model-cache size (0 = default, negative disables).
+func stackModel(t *testing.T, cacheSize int) *DREAMModel {
 	t.Helper()
-	fed, err := federation.DefaultTopology(seed)
+	model, err := NewDREAMModel(core.Config{MMax: 3 * (federation.FeatureDim + 2), CacheSize: cacheSize})
 	if err != nil {
 		t.Fatal(err)
 	}
-	model, err := NewDREAMModel(core.Config{MMax: 3 * (federation.FeatureDim + 2)})
+	return model
+}
+
+// buildStack assembles one complete scheduler stack (federation,
+// calibration, scaled executor, DREAM model with the default cache) with
+// the given scheduler knobs. Two stacks built with the same seed are
+// bit-identical.
+func buildStack(t *testing.T, seed int64, cfg SchedulerConfig) *Scheduler {
+	t.Helper()
+	return buildStackOn(t, seed, stackModel(t, 0), cfg)
+}
+
+// buildStackOn is buildStack around the given model.
+func buildStackOn(t *testing.T, seed int64, model CostModel, cfg SchedulerConfig) *Scheduler {
+	t.Helper()
+	fed, err := federation.DefaultTopology(seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +90,7 @@ func renderDecision(d *Decision) string {
 // decisions to the cache-less path that re-runs Algorithm 1 per plan.
 func TestCachedSubmitMatchesUncached(t *testing.T) {
 	choices := []int{1, 2, 3, 4, 6, 8, 12, 16}
-	uncached := buildStack(t, 42, SchedulerConfig{NodeChoices: choices, Seed: 42, CacheSize: -1})
+	uncached := buildStackOn(t, 42, stackModel(t, -1), SchedulerConfig{NodeChoices: choices, Seed: 42})
 	cached := buildStack(t, 42, SchedulerConfig{NodeChoices: choices, Seed: 42})
 
 	if err := uncached.Bootstrap(tpch.QueryQ12, 25); err != nil {
@@ -107,7 +121,7 @@ func TestCachedSubmitMatchesUncached(t *testing.T) {
 // Figure 3 under the same contract.
 func TestCachedOptimizeWSMMatchesUncached(t *testing.T) {
 	choices := []int{1, 2, 3, 4, 6, 8, 12, 16}
-	uncached := buildStack(t, 7, SchedulerConfig{NodeChoices: choices, Seed: 7, CacheSize: -1})
+	uncached := buildStackOn(t, 7, stackModel(t, -1), SchedulerConfig{NodeChoices: choices, Seed: 7})
 	cached := buildStack(t, 7, SchedulerConfig{NodeChoices: choices, Seed: 7})
 	if err := uncached.Bootstrap(tpch.QueryQ13, 25); err != nil {
 		t.Fatal(err)
@@ -137,7 +151,7 @@ func TestCachedOptimizeWSMMatchesUncached(t *testing.T) {
 // comes from the cached fit or a fresh window search.
 func TestCachedOptimizeGAMatchesUncached(t *testing.T) {
 	choices := []int{1, 2, 4, 8, 16}
-	uncached := buildStack(t, 11, SchedulerConfig{NodeChoices: choices, Seed: 11, CacheSize: -1})
+	uncached := buildStackOn(t, 11, stackModel(t, -1), SchedulerConfig{NodeChoices: choices, Seed: 11})
 	cached := buildStack(t, 11, SchedulerConfig{NodeChoices: choices, Seed: 11})
 	if err := uncached.Bootstrap(tpch.QueryQ12, 25); err != nil {
 		t.Fatal(err)
@@ -381,8 +395,8 @@ func requireSameSweep(t *testing.T, round int, got, want *Sweep) {
 
 // TestBatchedSweepMatchesPerPlan: a sweep is scored chunk by chunk when
 // model and executor can and plan by plan, through the adapters, when a
-// decorator hides that — and nobody can tell from the results. Every
-// prune policy × every bundled model × cache on and off, on a lattice of
+// decorator hides that — and nobody can tell from the results. Both
+// prune policies × every bundled model × cache on and off, on a lattice of
 // two chunks: the sweeps (plans, every cost bit, front) and the decisions
 // of 50 rounds (10 where noted) are identical on both routes, and so are
 // the two Figure 3 optimizers.
@@ -403,7 +417,7 @@ func TestBatchedSweepMatchesPerPlan(t *testing.T) {
 		{"composite-uncached", true, func() (CostModel, error) { return NewCompositeDREAMModel(dreamCfg(-1)) }},
 		{"bml", false, func() (CostModel, error) { return &BMLModel{Learner: ml.LeastSquares{}, WindowMultiple: 3}, nil }},
 	}
-	policies := []PrunePolicy{FullSweep(), GreedyPrune(270), TopK(270, 9)}
+	policies := []PrunePolicy{FullSweep(), GreedyPrune(270)}
 	pol := Policy{Weights: []float64{1, 1}}
 
 	// record executes p and appends the measurement: Scheduler.Record's

@@ -86,7 +86,9 @@ func NewDREAMModel(cfg core.Config) (*DREAMModel, error) {
 // Name implements CostModel.
 func (m *DREAMModel) Name() string { return "dream" }
 
-// SetModelCacheSize implements ModelCacheSizer.
+// SetModelCacheSize resizes the model cache core.Config.CacheSize sized
+// at construction; it stays only because bench/trace.go's tracedModel
+// forwards to it.
 func (m *DREAMModel) SetModelCacheSize(n int) { m.Est.SetCacheSize(n) }
 
 // Estimate implements CostModel. Predicted costs are clamped at zero:
@@ -313,14 +315,10 @@ type SchedulerConfig struct {
 	NodeChoices []int
 	// Seed drives the scheduler's own randomness (Bootstrap sampling).
 	Seed int64
-	// CacheSize overrides the Modelling module's per-(history, version)
-	// model cache when the model supports it (DREAM variants do).
-	// 0 keeps the model's own configuration; negative disables caching.
-	CacheSize int
 	// Prune selects which QEPs of the lattice PlanSweep estimates. Nil
 	// keeps the default FullSweep() — every plan, byte-identical to the
-	// historic eager enumeration. See GreedyPrune and TopK for the
-	// bounded-budget policies.
+	// historic eager enumeration. See GreedyPrune for the bounded-budget
+	// policy.
 	Prune PrunePolicy
 	// Store injects a durable history store (see HistoryStore): query
 	// histories are recovered from it at first touch and every recorded
@@ -341,15 +339,9 @@ type SchedulerConfig struct {
 	MetricsFederation string
 }
 
-// ModelCacheSizer is implemented by Modelling modules whose underlying
-// estimator keeps a per-(history, version) model cache.
-type ModelCacheSizer interface {
-	SetModelCacheSize(n int)
-}
-
 // NewSchedulerWithConfig assembles a scheduler from a SchedulerConfig:
-// NewScheduler plus the store, prune policy, model-cache size and
-// metrics registry.
+// NewScheduler plus the store, retention, prune policy and metrics
+// registry.
 func NewSchedulerWithConfig(fed *federation.Federation, exec federation.Executor, model CostModel, cfg SchedulerConfig) (*Scheduler, error) {
 	s, err := NewScheduler(fed, exec, model, cfg.NodeChoices, cfg.Seed)
 	if err != nil {
@@ -358,11 +350,6 @@ func NewSchedulerWithConfig(fed *federation.Federation, exec federation.Executor
 	s.Store = cfg.Store
 	s.retain = cfg.Retain
 	s.Prune = cfg.Prune
-	if cfg.CacheSize != 0 {
-		if ms, ok := model.(ModelCacheSizer); ok {
-			ms.SetModelCacheSize(cfg.CacheSize)
-		}
-	}
 	if cfg.Metrics != nil {
 		s.InstrumentScheduler(cfg.Metrics, cfg.MetricsFederation)
 	}
@@ -540,8 +527,8 @@ type Decision struct {
 	// PlanSpace under the default FullSweep, smaller under a pruning
 	// policy).
 	ParetoSize, PlanSpace, PlansEstimated int
-	// PrunePolicy names the prune policy that shaped the sweep
-	// ("full", "greedy", "topk").
+	// PrunePolicy names the prune policy that shaped the sweep ("full",
+	// "greedy").
 	PrunePolicy string
 }
 
@@ -624,7 +611,7 @@ func (s *Scheduler) PlanSweep(ctx context.Context, q tpch.QueryID) (sw *Sweep, e
 	if pruner == nil {
 		pruner = FullSweep()
 	}
-	plans, costs, err := pruner.sweep(ctx, s.sweeper(q, h, lat.Iterator()))
+	plans, costs, err := pruner.sweep(ctx, s.sweeper(q, h, lat))
 	if err != nil {
 		return nil, err
 	}

@@ -6,64 +6,27 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/federation"
 	"repro/internal/moo"
-	"repro/internal/stats"
 	"repro/internal/tpch"
 )
 
-// The plan-supply seam. PlanSweep no longer estimates a pre-built
-// slice: it hands a PlanSource (the lazy lattice iterator) to a
-// PrunePolicy, which decides which QEPs are worth scoring and estimates
-// exactly those. FullSweep is the reference — every plan, in lattice
-// order, byte-identical to the historic eager path. GreedyPrune and
-// TopK trade a bounded amount of decision quality for an
-// order-of-magnitude cheaper sweep in the paper's Example 3.1 regime
-// (≈18,200 QEPs per query); the tolerance is pinned by
-// experiments.AblationPrune and the property tests in prune_test.go.
-// SNIPPETS-adjacent prior art: greedy enumeration with early
-// termination routinely keeps plan quality within ~13% while planning
-// orders of magnitude faster.
+// A sweep scores plans of one query's lattice. Which ones is the
+// PrunePolicy's call: FullSweep, the reference and what midasd serves,
+// scores every plan in lattice order; GreedyPrune trades a bounded
+// amount of decision quality for a cheaper sweep in the paper's Example
+// 3.1 regime (≈18,200 QEPs per query), for embedders that assemble
+// lattices that large — no topology midasd serves exceeds 128 plans.
+// The tolerance is pinned by experiments.AblationPrune and the property
+// tests in prune_test.go; docs/performance.md has the measured grid.
 
-// PlanSource supplies plans to a sweep: a lazy, resettable,
-// deterministic-order generator with a positional view (Size/At), so
-// prune policies can sample the space without draining it and
-// estimate plans by index. The canonical implementation is
-// *federation.PlanIterator.
-type PlanSource interface {
-	// Next yields plans in a fixed order until exhausted.
-	Next() (federation.Plan, bool)
-	// Reset rewinds Next to the first plan.
-	Reset()
-	// Size is the total number of plans.
-	Size() int
-	// At returns the i-th plan of the fixed order without moving the
-	// cursor. Must be safe for concurrent use: concurrent requests
-	// sweep one cached lattice.
-	At(i int) federation.Plan
-}
-
-// LatticeSource is the optional PlanSource capability that exposes the
-// plan lattice's shape. GreedyPrune walks axis neighborhoods when the
-// source has one and falls back to flat-index strides otherwise.
-type LatticeSource interface {
-	PlanSource
-	// Dims reports the axis lengths; Size() == sides×left×right.
-	Dims() (sides, left, right int)
-	// Index maps a lattice point to its flat position.
-	Index(side, li, ri int) int
-}
-
-var _ LatticeSource = (*federation.PlanIterator)(nil)
-
-// planSweeper is one scheduling round's estimator: the plan source a
+// planSweeper is one scheduling round's estimator: the lattice a
 // PrunePolicy draws from (nil outside a sweep) and the two batch steps
 // of scoring, bound to the round's query and history snapshot.
 type planSweeper struct {
-	src PlanSource
+	lat *federation.PlanLattice
 	// features appends the plans' feature vectors to dst, FeatureDim
 	// values each; on a failure the rows before the failing plan's are
 	// still appended, which is how estimate knows which plan it was.
@@ -94,8 +57,8 @@ func (e *rowError) Unwrap() error { return e.err }
 // method — a decorator that wraps it, a custom model — is wrapped here,
 // once, in an adapter that loops, so the estimation loop itself has one
 // shape.
-func (s *Scheduler) sweeper(q tpch.QueryID, h *core.History, src PlanSource) *planSweeper {
-	ps := &planSweeper{src: src}
+func (s *Scheduler) sweeper(q tpch.QueryID, h *core.History, lat *federation.PlanLattice) *planSweeper {
+	ps := &planSweeper{lat: lat}
 	if sizer, ok := s.Exec.(federation.InputSizer); ok {
 		lb, rb, err := sizer.InputBytes(q)
 		ps.features = func(dst []float64, plans []federation.Plan) ([]float64, error) {
@@ -222,40 +185,24 @@ func (ps *planSweeper) estimate(ctx context.Context, plans []federation.Plan) ([
 	return costs, nil
 }
 
-// plansOf materializes the full source. The lattice-backed iterator
-// shares its cached batch slice (callers treat it as read-only);
-// generic sources are drained.
-func plansOf(src PlanSource) []federation.Plan {
-	if it, ok := src.(*federation.PlanIterator); ok {
-		return it.Lattice().Plans()
-	}
-	src.Reset()
-	out := make([]federation.Plan, 0, src.Size())
-	for p, ok := src.Next(); ok; p, ok = src.Next() {
-		out = append(out, p)
-	}
-	return out
-}
-
-// plansAt returns the source's plans at the given positions.
-func plansAt(src PlanSource, idx []int) []federation.Plan {
+// plansAt returns the lattice's plans at the given positions.
+func plansAt(lat *federation.PlanLattice, idx []int) []federation.Plan {
 	out := make([]federation.Plan, len(idx))
 	for i, at := range idx {
-		out[i] = src.At(at)
+		out[i] = lat.At(at)
 	}
 	return out
 }
 
-// PrunePolicy decides which QEPs of a plan source get estimated during
-// a sweep. Policies must be deterministic for a fixed (source, history
+// PrunePolicy decides which QEPs of a lattice get estimated during a
+// sweep. Policies must be deterministic for a fixed (lattice, history
 // snapshot) — the byte-identical-decisions guarantee (cached vs
 // uncached, any GOMAXPROCS, any request concurrency) extends to pruned
-// sweeps. The policy set is closed (the sweep hook is unexported);
-// construct one with FullSweep, GreedyPrune, or TopK, or parse a wire
-// name with ParsePrunePolicy.
+// sweeps. The policy set is closed (the sweep hook is unexported):
+// FullSweep or GreedyPrune.
 type PrunePolicy interface {
-	// Name is the policy's wire identifier ("full", "greedy", "topk"),
-	// surfaced in Sweep/Decision and the serving API.
+	// Name is the policy's wire identifier ("full", "greedy"), surfaced
+	// in Sweep/Decision and the serving API.
 	Name() string
 	// sweep selects and scores plans, returning the estimated subset
 	// and its cost vectors in matching deterministic order.
@@ -265,8 +212,8 @@ type PrunePolicy interface {
 // ---------------------------------------------------------------------------
 // FullSweep
 
-// fullSweep estimates every plan of the source in order — the paper's
-// behavior and the reference the pruned policies are measured against.
+// fullSweep estimates every plan of the lattice in order — the paper's
+// behavior and the reference GreedyPrune is measured against.
 type fullSweep struct{}
 
 // FullSweep returns the default prune policy: no pruning. Every QEP in
@@ -278,7 +225,7 @@ func FullSweep() PrunePolicy { return fullSweep{} }
 func (fullSweep) Name() string { return "full" }
 
 func (fullSweep) sweep(ctx context.Context, ps *planSweeper) ([]federation.Plan, [][]float64, error) {
-	plans := plansOf(ps.src)
+	plans := ps.lat.Plans()
 	costs, err := ps.estimate(ctx, plans)
 	if err != nil {
 		return nil, nil, err
@@ -321,7 +268,7 @@ func (greedyPrune) Name() string { return "greedy" }
 const greedyChunk = 64
 
 func (g greedyPrune) sweep(ctx context.Context, ps *planSweeper) ([]federation.Plan, [][]float64, error) {
-	n := ps.src.Size()
+	n := ps.lat.Size()
 	budget := g.budget
 	if budget <= 0 {
 		budget = n / 16
@@ -333,8 +280,8 @@ func (g greedyPrune) sweep(ctx context.Context, ps *planSweeper) ([]federation.P
 		return fullSweep{}.sweep(ctx, ps)
 	}
 
-	scaffold, strides := greedyScaffold(ps.src, budget/2)
-	plans := plansAt(ps.src, scaffold)
+	scaffold, strides := greedyScaffold(ps.lat, budget/2)
+	plans := plansAt(ps.lat, scaffold)
 	costs, err := ps.estimate(ctx, plans)
 	if err != nil {
 		return nil, nil, err
@@ -377,7 +324,7 @@ func (g greedyPrune) sweep(ctx context.Context, ps *planSweeper) ([]federation.P
 		}
 	}
 
-	queue := greedyCandidates(ps.src, sel, costs, front, strides, seen)
+	queue := greedyCandidates(ps.lat, sel, costs, front, strides, seen)
 	remaining := budget - len(sel)
 	if remaining < 0 {
 		remaining = 0
@@ -391,7 +338,7 @@ func (g greedyPrune) sweep(ctx context.Context, ps *planSweeper) ([]federation.P
 			chunk = chunk[:greedyChunk]
 		}
 		queue = queue[len(chunk):]
-		chunkPlans := plansAt(ps.src, chunk)
+		chunkPlans := plansAt(ps.lat, chunk)
 		chunkCosts, err := ps.estimate(ctx, chunkPlans)
 		if err != nil {
 			return nil, nil, err
@@ -417,58 +364,33 @@ func (g greedyPrune) sweep(ctx context.Context, ps *planSweeper) ([]federation.P
 	return plans, costs, nil
 }
 
-// greedyScaffold picks the coarse sample of the source: an even grid
-// over the lattice axes (endpoints always included) when the source
-// exposes its shape, a flat-index stride otherwise. It returns the
-// flat positions in deterministic order plus the per-axis strides the
+// greedyScaffold picks the coarse sample of the lattice: an even grid
+// over its axes, endpoints always included. It returns the flat
+// positions in deterministic order plus the per-axis strides the
 // refinement phase walks.
-func greedyScaffold(src PlanSource, target int) (scaffold []int, strides [2]int) {
-	if target < 4 {
-		target = 4
+func greedyScaffold(lat *federation.PlanLattice, target int) (scaffold []int, strides [2]int) {
+	sides, left, right := lat.Dims()
+	k := int(math.Sqrt(float64(target / sides)))
+	if k < 2 {
+		k = 2
 	}
-	if lat, ok := src.(LatticeSource); ok {
-		sides, left, right := lat.Dims()
-		k := int(math.Sqrt(float64(target / sides)))
-		if k < 2 {
-			k = 2
-		}
-		li := axisSamples(left, k)
-		ri := axisSamples(right, k)
-		for s := 0; s < sides; s++ {
-			for _, l := range li {
-				for _, r := range ri {
-					scaffold = append(scaffold, lat.Index(s, l, r))
-				}
+	li := axisSamples(left, k)
+	ri := axisSamples(right, k)
+	for s := 0; s < sides; s++ {
+		for _, l := range li {
+			for _, r := range ri {
+				scaffold = append(scaffold, lat.Index(s, l, r))
 			}
 		}
-		strides[0] = axisStride(left, k)
-		strides[1] = axisStride(right, k)
-		return scaffold, strides
 	}
-	n := src.Size()
-	stride := (n + target - 1) / target
-	if stride < 1 {
-		stride = 1
-	}
-	for i := 0; i < n; i += stride {
-		scaffold = append(scaffold, i)
-	}
-	if last := scaffold[len(scaffold)-1]; last != n-1 {
-		scaffold = append(scaffold, n-1)
-	}
-	strides[0] = stride
+	strides[0] = axisStride(left, k)
+	strides[1] = axisStride(right, k)
 	return scaffold, strides
 }
 
-// axisStride is the sampling stride that covers an axis of length n
-// with about k points.
-func axisStride(n, k int) int {
-	stride := (n + k - 1) / k
-	if stride < 1 {
-		return 1
-	}
-	return stride
-}
+// axisStride is the sampling stride that covers an axis of length
+// n ≥ 1 with about k points.
+func axisStride(n, k int) int { return (n + k - 1) / k }
 
 // axisSamples returns the sampled indices of one axis: every stride-th
 // point plus the far endpoint (the model's extrapolation anchor).
@@ -489,10 +411,7 @@ func axisSamples(n, k int) []int {
 // (weighted-normalized scaffold cost, flat index breaking ties) and
 // each parent's neighborhood emitted in a fixed axis/distance order —
 // the "cost-ordered lattice walk".
-func greedyCandidates(src PlanSource, sel []int, costs [][]float64, front []int, strides [2]int, seen map[int]bool) []int {
-	if len(front) == 0 {
-		return nil
-	}
+func greedyCandidates(lat *federation.PlanLattice, sel []int, costs [][]float64, front []int, strides [2]int, seen map[int]bool) []int {
 	// Min-max normalize over the scaffold so seconds and dollars weigh
 	// equally in the parent ordering.
 	dim := len(costs[0])
@@ -530,24 +449,16 @@ func greedyCandidates(src PlanSource, sel []int, costs [][]float64, front []int,
 
 	var queue []int
 	push := func(flat int) {
-		if flat < 0 || flat >= src.Size() || seen[flat] {
+		if seen[flat] {
 			return
 		}
 		seen[flat] = true
 		queue = append(queue, flat)
 	}
-	lat, isLattice := src.(LatticeSource)
+	_, left, right := lat.Dims()
+	block := left * right
 	for _, p := range parents {
 		flat := sel[p]
-		if !isLattice {
-			for d := 1; d < strides[0]; d++ {
-				push(flat - d)
-				push(flat + d)
-			}
-			continue
-		}
-		_, left, right := lat.Dims()
-		block := left * right
 		side, rem := flat/block, flat%block
 		li, ri := rem/right, rem%right
 		for d := 1; d < strides[0]; d++ {
@@ -568,85 +479,4 @@ func greedyCandidates(src PlanSource, sel []int, costs [][]float64, front []int,
 		}
 	}
 	return queue
-}
-
-// ---------------------------------------------------------------------------
-// TopK
-
-// topKPrune estimates a deterministic uniform sample of the lattice —
-// the cheap, model-agnostic baseline between FullSweep and GreedyPrune.
-type topKPrune struct {
-	k    int
-	seed int64
-}
-
-// TopK returns the sampling policy: k plans drawn uniformly (without
-// replacement) from the lattice by a deterministic seed-derived
-// permutation, then estimated in lattice order. k ≤ 0 picks
-// max(256, latticeSize/10); lattices no larger than k are swept in
-// full. Unlike GreedyPrune it ignores the cost structure entirely,
-// which makes it the honest "how much did the walk actually buy"
-// control in ablations.
-func TopK(k int, seed int64) PrunePolicy { return topKPrune{k: k, seed: seed} }
-
-// Name implements PrunePolicy.
-func (topKPrune) Name() string { return "topk" }
-
-func (t topKPrune) sweep(ctx context.Context, ps *planSweeper) ([]federation.Plan, [][]float64, error) {
-	n := ps.src.Size()
-	k := t.k
-	if k <= 0 {
-		k = n / 10
-		if k < 256 {
-			k = 256
-		}
-	}
-	if k >= n {
-		return fullSweep{}.sweep(ctx, ps)
-	}
-	// Partial Fisher-Yates: the first k entries of a seed-determined
-	// permutation.
-	rng := stats.NewRNG(t.seed ^ int64(n)<<17 ^ 0x746f706b) // "topk"
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
-	for i := 0; i < k; i++ {
-		j := i + rng.Intn(n-i)
-		perm[i], perm[j] = perm[j], perm[i]
-	}
-	idx := perm[:k]
-	sort.Ints(idx)
-	plans := plansAt(ps.src, idx)
-	costs, err := ps.estimate(ctx, plans)
-	if err != nil {
-		return nil, nil, err
-	}
-	return plans, costs, nil
-}
-
-// ---------------------------------------------------------------------------
-// Parsing
-
-// ParsePrunePolicy resolves a wire/flag policy name: "full" (or empty),
-// "greedy", or "topk". budget feeds the named policy's plan cap
-// (GreedyPrune's budget, TopK's k; 0 = policy default) and is rejected
-// when negative or set for "full".
-func ParsePrunePolicy(name string, budget int) (PrunePolicy, error) {
-	if budget < 0 {
-		return nil, fmt.Errorf("ires: negative prune budget %d", budget)
-	}
-	switch strings.ToLower(name) {
-	case "", "full":
-		if budget != 0 {
-			return nil, fmt.Errorf("ires: prune budget %d is meaningless for the full sweep", budget)
-		}
-		return FullSweep(), nil
-	case "greedy":
-		return GreedyPrune(budget), nil
-	case "topk":
-		return TopK(budget, 0), nil
-	default:
-		return nil, fmt.Errorf("ires: unknown prune policy %q (full, greedy, topk)", name)
-	}
 }

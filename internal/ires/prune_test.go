@@ -17,28 +17,7 @@ import (
 // tests and ablation turn to reach the paper's Example 3.1 regime.
 func buildWideStack(t *testing.T, seed int64, maxNodes int, cfg SchedulerConfig) *Scheduler {
 	t.Helper()
-	fed, err := federation.WideTopology(seed, maxNodes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cal, err := federation.Calibrate(fed, 0.004, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exec, err := federation.NewScaledExecutor(fed, cal, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	model, err := NewDREAMModel(core.Config{MMax: 3 * (federation.FeatureDim + 2)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.NodeChoices = federation.NodeRange(maxNodes)
-	s, err := NewSchedulerWithConfig(fed, exec, model, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
+	return wideStack(t, seed, maxNodes, stackModel(t, 0), cfg)
 }
 
 // renderSweep serializes the full estimated set — plans, cost vectors,
@@ -50,38 +29,6 @@ func renderSweep(sw *Sweep) string {
 		out += fmt.Sprintf("%v %v\n", p, sw.Costs[i])
 	}
 	return out
-}
-
-func TestParsePrunePolicy(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		budget int
-		want   string
-	}{
-		{"", 0, "full"}, {"full", 0, "full"}, {"FULL", 0, "full"},
-		{"greedy", 0, "greedy"}, {"greedy", 512, "greedy"},
-		{"topk", 100, "topk"},
-	} {
-		p, err := ParsePrunePolicy(tc.name, tc.budget)
-		if err != nil {
-			t.Fatalf("ParsePrunePolicy(%q, %d): %v", tc.name, tc.budget, err)
-		}
-		if p.Name() != tc.want {
-			t.Fatalf("ParsePrunePolicy(%q).Name() = %q, want %q", tc.name, p.Name(), tc.want)
-		}
-	}
-	for _, tc := range []struct {
-		name   string
-		budget int
-	}{
-		{"nope", 0},    // unknown policy
-		{"greedy", -1}, // negative budget
-		{"full", 100},  // budget is meaningless for full
-	} {
-		if _, err := ParsePrunePolicy(tc.name, tc.budget); err == nil {
-			t.Fatalf("ParsePrunePolicy(%q, %d) accepted", tc.name, tc.budget)
-		}
-	}
 }
 
 // TestFullSweepExplicitMatchesDefault pins the API contract that a nil
@@ -117,38 +64,31 @@ func TestFullSweepExplicitMatchesDefault(t *testing.T) {
 // estimated set, costs and front with the model cache on or off.
 func TestPrunedSweepCachedMatchesUncached(t *testing.T) {
 	const maxNodes = 24 // 2×24×24 = 1,152 plans
-	for _, tc := range []struct {
-		name  string
-		prune func() PrunePolicy
-	}{
-		{"greedy", func() PrunePolicy { return GreedyPrune(160) }},
-		{"topk", func() PrunePolicy { return TopK(160, 3) }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			uncached := buildWideStack(t, 42, maxNodes, SchedulerConfig{Seed: 42, CacheSize: -1, Prune: tc.prune()})
-			cached := buildWideStack(t, 42, maxNodes, SchedulerConfig{Seed: 42, Prune: tc.prune()})
-			for _, s := range []*Scheduler{uncached, cached} {
-				if err := s.Bootstrap(tpch.QueryQ12, 25); err != nil {
-					t.Fatal(err)
-				}
-			}
-			a, err := uncached.PlanSweep(context.Background(), tpch.QueryQ12)
-			if err != nil {
+	t.Run("greedy", func(t *testing.T) {
+		cfg := SchedulerConfig{Seed: 42, Prune: GreedyPrune(160)}
+		uncached := wideStack(t, 42, maxNodes, stackModel(t, -1), cfg)
+		cached := buildWideStack(t, 42, maxNodes, cfg)
+		for _, s := range []*Scheduler{uncached, cached} {
+			if err := s.Bootstrap(tpch.QueryQ12, 25); err != nil {
 				t.Fatal(err)
 			}
-			b, err := cached.PlanSweep(context.Background(), tpch.QueryQ12)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, want := renderSweep(b), renderSweep(a)
-			if got != want {
-				t.Fatalf("%s sweep depends on the model cache:\nuncached:\n%s\ncached:\n%s", tc.name, want, got)
-			}
-			if a.PlansEstimated >= a.PlanSpace {
-				t.Fatalf("%s did not prune: estimated %d of %d", tc.name, a.PlansEstimated, a.PlanSpace)
-			}
-		})
-	}
+		}
+		a, err := uncached.PlanSweep(context.Background(), tpch.QueryQ12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := cached.PlanSweep(context.Background(), tpch.QueryQ12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := renderSweep(b), renderSweep(a)
+		if got != want {
+			t.Fatalf("greedy sweep depends on the model cache:\nuncached:\n%s\ncached:\n%s", want, got)
+		}
+		if a.PlansEstimated >= a.PlanSpace {
+			t.Fatalf("greedy did not prune: estimated %d of %d", a.PlansEstimated, a.PlanSpace)
+		}
+	})
 }
 
 // TestGreedyPruneDecisionWithinTolerance is the property test behind

@@ -54,8 +54,8 @@ type QueryResponse struct {
 	// ParetoSize and PlanSpace size the Pareto set and the full QEP
 	// lattice the choice was made from; PlansEstimated counts the QEPs
 	// the Modelling module actually scored for this round's sweep
-	// (equal to PlanSpace under the default "full" prune policy,
-	// smaller under "greedy"/"topk").
+	// (equal to PlanSpace under the "full" prune policy — all midasd
+	// itself runs — smaller when an embedder's scheduler prunes).
 	ParetoSize     int `json:"pareto_size"`
 	PlanSpace      int `json:"plan_space"`
 	PlansEstimated int `json:"plans_estimated"`
@@ -120,11 +120,9 @@ type FederationStats struct {
 	// PlansEstimated totals the QEPs scored by this tenant's Modelling
 	// module across all sweeps (after pruning); PlanSpace is the full
 	// lattice size of the most recent sweep, so PlanSpace×Sweeps vs
-	// PlansEstimated reads the realized pruning ratio. PrunePolicy is
-	// the tenant's configured policy ("full", "greedy", "topk").
-	PlansEstimated int64  `json:"plans_estimated"`
-	PlanSpace      int64  `json:"plan_space"`
-	PrunePolicy    string `json:"prune_policy"`
+	// PlansEstimated reads the realized pruning ratio.
+	PlansEstimated int64 `json:"plans_estimated"`
+	PlanSpace      int64 `json:"plan_space"`
 	// HistoryTruncated counts /v1/history responses that dropped
 	// observations to the page limit.
 	HistoryTruncated int64 `json:"history_truncated"`

@@ -111,7 +111,7 @@ func newTenant(name string, sched QueryScheduler, queries []tpch.QueryID) *tenan
 		name:    name,
 		sched:   sched,
 		queries: qs,
-		stats:   newTenantStats(),
+		stats:   &tenantStats{},
 		pending: make(map[tpch.QueryID]*sweepBatch),
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/url"
@@ -53,20 +54,8 @@ type FederationSpec struct {
 	Seed int64 `json:"seed,omitempty"`
 	// SF is the simulated data scale (default 0.1 ≈ 100 MiB).
 	SF float64 `json:"sf,omitempty"`
-	// CalibSF is the calibration scale (default 0.004).
-	CalibSF float64 `json:"calib_sf,omitempty"`
 	// NodeChoices is the cluster-size menu (default {1, 2, 4}).
 	NodeChoices []int `json:"node_choices,omitempty"`
-	// CacheSize tunes the Modelling module's model cache (0 = default).
-	CacheSize int `json:"cache_size,omitempty"`
-	// PrunePolicy selects which QEPs of the lattice each sweep
-	// estimates: "full" (every plan — the default and the paper's
-	// behavior), "greedy" (cost-ordered lattice walk with early
-	// termination), or "topk" (deterministic uniform sample).
-	PrunePolicy string `json:"prune_policy,omitempty"`
-	// PruneBudget caps the plans estimated per sweep for "greedy" and
-	// "topk" (0 = policy default; rejected for "full").
-	PruneBudget int `json:"prune_budget,omitempty"`
 	// Bootstrap seeds each query's history with this many random
 	// executions before serving (default 20).
 	Bootstrap int `json:"bootstrap,omitempty"`
@@ -93,9 +82,6 @@ func (sp *FederationSpec) withDefaults() FederationSpec {
 	}
 	if out.SF == 0 {
 		out.SF = 0.1
-	}
-	if out.CalibSF == 0 {
-		out.CalibSF = 0.004
 	}
 	if len(out.NodeChoices) == 0 {
 		out.NodeChoices = []int{1, 2, 4}
@@ -126,17 +112,24 @@ func (sp *FederationSpec) queries() ([]tpch.QueryID, error) {
 // times the statistical minimum L+2: no estimate reads further back.
 const dreamMMax = 3 * (federation.FeatureDim + 2)
 
-// calibrations remembers, for the length of one New, the calibration of
-// each (CalibSF, Seed) already paid for. Calibrating generates a TPC-H
-// database and runs the four queries over it — nearly all of a tenant
-// build — and reads nothing of the topology, so every tenant sharing the
-// pair shares the result, which is read-only once built.
-type calibrations map[calibKey]*federation.Calibration
-
-type calibKey struct {
-	sf   float64
-	seed int64
+// topologies are the federations a spec can name. Their sites cap at 16,
+// 4 and 12 nodes, so no node-choice menu reaches more than 128 plans: a
+// full sweep is all a tenant ever needs (TestServedLatticeBound).
+var topologies = map[string]func(seed int64) (*federation.Federation, error){
+	"default":    federation.DefaultTopology,
+	"threecloud": federation.ThreeCloudTopology,
 }
+
+// calibSF is the scale of the TPC-H database every tenant calibrates
+// its executor on.
+const calibSF = 0.004
+
+// calibrations remembers, for the length of one New, the calibration of
+// each seed already paid for. Calibrating generates a TPC-H database and
+// runs the four queries over it — nearly all of a tenant build — and
+// reads nothing of the topology, so every tenant sharing the seed shares
+// the result, which is read-only once built.
+type calibrations map[int64]*federation.Calibration
 
 // buildTenant assembles the spec's scheduler: topology, calibration,
 // scaled executor, DREAM model, and — with a store configured — the
@@ -162,37 +155,26 @@ func buildTenant(spec FederationSpec, storeCfg StoreConfig, reg *metrics.Registr
 	if err != nil {
 		return nil, fmt.Errorf("server: federation %q: %w", sp.Name, err)
 	}
-	// Parse the prune policy before the expensive topology/calibration
-	// work so a misconfigured spec fails the boot immediately.
-	pruner, err := ires.ParsePrunePolicy(sp.PrunePolicy, sp.PruneBudget)
-	if err != nil {
-		return nil, fmt.Errorf("server: federation %q: %w", sp.Name, err)
-	}
 	chaosProfile, err := cloud.ParseChaosProfile(sp.Chaos)
 	if err != nil {
 		return nil, fmt.Errorf("server: federation %q: %w", sp.Name, err)
 	}
-	var fed *federation.Federation
-	switch sp.Topology {
-	case "default":
-		fed, err = federation.DefaultTopology(sp.Seed)
-	case "threecloud":
-		fed, err = federation.ThreeCloudTopology(sp.Seed)
-	default:
-		err = fmt.Errorf("unknown topology %q (default, threecloud)", sp.Topology)
+	topology, ok := topologies[sp.Topology]
+	if !ok {
+		return nil, fmt.Errorf("server: federation %q: unknown topology %q (default, threecloud)", sp.Name, sp.Topology)
 	}
+	fed, err := topology(sp.Seed)
 	if err != nil {
 		return nil, fmt.Errorf("server: federation %q: %w", sp.Name, err)
 	}
-	key := calibKey{sp.CalibSF, sp.Seed}
-	cal := calibs[key]
+	cal := calibs[sp.Seed]
 	if cal == nil {
-		cal, err = federation.Calibrate(fed, sp.CalibSF, sp.Seed)
+		cal, err = federation.Calibrate(fed, calibSF, sp.Seed)
 		if err != nil {
 			return nil, fmt.Errorf("server: federation %q: calibrate: %w", sp.Name, err)
 		}
 		if calibs != nil {
-			calibs[key] = cal
+			calibs[sp.Seed] = cal
 		}
 	}
 	exec, err := federation.NewScaledExecutor(fed, cal, sp.SF)
@@ -206,8 +188,6 @@ func buildTenant(spec FederationSpec, storeCfg StoreConfig, reg *metrics.Registr
 	schedCfg := ires.SchedulerConfig{
 		NodeChoices:       sp.NodeChoices,
 		Seed:              sp.Seed,
-		CacheSize:         sp.CacheSize,
-		Prune:             pruner,
 		Retain:            historyRetain,
 		Metrics:           reg,
 		MetricsFederation: sp.Name,
@@ -270,30 +250,35 @@ func buildTenant(spec FederationSpec, storeCfg StoreConfig, reg *metrics.Registr
 	t := newTenant(sp.Name, sched, queries)
 	t.store = store
 	t.bootstrap = sp.Bootstrap
-	t.stats.prunePolicy = pruner.Name()
 	return t, nil
 }
 
 // LoadSpecs reads a JSON federation config: either a bare array of
-// specs or {"federations": [...]}.
+// specs or {"federations": [...]}. A key FederationSpec does not have —
+// a typo, a knob a newer build removed — is an error, not a default.
 func LoadSpecs(r io.Reader) ([]FederationSpec, error) {
 	raw, err := io.ReadAll(r)
 	if err != nil {
 		return nil, err
 	}
-	// The first token decides the shape, so a malformed file reports
-	// the error of the parse that was actually intended.
-	if trimmed := bytes.TrimLeft(raw, " \t\r\n"); len(trimmed) > 0 && trimmed[0] == '[' {
-		var specs []FederationSpec
-		if err := json.Unmarshal(raw, &specs); err != nil {
-			return nil, fmt.Errorf("server: parsing federation config: %w", err)
-		}
-		return specs, nil
-	}
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
 	var wrapped struct {
 		Federations []FederationSpec `json:"federations"`
 	}
-	if err := json.Unmarshal(raw, &wrapped); err != nil {
+	// The first token decides the shape, so a malformed file reports
+	// the error of the parse that was actually intended.
+	if trimmed := bytes.TrimLeft(raw, " \t\r\n"); len(trimmed) > 0 && trimmed[0] == '[' {
+		err = dec.Decode(&wrapped.Federations)
+	} else {
+		err = dec.Decode(&wrapped)
+	}
+	if err == nil {
+		if _, tail := dec.Token(); tail != io.EOF {
+			err = errors.New("data after the config document")
+		}
+	}
+	if err != nil {
 		return nil, fmt.Errorf("server: parsing federation config: %w", err)
 	}
 	return wrapped.Federations, nil

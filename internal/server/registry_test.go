@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/federation"
 	"repro/internal/ires"
 	"repro/internal/tpch"
 )
@@ -34,9 +35,40 @@ func TestLoadSpecsWrappedAndBare(t *testing.T) {
 	}
 }
 
+// TestLoadSpecsRejectsUnknownKeys: a key the spec does not have fails
+// the load in both config shapes — a typo must not boot a default
+// tenant, and a config written for a build that still had the prune,
+// cache-size and calibration knobs must not lose them silently.
+func TestLoadSpecsRejectsUnknownKeys(t *testing.T) {
+	for _, kv := range [][2]string{
+		{"node_choises", `[1, 2, 4, 8]`},
+		{"prune_policy", `"greedy"`},
+		{"prune_budget", `64`},
+		{"cache_size", `-1`},
+		{"calib_sf", `0.004`},
+	} {
+		spec := fmt.Sprintf(`{"name": "a", %q: %s}`, kv[0], kv[1])
+		for shape, doc := range map[string]string{
+			"bare":    `[` + spec + `]`,
+			"wrapped": `{"federations": [` + spec + `]}`,
+		} {
+			_, err := LoadSpecs(strings.NewReader(doc))
+			if err == nil || !strings.Contains(err.Error(), kv[0]) {
+				t.Errorf("%s config %s: err = %v, want one naming the key", shape, doc, err)
+			}
+		}
+	}
+	if _, err := LoadSpecs(strings.NewReader(`{"federations": [{"name": "a"}], "federation": []}`)); err == nil {
+		t.Error("unknown top-level key accepted")
+	}
+	if _, err := LoadSpecs(strings.NewReader(`[{"name": "a"}] [{"name": "b"}]`)); err == nil {
+		t.Error("a second document after the config accepted")
+	}
+}
+
 func TestSpecDefaults(t *testing.T) {
 	sp := (&FederationSpec{Name: "x"}).withDefaults()
-	if sp.Topology != "default" || sp.SF != 0.1 || sp.CalibSF != 0.004 || sp.Bootstrap != 20 {
+	if sp.Topology != "default" || sp.SF != 0.1 || sp.Bootstrap != 20 {
 		t.Fatalf("defaults: %+v", sp)
 	}
 	qs, err := sp.queries()
@@ -58,15 +90,6 @@ func TestSpecValidation(t *testing.T) {
 	if _, err := buildTenant(FederationSpec{Name: "x", Queries: []string{"Q1"}}, StoreConfig{}, nil, false, nil, nil); err == nil {
 		t.Fatal("unstudied query should error")
 	}
-	if _, err := buildTenant(FederationSpec{Name: "x", PrunePolicy: "mars"}, StoreConfig{}, nil, false, nil, nil); err == nil {
-		t.Fatal("unknown prune policy should error")
-	}
-	if _, err := buildTenant(FederationSpec{Name: "x", PruneBudget: 100}, StoreConfig{}, nil, false, nil, nil); err == nil {
-		t.Fatal("prune budget without a pruning policy should error")
-	}
-	if _, err := buildTenant(FederationSpec{Name: "x", PrunePolicy: "greedy", PruneBudget: -1}, StoreConfig{}, nil, false, nil, nil); err == nil {
-		t.Fatal("negative prune budget should error")
-	}
 	if _, err := New(Config{}); err == nil {
 		t.Fatal("empty config should error")
 	}
@@ -82,11 +105,36 @@ func TestSpecValidation(t *testing.T) {
 	}
 }
 
-// TestCalibrationMemoDecidesIdentically: New calibrates once per
-// (CalibSF, Seed), not once per tenant. Two specs sharing the pair — on
-// different topologies, since the claim is that calibration reads none of
-// it — must decide byte-identically whether the second reuses the first's
-// calibration or pays for its own.
+// TestServedLatticeBound pins the traffic fact midasd's configuration
+// surface rests on: whatever -node-choices says, no topology a spec can
+// name reaches a lattice of more than 256 plans — the size up to which
+// GreedyPrune's default budget is the full sweep — so the daemon has no
+// prune knob.
+func TestServedLatticeBound(t *testing.T) {
+	for name, topology := range topologies {
+		fed, err := topology(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range tpch.AllQueries {
+			lat, err := fed.PlanLattice(q, federation.NodeRange(64))
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("%s %v: %d plans", name, q, lat.Size())
+			if lat.Size() > 256 {
+				t.Errorf("%s %v: a -node-choices menu reaches %d plans, past the 256 under which pruning is the full sweep: "+
+					"a wider served topology reopens ROADMAP 5(b) (does GreedyPrune pay at a size midasd serves?)", name, q, lat.Size())
+			}
+		}
+	}
+}
+
+// TestCalibrationMemoDecidesIdentically: New calibrates once per seed,
+// not once per tenant. Two specs sharing it — on different topologies,
+// since the claim is that calibration reads none of it — must decide
+// byte-identically whether the second reuses the first's calibration or
+// pays for its own.
 func TestCalibrationMemoDecidesIdentically(t *testing.T) {
 	specs := []FederationSpec{
 		{Name: "a", Queries: []string{"Q12"}, Bootstrap: 12},
@@ -116,7 +164,7 @@ func TestCalibrationMemoDecidesIdentically(t *testing.T) {
 	memo := make(calibrations)
 	with, without := run(memo), run(nil)
 	if len(memo) != 1 {
-		t.Fatalf("memo holds %d calibrations for two specs sharing (CalibSF, Seed), want 1", len(memo))
+		t.Fatalf("memo holds %d calibrations for two specs sharing a seed, want 1", len(memo))
 	}
 	if with != without {
 		t.Fatalf("decisions differ with the memo:\n%s\nwithout:\n%s", with, without)

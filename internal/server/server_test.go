@@ -375,22 +375,43 @@ func TestServeIntegration(t *testing.T) {
 	}
 }
 
-// TestPrunePolicyOnTheWire builds a real tenant under the "greedy"
-// prune policy and checks the policy and sweep accounting surface in
-// both the query response and /v1/stats.
+// TestPrunePolicyOnTheWire serves an embedder-assembled scheduler that
+// prunes (midasd itself only sweeps in full): the response reports the
+// decision's policy and accounting, and /v1/stats — which reads the
+// decisions, not any configuration — agrees with it.
 func TestPrunePolicyOnTheWire(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-stack serve test")
 	}
-	srv, err := New(Config{Federations: []FederationSpec{{
-		Name:        "pruned",
-		SF:          0.05,
-		NodeChoices: []int{1, 2},
-		Bootstrap:   12,
-		Queries:     []string{"Q12"},
-		PrunePolicy: "greedy",
-		PruneBudget: 64,
-	}}})
+	const maxNodes = 12 // 2×12×12 = 288 plans, past GreedyPrune(64)'s budget
+	fed, err := federation.WideTopology(3, maxNodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cal, err := federation.Calibrate(fed, calibSF, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exec, err := federation.NewScaledExecutor(fed, cal, 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := ires.NewDREAMModel(core.Config{MMax: dreamMMax})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched, err := ires.NewSchedulerWithConfig(fed, exec, model, ires.SchedulerConfig{
+		NodeChoices: federation.NodeRange(maxNodes),
+		Seed:        3,
+		Prune:       ires.GreedyPrune(64),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sched.Bootstrap(tpch.QueryQ12, 24); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewWithSchedulers(Config{}, map[string]QueryScheduler{"pruned": sched}, []tpch.QueryID{tpch.QueryQ12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,9 +426,7 @@ func TestPrunePolicyOnTheWire(t *testing.T) {
 	if err := json.Unmarshal(body, &qr); err != nil {
 		t.Fatal(err)
 	}
-	// The 8-plan lattice is under the budget, so greedy sweeps it in
-	// full — but the policy label and accounting must still surface.
-	if qr.PrunePolicy != "greedy" || qr.PlansEstimated < 1 || qr.PlansEstimated > qr.PlanSpace {
+	if qr.PrunePolicy != "greedy" || qr.PlanSpace != 2*maxNodes*maxNodes || qr.PlansEstimated < 1 || qr.PlansEstimated >= qr.PlanSpace {
 		t.Fatalf("prune fields: %+v", qr)
 	}
 
@@ -424,7 +443,7 @@ func TestPrunePolicyOnTheWire(t *testing.T) {
 	if !ok {
 		t.Fatalf("stats missing tenant: %+v", sr)
 	}
-	if fs.PrunePolicy != "greedy" || fs.PlanSpace != int64(qr.PlanSpace) || fs.PlansEstimated != int64(qr.PlansEstimated) {
+	if fs.PlanSpace != int64(qr.PlanSpace) || fs.PlansEstimated != int64(qr.PlansEstimated) {
 		t.Fatalf("stats prune fields: %+v vs response %+v", fs, qr)
 	}
 }

@@ -24,14 +24,6 @@ type tenantStats struct {
 	// decision on the serving hot path, so they are plain atomics.
 	plansEstimated atomic.Int64
 	planSpace      atomic.Int64
-	// prunePolicy is the tenant's configured prune policy name, set once
-	// at assembly before serving starts (newTenantStats defaults it to
-	// "full", matching the scheduler default).
-	prunePolicy string
-}
-
-func newTenantStats() *tenantStats {
-	return &tenantStats{prunePolicy: "full"}
 }
 
 // register publishes the counters as scrape-time collectors reading
@@ -90,7 +82,6 @@ func (t *tenantStats) snapshot(latency *metrics.Histogram) FederationStats {
 		Sweeps:             t.sweeps.Load(),
 		PlansEstimated:     t.plansEstimated.Load(),
 		PlanSpace:          t.planSpace.Load(),
-		PrunePolicy:        t.prunePolicy,
 		HistoryTruncated:   t.histTruncated.Load(),
 		Checkpoints:        t.checkpoints.Load(),
 		CheckpointFailures: t.checkpointErr.Load(),

@@ -338,12 +338,11 @@ type (
 	Policy = ires.Policy
 	// Decision reports one scheduling round.
 	Decision = ires.Decision
-	// SchedulerConfig adds the model-cache and durability knobs:
-	// CacheSize tunes the Modelling module's per-(history, version)
-	// model cache, and Store injects a durable HistoryStore the
-	// scheduler recovers from and records through. Decisions are
-	// byte-identical cached or uncached, at any GOMAXPROCS and any
-	// request concurrency, including across a store-backed restart.
+	// SchedulerConfig adds the durability knob: Store injects a durable
+	// HistoryStore the scheduler recovers from and records through.
+	// Decisions are byte-identical cached or uncached (the model cache
+	// is DREAMConfig.CacheSize), at any GOMAXPROCS and any request
+	// concurrency, including across a store-backed restart.
 	SchedulerConfig = ires.SchedulerConfig
 	// PrunePolicy decides which QEPs of the lattice a sweep actually
 	// estimates. Set SchedulerConfig.Prune; nil sweeps the whole

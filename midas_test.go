@@ -61,14 +61,11 @@ func TestFacadeSchedulerWithConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	model, err := NewDREAMModel(DREAMConfig{MMax: 3 * (FeatureDim + 2)})
+	model, err := NewDREAMModel(DREAMConfig{MMax: 3 * (FeatureDim + 2), CacheSize: DefaultModelCacheSize})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched, err := NewSchedulerWithConfig(fed, exec, model, SchedulerConfig{
-		Seed:      19,
-		CacheSize: DefaultModelCacheSize,
-	})
+	sched, err := NewSchedulerWithConfig(fed, exec, model, SchedulerConfig{Seed: 19})
 	if err != nil {
 		t.Fatal(err)
 	}
