@@ -22,7 +22,7 @@ const (
 	replDisarmed replState = iota
 	// replHeld: a full sync is in flight. Frames are buffered (the
 	// stream stays contiguous with the sync point) but not shipped
-	// until Release confirms the standby imported the snapshot — or
+	// until Release confirms the standby holds the synced state — or
 	// Disarm abandons the sync. Acks do NOT wait: until the sync
 	// completes the shard is still in its degraded-to-local-durability
 	// window, and blocking writes on a standby that may be hung is
@@ -67,7 +67,7 @@ type Replicator struct {
 }
 
 // NewReplicator builds a replicator delivering through ship. All shards
-// start disarmed; Arm each one after a full sync.
+// start disarmed; Hold and Release each one around a full sync.
 func NewReplicator(ship ShipFunc) *Replicator {
 	return &Replicator{ship: ship, shards: make(map[string]*replShard)}
 }
@@ -84,31 +84,20 @@ func (r *Replicator) shard(name string) *replShard {
 	return s
 }
 
-// Arm marks shard as streaming with the standby holding every frame
-// below next. Call it at the exact point the full-sync snapshot was
-// cut — under the same lock that orders WAL appends — so the stream is
-// contiguous with the shipped state.
-func (r *Replicator) Arm(shard string, next uint64) {
-	r.arm(shard, next, replStreaming)
-}
-
-// Hold is the first half of a two-phase Arm: the stream starts
-// buffering at next (call it at the sync cut, under the WAL lock, like
-// Arm) but nothing ships until Release confirms the standby actually
-// imported the synced state. Without the hold, frames appended during
-// the sync transfer could reach the standby before the snapshot they
+// Hold is the first half of arming shard: the stream starts buffering
+// at next — call it at the exact point the full sync was cut, under the
+// same lock that orders WAL appends, so the stream is contiguous with
+// the shipped state — but nothing ships until Release confirms the
+// standby actually holds that state. Without the hold, frames appended
+// during the sync transfer could reach the standby before the cut they
 // extend. Acks are not blocked while held — the shard was running on
 // local durability before the sync began and keeps doing so until the
 // stream is actually live — so a hung standby can slow only its own
 // re-arm, never the write path.
 func (r *Replicator) Hold(shard string, next uint64) {
-	r.arm(shard, next, replHeld)
-}
-
-func (r *Replicator) arm(shard string, next uint64, st replState) {
 	s := r.shard(shard)
 	s.mu.Lock()
-	s.state = st
+	s.state = replHeld
 	s.buf = nil
 	s.bufFrom = next
 	s.bufCount = 0

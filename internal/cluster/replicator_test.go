@@ -32,10 +32,17 @@ func (c *collectShip) ship(shard string, from uint64, frames []byte, count int) 
 	return nil
 }
 
+// arm takes shard to streaming the only way production does: Hold at the
+// cut, Release once the standby has it.
+func arm(r *Replicator, shard string, next uint64) {
+	r.Hold(shard, next)
+	r.Release(shard)
+}
+
 func TestReplicatorShipsInOrderAndWaits(t *testing.T) {
 	c := &collectShip{}
 	r := NewReplicator(c.ship)
-	r.Arm("Q12", 0)
+	arm(r, "Q12", 0)
 	var want []byte
 	for seq := uint64(0); seq < 50; seq++ {
 		frame := []byte{byte(seq), byte(seq >> 8), 0xab}
@@ -76,7 +83,7 @@ func TestReplicatorDegradeOnShipFailure(t *testing.T) {
 	r := NewReplicator(c.ship)
 	degraded := make(chan string, 1)
 	r.OnDegrade = func(shard string, err error) { degraded <- shard }
-	r.Arm("Q12", 0)
+	arm(r, "Q12", 0)
 	r.AppendFrame("Q12", 0, []byte{1})
 	select {
 	case sh := <-degraded:
@@ -99,7 +106,7 @@ func TestReplicatorDegradeOnShipFailure(t *testing.T) {
 	c.fail = nil
 	c.next = 10
 	c.mu.Unlock()
-	r.Arm("Q12", 10)
+	arm(r, "Q12", 10)
 	r.AppendFrame("Q12", 10, []byte{3})
 	if err := r.WaitFrame("Q12", 10); err != nil {
 		t.Fatal(err)
@@ -112,7 +119,7 @@ func TestReplicatorDegradeOnShipFailure(t *testing.T) {
 func TestReplicatorDegradeOnSequenceGap(t *testing.T) {
 	c := &collectShip{}
 	r := NewReplicator(c.ship)
-	r.Arm("Q12", 0)
+	arm(r, "Q12", 0)
 	r.AppendFrame("Q12", 0, []byte{1})
 	if err := r.WaitFrame("Q12", 0); err != nil {
 		t.Fatal(err)
@@ -192,7 +199,7 @@ func TestReplicatorDisarmReleasesWaiters(t *testing.T) {
 		<-block
 		return nil
 	})
-	r.Arm("Q12", 0)
+	arm(r, "Q12", 0)
 	r.AppendFrame("Q12", 0, []byte{1})
 	done := make(chan struct{})
 	go func() {

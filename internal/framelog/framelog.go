@@ -78,6 +78,23 @@ func Append(buf, payload []byte) []byte {
 	return Finish(append(buf, payload...), at)
 }
 
+// Prefix measures the longest run of whole frames at the start of buf
+// that fits in max bytes — at least one frame, however long — by their
+// length words alone: n is its byte count, frames how many it holds. It
+// is how a sender cuts a log into batches on frame boundaries; checking
+// the frames is the receiver's Scan. n == 0 with buf non-empty means buf
+// does not begin with a whole frame.
+func Prefix(buf []byte, max int) (n, frames int) {
+	for n+HeaderSize <= len(buf) {
+		size := HeaderSize + int64(binary.LittleEndian.Uint32(buf[n:]))
+		if size > int64(len(buf)-n) || (frames > 0 && size > int64(max-n)) {
+			break
+		}
+		n, frames = n+int(size), frames+1
+	}
+	return n, frames
+}
+
 // Scan reads frames from r in order, invoking fn with each intact
 // frame's start offset and payload (valid only during the call), and
 // returns the offset at which the valid prefix ends. A corrupt frame —

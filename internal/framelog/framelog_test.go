@@ -81,6 +81,38 @@ func TestEncodersAgreeAndRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPrefixCutsOnFrameBoundaries: for every byte budget and every cut of
+// the log, Prefix stops on a frame boundary, takes as many whole frames
+// as fit and never fewer than one — and cutting a log with it loses and
+// repeats nothing.
+func TestPrefixCutsOnFrameBoundaries(t *testing.T) {
+	log, bounds, _ := testLog(6)
+	for max := 0; max <= len(log)+1; max++ {
+		for cut := 0; cut <= len(log); cut++ {
+			n, frames := Prefix(log[:cut], max)
+			want := 0
+			for want+1 < len(bounds) && bounds[want+1] <= int64(cut) && (want == 0 || bounds[want+1] <= int64(max)) {
+				want++
+			}
+			if frames != want || int64(n) != bounds[want] {
+				t.Fatalf("Prefix(log[:%d], %d) = %d bytes, %d frames; want %d, %d", cut, max, n, frames, bounds[want], want)
+			}
+		}
+		var got []byte
+		for rest := log; len(rest) > 0; {
+			n, _ := Prefix(rest, max)
+			got, rest = append(got, rest[:n]...), rest[n:]
+		}
+		if !bytes.Equal(got, log) {
+			t.Fatalf("max=%d: the batches do not add up to the log", max)
+		}
+	}
+	// A length word that promises more than the machine could hold.
+	if n, frames := Prefix([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 1}, 1<<30); n != 0 || frames != 0 {
+		t.Fatalf("forged length: %d bytes, %d frames", n, frames)
+	}
+}
+
 // TestTornTailEveryByteOffset cuts the log at every byte: the valid
 // prefix is always the frames wholly before the cut, TruncateTornTail
 // forgives the rest and Strict refuses it.

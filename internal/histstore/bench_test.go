@@ -145,23 +145,25 @@ func BenchmarkRecovery(b *testing.B) {
 			}
 			b.Run(name, func(b *testing.B) {
 				dir := write(b, size, opts)
-				var export bytes.Buffer
+				var export int
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					s := reopen(b, dir, size, opts)
 					if i == 0 {
 						b.StopTimer()
-						if err := s.ExportShard("bench", &export, nil); err != nil {
+						_, frames, err := s.ExportShard("bench", nil)
+						if err != nil {
 							b.Fatal(err)
 						}
+						export = len(frames)
 						b.StartTimer()
 					}
 					if err := s.Close(); err != nil {
 						b.Fatal(err)
 					}
 				}
-				b.ReportMetric(float64(export.Len()), "export-B")
+				b.ReportMetric(float64(export), "export-B")
 			})
 		}
 	}

@@ -60,7 +60,7 @@ func FuzzReplay(f *testing.F) {
 		if withHeader {
 			files[snapshotName] = header.Bytes()
 		}
-		dir := installShard(t, "Q12", files)
+		dir := writeShardDir(t, "Q12", files)
 		shard := filepath.Join(dir, "Q12")
 		open := func() (*core.History, func(), error) {
 			s, err := Open(dir, Options{})

@@ -125,7 +125,7 @@ type Store struct {
 
 	// Replica shards: WAL files this store appends raw mirrored frames
 	// to without ever opening them as histories (the standby half of
-	// cluster replication). Keyed by shard name, lazily initialised.
+	// cluster replication). Keyed by shard name.
 	replMu   sync.Mutex
 	replicas map[string]*replica
 }
@@ -198,7 +198,7 @@ func Open(root string, opts Options) (*Store, error) {
 	if opts.Retain < 0 {
 		return nil, fmt.Errorf("histstore: negative Retain %d", opts.Retain)
 	}
-	s := &Store{root: root, opts: opts, shards: make(map[string]*shard),
+	s := &Store{root: root, opts: opts, shards: make(map[string]*shard), replicas: make(map[string]*replica),
 		createSegment: createSegment, removeSegment: os.Remove}
 	if opts.Metrics != nil {
 		label := opts.MetricsStore
@@ -231,7 +231,9 @@ func (s *Store) OpenHistory(name string, dim int, metrics []string) (*core.Histo
 	// A standby promoting this shard (takeover) stops mirroring it the
 	// moment it becomes a live history; release the replica handle so
 	// the open owns the WAL file exclusively.
+	s.replMu.Lock()
 	s.closeReplica(name)
+	s.replMu.Unlock()
 	sh, err := s.openShard(name, dim, metrics)
 	if err != nil {
 		return nil, err

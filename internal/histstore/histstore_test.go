@@ -107,8 +107,8 @@ func compactedSnapshot(t *testing.T, n int) []byte {
 	return doc.Bytes()
 }
 
-// installShard writes a shard directory holding the given files.
-func installShard(t *testing.T, shard string, files map[string][]byte) string {
+// writeShardDir writes a shard directory holding the given files.
+func writeShardDir(t *testing.T, shard string, files map[string][]byte) string {
 	t.Helper()
 	dir := t.TempDir()
 	if err := os.MkdirAll(filepath.Join(dir, shard), 0o755); err != nil {
@@ -205,8 +205,10 @@ func wantSegments(t *testing.T, dir, shard string, starts []uint64, n int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != len(starts)+1 {
-		t.Fatalf("shard directory holds %d files, want %d segments and the header", len(entries), len(starts))
+	// The header is written at the first open: a replica has none yet.
+	entries = slices.DeleteFunc(entries, func(e os.DirEntry) bool { return e.Name() == snapshotName })
+	if len(entries) != len(starts) {
+		t.Fatalf("shard directory holds %d files beside the header, want the %d segments", len(entries), len(starts))
 	}
 }
 
@@ -282,7 +284,7 @@ func TestRecoveredEstimatesIdentical(t *testing.T) {
 				synced := int64(max(syncedN-int(newest), 0)) * testFrameSize
 				cut := synced + rng.Int63n(int64(len(wal))-synced+1)
 				files[segmentName(newest)] = wal[:cut]
-				crashed := installShard(t, "Q13", files)
+				crashed := writeShardDir(t, "Q13", files)
 				s2 := openStore(t, crashed, Options{Retain: opts.Retain})
 				h2 := openHist(t, s2, "Q13")
 				got := h2.Len()
@@ -382,7 +384,7 @@ func TestRecoverySkipsCoveredFrames(t *testing.T) {
 	}
 	full := wantLayout(t, src, "Q12", 7)
 	for _, covered := range []int{3, 7} {
-		dir := installShard(t, "Q12", map[string][]byte{snapshotName: compactedSnapshot(t, covered), walName: full})
+		dir := writeShardDir(t, "Q12", map[string][]byte{snapshotName: compactedSnapshot(t, covered), walName: full})
 		s2 := openStore(t, dir, Options{})
 		wantPrefix(t, openHist(t, s2, "Q12"), 7)
 		if err := s2.Close(); err != nil {
@@ -479,7 +481,7 @@ func TestCorruptMidFrameTruncates(t *testing.T) {
 // folded into the WAL, and the WAL takes over for everything appended
 // afterwards.
 func TestDroppedInSnapshotOpens(t *testing.T) {
-	dir := installShard(t, "Q12", map[string][]byte{snapshotName: compactedSnapshot(t, 6)})
+	dir := writeShardDir(t, "Q12", map[string][]byte{snapshotName: compactedSnapshot(t, 6)})
 	s := openStore(t, dir, Options{})
 	h := openHist(t, s, "Q12")
 	wantPrefix(t, h, 6)
@@ -692,7 +694,7 @@ func TestGoldenFixtures(t *testing.T) {
 	// Decode: the parent-written shard recovers whole and is folded —
 	// frames 0..5 re-encoded from the snapshot's observations, frames
 	// 6..10 byte-identical to the fixture's.
-	dir := installShard(t, "Q12", map[string][]byte{snapshotName: snap, walName: suffix})
+	dir := writeShardDir(t, "Q12", map[string][]byte{snapshotName: snap, walName: suffix})
 	s := openStore(t, dir, Options{})
 	h := openHist(t, s, "Q12")
 	wantPrefix(t, h, 11)
@@ -741,7 +743,7 @@ func TestGoldenFixtures(t *testing.T) {
 		"during the wal rewrite": {snapshotName: snap, walName: suffix, walName + framelog.TmpSuffix: folded[:100]},
 		"between the two writes": {snapshotName: snap, walName: folded},
 	} {
-		dir := installShard(t, "Q12", files)
+		dir := writeShardDir(t, "Q12", files)
 		s := openStore(t, dir, Options{})
 		wantPrefix(t, openHist(t, s, "Q12"), 11)
 		s.Close()
@@ -754,7 +756,7 @@ func TestGoldenFixtures(t *testing.T) {
 	}
 	// The torn fixture recovers its prefix: the tail frame is dropped,
 	// not folded.
-	tornDir := installShard(t, "Q12", map[string][]byte{snapshotName: snap, walName: golden("wal-torn.log")})
+	tornDir := writeShardDir(t, "Q12", map[string][]byte{snapshotName: snap, walName: golden("wal-torn.log")})
 	s = openStore(t, tornDir, Options{})
 	wantPrefix(t, openHist(t, s, "Q12"), 10)
 	s.Close()

@@ -65,7 +65,7 @@ func TestOlderLayoutsShedTheirPrefix(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			n := tc.n
-			dir := installShard(t, "Q12", tc.files)
+			dir := writeShardDir(t, "Q12", tc.files)
 			s := openStore(t, dir, Options{Retain: testRetain})
 			h := openHist(t, s, "Q12")
 			wantRange(t, h, retainedBase(n, testRetain), n)
@@ -270,7 +270,7 @@ func TestDamagedClosedSegmentFailsOpen(t *testing.T) {
 		"frames under the wrong name":  damage(func(f map[string][]byte) { f[segmentName(16)] = f[segmentName(24)] }),
 	} {
 		t.Run(name, func(t *testing.T) {
-			dir := installShard(t, "Q12", broken)
+			dir := writeShardDir(t, "Q12", broken)
 			s := openStore(t, dir, Options{Retain: testRetain})
 			defer s.Close()
 			if _, err := s.OpenHistory("Q12", 1, testMetrics); err == nil {
@@ -298,12 +298,12 @@ func TestDamagedClosedSegmentFailsOpen(t *testing.T) {
 		})
 	}
 	// The newest segment is the one that may be torn.
-	torn := installShard(t, "Q12", damage(func(f map[string][]byte) { f[segmentName(24)] = f[segmentName(24)][:testFrameSize+9] }))
+	torn := writeShardDir(t, "Q12", damage(func(f map[string][]byte) { f[segmentName(24)] = f[segmentName(24)][:testFrameSize+9] }))
 	s = openStore(t, torn, Options{Retain: testRetain})
 	defer s.Close()
 	wantRange(t, openHist(t, s, "Q12"), retainedBase(25, testRetain), 25)
 	// A name that is not a segment's is not skipped over.
-	odd := installShard(t, "Q12", damage(func(f map[string][]byte) { f["wal-16.log"] = f[segmentName(16)] }))
+	odd := writeShardDir(t, "Q12", damage(func(f map[string][]byte) { f["wal-16.log"] = f[segmentName(16)] }))
 	s = openStore(t, odd, Options{Retain: testRetain})
 	defer s.Close()
 	if _, err := s.OpenHistory("Q12", 1, testMetrics); err == nil {

@@ -2,10 +2,8 @@ package histstore
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 
@@ -13,197 +11,45 @@ import (
 	"repro/internal/framelog"
 )
 
-// Shard transfer wire format — the histstore side of cluster handoff
-// and standby replication. A shard export is three framelog frames
-// (DESIGN.md "Framed logs") whose payload opens with a kind:
-//
-//	kind uint32 LE  sectionSnapshot, sectionWAL, then sectionEnd
-//	body            the section's bytes (empty for sectionEnd)
-//
-// The snapshot body is the shard's snapshot.json bytes verbatim (the
-// shape header; empty in a stream from a build that wrote none) and the
-// WAL body is the raw framing of every segment present, oldest first —
-// the same bytes a shard open replays, so the importing side recovers
-// with exactly the code path a restart uses. The first frame's sequence
-// number is the base the shipped history starts at.
-// The format is wire-only: both ends of a stream run the same build.
-
-const (
-	sectionSnapshot = 1
-	sectionWAL      = 2
-	sectionEnd      = 3
-
-	// maxSectionPayload bounds one section (every frame a shard holds);
-	// far above any real shard. framelog grows a buffer this large only
-	// as its bytes arrive, so the bound is not an allocation request.
-	maxSectionPayload = 1 << 30
-)
-
-// ExportShard streams the named open shard's durable state — header
-// plus WAL — to w in the section format above. The shard lock is held
-// for the duration, so the export is a consistent point-in-time cut:
-// no append lands between the exported WAL tail and the cut.
+// ExportShard cuts the named open shard for a transfer to another node:
+// the raw framing of every segment present, oldest first — the bytes a
+// shard open replays, and what AppendReplicaFrames takes — and the
+// sequence of the first frame in them. The shard lock is held for the
+// duration, so the cut is a consistent point in time: no append lands
+// between the last frame returned and the cut.
 //
 // arm, when non-nil, is invoked under that same lock with the sequence
 // number of the next append — the exact point a replication mirror must
-// resume from for its stream to be contiguous with the exported state.
-func (s *Store) ExportShard(name string, w io.Writer, arm func(next uint64)) error {
+// resume from for its stream to be contiguous with the cut.
+func (s *Store) ExportShard(name string, arm func(next uint64)) (from uint64, frames []byte, err error) {
 	s.mu.Lock()
 	sh := s.shards[name]
 	s.mu.Unlock()
 	if sh == nil {
-		return fmt.Errorf("histstore: export of unopened shard %q", name)
+		return 0, nil, fmt.Errorf("histstore: export of unopened shard %q", name)
 	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if sh.broken != nil {
-		return fmt.Errorf("histstore: shard unusable: %w", sh.broken)
+		return 0, nil, fmt.Errorf("histstore: shard unusable: %w", sh.broken)
 	}
-	snap, err := os.ReadFile(filepath.Join(sh.wal.dir, snapshotName))
-	if err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("histstore: export %q: %w", name, err)
-	}
-	var wal []byte
 	for _, start := range sh.wal.starts {
 		seg, err := os.ReadFile(filepath.Join(sh.wal.dir, segmentName(start)))
 		if err != nil {
-			return fmt.Errorf("histstore: export %q: %w", name, err)
+			return 0, nil, fmt.Errorf("histstore: export %q: %w", name, err)
 		}
-		wal = append(wal, seg...)
-	}
-	var buf []byte
-	for _, sec := range []struct {
-		kind uint32
-		body []byte
-	}{{sectionSnapshot, snap}, {sectionWAL, wal}, {sectionEnd, nil}} {
-		var at int
-		buf, at = framelog.Begin(buf[:0])
-		buf = binary.LittleEndian.AppendUint32(buf, sec.kind)
-		buf = framelog.Finish(append(buf, sec.body...), at)
-		if _, err := w.Write(buf); err != nil {
-			return fmt.Errorf("histstore: export %q: %w", name, err)
-		}
+		frames = append(frames, seg...)
 	}
 	if arm != nil {
 		arm(sh.nextSeq)
 	}
-	return nil
-}
-
-// ImportShard installs an exported shard stream as the named shard's
-// durable state, replacing whatever the shard directory held (stale
-// state from an earlier ownership of the same tenant must not survive
-// a re-import). The shard must not be open; open it afterwards with
-// OpenHistory, which replays the imported state through the ordinary
-// recovery path.
-func (s *Store) ImportShard(name string, r io.Reader) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, open := s.shards[name]; open {
-		return fmt.Errorf("histstore: import into open shard %q", name)
-	}
-	s.closeReplica(name)
-	var snap, wal []byte
-	var haveSnap, haveWAL, ended bool
-	_, err := framelog.Scan(r, maxSectionPayload, framelog.Strict, func(_ int64, p []byte) error {
-		if len(p) < 4 || ended {
-			return fmt.Errorf("%w: section without a kind, or after the end marker", framelog.ErrCorrupt)
-		}
-		// The payload is only valid during the callback: keep a copy.
-		switch kind := binary.LittleEndian.Uint32(p); kind {
-		case sectionSnapshot:
-			snap, haveSnap = append([]byte(nil), p[4:]...), true
-		case sectionWAL:
-			wal, haveWAL = append([]byte(nil), p[4:]...), true
-		case sectionEnd:
-			ended = true
-		default:
-			return fmt.Errorf("unknown section kind %d", kind)
-		}
-		return nil
-	})
-	if err != nil {
-		return fmt.Errorf("histstore: import %q: %w", name, err)
-	}
-	if !haveSnap || !haveWAL || !ended {
-		return fmt.Errorf("histstore: import %q: truncated stream", name)
-	}
-	return s.installShard(name, snap, wal)
-}
-
-// installShard validates and writes an imported shard's files: the
-// header, and the WAL as the one segment its first frame names. Caller
-// holds s.mu.
-func (s *Store) installShard(name string, snap, wal []byte) error {
-	// Validate before touching disk: the snapshot must parse and the
-	// WAL must be wholly intact — an export is a clean cut, so a torn
-	// tail here is transfer corruption, not a crash artifact.
-	var compacted uint64
-	if len(snap) > 0 {
-		var err error
-		if compacted, err = loadSnapshotBytes(snap); err != nil {
-			return fmt.Errorf("histstore: import %q: snapshot: %w", name, err)
-		}
-	}
-	var base uint64
-	_, err := framelog.Scan(bytes.NewReader(wal), maxFramePayload, framelog.Strict, func(off int64, p []byte) error {
-		seq, err := frameSeq(p)
-		if off == 0 {
-			base = seq
-		}
-		return err
-	})
-	if err != nil {
-		return fmt.Errorf("histstore: import %q: wal: %w", name, err)
-	}
-	if compacted > 0 {
-		// A compacting build's stream: the snapshot holds what precedes
-		// the frames, and the open folds the two into one wal.log.
-		base = 0
-	}
-	dir := s.shardDir(name)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("histstore: import %q: %w", name, err)
-	}
-	// Whatever segments an earlier ownership left go first, oldest first
-	// (a crash part-way leaves a run that still opens); the one the import
-	// is about to replace goes by the rename.
-	stale, err := listSegments(dir)
-	if err != nil {
-		return fmt.Errorf("histstore: import %q: %w", name, err)
-	}
-	for _, start := range stale {
-		if start == base {
-			continue
-		}
-		if err := os.Remove(filepath.Join(dir, segmentName(start))); err != nil {
-			return fmt.Errorf("histstore: import %q: %w", name, err)
-		}
-	}
-	write := func(file string, data []byte) error {
-		return framelog.WriteFileAtomic(filepath.Join(dir, file), func(w io.Writer) error {
-			_, err := w.Write(data)
-			return err
-		})
-	}
-	if len(snap) > 0 {
-		err = write(snapshotName, snap)
-	} else if err = os.Remove(filepath.Join(dir, snapshotName)); os.IsNotExist(err) {
-		err = nil
-	}
-	if err == nil {
-		err = write(segmentName(base), wal)
-	}
-	if err != nil {
-		return fmt.Errorf("histstore: import %q: %w", name, err)
-	}
-	return nil
+	return sh.wal.starts[0], frames, nil
 }
 
 // ErrReplicaGap reports that a replica frame batch starts beyond the
 // replica's current tail — frames are missing, and appending the batch
 // would record a hole. The stream must be re-established with a full
-// sync (ImportShard).
+// sync (a rebasing batch).
 var ErrReplicaGap = errors.New("histstore: replica frame batch leaves a sequence gap")
 
 // replica is the standby-side state of one mirrored shard: the append
@@ -237,11 +83,12 @@ func (s *Store) openReplica(name string) (*replica, error) {
 	newest := starts[len(starts)-1]
 	next := newest
 	if raw, err := os.ReadFile(filepath.Join(dir, snapshotName)); err == nil {
-		n, err := loadSnapshotBytes(raw)
+		// Observations in the snapshot itself: an older, compacting build's.
+		h, err := core.LoadHistory(bytes.NewReader(raw))
 		if err != nil {
 			return nil, fmt.Errorf("replica snapshot: %w", err)
 		}
-		next = max(next, n)
+		next = max(next, uint64(h.Len()))
 	} else if !os.IsNotExist(err) {
 		return nil, err
 	}
@@ -261,33 +108,75 @@ func (s *Store) openReplica(name string) (*replica, error) {
 		return nil, err
 	}
 	r := &replica{next: next, wal: s.segLog(dir, f, starts)}
-	if s.replicas == nil {
-		s.replicas = make(map[string]*replica)
+	s.replicas[name] = r
+	return r, nil
+}
+
+// closeReplica drops the cached replica handle for name, if any. Caller
+// holds s.replMu.
+func (s *Store) closeReplica(name string) {
+	if r, ok := s.replicas[name]; ok {
+		r.wal.f.Close()
+		delete(s.replicas, name)
+	}
+}
+
+// rebaseReplica restarts the named shard's replica at from, holding
+// nothing: whatever an earlier ownership left in the directory — its
+// segments, then the header (or an older build's compacted snapshot)
+// beside them — is removed, oldest segment first, so a crash part-way
+// leaves a contiguous run that still opens. Caller holds s.replMu.
+func (s *Store) rebaseReplica(name string, from uint64) (*replica, error) {
+	s.closeReplica(name)
+	dir := s.shardDir(name)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, err
+	}
+	stale, err := listSegments(dir)
+	if err != nil {
+		return nil, err
+	}
+	for _, start := range stale {
+		if err := s.removeSegment(filepath.Join(dir, segmentName(start))); err != nil {
+			return nil, err
+		}
+	}
+	if err := os.Remove(filepath.Join(dir, snapshotName)); err != nil && !os.IsNotExist(err) {
+		return nil, err
+	}
+	f, err := s.createSegment(filepath.Join(dir, segmentName(from)))
+	if err != nil {
+		return nil, err
+	}
+	r := &replica{next: from, wal: s.segLog(dir, f, []uint64{from})}
+	if r.wal.durable {
+		// As after a roll: a frame acknowledged as fsynced must not sit in
+		// a file whose name a crash forgets.
+		if err := framelog.SyncDir(dir); err != nil {
+			f.Close()
+			return nil, err
+		}
 	}
 	s.replicas[name] = r
 	return r, nil
 }
 
-// closeReplica drops the cached replica handle for name, if any.
-// Callers hold s.mu (lock order: s.mu, then s.replMu).
-func (s *Store) closeReplica(name string) {
-	s.replMu.Lock()
-	if r, ok := s.replicas[name]; ok {
-		r.wal.f.Close()
-		delete(s.replicas, name)
-	}
-	s.replMu.Unlock()
-}
-
 // AppendReplicaFrames appends a batch of contiguous raw WAL frames —
-// exactly as a Mirror received them — to the named shard's replica WAL.
-// from is the sequence of the batch's first frame. Overlap with frames
-// already on the replica is skipped (shipping retries may resend);
-// a batch starting beyond the replica tail fails with ErrReplicaGap.
-// Returns the replica's next expected sequence.
+// exactly as a Mirror received them, or as ExportShard cut them — to the
+// named shard's replica WAL. from is the sequence of the batch's first
+// frame. Overlap with frames already on the replica is skipped (shipping
+// retries may resend); a batch starting beyond the replica tail fails
+// with ErrReplicaGap. Returns the replica's next expected sequence.
+//
+// rebase marks the first batch of a full transfer (the head of a cut):
+// the replica is emptied and restarted at from before the batch is
+// appended, so nothing an earlier ownership of the shard left behind
+// survives beside it, and the frames are laid out — rolled, trimmed — as
+// every later batch's are. A batch that fails its checks is refused with
+// the old replica untouched.
 //
 // The shard must not be open as a live history on this store.
-func (s *Store) AppendReplicaFrames(name string, from uint64, frames []byte) (uint64, error) {
+func (s *Store) AppendReplicaFrames(name string, from uint64, frames []byte, rebase bool) (uint64, error) {
 	// replMu is acquired while s.mu is still held: a takeover's
 	// OpenHistory (which runs under s.mu and closes the replica handle
 	// under replMu) cannot interleave between the open-check and the
@@ -301,24 +190,31 @@ func (s *Store) AppendReplicaFrames(name string, from uint64, frames []byte) (ui
 	s.replMu.Lock()
 	s.mu.Unlock()
 	defer s.replMu.Unlock()
-	r, err := s.openReplica(name)
-	if err != nil {
-		return 0, fmt.Errorf("histstore: replica %q: %w", name, err)
-	}
-	if from > r.next {
-		return r.next, fmt.Errorf("%w: shard %q has %d, batch starts at %d", ErrReplicaGap, name, r.next, from)
+	// next is the sequence the replica expects: its tail or, rebased,
+	// where it is about to start.
+	var r *replica
+	next := from
+	if !rebase {
+		var err error
+		if r, err = s.openReplica(name); err != nil {
+			return 0, fmt.Errorf("histstore: replica %q: %w", name, err)
+		}
+		if next = r.next; from > next {
+			return next, fmt.Errorf("%w: shard %q has %d, batch starts at %d", ErrReplicaGap, name, next, from)
+		}
 	}
 	// Walk the batch's framing to find where the overlap ends and where
 	// among the new frames a segment begins, checking that the sequence
 	// numbers are in fact contiguous from `from`.
 	seq := from
-	offset := int64(len(frames)) // of the first new frame (sequence r.next)
+	offset := int64(len(frames)) // of the first new frame (sequence next)
 	type cut struct {
 		off int64
 		seq uint64
 	}
 	var rolls []cut
-	_, err = framelog.Scan(bytes.NewReader(frames), maxFramePayload, framelog.Strict, func(off int64, p []byte) error {
+	retain := uint64(s.opts.Retain)
+	_, err := framelog.Scan(bytes.NewReader(frames), maxFramePayload, framelog.Strict, func(off int64, p []byte) error {
 		got, err := frameSeq(p)
 		if err != nil {
 			return err
@@ -326,20 +222,23 @@ func (s *Store) AppendReplicaFrames(name string, from uint64, frames []byte) (ui
 		if got != seq {
 			return fmt.Errorf("frame %d out of order (want %d)", got, seq)
 		}
-		if got == r.next {
+		if got == next {
 			offset = off
 		}
-		if got >= r.next && r.wal.retain > 0 && got%r.wal.retain == 0 {
+		if got >= next && retain > 0 && got%retain == 0 {
 			rolls = append(rolls, cut{off, got})
 		}
 		seq++
 		return nil
 	})
-	if err != nil {
-		return r.next, fmt.Errorf("histstore: replica %q: %w", name, err)
+	if err == nil && rebase {
+		r, err = s.rebaseReplica(name, from)
 	}
-	if seq <= r.next {
-		return r.next, nil // entire batch already applied
+	if err != nil {
+		return next, fmt.Errorf("histstore: replica %q: %w", name, err)
+	}
+	if seq <= next {
+		return next, nil // entire batch already applied
 	}
 	// A failed write or roll may leave part of the batch in the file
 	// while r.next stays behind; the duplicates a retry then appends are
@@ -372,35 +271,4 @@ func (s *Store) AppendReplicaFrames(name string, from uint64, frames []byte) (ui
 	}
 	r.next = seq
 	return r.next, nil
-}
-
-// ReplicaSeq reports the next sequence the named replica shard expects
-// (0 for an empty replica). Useful for observability and tests. Like
-// AppendReplicaFrames it refuses to touch a shard that is open as a
-// live history — opening a replica handle would scan (and possibly
-// torn-tail-truncate) a WAL mid-append.
-func (s *Store) ReplicaSeq(name string) (uint64, error) {
-	s.mu.Lock()
-	if _, open := s.shards[name]; open {
-		s.mu.Unlock()
-		return 0, fmt.Errorf("histstore: replica query of open shard %q", name)
-	}
-	s.replMu.Lock()
-	s.mu.Unlock()
-	defer s.replMu.Unlock()
-	r, err := s.openReplica(name)
-	if err != nil {
-		return 0, fmt.Errorf("histstore: replica %q: %w", name, err)
-	}
-	return r.next, nil
-}
-
-// loadSnapshotBytes parses a snapshot document and returns its
-// observation count.
-func loadSnapshotBytes(raw []byte) (uint64, error) {
-	h, err := core.LoadHistory(bytes.NewReader(raw))
-	if err != nil {
-		return 0, err
-	}
-	return uint64(h.Len()), nil
 }

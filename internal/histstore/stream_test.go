@@ -134,44 +134,81 @@ var transferCases = []struct {
 	off    int // observations the source holds before the test's first
 }{{"unbounded", 0, 0}, {"rolled", testRetain, 2 * testRetain}}
 
+// replicaNext reads how far s's replica of Q12 reaches, the way a peer
+// can: the ack of an empty batch.
+func replicaNext(t *testing.T, s *Store) int {
+	t.Helper()
+	next, err := s.AppendReplicaFrames("Q12", 0, nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return int(next)
+}
+
+// syncShard moves src's open Q12 onto dst the way a standby sync or a
+// handoff does — the cut, rebased — and returns the first sequence moved.
+func syncShard(t *testing.T, src, dst *Store) int {
+	t.Helper()
+	from, frames, err := src.ExportShard("Q12", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := from + uint64(len(frames)/testFrameSize)
+	if next, err := dst.AppendReplicaFrames("Q12", from, frames, true); err != nil || next != want {
+		t.Fatalf("rebase at %d: next=%d err=%v, want %d", from, next, err, want)
+	}
+	return int(from)
+}
+
 func TestExportImportRoundTrip(t *testing.T) {
 	for _, tc := range transferCases {
 		t.Run(tc.name, func(t *testing.T) {
 			n := tc.off + 20
 			opts := Options{Retain: tc.retain}
-			src := openStore(t, t.TempDir(), opts)
+			srcDir := t.TempDir()
+			src := openStore(t, srcDir, opts)
 			defer src.Close()
-			h := openHist(t, src, "Q12")
-			appendN(t, h, 0, n)
+			appendN(t, openHist(t, src, "Q12"), 0, n)
 
-			var buf bytes.Buffer
 			var armed uint64
-			if err := src.ExportShard("Q12", &buf, func(next uint64) { armed = next }); err != nil {
+			from, frames, err := src.ExportShard("Q12", func(next uint64) { armed = next })
+			if err != nil {
 				t.Fatal(err)
 			}
 			if int(armed) != n {
 				t.Fatalf("arm callback got next=%d, want %d", armed, n)
 			}
-			// A bounded shard ships the segments it holds, not its past.
-			base := int(liveStarts(tc.retain, n)[0])
+			// A bounded shard ships the segments it holds, not its past, and
+			// nothing but their bytes.
+			starts := liveStarts(tc.retain, n)
+			base := int(starts[0])
 			if tc.retain > 0 && (base == 0 || n-base > 2*tc.retain) {
 				t.Fatalf("source holds [%d, %d): not a rolled shard within its bound", base, n)
 			}
-			if want := (n-base)*testFrameSize + 300; buf.Len() > want {
-				t.Fatalf("export of frames %d..%d is %d bytes, want ≤ %d", base, n-1, buf.Len(), want)
+			if int(from) != base || len(frames) != (n-base)*testFrameSize {
+				t.Fatalf("cut is %d bytes from %d, want frames %d..%d = %d bytes", len(frames), from, base, n-1, (n-base)*testFrameSize)
 			}
+			wantSegments(t, srcDir, "Q12", starts, n)
 
+			// The receiver ends up holding what the owner holds, file for
+			// file, however the cut was batched: here a rebase and one
+			// continuation, split mid-segment.
 			dstDir := t.TempDir()
 			dst := openStore(t, dstDir, opts)
 			defer dst.Close()
-			if err := dst.ImportShard("Q12", bytes.NewReader(buf.Bytes())); err != nil {
-				t.Fatal(err)
+			const head = 5 * testFrameSize
+			if next, err := dst.AppendReplicaFrames("Q12", from, frames[:head], true); err != nil || int(next) != base+5 {
+				t.Fatalf("rebase: next=%d err=%v, want %d", next, err, base+5)
+			}
+			if next, err := dst.AppendReplicaFrames("Q12", from+5, frames[head:], false); err != nil || int(next) != n {
+				t.Fatalf("continuation: next=%d err=%v, want %d", next, err, n)
 			}
 			wantRange(t, openHist(t, dst, "Q12"), max(base, retainedBase(n, tc.retain)), n)
-			wantSegments(t, dstDir, "Q12", []uint64{uint64(base)}, n)
+			wantSegments(t, dstDir, "Q12", starts, n)
 
-			// Import must replace stale prior state, not merge with it:
-			// here a longer history of other observations, rolled further.
+			// A rebase must replace stale prior state, not merge with it: here
+			// a longer history of other observations, rolled further, that the
+			// store has already been mirroring into.
 			dst2Dir := t.TempDir()
 			dst2 := openStore(t, dst2Dir, opts)
 			stale := openHist(t, dst2, "Q12")
@@ -183,70 +220,112 @@ func TestExportImportRoundTrip(t *testing.T) {
 			dst2.Close()
 			dst2 = openStore(t, dst2Dir, opts)
 			defer dst2.Close()
-			if err := dst2.ImportShard("Q12", bytes.NewReader(buf.Bytes())); err != nil {
-				t.Fatal(err)
+			if got := replicaNext(t, dst2); got != n+tc.off+1 {
+				t.Fatalf("stale replica reaches %d, want %d", got, n+tc.off+1)
+			}
+			if got := syncShard(t, src, dst2); got != base {
+				t.Fatalf("second cut starts at %d, want %d", got, base)
 			}
 			wantRange(t, openHist(t, dst2, "Q12"), max(base, retainedBase(n, tc.retain)), n)
-			wantSegments(t, dst2Dir, "Q12", []uint64{uint64(base)}, n)
-
-			// The wire format did not move: a stream the parent commit exported
-			// (15 observations compacted into its snapshot section, 5 in its
-			// WAL section) imports, opens to the same history and is folded.
-			legacy, err := os.ReadFile(filepath.Join("testdata", "golden", "export.stream"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			dst3Dir := t.TempDir()
-			dst3 := openStore(t, dst3Dir, opts)
-			defer dst3.Close()
-			if err := dst3.ImportShard("Q12", bytes.NewReader(legacy)); err != nil {
-				t.Fatal(err)
-			}
-			wantRange(t, openHist(t, dst3, "Q12"), retainedBase(20, tc.retain), 20)
-			wantLayout(t, dst3Dir, "Q12", 20)
-			wantSegments(t, dst3Dir, "Q12", []uint64{0}, 20)
+			wantSegments(t, dst2Dir, "Q12", starts, n)
 		})
 	}
 }
 
 func TestExportImportGuards(t *testing.T) {
-	s := openStore(t, t.TempDir(), Options{})
+	dir := t.TempDir()
+	s := openStore(t, dir, Options{})
 	defer s.Close()
-	if err := s.ExportShard("nope", &bytes.Buffer{}, nil); err == nil {
+	if _, _, err := s.ExportShard("nope", nil); err == nil {
 		t.Error("export of unopened shard succeeded")
 	}
-	openHist(t, s, "Q12")
-	var buf bytes.Buffer
-	if err := s.ExportShard("Q12", &buf, nil); err != nil {
+	appendN(t, openHist(t, s, "Q12"), 0, 6)
+	from, frames, err := s.ExportShard("Q12", nil)
+	if err != nil || from != 0 {
+		t.Fatalf("export: from=%d err=%v", from, err)
+	}
+	if _, err := s.AppendReplicaFrames("Q12", from, frames, true); err == nil {
+		t.Error("rebase of an open shard succeeded")
+	}
+	// A first batch that is not whole, contiguous frames starting at its
+	// `from` is refused before disk: the replica it would have replaced
+	// (frames 0..2 of another history) is still there, byte for byte.
+	if _, err := s.AppendReplicaFrames("Q13", 0, frames[:3*testFrameSize], false); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.ImportShard("Q12", bytes.NewReader(buf.Bytes())); err == nil {
-		t.Error("import into open shard succeeded")
-	}
-	// A stream is three frames ending in the end marker (header + kind);
-	// anything else — a flipped payload byte, a missing end marker, a
-	// section after it, an unknown kind — is refused before disk.
-	const endFrameSize = framelog.HeaderSize + 4
-	raw := buf.Bytes()
-	flipped := append([]byte(nil), raw...)
-	flipped[len(flipped)-endFrameSize-1] ^= 0xff
-	unknown := framelog.Append(append([]byte(nil), raw[:len(raw)-endFrameSize]...), []byte{9, 0, 0, 0})
-	for name, stream := range map[string][]byte{
-		"flipped byte":   flipped,
-		"no end marker":  raw[:len(raw)-endFrameSize],
-		"torn end":       raw[:len(raw)-1],
-		"data after end": append(append([]byte(nil), raw...), raw[:endFrameSize]...),
-		"unknown kind":   unknown,
+	flipped := append([]byte(nil), frames...)
+	flipped[len(flipped)-1] ^= 0xff
+	for name, batch := range map[string]struct {
+		from   uint64
+		frames []byte
+	}{
+		"flipped byte":  {0, flipped},
+		"torn frame":    {0, frames[:len(frames)-1]},
+		"wrong from":    {1, frames},
+		"missing frame": {0, append(append([]byte(nil), frames[:2*testFrameSize]...), frames[3*testFrameSize:]...)},
 	} {
-		if err := s.ImportShard("Q13", bytes.NewReader(stream)); err == nil {
-			t.Errorf("%s: import stream accepted", name)
+		if _, err := s.AppendReplicaFrames("Q13", batch.from, batch.frames, true); err == nil {
+			t.Errorf("%s: rebase accepted", name)
 		}
-		if _, err := os.Stat(filepath.Join(s.root, "Q13")); !os.IsNotExist(err) {
-			t.Errorf("%s: refused import touched disk: %v", name, err)
+		if got, _ := os.ReadFile(filepath.Join(dir, "Q13", walName)); !bytes.Equal(got, frames[:3*testFrameSize]) {
+			t.Errorf("%s: refused rebase touched the replica (%d bytes left)", name, len(got))
 		}
 	}
-	if err := s.ImportShard("Q13", bytes.NewReader(raw)); err != nil {
-		t.Errorf("the unmodified stream was refused: %v", err)
+	if next, err := s.AppendReplicaFrames("Q13", from, frames, true); err != nil || next != 6 {
+		t.Errorf("the unmodified cut was refused: next=%d err=%v", next, err)
+	}
+	wantPrefix(t, openHist(t, s, "Q13"), 6)
+	// The cut carries no shape header: the receiving store writes its own,
+	// and frames of another shape still fail the open.
+	if _, err := s.AppendReplicaFrames("Q14", from, frames, true); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.OpenHistory("Q14", 2, testMetrics); err == nil {
+		t.Error("a shard of one-feature frames opened as a two-feature history")
+	}
+}
+
+// TestRebaseKilledBeforeContinuation: a receiver that dies after the
+// rebase batch of a long transfer and before its last continuation holds
+// a contiguous run — it reopens as a replica and as a history — and the
+// next round's rebase replaces it.
+func TestRebaseKilledBeforeContinuation(t *testing.T) {
+	for _, tc := range transferCases {
+		t.Run(tc.name, func(t *testing.T) {
+			n := tc.off + 20
+			opts := Options{Retain: tc.retain}
+			src := openStore(t, t.TempDir(), opts)
+			defer src.Close()
+			h := openHist(t, src, "Q12")
+			appendN(t, h, 0, n)
+			from, frames, err := src.ExportShard("Q12", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			base := int(from)
+
+			dstDir := t.TempDir()
+			dst := openStore(t, dstDir, opts)
+			if _, err := dst.AppendReplicaFrames("Q12", from, frames[:11*testFrameSize], true); err != nil {
+				t.Fatal(err)
+			}
+			dst.Close() // killed: the other 9+ frames never arrive
+			dst = openStore(t, dstDir, opts)
+			if got := replicaNext(t, dst); got != base+11 {
+				t.Fatalf("reopened replica reaches %d, want %d", got, base+11)
+			}
+			dst.Close()
+			dst = openStore(t, dstDir, opts)
+			wantRange(t, openHist(t, dst, "Q12"), max(base, retainedBase(base+11, tc.retain)), base+11)
+			dst.Close()
+
+			dst = openStore(t, dstDir, opts)
+			defer dst.Close()
+			appendN(t, h, n, 3)
+			syncShard(t, src, dst)
+			wantRange(t, openHist(t, dst, "Q12"), max(int(liveStarts(tc.retain, n+3)[0]), retainedBase(n+3, tc.retain)), n+3)
+			wantSegments(t, dstDir, "Q12", liveStarts(tc.retain, n+3), n+3)
+		})
 	}
 }
 
@@ -260,60 +339,45 @@ func TestReplicaAppendOverlapAndGap(t *testing.T) {
 			src := openStore(t, t.TempDir(), opts)
 			defer src.Close()
 			appendN(t, openHist(t, src, "Q12"), 0, off+4)
-			var syncBuf bytes.Buffer
-			if err := src.ExportShard("Q12", &syncBuf, nil); err != nil {
-				t.Fatal(err)
-			}
 
 			dstDir := t.TempDir()
 			dst := openStore(t, dstDir, opts)
 			defer func() { dst.Close() }()
-			if err := dst.ImportShard("Q12", bytes.NewReader(syncBuf.Bytes())); err != nil {
-				t.Fatal(err)
-			}
+			syncShard(t, src, dst)
 			wantNext := func(step string, want int, next uint64, err error) {
 				t.Helper()
 				if err != nil || int(next) != off+want {
 					t.Fatalf("%s: next=%d err=%v, want %d", step, next, err, off+want)
 				}
 			}
-			next, err := dst.ReplicaSeq("Q12")
-			wantNext("replica after the import", 4, next, err)
+			wantNext("replica after the sync", 4, uint64(replicaNext(t, dst)), nil)
 			// Ship frames 4..6, overlapping from 2.
-			next, err = dst.AppendReplicaFrames("Q12", uint64(off+2), frames(2, 7))
+			next, err := dst.AppendReplicaFrames("Q12", uint64(off+2), frames(2, 7), false)
 			wantNext("overlap append", 7, next, err)
 			// Re-ship the same batch: no-op.
-			next, err = dst.AppendReplicaFrames("Q12", uint64(off+2), frames(2, 7))
+			next, err = dst.AppendReplicaFrames("Q12", uint64(off+2), frames(2, 7), false)
 			wantNext("duplicate append", 7, next, err)
 			// A gap (skipping frames 7..8) must be rejected.
-			if _, err := dst.AppendReplicaFrames("Q12", uint64(off+9), frames(9, 10)); !errors.Is(err, ErrReplicaGap) {
+			if _, err := dst.AppendReplicaFrames("Q12", uint64(off+9), frames(9, 10), false); !errors.Is(err, ErrReplicaGap) {
 				t.Fatalf("gap append err = %v, want ErrReplicaGap", err)
 			}
 			// Finish the stream — for the rolled source, across the multiple
 			// of the bound at off+8, where the replica rolls as the owner did.
-			next, err = dst.AppendReplicaFrames("Q12", uint64(off+7), frames(7, 10))
+			next, err = dst.AppendReplicaFrames("Q12", uint64(off+7), frames(7, 10), false)
 			wantNext("tail append", 10, next, err)
-			replicaStarts := []uint64{0}
-			if tc.retain > 0 {
-				replicaStarts = []uint64{uint64(off - tc.retain), uint64(off + tc.retain)}
-			}
-			wantSegments(t, dstDir, "Q12", replicaStarts, off+10)
+			wantSegments(t, dstDir, "Q12", liveStarts(tc.retain, off+10), off+10)
 			// A restarted standby finds its place from the newest segment.
 			if err := dst.Close(); err != nil {
 				t.Fatal(err)
 			}
 			dst = openStore(t, dstDir, opts)
-			next, err = dst.ReplicaSeq("Q12")
-			wantNext("replica after a restart", 10, next, err)
+			wantNext("replica after a restart", 10, uint64(replicaNext(t, dst)), nil)
 			// Promote: the replica opens as a live history holding exactly
 			// the source's observations.
 			wantRange(t, openHist(t, dst, "Q12"), retainedBase(off+10, tc.retain), off+10)
 			// Once open, further replica appends must be refused.
-			if _, err := dst.AppendReplicaFrames("Q12", uint64(off+10), nil); err == nil {
+			if _, err := dst.AppendReplicaFrames("Q12", uint64(off+10), nil, false); err == nil {
 				t.Error("replica append to open shard succeeded")
-			}
-			if _, err := dst.ReplicaSeq("Q12"); err == nil {
-				t.Error("replica query of open shard succeeded")
 			}
 		})
 	}
@@ -335,19 +399,13 @@ func TestReplicaRollsAndTrims(t *testing.T) {
 		// The stream starts, as a standby's does, with a sync.
 		shipped := 3
 		appendN(t, h, 0, shipped)
-		var syncBuf bytes.Buffer
-		if err := src.ExportShard("Q12", &syncBuf, nil); err != nil {
-			t.Fatal(err)
-		}
-		if err := dst.ImportShard("Q12", &syncBuf); err != nil {
-			t.Fatal(err)
-		}
+		syncShard(t, src, dst)
 		for _, upTo := range []int{testRetain, testRetain + 1, 3*testRetain - 1, 6 * testRetain, n} { // batches that end at, after and span rolls
 			appendN(t, h, shipped, upTo-shipped)
 			m.mu.Lock()
 			batch := m.shards["Q12"][shipped*testFrameSize : upTo*testFrameSize]
 			m.mu.Unlock()
-			if next, err := dst.AppendReplicaFrames("Q12", uint64(shipped), batch); err != nil || int(next) != upTo {
+			if next, err := dst.AppendReplicaFrames("Q12", uint64(shipped), batch, false); err != nil || int(next) != upTo {
 				t.Fatalf("durable=%v: shipping %d..%d: next=%d err=%v", durable, shipped, upTo-1, next, err)
 			}
 			shipped = upTo
@@ -374,15 +432,9 @@ func TestReplicaAppendVsPromotionRace(t *testing.T) {
 			src := openStore(t, t.TempDir(), opts)
 			defer src.Close()
 			appendN(t, openHist(t, src, "Q12"), 0, off+6)
-			var syncBuf bytes.Buffer
-			if err := src.ExportShard("Q12", &syncBuf, nil); err != nil {
-				t.Fatal(err)
-			}
 			dst := openStore(t, t.TempDir(), opts)
 			defer dst.Close()
-			if err := dst.ImportShard("Q12", bytes.NewReader(syncBuf.Bytes())); err != nil {
-				t.Fatal(err)
-			}
+			syncShard(t, src, dst)
 			suffix := testFrames(off+4, off+12)
 
 			start := make(chan struct{})
@@ -394,7 +446,7 @@ func TestReplicaAppendVsPromotionRace(t *testing.T) {
 					<-start
 					for i := 0; i < 50; i++ {
 						// Overlapping suffix batches, as a retrying shipper sends.
-						_, _ = dst.AppendReplicaFrames("Q12", uint64(off+4), suffix)
+						_, _ = dst.AppendReplicaFrames("Q12", uint64(off+4), suffix, false)
 					}
 				}()
 			}
@@ -418,7 +470,7 @@ func TestReplicaAppendVsPromotionRace(t *testing.T) {
 			}
 			base := max(int(liveStarts(tc.retain, off+6)[0]), retainedBase(promoted.Len(), tc.retain))
 			wantRange(t, promoted, base, promoted.Len())
-			if _, err := dst.AppendReplicaFrames("Q12", uint64(off+4), suffix); err == nil {
+			if _, err := dst.AppendReplicaFrames("Q12", uint64(off+4), suffix, false); err == nil {
 				t.Error("replica append to promoted shard succeeded")
 			}
 		})

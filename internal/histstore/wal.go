@@ -45,8 +45,8 @@ func appendFrame(buf []byte, seq uint64, o core.Observation) []byte {
 }
 
 // frameSeq validates a CRC-checked payload's shape and returns its
-// sequence number without decoding the observation — all a replica or
-// an import, which only forward the bytes, need. A misshapen payload is
+// sequence number without decoding the observation — all a replica,
+// which only forwards the bytes, needs. A misshapen payload is
 // framelog.ErrCorrupt: the scan's policy decides what that means.
 func frameSeq(p []byte) (uint64, error) {
 	if len(p) < 12 {

@@ -186,12 +186,6 @@ type RouteUpdate struct {
 	Overrides map[string]string `json:"overrides,omitempty"`
 }
 
-// ReplicateResponse reports the standby's next expected WAL sequence
-// after a replica append or shard import.
-type ReplicateResponse struct {
-	Next uint64 `json:"next"`
-}
-
 // HandoffResponse reports a completed handoff or takeover:
 // Observations maps each query to the history length that moved.
 type HandoffResponse struct {

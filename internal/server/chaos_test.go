@@ -6,15 +6,19 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/scenario"
+	"repro/internal/tpch"
 )
 
 // This file is the cluster half of the chaos harness: each test injects
@@ -50,13 +54,13 @@ func newReplicatedPair(t *testing.T) (servers []*Server, https []*testNode, memb
 // probes) and the swappable handlers returned for fault injection.
 func newReplicatedPairCfg(t *testing.T, mutate func(*ClusterConfig)) (servers []*Server, https []*testNode, members []cluster.Member, owner int, late []*lateHandler) {
 	t.Helper()
-	return newReplicatedNodes(t, 2, mutate)
+	return newReplicatedNodes(t, chaosPaperSpec(), 2, mutate)
 }
 
-// newReplicatedNodes is newReplicatedPairCfg over n nodes.
-func newReplicatedNodes(t *testing.T, n int, mutate func(*ClusterConfig)) (servers []*Server, https []*testNode, members []cluster.Member, owner int, late []*lateHandler) {
+// newReplicatedNodes is newReplicatedPairCfg over n nodes hosting spec,
+// armed for every query it serves.
+func newReplicatedNodes(t *testing.T, spec FederationSpec, n int, mutate func(*ClusterConfig)) (servers []*Server, https []*testNode, members []cluster.Member, owner int, late []*lateHandler) {
 	t.Helper()
-	spec := chaosPaperSpec()
 	for i := 0; i < n; i++ {
 		late = append(late, &lateHandler{})
 		ts := newTestNode(t, "", late[i])
@@ -87,22 +91,28 @@ func newReplicatedNodes(t *testing.T, n int, mutate func(*ClusterConfig)) (serve
 	}
 	owner = -1
 	for i, srv := range servers {
-		if srv.tenants["paper"].state.Load() == tenantActive {
+		if srv.tenants[spec.Name].state.Load() == tenantActive {
 			owner = i
 		}
 	}
 	if owner < 0 {
 		t.Fatal("no owner")
 	}
-	rep := servers[owner].cluster.repl["paper"]
+	waitStreaming(t, servers[owner], spec.Name)
+	return servers, https, members, owner, late
+}
+
+// waitStreaming blocks until every shard of fed on its owner srv is
+// replicating.
+func waitStreaming(t testing.TB, srv *Server, fed string) {
+	t.Helper()
 	deadline := time.Now().Add(15 * time.Second)
-	for !rep.Streaming("Q12") {
+	for srv.cluster.replHealth(srv.tenants[fed]) != "streaming" {
 		if time.Now().After(deadline) {
 			t.Fatal("replication never armed")
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	return servers, https, members, owner, late
 }
 
 // chaosSubmit posts one Q12 request without following redirects and
@@ -208,6 +218,152 @@ func TestChaosKillTargetMidHandoff(t *testing.T) {
 	}
 	if st := tc.servers[target].tenants["alpha"].state.Load(); st != tenantActive {
 		t.Fatalf("target is %s after retried handoff, want active", tenantStateName(st))
+	}
+}
+
+// killAfterHandoffAck is the source's end of a replication stream that
+// kills the target — listener and every connection, the stream's own
+// included — the moment the ack of the first handoff batch has been read:
+// one shard across, the rest still to come.
+type killAfterHandoffAck struct {
+	net.Conn
+	target  *testNode
+	pending bool // a handoff batch is out, its ack not yet read
+	killed  bool
+}
+
+func (c *killAfterHandoffAck) Write(p []byte) (int, error) {
+	// A batch's first write starts with its header; frames that follow in
+	// a write of their own start with a frame's length word, far from 2.
+	if !c.killed && len(p) >= replBatchHeader && p[4] == replHandoff {
+		c.pending = true
+	}
+	return c.Conn.Write(p)
+}
+
+func (c *killAfterHandoffAck) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if c.pending && err == nil {
+		c.pending, c.killed = false, true
+		c.target.Kill()
+	}
+	return n, err
+}
+
+// TestChaosKillTargetMidShip kills the handoff target with one of two
+// shards received — later than TestChaosKillTargetMidHandoff's prepare,
+// after bytes have crossed. The source reports failure, stays the one
+// active owner at the old epoch and keeps serving; once the target is
+// back the sync loop re-arms it as standby, and the same handoff retried
+// completes with the target's histories equal to the source's: each
+// transfer's rebase replaced the copy the dead one left, it did not merge
+// with it.
+func TestChaosKillTargetMidShip(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full serving stack")
+	}
+	spec := chaosPaperSpec()
+	spec.Queries = []string{"Q12", "Q13"}
+	servers, https, members, owner, _ := newReplicatedNodes(t, spec, 2, nil)
+	target := 1 - owner
+	submit := func(query string) {
+		t.Helper()
+		resp, body := postQueryNoRedirect(t, https[owner].URL, QueryRequest{Federation: "paper", Query: query, Weights: []float64{1, 1}})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("submit %s: %d %s", query, resp.StatusCode, body)
+		}
+	}
+	handoff := func() (int, string) {
+		t.Helper()
+		resp, err := http.Post(https[owner].URL+"/v1/admin/handoff?federation=paper&target="+members[target].ID, "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode, string(body)
+	}
+	for _, q := range spec.Queries {
+		submit(q)
+		submit(q)
+	}
+
+	// The acked writes left the stream open to the target, the standby of
+	// a pair; the handoff rides the same connection.
+	st := servers[owner].cluster.streams["paper"]
+	st.mu.Lock()
+	if st.conn == nil {
+		st.mu.Unlock()
+		t.Fatal("no open stream to wrap after acked writes")
+	}
+	tap := &killAfterHandoffAck{Conn: st.conn, target: https[target]}
+	st.conn = tap
+	st.mu.Unlock()
+
+	status, body := handoff()
+	if status == http.StatusOK || !strings.Contains(body, "ship Q13") {
+		t.Fatalf("handoff to a target that died after the first shard = %d %s, want a failure shipping the second", status, body)
+	}
+	st.mu.Lock() // the tap is only ever touched under it
+	killed := tap.killed
+	st.mu.Unlock()
+	if !killed {
+		t.Fatal("fault injection never fired")
+	}
+	if st := servers[owner].tenants["paper"].state.Load(); st != tenantActive {
+		t.Fatalf("source tenant is %s after the failed handoff, want active", tenantStateName(st))
+	}
+	if cr := getClusterTable(t, https[owner].URL); cr.Epoch != 1 || cr.Placements["paper"].Owner != members[owner].ID {
+		t.Fatalf("source table after the failed handoff: epoch %d, owner %q", cr.Epoch, cr.Placements["paper"].Owner)
+	}
+	// Still serving — and moving on from what the dead target holds.
+	for _, q := range spec.Queries {
+		submit(q)
+	}
+
+	// Revive the target on its data directory and address. It comes back
+	// remote; the sync loop finds it and re-arms it as standby.
+	if err := servers[target].Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	cfg := servers[target].cfg
+	cfg.Metrics = nil // a registry backs one Server
+	reborn, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newTestNode(t, https[target].Listener.Addr().String(), reborn.Handler())
+	if st := reborn.tenants["paper"].state.Load(); st != tenantRemote {
+		t.Fatalf("revived target is %s, want remote", tenantStateName(st))
+	}
+	waitStreaming(t, servers[owner], "paper")
+	submit("Q12")
+
+	want := make(map[tpch.QueryID]*core.Snapshot)
+	for q := range servers[owner].tenants["paper"].queries {
+		want[q] = servers[owner].tenants["paper"].sched.History(q).Snapshot()
+	}
+	if status, body := handoff(); status != http.StatusOK {
+		t.Fatalf("retried handoff = %d: %s", status, body)
+	}
+	if st := reborn.tenants["paper"].state.Load(); st != tenantActive {
+		t.Fatalf("target is %s after the retried handoff, want active", tenantStateName(st))
+	}
+	for q, src := range want {
+		got := reborn.tenants["paper"].sched.History(q)
+		if got == nil || got.Len() != src.Len() || got.Base() != src.Base() {
+			t.Fatalf("%v on the target is not the source's [%d, %d)", q, src.Base(), src.Len())
+		}
+		for i := src.Base(); i < src.Len(); i++ {
+			if !reflect.DeepEqual(got.At(i), src.At(i)) {
+				t.Fatalf("%v observation %d differs between target and source", q, i)
+			}
+		}
+	}
+	for _, srv := range []*Server{servers[owner], reborn} {
+		if err := srv.Drain(context.Background()); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

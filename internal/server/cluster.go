@@ -47,6 +47,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/histstore"
 	"repro/internal/metrics"
 	"repro/internal/tpch"
 )
@@ -68,7 +69,8 @@ type ClusterConfig struct {
 	Replicate bool
 	// SyncInterval is the cadence of the standby sync loop (default 2s).
 	SyncInterval time.Duration
-	// PeerTimeout bounds one peer HTTP call (default 10s).
+	// PeerTimeout bounds one peer HTTP call, and one batch and its ack on
+	// a replication stream (default 10s).
 	PeerTimeout time.Duration
 	// AutoFailover runs the failure detector and promotes this node's
 	// standby federations automatically when their owner is confirmed
@@ -159,9 +161,10 @@ type clusterState struct {
 	self  cluster.Member
 	table atomic.Pointer[cluster.Table]
 	// repl holds one Replicator per federation when Replicate is on;
-	// it doubles as each tenant store's histstore.Mirror. streams holds
-	// the connection each one ships through (replstream.go); both maps
-	// are complete before the server serves and never change.
+	// it doubles as each tenant store's histstore.Mirror. streams holds,
+	// per federation, the connection its shard bytes leave through
+	// (replstream.go) — the replicator's batches, standby syncs, handoffs;
+	// both maps are complete before the server serves and never change.
 	repl    map[string]*cluster.Replicator
 	streams map[string]*replStream
 	client  *http.Client
@@ -291,11 +294,16 @@ func (cs *clusterState) replicating() bool {
 	return cs.cfg.Replicate && len(cs.cfg.Peers) > 1
 }
 
-// newReplicator builds fed's replicator-mirror: frames ship down fed's
-// stream to whichever member the *current* table names as its standby.
-func (cs *clusterState) newReplicator(fed string) *cluster.Replicator {
+// newStream builds fed's outbound stream and, when the cluster
+// replicates, the replicator whose frames ship down it to whichever
+// member the *current* table names as fed's standby: the mirror of fed's
+// store (nil otherwise).
+func (cs *clusterState) newStream(fed string) histstore.Mirror {
 	st := &replStream{cs: cs, fed: fed}
 	cs.streams[fed] = st
+	if !cs.replicating() {
+		return nil
+	}
 	rep := cluster.NewReplicator(st.ship)
 	rep.OnDegrade = func(shard string, err error) {
 		cs.replDegradedN.Inc()
@@ -305,10 +313,10 @@ func (cs *clusterState) newReplicator(fed string) *cluster.Replicator {
 	return rep
 }
 
-// post issues one peer POST and folds any non-2xx status into an error
-// carrying the peer's body (the peers speak ErrorResponse JSON).
-func (cs *clusterState) post(url string, body io.Reader) error {
-	resp, err := cs.client.Post(url, "application/octet-stream", body)
+// post issues one bodiless peer POST and folds any non-2xx status into
+// an error carrying the peer's body (the peers speak ErrorResponse JSON).
+func (cs *clusterState) post(url string) error {
+	resp, err := cs.client.Post(url, "", nil)
 	if err != nil {
 		return err
 	}
@@ -683,30 +691,6 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, RouteUpdate{Epoch: tab.Epoch(), Overrides: tab.Overrides()})
 }
 
-// maxShipBytes bounds one handoff or standby-sync section body (1 GiB,
-// matching histstore's stream section limit).
-const maxShipBytes = 1 << 30
-
-// clusterShardParams resolves the federation and query parameters
-// shared by the shard-granular cluster endpoints.
-func (s *Server) clusterShardParams(w http.ResponseWriter, r *http.Request) (*tenant, tpch.QueryID, bool) {
-	t, ok := s.tenants[r.URL.Query().Get("federation")]
-	if !ok {
-		writeError(w, http.StatusNotFound, "server: unknown federation %q", r.URL.Query().Get("federation"))
-		return nil, 0, false
-	}
-	q, err := tpch.ParseQueryID(r.URL.Query().Get("query"))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return nil, 0, false
-	}
-	if !t.queries[q] {
-		writeError(w, http.StatusBadRequest, "federation %q does not serve %v", t.name, q)
-		return nil, 0, false
-	}
-	return t, q, true
-}
-
 // ---------------------------------------------------------------------
 // Handoff: source side
 // ---------------------------------------------------------------------
@@ -782,14 +766,14 @@ func (s *Server) handoffTenant(ctx context.Context, t *tenant, target cluster.Me
 	s.log.Info("handoff started", "federation", t.name, "target", target.ID)
 
 	fedQ := "?federation=" + t.name
-	if err := cs.post(target.Addr+"/v1/admin/handoff/prepare"+fedQ, nil); err != nil {
+	if err := cs.post(target.Addr + "/v1/admin/handoff/prepare" + fedQ); err != nil {
 		t.ownerHint.CompareAndSwap(hint, nil)
 		return 0, nil, fmt.Errorf("prepare: %w", err)
 	}
 	// (A stale-owner demotion can take active→sending first and
 	// overwrite the hint, hence the compare-and-swap release.)
 	abortTarget := func() {
-		if err := cs.post(target.Addr+"/v1/admin/handoff/abort"+fedQ, nil); err != nil {
+		if err := cs.post(target.Addr + "/v1/admin/handoff/abort" + fedQ); err != nil {
 			s.log.Warn("handoff abort failed", "federation", t.name, "error", err.Error())
 		}
 		t.ownerHint.CompareAndSwap(hint, nil)
@@ -820,14 +804,9 @@ func (s *Server) handoffTenant(ctx context.Context, t *tenant, target cluster.Me
 	}
 	moved := make(map[string]int, len(t.queries))
 	if t.store != nil {
+		st := cs.streams[t.name]
 		for _, q := range sortedQueries(t) {
-			var buf bytes.Buffer
-			if err := t.store.ExportShard(q.String(), &buf, nil); err != nil {
-				abort()
-				return 0, nil, fmt.Errorf("export %v: %w", q, err)
-			}
-			url := fmt.Sprintf("%s/v1/admin/handoff/receive%s&query=%s&mode=active", target.Addr, fedQ, q)
-			if err := cs.post(url, bytes.NewReader(buf.Bytes())); err != nil {
+			if err := st.shipShard(target, t.store, q.String(), replHandoff, nil); err != nil {
 				abort()
 				return 0, nil, fmt.Errorf("ship %v: %w", q, err)
 			}
@@ -835,12 +814,13 @@ func (s *Server) handoffTenant(ctx context.Context, t *tenant, target cluster.Me
 				moved[q.String()] = h.Len()
 			}
 		}
+		st.hangUp()
 	}
 	// Activation commits the move: the target opens the shipped state,
 	// flips its tenant active and bumps the routing epoch.
 	epoch := cs.table.Load().Epoch() + 1
 	url := fmt.Sprintf("%s/v1/admin/handoff/activate%s&epoch=%d", target.Addr, fedQ, epoch)
-	if err := cs.post(url, nil); err != nil {
+	if err := cs.post(url); err != nil {
 		// A failed POST does not mean a failed activation: opening the
 		// shipped shards can outlive PeerTimeout, and the ack may have
 		// been lost after the target committed. Reverting to active
@@ -925,7 +905,7 @@ func (s *Server) verifyActivation(t *tenant, target cluster.Member, activateURL 
 				return false, true
 			}
 		}
-		if err := cs.post(activateURL, nil); err == nil {
+		if err := cs.post(activateURL); err == nil {
 			return true, true
 		}
 	}
@@ -991,7 +971,7 @@ func (s *Server) resolveHandoff(t *tenant, target cluster.Member, epoch uint64, 
 		default:
 			// Still receiving: the activation may have been lost before
 			// reaching the target — nudge the idempotent activate.
-			if cs.post(activateURL, nil) == nil {
+			if cs.post(activateURL) == nil {
 				s.finishHandoffSource(t, target, epoch)
 				return
 			}
@@ -1041,46 +1021,6 @@ func (s *Server) handleHandoffPrepare(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]string{"status": "receiving"})
-}
-
-// handleHandoffReceive imports one shard stream. mode=active is a step
-// of an inbound handoff (tenant must be receiving); mode=standby is the
-// full-sync half of standby replication (tenant must be remote).
-func (s *Server) handleHandoffReceive(w http.ResponseWriter, r *http.Request) {
-	t, q, ok := s.clusterShardParams(w, r)
-	if !ok {
-		return
-	}
-	st := t.state.Load()
-	switch r.URL.Query().Get("mode") {
-	case "active":
-		if st != tenantReceiving {
-			writeError(w, http.StatusConflict, "federation %q is %s, not receiving", t.name, tenantStateName(st))
-			return
-		}
-	case "standby":
-		if st != tenantRemote {
-			writeError(w, http.StatusConflict, "federation %q is %s, not remote", t.name, tenantStateName(st))
-			return
-		}
-	default:
-		writeError(w, http.StatusBadRequest, "mode must be active or standby")
-		return
-	}
-	if t.store == nil {
-		writeError(w, http.StatusBadRequest, "federation %q has no durable store", t.name)
-		return
-	}
-	if err := t.store.ImportShard(q.String(), http.MaxBytesReader(w, r.Body, int64(maxShipBytes))); err != nil {
-		writeError(w, http.StatusInternalServerError, "import %v: %v", q, err)
-		return
-	}
-	next, err := t.store.ReplicaSeq(q.String())
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, ReplicateResponse{Next: next})
 }
 
 // handleHandoffActivate commits an inbound handoff: open the shipped
@@ -1186,8 +1126,8 @@ func (s *Server) handleTakeover(w http.ResponseWriter, r *http.Request) {
 }
 
 // activateTenant materializes a cold tenant's serving state: open each
-// query's history (recovering whatever the store holds — a shipped
-// handoff stream, a replica log, or nothing) and bootstrap any
+// query's history (recovering whatever the store holds — the replica a
+// handoff or an owner's stream wrote, or nothing) and bootstrap any
 // shortfall below the spec's target, exactly like a warm boot.
 func (s *Server) activateTenant(t *tenant) error {
 	qs := sortedQueries(t)
@@ -1323,8 +1263,8 @@ func (s *Server) bootstrapRoutes() {
 
 // syncLoop keeps every owned tenant's standby armed: any shard whose
 // replication stream is not currently streaming (never armed, or
-// degraded by a standby outage) gets a fresh full sync — export,
-// ship, release — after which the synchronous frame stream
+// degraded by a standby outage) gets a fresh full sync — hold at the
+// cut, ship, release — after which the synchronous frame stream
 // resumes. A standby that keeps failing (down, hung, partitioned) is
 // retried under exponential backoff — up to 2^5 intervals between
 // attempts — so a dead peer costs one slow ship per backoff window
@@ -1383,22 +1323,14 @@ func (s *Server) syncTenant(t *tenant) bool {
 		if rep.Streaming(shard) {
 			continue
 		}
-		// Hold the stream at the export cut: frames appended while the
-		// export is in flight buffer locally and ship only after the
-		// standby confirms the import they extend. Acks do not wait on
-		// a held stream, so a hung standby slows only this sync.
-		var buf bytes.Buffer
-		err := t.store.ExportShard(shard, &buf, func(next uint64) { rep.Hold(shard, next) })
+		// Hold the stream at the cut: frames appended while the shard is
+		// in flight buffer locally and ship only after the standby acks
+		// the state they extend. Acks do not wait on a held stream, so a
+		// hung standby slows only this sync.
+		err := cs.streams[t.name].shipShard(standby, t.store, shard, replSync, func(next uint64) { rep.Hold(shard, next) })
 		if err != nil {
-			s.log.Warn("standby sync export failed", "federation", t.name, "query", shard, "error", err.Error())
-			healthy = false
-			continue
-		}
-		url := fmt.Sprintf("%s/v1/admin/handoff/receive?federation=%s&query=%s&mode=standby",
-			standby.Addr, t.name, shard)
-		if err := cs.post(url, bytes.NewReader(buf.Bytes())); err != nil {
 			rep.Disarm(shard)
-			s.log.Warn("standby sync ship failed", "federation", t.name, "query", shard,
+			s.log.Warn("standby sync failed", "federation", t.name, "query", shard,
 				"standby", standby.ID, "error", err.Error())
 			healthy = false
 			continue

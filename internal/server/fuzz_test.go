@@ -73,19 +73,26 @@ type scriptConn struct {
 func (c *scriptConn) Read(p []byte) (int, error)  { return c.script.Read(p) }
 func (c *scriptConn) Write(p []byte) (int, error) { return c.acks.Write(p) }
 
-// encodeBatch frames one replication batch the way an owner does.
+// encodeBatch frames one append batch the way an owner does; encodeKind
+// any kind.
 func encodeBatch(query string, from uint64, frames []byte) []byte {
-	b := binary.LittleEndian.AppendUint32(nil, uint32(8+1+len(query)+len(frames)))
-	b = binary.LittleEndian.AppendUint64(b, from)
+	return encodeKind(replAppend, query, from, frames)
+}
+
+func encodeKind(kind byte, query string, from uint64, frames []byte) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, uint32(replBatchFixed+len(query)+len(frames)))
+	b = binary.LittleEndian.AppendUint64(append(b, kind), from)
 	b = append(append(b, byte(len(query))), query...)
 	return append(b, frames...)
 }
 
-// FuzzReplicateStream: whatever bytes follow the handshake, the standby's
+// FuzzReplicateStream: whatever bytes follow the handshake, a standby's
 // batch loop does not panic, allocates nothing on the word of an oversized
-// length, acks each whole batch with the verdict AppendReplicaFrames gives
-// it and stops at the first refusal — so its replica is byte for byte the
-// one a reference store builds from the accepted batches alone.
+// length, acks each whole batch with the verdict its kind earns — an
+// append or a sync AppendReplicaFrames', a handoff nobody prepared and a
+// kind nobody defined a refusal — and stops at the first
+// refusal, so its replica is file for file, byte for byte, the one a
+// reference store builds from the accepted batches alone.
 func FuzzReplicateStream(f *testing.F) {
 	frames, fs := walFrames(f, 8)
 	whole := append(encodeBatch("Q12", 0, frames[:fs]), encodeBatch("Q12", 1, frames[fs:4*fs])...)
@@ -100,11 +107,17 @@ func FuzzReplicateStream(f *testing.F) {
 		append(append([]byte(nil), whole...), encodeBatch("Q12", 6, frames[6*fs:])...),     // gap
 		append(append([]byte(nil), whole...), encodeBatch("Q13", 4, frames[4*fs:5*fs])...), // not served
 		encodeBatch("", 0, nil),
-		{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 0, 0, 0, 0, 3, 'Q', '1', '2'}, // 4 GiB, it says
-		{0x00, 0x00, 0x80, 0x00, 0, 0, 0, 0, 0, 0, 0, 0, 3, 'Q', '1', '2'}, // 8 MiB, nothing behind it
-		{9, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 200},                          // shorter than its query name
+		{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 'Q', '1', '2'}, // 4 GiB, it says
+		{0x00, 0x00, 0x80, 0x00, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 'Q', '1', '2'}, // 8 MiB, nothing behind it
+		{10, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 200},                         // shorter than its query name
 		make([]byte, 64),
 		encodeBatch("Q12", 0, []byte("00\r\x000000")), // a frame that claims 864 KB
+		// A sync rebases onto whatever came before it, and appends run on.
+		append(append(append([]byte(nil), whole...), encodeKind(replSync, "Q12", 2, frames[2*fs:5*fs])...), encodeBatch("Q12", 5, frames[5*fs:])...),
+		append(encodeKind(replSync, "Q12", 3, frames[2*fs:5*fs]), whole...),                 // a sync whose frames start before its from
+		append(encodeKind(replSync, "Q12", 1<<63, nil), whole...),                           // an empty sync, far away: the append after it is a gap
+		append(append([]byte(nil), whole...), encodeKind(replHandoff, "Q12", 0, frames)...), // nobody prepared a handoff
+		append(append([]byte(nil), whole...), encodeKind(7, "Q12", 4, frames[4*fs:])...),    // no such kind
 	} {
 		f.Add(seed)
 	}
@@ -127,12 +140,12 @@ func FuzzReplicateStream(f *testing.F) {
 		budget := uint64(256<<10 + 4*len(data))
 		for rest := data; len(rest) >= replBatchHeader; {
 			size := int(binary.LittleEndian.Uint32(rest))
-			from, qlen := binary.LittleEndian.Uint64(rest[4:]), int(rest[12])
+			kind, from, qlen := rest[4], binary.LittleEndian.Uint64(rest[5:]), int(rest[13])
 			if size > replMaxBatch {
 				want = append(want, verdict{http.StatusRequestEntityTooLarge, 0})
 				break
 			}
-			if size < 8+1+qlen {
+			if size < replBatchFixed+qlen {
 				want = append(want, verdict{http.StatusBadRequest, 0})
 				break
 			}
@@ -147,7 +160,16 @@ func FuzzReplicateStream(f *testing.F) {
 				want = append(want, verdict{http.StatusBadRequest, 0})
 				break
 			}
-			next, err := ref.store.AppendReplicaFrames("Q12", from, batch)
+			// The reference tenant is remote, like the one under test.
+			if kind > replSync {
+				status := http.StatusBadRequest
+				if kind == replHandoff {
+					status = http.StatusConflict
+				}
+				want = append(want, verdict{status, 0})
+				break
+			}
+			next, err := ref.store.AppendReplicaFrames("Q12", from, batch, kind == replSync)
 			switch {
 			case errors.Is(err, histstore.ErrReplicaGap):
 				want = append(want, verdict{http.StatusConflict, next})

@@ -1,27 +1,36 @@
 package server
 
-// Replication stream: how an owner's WAL frames reach its standby. One
-// long-lived connection per federation, opened by the owner with an
-// HTTP/1.1 upgrade and then speaking a two-message binary protocol, so an
-// acked write costs one small write and one small read on an open socket
-// instead of an HTTP request.
+// Replication stream: how shard bytes move between nodes — an owner's WAL
+// frames to its standby, the full sync that arms that standby, and a
+// handoff's shards to their target. One long-lived connection per
+// federation, opened by the sender with an HTTP/1.1 upgrade and then
+// speaking a two-message binary protocol, so an acked write costs one
+// small write and one small read on an open socket instead of an HTTP
+// request.
 //
-//	owner → standby   POST /v1/admin/replicate/stream?federation=F
-//	                  Connection: Upgrade, Upgrade: midas-repl/1
-//	standby → owner   101 Switching Protocols (anything else: refused)
+//	sender → receiver   POST /v1/admin/replicate/stream?federation=F
+//	                    Connection: Upgrade, Upgrade: midas-repl/2
+//	receiver → sender   101 Switching Protocols (anything else: refused)
 //
 // then, in lock step, any number of
 //
 //	batch   size uint32 LE  byte count of everything after this word
+//	        kind uint8      replAppend, replSync or replHandoff
 //	        from uint64 LE  WAL sequence of the first frame
 //	        qlen uint8      length of the query name
 //	        query           qlen bytes ("Q12")
-//	        frames          size-9-qlen bytes, exactly as histstore wrote
+//	        frames          size-10-qlen bytes, exactly as histstore wrote
 //	                        them (framelog framing, CRC per frame)
 //	ack     status uint16 LE  an HTTP status: 200, 400, 409, 413, 500
 //	        mlen   uint16 LE  length of the error text (0 with 200)
 //	        next   uint64 LE  the replica's next expected sequence
 //	        text              mlen bytes
+//
+// The kind says what the receiver must be and do. An append extends the
+// replica (the tenant must not be active here). A sync or a handoff batch
+// opens a shard transfer (the tenant must be remote, or receiving): the
+// replica is rebased — emptied and restarted at from — before the frames
+// are appended, and a shard longer than one batch continues as appends.
 //
 // Either end closes the connection after any ack but 200; the owner's
 // replicator then degrades the shard and the standby sync loop re-arms it
@@ -42,20 +51,27 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/framelog"
 	"repro/internal/histstore"
 	"repro/internal/metrics"
 	"repro/internal/tpch"
 )
 
 const (
-	replStreamProto = "midas-repl/1"
+	replStreamProto = "midas-repl/2"
 	replStreamPath  = "/v1/admin/replicate/stream"
 
-	replBatchHeader = 4 + 8 + 1 // size, from, qlen
-	replAckHeader   = 2 + 2 + 8 // status, mlen, next
-	// replMaxBatch is the largest size word a standby accepts: a
-	// Replicator never hands its ShipFunc more than MaxBufferedBytes.
-	replMaxBatch = 8 + 1 + 255 + cluster.MaxBufferedBytes
+	// Batch kinds.
+	replAppend  = 0
+	replSync    = 1
+	replHandoff = 2
+
+	replBatchFixed  = 1 + 8 + 1          // kind, from, qlen: what size counts before the query
+	replBatchHeader = 4 + replBatchFixed // with the size word
+	replAckHeader   = 2 + 2 + 8          // status, mlen, next
+	// replMaxBatch is the largest size word a receiver accepts: no sender
+	// puts more than MaxBufferedBytes of frames in a batch.
+	replMaxBatch = replBatchFixed + 255 + cluster.MaxBufferedBytes
 	// replSmallBatch is how many frame bytes ride in the same write (and
 	// the same retained buffer) as the batch header; a serving-shape frame
 	// is 76. Longer batches are written, and read, through buffers that
@@ -67,11 +83,11 @@ const (
 var errStreamsClosed = errors.New("replication streams are closed (server draining)")
 
 // ---------------------------------------------------------------------
-// Owner side
+// Sending side
 // ---------------------------------------------------------------------
 
-// replStream is the owner end of one federation's stream and that
-// federation's cluster.ShipFunc.
+// replStream is the sending end of one federation's stream and, when the
+// cluster replicates, that federation's cluster.ShipFunc.
 type replStream struct {
 	cs  *clusterState
 	fed string
@@ -79,18 +95,24 @@ type replStream struct {
 	// registerClusterMetrics before the sync loop can arm anything.
 	seconds *metrics.Histogram
 
-	// mu serializes ships (a batch and its ack) and guards the rest.
+	// mu serializes sends (a batch and its ack) and guards the rest.
 	mu     sync.Mutex
-	conn   net.Conn // nil before the first ship and after any error
+	conn   net.Conn // nil before the first send and after any error
 	peer   string   // address conn was dialled to
 	closed bool     // Drain ran: dial no more
 	buf    []byte   // batch header + a small batch
 	ack    [replAckHeader]byte
 }
 
+// ship is the federation's cluster.ShipFunc: one batch of acked appends
+// to whichever member the current table names as the standby.
 func (st *replStream) ship(shard string, from uint64, frames []byte, count int) error {
+	standby, ok := st.cs.table.Load().Standby(st.fed)
+	if !ok {
+		return fmt.Errorf("federation %q has no standby", st.fed)
+	}
 	began := time.Now()
-	err := st.send(shard, from, frames, count)
+	err := st.send(standby, replAppend, shard, from, frames, count)
 	st.seconds.Observe(time.Since(began).Seconds())
 	if err != nil {
 		return err
@@ -99,16 +121,36 @@ func (st *replStream) ship(shard string, from uint64, frames []byte, count int) 
 	return nil
 }
 
-// send delivers one batch to whichever member the current table names as
-// the federation's standby, (re)dialling when there is no connection or
-// it leads to a former standby, and waits for the ack. Any failure closes
-// the connection.
-func (st *replStream) send(shard string, from uint64, frames []byte, count int) error {
-	cs := st.cs
-	standby, ok := cs.table.Load().Standby(st.fed)
-	if !ok {
-		return fmt.Errorf("federation %q has no standby", st.fed)
+// shipShard moves one open shard of store to peer whole: the cut (arm is
+// histstore.ExportShard's) goes out as a batch of the given kind, which
+// rebases the receiver's replica, and whatever of it does not fit one
+// batch follows as appends cut on frame boundaries — each under its own
+// PeerTimeout.
+func (st *replStream) shipShard(peer cluster.Member, store *histstore.Store, shard string, kind byte, arm func(next uint64)) error {
+	from, frames, err := store.ExportShard(shard, arm)
+	if err != nil {
+		return err
 	}
+	for {
+		n, count := framelog.Prefix(frames, cluster.MaxBufferedBytes)
+		if n == 0 && len(frames) > 0 {
+			return fmt.Errorf("shard %s/%s does not end on a frame boundary", st.fed, shard)
+		}
+		if err := st.send(peer, kind, shard, from, frames[:n], count); err != nil {
+			return err
+		}
+		if frames = frames[n:]; len(frames) == 0 {
+			return nil
+		}
+		from, kind = from+uint64(count), replAppend
+	}
+}
+
+// send delivers one batch to peer, (re)dialling when there is no
+// connection or it leads somewhere else — a former standby, the target of
+// a handoff that has since failed — and waits for the ack. Any failure
+// closes the connection.
+func (st *replStream) send(peer cluster.Member, kind byte, shard string, from uint64, frames []byte, count int) error {
 	if len(shard) > 255 {
 		return fmt.Errorf("shard name %q too long for a replication batch", shard)
 	}
@@ -117,29 +159,29 @@ func (st *replStream) send(shard string, from uint64, frames []byte, count int) 
 	if st.closed {
 		return errStreamsClosed
 	}
-	if st.conn != nil && st.peer != standby.Addr {
+	if st.conn != nil && st.peer != peer.Addr {
 		st.drop()
 	}
 	if st.conn == nil {
-		conn, err := cs.dialStream(standby.Addr, st.fed)
+		conn, err := st.cs.dialStream(peer.Addr, st.fed)
 		if err != nil {
-			return fmt.Errorf("replication stream to %s: %w", standby.ID, err)
+			return fmt.Errorf("replication stream to %s: %w", peer.ID, err)
 		}
-		st.conn, st.peer = conn, standby.Addr
+		st.conn, st.peer = conn, peer.Addr
 	}
-	if err := st.exchange(shard, from, frames, count); err != nil {
+	if err := st.exchange(kind, shard, from, frames, count); err != nil {
 		st.drop()
-		return fmt.Errorf("replicating %s/%s to %s: %w", st.fed, shard, standby.ID, err)
+		return fmt.Errorf("replicating %s/%s to %s: %w", st.fed, shard, peer.ID, err)
 	}
 	return nil
 }
 
-func (st *replStream) exchange(shard string, from uint64, frames []byte, count int) error {
+func (st *replStream) exchange(kind byte, shard string, from uint64, frames []byte, count int) error {
 	if err := st.conn.SetDeadline(time.Now().Add(st.cs.cfg.PeerTimeout)); err != nil {
 		return err
 	}
-	buf := binary.LittleEndian.AppendUint32(st.buf[:0], uint32(8+1+len(shard)+len(frames)))
-	buf = binary.LittleEndian.AppendUint64(buf, from)
+	buf := binary.LittleEndian.AppendUint32(st.buf[:0], uint32(replBatchFixed+len(shard)+len(frames)))
+	buf = binary.LittleEndian.AppendUint64(append(buf, kind), from)
 	buf = append(append(buf, byte(len(shard))), shard...)
 	if len(frames) <= replSmallBatch {
 		buf, frames = append(buf, frames...), nil
@@ -162,15 +204,23 @@ func (st *replStream) exchange(shard string, from uint64, frames []byte, count i
 	if status != http.StatusOK {
 		text := make([]byte, min(mlen, replMaxAckText))
 		n, _ := io.ReadFull(st.conn, text) // a cut-off text still beats none
-		return fmt.Errorf("standby answered %d: %s", status, text[:n])
+		return fmt.Errorf("peer answered %d: %s", status, text[:n])
 	}
 	if want := from + uint64(count); next < want {
-		return fmt.Errorf("standby acked up to sequence %d, batch ends at %d", next, want)
+		return fmt.Errorf("peer acked up to sequence %d, batch ends at %d", next, want)
 	}
 	return nil
 }
 
-// drop closes the connection; the next ship dials afresh. Caller holds mu.
+// hangUp ends the connection after the last batch meant for its peer (a
+// handoff's target, about to serve the federation itself).
+func (st *replStream) hangUp() {
+	st.mu.Lock()
+	st.drop()
+	st.mu.Unlock()
+}
+
+// drop closes the connection; the next send dials afresh. Caller holds mu.
 func (st *replStream) drop() {
 	if st.conn != nil {
 		st.conn.Close()
@@ -229,14 +279,14 @@ func (cs *clusterState) dialStream(addr, fed string) (net.Conn, error) {
 }
 
 // ---------------------------------------------------------------------
-// Standby side
+// Receiving side
 // ---------------------------------------------------------------------
 
 // handleReplicateStream (POST /v1/admin/replicate/stream?federation=)
 // turns the connection into the federation's replication stream: it
 // checks what can be checked once, takes the connection over, answers
 // 101 and returns. The batches are served by a goroutine the server owns
-// (serveReplicaStream) until the owner hangs up or Drain closes it.
+// (serveReplicaStream) until the sender hangs up or Drain closes it.
 func (s *Server) handleReplicateStream(w http.ResponseWriter, r *http.Request) {
 	fed := r.URL.Query().Get("federation")
 	t, ok := s.tenants[fed]
@@ -308,8 +358,9 @@ func (t *tenant) serveReplicaStream(conn net.Conn) {
 			return
 		}
 		size := int(binary.LittleEndian.Uint32(hdr[0:]))
-		from := binary.LittleEndian.Uint64(hdr[4:])
-		qlen := int(hdr[12])
+		kind := hdr[4]
+		from := binary.LittleEndian.Uint64(hdr[5:])
+		qlen := int(hdr[13])
 		var (
 			status int
 			next   uint64
@@ -319,10 +370,10 @@ func (t *tenant) serveReplicaStream(conn net.Conn) {
 		case size > replMaxBatch:
 			// Refused on the size word alone, before a byte is allocated.
 			status, err = http.StatusRequestEntityTooLarge, fmt.Errorf("batch of %d bytes exceeds %d", size, replMaxBatch)
-		case size < 8+1+qlen:
+		case size < replBatchFixed+qlen:
 			status, err = http.StatusBadRequest, fmt.Errorf("batch size %d too short for a %d-byte query name", size, qlen)
 		default:
-			n := size - 8 - 1
+			n := size - replBatchFixed
 			if cap(body) < n {
 				body = make([]byte, n)
 			}
@@ -330,7 +381,7 @@ func (t *tenant) serveReplicaStream(conn net.Conn) {
 			if _, err := io.ReadFull(br, body); err != nil {
 				return
 			}
-			status, next, err = t.appendReplica(body[:qlen], from, body[qlen:])
+			status, next, err = t.appendReplica(kind, body[:qlen], from, body[qlen:])
 			if cap(body) > replSmallBatch {
 				body = nil
 			}
@@ -349,19 +400,33 @@ func (t *tenant) serveReplicaStream(conn net.Conn) {
 	}
 }
 
-// appendReplica applies one batch to the standby's replica of the named
-// shard. The status is what the ack carries: 409 tells the owner its
-// stream no longer extends what this node holds (the federation is
-// served here, or frames are missing) and a full sync must re-arm it.
-func (t *tenant) appendReplica(query []byte, from uint64, frames []byte) (int, uint64, error) {
+// appendReplica applies one batch to this node's replica of the named
+// shard. The status is what the ack carries: 409 tells the sender its
+// batch does not fit what this node is or holds (the federation is served
+// here, no handoff is expected, frames are missing) and, for an owner,
+// that a full sync must re-arm the stream.
+func (t *tenant) appendReplica(kind byte, query []byte, from uint64, frames []byte) (int, uint64, error) {
 	q, ok := t.servedQuery(query)
 	if !ok {
 		return http.StatusBadRequest, 0, fmt.Errorf("federation %q does not serve %q", t.name, query)
 	}
-	if t.state.Load() == tenantActive {
-		return http.StatusConflict, 0, fmt.Errorf("federation %q is active on this node", t.name)
+	// What the batch requires this node to be for the federation, and
+	// whether it opens a transfer.
+	var fits, rebase bool
+	switch st := t.state.Load(); kind {
+	case replAppend:
+		fits = st != tenantActive
+	case replSync:
+		fits, rebase = st == tenantRemote, true
+	case replHandoff:
+		fits, rebase = st == tenantReceiving, true
+	default:
+		return http.StatusBadRequest, 0, fmt.Errorf("unknown batch kind %d", kind)
 	}
-	next, err := t.store.AppendReplicaFrames(q.String(), from, frames)
+	if !fits {
+		return http.StatusConflict, 0, fmt.Errorf("federation %q is %s on this node", t.name, tenantStateName(t.state.Load()))
+	}
+	next, err := t.store.AppendReplicaFrames(q.String(), from, frames, rebase)
 	if errors.Is(err, histstore.ErrReplicaGap) {
 		return http.StatusConflict, next, err
 	}

@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -18,6 +19,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/framelog"
 	"repro/internal/histstore"
 	"repro/internal/tpch"
 )
@@ -50,10 +52,11 @@ func streamGoroutines() int {
 	}
 }
 
-// replicaSeq reads how far srv's replica of paper/Q12 reaches.
-func replicaSeq(t *testing.T, srv *Server) int {
+// replicaSeq reads how far store's replica of Q12 reaches, as a peer
+// would: the ack of an empty batch.
+func replicaSeq(t testing.TB, store *histstore.Store) int {
 	t.Helper()
-	next, err := srv.tenants["paper"].store.ReplicaSeq("Q12")
+	next, err := store.AppendReplicaFrames("Q12", 0, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +87,7 @@ func TestStreamStandbyKilledAfterWrites(t *testing.T) {
 	if got := cs.framesShipped.Value(); got < 3 {
 		t.Fatalf("%v frames shipped for three acked writes", got)
 	}
-	if got, want := replicaSeq(t, servers[standby]), chaosHistLen(t, https[owner].URL); got != want {
+	if got, want := replicaSeq(t, servers[standby].tenants["paper"].store), chaosHistLen(t, https[owner].URL); got != want {
 		t.Fatalf("standby holds %d observations, owner acked %d", got, want)
 	}
 	if n := cs.streams["paper"].seconds.Count(); n < 3 {
@@ -138,7 +141,7 @@ func TestStreamStandbyKilledAfterWrites(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		chaosSubmit(t, https[owner].URL)
 	}
-	if got, want := replicaSeq(t, reborn), chaosHistLen(t, https[owner].URL); got != want {
+	if got, want := replicaSeq(t, reborn.tenants["paper"].store), chaosHistLen(t, https[owner].URL); got != want {
 		t.Fatalf("restarted standby holds %d observations, owner acked %d", got, want)
 	}
 	for _, srv := range []*Server{servers[owner], reborn} {
@@ -206,7 +209,7 @@ func TestStreamRedialsMovedStandby(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full serving stack")
 	}
-	servers, https, members, owner, _ := newReplicatedNodes(t, 3, nil)
+	servers, https, members, owner, _ := newReplicatedNodes(t, chaosPaperSpec(), 3, nil)
 	cs := servers[owner].cluster
 	old, _ := cs.table.Load().Standby("paper")
 	var oldIdx, movedIdx int
@@ -240,7 +243,7 @@ func TestStreamRedialsMovedStandby(t *testing.T) {
 	if peer, open, _ := streamState(servers[owner], "paper"); !open || peer != members[movedIdx].Addr {
 		t.Fatalf("stream open=%v to %q, want open to the new standby %q", open, peer, members[movedIdx].Addr)
 	}
-	if got, want := replicaSeq(t, servers[movedIdx]), chaosHistLen(t, https[owner].URL); got != want {
+	if got, want := replicaSeq(t, servers[movedIdx].tenants["paper"].store), chaosHistLen(t, https[owner].URL); got != want {
 		t.Fatalf("new standby holds %d observations, owner acked %d", got, want)
 	}
 	for _, srv := range servers {
@@ -294,6 +297,26 @@ func standbyTenant(t testing.TB, dir string) *tenant {
 	return tn
 }
 
+// pipePeer is who a pipeStream is connected to.
+var pipePeer = cluster.Member{ID: "pipe", Addr: "pipe"}
+
+// pipeStream connects a sending end to tn's batch loop over a pipe, no
+// handshake; done closes when the loop returns. The loop's end of the pipe
+// closes with it, as the handler closes an accepted stream's; acks, when
+// not negative, is how many it may write before it fails like a killed
+// process's.
+func pipeStream(tn *tenant, acks int) (st *replStream, done chan struct{}) {
+	client, server := net.Pipe()
+	done = make(chan struct{})
+	go func() {
+		defer close(done)
+		defer server.Close()
+		tn.serveReplicaStream(&ackLimit{Conn: server, n: acks})
+	}()
+	cs := &clusterState{cfg: ClusterConfig{PeerTimeout: 5 * time.Second}}
+	return &replStream{cs: cs, fed: tn.name, conn: client, peer: pipePeer.Addr}, done
+}
+
 // TestStreamBatches drives both ends of the protocol over a pipe: short
 // batches ride with their header, long ones take the two-write /
 // direct-read path, overlap is skipped, a gap is refused with 409 and
@@ -305,44 +328,29 @@ func TestStreamBatches(t *testing.T) {
 	}
 	dir := t.TempDir()
 	tn := standbyTenant(t, dir)
-	client, server := net.Pipe()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		defer server.Close()
-		tn.serveReplicaStream(server)
-	}()
-	st := &replStream{cs: &clusterState{cfg: ClusterConfig{PeerTimeout: 5 * time.Second}}, fed: "paper", conn: client}
-	seq := func() int {
-		t.Helper()
-		next, err := tn.store.ReplicaSeq("Q12")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return int(next)
-	}
+	st, done := pipeStream(tn, -1)
 	for _, b := range []struct{ from, count, want int }{
 		{0, 1, 1},    // one frame, one write
 		{1, 20, 21},  // long
 		{10, 16, 26}, // long, the first 11 already held
 		{3, 2, 26},   // all of it already held
 	} {
-		if err := st.exchange("Q12", uint64(b.from), frames[b.from*fs:(b.from+b.count)*fs], b.count); err != nil {
+		if err := st.exchange(replAppend, "Q12", uint64(b.from), frames[b.from*fs:(b.from+b.count)*fs], b.count); err != nil {
 			t.Fatalf("batch %+v: %v", b, err)
 		}
-		if got := seq(); got != b.want {
+		if got := replicaSeq(t, tn.store); got != b.want {
 			t.Fatalf("batch %+v: replica reaches %d", b, got)
 		}
 	}
 	if c := cap(st.buf); c > 2*replSmallBatch {
 		t.Fatalf("owner keeps a %d-byte buffer after long batches", c)
 	}
-	err := st.exchange("Q12", 30, frames[30*fs:32*fs], 2)
+	err := st.exchange(replAppend, "Q12", 30, frames[30*fs:32*fs], 2)
 	if err == nil || !strings.Contains(err.Error(), "409") || !strings.Contains(err.Error(), "gap") {
 		t.Fatalf("batch past the replica's tail = %v, want a 409 naming the gap", err)
 	}
 	<-done // a refused batch ends the standby's loop
-	if err := st.exchange("Q12", 26, frames[26*fs:27*fs], 1); err == nil {
+	if err := st.exchange(replAppend, "Q12", 26, frames[26*fs:27*fs], 1); err == nil {
 		t.Fatal("the stream outlived a refused batch")
 	}
 	if err := tn.store.Close(); err != nil {
@@ -388,15 +396,15 @@ func readStatusLine(t *testing.T, conn net.Conn) string {
 // TestReplicateStreamHandshake pins what the endpoint answers before it
 // becomes a stream, and that the per-batch request it replaces is gone.
 func TestReplicateStreamHandshake(t *testing.T) {
-	post := func(url string, upgrade bool) int {
+	post := func(url, upgrade string) int {
 		t.Helper()
 		req, err := http.NewRequest(http.MethodPost, url, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if upgrade {
+		if upgrade != "" {
 			req.Header.Set("Connection", "Upgrade")
-			req.Header.Set("Upgrade", replStreamProto)
+			req.Header.Set("Upgrade", upgrade)
 		}
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
@@ -412,13 +420,16 @@ func TestReplicateStreamHandshake(t *testing.T) {
 	for _, c := range []struct {
 		name    string
 		path    string
-		upgrade bool
+		upgrade string
 		want    int
 	}{
-		{"unknown federation", replStreamPath + "?federation=nope", true, http.StatusNotFound},
-		{"no upgrade header", replStreamPath + "?federation=alpha", false, http.StatusUpgradeRequired},
-		{"no durable store", replStreamPath + "?federation=alpha", true, http.StatusBadRequest},
-		{"the per-batch endpoint", "/v1/admin/replicate?federation=alpha&query=Q12&from=0", false, http.StatusNotFound},
+		{"unknown federation", replStreamPath + "?federation=nope", replStreamProto, http.StatusNotFound},
+		{"no upgrade header", replStreamPath + "?federation=alpha", "", http.StatusUpgradeRequired},
+		// A build from before the kind byte: refused, so a mixed pair runs
+		// degraded instead of misreading each other's batches.
+		{"the previous protocol", replStreamPath + "?federation=alpha", "midas-repl/1", http.StatusUpgradeRequired},
+		{"no durable store", replStreamPath + "?federation=alpha", replStreamProto, http.StatusBadRequest},
+		{"the per-batch endpoint", "/v1/admin/replicate?federation=alpha&query=Q12&from=0", "", http.StatusNotFound},
 	} {
 		if got := post(base+c.path, c.upgrade); got != c.want {
 			t.Errorf("%s: status %d, want %d", c.name, got, c.want)
@@ -444,9 +455,7 @@ func TestReplicateStreamHandshake(t *testing.T) {
 	if err != nil || resp.StatusCode != http.StatusSwitchingProtocols || resp.Header.Get("Upgrade") != replStreamProto {
 		t.Fatalf("handshake: %v %+v", err, resp)
 	}
-	batch := []byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 'Q', '1', '3'}
-	batch[0] = byte(len(batch) - 4)
-	if _, err := conn.Write(batch); err != nil {
+	if _, err := conn.Write(encodeBatch("Q13", 0, nil)); err != nil {
 		t.Fatal(err)
 	}
 	ack := make([]byte, replAckHeader)
@@ -463,6 +472,184 @@ func TestReplicateStreamHandshake(t *testing.T) {
 	for _, srv := range servers {
 		if err := srv.Drain(context.Background()); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// shardFiles reads every file of a shard directory but the header.
+func shardFiles(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	files := make(map[string][]byte)
+	entries, err := os.ReadDir(dir)
+	if err != nil && !os.IsNotExist(err) {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if e.Name() == "snapshot.json" {
+			continue
+		}
+		raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = raw
+	}
+	return files
+}
+
+// TestStreamKindsAndTenantStates: the kind of a batch says what the
+// receiver must be for the federation — what the import endpoint's mode
+// parameter used to — and what happens to the replica. A batch of frames
+// 2..5 meets a replica holding 0..2: an append extends it, a sync or a
+// handoff replaces it, a refusal (409: wrong state, 400: no such kind)
+// leaves it alone and ends the stream.
+func TestStreamKindsAndTenantStates(t *testing.T) {
+	frames, fs := walFrames(t, 6)
+	extended := map[string][]byte{"wal.log": frames}
+	rebased := map[string][]byte{"wal-00000000000000000002.log": frames[2*fs:]}
+	untouched := map[string][]byte{"wal.log": frames[:3*fs]}
+	for _, c := range []struct {
+		kind  byte
+		state int32
+		want  int
+		files map[string][]byte
+	}{
+		{replAppend, tenantRemote, http.StatusOK, extended},
+		{replAppend, tenantReceiving, http.StatusOK, extended}, // a long handoff's continuation
+		{replAppend, tenantSending, http.StatusOK, extended},
+		{replAppend, tenantActive, http.StatusConflict, untouched},
+		{replSync, tenantRemote, http.StatusOK, rebased},
+		{replSync, tenantReceiving, http.StatusConflict, untouched},
+		{replSync, tenantSending, http.StatusConflict, untouched},
+		{replSync, tenantActive, http.StatusConflict, untouched},
+		{replHandoff, tenantReceiving, http.StatusOK, rebased},
+		{replHandoff, tenantRemote, http.StatusConflict, untouched},
+		{replHandoff, tenantSending, http.StatusConflict, untouched},
+		{replHandoff, tenantActive, http.StatusConflict, untouched},
+		{replHandoff + 1, tenantRemote, http.StatusBadRequest, untouched},
+	} {
+		name := fmt.Sprintf("kind %d while %s", c.kind, tenantStateName(c.state))
+		dir := t.TempDir()
+		tn := standbyTenant(t, dir)
+		if _, err := tn.store.AppendReplicaFrames("Q12", 0, frames[:3*fs], false); err != nil {
+			t.Fatal(err)
+		}
+		tn.state.Store(c.state)
+		st, done := pipeStream(tn, -1)
+		err := st.exchange(c.kind, "Q12", 2, frames[2*fs:], 4)
+		if c.want == http.StatusOK {
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if got := replicaSeq(t, tn.store); got != 6 {
+				t.Fatalf("%s: replica reaches %d, want 6", name, got)
+			}
+			st.drop()
+		} else if err == nil || !strings.Contains(err.Error(), fmt.Sprint(" ", c.want, ":")) {
+			t.Fatalf("%s: %v, want a refusal with %d", name, err, c.want)
+		}
+		<-done
+		if err := tn.store.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got := shardFiles(t, filepath.Join(dir, "Q12")); !reflect.DeepEqual(got, c.files) {
+			t.Fatalf("%s: replica directory holds %d files, not what the batch should have left", name, len(got))
+		}
+	}
+}
+
+// ackLimit lets a batch loop write n acks (any number when negative),
+// then fails its connection the way a killed process does.
+type ackLimit struct {
+	net.Conn
+	n int
+}
+
+func (c *ackLimit) Write(p []byte) (int, error) {
+	if c.n == 0 {
+		c.Conn.Close()
+		return 0, net.ErrClosed
+	}
+	c.n--
+	return c.Conn.Write(p)
+}
+
+// TestShipShardLongerThanOneBatch: a shard whose frames exceed what one
+// batch may carry (only a log from before retention can be that long)
+// crosses as a rebase and append batches cut on frame boundaries, and the
+// receiver opens to the sender's history. A receiver killed after the
+// rebase and before the last continuation is left holding a contiguous
+// run, which the next round replaces.
+func TestShipShardLongerThanOneBatch(t *testing.T) {
+	if testing.Short() {
+		t.Skip("writes and ships 17 MiB, twice")
+	}
+	// Wide observations, so few of them make a long shard.
+	const dim, n = 16 << 10, 130
+	metricNames := []string{"time", "money"}
+	src, err := histstore.Open(t.TempDir(), histstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	h, err := src.OpenHistory("Q12", dim, metricNames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := make([]float64, dim)
+	for i := 0; i < n; i++ {
+		x[0] = float64(i)
+		if err := h.Append(core.Observation{X: x, Costs: []float64{2, 3}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, frames, err := src.ExportShard("Q12", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perBatch, _ := framelog.Prefix(frames, cluster.MaxBufferedBytes)
+	batches := (len(frames) + perBatch - 1) / perBatch
+	if batches < 3 {
+		t.Fatalf("%d bytes of frames make %d batches, want ≥ 3", len(frames), batches)
+	}
+
+	// The standby dies having acked all but the last batch.
+	dir := t.TempDir()
+	tn := standbyTenant(t, dir)
+	st, done := pipeStream(tn, batches-1)
+	armed := uint64(0)
+	err = st.shipShard(pipePeer, src, "Q12", replSync, func(next uint64) { armed = next })
+	if err == nil || armed != n {
+		t.Fatalf("ship into a dying standby = %v (armed at %d), want an error after the cut at %d", err, armed, n)
+	}
+	<-done
+	if err := tn.store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	framesPerBatch := perBatch / (len(frames) / n)
+	if got := replicaSeq(t, standbyTenant(t, dir).store); got != n && got != (batches-1)*framesPerBatch {
+		// (n when the last batch landed and only its ack was lost.)
+		t.Fatalf("restarted standby's replica reaches %d, want the %d frames of %d whole batches", got, (batches-1)*framesPerBatch, batches-1)
+	}
+
+	// The next round, into the restarted standby: a rebase again.
+	tn = standbyTenant(t, dir)
+	st, done = pipeStream(tn, -1)
+	if err := st.shipShard(pipePeer, src, "Q12", replSync, nil); err != nil {
+		t.Fatal(err)
+	}
+	st.drop()
+	<-done
+	got, err := tn.store.OpenHistory("Q12", dim, metricNames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Len() != n || got.Base() != 0 {
+		t.Fatalf("standby opens to [%d, %d), want [0, %d)", got.Base(), got.Len(), n)
+	}
+	for i := 0; i < n; i++ {
+		if o := got.At(i); o.X[0] != float64(i) || len(o.X) != dim {
+			t.Fatalf("observation %d on the standby is not the owner's", i)
 		}
 	}
 }

@@ -37,10 +37,12 @@
 //	POST /v1/admin/takeover   promote this standby after an owner death
 //	POST /v1/admin/route      table gossip (server-to-server)
 //	POST /v1/admin/replicate/stream
-//	                          standby WAL shipping, upgraded to a stream
-//	                          (server-to-server, see replstream.go)
-//	POST /v1/admin/handoff/{prepare,receive,activate,abort}
-//	                          handoff sub-steps (server-to-server)
+//	                          every shard byte between nodes — WAL
+//	                          shipping, standby syncs, handoffs —
+//	                          upgraded to a stream (server-to-server,
+//	                          see replstream.go)
+//	POST /v1/admin/handoff/{prepare,activate,abort}
+//	                          handoff control steps (server-to-server)
 package server
 
 import (
@@ -241,8 +243,8 @@ func New(cfg Config) (*Server, error) {
 		// the ring owner's tenants open and bootstrap theirs now.
 		owned := cs == nil || cs.owns(cfg.Federations[i].Name)
 		var mirror histstore.Mirror
-		if cs != nil && cs.replicating() {
-			mirror = cs.newReplicator(cfg.Federations[i].Name)
+		if cs != nil {
+			mirror = cs.newStream(cfg.Federations[i].Name)
 		}
 		t, err := buildTenant(cfg.Federations[i], cfg.Store, cfg.Metrics, !owned, mirror, calibs)
 		if err != nil {
@@ -439,7 +441,6 @@ func (s *Server) Handler() http.Handler {
 		mux.HandleFunc("GET /v1/cluster/health", s.handleClusterHealth)
 		mux.HandleFunc("POST /v1/admin/handoff", s.handleHandoff)
 		mux.HandleFunc("POST /v1/admin/handoff/prepare", s.handleHandoffPrepare)
-		mux.HandleFunc("POST /v1/admin/handoff/receive", s.handleHandoffReceive)
 		mux.HandleFunc("POST /v1/admin/handoff/activate", s.handleHandoffActivate)
 		mux.HandleFunc("POST /v1/admin/handoff/abort", s.handleHandoffAbort)
 		mux.HandleFunc("POST /v1/admin/route", s.handleRoute)

@@ -10,7 +10,10 @@
 #      victim's federations from their shipped WALs — no operator
 #      takeover is issued anywhere in this script,
 #   5. assert zero acked-write loss (history lengths are unchanged) and
-#      that the survivors serve every federation.
+#      that the survivors serve every federation,
+#   6. hand one federation from one survivor to the other and back under
+#      load, and assert no request failed, no acked write was lost, both
+#      nodes counted a handoff and replication did not degrade.
 #
 # Requirements: go, curl, jq. Usage: scripts/cluster-smoke.sh [workdir]
 set -euo pipefail
@@ -142,6 +145,59 @@ for fed in "${FEDS[@]}"; do
   "$MIDASLOAD" -addr "$addrs" -federation "$fed" -clients 5 -requests 2
 done
 
+# --- a live handoff between the survivors, under load ------------------
+# One federation goes from its owner to the other survivor and back while
+# midasload drives it: the shards ride the replication stream between two
+# real processes, rolled segments included (the load takes the history
+# past its first roll). fedA, so the first cut is of files a promoted
+# replica wrote.
+metric() { # metric <addr> <series, labels included> -> value (0 when absent)
+  curl -sf "$1/metrics" | awk -v s="$2" '$1 == s { v = $2 } END { print v + 0 }'
+}
+moved=fedA
+src="$(owner_of "$moved")"
+dst=""
+for i in 1 2 3; do
+  [ "n$i" = "$victim" ] || [ "n$i" = "$src" ] || dst="n$i"
+done
+src_addr="$(addr_of "$src")"
+dst_addr="$(addr_of "$dst")"
+initial="$(hist_len "$src_addr" "$moved")"
+declare -A HANDOFFS_BEFORE
+degraded_before=0
+for a in "$src_addr" "$dst_addr"; do
+  HANDOFFS_BEFORE[$a]="$(metric "$a" 'midas_cluster_handoffs_total{role="source"}')"
+  degraded_before=$((degraded_before + $(metric "$a" midas_cluster_replication_degraded_total)))
+done
+LOAD_CLIENTS=4
+LOAD_REQUESTS=5000
+log "handoff under load: $moved $src -> $dst -> $src ($initial observations, standby $(standby_of "$moved"))"
+"$MIDASLOAD" -addr "$addrs" -federation "$moved" -clients "$LOAD_CLIENTS" -requests "$LOAD_REQUESTS" \
+  > "$WORK/handoff-load.log" 2>&1 &
+load_pid=$!
+sleep 0.3
+curl -sf -X POST "$src_addr/v1/admin/handoff?federation=$moved&target=$dst" | jq -c . \
+  || { log "FAIL: handoff $src -> $dst"; exit 1; }
+[ "$(owner_of "$moved")" = "$dst" ] || { log "FAIL: $moved is on $(owner_of "$moved") after the handoff to $dst"; exit 1; }
+sleep 0.3
+kill -0 "$load_pid" 2> /dev/null || log "note: the load finished before the handoff back"
+curl -sf -X POST "$dst_addr/v1/admin/handoff?federation=$moved&target=$src" | jq -c . \
+  || { log "FAIL: handoff back $dst -> $src"; exit 1; }
+wait "$load_pid" || { log "FAIL: a request failed across the handoffs"; cat "$WORK/handoff-load.log"; exit 1; }
+[ "$(owner_of "$moved")" = "$src" ] || { log "FAIL: $moved is on $(owner_of "$moved") after the handoff back to $src"; exit 1; }
+want=$((initial + LOAD_CLIENTS * LOAD_REQUESTS))
+after="$(hist_len "$src_addr" "$moved")"
+[ "$after" = "$want" ] || { log "FAIL: $moved holds $after observations after two handoffs, want $want (initial + acked)"; exit 1; }
+degraded_after=0
+for a in "$src_addr" "$dst_addr"; do
+  now="$(metric "$a" 'midas_cluster_handoffs_total{role="source"}')"
+  [ "$now" -gt "${HANDOFFS_BEFORE[$a]}" ] || { log "FAIL: handoffs_total{role=source} on $a did not move ($now)"; exit 1; }
+  degraded_after=$((degraded_after + $(metric "$a" midas_cluster_replication_degraded_total)))
+done
+[ "$degraded_after" = "$degraded_before" ] \
+  || { log "FAIL: replication degraded during the handoffs ($degraded_before -> $degraded_after)"; exit 1; }
+log "$moved: $after observations = $initial + $((LOAD_CLIENTS * LOAD_REQUESTS)) acked, back on $src"
+
 # Operator view of the aftermath: one survivor's routing table plus
 # per-member health (the victim shows UNREACHABLE).
 survivor_port=$BASE_PORT
@@ -150,4 +206,4 @@ MIDASCTL="${MIDASCTL:-$WORK/midasctl}"
 [ -x "$MIDASCTL" ] || go build -o "$MIDASCTL" ./cmd/midasctl
 "$MIDASCTL" -addr "http://127.0.0.1:$survivor_port" cluster-status
 
-log "PASS: node kill survived with auto-failover and zero acked-write loss"
+log "PASS: node kill survived with auto-failover, live handoffs under load, zero acked-write loss"
