@@ -20,12 +20,12 @@ COVER_PKGS ?= ./internal/server ./internal/core ./internal/histstore ./internal/
 SWEEP_PATTERN ?= Q1[23]Sweep|WindowSearchCold|DREAMEstimateUncached|ServeHotPath|PlanSweep|SweepRound|ParetoFront|RouteLookup
 SWEEP_COUNT ?= 5
 
-# Where `make profile-sweep` drops its CPU profiles.
+# Where the `make profile-*` targets drop their profiles.
 PROFILE_DIR ?= profiles
 
 .PHONY: all build vet fmt-check lint linkcheck test test-cpus test-short test-bench fuzz-smoke bench bench-smoke bench-sweep bench-json ablate-prune scenarios profile-sweep profile-cluster profile-serve cover help
 
-all: build lint test
+all: build lint test test-bench
 
 ## build: compile every package
 build:
@@ -53,9 +53,9 @@ linkcheck:
 test:
 	$(GO) test -race ./...
 
-## test-cpus: the estimation and serving cores under the race detector at GOMAXPROCS 1, 2 and 4 — "byte-identical at any GOMAXPROCS" is the determinism contract
+## test-cpus: the estimation and serving cores and the Pareto reduction under the race detector at GOMAXPROCS 1, 2 and 4 — "byte-identical at any GOMAXPROCS" is the determinism contract
 test-cpus:
-	$(GO) test -race -cpu 1,2,4 ./internal/core ./internal/ires ./internal/server
+	$(GO) test -race -cpu 1,2,4 ./internal/core ./internal/ires ./internal/server ./internal/moo
 
 ## test-short: quick feedback loop without the race detector
 test-short:
@@ -94,18 +94,23 @@ ablate-prune:
 scenarios:
 	$(GO) run ./cmd/midasctl scenarios
 
-## profile-sweep: CPU profiles of the cold window-search benchmarks and of one whole 2,048-plan round (SweepRound, -cpu 1) into $(PROFILE_DIR)/
+## profile-sweep: CPU profiles of the cold window-search benchmarks and of one whole 2,048-plan round (SweepRound, -cpu 1), plus that round's allocation profile sampled at every allocation, into $(PROFILE_DIR)/
 profile-sweep:
 	mkdir -p $(PROFILE_DIR)
 	$(GO) test -run '^$$' -bench 'WindowSearchCold' -benchtime 200x \
 		-cpuprofile $(PROFILE_DIR)/cold-sweep.cpu.pprof \
 		-o $(PROFILE_DIR)/cold-sweep.test .
-	$(GO) test -run '^$$' -bench 'SweepRound' -benchtime 5000x -cpu 1 \
+	$(GO) test -run '^$$' -bench 'SweepRound' -benchtime 20000x -cpu 1 \
 		-cpuprofile $(PROFILE_DIR)/sweep-round.cpu.pprof \
+		-o $(PROFILE_DIR)/sweep-round.test .
+# A run of its own: sampling every allocation would distort the CPU profile.
+	$(GO) test -run '^$$' -bench 'SweepRound' -benchtime 20000x -cpu 1 \
+		-memprofile $(PROFILE_DIR)/sweep-round.mem.pprof -memprofilerate 1 \
 		-o $(PROFILE_DIR)/sweep-round.test .
 	@echo "profiles written; inspect with:"
 	@echo "  go tool pprof $(PROFILE_DIR)/cold-sweep.test $(PROFILE_DIR)/cold-sweep.cpu.pprof"
 	@echo "  go tool pprof -top -cum $(PROFILE_DIR)/sweep-round.test $(PROFILE_DIR)/sweep-round.cpu.pprof"
+	@echo "  go tool pprof -sample_index=alloc_space -top $(PROFILE_DIR)/sweep-round.test $(PROFILE_DIR)/sweep-round.mem.pprof"
 
 ## profile-cluster: CPU profile of the replication hop (ReplicatedAppend, -cpu 1: owner, standby and the loopback stream between them in one process) into $(PROFILE_DIR)/
 profile-cluster:

@@ -1,10 +1,17 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"math"
+	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/federation"
+	"repro/internal/regression"
 )
 
 // seedHistory builds a 1-feature history with n noisy-linear
@@ -494,6 +501,91 @@ func TestPredictRowsMatchesPerPlan(t *testing.T) {
 		}
 		if _, err := est.PredictRows(nil, s, xs, 2); err == nil {
 			t.Error("rows of the wrong width accepted")
+		}
+	}
+	t.Run("kernel is Predict", testPredictRowsIsPredict)
+}
+
+// The chunk kernel is Model.Predict, bit for bit, at every remainder of
+// the four-row body: row counts 0–9 and around a sweep chunk, the widths
+// and metric counts the schedulers use, features that include negatives,
+// signed zeros, denormals, overflowing magnitudes and ±Inf (so Inf and
+// NaN results too). A non-empty dst keeps its prefix, and an xs that is
+// not whole rows, or rows of the wrong width, is ErrDimension with
+// nothing appended and nothing counted.
+func testPredictRowsIsPredict(t *testing.T) {
+	pool := []float64{0, math.Copysign(0, -1), 1.5, -3.25, 5e-324, -5.5e-309, 1e300, -1e300,
+		math.Inf(1), math.Inf(-1), 7, 1e-5, -42, 3, 0.1, 1 << 20}
+	for _, dim := range []int{1, federation.FeatureDim} {
+		for _, metrics := range [][]string{{"time_s"}, federation.BreakdownMetrics} {
+			h, err := NewHistory(dim, metrics...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(int64(23*dim + len(metrics))))
+			for i := 0; i < 40; i++ {
+				o := Observation{X: make([]float64, dim), Costs: make([]float64, len(metrics))}
+				for j := range o.X {
+					o.X[j] = rng.NormFloat64() * 10
+				}
+				for j := range o.Costs {
+					o.Costs[j] = 3*o.X[0] - float64(j)*o.X[dim-1] + rng.NormFloat64()
+				}
+				if err := h.Append(o); err != nil {
+					t.Fatal(err)
+				}
+			}
+			s := h.Snapshot()
+			est, err := NewEstimator(Config{MMax: 3 * (dim + 2)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 255, 256, 257} {
+				xs := make([]float64, n*dim)
+				for i := range xs {
+					if xs[i] = rng.NormFloat64() * 100; rng.Intn(4) == 0 {
+						xs[i] = pool[rng.Intn(len(pool))]
+					}
+				}
+				prefix := append(make([]float64, 0, 1+n*len(metrics)), 42)
+				got, err := est.PredictRows(prefix, s, xs, dim)
+				if err != nil || len(got) != 1+n*len(metrics) || got[0] != 42 {
+					t.Fatalf("dim %d, %d metrics, %d rows: %d values, prefix %v, %v", dim, len(metrics), n, len(got), got[:1], err)
+				}
+				for i := 0; i < n; i++ {
+					row := xs[i*dim : (i+1)*dim]
+					e, err := est.EstimateSnapshot(s, row)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for k, me := range e.Metrics {
+						want, err := me.Model.Predict(row)
+						if g := got[1+i*len(metrics)+k]; err != nil || math.Float64bits(g) != math.Float64bits(want) {
+							t.Fatalf("dim %d, %d metrics, row %d of %d, metric %d: kernel %v (%#x), Predict %v (%#x), %v",
+								dim, len(metrics), i, n, k, g, math.Float64bits(g), want, math.Float64bits(want), err)
+						}
+					}
+				}
+				st := est.Stats()
+				type badChunk struct {
+					name string
+					xs   []float64
+					dim  int
+				}
+				bad := []badChunk{{"rows of another width", xs, dim + 1}}
+				if dim > 1 {
+					bad = append(bad, badChunk{"a trailing partial row", append(slices.Clone(xs), 1), dim})
+				}
+				for _, tc := range bad {
+					got, err := est.PredictRows(prefix, s, tc.xs, tc.dim)
+					if err == nil || got != nil || est.Stats() != st {
+						t.Errorf("dim %d, %d rows, %s: %v, %v, stats %+v → %+v", dim, n, tc.name, got, err, st, est.Stats())
+					}
+					if tc.dim == dim && !errors.Is(err, regression.ErrDimension) {
+						t.Errorf("dim %d, %d rows, %s: %v is not regression.ErrDimension", dim, n, tc.name, err)
+					}
+				}
+			}
 		}
 	}
 }

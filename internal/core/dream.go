@@ -570,13 +570,18 @@ func (e *Estimator) PredictSnapshot(dst []float64, s *Snapshot, x []float64) ([]
 // are appended to dst in the same order, one value per metric — what
 // PredictSnapshot would append row by row, bit for bit. The chunk pays
 // for one fit lookup (the checks, the cache, the single-flight wait)
-// and then only the per-metric dot products; the model cache counts it
-// as one lookup per row all the same. With caching off the chunk runs
-// one window search, which never depended on the plan. An error leaves
-// nothing appended.
+// and then one regression.Model.PredictRows pass per metric, which
+// checks the model's width once; the model cache counts it as one
+// lookup per row all the same. With caching off the chunk runs one
+// window search, which never depended on the plan. xs that is not whole
+// rows of dim is regression.ErrDimension; an error leaves nothing
+// appended.
 func (e *Estimator) PredictRows(dst []float64, s *Snapshot, xs []float64, dim int) ([]float64, error) {
 	if err := s.checkDim(dim); err != nil {
 		return nil, err
+	}
+	if len(xs)%dim != 0 {
+		return nil, fmt.Errorf("core: %w: %d feature values are not rows of %d", regression.ErrDimension, len(xs), dim)
 	}
 	n := len(xs) / dim
 	if n == 0 {
@@ -586,17 +591,14 @@ func (e *Estimator) PredictRows(dst []float64, s *Snapshot, xs []float64, dim in
 	if err != nil {
 		return nil, err
 	}
-	dst = slices.Grow(dst, n*len(fit.models))
-	for ; len(xs) >= dim; xs = xs[dim:] {
-		for _, model := range fit.models {
-			v, err := model.Predict(xs[:dim])
-			if err != nil {
-				return nil, err
-			}
-			dst = append(dst, v)
+	k := len(fit.models)
+	out := slices.Grow(dst, n*k)[:len(dst)+n*k]
+	for mi, model := range fit.models {
+		if err := model.PredictRows(out[len(dst)+mi:], k, xs, dim); err != nil {
+			return nil, err
 		}
 	}
-	return dst, nil
+	return out, nil
 }
 
 // checkDim reports whether plans of dim features fit the snapshot.

@@ -310,7 +310,11 @@ func AblationOptimizer(opts AblationOptions) (*Table, error) {
 		}
 		costs[i] = c
 	}
-	front, err := moo.ParetoFront(costs)
+	matrix, err := moo.NewCostMatrix(costs)
+	if err != nil {
+		return nil, err
+	}
+	front, err := moo.ParetoFront(matrix)
 	if err != nil {
 		return nil, err
 	}

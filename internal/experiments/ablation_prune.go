@@ -134,8 +134,8 @@ func AblationPrune(opts AblationOptions) ([]PruneAblationRow, *Table, error) {
 			if err != nil {
 				return nil, nil, err
 			}
-			for m := range fsw.Costs[fi] {
-				fc, gc := fsw.Costs[fi][m], gsw.Costs[gi][m]
+			for m, fc := range fsw.Costs.Row(fi) {
+				gc := gsw.Costs.Row(gi)[m]
 				denom := math.Max(math.Abs(fc), 1e-12)
 				if d := math.Abs(gc-fc) / denom; d > worst {
 					worst = d

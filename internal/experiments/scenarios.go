@@ -216,16 +216,13 @@ func RunScenario(spec scenario.Spec, queries []string) (*ScenarioResult, error) 
 // is unit-free and bounded by the weight sum. ok is false when the
 // chosen plan is not in the sweep (a pruning policy dropped it).
 func sweepRegret(sw *ires.Sweep, chosen federation.Plan, weights []float64) (float64, bool) {
-	if len(sw.Costs) == 0 {
+	if sw.Costs.Len() == 0 {
 		return 0, false
 	}
-	dims := len(sw.Costs[0])
-	lo := make([]float64, dims)
-	hi := make([]float64, dims)
-	copy(lo, sw.Costs[0])
-	copy(hi, sw.Costs[0])
-	for _, c := range sw.Costs[1:] {
-		for d, v := range c {
+	lo := append([]float64(nil), sw.Costs.Row(0)...)
+	hi := append([]float64(nil), sw.Costs.Row(0)...)
+	for i := 1; i < sw.Costs.Len(); i++ {
+		for d, v := range sw.Costs.Row(i) {
 			lo[d] = math.Min(lo[d], v)
 			hi[d] = math.Max(hi[d], v)
 		}
@@ -241,7 +238,7 @@ func sweepRegret(sw *ires.Sweep, chosen federation.Plan, weights []float64) (flo
 	}
 	chosenScore, best := math.Inf(1), math.Inf(1)
 	for i, p := range sw.Plans {
-		s := score(sw.Costs[i])
+		s := score(sw.Costs.Row(i))
 		best = math.Min(best, s)
 		if p == chosen {
 			chosenScore = s

@@ -192,20 +192,21 @@ var FeatureNames = [FeatureDim]string{
 // x of the paper's cost model (eq. 5): the sizes of the two input
 // tables in MiB and the number of VMs at each cloud.
 func Features(p Plan, leftBytes, rightBytes float64) []float64 {
-	return AppendFeatures(make([]float64, 0, FeatureDim), p, leftBytes, rightBytes)
+	return AppendFeatures(make([]float64, 0, FeatureDim), p, leftBytes/(1024*1024), rightBytes/(1024*1024))
 }
 
-// AppendFeatures appends Features(p, leftBytes, rightBytes) to dst: the
-// form a sweep uses to lay a chunk of plans out as FeatureDim-wide rows
-// of one buffer.
-func AppendFeatures(dst []float64, p Plan, leftBytes, rightBytes float64) []float64 {
+// AppendFeatures appends Features(p, …) to dst for input tables of the
+// given sizes in MiB — the unit conversion is the caller's, once per
+// query, not once per plan: the form a sweep uses to lay a chunk of
+// plans out as FeatureDim-wide rows of one buffer.
+func AppendFeatures(dst []float64, p Plan, leftMiB, rightMiB float64) []float64 {
 	joinLeft := 0.0
 	if p.JoinAtLeft {
 		joinLeft = 1
 	}
 	return append(dst,
-		leftBytes/(1024*1024),
-		rightBytes/(1024*1024),
+		leftMiB,
+		rightMiB,
 		float64(p.NodesLeft),
 		float64(p.NodesRight),
 		joinLeft,

@@ -265,8 +265,8 @@ func TestCalibrationAndScaledExecutor(t *testing.T) {
 }
 
 // TestInputSizerMatchesFeatures pins the promise a sweep batches on:
-// rows laid out with AppendFeatures from InputBytes are the executors'
-// own per-plan feature vectors, bit for bit.
+// rows laid out with AppendFeatures from InputBytes, converted to MiB
+// once, are the executors' own per-plan feature vectors, bit for bit.
 func TestInputSizerMatchesFeatures(t *testing.T) {
 	fed := defaultFed(t)
 	cal, err := Calibrate(fed, 0.005, 5)
@@ -289,7 +289,7 @@ func TestInputSizerMatchesFeatures(t *testing.T) {
 			}
 			var rows []float64
 			for _, p := range plans {
-				rows = AppendFeatures(rows, p, lb, rb)
+				rows = AppendFeatures(rows, p, lb/(1024*1024), rb/(1024*1024))
 			}
 			for i, p := range plans {
 				x, err := exec.Features(p)

@@ -326,6 +326,71 @@ func TestEstimateLoopStopsAtFirstFailure(t *testing.T) {
 	}
 }
 
+// costlessModel scores every plan with a vector of no costs: through the
+// per-plan method alone, or through EstimateRows as well.
+type costlessModel struct{}
+
+func (costlessModel) Name() string { return "costless" }
+func (costlessModel) Estimate(*core.History, []float64) ([]float64, error) {
+	return []float64{}, nil
+}
+
+type costlessBatchModel struct{ costlessModel }
+
+func (costlessBatchModel) EstimateSnapshot(*core.Snapshot, []float64) ([]float64, error) {
+	return []float64{}, nil
+}
+func (costlessBatchModel) EstimateRows(dst []float64, _ *core.Snapshot, _ []float64, _ int) ([]float64, error) {
+	return dst, nil
+}
+
+// A model with nothing to say about a plan is refused at the first
+// chunk, naming the plan, on both routes and by every caller of the
+// estimation loop: 2,048 empty vectors would all be "non-dominated" and
+// the chosen one has no Estimated[0] for the serving layer to report.
+func TestSweepRefusesCostlessModel(t *testing.T) {
+	for _, tc := range []struct {
+		route string
+		model CostModel
+	}{
+		{"per-plan", costlessModel{}},
+		{"batch", costlessBatchModel{}},
+	} {
+		s := wideStack(t, 5, 16, &scriptedModel{}, SchedulerConfig{Seed: 5})
+		if err := s.Bootstrap(tpch.QueryQ12, 20); err != nil {
+			t.Fatal(err)
+		}
+		plans, err := s.plans(tpch.QueryQ12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Model = tc.model
+		want := "model returned no costs for " + plans[0].String()
+		for name, run := range map[string]func() error{
+			"PlanSweep":   func() error { _, err := s.PlanSweep(context.Background(), tpch.QueryQ12); return err },
+			"Submit":      func() error { _, err := s.Submit(tpch.QueryQ12, Policy{}); return err },
+			"OptimizeWSM": func() error { _, err := s.OptimizeWSM(tpch.QueryQ12, Policy{}); return err },
+			"GreedyPrune": func() error {
+				s.Prune = GreedyPrune(64)
+				defer func() { s.Prune = nil }()
+				_, err := s.PlanSweep(context.Background(), tpch.QueryQ12)
+				return err
+			},
+		} {
+			if err := run(); err == nil || !strings.Contains(err.Error(), "model returned no costs for ") ||
+				(name != "GreedyPrune" && !strings.Contains(err.Error(), want)) {
+				t.Errorf("%s route, %s: err = %v, want %q", tc.route, name, err, want)
+			}
+		}
+	}
+}
+
+// The frozen seam: bench/run.go (its own module, which `go test ./...`
+// never compiles and a PR that claims a gain may not edit) hands a
+// sweep's cost matrix straight to the Pareto reduction. Sweep.Costs'
+// type and ParetoFront's parameter type move together or not at all.
+var _ = func(sw *Sweep) ([]int, error) { return moo.ParetoFront(sw.Costs) }
+
 // failingFeatures is an executor whose Features fails for one plan.
 type failingFeatures struct {
 	federation.Executor
@@ -379,13 +444,13 @@ func (breakdownStore) Sync() error { return nil }
 // cost bit and the front.
 func requireSameSweep(t *testing.T, round int, got, want *Sweep) {
 	t.Helper()
-	if len(got.Plans) != len(want.Plans) || len(got.Costs) != len(want.Costs) ||
+	if len(got.Plans) != len(want.Plans) || got.Costs.Len() != want.Costs.Len() ||
 		got.PlanSpace != want.PlanSpace || got.Policy != want.Policy {
-		t.Fatalf("round %d: sweep shapes differ: %d/%d plans, %d/%d costs", round, len(got.Plans), len(want.Plans), len(got.Costs), len(want.Costs))
+		t.Fatalf("round %d: sweep shapes differ: %d/%d plans, %d/%d costs", round, len(got.Plans), len(want.Plans), got.Costs.Len(), want.Costs.Len())
 	}
 	for i := range want.Plans {
-		if got.Plans[i] != want.Plans[i] || !equalBits(got.Costs[i], want.Costs[i]) {
-			t.Fatalf("round %d: position %d: %v %v, want %v %v", round, i, got.Plans[i], got.Costs[i], want.Plans[i], want.Costs[i])
+		if got.Plans[i] != want.Plans[i] || !equalBits(got.Costs.Row(i), want.Costs.Row(i)) {
+			t.Fatalf("round %d: position %d: %v %v, want %v %v", round, i, got.Plans[i], got.Costs.Row(i), want.Plans[i], want.Costs.Row(i))
 		}
 	}
 	if fmt.Sprint(got.FrontIdx) != fmt.Sprint(want.FrontIdx) {

@@ -57,10 +57,11 @@ type SnapshotCostModel interface {
 // chunk of plans in one call. xs holds the plans' feature vectors back
 // to back, dim values each; the cost vectors, all of one length, are
 // appended to dst in the same order. The values are, bit for bit, what
-// EstimateSnapshot returns row by row, and an error appends nothing and
-// is the one every row of the chunk would have failed with. A model
-// without it is scored through EstimateSnapshot (or Estimate), one plan
-// at a time.
+// EstimateSnapshot returns row by row — except that a negative one need
+// not be clamped, the sweep clamps every chunk it scores — and an error
+// appends nothing and is the one every row of the chunk would have
+// failed with. A model without it is scored through EstimateSnapshot (or
+// Estimate), one plan at a time.
 type BatchCostModel interface {
 	SnapshotCostModel
 	EstimateRows(dst []float64, s *core.Snapshot, xs []float64, dim int) ([]float64, error)
@@ -100,17 +101,14 @@ func (m *DREAMModel) Estimate(h *core.History, x []float64) ([]float64, error) {
 
 // EstimateSnapshot implements SnapshotCostModel.
 func (m *DREAMModel) EstimateSnapshot(s *core.Snapshot, x []float64) ([]float64, error) {
-	return m.EstimateRows(make([]float64, 0, s.NumMetrics()), s, x, len(x))
+	out, err := m.EstimateRows(make([]float64, 0, s.NumMetrics()), s, x, len(x))
+	clampRows(out)
+	return out, err
 }
 
-// EstimateRows implements BatchCostModel.
+// EstimateRows implements BatchCostModel; the rows come back unclamped.
 func (m *DREAMModel) EstimateRows(dst []float64, s *core.Snapshot, xs []float64, dim int) ([]float64, error) {
-	out, err := m.Est.PredictRows(dst, s, xs, dim)
-	if err != nil {
-		return nil, err
-	}
-	clampRows(out[len(dst):])
-	return out, nil
+	return m.Est.PredictRows(dst, s, xs, dim)
 }
 
 // clampRows clamps cost values at zero, in place.
@@ -563,9 +561,9 @@ type Sweep struct {
 	// lattice under FullSweep (the default), the pruned subset under a
 	// pruning policy.
 	Plans []federation.Plan
-	// Costs is the model cost vector of every plan, in plan order: capped
-	// views, one per plan, into one flat plans × metrics matrix.
-	Costs [][]float64
+	// Costs is the model cost vector of every plan, row i plan i's: one
+	// flat plans × metrics matrix, read through Costs.Row.
+	Costs moo.CostMatrix
 	// FrontIdx indexes the Pareto-optimal plans within Plans.
 	FrontIdx []int
 	// FrontCosts and Normalized are the Pareto set's raw cost vectors
@@ -621,7 +619,7 @@ func (s *Scheduler) PlanSweep(ctx context.Context, q tpch.QueryID) (sw *Sweep, e
 	}
 	frontCosts := make([][]float64, len(frontIdx))
 	for i, idx := range frontIdx {
-		frontCosts[i] = costs[idx]
+		frontCosts[i] = costs.Row(idx)
 	}
 	// Normalize so seconds and dollars are comparable before the
 	// weighted sum (Algorithm 2's WeightSum over user policy).
@@ -680,7 +678,7 @@ func (s *Scheduler) DecideFromSweep(sw *Sweep, pol Policy) (*Decision, error) {
 	}
 	return &Decision{
 		Plan:           chosen,
-		Estimated:      sw.Costs[idx],
+		Estimated:      sw.Costs.Row(idx),
 		Outcome:        out,
 		ParetoSize:     len(sw.FrontIdx),
 		PlanSpace:      planSpace,

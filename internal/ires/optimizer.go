@@ -76,7 +76,7 @@ func (p *planProblem) Evaluate(x []float64) []float64 {
 	}
 	var c []float64
 	if costs, err := p.round.estimate(context.Background(), []federation.Plan{plan}); err == nil {
-		c = costs[0]
+		c = costs.Row(0)
 	} else {
 		if p.err == nil {
 			p.err = err
@@ -202,7 +202,11 @@ func (s *Scheduler) OptimizeWSMContext(ctx context.Context, q tpch.QueryID, pol 
 	if len(weights) == 0 {
 		weights = []float64{1, 1}
 	}
-	idx, err := moo.ArgminWeightedSum(moo.NormalizeCosts(costs), weights)
+	rows := make([][]float64, costs.Len())
+	for i := range rows {
+		rows[i] = costs.Row(i)
+	}
+	idx, err := moo.ArgminWeightedSum(moo.NormalizeCosts(rows), weights)
 	if err != nil {
 		return nil, err
 	}

@@ -61,12 +61,13 @@ func (s *Scheduler) sweeper(q tpch.QueryID, h *core.History, lat *federation.Pla
 	ps := &planSweeper{lat: lat}
 	if sizer, ok := s.Exec.(federation.InputSizer); ok {
 		lb, rb, err := sizer.InputBytes(q)
+		leftMiB, rightMiB := lb/(1024*1024), rb/(1024*1024)
 		ps.features = func(dst []float64, plans []federation.Plan) ([]float64, error) {
 			if err != nil {
 				return dst, err
 			}
 			for _, p := range plans {
-				dst = federation.AppendFeatures(dst, p, lb, rb)
+				dst = federation.AppendFeatures(dst, p, leftMiB, rightMiB)
 			}
 			return dst, nil
 		}
@@ -133,22 +134,22 @@ func perPlanCosts(estimateX func(x []float64) ([]float64, error)) func(dst, xs [
 // scratch stays in L1.
 const sweepChunk = 256
 
-// estimate scores plans and returns their cost vectors positionally:
-// per chunk of sweepChunk plans, one pass writes the feature rows into
-// a scratch buffer, one asks the model for the chunk's cost rows, one
-// clamps them. The cost vectors are capped views into one flat matrix
-// that lives as long as they do; the scratch dies with the call. A
-// failure is always the one with the lowest position — rows before a
-// feature failure are still scored, in case the model fails earlier —
-// and nothing past it is scored. ctx is checked between chunks.
-func (ps *planSweeper) estimate(ctx context.Context, plans []federation.Plan) ([][]float64, error) {
+// estimate scores plans and returns their cost vectors positionally,
+// as the rows of one flat matrix: per chunk of sweepChunk plans, one
+// pass writes the feature rows into a scratch buffer, one asks the model
+// for the chunk's cost rows, one clamps them — the only clamp a batch
+// model's rows get. The scratch dies with the call. A failure is always
+// the one with the lowest position — rows before a feature failure are
+// still scored, in case the model fails earlier — and nothing past it is
+// scored. ctx is checked between chunks.
+func (ps *planSweeper) estimate(ctx context.Context, plans []federation.Plan) (moo.CostMatrix, error) {
 	n := len(plans)
 	flat := make([]float64, 0, n*len(federation.Metrics))
 	scratch := make([]float64, 0, min(n, sweepChunk)*federation.FeatureDim)
 	k := 0 // cost-vector length, fixed by the first chunk
 	for lo := 0; lo < n; lo += sweepChunk {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return moo.CostMatrix{}, err
 		}
 		chunk := plans[lo:min(lo+sweepChunk, n)]
 		xs, ferr := ps.features(scratch, chunk)
@@ -163,26 +164,25 @@ func (ps *planSweeper) estimate(ctx context.Context, plans []federation.Plan) ([
 			if errors.As(err, &re) {
 				row, err = re.row, re.err
 			}
-			return nil, fmt.Errorf("ires: estimating %v: %w", chunk[row], err)
+			return moo.CostMatrix{}, fmt.Errorf("ires: estimating %v: %w", chunk[row], err)
 		}
 		if ferr != nil {
-			return nil, fmt.Errorf("ires: features of %v: %w", chunk[rows], ferr)
+			return moo.CostMatrix{}, fmt.Errorf("ires: features of %v: %w", chunk[rows], ferr)
 		}
 		if lo == 0 {
-			k = (len(flat) - scored) / rows
+			// Empty vectors would all be "non-dominated", and unreportable.
+			if k = (len(flat) - scored) / rows; k == 0 {
+				return moo.CostMatrix{}, fmt.Errorf("ires: model returned no costs for %v", chunk[0])
+			}
 		}
 		if len(flat)-scored != rows*k {
-			return nil, fmt.Errorf("ires: model returned %d costs for %d plans, want %d each", len(flat)-scored, rows, k)
+			return moo.CostMatrix{}, fmt.Errorf("ires: model returned %d costs for %d plans, want %d each", len(flat)-scored, rows, k)
 		}
 		// Negative predictions are meaningless for time/money; clamp
 		// so dominance computations stay sane.
 		clampRows(flat[scored:])
 	}
-	costs := make([][]float64, n)
-	for i := range costs {
-		costs[i] = flat[i*k : (i+1)*k : (i+1)*k]
-	}
-	return costs, nil
+	return moo.FlatCostMatrix(flat, k)
 }
 
 // plansAt returns the lattice's plans at the given positions.
@@ -205,8 +205,8 @@ type PrunePolicy interface {
 	// in Sweep/Decision and the serving API.
 	Name() string
 	// sweep selects and scores plans, returning the estimated subset
-	// and its cost vectors in matching deterministic order.
-	sweep(ctx context.Context, ps *planSweeper) ([]federation.Plan, [][]float64, error)
+	// and its cost vectors, row i plan i's, in deterministic order.
+	sweep(ctx context.Context, ps *planSweeper) ([]federation.Plan, moo.CostMatrix, error)
 }
 
 // ---------------------------------------------------------------------------
@@ -224,11 +224,11 @@ func FullSweep() PrunePolicy { return fullSweep{} }
 // Name implements PrunePolicy.
 func (fullSweep) Name() string { return "full" }
 
-func (fullSweep) sweep(ctx context.Context, ps *planSweeper) ([]federation.Plan, [][]float64, error) {
+func (fullSweep) sweep(ctx context.Context, ps *planSweeper) ([]federation.Plan, moo.CostMatrix, error) {
 	plans := ps.lat.Plans()
 	costs, err := ps.estimate(ctx, plans)
 	if err != nil {
-		return nil, nil, err
+		return nil, moo.CostMatrix{}, err
 	}
 	return plans, costs, nil
 }
@@ -267,7 +267,7 @@ func (greedyPrune) Name() string { return "greedy" }
 // estimated between two checks for a dominated prefix.
 const greedyChunk = 64
 
-func (g greedyPrune) sweep(ctx context.Context, ps *planSweeper) ([]federation.Plan, [][]float64, error) {
+func (g greedyPrune) sweep(ctx context.Context, ps *planSweeper) ([]federation.Plan, moo.CostMatrix, error) {
 	n := ps.lat.Size()
 	budget := g.budget
 	if budget <= 0 {
@@ -284,7 +284,7 @@ func (g greedyPrune) sweep(ctx context.Context, ps *planSweeper) ([]federation.P
 	plans := plansAt(ps.lat, scaffold)
 	costs, err := ps.estimate(ctx, plans)
 	if err != nil {
-		return nil, nil, err
+		return nil, moo.CostMatrix{}, err
 	}
 	sel := append([]int(nil), scaffold...)
 	seen := make(map[int]bool, budget)
@@ -297,31 +297,23 @@ func (g greedyPrune) sweep(ctx context.Context, ps *planSweeper) ([]federation.P
 	// prefixes; the sweep's real front is recomputed globally by the
 	// caller.
 	var front []int
-	insert := func(pos int) (bool, error) {
-		kept := front[:0]
+	insert := func(pos int) bool {
+		kept, cp := front[:0], costs.Row(pos)
 		for _, f := range front {
-			dom, err := moo.Dominates(costs[f], costs[pos])
-			if err != nil {
-				return false, err
+			// Rows of one matrix have one width: Dominates cannot fail.
+			cf := costs.Row(f)
+			if dom, _ := moo.Dominates(cf, cp); dom {
+				return false
 			}
-			if dom {
-				return false, nil
-			}
-			dominated, err := moo.Dominates(costs[pos], costs[f])
-			if err != nil {
-				return false, err
-			}
-			if !dominated {
+			if dominated, _ := moo.Dominates(cp, cf); !dominated {
 				kept = append(kept, f)
 			}
 		}
 		front = append(kept, pos)
-		return true, nil
+		return true
 	}
 	for pos := range sel {
-		if _, err := insert(pos); err != nil {
-			return nil, nil, err
-		}
+		insert(pos)
 	}
 
 	queue := greedyCandidates(ps.lat, sel, costs, front, strides, seen)
@@ -341,18 +333,18 @@ func (g greedyPrune) sweep(ctx context.Context, ps *planSweeper) ([]federation.P
 		chunkPlans := plansAt(ps.lat, chunk)
 		chunkCosts, err := ps.estimate(ctx, chunkPlans)
 		if err != nil {
-			return nil, nil, err
+			return nil, moo.CostMatrix{}, err
+		}
+		if costs, err = costs.Append(chunkCosts); err != nil {
+			return nil, moo.CostMatrix{}, err
 		}
 		plans = append(plans, chunkPlans...)
 		improved := false
-		for i, flat := range chunk {
+		for _, flat := range chunk {
 			sel = append(sel, flat)
-			costs = append(costs, chunkCosts[i])
-			ok, err := insert(len(sel) - 1)
-			if err != nil {
-				return nil, nil, err
+			if insert(len(sel) - 1) {
+				improved = true
 			}
-			improved = improved || ok
 		}
 		if !improved {
 			// Dominated prefix: the best-first queue has stopped paying;
@@ -411,16 +403,13 @@ func axisSamples(n, k int) []int {
 // (weighted-normalized scaffold cost, flat index breaking ties) and
 // each parent's neighborhood emitted in a fixed axis/distance order —
 // the "cost-ordered lattice walk".
-func greedyCandidates(lat *federation.PlanLattice, sel []int, costs [][]float64, front []int, strides [2]int, seen map[int]bool) []int {
+func greedyCandidates(lat *federation.PlanLattice, sel []int, costs moo.CostMatrix, front []int, strides [2]int, seen map[int]bool) []int {
 	// Min-max normalize over the scaffold so seconds and dollars weigh
 	// equally in the parent ordering.
-	dim := len(costs[0])
-	lo := make([]float64, dim)
-	hi := make([]float64, dim)
-	copy(lo, costs[0])
-	copy(hi, costs[0])
-	for _, c := range costs {
-		for j, v := range c {
+	lo := append([]float64(nil), costs.Row(0)...)
+	hi := append([]float64(nil), costs.Row(0)...)
+	for i := 1; i < costs.Len(); i++ {
+		for j, v := range costs.Row(i) {
 			if v < lo[j] {
 				lo[j] = v
 			}
@@ -440,7 +429,7 @@ func greedyCandidates(lat *federation.PlanLattice, sel []int, costs [][]float64,
 	}
 	parents := append([]int(nil), front...)
 	sort.Slice(parents, func(a, b int) bool {
-		wa, wb := weight(costs[parents[a]]), weight(costs[parents[b]])
+		wa, wb := weight(costs.Row(parents[a])), weight(costs.Row(parents[b]))
 		if wa != wb {
 			return wa < wb
 		}

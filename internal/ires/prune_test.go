@@ -26,7 +26,7 @@ func renderSweep(sw *Sweep) string {
 	out := fmt.Sprintf("q=%v space=%d est=%d policy=%s front=%v\n",
 		sw.Query, sw.PlanSpace, sw.PlansEstimated, sw.Policy, sw.FrontIdx)
 	for i, p := range sw.Plans {
-		out += fmt.Sprintf("%v %v\n", p, sw.Costs[i])
+		out += fmt.Sprintf("%v %v\n", p, sw.Costs.Row(i))
 	}
 	return out
 }
@@ -139,7 +139,7 @@ func TestGreedyPruneDecisionWithinTolerance(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					fc, gc := fsw.Costs[fi], gsw.Costs[gi]
+					fc, gc := fsw.Costs.Row(fi), gsw.Costs.Row(gi)
 					for m := range fc {
 						denom := math.Max(math.Abs(fc[m]), 1e-9)
 						if delta := math.Abs(gc[m]-fc[m]) / denom; delta > tolerance {
@@ -179,10 +179,10 @@ func TestGreedyPruneSmallLatticeFallsBackToFull(t *testing.T) {
 	if b.Policy != "greedy" {
 		t.Fatalf("policy label = %q", b.Policy)
 	}
-	for i := range a.Costs {
-		for m := range a.Costs[i] {
-			if a.Costs[i][m] != b.Costs[i][m] {
-				t.Fatalf("plan %d metric %d: %v vs %v", i, m, a.Costs[i], b.Costs[i])
+	for i := 0; i < a.Costs.Len(); i++ {
+		for m, c := range a.Costs.Row(i) {
+			if c != b.Costs.Row(i)[m] {
+				t.Fatalf("plan %d metric %d: %v vs %v", i, m, a.Costs.Row(i), b.Costs.Row(i))
 			}
 		}
 	}

@@ -91,14 +91,13 @@ func TestSchedulerWarmStartFromStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(swB.Costs) != len(swA.Costs) {
-		t.Fatalf("sweep sizes differ: %d vs %d", len(swB.Costs), len(swA.Costs))
+	if swB.Costs.Len() != swA.Costs.Len() {
+		t.Fatalf("sweep sizes differ: %d vs %d", swB.Costs.Len(), swA.Costs.Len())
 	}
-	for i := range swA.Costs {
-		for j := range swA.Costs[i] {
-			if swA.Costs[i][j] != swB.Costs[i][j] {
-				t.Fatalf("plan %d cost %d: restarted %v != original %v",
-					i, j, swB.Costs[i][j], swA.Costs[i][j])
+	for i := 0; i < swA.Costs.Len(); i++ {
+		for j, ca := range swA.Costs.Row(i) {
+			if cb := swB.Costs.Row(i)[j]; ca != cb {
+				t.Fatalf("plan %d cost %d: restarted %v != original %v", i, j, cb, ca)
 			}
 		}
 	}

@@ -79,6 +79,15 @@ func TestParetoDominates(t *testing.T) {
 	}
 }
 
+// frontOf is ParetoFront over rows held as [][]float64.
+func frontOf(rows [][]float64) ([]int, error) {
+	m, err := NewCostMatrix(rows)
+	if err != nil {
+		return nil, err
+	}
+	return ParetoFront(m)
+}
+
 func TestParetoFront(t *testing.T) {
 	costs := [][]float64{
 		{1, 5}, // front
@@ -88,7 +97,7 @@ func TestParetoFront(t *testing.T) {
 		{5, 1}, // front
 		{6, 6}, // dominated
 	}
-	front, err := ParetoFront(costs)
+	front, err := frontOf(costs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +114,7 @@ func TestParetoFront(t *testing.T) {
 
 func TestParetoFrontIdenticalPoints(t *testing.T) {
 	costs := [][]float64{{1, 1}, {1, 1}, {2, 2}}
-	front, err := ParetoFront(costs)
+	front, err := frontOf(costs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +168,7 @@ func TestPropertyNonDominatedSortLayers(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		pf, err := ParetoFront(costs)
+		pf, err := frontOf(costs)
 		if err != nil {
 			return false
 		}
@@ -269,13 +278,69 @@ func TestParetoFrontMatchesOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := ParetoFront(costs)
+		got, err := frontOf(costs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !slices.Equal(got, want) {
 			t.Fatalf("trial %d (n=%d, M=%d): front %v, oracle %v\ncosts %v", trial, n, m, got, want, costs)
 		}
+		if packed, _ := NewCostMatrix(costs); m == 2 && !slices.Equal(paretoFrontRows(packed), want) {
+			t.Fatalf("trial %d (n=%d): Row loop %v, oracle %v\ncosts %v", trial, n, paretoFrontRows(packed), want, costs)
+		}
+	}
+}
+
+// TestCostMatrix pins the two ways in and the row views: what packs,
+// what is refused, and that a row cannot be appended into its neighbour.
+func TestCostMatrix(t *testing.T) {
+	m, err := NewCostMatrix([][]float64{{1, 2, 3}, {4, 5, 6}})
+	if err != nil || m.Len() != 2 || !slices.Equal(m.Row(1), []float64{4, 5, 6}) {
+		t.Fatalf("packed: %v, %v", m, err)
+	}
+	if r := m.Row(0); cap(r) != 3 {
+		t.Errorf("row 0 has capacity %d: an append would overwrite row 1", cap(r))
+	}
+	flat := []float64{1, 2, 3, 4}
+	if w, err := FlatCostMatrix(flat, 2); err != nil || w.Len() != 2 || &w.Row(1)[0] != &flat[2] {
+		t.Errorf("FlatCostMatrix copied or miscounted: %v, %v", w, err)
+	}
+	for _, tc := range []struct {
+		name string
+		make func() (CostMatrix, error)
+	}{
+		{"ragged", func() (CostMatrix, error) { return NewCostMatrix([][]float64{{1, 2}, {3}}) }},
+		{"zero-width rows", func() (CostMatrix, error) { return NewCostMatrix([][]float64{{}, {}}) }},
+		{"partial row", func() (CostMatrix, error) { return FlatCostMatrix(flat[:3], 2) }},
+		{"width 0", func() (CostMatrix, error) { return FlatCostMatrix(flat, 0) }},
+		{"negative width", func() (CostMatrix, error) { return FlatCostMatrix(flat, -2) }},
+		{"append of another width", func() (CostMatrix, error) {
+			o, _ := FlatCostMatrix(flat, 2)
+			return m.Append(o)
+		}},
+	} {
+		if got, err := tc.make(); !errors.Is(err, ErrDimension) || got.Len() != 0 {
+			t.Errorf("%s: %v, %v; want the empty matrix and ErrDimension", tc.name, got, err)
+		}
+	}
+	for _, empty := range []func() (CostMatrix, error){
+		func() (CostMatrix, error) { return NewCostMatrix(nil) },
+		func() (CostMatrix, error) { return FlatCostMatrix(nil, 0) },
+	} {
+		if got, err := empty(); err != nil || got.Len() != 0 {
+			t.Errorf("empty: %v, %v", got, err)
+		}
+	}
+	// Append: either side may be empty; the result reads as both in order.
+	both, err := CostMatrix{}.Append(m)
+	if err == nil {
+		both, err = both.Append(CostMatrix{})
+	}
+	if err == nil {
+		both, err = both.Append(m)
+	}
+	if err != nil || both.Len() != 4 || !slices.Equal(both.Row(3), m.Row(1)) || !slices.Equal(both.Row(0), m.Row(0)) {
+		t.Errorf("append: %v, %v", both, err)
 	}
 }
 
@@ -286,24 +351,30 @@ func TestParetoFrontRaggedRows(t *testing.T) {
 	for bad := 0; bad < 4; bad++ {
 		costs := [][]float64{{1, 1}, {2, 2}, {3, 3}, {4, 4}}
 		costs[bad] = []float64{0}
-		if _, err := ParetoFront(costs); !errors.Is(err, ErrDimension) {
+		if _, err := frontOf(costs); !errors.Is(err, ErrDimension) {
 			t.Errorf("short row at %d: got %v, want ErrDimension", bad, err)
 		}
 		if _, err := paretoFrontOracle(costs); !errors.Is(err, ErrDimension) {
 			t.Errorf("oracle, short row at %d: got %v, want ErrDimension", bad, err)
 		}
 	}
-	if front, err := ParetoFront([][]float64{{7}}); err != nil || !slices.Equal(front, []int{0}) {
+	if front, err := frontOf([][]float64{{7}}); err != nil || !slices.Equal(front, []int{0}) {
 		t.Errorf("single row: %v, %v", front, err)
 	}
-	if front, err := ParetoFront(nil); err != nil || front != nil {
+	if front, err := frontOf(nil); err != nil || front != nil {
 		t.Errorf("empty: %v, %v", front, err)
+	}
+	if front, err := ParetoFront(CostMatrix{}); err != nil || front != nil {
+		t.Errorf("zero matrix: %v, %v", front, err)
 	}
 }
 
-// FuzzParetoFront decodes the input as a row width and float64 values.
-// NaN-free matrices must match the oracle exactly; any matrix must come
-// back without a panic and with strictly ascending in-range indices.
+// FuzzParetoFront decodes the input as a row width and float64 values
+// and packs them into a CostMatrix. NaN-free matrices must match the
+// all-pairs oracle exactly; any matrix must come back without a panic
+// and with strictly ascending in-range indices; and at two objectives
+// the two-compare path and the generic Row loop — one tie rule, two
+// implementations — must agree on any input, NaN-bearing included.
 func FuzzParetoFront(f *testing.F) {
 	le := binary.LittleEndian
 	seed := func(m byte, vals ...float64) {
@@ -317,6 +388,22 @@ func FuzzParetoFront(f *testing.F) {
 	seed(2, 1, 1, 1, 1, 2, 2)
 	seed(1, 3, 1, 2, math.Inf(1), math.Inf(-1))
 	seed(3, math.NaN(), 1, 2, 0, math.NaN(), 3, 1, 1, 1)
+	// What planProblem.Evaluate emits for a plan it cannot score, beside
+	// rows that can be; -0 against +0 (equal, so neither dominates);
+	// duplicate rows either side of the row that evicts them.
+	inf := math.Inf(1)
+	seed(1, inf, inf, 2, 3, inf, inf, 3, 2, -inf, inf)
+	seed(1, math.Copysign(0, -1), 1, 0, 1, 0, math.Copysign(0, -1))
+	seed(1, 2, 2, 2, 2, 1, 1, 2, 2, 1, 1)
+	seed(1, math.NaN(), 1, 1, math.NaN(), 0, 0, math.NaN(), math.NaN())
+	// A front longer than paretoFront2's stack buffer, then a row that
+	// evicts all of it.
+	var long []float64
+	for i := 0; i < frontBuf+8; i++ {
+		long = append(long, float64(i), float64(frontBuf+8-i))
+	}
+	seed(1, long...)
+	seed(1, append(long, -1, -1)...)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
@@ -327,15 +414,19 @@ func FuzzParetoFront(f *testing.F) {
 		if n > 256 {
 			n = 256
 		}
-		costs := make([][]float64, n)
+		flat := make([]float64, n*m)
+		rows := make([][]float64, n)
 		hasNaN := false
-		for i := range costs {
-			row := make([]float64, m)
-			for k := range row {
-				row[k] = math.Float64frombits(le.Uint64(data[8*(i*m+k):]))
-				hasNaN = hasNaN || math.IsNaN(row[k])
-			}
-			costs[i] = row
+		for i := range flat {
+			flat[i] = math.Float64frombits(le.Uint64(data[8*i:]))
+			hasNaN = hasNaN || math.IsNaN(flat[i])
+		}
+		costs, err := FlatCostMatrix(flat, m)
+		if err != nil || costs.Len() != n {
+			t.Fatalf("%d values in rows of %d: %d rows, %v", len(flat), m, costs.Len(), err)
+		}
+		for i := range rows {
+			rows[i] = costs.Row(i)
 		}
 		got, err := ParetoFront(costs)
 		if err != nil {
@@ -346,12 +437,17 @@ func FuzzParetoFront(f *testing.F) {
 				t.Fatalf("front %v not strictly ascending within [0,%d)", got, n)
 			}
 		}
+		if m == 2 {
+			if generic := paretoFrontRows(costs); !slices.Equal(got, generic) {
+				t.Fatalf("two-compare front %v, Row loop %v\ncosts %v", got, generic, rows)
+			}
+		}
 		if hasNaN {
 			return
 		}
-		want, _ := paretoFrontOracle(costs)
+		want, _ := paretoFrontOracle(rows)
 		if !slices.Equal(got, want) {
-			t.Fatalf("front %v, oracle %v\ncosts %v", got, want, costs)
+			t.Fatalf("front %v, oracle %v\ncosts %v", got, want, rows)
 		}
 	})
 }
@@ -361,7 +457,7 @@ func FuzzParetoFront(f *testing.F) {
 // that made the all-pairs loop quadratic), front64 has a 64-row
 // trade-off curve ahead of rows it dominates, antichain is all front —
 // the remaining O(n²) worst case.
-func paretoBenchCosts(shape string, n int) [][]float64 {
+func paretoBenchCosts(shape string, n int) CostMatrix {
 	costs := make([][]float64, n)
 	for i := range costs {
 		f := float64(i)
@@ -378,7 +474,11 @@ func paretoBenchCosts(shape string, n int) [][]float64 {
 			costs[i] = []float64{f, float64(n) - f}
 		}
 	}
-	return costs
+	m, err := NewCostMatrix(costs)
+	if err != nil {
+		panic(err)
+	}
+	return m
 }
 
 var paretoSink []int

@@ -185,6 +185,57 @@ func TestPredictDimensionError(t *testing.T) {
 	}
 }
 
+// PredictRows writes Predict's values at the stride it is given and
+// leaves the slots between them alone; what it cannot read as whole
+// rows of L is ErrDimension with dst untouched.
+func TestPredictRows(t *testing.T) {
+	m := &Model{Beta: []float64{0.5, 2, -3}, L: 2}
+	xs := []float64{1, 1, 2, 0, 0, 2, -1, -1, 4, 4, 1e300, 1e300, 0.1, 0.2} // 7 rows: a body and a tail of 3
+	dst := make([]float64, 3*6+1)
+	for i := range dst {
+		dst[i] = -7
+	}
+	if err := m.PredictRows(dst, 3, xs, 2); err != nil {
+		t.Fatal(err)
+	}
+	for i, got := range dst {
+		want := -7.0
+		if i%3 == 0 {
+			want, _ = m.Predict(xs[i/3*2 : i/3*2+2])
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("dst[%d] = %v, want %v", i, got, want)
+		}
+	}
+	if err := m.PredictRows(nil, 1, nil, 2); err != nil {
+		t.Errorf("no rows: %v", err)
+	}
+	for _, tc := range []struct {
+		name   string
+		m      *Model
+		dst    []float64
+		stride int
+		xs     []float64
+		dim    int
+	}{
+		{"another width", m, dst, 3, xs[:12], 3},
+		{"a trailing partial row", m, dst, 3, xs[:13], 2},
+		{"a model of no features", &Model{Beta: []float64{1}}, dst, 1, nil, 0},
+	} {
+		for i := range dst {
+			dst[i] = -7
+		}
+		if err := tc.m.PredictRows(tc.dst, tc.stride, tc.xs, tc.dim); !errors.Is(err, ErrDimension) {
+			t.Errorf("%s: got %v, want ErrDimension", tc.name, err)
+		}
+		for i, v := range dst {
+			if v != -7 {
+				t.Errorf("%s: dst[%d] written", tc.name, i)
+			}
+		}
+	}
+}
+
 func TestMinObservations(t *testing.T) {
 	for l := 1; l < 10; l++ {
 		if got := MinObservations(l); got != l+2 {

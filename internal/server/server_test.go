@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/federation"
 	"repro/internal/ires"
+	"repro/internal/moo"
 	"repro/internal/tpch"
 )
 
@@ -50,10 +51,14 @@ func (s *stubSched) PlanSweep(ctx context.Context, q tpch.QueryID) (*ires.Sweep,
 	if s.failSweep != nil {
 		return nil, s.failSweep
 	}
+	costs, err := moo.NewCostMatrix([][]float64{{1, 2}})
+	if err != nil {
+		return nil, err
+	}
 	return &ires.Sweep{
 		Query:      q,
 		Plans:      []federation.Plan{{Query: q, JoinAtLeft: true, NodesLeft: 1, NodesRight: 1}},
-		Costs:      [][]float64{{1, 2}},
+		Costs:      costs,
 		FrontIdx:   []int{0},
 		FrontCosts: [][]float64{{1, 2}},
 		Normalized: [][]float64{{0, 0}},
@@ -67,7 +72,7 @@ func (s *stubSched) DecideFromSweep(sw *ires.Sweep, pol ires.Policy) (*ires.Deci
 	}
 	return &ires.Decision{
 		Plan:       sw.Plans[idx],
-		Estimated:  sw.Costs[idx],
+		Estimated:  sw.Costs.Row(idx),
 		Outcome:    &federation.Outcome{TimeS: 1, MoneyUSD: 2},
 		ParetoSize: len(sw.FrontIdx),
 		PlanSpace:  len(sw.Plans),

@@ -194,8 +194,15 @@ func Lexicographic(costs [][]float64, order []int, tolerance float64) (int, erro
 	return moo.Lexicographic(costs, order, tolerance)
 }
 
-// ParetoFront returns the indices of non-dominated cost vectors.
-func ParetoFront(costs [][]float64) ([]int, error) { return moo.ParetoFront(costs) }
+// ParetoFront returns the indices, ascending, of the non-dominated cost
+// vectors; rows of differing or zero length are an error.
+func ParetoFront(costs [][]float64) ([]int, error) {
+	m, err := moo.NewCostMatrix(costs)
+	if err != nil {
+		return nil, err
+	}
+	return moo.ParetoFront(m)
+}
 
 // BestInPareto implements the paper's Algorithm 2.
 func BestInPareto(costs [][]float64, weights, constraints []float64) (int, error) {
@@ -375,9 +382,10 @@ func NewSchedulerWithConfig(fed *Federation, exec Executor, model CostModel, cfg
 // Serving layer
 
 type (
-	// Sweep is the policy-independent half of a scheduling round; a
-	// serving layer shares one sweep across concurrent submissions of
-	// the same query (see Scheduler.PlanSweep / DecideFromSweep).
+	// Sweep is the policy-independent half of a scheduling round (see
+	// Scheduler.PlanSweep / DecideFromSweep): a serving layer shares one
+	// across concurrent submissions of a query. Its Costs are one flat
+	// matrix, plan i's vector at Costs.Row(i).
 	Sweep = ires.Sweep
 	// QueryServer hosts named federations behind the HTTP/JSON API
 	// (POST /v1/queries, GET /v1/history/{query}, /v1/stats, /healthz)

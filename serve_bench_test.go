@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"net/http"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -169,31 +170,50 @@ func TestServeSubmitAllocBudget(t *testing.T) {
 
 // TestPlanSweepAllocBudget is the same kind of gate for the sweep: a warm
 // PlanSweep lays its plans out in a fixed number of buffers — a feature
-// scratch, one cost matrix, the row views — so its allocation count does
-// not scale with the lattice. Deterministic, hence a test with a pinned
-// figure and no baseline to compare against.
+// scratch and one flat cost matrix — so its allocation count does not
+// scale with the lattice, and neither does anything but the matrix in
+// bytes: an object count alone would price 48 KB of per-plan row headers
+// at 1. Deterministic, hence a test with pinned figures and no baseline
+// to compare against.
 func TestPlanSweepAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	ctx := context.Background()
-	sweepAllocs := func(maxNodes int) float64 {
+	sweepAllocs := func(maxNodes int) (allocs, size float64) {
 		sched := wideScheduler(t, 42, maxNodes, 0.1, nil)
-		allocs := testing.AllocsPerRun(50, func() {
+		sweep := func() {
 			if _, err := sched.PlanSweep(ctx, tpch.QueryQ12); err != nil {
 				t.Fatal(err)
 			}
-		})
-		t.Logf("%d plans: %.1f allocs per warm sweep", 2*maxNodes*maxNodes, allocs)
-		return allocs
+		}
+		const runs = 50
+		allocs = testing.AllocsPerRun(runs, sweep)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			sweep()
+		}
+		runtime.ReadMemStats(&after)
+		size = float64(after.TotalAlloc-before.TotalAlloc) / runs
+		t.Logf("%d plans: %.1f allocs, %.0f B per warm sweep", 2*maxNodes*maxNodes, allocs, size)
+		return allocs, size
 	}
-	small, large := sweepAllocs(3), sweepAllocs(32)
-	if large-small > 6 {
+	small, smallBytes := sweepAllocs(3)
+	large, largeBytes := sweepAllocs(32)
+	if large-small > 2 {
 		t.Errorf("2,048 plans cost %.0f allocations more than 18: the count scales with the lattice again", large-small)
 	}
-	const budget = 21
+	const budget = 13
 	if large > budget {
 		t.Errorf("2,048-plan sweep: %.1f allocs, budget %d", large, budget)
+	}
+	// Per plan: len(federation.Metrics)·8 B of matrix, 5 B of chunk
+	// scratch (256 rows of features for 2,048 plans), and slack.
+	const bytesBudget, perPlanBudget = 48 << 10, 28
+	if perPlan := (largeBytes - smallBytes) / (2048 - 18); largeBytes > bytesBudget || perPlan > perPlanBudget {
+		t.Errorf("2,048-plan sweep: %.0f B (budget %d), %.1f B per plan over the 18-plan sweep (budget %d)",
+			largeBytes, bytesBudget, perPlan, perPlanBudget)
 	}
 }
 
