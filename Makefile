@@ -16,7 +16,8 @@ COVER_PKGS ?= ./internal/server ./internal/core ./internal/histstore ./internal/
 # on them: CI's regression gate is `bench -compare` over bench/ against
 # BENCHMARK.json's bounds, and allocation budgets are ordinary tests
 # (TestServeSubmitAllocBudget). The fsync-bound ServeDurable and
-# WALAppend* benchmarks are left out — fsync latency is hardware noise.
+# WALAppendDurable benchmarks are left out — fsync latency is hardware
+# noise.
 SWEEP_PATTERN ?= Q1[23]Sweep|WindowSearchCold|DREAMEstimateUncached|ServeHotPath|PlanSweep|SweepRound|ParetoFront|RouteLookup
 SWEEP_COUNT ?= 5
 

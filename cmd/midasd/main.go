@@ -17,12 +17,11 @@
 // every -checkpoint-interval (and at drain, and via POST
 // /v1/admin/checkpoint), and replayed on the next boot — a restarted
 // daemon estimates from exactly the history it had, instead of
-// re-paying cold-start bootstrap sweeps. -wal-fsync trades append
-// throughput for durability against machine (not just process) crashes;
-// -wal-group-commit buys the same durability at a fraction of the cost
-// by coalescing concurrent appends onto shared fsyncs — no response
-// leaves the daemon before the fsync covering its recorded execution
-// returns.
+// re-paying cold-start bootstrap sweeps. With -wal-fsync no response
+// leaves the daemon before an fsync covering its recorded execution
+// returns — durability against machine (not just process) crashes, the
+// fsync issued by whichever request is waiting and shared by all that
+// are.
 //
 // With -chaos, a named fault-injection profile (site outages,
 // stragglers, price spikes, autoscaling resizes — see
@@ -127,9 +126,8 @@ func newFlagSet(o *options) *flag.FlagSet {
 	fs.DurationVar(&o.drainTimeout, "drain-timeout", 30*time.Second, "graceful shutdown budget")
 
 	fs.StringVar(&o.store.Dir, "data-dir", "", "root directory for durable query histories (empty = in-memory only)")
-	fs.DurationVar(&o.store.CheckpointInterval, "checkpoint-interval", time.Minute, "periodic WAL fsync: bounds what a machine crash can lose without -wal-fsync/-wal-group-commit, a no-op with either; 0 disables the timer (requires -data-dir)")
-	fs.BoolVar(&o.store.Fsync, "wal-fsync", false, "fsync the history WAL after every recorded execution (requires -data-dir)")
-	fs.BoolVar(&o.store.GroupCommit, "wal-group-commit", false, "coalesce WAL fsyncs across concurrent appends: per-append durability at a fraction of -wal-fsync's cost (requires -data-dir; supersedes -wal-fsync)")
+	fs.DurationVar(&o.store.CheckpointInterval, "checkpoint-interval", time.Minute, "periodic WAL fsync: bounds what a machine crash can lose without -wal-fsync, a no-op with it; 0 disables the timer (requires -data-dir)")
+	fs.BoolVar(&o.store.Fsync, "wal-fsync", false, "send no response before a WAL fsync covers its recorded execution; concurrent requests share one fsync (requires -data-dir)")
 
 	fs.StringVar(&o.cluster.NodeID, "node-id", "", "this node's name in -cluster-peers (cluster mode)")
 	fs.StringVar(&o.clusterPeers, "cluster-peers", "", `cluster membership as "id=url,id=url,..." including this node; empty = standalone`)
@@ -171,9 +169,9 @@ func run() error {
 		cfg.Store = o.store
 		logger.Info("durable histories enabled",
 			"data_dir", o.store.Dir, "checkpoint_interval", o.store.CheckpointInterval.String(),
-			"wal_fsync", o.store.Fsync, "wal_group_commit", o.store.GroupCommit)
-	} else if o.store.Fsync || o.store.GroupCommit || o.store.CheckpointInterval != time.Minute {
-		logger.Warn("-wal-fsync/-wal-group-commit/-checkpoint-interval have no effect without -data-dir")
+			"wal_fsync", o.store.Fsync)
+	} else if o.store.Fsync || o.store.CheckpointInterval != time.Minute {
+		logger.Warn("-wal-fsync/-checkpoint-interval have no effect without -data-dir")
 	}
 
 	if cfg.Cluster, err = clusterConfig(&o); err != nil {

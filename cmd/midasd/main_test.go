@@ -2,6 +2,7 @@ package main
 
 import (
 	"flag"
+	"io"
 	"os"
 	"regexp"
 	"sort"
@@ -20,7 +21,15 @@ var flagRowRE = regexp.MustCompile("^\\| `-([a-z-]+)` \\|")
 // operator's unit file.
 func TestFlagsMatchRunbook(t *testing.T) {
 	var defined []string
-	newFlagSet(new(options)).VisitAll(func(f *flag.Flag) { defined = append(defined, f.Name) })
+	fs := newFlagSet(new(options))
+	fs.VisitAll(func(f *flag.Flag) { defined = append(defined, f.Name) })
+	// A removed flag in a unit file must stop the boot ("flag provided but
+	// not defined"), not be ignored.
+	fs.Init("midasd", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	if err := fs.Parse([]string{"-wal-group-commit"}); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+		t.Fatalf("-wal-group-commit: %v, want the boot refused", err)
+	}
 
 	raw, err := os.ReadFile("../../docs/operations.md")
 	if err != nil {

@@ -42,18 +42,20 @@ type replShard struct {
 	cond  *sync.Cond
 	state replState
 
-	buf      []byte // concatenated frames not yet handed to the shipper
+	buf      []byte // concatenated frames not yet handed to ship
 	bufFrom  uint64 // seq of the first frame in buf
 	bufCount int
 	synced   uint64 // every seq < synced is on the standby
-	shipping bool   // a shipper goroutine is active
+	shipping bool   // a waiter is inside ship with the previous buffer
 }
 
 // Replicator ships one store's WAL appends to a standby, shard by
-// shard. It implements histstore.Mirror: AppendFrame is called under
-// the shard lock (so the frame order here is exactly the WAL order) and
-// must not block; WaitFrame is called outside the lock before a write
-// is acknowledged and blocks until the frame is shipped — or returns
+// shard, and owns no goroutine. It implements histstore.Mirror:
+// AppendFrame is called under the shard lock (so the frame order here
+// is exactly the WAL order) and only buffers; WaitFrame is called
+// outside the lock before a write is acknowledged and returns once the
+// frame is on the standby — the waiter that finds nobody shipping takes
+// the buffer and ships it itself, the others wait for that ship — or
 // immediately once the shard is degraded, trading replica currency for
 // availability rather than failing writes when the standby is down.
 type Replicator struct {
@@ -105,18 +107,17 @@ func (r *Replicator) Hold(shard string, next uint64) {
 	s.mu.Unlock()
 }
 
-// Release completes a Hold: the standby holds the synced state, so
-// buffered frames may ship and acks may proceed. No-op unless the
-// shard is held (a concurrent Disarm or degrade wins).
+// Release completes a Hold: the standby holds the synced state, so acks
+// wait for shipment from here on, and the frames buffered meanwhile are
+// shipped before Release returns — their acks did not wait and nobody
+// else might. No-op unless the shard is held (a concurrent Disarm or
+// degrade wins).
 func (r *Replicator) Release(shard string) {
 	s := r.shard(shard)
 	s.mu.Lock()
 	if s.state == replHeld {
 		s.state = replStreaming
-		if s.bufCount > 0 && !s.shipping {
-			s.shipping = true
-			go r.run(shard, s)
-		}
+		r.waitShipped(shard, s, s.bufFrom+uint64(s.bufCount))
 	}
 	s.cond.Broadcast()
 	s.mu.Unlock()
@@ -185,75 +186,62 @@ func (r *Replicator) AppendFrame(shard string, seq uint64, frame []byte) {
 		// A discontinuity means the mirror missed frames (e.g. armed
 		// against a stale sync point); the stream is no longer an exact
 		// suffix, so it must degrade rather than ship a gap.
-		s.state = replDegraded
-		s.buf = nil
-		s.bufCount = 0
-		s.cond.Broadcast()
-		s.mu.Unlock()
-		if r.OnDegrade != nil {
-			r.OnDegrade(shard, errSeqGap{shard: shard, want: want, got: seq})
-		}
+		r.degrade(shard, s, errSeqGap{shard: shard, want: want, got: seq})
 		return
 	}
 	if len(s.buf)+len(frame) > MaxBufferedBytes {
-		s.state = replDegraded
-		s.buf = nil
-		s.bufCount = 0
-		s.cond.Broadcast()
-		s.mu.Unlock()
-		if r.OnDegrade != nil {
-			r.OnDegrade(shard, fmt.Errorf("cluster: replication buffer for %s exceeded %d bytes (standby stalled)",
-				shard, MaxBufferedBytes))
-		}
+		r.degrade(shard, s, fmt.Errorf("cluster: replication buffer for %s exceeded %d bytes (standby stalled)",
+			shard, MaxBufferedBytes))
 		return
 	}
 	s.buf = append(s.buf, frame...)
 	s.bufCount++
-	if s.state == replStreaming && !s.shipping {
-		s.shipping = true
-		go r.run(shard, s)
-	}
 	s.mu.Unlock()
 }
 
-// run drains the shard's buffer in batches until it is empty or the
-// stream breaks. One goroutine per shard at a time (s.shipping).
-func (r *Replicator) run(shard string, s *replShard) {
-	for {
-		s.mu.Lock()
-		if s.state != replStreaming || s.bufCount == 0 {
-			s.shipping = false
-			s.mu.Unlock()
-			return
+// degrade abandons the stream until the next full sync re-arms it.
+// Called with s.mu held; releases it, so that OnDegrade runs outside.
+func (r *Replicator) degrade(shard string, s *replShard, err error) {
+	s.state = replDegraded
+	s.buf = nil
+	s.bufCount = 0
+	s.cond.Broadcast()
+	s.mu.Unlock()
+	if r.OnDegrade != nil {
+		r.OnDegrade(shard, err)
+	}
+}
+
+// waitShipped returns once every sequence below upto is on the standby
+// or the shard has stopped streaming. Called with s.mu held, which it
+// drops for the length of a ship. A waiter that is not covered takes
+// everything buffered and ships it — one ship in flight per shard, so
+// batches go in sequence order — unless somebody already is, and then
+// waits for that ship; the frames buffered meanwhile go with the next.
+func (r *Replicator) waitShipped(shard string, s *replShard, upto uint64) {
+	for s.state == replStreaming && s.synced < upto {
+		if s.shipping || s.bufCount == 0 {
+			s.cond.Wait()
+			continue
 		}
-		batch := s.buf
-		from := s.bufFrom
-		count := s.bufCount
-		s.buf = nil
-		s.bufFrom = from + uint64(count)
-		s.bufCount = 0
+		batch, from, count := s.buf, s.bufFrom, s.bufCount
+		s.buf, s.bufFrom, s.bufCount = nil, from+uint64(count), 0
+		s.shipping = true
 		s.mu.Unlock()
 
 		err := r.ship(shard, from, batch, count)
 
 		s.mu.Lock()
+		s.shipping = false
 		if err != nil {
-			s.state = replDegraded
-			s.buf = nil
-			s.bufCount = 0
-			s.shipping = false
-			s.cond.Broadcast()
-			s.mu.Unlock()
-			if r.OnDegrade != nil {
-				r.OnDegrade(shard, err)
-			}
+			r.degrade(shard, s, err)
+			s.mu.Lock()
 			return
 		}
 		if s.state == replStreaming && s.synced < from+uint64(count) {
 			s.synced = from + uint64(count)
 		}
 		s.cond.Broadcast()
-		s.mu.Unlock()
 	}
 }
 
@@ -267,9 +255,7 @@ func (r *Replicator) run(shard string, s *replShard) {
 func (r *Replicator) WaitFrame(shard string, seq uint64) error {
 	s := r.shard(shard)
 	s.mu.Lock()
-	for s.state == replStreaming && s.synced <= seq {
-		s.cond.Wait()
-	}
+	r.waitShipped(shard, s, seq+1)
 	s.mu.Unlock()
 	return nil
 }

@@ -85,13 +85,18 @@ func TestReplicatorDegradeOnShipFailure(t *testing.T) {
 	r.OnDegrade = func(shard string, err error) { degraded <- shard }
 	arm(r, "Q12", 0)
 	r.AppendFrame("Q12", 0, []byte{1})
+	// The frame ships when somebody waits for it: the waiter's own ship
+	// fails, it degrades the shard and is released, not failed.
+	if err := r.WaitFrame("Q12", 0); err != nil {
+		t.Fatalf("WaitFrame over a failed ship: %v", err)
+	}
 	select {
 	case sh := <-degraded:
 		if sh != "Q12" {
 			t.Fatalf("degraded shard %q", sh)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("OnDegrade never fired")
+	default:
+		t.Fatal("OnDegrade had not fired when the waiter returned")
 	}
 	if !r.Degraded("Q12") {
 		t.Fatal("shard not marked degraded")
@@ -195,23 +200,75 @@ func TestReplicatorHeldBufferOverflowDegrades(t *testing.T) {
 
 func TestReplicatorDisarmReleasesWaiters(t *testing.T) {
 	block := make(chan struct{})
+	var ships atomic.Int32
 	r := NewReplicator(func(shard string, from uint64, frames []byte, count int) error {
+		ships.Add(1)
 		<-block
 		return nil
 	})
 	arm(r, "Q12", 0)
+	wait := func(seq uint64) chan struct{} {
+		done := make(chan struct{})
+		go func() {
+			_ = r.WaitFrame("Q12", seq)
+			close(done)
+		}()
+		return done
+	}
+	// The first waiter ships its own frame and is parked in ship; the
+	// second's frame missed that batch, so it waits for the first.
 	r.AppendFrame("Q12", 0, []byte{1})
-	done := make(chan struct{})
-	go func() {
-		_ = r.WaitFrame("Q12", 0)
-		close(done)
-	}()
+	leader := wait(0)
+	for ships.Load() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	r.AppendFrame("Q12", 1, []byte{2})
+	follower := wait(1)
 	time.Sleep(10 * time.Millisecond)
 	r.DisarmAll()
 	select {
-	case <-done:
+	case <-follower:
 	case <-time.After(5 * time.Second):
 		t.Fatal("Disarm left a waiter blocked")
 	}
+	select {
+	case <-leader:
+		t.Fatal("the shipping waiter returned before its ship did")
+	default:
+	}
+	// The leader returns as soon as its ship does, finds the shard
+	// disarmed and ships nothing more.
 	close(block)
+	select {
+	case <-leader:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the shipping waiter stayed blocked after its ship returned")
+	}
+	if r.Streaming("Q12") {
+		t.Fatal("shard still streaming after Disarm")
+	}
+	if n := ships.Load(); n != 1 {
+		t.Fatalf("%d ships, want the one in flight at Disarm", n)
+	}
+}
+
+// TestReleaseShipsHeldBufferBeforeReturning: the acks of frames buffered
+// while held did not wait, so nobody may ever wait for them: Release
+// itself ships them, in order, before it reports the shard streaming.
+func TestReleaseShipsHeldBufferBeforeReturning(t *testing.T) {
+	c := &collectShip{next: 7}
+	r := NewReplicator(c.ship)
+	r.Hold("Q12", 7)
+	for seq := uint64(7); seq < 10; seq++ {
+		r.AppendFrame("Q12", seq, []byte{byte(seq)})
+	}
+	r.Release("Q12")
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if string(c.frames) != string([]byte{7, 8, 9}) || c.next != 10 {
+		t.Fatalf("when Release returned the standby held frames %v, next %d; want 7 8 9, next 10", c.frames, c.next)
+	}
+	if !r.Streaming("Q12") {
+		t.Fatal("released shard not streaming")
+	}
 }

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -43,54 +45,40 @@ func BenchmarkWALAppend(b *testing.B) {
 	}
 }
 
-// BenchmarkWALAppendFsync is the durable-against-power-loss variant.
-func BenchmarkWALAppendFsync(b *testing.B) {
-	s, err := Open(b.TempDir(), Options{Fsync: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer s.Close()
-	h, err := s.OpenHistory("bench", federation.FeatureDim, federation.Metrics)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := h.Append(benchObs(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkWALAppendGroupCommit measures durable appends under group
-// commit with concurrent writers: every iteration is acknowledged only
-// after a covering fsync, but parallel appends coalesce onto shared
-// fsyncs, so per-append cost collapses toward the no-fsync path as
-// parallelism grows. Compare against BenchmarkWALAppendFsync at the
-// same -cpu to see the coalescing win.
-func BenchmarkWALAppendGroupCommit(b *testing.B) {
-	s, err := Open(b.TempDir(), Options{GroupCommit: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer s.Close()
-	h, err := s.OpenHistory("bench", federation.FeatureDim, federation.Metrics)
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Appenders block on fsync, not CPU: run many goroutines per core
-	// so batches actually form even on small machines.
-	b.SetParallelism(32)
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			if err := h.Append(benchObs(i)); err != nil {
+// BenchmarkWALAppendDurable is the durable-against-power-loss variant:
+// every iteration is acknowledged only after a covering fsync. One
+// writer pays one fsync per append; 64 closed-loop writers share them,
+// so the per-append cost falls toward the no-fsync path.
+func BenchmarkWALAppendDurable(b *testing.B) {
+	for _, writers := range []int{1, 64} {
+		b.Run(fmt.Sprintf("writers%d", writers), func(b *testing.B) {
+			s, err := Open(b.TempDir(), Options{Fsync: true})
+			if err != nil {
 				b.Fatal(err)
 			}
-			i++
-		}
-	})
+			defer s.Close()
+			h, err := s.OpenHistory("bench", federation.FeatureDim, federation.Metrics)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var next atomic.Int64
+			var wg sync.WaitGroup
+			b.ResetTimer()
+			for w := 0; w < writers; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := next.Add(1); i <= int64(b.N); i = next.Add(1) {
+						if err := h.Append(benchObs(int(i))); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+		})
+	}
 }
 
 // BenchmarkRecovery measures a cold open replaying the WAL — linear in

@@ -48,6 +48,7 @@ func TestFailedAppendBreaksShard(t *testing.T) {
 	}{
 		{"short write", Options{}, func(f *faultyWAL) *atomic.Bool { return &f.failWrite }, false},
 		{"failed per-append fsync", Options{Fsync: true}, func(f *faultyWAL) *atomic.Bool { return &f.failSync }, false},
+		{"failed per-append fsync, GroupCommit spelling", Options{GroupCommit: true}, func(f *faultyWAL) *atomic.Bool { return &f.failSync }, false},
 		{"failed Sync", Options{}, func(f *faultyWAL) *atomic.Bool { return &f.failSync }, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -73,7 +74,7 @@ func TestFailedAppendBreaksShard(t *testing.T) {
 			if err == nil {
 				t.Fatal("the injected fault was swallowed")
 			}
-			acked := h.Len() // 5, or 6 when the append preceded a failing Sync
+			acked := h.Len() // 5, or 6 when the frame was written before the failing fsync
 			// The disk recovers; the shard must not.
 			fault.Store(false)
 			for i := 6; i < 9; i++ {
@@ -123,7 +124,7 @@ func (m *barrierMirror) WaitFrame(string, uint64) error {
 }
 
 // TestMirrorWaitsOverlap: the wait for the standby runs after the
-// History lock is released, in every durability mode — so N writers
+// History lock is released, durable log or not — so N writers
 // have N replication round trips in flight at once instead of one, and
 // readers are not locked out for the duration of a round trip.
 func TestMirrorWaitsOverlap(t *testing.T) {

@@ -21,6 +21,18 @@ func gcObs(writer, i int) core.Observation {
 	}
 }
 
+// durableSpellings are the two ways to ask for a durable log. They are
+// one mechanism (Options.GroupCommit is a synonym kept for bench/), and
+// every test of it runs under both.
+var durableSpellings = map[string]Options{"Fsync": {Fsync: true}, "GroupCommit": {GroupCommit: true}}
+
+// eachDurable runs test once per spelling, as a subtest.
+func eachDurable(t *testing.T, test func(t *testing.T, opts Options)) {
+	for name, opts := range durableSpellings {
+		t.Run(name, func(t *testing.T) { test(t, opts) })
+	}
+}
+
 func gcOpen(t testing.TB, dir string, opts Options) (*Store, *core.History) {
 	t.Helper()
 	st, err := Open(dir, opts)
@@ -36,19 +48,23 @@ func gcOpen(t testing.TB, dir string, opts Options) (*Store, *core.History) {
 }
 
 // TestGroupCommitRecoveryEquivalence drives an identical append (and
-// mid-stream Sync) sequence through a group-commit store and a
-// per-append-fsync control, and asserts both recover byte-identical
-// state: group commit changes when fsyncs happen, never what is
+// mid-stream Sync) sequence through a durable store and a control that
+// never waits for an fsync, and asserts both recover byte-identical
+// state: durability changes when fsyncs happen, never what is
 // recovered.
 func TestGroupCommitRecoveryEquivalence(t *testing.T) {
+	eachDurable(t, testRecoveryEquivalence)
+}
+
+func testRecoveryEquivalence(t *testing.T, opts Options) {
 	dirGC, dirCtl := t.TempDir(), t.TempDir()
-	stGC, hGC := gcOpen(t, dirGC, Options{GroupCommit: true})
-	stCtl, hCtl := gcOpen(t, dirCtl, Options{Fsync: true})
+	stGC, hGC := gcOpen(t, dirGC, opts)
+	stCtl, hCtl := gcOpen(t, dirCtl, Options{})
 	const n = 120
 	for i := 0; i < n; i++ {
 		o := gcObs(0, i)
 		if err := hGC.Append(o); err != nil {
-			t.Fatalf("group-commit append %d: %v", i, err)
+			t.Fatalf("durable append %d: %v", i, err)
 		}
 		if err := hCtl.Append(o); err != nil {
 			t.Fatalf("control append %d: %v", i, err)
@@ -74,30 +90,34 @@ func TestGroupCommitRecoveryEquivalence(t *testing.T) {
 	stCtl2, hCtl2 := gcOpen(t, dirCtl, Options{})
 	defer stCtl2.Close()
 	if hGC2.Len() != n || hCtl2.Len() != n {
-		t.Fatalf("recovered %d (group commit) and %d (control), want %d", hGC2.Len(), hCtl2.Len(), n)
+		t.Fatalf("recovered %d (durable) and %d (control), want %d", hGC2.Len(), hCtl2.Len(), n)
 	}
 	for i := 0; i < n; i++ {
 		a, b := hGC2.At(i), hCtl2.At(i)
 		for j := range a.X {
 			if a.X[j] != b.X[j] {
-				t.Fatalf("observation %d feature %d: group commit %v, control %v", i, j, a.X[j], b.X[j])
+				t.Fatalf("observation %d feature %d: durable %v, control %v", i, j, a.X[j], b.X[j])
 			}
 		}
 		for j := range a.Costs {
 			if a.Costs[j] != b.Costs[j] {
-				t.Fatalf("observation %d cost %d: group commit %v, control %v", i, j, a.Costs[j], b.Costs[j])
+				t.Fatalf("observation %d cost %d: durable %v, control %v", i, j, a.Costs[j], b.Costs[j])
 			}
 		}
 	}
 }
 
 // TestGroupCommitConcurrentAppends hammers one shard from many
-// goroutines (run with -race to check the committer/appender
+// goroutines (run with -race to check the leader/follower
 // synchronization) and then asserts every acknowledged append survives
 // a close + recovery, with per-writer order preserved.
 func TestGroupCommitConcurrentAppends(t *testing.T) {
+	eachDurable(t, testConcurrentAppends)
+}
+
+func testConcurrentAppends(t *testing.T, opts Options) {
 	dir := t.TempDir()
-	st, h := gcOpen(t, dir, Options{GroupCommit: true})
+	st, h := gcOpen(t, dir, opts)
 	const writers, perWriter = 8, 50
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
@@ -142,12 +162,16 @@ func TestGroupCommitConcurrentAppends(t *testing.T) {
 	}
 }
 
-// TestGroupCommitCloseFailsLateAppends verifies the committer shutdown
-// contract: appends completed before Close stay durable, appends after
-// Close fail instead of being silently dropped.
+// TestGroupCommitCloseFailsLateAppends verifies the shutdown contract:
+// appends completed before Close stay durable, appends after Close fail
+// instead of being silently dropped.
 func TestGroupCommitCloseFailsLateAppends(t *testing.T) {
+	eachDurable(t, testCloseFailsLateAppends)
+}
+
+func testCloseFailsLateAppends(t *testing.T, opts Options) {
 	dir := t.TempDir()
-	st, h := gcOpen(t, dir, Options{GroupCommit: true})
+	st, h := gcOpen(t, dir, opts)
 	for i := 0; i < 10; i++ {
 		if err := h.Append(gcObs(0, i)); err != nil {
 			t.Fatal(err)
@@ -165,13 +189,16 @@ func TestGroupCommitCloseFailsLateAppends(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// SIGKILL crash test: a child process appends through group commit and
+// SIGKILL crash test: a child process appends to a durable log and
 // reports each acknowledged write on stdout; the parent kills it
 // mid-stream (no cleanup, no final fsync) and asserts that recovery
 // holds every acknowledged write, in per-writer order, byte-identical
 // to what was appended.
 
-const crashDirEnv = "HISTSTORE_CRASH_DIR"
+const (
+	crashDirEnv      = "HISTSTORE_CRASH_DIR"
+	crashSpellingEnv = "HISTSTORE_CRASH_SPELLING" // a durableSpellings key
+)
 
 // TestGroupCommitCrashChild is the re-exec helper body, not a test: it
 // only runs when the parent set crashDirEnv, and then appends until
@@ -181,7 +208,7 @@ func TestGroupCommitCrashChild(t *testing.T) {
 	if dir == "" {
 		t.Skip("crash-child helper; driven by TestGroupCommitCrashRecovery")
 	}
-	st, h := gcOpen(t, dir, Options{GroupCommit: true})
+	st, h := gcOpen(t, dir, durableSpellings[os.Getenv(crashSpellingEnv)])
 	defer st.Close()
 	var mu sync.Mutex
 	out := bufio.NewWriter(os.Stdout)
@@ -207,9 +234,15 @@ func TestGroupCommitCrashChild(t *testing.T) {
 }
 
 func TestGroupCommitCrashRecovery(t *testing.T) {
+	for spelling := range durableSpellings {
+		t.Run(spelling, func(t *testing.T) { testCrashRecovery(t, spelling) })
+	}
+}
+
+func testCrashRecovery(t *testing.T, spelling string) {
 	dir := t.TempDir()
 	cmd := exec.Command(os.Args[0], "-test.run=^TestGroupCommitCrashChild$")
-	cmd.Env = append(os.Environ(), crashDirEnv+"="+dir)
+	cmd.Env = append(os.Environ(), crashDirEnv+"="+dir, crashSpellingEnv+"="+spelling)
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -218,7 +251,7 @@ func TestGroupCommitCrashRecovery(t *testing.T) {
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	// Collect acknowledged writes until enough group commits happened,
+	// Collect acknowledged writes until enough fsyncs happened,
 	// then SIGKILL mid-stream.
 	acked := make(map[[2]int]bool)
 	sc := bufio.NewScanner(stdout)

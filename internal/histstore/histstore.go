@@ -52,21 +52,18 @@ const snapshotName = "snapshot.json"
 
 // Options tunes a Store.
 type Options struct {
-	// Fsync syncs the WAL file after every appended record: durable
-	// against machine crashes at a large per-append cost. Without it
-	// (the default) an append survives any process crash — the write
-	// has left the process before Append returns — but sits in the OS
-	// page cache until the kernel flushes it.
+	// Fsync makes every append durable against a machine crash: it is
+	// acknowledged — Append on the shard's History returns — only after
+	// an fsync that began after its frame was written. The fsync is
+	// issued outside every lock by whichever appender is waiting for one
+	// (WaitObservation), so concurrent appends share it and readers of
+	// the History never wait for the disk. Without it (the default) an
+	// append survives any process crash — the write has left the process
+	// before Append returns — but sits in the OS page cache until the
+	// kernel flushes it or Sync runs.
 	Fsync bool
-	// GroupCommit provides Fsync's machine-crash durability at a
-	// fraction of its cost: appends land in the WAL immediately but the
-	// fsync is issued by a per-shard committer goroutine that coalesces
-	// every append buffered since the previous flush into one sync. An
-	// append is only acknowledged — Append on the shard's History only
-	// returns — after the fsync covering it has returned, so no
-	// acknowledged write can be lost to a crash, exactly as with Fsync.
-	// When set, Fsync's per-append sync is skipped (the group fsync
-	// supersedes it).
+	// GroupCommit is a synonym of Fsync, kept only because the frozen
+	// bench/ sets it; ROADMAP 1(a) drops it with the next benchmark PR.
 	GroupCommit bool
 	// Retain, when positive, bounds every shard — the history in memory,
 	// its WAL on disk and a standby's replica of it alike — to the newest
@@ -177,11 +174,11 @@ func newStoreObs(reg *metrics.Registry, store string) *storeObs {
 			"WAL tails truncated at a torn or corrupt frame during recovery.",
 			"store").With(store),
 		commitBatch: reg.HistogramVec("midas_histstore_commit_batch_size",
-			"Appends acknowledged by one group-commit fsync; a mean near 1 means group commit is not coalescing.",
+			"Appends acknowledged by one WAL fsync (Options.Fsync); a mean near 1 means one writer at a time, not a fault.",
 			metrics.ExponentialBuckets(1, 2, 11), // 1 .. 1024
 			"store").With(store),
 		fsyncsAvoided: reg.CounterVec("midas_histstore_fsyncs_avoided_total",
-			"Fsyncs the per-append policy would have issued that group commit coalesced away.",
+			"Fsyncs saved by concurrent appends sharing one: acknowledged appends minus fsyncs issued.",
 			"store").With(store),
 	}
 }
@@ -346,12 +343,6 @@ func (s *Store) openShard(name string, dim int, metricNames []string) (*shard, e
 		gcSynced: uint64(h.Len()),
 	}
 	sh.gcCond = sync.NewCond(&sh.gcMu)
-	if s.opts.GroupCommit {
-		sh.gcKick = make(chan struct{}, 1)
-		sh.gcStop = make(chan struct{})
-		sh.gcDone = make(chan struct{})
-		go sh.commitLoop()
-	}
 	h.SetSink(sh)
 	if s.obs != nil {
 		s.obs.recoverySeconds.Observe(time.Since(began).Seconds())
@@ -445,11 +436,10 @@ func foldShard(dir string, h *core.History, old *os.File) (*os.File, error) {
 }
 
 // Sync is the store's durability point: it fsyncs the WAL of every open
-// shard that has appends no fsync covers yet (releasing any group-commit
-// waiters on them), so everything appended before the call survives a
-// machine crash. Every shard is attempted even when one fails — a sick
-// shard must not keep healthy ones from syncing — and the first error
-// is returned.
+// shard that has appends no fsync covers yet, so everything appended
+// before the call survives a machine crash. Every shard is attempted
+// even when one fails — a sick shard must not keep healthy ones from
+// syncing — and the first error is returned.
 func (s *Store) Sync() error {
 	s.mu.Lock()
 	shards := make([]*shard, 0, len(s.shards))
@@ -460,7 +450,7 @@ func (s *Store) Sync() error {
 	var first error
 	for _, sh := range shards {
 		began := time.Now()
-		err := sh.syncBatch()
+		err := sh.syncAll()
 		if err != nil && first == nil {
 			first = fmt.Errorf("histstore: shard %q: %w", sh.name, err)
 		}
@@ -477,25 +467,29 @@ func (s *Store) Sync() error {
 	return first
 }
 
-// Close stops every shard's group committer (after one final covering
-// fsync, so no acknowledged-in-flight append is abandoned) and closes
-// every open shard's WAL handle. Appends to histories opened through
-// the store fail afterwards (and, per the write-ahead contract, leave
-// the in-memory history unchanged). Sync first: without group commit,
-// Close does not fsync.
+// Close closes every open shard's WAL handle. A durable shard (Options.
+// Fsync) gets one final covering fsync first, so no append in flight is
+// abandoned; a waiter that arrives after it is told the store closed.
+// Appends to histories opened through the store fail afterwards (and,
+// per the write-ahead contract, leave the in-memory history unchanged).
+// Sync first: without Options.Fsync, Close does not fsync.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var first error
 	for name, sh := range s.shards {
-		if sh.gcStop != nil {
-			close(sh.gcStop)
-			<-sh.gcDone
-			sh.gcMu.Lock()
-			sh.gcClosed = true
-			sh.gcCond.Broadcast()
-			sh.gcMu.Unlock()
+		if sh.wal.durable {
+			_ = sh.syncAll() // a failure reaches the waiters as gcErr
 		}
+		// No fsync starts after gcClosed, and the one in flight is the
+		// last user of the handle.
+		sh.gcMu.Lock()
+		sh.gcClosed = true
+		for sh.gcLeading {
+			sh.gcCond.Wait()
+		}
+		sh.gcCond.Broadcast()
+		sh.gcMu.Unlock()
 		sh.mu.Lock()
 		if err := sh.wal.f.Close(); err != nil && first == nil {
 			first = err
@@ -536,20 +530,20 @@ type shard struct {
 	// acknowledging anything written after it would silently break the
 	// write-ahead contract.
 	broken error
+	// rollMu is held for the length of an fsync issued outside mu, and by
+	// a roll — the one thing that closes the handle being synced. Taken
+	// with mu held (the syncer then drops mu); gcMu is innermost.
+	rollMu sync.Mutex
 
-	// Durable watermark, kept in every mode so Sync knows what is
-	// pending; the committer goroutine and its channels exist only when
-	// Options.GroupCommit is set. Lock order is sh.mu → gcMu, never the
-	// reverse: the committer and the append path take gcMu while
-	// holding sh.mu, waiters take gcMu alone.
-	gcMu     sync.Mutex
-	gcCond   *sync.Cond    // broadcast on gcSynced / gcErr / gcClosed changes
-	gcSynced uint64        // sequences below this are covered by an fsync
-	gcErr    error         // sticky first fsync failure
-	gcClosed bool          // Close ran; no further fsync will ever come
-	gcKick   chan struct{} // buffered(1): un-synced appends exist
-	gcStop   chan struct{}
-	gcDone   chan struct{}
+	// The durable watermark and who is advancing it: the waiter that
+	// finds nobody leading issues the fsync itself (waitSynced). Waiters
+	// take gcMu alone.
+	gcMu      sync.Mutex
+	gcCond    *sync.Cond // broadcast on every change below
+	gcSynced  uint64     // sequences below this are covered by an fsync
+	gcErr     error      // sticky first fsync failure
+	gcClosed  bool       // Close ran; no further fsync will ever come
+	gcLeading bool       // a waiter is inside lead
 }
 
 var _ core.HistorySink = (*shard)(nil)
@@ -558,9 +552,10 @@ var _ core.HistorySink = (*shard)(nil)
 // and append it to the WAL (write-ahead — the caller only makes the
 // observation visible in memory after this returns nil). It is called
 // with the owning History's lock held, which makes WAL order identical
-// to in-memory order by construction. Whatever the append still has to
-// wait for — the covering group fsync, the mirror — the caller waits
-// for in WaitObservation, after releasing that lock.
+// to in-memory order by construction, and so never fsyncs, a roll apart:
+// whatever the append still has to wait for — the covering fsync, the
+// mirror — the caller waits for in WaitObservation, after releasing
+// that lock.
 func (sh *shard) RecordObservation(o core.Observation) (uint64, error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -572,17 +567,21 @@ func (sh *shard) RecordObservation(o core.Observation) (uint64, error) {
 		began = time.Now()
 	}
 	held := sh.wal.held(sh.nextSeq)
-	rolled, err := sh.wal.rollIfDue(sh.nextSeq)
-	if err != nil {
-		sh.broken = err
-		return 0, fmt.Errorf("histstore: %w", sh.broken)
-	}
-	if rolled && sh.wal.durable {
-		// The roll's fsync covered every frame written so far.
-		sh.gcMu.Lock()
-		sh.gcSynced = sh.nextSeq
-		sh.gcCond.Broadcast()
-		sh.gcMu.Unlock()
+	if sh.wal.rollDue(sh.nextSeq) {
+		sh.rollMu.Lock()
+		err := sh.wal.roll(sh.nextSeq)
+		sh.rollMu.Unlock()
+		if err != nil {
+			sh.broken = err
+			return 0, fmt.Errorf("histstore: %w", sh.broken)
+		}
+		if sh.wal.durable {
+			// The roll's fsync covered every frame written so far.
+			sh.gcMu.Lock()
+			sh.gcSynced = sh.nextSeq
+			sh.gcCond.Broadcast()
+			sh.gcMu.Unlock()
+		}
 	}
 	sh.buf = appendFrame(sh.buf[:0], sh.nextSeq, o)
 	if _, err := sh.wal.f.Write(sh.buf); err != nil {
@@ -593,17 +592,6 @@ func (sh *shard) RecordObservation(o core.Observation) (uint64, error) {
 	}
 	seq := sh.nextSeq
 	sh.nextSeq++
-	if sh.opts.Fsync && !sh.opts.GroupCommit {
-		if err := sh.wal.sync(); err != nil {
-			// The frame is in the log but not acknowledged; a later
-			// append must not be either (see syncBatch).
-			sh.broken = fmt.Errorf("wal fsync: %w", err)
-			return 0, fmt.Errorf("histstore: %w", sh.broken)
-		}
-		sh.gcMu.Lock()
-		sh.gcSynced = sh.nextSeq
-		sh.gcMu.Unlock()
-	}
 	if sh.opts.Mirror != nil {
 		sh.opts.Mirror.AppendFrame(sh.name, seq, sh.buf)
 	}
@@ -611,39 +599,16 @@ func (sh *shard) RecordObservation(o core.Observation) (uint64, error) {
 		sh.obs.walAppendSeconds.Observe(time.Since(began).Seconds())
 		sh.obs.retainedObs.Add(float64(sh.wal.held(sh.nextSeq)) - float64(held))
 	}
-	if sh.gcKick != nil {
-		// Wake the committer. The channel is buffered(1), so a pending
-		// token means "state already reflects this" and dropping is
-		// correct.
-		select {
-		case sh.gcKick <- struct{}{}:
-		default:
-		}
-	}
 	return seq, nil
 }
 
-// WaitObservation implements core.HistorySink. Under group commit it
-// blocks until the ticket's append is durable (its covering fsync
-// returned), the committer hit a sticky error, or the store closed.
-// Durability wins over a sticky error: a write the disk has already
-// accepted is acknowledged even if a later fsync failed.
+// WaitObservation implements core.HistorySink. On a durable log it
+// returns once an fsync that began after the ticket's write covers it.
 func (sh *shard) WaitObservation(ticket uint64) error {
-	if sh.opts.GroupCommit {
-		sh.gcMu.Lock()
-		for sh.gcSynced <= ticket {
-			if sh.gcErr != nil {
-				err := sh.gcErr
-				sh.gcMu.Unlock()
-				return fmt.Errorf("histstore: group commit: %w", err)
-			}
-			if sh.gcClosed {
-				sh.gcMu.Unlock()
-				return errors.New("histstore: store closed before group commit")
-			}
-			sh.gcCond.Wait()
+	if sh.wal.durable {
+		if err := sh.waitSynced(ticket + 1); err != nil {
+			return fmt.Errorf("histstore: %w", err)
 		}
-		sh.gcMu.Unlock()
 	}
 	// Locally durable; now wait for the mirror (which never fails an
 	// acknowledged-durable write — it degrades instead).
@@ -653,58 +618,87 @@ func (sh *shard) WaitObservation(ticket uint64) error {
 	return nil
 }
 
-// commitLoop is the shard's committer goroutine: woken by the first
-// append after a flush, it issues the one fsync covering everything
-// written so far. The sync starts immediately — batches form from the
-// appends that pile up while the previous fsync is in flight.
-func (sh *shard) commitLoop() {
-	defer close(sh.gcDone)
-	for {
-		select {
-		case <-sh.gcStop:
-			// Final flush so every in-flight waiter resolves durable.
-			_ = sh.syncBatch() // a failure reaches the waiters as gcErr
-			return
-		case <-sh.gcKick:
-			_ = sh.syncBatch() // likewise
-		}
+// syncAll covers everything appended so far: Store.Sync's and Close's
+// way into the one fsync path.
+func (sh *shard) syncAll() error {
+	sh.mu.Lock()
+	upto, err := sh.nextSeq, sh.broken
+	sh.mu.Unlock()
+	if err != nil {
+		return fmt.Errorf("shard unusable: %w", err)
 	}
+	return sh.waitSynced(upto)
 }
 
-// syncBatch fsyncs the WAL once, unless nothing was appended since the
-// last fsync, and advances the durable watermark over every append
-// written before the sync, waking their waiters. Called from commitLoop
-// and Store.Sync.
-func (sh *shard) syncBatch() error {
-	sh.mu.Lock()
-	target := sh.nextSeq
-	sh.gcMu.Lock()
-	pending := target > sh.gcSynced
-	sh.gcMu.Unlock()
-	if sh.broken == nil && pending {
-		if err := sh.wal.sync(); err != nil {
-			// An fsync the kernel rejected may have dropped dirty pages;
-			// nothing appended afterwards could be trusted either.
-			sh.broken = fmt.Errorf("wal fsync: %w", err)
-		}
-	}
-	err := sh.broken
-	sh.mu.Unlock()
+// waitSynced returns once every sequence below upto is covered by an
+// fsync. The one rule: a waiter that is not covered leads — issues the
+// next fsync itself — unless somebody already is, and then waits for
+// that one; what a sync does not cover (it landed after the sync began)
+// is led by one of its own waiters next. Durability wins over a sticky
+// error: a write the disk has accepted is acknowledged even if a later
+// fsync failed.
+func (sh *shard) waitSynced(upto uint64) error {
 	sh.gcMu.Lock()
 	defer sh.gcMu.Unlock()
+	for sh.gcSynced < upto {
+		switch {
+		case sh.gcErr != nil:
+			return fmt.Errorf("shard unusable: %w", sh.gcErr)
+		case sh.gcClosed:
+			return errors.New("store closed before the covering fsync")
+		case sh.gcLeading:
+			sh.gcCond.Wait()
+		default:
+			sh.lead()
+		}
+	}
+	return nil
+}
+
+// lead fsyncs the WAL once, outside every lock — appends keep landing,
+// and no reader of the History waits — and advances the durable
+// watermark over every append written before the sync began. Called
+// with gcMu held and nobody leading; gcMu is dropped for the sync and
+// held again on return. gcLeading clears under the same hold of gcMu
+// that wakes the followers: one of those the sync did not cover finds
+// nobody leading and goes next, none sleeps through its turn.
+func (sh *shard) lead() {
+	sh.gcLeading = true
+	sh.gcMu.Unlock()
+	sh.mu.Lock()
+	target, f, err := sh.nextSeq, sh.wal.f, sh.broken
+	if err == nil {
+		err = sh.wal.syncClosed()
+	}
+	sh.rollMu.Lock()
+	sh.mu.Unlock()
+	if err == nil {
+		err = f.Sync()
+	}
+	sh.rollMu.Unlock()
+	if err != nil {
+		// An fsync the kernel rejected may have dropped dirty pages;
+		// nothing appended afterwards could be trusted either.
+		sh.mu.Lock()
+		if sh.broken == nil {
+			sh.broken = fmt.Errorf("wal fsync: %w", err)
+		}
+		err = sh.broken
+		sh.mu.Unlock()
+	}
+	sh.gcMu.Lock()
+	sh.gcLeading = false
 	if err != nil {
 		if sh.gcErr == nil {
 			sh.gcErr = err
 		}
-		err = fmt.Errorf("shard unusable: %w", err)
-	} else if target > sh.gcSynced { // re-checked: a concurrent syncBatch may have passed us
+	} else if target > sh.gcSynced { // re-checked: a roll may have passed us
 		batch := target - sh.gcSynced
 		sh.gcSynced = target
-		if sh.obs != nil && sh.opts.GroupCommit {
+		if sh.obs != nil && sh.wal.durable {
 			sh.obs.commitBatch.Observe(float64(batch))
 			sh.obs.fsyncsAvoided.Add(float64(batch - 1))
 		}
 	}
 	sh.gcCond.Broadcast()
-	return err
 }

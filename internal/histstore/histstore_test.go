@@ -551,8 +551,12 @@ func TestOpenHistoryShapeMismatch(t *testing.T) {
 }
 
 func TestFsyncOptionAppends(t *testing.T) {
+	eachDurable(t, testFsyncOptionAppends)
+}
+
+func testFsyncOptionAppends(t *testing.T, opts Options) {
 	dir := t.TempDir()
-	s := openStore(t, dir, Options{Fsync: true})
+	s := openStore(t, dir, opts)
 	h := openHist(t, s, "Q12")
 	appendN(t, h, 0, 3)
 	if err := s.Close(); err != nil {

@@ -83,8 +83,9 @@ type walFile interface {
 type segLog struct {
 	dir    string
 	retain uint64 // Options.Retain
-	// durable is set when appends are acknowledged as fsynced: a roll
-	// must then make the closing segment and the new name durable too.
+	// durable is set when appends are acknowledged as fsynced (Options.
+	// Fsync): a roll must then make the closing segment and the new name
+	// durable too.
 	durable bool
 	create  func(path string) (walFile, error)
 	remove  func(path string) error
@@ -100,9 +101,11 @@ type segLog struct {
 // starts, f being the open handle on the last of them.
 func (s *Store) segLog(dir string, f walFile, starts []uint64) segLog {
 	return segLog{
-		dir: dir, retain: uint64(s.opts.Retain), durable: s.opts.Fsync || s.opts.GroupCommit,
+		dir: dir, retain: uint64(s.opts.Retain),
 		create: s.createSegment, remove: s.removeSegment,
 		f: f, starts: starts,
+		// GroupCommit: Fsync's synonym, for the frozen bench/ (ROADMAP 1(a)).
+		durable: s.opts.Fsync || s.opts.GroupCommit,
 	}
 }
 
@@ -120,57 +123,59 @@ func createSegment(path string) (walFile, error) {
 // sequence of the next append.
 func (l *segLog) held(next uint64) uint64 { return next - l.starts[0] }
 
-// sync makes every frame in the segments present durable: the newest
-// through its handle and, where a roll closed one without an fsync,
-// the closed ones by name.
-func (l *segLog) sync() error {
-	if l.closedDirty {
-		for _, start := range l.starts[:len(l.starts)-1] {
-			f, err := os.Open(filepath.Join(l.dir, segmentName(start)))
-			if err != nil {
-				return err
-			}
-			err = f.Sync()
-			f.Close()
-			if err != nil {
-				return err
-			}
-		}
-		l.closedDirty = false
+// syncClosed pays the fsync a roll of a log that is not durable left
+// owing: the closed segments, by name. The newest is its handle's Sync.
+func (l *segLog) syncClosed() error {
+	if !l.closedDirty {
+		return nil
 	}
-	return l.f.Sync()
+	for _, start := range l.starts[:len(l.starts)-1] {
+		f, err := os.Open(filepath.Join(l.dir, segmentName(start)))
+		if err != nil {
+			return err
+		}
+		err = f.Sync()
+		f.Close()
+		if err != nil {
+			return err
+		}
+	}
+	l.closedDirty = false
+	return nil
 }
 
-// rollIfDue is called with the sequence of the frame about to be
-// written. At a multiple of retain it closes the newest segment, starts
-// the next one and unlinks what the retention rule no longer needs. In
-// a durable log the closing segment is fsynced first, so no frame in it
-// is ever covered only by a later fsync of a different file, and the
-// directory after the create, so an acknowledged frame cannot sit in a
-// file whose name a crash forgets; otherwise the next sync owes the
-// closed segment its fsync. An error leaves the log unusable.
-func (l *segLog) rollIfDue(seq uint64) (rolled bool, err error) {
-	if l.retain == 0 || seq%l.retain != 0 || seq <= l.starts[len(l.starts)-1] {
-		return false, nil
-	}
+// rollDue reports whether the frame about to be written, seq, starts a
+// new segment: every multiple of retain does.
+func (l *segLog) rollDue(seq uint64) bool {
+	return l.retain != 0 && seq%l.retain == 0 && seq > l.starts[len(l.starts)-1]
+}
+
+// roll, when rollDue(seq), closes the newest segment, starts the next
+// one and unlinks what the retention rule no longer needs. In a durable
+// log the closing segment is fsynced first, so no frame in it is ever
+// covered only by a later fsync of a different file, and the directory
+// after the create, so an acknowledged frame cannot sit in a file whose
+// name a crash forgets; otherwise the next sync owes the closed segment
+// its fsync. An error leaves the log unusable.
+func (l *segLog) roll(seq uint64) error {
 	if l.durable {
 		if err := l.f.Sync(); err != nil {
-			return false, fmt.Errorf("wal fsync: %w", err)
+			return fmt.Errorf("wal fsync: %w", err)
 		}
 	} else {
 		l.closedDirty = true
 	}
 	if err := l.f.Close(); err != nil {
-		return false, fmt.Errorf("closing wal segment: %w", err)
+		return fmt.Errorf("closing wal segment: %w", err)
 	}
 	f, err := l.create(filepath.Join(l.dir, segmentName(seq)))
 	if err != nil {
-		return false, fmt.Errorf("creating wal segment: %w", err)
+		return fmt.Errorf("creating wal segment: %w", err)
 	}
 	l.f, l.starts = f, append(l.starts, seq)
 	if l.durable {
 		if err := framelog.SyncDir(l.dir); err != nil {
-			return false, fmt.Errorf("wal directory fsync: %w", err)
+			return fmt.Errorf("wal directory fsync: %w", err)
 		}
 	}
 	// Oldest first, so a crash between two unlinks leaves a contiguous
@@ -182,5 +187,5 @@ func (l *segLog) rollIfDue(seq uint64) (rolled bool, err error) {
 		}
 		l.starts = l.starts[1:]
 	}
-	return true, nil
+	return nil
 }

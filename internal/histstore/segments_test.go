@@ -329,13 +329,16 @@ func TestSyncCoversClosedSegments(t *testing.T) {
 	if sh.wal.closedDirty {
 		t.Fatal("Sync left the closed segment without its fsync")
 	}
-	// With fsync per append the roll pays it at once.
-	d := openStore(t, t.TempDir(), Options{Retain: testRetain, GroupCommit: true})
-	defer d.Close()
-	appendN(t, openHist(t, d, "Q12"), 0, testRetain+1)
-	if d.shards["Q12"].wal.closedDirty {
-		t.Fatal("a durable roll left its closed segment unsynced")
-	}
+	// A durable log's roll pays it at once.
+	eachDurable(t, func(t *testing.T, opts Options) {
+		opts.Retain = testRetain
+		d := openStore(t, t.TempDir(), opts)
+		defer d.Close()
+		appendN(t, openHist(t, d, "Q12"), 0, testRetain+1)
+		if d.shards["Q12"].wal.closedDirty {
+			t.Fatal("a durable roll left its closed segment unsynced")
+		}
+	})
 }
 
 // TestRetentionMetrics: the recovery counter counts what a boot read

@@ -251,8 +251,8 @@ func (s *Store) AppendReplicaFrames(name string, from uint64, frames []byte, reb
 		return err
 	}
 	for _, c := range rolls {
-		if err = write(frames[offset:c.off]); err == nil {
-			_, err = r.wal.rollIfDue(c.seq)
+		if err = write(frames[offset:c.off]); err == nil && r.wal.rollDue(c.seq) {
+			err = r.wal.roll(c.seq)
 		}
 		if err != nil {
 			return r.next, fmt.Errorf("histstore: replica %q: %w", name, err)

@@ -198,8 +198,8 @@ func buildTenant(spec FederationSpec, storeCfg StoreConfig, reg *metrics.Registr
 		// federation name is a single safe directory element.
 		root := filepath.Join(storeCfg.Dir, url.PathEscape(sp.Name))
 		store, err = histstore.Open(root, histstore.Options{
-			Fsync:        storeCfg.Fsync,
-			GroupCommit:  storeCfg.GroupCommit,
+			// GroupCommit: Fsync's synonym, for the frozen bench/ (ROADMAP 1(a)).
+			Fsync:        storeCfg.Fsync || storeCfg.GroupCommit,
 			Retain:       historyRetain,
 			Mirror:       mirror,
 			Metrics:      reg,

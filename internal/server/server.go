@@ -89,20 +89,16 @@ type StoreConfig struct {
 	// pre-durability behavior.
 	Dir string
 	// CheckpointInterval fsyncs every tenant's WALs on this period: the
-	// bound on what a machine crash can lose without Fsync or
-	// GroupCommit (with either, the tick finds nothing left to sync).
-	// 0 disables the timer; checkpoints still run at drain and via POST
-	// /v1/admin/checkpoint.
+	// bound on what a machine crash can lose without Fsync (with it, the
+	// tick finds nothing left to sync). 0 disables the timer; checkpoints
+	// still run at drain and via POST /v1/admin/checkpoint.
 	CheckpointInterval time.Duration
-	// Fsync syncs the WAL after every recorded execution (histstore
-	// Options.Fsync): durable against machine crashes, much slower.
+	// Fsync is histstore Options.Fsync: no response leaves the server
+	// before an fsync covering its recorded execution returns — durable
+	// against machine crashes, the fsync shared by the requests waiting.
 	Fsync bool
-	// GroupCommit coalesces concurrent WAL appends onto shared fsyncs
-	// (histstore Options.GroupCommit): the same machine-crash
-	// durability as Fsync — no response leaves the server before the
-	// fsync covering its recorded execution returns — at a fraction of
-	// the fsync count. Supersedes Fsync's per-append sync when both
-	// are set.
+	// GroupCommit is a synonym of Fsync, kept only because the frozen
+	// bench/ sets it; ROADMAP 1(a) drops it with the next benchmark PR.
 	GroupCommit bool
 }
 

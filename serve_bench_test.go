@@ -21,7 +21,7 @@ import (
 // pipeline. TestServeSubmitAllocBudget holds its allocations per
 // request to a budget (the pools keep the steady state at single
 // digits); the ServeDurable family measures the same path against a
-// real WAL under the three durability settings.
+// real WAL, with and without a covering fsync per response.
 
 // buildServeScheduler assembles a full paper-scale scheduler (default
 // topology, calibrated scaled executor, DREAM model) with an optional
@@ -217,20 +217,38 @@ func TestPlanSweepAllocBudget(t *testing.T) {
 	}
 }
 
-// benchServeDurable is BenchmarkServeHotPath against a real WAL,
-// parallelized: concurrent submissions are exactly the regime where
-// group commit coalesces fsyncs.
-func benchServeDurable(b *testing.B, opts histstore.Options) {
+// benchServeDurable is BenchmarkServeHotPath against a real WAL, from
+// 64 closed-loop submitters: concurrent submissions are what share a
+// covering fsync. With reader, one more goroutine takes Snapshots of the
+// query's history in a loop, as midasd's sweeps do beside its appends.
+func benchServeDurable(b *testing.B, opts histstore.Options, reader bool) {
 	store, err := histstore.Open(b.TempDir(), opts)
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer store.Close()
-	srv := newServeBench(b, noDeadline, newFixedSweepSched(b, store))
+	sched := newFixedSweepSched(b, store)
+	srv := newServeBench(b, noDeadline, sched)
 	ctx := context.Background()
+	if reader {
+		stop, done := make(chan struct{}), make(chan struct{})
+		defer func() { close(stop); <-done }()
+		go func() {
+			defer close(done)
+			h := sched.History(tpch.QueryQ12)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					_ = h.Snapshot().Len()
+				}
+			}
+		}()
+	}
 	// Durable submissions block on fsync, not CPU: run many goroutines
-	// per core so group commit has concurrency to coalesce even on
-	// small machines.
+	// per core so there is concurrency to share one even on small
+	// machines.
 	b.SetParallelism(32)
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
@@ -245,10 +263,10 @@ func benchServeDurable(b *testing.B, opts histstore.Options) {
 }
 
 // BenchmarkServeDurable spans the durability ladder docs/performance.md
-// tabulates: WAL without fsync, per-append fsync, and group commit
-// (per-append durability at coalesced-fsync cost).
+// tabulates: WAL without fsync, WAL with a covering fsync before every
+// response, and the latter beside a reader of the same history.
 func BenchmarkServeDurable(b *testing.B) {
-	b.Run("wal", func(b *testing.B) { benchServeDurable(b, histstore.Options{}) })
-	b.Run("fsync", func(b *testing.B) { benchServeDurable(b, histstore.Options{Fsync: true}) })
-	b.Run("group-commit", func(b *testing.B) { benchServeDurable(b, histstore.Options{GroupCommit: true}) })
+	b.Run("wal", func(b *testing.B) { benchServeDurable(b, histstore.Options{}, false) })
+	b.Run("fsync", func(b *testing.B) { benchServeDurable(b, histstore.Options{Fsync: true}, false) })
+	b.Run("fsync/readers", func(b *testing.B) { benchServeDurable(b, histstore.Options{Fsync: true}, true) })
 }
