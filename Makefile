@@ -11,11 +11,13 @@ COVER_PKGS ?= ./internal/server ./internal/core ./internal/histstore ./internal/
 # Q12/Q13 serving sweeps (cached vs uncached), the cold (uncached)
 # window searches the incremental shared-Gram solver owns, the pooled
 # serving hot path, the PlanSweep full-vs-greedy family over the wide
-# (Example 3.1) lattice, SweepRound (one whole 2,048-plan round, window
-# search included) and internal/moo's ParetoFront shapes. Nothing gates
-# on them: CI's regression gate is `bench -compare` over bench/ against
-# BENCHMARK.json's bounds, and allocation budgets are ordinary tests
-# (TestServeSubmitAllocBudget). The fsync-bound ServeDurable and
+# (Example 3.1) lattice, SweepRound (one whole 2,048-plan serving cycle:
+# sweep, decide with its window search, release) and internal/moo's
+# ParetoFront shapes. Nothing gates on them: CI's regression gate is
+# `bench -compare` over bench/ against BENCHMARK.json's bounds, and
+# allocation budgets are ordinary tests (TestServeSubmitAllocBudget;
+# TestPlanSweepAllocBudget for a serving cycle that releases its sweep
+# and a library sweep that keeps it). The fsync-bound ServeDurable and
 # WALAppendDurable benchmarks are left out — fsync latency is hardware
 # noise.
 SWEEP_PATTERN ?= Q1[23]Sweep|WindowSearchCold|DREAMEstimateUncached|ServeHotPath|PlanSweep|SweepRound|ParetoFront|RouteLookup

@@ -473,12 +473,13 @@ func BenchmarkPlanSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkSweepRound is one whole scheduling round on the 2,048-plan
+// BenchmarkSweepRound is one whole serving cycle on the 2,048-plan
 // lattice (WideTopology(42, 32) over NodeRange(32), the end-to-end
 // benchmark's sweep tenant): PlanSweep, then DecideFromSweep, whose
 // recorded execution bumps the history version — so, unlike
 // BenchmarkPlanSweep's warm sweeps, every iteration pays one window
-// search next to its 2,048 predictions and the Pareto reduction.
+// search next to its 2,048 predictions and the Pareto reduction — then
+// ReleaseSweep, so the next round reuses the matrix as a server's does.
 func BenchmarkSweepRound(b *testing.B) {
 	sched := wideScheduler(b, 42, 32, 0.1, nil)
 	ctx := context.Background()
@@ -493,6 +494,7 @@ func BenchmarkSweepRound(b *testing.B) {
 		if _, err := sched.DecideFromSweep(sw, pol); err != nil {
 			b.Fatal(err)
 		}
+		sched.ReleaseSweep(sw)
 	}
 }
 

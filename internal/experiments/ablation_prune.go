@@ -72,9 +72,11 @@ func pruneStack(seed int64, maxNodes int, prune ires.PrunePolicy) (*ires.Schedul
 // window-search fit) and then times a second, returning it.
 func timedSweep(s *ires.Scheduler, q tpch.QueryID) (*ires.Sweep, float64, error) {
 	ctx := context.Background()
-	if _, err := s.PlanSweep(ctx, q); err != nil {
+	warm, err := s.PlanSweep(ctx, q)
+	if err != nil {
 		return nil, 0, err
 	}
+	s.ReleaseSweep(warm) // the timed sweep reuses its matrix, as a server's does
 	start := time.Now()
 	sw, err := s.PlanSweep(ctx, q)
 	if err != nil {

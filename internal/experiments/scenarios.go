@@ -190,6 +190,7 @@ func RunScenario(spec scenario.Spec, queries []string) (*ScenarioResult, error) 
 		if r, ok := sweepRegret(sw, dec.Plan, pol.Weights); ok {
 			regretSum += r
 		}
+		sched.ReleaseSweep(sw)
 	}
 
 	if res.MRETime, err = stats.MRE(measT, estT); err != nil {

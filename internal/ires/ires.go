@@ -515,8 +515,8 @@ func (s *Scheduler) Bootstrap(q tpch.QueryID, n int) error {
 type Decision struct {
 	Plan federation.Plan
 	// Estimated is the model-predicted cost vector of the chosen plan: a
-	// read-only view into the sweep's cost matrix (it keeps the matrix
-	// alive; copy it to hold on to a decision for long).
+	// read-only view into the sweep's FrontCosts, so it outlives
+	// ReleaseSweep.
 	Estimated []float64
 	Outcome   *federation.Outcome
 	// ParetoSize is the size of the Pareto plan set the choice was made
@@ -546,15 +546,17 @@ func (s *Scheduler) SubmitContext(ctx context.Context, q tpch.QueryID, pol Polic
 	if err != nil {
 		return nil, err
 	}
+	defer s.ReleaseSweep(sw)
 	return s.DecideFromSweep(sw, pol)
 }
 
 // Sweep is the policy-independent half of a scheduling round: the
 // enumerated plan space, every plan's estimated cost vector, and the
-// Pareto reduction. A Sweep is immutable once built, so any number of
-// policies can be applied to it concurrently — this is the admission
-// hook a serving layer batches on, since concurrent submissions of the
-// same query can share one sweep and differ only in selection.
+// Pareto reduction. A Sweep is immutable once built until ReleaseSweep;
+// the front and every Decision outlive it. Any number of policies can be
+// applied to it concurrently — this is the admission hook a serving
+// layer batches on, since concurrent submissions of the same query can
+// share one sweep and differ only in selection.
 type Sweep struct {
 	Query tpch.QueryID
 	// Plans holds the QEPs the sweep actually estimated: the whole
@@ -562,13 +564,15 @@ type Sweep struct {
 	// pruning policy.
 	Plans []federation.Plan
 	// Costs is the model cost vector of every plan, row i plan i's: one
-	// flat plans × metrics matrix, read through Costs.Row.
+	// flat plans × metrics matrix, read through Costs.Row. ReleaseSweep
+	// zeroes it.
 	Costs moo.CostMatrix
 	// FrontIdx indexes the Pareto-optimal plans within Plans.
 	FrontIdx []int
 	// FrontCosts and Normalized are the Pareto set's raw cost vectors
 	// and their min-max rescaling (constraints check raw values, the
-	// weighted sum compares normalized ones).
+	// weighted sum compares normalized ones); copies, not views into
+	// Costs.
 	FrontCosts, Normalized [][]float64
 	// PlanSpace is the size of the full QEP lattice the sweep drew
 	// from; PlansEstimated (= len(Plans)) counts the QEPs the prune
@@ -577,12 +581,17 @@ type Sweep struct {
 	// was configured).
 	PlanSpace, PlansEstimated int
 	Policy                    string
+
+	// buf is the pooled scratch Costs lives in; nil once released.
+	buf *sweepBuf
 }
 
 // PlanSweep builds the QEP lattice of q, estimates the plans the
 // configured PrunePolicy selects (default: all of them), each against
 // one history snapshot, and reduces to the Pareto set. The estimation
-// loop observes ctx between chunks of 256 plans.
+// loop observes ctx between chunks of 256 plans. The cost matrix comes
+// from a pool: ReleaseSweep hands it back once the sweep has served its
+// decisions.
 func (s *Scheduler) PlanSweep(ctx context.Context, q tpch.QueryID) (sw *Sweep, err error) {
 	if s.obs != nil {
 		began := time.Now()
@@ -591,7 +600,7 @@ func (s *Scheduler) PlanSweep(ctx context.Context, q tpch.QueryID) (sw *Sweep, e
 			if sw != nil {
 				planCount, planSpace = len(sw.Plans), sw.PlanSpace
 			}
-			s.observeSweep(q.String(), began, planCount, planSpace, err)
+			s.observeSweep(q, began, planCount, planSpace, err)
 		}()
 	}
 	h, err := s.OpenHistory(q)
@@ -609,18 +618,18 @@ func (s *Scheduler) PlanSweep(ctx context.Context, q tpch.QueryID) (sw *Sweep, e
 	if pruner == nil {
 		pruner = FullSweep()
 	}
-	plans, costs, err := pruner.sweep(ctx, s.sweeper(q, h, lat))
+	buf := sweepPool.Get().(*sweepBuf)
+	plans, costs, err := pruner.sweep(ctx, s.sweeper(q, h, lat, buf))
 	if err != nil {
+		buf.release()
 		return nil, err
 	}
 	frontIdx, err := moo.ParetoFront(costs)
 	if err != nil {
+		buf.release()
 		return nil, err
 	}
-	frontCosts := make([][]float64, len(frontIdx))
-	for i, idx := range frontIdx {
-		frontCosts[i] = costs.Row(idx)
-	}
+	frontCosts := copyRows(costs, frontIdx)
 	// Normalize so seconds and dollars are comparable before the
 	// weighted sum (Algorithm 2's WeightSum over user policy).
 	return &Sweep{
@@ -633,7 +642,40 @@ func (s *Scheduler) PlanSweep(ctx context.Context, q tpch.QueryID) (sw *Sweep, e
 		PlanSpace:      lat.Size(),
 		PlansEstimated: len(plans),
 		Policy:         pruner.Name(),
+		buf:            buf,
 	}, nil
+}
+
+// copyRows copies the rows of costs at idx into one array, so they
+// outlive the matrix.
+func copyRows(costs moo.CostMatrix, idx []int) [][]float64 {
+	out := make([][]float64, len(idx))
+	if len(idx) == 0 {
+		return out
+	}
+	k := len(costs.Row(idx[0]))
+	flat := make([]float64, len(idx)*k)
+	for i, at := range idx {
+		out[i] = flat[i*k : (i+1)*k : (i+1)*k]
+		copy(out[i], costs.Row(at))
+	}
+	return out
+}
+
+// ReleaseSweep hands sw's cost matrix back for a later sweep to reuse,
+// and zeroes sw.Costs. Plans, FrontIdx, FrontCosts, Normalized and every
+// Decision made from sw stay valid, and so do Select and DecideFromSweep.
+// Call it once, after the last reader of sw.Costs is done (a row read
+// from it before is a view into memory the next sweep overwrites); a
+// later call is a no-op. Never calling it is also correct: the matrix is
+// then collected with the sweep.
+func (s *Scheduler) ReleaseSweep(sw *Sweep) {
+	if sw == nil || sw.buf == nil {
+		return
+	}
+	buf := sw.buf
+	sw.buf, sw.Costs = nil, moo.CostMatrix{}
+	buf.release()
 }
 
 // Select applies a policy to the sweep's Pareto set and returns the
@@ -651,11 +693,11 @@ func (sw *Sweep) Select(pol Policy) (int, error) {
 // sweep: select under the policy, execute the winner, record the
 // measurement. Multiple goroutines may decide from one shared sweep.
 func (s *Scheduler) DecideFromSweep(sw *Sweep, pol Policy) (*Decision, error) {
-	idx, err := sw.Select(pol)
+	best, err := selectFromParetoSet(sw.FrontCosts, sw.Normalized, pol)
 	if err != nil {
 		return nil, err
 	}
-	chosen := sw.Plans[idx]
+	chosen := sw.Plans[sw.FrontIdx[best]]
 	out, err := s.Exec.Execute(chosen)
 	if err != nil {
 		return nil, err
@@ -678,7 +720,7 @@ func (s *Scheduler) DecideFromSweep(sw *Sweep, pol Policy) (*Decision, error) {
 	}
 	return &Decision{
 		Plan:           chosen,
-		Estimated:      sw.Costs.Row(idx),
+		Estimated:      sw.FrontCosts[best],
 		Outcome:        out,
 		ParetoSize:     len(sw.FrontIdx),
 		PlanSpace:      planSpace,

@@ -1,8 +1,10 @@
 package ires
 
 import (
+	"context"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -141,6 +143,62 @@ func TestSubmitWithConstraints(t *testing.T) {
 			t.Errorf("constraint %v ignored: picked %v while %v was feasible",
 				budget, constrained.Estimated[0], fastest.Estimated[0])
 		}
+	}
+}
+
+// TestReleasedSweepKeepsDecisions pins what outlives ReleaseSweep: the
+// decision's estimate and the sweep's front, bit for bit, while 50 more
+// rounds reuse the released matrix (each records an execution, so their
+// predictions differ). Under -race the release also poisons the matrix
+// with NaN, so a view into it that survived would fail here at once.
+func TestReleasedSweepKeepsDecisions(t *testing.T) {
+	s := buildWideStack(t, 42, 16, SchedulerConfig{Seed: 42}) // 512 plans: two chunks
+	if err := s.Bootstrap(tpch.QueryQ12, 24); err != nil {
+		t.Fatal(err)
+	}
+	pol := Policy{Weights: []float64{1, 1}}
+	sw, err := s.PlanSweep(context.Background(), tpch.QueryQ12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := s.DecideFromSweep(sw, pol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cloneRows := func(rows [][]float64) [][]float64 {
+		out := make([][]float64, len(rows))
+		for i, r := range rows {
+			out[i] = slices.Clone(r)
+		}
+		return out
+	}
+	estimated, frontIdx := slices.Clone(dec.Estimated), slices.Clone(sw.FrontIdx)
+	front, normalized := cloneRows(sw.FrontCosts), cloneRows(sw.Normalized)
+
+	s.ReleaseSweep(sw)
+	if sw.Costs.Len() != 0 {
+		t.Fatalf("Costs still holds %d rows after the release", sw.Costs.Len())
+	}
+	s.ReleaseSweep(sw) // a no-op: the matrix must not go to two later sweeps
+	for round := 0; round < 50; round++ {
+		if _, err := s.Submit(tpch.QueryQ12, pol); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+	}
+
+	if !equalBits(dec.Estimated, estimated) {
+		t.Errorf("Decision.Estimated %v, was %v", dec.Estimated, estimated)
+	}
+	if !slices.Equal(sw.FrontIdx, frontIdx) {
+		t.Errorf("FrontIdx %v, was %v", sw.FrontIdx, frontIdx)
+	}
+	for i := range front {
+		if !equalBits(sw.FrontCosts[i], front[i]) || !equalBits(sw.Normalized[i], normalized[i]) {
+			t.Errorf("front row %d: %v / %v, was %v / %v", i, sw.FrontCosts[i], sw.Normalized[i], front[i], normalized[i])
+		}
+	}
+	if idx, err := sw.Select(pol); err != nil || sw.Plans[idx] != dec.Plan {
+		t.Errorf("the released sweep selects %v (%v), decided %v", sw.Plans[idx], err, dec.Plan)
 	}
 }
 

@@ -1,10 +1,12 @@
 package ires
 
 import (
+	"sync"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/tpch"
 )
 
 // Scheduler instrumentation. Everything here is observation-only: the
@@ -37,6 +39,7 @@ type schedulerObs struct {
 	plansEstimated *metrics.CounterVec   // {federation, query}
 	planSpace      *metrics.GaugeVec     // {federation, query}
 	sweepErrors    *metrics.CounterVec   // {federation, query}
+	bound          sync.Map              // tpch.QueryID → *sweepSeries
 }
 
 // InstrumentScheduler registers the scheduler's metrics on reg, with
@@ -109,19 +112,44 @@ func (s *Scheduler) InstrumentScheduler(reg *metrics.Registry, federation string
 	}
 }
 
+// sweepSeries is one query's three sweep instruments, bound once: With
+// resolves its labels through a string-keyed map on every call.
+type sweepSeries struct {
+	seconds *metrics.Histogram
+	plans   *metrics.Counter
+	space   *metrics.Gauge
+}
+
+// series returns q's sweep instruments, binding them on q's first
+// successful sweep — not up front, which would publish zero-valued
+// series for queries the scheduler never serves.
+func (o *schedulerObs) series(q tpch.QueryID) *sweepSeries {
+	if ss, ok := o.bound.Load(q); ok {
+		return ss.(*sweepSeries)
+	}
+	query := q.String()
+	ss, _ := o.bound.LoadOrStore(q, &sweepSeries{
+		seconds: o.sweepSeconds.With(o.federation, query),
+		plans:   o.plansEstimated.With(o.federation, query),
+		space:   o.planSpace.With(o.federation, query),
+	})
+	return ss.(*sweepSeries)
+}
+
 // observeSweep records one finished (or failed) sweep. planCount is
 // the number of QEPs estimated (after pruning), planSpace the full
 // lattice size.
-func (s *Scheduler) observeSweep(query string, began time.Time, planCount, planSpace int, err error) {
+func (s *Scheduler) observeSweep(q tpch.QueryID, began time.Time, planCount, planSpace int, err error) {
 	o := s.obs
 	if o == nil {
 		return
 	}
 	if err != nil {
-		o.sweepErrors.With(o.federation, query).Inc()
+		o.sweepErrors.With(o.federation, q.String()).Inc()
 		return
 	}
-	o.sweepSeconds.With(o.federation, query).Observe(time.Since(began).Seconds())
-	o.plansEstimated.With(o.federation, query).Add(float64(planCount))
-	o.planSpace.With(o.federation, query).Set(float64(planSpace))
+	ss := o.series(q)
+	ss.seconds.Observe(time.Since(began).Seconds())
+	ss.plans.Add(float64(planCount))
+	ss.space.Set(float64(planSpace))
 }

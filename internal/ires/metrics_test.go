@@ -2,10 +2,13 @@ package ires
 
 import (
 	"context"
+	"errors"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/tpch"
@@ -73,6 +76,58 @@ func TestInstrumentedDecisionsIdentical(t *testing.T) {
 	}
 	if _, ok := sc.Values[`midas_window_refits_avoided_total{federation="t"}`]; !ok {
 		t.Error("refits-avoided series missing from the scrape")
+	}
+}
+
+// TestSweepSeriesBoundLazily: a query's three sweep instruments are
+// bound on its first successful sweep, so a repeat allocates nothing,
+// and the scrape holds exactly the series resolving them through With
+// on every sweep did — none for a query that was never swept, the error
+// counter alone for one whose sweeps failed.
+func TestSweepSeriesBoundLazily(t *testing.T) {
+	reg := metrics.NewRegistry()
+	s := buildStack(t, 42, SchedulerConfig{NodeChoices: []int{1, 2, 4}, Seed: 42, Metrics: reg, MetricsFederation: "t"})
+	if err := s.Bootstrap(tpch.QueryQ12, 25); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 3; round++ {
+		if _, err := s.Submit(tpch.QueryQ12, Policy{Weights: []float64{1, 1}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.PlanSweep(context.Background(), tpch.QueryQ13); !errors.Is(err, ErrNoHistory) {
+		t.Fatalf("Q13 sweep without history: %v", err)
+	}
+
+	var buf strings.Builder
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	sc, err := metrics.ParseText(strings.NewReader(buf.String()))
+	if err != nil {
+		t.Fatalf("scrape does not parse: %v", err)
+	}
+	var got []string
+	for id := range sc.Values {
+		if (strings.HasPrefix(id, "midas_sweep_") || strings.HasPrefix(id, "midas_plan")) && !strings.Contains(id, "_bucket{") {
+			got = append(got, id)
+		}
+	}
+	slices.Sort(got)
+	want := []string{
+		`midas_plan_space{federation="t",query="Q12"}`,
+		`midas_plans_estimated_total{federation="t",query="Q12"}`,
+		`midas_sweep_duration_seconds_count{federation="t",query="Q12"}`,
+		`midas_sweep_duration_seconds_sum{federation="t",query="Q12"}`,
+		`midas_sweep_errors_total{federation="t",query="Q13"}`,
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("sweep series:\n got %q\nwant %q", got, want)
+	}
+
+	began := time.Now()
+	if allocs := testing.AllocsPerRun(100, func() { s.observeSweep(tpch.QueryQ12, began, 18, 18, nil) }); allocs != 0 {
+		t.Errorf("a repeat observeSweep allocates %.1f times, want 0", allocs)
 	}
 }
 

@@ -133,7 +133,7 @@ func (s *Scheduler) OptimizeGA(q tpch.QueryID, cfg moo.NSGAIIConfig) (*GAResult,
 		return nil, err
 	}
 	prob := &planProblem{
-		round:    s.sweeper(q, h, nil),
+		round:    s.sweeper(q, h, nil, new(sweepBuf)),
 		query:    q,
 		choices:  s.NodeChoices,
 		maxLeft:  leftSite.MaxNodes,
@@ -194,7 +194,7 @@ func (s *Scheduler) OptimizeWSMContext(ctx context.Context, q tpch.QueryID, pol 
 	if len(plans) == 0 {
 		return nil, moo.ErrNoPlans
 	}
-	costs, err := s.sweeper(q, h, nil).estimate(ctx, plans)
+	costs, err := s.sweeper(q, h, nil, new(sweepBuf)).estimate(ctx, plans)
 	if err != nil {
 		return nil, err
 	}

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/federation"
@@ -36,6 +38,36 @@ type planSweeper struct {
 	// round's history snapshot (the live history for non-snapshot
 	// models). An error that is not a *rowError is the first row's.
 	costs func(dst, xs []float64) ([]float64, error)
+	// buf is the round's scratch: its matrix backing goes to the first
+	// estimate call (then lent is set), its feature rows to every chunk of
+	// every call.
+	buf  *sweepBuf
+	lent bool
+}
+
+// sweepBuf is a sweep's scratch: the backing of its cost matrix and the
+// chunk feature rows. PlanSweep takes one from sweepPool and ReleaseSweep
+// puts it back, so the serving cycle (sweep, decide, release) reuses the
+// 32 KB matrix and 10 KB of feature rows of a 2,048-plan sweep instead of
+// allocating and collecting them per request. A sync.Pool, not a free
+// list: every GC drains it, so nothing it holds is retained heap.
+type sweepBuf struct {
+	costs, feats []float64
+}
+
+var sweepPool = sync.Pool{New: func() any { return new(sweepBuf) }}
+
+// release hands b back to the pool. Under the race detector it first
+// fills the matrix backing with NaN: whatever still reads it — a view
+// kept past ReleaseSweep — then sees a NaN cost and a changed decision.
+func (b *sweepBuf) release() {
+	if raceEnabled {
+		v := b.costs[:cap(b.costs)]
+		for i := range v {
+			v[i] = math.NaN()
+		}
+	}
+	sweepPool.Put(b)
 }
 
 // rowError is how the per-plan cost adapter says which row of the chunk
@@ -48,17 +80,17 @@ type rowError struct {
 func (e *rowError) Error() string { return e.err.Error() }
 func (e *rowError) Unwrap() error { return e.err }
 
-// sweeper binds one round to q and h. Snapshot-capable models get a
-// single point-in-time snapshot, so every plan of the round is scored
-// against one history version even while other requests append
-// observations. An executor that knows the query's input sizes
+// sweeper binds one round to q, h and the scratch buf. Snapshot-capable
+// models get a single point-in-time snapshot, so every plan of the round
+// is scored against one history version even while other requests
+// append observations. An executor that knows the query's input sizes
 // (federation.InputSizer) and a model that scores chunks
 // (BatchCostModel) are used as such; one that only has the per-plan
 // method — a decorator that wraps it, a custom model — is wrapped here,
 // once, in an adapter that loops, so the estimation loop itself has one
 // shape.
-func (s *Scheduler) sweeper(q tpch.QueryID, h *core.History, lat *federation.PlanLattice) *planSweeper {
-	ps := &planSweeper{lat: lat}
+func (s *Scheduler) sweeper(q tpch.QueryID, h *core.History, lat *federation.PlanLattice, buf *sweepBuf) *planSweeper {
+	ps := &planSweeper{lat: lat, buf: buf}
 	if sizer, ok := s.Exec.(federation.InputSizer); ok {
 		lb, rb, err := sizer.InputBytes(q)
 		leftMiB, rightMiB := lb/(1024*1024), rb/(1024*1024)
@@ -136,23 +168,33 @@ const sweepChunk = 256
 
 // estimate scores plans and returns their cost vectors positionally,
 // as the rows of one flat matrix: per chunk of sweepChunk plans, one
-// pass writes the feature rows into a scratch buffer, one asks the model
-// for the chunk's cost rows, one clamps them — the only clamp a batch
-// model's rows get. The scratch dies with the call. A failure is always
-// the one with the lowest position — rows before a feature failure are
-// still scored, in case the model fails earlier — and nothing past it is
-// scored. ctx is checked between chunks.
+// pass writes the feature rows into the round's scratch, one asks the
+// model for the chunk's cost rows, one clamps them — the only clamp a
+// batch model's rows get. The first call's matrix is the round's pooled
+// backing, later calls (GreedyPrune refines in several) allocate their
+// own. A failure is always the one with the lowest position — rows
+// before a feature failure are still scored, in case the model fails
+// earlier — and nothing past it is scored. ctx is checked between
+// chunks.
 func (ps *planSweeper) estimate(ctx context.Context, plans []federation.Plan) (moo.CostMatrix, error) {
-	n := len(plans)
-	flat := make([]float64, 0, n*len(federation.Metrics))
-	scratch := make([]float64, 0, min(n, sweepChunk)*federation.FeatureDim)
+	n, b := len(plans), ps.buf
+	var flat []float64
+	if ps.lent {
+		flat = make([]float64, 0, n*len(federation.Metrics))
+	} else {
+		ps.lent = true
+		b.costs = slices.Grow(b.costs[:0], n*len(federation.Metrics))
+		flat = b.costs
+	}
+	b.feats = slices.Grow(b.feats[:0], min(n, sweepChunk)*federation.FeatureDim)
 	k := 0 // cost-vector length, fixed by the first chunk
 	for lo := 0; lo < n; lo += sweepChunk {
 		if err := ctx.Err(); err != nil {
 			return moo.CostMatrix{}, err
 		}
 		chunk := plans[lo:min(lo+sweepChunk, n)]
-		xs, ferr := ps.features(scratch, chunk)
+		xs, ferr := ps.features(b.feats, chunk)
+		b.feats = xs[:0]
 		rows, scored := len(xs)/federation.FeatureDim, len(flat)
 		var err error
 		if rows > 0 {

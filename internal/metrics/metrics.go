@@ -24,6 +24,7 @@ import (
 	"math"
 	"regexp"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -159,9 +160,11 @@ func (f *family) seriesFor(labelValues []string, build func() *series) *series {
 // seriesKey builds an unambiguous map key from label values (values may
 // contain any byte, so a separator alone would collide).
 func seriesKey(values []string) string {
-	var b []byte
+	var buf [64]byte
+	b := buf[:0]
 	for _, v := range values {
-		b = append(b, fmt.Sprintf("%d:", len(v))...)
+		b = strconv.AppendInt(b, int64(len(v)), 10)
+		b = append(b, ':')
 		b = append(b, v...)
 	}
 	return string(b)

@@ -158,26 +158,39 @@ type sweepBatch struct {
 	// context ended: the error is the leader's, not the query's, so
 	// followers do not inherit it.
 	abandoned bool
-	// joined counts the followers waiting on this batch (observability
-	// and test synchronization).
-	joined atomic.Int64
+	// users counts the requests holding the batch: the leader from
+	// creation, a follower from finding it pending (under the tenant's
+	// mu, so none joins after the leader deletes it). Each lets go once,
+	// through release; the last one releases the sweep.
+	users atomic.Int32
 }
 
-// sharedSweep returns a plan sweep for q, coalescing with an in-flight
-// sweep when one exists. The second return reports whether the caller
-// used another request's sweep (false = this call led one).
+// sweepReleaser is the optional scheduler capability behind sweep reuse
+// (ires.Scheduler has it): a released sweep's cost matrix backs a later
+// sweep. Schedulers without it — stubs, bench/'s tracing decorator,
+// which keeps its last sweep for a probe — never have a sweep released.
+type sweepReleaser interface {
+	ReleaseSweep(sw *ires.Sweep)
+}
+
+// sharedSweep returns the batch holding a plan sweep for q, coalescing
+// with an in-flight sweep when one exists. The second return reports
+// whether the caller used another request's sweep (false = this call led
+// one). On success the caller holds the batch and hands it back with
+// release once done with the sweep; on error it holds nothing.
 //
 // The leader runs the sweep itself, under its own request context, so
 // ctx bounds both a follower's wait and a leader's sweep. A leader whose
 // context ends mid-sweep fails only itself: its batch is abandoned, and
 // the first follower to wake with a live context leads the next one.
 // Any other sweep error is the query's and is shared with the batch.
-func (t *tenant) sharedSweep(ctx context.Context, q tpch.QueryID) (*ires.Sweep, bool, error) {
+func (t *tenant) sharedSweep(ctx context.Context, q tpch.QueryID) (*sweepBatch, bool, error) {
 	for {
 		t.mu.Lock()
 		b, ok := t.pending[q]
 		if !ok {
 			b = &sweepBatch{done: make(chan struct{})}
+			b.users.Store(1)
 			t.pending[q] = b
 			t.mu.Unlock()
 
@@ -188,20 +201,43 @@ func (t *tenant) sharedSweep(ctx context.Context, q tpch.QueryID) (*ires.Sweep, 
 			delete(t.pending, q)
 			t.mu.Unlock()
 			close(b.done)
-			return b.sweep, false, b.err
+			return t.hold(b, false)
 		}
+		b.users.Add(1)
 		t.mu.Unlock()
-		b.joined.Add(1)
 		select {
 		case <-b.done:
 			if !b.abandoned {
-				return b.sweep, true, b.err
+				return t.hold(b, true)
 			}
+			t.release(b)
 			if err := ctx.Err(); err != nil {
 				return nil, true, err
 			}
 		case <-ctx.Done():
+			t.release(b)
 			return nil, true, ctx.Err()
 		}
+	}
+}
+
+// hold returns a finished batch to a caller that keeps it, or lets go of
+// a failed one.
+func (t *tenant) hold(b *sweepBatch, coalesced bool) (*sweepBatch, bool, error) {
+	if b.err != nil {
+		t.release(b)
+		return nil, coalesced, b.err
+	}
+	return b, coalesced, nil
+}
+
+// release lets go of one hold on b. The last one out releases the sweep
+// when the scheduler can take it back.
+func (t *tenant) release(b *sweepBatch) {
+	if b.users.Add(-1) != 0 || b.sweep == nil {
+		return
+	}
+	if r, ok := t.sched.(sweepReleaser); ok {
+		r.ReleaseSweep(b.sweep)
 	}
 }

@@ -36,8 +36,12 @@ func TestSharedSweepCoalesces(t *testing.T) {
 	const followers = 10
 	results := make(chan result, followers+1)
 	run := func() {
-		sw, co, err := tn.sharedSweep(ctx, tpch.QueryQ12)
-		results <- result{sw, co, err}
+		b, co, err := tn.sharedSweep(ctx, tpch.QueryQ12)
+		if err != nil {
+			results <- result{nil, co, err}
+			return
+		}
+		results <- result{b.sweep, co, err}
 	}
 
 	go run() // leader
@@ -49,7 +53,7 @@ func TestSharedSweepCoalesces(t *testing.T) {
 		go run()
 	}
 	batch := pendingBatch(t, tn, tpch.QueryQ12)
-	waitFor(t, 5*time.Second, func() bool { return batch.joined.Load() == followers })
+	waitFor(t, 5*time.Second, func() bool { return batch.users.Load() == 1+followers })
 	close(stub.block)
 
 	sweeps := make(map[*ires.Sweep]bool)
@@ -93,14 +97,14 @@ func TestFollowerLeadsAfterLeaderGivesUp(t *testing.T) {
 
 	followerDone := make(chan error, 1)
 	go func() {
-		sw, coalesced, err := tn.sharedSweep(context.Background(), tpch.QueryQ12)
-		if err == nil && (sw == nil || coalesced) {
+		b, coalesced, err := tn.sharedSweep(context.Background(), tpch.QueryQ12)
+		if err == nil && (b.sweep == nil || coalesced) {
 			err = errors.New("follower should have led a sweep of its own")
 		}
 		followerDone <- err
 	}()
 	batch := pendingBatch(t, tn, tpch.QueryQ12)
-	waitFor(t, 5*time.Second, func() bool { return batch.joined.Load() == 1 })
+	waitFor(t, 5*time.Second, func() bool { return batch.users.Load() == 2 })
 
 	// The leader gives up mid-sweep and returns immediately...
 	cancelLeader()
@@ -138,7 +142,7 @@ func TestLeaderFailureIsShared(t *testing.T) {
 	<-stub.started
 	go run()
 	batch := pendingBatch(t, tn, tpch.QueryQ12)
-	waitFor(t, 5*time.Second, func() bool { return batch.joined.Load() == 1 })
+	waitFor(t, 5*time.Second, func() bool { return batch.users.Load() == 2 })
 	close(stub.block)
 	for i := 0; i < 2; i++ {
 		if err := <-errs; !errors.Is(err, boom) {
@@ -148,6 +152,169 @@ func TestLeaderFailureIsShared(t *testing.T) {
 	if got := stub.calls(); got != 1 {
 		t.Fatalf("PlanSweep calls = %d, want 1", got)
 	}
+}
+
+// releaseCounter is a stub scheduler with the ReleaseSweep capability
+// that counts, per sweep, the decisions made from it and the releases,
+// and how many decisions preceded the release.
+type releaseCounter struct {
+	stubSched
+	// afterSweep, when set, runs once a sweep is built, before it is
+	// returned.
+	afterSweep func()
+
+	rmu       sync.Mutex
+	decided   map[*ires.Sweep]int
+	released  map[*ires.Sweep]int
+	atRelease map[*ires.Sweep]int
+}
+
+func (r *releaseCounter) PlanSweep(ctx context.Context, q tpch.QueryID) (*ires.Sweep, error) {
+	sw, err := r.stubSched.PlanSweep(ctx, q)
+	if err == nil && r.afterSweep != nil {
+		r.afterSweep()
+	}
+	return sw, err
+}
+
+func (r *releaseCounter) DecideFromSweep(sw *ires.Sweep, pol ires.Policy) (*ires.Decision, error) {
+	dec, err := r.stubSched.DecideFromSweep(sw, pol)
+	r.rmu.Lock()
+	r.decided[sw]++
+	r.rmu.Unlock()
+	return dec, err
+}
+
+func (r *releaseCounter) ReleaseSweep(sw *ires.Sweep) {
+	r.rmu.Lock()
+	defer r.rmu.Unlock()
+	r.released[sw]++
+	r.atRelease[sw] = r.decided[sw]
+}
+
+// wantOneRelease: exactly one sweep was released, once, after the given
+// number of decisions from it — and no nil sweep ever was.
+func (r *releaseCounter) wantOneRelease(t *testing.T, decisions int) {
+	t.Helper()
+	r.rmu.Lock()
+	defer r.rmu.Unlock()
+	if len(r.released) != 1 {
+		t.Fatalf("released %d distinct sweeps (%v), want 1", len(r.released), r.released)
+	}
+	for sw, n := range r.released {
+		if sw == nil || n != 1 || r.atRelease[sw] != decisions {
+			t.Fatalf("sweep %p released %d times after %d decisions; want a non-nil sweep released once after %d",
+				sw, n, r.atRelease[sw], decisions)
+		}
+	}
+}
+
+// TestSweepBatchReleasesOnce pins the lifetime of a shared sweep: every
+// request holding a batch lets go exactly once on every path out of
+// submit, and the last one releases the sweep — after the last decision
+// made from it, never while one is pending, and never a failed sweep.
+func TestSweepBatchReleasesOnce(t *testing.T) {
+	const q = tpch.QueryQ12
+	pol := ires.Policy{Weights: []float64{1, 1}}
+	bg := context.Background()
+	setup := func(t *testing.T, blocked bool) (*releaseCounter, *Server, *tenant) {
+		rc := &releaseCounter{
+			decided:   make(map[*ires.Sweep]int),
+			released:  make(map[*ires.Sweep]int),
+			atRelease: make(map[*ires.Sweep]int),
+		}
+		if blocked {
+			rc.block, rc.started = make(chan struct{}), make(chan struct{})
+		}
+		srv, err := NewWithSchedulers(Config{}, map[string]QueryScheduler{"test": rc}, tpch.AllQueries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rc, srv, srv.tenants["test"]
+	}
+	submit := func(ctx context.Context, srv *Server, tn *tenant, done chan<- error) {
+		_, _, err := srv.submit(ctx, tn, q, pol)
+		done <- err
+	}
+
+	t.Run("leader and followers", func(t *testing.T) {
+		rc, srv, tn := setup(t, true)
+		const followers = 4
+		errs := make(chan error, followers+1)
+		go submit(bg, srv, tn, errs)
+		<-rc.started
+		for i := 0; i < followers; i++ {
+			go submit(bg, srv, tn, errs)
+		}
+		b := pendingBatch(t, tn, q)
+		waitFor(t, 5*time.Second, func() bool { return b.users.Load() == 1+followers })
+		close(rc.block)
+		for i := 0; i < 1+followers; i++ {
+			if err := <-errs; err != nil {
+				t.Fatal(err)
+			}
+		}
+		rc.wantOneRelease(t, 1+followers)
+	})
+
+	t.Run("follower gives up waiting", func(t *testing.T) {
+		rc, srv, tn := setup(t, true)
+		leader, follower := make(chan error, 1), make(chan error, 1)
+		go submit(bg, srv, tn, leader)
+		<-rc.started
+		ctx, cancel := context.WithCancel(bg)
+		go submit(ctx, srv, tn, follower)
+		b := pendingBatch(t, tn, q)
+		waitFor(t, 5*time.Second, func() bool { return b.users.Load() == 2 })
+		cancel()
+		if err := <-follower; !errors.Is(err, context.Canceled) {
+			t.Fatalf("follower err = %v", err)
+		}
+		if n := b.users.Load(); n != 1 {
+			t.Fatalf("%d holders after the follower left, want the leader alone", n)
+		}
+		close(rc.block)
+		if err := <-leader; err != nil {
+			t.Fatal(err)
+		}
+		rc.wantOneRelease(t, 1)
+	})
+
+	t.Run("leader cancelled mid-sweep", func(t *testing.T) {
+		rc, srv, tn := setup(t, true)
+		leader, follower := make(chan error, 1), make(chan error, 1)
+		ctx, cancel := context.WithCancel(bg)
+		go submit(ctx, srv, tn, leader)
+		<-rc.started
+		go submit(bg, srv, tn, follower)
+		b := pendingBatch(t, tn, q)
+		waitFor(t, 5*time.Second, func() bool { return b.users.Load() == 2 })
+		cancel()
+		if err := <-leader; !errors.Is(err, context.Canceled) {
+			t.Fatalf("leader err = %v", err)
+		}
+		waitFor(t, 5*time.Second, func() bool { return rc.calls() == 2 })
+		close(rc.block)
+		if err := <-follower; err != nil {
+			t.Fatal(err)
+		}
+		if n := b.users.Load(); n != 0 {
+			t.Fatalf("the abandoned batch still has %d holders", n)
+		}
+		rc.wantOneRelease(t, 1) // the follower's retry; the nil sweep never
+	})
+
+	t.Run("deadline between sweep and decide", func(t *testing.T) {
+		rc, srv, tn := setup(t, false)
+		ctx, cancel := context.WithCancel(bg)
+		rc.afterSweep = cancel
+		done := make(chan error, 1)
+		submit(ctx, srv, tn, done)
+		if err := <-done; !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v", err)
+		}
+		rc.wantOneRelease(t, 0)
+	})
 }
 
 // pendingBatch returns the tenant's in-flight batch for q.

@@ -911,19 +911,21 @@ func (s *Server) logRequest(ctx context.Context, federation string, q tpch.Query
 	s.log.LogAttrs(ctx, level, "request", attrs...)
 }
 
-// submit runs one admitted round: share a sweep, then select + execute
-// under this request's policy.
+// submit runs one admitted round: share a sweep, select + execute under
+// this request's policy, then let go of the sweep — the last request
+// sharing it hands its matrix back for reuse.
 func (s *Server) submit(ctx context.Context, t *tenant, q tpch.QueryID, pol ires.Policy) (*ires.Decision, bool, error) {
-	sw, coalesced, err := t.sharedSweep(ctx, q)
+	b, coalesced, err := t.sharedSweep(ctx, q)
 	if err != nil {
 		return nil, coalesced, err
 	}
+	defer t.release(b)
 	// The sweep may have been shared; the expiry of *this* request is
 	// checked before paying for an execution.
 	if err := ctx.Err(); err != nil {
 		return nil, coalesced, err
 	}
-	dec, err := t.sched.DecideFromSweep(sw, pol)
+	dec, err := t.sched.DecideFromSweep(b.sweep, pol)
 	if err != nil {
 		return nil, coalesced, err
 	}

@@ -385,7 +385,8 @@ type (
 	// Sweep is the policy-independent half of a scheduling round (see
 	// Scheduler.PlanSweep / DecideFromSweep): a serving layer shares one
 	// across concurrent submissions of a query. Its Costs are one flat
-	// matrix, plan i's vector at Costs.Row(i).
+	// matrix, plan i's vector at Costs.Row(i), that
+	// Scheduler.ReleaseSweep hands back for reuse.
 	Sweep = ires.Sweep
 	// QueryServer hosts named federations behind the HTTP/JSON API
 	// (POST /v1/queries, GET /v1/history/{query}, /v1/stats, /healthz)

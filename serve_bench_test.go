@@ -77,6 +77,9 @@ func (f *fixedSweepSched) PlanSweep(ctx context.Context, q tpch.QueryID) (*ires.
 	return f.sweep, nil
 }
 
+// ReleaseSweep keeps the pinned sweep: it serves every request.
+func (f *fixedSweepSched) ReleaseSweep(*ires.Sweep) {}
+
 // newFixedSweepSched builds the serving scheduler and pins its Q12
 // sweep.
 func newFixedSweepSched(b testing.TB, store *histstore.Store) *fixedSweepSched {
@@ -168,52 +171,80 @@ func TestServeSubmitAllocBudget(t *testing.T) {
 	}
 }
 
-// TestPlanSweepAllocBudget is the same kind of gate for the sweep: a warm
-// PlanSweep lays its plans out in a fixed number of buffers — a feature
-// scratch and one flat cost matrix — so its allocation count does not
-// scale with the lattice, and neither does anything but the matrix in
-// bytes: an object count alone would price 48 KB of per-plan row headers
-// at 1. Deterministic, hence a test with pinned figures and no baseline
-// to compare against.
+// TestPlanSweepAllocBudget is the same kind of gate for the sweep, in
+// both shapes of caller. The serving cycle — PlanSweep, DecideFromSweep,
+// ReleaseSweep, what a server runs per shared sweep — finds last round's
+// cost matrix and feature rows in the pool, so it allocates a few KB
+// and no more objects than the parent's sweep plus decide (26, when
+// every round allocated its 42 KB afresh). A library PlanSweep that
+// keeps its sweep misses the pool every time: its count does not scale
+// with the lattice, and neither does anything but the matrix in bytes —
+// an object count alone would price 48 KB of per-plan row headers at 1.
+// Deterministic, hence a test with pinned figures and no baseline to
+// compare against.
 func TestPlanSweepAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	ctx := context.Background()
-	sweepAllocs := func(maxNodes int) (allocs, size float64) {
-		sched := wideScheduler(t, 42, maxNodes, 0.1, nil)
-		sweep := func() {
-			if _, err := sched.PlanSweep(ctx, tpch.QueryQ12); err != nil {
-				t.Fatal(err)
-			}
-		}
+	measure := func(what string, plans int, run func()) (allocs, size float64) {
 		const runs = 50
-		allocs = testing.AllocsPerRun(runs, sweep)
+		allocs = testing.AllocsPerRun(runs, run)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for i := 0; i < runs; i++ {
-			sweep()
+			run()
 		}
 		runtime.ReadMemStats(&after)
 		size = float64(after.TotalAlloc-before.TotalAlloc) / runs
-		t.Logf("%d plans: %.1f allocs, %.0f B per warm sweep", 2*maxNodes*maxNodes, allocs, size)
+		t.Logf("%s, %d plans: %.1f allocs, %.0f B", what, plans, allocs, size)
 		return allocs, size
 	}
-	small, smallBytes := sweepAllocs(3)
-	large, largeBytes := sweepAllocs(32)
+	keep := func(maxNodes int) (allocs, size float64) {
+		sched := wideScheduler(t, 42, maxNodes, 0.1, nil)
+		// Two collections empty the pool: every sweep below misses it.
+		runtime.GC()
+		runtime.GC()
+		return measure("kept sweep", 2*maxNodes*maxNodes, func() {
+			if _, err := sched.PlanSweep(ctx, tpch.QueryQ12); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, smallBytes := keep(3)
+	large, largeBytes := keep(32)
 	if large-small > 2 {
 		t.Errorf("2,048 plans cost %.0f allocations more than 18: the count scales with the lattice again", large-small)
 	}
-	const budget = 13
-	if large > budget {
-		t.Errorf("2,048-plan sweep: %.1f allocs, budget %d", large, budget)
+	// The pool miss (the buffer and its two slices) and the front's copy.
+	const keepBudget = 15
+	if large > keepBudget {
+		t.Errorf("kept 2,048-plan sweep: %.1f allocs, budget %d", large, keepBudget)
 	}
 	// Per plan: len(federation.Metrics)·8 B of matrix, 5 B of chunk
 	// scratch (256 rows of features for 2,048 plans), and slack.
 	const bytesBudget, perPlanBudget = 48 << 10, 28
 	if perPlan := (largeBytes - smallBytes) / (2048 - 18); largeBytes > bytesBudget || perPlan > perPlanBudget {
-		t.Errorf("2,048-plan sweep: %.0f B (budget %d), %.1f B per plan over the 18-plan sweep (budget %d)",
+		t.Errorf("kept 2,048-plan sweep: %.0f B (budget %d), %.1f B per plan over the 18-plan sweep (budget %d)",
 			largeBytes, bytesBudget, perPlan, perPlanBudget)
+	}
+
+	sched := wideScheduler(t, 42, 32, 0.1, nil)
+	pol := ires.Policy{Weights: []float64{1, 1}}
+	served, servedBytes := measure("serving cycle", 2048, func() {
+		sw, err := sched.PlanSweep(ctx, tpch.QueryQ12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sched.DecideFromSweep(sw, pol); err != nil {
+			t.Fatal(err)
+		}
+		sched.ReleaseSweep(sw)
+	})
+	const serveBudget, serveBytesBudget = 26, 6 << 10
+	if served > serveBudget || servedBytes > serveBytesBudget {
+		t.Errorf("2,048-plan serving cycle: %.1f allocs (budget %d), %.0f B (budget %d)",
+			served, serveBudget, servedBytes, serveBytesBudget)
 	}
 }
 
