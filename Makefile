@@ -23,10 +23,13 @@ COVER_PKGS ?= ./internal/server ./internal/core ./internal/histstore ./internal/
 SWEEP_PATTERN ?= Q1[23]Sweep|WindowSearchCold|DREAMEstimateUncached|ServeHotPath|PlanSweep|SweepRound|ParetoFront|RouteLookup
 SWEEP_COUNT ?= 5
 
+# The control-plane tests `make test-cluster` repeats under -race.
+CLUSTER_PATTERN ?= Cluster|Chaos|Failover|Stream|Handoff|Adopt|Readyz|Durable|Drain
+
 # Where the `make profile-*` targets drop their profiles.
 PROFILE_DIR ?= profiles
 
-.PHONY: all build vet fmt-check lint linkcheck test test-cpus test-short test-bench fuzz-smoke bench bench-smoke bench-sweep bench-json ablate-prune scenarios profile-sweep profile-cluster profile-serve cover help
+.PHONY: all build vet fmt-check lint linkcheck test test-cpus test-cluster test-short test-bench fuzz-smoke bench bench-smoke bench-sweep bench-json ablate-prune scenarios profile-sweep profile-cluster profile-serve cover help
 
 all: build lint test test-bench
 
@@ -59,6 +62,10 @@ test:
 ## test-cpus: the estimation and serving cores and the Pareto reduction under the race detector at GOMAXPROCS 1, 2 and 4 — "byte-identical at any GOMAXPROCS" is the determinism contract
 test-cpus:
 	$(GO) test -race -cpu 1,2,4 ./internal/core ./internal/ires ./internal/server ./internal/moo
+
+## test-cluster: the control-plane tests (ownership moves, chaos, failover, replication streams, drain) under the race detector, five passes — their interleavings differ run to run
+test-cluster:
+	$(GO) test -race -count=5 -run '$(CLUSTER_PATTERN)' ./internal/server
 
 ## test-short: quick feedback loop without the race detector
 test-short:

@@ -36,17 +36,19 @@ type tenant struct {
 	inflight atomic.Int64
 
 	// Cluster-mode ownership state (see cluster.go). The zero state is
-	// tenantActive, so standalone servers never touch any of this.
+	// tenantActive, so standalone servers never touch any of this. Only
+	// newTenant and the four transitions below write state or ownerHint.
 	state atomic.Int32
-	// ownerHint names the handoff target while state is sending — the
-	// routing table only learns the new owner once the move commits.
+	// ownerHint names the new owner while state is sending — the routing
+	// table only learns it once the move commits.
 	ownerHint atomic.Pointer[cluster.Member]
 	// bootstrap is the spec's per-query bootstrap target, replayed when
 	// a cold tenant activates (handoff in, takeover).
 	bootstrap int
-	// actMu guards activated, the channel requests held during an
-	// inbound handoff wait on; closed when the handoff resolves.
-	actMu     sync.Mutex
+	// stateMu serializes the transitions and guards activated, the
+	// channel requests held during an inbound handoff wait on; closed
+	// when the handoff resolves.
+	stateMu   sync.Mutex
 	activated chan struct{}
 	// activateMu single-flights inbound activation (handoff activate,
 	// takeover) and serializes it against abort: a retried activate —
@@ -54,6 +56,9 @@ type tenant struct {
 	// — blocks here until the first attempt resolves instead of racing
 	// a second OpenHistory pass over the same shards.
 	activateMu sync.Mutex
+	// sendMu single-flights outbound handoffs: a second one is refused
+	// before it could prepare — and later abort — a target of its own.
+	sendMu sync.Mutex
 
 	mu      sync.Mutex
 	pending map[tpch.QueryID]*sweepBatch
@@ -63,8 +68,8 @@ type tenant struct {
 // activation channel requests will wait on. False when the tenant is
 // not remote (already active here, or another handoff is in flight).
 func (t *tenant) beginReceiving() bool {
-	t.actMu.Lock()
-	defer t.actMu.Unlock()
+	t.stateMu.Lock()
+	defer t.stateMu.Unlock()
 	if !t.state.CompareAndSwap(tenantRemote, tenantReceiving) {
 		return false
 	}
@@ -75,8 +80,8 @@ func (t *tenant) beginReceiving() bool {
 // finishReceiving resolves an inbound handoff to final (tenantActive on
 // success, tenantRemote on abort) and releases every held request.
 func (t *tenant) finishReceiving(final int32) {
-	t.actMu.Lock()
-	defer t.actMu.Unlock()
+	t.stateMu.Lock()
+	defer t.stateMu.Unlock()
 	t.state.Store(final)
 	if t.activated != nil {
 		close(t.activated)
@@ -84,13 +89,42 @@ func (t *tenant) finishReceiving(final int32) {
 	}
 }
 
+// beginSending flips the tenant active→sending: new requests redirect at
+// owner, named by the hint before the state says so. False when the
+// tenant is not active (an outbound move is already under way). Whoever
+// begins sending owns the state until its finishSending.
+func (t *tenant) beginSending(owner cluster.Member) bool {
+	t.stateMu.Lock()
+	defer t.stateMu.Unlock()
+	if t.state.Load() != tenantActive {
+		return false
+	}
+	t.ownerHint.Store(&owner)
+	t.state.Store(tenantSending)
+	return true
+}
+
+// finishSending resolves an outbound move: remote once it committed
+// (moved — the table names the new owner by now), active again when it
+// did not.
+func (t *tenant) finishSending(moved bool) {
+	t.stateMu.Lock()
+	defer t.stateMu.Unlock()
+	if moved {
+		t.state.Store(tenantRemote)
+	} else {
+		t.state.Store(tenantActive)
+	}
+	t.ownerHint.Store(nil)
+}
+
 // waitActive blocks a request while an inbound handoff resolves.
 // Returns true when the wait ended (re-check the state), false when
 // ctx expired first.
 func (t *tenant) waitActive(ctx context.Context) bool {
-	t.actMu.Lock()
+	t.stateMu.Lock()
 	ch := t.activated
-	t.actMu.Unlock()
+	t.stateMu.Unlock()
 	if ch == nil {
 		return true // already resolved between the state load and here
 	}
@@ -102,18 +136,24 @@ func (t *tenant) waitActive(ctx context.Context) bool {
 	}
 }
 
-func newTenant(name string, sched QueryScheduler, queries []tpch.QueryID) *tenant {
+// newTenant builds a tenant that serves name's queries, or — cold, a
+// cluster node that does not own the federation — redirects them.
+func newTenant(name string, sched QueryScheduler, queries []tpch.QueryID, cold bool) *tenant {
 	qs := make(map[tpch.QueryID]bool, len(queries))
 	for _, q := range queries {
 		qs[q] = true
 	}
-	return &tenant{
+	t := &tenant{
 		name:    name,
 		sched:   sched,
 		queries: qs,
 		stats:   &tenantStats{},
 		pending: make(map[tpch.QueryID]*sweepBatch),
 	}
+	if cold {
+		t.state.Store(tenantRemote)
+	}
+	return t
 }
 
 // registerMetrics publishes the tenant's serving counters on reg,

@@ -25,7 +25,7 @@ import (
 // Sweep from a single PlanSweep call.
 func TestSharedSweepCoalesces(t *testing.T) {
 	stub := &stubSched{block: make(chan struct{}), started: make(chan struct{})}
-	tn := newTenant("test", stub, tpch.AllQueries)
+	tn := newTenant("test", stub, tpch.AllQueries, false)
 	ctx := context.Background()
 
 	type result struct {
@@ -53,7 +53,7 @@ func TestSharedSweepCoalesces(t *testing.T) {
 		go run()
 	}
 	batch := pendingBatch(t, tn, tpch.QueryQ12)
-	waitFor(t, 5*time.Second, func() bool { return batch.users.Load() == 1+followers })
+	waitFor(t, 5*time.Second, func() bool { return batch.users.Load() == 1+followers }, nil)
 	close(stub.block)
 
 	sweeps := make(map[*ires.Sweep]bool)
@@ -85,7 +85,7 @@ func TestSharedSweepCoalesces(t *testing.T) {
 // leads the next sweep itself.
 func TestFollowerLeadsAfterLeaderGivesUp(t *testing.T) {
 	stub := &stubSched{block: make(chan struct{}), started: make(chan struct{})}
-	tn := newTenant("test", stub, tpch.AllQueries)
+	tn := newTenant("test", stub, tpch.AllQueries, false)
 
 	leaderCtx, cancelLeader := context.WithCancel(context.Background())
 	leaderDone := make(chan error, 1)
@@ -104,7 +104,7 @@ func TestFollowerLeadsAfterLeaderGivesUp(t *testing.T) {
 		followerDone <- err
 	}()
 	batch := pendingBatch(t, tn, tpch.QueryQ12)
-	waitFor(t, 5*time.Second, func() bool { return batch.users.Load() == 2 })
+	waitFor(t, 5*time.Second, func() bool { return batch.users.Load() == 2 }, nil)
 
 	// The leader gives up mid-sweep and returns immediately...
 	cancelLeader()
@@ -112,7 +112,7 @@ func TestFollowerLeadsAfterLeaderGivesUp(t *testing.T) {
 		t.Fatalf("leader err = %v", err)
 	}
 	// ...and the follower, its own context live, leads the second sweep.
-	waitFor(t, 5*time.Second, func() bool { return stub.calls() == 2 })
+	waitFor(t, 5*time.Second, func() bool { return stub.calls() == 2 }, nil)
 	close(stub.block)
 	if err := <-followerDone; err != nil {
 		t.Fatalf("follower err = %v", err)
@@ -131,7 +131,7 @@ func TestFollowerLeadsAfterLeaderGivesUp(t *testing.T) {
 func TestLeaderFailureIsShared(t *testing.T) {
 	boom := errors.New("boom")
 	stub := &stubSched{block: make(chan struct{}), started: make(chan struct{}), failSweep: boom}
-	tn := newTenant("test", stub, tpch.AllQueries)
+	tn := newTenant("test", stub, tpch.AllQueries, false)
 
 	errs := make(chan error, 2)
 	run := func() {
@@ -142,7 +142,7 @@ func TestLeaderFailureIsShared(t *testing.T) {
 	<-stub.started
 	go run()
 	batch := pendingBatch(t, tn, tpch.QueryQ12)
-	waitFor(t, 5*time.Second, func() bool { return batch.users.Load() == 2 })
+	waitFor(t, 5*time.Second, func() bool { return batch.users.Load() == 2 }, nil)
 	close(stub.block)
 	for i := 0; i < 2; i++ {
 		if err := <-errs; !errors.Is(err, boom) {
@@ -247,7 +247,7 @@ func TestSweepBatchReleasesOnce(t *testing.T) {
 			go submit(bg, srv, tn, errs)
 		}
 		b := pendingBatch(t, tn, q)
-		waitFor(t, 5*time.Second, func() bool { return b.users.Load() == 1+followers })
+		waitFor(t, 5*time.Second, func() bool { return b.users.Load() == 1+followers }, nil)
 		close(rc.block)
 		for i := 0; i < 1+followers; i++ {
 			if err := <-errs; err != nil {
@@ -265,7 +265,7 @@ func TestSweepBatchReleasesOnce(t *testing.T) {
 		ctx, cancel := context.WithCancel(bg)
 		go submit(ctx, srv, tn, follower)
 		b := pendingBatch(t, tn, q)
-		waitFor(t, 5*time.Second, func() bool { return b.users.Load() == 2 })
+		waitFor(t, 5*time.Second, func() bool { return b.users.Load() == 2 }, nil)
 		cancel()
 		if err := <-follower; !errors.Is(err, context.Canceled) {
 			t.Fatalf("follower err = %v", err)
@@ -288,12 +288,12 @@ func TestSweepBatchReleasesOnce(t *testing.T) {
 		<-rc.started
 		go submit(bg, srv, tn, follower)
 		b := pendingBatch(t, tn, q)
-		waitFor(t, 5*time.Second, func() bool { return b.users.Load() == 2 })
+		waitFor(t, 5*time.Second, func() bool { return b.users.Load() == 2 }, nil)
 		cancel()
 		if err := <-leader; !errors.Is(err, context.Canceled) {
 			t.Fatalf("leader err = %v", err)
 		}
-		waitFor(t, 5*time.Second, func() bool { return rc.calls() == 2 })
+		waitFor(t, 5*time.Second, func() bool { return rc.calls() == 2 }, nil)
 		close(rc.block)
 		if err := <-follower; err != nil {
 			t.Fatal(err)
@@ -455,7 +455,7 @@ func TestDrainCompletesInflight(t *testing.T) {
 
 	drained := make(chan error, 1)
 	go func() { drained <- srv.Drain(context.Background()) }()
-	waitFor(t, 5*time.Second, func() bool { return srv.draining.Load() })
+	waitFor(t, 5*time.Second, func() bool { return srv.draining.Load() }, nil)
 
 	// New work is refused while draining...
 	resp, _ := postQuery(t, ts.URL, QueryRequest{Query: "Q13"})
@@ -560,7 +560,7 @@ func TestDrainSubmitHammer(t *testing.T) {
 				}
 			}(w)
 		}
-		waitFor(t, 5*time.Second, func() bool { return served.Load() >= workers })
+		waitFor(t, 5*time.Second, func() bool { return served.Load() >= workers }, nil)
 		if err := srv.Drain(context.Background()); err != nil {
 			t.Fatalf("drain: %v", err)
 		}

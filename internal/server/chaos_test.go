@@ -85,6 +85,7 @@ func newReplicatedNodes(t *testing.T, spec FederationSpec, n int, mutate func(*C
 		if err != nil {
 			t.Fatal(err)
 		}
+		drainAtCleanup(t, srv)
 		h := srv.Handler()
 		late[i].h.Store(&h)
 		servers = append(servers, srv)
@@ -106,13 +107,8 @@ func newReplicatedNodes(t *testing.T, spec FederationSpec, n int, mutate func(*C
 // replicating.
 func waitStreaming(t testing.TB, srv *Server, fed string) {
 	t.Helper()
-	deadline := time.Now().Add(15 * time.Second)
-	for srv.cluster.replHealth(srv.tenants[fed]) != "streaming" {
-		if time.Now().After(deadline) {
-			t.Fatal("replication never armed")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	waitFor(t, 15*time.Second, func() bool { return srv.cluster.replHealth(srv.tenants[fed]) == "streaming" },
+		func() string { return "replication never armed" })
 }
 
 // chaosSubmit posts one Q12 request without following redirects and
@@ -384,9 +380,9 @@ func TestChaosGossipPartitionDuringHandoff(t *testing.T) {
 	// still flow. The third node's inbound posts are the partition
 	// proper. The other two refuse posts as well because an exchange is
 	// answered with the receiver's table: the third node's own boot-time
-	// exchange (bootstrapRoutes, a goroutine that may not have run yet)
-	// would otherwise pull the new table through the partition. The
-	// handoff itself needs no gossip — both ends apply the override.
+	// exchange (catchUp, a goroutine that may not have run yet) would
+	// otherwise pull the new table through the partition. The handoff
+	// itself needs no exchange — both ends apply the override.
 	var partitioned atomic.Bool
 	partitioned.Store(true)
 	for i := range tc.servers {
@@ -437,24 +433,20 @@ func TestChaosGossipPartitionDuringHandoff(t *testing.T) {
 		t.Fatalf("stale redirect chain ended at %q, want new owner %q", qr.Node, tc.members[target].ID)
 	}
 
-	// Heal, then let the stale node gossip once: the exchange is
+	// Heal, then let the stale node exchange once: the exchange is
 	// bidirectional, so pushing its stale table yields back the newer
 	// one, which it adopts and reconciles against.
 	partitioned.Store(false)
-	tc.servers[third].cluster.gossip()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if cr := getClusterTable(t, tc.https[third].URL); cr.Epoch >= 2 &&
-			cr.Placements["alpha"].Owner == tc.members[target].ID {
-			break
-		}
-		if time.Now().After(deadline) {
-			cr := getClusterTable(t, tc.https[third].URL)
-			t.Fatalf("healed node never converged: epoch=%d owner=%q",
-				cr.Epoch, cr.Placements["alpha"].Owner)
-		}
-		time.Sleep(5 * time.Millisecond)
+	if !tc.servers[third].exchange() {
+		t.Fatal("healed node's exchange reached no peer")
 	}
+	var cr ClusterResponse
+	waitFor(t, 5*time.Second, func() bool {
+		cr = getClusterTable(t, tc.https[third].URL)
+		return cr.Epoch >= 2 && cr.Placements["alpha"].Owner == tc.members[target].ID
+	}, func() string {
+		return fmt.Sprintf("healed node never converged: epoch=%d owner=%q", cr.Epoch, cr.Placements["alpha"].Owner)
+	})
 
 	// Exactly one active owner across the healed cluster, and every
 	// table names it.
@@ -582,19 +574,15 @@ func chaosDetectorKnobs(cc *ClusterConfig) {
 func waitPeerReplStreaming(t *testing.T, srv *Server, peer, fed string) {
 	t.Helper()
 	cs := srv.cluster
-	deadline := time.Now().Add(15 * time.Second)
-	for {
+	var health string
+	waitFor(t, 15*time.Second, func() bool {
 		cs.peerMu.Lock()
-		health := cs.peerRepl[peer][fed]
+		health = cs.peerRepl[peer][fed]
 		cs.peerMu.Unlock()
-		if health == "streaming" {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("probe cache never reported %s/%s streaming (last %q)", peer, fed, health)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+		return health == "streaming"
+	}, func() string {
+		return fmt.Sprintf("probe cache never reported %s/%s streaming (last %q)", peer, fed, health)
+	})
 }
 
 // TestChaosProbePartitionFalsePositive partitions the failure
@@ -649,22 +637,17 @@ func TestChaosProbePartitionFalsePositive(t *testing.T) {
 		}
 	}
 
-	deadline := time.Now().Add(20 * time.Second)
-	for {
+	waitFor(t, 20*time.Second, func() bool {
 		submitBoth()
 		// Settled: the false-positive promotion committed AND the demoted
 		// real owner is back to remote — exactly one active owner.
-		if servers[standby].tenants["paper"].state.Load() == tenantActive &&
-			servers[owner].tenants["paper"].state.Load() == tenantRemote {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("cluster never settled after probe partition: owner=%s standby=%s",
-				tenantStateName(servers[owner].tenants["paper"].state.Load()),
-				tenantStateName(servers[standby].tenants["paper"].state.Load()))
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+		return servers[standby].tenants["paper"].state.Load() == tenantActive &&
+			servers[owner].tenants["paper"].state.Load() == tenantRemote
+	}, func() string {
+		return fmt.Sprintf("cluster never settled after probe partition: owner=%s standby=%s",
+			tenantStateName(servers[owner].tenants["paper"].state.Load()),
+			tenantStateName(servers[standby].tenants["paper"].state.Load()))
+	})
 	submitBoth()
 
 	// Both tables agree on the new owner at the promoted epoch.
@@ -717,15 +700,11 @@ func TestChaosAutoPromotionDeterminism(t *testing.T) {
 	waitPeerReplStreaming(t, servers[standby], members[owner].ID, "paper")
 	https[owner].Kill()
 
-	deadline := time.Now().Add(20 * time.Second)
-	for servers[standby].tenants["paper"].state.Load() != tenantActive {
-		if time.Now().After(deadline) {
-			t.Fatalf("standby never auto-promoted (state %s, owner judged %v)",
-				tenantStateName(servers[standby].tenants["paper"].state.Load()),
-				servers[standby].cluster.detector.Status(members[owner].ID))
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	waitFor(t, 20*time.Second, func() bool { return servers[standby].tenants["paper"].state.Load() == tenantActive }, func() string {
+		return fmt.Sprintf("standby never auto-promoted (state %s, owner judged %v)",
+			tenantStateName(servers[standby].tenants["paper"].state.Load()),
+			servers[standby].cluster.detector.Status(members[owner].ID))
+	})
 
 	got := chaosSubmit(t, https[standby].URL)
 	if got.Plan != want.Plan {
@@ -776,31 +755,28 @@ func TestReadyzDegradedReplication(t *testing.T) {
 	https[standby].Kill()
 	chaosSubmit(t, https[owner].URL)
 
-	deadline := time.Now().Add(15 * time.Second)
-	for {
+	var (
+		code int
+		rz   struct {
+			Status   string   `json:"status"`
+			Degraded []string `json:"degraded"`
+		}
+	)
+	waitFor(t, 15*time.Second, func() bool {
 		resp, err := http.Get(https[owner].URL + "/readyz")
 		if err != nil {
 			t.Fatal(err)
 		}
-		var rz struct {
-			Status   string   `json:"status"`
-			Degraded []string `json:"degraded"`
-		}
+		code = resp.StatusCode
 		err = json.NewDecoder(resp.Body).Decode(&rz)
 		resp.Body.Close()
-		if resp.StatusCode == http.StatusServiceUnavailable {
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rz.Status != "degraded" || len(rz.Degraded) != 1 || rz.Degraded[0] != "paper" {
-				t.Fatalf("degraded readyz body %+v", rz)
-			}
-			break
+		if code == http.StatusServiceUnavailable && err != nil {
+			t.Fatal(err)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("readyz never reported degraded replication (last %d)", resp.StatusCode)
-		}
-		time.Sleep(10 * time.Millisecond)
+		return code == http.StatusServiceUnavailable
+	}, func() string { return fmt.Sprintf("readyz never reported degraded replication (last %d)", code) })
+	if rz.Status != "degraded" || len(rz.Degraded) != 1 || rz.Degraded[0] != "paper" {
+		t.Fatalf("degraded readyz body %+v", rz)
 	}
 	if err := servers[owner].Drain(context.Background()); err != nil {
 		t.Fatal(err)

@@ -23,9 +23,17 @@ package server
 //     state after the owner dies.
 //
 // Epochs order routing tables: every mutation bumps the epoch, nodes
-// gossip tables after mutations (POST /v1/admin/route), and the higher
-// epoch always wins, so a stale node converges on the first gossip or
+// exchange tables after mutations (POST /v1/admin/route), and the higher
+// epoch always wins, so a stale node converges on the first exchange or
 // redirect it sees.
+//
+// Each ownership step has one seam: a tenant moves through
+// beginReceiving/finishReceiving inbound and beginSending/finishSending
+// outbound (batch.go); a node starts serving through becomeOwner and
+// stops through stopServing; a table is installed only by commit and
+// swapped with peers only by exchange; and every goroutine the control
+// plane starts is spawned under the server's lifetime, which Drain ends
+// and waits out.
 
 import (
 	"bytes"
@@ -193,12 +201,10 @@ type clusterState struct {
 	acceptedClosed bool
 	acceptedWG     sync.WaitGroup
 
-	syncDone chan struct{} // closed when the standby sync loop exits
 	// rebalanceKick wakes the rebalance loop (buffered 1: a kick during
-	// a rebalance coalesces into one more pass); rebalanceDone is closed
-	// when the loop exits; rebalancing is 1 while a pass runs.
+	// a rebalance coalesces into one more pass; nil without
+	// AutoRebalance); rebalancing is 1 while a pass runs.
 	rebalanceKick chan struct{}
-	rebalanceDone chan struct{}
 	rebalancing   atomic.Bool
 
 	redirects        *metrics.Counter
@@ -264,21 +270,33 @@ func newClusterState(cfg *ClusterConfig, storeDir string) (*clusterState, error)
 	return cs, nil
 }
 
-// persistTable durably records a just-committed routing table. Failures
-// are logged and counted, not propagated: the commit already happened
-// in memory and is being gossiped; losing the disk copy only weakens
-// the next restart, it cannot be allowed to wedge routing now.
-func (cs *clusterState) persistTable(epoch uint64, overrides map[string]string) {
-	if cs.routes == nil {
-		return
-	}
-	if err := cs.routes.Append(epoch, overrides); err != nil {
-		if cs.routePersistErrs != nil {
+// commit is the one place a routing table is installed: next maps the
+// table in force to its successor (nil keeps it), retried until the swap
+// lands, and every table installed is persisted. Persistence failures are
+// logged and counted, not propagated: the table is already in force and
+// on its way to the peers; losing the disk copy only weakens the next
+// restart, it cannot be allowed to wedge routing now. Returns the table
+// in force afterwards and whether next installed it.
+func (cs *clusterState) commit(next func(cur *cluster.Table) *cluster.Table) (*cluster.Table, bool) {
+	for {
+		cur := cs.table.Load()
+		tab := next(cur)
+		if tab == nil {
+			return cur, false
+		}
+		if !cs.table.CompareAndSwap(cur, tab) {
+			continue
+		}
+		if cs.routes == nil {
+			return tab, true
+		}
+		// srv (and with it the counter) is nil only for a table driven
+		// without a server, as the unit tests do.
+		if err := cs.routes.Append(tab.Epoch(), tab.Overrides()); err != nil && cs.srv != nil {
 			cs.routePersistErrs.Inc()
+			cs.srv.log.Warn("persisting routing table failed", "epoch", tab.Epoch(), "error", err.Error())
 		}
-		if cs.srv != nil {
-			cs.srv.log.Warn("persisting routing table failed", "epoch", epoch, "error", err.Error())
-		}
+		return tab, true
 	}
 }
 
@@ -313,25 +331,19 @@ func (cs *clusterState) newStream(fed string) histstore.Mirror {
 	return rep
 }
 
-// post issues one bodiless peer POST and folds any non-2xx status into
-// an error carrying the peer's body (the peers speak ErrorResponse JSON).
-func (cs *clusterState) post(url string) error {
-	resp, err := cs.client.Post(url, "", nil)
+// call is one peer HTTP call; body, when non-nil, is sent as JSON. Any
+// non-2xx status becomes an error carrying the peer's body (the peers
+// speak ErrorResponse JSON), and a 2xx body is decoded into out when out
+// is non-nil.
+func (cs *clusterState) call(ctx context.Context, method, url string, body []byte, out any) error {
+	req, err := http.NewRequestWithContext(ctx, method, url, bytes.NewReader(body))
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-	if resp.StatusCode/100 != 2 {
-		return fmt.Errorf("%s: %s: %s", url, resp.Status, bytes.TrimSpace(msg))
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
 	}
-	return nil
-}
-
-// postJSON issues one peer POST and decodes the 2xx response body into
-// out.
-func (cs *clusterState) postJSON(url string, body []byte, out any) error {
-	resp, err := cs.client.Post(url, "application/json", bytes.NewReader(body))
+	resp, err := cs.client.Do(req)
 	if err != nil {
 		return err
 	}
@@ -340,30 +352,35 @@ func (cs *clusterState) postJSON(url string, body []byte, out any) error {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 		return fmt.Errorf("%s: %s: %s", url, resp.Status, bytes.TrimSpace(msg))
 	}
+	if out == nil {
+		return nil
+	}
 	return json.NewDecoder(io.LimitReader(resp.Body, maxBodyBytes)).Decode(out)
+}
+
+// post issues one bodiless peer POST under the server's lifetime, so
+// Drain never waits out a PeerTimeout.
+func (cs *clusterState) post(url string) error {
+	return cs.call(cs.srv.lifeCtx, http.MethodPost, url, nil, nil)
 }
 
 // applyOverride pins fed to node in the routing table, bumping the
 // epoch to at least minEpoch, and returns the resulting epoch.
 // Idempotent: a table that already places fed on node at minEpoch or
-// later (the move's gossip beat the local apply) is left untouched, so
+// later (the move's exchange beat the local apply) is left untouched, so
 // one ownership change bumps the cluster-wide epoch exactly once.
 func (cs *clusterState) applyOverride(fed, node string, minEpoch uint64) uint64 {
-	for {
-		cur := cs.table.Load()
+	tab, _ := cs.commit(func(cur *cluster.Table) *cluster.Table {
 		if cur.Epoch() >= minEpoch && cur.Owner(fed).ID == node {
-			return cur.Epoch()
+			return nil
 		}
 		next, ok := cur.WithOverride(fed, node)
 		if !ok {
-			return cur.Epoch() // unknown member: keep the table
+			return nil // unknown member: keep the table
 		}
-		next = next.WithEpochAtLeast(minEpoch)
-		if cs.table.CompareAndSwap(cur, next) {
-			cs.persistTable(next.Epoch(), next.Overrides())
-			return next.Epoch()
-		}
-	}
+		return next.WithEpochAtLeast(minEpoch)
+	})
+	return tab.Epoch()
 }
 
 // adoptTable installs a gossiped table if its epoch is newer. Epochs
@@ -374,31 +391,21 @@ func (cs *clusterState) applyOverride(fed, node string, minEpoch uint64) uint64 
 // deterministically — union, lexicographically smaller member ID on a
 // per-federation conflict, so every node computes the same table
 // regardless of arrival order — and bumps past both inputs so the
-// merged table wins everywhere. Callers that adopt must reconcile local
-// tenant state against the new table (Server.reconcileTenants).
+// merged table wins everywhere. Server.adopt squares local tenant state
+// with the adopted table.
 func (cs *clusterState) adoptTable(epoch uint64, overrides map[string]string) bool {
-	for {
-		cur := cs.table.Load()
-		if epoch < cur.Epoch() {
-			return false
+	_, adopted := cs.commit(func(cur *cluster.Table) *cluster.Table {
+		switch {
+		case epoch < cur.Epoch():
+			return nil
+		case epoch > cur.Epoch():
+			return cur.WithOverrides(epoch, overrides)
+		case overridesEqual(cur.Overrides(), overrides):
+			return nil
 		}
-		if epoch == cur.Epoch() {
-			curOv := cur.Overrides()
-			if overridesEqual(curOv, overrides) {
-				return false
-			}
-			next := cur.WithOverrides(epoch+1, mergeOverrides(curOv, overrides))
-			if cs.table.CompareAndSwap(cur, next) {
-				cs.persistTable(next.Epoch(), next.Overrides())
-				return true
-			}
-			continue
-		}
-		if next := cur.WithOverrides(epoch, overrides); cs.table.CompareAndSwap(cur, next) {
-			cs.persistTable(next.Epoch(), next.Overrides())
-			return true
-		}
-	}
+		return cur.WithOverrides(epoch+1, mergeOverrides(cur.Overrides(), overrides))
+	})
+	return adopted
 }
 
 // overridesEqual reports whether two override maps place the same
@@ -418,8 +425,8 @@ func overridesEqual(a, b map[string]string) bool {
 // mergeOverrides unions two override sets; a federation present in both
 // with different owners resolves to the lexicographically smaller
 // member ID. The merge is commutative, so nodes merging the same pair
-// of tables in either order agree; the losing owner is demoted by the
-// reconcile pass when the merged table reaches it.
+// of tables in either order agree; the losing owner is demoted when it
+// adopts the merged table.
 func mergeOverrides(a, b map[string]string) map[string]string {
 	out := make(map[string]string, len(a)+len(b))
 	for fed, id := range a {
@@ -433,27 +440,70 @@ func mergeOverrides(a, b map[string]string) map[string]string {
 	return out
 }
 
-// gossip pushes this node's routing table to every other peer,
-// best-effort and concurrently. Each exchange is bidirectional: the
-// peer answers with whichever table survived on its side, and a newer
-// (or mergeable same-epoch) answer is adopted here — so one exchange
-// converges both ends, whichever was stale.
-func (cs *clusterState) gossip() {
+// exchange swaps routing tables with every other member at once and
+// reports whether any answered. Each swap is bidirectional: the peer
+// adopts this node's table if it is newer and answers with whichever
+// table survived on its side, which is adopted here in turn — so one
+// round converges both ends, whichever was stale.
+func (s *Server) exchange() bool {
+	cs := s.cluster
 	tab := cs.table.Load()
 	body, _ := json.Marshal(RouteUpdate{Epoch: tab.Epoch(), Overrides: tab.Overrides()})
+	var (
+		wg      sync.WaitGroup
+		reached atomic.Bool
+	)
 	for _, m := range tab.Ring().Members() {
 		if m.ID == cs.self.ID {
 			continue
 		}
-		go func(addr string) {
+		wg.Add(1)
+		if !s.spawn(func() {
+			defer wg.Done()
 			var peer RouteUpdate
-			if err := cs.postJSON(addr+"/v1/admin/route", body, &peer); err != nil {
-				return
+			if cs.call(s.lifeCtx, http.MethodPost, m.Addr+"/v1/admin/route", body, &peer) == nil {
+				reached.Store(true)
+				s.adopt(peer.Epoch, peer.Overrides)
 			}
-			if cs.adoptTable(peer.Epoch, peer.Overrides) {
-				cs.srv.reconcileTenants()
-			}
-		}(m.Addr)
+		}) {
+			wg.Done()
+		}
+	}
+	wg.Wait()
+	return reached.Load()
+}
+
+// catchUp exchanges tables at boot until a peer answers, so a restarted
+// node (whose table starts from the persisted copy, or epoch 1 without
+// one) learns about ownership moves it slept through even if no later
+// mutation ever reaches it. The retries are jittered per node, so a
+// whole cluster restarting at once does not retry in lockstep.
+func (s *Server) catchUp() {
+	h := fnv.New64a()
+	h.Write([]byte(s.cluster.self.ID))
+	rng := rand.New(rand.NewSource(int64(h.Sum64())))
+	every := s.cluster.cfg.SyncInterval
+	for !s.exchange() && s.pause(every/2+time.Duration(rng.Int63n(int64(every)))) {
+	}
+}
+
+// adopt installs a peer's table (adoptTable) and squares local tenant
+// state with it: a tenant this node still serves that the table places
+// elsewhere is demoted. This is the convergence path for a former owner
+// that slept through a takeover or handoff — a restarted node boots at
+// epoch 1 with its ring-owned tenants active, and without this step it
+// would keep serving stale state after a peer hands it the newer table.
+func (s *Server) adopt(epoch uint64, overrides map[string]string) {
+	cs := s.cluster
+	if !cs.adoptTable(epoch, overrides) {
+		return
+	}
+	tab := cs.table.Load()
+	for _, t := range s.tenants {
+		if owner := tab.Owner(t.name); owner.ID != cs.self.ID && t.state.Load() == tenantActive {
+			// Demotion drains: keep it off the exchange's request path.
+			s.spawn(func() { s.demote(t, owner) })
+		}
 	}
 }
 
@@ -676,17 +726,16 @@ func (s *Server) degradedFederations() []string {
 	return out
 }
 
-// handleRoute (POST /v1/admin/route) is table gossip: adopt the body's
-// table if its epoch beats ours, answer with whichever table survived.
+// handleRoute (POST /v1/admin/route) is a peer's half of exchange: adopt
+// the body's table if its epoch beats ours, answer with whichever table
+// survived.
 func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 	var upd RouteUpdate
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&upd); err != nil {
 		writeError(w, http.StatusBadRequest, "bad route update: %v", err)
 		return
 	}
-	if s.cluster.adoptTable(upd.Epoch, upd.Overrides) {
-		s.reconcileTenants()
-	}
+	s.adopt(upd.Epoch, upd.Overrides)
 	tab := s.cluster.table.Load()
 	writeJSON(w, http.StatusOK, RouteUpdate{Epoch: tab.Epoch(), Overrides: tab.Overrides()})
 }
@@ -737,56 +786,40 @@ func (s *Server) handleHandoff(w http.ResponseWriter, r *http.Request) {
 }
 
 // handoffTenant runs the source half of a live migration: prepare the
-// target (it now holds requests), flip to sending (new requests now
-// chase the target), drain in-flight ones, stream every shard, activate
-// the target under a bumped epoch, then release local state and gossip
-// the new table. The target must be holding before the source starts
-// redirecting: until prepare lands it is still remote and answers 307
-// back at this node, and a client bounced between the two at loopback
-// speed burns its whole redirect budget inside one scheduling delay.
-// Any failure before activation aborts the target's half and restores
-// the tenant to active — the handoff is all-or-nothing. Activation
-// itself is the one step whose failure cannot be taken at face value
-// (the target may have committed and the ack been lost), so an activate
-// error is settled by verification before anything is reverted.
+// target (it now holds requests), begin sending (new requests now chase
+// the target), drain in-flight ones, stream every shard, activate the
+// target under a bumped epoch, then stop serving here. The target must
+// be holding before the source starts redirecting: until prepare lands
+// it is still remote and answers 307 back at this node, and a client
+// bounced between the two at loopback speed burns its whole redirect
+// budget inside one scheduling delay. Any failure before activation
+// rolls back — the handoff is all-or-nothing. Activation itself is the
+// one step whose failure cannot be taken at face value (the target may
+// have committed and the ack been lost), so an activate error is settled
+// by asking the target before anything is reverted.
 func (s *Server) handoffTenant(ctx context.Context, t *tenant, target cluster.Member) (uint64, map[string]int, error) {
 	cs := s.cluster
+	if !t.sendMu.TryLock() {
+		return 0, nil, errors.New("another handoff of this federation is in flight")
+	}
+	defer t.sendMu.Unlock()
 	if st := t.state.Load(); st != tenantActive {
 		return 0, nil, fmt.Errorf("federation is %s here, not active", tenantStateName(st))
-	}
-	// Claiming the hint is what makes the handoff single-entry now that
-	// the state flips only after a round trip: a second handoff of this
-	// federation stops here, before it could prepare — and later abort —
-	// a target of its own. The hint is not read while the tenant is
-	// active, and is in place before the first redirect needs it.
-	hint := &target
-	if !t.ownerHint.CompareAndSwap(nil, hint) {
-		return 0, nil, errors.New("another handoff of this federation is in flight")
 	}
 	s.log.Info("handoff started", "federation", t.name, "target", target.ID)
 
 	fedQ := "?federation=" + t.name
 	if err := cs.post(target.Addr + "/v1/admin/handoff/prepare" + fedQ); err != nil {
-		t.ownerHint.CompareAndSwap(hint, nil)
 		return 0, nil, fmt.Errorf("prepare: %w", err)
 	}
-	// (A stale-owner demotion can take active→sending first and
-	// overwrite the hint, hence the compare-and-swap release.)
-	abortTarget := func() {
-		if err := cs.post(target.Addr + "/v1/admin/handoff/abort" + fedQ); err != nil {
-			s.log.Warn("handoff abort failed", "federation", t.name, "error", err.Error())
-		}
-		t.ownerHint.CompareAndSwap(hint, nil)
-	}
-	if !t.state.CompareAndSwap(tenantActive, tenantSending) {
-		abortTarget()
+	if !t.beginSending(target) {
+		// A stale-owner demotion began sending first.
+		s.abortTarget(t, target)
 		return 0, nil, fmt.Errorf("federation is %s here, not active", tenantStateName(t.state.Load()))
 	}
-	// Serve here again before the target lets go of the requests it
-	// holds: released, they chase the table back to this node.
-	abort := func() {
-		t.state.Store(tenantActive)
-		abortTarget()
+	fail := func(err error) (uint64, map[string]int, error) {
+		s.rollback(t, target)
+		return 0, nil, err
 	}
 
 	// Drain: requests that loaded state before the flip finish under
@@ -794,8 +827,7 @@ func (s *Server) handoffTenant(ctx context.Context, t *tenant, target cluster.Me
 	// is incremented before the state load, so a zero here proves no
 	// straggler is still appending history.
 	if err := t.drainInflight(ctx); err != nil {
-		abort()
-		return 0, nil, fmt.Errorf("drain: %w", err)
+		return fail(fmt.Errorf("drain: %w", err))
 	}
 	// The outbound stream supersedes any standby stream: the target
 	// rebuilds its replica from the handoff itself.
@@ -807,8 +839,7 @@ func (s *Server) handoffTenant(ctx context.Context, t *tenant, target cluster.Me
 		st := cs.streams[t.name]
 		for _, q := range sortedQueries(t) {
 			if err := st.shipShard(target, t.store, q.String(), replHandoff, nil); err != nil {
-				abort()
-				return 0, nil, fmt.Errorf("ship %v: %w", q, err)
+				return fail(fmt.Errorf("ship %v: %w", q, err))
 			}
 			if h := t.sched.History(q); h != nil {
 				moved[q.String()] = h.Len()
@@ -825,50 +856,100 @@ func (s *Server) handoffTenant(ctx context.Context, t *tenant, target cluster.Me
 		// shipped shards can outlive PeerTimeout, and the ack may have
 		// been lost after the target committed. Reverting to active
 		// while the target serves at a higher epoch would fork the
-		// federation's history, so settle the outcome first — activation
-		// is idempotent, making both the retry and the question safe.
-		committed, known := s.verifyActivation(t, target, url)
-		switch {
-		case committed:
-			// The move happened; fall through to the commit path.
-		case known:
-			// The target is verifiably not active: the all-or-nothing
-			// abort is safe.
-			abort()
-			return 0, nil, fmt.Errorf("activate: %w", err)
-		default:
-			// Target unreachable: the outcome is unknowable right now.
-			// The tenant stays in sending — redirecting at the target,
-			// which is correct whichever way it resolves — and a
-			// background resolver completes or rolls back the move once
-			// the target answers again.
-			go s.resolveHandoff(t, target, epoch, url)
-			return 0, nil, fmt.Errorf("activate outcome unknown (target unreachable), resolving in background: %w", err)
+		// federation's history, so settle the outcome first.
+		got, known := s.settle(t, target, epoch, url)
+		for try := 1; !known && try < 3 && s.pause(250*time.Millisecond); try++ {
+			got, known = s.settle(t, target, epoch, url)
 		}
+		switch {
+		case !known:
+			// Target unreachable: the tenant stays sending and settle
+			// runs every SyncInterval, for the server's lifetime, until
+			// the target answers.
+			s.spawn(func() {
+				for settled := false; !settled && s.pause(cs.cfg.SyncInterval); {
+					_, settled = s.settle(t, target, epoch, url)
+				}
+			})
+			return 0, nil, fmt.Errorf("activate outcome unknown (target unreachable), resolving in background: %w", err)
+		case got == 0:
+			return 0, nil, fmt.Errorf("activate: %w", err)
+		}
+		return got, moved, nil
 	}
-	got := s.finishHandoffSource(t, target, epoch)
-	return got, moved, nil
+	return s.commitHandoff(t, target, epoch), moved, nil
 }
 
-// finishHandoffSource commits the source half of a handoff whose
-// activation is known to have succeeded: release local state — the
-// schedulers' histories and the store's WAL handles, so a later handoff
-// back (or standby duty) starts from disk — adopt the override and
-// gossip the new table. The sending→remote CAS makes it single-entry,
-// so the synchronous path and the background resolver cannot both
-// commit.
-func (s *Server) finishHandoffSource(t *tenant, target cluster.Member, epoch uint64) uint64 {
-	cs := s.cluster
-	if !t.state.CompareAndSwap(tenantSending, tenantRemote) {
-		return cs.table.Load().Epoch()
+// settle resolves, once, a handoff whose activate POST failed: ask the
+// target which state its tenant is in, then act. Active commits the
+// source half; remote rolls it back; still receiving — or no answer —
+// re-sends the activate, idempotent on the target, and commits if it
+// lands. Returns the committed epoch (0: rolled back) and false while
+// the outcome is unknown, the tenant still sending: redirecting at the
+// target is right whichever way the move ends.
+func (s *Server) settle(t *tenant, target cluster.Member, epoch uint64, activateURL string) (uint64, bool) {
+	var cr ClusterResponse
+	state := ""
+	if s.cluster.call(s.lifeCtx, http.MethodGet, target.Addr+"/v1/cluster", nil, &cr) == nil {
+		state = cr.Placements[t.name].State
 	}
-	s.releaseTenantState(t)
+	if state == "remote" {
+		s.rollback(t, target)
+		s.log.Warn("handoff rolled back, target never activated", "federation", t.name, "target", target.ID)
+		return 0, true
+	}
+	if state == "active" || s.cluster.post(activateURL) == nil {
+		return s.commitHandoff(t, target, epoch), true
+	}
+	return 0, false
+}
+
+// commitHandoff commits the source half of a handoff the target has
+// activated: pin the federation on the target, stop serving it here and
+// exchange tables. Returns the committed epoch.
+func (s *Server) commitHandoff(t *tenant, target cluster.Member, epoch uint64) uint64 {
+	cs := s.cluster
 	got := cs.applyOverride(t.name, target.ID, epoch)
-	t.ownerHint.Store(nil)
+	s.stopServing(t)
 	cs.handoffsOut.Inc()
-	cs.gossip()
+	s.spawn(func() { s.exchange() })
 	s.log.Info("handoff complete", "federation", t.name, "target", target.ID, "epoch", got)
 	return got
+}
+
+// rollback undoes an outbound handoff that did not commit: serve here
+// again, then tell the target to let go of the requests it holds — in
+// that order, because released they chase the table back to this node.
+func (s *Server) rollback(t *tenant, target cluster.Member) {
+	t.finishSending(false)
+	s.abortTarget(t, target)
+}
+
+// abortTarget tells a prepared target to go back to remote.
+func (s *Server) abortTarget(t *tenant, target cluster.Member) {
+	if err := s.cluster.post(target.Addr + "/v1/admin/handoff/abort?federation=" + t.name); err != nil {
+		s.log.Warn("handoff abort failed", "federation", t.name, "error", err.Error())
+	}
+}
+
+// stopServing is the one way a node stops serving a federation it has
+// begun sending: drain the in-flight requests, stop replicating, release
+// local state, then finishSending.
+func (s *Server) stopServing(t *tenant) {
+	cs := s.cluster
+	ctx, cancel := context.WithTimeout(s.lifeCtx, cs.cfg.PeerTimeout)
+	err := t.drainInflight(ctx)
+	cancel()
+	if err != nil {
+		// Stragglers get errors from the closed store rather than this
+		// node silently forking the federation's history.
+		s.log.Warn("drain before release incomplete", "federation", t.name, "error", err.Error())
+	}
+	if rep := cs.repl[t.name]; rep != nil {
+		rep.DisarmAll()
+	}
+	s.releaseTenantState(t)
+	t.finishSending(true)
 }
 
 // releaseTenantState drops the scheduler's in-memory histories and
@@ -881,100 +962,6 @@ func (s *Server) releaseTenantState(t *tenant) {
 	if t.store != nil {
 		if err := t.store.Close(); err != nil {
 			s.log.Warn("closing store on ownership release", "federation", t.name, "error", err.Error())
-		}
-	}
-}
-
-// verifyActivation settles an activate POST that errored: committed
-// reports whether the target activated, known whether the outcome could
-// be determined at all. The target's /v1/cluster placement state is the
-// source of truth; while it reads "receiving" (activation may still be
-// running behind a lost ack) the idempotent activate is retried.
-func (s *Server) verifyActivation(t *tenant, target cluster.Member, activateURL string) (committed, known bool) {
-	cs := s.cluster
-	for attempt := 0; attempt < 3; attempt++ {
-		if attempt > 0 {
-			time.Sleep(250 * time.Millisecond)
-		}
-		st, err := s.peerTenantState(target, t.name)
-		if err == nil {
-			switch st {
-			case "active":
-				return true, true
-			case "remote":
-				return false, true
-			}
-		}
-		if err := cs.post(activateURL); err == nil {
-			return true, true
-		}
-	}
-	return false, false
-}
-
-// peerTenantState asks a peer which ownership state its tenant for fed
-// is in, via the placement section of its /v1/cluster table.
-func (s *Server) peerTenantState(peer cluster.Member, fed string) (string, error) {
-	resp, err := s.cluster.client.Get(peer.Addr + "/v1/cluster")
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return "", fmt.Errorf("%s: %s", peer.Addr, resp.Status)
-	}
-	var cr ClusterResponse
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxBodyBytes)).Decode(&cr); err != nil {
-		return "", err
-	}
-	p, ok := cr.Placements[fed]
-	if !ok {
-		return "", fmt.Errorf("peer %s does not host federation %q", peer.ID, fed)
-	}
-	return p.State, nil
-}
-
-// resolveHandoff settles a handoff whose activation outcome could not
-// be determined synchronously. The tenant stays in sending — new
-// requests chase the target, which is correct in both outcomes — until
-// the target answers: active commits the source half, remote rolls the
-// tenant back to serving here. Runs until resolution or server
-// shutdown.
-func (s *Server) resolveHandoff(t *tenant, target cluster.Member, epoch uint64, activateURL string) {
-	cs := s.cluster
-	tick := time.NewTicker(cs.cfg.SyncInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-s.lifeCtx.Done():
-			return
-		case <-tick.C:
-		}
-		if t.state.Load() != tenantSending {
-			return // resolved by another path
-		}
-		st, err := s.peerTenantState(target, t.name)
-		if err != nil {
-			continue
-		}
-		switch st {
-		case "active":
-			s.finishHandoffSource(t, target, epoch)
-			return
-		case "remote":
-			if t.state.CompareAndSwap(tenantSending, tenantActive) {
-				t.ownerHint.Store(nil)
-				s.log.Warn("handoff rolled back, target never activated",
-					"federation", t.name, "target", target.ID)
-			}
-			return
-		default:
-			// Still receiving: the activation may have been lost before
-			// reaching the target — nudge the idempotent activate.
-			if cs.post(activateURL) == nil {
-				s.finishHandoffSource(t, target, epoch)
-				return
-			}
 		}
 	}
 }
@@ -1062,12 +1049,22 @@ func (s *Server) handleHandoffActivate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "activating %q: %v", fed, err)
 		return
 	}
-	got := cs.applyOverride(fed, cs.self.ID, epoch)
-	t.finishReceiving(tenantActive)
-	cs.handoffsIn.Inc()
-	cs.gossip()
+	got := s.becomeOwner(t, epoch, cs.handoffsIn)
 	s.log.Info("handoff received", "federation", fed, "epoch", got)
 	writeJSON(w, http.StatusOK, map[string]uint64{"epoch": got})
+}
+
+// becomeOwner is the tail of every inbound ownership change, a handoff's
+// activation or a promotion: pin the federation on this node at epoch or
+// later, serve the requests held meanwhile, count the change and
+// exchange tables. Returns the committed epoch.
+func (s *Server) becomeOwner(t *tenant, epoch uint64, counter *metrics.Counter) uint64 {
+	cs := s.cluster
+	got := cs.applyOverride(t.name, cs.self.ID, epoch)
+	t.finishReceiving(tenantActive)
+	counter.Inc()
+	s.spawn(func() { s.exchange() })
+	return got
 }
 
 // handleHandoffAbort rolls the target back to remote after a failed
@@ -1154,107 +1151,21 @@ func (s *Server) activateTenant(t *tenant) error {
 	return nil
 }
 
-// ---------------------------------------------------------------------
-// Table reconciliation
-// ---------------------------------------------------------------------
-
-// reconcileTenants squares local tenant state with the current routing
-// table: any tenant this node is serving (active) that the table maps
-// to another member is demoted. This is the convergence path for a
-// former owner that slept through a takeover or handoff — a restarted
-// node boots at epoch 1 with its ring-owned tenants active, and without
-// this step it would keep serving stale state forever after gossip
-// hands it the newer table. Called after every table adoption.
-func (s *Server) reconcileTenants() {
-	cs := s.cluster
-	tab := cs.table.Load()
-	for name, t := range s.tenants {
-		owner := tab.Owner(name)
-		if owner.ID == cs.self.ID || t.state.Load() != tenantActive {
-			continue
-		}
-		// Demotion drains and does peer-free file work; keep it off the
-		// gossip handler's request path.
-		go s.demoteStaleOwner(t, owner)
-	}
-}
-
-// demoteStaleOwner stops serving a federation the routing table has
-// moved elsewhere: redirect new requests at the adopted owner, drain
-// the in-flight ones, then release local state so the next activation
-// here starts from disk. The active→sending CAS makes it single-entry
-// and yields to a concurrent operator-driven handoff.
-func (s *Server) demoteStaleOwner(t *tenant, owner cluster.Member) {
-	cs := s.cluster
-	if !t.state.CompareAndSwap(tenantActive, tenantSending) {
+// demote stops serving a federation an adopted table has moved
+// elsewhere: redirect new requests at the new owner, then stopServing.
+// beginSending makes it single-entry and yields to a handoff already
+// sending.
+func (s *Server) demote(t *tenant, owner cluster.Member) {
+	if !t.beginSending(owner) {
 		return
 	}
-	if cs.table.Load().Owner(t.name).ID == cs.self.ID {
-		// The table moved back underneath the CAS; keep serving.
-		t.state.Store(tenantActive)
+	if s.cluster.owns(t.name) {
+		t.finishSending(false) // the table moved back meanwhile; keep serving
 		return
 	}
-	t.ownerHint.Store(&owner)
-	ctx, cancel := context.WithTimeout(s.lifeCtx, cs.cfg.PeerTimeout)
-	err := t.drainInflight(ctx)
-	cancel()
-	if err != nil {
-		// Stragglers get errors from the closed store rather than this
-		// node silently forking the federation's history.
-		s.log.Warn("demotion drain incomplete", "federation", t.name, "error", err.Error())
-	}
-	if rep := cs.repl[t.name]; rep != nil {
-		rep.DisarmAll()
-	}
-	s.releaseTenantState(t)
-	t.state.Store(tenantRemote)
-	t.ownerHint.Store(nil)
+	s.stopServing(t)
 	s.log.Warn("demoted stale ownership", "federation", t.name,
-		"owner", owner.ID, "epoch", cs.table.Load().Epoch())
-}
-
-// bootstrapRoutes exchanges routing tables with peers at boot, so a
-// restarted node (whose table starts from the persisted copy, or epoch
-// 1 without one) learns about ownership moves it slept through before
-// serving stale state for long, even if no further mutation ever
-// gossips. Best-effort: retries until at least one peer answers, then
-// leaves freshness to gossip-on-mutation and the reconcile pass. Peers
-// are tried in a per-node shuffled order with jittered retries, so a
-// whole cluster restarting at once fans its first exchanges out instead
-// of hammering whichever member sorts first.
-func (s *Server) bootstrapRoutes() {
-	cs := s.cluster
-	h := fnv.New64a()
-	h.Write([]byte(cs.self.ID))
-	rng := rand.New(rand.NewSource(int64(h.Sum64())))
-	for {
-		tab := cs.table.Load()
-		body, _ := json.Marshal(RouteUpdate{Epoch: tab.Epoch(), Overrides: tab.Overrides()})
-		members := append([]cluster.Member(nil), tab.Ring().Members()...)
-		rng.Shuffle(len(members), func(i, j int) { members[i], members[j] = members[j], members[i] })
-		reached := false
-		for _, m := range members {
-			if m.ID == cs.self.ID {
-				continue
-			}
-			var peer RouteUpdate
-			if err := cs.postJSON(m.Addr+"/v1/admin/route", body, &peer); err != nil {
-				continue
-			}
-			reached = true
-			if cs.adoptTable(peer.Epoch, peer.Overrides) {
-				s.reconcileTenants()
-			}
-		}
-		if reached {
-			return
-		}
-		select {
-		case <-s.lifeCtx.Done():
-			return
-		case <-time.After(cs.cfg.SyncInterval/2 + time.Duration(rng.Int63n(int64(cs.cfg.SyncInterval)))):
-		}
-	}
+		"owner", owner.ID, "epoch", s.cluster.table.Load().Epoch())
 }
 
 // ---------------------------------------------------------------------
@@ -1273,7 +1184,6 @@ func (s *Server) bootstrapRoutes() {
 // stalls the write path. Runs until the server's lifetime context ends.
 func (s *Server) syncLoop() {
 	cs := s.cluster
-	defer close(cs.syncDone)
 	tick := time.NewTicker(cs.cfg.SyncInterval)
 	defer tick.Stop()
 	// Per-tenant backoff state, touched only by this goroutine.

@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/tpch"
 )
 
@@ -132,11 +134,20 @@ func newTestClusterCfg(t *testing.T, n int, feds []string, mutate func(i int, cf
 		if err != nil {
 			t.Fatal(err)
 		}
+		drainAtCleanup(t, srv)
 		h := srv.Handler()
 		late[i].h.Store(&h)
 		tc.servers = append(tc.servers, srv)
 	}
 	return tc
+}
+
+// drainAtCleanup ends srv's background work when the test ends, before
+// its listener closes: a node left running keeps exchanging tables with
+// its peers' addresses, which a later test's listener may have reused.
+// A second Drain after the test's own is a no-op.
+func drainAtCleanup(t *testing.T, srv *Server) {
+	t.Cleanup(func() { _ = srv.Drain(context.Background()) })
 }
 
 // ownerIdx returns the index of the node whose tenant for fed is
@@ -148,7 +159,13 @@ func (tc *testCluster) ownerIdx(t *testing.T, fed string) int {
 			return i
 		}
 	}
-	t.Fatalf("no node owns %q", fed)
+	var seen []string
+	for _, srv := range tc.servers {
+		tab := srv.cluster.table.Load()
+		seen = append(seen, fmt.Sprintf("%s: %s at epoch %d naming %s", srv.cluster.self.ID,
+			tenantStateName(srv.tenants[fed].state.Load()), tab.Epoch(), tab.Owner(fed).ID))
+	}
+	t.Fatalf("no node owns %q (%s)", fed, strings.Join(seen, "; "))
 	return -1
 }
 
@@ -350,20 +367,15 @@ func TestClusterHandoffMovesOwnership(t *testing.T) {
 		t.Fatalf("post-handoff response node=%q epoch=%d", qr.Node, qr.Epoch)
 	}
 
-	// Gossip converges the third node's table (async, so poll).
+	// The exchange converges the third node's table (async, so poll).
 	third := 3 - owner - target
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if cr := getClusterTable(t, tc.https[third].URL); cr.Epoch >= 2 {
-			if cr.Placements["alpha"].Owner != tc.members[target].ID {
-				t.Fatalf("third node places alpha on %q", cr.Placements["alpha"].Owner)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("gossip never reached the third node")
-		}
-		time.Sleep(5 * time.Millisecond)
+	var cr ClusterResponse
+	waitFor(t, 5*time.Second, func() bool {
+		cr = getClusterTable(t, tc.https[third].URL)
+		return cr.Epoch >= 2
+	}, func() string { return "the exchange never reached the third node" })
+	if cr.Placements["alpha"].Owner != tc.members[target].ID {
+		t.Fatalf("third node places alpha on %q", cr.Placements["alpha"].Owner)
 	}
 }
 
@@ -701,13 +713,8 @@ func testClusterReplicationTakeover(t *testing.T, bootstrap int) {
 
 	// Wait for the sync loop to arm the replication stream.
 	rep := servers[owner].cluster.repl["paper"]
-	deadline := time.Now().Add(15 * time.Second)
-	for !rep.Streaming("Q12") {
-		if time.Now().After(deadline) {
-			t.Fatal("replication never armed")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	waitFor(t, 15*time.Second, func() bool { return rep.Streaming("Q12") },
+		func() string { return "replication never armed" })
 
 	// Acked decisions on the owner; each one's WAL frame is on the
 	// standby before the response returns.
@@ -886,20 +893,13 @@ func TestClusterStaleOwnerDemoted(t *testing.T) {
 		t.Fatalf("takeover = %d: %s", resp.StatusCode, body)
 	}
 
-	// Gossip carries the epoch-2 table to the old owner, whose
-	// reconcile pass demotes the now-stale tenant (both async; poll).
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if tc.servers[owner].tenants["alpha"].state.Load() == tenantRemote {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("old owner never demoted; state=%s table-epoch=%d",
-				tenantStateName(tc.servers[owner].tenants["alpha"].state.Load()),
-				tc.servers[owner].cluster.table.Load().Epoch())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	// The exchange carries the epoch-2 table to the old owner, which
+	// demotes the now-stale tenant (both async; poll).
+	waitFor(t, 5*time.Second, func() bool { return tc.servers[owner].tenants["alpha"].state.Load() == tenantRemote }, func() string {
+		return fmt.Sprintf("old owner never demoted; state=%s table-epoch=%d",
+			tenantStateName(tc.servers[owner].tenants["alpha"].state.Load()),
+			tc.servers[owner].cluster.table.Load().Epoch())
+	})
 
 	// The demoted node redirects at the adopted owner.
 	req := QueryRequest{Federation: "alpha", Query: "Q12", Weights: []float64{1, 1}}
@@ -919,12 +919,196 @@ func TestClusterStaleOwnerDemoted(t *testing.T) {
 	}
 }
 
+// gatedSched is a stub scheduler that counts activations (OpenHistory,
+// what reopens a store) and whose release (DropHistories) blocks until
+// the test closes release.
+type gatedSched struct {
+	stubSched
+	opens   atomic.Int32
+	dropped chan struct{} // closed when DropHistories is entered
+	release chan struct{}
+}
+
+func newGatedSched() *gatedSched {
+	return &gatedSched{dropped: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (g *gatedSched) OpenHistory(q tpch.QueryID) (*core.History, error) {
+	g.opens.Add(1)
+	return g.History(q), nil
+}
+
+func (g *gatedSched) DropHistories() {
+	close(g.dropped)
+	<-g.release
+}
+
+// TestDrainWaitsForControlPlane: control-plane work running in the
+// background — the resolver of a handoff whose activation outcome is
+// unknown, a stale-owner demotion — belongs to the server's lifetime.
+// Drain ends it and waits for it, so once Drain returns nothing changes a
+// tenant's state, activates a tenant or appends to the closed route log.
+func TestDrainWaitsForControlPlane(t *testing.T) {
+	// Two federations the ring places on n0, the node drained: one to
+	// hand off, one for a takeover elsewhere to make stale.
+	ring, err := cluster.NewRing([]cluster.Member{{ID: "n0"}, {ID: "n1"}}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var feds []string
+	for i := 0; len(feds) < 2; i++ {
+		if name := fmt.Sprintf("fed%d", i); ring.Owner(name).ID == "n0" {
+			feds = append(feds, name)
+		}
+	}
+	moving, stale := feds[0], feds[1]
+
+	late := []*lateHandler{{}, {}}
+	var nodes []*testNode
+	var members []cluster.Member
+	for i := range late {
+		nodes = append(nodes, newTestNode(t, "", late[i]))
+		members = append(members, cluster.Member{ID: fmt.Sprintf("n%d", i), Addr: nodes[i].URL})
+	}
+	gated := map[string]*gatedSched{moving: newGatedSched(), stale: newGatedSched()}
+	close(gated[moving].release)
+	src, err := NewWithSchedulers(Config{
+		Store: StoreConfig{Dir: t.TempDir()}, // the route log
+		Cluster: &ClusterConfig{NodeID: "n0", Peers: members,
+			SyncInterval: 20 * time.Millisecond, PeerTimeout: 5 * time.Second},
+	}, map[string]QueryScheduler{moving: gated[moving], stale: gated[stale]}, tpch.AllQueries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst, err := NewWithSchedulers(Config{
+		Cluster: &ClusterConfig{NodeID: "n1", Peers: members, PeerTimeout: 5 * time.Second},
+	}, map[string]QueryScheduler{moving: &stubSched{}, stale: &stubSched{}}, tpch.AllQueries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drainAtCleanup(t, dst)
+	srcH := src.Handler()
+	late[0].h.Store(&srcH)
+
+	// The target never activates and, at first, never answers how its
+	// activation went; later its answer hangs until answer closes.
+	var hang atomic.Bool
+	entered, answer := make(chan struct{}), make(chan struct{})
+	var enter sync.Once
+	respond := sync.OnceFunc(func() { close(answer) })
+	t.Cleanup(respond) // before the node's Close, which waits for the handler
+	real := dst.Handler()
+	dstH := http.Handler(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case r.URL.Path == "/v1/admin/handoff/activate", r.URL.Path == "/v1/cluster" && !hang.Load():
+			http.Error(w, "injected: target unreachable", http.StatusBadGateway)
+		case r.URL.Path == "/v1/cluster":
+			enter.Do(func() { close(entered) })
+			<-answer
+			writeJSON(w, http.StatusOK, ClusterResponse{Placements: map[string]ClusterPlacement{moving: {State: "active"}}})
+		default:
+			real.ServeHTTP(w, r)
+		}
+	}))
+	late[1].h.Store(&dstH)
+	await := func(ch chan struct{}, what string) {
+		t.Helper()
+		select {
+		case <-ch:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s never happened", what)
+		}
+	}
+
+	resp, err := http.Post(nodes[0].URL+"/v1/admin/handoff?federation="+moving+"&target=n1", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode == http.StatusOK || !strings.Contains(string(body), "outcome unknown") {
+		t.Fatalf("handoff to a target that never answers = %d %s, want the outcome unknown", resp.StatusCode, body)
+	}
+	hang.Store(true)
+	await(entered, "the background resolver's question")
+
+	// A takeover on the target makes stale's ownership here stale: the
+	// exchange demotes it, and the demotion stops inside the release.
+	resp, err = http.Post(nodes[1].URL+"/v1/admin/takeover?federation="+stale, "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("takeover = %d", resp.StatusCode)
+	}
+	await(gated[stale].dropped, "the demotion's release")
+
+	type snapshot struct {
+		err         error
+		states      map[string]int32
+		opens       int32
+		persistErrs float64
+	}
+	take := func() snapshot {
+		sn := snapshot{states: make(map[string]int32)}
+		for name, tn := range src.tenants {
+			sn.states[name] = tn.state.Load()
+			sn.opens += gated[name].opens.Load()
+		}
+		sn.persistErrs = src.cluster.routePersistErrs.Value()
+		return sn
+	}
+	drained := make(chan snapshot, 1)
+	go func() {
+		err := src.Drain(context.Background())
+		sn := take()
+		sn.err = err
+		drained <- sn
+	}()
+	var atReturn snapshot
+	select {
+	case atReturn = <-drained: // Drain did not wait for the demotion
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(gated[stale].release)
+	if atReturn.states == nil {
+		atReturn = <-drained
+	}
+	// The target answers the resolver's question only now; a goroutine
+	// Drain left behind would commit the handoff on it. Nothing signals
+	// that it did not, so give it the time to.
+	respond()
+	time.Sleep(200 * time.Millisecond)
+
+	if atReturn.err != nil {
+		t.Fatal(atReturn.err)
+	}
+	if got := atReturn.states[stale]; got != tenantRemote {
+		t.Errorf("%s is %s when Drain returns, want remote: the demotion under way was not waited for", stale, tenantStateName(got))
+	}
+	after := take()
+	for name, st := range after.states {
+		if st != atReturn.states[name] {
+			t.Errorf("%s went %s → %s after Drain returned", name, tenantStateName(atReturn.states[name]), tenantStateName(st))
+		}
+	}
+	if after.opens != atReturn.opens {
+		t.Errorf("%d activations after Drain returned", after.opens-atReturn.opens)
+	}
+	if after.persistErrs != 0 {
+		t.Errorf("midas_cluster_route_persist_failures_total = %v, want 0", after.persistErrs)
+	}
+}
+
 // TestAdoptTableMergesEqualEpochs pins the equal-epoch merge: epochs
 // are minted locally, so two concurrent moves can produce distinct
 // tables at the same epoch, and adoption must merge them the same way
-// on every node rather than ignoring one side.
+// on every node rather than ignoring one side. Every table a commit
+// installs — override, newer table, merge — is the one a restart
+// recovers from the route log.
 func TestAdoptTableMergesEqualEpochs(t *testing.T) {
-	mk := func() *clusterState {
+	mk := func(dir string) *clusterState {
 		cs, err := newClusterState(&ClusterConfig{
 			NodeID: "a",
 			Peers: []cluster.Member{
@@ -932,21 +1116,38 @@ func TestAdoptTableMergesEqualEpochs(t *testing.T) {
 				{ID: "b", Addr: "http://b"},
 				{ID: "c", Addr: "http://c"},
 			},
-		}, "")
+		}, dir)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return cs
 	}
 
-	cs := mk()
+	dir := t.TempDir()
+	cs := mk(dir)
+	t.Cleanup(func() { cs.routes.Close() })
+	persisted := func(branch string) {
+		t.Helper()
+		log, err := cluster.OpenRouteLog(filepath.Join(dir, "_cluster", "routes.wal"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer log.Close()
+		tab := cs.table.Load()
+		if epoch, ov := log.Last(); epoch != tab.Epoch() || !overridesEqual(ov, tab.Overrides()) {
+			t.Fatalf("after %s the route log recovers epoch %d %v, the table in force is epoch %d %v",
+				branch, epoch, ov, tab.Epoch(), tab.Overrides())
+		}
+	}
 	if got := cs.applyOverride("f1", "b", 2); got != 2 {
 		t.Fatalf("applyOverride epoch = %d", got)
 	}
+	persisted("an override")
 	// A disjoint same-epoch table merges: union, epoch bumped past both.
 	if !cs.adoptTable(2, map[string]string{"f2": "c"}) {
 		t.Fatal("same-epoch disjoint table not adopted")
 	}
+	persisted("an equal-epoch merge")
 	tab := cs.table.Load()
 	if tab.Epoch() != 3 || tab.Owner("f1").ID != "b" || tab.Owner("f2").ID != "c" {
 		t.Fatalf("merged table epoch=%d f1=%q f2=%q", tab.Epoch(), tab.Owner("f1").ID, tab.Owner("f2").ID)
@@ -967,12 +1168,20 @@ func TestAdoptTableMergesEqualEpochs(t *testing.T) {
 	if cs.adoptTable(1, map[string]string{"f1": "c"}) {
 		t.Fatal("stale table adopted")
 	}
+	// A newer table is adopted whole.
+	if !cs.adoptTable(6, map[string]string{"f3": "b"}) {
+		t.Fatal("newer table not adopted")
+	}
+	persisted("a newer table")
+	if tab = cs.table.Load(); tab.Epoch() != 6 || tab.Owner("f3").ID != "b" || tab.Owner("f1").ID != tab.Ring().Owner("f1").ID {
+		t.Fatalf("adopted table epoch=%d overrides %v", tab.Epoch(), tab.Overrides())
+	}
 
 	// The merge is commutative: two nodes seeing the same pair of
 	// same-epoch tables in opposite orders converge on one table.
 	ovA := map[string]string{"f1": "b", "f3": "c"}
 	ovB := map[string]string{"f1": "a", "f2": "b"}
-	cs1, cs2 := mk(), mk()
+	cs1, cs2 := mk(""), mk("")
 	cs1.adoptTable(2, ovA)
 	cs1.adoptTable(2, ovB)
 	cs2.adoptTable(2, ovB)

@@ -13,10 +13,7 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
-	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"time"
@@ -50,7 +47,7 @@ func (s *Server) initDetector() {
 		s.log.Warn("peer status changed", "peer", peer.ID,
 			"from", from.String(), "to", to.String())
 		if to == cluster.PeerDown {
-			go s.autoFailover(peer)
+			s.spawn(func() { s.autoFailover(peer) })
 		}
 		// Any transition can change what the rebalancer should do:
 		// up→suspect pauses it, down→up means a returned owner wants its
@@ -64,20 +61,8 @@ func (s *Server) initDetector() {
 // health, and on success cache its replication report.
 func (s *Server) probePeer(ctx context.Context, peer cluster.Member) error {
 	cs := s.cluster
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer.Addr+"/v1/cluster/health", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := cs.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("%s: %s", peer.Addr, resp.Status)
-	}
 	var health ClusterHealthResponse
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxBodyBytes)).Decode(&health); err != nil {
+	if err := cs.call(ctx, http.MethodGet, peer.Addr+"/v1/cluster/health", nil, &health); err != nil {
 		return err
 	}
 	cs.peerMu.Lock()
@@ -139,53 +124,37 @@ func (s *Server) handleClusterHealth(w http.ResponseWriter, r *http.Request) {
 }
 
 // autoFailover promotes this node's standby federations after the
-// detector confirmed their owner dead. Runs in its own goroutine per
-// death; each federation is fenced and promoted independently.
+// detector confirmed their owner dead, one at a time; each is gated and
+// fenced independently.
 func (s *Server) autoFailover(dead cluster.Member) {
 	cs := s.cluster
 	for _, name := range sortedTenantNames(s.tenants) {
-		t := s.tenants[name]
 		tab := cs.table.Load()
-		if tab.Owner(name).ID != dead.ID {
+		if standby, ok := tab.Standby(name); tab.Owner(name).ID != dead.ID || !ok || standby.ID != cs.self.ID {
 			continue
 		}
-		standby, ok := tab.Standby(name)
-		if !ok || standby.ID != cs.self.ID {
-			continue
-		}
-		s.promoteStandby(t, dead)
-	}
-}
-
-// promoteStandby runs one auto-promotion: the eligibility gate, then
-// promote fenced on the dead owner.
-func (s *Server) promoteStandby(t *tenant, dead cluster.Member) bool {
-	cs := s.cluster
-	// Eligibility: when replication is on, promote only from a replica
-	// the dead owner last reported streaming. A degraded (or never
-	// reported) stream means this standby's copy may be missing acked
-	// writes; promoting would serve a silently truncated history, which
-	// is worse than staying down until an operator decides.
-	if cs.replicating() {
+		// Eligibility: when replication is on, promote only from a replica
+		// the dead owner last reported streaming. A degraded (or never
+		// reported) stream means this standby's copy may be missing acked
+		// writes; promoting would serve a silently truncated history,
+		// which is worse than staying down until an operator decides.
 		cs.peerMu.Lock()
-		health := cs.peerRepl[dead.ID][t.name]
+		health := cs.peerRepl[dead.ID][name]
 		cs.peerMu.Unlock()
-		if health != "streaming" {
+		if cs.replicating() && health != "streaming" {
 			cs.autoBlocked.Inc()
 			s.log.Warn("auto-promotion blocked",
-				"federation", t.name, "owner", dead.ID,
+				"federation", name, "owner", dead.ID,
 				"replication", health,
 				"hint", "operator can still POST /v1/admin/takeover")
-			return false
+			continue
+		}
+		// promote logs a failure, unless someone else got here first.
+		if epoch, err := s.promote(s.tenants[name], &dead); err == nil {
+			s.log.Warn("auto-promoted federation after owner death",
+				"federation", name, "owner", dead.ID, "epoch", epoch)
 		}
 	}
-	epoch, err := s.promote(t, &dead)
-	if err != nil {
-		return false // promote logged why, unless someone else got here first
-	}
-	s.log.Warn("auto-promoted federation after owner death",
-		"federation", t.name, "owner", dead.ID, "epoch", epoch)
-	return true
 }
 
 // errNotRemote: an operator takeover or inbound handoff got here first.
@@ -199,15 +168,15 @@ var errNotRemote = errors.New("tenant is not remote on this node")
 //
 // With dead set the promotion is fenced on the routing epoch observed
 // before activation: if the table moved while shipped state was being
-// opened — another node promoted first and its gossip arrived, or the
+// opened — another node promoted first and its exchange arrived, or the
 // owner turned out alive and moved the tenant — the promotion aborts
 // and releases what it opened, rather than committing a second owner on
 // top of a table it no longer understands. Two nodes fencing on the
 // SAME observed epoch can still both commit (neither sees the other's
-// move until gossip); they mint equal epochs, and the commutative
-// equal-epoch merge in adoptTable settles on one owner while
-// demoteStaleOwner stands the loser down — the documented settle path,
-// reached only through a window the fence already made narrow.
+// move until an exchange); they mint equal epochs, and the commutative
+// equal-epoch merge in adoptTable settles on one owner while demote
+// stands the loser down — the documented settle path, reached only
+// through a window the fence already made narrow.
 func (s *Server) promote(t *tenant, dead *cluster.Member) (uint64, error) {
 	cs := s.cluster
 	fence := cs.table.Load().Epoch()
@@ -233,14 +202,10 @@ func (s *Server) promote(t *tenant, dead *cluster.Member) (uint64, error) {
 			"fence", fence, "epoch", tab.Epoch(), "owner", tab.Owner(t.name).ID)
 		return 0, errors.New("routing table moved during activation")
 	}
-	epoch := cs.applyOverride(t.name, cs.self.ID, tab.Epoch()+1)
-	t.finishReceiving(tenantActive)
-	cs.takeovers.Inc()
 	if dead != nil {
 		cs.autoTakeovers.Inc()
 	}
-	cs.gossip()
-	return epoch, nil
+	return s.becomeOwner(t, tab.Epoch()+1, cs.takeovers), nil
 }
 
 // kickRebalance wakes the rebalance loop; a kick while one is queued
@@ -259,37 +224,22 @@ func (s *Server) kickRebalance() {
 // movement bound for one membership change — is ever in flight.
 func (s *Server) rebalanceLoop() {
 	cs := s.cluster
-	defer close(cs.rebalanceDone)
 	for {
 		select {
 		case <-s.lifeCtx.Done():
 			return
 		case <-cs.rebalanceKick:
 		}
-		if !cs.cfg.AutoRebalance {
-			continue
-		}
-		if !s.awaitNoSuspects() {
-			return
+		// An unsettled member set (a peer suspect) means the ring's
+		// verdict may be about to change, and moving tenants under it
+		// risks moving them twice (or into a grave).
+		for cs.detector.AnySuspect() {
+			if !s.pause(cs.cfg.ProbeInterval) {
+				return
+			}
 		}
 		s.rebalanceOnce()
 	}
-}
-
-// awaitNoSuspects blocks while any peer is suspect — an unsettled
-// member set means the ring's verdict may be about to change, and
-// moving tenants under it risks moving them twice (or into a grave).
-// Returns false when the server shut down while waiting.
-func (s *Server) awaitNoSuspects() bool {
-	cs := s.cluster
-	for cs.detector.AnySuspect() {
-		select {
-		case <-s.lifeCtx.Done():
-			return false
-		case <-time.After(cs.cfg.ProbeInterval):
-		}
-	}
-	return true
 }
 
 // rebalanceOnce hands every federation this node serves away from its
@@ -314,12 +264,8 @@ func (s *Server) rebalanceOnce() {
 			continue
 		}
 		for attempt := 0; attempt < 3; attempt++ {
-			if attempt > 0 {
-				select {
-				case <-s.lifeCtx.Done():
-					return
-				case <-time.After(cs.cfg.ProbeInterval << attempt):
-				}
+			if attempt > 0 && !s.pause(cs.cfg.ProbeInterval<<attempt) {
+				return
 			}
 			ctx, cancel := context.WithTimeout(s.lifeCtx, cs.cfg.PeerTimeout)
 			_, _, err := s.handoffTenant(ctx, t, ringOwner)

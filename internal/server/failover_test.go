@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -28,13 +29,9 @@ func autoFailoverKnobs(cc *ClusterConfig) {
 // waitPeerUp blocks until srv's detector judges peer up.
 func waitPeerUp(t *testing.T, srv *Server, peer string) {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for srv.cluster.detector.Status(peer) != cluster.PeerUp {
-		if time.Now().After(deadline) {
-			t.Fatalf("detector never saw %s up (currently %v)", peer, srv.cluster.detector.Status(peer))
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitFor(t, 10*time.Second, func() bool { return srv.cluster.detector.Status(peer) == cluster.PeerUp }, func() string {
+		return fmt.Sprintf("detector never saw %s up (currently %v)", peer, srv.cluster.detector.Status(peer))
+	})
 }
 
 // TestAutoFailoverPromotesStandby kills a stub cluster's owner and
@@ -53,15 +50,11 @@ func TestAutoFailoverPromotesStandby(t *testing.T) {
 	// from the survivor's point of view.
 	tc.https[owner].Kill()
 
-	deadline := time.Now().Add(15 * time.Second)
-	for tc.servers[survivor].tenants["alpha"].state.Load() != tenantActive {
-		if time.Now().After(deadline) {
-			t.Fatalf("standby never auto-promoted (state %s, peer %v)",
-				tenantStateName(tc.servers[survivor].tenants["alpha"].state.Load()),
-				tc.servers[survivor].cluster.detector.Status(tc.members[owner].ID))
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitFor(t, 15*time.Second, func() bool { return tc.servers[survivor].tenants["alpha"].state.Load() == tenantActive }, func() string {
+		return fmt.Sprintf("standby never auto-promoted (state %s, peer %v)",
+			tenantStateName(tc.servers[survivor].tenants["alpha"].state.Load()),
+			tc.servers[survivor].cluster.detector.Status(tc.members[owner].ID))
+	})
 	tab := tc.servers[survivor].cluster.table.Load()
 	if tab.Owner("alpha").ID != tc.members[survivor].ID {
 		t.Fatalf("promoted table places alpha on %q", tab.Owner("alpha").ID)
@@ -110,14 +103,13 @@ func TestAutoRebalanceReturnsTenantToRingOwner(t *testing.T) {
 	waitPeerUp(t, tc.servers[other], tc.members[ringOwner].ID)
 	tc.servers[other].kickRebalance()
 
-	deadline := time.Now().Add(15 * time.Second)
-	for tc.servers[ringOwner].tenants["alpha"].state.Load() != tenantActive {
-		if time.Now().After(deadline) {
-			t.Fatalf("rebalancer never returned alpha to the ring owner (state there: %s)",
-				tenantStateName(tc.servers[ringOwner].tenants["alpha"].state.Load()))
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	// The target serves before the source's handoff returns and counts it.
+	waitFor(t, 15*time.Second, func() bool {
+		return tc.servers[ringOwner].tenants["alpha"].state.Load() == tenantActive && tc.servers[other].cluster.rebalances.Value() > 0
+	}, func() string {
+		return fmt.Sprintf("rebalancer never returned alpha to the ring owner (state there: %s)",
+			tenantStateName(tc.servers[ringOwner].tenants["alpha"].state.Load()))
+	})
 	tab := tc.servers[ringOwner].cluster.table.Load()
 	if got := tab.Owner("alpha").ID; got != tc.members[ringOwner].ID {
 		t.Fatalf("table places alpha on %q after rebalance", got)

@@ -247,7 +247,7 @@ func buildTenant(spec FederationSpec, storeCfg StoreConfig, reg *metrics.Registr
 		}
 		scenario.AttachChaos(fed, chaosProfile, chaosSeed)
 	}
-	t := newTenant(sp.Name, sched, queries)
+	t := newTenant(sp.Name, sched, queries, cold)
 	t.store = store
 	t.bootstrap = sp.Bootstrap
 	return t, nil

@@ -137,7 +137,7 @@ func TestStreamStandbyKilledAfterWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	newTestNode(t, https[standby].Listener.Addr().String(), reborn.Handler())
-	waitFor(t, 15*time.Second, func() bool { return rep.Streaming("Q12") })
+	waitFor(t, 15*time.Second, func() bool { return rep.Streaming("Q12") }, nil)
 	for i := 0; i < 2; i++ {
 		chaosSubmit(t, https[owner].URL)
 	}
@@ -225,7 +225,7 @@ func TestStreamRedialsMovedStandby(t *testing.T) {
 	if peer, open, _ := streamState(servers[owner], "paper"); !open || peer != old.Addr {
 		t.Fatalf("stream open=%v to %q, want open to the standby %q", open, peer, old.Addr)
 	}
-	waitFor(t, 15*time.Second, func() bool { return acceptedStreams(servers[oldIdx]) == 1 })
+	waitFor(t, 15*time.Second, func() bool { return acceptedStreams(servers[oldIdx]) == 1 }, nil)
 
 	ring, err := cluster.NewRing([]cluster.Member{members[owner], members[movedIdx]}, 0)
 	if err != nil {
@@ -235,8 +235,8 @@ func TestStreamRedialsMovedStandby(t *testing.T) {
 	cs.table.Store(moved.WithEpochAtLeast(cs.table.Load().Epoch() + 1))
 
 	chaosSubmit(t, https[owner].URL) // redials, is refused (the new standby holds nothing), degrades
-	waitFor(t, 15*time.Second, func() bool { return acceptedStreams(servers[oldIdx]) == 0 })
-	waitFor(t, 15*time.Second, func() bool { return cs.repl["paper"].Streaming("Q12") })
+	waitFor(t, 15*time.Second, func() bool { return acceptedStreams(servers[oldIdx]) == 0 }, nil)
+	waitFor(t, 15*time.Second, func() bool { return cs.repl["paper"].Streaming("Q12") }, nil)
 	for i := 0; i < 2; i++ {
 		chaosSubmit(t, https[owner].URL)
 	}
@@ -291,8 +291,7 @@ func standbyTenant(t testing.TB, dir string) *tenant {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { store.Close() })
-	tn := newTenant("paper", &stubSched{}, []tpch.QueryID{tpch.QueryQ12})
-	tn.state.Store(tenantRemote)
+	tn := newTenant("paper", &stubSched{}, []tpch.QueryID{tpch.QueryQ12}, true)
 	tn.store = store
 	return tn
 }
@@ -468,7 +467,7 @@ func TestReplicateStreamHandshake(t *testing.T) {
 	if rest, err := io.ReadAll(br); err != nil || !strings.Contains(string(rest), tpch.QueryQ13.String()) {
 		t.Fatalf("after a refused batch: %q, %v; want the error text, then EOF", rest, err)
 	}
-	waitFor(t, 15*time.Second, func() bool { return acceptedStreams(servers[standby]) == idle })
+	waitFor(t, 15*time.Second, func() bool { return acceptedStreams(servers[standby]) == idle }, nil)
 	for _, srv := range servers {
 		if err := srv.Drain(context.Background()); err != nil {
 			t.Fatal(err)

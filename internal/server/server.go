@@ -177,14 +177,13 @@ type Server struct {
 	// sees the drain (503) or is seen by it (waited for).
 	draining atomic.Bool
 
-	// lifeCtx ends the background loops (checkpoint, standby sync,
-	// rebalance, handoff resolution); Drain cancels it.
+	// lifeCtx ends the background work — every goroutine spawn starts —
+	// and every peer call it makes; Drain cancels it and then waits on
+	// lifeWG. lifeMu orders spawn's Add against Drain's flag.
 	lifeCtx  context.Context
 	lifeStop context.CancelFunc
-
-	// cpDone is closed when the periodic checkpoint loop exits; nil
-	// when no loop was started.
-	cpDone chan struct{}
+	lifeMu   sync.Mutex
+	lifeWG   sync.WaitGroup
 
 	// cluster is this server's cluster membership; nil in standalone
 	// mode, which keeps the submit hot path to a single pointer check.
@@ -252,9 +251,6 @@ func New(cfg Config) (*Server, error) {
 			closeBuilt()
 			return nil, fmt.Errorf("server: duplicate federation name %q", t.name)
 		}
-		if !owned {
-			t.state.Store(tenantRemote)
-		}
 		tenants[t.name] = t
 	}
 	return newServer(cfg, tenants, cs), nil
@@ -273,11 +269,7 @@ func NewWithSchedulers(cfg Config, scheds map[string]QueryScheduler, queries []t
 	}
 	tenants := make(map[string]*tenant, len(scheds))
 	for name, sched := range scheds {
-		t := newTenant(name, sched, queries)
-		if cs != nil && !cs.owns(name) {
-			t.state.Store(tenantRemote)
-		}
-		tenants[name] = t
+		tenants[name] = newTenant(name, sched, queries, cs != nil && !cs.owns(name))
 	}
 	return newServer(cfg, tenants, cs), nil
 }
@@ -309,27 +301,64 @@ func newServer(cfg Config, tenants map[string]*tenant, cs *clusterState) *Server
 		}
 		s.registerClusterMetrics()
 		if len(cs.cfg.Peers) > 1 {
-			// Catch up on routing moves this node slept through (a
-			// restarted former owner must not serve stale tenants until
-			// the next mutation happens to gossip).
-			go s.bootstrapRoutes()
+			s.spawn(s.catchUp)
 		}
 		if cs.replicating() {
-			cs.syncDone = make(chan struct{})
-			go s.syncLoop()
+			s.spawn(s.syncLoop)
 		}
 		if cs.detector != nil {
-			cs.rebalanceKick = make(chan struct{}, 1)
-			cs.rebalanceDone = make(chan struct{})
-			go s.rebalanceLoop()
+			if cs.cfg.AutoRebalance {
+				cs.rebalanceKick = make(chan struct{}, 1)
+				s.spawn(s.rebalanceLoop)
+			}
 			cs.detector.Start()
 		}
 	}
 	if cfg.Store.CheckpointInterval > 0 {
-		s.cpDone = make(chan struct{})
-		go s.checkpointLoop()
+		s.spawn(s.checkpointLoop)
 	}
 	return s
+}
+
+// spawn runs f in a goroutine the server's lifetime owns: Drain cancels
+// lifeCtx and returns only after f has. It refuses (false, f not run)
+// once Drain has begun — the rule trackStream applies to accepted
+// replication streams.
+func (s *Server) spawn(f func()) bool {
+	s.lifeMu.Lock()
+	defer s.lifeMu.Unlock()
+	if s.draining.Load() {
+		return false
+	}
+	s.lifeWG.Add(1)
+	go func() {
+		defer s.lifeWG.Done()
+		f()
+	}()
+	return true
+}
+
+// pause waits d, or less when the lifetime ends first (false).
+func (s *Server) pause(d time.Duration) bool {
+	timer := time.NewTimer(d)
+	defer timer.Stop()
+	select {
+	case <-s.lifeCtx.Done():
+		return false
+	case <-timer.C:
+		return true
+	}
+}
+
+// stopBackground ends the lifetime: the failure detector stops probing,
+// and every spawned goroutine — loops, handoff resolution, promotions,
+// demotions, table exchanges — has returned when this does.
+func (s *Server) stopBackground() {
+	s.lifeStop()
+	if cs := s.cluster; cs != nil && cs.detector != nil {
+		cs.detector.Stop()
+	}
+	s.lifeWG.Wait()
 }
 
 // Metrics returns the registry backing GET /metrics — the hook for
@@ -394,7 +423,6 @@ type Checkpointer interface {
 // checkpointLoop checkpoints every tenant on the configured period
 // until the server's lifetime context ends.
 func (s *Server) checkpointLoop() {
-	defer close(s.cpDone)
 	tick := time.NewTicker(s.cfg.Store.CheckpointInterval)
 	defer tick.Stop()
 	for {
@@ -458,9 +486,13 @@ func (s *Server) inflight() int64 {
 // Drain stops admitting work and waits for in-flight requests to
 // complete, or for ctx to expire. New submissions — and health checks —
 // get 503 immediately, so load balancers rotate the instance out while
-// accepted work finishes.
+// accepted work finishes. The background work already under way (handoff
+// resolution, promotions, demotions, table exchanges, the loops) ends
+// before Drain returns, and no new work starts.
 func (s *Server) Drain(ctx context.Context) error {
+	s.lifeMu.Lock()
 	s.draining.Store(true)
+	s.lifeMu.Unlock()
 	s.log.Info("drain started", "inflight", s.inflight())
 	for _, t := range s.tenants {
 		if err := t.drainInflight(ctx); err != nil {
@@ -468,15 +500,15 @@ func (s *Server) Drain(ctx context.Context) error {
 			// an fsync is safe under the appends the straggling
 			// requests may still make. Stores stay open for those
 			// stragglers; the process is exiting anyway.
-			s.stopCheckpointLoop()
+			s.stopBackground()
 			_ = s.checkpointAll()
 			return fmt.Errorf("server: drain aborted, federation %q: %w", t.name, err)
 		}
 	}
-	// Stop the periodic checkpoint loop before the final checkpoint so
-	// a late tick cannot race the store close below and record spurious
-	// failures on a clean shutdown.
-	s.stopCheckpointLoop()
+	// Stop the background work before the final checkpoint so a late
+	// checkpoint tick, a demotion or a handoff commit cannot race the
+	// store and route-log closes below.
+	s.stopBackground()
 	// Replication streams are hijacked connections with goroutines of
 	// their own, appending to the stores closed below: end them first.
 	if s.cluster != nil {
@@ -497,27 +529,6 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 	s.log.Info("drain complete", "clean", err == nil)
 	return err
-}
-
-// stopCheckpointLoop cancels the server lifetime context and waits for
-// the periodic checkpoint, standby sync, failure detector and rebalance
-// loops (those that were started) to exit.
-func (s *Server) stopCheckpointLoop() {
-	s.lifeStop()
-	if s.cpDone != nil {
-		<-s.cpDone
-	}
-	if cs := s.cluster; cs != nil {
-		if cs.detector != nil {
-			cs.detector.Stop()
-		}
-		if cs.rebalanceDone != nil {
-			<-cs.rebalanceDone
-		}
-		if cs.syncDone != nil {
-			<-cs.syncDone
-		}
-	}
 }
 
 // handleCheckpoint (POST /v1/admin/checkpoint) fsyncs every history's

@@ -453,7 +453,9 @@ func TestPrunePolicyOnTheWire(t *testing.T) {
 	}
 }
 
-func waitFor(t *testing.T, d time.Duration, cond func() bool) {
+// waitFor polls cond until it holds, failing the test after d with what
+// why describes then (nil: a generic message).
+func waitFor(t testing.TB, d time.Duration, cond func() bool, why func() string) {
 	t.Helper()
 	deadline := time.Now().Add(d)
 	for time.Now().Before(deadline) {
@@ -462,5 +464,8 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	t.Fatal("condition not reached in time")
+	if why == nil {
+		t.Fatal("condition not reached in time")
+	}
+	t.Fatal(why())
 }
