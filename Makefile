@@ -76,10 +76,11 @@ test-bench:
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench ./...
 
-## fuzz-smoke: 20 s of FuzzScan over the one frame decoder, 10 s of FuzzParetoFront against its all-pairs oracle, 10 s of FuzzReplay (arbitrary bytes as a shard's WAL, whole as wal.log or split across two segments), 10 s of FuzzDecodeRequest (a poisoned body through one pooled request scratch), then 10 s of FuzzReplicateStream (arbitrary bytes after the replication handshake against a reference replica)
+## fuzz-smoke: 20 s of FuzzScan over the one frame decoder, 10 s of FuzzParetoFront against its all-pairs oracle, 10 s of FuzzLinearScoring (arbitrary coefficients, table sizes and plans: the sweep's linear route against its feature-row route), 10 s of FuzzReplay (arbitrary bytes as a shard's WAL, whole as wal.log or split across two segments), 10 s of FuzzDecodeRequest (a poisoned body through one pooled request scratch), then 10 s of FuzzReplicateStream (arbitrary bytes after the replication handshake against a reference replica)
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz=FuzzScan -fuzztime=20s ./internal/framelog
 	$(GO) test -run '^$$' -fuzz=FuzzParetoFront -fuzztime=10s ./internal/moo
+	$(GO) test -run '^$$' -fuzz=FuzzLinearScoring -fuzztime=10s ./internal/ires
 	$(GO) test -run '^$$' -fuzz=FuzzReplay -fuzztime=10s ./internal/histstore
 	$(GO) test -run '^$$' -fuzz=FuzzDecodeRequest -fuzztime=10s ./internal/server
 	$(GO) test -run '^$$' -fuzz=FuzzReplicateStream -fuzztime=10s ./internal/server

@@ -569,12 +569,9 @@ func (e *Estimator) PredictSnapshot(dst []float64, s *Snapshot, x []float64) ([]
 // feature vectors back to back, dim values each, and the cost vectors
 // are appended to dst in the same order, one value per metric — what
 // PredictSnapshot would append row by row, bit for bit. The chunk pays
-// for one fit lookup (the checks, the cache, the single-flight wait)
-// and then one regression.Model.PredictRows pass per metric, which
-// checks the model's width once; the model cache counts it as one
-// lookup per row all the same. With caching off the chunk runs one
-// window search, which never depended on the plan. xs that is not whole
-// rows of dim is regression.ErrDimension; an error leaves nothing
+// for one fit lookup (Models) and then one regression.Model.PredictRows
+// pass per metric, which checks the model's width once. xs that is not
+// whole rows of dim is regression.ErrDimension; an error leaves nothing
 // appended.
 func (e *Estimator) PredictRows(dst []float64, s *Snapshot, xs []float64, dim int) ([]float64, error) {
 	if err := s.checkDim(dim); err != nil {
@@ -587,18 +584,40 @@ func (e *Estimator) PredictRows(dst []float64, s *Snapshot, xs []float64, dim in
 	if n == 0 {
 		return dst, nil
 	}
-	fit, err := e.fitFor(s, n)
+	models, err := e.Models(s, dim, n)
 	if err != nil {
 		return nil, err
 	}
-	k := len(fit.models)
+	k := len(models)
 	out := slices.Grow(dst, n*k)[:len(dst)+n*k]
-	for mi, model := range fit.models {
+	for mi, model := range models {
 		if err := model.PredictRows(out[len(dst)+mi:], k, xs, dim); err != nil {
 			return nil, err
 		}
 	}
 	return out, nil
+}
+
+// Models returns the per-metric models, in metric order, that Algorithm
+// 1 selects for the snapshot: what PredictRows evaluates, for a caller
+// that scores plans of dim features with them itself. It is one fit
+// lookup (the checks, the cache, the single-flight wait), which the
+// model cache counts as plans ≥ 1 lookups, so a chunk reads on the hit
+// ratio as its plans looked up one by one would. With caching off it
+// runs one window search, which never depended on the plan. The models
+// are shared with every other caller: read only.
+func (e *Estimator) Models(s *Snapshot, dim, plans int) ([]*regression.Model, error) {
+	if err := s.checkDim(dim); err != nil {
+		return nil, err
+	}
+	if plans < 1 {
+		return nil, fmt.Errorf("core: a fit lookup for %d plans", plans)
+	}
+	fit, err := e.fitFor(s, plans)
+	if err != nil {
+		return nil, err
+	}
+	return fit.models, nil
 }
 
 // checkDim reports whether plans of dim features fit the snapshot.

@@ -11,6 +11,7 @@ import (
 	"repro/internal/federation"
 	"repro/internal/ml"
 	"repro/internal/moo"
+	"repro/internal/regression"
 	"repro/internal/stats"
 	"repro/internal/tpch"
 )
@@ -201,7 +202,7 @@ func TestSubmitContextCancelled(t *testing.T) {
 	}
 	ctx, cancel = context.WithCancel(context.Background())
 	defer cancel()
-	model := &countingBatchModel{DREAMModel: dream}
+	model := &countingLinearModel{DREAMModel: dream}
 	model.onChunk = func() {
 		if model.chunks == 3 {
 			cancel()
@@ -219,21 +220,21 @@ func TestSubmitContextCancelled(t *testing.T) {
 	}
 }
 
-// countingBatchModel is a DREAM model that counts the chunks and rows it
-// is asked to score, calling onChunk before each chunk.
-type countingBatchModel struct {
+// countingLinearModel is a DREAM model that counts the chunks and plans
+// the linear route asks it to score, calling onChunk before each chunk.
+type countingLinearModel struct {
 	*DREAMModel
 	chunks, rows int
 	onChunk      func()
 }
 
-func (m *countingBatchModel) EstimateRows(dst []float64, s *core.Snapshot, xs []float64, dim int) ([]float64, error) {
+func (m *countingLinearModel) LinearModels(s *core.Snapshot, dim, plans int) ([]*regression.Model, error) {
 	m.chunks++
-	m.rows += len(xs) / dim
+	m.rows += plans
 	if m.onChunk != nil {
 		m.onChunk()
 	}
-	return m.DREAMModel.EstimateRows(dst, s, xs, dim)
+	return m.DREAMModel.LinearModels(s, dim, plans)
 }
 
 // scriptedModel is a CostModel whose n-th Estimate call (1-based) runs
@@ -385,6 +386,94 @@ func TestSweepRefusesCostlessModel(t *testing.T) {
 	}
 }
 
+// routeModel is a cached DREAM model and, for the row route, the same
+// model behind rowsModel: its EstimatorStats read either route's work.
+func routeModel(t *testing.T, linear bool) (*DREAMModel, CostModel) {
+	dream := stackModel(t, 0)
+	if linear {
+		return dream, dream
+	}
+	return dream, rowsModel{dream}
+}
+
+// failingSizer is an executor whose InputSizer fails for every query.
+type failingSizer struct{ federation.Executor }
+
+var errScriptedSize = errors.New("scripted size failure")
+
+func (failingSizer) InputBytes(tpch.QueryID) (float64, float64, error) { return 0, 0, errScriptedSize }
+
+// TestSweepFailureNamesPlan: a sweep that cannot score its first chunk
+// says why and for which plan, the same on the linear route and the
+// feature-row route. An InputSizer that fails for the query is the first
+// plan's feature failure, and the model is never asked (no lookup
+// counted); a fit that fails — a history below L+2 observations — is the
+// first plan's estimating failure.
+func TestSweepFailureNamesPlan(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		bootstrap int
+		sizeFails bool
+		prefix    string
+		cause     error
+	}{
+		{"size", 20, true, "ires: features of ", errScriptedSize},
+		{"fit", 3, false, "ires: estimating ", core.ErrInsufficientHistory},
+	} {
+		for _, linear := range []bool{true, false} {
+			dream, model := routeModel(t, linear)
+			s := buildStackOn(t, 5, model, SchedulerConfig{Seed: 5})
+			if err := s.Bootstrap(tpch.QueryQ12, tc.bootstrap); err != nil {
+				t.Fatal(err)
+			}
+			if tc.sizeFails {
+				s.Exec = failingSizer{s.Exec}
+			}
+			if got := s.sweeper(tpch.QueryQ12, s.History(tpch.QueryQ12), nil, new(sweepBuf)).linear != nil; got != linear {
+				t.Fatalf("%s: linear route %v, want %v", tc.name, got, linear)
+			}
+			plans, err := s.plans(tpch.QueryQ12)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := dream.EstimatorStats()
+			_, err = s.PlanSweep(context.Background(), tpch.QueryQ12)
+			if want := tc.prefix + plans[0].String(); err == nil || !strings.HasPrefix(err.Error(), want) || !errors.Is(err, tc.cause) {
+				t.Errorf("%s, linear %v: err = %v, want %q… wrapping %v", tc.name, linear, err, want, tc.cause)
+			}
+			if after := dream.EstimatorStats(); after != before {
+				t.Errorf("%s, linear %v: the model was asked: %+v → %+v", tc.name, linear, before, after)
+			}
+		}
+	}
+}
+
+// TestSweepCountsLookupsPerPlan: a 2,048-plan sweep adds 2,048 lookups
+// to the model cache — one miss and 2,047 hits on a fresh history
+// version — and one window search, on the linear route and on the row
+// route alike, so core.cache_hit_ratio and midas_model_cache_hits_total
+// mean the same whichever route a round takes.
+func TestSweepCountsLookupsPerPlan(t *testing.T) {
+	for _, linear := range []bool{true, false} {
+		dream, model := routeModel(t, linear)
+		s := wideStack(t, 42, 32, model, SchedulerConfig{Seed: 42})
+		if err := s.Bootstrap(tpch.QueryQ12, 24); err != nil {
+			t.Fatal(err)
+		}
+		before := dream.EstimatorStats()
+		sw, err := s.PlanSweep(context.Background(), tpch.QueryQ12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := dream.EstimatorStats()
+		if hits, misses, searches := after.CacheHits-before.CacheHits, after.CacheMisses-before.CacheMisses,
+			after.WindowSearches-before.WindowSearches; len(sw.Plans) != 2048 || misses != 1 || hits != 2047 || searches != 1 {
+			t.Errorf("linear %v: %d plans: %d misses, %d hits, %d window searches; want 2,048: 1, 2,047, 1",
+				linear, len(sw.Plans), misses, hits, searches)
+		}
+	}
+}
+
 // The frozen seam: bench/run.go (its own module, which `go test ./...`
 // never compiles and a PR that claims a gain may not edit) hands a
 // sweep's cost matrix straight to the Pareto reduction. Sweep.Costs'
@@ -458,13 +547,19 @@ func requireSameSweep(t *testing.T, round int, got, want *Sweep) {
 	}
 }
 
+// rowsModel hides a linear model's LinearModels, so a sweep over it
+// takes the feature-row route.
+type rowsModel struct{ BatchCostModel }
+
 // TestBatchedSweepMatchesPerPlan: a sweep is scored chunk by chunk when
-// model and executor can and plan by plan, through the adapters, when a
-// decorator hides that — and nobody can tell from the results. Both
-// prune policies × every bundled model × cache on and off, on a lattice of
-// two chunks: the sweeps (plans, every cost bit, front) and the decisions
-// of 50 rounds (10 where noted) are identical on both routes, and so are
-// the two Figure 3 optimizers.
+// model and executor can — straight from the plans for DREAM, from
+// feature rows for the composite and for DREAM behind rowsModel — and
+// plan by plan, through the adapters, when a decorator hides that; and
+// nobody can tell from the results. Both prune policies × every bundled
+// model × cache on and off, on a lattice of two chunks: the sweeps
+// (plans, every cost bit, front) and the decisions of 50 rounds (10
+// where noted) are identical on both routes, and so are the two Figure 3
+// optimizers.
 func TestBatchedSweepMatchesPerPlan(t *testing.T) {
 	const maxNodes = 12 // 288 plans
 	const q = tpch.QueryQ12
@@ -472,15 +567,19 @@ func TestBatchedSweepMatchesPerPlan(t *testing.T) {
 		return core.Config{MMax: 3 * (federation.FeatureDim + 2), CacheSize: cacheSize}
 	}
 	models := []struct {
-		name      string
-		breakdown bool
-		build     func() (CostModel, error)
+		name              string
+		breakdown, linear bool // linear: the batched stack takes the linear route
+		build             func() (CostModel, error)
 	}{
-		{"dream", false, func() (CostModel, error) { return NewDREAMModel(dreamCfg(0)) }},
-		{"dream-uncached", false, func() (CostModel, error) { return NewDREAMModel(dreamCfg(-1)) }},
-		{"composite", true, func() (CostModel, error) { return NewCompositeDREAMModel(dreamCfg(0)) }},
-		{"composite-uncached", true, func() (CostModel, error) { return NewCompositeDREAMModel(dreamCfg(-1)) }},
-		{"bml", false, func() (CostModel, error) { return &BMLModel{Learner: ml.LeastSquares{}, WindowMultiple: 3}, nil }},
+		{"dream", false, true, func() (CostModel, error) { return NewDREAMModel(dreamCfg(0)) }},
+		{"dream-uncached", false, true, func() (CostModel, error) { return NewDREAMModel(dreamCfg(-1)) }},
+		{"dream-rows", false, false, func() (CostModel, error) {
+			m, err := NewDREAMModel(dreamCfg(0))
+			return rowsModel{m}, err
+		}},
+		{"composite", true, false, func() (CostModel, error) { return NewCompositeDREAMModel(dreamCfg(0)) }},
+		{"composite-uncached", true, false, func() (CostModel, error) { return NewCompositeDREAMModel(dreamCfg(-1)) }},
+		{"bml", false, false, func() (CostModel, error) { return &BMLModel{Learner: ml.LeastSquares{}, WindowMultiple: 3}, nil }},
 	}
 	policies := []PrunePolicy{FullSweep(), GreedyPrune(270)}
 	pol := Policy{Weights: []float64{1, 1}}
@@ -548,6 +647,9 @@ func TestBatchedSweepMatchesPerPlan(t *testing.T) {
 						for n := 0; n < 24; n++ {
 							record(t, s, plans[rng.Intn(len(plans))])
 						}
+					}
+					if linear := s.sweeper(q, s.History(q), nil, new(sweepBuf)).linear != nil; linear != (m.linear && i == 0) {
+						t.Fatalf("stack %d takes the linear route: %v", i, linear)
 					}
 					stacks[i] = s
 				}

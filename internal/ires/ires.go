@@ -67,6 +67,18 @@ type BatchCostModel interface {
 	EstimateRows(dst []float64, s *core.Snapshot, xs []float64, dim int) ([]float64, error)
 }
 
+// LinearCostModel is the optional capability a sweep scores plans from
+// directly, with no feature rows: a BatchCostModel whose EstimateRows
+// is, per metric, one regression.Model's Predict of the row (eq. 6) and
+// nothing else. LinearModels returns those models, in cost-vector order,
+// for plans of dim features scored against s — the one fit lookup
+// EstimateRows would make for a chunk of that many plans, counted the
+// same — and the caller must treat them as read only.
+type LinearCostModel interface {
+	BatchCostModel
+	LinearModels(s *core.Snapshot, dim, plans int) ([]*regression.Model, error)
+}
+
 // ---------------------------------------------------------------------------
 // DREAM model
 
@@ -109,6 +121,11 @@ func (m *DREAMModel) EstimateSnapshot(s *core.Snapshot, x []float64) ([]float64,
 // EstimateRows implements BatchCostModel; the rows come back unclamped.
 func (m *DREAMModel) EstimateRows(dst []float64, s *core.Snapshot, xs []float64, dim int) ([]float64, error) {
 	return m.Est.PredictRows(dst, s, xs, dim)
+}
+
+// LinearModels implements LinearCostModel.
+func (m *DREAMModel) LinearModels(s *core.Snapshot, dim, plans int) ([]*regression.Model, error) {
+	return m.Est.Models(s, dim, plans)
 }
 
 // clampRows clamps cost values at zero, in place.

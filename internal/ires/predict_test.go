@@ -1,6 +1,7 @@
 package ires
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/federation"
 	"repro/internal/regression"
+	"repro/internal/tpch"
 )
 
 // randomHistory draws a history of one of four shapes: noisy-linear,
@@ -172,4 +174,159 @@ func TestPredictOnlyMatchesEstimator(t *testing.T) {
 		errors.Is(err, core.ErrInsufficientHistory) {
 		t.Errorf("2-metric history: got %v, want the breakdown-history error", err)
 	}
+}
+
+// rowRouteCosts is the reference appendLinearCosts is held to: the
+// plans' feature rows, each model's PredictRows over them, one clamp.
+func rowRouteCosts(t testing.TB, models []*regression.Model, plans []federation.Plan, leftMiB, rightMiB float64) []float64 {
+	t.Helper()
+	var xs []float64
+	for _, p := range plans {
+		xs = federation.AppendFeatures(xs, p, leftMiB, rightMiB)
+	}
+	k := len(models)
+	out := make([]float64, len(plans)*k)
+	if len(out) == 0 {
+		return out
+	}
+	for mi, m := range models {
+		if err := m.PredictRows(out[mi:], k, xs, federation.FeatureDim); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clampRows(out)
+	return out
+}
+
+// requireLinearMatchesRows fails unless appendLinearCosts, after a
+// prefix, appends exactly rowRouteCosts' bits — where one is a NaN, any
+// NaN. Which NaN an operation on two NaNs returns is the operand order
+// the compiler picked for a commutative add, not part of any contract;
+// from NaN-free coefficients and sizes every NaN is the hardware's one
+// default NaN (Inf·0, Inf−Inf), and those are compared bit for bit.
+func requireLinearMatchesRows(t testing.TB, models []*regression.Model, plans []federation.Plan, leftMiB, rightMiB float64) {
+	t.Helper()
+	want := rowRouteCosts(t, models, plans, leftMiB, rightMiB)
+	got, err := appendLinearCosts([]float64{42}, models, plans, leftMiB, rightMiB)
+	if err != nil || len(got) != 1+len(want) || got[0] != 42 {
+		t.Fatalf("%d plans, %d metrics: %d values, prefix %v, %v", len(plans), len(models), len(got), got[:1], err)
+	}
+	nanIn := math.IsNaN(leftMiB) || math.IsNaN(rightMiB)
+	for _, m := range models {
+		for _, b := range m.Beta {
+			nanIn = nanIn || math.IsNaN(b)
+		}
+	}
+	for i, w := range want {
+		if g := got[1+i]; math.Float64bits(g) != math.Float64bits(w) && !(nanIn && math.IsNaN(g) && math.IsNaN(w)) {
+			k := len(models)
+			t.Fatalf("plan %d (%v) of %d, metric %d, sizes %v/%v, β %v: linear %v (%#x), rows %v (%#x)",
+				i/k, plans[i/k], len(plans), i%k, leftMiB, rightMiB, models[i%k].Beta, g, math.Float64bits(g), w, math.Float64bits(w))
+		}
+	}
+}
+
+// linearModel is a fitted-looking model over the plan features.
+func linearModel(beta []float64) *regression.Model {
+	return &regression.Model{Beta: beta, L: federation.FeatureDim}
+}
+
+// TestLinearScoringMatchesRows: the linear route scores a plan straight
+// from its node counts, bit for bit as the row route does from its
+// feature row — over random and adversarial coefficients and table
+// sizes (negatives, ±0, denormals, overflow, ±Inf, NaN), both join
+// sides, odd and even metric counts, chunk lengths at every n mod 4, and
+// lattice plans out of lattice order, as GreedyPrune's refinement passes
+// them. A model over other features is ErrDimension with nothing
+// appended.
+func TestLinearScoringMatchesRows(t *testing.T) {
+	pool := []float64{0, math.Copysign(0, -1), 1, -1, 0.5, -3.25, 5e-324, -5e-324, 2.2e-308,
+		1e300, -1e300, math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN(), 1e-5, 7, 1 << 20}
+	fed, err := federation.WideTopology(3, 8) // 128 plans: the longer chunks add plans off the lattice
+	if err != nil {
+		t.Fatal(err)
+	}
+	lat, err := fed.PlanLattice(tpch.QueryQ12, federation.NodeRange(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(27))
+	draw := func(scale float64) float64 {
+		if rng.Intn(5) == 0 {
+			return pool[rng.Intn(len(pool))]
+		}
+		return rng.NormFloat64() * scale
+	}
+	for trial := 0; trial < 300; trial++ {
+		k := []int{1, 2, 3, 6, 7}[trial%5]
+		models := make([]*regression.Model, k)
+		for mi := range models {
+			beta := make([]float64, federation.FeatureDim+1)
+			for j := range beta {
+				beta[j] = draw(10)
+			}
+			models[mi] = linearModel(beta)
+		}
+		leftMiB, rightMiB := math.Abs(rng.NormFloat64()*500), math.Abs(rng.NormFloat64()*50)
+		if trial%7 == 0 {
+			leftMiB, rightMiB = draw(500), draw(50)
+		}
+		all := lat.Plans()
+		for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 255, 256, 257} {
+			plans := make([]federation.Plan, n)
+			for i, at := range rng.Perm(len(all))[:min(n, len(all))] {
+				plans[i] = all[at]
+			}
+			for i := len(all); i < n; i++ {
+				plans[i] = federation.Plan{Query: tpch.QueryQ12, JoinAtLeft: rng.Intn(2) == 0,
+					NodesLeft: rng.Intn(1 << 16), NodesRight: rng.Intn(1 << 16)}
+			}
+			requireLinearMatchesRows(t, models, plans, leftMiB, rightMiB)
+		}
+	}
+
+	models := []*regression.Model{linearModel(make([]float64, 6)), {Beta: make([]float64, 5), L: 4}}
+	got, err := appendLinearCosts([]float64{42}, models, lat.Plans()[:3], 1, 2)
+	if !errors.Is(err, regression.ErrDimension) || len(got) != 1 {
+		t.Errorf("a model over 4 features: %v, %v", got, err)
+	}
+}
+
+// FuzzLinearScoring decodes arbitrary coefficients (six float64s per
+// metric), table sizes and plans (two int16 node counts and a join byte
+// each) and holds the linear route to the row route's bits.
+func FuzzLinearScoring(f *testing.F) {
+	le := binary.LittleEndian
+	floats := func(vs ...float64) []byte {
+		var b []byte
+		for _, v := range vs {
+			b = le.AppendUint64(b, math.Float64bits(v))
+		}
+		return b
+	}
+	inf, nan, negZero := math.Inf(1), math.NaN(), math.Copysign(0, -1)
+	f.Add(12.5, 3.0, floats(1, 2, 3, 4, 5, 6, -100, 0.5, 0.25, -7, 2, -1), []byte{1, 0, 2, 0, 1, 16, 0, 3, 0, 0})
+	f.Add(0.0, negZero, floats(negZero, inf, -inf, nan, 5e-324, 0), []byte{0, 0, 0, 0, 0, 255, 255, 1, 128, 1})
+	f.Add(1e308, -1e308, floats(1e300, 1e300, 1e300, -1e300, 1e-320, inf), []byte{7, 0, 9, 0, 0})
+	f.Fuzz(func(t *testing.T, leftMiB, rightMiB float64, coefs, raw []byte) {
+		k := min(len(coefs)/(8*(federation.FeatureDim+1)), 9)
+		if k == 0 {
+			return
+		}
+		models := make([]*regression.Model, k)
+		for mi := range models {
+			beta := make([]float64, federation.FeatureDim+1)
+			for j := range beta {
+				beta[j] = math.Float64frombits(le.Uint64(coefs[8*(mi*len(beta)+j):]))
+			}
+			models[mi] = linearModel(beta)
+		}
+		plans := make([]federation.Plan, min(len(raw)/5, 1024))
+		for i := range plans {
+			b := raw[5*i:]
+			plans[i] = federation.Plan{JoinAtLeft: b[4]&1 == 1,
+				NodesLeft: int(int16(le.Uint16(b))), NodesRight: int(int16(le.Uint16(b[2:])))}
+		}
+		requireLinearMatchesRows(t, models, plans, leftMiB, rightMiB)
+	})
 }

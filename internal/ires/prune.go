@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/federation"
 	"repro/internal/moo"
+	"repro/internal/regression"
 	"repro/internal/tpch"
 )
 
@@ -25,13 +26,25 @@ import (
 // tests in prune_test.go; docs/performance.md has the measured grid.
 
 // planSweeper is one scheduling round's estimator: the lattice a
-// PrunePolicy draws from (nil outside a sweep) and the two batch steps
-// of scoring, bound to the round's query and history snapshot.
+// PrunePolicy draws from (nil outside a sweep) and how a chunk of plans
+// is scored, bound to the round's query and history snapshot. A round
+// takes one of two routes. With a LinearCostModel and an InputSizer
+// executor, linear is set and scoreLinear applies the model's
+// coefficients straight to the plans. Otherwise scoreRows lays the
+// plans out as feature rows (features) and the model scores those
+// (costs).
 type planSweeper struct {
 	lat *federation.PlanLattice
+	// linear and snap are the linear route's model and history snapshot.
+	linear LinearCostModel
+	snap   *core.Snapshot
+	// leftMiB and rightMiB are the query's table sizes when the executor
+	// is an InputSizer, sizeErr its failure to say.
+	leftMiB, rightMiB float64
+	sizeErr           error
 	// features appends the plans' feature vectors to dst, FeatureDim
 	// values each; on a failure the rows before the failing plan's are
-	// still appended, which is how estimate knows which plan it was.
+	// still appended, which is how scoreRows knows which plan it was.
 	features func(dst []float64, plans []federation.Plan) ([]float64, error)
 	// costs appends the cost vectors, all of one length, of the
 	// FeatureDim-wide feature rows in xs to dst, scored against the
@@ -39,18 +52,19 @@ type planSweeper struct {
 	// models). An error that is not a *rowError is the first row's.
 	costs func(dst, xs []float64) ([]float64, error)
 	// buf is the round's scratch: its matrix backing goes to the first
-	// estimate call (then lent is set), its feature rows to every chunk of
-	// every call.
+	// estimate call (then lent is set), its feature rows to every chunk
+	// the row route scores.
 	buf  *sweepBuf
 	lent bool
 }
 
 // sweepBuf is a sweep's scratch: the backing of its cost matrix and the
-// chunk feature rows. PlanSweep takes one from sweepPool and ReleaseSweep
-// puts it back, so the serving cycle (sweep, decide, release) reuses the
-// 32 KB matrix and 10 KB of feature rows of a 2,048-plan sweep instead of
-// allocating and collecting them per request. A sync.Pool, not a free
-// list: every GC drains it, so nothing it holds is retained heap.
+// row route's chunk feature rows. PlanSweep takes one from sweepPool and
+// ReleaseSweep puts it back, so the serving cycle (sweep, decide,
+// release) reuses the 32 KB matrix of a 2,048-plan sweep (and 10 KB of
+// feature rows on the row route) instead of allocating and collecting
+// them per request. A sync.Pool, not a free list: every GC drains it,
+// so nothing it holds is retained heap.
 type sweepBuf struct {
 	costs, feats []float64
 }
@@ -84,25 +98,22 @@ func (e *rowError) Unwrap() error { return e.err }
 // models get a single point-in-time snapshot, so every plan of the round
 // is scored against one history version even while other requests
 // append observations. An executor that knows the query's input sizes
-// (federation.InputSizer) and a model that scores chunks
-// (BatchCostModel) are used as such; one that only has the per-plan
-// method — a decorator that wraps it, a custom model — is wrapped here,
-// once, in an adapter that loops, so the estimation loop itself has one
-// shape.
+// (federation.InputSizer) and a model that is linear (LinearCostModel)
+// or scores chunks (BatchCostModel) are used as such; one that only has
+// the per-plan method — a decorator that wraps it, a custom model — is
+// wrapped here, once, in an adapter that loops, so the row route itself
+// has one shape.
 func (s *Scheduler) sweeper(q tpch.QueryID, h *core.History, lat *federation.PlanLattice, buf *sweepBuf) *planSweeper {
 	ps := &planSweeper{lat: lat, buf: buf}
-	if sizer, ok := s.Exec.(federation.InputSizer); ok {
+	sizer, sized := s.Exec.(federation.InputSizer)
+	if sized {
 		lb, rb, err := sizer.InputBytes(q)
-		leftMiB, rightMiB := lb/(1024*1024), rb/(1024*1024)
-		ps.features = func(dst []float64, plans []federation.Plan) ([]float64, error) {
-			if err != nil {
-				return dst, err
-			}
-			for _, p := range plans {
-				dst = federation.AppendFeatures(dst, p, leftMiB, rightMiB)
-			}
-			return dst, nil
+		ps.leftMiB, ps.rightMiB, ps.sizeErr = lb/(1024*1024), rb/(1024*1024), err
+		if m, ok := s.Model.(LinearCostModel); ok {
+			ps.linear, ps.snap = m, h.Snapshot()
+			return ps
 		}
+		ps.features = ps.appendFeatures
 	} else {
 		ps.features = perPlanFeatures(s.Exec)
 	}
@@ -119,6 +130,17 @@ func (s *Scheduler) sweeper(q tpch.QueryID, h *core.History, lat *federation.Pla
 		ps.costs = perPlanCosts(func(x []float64) ([]float64, error) { return m.Estimate(h, x) })
 	}
 	return ps
+}
+
+// appendFeatures is planSweeper.features for an InputSizer executor.
+func (ps *planSweeper) appendFeatures(dst []float64, plans []federation.Plan) ([]float64, error) {
+	if ps.sizeErr != nil {
+		return dst, ps.sizeErr
+	}
+	for _, p := range plans {
+		dst = federation.AppendFeatures(dst, p, ps.leftMiB, ps.rightMiB)
+	}
+	return dst, nil
 }
 
 // perPlanFeatures adapts an executor that only has the per-plan method
@@ -160,71 +182,154 @@ func perPlanCosts(estimateX func(x []float64) ([]float64, error)) func(dst, xs [
 	}
 }
 
-// sweepChunk is how many plans estimate lays out and scores at a time:
-// large enough that the per-chunk steps (the fit lookup, the ctx check)
-// vanish against the per-plan arithmetic, small enough that the feature
-// scratch stays in L1.
+// sweepChunk is how many plans estimate scores at a time: large enough
+// that the per-chunk steps (the fit lookup, the ctx check) vanish
+// against the per-plan arithmetic, small enough that the row route's
+// feature scratch stays in L1.
 const sweepChunk = 256
 
 // estimate scores plans and returns their cost vectors positionally,
-// as the rows of one flat matrix: per chunk of sweepChunk plans, one
-// pass writes the feature rows into the round's scratch, one asks the
-// model for the chunk's cost rows, one clamps them — the only clamp a
-// batch model's rows get. The first call's matrix is the round's pooled
-// backing, later calls (GreedyPrune refines in several) allocate their
-// own. A failure is always the one with the lowest position — rows
-// before a feature failure are still scored, in case the model fails
-// earlier — and nothing past it is scored. ctx is checked between
-// chunks.
+// as the rows of one flat matrix, clamped at zero: negative predictions
+// are meaningless for time/money, and the clamp keeps dominance
+// computations sane. It works per chunk of sweepChunk plans, through the
+// round's route. The first call's matrix is the round's pooled backing,
+// later calls (GreedyPrune refines in several) allocate their own. A
+// failure is always the one with the lowest position, and nothing past
+// it is scored. ctx is checked between chunks.
 func (ps *planSweeper) estimate(ctx context.Context, plans []federation.Plan) (moo.CostMatrix, error) {
-	n, b := len(plans), ps.buf
+	n := len(plans)
 	var flat []float64
 	if ps.lent {
 		flat = make([]float64, 0, n*len(federation.Metrics))
 	} else {
 		ps.lent = true
-		b.costs = slices.Grow(b.costs[:0], n*len(federation.Metrics))
-		flat = b.costs
+		ps.buf.costs = slices.Grow(ps.buf.costs[:0], n*len(federation.Metrics))
+		flat = ps.buf.costs
 	}
-	b.feats = slices.Grow(b.feats[:0], min(n, sweepChunk)*federation.FeatureDim)
 	k := 0 // cost-vector length, fixed by the first chunk
 	for lo := 0; lo < n; lo += sweepChunk {
 		if err := ctx.Err(); err != nil {
 			return moo.CostMatrix{}, err
 		}
 		chunk := plans[lo:min(lo+sweepChunk, n)]
-		xs, ferr := ps.features(b.feats, chunk)
-		b.feats = xs[:0]
-		rows, scored := len(xs)/federation.FeatureDim, len(flat)
+		scored := len(flat)
 		var err error
-		if rows > 0 {
-			flat, err = ps.costs(flat, xs)
+		if ps.linear != nil {
+			flat, err = ps.scoreLinear(flat, chunk)
+		} else {
+			flat, err = ps.scoreRows(flat, chunk)
 		}
 		if err != nil {
+			return moo.CostMatrix{}, err
+		}
+		if lo == 0 {
+			// Empty vectors would all be "non-dominated", and unreportable.
+			if k = (len(flat) - scored) / len(chunk); k == 0 {
+				return moo.CostMatrix{}, fmt.Errorf("ires: model returned no costs for %v", chunk[0])
+			}
+		}
+		if len(flat)-scored != len(chunk)*k {
+			return moo.CostMatrix{}, fmt.Errorf("ires: model returned %d costs for %d plans, want %d each", len(flat)-scored, len(chunk), k)
+		}
+	}
+	return moo.FlatCostMatrix(flat, k)
+}
+
+// scoreLinear is the linear route: one fit lookup for the chunk, then
+// appendLinearCosts at the query's table sizes.
+func (ps *planSweeper) scoreLinear(dst []float64, chunk []federation.Plan) ([]float64, error) {
+	if ps.sizeErr != nil {
+		return dst, fmt.Errorf("ires: features of %v: %w", chunk[0], ps.sizeErr)
+	}
+	models, err := ps.linear.LinearModels(ps.snap, federation.FeatureDim, len(chunk))
+	if err == nil {
+		dst, err = appendLinearCosts(dst, models, chunk, ps.leftMiB, ps.rightMiB)
+	}
+	if err != nil {
+		return dst, fmt.Errorf("ires: estimating %v: %w", chunk[0], err)
+	}
+	return dst, nil
+}
+
+// scoreRows is the row route: the chunk's feature rows into the round's
+// scratch, one costs call over them, one clamp — the only clamp a batch
+// model's rows get. Rows before a feature failure are still scored, in
+// case the model fails earlier.
+func (ps *planSweeper) scoreRows(dst []float64, chunk []federation.Plan) ([]float64, error) {
+	b := ps.buf
+	xs, ferr := ps.features(slices.Grow(b.feats[:0], len(chunk)*federation.FeatureDim), chunk)
+	b.feats = xs[:0]
+	rows, scored := len(xs)/federation.FeatureDim, len(dst)
+	if rows > 0 {
+		var err error
+		if dst, err = ps.costs(dst, xs); err != nil {
 			row := 0
 			var re *rowError
 			if errors.As(err, &re) {
 				row, err = re.row, re.err
 			}
-			return moo.CostMatrix{}, fmt.Errorf("ires: estimating %v: %w", chunk[row], err)
+			return dst, fmt.Errorf("ires: estimating %v: %w", chunk[row], err)
 		}
-		if ferr != nil {
-			return moo.CostMatrix{}, fmt.Errorf("ires: features of %v: %w", chunk[rows], ferr)
-		}
-		if lo == 0 {
-			// Empty vectors would all be "non-dominated", and unreportable.
-			if k = (len(flat) - scored) / rows; k == 0 {
-				return moo.CostMatrix{}, fmt.Errorf("ires: model returned no costs for %v", chunk[0])
-			}
-		}
-		if len(flat)-scored != rows*k {
-			return moo.CostMatrix{}, fmt.Errorf("ires: model returned %d costs for %d plans, want %d each", len(flat)-scored, rows, k)
-		}
-		// Negative predictions are meaningless for time/money; clamp
-		// so dominance computations stay sane.
-		clampRows(flat[scored:])
 	}
-	return moo.FlatCostMatrix(flat, k)
+	if ferr != nil {
+		return dst, fmt.Errorf("ires: features of %v: %w", chunk[rows], ferr)
+	}
+	clampRows(dst[scored:])
+	return dst, nil
+}
+
+// appendLinearCosts appends to dst, plan by plan, the cost vector the
+// per-metric models give the plan's feature row — what
+// federation.AppendFeatures writes at the given table sizes — each value
+// clamped at zero: bit for bit what regression.Model.PredictRows over
+// those rows and a clamp give, without the rows. Within a query the
+// rows differ only in their last three features, so each metric's
+// β₀ + β₁·leftMiB + β₂·rightMiB is summed once per call; that prefix is
+// also Predict's first two steps, and the other three terms are added
+// to it in Predict's order. No fused multiply-add, no other
+// reassociation, and the join term is multiplied even when it is 0, as
+// Predict does: an infinite β₅ still gives NaN. A model that is not
+// over FeatureDim features is regression.ErrDimension, with nothing
+// appended.
+func appendLinearCosts(dst []float64, models []*regression.Model, plans []federation.Plan, leftMiB, rightMiB float64) ([]float64, error) {
+	for _, m := range models {
+		if m.L != federation.FeatureDim {
+			return dst, fmt.Errorf("%w: model has %d features, plans have %d", regression.ErrDimension, m.L, federation.FeatureDim)
+		}
+	}
+	k, at := len(models), len(dst)
+	dst = slices.Grow(dst, len(plans)*k)[:at+len(plans)*k]
+	out := dst[at:]
+	// Two metrics per pass over the plans — the served pair in one — each
+	// as {β₀ + β₁·leftMiB + β₂·rightMiB, β₃, β₄, β₅}. An odd last metric
+	// pairs with itself (d = 0): it is scored twice and its first store
+	// overwritten.
+	terms := func(m *regression.Model) [4]float64 {
+		b := m.Beta[:federation.FeatureDim+1]
+		return [4]float64{b[0] + b[1]*leftMiB + b[2]*rightMiB, b[3], b[4], b[5]}
+	}
+	for lo := 0; lo < k; lo += 2 {
+		next := min(lo+1, k-1)
+		a, b, d := terms(models[lo]), terms(models[next]), next-lo
+		for i, p := range plans {
+			nl, nr, join := float64(p.NodesLeft), float64(p.NodesRight), 0.0
+			if p.JoinAtLeft {
+				join = 1
+			}
+			ca := a[0] + a[1]*nl + a[2]*nr + a[3]*join
+			cb := b[0] + b[1]*nl + b[2]*nr + b[3]*join
+			if ca < 0 {
+				ca = 0
+			}
+			if cb < 0 {
+				cb = 0
+			}
+			row := out[i*k+lo:]
+			row[d] = cb
+			row[0] = ca
+		}
+	}
+	return dst, nil
 }
 
 // plansAt returns the lattice's plans at the given positions.

@@ -172,16 +172,15 @@ func TestServeSubmitAllocBudget(t *testing.T) {
 }
 
 // TestPlanSweepAllocBudget is the same kind of gate for the sweep, in
-// both shapes of caller. The serving cycle — PlanSweep, DecideFromSweep,
+// both shapes of caller. Both score on the linear route, with no
+// feature rows. The serving cycle — PlanSweep, DecideFromSweep,
 // ReleaseSweep, what a server runs per shared sweep — finds last round's
-// cost matrix and feature rows in the pool, so it allocates a few KB
-// and no more objects than the parent's sweep plus decide (26, when
-// every round allocated its 42 KB afresh). A library PlanSweep that
-// keeps its sweep misses the pool every time: its count does not scale
-// with the lattice, and neither does anything but the matrix in bytes —
-// an object count alone would price 48 KB of per-plan row headers at 1.
-// Deterministic, hence a test with pinned figures and no baseline to
-// compare against.
+// cost matrix in the pool, so it allocates a few KB. A library
+// PlanSweep that keeps its sweep misses the pool every time: its count
+// does not scale with the lattice, and neither does anything but the
+// matrix in bytes — an object count alone would price 48 KB of per-plan
+// row headers at 1. Deterministic, hence a test with pinned figures and
+// no baseline to compare against.
 func TestPlanSweepAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -216,14 +215,13 @@ func TestPlanSweepAllocBudget(t *testing.T) {
 	if large-small > 2 {
 		t.Errorf("2,048 plans cost %.0f allocations more than 18: the count scales with the lattice again", large-small)
 	}
-	// The pool miss (the buffer and its two slices) and the front's copy.
-	const keepBudget = 15
+	// The pool miss (the buffer and its matrix) and the front's copy.
+	const keepBudget = 12
 	if large > keepBudget {
 		t.Errorf("kept 2,048-plan sweep: %.1f allocs, budget %d", large, keepBudget)
 	}
-	// Per plan: len(federation.Metrics)·8 B of matrix, 5 B of chunk
-	// scratch (256 rows of features for 2,048 plans), and slack.
-	const bytesBudget, perPlanBudget = 48 << 10, 28
+	// Per plan: len(federation.Metrics)·8 B of matrix, and slack.
+	const bytesBudget, perPlanBudget = 40 << 10, 20
 	if perPlan := (largeBytes - smallBytes) / (2048 - 18); largeBytes > bytesBudget || perPlan > perPlanBudget {
 		t.Errorf("kept 2,048-plan sweep: %.0f B (budget %d), %.1f B per plan over the 18-plan sweep (budget %d)",
 			largeBytes, bytesBudget, perPlan, perPlanBudget)
@@ -241,7 +239,7 @@ func TestPlanSweepAllocBudget(t *testing.T) {
 		}
 		sched.ReleaseSweep(sw)
 	})
-	const serveBudget, serveBytesBudget = 26, 6 << 10
+	const serveBudget, serveBytesBudget = 23, 4 << 10
 	if served > serveBudget || servedBytes > serveBytesBudget {
 		t.Errorf("2,048-plan serving cycle: %.1f allocs (budget %d), %.0f B (budget %d)",
 			served, serveBudget, servedBytes, serveBytesBudget)
