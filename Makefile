@@ -9,7 +9,8 @@ COVER_PKGS ?= ./internal/server ./internal/core ./internal/histstore ./internal/
 
 # The micro-benchmarks `make bench-sweep` prints for benchstat: the
 # Q12/Q13 serving sweeps (cached vs uncached), the cold (uncached)
-# window searches the incremental shared-Gram solver owns, the pooled
+# window searches the incremental shared-Gram solver owns and the
+# served-shape one (constant table-size columns, R² bar 0.8), the pooled
 # serving hot path, the PlanSweep full-vs-greedy family over the wide
 # (Example 3.1) lattice, SweepRound (one whole 2,048-plan serving cycle:
 # sweep, decide with its window search, release) and internal/moo's
@@ -20,7 +21,7 @@ COVER_PKGS ?= ./internal/server ./internal/core ./internal/histstore ./internal/
 # and a library sweep that keeps it). The fsync-bound ServeDurable and
 # WALAppendDurable benchmarks are left out — fsync latency is hardware
 # noise.
-SWEEP_PATTERN ?= Q1[23]Sweep|WindowSearchCold|DREAMEstimateUncached|ServeHotPath|PlanSweep|SweepRound|ParetoFront|RouteLookup
+SWEEP_PATTERN ?= Q1[23]Sweep|WindowSearch(Cold|Served)|DREAMEstimateUncached|ServeHotPath|PlanSweep|SweepRound|ParetoFront|RouteLookup
 SWEEP_COUNT ?= 5
 
 # The control-plane tests `make test-cluster` repeats under -race.
@@ -76,7 +77,7 @@ test-bench:
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench ./...
 
-## fuzz-smoke: 20 s of FuzzScan over the one frame decoder, 10 s of FuzzParetoFront against its all-pairs oracle, 10 s of FuzzLinearScoring (arbitrary coefficients, table sizes and plans: the sweep's linear route against its feature-row route), 10 s of FuzzReplay (arbitrary bytes as a shard's WAL, whole as wal.log or split across two segments), 10 s of FuzzDecodeRequest (a poisoned body through one pooled request scratch), then 10 s of FuzzReplicateStream (arbitrary bytes after the replication handshake against a reference replica)
+## fuzz-smoke: 20 s of FuzzScan over the one frame decoder, 10 s of FuzzParetoFront against its all-pairs oracle, 10 s of FuzzLinearScoring (arbitrary coefficients, table sizes, plans and node-choice menus: the sweep's linear route against its feature-row route, and its lattice walk against plan-by-plan scoring), 10 s of FuzzReplay (arbitrary bytes as a shard's WAL, whole as wal.log or split across two segments), 10 s of FuzzDecodeRequest (a poisoned body through one pooled request scratch), then 10 s of FuzzReplicateStream (arbitrary bytes after the replication handshake against a reference replica)
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz=FuzzScan -fuzztime=20s ./internal/framelog
 	$(GO) test -run '^$$' -fuzz=FuzzParetoFront -fuzztime=10s ./internal/moo
@@ -105,12 +106,15 @@ ablate-prune:
 scenarios:
 	$(GO) run ./cmd/midasctl scenarios
 
-## profile-sweep: CPU profiles of the cold window-search benchmarks and of one whole 2,048-plan round (SweepRound, -cpu 1), plus that round's allocation profile sampled at every allocation, into $(PROFILE_DIR)/
+## profile-sweep: CPU profiles of the cold window-search benchmarks, of the served-shape search (WindowSearchServed, -cpu 1) and of one whole 2,048-plan round (SweepRound, -cpu 1), plus that round's allocation profile sampled at every allocation, into $(PROFILE_DIR)/
 profile-sweep:
 	mkdir -p $(PROFILE_DIR)
 	$(GO) test -run '^$$' -bench 'WindowSearchCold' -benchtime 200x \
 		-cpuprofile $(PROFILE_DIR)/cold-sweep.cpu.pprof \
 		-o $(PROFILE_DIR)/cold-sweep.test .
+	$(GO) test -run '^$$' -bench 'WindowSearchServed' -benchtime 200000x -cpu 1 \
+		-cpuprofile $(PROFILE_DIR)/served-search.cpu.pprof \
+		-o $(PROFILE_DIR)/served-search.test .
 	$(GO) test -run '^$$' -bench 'SweepRound' -benchtime 20000x -cpu 1 \
 		-cpuprofile $(PROFILE_DIR)/sweep-round.cpu.pprof \
 		-o $(PROFILE_DIR)/sweep-round.test .

@@ -321,6 +321,75 @@ func BenchmarkWindowSearchCold(b *testing.B) {
 	}
 }
 
+// BenchmarkWindowSearchServed is one uncached window search at the
+// serving shape: the five plan features of one query (its two table
+// sizes constant), the paper's R² bar of 0.8, Mmax = 3·(L+2) = 21, over
+// the history a served 2,048-plan lattice accumulates — 20 bootstrap
+// executions, then the plans three weightings keep choosing. The
+// constant size columns make every plain window singular, so every
+// search takes the ridge fallback (ridged/op), unlike WindowSearchCold's
+// non-collinear data; and the bar ends most growth rounds at the first
+// metric below it. Each op searches the history as it stood after one
+// of the served requests.
+func BenchmarkWindowSearchServed(b *testing.B) {
+	fed, err := federation.WideTopology(1, 32)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cal, err := federation.Calibrate(fed, 0.004, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	exec, err := federation.NewScaledExecutor(fed, cal, 0.1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const mmax = 3 * (federation.FeatureDim + 2)
+	model, err := ires.NewDREAMModel(core.Config{MMax: mmax})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sched, err := ires.NewSchedulerWithConfig(fed, exec, model, ires.SchedulerConfig{NodeChoices: federation.NodeRange(32), Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := sched.Bootstrap(tpch.QueryQ12, 20); err != nil {
+		b.Fatal(err)
+	}
+	var snaps []*core.Snapshot
+	var xs [][]float64
+	for i := 0; i < 60; i++ {
+		d, err := sched.Submit(tpch.QueryQ12, ires.Policy{Weights: [][]float64{{1, 0}, {0, 1}, {1, 1}}[i%3]})
+		if err != nil {
+			b.Fatal(err)
+		}
+		x, err := exec.Features(d.Plan)
+		if err != nil {
+			b.Fatal(err)
+		}
+		snaps, xs = append(snaps, sched.History(tpch.QueryQ12).Snapshot()), append(xs, x)
+	}
+	est, err := core.NewEstimator(core.Config{RequiredR2: core.DefaultRequiredR2, MMax: mmax, CacheSize: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var window, ridged int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e, err := est.EstimateSnapshot(snaps[i%len(snaps)], xs[i%len(xs)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		window += e.WindowSize
+		if e.Metrics[0].Model.Ridge > 0 {
+			ridged++
+		}
+	}
+	b.ReportMetric(float64(window)/float64(b.N), "window/op")
+	b.ReportMetric(float64(ridged)/float64(b.N), "ridged/op")
+}
+
 // ---------------------------------------------------------------------------
 // Plan-space estimation (paper Example 3.1): sweep every enumerated QEP
 // of a query through the Modelling module, with a full Algorithm 1

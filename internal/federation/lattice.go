@@ -124,6 +124,13 @@ func (l *PlanLattice) Dims() (sides, left, right int) {
 	return 2, len(l.left), len(l.right)
 }
 
+// Axes returns the lattice's axes — the feasible cluster sizes at the
+// left and right site, in menu order — as shared slices the caller must
+// treat as read-only. Plan Index(side, li, ri) has NodesLeft left[li]
+// and NodesRight right[ri], so a caller can walk the lattice by its
+// axes without materializing a Plan per point.
+func (l *PlanLattice) Axes() (left, right []int) { return l.left, l.right }
+
 // Index maps a lattice point to its flat position in iteration order
 // (side-major, then left axis, then right axis — the order At and Plans
 // share). side 0 is join-at-left, matching the historic EnumeratePlans

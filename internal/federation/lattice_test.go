@@ -88,13 +88,21 @@ func TestLatticeDimsAndIndex(t *testing.T) {
 	if lat.Size() != sides*left*right {
 		t.Fatalf("Size = %d, want %d", lat.Size(), sides*left*right)
 	}
-	// Index must be the inverse of At's decoding over the whole lattice.
+	// Index must be the inverse of At's decoding over the whole lattice,
+	// and the axes name each point's node counts.
+	la, ra := lat.Axes()
+	if len(la) != left || len(ra) != right {
+		t.Fatalf("Axes = %v × %v, want %d × %d sizes", la, ra, left, right)
+	}
 	i := 0
 	for s := 0; s < sides; s++ {
 		for li := 0; li < left; li++ {
 			for ri := 0; ri < right; ri++ {
 				if got := lat.Index(s, li, ri); got != i {
 					t.Fatalf("Index(%d,%d,%d) = %d, want %d", s, li, ri, got, i)
+				}
+				if p := lat.At(i); p.NodesLeft != la[li] || p.NodesRight != ra[ri] || p.JoinAtLeft != (s == 0) {
+					t.Fatalf("At(%d) = %v, want side %d, %d × %d nodes", i, p, s, la[li], ra[ri])
 				}
 				i++
 			}

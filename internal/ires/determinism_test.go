@@ -194,7 +194,7 @@ func TestSubmitContextCancelled(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 
-	// Example 3.1's lattice, 72 chunks: the model cancels the request
+	// Example 3.1's lattice, 96 chunks: the model cancels the request
 	// while it scores the third one.
 	dream, err := NewDREAMModel(core.Config{MMax: 3 * (federation.FeatureDim + 2)})
 	if err != nil {
@@ -203,10 +203,11 @@ func TestSubmitContextCancelled(t *testing.T) {
 	ctx, cancel = context.WithCancel(context.Background())
 	defer cancel()
 	model := &countingLinearModel{DREAMModel: dream}
-	model.onChunk = func() {
+	model.onChunk = func() error {
 		if model.chunks == 3 {
 			cancel()
 		}
+		return nil
 	}
 	wide := wideStack(t, 5, 96, model, SchedulerConfig{Seed: 5})
 	if err := wide.Bootstrap(tpch.QueryQ12, 24); err != nil {
@@ -215,24 +216,30 @@ func TestSubmitContextCancelled(t *testing.T) {
 	if _, err := wide.SubmitContext(ctx, tpch.QueryQ12, Policy{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if model.rows != 3*sweepChunk {
-		t.Fatalf("%d of 18,432 plans scored after a cancel during chunk 3, want %d", model.rows, 3*sweepChunk)
+	// The full sweep walks the lattice by whole rows of its left axis:
+	// a chunk is one row of 96 right sizes on both sides, 192 plans.
+	if perChunk := 2 * 96; model.chunks != 3 || model.rows != 3*perChunk {
+		t.Fatalf("%d of 18,432 plans scored in %d chunks after a cancel during chunk 3, want %d in 3",
+			model.rows, model.chunks, 3*perChunk)
 	}
 }
 
 // countingLinearModel is a DREAM model that counts the chunks and plans
-// the linear route asks it to score, calling onChunk before each chunk.
+// the linear route asks it to score, calling onChunk before each chunk:
+// an error it returns is the chunk's lookup failure.
 type countingLinearModel struct {
 	*DREAMModel
 	chunks, rows int
-	onChunk      func()
+	onChunk      func() error
 }
 
 func (m *countingLinearModel) LinearModels(s *core.Snapshot, dim, plans int) ([]*regression.Model, error) {
 	m.chunks++
 	m.rows += plans
 	if m.onChunk != nil {
-		m.onChunk()
+		if err := m.onChunk(); err != nil {
+			return nil, err
+		}
 	}
 	return m.DREAMModel.LinearModels(s, dim, plans)
 }
@@ -328,7 +335,8 @@ func TestEstimateLoopStopsAtFirstFailure(t *testing.T) {
 }
 
 // costlessModel scores every plan with a vector of no costs: through the
-// per-plan method alone, or through EstimateRows as well.
+// per-plan method alone, through EstimateRows as well, or as no linear
+// models.
 type costlessModel struct{}
 
 func (costlessModel) Name() string { return "costless" }
@@ -345,6 +353,12 @@ func (costlessBatchModel) EstimateRows(dst []float64, _ *core.Snapshot, _ []floa
 	return dst, nil
 }
 
+type costlessLinearModel struct{ costlessBatchModel }
+
+func (costlessLinearModel) LinearModels(*core.Snapshot, int, int) ([]*regression.Model, error) {
+	return nil, nil
+}
+
 // A model with nothing to say about a plan is refused at the first
 // chunk, naming the plan, on both routes and by every caller of the
 // estimation loop: 2,048 empty vectors would all be "non-dominated" and
@@ -356,6 +370,7 @@ func TestSweepRefusesCostlessModel(t *testing.T) {
 	}{
 		{"per-plan", costlessModel{}},
 		{"batch", costlessBatchModel{}},
+		{"linear", costlessLinearModel{}},
 	} {
 		s := wideStack(t, 5, 16, &scriptedModel{}, SchedulerConfig{Seed: 5})
 		if err := s.Bootstrap(tpch.QueryQ12, 20); err != nil {
@@ -446,30 +461,61 @@ func TestSweepFailureNamesPlan(t *testing.T) {
 			}
 		}
 	}
+
+	// A walk that fails mid-sweep names its failing chunk's first plan in
+	// lattice order: at 2,048 plans chunk 3 starts at left row 8, side 0.
+	dream, err := NewDREAMModel(core.Config{MMax: 3 * (federation.FeatureDim + 2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	errChunk := errors.New("scripted chunk failure")
+	model := &countingLinearModel{DREAMModel: dream}
+	model.onChunk = func() error {
+		if model.chunks == 3 {
+			return errChunk
+		}
+		return nil
+	}
+	s := wideStack(t, 5, 32, model, SchedulerConfig{Seed: 5})
+	if err := s.Bootstrap(tpch.QueryQ12, 24); err != nil {
+		t.Fatal(err)
+	}
+	lat, err := s.lattice(tpch.QueryQ12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = s.PlanSweep(context.Background(), tpch.QueryQ12)
+	if want := "ires: estimating " + lat.At(lat.Index(0, 8, 0)).String(); err == nil || !strings.HasPrefix(err.Error(), want) || !errors.Is(err, errChunk) {
+		t.Errorf("chunk 3 of a walk fails: err = %v, want %q… wrapping %v", err, want, errChunk)
+	}
 }
 
-// TestSweepCountsLookupsPerPlan: a 2,048-plan sweep adds 2,048 lookups
-// to the model cache — one miss and 2,047 hits on a fresh history
-// version — and one window search, on the linear route and on the row
-// route alike, so core.cache_hit_ratio and midas_model_cache_hits_total
-// mean the same whichever route a round takes.
+// TestSweepCountsLookupsPerPlan: an n-plan sweep adds n lookups to the
+// model cache — one miss and n−1 hits on a fresh history version — and
+// one window search, on the linear route and on the row route alike, so
+// core.cache_hit_ratio and midas_model_cache_hits_total mean the same
+// whichever route a round takes. At 2,048 plans a walk's chunk is four
+// left rows, at 18,432 one.
 func TestSweepCountsLookupsPerPlan(t *testing.T) {
-	for _, linear := range []bool{true, false} {
-		dream, model := routeModel(t, linear)
-		s := wideStack(t, 42, 32, model, SchedulerConfig{Seed: 42})
-		if err := s.Bootstrap(tpch.QueryQ12, 24); err != nil {
-			t.Fatal(err)
-		}
-		before := dream.EstimatorStats()
-		sw, err := s.PlanSweep(context.Background(), tpch.QueryQ12)
-		if err != nil {
-			t.Fatal(err)
-		}
-		after := dream.EstimatorStats()
-		if hits, misses, searches := after.CacheHits-before.CacheHits, after.CacheMisses-before.CacheMisses,
-			after.WindowSearches-before.WindowSearches; len(sw.Plans) != 2048 || misses != 1 || hits != 2047 || searches != 1 {
-			t.Errorf("linear %v: %d plans: %d misses, %d hits, %d window searches; want 2,048: 1, 2,047, 1",
-				linear, len(sw.Plans), misses, hits, searches)
+	for _, maxNodes := range []int{32, 96} {
+		n := 2 * maxNodes * maxNodes
+		for _, linear := range []bool{true, false} {
+			dream, model := routeModel(t, linear)
+			s := wideStack(t, 42, maxNodes, model, SchedulerConfig{Seed: 42})
+			if err := s.Bootstrap(tpch.QueryQ12, 24); err != nil {
+				t.Fatal(err)
+			}
+			before := dream.EstimatorStats()
+			sw, err := s.PlanSweep(context.Background(), tpch.QueryQ12)
+			if err != nil {
+				t.Fatal(err)
+			}
+			after := dream.EstimatorStats()
+			if hits, misses, searches := after.CacheHits-before.CacheHits, after.CacheMisses-before.CacheMisses,
+				after.WindowSearches-before.WindowSearches; len(sw.Plans) != n || misses != 1 || hits != uint64(n-1) || searches != 1 {
+				t.Errorf("linear %v: %d plans: %d misses, %d hits, %d window searches; want %d: 1, %d, 1",
+					linear, len(sw.Plans), misses, hits, searches, n, n-1)
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package ires
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"math"
@@ -211,6 +212,14 @@ func requireLinearMatchesRows(t testing.TB, models []*regression.Model, plans []
 	if err != nil || len(got) != 1+len(want) || got[0] != 42 {
 		t.Fatalf("%d plans, %d metrics: %d values, prefix %v, %v", len(plans), len(models), len(got), got[:1], err)
 	}
+	requireSameBits(t, "linear", got[1:], "rows", want, models, plans, leftMiB, rightMiB)
+}
+
+// requireSameBits fails unless got and want, k = len(models) costs per
+// plan, have the same bits — any NaN for a NaN when a coefficient or
+// table size is itself NaN (see requireLinearMatchesRows).
+func requireSameBits(t testing.TB, gotName string, got []float64, wantName string, want []float64, models []*regression.Model, plans []federation.Plan, leftMiB, rightMiB float64) {
+	t.Helper()
 	nanIn := math.IsNaN(leftMiB) || math.IsNaN(rightMiB)
 	for _, m := range models {
 		for _, b := range m.Beta {
@@ -218,12 +227,49 @@ func requireLinearMatchesRows(t testing.TB, models []*regression.Model, plans []
 		}
 	}
 	for i, w := range want {
-		if g := got[1+i]; math.Float64bits(g) != math.Float64bits(w) && !(nanIn && math.IsNaN(g) && math.IsNaN(w)) {
+		if g := got[i]; math.Float64bits(g) != math.Float64bits(w) && !(nanIn && math.IsNaN(g) && math.IsNaN(w)) {
 			k := len(models)
-			t.Fatalf("plan %d (%v) of %d, metric %d, sizes %v/%v, β %v: linear %v (%#x), rows %v (%#x)",
-				i/k, plans[i/k], len(plans), i%k, leftMiB, rightMiB, models[i%k].Beta, g, math.Float64bits(g), w, math.Float64bits(w))
+			t.Fatalf("plan %d (%v) of %d, metric %d, sizes %v/%v, β %v: %s %v (%#x), %s %v (%#x)",
+				i/k, plans[i/k], len(plans), i%k, leftMiB, rightMiB, models[i%k].Beta,
+				gotName, g, math.Float64bits(g), wantName, w, math.Float64bits(w))
 		}
 	}
+}
+
+// fixedLinear is a LinearCostModel whose every fit lookup returns
+// models; nothing else of it is called.
+type fixedLinear struct {
+	LinearCostModel
+	models []*regression.Model
+}
+
+func (m fixedLinear) LinearModels(*core.Snapshot, int, int) ([]*regression.Model, error) {
+	return m.models, nil
+}
+
+// requireWalkMatchesPlans fails unless a full sweep's walk of lat
+// scores exactly appendLinearCosts' bits over lat.Plans() — and so,
+// through requireLinearMatchesRows, the row route's.
+func requireWalkMatchesPlans(t testing.TB, models []*regression.Model, lat *federation.PlanLattice, leftMiB, rightMiB float64) {
+	t.Helper()
+	ps := &planSweeper{lat: lat, linear: fixedLinear{models: models}, leftMiB: leftMiB, rightMiB: rightMiB, buf: new(sweepBuf)}
+	costs, err := ps.walk(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	plans := lat.Plans()
+	want, err := appendLinearCosts(nil, models, plans, leftMiB, rightMiB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if costs.Len() != len(plans) || costs.Len()*len(models) != len(want) {
+		t.Fatalf("walk scored %d plans, the lattice has %d", costs.Len(), len(plans))
+	}
+	got := make([]float64, 0, len(want))
+	for i := 0; i < costs.Len(); i++ {
+		got = append(got, costs.Row(i)...)
+	}
+	requireSameBits(t, "walk", got, "plans", want, models, plans, leftMiB, rightMiB)
 }
 
 // linearModel is a fitted-looking model over the plan features.
@@ -292,9 +338,75 @@ func TestLinearScoringMatchesRows(t *testing.T) {
 	}
 }
 
+// TestLatticeScoringMatchesPlans: a full sweep on the linear route
+// walks the lattice by its axes, bit for bit as appendLinearCosts scores
+// lat.Plans() — over random and adversarial coefficients and table sizes
+// (±0, denormals, overflow, ±Inf, NaN), one to three metrics, sorted,
+// unsorted and asymmetric menus, and lattices of 18, 48, 2,048 and
+// 18,432 plans, whose chunks hold several left rows, one, or a partial
+// last group.
+func TestLatticeScoringMatchesPlans(t *testing.T) {
+	pool := []float64{0, math.Copysign(0, -1), 1, -1, 0.5, -3.25, 5e-324, -5e-324, 2.2e-308,
+		1e300, -1e300, math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN(), 1e-5, 7, 1 << 20}
+	lattice := func(fed *federation.Federation, err error, menu []int) *federation.PlanLattice {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		lat, err := fed.PlanLattice(tpch.QueryQ12, menu)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return lat
+	}
+	def, derr := federation.DefaultTopology(28)
+	wide32, werr := federation.WideTopology(28, 32)
+	wide96, verr := federation.WideTopology(28, 96)
+	for _, tc := range []struct {
+		lat    *federation.PlanLattice
+		trials int
+	}{
+		{lattice(def, derr, []int{1, 2, 4}), 300},
+		{lattice(def, derr, []int{3, 1, 16, 2, 5, 4}), 300}, // {3,1,16,2,5,4} × {3,1,2,4}
+		{lattice(wide32, werr, federation.NodeRange(32)), 60},
+		{lattice(wide32, werr, []int{32, 7, 1, 30, 2, 9, 15, 3, 8}), 60},
+		{lattice(wide96, verr, federation.NodeRange(96)), 12},
+	} {
+		rng := rand.New(rand.NewSource(int64(tc.lat.Size())))
+		draw := func(scale float64) float64 {
+			if rng.Intn(5) == 0 {
+				return pool[rng.Intn(len(pool))]
+			}
+			return rng.NormFloat64() * scale
+		}
+		for trial := 0; trial < tc.trials; trial++ {
+			models := make([]*regression.Model, 1+trial%3)
+			for mi := range models {
+				beta := make([]float64, federation.FeatureDim+1)
+				for j := range beta {
+					beta[j] = draw(10)
+				}
+				models[mi] = linearModel(beta)
+			}
+			leftMiB, rightMiB := math.Abs(rng.NormFloat64()*500), math.Abs(rng.NormFloat64()*50)
+			if trial%7 == 0 {
+				leftMiB, rightMiB = draw(500), draw(50)
+			}
+			requireWalkMatchesPlans(t, models, tc.lat, leftMiB, rightMiB)
+			if trial < 6 {
+				requireLinearMatchesRows(t, models, tc.lat.Plans(), leftMiB, rightMiB)
+			}
+		}
+	}
+}
+
 // FuzzLinearScoring decodes arbitrary coefficients (six float64s per
 // metric), table sizes and plans (two int16 node counts and a join byte
-// each) and holds the linear route to the row route's bits.
+// each) and holds the linear route to the row route's bits; then it
+// decodes a node-choice menu (one byte a size, 1–96, repeats skipped),
+// builds the lattice it gives on a topology whose sites cap at 96 and
+// 24 nodes, and holds the walk of that lattice to appendLinearCosts'
+// bits over its plans.
 func FuzzLinearScoring(f *testing.F) {
 	le := binary.LittleEndian
 	floats := func(vs ...float64) []byte {
@@ -305,10 +417,15 @@ func FuzzLinearScoring(f *testing.F) {
 		return b
 	}
 	inf, nan, negZero := math.Inf(1), math.NaN(), math.Copysign(0, -1)
-	f.Add(12.5, 3.0, floats(1, 2, 3, 4, 5, 6, -100, 0.5, 0.25, -7, 2, -1), []byte{1, 0, 2, 0, 1, 16, 0, 3, 0, 0})
-	f.Add(0.0, negZero, floats(negZero, inf, -inf, nan, 5e-324, 0), []byte{0, 0, 0, 0, 0, 255, 255, 1, 128, 1})
-	f.Add(1e308, -1e308, floats(1e300, 1e300, 1e300, -1e300, 1e-320, inf), []byte{7, 0, 9, 0, 0})
-	f.Fuzz(func(t *testing.T, leftMiB, rightMiB float64, coefs, raw []byte) {
+	fed, err := federation.WideTopology(28, 96)
+	if err != nil {
+		f.Fatal(err)
+	}
+	fed.Sites["postgres-azure"].MaxNodes = 24 // Q12's right site: the axes differ
+	f.Add(12.5, 3.0, floats(1, 2, 3, 4, 5, 6, -100, 0.5, 0.25, -7, 2, -1), []byte{1, 0, 2, 0, 1, 16, 0, 3, 0, 0}, []byte{2, 0, 1})
+	f.Add(0.0, negZero, floats(negZero, inf, -inf, nan, 5e-324, 0), []byte{0, 0, 0, 0, 0, 255, 255, 1, 128, 1}, []byte{40, 3, 90, 23, 3, 7})
+	f.Add(1e308, -1e308, floats(1e300, 1e300, 1e300, -1e300, 1e-320, inf), []byte{7, 0, 9, 0, 0}, []byte{30, 31})
+	f.Fuzz(func(t *testing.T, leftMiB, rightMiB float64, coefs, raw, menuRaw []byte) {
 		k := min(len(coefs)/(8*(federation.FeatureDim+1)), 9)
 		if k == 0 {
 			return
@@ -328,5 +445,17 @@ func FuzzLinearScoring(f *testing.F) {
 				NodesLeft: int(int16(le.Uint16(b))), NodesRight: int(int16(le.Uint16(b[2:])))}
 		}
 		requireLinearMatchesRows(t, models, plans, leftMiB, rightMiB)
+
+		var menu []int
+		seen := map[int]bool{}
+		for _, b := range menuRaw {
+			if n := 1 + int(b)%96; !seen[n] {
+				seen[n] = true
+				menu = append(menu, n)
+			}
+		}
+		if lat, err := fed.PlanLattice(tpch.QueryQ12, menu); err == nil {
+			requireWalkMatchesPlans(t, models, lat, leftMiB, rightMiB)
+		}
 	})
 }

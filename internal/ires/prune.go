@@ -198,14 +198,7 @@ const sweepChunk = 256
 // it is scored. ctx is checked between chunks.
 func (ps *planSweeper) estimate(ctx context.Context, plans []federation.Plan) (moo.CostMatrix, error) {
 	n := len(plans)
-	var flat []float64
-	if ps.lent {
-		flat = make([]float64, 0, n*len(federation.Metrics))
-	} else {
-		ps.lent = true
-		ps.buf.costs = slices.Grow(ps.buf.costs[:0], n*len(federation.Metrics))
-		flat = ps.buf.costs
-	}
+	flat := ps.matrix(n * len(federation.Metrics))
 	k := 0 // cost-vector length, fixed by the first chunk
 	for lo := 0; lo < n; lo += sweepChunk {
 		if err := ctx.Err(); err != nil {
@@ -234,6 +227,67 @@ func (ps *planSweeper) estimate(ctx context.Context, plans []federation.Plan) (m
 	}
 	return moo.FlatCostMatrix(flat, k)
 }
+
+// matrix returns an empty cost-matrix backing with room for n values:
+// the round's pooled one on the first call, a fresh one after.
+func (ps *planSweeper) matrix(n int) []float64 {
+	if ps.lent {
+		return make([]float64, 0, n)
+	}
+	ps.lent = true
+	ps.buf.costs = slices.Grow(ps.buf.costs[:0], n)
+	return ps.buf.costs
+}
+
+// walk is a full sweep on the linear route: the whole lattice scored
+// by its axes into one matrix in lattice order, bit for bit what
+// estimate over lat.Plans() gives. A chunk is whole rows of the left
+// axis, both sides — at most sweepChunk plans, at least one row — with
+// estimate's per-chunk steps: a ctx check, one fit lookup counted as
+// the chunk's plans, and a failure that names the chunk's first plan in
+// lattice order.
+func (ps *planSweeper) walk(ctx context.Context) (moo.CostMatrix, error) {
+	lat := ps.lat
+	left, right := lat.Axes()
+	rows := walkRows(len(right))
+	var flat []float64
+	k := 0
+	for lo := 0; lo < len(left); lo += rows {
+		if err := ctx.Err(); err != nil {
+			return moo.CostMatrix{}, err
+		}
+		hi := min(lo+rows, len(left))
+		n := 2 * (hi - lo) * len(right)
+		first := lat.At(lat.Index(0, lo, 0))
+		if ps.sizeErr != nil {
+			return moo.CostMatrix{}, fmt.Errorf("ires: features of %v: %w", first, ps.sizeErr)
+		}
+		models, err := ps.linear.LinearModels(ps.snap, federation.FeatureDim, n)
+		if err == nil {
+			err = checkLinear(models)
+		}
+		if err != nil {
+			return moo.CostMatrix{}, fmt.Errorf("ires: estimating %v: %w", first, err)
+		}
+		if lo == 0 {
+			if k = len(models); k == 0 {
+				return moo.CostMatrix{}, fmt.Errorf("ires: model returned no costs for %v", first)
+			}
+			flat = ps.matrix(lat.Size() * k)[:lat.Size()*k]
+		}
+		if len(models) != k {
+			return moo.CostMatrix{}, fmt.Errorf("ires: model returned %d costs for %d plans, want %d each",
+				len(models)*n, n, k)
+		}
+		walkLinearCosts(flat, models, left[lo:hi], right, lo*len(right)*k, len(left)*len(right)*k, ps.leftMiB, ps.rightMiB)
+	}
+	return moo.FlatCostMatrix(flat, k)
+}
+
+// walkRows is how many rows of the left axis one chunk of walk scores
+// when the right axis has n sizes: as many as fit in sweepChunk plans
+// over both sides, at least one.
+func walkRows(n int) int { return max(1, sweepChunk/(2*n)) }
 
 // scoreLinear is the linear route: one fit lookup for the chunk, then
 // appendLinearCosts at the query's table sizes.
@@ -282,54 +336,100 @@ func (ps *planSweeper) scoreRows(dst []float64, chunk []federation.Plan) ([]floa
 // per-metric models give the plan's feature row — what
 // federation.AppendFeatures writes at the given table sizes — each value
 // clamped at zero: bit for bit what regression.Model.PredictRows over
-// those rows and a clamp give, without the rows. Within a query the
-// rows differ only in their last three features, so each metric's
-// β₀ + β₁·leftMiB + β₂·rightMiB is summed once per call; that prefix is
-// also Predict's first two steps, and the other three terms are added
-// to it in Predict's order. No fused multiply-add, no other
-// reassociation, and the join term is multiplied even when it is 0, as
-// Predict does: an infinite β₅ still gives NaN. A model that is not
-// over FeatureDim features is regression.ErrDimension, with nothing
-// appended.
+// those rows and a clamp give, without the rows. It is the kernel for
+// plans in any order (GreedyPrune's scattered subsets); walkLinearCosts
+// is the one for a whole lattice. A model that is not over FeatureDim
+// features is regression.ErrDimension, with nothing appended.
 func appendLinearCosts(dst []float64, models []*regression.Model, plans []federation.Plan, leftMiB, rightMiB float64) ([]float64, error) {
-	for _, m := range models {
-		if m.L != federation.FeatureDim {
-			return dst, fmt.Errorf("%w: model has %d features, plans have %d", regression.ErrDimension, m.L, federation.FeatureDim)
-		}
+	if err := checkLinear(models); err != nil {
+		return dst, err
 	}
 	k, at := len(models), len(dst)
 	dst = slices.Grow(dst, len(plans)*k)[:at+len(plans)*k]
 	out := dst[at:]
-	// Two metrics per pass over the plans — the served pair in one — each
-	// as {β₀ + β₁·leftMiB + β₂·rightMiB, β₃, β₄, β₅}. An odd last metric
-	// pairs with itself (d = 0): it is scored twice and its first store
-	// overwritten.
-	terms := func(m *regression.Model) [4]float64 {
-		b := m.Beta[:federation.FeatureDim+1]
-		return [4]float64{b[0] + b[1]*leftMiB + b[2]*rightMiB, b[3], b[4], b[5]}
-	}
+	// Two metrics per pass over the plans — the served pair in one. An
+	// odd last metric pairs with itself (d = 0): it is scored twice and
+	// its first store overwritten.
 	for lo := 0; lo < k; lo += 2 {
 		next := min(lo+1, k-1)
-		a, b, d := terms(models[lo]), terms(models[next]), next-lo
+		a, b, d := linearTerms(models[lo], leftMiB, rightMiB), linearTerms(models[next], leftMiB, rightMiB), next-lo
 		for i, p := range plans {
 			nl, nr, join := float64(p.NodesLeft), float64(p.NodesRight), 0.0
 			if p.JoinAtLeft {
 				join = 1
 			}
-			ca := a[0] + a[1]*nl + a[2]*nr + a[3]*join
-			cb := b[0] + b[1]*nl + b[2]*nr + b[3]*join
-			if ca < 0 {
-				ca = 0
-			}
-			if cb < 0 {
-				cb = 0
-			}
 			row := out[i*k+lo:]
-			row[d] = cb
-			row[0] = ca
+			row[d] = clampCost(b[0] + b[1]*nl + b[2]*nr + b[3]*join)
+			row[0] = clampCost(a[0] + a[1]*nl + a[2]*nr + a[3]*join)
 		}
 	}
 	return dst, nil
+}
+
+// walkLinearCosts is appendLinearCosts over whole rows of a lattice:
+// it writes the costs of every plan whose left node count is in left,
+// for every right node count in right, on both sides, into out — side
+// 0 (join at left) from out[at], side 1 from out[at+side], k values per
+// plan in lattice order. Each metric's β₀ + β₁·leftMiB + β₂·rightMiB +
+// β₃·nl is summed once per left size and + β₄·nr once per (left, right)
+// pair, then the join term is added for each side: Predict's
+// intermediates in Predict's order, so every bit is appendLinearCosts'.
+// The models must have passed checkLinear.
+func walkLinearCosts(out []float64, models []*regression.Model, left, right []int, at, side int, leftMiB, rightMiB float64) {
+	k, w := len(models), len(right)*len(models)
+	for lo := 0; lo < k; lo += 2 {
+		next := min(lo+1, k-1)
+		a, b, d := linearTerms(models[lo], leftMiB, rightMiB), linearTerms(models[next], leftMiB, rightMiB), next-lo
+		// β₅·join for join 1 and 0; the multiply by 0 stays, so an
+		// infinite β₅ still gives NaN.
+		aj1, aj0, bj1, bj0 := a[3]*1, a[3]*0, b[3]*1, b[3]*0
+		for li, nl := range left {
+			x := float64(nl)
+			ua, ub := a[0]+a[1]*x, b[0]+b[1]*x
+			o := at + li*w
+			s0, s1 := out[o:o+w], out[side+o:side+o+w]
+			for ri, nr := range right {
+				y := float64(nr)
+				ta, tb := ua+a[2]*y, ub+b[2]*y
+				r0, r1 := s0[ri*k+lo:], s1[ri*k+lo:]
+				r0[d] = clampCost(tb + bj1)
+				r0[0] = clampCost(ta + aj1)
+				r1[d] = clampCost(tb + bj0)
+				r1[0] = clampCost(ta + aj0)
+			}
+		}
+	}
+}
+
+// checkLinear is regression.ErrDimension unless every model is over
+// FeatureDim features.
+func checkLinear(models []*regression.Model) error {
+	for _, m := range models {
+		if m.L != federation.FeatureDim {
+			return fmt.Errorf("%w: model has %d features, plans have %d", regression.ErrDimension, m.L, federation.FeatureDim)
+		}
+	}
+	return nil
+}
+
+// linearTerms is m's {β₀ + β₁·leftMiB + β₂·rightMiB, β₃, β₄, β₅}: the
+// table-size terms are the same for every plan of a query, and their
+// sum is Predict's first two steps. Both linear kernels add the node
+// and join terms to it in Predict's order — no fused multiply-add, no
+// other reassociation, and the join term is multiplied even when it is
+// 0, as Predict does.
+func linearTerms(m *regression.Model, leftMiB, rightMiB float64) [4]float64 {
+	b := m.Beta[:federation.FeatureDim+1]
+	return [4]float64{b[0] + b[1]*leftMiB + b[2]*rightMiB, b[3], b[4], b[5]}
+}
+
+// clampCost clamps a predicted cost at zero. Not max: −0 and NaN pass
+// through, as clampRows leaves them.
+func clampCost(c float64) float64 {
+	if c < 0 {
+		return 0
+	}
+	return c
 }
 
 // plansAt returns the lattice's plans at the given positions.
@@ -373,7 +473,13 @@ func (fullSweep) Name() string { return "full" }
 
 func (fullSweep) sweep(ctx context.Context, ps *planSweeper) ([]federation.Plan, moo.CostMatrix, error) {
 	plans := ps.lat.Plans()
-	costs, err := ps.estimate(ctx, plans)
+	var costs moo.CostMatrix
+	var err error
+	if ps.linear != nil {
+		costs, err = ps.walk(ctx)
+	} else {
+		costs, err = ps.estimate(ctx, plans)
+	}
 	if err != nil {
 		return nil, moo.CostMatrix{}, err
 	}

@@ -58,22 +58,24 @@ func (ch *Cholesky) Factorize(a *Matrix, ridge float64) error {
 	}
 
 	for i := 0; i < n; i++ {
+		ai, li := a.data[i*a.cols:][:n], l[i*n:][:n]
 		for j := 0; j <= i; j++ {
-			s := a.data[i*a.cols+j]
+			lj := l[j*n:][:j+1]
+			s := ai[j]
 			if i == j {
 				s += ridge
 			}
-			for k := 0; k < j; k++ {
-				s -= l[i*n+k] * l[j*n+k]
+			for k, v := range lj[:j] {
+				s -= li[k] * v
 			}
 			if i == j {
 				if s <= tol {
 					ch.n = 0 // invalidate: a failed factor must not be solved against
 					return ErrSingular
 				}
-				l[i*n+i] = math.Sqrt(s)
+				li[i] = math.Sqrt(s)
 			} else {
-				l[i*n+j] = s / l[j*n+j]
+				li[j] = s / lj[j]
 			}
 		}
 	}
@@ -115,11 +117,12 @@ func (ch *Cholesky) SolveVecInto(dst, b []float64) error {
 	l := ch.l
 	// Forward: L·y = b.
 	for i := 0; i < n; i++ {
+		li := l[i*n:][:i+1]
 		s := b[i]
-		for k := 0; k < i; k++ {
-			s -= l[i*n+k] * dst[k]
+		for k, v := range li[:i] {
+			s -= v * dst[k]
 		}
-		dst[i] = s / l[i*n+i]
+		dst[i] = s / li[i]
 	}
 	// Backward: Lᵀ·x = y.
 	for i := n - 1; i >= 0; i-- {

@@ -96,6 +96,12 @@ func (m *Matrix) Row(i int) []float64 {
 	return out
 }
 
+// RowView returns row i as a view into m's storage, for reading in a
+// loop that must not allocate: a later write to m shows through it.
+func (m *Matrix) RowView(i int) []float64 {
+	return m.data[i*m.cols : (i+1)*m.cols : (i+1)*m.cols]
+}
+
 // Col returns a copy of column j.
 func (m *Matrix) Col(j int) []float64 {
 	out := make([]float64, m.rows)

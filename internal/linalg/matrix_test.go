@@ -171,6 +171,12 @@ func TestRowColClone(t *testing.T) {
 	if a.At(1, 0) != 3 {
 		t.Error("Row aliases the matrix")
 	}
+	b := a.Clone()
+	v := b.RowView(0)
+	b.Set(0, 1, 7) // must show through, and an append must not reach row 1
+	if len(v) != 2 || v[1] != 7 || append(v, 0)[0] != 1 || b.At(1, 0) != 3 {
+		t.Errorf("RowView(0) = %v of %v", v, b)
+	}
 	c := a.Col(1)
 	if c[0] != 2 || c[1] != 4 {
 		t.Errorf("Col = %v, want [2 4]", c)

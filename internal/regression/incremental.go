@@ -17,9 +17,12 @@ import (
 //   - AddObservation folds one execution into every metric at once:
 //     O(L² + K·L).
 //   - Solve factors the shared Gram exactly once per window size
-//     (Cholesky, O(L³)) and back-substitutes K times (O(K·L²)),
-//     deriving each SSE algebraically from the incrementally-maintained
-//     centered co-moments so R² needs no second pass over the window.
+//     (Cholesky, O(L³)); a metric's back-substitution (O(L²)) runs the
+//     first time R2, Beta or Model asks for that metric after the
+//     Solve, deriving its SSE algebraically from the
+//     incrementally-maintained centered co-moments so R² needs no
+//     second pass over the window. A window search that stops at the
+//     first metric below its R² bar never solves the others.
 //
 // The design matrix never materializes and no per-window state is
 // rebuilt, which turns the window search's total cost from
@@ -51,11 +54,14 @@ type IncrementalFitter struct {
 	colSums  []float64      // scratch: Gram row 0 (column sums of A) before the update
 
 	// Solve outputs, overwritten by the next Solve or AddObservation.
+	// Metric m's beta, sse, sst and r2 are valid once done[m] is set:
+	// Solve clears every flag, metric sets one.
 	chol     linalg.Cholesky
 	beta     []float64 // K stacked coefficient vectors
 	betac    []float64 // scratch: mean-shifted coefficients for the SSE form
 	sse, sst []float64 // per metric error decomposition
 	r2       []float64
+	done     []bool
 	ridge    float64 // effective regularizer of the last Solve
 	fellBack bool    // last Solve needed the automatic ridge fallback
 	solved   bool
@@ -92,6 +98,10 @@ func (f *IncrementalFitter) Reset(l, k int) {
 	f.sse = resizeZero(f.sse, k)
 	f.sst = resizeZero(f.sst, k)
 	f.r2 = resizeZero(f.r2, k)
+	if cap(f.done) < k {
+		f.done = make([]bool, k)
+	}
+	f.done = f.done[:k]
 	if cap(f.acc) < k {
 		f.acc = make([]stats.Online, k)
 	}
@@ -163,18 +173,20 @@ func (f *IncrementalFitter) AddObservation(x []float64, costs []float64) error {
 	return nil
 }
 
-// Solve fits all K metrics against the current window: one Cholesky
-// factorization of the shared Gram, K back-substitutions, and a
-// closed-form error decomposition per metric. The ridge semantics
-// mirror Fit exactly: an explicit opts.Ridge is applied up front; a
-// singular plain window retries once with RidgeFallback unless
-// DisableRidgeFallback is set. Solve allocates nothing, so it can run
-// once per growth step of a window search.
+// Solve fits the current window: one Cholesky factorization of the
+// shared Gram. Each metric's back-substitution and closed-form error
+// decomposition wait until R2, Beta or Model first asks for it, so the
+// results are the same whichever metrics are read, in whatever order.
+// The ridge semantics mirror Fit exactly: an explicit opts.Ridge is
+// applied up front; a singular plain window retries once with
+// RidgeFallback unless DisableRidgeFallback is set. Solve allocates
+// nothing, so it can run once per growth step of a window search.
 func (f *IncrementalFitter) Solve(opts FitOptions) error {
 	if f.n < MinObservations(f.l) {
 		return fmt.Errorf("%w: have %d, need at least %d for %d variables",
 			ErrTooFewObservations, f.n, MinObservations(f.l), f.l)
 	}
+	f.solved = false
 	ridge := opts.Ridge
 	fellBack := false
 	err := f.chol.Factorize(f.gram, ridge)
@@ -186,59 +198,67 @@ func (f *IncrementalFitter) Solve(opts FitOptions) error {
 	if err != nil {
 		return err
 	}
-
-	p := f.l + 1
-	for m := 0; m < f.k; m++ {
-		b := f.rhs[m*p : (m+1)*p]
-		beta := f.beta[m*p : (m+1)*p]
-		if err := f.chol.SolveVecInto(beta, b); err != nil {
-			return err
-		}
-		// SSE = ‖c − Aβ‖² in centered form. Shifting the intercept by
-		// the response mean (β̃ = β with β̃₀ −= c̄) turns the fitted
-		// values into deviations, so with d = c − c̄ and q = Aᵀd:
-		//
-		//   SSE = ‖d − Aβ̃‖² = Σd² − 2·β̃ᵀq + β̃ᵀ(AᵀA)β̃
-		//
-		// an identity for *any* β̃ (no normal-equation or ridge
-		// assumption), whose every term is O(‖d‖²) — immune to the
-		// catastrophic cancellation the naive cᵀc − βᵀ(Aᵀc) form
-		// suffers when a metric's mean dwarfs its spread. Σd² and q are
-		// maintained incrementally, so no pass over the window is
-		// needed. Clamp at 0: the combination can go epsilon-negative
-		// on near-perfect fits.
-		mean := f.acc[m].Mean()
-		copy(f.betac, beta)
-		f.betac[0] -= mean
-		q := f.comoment[m*p : (m+1)*p]
-		var bq, bgb float64
-		for j, bj := range f.betac {
-			bq += bj * q[j]
-			var s float64
-			for i, bi := range f.betac {
-				s += f.gram.At(j, i) * bi
-			}
-			bgb += bj * s
-		}
-		sse := f.acc[m].SumSquaredDeviations() - 2*bq + bgb
-		if sse < 0 {
-			sse = 0
-		}
-		sst := f.acc[m].SumSquaredDeviations()
-		f.sse[m], f.sst[m] = sse, sst
-		// Same convention as stats.RSquared: a constant response carries
-		// no variance to explain.
-		switch {
-		case sst != 0:
-			f.r2[m] = 1 - sse/sst
-		case sse == 0:
-			f.r2[m] = 1
-		default:
-			f.r2[m] = 0
-		}
-	}
+	clear(f.done)
 	f.ridge, f.fellBack, f.solved = ridge, fellBack, true
 	return nil
+}
+
+// metric back-substitutes metric m against the last Solve's factor and
+// derives its SSE and R², once per Solve.
+func (f *IncrementalFitter) metric(m int) {
+	if f.done[m] {
+		return
+	}
+	p := f.l + 1
+	b := f.rhs[m*p : (m+1)*p]
+	beta := f.beta[m*p : (m+1)*p]
+	if err := f.chol.SolveVecInto(beta, b); err != nil {
+		// The factor is (L+1)×(L+1) after a successful Solve, as are b and beta.
+		panic("regression: " + err.Error())
+	}
+	// SSE = ‖c − Aβ‖² in centered form. Shifting the intercept by the
+	// response mean (β̃ = β with β̃₀ −= c̄) turns the fitted values into
+	// deviations, so with d = c − c̄ and q = Aᵀd:
+	//
+	//   SSE = ‖d − Aβ̃‖² = Σd² − 2·β̃ᵀq + β̃ᵀ(AᵀA)β̃
+	//
+	// an identity for *any* β̃ (no normal-equation or ridge assumption),
+	// whose every term is O(‖d‖²) — immune to the catastrophic
+	// cancellation the naive cᵀc − βᵀ(Aᵀc) form suffers when a metric's
+	// mean dwarfs its spread. Σd² and q are maintained incrementally, so
+	// no pass over the window is needed. Clamp at 0: the combination can
+	// go epsilon-negative on near-perfect fits.
+	mean := f.acc[m].Mean()
+	copy(f.betac, beta)
+	f.betac[0] -= mean
+	q := f.comoment[m*p : (m+1)*p]
+	var bq, bgb float64
+	for j, bj := range f.betac {
+		bq += bj * q[j]
+		g := f.gram.RowView(j)
+		var s float64
+		for i, bi := range f.betac {
+			s += g[i] * bi
+		}
+		bgb += bj * s
+	}
+	sse := f.acc[m].SumSquaredDeviations() - 2*bq + bgb
+	if sse < 0 {
+		sse = 0
+	}
+	sst := f.acc[m].SumSquaredDeviations()
+	f.sse[m], f.sst[m] = sse, sst
+	// Same convention as stats.RSquared: a constant response carries no
+	// variance to explain.
+	switch {
+	case sst != 0:
+		f.r2[m] = 1 - sse/sst
+	case sse == 0:
+		f.r2[m] = 1
+	default:
+		f.r2[m] = 0
+	}
+	f.done[m] = true
 }
 
 func (f *IncrementalFitter) mustSolved(what string) {
@@ -251,6 +271,7 @@ func (f *IncrementalFitter) mustSolved(what string) {
 // Solve.
 func (f *IncrementalFitter) R2(m int) float64 {
 	f.mustSolved("R2")
+	f.metric(m)
 	return f.r2[m]
 }
 
@@ -259,6 +280,7 @@ func (f *IncrementalFitter) R2(m int) float64 {
 // Solve, or Reset.
 func (f *IncrementalFitter) Beta(m int) []float64 {
 	f.mustSolved("Beta")
+	f.metric(m)
 	p := f.l + 1
 	return f.beta[m*p : (m+1)*p]
 }
@@ -279,6 +301,7 @@ func (f *IncrementalFitter) Ridge() (ridge float64, fellBack bool) {
 // once per Solve so K sibling models share one copy.
 func (f *IncrementalFitter) Model(m int, factor *linalg.Cholesky) *Model {
 	f.mustSolved("Model")
+	f.metric(m)
 	p := f.l + 1
 	beta := make([]float64, p)
 	copy(beta, f.beta[m*p:(m+1)*p])

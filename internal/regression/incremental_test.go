@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/linalg"
 	"repro/internal/stats"
 )
 
@@ -354,6 +355,222 @@ func TestIncrementalResetReuses(t *testing.T) {
 	}
 }
 
+// eagerFit is one Solve's results for every metric, as eagerSolve
+// computes them.
+type eagerFit struct {
+	beta         [][]float64
+	sse, sst, r2 []float64
+	ridge        float64
+	fellBack     bool
+}
+
+// eagerSolve is a copy of the fitter's Solve from before metrics were
+// solved lazily: the shared Gram factored with the Cholesky loops
+// indexed as i*n+k, then every metric back-substituted and scored at
+// once. TestIncrementalSolveLazyMatchesEager holds the lazy fitter to
+// its bits. It reads f's state and changes none of it.
+func eagerSolve(f *IncrementalFitter, opts FitOptions) (*eagerFit, error) {
+	if f.n < MinObservations(f.l) {
+		return nil, ErrTooFewObservations
+	}
+	ridge := opts.Ridge
+	fellBack := false
+	l, err := eagerFactor(f.gram, ridge)
+	if errors.Is(err, linalg.ErrSingular) && ridge == 0 && !opts.DisableRidgeFallback {
+		ridge = fallbackRidge(f.gram)
+		fellBack = true
+		l, err = eagerFactor(f.gram, ridge)
+	}
+	if err != nil {
+		return nil, err
+	}
+	p := f.l + 1
+	out := &eagerFit{ridge: ridge, fellBack: fellBack,
+		sse: make([]float64, f.k), sst: make([]float64, f.k), r2: make([]float64, f.k)}
+	for m := 0; m < f.k; m++ {
+		b := f.rhs[m*p : (m+1)*p]
+		beta := make([]float64, p)
+		for i := 0; i < p; i++ {
+			s := b[i]
+			for k := 0; k < i; k++ {
+				s -= l[i*p+k] * beta[k]
+			}
+			beta[i] = s / l[i*p+i]
+		}
+		for i := p - 1; i >= 0; i-- {
+			s := beta[i]
+			for k := i + 1; k < p; k++ {
+				s -= l[k*p+i] * beta[k]
+			}
+			beta[i] = s / l[i*p+i]
+		}
+		out.beta = append(out.beta, beta)
+		mean := f.acc[m].Mean()
+		betac := append([]float64(nil), beta...)
+		betac[0] -= mean
+		q := f.comoment[m*p : (m+1)*p]
+		var bq, bgb float64
+		for j, bj := range betac {
+			bq += bj * q[j]
+			var s float64
+			for i, bi := range betac {
+				s += f.gram.At(j, i) * bi
+			}
+			bgb += bj * s
+		}
+		sse := f.acc[m].SumSquaredDeviations() - 2*bq + bgb
+		if sse < 0 {
+			sse = 0
+		}
+		sst := f.acc[m].SumSquaredDeviations()
+		out.sse[m], out.sst[m] = sse, sst
+		switch {
+		case sst != 0:
+			out.r2[m] = 1 - sse/sst
+		case sse == 0:
+			out.r2[m] = 1
+		default:
+			out.r2[m] = 0
+		}
+	}
+	return out, nil
+}
+
+// eagerFactor is linalg.Cholesky.Factorize as it was before it indexed
+// row sub-slices: the factor of a + ridge·I, row-major.
+func eagerFactor(a *linalg.Matrix, ridge float64) ([]float64, error) {
+	n := a.Rows()
+	l := make([]float64, n*n)
+	var maxDiag float64
+	for i := 0; i < n; i++ {
+		if d := math.Abs(a.At(i, i) + ridge); d > maxDiag {
+			maxDiag = d
+		}
+	}
+	tol := 1e-12 * maxDiag
+	if tol == 0 {
+		tol = 1e-12
+	}
+	for i := 0; i < n; i++ {
+		for j := 0; j <= i; j++ {
+			s := a.At(i, j)
+			if i == j {
+				s += ridge
+			}
+			for k := 0; k < j; k++ {
+				s -= l[i*n+k] * l[j*n+k]
+			}
+			if i == j {
+				if s <= tol {
+					return nil, linalg.ErrSingular
+				}
+				l[i*n+i] = math.Sqrt(s)
+			} else {
+				l[i*n+j] = s / l[j*n+j]
+			}
+		}
+	}
+	return l, nil
+}
+
+// TestIncrementalSolveLazyMatchesEager: after every Solve, each metric's
+// coefficients, R², SSE, SST and the ridge read back from the lazy
+// fitter carry exactly eagerSolve's bits — whichever metrics are read,
+// in whatever order, however many observations arrive between a partial
+// read and the next Solve. Histories are random (any width, some
+// collinear), served-shape (the query's two table sizes constant, so
+// every plain window is singular and takes the ridge fallback, as the
+// window search's do), and solved with an explicit ridge now and then.
+func TestIncrementalSolveLazyMatchesEager(t *testing.T) {
+	rng := stats.NewRNG(28)
+	bits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	fellBack := 0
+	for trial := 0; trial < 300; trial++ {
+		served := trial%2 == 1
+		l, k := 1+int(rng.Uniform(0, 6)), 1+int(rng.Uniform(0, 4))
+		var obs []multiSample
+		if served {
+			l, k = 5, 2
+			obs = servedWindow(rng, 40, k)
+		} else {
+			obs = linearWindow(rng, 40, l, k, rng.Uniform(0, 5), trial%5 == 0)
+		}
+		opts := FitOptions{}
+		if trial%7 == 0 {
+			opts.Ridge = 1e-3
+		}
+		f := NewIncrementalFitter(l, k)
+		for i, o := range obs {
+			if err := f.AddObservation(o.x, o.costs); err != nil {
+				t.Fatal(err)
+			}
+			if i+1 < MinObservations(l) {
+				continue
+			}
+			want, wantErr := eagerSolve(f, opts)
+			if err := f.Solve(opts); (err == nil) != (wantErr == nil) {
+				t.Fatalf("trial %d, n %d: Solve %v, eager %v", trial, i+1, err, wantErr)
+			}
+			if wantErr != nil {
+				continue
+			}
+			ridge, fb := f.Ridge()
+			if !bits(ridge, want.ridge) || fb != want.fellBack {
+				t.Fatalf("trial %d, n %d: ridge %v/%v, eager %v/%v", trial, i+1, ridge, fb, want.ridge, want.fellBack)
+			}
+			if fb {
+				fellBack++
+			}
+			// Read a random subset of the metrics in a random order —
+			// sometimes none, so the next observation lands on a fitter
+			// whose metrics were never solved.
+			for _, m := range rng.Perm(k)[:int(rng.Uniform(0, float64(k)+1))] {
+				var model *Model
+				if rng.Uniform(0, 1) < 0.5 {
+					model = f.Model(m, nil)
+				}
+				if !bits(f.R2(m), want.r2[m]) {
+					t.Fatalf("trial %d, n %d, metric %d: R² %v, eager %v", trial, i+1, m, f.R2(m), want.r2[m])
+				}
+				for j, b := range f.Beta(m) {
+					if !bits(b, want.beta[m][j]) {
+						t.Fatalf("trial %d, n %d, metric %d: β[%d] %v, eager %v", trial, i+1, m, j, b, want.beta[m][j])
+					}
+				}
+				if model == nil {
+					model = f.Model(m, nil)
+				}
+				if !bits(model.SSE, want.sse[m]) || !bits(model.SST, want.sst[m]) || !bits(model.R2, want.r2[m]) {
+					t.Fatalf("trial %d, n %d, metric %d: SSE/SST/R² %v/%v/%v, eager %v/%v/%v", trial, i+1, m,
+						model.SSE, model.SST, model.R2, want.sse[m], want.sst[m], want.r2[m])
+				}
+			}
+		}
+	}
+	if fellBack == 0 {
+		t.Error("no Solve took the ridge fallback")
+	}
+}
+
+// servedWindow draws n observations of the serving shape: features
+// [left MiB, right MiB, nodes left, nodes right, join at left] with the
+// two table sizes fixed for the query, costs linear in the node counts
+// plus noise.
+func servedWindow(rng *stats.RNG, n, k int) []multiSample {
+	leftMiB, rightMiB := rng.Uniform(10, 900), rng.Uniform(1, 90)
+	out := make([]multiSample, n)
+	for i := range out {
+		nl, nr := float64(1+int(rng.Uniform(0, 32))), float64(1+int(rng.Uniform(0, 32)))
+		join := float64(int(rng.Uniform(0, 2)))
+		costs := make([]float64, k)
+		for m := range costs {
+			costs[m] = float64(m+1)*(40/nl+9/nr) + 3*join + rng.Normal(0, 0.5)
+		}
+		out[i] = multiSample{x: []float64{leftMiB, rightMiB, nl, nr, join}, costs: costs}
+	}
+	return out
+}
+
 // ---------------------------------------------------------------------------
 
 // BenchmarkIncrementalVsBatchFit contrasts the two solvers on the exact
@@ -391,6 +608,9 @@ func BenchmarkIncrementalVsBatchFit(b *testing.B) {
 			for w := minM; ; w++ {
 				if err := f.Solve(FitOptions{}); err != nil {
 					b.Fatal(err)
+				}
+				for metric := 0; metric < k; metric++ {
+					f.R2(metric) // the batch side scores every metric too
 				}
 				if w == m {
 					break
