@@ -30,7 +30,7 @@ CLUSTER_PATTERN ?= Cluster|Chaos|Failover|Stream|Handoff|Adopt|Readyz|Durable|Dr
 # Where the `make profile-*` targets drop their profiles.
 PROFILE_DIR ?= profiles
 
-.PHONY: all build vet fmt-check lint linkcheck test test-cpus test-cluster test-short test-bench fuzz-smoke bench bench-smoke bench-sweep bench-json ablate-prune scenarios profile-sweep profile-cluster profile-serve cover help
+.PHONY: all build vet fmt-check lint loc linkcheck test test-cpus test-cluster test-short test-bench fuzz-smoke bench bench-smoke bench-sweep bench-json ablate-prune scenarios profile-sweep profile-cluster profile-serve cover help
 
 all: build lint test test-bench
 
@@ -51,6 +51,12 @@ fmt-check:
 
 ## lint: vet + gofmt check
 lint: vet fmt-check
+
+## loc: non-test Go lines per package and in total, over every non-test .go file outside bench/
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -print0 | xargs -0 wc -l | \
+		awk '$$2 != "total" { dir = $$2; sub(/\/[^\/]*$$/, "", dir); lines[dir] += $$1; sum += $$1 } \
+			END { for (d in lines) printf "%7d  %s\n", lines[d], d | "sort -k2"; close("sort -k2"); printf "%7d  total\n", sum }'
 
 ## linkcheck: validate markdown cross-links and anchors (offline, no external URLs)
 linkcheck:
@@ -77,7 +83,7 @@ test-bench:
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench ./...
 
-## fuzz-smoke: 20 s of FuzzScan over the one frame decoder, 10 s of FuzzParetoFront against its all-pairs oracle, 10 s of FuzzLinearScoring (arbitrary coefficients, table sizes, plans and node-choice menus: the sweep's linear route against its feature-row route, and its lattice walk against plan-by-plan scoring), 10 s of FuzzReplay (arbitrary bytes as a shard's WAL, whole as wal.log or split across two segments), 10 s of FuzzDecodeRequest (a poisoned body through one pooled request scratch), then 10 s of FuzzReplicateStream (arbitrary bytes after the replication handshake against a reference replica)
+## fuzz-smoke: 20 s of FuzzScan over the one frame decoder, 10 s of FuzzParetoFront against its all-pairs oracle, 10 s of FuzzLinearScoring (arbitrary coefficients, table sizes, plans and node-choice menus: the sweep's linear route against Model.Predict, and its lattice walk against plan-by-plan scoring), 10 s of FuzzReplay (arbitrary bytes as a shard's WAL, whole as wal.log or split across two segments), 10 s of FuzzDecodeRequest (a poisoned body through one pooled request scratch), then 10 s of FuzzReplicateStream (arbitrary bytes after the replication handshake against a reference replica)
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz=FuzzScan -fuzztime=20s ./internal/framelog
 	$(GO) test -run '^$$' -fuzz=FuzzParetoFront -fuzztime=10s ./internal/moo

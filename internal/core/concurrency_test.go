@@ -1,17 +1,10 @@
 package core
 
 import (
-	"errors"
 	"fmt"
-	"math"
-	"math/rand"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"repro/internal/federation"
-	"repro/internal/regression"
 )
 
 // seedHistory builds a 1-feature history with n noisy-linear
@@ -450,143 +443,6 @@ func TestFitCacheCachesErrors(t *testing.T) {
 	}
 	if hits, misses := c.stats(); searches != 1 || hits != 4 || misses != 1 {
 		t.Errorf("searches %d, hits %d, misses %d; want 1, 4, 1", searches, hits, misses)
-	}
-}
-
-// TestPredictRowsMatchesPerPlan: a chunk yields, bit for bit, what its
-// rows yield one by one, and the cache counts it as that many lookups —
-// one miss and n−1 hits on a fresh version, n hits after — while paying
-// for one; with caching off it is one window search per chunk.
-func TestPredictRowsMatchesPerPlan(t *testing.T) {
-	h := seedHistory(t, 40)
-	s := h.Snapshot()
-	xs := []float64{0, 3, 7.5, 11, 16, 40, -2}
-	for _, cacheSize := range []int{0, -1} {
-		ref, err := NewEstimator(Config{MMax: 15, CacheSize: cacheSize})
-		if err != nil {
-			t.Fatal(err)
-		}
-		est, err := NewEstimator(Config{MMax: 15, CacheSize: cacheSize})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var want []float64
-		for _, x := range xs {
-			if want, err = ref.PredictSnapshot(want, s, []float64{x}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		prefix := []float64{42}
-		for call := 0; call < 2; call++ {
-			got, err := est.PredictRows(prefix, s, xs, 1)
-			if err != nil || fmt.Sprint(got) != fmt.Sprint(append([]float64{42}, want...)) {
-				t.Fatalf("cache %d: PredictRows = %v, %v; row by row %v", cacheSize, got, err, want)
-			}
-		}
-		st, refSt := est.Stats(), ref.Stats()
-		n := uint64(len(xs))
-		if cacheSize == 0 {
-			if st.WindowSearches != 1 || st.CacheMisses != 1 || st.CacheHits != 2*n-1 {
-				t.Errorf("cached: %d searches, %d misses, %d hits for two chunks of %d rows", st.WindowSearches, st.CacheMisses, st.CacheHits, n)
-			}
-			if refSt.CacheMisses != 1 || refSt.CacheHits != n-1 {
-				t.Errorf("row by row: %d misses, %d hits for %d rows", refSt.CacheMisses, refSt.CacheHits, n)
-			}
-		} else if st.WindowSearches != 2 || refSt.WindowSearches != n {
-			t.Errorf("uncached: %d searches for two chunks, %d for %d rows", st.WindowSearches, refSt.WindowSearches, n)
-		}
-		// No rows: nothing appended, nothing counted, nothing searched.
-		if got, err := est.PredictRows(prefix, s, nil, 1); err != nil || len(got) != 1 || est.Stats() != st {
-			t.Errorf("empty chunk: %v, %v, stats %+v → %+v", got, err, st, est.Stats())
-		}
-		if _, err := est.PredictRows(nil, s, xs, 2); err == nil {
-			t.Error("rows of the wrong width accepted")
-		}
-	}
-	t.Run("kernel is Predict", testPredictRowsIsPredict)
-}
-
-// The chunk kernel is Model.Predict, bit for bit, at every remainder of
-// the four-row body: row counts 0–9 and around a sweep chunk, the widths
-// and metric counts the schedulers use, features that include negatives,
-// signed zeros, denormals, overflowing magnitudes and ±Inf (so Inf and
-// NaN results too). A non-empty dst keeps its prefix, and an xs that is
-// not whole rows, or rows of the wrong width, is ErrDimension with
-// nothing appended and nothing counted.
-func testPredictRowsIsPredict(t *testing.T) {
-	pool := []float64{0, math.Copysign(0, -1), 1.5, -3.25, 5e-324, -5.5e-309, 1e300, -1e300,
-		math.Inf(1), math.Inf(-1), 7, 1e-5, -42, 3, 0.1, 1 << 20}
-	for _, dim := range []int{1, federation.FeatureDim} {
-		for _, metrics := range [][]string{{"time_s"}, federation.BreakdownMetrics} {
-			h, err := NewHistory(dim, metrics...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rng := rand.New(rand.NewSource(int64(23*dim + len(metrics))))
-			for i := 0; i < 40; i++ {
-				o := Observation{X: make([]float64, dim), Costs: make([]float64, len(metrics))}
-				for j := range o.X {
-					o.X[j] = rng.NormFloat64() * 10
-				}
-				for j := range o.Costs {
-					o.Costs[j] = 3*o.X[0] - float64(j)*o.X[dim-1] + rng.NormFloat64()
-				}
-				if err := h.Append(o); err != nil {
-					t.Fatal(err)
-				}
-			}
-			s := h.Snapshot()
-			est, err := NewEstimator(Config{MMax: 3 * (dim + 2)})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 255, 256, 257} {
-				xs := make([]float64, n*dim)
-				for i := range xs {
-					if xs[i] = rng.NormFloat64() * 100; rng.Intn(4) == 0 {
-						xs[i] = pool[rng.Intn(len(pool))]
-					}
-				}
-				prefix := append(make([]float64, 0, 1+n*len(metrics)), 42)
-				got, err := est.PredictRows(prefix, s, xs, dim)
-				if err != nil || len(got) != 1+n*len(metrics) || got[0] != 42 {
-					t.Fatalf("dim %d, %d metrics, %d rows: %d values, prefix %v, %v", dim, len(metrics), n, len(got), got[:1], err)
-				}
-				for i := 0; i < n; i++ {
-					row := xs[i*dim : (i+1)*dim]
-					e, err := est.EstimateSnapshot(s, row)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for k, me := range e.Metrics {
-						want, err := me.Model.Predict(row)
-						if g := got[1+i*len(metrics)+k]; err != nil || math.Float64bits(g) != math.Float64bits(want) {
-							t.Fatalf("dim %d, %d metrics, row %d of %d, metric %d: kernel %v (%#x), Predict %v (%#x), %v",
-								dim, len(metrics), i, n, k, g, math.Float64bits(g), want, math.Float64bits(want), err)
-						}
-					}
-				}
-				st := est.Stats()
-				type badChunk struct {
-					name string
-					xs   []float64
-					dim  int
-				}
-				bad := []badChunk{{"rows of another width", xs, dim + 1}}
-				if dim > 1 {
-					bad = append(bad, badChunk{"a trailing partial row", append(slices.Clone(xs), 1), dim})
-				}
-				for _, tc := range bad {
-					got, err := est.PredictRows(prefix, s, tc.xs, tc.dim)
-					if err == nil || got != nil || est.Stats() != st {
-						t.Errorf("dim %d, %d rows, %s: %v, %v, stats %+v → %+v", dim, n, tc.name, got, err, st, est.Stats())
-					}
-					if tc.dim == dim && !errors.Is(err, regression.ErrDimension) {
-						t.Errorf("dim %d, %d rows, %s: %v is not regression.ErrDimension", dim, n, tc.name, err)
-					}
-				}
-			}
-		}
 	}
 }
 

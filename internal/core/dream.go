@@ -17,7 +17,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -560,46 +559,24 @@ type windowFit struct {
 // EstimateSnapshot(s, x).Values() and the errors are the same; what it
 // skips is the per-metric diagnostics (R², model, the prediction
 // interval behind StdErr), which a scheduler scoring one plan among
-// thousands never reads. It is PredictRows over one row.
+// thousands never reads. An error leaves nothing appended.
 func (e *Estimator) PredictSnapshot(dst []float64, s *Snapshot, x []float64) ([]float64, error) {
-	return e.PredictRows(dst, s, x, len(x))
-}
-
-// PredictRows is PredictSnapshot for a chunk of plans: xs holds their
-// feature vectors back to back, dim values each, and the cost vectors
-// are appended to dst in the same order, one value per metric — what
-// PredictSnapshot would append row by row, bit for bit. The chunk pays
-// for one fit lookup (Models) and then one regression.Model.PredictRows
-// pass per metric, which checks the model's width once. xs that is not
-// whole rows of dim is regression.ErrDimension; an error leaves nothing
-// appended.
-func (e *Estimator) PredictRows(dst []float64, s *Snapshot, xs []float64, dim int) ([]float64, error) {
-	if err := s.checkDim(dim); err != nil {
-		return nil, err
-	}
-	if len(xs)%dim != 0 {
-		return nil, fmt.Errorf("core: %w: %d feature values are not rows of %d", regression.ErrDimension, len(xs), dim)
-	}
-	n := len(xs) / dim
-	if n == 0 {
-		return dst, nil
-	}
-	models, err := e.Models(s, dim, n)
+	models, err := e.Models(s, len(x), 1)
 	if err != nil {
 		return nil, err
 	}
-	k := len(models)
-	out := slices.Grow(dst, n*k)[:len(dst)+n*k]
-	for mi, model := range models {
-		if err := model.PredictRows(out[len(dst)+mi:], k, xs, dim); err != nil {
+	for _, m := range models {
+		v, err := m.Predict(x)
+		if err != nil {
 			return nil, err
 		}
+		dst = append(dst, v)
 	}
-	return out, nil
+	return dst, nil
 }
 
 // Models returns the per-metric models, in metric order, that Algorithm
-// 1 selects for the snapshot: what PredictRows evaluates, for a caller
+// 1 selects for the snapshot: what PredictSnapshot evaluates, for a caller
 // that scores plans of dim features with them itself. It is one fit
 // lookup (the checks, the cache, the single-flight wait), which the
 // model cache counts as plans ≥ 1 lookups, so a chunk reads on the hit

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"sync"
@@ -270,4 +271,156 @@ func TestIncrementalSearchDeterministicUnderConcurrency(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
+}
+
+// TestWindowSearchInvariants holds Algorithm 1's chosen window to its
+// definition on seeded snapshots: L 1–6 features, K 1–3 metrics, R² bars
+// 0.5, 0.8, 0.99 and 1, MMax 0, L+2, 3(L+2) and past what is retained,
+// both growth policies, with and without a retention bound, and the
+// served shape, where the first two (table-size) columns are constant.
+//
+//   - L+2 ≤ m ≤ Len − Base: the window never reaches past RetainedBase;
+//   - Converged exactly when every returned R² meets the bar;
+//   - m = mmax when not converged;
+//   - under GrowByOne, every smaller window fails the bar by batch
+//     regression.Fit (windows within 1e-9 of the bar are skipped).
+func TestWindowSearchInvariants(t *testing.T) {
+	rng := stats.NewRNG(29)
+	snapshots, grown, climbed := 0, 0, 0
+	for l := 1; l <= 6; l++ {
+		for k := 1; k <= 3; k++ {
+			metrics := make([]string, k)
+			for i := range metrics {
+				metrics[i] = fmt.Sprintf("m%d", i)
+			}
+			for _, bar := range []float64{0.5, 0.8, 0.99, 1} {
+				for trial := 0; trial < 8; trial++ {
+					minM := regression.MinObservations(l)
+					h := mustHistory(t, l, metrics...)
+					retain := 0
+					if rng.Intn(2) == 0 {
+						retain = minM + rng.Intn(3*minM)
+						h.SetRetain(retain)
+					}
+					served := l >= 2 && rng.Intn(2) == 0
+					noise := []float64{0, 0.2, 1, 20}[rng.Intn(4)]
+					// The newest tail observations sit in a tight cluster,
+					// where noise swamps the signal, so the search has a
+					// reason to grow into the older, spread-out ones.
+					tail := rng.Intn(3 * minM)
+					betas := make([][]float64, k)
+					for n := range betas {
+						betas[n] = make([]float64, l+1)
+						for j := range betas[n] {
+							betas[n][j] = rng.Uniform(-5, 5)
+						}
+					}
+					total := minM + rng.Intn(6*minM) + 2*retain
+					for i := 0; i < total; i++ {
+						clustered := i >= total-tail
+						x := make([]float64, l)
+						for j := range x {
+							switch {
+							case served:
+								x[j] = float64(1 + rng.Intn(8))
+							case clustered:
+								x[j] = 5 + rng.Uniform(-0.01, 0.01)
+							default:
+								x[j] = rng.Uniform(0, 10)
+							}
+						}
+						if served {
+							x[0], x[1] = 120, 12
+						}
+						sd := noise
+						if clustered {
+							sd = max(noise, 1)
+						}
+						costs := make([]float64, k)
+						for n, b := range betas {
+							costs[n] = b[0] + rng.Normal(0, sd)
+							for j, xj := range x {
+								costs[n] += b[j+1] * xj
+							}
+						}
+						if err := h.Append(Observation{X: x, Costs: costs}); err != nil {
+							t.Fatal(err)
+						}
+					}
+
+					s := h.Snapshot()
+					held := s.Len() - s.Base()
+					mmax := []int{0, minM, 3 * minM, held + 5}[trial%4]
+					growth := []GrowthPolicy{GrowByOne, Doubling}[trial/4]
+					e := mustEstimator(t, Config{RequiredR2: bar, MMax: mmax, Growth: growth, CacheSize: -1})
+					est, err := e.EstimateSnapshot(s, make([]float64, l))
+					if err != nil {
+						t.Fatal(err)
+					}
+					snapshots++
+					m := est.WindowSize
+					where := fmt.Sprintf("L %d, K %d, bar %v, MMax %d, growth %d, retain %d, served %v, %d appended, m %d",
+						l, k, bar, mmax, growth, retain, served, total, m)
+					if base := RetainedBase(uint64(s.Len()), uint64(retain)); uint64(s.Base()) != base {
+						t.Fatalf("%s: base %d, RetainedBase %d", where, s.Base(), base)
+					}
+					if m < minM || m > held {
+						t.Fatalf("%s: window outside [L+2, Len−Base] = [%d, %d]", where, minM, held)
+					}
+					meets := true
+					for _, me := range est.Metrics {
+						meets = meets && me.R2 >= bar
+					}
+					if est.Converged != meets {
+						t.Fatalf("%s: converged %v, R² %v", where, est.Converged, est.Metrics)
+					}
+					if want := max(min(cmp.Or(mmax, held), held), minM); !est.Converged && m != want {
+						t.Fatalf("%s: not converged below mmax %d", where, want)
+					}
+					if m > minM {
+						grown++
+					}
+					if growth != GrowByOne {
+						continue
+					}
+					if est.Converged && m > minM {
+						climbed++
+					}
+					for w := minM; w < m; w++ {
+						if !windowFailsBar(t, s, w, bar) {
+							t.Fatalf("%s: the window of %d already meets the bar", where, w)
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d snapshots, %d grown windows, %d converged past L+2 by GrowByOne", snapshots, grown, climbed)
+	if snapshots < 500 || grown < snapshots/10 || climbed < 20 {
+		t.Errorf("too few searches grew their window")
+	}
+}
+
+// windowFailsBar reports whether some metric's batch fit over the w
+// newest observations of s falls below bar — or any is within 1e-9 of
+// it, too close to call against the incremental fit.
+func windowFailsBar(t *testing.T, s *Snapshot, w int, bar float64) bool {
+	t.Helper()
+	window := s.obs[len(s.obs)-w:]
+	fails := false
+	for n := 0; n < s.NumMetrics(); n++ {
+		samples := make([]regression.Sample, w)
+		for i, o := range window {
+			samples[i] = regression.Sample{X: o.X, C: o.Costs[n]}
+		}
+		model, err := regression.Fit(samples, regression.FitOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(model.R2-bar) <= 1e-9 {
+			return true
+		}
+		fails = fails || model.R2 < bar
+	}
+	return fails
 }

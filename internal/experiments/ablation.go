@@ -144,8 +144,7 @@ type shuffledHistoryModel struct {
 
 func (m shuffledHistoryModel) Name() string { return "dream_uniform" }
 
-func (m shuffledHistoryModel) Estimate(h *core.History, x []float64) ([]float64, error) {
-	s := h.Snapshot()
+func (m shuffledHistoryModel) EstimateSnapshot(s *core.Snapshot, x []float64) ([]float64, error) {
 	shuffled, err := core.NewHistory(s.Dim(), s.Metrics()...)
 	if err != nil {
 		return nil, err
@@ -157,7 +156,7 @@ func (m shuffledHistoryModel) Estimate(h *core.History, x []float64) ([]float64,
 			return nil, err
 		}
 	}
-	return m.dream.Estimate(shuffled, x)
+	return m.dream.EstimateSnapshot(shuffled.Snapshot(), x)
 }
 
 // AblationRecency contrasts DREAM's most-recent window with a uniform
@@ -299,12 +298,13 @@ func AblationOptimizer(opts AblationOptions) (*Table, error) {
 		return nil, err
 	}
 	costs := make([][]float64, len(plans))
+	snap := sched.History(tpch.QueryQ12).Snapshot()
 	for i, p := range plans {
 		x, err := exec.Features(p)
 		if err != nil {
 			return nil, err
 		}
-		c, err := dream.Estimate(sched.History(tpch.QueryQ12), x)
+		c, err := dream.EstimateSnapshot(snap, x)
 		if err != nil {
 			return nil, err
 		}

@@ -57,7 +57,7 @@ func RunExample31(opts Example31Options) (*Example31Result, *Table, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	history := evalRes.History
+	history := evalRes.History.Snapshot()
 
 	exec, err := federation.NewScaledExecutor(h.Fed, h.Cal, 0.1)
 	if err != nil {
@@ -92,21 +92,21 @@ func RunExample31(opts Example31Options) (*Example31Result, *Table, error) {
 	res := &Example31Result{PaperPlanCount: 70 * 260, PlansEstimated: len(features)}
 	start := time.Now()
 	for _, x := range features {
-		if _, err := dream.Estimate(history, x); err != nil {
+		if _, err := dream.EstimateSnapshot(history, x); err != nil {
 			return nil, nil, err
 		}
 	}
 	res.DreamNS = time.Since(start).Nanoseconds()
 	start = time.Now()
 	for _, x := range features {
-		if _, err := dreamCached.Estimate(history, x); err != nil {
+		if _, err := dreamCached.EstimateSnapshot(history, x); err != nil {
 			return nil, nil, err
 		}
 	}
 	res.DreamCachedNS = time.Since(start).Nanoseconds()
 	start = time.Now()
 	for _, x := range features {
-		if _, err := bml.Estimate(history, x); err != nil {
+		if _, err := bml.EstimateSnapshot(history, x); err != nil {
 			return nil, nil, err
 		}
 	}

@@ -192,7 +192,7 @@ func TestShuffledHistoryModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recent, err := dream.Estimate(h, []float64{5})
+	recent, err := dream.EstimateSnapshot(h.Snapshot(), []float64{5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,11 +200,11 @@ func TestShuffledHistoryModel(t *testing.T) {
 		t.Fatalf("most-recent estimate = %v, want 50", recent[0])
 	}
 	uniform := shuffledHistoryModel{dream: dream, seed: 3}
-	a, err := uniform.Estimate(h, []float64{5})
+	a, err := uniform.EstimateSnapshot(h.Snapshot(), []float64{5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := uniform.Estimate(h, []float64{5})
+	b, err := uniform.EstimateSnapshot(h.Snapshot(), []float64{5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -140,7 +140,7 @@ func planScore(s *ires.Scheduler, p federation.Plan, pol ires.Policy) (float64, 
 	if err != nil {
 		return 0, err
 	}
-	c, err := s.Model.Estimate(s.History(p.Query), x)
+	c, err := s.Model.EstimateSnapshot(s.History(p.Query).Snapshot(), x)
 	if err != nil {
 		return 0, err
 	}

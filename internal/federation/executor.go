@@ -21,8 +21,9 @@ type Executor interface {
 // the sizes in bytes of a query's two input tables, which is everything
 // about a feature vector that is the executor's to know. An executor
 // that has it promises Features(p) = Features(p, InputBytes(p.Query)),
-// so a sweep resolves the sizes once per query and writes its feature
-// rows with AppendFeatures instead of asking plan by plan.
+// so a sweep over a linear model resolves the sizes once per query and
+// applies the coefficients to the plans' node counts instead of asking
+// for feature vectors plan by plan.
 type InputSizer interface {
 	InputBytes(q tpch.QueryID) (leftBytes, rightBytes float64, err error)
 }

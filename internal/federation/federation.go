@@ -197,8 +197,7 @@ func Features(p Plan, leftBytes, rightBytes float64) []float64 {
 
 // AppendFeatures appends Features(p, …) to dst for input tables of the
 // given sizes in MiB — the unit conversion is the caller's, once per
-// query, not once per plan: the form a sweep uses to lay a chunk of
-// plans out as FeatureDim-wide rows of one buffer.
+// query, not once per plan.
 func AppendFeatures(dst []float64, p Plan, leftMiB, rightMiB float64) []float64 {
 	joinLeft := 0.0
 	if p.JoinAtLeft {

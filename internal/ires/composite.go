@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/federation"
 )
 
 // CompositeDREAMModel is the operator-level variant of the DREAM
@@ -45,35 +44,22 @@ const (
 	bdCount // len(federation.BreakdownMetrics)
 )
 
-// Estimate implements CostModel. The returned vector is in
+// EstimateSnapshot implements CostModel: one prediction of the pieces,
+// then the composition rule. The returned vector is in
 // federation.Metrics order (time, money) regardless of the history's
 // extended metric set.
-func (m *CompositeDREAMModel) Estimate(h *core.History, x []float64) ([]float64, error) {
-	return m.EstimateSnapshot(h.Snapshot(), x)
-}
-
-// EstimateSnapshot implements SnapshotCostModel.
 func (m *CompositeDREAMModel) EstimateSnapshot(s *core.Snapshot, x []float64) ([]float64, error) {
-	return m.EstimateRows(make([]float64, 0, len(federation.Metrics)), s, x, len(x))
-}
-
-// EstimateRows implements BatchCostModel: one prediction of the pieces
-// for the whole chunk, then the composition rule row by row.
-func (m *CompositeDREAMModel) EstimateRows(dst []float64, s *core.Snapshot, xs []float64, dim int) ([]float64, error) {
 	if n := s.NumMetrics(); n != bdCount {
 		return nil, fmt.Errorf("ires: composite model needs a %d-metric breakdown history, got %d", bdCount, n)
 	}
-	pieces, err := m.Est.PredictRows(nil, s, xs, dim)
+	pieces, err := m.Est.PredictSnapshot(make([]float64, 0, bdCount), s, x)
 	if err != nil {
 		return nil, err
 	}
 	clampRows(pieces)
-	for ; len(pieces) > 0; pieces = pieces[bdCount:] {
-		prep := pieces[bdLeft]
-		if pieces[bdRight] > prep {
-			prep = pieces[bdRight]
-		}
-		dst = append(dst, prep+pieces[bdShip]+pieces[bdFinal], pieces[bdMoney])
+	prep := pieces[bdLeft]
+	if pieces[bdRight] > prep {
+		prep = pieces[bdRight]
 	}
-	return dst, nil
+	return []float64{prep + pieces[bdShip] + pieces[bdFinal], pieces[bdMoney]}, nil
 }

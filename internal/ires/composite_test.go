@@ -24,7 +24,7 @@ func TestCompositeModelValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Estimate(h, make([]float64, federation.FeatureDim)); err == nil {
+	if _, err := m.EstimateSnapshot(h.Snapshot(), make([]float64, federation.FeatureDim)); err == nil {
 		t.Error("2-metric history accepted by composite model")
 	}
 }
@@ -62,7 +62,7 @@ func TestCompositeModelReassemblesTime(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := []float64{100, 10, 2, 2, 1}
-	got, err := m.Estimate(h, x)
+	got, err := m.EstimateSnapshot(h.Snapshot(), x)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -244,8 +244,8 @@ func (m *countingLinearModel) LinearModels(s *core.Snapshot, dim, plans int) ([]
 	return m.DREAMModel.LinearModels(s, dim, plans)
 }
 
-// scriptedModel is a CostModel whose n-th Estimate call (1-based) runs
-// onCall first and fails from call failFrom on.
+// scriptedModel is a CostModel whose n-th EstimateSnapshot call
+// (1-based) runs onCall first and fails from call failFrom on.
 type scriptedModel struct {
 	calls    int
 	failFrom int
@@ -254,7 +254,7 @@ type scriptedModel struct {
 
 func (m *scriptedModel) Name() string { return "scripted" }
 
-func (m *scriptedModel) Estimate(h *core.History, x []float64) ([]float64, error) {
+func (m *scriptedModel) EstimateSnapshot(_ *core.Snapshot, x []float64) ([]float64, error) {
 	m.calls++
 	if m.onCall != nil {
 		m.onCall(m.calls)
@@ -269,8 +269,8 @@ func (m *scriptedModel) Estimate(h *core.History, x []float64) ([]float64, error
 // estimation loop on a lattice of two chunks: a model error past the
 // first chunk is reported for the lowest failing plan index (named in
 // the message) and nothing after it is estimated; a context cancelled
-// mid-chunk stops the loop before the next chunk. The scripted model has
-// only the per-plan method, so this is the adapter's bookkeeping too.
+// mid-chunk stops the loop before the next chunk. The scripted model is
+// not linear, so this is the per-plan route's bookkeeping.
 func TestEstimateLoopStopsAtFirstFailure(t *testing.T) {
 	s := wideStack(t, 5, 16, &scriptedModel{}, SchedulerConfig{Seed: 5})
 	if err := s.Bootstrap(tpch.QueryQ12, 20); err != nil {
@@ -298,8 +298,7 @@ func TestEstimateLoopStopsAtFirstFailure(t *testing.T) {
 		t.Fatalf("OptimizeWSM err = %v, want the model failure", err)
 	}
 
-	// A feature failure further on does not mask the model's: the rows
-	// before it are still scored.
+	// A feature failure further on does not mask the model's earlier one.
 	model = &scriptedModel{failFrom: failAt + 1}
 	s.Model = model
 	exec := s.Exec
@@ -334,26 +333,16 @@ func TestEstimateLoopStopsAtFirstFailure(t *testing.T) {
 	}
 }
 
-// costlessModel scores every plan with a vector of no costs: through the
-// per-plan method alone, through EstimateRows as well, or as no linear
-// models.
+// costlessModel scores every plan with a vector of no costs, plan by
+// plan or, as costlessLinearModel, as no linear models.
 type costlessModel struct{}
 
 func (costlessModel) Name() string { return "costless" }
-func (costlessModel) Estimate(*core.History, []float64) ([]float64, error) {
+func (costlessModel) EstimateSnapshot(*core.Snapshot, []float64) ([]float64, error) {
 	return []float64{}, nil
 }
 
-type costlessBatchModel struct{ costlessModel }
-
-func (costlessBatchModel) EstimateSnapshot(*core.Snapshot, []float64) ([]float64, error) {
-	return []float64{}, nil
-}
-func (costlessBatchModel) EstimateRows(dst []float64, _ *core.Snapshot, _ []float64, _ int) ([]float64, error) {
-	return dst, nil
-}
-
-type costlessLinearModel struct{ costlessBatchModel }
+type costlessLinearModel struct{ costlessModel }
 
 func (costlessLinearModel) LinearModels(*core.Snapshot, int, int) ([]*regression.Model, error) {
 	return nil, nil
@@ -369,7 +358,6 @@ func TestSweepRefusesCostlessModel(t *testing.T) {
 		model CostModel
 	}{
 		{"per-plan", costlessModel{}},
-		{"batch", costlessBatchModel{}},
 		{"linear", costlessLinearModel{}},
 	} {
 		s := wideStack(t, 5, 16, &scriptedModel{}, SchedulerConfig{Seed: 5})
@@ -401,26 +389,30 @@ func TestSweepRefusesCostlessModel(t *testing.T) {
 	}
 }
 
-// routeModel is a cached DREAM model and, for the row route, the same
-// model behind rowsModel: its EstimatorStats read either route's work.
+// routeModel is a cached DREAM model and, for the per-plan route, the
+// same model behind perPlanModel: its EstimatorStats read either route's
+// work.
 func routeModel(t *testing.T, linear bool) (*DREAMModel, CostModel) {
 	dream := stackModel(t, 0)
 	if linear {
 		return dream, dream
 	}
-	return dream, rowsModel{dream}
+	return dream, perPlanModel{dream}
 }
 
-// failingSizer is an executor whose InputSizer fails for every query.
+// failingSizer is an executor that cannot say a query's input sizes:
+// InputBytes fails for every query, and so does Features, which an
+// InputSizer promises is built from them.
 type failingSizer struct{ federation.Executor }
 
 var errScriptedSize = errors.New("scripted size failure")
 
 func (failingSizer) InputBytes(tpch.QueryID) (float64, float64, error) { return 0, 0, errScriptedSize }
+func (failingSizer) Features(federation.Plan) ([]float64, error)       { return nil, errScriptedSize }
 
 // TestSweepFailureNamesPlan: a sweep that cannot score its first chunk
 // says why and for which plan, the same on the linear route and the
-// feature-row route. An InputSizer that fails for the query is the first
+// per-plan route. An executor that cannot size the query is the first
 // plan's feature failure, and the model is never asked (no lookup
 // counted); a fit that fails — a history below L+2 observations — is the
 // first plan's estimating failure.
@@ -492,7 +484,7 @@ func TestSweepFailureNamesPlan(t *testing.T) {
 
 // TestSweepCountsLookupsPerPlan: an n-plan sweep adds n lookups to the
 // model cache — one miss and n−1 hits on a fresh history version — and
-// one window search, on the linear route and on the row route alike, so
+// one window search, on the linear and the per-plan route alike, so
 // core.cache_hit_ratio and midas_model_cache_hits_total mean the same
 // whichever route a round takes. At 2,048 plans a walk's chunk is four
 // left rows, at 18,432 one.
@@ -520,6 +512,107 @@ func TestSweepCountsLookupsPerPlan(t *testing.T) {
 	}
 }
 
+// recordExecution executes p and appends the measurement to q's
+// history — the six-metric breakdown when breakdown is set, which
+// Scheduler.Record cannot write — and returns what it appended.
+func recordExecution(t *testing.T, s *Scheduler, q tpch.QueryID, p federation.Plan, breakdown bool) (core.Observation, *federation.Outcome) {
+	t.Helper()
+	out, err := s.Exec.Execute(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := s.features(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := s.OpenHistory(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obs := core.Observation{X: x, Costs: out.Costs()}
+	if breakdown {
+		obs.Costs = out.BreakdownCosts()
+	}
+	if err := h.Append(obs); err != nil {
+		t.Fatal(err)
+	}
+	return obs, out
+}
+
+// versionModel records the history version of every snapshot it scores
+// against, and its first call appends obs to h — a Record landing in the
+// middle of the round.
+type versionModel struct {
+	inner    CostModel
+	h        *core.History
+	obs      core.Observation
+	versions []uint64
+}
+
+func (m *versionModel) Name() string { return m.inner.Name() }
+func (m *versionModel) EstimateSnapshot(s *core.Snapshot, x []float64) ([]float64, error) {
+	if len(m.versions) == 0 {
+		if err := m.h.Append(m.obs); err != nil {
+			return nil, err
+		}
+	}
+	m.versions = append(m.versions, s.Version())
+	return m.inner.EstimateSnapshot(s, x)
+}
+
+// TestSweepScoresOneSnapshot: every plan of a round is scored against
+// the one history version the round started from, whatever the model,
+// even when an observation is appended after the first plan.
+func TestSweepScoresOneSnapshot(t *testing.T) {
+	const q = tpch.QueryQ12
+	cfg := core.Config{MMax: 3 * (federation.FeatureDim + 2)}
+	for _, tc := range []struct {
+		name      string
+		breakdown bool
+		build     func() (CostModel, error)
+	}{
+		{"bml", false, func() (CostModel, error) { return &BMLModel{Learner: ml.LeastSquares{}, WindowMultiple: 3}, nil }},
+		{"composite", true, func() (CostModel, error) { return NewCompositeDREAMModel(cfg) }},
+		{"dream-per-plan", false, func() (CostModel, error) {
+			m, err := NewDREAMModel(cfg)
+			return perPlanModel{m}, err
+		}},
+	} {
+		inner, err := tc.build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		model := &versionModel{inner: inner}
+		sc := SchedulerConfig{Seed: 9}
+		if tc.breakdown {
+			sc.Store = breakdownStore{open: map[string]*core.History{}}
+		}
+		s := buildStackOn(t, 9, model, sc)
+		plans, err := s.plans(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := stats.NewRNG(9)
+		for n := 0; n < 24; n++ {
+			model.obs, _ = recordExecution(t, s, q, plans[rng.Intn(len(plans))], tc.breakdown)
+		}
+		h := s.History(q)
+		model.h = h
+		before := h.Version()
+		if _, err := s.PlanSweep(context.Background(), q); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if len(model.versions) != len(plans) || h.Version() != before+1 {
+			t.Fatalf("%s: %d of %d plans scored, history version %d → %d", tc.name, len(model.versions), len(plans), before, h.Version())
+		}
+		for i, v := range model.versions {
+			if v != before {
+				t.Fatalf("%s: plan %d scored against version %d, the round began at %d", tc.name, i, v, before)
+			}
+		}
+	}
+}
+
 // The frozen seam: bench/run.go (its own module, which `go test ./...`
 // never compiles and a PR that claims a gain may not edit) hands a
 // sweep's cost matrix straight to the Pareto reduction. Sweep.Costs'
@@ -541,13 +634,10 @@ func (e failingFeatures) Features(p federation.Plan) ([]float64, error) {
 
 // perPlanModel and perPlanExecutor expose only the per-plan methods of
 // what they wrap — the way bench/trace.go's decorators do — so a
-// scheduler assembled from them scores every chunk through the adapters.
-type perPlanModel struct{ inner SnapshotCostModel }
+// scheduler assembled from either scores plan by plan.
+type perPlanModel struct{ inner CostModel }
 
 func (m perPlanModel) Name() string { return m.inner.Name() }
-func (m perPlanModel) Estimate(h *core.History, x []float64) ([]float64, error) {
-	return m.inner.Estimate(h, x)
-}
 func (m perPlanModel) EstimateSnapshot(s *core.Snapshot, x []float64) ([]float64, error) {
 	return m.inner.EstimateSnapshot(s, x)
 }
@@ -593,19 +683,14 @@ func requireSameSweep(t *testing.T, round int, got, want *Sweep) {
 	}
 }
 
-// rowsModel hides a linear model's LinearModels, so a sweep over it
-// takes the feature-row route.
-type rowsModel struct{ BatchCostModel }
-
-// TestBatchedSweepMatchesPerPlan: a sweep is scored chunk by chunk when
-// model and executor can — straight from the plans for DREAM, from
-// feature rows for the composite and for DREAM behind rowsModel — and
-// plan by plan, through the adapters, when a decorator hides that; and
-// nobody can tell from the results. Both prune policies × every bundled
-// model × cache on and off, on a lattice of two chunks: the sweeps
-// (plans, every cost bit, front) and the decisions of 50 rounds (10
-// where noted) are identical on both routes, and so are the two Figure 3
-// optimizers.
+// TestBatchedSweepMatchesPerPlan: DREAM over a sized executor is scored
+// straight from the plans, chunk by chunk, and plan by plan when a
+// decorator hides either capability; the composite and BML are scored
+// plan by plan either way; and nobody can tell from the results. Both
+// prune policies × every bundled model × cache on and off, on a lattice
+// of two chunks: the sweeps (plans, every cost bit, front) and the
+// decisions of 50 rounds (10 where noted) are identical for the bare
+// and the decorated stack, and so are the two Figure 3 optimizers.
 func TestBatchedSweepMatchesPerPlan(t *testing.T) {
 	const maxNodes = 12 // 288 plans
 	const q = tpch.QueryQ12
@@ -619,10 +704,6 @@ func TestBatchedSweepMatchesPerPlan(t *testing.T) {
 	}{
 		{"dream", false, true, func() (CostModel, error) { return NewDREAMModel(dreamCfg(0)) }},
 		{"dream-uncached", false, true, func() (CostModel, error) { return NewDREAMModel(dreamCfg(-1)) }},
-		{"dream-rows", false, false, func() (CostModel, error) {
-			m, err := NewDREAMModel(dreamCfg(0))
-			return rowsModel{m}, err
-		}},
 		{"composite", true, false, func() (CostModel, error) { return NewCompositeDREAMModel(dreamCfg(0)) }},
 		{"composite-uncached", true, false, func() (CostModel, error) { return NewCompositeDREAMModel(dreamCfg(-1)) }},
 		{"bml", false, false, func() (CostModel, error) { return &BMLModel{Learner: ml.LeastSquares{}, WindowMultiple: 3}, nil }},
@@ -630,25 +711,9 @@ func TestBatchedSweepMatchesPerPlan(t *testing.T) {
 	policies := []PrunePolicy{FullSweep(), GreedyPrune(270)}
 	pol := Policy{Weights: []float64{1, 1}}
 
-	// record executes p and appends the measurement: Scheduler.Record's
-	// job, which cannot write the six-metric breakdown rows itself.
 	record := func(t *testing.T, s *Scheduler, p federation.Plan) string {
 		t.Helper()
-		out, err := s.Exec.Execute(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		x, err := s.features(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h, err := s.OpenHistory(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := h.Append(core.Observation{X: x, Costs: out.BreakdownCosts()}); err != nil {
-			t.Fatal(err)
-		}
+		_, out := recordExecution(t, s, q, p, true)
 		return fmt.Sprintf("plan=%+v outcome=%+v", p, *out)
 	}
 
@@ -675,10 +740,7 @@ func TestBatchedSweepMatchesPerPlan(t *testing.T) {
 					}
 					s := wideStack(t, 21, maxNodes, model, cfg)
 					if i == 1 {
-						s.Exec = perPlanExecutor{s.Exec}
-						if sm, ok := s.Model.(SnapshotCostModel); ok {
-							s.Model = perPlanModel{sm}
-						}
+						s.Exec, s.Model = perPlanExecutor{s.Exec}, perPlanModel{s.Model}
 					}
 					if !m.breakdown {
 						if err := s.Bootstrap(q, 24); err != nil {

@@ -30,52 +30,32 @@ import (
 var ErrNoHistory = errors.New("ires: no history for query")
 
 // CostModel is the Modelling module contract: predict the cost vector
-// of a plan with feature vector x from the execution history h.
+// of a plan with feature vector x from the history snapshot s. The
+// scheduler takes one snapshot per round and scores every plan of the
+// round against it, so observations appended concurrently (by other
+// rounds or by Record) cannot split one Pareto comparison across
+// history versions.
 //
-// Estimate must be safe for concurrent use: one round scores its plans
-// in a loop, but a scheduler serves concurrent requests and each runs
-// its own round against the one model. The models in this package are
-// safe; a custom model with unsynchronized internal state needs its own
-// locking. x is the caller's scratch — a row of a sweep's feature
-// buffer — and is only valid during the call: copy it to keep it.
+// EstimateSnapshot must be safe for concurrent use: one round scores its
+// plans in a loop, but a scheduler serves concurrent requests and each
+// runs its own round against the one model. The models in this package
+// are safe; a custom model with unsynchronized internal state needs its
+// own locking. x is the executor's feature vector and is only valid
+// during the call: copy it to keep it.
 type CostModel interface {
 	Name() string
-	Estimate(h *core.History, x []float64) ([]float64, error)
-}
-
-// SnapshotCostModel is implemented by Modelling modules that can score
-// plans against an immutable history snapshot. The scheduler takes one
-// snapshot per round and estimates every enumerated QEP against it, so
-// observations appended concurrently (by other rounds or by Record)
-// cannot split one Pareto comparison across history versions.
-type SnapshotCostModel interface {
-	CostModel
 	EstimateSnapshot(s *core.Snapshot, x []float64) ([]float64, error)
 }
 
-// BatchCostModel is the optional capability a sweep batches on: score a
-// chunk of plans in one call. xs holds the plans' feature vectors back
-// to back, dim values each; the cost vectors, all of one length, are
-// appended to dst in the same order. The values are, bit for bit, what
-// EstimateSnapshot returns row by row — except that a negative one need
-// not be clamped, the sweep clamps every chunk it scores — and an error
-// appends nothing and is the one every row of the chunk would have
-// failed with. A model without it is scored through EstimateSnapshot (or
-// Estimate), one plan at a time.
-type BatchCostModel interface {
-	SnapshotCostModel
-	EstimateRows(dst []float64, s *core.Snapshot, xs []float64, dim int) ([]float64, error)
-}
-
 // LinearCostModel is the optional capability a sweep scores plans from
-// directly, with no feature rows: a BatchCostModel whose EstimateRows
-// is, per metric, one regression.Model's Predict of the row (eq. 6) and
-// nothing else. LinearModels returns those models, in cost-vector order,
-// for plans of dim features scored against s — the one fit lookup
-// EstimateRows would make for a chunk of that many plans, counted the
-// same — and the caller must treat them as read only.
+// directly, with no feature vectors: a CostModel whose EstimateSnapshot
+// is, per metric, one regression.Model's Predict of x (eq. 6) clamped at
+// zero, and nothing else. LinearModels returns those models, in
+// cost-vector order, for plans of dim features scored against s — one
+// fit lookup for that many plans, counted as that many lookups — and the
+// caller must treat them as read only.
 type LinearCostModel interface {
-	BatchCostModel
+	CostModel
 	LinearModels(s *core.Snapshot, dim, plans int) ([]*regression.Model, error)
 }
 
@@ -104,23 +84,20 @@ func (m *DREAMModel) Name() string { return "dream" }
 // forwards to it.
 func (m *DREAMModel) SetModelCacheSize(n int) { m.Est.SetCacheSize(n) }
 
-// Estimate implements CostModel. Predicted costs are clamped at zero:
-// time and money are non-negative by definition, and a regression line
-// extrapolated below zero carries no information beyond "very small".
+// Estimate is EstimateSnapshot against h's current snapshot; it stays
+// only because bench/trace.go's tracedModel forwards to it.
 func (m *DREAMModel) Estimate(h *core.History, x []float64) ([]float64, error) {
 	return m.EstimateSnapshot(h.Snapshot(), x)
 }
 
-// EstimateSnapshot implements SnapshotCostModel.
+// EstimateSnapshot implements CostModel. Predicted costs are clamped at
+// zero: time and money are non-negative by definition, and a regression
+// line extrapolated below zero carries no information beyond "very
+// small".
 func (m *DREAMModel) EstimateSnapshot(s *core.Snapshot, x []float64) ([]float64, error) {
-	out, err := m.EstimateRows(make([]float64, 0, s.NumMetrics()), s, x, len(x))
+	out, err := m.Est.PredictSnapshot(make([]float64, 0, s.NumMetrics()), s, x)
 	clampRows(out)
 	return out, err
-}
-
-// EstimateRows implements BatchCostModel; the rows come back unclamped.
-func (m *DREAMModel) EstimateRows(dst []float64, s *core.Snapshot, xs []float64, dim int) ([]float64, error) {
-	return m.Est.PredictRows(dst, s, xs, dim)
 }
 
 // LinearModels implements LinearCostModel.
@@ -162,12 +139,9 @@ func (m *BMLModel) Name() string {
 	return fmt.Sprintf("bml_%dN", m.WindowMultiple)
 }
 
-// Estimate implements CostModel: train one model per metric on the
-// window, then predict.
-func (m *BMLModel) Estimate(hist *core.History, x []float64) ([]float64, error) {
-	// One snapshot: an append that trims the history in between must not
-	// move the window under the loop below.
-	h := hist.Snapshot()
+// EstimateSnapshot implements CostModel: train one model per metric on
+// the window, then predict.
+func (m *BMLModel) EstimateSnapshot(h *core.Snapshot, x []float64) ([]float64, error) {
 	if h.Len() == 0 {
 		return nil, ErrNoHistory
 	}

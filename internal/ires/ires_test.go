@@ -227,7 +227,7 @@ func TestBMLModelWindows(t *testing.T) {
 		if m.Name() != tc.name {
 			t.Errorf("Name = %q, want %q", m.Name(), tc.name)
 		}
-		got, err := m.Estimate(h, []float64{3, 3})
+		got, err := m.EstimateSnapshot(h.Snapshot(), []float64{3, 3})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -244,7 +244,7 @@ func TestBMLModelEmptyHistory(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := &BMLModel{}
-	if _, err := m.Estimate(h, []float64{1, 2}); !errors.Is(err, ErrNoHistory) {
+	if _, err := m.EstimateSnapshot(h.Snapshot(), []float64{1, 2}); !errors.Is(err, ErrNoHistory) {
 		t.Errorf("got %v, want ErrNoHistory", err)
 	}
 }

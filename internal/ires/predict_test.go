@@ -177,47 +177,44 @@ func TestPredictOnlyMatchesEstimator(t *testing.T) {
 	}
 }
 
-// rowRouteCosts is the reference appendLinearCosts is held to: the
-// plans' feature rows, each model's PredictRows over them, one clamp.
-func rowRouteCosts(t testing.TB, models []*regression.Model, plans []federation.Plan, leftMiB, rightMiB float64) []float64 {
+// predictCosts is the reference the linear kernels are held to: each
+// plan's feature row, each model's Predict of it, clamped at zero.
+func predictCosts(t testing.TB, models []*regression.Model, plans []federation.Plan, leftMiB, rightMiB float64) []float64 {
 	t.Helper()
-	var xs []float64
+	out := make([]float64, 0, len(plans)*len(models))
+	var x []float64
 	for _, p := range plans {
-		xs = federation.AppendFeatures(xs, p, leftMiB, rightMiB)
-	}
-	k := len(models)
-	out := make([]float64, len(plans)*k)
-	if len(out) == 0 {
-		return out
-	}
-	for mi, m := range models {
-		if err := m.PredictRows(out[mi:], k, xs, federation.FeatureDim); err != nil {
-			t.Fatal(err)
+		x = federation.AppendFeatures(x[:0], p, leftMiB, rightMiB)
+		for _, m := range models {
+			v, err := m.Predict(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, clampCost(v))
 		}
 	}
-	clampRows(out)
 	return out
 }
 
-// requireLinearMatchesRows fails unless appendLinearCosts, after a
-// prefix, appends exactly rowRouteCosts' bits — where one is a NaN, any
+// requireLinearMatchesPredict fails unless appendLinearCosts, after a
+// prefix, appends exactly predictCosts' bits — where one is a NaN, any
 // NaN. Which NaN an operation on two NaNs returns is the operand order
 // the compiler picked for a commutative add, not part of any contract;
 // from NaN-free coefficients and sizes every NaN is the hardware's one
 // default NaN (Inf·0, Inf−Inf), and those are compared bit for bit.
-func requireLinearMatchesRows(t testing.TB, models []*regression.Model, plans []federation.Plan, leftMiB, rightMiB float64) {
+func requireLinearMatchesPredict(t testing.TB, models []*regression.Model, plans []federation.Plan, leftMiB, rightMiB float64) {
 	t.Helper()
-	want := rowRouteCosts(t, models, plans, leftMiB, rightMiB)
+	want := predictCosts(t, models, plans, leftMiB, rightMiB)
 	got, err := appendLinearCosts([]float64{42}, models, plans, leftMiB, rightMiB)
 	if err != nil || len(got) != 1+len(want) || got[0] != 42 {
 		t.Fatalf("%d plans, %d metrics: %d values, prefix %v, %v", len(plans), len(models), len(got), got[:1], err)
 	}
-	requireSameBits(t, "linear", got[1:], "rows", want, models, plans, leftMiB, rightMiB)
+	requireSameBits(t, "linear", got[1:], "Predict", want, models, plans, leftMiB, rightMiB)
 }
 
 // requireSameBits fails unless got and want, k = len(models) costs per
 // plan, have the same bits — any NaN for a NaN when a coefficient or
-// table size is itself NaN (see requireLinearMatchesRows).
+// table size is itself NaN (see requireLinearMatchesPredict).
 func requireSameBits(t testing.TB, gotName string, got []float64, wantName string, want []float64, models []*regression.Model, plans []federation.Plan, leftMiB, rightMiB float64) {
 	t.Helper()
 	nanIn := math.IsNaN(leftMiB) || math.IsNaN(rightMiB)
@@ -249,7 +246,7 @@ func (m fixedLinear) LinearModels(*core.Snapshot, int, int) ([]*regression.Model
 
 // requireWalkMatchesPlans fails unless a full sweep's walk of lat
 // scores exactly appendLinearCosts' bits over lat.Plans() — and so,
-// through requireLinearMatchesRows, the row route's.
+// through requireLinearMatchesPredict, Predict's.
 func requireWalkMatchesPlans(t testing.TB, models []*regression.Model, lat *federation.PlanLattice, leftMiB, rightMiB float64) {
 	t.Helper()
 	ps := &planSweeper{lat: lat, linear: fixedLinear{models: models}, leftMiB: leftMiB, rightMiB: rightMiB, buf: new(sweepBuf)}
@@ -277,15 +274,15 @@ func linearModel(beta []float64) *regression.Model {
 	return &regression.Model{Beta: beta, L: federation.FeatureDim}
 }
 
-// TestLinearScoringMatchesRows: the linear route scores a plan straight
-// from its node counts, bit for bit as the row route does from its
-// feature row — over random and adversarial coefficients and table
+// TestLinearScoringMatchesPredict: the linear route scores a plan
+// straight from its node counts, bit for bit as Model.Predict does from
+// its feature row — over random and adversarial coefficients and table
 // sizes (negatives, ±0, denormals, overflow, ±Inf, NaN), both join
-// sides, odd and even metric counts, chunk lengths at every n mod 4, and
-// lattice plans out of lattice order, as GreedyPrune's refinement passes
-// them. A model over other features is ErrDimension with nothing
-// appended.
-func TestLinearScoringMatchesRows(t *testing.T) {
+// sides, odd and even metric counts, chunk lengths from 0 to past a
+// sweep chunk, and lattice plans out of lattice order, as GreedyPrune's
+// refinement passes them. A model over other features is ErrDimension
+// with nothing appended.
+func TestLinearScoringMatchesPredict(t *testing.T) {
 	pool := []float64{0, math.Copysign(0, -1), 1, -1, 0.5, -3.25, 5e-324, -5e-324, 2.2e-308,
 		1e300, -1e300, math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN(), 1e-5, 7, 1 << 20}
 	fed, err := federation.WideTopology(3, 8) // 128 plans: the longer chunks add plans off the lattice
@@ -327,7 +324,7 @@ func TestLinearScoringMatchesRows(t *testing.T) {
 				plans[i] = federation.Plan{Query: tpch.QueryQ12, JoinAtLeft: rng.Intn(2) == 0,
 					NodesLeft: rng.Intn(1 << 16), NodesRight: rng.Intn(1 << 16)}
 			}
-			requireLinearMatchesRows(t, models, plans, leftMiB, rightMiB)
+			requireLinearMatchesPredict(t, models, plans, leftMiB, rightMiB)
 		}
 	}
 
@@ -394,7 +391,7 @@ func TestLatticeScoringMatchesPlans(t *testing.T) {
 			}
 			requireWalkMatchesPlans(t, models, tc.lat, leftMiB, rightMiB)
 			if trial < 6 {
-				requireLinearMatchesRows(t, models, tc.lat.Plans(), leftMiB, rightMiB)
+				requireLinearMatchesPredict(t, models, tc.lat.Plans(), leftMiB, rightMiB)
 			}
 		}
 	}
@@ -402,7 +399,7 @@ func TestLatticeScoringMatchesPlans(t *testing.T) {
 
 // FuzzLinearScoring decodes arbitrary coefficients (six float64s per
 // metric), table sizes and plans (two int16 node counts and a join byte
-// each) and holds the linear route to the row route's bits; then it
+// each) and holds the linear route to Model.Predict's bits; then it
 // decodes a node-choice menu (one byte a size, 1–96, repeats skipped),
 // builds the lattice it gives on a topology whose sites cap at 96 and
 // 24 nodes, and holds the walk of that lattice to appendLinearCosts'
@@ -444,7 +441,7 @@ func FuzzLinearScoring(f *testing.F) {
 			plans[i] = federation.Plan{JoinAtLeft: b[4]&1 == 1,
 				NodesLeft: int(int16(le.Uint16(b))), NodesRight: int(int16(le.Uint16(b[2:])))}
 		}
-		requireLinearMatchesRows(t, models, plans, leftMiB, rightMiB)
+		requireLinearMatchesPredict(t, models, plans, leftMiB, rightMiB)
 
 		var menu []int
 		seen := map[int]bool{}

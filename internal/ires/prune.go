@@ -2,7 +2,6 @@ package ires
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -30,43 +29,34 @@ import (
 // is scored, bound to the round's query and history snapshot. A round
 // takes one of two routes. With a LinearCostModel and an InputSizer
 // executor, linear is set and scoreLinear applies the model's
-// coefficients straight to the plans. Otherwise scoreRows lays the
-// plans out as feature rows (features) and the model scores those
-// (costs).
+// coefficients straight to the plans. Otherwise scorePlans asks the
+// executor and the model plan by plan.
 type planSweeper struct {
-	lat *federation.PlanLattice
-	// linear and snap are the linear route's model and history snapshot.
+	lat   *federation.PlanLattice
+	exec  federation.Executor
+	model CostModel
+	// snap is the round's one history snapshot.
+	snap *core.Snapshot
+	// linear is model on the linear route, nil on the per-plan one.
 	linear LinearCostModel
-	snap   *core.Snapshot
-	// leftMiB and rightMiB are the query's table sizes when the executor
-	// is an InputSizer, sizeErr its failure to say.
+	// leftMiB and rightMiB are the query's table sizes on the linear
+	// route, sizeErr the executor's failure to say.
 	leftMiB, rightMiB float64
 	sizeErr           error
-	// features appends the plans' feature vectors to dst, FeatureDim
-	// values each; on a failure the rows before the failing plan's are
-	// still appended, which is how scoreRows knows which plan it was.
-	features func(dst []float64, plans []federation.Plan) ([]float64, error)
-	// costs appends the cost vectors, all of one length, of the
-	// FeatureDim-wide feature rows in xs to dst, scored against the
-	// round's history snapshot (the live history for non-snapshot
-	// models). An error that is not a *rowError is the first row's.
-	costs func(dst, xs []float64) ([]float64, error)
 	// buf is the round's scratch: its matrix backing goes to the first
-	// estimate call (then lent is set), its feature rows to every chunk
-	// the row route scores.
+	// estimate call, then lent is set.
 	buf  *sweepBuf
 	lent bool
 }
 
-// sweepBuf is a sweep's scratch: the backing of its cost matrix and the
-// row route's chunk feature rows. PlanSweep takes one from sweepPool and
-// ReleaseSweep puts it back, so the serving cycle (sweep, decide,
-// release) reuses the 32 KB matrix of a 2,048-plan sweep (and 10 KB of
-// feature rows on the row route) instead of allocating and collecting
-// them per request. A sync.Pool, not a free list: every GC drains it,
-// so nothing it holds is retained heap.
+// sweepBuf is a sweep's scratch: the backing of its cost matrix.
+// PlanSweep takes one from sweepPool and ReleaseSweep puts it back, so
+// the serving cycle (sweep, decide, release) reuses the 32 KB matrix of
+// a 2,048-plan sweep instead of allocating and collecting it per
+// request. A sync.Pool, not a free list: every GC drains it, so nothing
+// it holds is retained heap.
 type sweepBuf struct {
-	costs, feats []float64
+	costs []float64
 }
 
 var sweepPool = sync.Pool{New: func() any { return new(sweepBuf) }}
@@ -84,108 +74,25 @@ func (b *sweepBuf) release() {
 	sweepPool.Put(b)
 }
 
-// rowError is how the per-plan cost adapter says which row of the chunk
-// failed; estimate names the plan at that position.
-type rowError struct {
-	row int
-	err error
-}
-
-func (e *rowError) Error() string { return e.err.Error() }
-func (e *rowError) Unwrap() error { return e.err }
-
-// sweeper binds one round to q, h and the scratch buf. Snapshot-capable
-// models get a single point-in-time snapshot, so every plan of the round
-// is scored against one history version even while other requests
-// append observations. An executor that knows the query's input sizes
-// (federation.InputSizer) and a model that is linear (LinearCostModel)
-// or scores chunks (BatchCostModel) are used as such; one that only has
-// the per-plan method — a decorator that wraps it, a custom model — is
-// wrapped here, once, in an adapter that loops, so the row route itself
-// has one shape.
+// sweeper binds one round to q, one snapshot of h and the scratch buf,
+// so every plan of the round is scored against one history version even
+// while other requests append observations. A LinearCostModel over an
+// executor that knows the query's input sizes (federation.InputSizer)
+// takes the linear route; any other pair — a decorator that hides
+// either capability, a custom model — is scored plan by plan.
 func (s *Scheduler) sweeper(q tpch.QueryID, h *core.History, lat *federation.PlanLattice, buf *sweepBuf) *planSweeper {
-	ps := &planSweeper{lat: lat, buf: buf}
+	ps := &planSweeper{lat: lat, exec: s.Exec, model: s.Model, snap: h.Snapshot(), buf: buf}
 	sizer, sized := s.Exec.(federation.InputSizer)
-	if sized {
+	if m, ok := s.Model.(LinearCostModel); ok && sized {
 		lb, rb, err := sizer.InputBytes(q)
-		ps.leftMiB, ps.rightMiB, ps.sizeErr = lb/(1024*1024), rb/(1024*1024), err
-		if m, ok := s.Model.(LinearCostModel); ok {
-			ps.linear, ps.snap = m, h.Snapshot()
-			return ps
-		}
-		ps.features = ps.appendFeatures
-	} else {
-		ps.features = perPlanFeatures(s.Exec)
-	}
-	switch m := s.Model.(type) {
-	case BatchCostModel:
-		snap := h.Snapshot()
-		ps.costs = func(dst, xs []float64) ([]float64, error) {
-			return m.EstimateRows(dst, snap, xs, federation.FeatureDim)
-		}
-	case SnapshotCostModel:
-		snap := h.Snapshot()
-		ps.costs = perPlanCosts(func(x []float64) ([]float64, error) { return m.EstimateSnapshot(snap, x) })
-	default:
-		ps.costs = perPlanCosts(func(x []float64) ([]float64, error) { return m.Estimate(h, x) })
+		ps.linear, ps.leftMiB, ps.rightMiB, ps.sizeErr = m, lb/(1024*1024), rb/(1024*1024), err
 	}
 	return ps
 }
 
-// appendFeatures is planSweeper.features for an InputSizer executor.
-func (ps *planSweeper) appendFeatures(dst []float64, plans []federation.Plan) ([]float64, error) {
-	if ps.sizeErr != nil {
-		return dst, ps.sizeErr
-	}
-	for _, p := range plans {
-		dst = federation.AppendFeatures(dst, p, ps.leftMiB, ps.rightMiB)
-	}
-	return dst, nil
-}
-
-// perPlanFeatures adapts an executor that only has the per-plan method
-// to planSweeper.features.
-func perPlanFeatures(exec federation.Executor) func(dst []float64, plans []federation.Plan) ([]float64, error) {
-	return func(dst []float64, plans []federation.Plan) ([]float64, error) {
-		for _, p := range plans {
-			x, err := exec.Features(p)
-			if err == nil && len(x) != federation.FeatureDim {
-				err = fmt.Errorf("ires: executor returned %d features, want %d", len(x), federation.FeatureDim)
-			}
-			if err != nil {
-				return dst, err
-			}
-			dst = append(dst, x...)
-		}
-		return dst, nil
-	}
-}
-
-// perPlanCosts adapts a per-plan scoring function to planSweeper.costs.
-func perPlanCosts(estimateX func(x []float64) ([]float64, error)) func(dst, xs []float64) ([]float64, error) {
-	return func(dst, xs []float64) ([]float64, error) {
-		k := -1
-		for i := 0; len(xs) > 0; i, xs = i+1, xs[federation.FeatureDim:] {
-			c, err := estimateX(xs[:federation.FeatureDim:federation.FeatureDim])
-			if k < 0 {
-				k = len(c)
-			}
-			if err == nil && len(c) != k {
-				err = fmt.Errorf("ires: model returned %d costs after %d per plan", len(c), k)
-			}
-			if err != nil {
-				return dst, &rowError{i, err}
-			}
-			dst = append(dst, c...)
-		}
-		return dst, nil
-	}
-}
-
 // sweepChunk is how many plans estimate scores at a time: large enough
 // that the per-chunk steps (the fit lookup, the ctx check) vanish
-// against the per-plan arithmetic, small enough that the row route's
-// feature scratch stays in L1.
+// against the per-plan arithmetic.
 const sweepChunk = 256
 
 // estimate scores plans and returns their cost vectors positionally,
@@ -210,7 +117,7 @@ func (ps *planSweeper) estimate(ctx context.Context, plans []federation.Plan) (m
 		if ps.linear != nil {
 			flat, err = ps.scoreLinear(flat, chunk)
 		} else {
-			flat, err = ps.scoreRows(flat, chunk)
+			flat, err = ps.scorePlans(flat, chunk)
 		}
 		if err != nil {
 			return moo.CostMatrix{}, err
@@ -305,38 +212,42 @@ func (ps *planSweeper) scoreLinear(dst []float64, chunk []federation.Plan) ([]fl
 	return dst, nil
 }
 
-// scoreRows is the row route: the chunk's feature rows into the round's
-// scratch, one costs call over them, one clamp — the only clamp a batch
-// model's rows get. Rows before a feature failure are still scored, in
-// case the model fails earlier.
-func (ps *planSweeper) scoreRows(dst []float64, chunk []federation.Plan) ([]float64, error) {
-	b := ps.buf
-	xs, ferr := ps.features(slices.Grow(b.feats[:0], len(chunk)*federation.FeatureDim), chunk)
-	b.feats = xs[:0]
-	rows, scored := len(xs)/federation.FeatureDim, len(dst)
-	if rows > 0 {
-		var err error
-		if dst, err = ps.costs(dst, xs); err != nil {
-			row := 0
-			var re *rowError
-			if errors.As(err, &re) {
-				row, err = re.row, re.err
-			}
-			return dst, fmt.Errorf("ires: estimating %v: %w", chunk[row], err)
+// scorePlans is the per-plan route: each plan's features from the
+// executor, then its cost vector from the model against the round's
+// snapshot, clamped at zero. Every vector of the chunk must have the
+// first one's length, and a failure names its plan.
+func (ps *planSweeper) scorePlans(dst []float64, chunk []federation.Plan) ([]float64, error) {
+	k := -1
+	for _, p := range chunk {
+		x, err := ps.exec.Features(p)
+		if err == nil && len(x) != federation.FeatureDim {
+			err = fmt.Errorf("ires: executor returned %d features, want %d", len(x), federation.FeatureDim)
 		}
+		if err != nil {
+			return dst, fmt.Errorf("ires: features of %v: %w", p, err)
+		}
+		c, err := ps.model.EstimateSnapshot(ps.snap, x)
+		if k < 0 {
+			k = len(c)
+		}
+		if err == nil && len(c) != k {
+			err = fmt.Errorf("ires: model returned %d costs after %d per plan", len(c), k)
+		}
+		if err != nil {
+			return dst, fmt.Errorf("ires: estimating %v: %w", p, err)
+		}
+		at := len(dst)
+		dst = append(dst, c...)
+		clampRows(dst[at:])
 	}
-	if ferr != nil {
-		return dst, fmt.Errorf("ires: features of %v: %w", chunk[rows], ferr)
-	}
-	clampRows(dst[scored:])
 	return dst, nil
 }
 
 // appendLinearCosts appends to dst, plan by plan, the cost vector the
 // per-metric models give the plan's feature row — what
 // federation.AppendFeatures writes at the given table sizes — each value
-// clamped at zero: bit for bit what regression.Model.PredictRows over
-// those rows and a clamp give, without the rows. It is the kernel for
+// clamped at zero: bit for bit what regression.Model.Predict of that row
+// and a clamp give, without the row. It is the kernel for
 // plans in any order (GreedyPrune's scattered subsets); walkLinearCosts
 // is the one for a whole lattice. A model that is not over FeatureDim
 // features is regression.ErrDimension, with nothing appended.

@@ -91,52 +91,12 @@ func (m *Model) Predict(x []float64) (float64, error) {
 	if len(x) != m.L {
 		return 0, fmt.Errorf("%w: got %d features, model has %d", ErrDimension, len(x), m.L)
 	}
-	return m.predict(x), nil
-}
-
-// predict is eq. 6 for an x of L features: intercept, then terms in order.
-func (m *Model) predict(x []float64) float64 {
+	// Intercept, then terms in order.
 	c := m.Beta[0]
 	for i, xi := range x {
 		c += m.Beta[i+1] * xi
 	}
-	return c
-}
-
-// PredictRows is Predict over the rows of xs — dim features each, back
-// to back — storing row i's value at dst[i*stride], so the models of
-// several metrics can fill one row-major matrix. The width is checked
-// once, not per row: a dim that is not the model's L, or xs that is not
-// whole rows, is ErrDimension with nothing written. Every value is
-// Predict's bit for bit: four rows advance together, each in its own
-// accumulator summed in Predict's order, so the adds of one row wait on
-// three other rows' and not on each other — no fused multiply-add, no
-// reassociation.
-func (m *Model) PredictRows(dst []float64, stride int, xs []float64, dim int) error {
-	l := m.L
-	if dim != l || l < 1 || len(xs)%l != 0 {
-		return fmt.Errorf("%w: got %d values in rows of %d features, model has %d", ErrDimension, len(xs), dim, l)
-	}
-	n := len(xs) / l
-	b0, beta := m.Beta[0], m.Beta[1:1+l]
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		r := xs[i*l : (i+4)*l]
-		r0, r1, r2, r3 := r[:l], r[l:][:l], r[2*l:][:l], r[3*l:][:l]
-		c0, c1, c2, c3 := b0, b0, b0, b0
-		for j, b := range beta {
-			c0 += b * r0[j]
-			c1 += b * r1[j]
-			c2 += b * r2[j]
-			c3 += b * r3[j]
-		}
-		o := i * stride
-		dst[o], dst[o+stride], dst[o+2*stride], dst[o+3*stride] = c0, c1, c2, c3
-	}
-	for ; i < n; i++ {
-		dst[i*stride] = m.predict(xs[i*l : (i+1)*l])
-	}
-	return nil
+	return c, nil
 }
 
 // FitOptions tunes the solver.

@@ -223,8 +223,9 @@ func (h *Harness) Run(cfg EvalConfig, models []ModelSpec) (*EvalResult, error) {
 			return nil, err
 		}
 		preds := make(map[string][]float64, len(models))
+		snap := history.Snapshot()
 		for _, m := range models {
-			c, err := m.Model.Estimate(history, x)
+			c, err := m.Model.EstimateSnapshot(snap, x)
 			if err != nil {
 				tallies[m.Name].failures++
 				continue
