@@ -2,13 +2,13 @@
 // plus latency percentiles — the regression-gated "how fast is serving
 // really" number.
 //
-// Two modes. The default is closed loop: N clients submitting back to
-// back, arrival rate coupled to service rate. With -arrival the run is
-// open loop: requests fire at the offsets of a seeded arrival-process
-// schedule (poisson, bursty, diurnal) regardless of how fast the server
-// answers. -record writes the schedule to a CRC-framed trace file;
-// -replay fires a previously recorded trace, byte-exactly, including
-// against a cluster (comma-separated -addr).
+// Two modes, one load loop. The default is closed loop: N clients
+// submitting back to back, arrival rate coupled to service rate. With
+// -arrival the run is open loop: requests fire at the offsets of a
+// seeded arrival-process schedule (poisson, bursty, diurnal) regardless
+// of how fast the server answers. -record writes the schedule to a
+// CRC-framed trace file; -replay fires a previously recorded trace,
+// byte-exactly, including against a cluster (comma-separated -addr).
 //
 // Usage:
 //
@@ -26,6 +26,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"sort"
@@ -38,114 +39,76 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintf(os.Stderr, "midasload: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	var (
-		addr       = flag.String("addr", "http://localhost:8642", "midasd base URL, or comma-separated cluster member URLs")
-		federation = flag.String("federation", "", "federation name (empty on a single-tenant server)")
-		query      = flag.String("query", "Q12", "query to submit")
-		clients    = flag.Int("clients", 50, "concurrent clients")
-		requests   = flag.Int("requests", 0, "requests per client (0 = run for -duration)")
-		duration   = flag.Duration("duration", 10*time.Second, "run length when -requests is 0")
-		weights    = flag.String("weights", "1,1", "policy weights, comma-separated")
-		timeoutMS  = flag.Int64("timeout-ms", 0, "per-request server budget (0 = server default)")
-		allowErrs  = flag.Bool("allow-errors", false, "exit 0 even when requests failed")
-		redirects  = flag.Int("redirect-budget", 4, "307 follows + retries each request may spend")
-		backoff    = flag.Duration("retry-backoff", 50*time.Millisecond, "pause before retrying a dead node")
+// options is midasload's command line: most flags bind straight into
+// the load run or the arrival process.
+type options struct {
+	load                          workload.LoadConfig
+	spec                          scenario.Spec
+	addr, weights, record, replay string
+	allowErrs                     bool
+}
 
-		arrival  = flag.String("arrival", "", "open-loop arrival process: "+strings.Join(scenario.ArrivalKinds(), ", ")+" (empty = closed loop)")
-		rate     = flag.Float64("rate", 50, "open-loop mean arrival rate, events/second")
-		events   = flag.Int("events", 500, "open-loop schedule length")
-		seed     = flag.Int64("seed", 42, "open-loop schedule seed")
-		record   = flag.String("record", "", "write the generated schedule to this trace file (implies open loop)")
-		replay   = flag.String("replay", "", "fire the schedule recorded in this trace file instead of generating one")
-		inflight = flag.Int("max-inflight", 0, "open-loop concurrent request cap (0 = default 256)")
-		speed    = flag.Float64("speed", 1, "open-loop schedule time scale: 2 fires it twice as fast")
-	)
-	flag.Parse()
-	if flag.NArg() != 0 {
-		flag.Usage()
-		return fmt.Errorf("unexpected arguments: %v", flag.Args())
+// newFlagSet defines every midasload flag, bound to o.
+func newFlagSet(o *options) *flag.FlagSet {
+	fs := flag.NewFlagSet("midasload", flag.ExitOnError)
+	fs.StringVar(&o.addr, "addr", "http://localhost:8642", "midasd base URL, or comma-separated cluster member URLs")
+	fs.StringVar(&o.load.Federation, "federation", "", "federation name (empty on a single-tenant server)")
+	fs.StringVar(&o.load.Query, "query", "Q12", "query to submit")
+	fs.IntVar(&o.load.Clients, "clients", 50, "concurrent clients")
+	fs.IntVar(&o.load.Requests, "requests", 0, "requests per client (0 = run for -duration)")
+	fs.DurationVar(&o.load.Duration, "duration", 10*time.Second, "run length when -requests is 0")
+	fs.StringVar(&o.weights, "weights", "1,1", "policy weights, comma-separated")
+	fs.Int64Var(&o.load.TimeoutMS, "timeout-ms", 0, "per-request server budget (0 = server default)")
+	fs.BoolVar(&o.allowErrs, "allow-errors", false, "exit 0 even when requests failed")
+	fs.IntVar(&o.load.RedirectBudget, "redirect-budget", 4, "307 follows + retries each request may spend")
+	fs.DurationVar(&o.load.RetryBackoff, "retry-backoff", 50*time.Millisecond, "pause before retrying a dead node")
+
+	fs.StringVar(&o.spec.Arrival, "arrival", "", "open-loop arrival process: "+strings.Join(scenario.ArrivalKinds(), ", ")+" (empty = closed loop)")
+	fs.Float64Var(&o.spec.Rate, "rate", 50, "open-loop mean arrival rate, events/second")
+	fs.IntVar(&o.spec.Events, "events", 500, "open-loop schedule length")
+	fs.Int64Var(&o.spec.Seed, "seed", 42, "open-loop schedule seed")
+	fs.StringVar(&o.record, "record", "", "write the generated schedule to this trace file (implies open loop)")
+	fs.StringVar(&o.replay, "replay", "", "fire the schedule recorded in this trace file instead of generating one")
+	fs.IntVar(&o.load.MaxInFlight, "max-inflight", 0, "open-loop concurrent request cap (0 = default 256)")
+	fs.Float64Var(&o.load.Speed, "speed", 1, "open-loop schedule time scale: 2 fires it twice as fast")
+	return fs
+}
+
+func run(args []string, stdout io.Writer) error {
+	var o options
+	fs := newFlagSet(&o)
+	_ = fs.Parse(args) // ExitOnError: Parse exits on a bad flag itself
+	if fs.NArg() != 0 {
+		fs.Usage()
+		return fmt.Errorf("unexpected arguments: %v", fs.Args())
 	}
-	w, err := parseFloats(*weights)
-	if err != nil {
+	cfg := &o.load
+	var err error
+	if cfg.Weights, err = parseFloats(o.weights); err != nil {
 		return fmt.Errorf("bad -weights: %w", err)
 	}
-
-	cfg := workload.LoadConfig{
-		Federation:     *federation,
-		Query:          *query,
-		Clients:        *clients,
-		Requests:       *requests,
-		Duration:       *duration,
-		Weights:        w,
-		TimeoutMS:      *timeoutMS,
-		RedirectBudget: *redirects,
-		RetryBackoff:   *backoff,
-	}
-	if addrs := strings.Split(*addr, ","); len(addrs) > 1 {
+	if addrs := strings.Split(o.addr, ","); len(addrs) > 1 {
 		cfg.Addrs = addrs
 	} else {
-		cfg.BaseURL = strings.TrimRight(*addr, "/")
+		cfg.BaseURL = strings.TrimRight(o.addr, "/")
+	}
+	if cfg.Events, err = o.schedule(stdout); err != nil {
+		return err
+	}
+	rep, err := workload.RunLoad(context.Background(), *cfg)
+	if err != nil {
+		return err
 	}
 
-	var rep *workload.LoadReport
-	switch {
-	case *replay != "":
-		if *arrival != "" || *record != "" {
-			return fmt.Errorf("-replay is exclusive with -arrival and -record")
-		}
-		schedule, err := readTrace(*replay)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("replaying %d events from %s\n", len(schedule), *replay)
-		rep, err = workload.RunOpenLoad(context.Background(), workload.OpenLoadConfig{
-			LoadConfig: cfg, Events: schedule, MaxInFlight: *inflight, Speed: *speed,
-		})
-		if err != nil {
-			return err
-		}
-	case *arrival != "" || *record != "":
-		spec := scenario.Spec{
-			Arrival:    *arrival,
-			Rate:       *rate,
-			Events:     *events,
-			Seed:       *seed,
-			Federation: *federation,
-			Queries:    []string{*query},
-		}
-		schedule, err := spec.Generate()
-		if err != nil {
-			return err
-		}
-		if *record != "" {
-			if err := writeTrace(*record, schedule); err != nil {
-				return err
-			}
-			fmt.Printf("recorded %d events to %s\n", len(schedule), *record)
-		}
-		rep, err = workload.RunOpenLoad(context.Background(), workload.OpenLoadConfig{
-			LoadConfig: cfg, Events: schedule, MaxInFlight: *inflight, Speed: *speed,
-		})
-		if err != nil {
-			return err
-		}
-	default:
-		rep, err = workload.RunLoad(context.Background(), cfg)
-		if err != nil {
-			return err
-		}
-	}
-
-	fmt.Println(rep)
+	fmt.Fprintln(stdout, rep)
 	if rep.Skipped > 0 {
-		fmt.Printf("  events skipped (cancelled)   %d\n", rep.Skipped)
+		fmt.Fprintf(stdout, "  events skipped (cancelled)   %d\n", rep.Skipped)
 	}
 	statuses := make([]int, 0, len(rep.StatusCounts))
 	for s := range rep.StatusCounts {
@@ -157,7 +120,7 @@ func run() error {
 		if s != 0 {
 			label = fmt.Sprintf("HTTP %d %s", s, http.StatusText(s))
 		}
-		fmt.Printf("  %-28s %d\n", label, rep.StatusCounts[s])
+		fmt.Fprintf(stdout, "  %-28s %d\n", label, rep.StatusCounts[s])
 	}
 	if len(rep.PerNode) > 1 || rep.Redirects > 0 {
 		nodes := make([]string, 0, len(rep.PerNode))
@@ -167,20 +130,52 @@ func run() error {
 		sort.Strings(nodes)
 		for _, n := range nodes {
 			ns := rep.PerNode[n]
-			fmt.Printf("  node %-16s %6d requests, %8.1f QPS, p50 %6.1fms, p99 %6.1fms\n",
+			fmt.Fprintf(stdout, "  node %-16s %6d requests, %8.1f QPS, p50 %6.1fms, p99 %6.1fms\n",
 				n, ns.Requests, ns.QPS, ns.P50MS, ns.P99MS)
 		}
-		fmt.Printf("  redirects followed: %d\n", rep.Redirects)
+		fmt.Fprintf(stdout, "  redirects followed: %d\n", rep.Redirects)
 	}
 	// Budget exhaustion is a routing failure, never excusable: a healthy
 	// cluster resolves any request within a hop or two.
 	if rep.Exhausted > 0 {
-		return fmt.Errorf("%d requests exhausted their redirect/retry budget of %d", rep.Exhausted, *redirects)
+		return fmt.Errorf("%d requests exhausted their redirect/retry budget of %d", rep.Exhausted, cfg.RedirectBudget)
 	}
-	if rep.Errors > 0 && !*allowErrs {
+	if rep.Errors > 0 && !o.allowErrs {
 		return fmt.Errorf("%d of %d requests failed", rep.Errors, rep.Requests)
 	}
 	return nil
+}
+
+// schedule resolves the run's arrivals: a recorded trace (-replay), a
+// generated one (-arrival, -record), or none for a closed loop.
+func (o *options) schedule(stdout io.Writer) ([]scenario.Event, error) {
+	switch {
+	case o.replay != "":
+		if o.spec.Arrival != "" || o.record != "" {
+			return nil, fmt.Errorf("-replay is exclusive with -arrival and -record")
+		}
+		events, err := readTrace(o.replay)
+		if err != nil {
+			return nil, err
+		}
+		fmt.Fprintf(stdout, "replaying %d events from %s\n", len(events), o.replay)
+		if len(events) == 0 {
+			return nil, fmt.Errorf("%s holds no events", o.replay)
+		}
+		return events, nil
+	case o.spec.Arrival != "" || o.record != "":
+		o.spec.Federation, o.spec.Queries = o.load.Federation, []string{o.load.Query}
+		events, err := o.spec.Generate()
+		if err != nil || o.record == "" {
+			return events, err
+		}
+		if err := writeTrace(o.record, events); err != nil {
+			return nil, err
+		}
+		fmt.Fprintf(stdout, "recorded %d events to %s\n", len(events), o.record)
+		return events, nil
+	}
+	return nil, nil
 }
 
 // writeTrace records a schedule to a trace file; the write is atomic

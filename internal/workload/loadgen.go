@@ -7,21 +7,30 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/scenario"
 	"repro/internal/server"
 	"repro/internal/stats"
 )
 
-// This file extends the evaluation harness with a closed-loop HTTP load
-// generator for the midasd serving layer: N concurrent clients each
-// submit queries back to back, and the run is summarized as sustained
-// QPS plus latency percentiles — the measured number behind the
-// ROADMAP's "fast as the hardware allows".
+// This file extends the evaluation harness with an HTTP load generator
+// for the midasd serving layer, summarized as sustained QPS plus latency
+// percentiles — the measured number behind the ROADMAP's "fast as the
+// hardware allows". It has one dispatch loop over a pool of in-flight
+// slots. Open loop, requests fire at the offsets of a scenario event
+// schedule regardless of how fast the server answers — the arrival
+// pattern "millions of users" actually present; the schedule comes from
+// scenario.Spec.Generate or a recorded trace, so a run is exactly
+// replayable. Closed loop is the same loop over a schedule whose events
+// are all due at once: N slots, and a free slot fires the next request,
+// so the arrival rate is coupled to the service rate.
 
 // LoadConfig parameterizes one load-generation run.
 type LoadConfig struct {
@@ -48,7 +57,7 @@ type LoadConfig struct {
 	Clients int
 	// Requests caps submissions per client; 0 runs until Duration.
 	Requests int
-	// Duration bounds the run when Requests is 0 (default 10s).
+	// Duration bounds a closed-loop run when Requests is 0 (default 10s).
 	Duration time.Duration
 	// Weights is the submitted policy (default {1, 1}).
 	Weights []float64
@@ -56,9 +65,22 @@ type LoadConfig struct {
 	TimeoutMS int64
 	// HTTPTimeout caps one HTTP round trip (default 60s).
 	HTTPTimeout time.Duration
+	// Events is the open-loop arrival schedule, offsets relative to run
+	// start; an event's Federation and Query override the fields above
+	// when set. Empty means closed loop, shaped by Clients, Requests
+	// and Duration instead.
+	Events []scenario.Event
+	// MaxInFlight bounds an open-loop run's concurrent requests; an
+	// arrival finding every slot busy waits for one, and the wait shows
+	// up as schedule lag (default 256).
+	MaxInFlight int
+	// Speed scales the schedule: 2 fires it twice as fast, 0.5 at half
+	// speed (default 1).
+	Speed float64
 }
 
 func (c *LoadConfig) setDefaults() error {
+	c.Addrs = slices.Clone(c.Addrs) // trimmed below; the caller's slice stays as it was
 	for i, a := range c.Addrs {
 		c.Addrs[i] = strings.TrimRight(a, "/")
 	}
@@ -95,7 +117,35 @@ func (c *LoadConfig) setDefaults() error {
 	if len(c.Weights) == 0 {
 		c.Weights = []float64{1, 1}
 	}
+	if c.MaxInFlight <= 0 {
+		c.MaxInFlight = 256
+	}
+	if c.Speed <= 0 {
+		c.Speed = 1
+	}
 	return nil
+}
+
+// arrival is the run's i-th event. A closed loop's are all the zero
+// event: due at once, submitting the configured federation and query.
+func (c *LoadConfig) arrival(i int) scenario.Event {
+	if i < len(c.Events) {
+		return c.Events[i]
+	}
+	return scenario.Event{}
+}
+
+// route names the federation and query an event submits: its own when
+// set, else the run's ("default" names the run's federation too).
+func (c *LoadConfig) route(ev scenario.Event) [2]string {
+	r := [2]string{c.Federation, c.Query}
+	if ev.Federation != "" && ev.Federation != "default" {
+		r[0] = ev.Federation
+	}
+	if ev.Query != "" {
+		r[1] = ev.Query
+	}
+	return r
 }
 
 // LoadReport summarizes one run.
@@ -142,7 +192,7 @@ func (r *LoadReport) String() string {
 		r.P50MS, r.P90MS, r.P99MS, r.MaxMS, r.Errors, r.Coalesced)
 }
 
-// clientResult is one worker's tally.
+// clientResult is one in-flight slot's tally.
 type clientResult struct {
 	latencies []float64
 	statuses  map[int]int
@@ -152,8 +202,7 @@ type clientResult struct {
 	exhausted int
 }
 
-// tally records one completed shot. Shared by the closed-loop clients
-// and the open-loop slots so both arms feed summarize identically.
+// tally records one completed shot.
 func (res *clientResult) tally(shot shotResult, latMS float64) {
 	res.statuses[shot.status]++
 	res.redirects += shot.redirects
@@ -173,24 +222,25 @@ func (res *clientResult) tally(shot shotResult, latMS float64) {
 	}
 }
 
-// router directs each request at its federation's current owner. It
+// router directs one federation's requests at its current owner. It
 // caches the owner address learned from successful responses, 307
 // Location headers and GET /v1/cluster, and falls back to round-robin
 // over the seed list while no owner is known (or after the cached one
 // stopped answering).
 type router struct {
+	fed   string
 	seeds []string
 	next  atomic.Uint64
 	mu    sync.Mutex
 	owner string
 }
 
-func newRouter(cfg *LoadConfig) *router {
+func newRouter(cfg *LoadConfig, fed string) *router {
 	seeds := cfg.Addrs
 	if len(seeds) == 0 {
 		seeds = []string{cfg.BaseURL}
 	}
-	return &router{seeds: seeds}
+	return &router{fed: fed, seeds: seeds}
 }
 
 // target picks the base URL for the next attempt.
@@ -223,7 +273,7 @@ func (rt *router) forget(base string) {
 // refresh re-reads the routing table from any live seed and re-resolves
 // the federation's owner. Best-effort: a cluster that is entirely
 // unreachable just leaves the cache empty.
-func (rt *router) refresh(ctx context.Context, client *http.Client, fed string) {
+func (rt *router) refresh(ctx context.Context, client *http.Client) {
 	for range rt.seeds {
 		base := rt.seeds[rt.next.Add(1)%uint64(len(rt.seeds))]
 		req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/cluster", nil)
@@ -241,7 +291,7 @@ func (rt *router) refresh(ctx context.Context, client *http.Client, fed string) 
 		if err != nil || resp.StatusCode != http.StatusOK {
 			continue
 		}
-		name := fed
+		name := rt.fed
 		if name == "" && len(cr.Placements) == 1 {
 			for n := range cr.Placements {
 				name = n
@@ -261,27 +311,31 @@ func (rt *router) refresh(ctx context.Context, client *http.Client, fed string) 
 	}
 }
 
-// RunLoad drives the configured clients against the server and blocks
-// until the run completes (or ctx cancels it early).
+// target is what one (federation, query) pair submits, and where.
+type target struct {
+	rt   *router
+	body []byte
+}
+
+// RunLoad drives the configured run against the server and blocks
+// until every dispatched request completes (or ctx cancels the run).
 func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadReport, error) {
 	if err := cfg.setDefaults(); err != nil {
 		return nil, err
 	}
-	body, err := json.Marshal(server.QueryRequest{
-		Federation: cfg.Federation,
-		Query:      cfg.Query,
-		Weights:    cfg.Weights,
-		TimeoutMS:  cfg.TimeoutMS,
-	})
-	if err != nil {
-		return nil, err
+	slots, arrivals := cfg.MaxInFlight, len(cfg.Events)
+	if arrivals == 0 {
+		slots, arrivals = cfg.Clients, cfg.Clients*cfg.Requests
+		if cfg.Requests == 0 {
+			arrivals = math.MaxInt
+		}
 	}
 	client := &http.Client{
 		Timeout: cfg.HTTPTimeout,
 		Transport: &http.Transport{
-			// A closed-loop generator holds one connection per client.
-			MaxIdleConns:        cfg.Clients,
-			MaxIdleConnsPerHost: cfg.Clients,
+			// Each in-flight slot holds one connection.
+			MaxIdleConns:        slots,
+			MaxIdleConnsPerHost: slots,
 		},
 		// 307s are followed by hand so each hop updates the routing
 		// cache and spends the request's redirect budget.
@@ -289,50 +343,96 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadReport, error) {
 			return http.ErrUseLastResponse
 		},
 	}
-	rt := newRouter(&cfg)
-	if len(cfg.Addrs) > 0 {
-		// Learn the initial owner so the run starts on target instead of
-		// paying a redirect per client.
-		rt.refresh(ctx, client, cfg.Federation)
+
+	// Resolve every pair the run submits before it starts, so the
+	// dispatcher only reads: one marshalled body per pair, and one
+	// router per federation whose owner a cluster run learns up front
+	// instead of paying a redirect per slot.
+	targets := make(map[[2]string]target)
+	routers := make(map[string]*router)
+	for i := range max(1, len(cfg.Events)) {
+		r := cfg.route(cfg.arrival(i))
+		if _, ok := targets[r]; ok {
+			continue
+		}
+		rt := routers[r[0]]
+		if rt == nil {
+			rt = newRouter(&cfg, r[0])
+			routers[r[0]] = rt
+			if len(cfg.Addrs) > 0 {
+				rt.refresh(ctx, client)
+			}
+		}
+		body, err := json.Marshal(server.QueryRequest{
+			Federation: r[0], Query: r[1], Weights: cfg.Weights, TimeoutMS: cfg.TimeoutMS,
+		})
+		if err != nil {
+			return nil, err
+		}
+		targets[r] = target{rt, body}
 	}
 
-	// Duration bounds the run only in open-ended mode: a fixed-count
-	// run (-requests) must complete its count, not be silently cut.
-	if cfg.Requests == 0 && cfg.Duration > 0 {
+	// Duration bounds only an open-ended closed loop: a fixed count
+	// (-requests) or a schedule must complete, not be silently cut.
+	if len(cfg.Events) == 0 && cfg.Requests == 0 && cfg.Duration > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, cfg.Duration)
 		defer cancel()
 	}
 
-	results := make([]clientResult, cfg.Clients)
+	// One clientResult per in-flight slot: a request tallies into the
+	// slot it ran in, and summarize is grouping-invariant (pinned by
+	// TestSummarizeGroupingInvariant), so this is just lock-free
+	// bookkeeping, not a semantic grouping.
+	results := make([]clientResult, slots)
+	free := make(chan int, slots)
+	for i := range results {
+		results[i].statuses = make(map[int]int)
+		results[i].perNode = make(map[string][]float64)
+		free <- i
+	}
+
 	var wg sync.WaitGroup
+	skipped := 0
 	start := time.Now()
-	for c := 0; c < cfg.Clients; c++ {
-		wg.Add(1)
-		go func(res *clientResult) {
-			defer wg.Done()
-			res.statuses = make(map[int]int)
-			res.perNode = make(map[string][]float64)
-			for n := 0; cfg.Requests == 0 || n < cfg.Requests; n++ {
-				if ctx.Err() != nil {
-					return
-				}
-				began := time.Now()
-				shot := submitShot(ctx, client, rt, &cfg, body)
-				// A shot cut down by the run deadline is not a server
-				// error; drop it rather than misreport.
-				if shot.status == 0 && ctx.Err() != nil {
-					return
-				}
-				res.tally(shot, float64(time.Since(began))/float64(time.Millisecond))
+	for i := 0; i < arrivals; i++ {
+		ev := cfg.arrival(i)
+		if wait := time.Until(start.Add(time.Duration(float64(ev.Offset) / cfg.Speed))); wait > 0 {
+			select {
+			case <-time.After(wait):
+			case <-ctx.Done():
 			}
-		}(&results[c])
+		}
+		var slot int
+		select {
+		case slot = <-free:
+		case <-ctx.Done():
+		}
+		if ctx.Err() != nil {
+			skipped = max(0, len(cfg.Events)-i)
+			break
+		}
+		wg.Add(1)
+		go func(t target) {
+			defer wg.Done()
+			defer func() { free <- slot }()
+			began := time.Now()
+			shot := submitShot(ctx, client, t.rt, &cfg, t.body)
+			// A shot cut down by the run deadline is not a server
+			// error; drop it rather than misreport.
+			if shot.status == 0 && ctx.Err() != nil {
+				return
+			}
+			results[slot].tally(shot, float64(time.Since(began))/float64(time.Millisecond))
+		}(targets[cfg.route(ev)])
 	}
 	wg.Wait()
-	return summarize(results, cfg.Clients, time.Since(start)), nil
+	report := summarize(results, slots, time.Since(start))
+	report.Skipped = skipped
+	return report, nil
 }
 
-// summarize folds the per-client tallies into one report — the
+// summarize folds the per-slot tallies into one report — the
 // percentile and rate math of a load run, separated from the HTTP loop
 // so it is testable against known inputs.
 func summarize(results []clientResult, clients int, elapsed time.Duration) *LoadReport {
@@ -433,7 +533,7 @@ func submitShot(ctx context.Context, client *http.Client, rt *router, cfg *LoadC
 			case <-ctx.Done():
 				return out
 			}
-			rt.refresh(ctx, client, cfg.Federation)
+			rt.refresh(ctx, client)
 			base = rt.target()
 		}
 	}
@@ -441,7 +541,9 @@ func submitShot(ctx context.Context, client *http.Client, rt *router, cfg *LoadC
 
 // postOnce fires one POST and reports (status, node, coalesced,
 // location); status 0 means the request never produced an HTTP
-// response.
+// response. A 200 whose body does not decode is still a 200, without a
+// node stamp: the server records the round before it answers, so a
+// retry would record it twice.
 func postOnce(ctx context.Context, client *http.Client, url string, body []byte) (int, string, bool, string) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
@@ -459,7 +561,7 @@ func postOnce(ctx context.Context, client *http.Client, url string, body []byte)
 	}
 	var qr server.QueryResponse
 	if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
-		return 0, "", false, ""
+		return http.StatusOK, "", false, ""
 	}
 	return resp.StatusCode, qr.Node, qr.Coalesced, ""
 }

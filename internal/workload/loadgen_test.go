@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/scenario"
 	"repro/internal/server"
 )
 
@@ -192,8 +194,83 @@ func TestRunLoadValidation(t *testing.T) {
 	if _, err := RunLoad(context.Background(), LoadConfig{}); err == nil {
 		t.Fatal("missing BaseURL should error")
 	}
+	if _, err := RunLoad(context.Background(), LoadConfig{Events: []scenario.Event{{Query: "Q12"}}}); err == nil {
+		t.Fatal("missing BaseURL should error with a schedule too")
+	}
 	if _, err := RunLoad(context.Background(), LoadConfig{BaseURL: "http://x", Clients: -1}); err == nil {
 		t.Fatal("negative clients should error")
+	}
+}
+
+// peakServer is a fake midasd that holds each request briefly and
+// records how many it got and the most it held at once.
+func peakServer(t *testing.T) (url string, posts, peak *atomic.Int64) {
+	t.Helper()
+	posts, peak = new(atomic.Int64), new(atomic.Int64)
+	var inFlight atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		posts.Add(1)
+		n := inFlight.Add(1)
+		for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+		}
+		time.Sleep(5 * time.Millisecond)
+		inFlight.Add(-1) // before the answer, so the next request cannot overlap this one
+		_ = json.NewEncoder(w).Encode(server.QueryResponse{Query: "Q12"})
+	}))
+	t.Cleanup(ts.Close)
+	return ts.URL, posts, peak
+}
+
+// TestRunLoadBoundsInFlight: the one loop never holds more requests in
+// flight than it has slots — Clients closed loop, MaxInFlight open loop.
+func TestRunLoadBoundsInFlight(t *testing.T) {
+	url, posts, peak := peakServer(t)
+	rep, err := RunLoad(context.Background(), LoadConfig{BaseURL: url, Clients: 3, Requests: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if posts.Load() != 60 || peak.Load() != 3 || rep.Requests != 60 || rep.Skipped != 0 {
+		t.Fatalf("closed loop: %d POSTs, peak %d, %d requests, %d skipped; want 60, 3, 60, 0",
+			posts.Load(), peak.Load(), rep.Requests, rep.Skipped)
+	}
+
+	url, posts, peak = peakServer(t)
+	rep, err = RunLoad(context.Background(), LoadConfig{BaseURL: url, MaxInFlight: 2, Events: make([]scenario.Event, 30)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if posts.Load() != 30 || peak.Load() > 2 || rep.Requests != 30 || rep.Skipped != 0 {
+		t.Fatalf("open loop: %d POSTs, peak %d, %d requests, %d skipped; want 30, ≤ 2, 30, 0",
+			posts.Load(), peak.Load(), rep.Requests, rep.Skipped)
+	}
+}
+
+// TestRunLoadUndecodable200IsNotRetried: the server records a round
+// before it answers 200, so a 200 whose body does not decode is one
+// acked request, never re-sent. The caller's Addrs stay as they were.
+func TestRunLoadUndecodable200IsNotRetried(t *testing.T) {
+	var posts atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost {
+			http.NotFound(w, r)
+			return
+		}
+		posts.Add(1)
+		_, _ = io.WriteString(w, `{"query":"Q1`)
+	}))
+	defer ts.Close()
+
+	addrs := []string{ts.URL + "/"}
+	rep, err := RunLoad(context.Background(), LoadConfig{Addrs: addrs, Clients: 2, Requests: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if posts.Load() != 6 || rep.StatusCounts[http.StatusOK] != 6 || rep.Errors != 0 {
+		t.Fatalf("%d POSTs, statuses %v, %d errors; want 6 POSTs, 6 × 200, 0 errors",
+			posts.Load(), rep.StatusCounts, rep.Errors)
+	}
+	if addrs[0] != ts.URL+"/" {
+		t.Fatalf("RunLoad rewrote the caller's Addrs: %q", addrs[0])
 	}
 }
 

@@ -29,8 +29,8 @@ func roundTripTrace(t *testing.T, events []scenario.Event) []scenario.Event {
 }
 
 // regroup distributes one flat sample list over n clientResult tallies
-// in round-robin order — the shape a closed-loop run with n clients or
-// an open-loop run with n slots would produce.
+// in round-robin order — the shape a run with n in-flight slots would
+// produce.
 func regroup(samples []float64, statuses []int, n int) []clientResult {
 	results := make([]clientResult, n)
 	for i := range results {
@@ -44,10 +44,9 @@ func regroup(samples []float64, statuses []int, n int) []clientResult {
 	return results
 }
 
-// The property the open-loop runner leans on: summarize is invariant
-// to how samples are grouped into clientResults. A closed-loop run
-// groups by client, an open-loop run by in-flight slot — both must
-// report identical percentiles, counts and rates.
+// The property the load loop leans on: summarize is invariant to how
+// samples are grouped into clientResults, so tallying by in-flight slot
+// reports the same percentiles, counts and rates as any other grouping.
 func TestSummarizeGroupingInvariant(t *testing.T) {
 	rng := stats.NewRNG(99)
 	const samples = 4097
@@ -72,9 +71,9 @@ func TestSummarizeGroupingInvariant(t *testing.T) {
 	}
 }
 
-// Closed-loop (8 clients) and open-loop (256 slots) groupings of the
-// same latency samples must agree on every percentile — the satellite
-// guarantee that there is exactly one percentile implementation.
+// Closed-loop (8 slots) and open-loop (256 slots) groupings of the same
+// latency samples must agree on every percentile: there is exactly one
+// percentile implementation.
 func TestClosedAndOpenLoopSummariesAgree(t *testing.T) {
 	rng := stats.NewRNG(5)
 	lats := make([]float64, 1000)
@@ -103,7 +102,7 @@ func TestClosedAndOpenLoopSummariesAgree(t *testing.T) {
 	}
 }
 
-func TestRunOpenLoadFiresWholeSchedule(t *testing.T) {
+func TestRunLoadFiresWholeSchedule(t *testing.T) {
 	ts := fakeMidasd(t, nil)
 	defer ts.Close()
 
@@ -112,10 +111,10 @@ func TestRunOpenLoadFiresWholeSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := RunOpenLoad(context.Background(), OpenLoadConfig{
-		LoadConfig: LoadConfig{BaseURL: ts.URL},
-		Events:     events,
-		Speed:      10, // compress the schedule; latencies don't change
+	rep, err := RunLoad(context.Background(), LoadConfig{
+		BaseURL: ts.URL,
+		Events:  events,
+		Speed:   10, // compress the schedule; latencies don't change
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +133,7 @@ func TestRunOpenLoadFiresWholeSchedule(t *testing.T) {
 
 // An open-loop run replayed from trace bytes must fire the same
 // schedule the recording wrote.
-func TestRunOpenLoadReplaysTrace(t *testing.T) {
+func TestRunLoadReplaysTrace(t *testing.T) {
 	ts := fakeMidasd(t, nil)
 	defer ts.Close()
 
@@ -146,10 +145,10 @@ func TestRunOpenLoadReplaysTrace(t *testing.T) {
 	if !reflect.DeepEqual(events, replayed) {
 		t.Fatal("trace round trip changed the schedule")
 	}
-	rep, err := RunOpenLoad(context.Background(), OpenLoadConfig{
-		LoadConfig: LoadConfig{BaseURL: ts.URL},
-		Events:     replayed,
-		Speed:      10,
+	rep, err := RunLoad(context.Background(), LoadConfig{
+		BaseURL: ts.URL,
+		Events:  replayed,
+		Speed:   10,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -159,20 +158,7 @@ func TestRunOpenLoadReplaysTrace(t *testing.T) {
 	}
 }
 
-func TestRunOpenLoadValidation(t *testing.T) {
-	if _, err := RunOpenLoad(context.Background(), OpenLoadConfig{
-		LoadConfig: LoadConfig{BaseURL: "http://localhost:1"},
-	}); err == nil {
-		t.Fatal("empty schedule must error")
-	}
-	if _, err := RunOpenLoad(context.Background(), OpenLoadConfig{
-		Events: []scenario.Event{{Query: "Q12"}},
-	}); err == nil {
-		t.Fatal("missing BaseURL must error")
-	}
-}
-
-func TestRunOpenLoadCancelledContext(t *testing.T) {
+func TestRunLoadCancelledContext(t *testing.T) {
 	ts := fakeMidasd(t, nil)
 	defer ts.Close()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -181,14 +167,11 @@ func TestRunOpenLoadCancelledContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := RunOpenLoad(ctx, OpenLoadConfig{
-		LoadConfig: LoadConfig{BaseURL: ts.URL},
-		Events:     events,
-	})
+	rep, err := RunLoad(ctx, LoadConfig{BaseURL: ts.URL, Events: events})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Requests != 0 {
-		t.Fatalf("cancelled run completed %d requests, want 0", rep.Requests)
+	if rep.Requests != 0 || rep.Skipped != len(events) {
+		t.Fatalf("cancelled run: %d requests, %d skipped, want 0 and %d", rep.Requests, rep.Skipped, len(events))
 	}
 }

@@ -409,8 +409,8 @@ type (
 // bootstrap; the slow part) and returns a ready server.
 func NewQueryServer(cfg ServerConfig) (*QueryServer, error) { return server.New(cfg) }
 
-// RunLoad drives N concurrent closed-loop clients against a serving
-// instance and reports sustained QPS and latency percentiles.
+// RunLoad drives N concurrent closed-loop clients, or an open-loop event
+// schedule, against a serving instance and reports QPS and percentiles.
 var RunLoad = workload.RunLoad
 
 // ---------------------------------------------------------------------------
