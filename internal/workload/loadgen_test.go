@@ -194,9 +194,6 @@ func TestRunLoadValidation(t *testing.T) {
 	if _, err := RunLoad(context.Background(), LoadConfig{}); err == nil {
 		t.Fatal("missing BaseURL should error")
 	}
-	if _, err := RunLoad(context.Background(), LoadConfig{Events: []scenario.Event{{Query: "Q12"}}}); err == nil {
-		t.Fatal("missing BaseURL should error with a schedule too")
-	}
 	if _, err := RunLoad(context.Background(), LoadConfig{BaseURL: "http://x", Clients: -1}); err == nil {
 		t.Fatal("negative clients should error")
 	}

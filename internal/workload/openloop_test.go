@@ -158,6 +158,22 @@ func TestRunLoadReplaysTrace(t *testing.T) {
 	}
 }
 
+// TestRunLoadScheduleValidation: a schedule still needs a BaseURL, an
+// empty schedule is a valid closed-loop run, and a non-positive Speed
+// falls back to real time.
+func TestRunLoadScheduleValidation(t *testing.T) {
+	if _, err := RunLoad(context.Background(), LoadConfig{Events: []scenario.Event{{Query: "Q12"}}}); err == nil {
+		t.Fatal("missing BaseURL should error with a schedule too")
+	}
+	cfg := LoadConfig{BaseURL: "http://localhost:1", Events: []scenario.Event{}, Speed: -2}
+	if err := cfg.setDefaults(); err != nil {
+		t.Fatalf("empty schedule should be a valid closed-loop config: %v", err)
+	}
+	if cfg.Speed != 1 {
+		t.Fatalf("non-positive Speed defaulted to %v, want 1", cfg.Speed)
+	}
+}
+
 func TestRunLoadCancelledContext(t *testing.T) {
 	ts := fakeMidasd(t, nil)
 	defer ts.Close()
