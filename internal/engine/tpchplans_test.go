@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -41,17 +42,29 @@ func runFederated(t *testing.T, db *tpch.Database, qp *QueryPlan) (*Relation, St
 	return finalRel, total
 }
 
-func genDB(t *testing.T) *tpch.Database {
+func genDB(t *testing.T, sf float64, seed int64) *tpch.Database {
 	t.Helper()
-	db, err := tpch.Generate(0.01, tpch.GenOptions{Seed: 77})
+	db, err := tpch.Generate(sf, tpch.GenOptions{Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return db
 }
 
+// forEachDB runs fn as a subtest over every reference database: seeds
+// {7, 42, 77} at the servers' calibration scale (SF 0.004) and at 0.01.
+func forEachDB(t *testing.T, fn func(t *testing.T, db *tpch.Database)) {
+	for _, seed := range []int64{7, 42, 77} {
+		for _, sf := range []float64{0.004, 0.01} {
+			t.Run(fmt.Sprintf("seed=%d/sf=%v", seed, sf), func(t *testing.T) {
+				fn(t, genDB(t, sf, seed))
+			})
+		}
+	}
+}
+
 func TestToRelationUnknown(t *testing.T) {
-	db := genDB(t)
+	db := genDB(t, 0.004, 77)
 	if _, err := ToRelation(db, "partsupp"); err == nil {
 		t.Error("unsupported table accepted")
 	}
@@ -64,81 +77,85 @@ func TestBuildPlanUnknown(t *testing.T) {
 }
 
 func TestQ12PlanMatchesReference(t *testing.T) {
-	db := genDB(t)
-	qp, err := BuildPlan(tpch.QueryQ12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rel, st := runFederated(t, db, qp)
-	want := tpch.Q12(db, tpch.DefaultQ12Params())
-	if len(rel.Rows) != len(want) {
-		t.Fatalf("engine Q12 has %d groups, reference has %d", len(rel.Rows), len(want))
-	}
-	for i, w := range want {
-		row := rel.Rows[i]
-		if row[0].(string) != w.ShipMode ||
-			row[1].(int64) != w.HighLineCount ||
-			row[2].(int64) != w.LowLineCount {
-			t.Errorf("group %d: engine %v, reference %+v", i, row, w)
+	forEachDB(t, func(t *testing.T, db *tpch.Database) {
+		qp, err := BuildPlan(tpch.QueryQ12)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if st.Stages == 0 || st.RowsScanned == 0 {
-		t.Error("stats not accumulated across federated execution")
-	}
+		rel, st := runFederated(t, db, qp)
+		want := tpch.Q12(db, tpch.DefaultQ12Params())
+		if len(rel.Rows) != len(want) {
+			t.Fatalf("engine Q12 has %d groups, reference has %d", len(rel.Rows), len(want))
+		}
+		for i, w := range want {
+			row := rel.Rows[i]
+			if row[0].(string) != w.ShipMode ||
+				row[1].(int64) != w.HighLineCount ||
+				row[2].(int64) != w.LowLineCount {
+				t.Errorf("group %d: engine %v, reference %+v", i, row, w)
+			}
+		}
+		if st.Stages == 0 || st.RowsScanned == 0 {
+			t.Error("stats not accumulated across federated execution")
+		}
+	})
 }
 
 func TestQ13PlanMatchesReference(t *testing.T) {
-	db := genDB(t)
-	qp, err := BuildPlan(tpch.QueryQ13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rel, _ := runFederated(t, db, qp)
-	want := tpch.Q13(db, tpch.DefaultQ13Params())
-	if len(rel.Rows) != len(want) {
-		t.Fatalf("engine Q13 has %d groups, reference has %d", len(rel.Rows), len(want))
-	}
-	for i, w := range want {
-		row := rel.Rows[i]
-		if row[0].(int64) != w.CCount || row[1].(int64) != w.CustDist {
-			t.Errorf("row %d: engine (%v, %v), reference (%d, %d)",
-				i, row[0], row[1], w.CCount, w.CustDist)
+	forEachDB(t, func(t *testing.T, db *tpch.Database) {
+		qp, err := BuildPlan(tpch.QueryQ13)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
+		rel, _ := runFederated(t, db, qp)
+		want := tpch.Q13(db, tpch.DefaultQ13Params())
+		if len(rel.Rows) != len(want) {
+			t.Fatalf("engine Q13 has %d groups, reference has %d", len(rel.Rows), len(want))
+		}
+		for i, w := range want {
+			row := rel.Rows[i]
+			if row[0].(int64) != w.CCount || row[1].(int64) != w.CustDist {
+				t.Errorf("row %d: engine (%v, %v), reference (%d, %d)",
+					i, row[0], row[1], w.CCount, w.CustDist)
+			}
+		}
+	})
 }
 
 func TestQ14PlanMatchesReference(t *testing.T) {
-	db := genDB(t)
-	qp, err := BuildPlan(tpch.QueryQ14)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rel, _ := runFederated(t, db, qp)
-	if len(rel.Rows) != 1 {
-		t.Fatalf("Q14 returned %d rows, want 1", len(rel.Rows))
-	}
-	got := rel.Rows[0][0].(float64)
-	want := tpch.Q14(db, tpch.DefaultQ14Params())
-	if math.Abs(got-want) > 1e-9 {
-		t.Errorf("engine Q14 = %v, reference = %v", got, want)
-	}
+	forEachDB(t, func(t *testing.T, db *tpch.Database) {
+		qp, err := BuildPlan(tpch.QueryQ14)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rel, _ := runFederated(t, db, qp)
+		if len(rel.Rows) != 1 {
+			t.Fatalf("Q14 returned %d rows, want 1", len(rel.Rows))
+		}
+		got := rel.Rows[0][0].(float64)
+		want := tpch.Q14(db, tpch.DefaultQ14Params())
+		if math.Abs(got-want) > 1e-9 {
+			t.Errorf("engine Q14 = %v, reference = %v", got, want)
+		}
+	})
 }
 
 func TestQ17PlanMatchesReference(t *testing.T) {
-	db := genDB(t)
-	qp, err := BuildPlan(tpch.QueryQ17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rel, _ := runFederated(t, db, qp)
-	if len(rel.Rows) != 1 {
-		t.Fatalf("Q17 returned %d rows, want 1", len(rel.Rows))
-	}
-	got := rel.Rows[0][0].(float64)
-	want := tpch.Q17(db, tpch.DefaultQ17Params())
-	if math.Abs(got-want) > 1e-6*(1+math.Abs(want)) {
-		t.Errorf("engine Q17 = %v, reference = %v", got, want)
-	}
+	forEachDB(t, func(t *testing.T, db *tpch.Database) {
+		qp, err := BuildPlan(tpch.QueryQ17)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rel, _ := runFederated(t, db, qp)
+		if len(rel.Rows) != 1 {
+			t.Fatalf("Q17 returned %d rows, want 1", len(rel.Rows))
+		}
+		got := rel.Rows[0][0].(float64)
+		want := tpch.Q17(db, tpch.DefaultQ17Params())
+		if math.Abs(got-want) > 1e-6*(1+math.Abs(want)) {
+			t.Errorf("engine Q17 = %v, reference = %v", got, want)
+		}
+	})
 }
 
 func TestAllPlansHaveMetadata(t *testing.T) {
