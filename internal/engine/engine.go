@@ -14,8 +14,11 @@
 package engine
 
 import (
+	"cmp"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -25,9 +28,16 @@ var ErrUnknownColumn = errors.New("engine: unknown column")
 // ErrUnknownTable is returned when a scan references an unregistered table.
 var ErrUnknownTable = errors.New("engine: unknown table")
 
-// Row is one tuple; values are int64, float64, string or nil (for
-// outer-join padding).
+// Row is one tuple of a query's answer; values are int64, float64,
+// string or nil (for outer-join padding).
 type Row []any
+
+// Result is a query's answer as rows: the shape callers print and
+// compare, built once from the final relation.
+type Result struct {
+	Schema Schema
+	Rows   []Row
+}
 
 // Schema is an ordered list of column names.
 type Schema []string
@@ -42,18 +52,132 @@ func (s Schema) Index(name string) (int, error) {
 	return 0, fmt.Errorf("%w: %q in schema %v", ErrUnknownColumn, name, []string(s))
 }
 
-// Relation is a materialized table: a schema plus rows.
+// Kind is the type of a column's values.
+type Kind uint8
+
+// Column kinds.
+const (
+	Int   Kind = iota // int64, in Column.Ints
+	Float             // float64, in Column.Floats
+	Str               // string, in Column.Strs
+)
+
+func (k Kind) String() string { return [...]string{"int64", "float64", "string"}[k] }
+
+// Column is one column of a relation: its values in the slice its Kind
+// names.
+type Column struct {
+	Kind   Kind
+	Ints   []int64
+	Floats []float64
+	Strs   []string
+	// Null, when set, marks the rows a left outer join padded; their
+	// values are zero.
+	Null []bool
+}
+
+// len is the row count: only the slice c.Kind names holds values.
+func (c *Column) len() int { return max(len(c.Ints), len(c.Floats), len(c.Strs)) }
+
+// IsNull reports whether row i is outer-join padding.
+func (c *Column) IsNull(i int) bool { return c.Null != nil && c.Null[i] }
+
+// value boxes row i for a Result.
+func (c *Column) value(i int) any {
+	switch {
+	case c.IsNull(i):
+		return nil
+	case c.Kind == Int:
+		return c.Ints[i]
+	case c.Kind == Float:
+		return c.Floats[i]
+	}
+	return c.Strs[i]
+}
+
+// gather returns the column's values at rows, in that order; a row of
+// -1 is padding and comes out null.
+func (c *Column) gather(rows []int32) Column {
+	out := Column{Kind: c.Kind}
+	switch c.Kind {
+	case Int:
+		out.Ints = gatherSlice(c.Ints, rows)
+	case Float:
+		out.Floats = gatherSlice(c.Floats, rows)
+	default:
+		out.Strs = gatherSlice(c.Strs, rows)
+	}
+	for i, r := range rows {
+		if r < 0 || c.IsNull(int(r)) {
+			if out.Null == nil {
+				out.Null = make([]bool, len(rows))
+			}
+			out.Null[i] = true
+		}
+	}
+	return out
+}
+
+func gatherSlice[T any](src []T, rows []int32) []T {
+	out := make([]T, len(rows))
+	for i, r := range rows {
+		if r >= 0 {
+			out[i] = src[r]
+		}
+	}
+	return out
+}
+
+// Relation is a materialized table: a schema and one typed column per
+// schema entry. Operators never modify a relation's columns, so one may
+// share another's.
 type Relation struct {
 	Name   string
 	Schema Schema
-	Rows   []Row
+	Cols   []Column
+	// sel, when non-nil, lists the rows of Cols the relation holds, in
+	// order (a Filter shares its input's columns); nil holds them all.
+	sel []int32
+}
+
+// Len returns the number of rows.
+func (r *Relation) Len() int {
+	if r.sel != nil {
+		return len(r.sel)
+	}
+	if len(r.Cols) == 0 {
+		return 0
+	}
+	return r.Cols[0].len()
+}
+
+// row returns the index into Cols of the relation's k-th row.
+func (r *Relation) row(k int) int {
+	if r.sel == nil {
+		return k
+	}
+	return int(r.sel[k])
+}
+
+// Result boxes the relation's rows, in order.
+func (r *Relation) Result() *Result {
+	rows := make([]Row, r.Len())
+	for k := range rows {
+		i := r.row(k)
+		row := make(Row, len(r.Cols))
+		for c := range r.Cols {
+			row[c] = r.Cols[c].value(i)
+		}
+		rows[k] = row
+	}
+	return &Result{Schema: r.Schema, Rows: rows}
 }
 
 // ApproxBytes estimates the relation's in-flight size, used by the
 // shipping and shuffle cost models (12 bytes per value is a reasonable
 // average across int/float/short-string columns).
 func (r *Relation) ApproxBytes() float64 {
-	return float64(len(r.Rows)*len(r.Schema)) * 12
+	return float64(r.Len()*len(r.Schema)) * 12
 }
 
 // Stats accumulates the work a plan performed; engine profiles turn
@@ -86,6 +210,46 @@ type Node interface {
 	Execute(ctx *Context) (*Relation, error)
 }
 
+// The functions a plan supplies to its operators are compiled once per
+// Execute against the operator's input: they resolve the columns they
+// read through a Binder and return a function of row indexes into the
+// input's columns.
+type (
+	// Pred compiles a row predicate.
+	Pred func(b *Binder) func(i int) bool
+	// ValueFn compiles a numeric row value.
+	ValueFn func(b *Binder) func(i int) float64
+	// LessFn compiles a row order.
+	LessFn func(b *Binder) func(i, j int) bool
+)
+
+// Binder resolves columns of one relation by name and kind. It keeps the
+// first error, so a compiled function binds every column it reads and
+// the operator checks once.
+type Binder struct {
+	in  *Relation
+	err error
+}
+
+// Col returns the named column, checked to hold values of kind k; on
+// error it records the error and returns an empty column.
+func (b *Binder) Col(name string, k Kind) *Column {
+	i, err := b.in.Schema.Index(name)
+	if err == nil && b.in.Cols[i].Kind != k {
+		err = fmt.Errorf("engine: column %q is %v, want %v", name, b.in.Cols[i].Kind, k)
+	}
+	if err != nil {
+		b.err = cmp.Or(b.err, err)
+		return &Column{}
+	}
+	return &b.in.Cols[i]
+}
+
+// Ints, Floats and Strs return a column's values.
+func (b *Binder) Ints(name string) []int64     { return b.Col(name, Int).Ints }
+func (b *Binder) Floats(name string) []float64 { return b.Col(name, Float).Floats }
+func (b *Binder) Strs(name string) []string    { return b.Col(name, Str).Strs }
+
 // ---------------------------------------------------------------------------
 // Scan
 
@@ -100,18 +264,15 @@ func (s *Scan) Execute(ctx *Context) (*Relation, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownTable, s.Table)
 	}
-	ctx.Stats.RowsScanned += len(rel.Rows)
+	ctx.Stats.RowsScanned += rel.Len()
 	return rel, nil
 }
 
 // ---------------------------------------------------------------------------
 // Filter
 
-// Pred evaluates a predicate against a row; idx maps column names to
-// positions and is computed once per execution.
-type Pred func(row Row, idx map[string]int) (bool, error)
-
-// Filter keeps the rows matching Pred.
+// Filter keeps the rows matching Pred. Its output is a selection over
+// its input's columns; nothing is copied.
 type Filter struct {
 	In   Node
 	Pred Pred
@@ -123,25 +284,27 @@ func (f *Filter) Execute(ctx *Context) (*Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	idx := indexOf(in.Schema)
-	out := &Relation{Schema: in.Schema}
-	for _, row := range in.Rows {
-		keep, err := f.Pred(row, idx)
-		if err != nil {
-			return nil, err
-		}
-		if keep {
-			out.Rows = append(out.Rows, row)
+	b := &Binder{in: in}
+	keep := f.Pred(b)
+	if b.err != nil {
+		return nil, b.err
+	}
+	n := in.Len()
+	sel := []int32{}
+	for k := 0; k < n; k++ {
+		if i := in.row(k); keep(i) {
+			sel = append(sel, int32(i))
 		}
 	}
-	ctx.Stats.RowsProcessed += len(in.Rows)
-	return out, nil
+	ctx.Stats.RowsProcessed += n
+	return &Relation{Schema: in.Schema, Cols: in.Cols, sel: sel}, nil
 }
 
 // ---------------------------------------------------------------------------
 // Project
 
-// Project keeps a subset of columns, in order.
+// Project keeps a subset of columns, in order, gathering the selected
+// rows of a filtered input.
 type Project struct {
 	In   Node
 	Cols []string
@@ -153,23 +316,19 @@ func (p *Project) Execute(ctx *Context) (*Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	positions := make([]int, len(p.Cols))
-	for i, c := range p.Cols {
+	out := &Relation{Schema: Schema(p.Cols), Cols: make([]Column, len(p.Cols))}
+	for j, c := range p.Cols {
 		pos, err := in.Schema.Index(c)
 		if err != nil {
 			return nil, err
 		}
-		positions[i] = pos
-	}
-	out := &Relation{Schema: Schema(p.Cols), Rows: make([]Row, len(in.Rows))}
-	for i, row := range in.Rows {
-		nr := make(Row, len(positions))
-		for j, pos := range positions {
-			nr[j] = row[pos]
+		if in.sel == nil {
+			out.Cols[j] = in.Cols[pos]
+		} else {
+			out.Cols[j] = in.Cols[pos].gather(in.sel)
 		}
-		out.Rows[i] = nr
 	}
-	ctx.Stats.RowsProcessed += len(in.Rows)
+	ctx.Stats.RowsProcessed += in.Len()
 	return out, nil
 }
 
@@ -185,11 +344,12 @@ const (
 	LeftOuter
 )
 
-// HashJoin joins two inputs on single equality keys. The right side is
-// built into a hash table; left rows probe it. Output schema is the
-// left schema followed by the right schema (right columns prefixed with
-// the right relation's key column untouched — callers project as
-// needed; duplicate names are disambiguated with a "r_" prefix).
+// HashJoin joins two inputs on one equality of int64 keys. The right
+// side is built into a hash table; left rows probe it, and each left
+// row's matches come out in right-input order. Output schema is the
+// left schema followed by the right schema (duplicate names are
+// disambiguated with an "r_" prefix); a left-outer row with no match
+// has its right columns null.
 type HashJoin struct {
 	Left, Right       Node
 	LeftKey, RightKey string
@@ -206,38 +366,53 @@ func (j *HashJoin) Execute(ctx *Context) (*Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	lk, err := left.Schema.Index(j.LeftKey)
-	if err != nil {
-		return nil, err
-	}
-	rk, err := right.Schema.Index(j.RightKey)
-	if err != nil {
+	lb, rb := &Binder{in: left}, &Binder{in: right}
+	lk, rk := lb.Ints(j.LeftKey), rb.Ints(j.RightKey)
+	if err := cmp.Or(lb.err, rb.err); err != nil {
 		return nil, err
 	}
 
-	outSchema := joinSchema(left.Schema, right.Schema)
-
-	build := make(map[any][]Row, len(right.Rows))
-	for _, row := range right.Rows {
-		k := row[rk]
-		build[k] = append(build[k], row)
+	// Chain each key's right rows: head is a key's first, next the one
+	// after; built back to front so a chain runs in input order.
+	nl, nr := left.Len(), right.Len()
+	head := make(map[int64]int32, nr)
+	next := make([]int32, nr)
+	for k := nr - 1; k >= 0; k-- {
+		i := int32(right.row(k))
+		key := rk[i]
+		if h, ok := head[key]; ok {
+			next[k] = h
+		} else {
+			next[k] = -1
+		}
+		head[key] = int32(k)
 	}
-
-	out := &Relation{Schema: outSchema}
-	nullRight := make(Row, len(right.Schema))
-	for _, lrow := range left.Rows {
-		matches := build[lrow[lk]]
-		if len(matches) == 0 {
+	lrows, rrows := make([]int32, 0, nl), make([]int32, 0, nl)
+	for k := 0; k < nl; k++ {
+		li := int32(left.row(k))
+		h, ok := head[lk[li]]
+		if !ok {
 			if j.Type == LeftOuter {
-				out.Rows = append(out.Rows, concatRows(lrow, nullRight))
+				lrows, rrows = append(lrows, li), append(rrows, -1)
 			}
 			continue
 		}
-		for _, rrow := range matches {
-			out.Rows = append(out.Rows, concatRows(lrow, rrow))
+		for m := h; m >= 0; m = next[m] {
+			lrows, rrows = append(lrows, li), append(rrows, int32(right.row(int(m))))
 		}
 	}
-	ctx.Stats.RowsProcessed += len(left.Rows) + len(right.Rows) + len(out.Rows)
+
+	out := &Relation{
+		Schema: joinSchema(left.Schema, right.Schema),
+		Cols:   make([]Column, 0, len(left.Cols)+len(right.Cols)),
+	}
+	for c := range left.Cols {
+		out.Cols = append(out.Cols, left.Cols[c].gather(lrows))
+	}
+	for c := range right.Cols {
+		out.Cols = append(out.Cols, right.Cols[c].gather(rrows))
+	}
+	ctx.Stats.RowsProcessed += nl + nr + len(lrows)
 	ctx.Stats.ShuffleBytes += left.ApproxBytes() + right.ApproxBytes()
 	ctx.Stats.Stages++
 	return out, nil
@@ -261,12 +436,6 @@ func joinSchema(left, right Schema) Schema {
 	return out
 }
 
-func concatRows(a, b Row) Row {
-	out := make(Row, 0, len(a)+len(b))
-	out = append(out, a...)
-	return append(out, b...)
-}
-
 // ---------------------------------------------------------------------------
 // Aggregate
 
@@ -280,9 +449,6 @@ const (
 	Avg
 )
 
-// ValueFn extracts a numeric value from a row.
-type ValueFn func(row Row, idx map[string]int) (float64, error)
-
 // AggSpec is one output aggregate.
 type AggSpec struct {
 	As   string
@@ -295,17 +461,13 @@ type AggSpec struct {
 }
 
 // Aggregate groups rows by the GroupBy columns (empty = one global
-// group) and computes the Aggs. Output schema is GroupBy ++ agg names.
+// group) and computes the Aggs. Output schema is GroupBy ++ agg names;
+// groups come out in the order their first row arrived. Counts are
+// int64 columns, sums and averages float64.
 type Aggregate struct {
 	In      Node
 	GroupBy []string
 	Aggs    []AggSpec
-}
-
-type aggState struct {
-	key    []any
-	counts []int64
-	sums   []float64
 }
 
 // Execute implements Node.
@@ -314,113 +476,130 @@ func (a *Aggregate) Execute(ctx *Context) (*Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	idx := indexOf(in.Schema)
-	groupPos := make([]int, len(a.GroupBy))
-	for i, c := range a.GroupBy {
+	keys := make([]*Column, len(a.GroupBy))
+	for g, c := range a.GroupBy {
 		pos, err := in.Schema.Index(c)
 		if err != nil {
 			return nil, err
 		}
-		groupPos[i] = pos
+		keys[g] = &in.Cols[pos]
+	}
+	na := len(a.Aggs)
+	wheres := make([]func(int) bool, na)
+	vals := make([]func(int) float64, na)
+	b := &Binder{in: in}
+	for s, spec := range a.Aggs {
+		if spec.Where != nil {
+			wheres[s] = spec.Where(b)
+		}
+		if spec.Kind == Sum || spec.Kind == Avg {
+			vals[s] = spec.Val(b)
+		}
+	}
+	if b.err != nil {
+		return nil, b.err
 	}
 
-	groups := make(map[string]*aggState)
-	order := make([]string, 0)
-	keyBuf := make([]byte, 0, 64)
-	for _, row := range in.Rows {
-		keyBuf = keyBuf[:0]
-		for _, pos := range groupPos {
-			keyBuf = append(keyBuf, fmt.Sprint(row[pos])...)
-			keyBuf = append(keyBuf, 0)
-		}
-		k := string(keyBuf)
-		st, ok := groups[k]
+	// first holds each group's first row (its key values); counts and
+	// sums hold na accumulators per group.
+	groups := make(map[string]int32)
+	var first []int32
+	var counts []int64
+	var sums []float64
+	var key []byte
+	n := in.Len()
+	for k := 0; k < n; k++ {
+		i := in.row(k)
+		key = groupKey(key[:0], keys, i)
+		g, ok := groups[string(key)]
 		if !ok {
-			key := make([]any, len(groupPos))
-			for i, pos := range groupPos {
-				key[i] = row[pos]
+			g = int32(len(first))
+			groups[string(key)] = g
+			first = append(first, int32(i))
+			for range na {
+				counts, sums = append(counts, 0), append(sums, 0)
 			}
-			st = &aggState{
-				key:    key,
-				counts: make([]int64, len(a.Aggs)),
-				sums:   make([]float64, len(a.Aggs)),
-			}
-			groups[k] = st
-			order = append(order, k)
 		}
-		for i, spec := range a.Aggs {
-			if spec.Where != nil {
-				ok, err := spec.Where(row, idx)
-				if err != nil {
-					return nil, err
-				}
-				if !ok {
-					continue
-				}
+		acc := int(g) * na
+		for s := range na {
+			if wheres[s] != nil && !wheres[s](i) {
+				continue
 			}
-			st.counts[i]++
-			if spec.Kind == Sum || spec.Kind == Avg {
-				v, err := spec.Val(row, idx)
-				if err != nil {
-					return nil, err
-				}
-				st.sums[i] += v
+			counts[acc+s]++
+			if vals[s] != nil {
+				sums[acc+s] += vals[s](i)
 			}
 		}
 	}
 	// A global aggregate over zero rows still yields one all-zero row,
 	// matching SQL semantics for COUNT/SUM over empty input.
-	if len(groupPos) == 0 && len(order) == 0 {
-		groups[""] = &aggState{
-			counts: make([]int64, len(a.Aggs)),
-			sums:   make([]float64, len(a.Aggs)),
-		}
-		order = append(order, "")
+	if len(keys) == 0 && len(first) == 0 {
+		first = []int32{-1}
+		counts, sums = make([]int64, na), make([]float64, na)
 	}
 
-	outSchema := make(Schema, 0, len(a.GroupBy)+len(a.Aggs))
-	outSchema = append(outSchema, a.GroupBy...)
-	for _, spec := range a.Aggs {
-		outSchema = append(outSchema, spec.As)
+	out := &Relation{
+		Schema: make(Schema, 0, len(keys)+na),
+		Cols:   make([]Column, 0, len(keys)+na),
 	}
-	out := &Relation{Schema: outSchema, Rows: make([]Row, 0, len(order))}
-	for _, k := range order {
-		st := groups[k]
-		row := make(Row, 0, len(outSchema))
-		row = append(row, st.key...)
-		for i, spec := range a.Aggs {
-			switch spec.Kind {
-			case Count:
-				row = append(row, st.counts[i])
-			case Sum:
-				row = append(row, st.sums[i])
-			case Avg:
-				if st.counts[i] == 0 {
-					row = append(row, 0.0)
-				} else {
-					row = append(row, st.sums[i]/float64(st.counts[i]))
-				}
+	out.Schema = append(out.Schema, a.GroupBy...)
+	for _, c := range keys {
+		out.Cols = append(out.Cols, c.gather(first))
+	}
+	ng := len(first)
+	for s, spec := range a.Aggs {
+		out.Schema = append(out.Schema, spec.As)
+		if spec.Kind == Count {
+			v := make([]int64, ng)
+			for g := range v {
+				v[g] = counts[g*na+s]
+			}
+			out.Cols = append(out.Cols, Column{Kind: Int, Ints: v})
+			continue
+		}
+		v := make([]float64, ng)
+		for g := range v {
+			switch sum, c := sums[g*na+s], counts[g*na+s]; {
+			case spec.Kind == Sum:
+				v[g] = sum
+			case c > 0:
+				v[g] = sum / float64(c)
 			}
 		}
-		out.Rows = append(out.Rows, row)
+		out.Cols = append(out.Cols, Column{Kind: Float, Floats: v})
 	}
-	ctx.Stats.RowsProcessed += len(in.Rows)
+	ctx.Stats.RowsProcessed += n
 	ctx.Stats.Stages++
 	return out, nil
+}
+
+// groupKey appends row i's group key to b: per column a tag byte (0 for
+// null), then the value's bits, or a string's length and bytes.
+func groupKey(b []byte, keys []*Column, i int) []byte {
+	for _, c := range keys {
+		switch {
+		case c.IsNull(i):
+			b = append(b, 0)
+		case c.Kind == Int:
+			b = binary.LittleEndian.AppendUint64(append(b, 1), uint64(c.Ints[i]))
+		case c.Kind == Float:
+			b = binary.LittleEndian.AppendUint64(append(b, 1), math.Float64bits(c.Floats[i]))
+		default:
+			b = append(binary.AppendUvarint(append(b, 1), uint64(len(c.Strs[i]))), c.Strs[i]...)
+		}
+	}
+	return b
 }
 
 // ---------------------------------------------------------------------------
 // Map
 
-// MapFn rewrites one row.
-type MapFn func(row Row, idx map[string]int) (Row, error)
-
-// Map applies a row-wise transformation with a new schema (e.g. the
-// final ratio computation of Q14).
+// Map computes one float64 column row by row (e.g. the final ratio of
+// Q14); its output is that column alone.
 type Map struct {
 	In  Node
-	Out Schema
-	Fn  MapFn
+	As  string
+	Val ValueFn
 }
 
 // Execute implements Node.
@@ -429,26 +608,26 @@ func (m *Map) Execute(ctx *Context) (*Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	idx := indexOf(in.Schema)
-	out := &Relation{Schema: m.Out, Rows: make([]Row, len(in.Rows))}
-	for i, row := range in.Rows {
-		nr, err := m.Fn(row, idx)
-		if err != nil {
-			return nil, err
-		}
-		out.Rows[i] = nr
+	b := &Binder{in: in}
+	val := m.Val(b)
+	if b.err != nil {
+		return nil, b.err
 	}
-	ctx.Stats.RowsProcessed += len(in.Rows)
-	return out, nil
+	v := make([]float64, in.Len())
+	for k := range v {
+		v[k] = val(in.row(k))
+	}
+	ctx.Stats.RowsProcessed += len(v)
+	return &Relation{Schema: Schema{m.As}, Cols: []Column{{Kind: Float, Floats: v}}}, nil
 }
 
 // ---------------------------------------------------------------------------
 // Sort and Limit
 
-// Sort orders rows with a comparison function.
+// Sort orders rows stably with a comparison function.
 type Sort struct {
 	In   Node
-	Less func(a, b Row, idx map[string]int) bool
+	Less LessFn
 }
 
 // Execute implements Node.
@@ -457,11 +636,21 @@ func (s *Sort) Execute(ctx *Context) (*Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	idx := indexOf(in.Schema)
-	out := &Relation{Schema: in.Schema, Rows: make([]Row, len(in.Rows))}
-	copy(out.Rows, in.Rows)
-	sort.SliceStable(out.Rows, func(i, j int) bool { return s.Less(out.Rows[i], out.Rows[j], idx) })
-	ctx.Stats.RowsProcessed += len(in.Rows)
+	b := &Binder{in: in}
+	less := s.Less(b)
+	if b.err != nil {
+		return nil, b.err
+	}
+	perm := make([]int32, in.Len())
+	for k := range perm {
+		perm[k] = int32(in.row(k))
+	}
+	sort.SliceStable(perm, func(a, b int) bool { return less(int(perm[a]), int(perm[b])) })
+	out := &Relation{Schema: in.Schema, Cols: make([]Column, len(in.Cols))}
+	for c := range in.Cols {
+		out.Cols[c] = in.Cols[c].gather(perm)
+	}
+	ctx.Stats.RowsProcessed += len(perm)
 	ctx.Stats.Stages++
 	return out, nil
 }
@@ -478,11 +667,11 @@ func (l *Limit) Execute(ctx *Context) (*Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := l.N
-	if n > len(in.Rows) {
-		n = len(in.Rows)
+	sel := make([]int32, min(l.N, in.Len()))
+	for k := range sel {
+		sel[k] = int32(in.row(k))
 	}
-	return &Relation{Schema: in.Schema, Rows: in.Rows[:n]}, nil
+	return &Relation{Schema: in.Schema, Cols: in.Cols, sel: sel}, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -516,14 +705,6 @@ func Run(plan Node, tables map[string]*Relation) (*Relation, Stats, error) {
 	if err != nil {
 		return nil, ctx.Stats, err
 	}
-	ctx.Stats.RowsOutput = len(rel.Rows)
+	ctx.Stats.RowsOutput = rel.Len()
 	return rel, ctx.Stats, nil
-}
-
-func indexOf(s Schema) map[string]int {
-	idx := make(map[string]int, len(s))
-	for i, c := range s {
-		idx[c] = i
-	}
-	return idx
 }

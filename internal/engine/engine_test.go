@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"math"
 	"testing"
 )
 
@@ -9,23 +10,36 @@ func testRelation() *Relation {
 	return &Relation{
 		Name:   "t",
 		Schema: Schema{"id", "grp", "val"},
-		Rows: []Row{
-			{int64(1), "a", 10.0},
-			{int64(2), "a", 20.0},
-			{int64(3), "b", 30.0},
-			{int64(4), "b", 40.0},
-			{int64(5), "c", 50.0},
+		Cols: []Column{
+			{Kind: Int, Ints: []int64{1, 2, 3, 4, 5}},
+			{Kind: Str, Strs: []string{"a", "a", "b", "b", "c"}},
+			{Kind: Float, Floats: []float64{10, 20, 30, 40, 50}},
 		},
 	}
 }
 
-func run(t *testing.T, plan Node, tables map[string]*Relation) (*Relation, Stats) {
+// run executes plan and returns its answer as rows.
+func run(t *testing.T, plan Node, tables map[string]*Relation) (*Result, Stats) {
 	t.Helper()
 	rel, st, err := Run(plan, tables)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rel, st
+	return rel.Result(), st
+}
+
+// val compiles a read of the float64 column "val".
+func val(b *Binder) func(int) float64 {
+	v := b.Floats("val")
+	return func(i int) float64 { return v[i] }
+}
+
+// valAbove compiles the predicate val > x.
+func valAbove(x float64) Pred {
+	return func(b *Binder) func(int) bool {
+		v := val(b)
+		return func(i int) bool { return v(i) > x }
+	}
 }
 
 func TestSchemaIndex(t *testing.T) {
@@ -56,10 +70,8 @@ func TestScan(t *testing.T) {
 func TestFilter(t *testing.T) {
 	tables := map[string]*Relation{"t": testRelation()}
 	plan := &Filter{
-		In: &Scan{Table: "t"},
-		Pred: func(row Row, idx map[string]int) (bool, error) {
-			return row[idx["val"]].(float64) > 25, nil
-		},
+		In:   &Scan{Table: "t"},
+		Pred: valAbove(25),
 	}
 	rel, st := run(t, plan, tables)
 	if len(rel.Rows) != 3 {
@@ -73,8 +85,11 @@ func TestFilter(t *testing.T) {
 func TestFilterError(t *testing.T) {
 	tables := map[string]*Relation{"t": testRelation()}
 	plan := &Filter{
-		In:   &Scan{Table: "t"},
-		Pred: func(Row, map[string]int) (bool, error) { return false, errors.New("boom") },
+		In: &Scan{Table: "t"},
+		Pred: func(b *Binder) func(int) bool {
+			b.Floats("no_such_column")
+			return nil
+		},
 	}
 	if _, _, err := Run(plan, tables); err == nil {
 		t.Error("predicate error swallowed")
@@ -99,11 +114,17 @@ func joinFixtures() map[string]*Relation {
 	return map[string]*Relation{
 		"l": {
 			Schema: Schema{"k", "lv"},
-			Rows:   []Row{{int64(1), "x"}, {int64(2), "y"}, {int64(3), "z"}},
+			Cols: []Column{
+				{Kind: Int, Ints: []int64{1, 2, 3}},
+				{Kind: Str, Strs: []string{"x", "y", "z"}},
+			},
 		},
 		"r": {
 			Schema: Schema{"k", "rv"},
-			Rows:   []Row{{int64(1), 100.0}, {int64(1), 200.0}, {int64(3), 300.0}},
+			Cols: []Column{
+				{Kind: Int, Ints: []int64{1, 1, 3}},
+				{Kind: Float, Floats: []float64{100, 200, 300}},
+			},
 		},
 	}
 }
@@ -169,12 +190,8 @@ func TestAggregateGrouped(t *testing.T) {
 		GroupBy: []string{"grp"},
 		Aggs: []AggSpec{
 			{As: "n", Kind: Count},
-			{As: "total", Kind: Sum, Val: func(row Row, idx map[string]int) (float64, error) {
-				return row[idx["val"]].(float64), nil
-			}},
-			{As: "mean", Kind: Avg, Val: func(row Row, idx map[string]int) (float64, error) {
-				return row[idx["val"]].(float64), nil
-			}},
+			{As: "total", Kind: Sum, Val: val},
+			{As: "mean", Kind: Avg, Val: val},
 		},
 	}
 	rel, st := run(t, plan, tables)
@@ -200,9 +217,7 @@ func TestAggregateConditionalCount(t *testing.T) {
 		In: &Scan{Table: "t"},
 		Aggs: []AggSpec{{
 			As: "big", Kind: Count,
-			Where: func(row Row, idx map[string]int) (bool, error) {
-				return row[idx["val"]].(float64) >= 30, nil
-			},
+			Where: valAbove(29),
 		}},
 	}
 	rel, _ := run(t, plan, tables)
@@ -212,7 +227,7 @@ func TestAggregateConditionalCount(t *testing.T) {
 }
 
 func TestAggregateGlobalOnEmptyInput(t *testing.T) {
-	tables := map[string]*Relation{"e": {Schema: Schema{"x"}, Rows: nil}}
+	tables := map[string]*Relation{"e": {Schema: Schema{"x"}, Cols: []Column{{Kind: Int}}}}
 	plan := &Aggregate{
 		In:   &Scan{Table: "e"},
 		Aggs: []AggSpec{{As: "n", Kind: Count}},
@@ -230,8 +245,8 @@ func TestAggregateAvgEmptyGroupGuard(t *testing.T) {
 		In: &Scan{Table: "t"},
 		Aggs: []AggSpec{{
 			As: "avg_none", Kind: Avg,
-			Val:   func(row Row, idx map[string]int) (float64, error) { return 1, nil },
-			Where: func(Row, map[string]int) (bool, error) { return false, nil },
+			Val:   val,
+			Where: valAbove(math.Inf(1)),
 		}},
 	}
 	rel, _ := run(t, plan, tables)
@@ -243,10 +258,11 @@ func TestAggregateAvgEmptyGroupGuard(t *testing.T) {
 func TestMap(t *testing.T) {
 	tables := map[string]*Relation{"t": testRelation()}
 	plan := &Map{
-		In:  &Scan{Table: "t"},
-		Out: Schema{"doubled"},
-		Fn: func(row Row, idx map[string]int) (Row, error) {
-			return Row{row[idx["val"]].(float64) * 2}, nil
+		In: &Scan{Table: "t"},
+		As: "doubled",
+		Val: func(b *Binder) func(int) float64 {
+			v := val(b)
+			return func(i int) float64 { return v(i) * 2 }
 		},
 	}
 	rel, _ := run(t, plan, tables)
@@ -261,8 +277,9 @@ func TestSortAndLimit(t *testing.T) {
 		N: 2,
 		In: &Sort{
 			In: &Scan{Table: "t"},
-			Less: func(a, b Row, idx map[string]int) bool {
-				return a[idx["val"]].(float64) > b[idx["val"]].(float64)
+			Less: func(b *Binder) func(i, j int) bool {
+				v := val(b)
+				return func(i, j int) bool { return v(i) > v(j) }
 			},
 		},
 	}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/tpch"
 )
@@ -15,53 +16,72 @@ import (
 // site the optimizer picks) that consumes the shipped prep results
 // registered as tables "left" and "right".
 
-// ToRelation converts a generated TPC-H table into an engine relation.
-// Only the columns the evaluation queries read are materialized.
+// ToRelation converts a generated TPC-H table into an engine relation,
+// copying each field into its column. Only the columns the evaluation
+// queries read are materialized.
 func ToRelation(db *tpch.Database, table string) (*Relation, error) {
+	rel := &Relation{Name: table}
 	switch table {
 	case "lineitem":
-		rel := &Relation{Name: table, Schema: Schema{
-			"l_orderkey", "l_partkey", "l_quantity", "l_extendedprice",
-			"l_discount", "l_shipdate", "l_commitdate", "l_receiptdate", "l_shipmode",
-		}}
-		rel.Rows = make([]Row, len(db.Lineitems))
+		n := len(db.Lineitems)
+		orderKey, partKey := make([]int64, n), make([]int64, n)
+		qty, price, disc := make([]float64, n), make([]float64, n), make([]float64, n)
+		ship, commit, receipt := make([]int64, n), make([]int64, n), make([]int64, n)
+		mode := make([]string, n)
 		for i := range db.Lineitems {
 			l := &db.Lineitems[i]
-			rel.Rows[i] = Row{
-				int64(l.OrderKey), int64(l.PartKey), l.Quantity, l.ExtendedPrice,
-				l.Discount, int64(l.ShipDate), int64(l.CommitDate), int64(l.ReceiptDate), l.ShipMode,
-			}
+			orderKey[i], partKey[i] = int64(l.OrderKey), int64(l.PartKey)
+			qty[i], price[i], disc[i] = l.Quantity, l.ExtendedPrice, l.Discount
+			ship[i], commit[i], receipt[i] = int64(l.ShipDate), int64(l.CommitDate), int64(l.ReceiptDate)
+			mode[i] = l.ShipMode
 		}
-		return rel, nil
+		rel.Schema = Schema{
+			"l_orderkey", "l_partkey", "l_quantity", "l_extendedprice",
+			"l_discount", "l_shipdate", "l_commitdate", "l_receiptdate", "l_shipmode",
+		}
+		rel.Cols = []Column{
+			{Kind: Int, Ints: orderKey}, {Kind: Int, Ints: partKey},
+			{Kind: Float, Floats: qty}, {Kind: Float, Floats: price}, {Kind: Float, Floats: disc},
+			{Kind: Int, Ints: ship}, {Kind: Int, Ints: commit}, {Kind: Int, Ints: receipt},
+			{Kind: Str, Strs: mode},
+		}
 	case "orders":
-		rel := &Relation{Name: table, Schema: Schema{
-			"o_orderkey", "o_custkey", "o_orderpriority", "o_comment",
-		}}
-		rel.Rows = make([]Row, len(db.Orders))
+		n := len(db.Orders)
+		orderKey, custKey := make([]int64, n), make([]int64, n)
+		prio, comment := make([]string, n), make([]string, n)
 		for i := range db.Orders {
 			o := &db.Orders[i]
-			rel.Rows[i] = Row{int64(o.OrderKey), int64(o.CustKey), o.OrderPriority, o.Comment}
+			orderKey[i], custKey[i], prio[i], comment[i] = int64(o.OrderKey), int64(o.CustKey), o.OrderPriority, o.Comment
 		}
-		return rel, nil
+		rel.Schema = Schema{"o_orderkey", "o_custkey", "o_orderpriority", "o_comment"}
+		rel.Cols = []Column{
+			{Kind: Int, Ints: orderKey}, {Kind: Int, Ints: custKey},
+			{Kind: Str, Strs: prio}, {Kind: Str, Strs: comment},
+		}
 	case "customer":
-		rel := &Relation{Name: table, Schema: Schema{"c_custkey"}}
-		rel.Rows = make([]Row, len(db.Customers))
+		custKey := make([]int64, len(db.Customers))
 		for i := range db.Customers {
-			rel.Rows[i] = Row{int64(db.Customers[i].CustKey)}
+			custKey[i] = int64(db.Customers[i].CustKey)
 		}
-		return rel, nil
+		rel.Schema = Schema{"c_custkey"}
+		rel.Cols = []Column{{Kind: Int, Ints: custKey}}
 	case "part":
-		rel := &Relation{Name: table, Schema: Schema{
-			"p_partkey", "p_brand", "p_type", "p_container",
-		}}
-		rel.Rows = make([]Row, len(db.Parts))
+		n := len(db.Parts)
+		partKey := make([]int64, n)
+		brand, typ, container := make([]string, n), make([]string, n), make([]string, n)
 		for i := range db.Parts {
 			p := &db.Parts[i]
-			rel.Rows[i] = Row{int64(p.PartKey), p.Brand, p.Type, p.Container}
+			partKey[i], brand[i], typ[i], container[i] = int64(p.PartKey), p.Brand, p.Type, p.Container
 		}
-		return rel, nil
+		rel.Schema = Schema{"p_partkey", "p_brand", "p_type", "p_container"}
+		rel.Cols = []Column{
+			{Kind: Int, Ints: partKey},
+			{Kind: Str, Strs: brand}, {Kind: Str, Strs: typ}, {Kind: Str, Strs: container},
+		}
+	default:
+		return nil, fmt.Errorf("%w: %q", ErrUnknownTable, table)
 	}
-	return nil, fmt.Errorf("%w: %q", ErrUnknownTable, table)
+	return rel, nil
 }
 
 // QueryPlan is the federated decomposition of one evaluation query.
@@ -91,42 +111,6 @@ func BuildPlan(q tpch.QueryID) (*QueryPlan, error) {
 	return nil, fmt.Errorf("engine: no plan builder for query %v", q)
 }
 
-func colInt(row Row, idx map[string]int, name string) (int64, error) {
-	i, ok := idx[name]
-	if !ok {
-		return 0, fmt.Errorf("%w: %q", ErrUnknownColumn, name)
-	}
-	v, ok := row[i].(int64)
-	if !ok {
-		return 0, fmt.Errorf("engine: column %q is %T, want int64", name, row[i])
-	}
-	return v, nil
-}
-
-func colFloat(row Row, idx map[string]int, name string) (float64, error) {
-	i, ok := idx[name]
-	if !ok {
-		return 0, fmt.Errorf("%w: %q", ErrUnknownColumn, name)
-	}
-	v, ok := row[i].(float64)
-	if !ok {
-		return 0, fmt.Errorf("engine: column %q is %T, want float64", name, row[i])
-	}
-	return v, nil
-}
-
-func colString(row Row, idx map[string]int, name string) (string, error) {
-	i, ok := idx[name]
-	if !ok {
-		return "", fmt.Errorf("%w: %q", ErrUnknownColumn, name)
-	}
-	v, ok := row[i].(string)
-	if !ok {
-		return "", fmt.Errorf("engine: column %q is %T, want string", name, row[i])
-	}
-	return v, nil
-}
-
 func buildQ12() *QueryPlan {
 	p := tpch.DefaultQ12Params()
 	start, end := int64(p.StartDate), int64(p.StartDate.AddYears(1))
@@ -137,27 +121,13 @@ func buildQ12() *QueryPlan {
 	left := &Project{
 		In: &Filter{
 			In: &Scan{Table: "lineitem"},
-			Pred: func(row Row, idx map[string]int) (bool, error) {
-				mode, err := colString(row, idx, "l_shipmode")
-				if err != nil {
-					return false, err
+			Pred: func(b *Binder) func(int) bool {
+				mode, ship := b.Strs("l_shipmode"), b.Ints("l_shipdate")
+				commit, receipt := b.Ints("l_commitdate"), b.Ints("l_receiptdate")
+				return func(i int) bool {
+					return receipt[i] >= start && receipt[i] < end &&
+						commit[i] < receipt[i] && ship[i] < commit[i] && modes[mode[i]]
 				}
-				if !modes[mode] {
-					return false, nil
-				}
-				commit, err := colInt(row, idx, "l_commitdate")
-				if err != nil {
-					return false, err
-				}
-				receipt, err := colInt(row, idx, "l_receiptdate")
-				if err != nil {
-					return false, err
-				}
-				ship, err := colInt(row, idx, "l_shipdate")
-				if err != nil {
-					return false, err
-				}
-				return commit < receipt && ship < commit && receipt >= start && receipt < end, nil
 			},
 		},
 		Cols: []string{"l_orderkey", "l_shipmode"},
@@ -166,16 +136,13 @@ func buildQ12() *QueryPlan {
 		In:   &Scan{Table: "orders"},
 		Cols: []string{"o_orderkey", "o_orderpriority"},
 	}
-	isHigh := func(row Row, idx map[string]int) (bool, error) {
-		prio, err := colString(row, idx, "o_orderpriority")
-		if err != nil {
-			return false, err
+	priority := func(high bool) Pred {
+		return func(b *Binder) func(int) bool {
+			prio := b.Strs("o_orderpriority")
+			return func(i int) bool {
+				return (prio[i] == "1-URGENT" || prio[i] == "2-HIGH") == high
+			}
 		}
-		return prio == "1-URGENT" || prio == "2-HIGH", nil
-	}
-	isLow := func(row Row, idx map[string]int) (bool, error) {
-		high, err := isHigh(row, idx)
-		return !high, err
 	}
 	final := &Sort{
 		In: &Aggregate{
@@ -186,12 +153,13 @@ func buildQ12() *QueryPlan {
 			},
 			GroupBy: []string{"l_shipmode"},
 			Aggs: []AggSpec{
-				{As: "high_line_count", Kind: Count, Where: isHigh},
-				{As: "low_line_count", Kind: Count, Where: isLow},
+				{As: "high_line_count", Kind: Count, Where: priority(true)},
+				{As: "low_line_count", Kind: Count, Where: priority(false)},
 			},
 		},
-		Less: func(a, b Row, idx map[string]int) bool {
-			return a[idx["l_shipmode"]].(string) < b[idx["l_shipmode"]].(string)
+		Less: func(b *Binder) func(i, j int) bool {
+			mode := b.Strs("l_shipmode")
+			return func(i, j int) bool { return mode[i] < mode[j] }
 		},
 	}
 	return &QueryPlan{
@@ -206,12 +174,9 @@ func buildQ13() *QueryPlan {
 	left := &Project{
 		In: &Filter{
 			In: &Scan{Table: "orders"},
-			Pred: func(row Row, idx map[string]int) (bool, error) {
-				comment, err := colString(row, idx, "o_comment")
-				if err != nil {
-					return false, err
-				}
-				return !likePattern(comment, p.Word1, p.Word2), nil
+			Pred: func(b *Binder) func(int) bool {
+				comment := b.Strs("o_comment")
+				return func(i int) bool { return !likePattern(comment[i], p.Word1, p.Word2) }
 			},
 		},
 		Cols: []string{"o_orderkey", "o_custkey"},
@@ -229,8 +194,9 @@ func buildQ13() *QueryPlan {
 		GroupBy: []string{"c_custkey"},
 		Aggs: []AggSpec{{
 			As: "c_count", Kind: Count,
-			Where: func(row Row, idx map[string]int) (bool, error) {
-				return row[idx["o_orderkey"]] != nil, nil
+			Where: func(b *Binder) func(int) bool {
+				order := b.Col("o_orderkey", Int)
+				return func(i int) bool { return !order.IsNull(i) }
 			},
 		}},
 	}
@@ -240,12 +206,14 @@ func buildQ13() *QueryPlan {
 			GroupBy: []string{"c_count"},
 			Aggs:    []AggSpec{{As: "custdist", Kind: Count}},
 		},
-		Less: func(a, b Row, idx map[string]int) bool {
-			ad, bd := a[idx["custdist"]].(int64), b[idx["custdist"]].(int64)
-			if ad != bd {
-				return ad > bd
+		Less: func(b *Binder) func(i, j int) bool {
+			dist, count := b.Ints("custdist"), b.Ints("c_count")
+			return func(i, j int) bool {
+				if dist[i] != dist[j] {
+					return dist[i] > dist[j]
+				}
+				return count[i] > count[j]
 			}
-			return a[idx["c_count"]].(int64) > b[idx["c_count"]].(int64)
 		},
 	}
 	return &QueryPlan{
@@ -260,27 +228,17 @@ func buildQ14() *QueryPlan {
 	left := &Project{
 		In: &Filter{
 			In: &Scan{Table: "lineitem"},
-			Pred: func(row Row, idx map[string]int) (bool, error) {
-				ship, err := colInt(row, idx, "l_shipdate")
-				if err != nil {
-					return false, err
-				}
-				return ship >= start && ship < end, nil
+			Pred: func(b *Binder) func(int) bool {
+				ship := b.Ints("l_shipdate")
+				return func(i int) bool { return ship[i] >= start && ship[i] < end }
 			},
 		},
 		Cols: []string{"l_partkey", "l_extendedprice", "l_discount"},
 	}
 	right := &Project{In: &Scan{Table: "part"}, Cols: []string{"p_partkey", "p_type"}}
-	revenue := func(row Row, idx map[string]int) (float64, error) {
-		price, err := colFloat(row, idx, "l_extendedprice")
-		if err != nil {
-			return 0, err
-		}
-		disc, err := colFloat(row, idx, "l_discount")
-		if err != nil {
-			return 0, err
-		}
-		return price * (1 - disc), nil
+	revenue := func(b *Binder) func(int) float64 {
+		price, disc := b.Floats("l_extendedprice"), b.Floats("l_discount")
+		return func(i int) float64 { return price[i] * (1 - disc[i]) }
 	}
 	final := &Map{
 		In: &Aggregate{
@@ -291,29 +249,35 @@ func buildQ14() *QueryPlan {
 			},
 			Aggs: []AggSpec{
 				{As: "promo_revenue_sum", Kind: Sum, Val: revenue,
-					Where: func(row Row, idx map[string]int) (bool, error) {
-						t, err := colString(row, idx, "p_type")
-						if err != nil {
-							return false, err
-						}
-						return len(t) >= 5 && t[:5] == "PROMO", nil
+					Where: func(b *Binder) func(int) bool {
+						typ := b.Strs("p_type")
+						return func(i int) bool { return strings.HasPrefix(typ[i], "PROMO") }
 					}},
 				{As: "total_revenue", Kind: Sum, Val: revenue},
 			},
 		},
-		Out: Schema{"promo_revenue"},
-		Fn: func(row Row, idx map[string]int) (Row, error) {
-			promo := row[idx["promo_revenue_sum"]].(float64)
-			total := row[idx["total_revenue"]].(float64)
-			if total == 0 {
-				return Row{0.0}, nil
+		As: "promo_revenue",
+		Val: func(b *Binder) func(int) float64 {
+			promo, total := b.Floats("promo_revenue_sum"), b.Floats("total_revenue")
+			return func(i int) float64 {
+				if total[i] == 0 {
+					return 0
+				}
+				return 100 * promo[i] / total[i]
 			}
-			return Row{100 * promo / total}, nil
 		},
 	}
 	return &QueryPlan{
 		Query: tpch.QueryQ14, LeftTable: "lineitem", RightTable: "part",
 		LeftPrep: left, RightPrep: right, Final: final,
+	}
+}
+
+// floatCol reads a float64 column as a row value.
+func floatCol(name string) ValueFn {
+	return func(b *Binder) func(int) float64 {
+		v := b.Floats(name)
+		return func(i int) float64 { return v[i] }
 	}
 }
 
@@ -326,16 +290,9 @@ func buildQ17() *QueryPlan {
 	right := &Project{
 		In: &Filter{
 			In: &Scan{Table: "part"},
-			Pred: func(row Row, idx map[string]int) (bool, error) {
-				brand, err := colString(row, idx, "p_brand")
-				if err != nil {
-					return false, err
-				}
-				container, err := colString(row, idx, "p_container")
-				if err != nil {
-					return false, err
-				}
-				return brand == p.Brand && container == p.Container, nil
+			Pred: func(b *Binder) func(int) bool {
+				brand, container := b.Strs("p_brand"), b.Strs("p_container")
+				return func(i int) bool { return brand[i] == p.Brand && container[i] == p.Container }
 			},
 		},
 		Cols: []string{"p_partkey"},
@@ -348,12 +305,7 @@ func buildQ17() *QueryPlan {
 	avgQty := &Aggregate{
 		In:      joined,
 		GroupBy: []string{"p_partkey"},
-		Aggs: []AggSpec{{
-			As: "avg_qty", Kind: Avg,
-			Val: func(row Row, idx map[string]int) (float64, error) {
-				return colFloat(row, idx, "l_quantity")
-			},
-		}},
+		Aggs:    []AggSpec{{As: "avg_qty", Kind: Avg, Val: floatCol("l_quantity")}},
 	}
 	withAvg := &HashJoin{
 		Left:    joined,
@@ -364,28 +316,17 @@ func buildQ17() *QueryPlan {
 		In: &Aggregate{
 			In: &Filter{
 				In: withAvg,
-				Pred: func(row Row, idx map[string]int) (bool, error) {
-					qty, err := colFloat(row, idx, "l_quantity")
-					if err != nil {
-						return false, err
-					}
-					avg, err := colFloat(row, idx, "avg_qty")
-					if err != nil {
-						return false, err
-					}
-					return qty < 0.2*avg, nil
+				Pred: func(b *Binder) func(int) bool {
+					qty, avg := b.Floats("l_quantity"), b.Floats("avg_qty")
+					return func(i int) bool { return qty[i] < 0.2*avg[i] }
 				},
 			},
-			Aggs: []AggSpec{{
-				As: "sum_price", Kind: Sum,
-				Val: func(row Row, idx map[string]int) (float64, error) {
-					return colFloat(row, idx, "l_extendedprice")
-				},
-			}},
+			Aggs: []AggSpec{{As: "sum_price", Kind: Sum, Val: floatCol("l_extendedprice")}},
 		},
-		Out: Schema{"avg_yearly"},
-		Fn: func(row Row, idx map[string]int) (Row, error) {
-			return Row{row[idx["sum_price"]].(float64) / 7.0}, nil
+		As: "avg_yearly",
+		Val: func(b *Binder) func(int) float64 {
+			sum := b.Floats("sum_price")
+			return func(i int) float64 { return sum[i] / 7.0 }
 		},
 	}
 	return &QueryPlan{
@@ -397,16 +338,6 @@ func buildQ17() *QueryPlan {
 // likePattern mirrors tpch.matchesLikePattern for plan predicates
 // (LIKE '%w1%w2%').
 func likePattern(s, w1, w2 string) bool {
-	for i := 0; i+len(w1) <= len(s); i++ {
-		if s[i:i+len(w1)] == w1 {
-			rest := s[i+len(w1):]
-			for j := 0; j+len(w2) <= len(rest); j++ {
-				if rest[j:j+len(w2)] == w2 {
-					return true
-				}
-			}
-			return false
-		}
-	}
-	return false
+	i := strings.Index(s, w1)
+	return i >= 0 && strings.Contains(s[i+len(w1):], w2)
 }

@@ -10,7 +10,7 @@ import (
 
 // runFederated executes a QueryPlan the way the federation does: prep
 // plans against the base tables, final plan against the shipped preps.
-func runFederated(t *testing.T, db *tpch.Database, qp *QueryPlan) (*Relation, Stats) {
+func runFederated(t *testing.T, db *tpch.Database, qp *QueryPlan) (*Result, Stats) {
 	t.Helper()
 	leftBase, err := ToRelation(db, qp.LeftTable)
 	if err != nil {
@@ -39,7 +39,7 @@ func runFederated(t *testing.T, db *tpch.Database, qp *QueryPlan) (*Relation, St
 		ShuffleBytes:  st1.ShuffleBytes + st2.ShuffleBytes + st3.ShuffleBytes,
 		Stages:        st1.Stages + st2.Stages + st3.Stages,
 	}
-	return finalRel, total
+	return finalRel.Result(), total
 }
 
 func genDB(t *testing.T, sf float64, seed int64) *tpch.Database {

@@ -3,6 +3,7 @@ package federation
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/engine"
 	"repro/internal/tpch"
@@ -33,12 +34,15 @@ type InputSizer interface {
 
 // FullExecutor executes the relational plans for real over a generated
 // database, returning both the answer and the simulated cost. Use it at
-// small scale factors where materializing the data is cheap.
+// small scale factors where materializing the data is cheap. It is safe
+// for concurrent use.
 type FullExecutor struct {
 	Fed *Federation
 	DB  *tpch.Database
 
-	// relations caches ToRelation conversions.
+	// relations caches ToRelation conversions; the relations are never
+	// modified, so once built they are shared by every execution.
+	mu        sync.Mutex
 	relations map[string]*engine.Relation
 }
 
@@ -48,6 +52,8 @@ func NewFullExecutor(fed *Federation, db *tpch.Database) *FullExecutor {
 }
 
 func (e *FullExecutor) relation(table string) (*engine.Relation, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	if rel, ok := e.relations[table]; ok {
 		return rel, nil
 	}
@@ -105,7 +111,7 @@ func (e *FullExecutor) Execute(p Plan) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	out.Result = result
+	out.Result = result.Result()
 	return out, nil
 }
 

@@ -231,7 +231,7 @@ type Outcome struct {
 	// both sites plus egress for the shipped intermediate result.
 	MoneyUSD float64
 	// Result is the query answer (nil for scaled executions).
-	Result *engine.Relation
+	Result *engine.Result
 	// Breakdown diagnostics.
 	LeftTimeS, RightTimeS, ShipTimeS, FinalTimeS float64
 	ShippedBytes                                 float64

@@ -2,6 +2,8 @@ package tpch
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"repro/internal/stats"
 )
@@ -79,7 +81,7 @@ func Generate(sf float64, opts GenOptions) (*Database, error) {
 	for i := range db.Customers {
 		db.Customers[i] = Customer{
 			CustKey:    int32(i + 1),
-			Name:       fmt.Sprintf("Customer#%09d", i+1),
+			Name:       numbered("Customer#", i+1, 9),
 			NationKey:  int32(rng.Intn(len(nationNames))),
 			AcctBal:    rng.Uniform(-999.99, 9999.99),
 			MktSegment: segments[rng.Intn(len(segments))],
@@ -90,7 +92,7 @@ func Generate(sf float64, opts GenOptions) (*Database, error) {
 	for i := range db.Suppliers {
 		db.Suppliers[i] = Supplier{
 			SuppKey:   int32(i + 1),
-			Name:      fmt.Sprintf("Supplier#%09d", i+1),
+			Name:      numbered("Supplier#", i+1, 9),
 			NationKey: int32(rng.Intn(len(nationNames))),
 		}
 	}
@@ -101,9 +103,9 @@ func Generate(sf float64, opts GenOptions) (*Database, error) {
 		brand := mfgr*10 + rng.Intn(5) + 1
 		db.Parts[i] = Part{
 			PartKey: int32(i + 1),
-			Name:    fmt.Sprintf("part %d", i+1),
-			Mfgr:    fmt.Sprintf("Manufacturer#%d", mfgr),
-			Brand:   fmt.Sprintf("Brand#%d", brand),
+			Name:    numbered("part ", i+1, 0),
+			Mfgr:    numbered("Manufacturer#", mfgr, 0),
+			Brand:   numbered("Brand#", brand, 0),
 			Type: typeSyllable1[rng.Intn(len(typeSyllable1))] + " " +
 				typeSyllable2[rng.Intn(len(typeSyllable2))] + " " +
 				typeSyllable3[rng.Intn(len(typeSyllable3))],
@@ -129,7 +131,7 @@ func Generate(sf float64, opts GenOptions) (*Database, error) {
 	// Orders span 1992-01-01 .. 1998-08-02 per the spec.
 	lastOrderDay := int(MakeDate(1998, 8, 2))
 	db.Orders = make([]Order, nOrders)
-	db.Lineitems = make([]Lineitem, 0, nOrders*4)
+	db.Lineitems = make([]Lineitem, 0, nOrders*maxLines)
 	statuses := []byte{'F', 'O', 'P'}
 	for i := range db.Orders {
 		od := Date(rng.Intn(lastOrderDay + 1))
@@ -141,7 +143,7 @@ func Generate(sf float64, opts GenOptions) (*Database, error) {
 			OrderPriority: OrderPriorities[rng.Intn(len(OrderPriorities))],
 			Comment:       genComment(rng),
 		}
-		nLines := rng.Intn(7) + 1
+		nLines := rng.Intn(maxLines) + 1
 		var total float64
 		for ln := 0; ln < nLines; ln++ {
 			qty := float64(rng.Intn(50) + 1)
@@ -175,6 +177,24 @@ func Generate(sf float64, opts GenOptions) (*Database, error) {
 	return db, nil
 }
 
+// maxLines is the most lineitems an order has (the spec's 1–7).
+const maxLines = 7
+
+// numbered returns prefix followed by n, zero-padded to width digits
+// (fmt's "%0*d" for the non-negative n the generator names rows with).
+func numbered(prefix string, n, width int) string {
+	var digits [20]byte
+	d := strconv.AppendInt(digits[:0], int64(n), 10)
+	var sb strings.Builder
+	sb.Grow(len(prefix) + max(width, len(d)))
+	sb.WriteString(prefix)
+	for i := len(d); i < width; i++ {
+		sb.WriteByte('0')
+	}
+	sb.Write(d)
+	return sb.String()
+}
+
 // scaled returns max(1, base·sf).
 func scaled(base int, sf float64) int {
 	n := int(float64(base) * sf)
@@ -198,8 +218,12 @@ func genComment(rng *stats.RNG) string {
 	return a + " " + b + " " + c
 }
 
+// statusCutoff is the spec's "current date", 1995-06-17: lines received
+// by it may be returned, lines shipped after it are still open.
+var statusCutoff = MakeDate(1995, 6, 17)
+
 func returnFlag(rng *stats.RNG, receipt Date) byte {
-	if receipt <= MakeDate(1995, 6, 17) {
+	if receipt <= statusCutoff {
 		if rng.Bernoulli(0.5) {
 			return 'R'
 		}
@@ -209,7 +233,7 @@ func returnFlag(rng *stats.RNG, receipt Date) byte {
 }
 
 func lineStatus(ship Date) byte {
-	if ship > MakeDate(1995, 6, 17) {
+	if ship > statusCutoff {
 		return 'O'
 	}
 	return 'F'
