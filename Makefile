@@ -30,7 +30,7 @@ CLUSTER_PATTERN ?= Cluster|Chaos|Failover|Stream|Handoff|Adopt|Readyz|Durable|Dr
 # Where the `make profile-*` targets drop their profiles.
 PROFILE_DIR ?= profiles
 
-.PHONY: all build vet fmt-check lint loc linkcheck test test-cpus test-cluster test-short test-bench fuzz-smoke bench bench-smoke bench-sweep bench-json ablate-prune scenarios profile-sweep profile-cluster profile-serve cover help
+.PHONY: all build vet fmt-check lint loc linkcheck test test-cpus test-cluster test-short test-bench fuzz-smoke bench bench-smoke bench-sweep bench-boot bench-json ablate-prune scenarios profile-sweep profile-cluster profile-serve profile-boot cover help
 
 all: build lint test test-bench
 
@@ -104,6 +104,10 @@ bench-smoke:
 bench-sweep:
 	$(GO) test -run '^$$' -bench '$(SWEEP_PATTERN)' -benchtime 10x -count $(SWEEP_COUNT) . ./internal/moo
 
+## bench-boot: repeated runs of BenchmarkCalibrate (generate the SF 0.004 calibration database, run the four studied queries on it) at -cpu 1,2 — the cost every boot and cold tenant build pays per federation, for benchstat
+bench-boot:
+	$(GO) test -run '^$$' -bench 'Calibrate' -count 5 -cpu 1,2 ./internal/federation
+
 ## ablate-prune: full-vs-GreedyPrune quality smoke — fails if pruned decisions drift past tolerance
 ablate-prune:
 	$(GO) test -run TestAblationPrune -v ./internal/experiments
@@ -141,6 +145,17 @@ profile-cluster:
 		-o $(PROFILE_DIR)/replicated-append.test ./internal/server
 	@echo "profile written; inspect with:"
 	@echo "  go tool pprof -top -cum $(PROFILE_DIR)/replicated-append.test $(PROFILE_DIR)/replicated-append.cpu.pprof"
+
+## profile-boot: CPU and allocation profiles of BenchmarkCalibrate (-cpu 1), one tenant build's calibration, into $(PROFILE_DIR)/
+profile-boot:
+	mkdir -p $(PROFILE_DIR)
+	$(GO) test -run '^$$' -bench 'Calibrate' -benchtime 200x -cpu 1 \
+		-cpuprofile $(PROFILE_DIR)/boot.cpu.pprof \
+		-memprofile $(PROFILE_DIR)/boot.mem.pprof \
+		-o $(PROFILE_DIR)/boot.test ./internal/federation
+	@echo "profiles written; inspect with:"
+	@echo "  go tool pprof -top -cum $(PROFILE_DIR)/boot.test $(PROFILE_DIR)/boot.cpu.pprof"
+	@echo "  go tool pprof -sample_index=alloc_space -top $(PROFILE_DIR)/boot.test $(PROFILE_DIR)/boot.mem.pprof"
 
 ## profile-serve: CPU + allocation profiles of the serving hot path into $(PROFILE_DIR)/
 profile-serve:

@@ -11,12 +11,15 @@
 // must sit within two lines of a link into one of them, so a reader can
 // check it and the next re-measurement knows what else to update.
 //
+// And it keeps the docs about the system as it is: outside CHANGES.md,
+// no heading names a PR ("### PR 23: ..."); per-PR history lives there.
+//
 // Usage:
 //
 //	linkcheck README.md DESIGN.md docs/
 //
 // Directories are walked for *.md files. Exit status 1 lists every
-// broken link and unsourced figure as file:line: message.
+// broken link, unsourced figure and PR heading as file:line: message.
 package main
 
 import (
@@ -104,18 +107,31 @@ var figureSources = []string{"docs/performance.md", "bench/README.md", "CHANGES.
 
 const figureReach = 2
 
-// isFigureSource reports whether path is one of figureSources.
-func isFigureSource(path string) bool {
+// prHeadingRE matches a heading that names a PR.
+var prHeadingRE = regexp.MustCompile(`^#+ .*\bPR [0-9]`)
+
+// repoPath returns path relative to the repository root, slash-separated
+// ("" if it cannot be resolved).
+func repoPath(path string) string {
 	abs, err := filepath.Abs(path)
 	if err != nil {
-		return false
+		return ""
 	}
 	rel, err := filepath.Rel(repoRoot(filepath.Dir(abs)), abs)
-	return err == nil && slices.Contains(figureSources, filepath.ToSlash(rel))
+	if err != nil {
+		return ""
+	}
+	return filepath.ToSlash(rel)
 }
 
-// checkFile validates every link in one markdown file, and that every
-// performance figure in it is near a link into a figure source.
+// isFigureSource reports whether path is one of figureSources.
+func isFigureSource(path string) bool {
+	return slices.Contains(figureSources, repoPath(path))
+}
+
+// checkFile validates every link in one markdown file, that every
+// performance figure in it is near a link into a figure source, and,
+// outside CHANGES.md, that no heading names a PR.
 func checkFile(path string) ([]string, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -126,6 +142,7 @@ func checkFile(path string) ([]string, error) {
 	sourced := make([]bool, len(lines))   // the line links into a figure source
 	figures := make([]string, len(lines)) // the line's first figure, if it needs one
 	ownsFigures := isFigureSource(path)
+	ownsHistory := repoPath(path) == "CHANGES.md"
 	inFence := false
 	for i, line := range lines {
 		// Links and numbers inside fenced code blocks are illustrative,
@@ -136,6 +153,9 @@ func checkFile(path string) ([]string, error) {
 		}
 		if inFence {
 			continue
+		}
+		if !ownsHistory && prHeadingRE.MatchString(line) {
+			problems = append(problems, fmt.Sprintf("%s:%d: heading names a PR; history belongs in CHANGES.md", path, i+1))
 		}
 		for _, m := range linkRE.FindAllStringSubmatch(line, -1) {
 			if msg := checkTarget(path, m[1]); msg != "" {

@@ -150,6 +150,36 @@ func TestFiguresNeedASource(t *testing.T) {
 	}
 }
 
+// TestHeadingsNameNoPR pins the history rule: outside CHANGES.md a
+// heading may not name a PR; prose, fences and CHANGES.md may.
+func TestHeadingsNameNoPR(t *testing.T) {
+	dir := t.TempDir()
+	write(t, dir, "go.mod", "module tmp\n")
+	changes := write(t, dir, "CHANGES.md", "# Changes\n## PR 23: the matrix\n")
+	md := write(t, dir, "docs/guide.md", strings.Join([]string{
+		"# Guide",
+		"### PR 23: one pointer-free matrix", // line 2
+		"Since PR 25 the scratch is pooled.",
+		"## The sweep before PR 9", // line 4
+		"## Sprint planning, APR 2",
+		"```",
+		"## PR 1 in a fence",
+		"```",
+		"",
+	}, "\n"))
+	probs, err := checkFile(md)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(probs) != 2 || !strings.Contains(probs[0], "guide.md:2: heading names a PR") ||
+		!strings.Contains(probs[1], "guide.md:4: heading names a PR") {
+		t.Fatalf("want exactly lines 2 and 4 reported, got:\n%s", strings.Join(probs, "\n"))
+	}
+	if probs, err := checkFile(changes); err != nil || len(probs) != 0 {
+		t.Fatalf("CHANGES.md owns the history: %v %v", probs, err)
+	}
+}
+
 func TestCollectWalksDirectories(t *testing.T) {
 	dir := t.TempDir()
 	write(t, dir, "a.md", "# A\n")

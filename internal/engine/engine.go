@@ -290,7 +290,7 @@ func (f *Filter) Execute(ctx *Context) (*Relation, error) {
 		return nil, b.err
 	}
 	n := in.Len()
-	sel := []int32{}
+	sel := []int32{} // non-nil even when empty: a nil sel holds every row
 	for k := 0; k < n; k++ {
 		if i := in.row(k); keep(i) {
 			sel = append(sel, int32(i))
