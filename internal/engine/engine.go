@@ -372,32 +372,25 @@ func (j *HashJoin) Execute(ctx *Context) (*Relation, error) {
 		return nil, err
 	}
 
-	// Chain each key's right rows: head is a key's first, next the one
-	// after; built back to front so a chain runs in input order.
+	// Chain each key's right rows by position: head holds a key's first
+	// position + 1 (so a missing key reads 0), next the position after
+	// each, -1 at the end. Built back to front, a chain runs in input order.
 	nl, nr := left.Len(), right.Len()
 	head := make(map[int64]int32, nr)
 	next := make([]int32, nr)
 	for k := nr - 1; k >= 0; k-- {
-		i := int32(right.row(k))
-		key := rk[i]
-		if h, ok := head[key]; ok {
-			next[k] = h
-		} else {
-			next[k] = -1
-		}
-		head[key] = int32(k)
+		key := rk[right.row(k)]
+		next[k] = head[key] - 1
+		head[key] = int32(k) + 1
 	}
 	lrows, rrows := make([]int32, 0, nl), make([]int32, 0, nl)
 	for k := 0; k < nl; k++ {
 		li := int32(left.row(k))
-		h, ok := head[lk[li]]
-		if !ok {
-			if j.Type == LeftOuter {
-				lrows, rrows = append(lrows, li), append(rrows, -1)
-			}
-			continue
+		m := head[lk[li]] - 1
+		if m < 0 && j.Type == LeftOuter {
+			lrows, rrows = append(lrows, li), append(rrows, -1)
 		}
-		for m := h; m >= 0; m = next[m] {
+		for ; m >= 0; m = next[m] {
 			lrows, rrows = append(lrows, li), append(rrows, int32(right.row(int(m))))
 		}
 	}
