@@ -14,30 +14,38 @@ package main
 
 import (
 	"fmt"
-	"log"
+	"io"
+	"os"
 
 	midas "repro"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+func run(w io.Writer) error {
 	const seed = 5
-	fmt.Println("Mini Table 3: MRE of execution-time estimates, 100 MiB federation")
-	fmt.Println()
-	fmt.Printf("%-6s", "Query")
+	fmt.Fprintln(w, "Mini Table 3: MRE of execution-time estimates, 100 MiB federation")
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "%-6s", "Query")
 	names := []string{"BMLN", "BML2N", "BML3N", "BML", "DREAM"}
 	for _, n := range names {
-		fmt.Printf("%8s", n)
+		fmt.Fprintf(w, "%8s", n)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 
 	for _, q := range midas.AllQueries {
 		h, err := midas.NewEvalHarness(seed + int64(q))
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		models, err := midas.PaperModels(seed + int64(q))
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		res, err := h.Run(midas.EvalConfig{
 			Query:       q,
@@ -47,9 +55,9 @@ func main() {
 			Seed:        seed + int64(q),
 		}, models)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("%-6d", int(q))
+		fmt.Fprintf(w, "%-6d", int(q))
 		best := ""
 		bestV := -1.0
 		for _, n := range names {
@@ -57,11 +65,12 @@ func main() {
 			if best == "" || v < bestV {
 				best, bestV = n, v
 			}
-			fmt.Printf("%8.3f", v)
+			fmt.Fprintf(w, "%8.3f", v)
 		}
-		fmt.Printf("   best: %s\n", best)
+		fmt.Fprintf(w, "   best: %s\n", best)
 	}
-	fmt.Println()
-	fmt.Println("Lower is better. Expected shape (paper Tables 3/4): DREAM lowest or")
-	fmt.Println("near-lowest on every query; unbounded-history BML degraded by drift.")
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "Lower is better. Expected shape (paper Tables 3/4): DREAM lowest or")
+	fmt.Fprintln(w, "near-lowest on every query; unbounded-history BML degraded by drift.")
+	return nil
 }

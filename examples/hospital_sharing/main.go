@@ -17,64 +17,79 @@ package main
 
 import (
 	"fmt"
-	"log"
+	"io"
+	"os"
+	"sort"
 
 	midas "repro"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+func run(w io.Writer) error {
 	const seed = 11
 
-	fmt.Println("MIDAS federated medical study: visits-per-patient distribution (TPC-H Q13)")
-	fmt.Println()
+	fmt.Fprintln(w, "MIDAS federated medical study: visits-per-patient distribution (TPC-H Q13)")
+	fmt.Fprintln(w)
 
 	// The federation: hospital A's cloud (Hive on Amazon a1.xlarge)
 	// holds the big fact tables; hospital B's cloud (PostgreSQL on
 	// Azure B2MS) holds the reference tables.
 	fed, err := midas.NewDefaultFederation(seed)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	for name, site := range fed.Sites {
-		fmt.Printf("site %-15s provider=%-9s engine=%-8s instance=%s (max %d nodes)\n",
+	names := make([]string, 0, len(fed.Sites))
+	for name := range fed.Sites {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		site := fed.Sites[name]
+		fmt.Fprintf(w, "site %-15s provider=%-9s engine=%-8s instance=%s (max %d nodes)\n",
 			name, site.Provider.Name, site.Engine.Name, site.Instance, site.MaxNodes)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 
 	// Calibrate engine statistics once, then run the shared dataset at
 	// ≈100 MiB scale.
 	cal, err := midas.Calibrate(fed, 0.004, seed)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	exec, err := midas.NewScaledExecutor(fed, cal, 0.1)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	model, err := midas.NewDREAMModel(midas.DREAMConfig{MMax: 3 * (midas.FeatureDim + 2)})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	sched, err := midas.NewScheduler(fed, exec, model, []int{1, 2, 4, 8}, seed)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Warm the execution history (IReS needs observations before its
 	// Modelling module can estimate).
 	if err := sched.Bootstrap(midas.QueryQ13, 30); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Policy 1: emergency — minimize time, generous budget.
 	emergency := midas.Policy{Weights: []float64{1, 0.05}}
 	dec, err := sched.Submit(midas.QueryQ13, emergency)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("EMERGENCY policy (time-weighted):")
-	report(dec)
+	fmt.Fprintln(w, "EMERGENCY policy (time-weighted):")
+	report(w, dec)
 
 	// Policy 2: research — minimize money, and hard-cap the time at
 	// twice the emergency plan's estimate (Algorithm 2's constraint B).
@@ -84,22 +99,23 @@ func main() {
 	}
 	dec2, err := sched.Submit(midas.QueryQ13, research)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("RESEARCH policy (budget-weighted, time ≤ 2× emergency estimate):")
-	report(dec2)
+	fmt.Fprintln(w, "RESEARCH policy (budget-weighted, time ≤ 2× emergency estimate):")
+	report(w, dec2)
 
 	if dec2.Outcome.MoneyUSD <= dec.Outcome.MoneyUSD {
-		fmt.Println("the research plan spent no more money than the emergency plan, as requested")
+		fmt.Fprintln(w, "the research plan spent no more money than the emergency plan, as requested")
 	}
+	return nil
 }
 
-func report(dec *midas.Decision) {
-	fmt.Printf("  plan space %d QEPs → Pareto set %d\n", dec.PlanSpace, dec.ParetoSize)
-	fmt.Printf("  chosen: %v\n", dec.Plan)
-	fmt.Printf("  estimated: %.1f s / $%.5f   measured: %.1f s / $%.5f\n",
+func report(w io.Writer, dec *midas.Decision) {
+	fmt.Fprintf(w, "  plan space %d QEPs → Pareto set %d\n", dec.PlanSpace, dec.ParetoSize)
+	fmt.Fprintf(w, "  chosen: %v\n", dec.Plan)
+	fmt.Fprintf(w, "  estimated: %.1f s / $%.5f   measured: %.1f s / $%.5f\n",
 		dec.Estimated[0], dec.Estimated[1], dec.Outcome.TimeS, dec.Outcome.MoneyUSD)
-	fmt.Printf("  breakdown: prep %.1fs|%.1fs  ship %.1fs (%.1f MiB)  final %.1fs\n\n",
+	fmt.Fprintf(w, "  breakdown: prep %.1fs|%.1fs  ship %.1fs (%.1f MiB)  final %.1fs\n\n",
 		dec.Outcome.LeftTimeS, dec.Outcome.RightTimeS, dec.Outcome.ShipTimeS,
 		dec.Outcome.ShippedBytes/1024/1024, dec.Outcome.FinalTimeS)
 }

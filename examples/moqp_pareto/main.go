@@ -17,7 +17,8 @@ package main
 
 import (
 	"fmt"
-	"log"
+	"io"
+	"os"
 	"sort"
 
 	midas "repro"
@@ -33,57 +34,64 @@ func (schaffer) Evaluate(x []float64) []float64 {
 }
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+func run(w io.Writer) error {
 	// Part 1: NSGA-II on Schaffer's problem.
 	res, err := midas.NSGAII(schaffer{}, midas.NSGAIIConfig{PopSize: 40, Generations: 40, Seed: 3})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	sort.Slice(res.Front, func(i, j int) bool { return res.Front[i].Costs[0] < res.Front[j].Costs[0] })
-	fmt.Printf("NSGA-II on Schaffer's problem: %d Pareto points from %d evaluations\n",
+	fmt.Fprintf(w, "NSGA-II on Schaffer's problem: %d Pareto points from %d evaluations\n",
 		len(res.Front), res.Evaluations)
 	for i, ind := range res.Front {
 		if i%8 == 0 {
-			fmt.Printf("  x=%6.3f  f=(%.3f, %.3f)\n", ind.X[0], ind.Costs[0], ind.Costs[1])
+			fmt.Fprintf(w, "  x=%6.3f  f=(%.3f, %.3f)\n", ind.X[0], ind.Costs[0], ind.Costs[1])
 		}
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 
 	// Part 2: the same machinery on the federated plan space.
 	const seed = 23
 	fed, err := midas.NewDefaultFederation(seed)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	cal, err := midas.Calibrate(fed, 0.004, seed)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	exec, err := midas.NewScaledExecutor(fed, cal, 0.1)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	model, err := midas.NewDREAMModel(midas.DREAMConfig{MMax: 3 * (midas.FeatureDim + 2)})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	sched, err := midas.NewScheduler(fed, exec, model, []int{1, 2, 4, 8, 16}, seed)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := sched.Bootstrap(midas.QueryQ14, 30); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	ga, err := sched.OptimizeGA(midas.QueryQ14, midas.NSGAIIConfig{PopSize: 40, Generations: 20, Seed: seed})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("GA path: Pareto plan set of %d plans, built with %d model evaluations (paid once)\n",
+	fmt.Fprintf(w, "GA path: Pareto plan set of %d plans, built with %d model evaluations (paid once)\n",
 		len(ga.Plans), ga.ModelEvaluations)
 	for i, p := range ga.Plans {
-		fmt.Printf("  %-34v est time %7.2f s   est money $%.5f\n", p, ga.Costs[i][0], ga.Costs[i][1])
+		fmt.Fprintf(w, "  %-34v est time %7.2f s   est money $%.5f\n", p, ga.Costs[i][0], ga.Costs[i][1])
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 
 	policies := []struct {
 		name string
@@ -93,21 +101,22 @@ func main() {
 		{"balanced", midas.Policy{Weights: []float64{0.5, 0.5}}},
 		{"cheap (90% money)", midas.Policy{Weights: []float64{0.1, 0.9}}},
 	}
-	fmt.Println("policy changes: GA selects within the precomputed set; WSM re-optimizes")
+	fmt.Fprintln(w, "policy changes: GA selects within the precomputed set; WSM re-optimizes")
 	totalWSM := 0
 	for _, pc := range policies {
 		gaPlan, err := ga.Select(pc.pol)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		wsm, err := sched.OptimizeWSM(midas.QueryQ14, pc.pol)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		totalWSM += wsm.ModelEvaluations
-		fmt.Printf("  %-18s GA→ %-32v WSM→ %-32v (+%d evals)\n",
+		fmt.Fprintf(w, "  %-18s GA→ %-32v WSM→ %-32v (+%d evals)\n",
 			pc.name, gaPlan, wsm.Plan, wsm.ModelEvaluations)
 	}
-	fmt.Printf("\ntotals: GA %d evaluations once; WSM %d evaluations across %d policies\n",
+	fmt.Fprintf(w, "\ntotals: GA %d evaluations once; WSM %d evaluations across %d policies\n",
 		ga.ModelEvaluations, totalWSM, len(policies))
+	return nil
 }
