@@ -17,7 +17,8 @@ import (
 	"io"
 	"os"
 
-	midas "repro"
+	"repro/internal/tpch"
+	"repro/internal/workload"
 )
 
 func main() {
@@ -38,16 +39,16 @@ func run(w io.Writer) error {
 	}
 	fmt.Fprintln(w)
 
-	for _, q := range midas.AllQueries {
-		h, err := midas.NewEvalHarness(seed + int64(q))
+	for _, q := range tpch.AllQueries {
+		h, err := workload.NewHarness(seed + int64(q))
 		if err != nil {
 			return err
 		}
-		models, err := midas.PaperModels(seed + int64(q))
+		models, err := workload.PaperModels(seed + int64(q))
 		if err != nil {
 			return err
 		}
-		res, err := h.Run(midas.EvalConfig{
+		res, err := h.Run(workload.EvalConfig{
 			Query:       q,
 			SF:          0.1, // ≈100 MiB
 			HistorySize: 60,

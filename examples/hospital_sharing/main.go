@@ -21,7 +21,10 @@ import (
 	"os"
 	"sort"
 
-	midas "repro"
+	"repro/internal/core"
+	"repro/internal/federation"
+	"repro/internal/ires"
+	"repro/internal/tpch"
 )
 
 func main() {
@@ -40,7 +43,7 @@ func run(w io.Writer) error {
 	// The federation: hospital A's cloud (Hive on Amazon a1.xlarge)
 	// holds the big fact tables; hospital B's cloud (PostgreSQL on
 	// Azure B2MS) holds the reference tables.
-	fed, err := midas.NewDefaultFederation(seed)
+	fed, err := federation.DefaultTopology(seed)
 	if err != nil {
 		return err
 	}
@@ -58,33 +61,33 @@ func run(w io.Writer) error {
 
 	// Calibrate engine statistics once, then run the shared dataset at
 	// ≈100 MiB scale.
-	cal, err := midas.Calibrate(fed, 0.004, seed)
+	cal, err := federation.Calibrate(fed, 0.004, seed)
 	if err != nil {
 		return err
 	}
-	exec, err := midas.NewScaledExecutor(fed, cal, 0.1)
+	exec, err := federation.NewScaledExecutor(fed, cal, 0.1)
 	if err != nil {
 		return err
 	}
 
-	model, err := midas.NewDREAMModel(midas.DREAMConfig{MMax: 3 * (midas.FeatureDim + 2)})
+	model, err := ires.NewDREAMModel(core.Config{MMax: 3 * (federation.FeatureDim + 2)})
 	if err != nil {
 		return err
 	}
-	sched, err := midas.NewScheduler(fed, exec, model, []int{1, 2, 4, 8}, seed)
+	sched, err := ires.NewScheduler(fed, exec, model, []int{1, 2, 4, 8}, seed)
 	if err != nil {
 		return err
 	}
 
 	// Warm the execution history (IReS needs observations before its
 	// Modelling module can estimate).
-	if err := sched.Bootstrap(midas.QueryQ13, 30); err != nil {
+	if err := sched.Bootstrap(tpch.QueryQ13, 30); err != nil {
 		return err
 	}
 
 	// Policy 1: emergency — minimize time, generous budget.
-	emergency := midas.Policy{Weights: []float64{1, 0.05}}
-	dec, err := sched.Submit(midas.QueryQ13, emergency)
+	emergency := ires.Policy{Weights: []float64{1, 0.05}}
+	dec, err := sched.Submit(tpch.QueryQ13, emergency)
 	if err != nil {
 		return err
 	}
@@ -93,11 +96,11 @@ func run(w io.Writer) error {
 
 	// Policy 2: research — minimize money, and hard-cap the time at
 	// twice the emergency plan's estimate (Algorithm 2's constraint B).
-	research := midas.Policy{
+	research := ires.Policy{
 		Weights:     []float64{0.05, 1},
 		Constraints: []float64{dec.Estimated[0] * 2},
 	}
-	dec2, err := sched.Submit(midas.QueryQ13, research)
+	dec2, err := sched.Submit(tpch.QueryQ13, research)
 	if err != nil {
 		return err
 	}
@@ -110,7 +113,7 @@ func run(w io.Writer) error {
 	return nil
 }
 
-func report(w io.Writer, dec *midas.Decision) {
+func report(w io.Writer, dec *ires.Decision) {
 	fmt.Fprintf(w, "  plan space %d QEPs → Pareto set %d\n", dec.PlanSpace, dec.ParetoSize)
 	fmt.Fprintf(w, "  chosen: %v\n", dec.Plan)
 	fmt.Fprintf(w, "  estimated: %.1f s / $%.5f   measured: %.1f s / $%.5f\n",

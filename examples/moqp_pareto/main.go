@@ -4,7 +4,7 @@
 //
 //  1. the GA path — NSGA-II searches the plan space once, producing a
 //     Pareto plan set; each user policy then just selects inside it
-//     (Algorithm 2, BestInPareto);
+//     (Algorithm 2);
 //  2. the Weighted Sum Model path — every policy change re-scalarizes
 //     and re-optimizes the whole space.
 //
@@ -21,7 +21,11 @@ import (
 	"os"
 	"sort"
 
-	midas "repro"
+	"repro/internal/core"
+	"repro/internal/federation"
+	"repro/internal/ires"
+	"repro/internal/moo"
+	"repro/internal/tpch"
 )
 
 // schaffer is the classic single-variable bi-objective problem:
@@ -42,7 +46,7 @@ func main() {
 
 func run(w io.Writer) error {
 	// Part 1: NSGA-II on Schaffer's problem.
-	res, err := midas.NSGAII(schaffer{}, midas.NSGAIIConfig{PopSize: 40, Generations: 40, Seed: 3})
+	res, err := moo.NSGAII(schaffer{}, moo.NSGAIIConfig{PopSize: 40, Generations: 40, Seed: 3})
 	if err != nil {
 		return err
 	}
@@ -58,31 +62,31 @@ func run(w io.Writer) error {
 
 	// Part 2: the same machinery on the federated plan space.
 	const seed = 23
-	fed, err := midas.NewDefaultFederation(seed)
+	fed, err := federation.DefaultTopology(seed)
 	if err != nil {
 		return err
 	}
-	cal, err := midas.Calibrate(fed, 0.004, seed)
+	cal, err := federation.Calibrate(fed, 0.004, seed)
 	if err != nil {
 		return err
 	}
-	exec, err := midas.NewScaledExecutor(fed, cal, 0.1)
+	exec, err := federation.NewScaledExecutor(fed, cal, 0.1)
 	if err != nil {
 		return err
 	}
-	model, err := midas.NewDREAMModel(midas.DREAMConfig{MMax: 3 * (midas.FeatureDim + 2)})
+	model, err := ires.NewDREAMModel(core.Config{MMax: 3 * (federation.FeatureDim + 2)})
 	if err != nil {
 		return err
 	}
-	sched, err := midas.NewScheduler(fed, exec, model, []int{1, 2, 4, 8, 16}, seed)
+	sched, err := ires.NewScheduler(fed, exec, model, []int{1, 2, 4, 8, 16}, seed)
 	if err != nil {
 		return err
 	}
-	if err := sched.Bootstrap(midas.QueryQ14, 30); err != nil {
+	if err := sched.Bootstrap(tpch.QueryQ14, 30); err != nil {
 		return err
 	}
 
-	ga, err := sched.OptimizeGA(midas.QueryQ14, midas.NSGAIIConfig{PopSize: 40, Generations: 20, Seed: seed})
+	ga, err := sched.OptimizeGA(tpch.QueryQ14, moo.NSGAIIConfig{PopSize: 40, Generations: 20, Seed: seed})
 	if err != nil {
 		return err
 	}
@@ -95,11 +99,11 @@ func run(w io.Writer) error {
 
 	policies := []struct {
 		name string
-		pol  midas.Policy
+		pol  ires.Policy
 	}{
-		{"fast (90% time)", midas.Policy{Weights: []float64{0.9, 0.1}}},
-		{"balanced", midas.Policy{Weights: []float64{0.5, 0.5}}},
-		{"cheap (90% money)", midas.Policy{Weights: []float64{0.1, 0.9}}},
+		{"fast (90% time)", ires.Policy{Weights: []float64{0.9, 0.1}}},
+		{"balanced", ires.Policy{Weights: []float64{0.5, 0.5}}},
+		{"cheap (90% money)", ires.Policy{Weights: []float64{0.1, 0.9}}},
 	}
 	fmt.Fprintln(w, "policy changes: GA selects within the precomputed set; WSM re-optimizes")
 	totalWSM := 0
@@ -108,7 +112,7 @@ func run(w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		wsm, err := sched.OptimizeWSM(midas.QueryQ14, pc.pol)
+		wsm, err := sched.OptimizeWSM(tpch.QueryQ14, pc.pol)
 		if err != nil {
 			return err
 		}

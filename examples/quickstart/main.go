@@ -16,7 +16,8 @@ import (
 	"math/rand"
 	"os"
 
-	midas "repro"
+	"repro/internal/core"
+	"repro/internal/regression"
 )
 
 func main() {
@@ -31,7 +32,7 @@ func run(w io.Writer) error {
 
 	// A history of executions with two features (data size in MiB,
 	// node count) and two cost metrics (time, money).
-	hist, err := midas.NewHistory(2, "time_s", "money_usd")
+	hist, err := core.NewHistory(2, "time_s", "money_usd")
 	if err != nil {
 		return err
 	}
@@ -45,7 +46,7 @@ func run(w io.Writer) error {
 			nodes := float64(rng.Intn(4) + 1)
 			timeC := (5 + 0.10*size + 2*nodes) * timeScale * (1 + 0.03*rng.NormFloat64())
 			moneyC := timeC * 0.002 * nodes
-			if err := hist.Append(midas.Observation{
+			if err := hist.Append(core.Observation{
 				X:     []float64{size, nodes},
 				Costs: []float64{timeC, moneyC},
 			}); err != nil {
@@ -61,8 +62,8 @@ func run(w io.Writer) error {
 		return err
 	}
 
-	dream, err := midas.NewDREAMEstimator(midas.DREAMConfig{
-		RequiredR2: midas.DefaultRequiredR2, // the paper's 0.8
+	dream, err := core.NewEstimator(core.Config{
+		RequiredR2: core.DefaultRequiredR2, // the paper's 0.8
 		MMax:       20,
 	})
 	if err != nil {
@@ -88,12 +89,12 @@ func run(w io.Writer) error {
 	}
 
 	// Contrast: a single MLR over the whole history mixes both regimes.
-	var all []midas.Sample
+	var all []regression.Sample
 	for i := 0; i < hist.Len(); i++ {
 		obs := hist.At(i)
-		all = append(all, midas.Sample{X: obs.X, C: obs.Costs[0]})
+		all = append(all, regression.Sample{X: obs.X, C: obs.Costs[0]})
 	}
-	full, err := midas.FitMLR(all)
+	full, err := regression.Fit(all, regression.FitOptions{})
 	if err != nil {
 		return err
 	}

@@ -238,7 +238,7 @@ func AblationComposite(opts AblationOptions) (*Table, error) {
 	return t, nil
 }
 
-// AblationOptimizer compares NSGA-II, NSGA-G and exhaustive Pareto
+// AblationOptimizer compares NSGA-II and exhaustive Pareto
 // enumeration on the same estimated plan space: front quality (best
 // achievable weighted score) and wall time.
 func AblationOptimizer(opts AblationOptions) (*Table, error) {

@@ -35,7 +35,7 @@ type Fig3Result struct {
 
 // RunFig3 contrasts the paper's Figure 3 paths: Multi-Objective
 // Optimization based on a genetic algorithm (NSGA-II → Pareto set →
-// per-policy BestInPareto) versus repeated Weighted Sum Model
+// per-policy Algorithm 2 selection) versus repeated Weighted Sum Model
 // optimization, across a sequence of user-policy changes.
 func RunFig3(opts Fig3Options) (*Fig3Result, *Table, error) {
 	if opts.PolicyChanges <= 0 {

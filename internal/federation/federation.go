@@ -181,13 +181,6 @@ func (f *Federation) EnumeratePlans(q tpch.QueryID, nodeChoices []int) ([]Plan, 
 // FeatureDim is the length of plan feature vectors.
 const FeatureDim = 5
 
-// FeatureNames documents the regression features, following the paper's
-// Example 2.1 (table sizes and per-cloud node counts) plus the join
-// placement indicator.
-var FeatureNames = [FeatureDim]string{
-	"left_mib", "right_mib", "nodes_left", "nodes_right", "join_at_left",
-}
-
 // Features maps a plan plus data sizes to the estimation feature vector
 // x of the paper's cost model (eq. 5): the sizes of the two input
 // tables in MiB and the number of VMs at each cloud.

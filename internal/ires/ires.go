@@ -3,7 +3,7 @@
 // accepts a query and a user policy, a Modelling module that predicts
 // multi-metric plan costs from execution history (pluggable: DREAM or
 // the Best-ML baseline), a Multi-Objective Optimizer that produces a
-// Pareto plan set, and the final BestInPareto selection (Algorithm 2).
+// Pareto plan set, and the final selection under the policy (Algorithm 2).
 // Executed plans feed their measured costs back into the history, the
 // loop the whole estimation story depends on.
 package ires
@@ -523,7 +523,7 @@ type Decision struct {
 
 // Submit runs one full pipeline round for query q: enumerate QEPs,
 // estimate each with the Modelling module, reduce to the Pareto set,
-// select with BestInPareto under the policy, execute the winner and
+// select under the policy (Algorithm 2), execute the winner and
 // feed the measurement back into history.
 func (s *Scheduler) Submit(q tpch.QueryID, pol Policy) (*Decision, error) {
 	return s.SubmitContext(context.Background(), q, pol)

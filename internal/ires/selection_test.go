@@ -2,6 +2,7 @@ package ires
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/moo"
@@ -119,6 +120,31 @@ func TestBestWithConstraints(t *testing.T) {
 			}
 		}); allocs != 0 {
 			t.Errorf("policy %+v: %v allocations per selection, want 0", pol, allocs)
+		}
+	}
+}
+
+// TestSelectOnAllNaNSweep: a sweep whose estimates are NaN (a model
+// with a NaN coefficient) is an error, not a panic or a plan index of
+// -1 — under "lex" when every plan is NaN, and under the weighted sum
+// when every plan within the bounds is.
+func TestSelectOnAllNaNSweep(t *testing.T) {
+	nan := math.NaN()
+	allNaN := [][]float64{{nan, nan}, {nan, nan}}
+	nanFeasible := [][]float64{{nan, nan}, {1, 1}, {2, 2}}
+	for _, tc := range []struct {
+		raw [][]float64
+		pol Policy
+	}{
+		{allNaN, Policy{Strategy: LexicographicSelection}},
+		{nanFeasible, Policy{Constraints: []float64{0.5}}},
+	} {
+		sw := &Sweep{FrontIdx: []int{0, 1, 2}[:len(tc.raw)], FrontCosts: tc.raw, Normalized: moo.NormalizeCosts(tc.raw)}
+		if i, err := sw.Select(tc.pol); !errors.Is(err, moo.ErrIncomparable) {
+			t.Errorf("%+v: Select = %d, %v; want ErrIncomparable", tc.pol, i, err)
+		}
+		if _, err := (&Scheduler{}).DecideFromSweep(sw, tc.pol); !errors.Is(err, moo.ErrIncomparable) {
+			t.Errorf("%+v: DecideFromSweep = %v; want ErrIncomparable", tc.pol, err)
 		}
 	}
 }

@@ -29,10 +29,9 @@ const cholPivotTol = 1e-12
 
 // Factorize computes the Cholesky factor of a + ridge·I, leaving a
 // untouched. It reuses the receiver's storage when the capacity allows,
-// so steady-state refactorization is allocation-free. A non-symmetric
+// so steady-state refactorization is allocation-free. A non-square
 // shape is an ErrShape; loss of positive definiteness (a singular or
-// indefinite matrix) is an ErrSingular, which callers treat exactly
-// like a singular Gaussian elimination.
+// indefinite matrix) is an ErrSingular.
 func (ch *Cholesky) Factorize(a *Matrix, ridge float64) error {
 	if a.rows != a.cols {
 		return fmt.Errorf("%w: Cholesky of %dx%d", ErrShape, a.rows, a.cols)
@@ -80,15 +79,6 @@ func (ch *Cholesky) Factorize(a *Matrix, ridge float64) error {
 		}
 	}
 	return nil
-}
-
-// NewCholesky factors a + ridge·I into a fresh factorization.
-func NewCholesky(a *Matrix, ridge float64) (*Cholesky, error) {
-	ch := &Cholesky{}
-	if err := ch.Factorize(a, ridge); err != nil {
-		return nil, err
-	}
-	return ch, nil
 }
 
 // Size returns the dimension of the factored matrix (0 before the
@@ -142,38 +132,6 @@ func (ch *Cholesky) SolveVec(b []float64) ([]float64, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// Solve solves against a multi-column right-hand side, one
-// back-substitution per column.
-func (ch *Cholesky) Solve(b *Matrix) (*Matrix, error) {
-	if b.rows != ch.n {
-		return nil, fmt.Errorf("%w: rhs has %d rows, factor is %dx%d", ErrShape, b.rows, ch.n, ch.n)
-	}
-	out := New(b.rows, b.cols)
-	col := make([]float64, ch.n)
-	for j := 0; j < b.cols; j++ {
-		for i := 0; i < b.rows; i++ {
-			col[i] = b.data[i*b.cols+j]
-		}
-		if err := ch.SolveVecInto(col, col); err != nil {
-			return nil, err
-		}
-		for i := 0; i < b.rows; i++ {
-			out.data[i*out.cols+j] = col[i]
-		}
-	}
-	return out, nil
-}
-
-// Inverse reconstructs (L·Lᵀ)⁻¹ by solving against the identity —
-// retained for callers that genuinely need the whole inverse; quadratic
-// forms should use QuadForm, which needs only one triangular solve.
-func (ch *Cholesky) Inverse() (*Matrix, error) {
-	if ch.n == 0 {
-		return nil, fmt.Errorf("%w: inverse of an empty factor", ErrShape)
-	}
-	return ch.Solve(Identity(ch.n))
 }
 
 // QuadForm evaluates vᵀ·(L·Lᵀ)⁻¹·v = ‖L⁻¹v‖², the quadratic form of

@@ -1,12 +1,12 @@
 // Package linalg provides the small dense linear-algebra kernel used by
-// the regression and machine-learning packages: row-major matrices,
-// products, transposes, and Gaussian-elimination solves.
+// the regression package: row-major matrices, products, transposes, and
+// Cholesky solves.
 //
 // The package is deliberately minimal — it implements exactly what the
 // normal-equation solution of Multiple Linear Regression (paper eq. 12,
-// B = (AᵀA)⁻¹AᵀC) and the baseline learners need, with defensive error
-// returns instead of panics so callers can fall back (e.g. to ridge
-// regularization) when a window of observations is singular.
+// B = (AᵀA)⁻¹AᵀC) needs, with defensive error returns instead of panics
+// so callers can fall back (e.g. to ridge regularization) when a window
+// of observations is singular.
 package linalg
 
 import (
@@ -16,7 +16,7 @@ import (
 	"strings"
 )
 
-// ErrSingular is returned when a solve or inverse meets a (numerically)
+// ErrSingular is returned when a factorization meets a (numerically)
 // singular matrix.
 var ErrSingular = errors.New("linalg: matrix is singular")
 
@@ -52,22 +52,6 @@ func FromRows(rows [][]float64) (*Matrix, error) {
 		copy(m.data[i*m.cols:(i+1)*m.cols], r)
 	}
 	return m, nil
-}
-
-// ColumnVector wraps a slice as an n×1 matrix. The slice is copied.
-func ColumnVector(v []float64) *Matrix {
-	m := New(len(v), 1)
-	copy(m.data, v)
-	return m
-}
-
-// Identity returns the n×n identity matrix.
-func Identity(n int) *Matrix {
-	m := New(n, n)
-	for i := 0; i < n; i++ {
-		m.data[i*n+i] = 1
-	}
-	return m
 }
 
 // Rows returns the number of rows.
@@ -203,96 +187,6 @@ func (m *Matrix) Zero() {
 	}
 }
 
-// AddDiagonal returns a copy of m with d added to each diagonal element.
-// It is the ridge-regularization primitive used when a window of
-// observations makes AᵀA singular.
-func (m *Matrix) AddDiagonal(d float64) (*Matrix, error) {
-	if m.rows != m.cols {
-		return nil, fmt.Errorf("%w: AddDiagonal on %dx%d", ErrShape, m.rows, m.cols)
-	}
-	out := m.Clone()
-	for i := 0; i < m.rows; i++ {
-		out.data[i*m.cols+i] += d
-	}
-	return out, nil
-}
-
-// Solve solves m·x = b for x using Gaussian elimination with partial
-// pivoting. b must have the same number of rows as m; the returned x
-// has shape cols(m)×cols(b).
-func (m *Matrix) Solve(b *Matrix) (*Matrix, error) {
-	if m.rows != m.cols {
-		return nil, fmt.Errorf("%w: solve needs square matrix, got %dx%d", ErrShape, m.rows, m.cols)
-	}
-	if b.rows != m.rows {
-		return nil, fmt.Errorf("%w: rhs has %d rows, want %d", ErrShape, b.rows, m.rows)
-	}
-	n := m.rows
-	// Work on augmented copies so m and b are untouched.
-	a := m.Clone()
-	x := b.Clone()
-
-	for col := 0; col < n; col++ {
-		// Partial pivot: find the largest |a[row][col]| at or below the diagonal.
-		pivot := col
-		maxAbs := math.Abs(a.data[col*n+col])
-		for r := col + 1; r < n; r++ {
-			if v := math.Abs(a.data[r*n+col]); v > maxAbs {
-				maxAbs, pivot = v, r
-			}
-		}
-		if maxAbs < 1e-12 {
-			return nil, ErrSingular
-		}
-		if pivot != col {
-			swapRows(a, pivot, col)
-			swapRows(x, pivot, col)
-		}
-		pv := a.data[col*n+col]
-		for r := col + 1; r < n; r++ {
-			f := a.data[r*n+col] / pv
-			if f == 0 {
-				continue
-			}
-			for c := col; c < n; c++ {
-				a.data[r*n+c] -= f * a.data[col*n+c]
-			}
-			for c := 0; c < x.cols; c++ {
-				x.data[r*x.cols+c] -= f * x.data[col*x.cols+c]
-			}
-		}
-	}
-	// Back substitution.
-	for col := n - 1; col >= 0; col-- {
-		pv := a.data[col*n+col]
-		for c := 0; c < x.cols; c++ {
-			s := x.data[col*x.cols+c]
-			for k := col + 1; k < n; k++ {
-				s -= a.data[col*n+k] * x.data[k*x.cols+c]
-			}
-			x.data[col*x.cols+c] = s / pv
-		}
-	}
-	return x, nil
-}
-
-// SolveVec solves m·x = b for a vector right-hand side.
-func (m *Matrix) SolveVec(b []float64) ([]float64, error) {
-	x, err := m.Solve(ColumnVector(b))
-	if err != nil {
-		return nil, err
-	}
-	return x.Col(0), nil
-}
-
-// Inverse returns m⁻¹ via Solve against the identity.
-func (m *Matrix) Inverse() (*Matrix, error) {
-	if m.rows != m.cols {
-		return nil, fmt.Errorf("%w: inverse of %dx%d", ErrShape, m.rows, m.cols)
-	}
-	return m.Solve(Identity(m.rows))
-}
-
 // Equal reports whether m and n have the same shape and all elements
 // within tol of each other.
 func (m *Matrix) Equal(n *Matrix, tol float64) bool {
@@ -321,12 +215,4 @@ func (m *Matrix) String() string {
 		b.WriteString("]\n")
 	}
 	return b.String()
-}
-
-func swapRows(m *Matrix, i, j int) {
-	ri := m.data[i*m.cols : (i+1)*m.cols]
-	rj := m.data[j*m.cols : (j+1)*m.cols]
-	for k := range ri {
-		ri[k], rj[k] = rj[k], ri[k]
-	}
 }

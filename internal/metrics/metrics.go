@@ -305,16 +305,6 @@ func (g *Gauge) Add(v float64) { addFloat(&g.bits, v) }
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
-// Gauge registers (or fetches) an unlabeled gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	f := r.register(name, help, KindGauge, nil, nil)
-	s := f.seriesFor(nil, func() *series { return &series{gauge: &Gauge{}} })
-	if s.gauge == nil {
-		panic(fmt.Sprintf("metrics: %q already registered as a func collector", name))
-	}
-	return s.gauge
-}
-
 // GaugeVec is a family of gauges partitioned by label values.
 type GaugeVec struct{ f *family }
 

@@ -20,7 +20,7 @@ func TestCounterAndGauge(t *testing.T) {
 		t.Fatalf("re-registration returned a different counter")
 	}
 
-	g := r.Gauge("test_depth", "depth")
+	g := r.GaugeVec("test_depth", "depth", "queue").With("a")
 	g.Set(7)
 	g.Add(-2)
 	if got := g.Value(); got != 5 {
@@ -49,7 +49,7 @@ func TestRegistrationConflictsPanic(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("test_x_total", "x")
 	for name, f := range map[string]func(){
-		"kind":   func() { r.Gauge("test_x_total", "x") },
+		"kind":   func() { r.GaugeVec("test_x_total", "x", "l") },
 		"help":   func() { r.Counter("test_x_total", "different") },
 		"labels": func() { r.CounterVec("test_x_total", "x", "l") },
 		"name":   func() { r.Counter("bad name", "x") },
@@ -166,7 +166,7 @@ func TestRenderParsesAndHistogramMonotone(t *testing.T) {
 func TestConcurrentObservationsUnderRace(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("test_race_total", "race")
-	g := r.Gauge("test_race_gauge", "race")
+	g := r.GaugeVec("test_race_gauge", "race", "worker").With("w")
 	h := r.Histogram("test_race_seconds", "race", []float64{0.5})
 	vec := r.CounterVec("test_race_vec_total", "race", "worker")
 

@@ -9,24 +9,23 @@ import (
 
 // BML reproduces the IReS Modelling module's model-building process:
 // "IReS tests many algorithms and the best model with the smallest
-// error is selected." Candidates are evaluated by k-fold cross
-// validation on the training window; the winner is retrained on the
-// full window.
+// error is selected." The candidates — the three learners the paper
+// names — are evaluated by cross validation on the training window; the
+// winner is retrained on the full window.
 type BML struct {
-	// Candidates defaults to {LeastSquares, Bagging, MLP}.
-	Candidates []Learner
-	// Folds for cross validation; defaults to 3 and degrades to
-	// leave-one-out when the window is smaller than the fold count.
-	Folds int
-	// Seed feeds the stochastic candidates when the default set is used.
+	// Seed feeds the stochastic candidates.
 	Seed int64
 }
+
+// bmlFolds is the cross-validation fold count; it degrades to
+// leave-one-out when the window is smaller.
+const bmlFolds = 3
 
 // Name implements Learner.
 func (BML) Name() string { return "bml" }
 
-// DefaultCandidates returns the three learners the paper names.
-func DefaultCandidates(seed int64) []Learner {
+// candidates returns the three learners the paper names.
+func candidates(seed int64) []Learner {
 	return []Learner{
 		LeastSquares{},
 		Bagging{Bags: 10, Seed: seed},
@@ -52,17 +51,8 @@ func (b BML) TrainSelect(samples []regression.Sample) (Predictor, *Selection, er
 	if len(samples) == 0 {
 		return nil, nil, ErrNoSamples
 	}
-	cands := b.Candidates
-	if len(cands) == 0 {
-		cands = DefaultCandidates(b.Seed)
-	}
-	folds := b.Folds
-	if folds <= 0 {
-		folds = 3
-	}
-	if folds > len(samples) {
-		folds = len(samples)
-	}
+	cands := candidates(b.Seed)
+	folds := min(bmlFolds, len(samples))
 
 	sel := &Selection{CVError: make(map[string]float64, len(cands))}
 	bestErr := math.Inf(1)

@@ -65,12 +65,9 @@ func (p lsPredictor) Name() string                         { return "least-squar
 // ---------------------------------------------------------------------------
 // Bagging predictors (Breiman 1996)
 
-// Bagging trains Bags base models on bootstrap resamples and averages
-// their predictions.
+// Bagging trains Bags least-squares models on bootstrap resamples and
+// averages their predictions.
 type Bagging struct {
-	// Base is the learner trained on each bootstrap sample; defaults
-	// to LeastSquares.
-	Base Learner
 	// Bags is the ensemble size; defaults to 10.
 	Bags int
 	// Seed drives the bootstrap resampling.
@@ -84,10 +81,6 @@ func (b Bagging) Name() string { return "bagging" }
 func (b Bagging) Train(samples []regression.Sample) (Predictor, error) {
 	if len(samples) == 0 {
 		return nil, ErrNoSamples
-	}
-	base := b.Base
-	if base == nil {
-		base = LeastSquares{}
 	}
 	bags := b.Bags
 	if bags <= 0 {
@@ -103,7 +96,7 @@ func (b Bagging) Train(samples []regression.Sample) (Predictor, error) {
 		for j := range boot {
 			boot[j] = samples[rng.Intn(len(samples))]
 		}
-		m, err := base.Train(boot)
+		m, err := LeastSquares{}.Train(boot)
 		if err != nil {
 			continue
 		}

@@ -82,7 +82,7 @@ func TestBaggingDefaultsAndEmpty(t *testing.T) {
 	if _, err := (Bagging{}).Train(nil); !errors.Is(err, ErrNoSamples) {
 		t.Errorf("got %v, want ErrNoSamples", err)
 	}
-	// Defaults (nil base, 0 bags) must work.
+	// The default ensemble size (0 bags) must work.
 	p, err := Bagging{Seed: 2}.Train(linearSamples(5, 30, 0.5))
 	if err != nil {
 		t.Fatal(err)

@@ -1,9 +1,10 @@
 // Package moo implements the multi-objective machinery of the paper's
-// Sections 2.3 and 3: Pareto dominance over cost vectors (eqs. 1–3),
+// Sections 2.3 and 3: Pareto dominance over cost vectors (eq. 1),
 // Pareto sets/fronts (eq. 4 and eq. 13), the NSGA-II evolutionary
 // optimizer the paper applies in the Multi-Objective Optimizer module,
-// the grid-based NSGA-G variant the authors proposed in companion work,
-// the Weighted Sum Model baseline, and Algorithm 2 (BestInPareto).
+// the Weighted Sum Model baseline, and the weighted-sum selection under
+// per-metric bounds that Algorithm 2 makes (ArgminWeightedSumWhere with
+// WithinBounds).
 //
 // All objectives are minimized, matching eq. 13.
 package moo
@@ -19,27 +20,13 @@ var ErrDimension = errors.New("moo: mismatched objective dimensions")
 
 // Dominates reports whether cost vector a dominates b: aₙ ≤ bₙ for all
 // objectives (paper eq. 1). Note that a vector dominates itself under
-// this (weak) definition; use StrictlyDominates for eq. 3.
+// this (weak) definition.
 func Dominates(a, b []float64) (bool, error) {
 	if len(a) != len(b) {
 		return false, fmt.Errorf("%w: %d vs %d", ErrDimension, len(a), len(b))
 	}
 	for i := range a {
 		if a[i] > b[i] {
-			return false, nil
-		}
-	}
-	return true, nil
-}
-
-// StrictlyDominates reports whether aₙ < bₙ for all objectives (paper
-// eq. 3, StriDom).
-func StrictlyDominates(a, b []float64) (bool, error) {
-	if len(a) != len(b) {
-		return false, fmt.Errorf("%w: %d vs %d", ErrDimension, len(a), len(b))
-	}
-	for i := range a {
-		if a[i] >= b[i] {
 			return false, nil
 		}
 	}
@@ -86,15 +73,30 @@ func NewCostMatrix(rows [][]float64) (CostMatrix, error) {
 	if len(rows) == 0 {
 		return CostMatrix{}, nil
 	}
-	k := len(rows[0])
+	k, err := rowWidth(rows)
+	if err == nil && k == 0 {
+		err = fmt.Errorf("%w: rows of 0 objectives", ErrDimension)
+	}
+	if err != nil {
+		return CostMatrix{}, err
+	}
 	v := make([]float64, 0, len(rows)*k)
 	for _, r := range rows {
-		if len(r) != k || k == 0 {
-			return CostMatrix{}, fmt.Errorf("%w: rows of %d and %d objectives", ErrDimension, k, len(r))
-		}
 		v = append(v, r...)
 	}
 	return CostMatrix{n: len(rows), k: k, v: v}, nil
+}
+
+// rowWidth returns the objective count every row of a non-empty costs
+// shares, or ErrDimension when the rows are ragged.
+func rowWidth(costs [][]float64) (int, error) {
+	k := len(costs[0])
+	for _, r := range costs {
+		if len(r) != k {
+			return 0, fmt.Errorf("%w: rows of %d and %d objectives", ErrDimension, k, len(r))
+		}
+	}
+	return k, nil
 }
 
 // FlatCostMatrix wraps v, rows of k objectives back to back, without

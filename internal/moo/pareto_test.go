@@ -35,29 +35,6 @@ func TestDominates(t *testing.T) {
 	}
 }
 
-func TestStrictlyDominates(t *testing.T) {
-	cases := []struct {
-		a, b []float64
-		want bool
-	}{
-		{[]float64{1, 1}, []float64{2, 2}, true},
-		{[]float64{1, 2}, []float64{2, 2}, false}, // equality blocks strictness
-		{[]float64{2, 2}, []float64{2, 2}, false},
-	}
-	for _, c := range cases {
-		got, err := StrictlyDominates(c.a, c.b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != c.want {
-			t.Errorf("StrictlyDominates(%v, %v) = %v, want %v", c.a, c.b, got, c.want)
-		}
-	}
-	if _, err := StrictlyDominates([]float64{1}, []float64{1, 2}); !errors.Is(err, ErrDimension) {
-		t.Errorf("got %v, want ErrDimension", err)
-	}
-}
-
 func TestParetoDominates(t *testing.T) {
 	cases := []struct {
 		a, b []float64

@@ -9,7 +9,7 @@ import (
 // This file implements alternative strategies for choosing one plan out
 // of a Pareto set — the paper's concluding future-work item ("we will
 // also define new strategies to choose QEPs in a Pareto Set"), built
-// alongside the weighted-sum BestInPareto of Algorithm 2.
+// alongside Algorithm 2's weighted sum.
 
 // ErrObjectiveCount is returned when a strategy does not support the
 // cost vectors' dimensionality.
@@ -24,8 +24,12 @@ func KneePoint(costs [][]float64) (int, error) {
 	if len(costs) == 0 {
 		return 0, ErrNoPlans
 	}
-	if len(costs[0]) != 2 {
-		return 0, fmt.Errorf("%w: knee selection needs 2 objectives, got %d", ErrObjectiveCount, len(costs[0]))
+	nObj, err := rowWidth(costs)
+	if err != nil {
+		return 0, err
+	}
+	if nObj != 2 {
+		return 0, fmt.Errorf("%w: knee selection needs 2 objectives, got %d", ErrObjectiveCount, nObj)
 	}
 	if len(costs) == 1 {
 		return 0, nil
@@ -65,24 +69,18 @@ func KneePoint(costs [][]float64) (int, error) {
 // first objective wins; ties within `tolerance` (relative) fall through
 // to the next objective, and so on. order lists objective indices by
 // decreasing priority and must be a permutation prefix (non-repeating,
-// in range).
+// in range). When a priority's objective is NaN on every remaining
+// candidate, the result is ErrIncomparable.
 func Lexicographic(costs [][]float64, order []int, tolerance float64) (int, error) {
 	if len(costs) == 0 {
 		return 0, ErrNoPlans
 	}
-	nObj := len(costs[0])
-	if len(order) == 0 {
-		return 0, fmt.Errorf("%w: empty priority order", ErrDimension)
+	nObj, err := rowWidth(costs)
+	if err != nil {
+		return 0, err
 	}
-	seen := make(map[int]bool, len(order))
-	for _, m := range order {
-		if m < 0 || m >= nObj {
-			return 0, fmt.Errorf("%w: objective %d of %d", ErrDimension, m, nObj)
-		}
-		if seen[m] {
-			return 0, fmt.Errorf("%w: objective %d repeated in priority order", ErrDimension, m)
-		}
-		seen[m] = true
+	if err := CheckLexOrder(order, nObj); err != nil {
+		return 0, err
 	}
 	if tolerance < 0 {
 		tolerance = 0
@@ -108,10 +106,32 @@ func Lexicographic(costs [][]float64, order []int, tolerance float64) (int, erro
 				next = append(next, i)
 			}
 		}
+		if len(next) == 0 {
+			return 0, fmt.Errorf("%w: objective %d is NaN on every candidate", ErrIncomparable, m)
+		}
 		candidates = next
 		if len(candidates) == 1 {
 			break
 		}
 	}
 	return candidates[0], nil
+}
+
+// CheckLexOrder validates a Lexicographic priority order over k
+// objectives: non-empty, every index in range, none repeated.
+func CheckLexOrder(order []int, k int) error {
+	if len(order) == 0 {
+		return fmt.Errorf("%w: empty priority order", ErrDimension)
+	}
+	for i, m := range order {
+		if m < 0 || m >= k {
+			return fmt.Errorf("%w: objective %d of %d", ErrDimension, m, k)
+		}
+		for _, prev := range order[:i] {
+			if prev == m {
+				return fmt.Errorf("%w: objective %d repeated in priority order", ErrDimension, m)
+			}
+		}
+	}
+	return nil
 }

@@ -133,3 +133,42 @@ func TestPropertySelectionsInRangeAndSane(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestSelectionRejectsNaNAndRaggedCosts: every Pareto-set selection
+// answers NaN or ragged costs with an error, never a panic or an index
+// outside the set.
+func TestSelectionRejectsNaNAndRaggedCosts(t *testing.T) {
+	nan := math.NaN()
+	lex := func(order ...int) func([][]float64) (int, error) {
+		return func(c [][]float64) (int, error) { return Lexicographic(c, order, 0.05) }
+	}
+	weighted := func(c [][]float64) (int, error) { return ArgminWeightedSum(c, []float64{1, 1}) }
+	cases := []struct {
+		name    string
+		sel     func([][]float64) (int, error)
+		costs   [][]float64
+		want    int
+		wantErr error
+	}{
+		{"lex: first priority NaN everywhere", lex(0, 1), [][]float64{{nan, 1}, {nan, 2}}, 0, ErrIncomparable},
+		{"lex: tie falls through to an all-NaN objective", lex(0, 1), [][]float64{{1, nan}, {1, nan}}, 0, ErrIncomparable},
+		{"lex: a NaN row drops out", lex(0, 1), [][]float64{{nan, 1}, {2, 2}}, 1, nil},
+		{"lex: shorter second row", lex(1, 0), [][]float64{{1, 2}, {3}}, 0, ErrDimension},
+		{"lex: longer second row", lex(0), [][]float64{{1}, {3, 4}}, 0, ErrDimension},
+		{"knee: shorter second row", KneePoint, [][]float64{{1, 2}, {3}}, 0, ErrDimension},
+		{"knee: longer second row", KneePoint, [][]float64{{1, 2}, {3, 4, 5}}, 0, ErrDimension},
+		{"weighted: every score NaN", weighted, [][]float64{{nan, 1}, {1, nan}}, 0, ErrIncomparable},
+		{"weighted: a NaN row loses", weighted, [][]float64{{nan, 0}, {1, 1}}, 1, nil},
+	}
+	for _, tc := range cases {
+		got, err := tc.sel(tc.costs)
+		if !errors.Is(err, tc.wantErr) || (tc.wantErr == nil && got != tc.want) {
+			t.Errorf("%s: got %d, %v; want %d, %v", tc.name, got, err, tc.want, tc.wantErr)
+		}
+	}
+	// Feasible rows compete alone even when all of them are NaN.
+	costs := [][]float64{{nan, 1}, {1, 1}}
+	if _, err := ArgminWeightedSumWhere(costs, []float64{1, 1}, func(i int) bool { return i == 0 }); !errors.Is(err, ErrIncomparable) {
+		t.Errorf("all-NaN feasible set: got %v, want ErrIncomparable", err)
+	}
+}

@@ -12,6 +12,11 @@ var ErrNoPlans = errors.New("moo: no plans to select from")
 // ErrWeights is returned for invalid weighted-sum weights.
 var ErrWeights = errors.New("moo: invalid weights")
 
+// ErrIncomparable is returned when a selection has candidates but none
+// with a cost it can compare: every competing score, or every value of
+// the deciding objective, is NaN.
+var ErrIncomparable = errors.New("moo: no candidate has a comparable cost")
+
 // weightTotal validates weighted-sum weights — non-negative, not NaN,
 // not all zero — and returns their sum, the normalizer.
 func weightTotal(weights []float64) (float64, error) {
@@ -26,6 +31,17 @@ func weightTotal(weights []float64) (float64, error) {
 		return 0, fmt.Errorf("%w: weights sum to zero", ErrWeights)
 	}
 	return wSum, nil
+}
+
+// CheckWeights validates weights for k objectives the way WeightedSum
+// does: one weight per objective, each non-negative and not NaN, not
+// all zero.
+func CheckWeights(weights []float64, k int) error {
+	if len(weights) != k {
+		return fmt.Errorf("%w: %d costs vs %d weights", ErrDimension, k, len(weights))
+	}
+	_, err := weightTotal(weights)
+	return err
 }
 
 // WeightedSum scalarizes a cost vector with the Weighted Sum Model
@@ -56,8 +72,9 @@ func scalarize(costs, weights []float64, wSum float64) float64 {
 // ArgminWeightedSumWhere is the one weighted-sum selection loop: the
 // index of the first row of scores with the smallest WeightedSum among
 // the rows feasible(i) admits. A nil feasible admits every row; when it
-// admits none the whole set competes (Algorithm 2 line 6). The weights
-// are validated and totalled once, not per row, and the loop does not
+// admits none the whole set competes (Algorithm 2 line 6). A competing
+// set whose scores are all NaN is ErrIncomparable. The weights are
+// validated and totalled once, not per row, and the loop does not
 // allocate.
 func ArgminWeightedSumWhere(scores [][]float64, weights []float64, feasible func(i int) bool) (int, error) {
 	if len(scores) == 0 {
@@ -84,6 +101,9 @@ func ArgminWeightedSumWhere(scores [][]float64, weights []float64, feasible func
 			}
 		}
 		if competed {
+			if best < 0 {
+				return 0, fmt.Errorf("%w: every competing score is NaN", ErrIncomparable)
+			}
 			return best, nil
 		}
 		feasible = nil
@@ -91,8 +111,8 @@ func ArgminWeightedSumWhere(scores [][]float64, weights []float64, feasible func
 }
 
 // ArgminWeightedSum returns the index of the plan with the smallest
-// weighted-sum score. Used both as the WSM baseline optimizer (paper
-// Figure 3, right path) and inside BestInPareto.
+// weighted-sum score: the WSM baseline optimizer (paper Figure 3, right
+// path).
 func ArgminWeightedSum(costs [][]float64, weights []float64) (int, error) {
 	return ArgminWeightedSumWhere(costs, weights, nil)
 }
@@ -107,22 +127,6 @@ func WithinBounds(c, bounds []float64) bool {
 		}
 	}
 	return true
-}
-
-// BestInPareto implements the paper's Algorithm 2: given the cost
-// vectors of a Pareto plan set P, per-metric constraints B (a plan is
-// feasible when cₙ(p) ≤ Bₙ for every constrained metric n ≤ |B|) and
-// weighted-sum preferences S, return the index of the selected plan.
-// If no plan satisfies the constraints, the weighted-sum winner over
-// the whole set is returned (Algorithm 2 line 6).
-func BestInPareto(costs [][]float64, weights, constraints []float64) (int, error) {
-	if len(costs) == 0 {
-		return 0, ErrNoPlans
-	}
-	if len(constraints) > len(costs[0]) {
-		return 0, fmt.Errorf("%w: %d constraints for %d metrics", ErrDimension, len(constraints), len(costs[0]))
-	}
-	return ArgminWeightedSumWhere(costs, weights, func(i int) bool { return WithinBounds(costs[i], constraints) })
 }
 
 // NormalizeCosts rescales each objective column to [0,1] across the

@@ -58,6 +58,13 @@ func TestArgminWeightedSum(t *testing.T) {
 	}
 }
 
+// algorithm2 is the paper's Algorithm 2 (BestInPareto) the way the
+// scheduler runs it: the weighted-sum winner among the rows within the
+// per-metric bounds, or among all rows when none is.
+func algorithm2(costs [][]float64, weights, constraints []float64) (int, error) {
+	return ArgminWeightedSumWhere(costs, weights, func(i int) bool { return WithinBounds(costs[i], constraints) })
+}
+
 func TestBestInParetoConstraintsSatisfiable(t *testing.T) {
 	// Algorithm 2 with feasible subset: plan 0 violates the budget, so
 	// the winner must come from {1, 2}.
@@ -68,7 +75,7 @@ func TestBestInParetoConstraintsSatisfiable(t *testing.T) {
 	}
 	weights := []float64{1, 1}
 	budget := []float64{math.Inf(1), 20} // money ≤ 20
-	i, err := BestInPareto(costs, weights, budget)
+	i, err := algorithm2(costs, weights, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +91,7 @@ func TestBestInParetoConstraintsSatisfiable(t *testing.T) {
 func TestBestInParetoConstraintsUnsatisfiable(t *testing.T) {
 	// Algorithm 2 line 6: no feasible plan → weighted-sum over all.
 	costs := [][]float64{{10, 10}, {2, 2}}
-	i, err := BestInPareto(costs, []float64{1, 1}, []float64{1, 1})
+	i, err := algorithm2(costs, []float64{1, 1}, []float64{1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +103,7 @@ func TestBestInParetoConstraintsUnsatisfiable(t *testing.T) {
 func TestBestInParetoFewerConstraintsThanMetrics(t *testing.T) {
 	// |B| < |N|: only the first metric is constrained (n ≤ |B|).
 	costs := [][]float64{{10, 1}, {1, 10}}
-	i, err := BestInPareto(costs, []float64{1, 1}, []float64{5})
+	i, err := algorithm2(costs, []float64{1, 1}, []float64{5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,12 +112,20 @@ func TestBestInParetoFewerConstraintsThanMetrics(t *testing.T) {
 	}
 }
 
+// TestBestInParetoErrors: an empty set has no winner, and a set whose
+// competing scores are all NaN has none either. Bounds past the metric
+// count constrain nothing here; a policy carrying them is refused before
+// it reaches a selection (the server's policyOf).
 func TestBestInParetoErrors(t *testing.T) {
-	if _, err := BestInPareto(nil, []float64{1}, nil); !errors.Is(err, ErrNoPlans) {
+	if _, err := algorithm2(nil, []float64{1}, nil); !errors.Is(err, ErrNoPlans) {
 		t.Errorf("got %v, want ErrNoPlans", err)
 	}
-	if _, err := BestInPareto([][]float64{{1}}, []float64{1}, []float64{1, 2}); !errors.Is(err, ErrDimension) {
-		t.Errorf("too many constraints: got %v, want ErrDimension", err)
+	nan := math.NaN()
+	if _, err := algorithm2([][]float64{{nan, 1}, {nan, 2}}, []float64{1, 1}, nil); !errors.Is(err, ErrIncomparable) {
+		t.Errorf("all-NaN scores: got %v, want ErrIncomparable", err)
+	}
+	if i, err := algorithm2([][]float64{{1}, {0}}, []float64{1}, []float64{5, 5}); err != nil || i != 1 {
+		t.Errorf("extra bound: got %d, %v; want 1, nil", i, err)
 	}
 }
 
@@ -134,7 +149,7 @@ func TestNormalizeCosts(t *testing.T) {
 	}
 }
 
-// Property: BestInPareto always returns an index in range, and when
+// Property: Algorithm 2 always returns an index in range, and when
 // constraints admit at least one plan the winner satisfies them.
 func TestPropertyBestInParetoFeasibility(t *testing.T) {
 	f := func(raw []float64, b1 float64) bool {
@@ -151,7 +166,7 @@ func TestPropertyBestInParetoFeasibility(t *testing.T) {
 			costs[i] = []float64{a, b}
 		}
 		budget := []float64{math.Abs(math.Mod(b1, 1000))}
-		idx, err := BestInPareto(costs, []float64{1, 1}, budget)
+		idx, err := algorithm2(costs, []float64{1, 1}, budget)
 		if err != nil {
 			return false
 		}
@@ -216,9 +231,9 @@ func bestInParetoOracle(raw, scores [][]float64, weights, constraints []float64)
 	return feasible[best], nil
 }
 
-// TestSelectionMatchesOracle pins BestInPareto, ArgminWeightedSum and
-// ArgminWeightedSumWhere to the answers and errors of the loop they
-// replaced, branch by branch.
+// TestSelectionMatchesOracle pins Algorithm 2 as the scheduler runs it
+// (ArgminWeightedSumWhere over WithinBounds) and ArgminWeightedSum to
+// the answers and errors of the loop they replaced, branch by branch.
 func TestSelectionMatchesOracle(t *testing.T) {
 	costs := [][]float64{{9, 1}, {4, 4}, {4, 4}, {1, 9}, {6, 2}}
 	cases := []struct {
@@ -249,9 +264,9 @@ func TestSelectionMatchesOracle(t *testing.T) {
 		if !errors.Is(wantErr, tc.wantErr) || (wantErr == nil && want != tc.want) {
 			t.Fatalf("%s: oracle = %d, %v; the table expects %d, %v", tc.name, want, wantErr, tc.want, tc.wantErr)
 		}
-		got, err := BestInPareto(tc.costs, tc.weights, tc.constraints)
+		got, err := algorithm2(tc.costs, tc.weights, tc.constraints)
 		if got != want || !sameError(err, wantErr) {
-			t.Errorf("%s: BestInPareto = %d, %v; oracle %d, %v", tc.name, got, err, want, wantErr)
+			t.Errorf("%s: Algorithm 2 = %d, %v; oracle %d, %v", tc.name, got, err, want, wantErr)
 		}
 		if len(tc.constraints) == 0 {
 			got, err := ArgminWeightedSum(tc.costs, tc.weights)
@@ -308,7 +323,7 @@ func TestSelectionDoesNotAllocate(t *testing.T) {
 		"unconstrained":    nil,
 	} {
 		allocs := testing.AllocsPerRun(100, func() {
-			if _, err := BestInPareto(costs, weights, constraints); err != nil {
+			if _, err := algorithm2(costs, weights, constraints); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := ArgminWeightedSum(costs, weights); err != nil {

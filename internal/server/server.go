@@ -60,9 +60,11 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/federation"
 	"repro/internal/histstore"
 	"repro/internal/ires"
 	"repro/internal/metrics"
+	"repro/internal/moo"
 	"repro/internal/tpch"
 )
 
@@ -592,7 +594,10 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, ErrorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
-// policyOf translates the wire policy to the scheduler's.
+// policyOf translates the wire policy to the scheduler's, refusing one
+// the selection would reject — the weights, bounds or priority order
+// that the chosen strategy reads, checked against the metric count — so
+// a malformed policy is a 400 before admission and the sweep.
 func policyOf(req *QueryRequest) (ires.Policy, error) {
 	pol := ires.Policy{
 		Weights:      req.Weights,
@@ -600,13 +605,27 @@ func policyOf(req *QueryRequest) (ires.Policy, error) {
 		LexOrder:     req.LexOrder,
 		LexTolerance: req.LexTolerance,
 	}
+	k := len(federation.Metrics)
 	switch req.Strategy {
 	case "", "weighted":
 		pol.Strategy = ires.WeightedSumSelection
+		if len(pol.Weights) > 0 {
+			if err := moo.CheckWeights(pol.Weights, k); err != nil {
+				return pol, err
+			}
+		}
+		if len(pol.Constraints) > k {
+			return pol, fmt.Errorf("%d constraints for %d metrics", len(pol.Constraints), k)
+		}
 	case "knee":
 		pol.Strategy = ires.KneeSelection
 	case "lex":
 		pol.Strategy = ires.LexicographicSelection
+		if len(pol.LexOrder) > 0 {
+			if err := moo.CheckLexOrder(pol.LexOrder, k); err != nil {
+				return pol, err
+			}
+		}
 	default:
 		return pol, fmt.Errorf("unknown strategy %q (weighted, knee, lex)", req.Strategy)
 	}

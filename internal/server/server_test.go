@@ -159,7 +159,8 @@ func TestSubmitRoundTrip(t *testing.T) {
 }
 
 func TestSubmitValidation(t *testing.T) {
-	srv := newTestServer(t, &stubSched{}, Config{})
+	stub := &stubSched{}
+	srv := newTestServer(t, stub, Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -172,6 +173,13 @@ func TestSubmitValidation(t *testing.T) {
 		{"empty query", QueryRequest{}, http.StatusBadRequest},
 		{"unknown federation", QueryRequest{Query: "Q12", Federation: "nope"}, http.StatusNotFound},
 		{"unknown strategy", QueryRequest{Query: "Q12", Strategy: "psychic"}, http.StatusBadRequest},
+		{"one weight for two metrics", QueryRequest{Query: "Q12", Weights: []float64{1}}, http.StatusBadRequest},
+		{"three weights for two metrics", QueryRequest{Query: "Q12", Weights: []float64{1, 1, 1}}, http.StatusBadRequest},
+		{"negative weight", QueryRequest{Query: "Q12", Weights: []float64{-1, 1}}, http.StatusBadRequest},
+		{"zero weights", QueryRequest{Query: "Q12", Weights: []float64{0, 0}}, http.StatusBadRequest},
+		{"three constraints for two metrics", QueryRequest{Query: "Q12", Constraints: []float64{1, 1, 1}}, http.StatusBadRequest},
+		{"lex order out of range", QueryRequest{Query: "Q12", Strategy: "lex", LexOrder: []int{5}}, http.StatusBadRequest},
+		{"lex order repeated", QueryRequest{Query: "Q12", Strategy: "lex", LexOrder: []int{0, 0}}, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		resp, body := postQuery(t, ts.URL, tc.req)
@@ -191,6 +199,13 @@ func TestSubmitValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad JSON: status = %d", resp.StatusCode)
+	}
+	// A refused request never reaches a sweep and is not a server failure.
+	if stub.sweepCalls != 0 {
+		t.Errorf("refused requests ran %d sweeps, want 0", stub.sweepCalls)
+	}
+	if got := srv.tenants["test"].stats.failed.Load(); got != 0 {
+		t.Errorf("failed counter = %d, want 0", got)
 	}
 }
 

@@ -127,16 +127,6 @@ func MRE(actual, predicted []float64) (float64, error) {
 	return s / float64(n), nil
 }
 
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) of xs using linear
-// interpolation between order statistics.
-func Quantile(xs []float64, q float64) (float64, error) {
-	out, err := Quantiles(xs, q)
-	if err != nil {
-		return 0, err
-	}
-	return out[0], nil
-}
-
 // Quantiles returns several q-quantiles of xs with a single sort — the
 // shape a latency report wants (p50/p90/p99 from one sample).
 func Quantiles(xs []float64, qs ...float64) ([]float64, error) {

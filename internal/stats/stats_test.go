@@ -122,22 +122,22 @@ func TestQuantile(t *testing.T) {
 	}{
 		{0, 1}, {1, 4}, {0.5, 2.5}, {0.25, 1.75},
 	} {
-		got, err := Quantile(xs, tc.q)
+		got, err := Quantiles(xs, tc.q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !almostEqual(got, tc.want, 1e-12) {
-			t.Errorf("Quantile(%v) = %v, want %v", tc.q, got, tc.want)
+		if !almostEqual(got[0], tc.want, 1e-12) {
+			t.Errorf("Quantiles(%v) = %v, want %v", tc.q, got[0], tc.want)
 		}
 	}
-	if _, err := Quantile(nil, 0.5); !errors.Is(err, ErrEmpty) {
+	if _, err := Quantiles(nil, 0.5); !errors.Is(err, ErrEmpty) {
 		t.Errorf("empty quantile: got %v, want ErrEmpty", err)
 	}
-	if _, err := Quantile(xs, 1.5); err == nil {
+	if _, err := Quantiles(xs, 1.5); err == nil {
 		t.Error("out-of-range q accepted")
 	}
-	one, err := Quantile([]float64{7}, 0.3)
-	if err != nil || one != 7 {
+	one, err := Quantiles([]float64{7}, 0.3)
+	if err != nil || one[0] != 7 {
 		t.Errorf("singleton quantile = %v, %v", one, err)
 	}
 }

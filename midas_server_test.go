@@ -5,18 +5,19 @@ import (
 	"net/http/httptest"
 	"testing"
 
-	midas "repro"
+	"repro/internal/server"
+	"repro/internal/workload"
 )
 
-// TestServeAndLoadFacade drives the exported serving surface end to
-// end: build a QueryServer, point the exported load generator at it,
-// and require a clean run with coalescing visible in the report.
-func TestServeAndLoadFacade(t *testing.T) {
+// TestServeAndLoad drives the serving stack end to end: build a
+// server, point the load generator at it, and require a clean run with
+// coalescing visible in the report.
+func TestServeAndLoad(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full serving stack")
 	}
-	srv, err := midas.NewQueryServer(midas.ServerConfig{
-		Federations: []midas.ServerFederationSpec{{
+	srv, err := server.New(server.Config{
+		Federations: []server.FederationSpec{{
 			Name:        "paper",
 			SF:          0.05,
 			NodeChoices: []int{1, 2},
@@ -30,7 +31,7 @@ func TestServeAndLoadFacade(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	rep, err := midas.RunLoad(context.Background(), midas.LoadConfig{
+	rep, err := workload.RunLoad(context.Background(), workload.LoadConfig{
 		BaseURL:  ts.URL,
 		Query:    "Q12",
 		Clients:  16,

@@ -3,15 +3,15 @@ package midas_test
 import (
 	"testing"
 
-	midas "repro"
+	"repro/internal/core"
+	"repro/internal/histstore"
 )
 
-// TestFacadeDurableHistoryStore drives the exported durability surface:
-// open a store, record through a history it owns, recover in a fresh
-// store.
-func TestFacadeDurableHistoryStore(t *testing.T) {
+// TestDurableHistoryStore drives the durable history store: open
+// a store, record through a history it owns, recover in a fresh store.
+func TestDurableHistoryStore(t *testing.T) {
 	dir := t.TempDir()
-	store, err := midas.OpenHistoryStore(dir, midas.HistoryStoreOptions{})
+	store, err := histstore.Open(dir, histstore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,7 +20,7 @@ func TestFacadeDurableHistoryStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 10; i++ {
-		if err := h.Append(midas.Observation{X: []float64{float64(i)}, Costs: []float64{2 * float64(i)}}); err != nil {
+		if err := h.Append(core.Observation{X: []float64{float64(i)}, Costs: []float64{2 * float64(i)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -28,7 +28,7 @@ func TestFacadeDurableHistoryStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 11; i <= 13; i++ { // appends after a durability point extend the same WAL
-		if err := h.Append(midas.Observation{X: []float64{float64(i)}, Costs: []float64{2 * float64(i)}}); err != nil {
+		if err := h.Append(core.Observation{X: []float64{float64(i)}, Costs: []float64{2 * float64(i)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -36,7 +36,7 @@ func TestFacadeDurableHistoryStore(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	again, err := midas.OpenHistoryStore(dir, midas.HistoryStoreOptions{})
+	again, err := histstore.Open(dir, histstore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,82 +4,92 @@ import (
 	"bytes"
 	"math"
 	"testing"
+
+	"repro/internal/cloud"
+	"repro/internal/core"
+	"repro/internal/engine"
+	"repro/internal/federation"
+	"repro/internal/ires"
+	"repro/internal/ml"
+	"repro/internal/moo"
+	"repro/internal/regression"
+	"repro/internal/tpch"
+	"repro/internal/workload"
 )
 
-// The root-package tests exercise the public facade end to end, the way
-// a downstream user would.
+// These smoke tests drive each subsystem end to end through the
+// packages that implement it, the way the examples do.
 
-func TestFacadeFullPipeline(t *testing.T) {
-	fed, err := NewDefaultFederation(71)
+func TestFullPipeline(t *testing.T) {
+	fed, err := federation.DefaultTopology(71)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cal, err := Calibrate(fed, 0.004, 71)
+	cal, err := federation.Calibrate(fed, 0.004, 71)
 	if err != nil {
 		t.Fatal(err)
 	}
-	exec, err := NewScaledExecutor(fed, cal, 0.1)
+	exec, err := federation.NewScaledExecutor(fed, cal, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	model, err := NewDREAMModel(DREAMConfig{MMax: 3 * (FeatureDim + 2)})
+	model, err := ires.NewDREAMModel(core.Config{MMax: 3 * (federation.FeatureDim + 2)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched, err := NewScheduler(fed, exec, model, nil, 71)
+	sched, err := ires.NewScheduler(fed, exec, model, nil, 71)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sched.Bootstrap(QueryQ12, 20); err != nil {
+	if err := sched.Bootstrap(tpch.QueryQ12, 20); err != nil {
 		t.Fatal(err)
 	}
-	dec, err := sched.Submit(QueryQ12, Policy{Weights: []float64{1, 1}})
+	dec, err := sched.Submit(tpch.QueryQ12, ires.Policy{Weights: []float64{1, 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if dec.Outcome.TimeS <= 0 || dec.Outcome.MoneyUSD < 0 {
 		t.Fatalf("degenerate outcome %+v", dec.Outcome)
 	}
-	if len(dec.Estimated) != len(Metrics) {
+	if len(dec.Estimated) != len(federation.Metrics) {
 		t.Fatalf("estimate dim %d", len(dec.Estimated))
 	}
 }
 
-// TestFacadeSchedulerWithConfig drives the config-assembled scheduler
-// through the public API: model cache on, and a history snapshot taken
-// mid-run.
-func TestFacadeSchedulerWithConfig(t *testing.T) {
-	fed, err := NewDefaultFederation(19)
+// TestSchedulerWithConfig drives the config-assembled scheduler: model
+// cache on, and a history snapshot taken mid-run.
+func TestSchedulerWithConfig(t *testing.T) {
+	fed, err := federation.DefaultTopology(19)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cal, err := Calibrate(fed, 0.004, 19)
+	cal, err := federation.Calibrate(fed, 0.004, 19)
 	if err != nil {
 		t.Fatal(err)
 	}
-	exec, err := NewScaledExecutor(fed, cal, 0.1)
+	exec, err := federation.NewScaledExecutor(fed, cal, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	model, err := NewDREAMModel(DREAMConfig{MMax: 3 * (FeatureDim + 2), CacheSize: DefaultModelCacheSize})
+	model, err := ires.NewDREAMModel(core.Config{MMax: 3 * (federation.FeatureDim + 2), CacheSize: core.DefaultCacheSize})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched, err := NewSchedulerWithConfig(fed, exec, model, SchedulerConfig{Seed: 19})
+	sched, err := ires.NewSchedulerWithConfig(fed, exec, model, ires.SchedulerConfig{Seed: 19})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sched.Bootstrap(QueryQ12, 20); err != nil {
+	if err := sched.Bootstrap(tpch.QueryQ12, 20); err != nil {
 		t.Fatal(err)
 	}
-	dec, err := sched.Submit(QueryQ12, Policy{Weights: []float64{1, 1}})
+	dec, err := sched.Submit(tpch.QueryQ12, ires.Policy{Weights: []float64{1, 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if dec.Outcome.TimeS <= 0 {
 		t.Fatalf("degenerate outcome %+v", dec.Outcome)
 	}
-	var snap *HistorySnapshot = sched.History(QueryQ12).Snapshot()
+	var snap *core.Snapshot = sched.History(tpch.QueryQ12).Snapshot()
 	if snap.Len() != 21 { // 20 bootstrap runs + 1 submitted round
 		t.Fatalf("snapshot Len = %d, want 21", snap.Len())
 	}
@@ -89,18 +99,18 @@ func TestFacadeSchedulerWithConfig(t *testing.T) {
 	}
 }
 
-func TestFacadeDREAMAndPersistence(t *testing.T) {
-	h, err := NewHistory(1, "time_s")
+func TestDREAMAndPersistence(t *testing.T) {
+	h, err := core.NewHistory(1, "time_s")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 20; i++ {
 		x := float64(i%7 + 1)
-		if err := h.Append(Observation{X: []float64{x}, Costs: []float64{3 * x}}); err != nil {
+		if err := h.Append(core.Observation{X: []float64{x}, Costs: []float64{3 * x}}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	est, err := NewDREAMEstimator(DREAMConfig{RequiredR2: DefaultRequiredR2})
+	est, err := core.NewEstimator(core.Config{RequiredR2: core.DefaultRequiredR2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,10 +122,10 @@ func TestFacadeDREAMAndPersistence(t *testing.T) {
 		t.Errorf("estimate = %v, want 12", e.Values()[0])
 	}
 	var buf bytes.Buffer
-	if err := SaveSnapshot(h.Snapshot(), &buf); err != nil {
+	if err := core.SaveSnapshot(h.Snapshot(), &buf); err != nil {
 		t.Fatal(err)
 	}
-	h2, err := LoadHistory(&buf)
+	h2, err := core.LoadHistory(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,13 +134,13 @@ func TestFacadeDREAMAndPersistence(t *testing.T) {
 	}
 }
 
-func TestFacadeLearners(t *testing.T) {
-	samples := make([]Sample, 40)
+func TestLearners(t *testing.T) {
+	samples := make([]regression.Sample, 40)
 	for i := range samples {
 		x := float64(i%9 + 1)
-		samples[i] = Sample{X: []float64{x}, C: 2 + 5*x}
+		samples[i] = regression.Sample{X: []float64{x}, C: 2 + 5*x}
 	}
-	for _, l := range []Learner{LeastSquares{}, Bagging{Seed: 1}, MLP{Seed: 1, Epochs: 100}, BML{Seed: 1}, Huber{}} {
+	for _, l := range []ml.Learner{ml.LeastSquares{}, ml.Bagging{Seed: 1}, ml.MLP{Seed: 1, Epochs: 100}, ml.BML{Seed: 1}} {
 		p, err := l.Train(samples)
 		if err != nil {
 			t.Fatalf("%s: %v", l.Name(), err)
@@ -143,7 +153,7 @@ func TestFacadeLearners(t *testing.T) {
 			t.Errorf("%s predicts %v, want ≈27", l.Name(), v)
 		}
 	}
-	m, err := FitMLR(samples)
+	m, err := regression.Fit(samples, regression.FitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,68 +162,57 @@ func TestFacadeLearners(t *testing.T) {
 	}
 }
 
-func TestFacadeMOO(t *testing.T) {
+func TestMOO(t *testing.T) {
 	costs := [][]float64{{1, 9}, {3, 3}, {9, 1}, {9, 9}}
-	front, err := ParetoFront(costs)
+	m, err := moo.NewCostMatrix(costs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	front, err := moo.ParetoFront(m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(front) != 3 {
 		t.Errorf("front = %v, want 3 members", front)
 	}
-	i, err := BestInPareto(costs, []float64{1, 1}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if i != 1 {
-		t.Errorf("BestInPareto = %d, want 1", i)
-	}
-	k, err := KneePoint(costs[:3])
+	k, err := moo.KneePoint(costs[:3])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if k != 1 {
 		t.Errorf("knee = %d, want 1", k)
 	}
-	l, err := Lexicographic(costs, []int{1, 0}, 0)
+	l, err := moo.Lexicographic(costs, []int{1, 0}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if l != 2 {
 		t.Errorf("lexicographic = %d, want 2", l)
 	}
-	s, err := WeightedSum([]float64{2, 4}, []float64{1, 1})
+	s, err := moo.WeightedSum([]float64{2, 4}, []float64{1, 1})
 	if err != nil || s != 3 {
 		t.Errorf("WeightedSum = %v, %v", s, err)
 	}
 }
 
-func TestFacadeThreeCloudAndChaos(t *testing.T) {
-	fed, err := NewThreeCloudFederation(72)
+func TestThreeCloud(t *testing.T) {
+	fed, err := federation.ThreeCloudTopology(72)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(fed.Sites) != 3 {
 		t.Fatalf("sites = %d", len(fed.Sites))
 	}
-	cal, err := Calibrate(fed, 0.004, 72)
+	cal, err := federation.Calibrate(fed, 0.004, 72)
 	if err != nil {
 		t.Fatal(err)
 	}
-	exec, err := NewScaledExecutor(fed, cal, 0.05)
+	exec, err := federation.NewScaledExecutor(fed, cal, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
-	flaky, err := NewFlakyExecutor(exec, 0.3, 72)
-	if err != nil {
-		t.Fatal(err)
-	}
-	retry, err := NewRetryingExecutor(flaky, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan := Plan{Query: QueryQ13, JoinAtLeft: true, NodesLeft: 2, NodesRight: 2}
-	out, err := retry.Execute(plan)
+	plan := federation.Plan{Query: tpch.QueryQ13, JoinAtLeft: true, NodesLeft: 2, NodesRight: 2}
+	out, err := exec.Execute(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,20 +221,20 @@ func TestFacadeThreeCloudAndChaos(t *testing.T) {
 	}
 }
 
-func TestFacadeTPCHAndFullExecutor(t *testing.T) {
-	db, err := GenerateTPCH(0.003, 73)
+func TestTPCHAndFullExecutor(t *testing.T) {
+	db, err := tpch.Generate(0.003, tpch.GenOptions{Seed: 73})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if db.TotalBytes() <= 0 {
 		t.Fatal("empty database")
 	}
-	fed, err := NewDefaultFederation(73)
+	fed, err := federation.DefaultTopology(73)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := NewFullExecutor(fed, db)
-	out, err := ex.Execute(Plan{Query: QueryQ14, JoinAtLeft: true, NodesLeft: 2, NodesRight: 1})
+	ex := federation.NewFullExecutor(fed, db)
+	out, err := ex.Execute(federation.Plan{Query: tpch.QueryQ14, JoinAtLeft: true, NodesLeft: 2, NodesRight: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,30 +243,30 @@ func TestFacadeTPCHAndFullExecutor(t *testing.T) {
 	}
 }
 
-func TestFacadeProviders(t *testing.T) {
-	for _, p := range []*Provider{Amazon(), Microsoft(), Google()} {
+func TestProviders(t *testing.T) {
+	for _, p := range []*cloud.Provider{cloud.Amazon(), cloud.Microsoft(), cloud.Google()} {
 		if len(p.Instances) == 0 {
 			t.Errorf("%s catalog empty", p.Name)
 		}
 	}
-	if HiveProfile().Name != "hive" || PostgresProfile().Name != "postgres" || SparkProfile().Name != "spark" {
+	if engine.Hive().Name != "hive" || engine.Postgres().Name != "postgres" || engine.Spark().Name != "spark" {
 		t.Error("engine profiles misnamed")
 	}
-	if len(AllQueries) != 4 {
-		t.Errorf("AllQueries = %v", AllQueries)
+	if len(tpch.AllQueries) != 4 {
+		t.Errorf("AllQueries = %v", tpch.AllQueries)
 	}
 }
 
-func TestFacadeEvalHarness(t *testing.T) {
-	h, err := NewEvalHarness(74)
+func TestEvalHarness(t *testing.T) {
+	h, err := workload.NewHarness(74)
 	if err != nil {
 		t.Fatal(err)
 	}
-	models, err := PaperModels(74)
+	models, err := workload.PaperModels(74)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := h.Run(EvalConfig{Query: QueryQ17, SF: 0.05, HistorySize: 25, TestQueries: 8, Seed: 74}, models)
+	res, err := h.Run(workload.EvalConfig{Query: tpch.QueryQ17, SF: 0.05, HistorySize: 25, TestQueries: 8, Seed: 74}, models)
 	if err != nil {
 		t.Fatal(err)
 	}
