@@ -18,8 +18,9 @@ package main
 import (
 	"fmt"
 	"io"
+	"maps"
 	"os"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/federation"
@@ -47,12 +48,7 @@ func run(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	names := make([]string, 0, len(fed.Sites))
-	for name := range fed.Sites {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range slices.Sorted(maps.Keys(fed.Sites)) {
 		site := fed.Sites[name]
 		fmt.Fprintf(w, "site %-15s provider=%-9s engine=%-8s instance=%s (max %d nodes)\n",
 			name, site.Provider.Name, site.Engine.Name, site.Instance, site.MaxNodes)
