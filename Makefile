@@ -5,7 +5,7 @@ GO ?= go
 
 # Coverage floor (percent) enforced on the packages new code lands in.
 COVER_FLOOR ?= 60
-COVER_PKGS ?= ./internal/server ./internal/core ./internal/histstore ./internal/metrics ./internal/cluster ./internal/scenario ./internal/framelog ./internal/ires ./internal/federation
+COVER_PKGS ?= ./internal/server ./internal/core ./internal/histstore ./internal/metrics ./internal/cluster ./internal/scenario ./internal/framelog ./internal/ires ./internal/federation ./internal/regression ./internal/linalg
 
 # The micro-benchmarks `make bench-sweep` prints for benchstat: the
 # Q12/Q13 serving sweeps (cached vs uncached), the cold (uncached)

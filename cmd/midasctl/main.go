@@ -14,7 +14,8 @@
 //	table4      print Table 4 (MRE at 1 GiB)
 //	fig3        print the Figure 3 comparison (GA vs WSM MOQP)
 //	example31   print the Example 3.1 estimation-throughput study
-//	ablations   print the four design-choice ablations
+//	ablations   print the five design-choice ablations: window growth,
+//	            R² threshold, recency, composite and optimizer
 //	scenarios   print the scenario sweep: MRE, regret and latency
 //	            percentiles per (arrival process × chaos profile) cell
 //	run-query   run one full pipeline round (enumerate→estimate→
@@ -23,13 +24,16 @@
 //	cluster-status
 //	            print per-peer health and the routing table of the
 //	            midasd cluster at -addr
-//	all         everything above, in paper order
+//	all         pricing through ablations, in paper order, then
+//	            run-query on Q12 (not scenarios, gen or cluster-status)
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"sort"
@@ -44,157 +48,172 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is midasctl with its arguments and output streams as parameters:
+// it returns the exit status, 2 for a usage error and 1 for a failed
+// command.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("midasctl", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		seed   = flag.Int64("seed", 42, "base random seed")
-		reps   = flag.Int("reps", 5, "repetitions for the MRE campaigns")
-		hist   = flag.Int("history", 60, "history size for the MRE campaigns")
-		tests  = flag.Int("tests", 30, "test queries for the MRE campaigns")
-		sf     = flag.Float64("sf", 0.01, "scale factor for gen/run-query")
-		query  = flag.String("query", "Q12", "TPC-H query for run-query (Q12, Q13, Q14, Q17)")
-		events = flag.Int("events", 120, "events per scenario for the scenarios sweep")
-		addr   = flag.String("addr", "http://127.0.0.1:8080", "midasd base URL for cluster-status")
+		seed   = fs.Int64("seed", 42, "base random seed")
+		reps   = fs.Int("reps", 5, "repetitions for the MRE campaigns")
+		hist   = fs.Int("history", 60, "history size for the MRE campaigns")
+		tests  = fs.Int("tests", 30, "test queries for the MRE campaigns")
+		sf     = fs.Float64("sf", 0.01, "scale factor for gen/run-query")
+		query  = fs.String("query", "Q12", "TPC-H query for run-query (Q12, Q13, Q14, Q17)")
+		events = fs.Int("events", 120, "events per scenario for the scenarios sweep")
+		addr   = fs.String("addr", "http://127.0.0.1:8080", "midasd base URL for cluster-status")
 	)
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: midasctl [flags] <pricing|table2|table3|table4|fig3|example31|ablations|scenarios|run-query|gen|cluster-status|all>\n")
-		flag.PrintDefaults()
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: midasctl [flags] <pricing|table2|table3|table4|fig3|example31|ablations|scenarios|run-query|gen|cluster-status|all>\n")
+		fs.PrintDefaults()
 	}
-	flag.Parse()
-	if flag.NArg() != 1 {
-		flag.Usage()
-		os.Exit(2)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if fs.NArg() != 1 {
+		fs.Usage()
+		return 2
 	}
 	// Reject bad flag values up front, before a campaign burns minutes
 	// only to fail deep inside an experiment.
 	if *reps < 1 || *hist < 1 || *tests < 1 {
-		fmt.Fprintf(os.Stderr, "midasctl: -reps, -history and -tests must be positive\n")
-		os.Exit(2)
+		fmt.Fprintf(stderr, "midasctl: -reps, -history and -tests must be positive\n")
+		return 2
 	}
 	if *sf <= 0 {
-		fmt.Fprintf(os.Stderr, "midasctl: -sf must be positive, got %v\n", *sf)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "midasctl: -sf must be positive, got %v\n", *sf)
+		return 2
 	}
 	q, err := tpch.ParseQueryID(*query)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "midasctl: bad -query: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "midasctl: bad -query: %v\n", err)
+		return 2
 	}
 
 	opts := experiments.MREOptions{Reps: *reps, HistorySize: *hist, TestQueries: *tests, Seed: *seed}
-	switch cmd := flag.Arg(0); cmd {
+	switch cmd := fs.Arg(0); cmd {
 	case "pricing":
-		err = printPricing()
+		err = printPricing(stdout)
 	case "table2":
-		err = printTable2()
+		err = printTable2(stdout)
 	case "table3":
-		err = printTable3(opts)
+		err = printTable3(stdout, opts)
 	case "table4":
-		err = printTable4(opts)
+		err = printTable4(stdout, opts)
 	case "fig3":
-		err = printFig3(*seed)
+		err = printFig3(stdout, *seed)
 	case "example31":
-		err = printExample31(*seed)
+		err = printExample31(stdout, *seed)
 	case "ablations":
-		err = printAblations(*seed)
+		err = printAblations(stdout, *seed)
 	case "scenarios":
-		err = printScenarios(*seed, *events)
+		err = printScenarios(stdout, *seed, *events)
 	case "run-query":
-		err = runQuery(*seed, *sf, q)
+		err = runQuery(stdout, *seed, *sf, q)
 	case "gen":
-		err = printGen(*sf, *seed)
+		err = printGen(stdout, *sf, *seed)
 	case "cluster-status":
-		err = printClusterStatus(*addr)
+		err = printClusterStatus(stdout, *addr)
 	case "all":
-		err = runAll(opts, *seed, *sf)
+		err = runAll(stdout, opts, *seed, *sf)
 	default:
-		fmt.Fprintf(os.Stderr, "midasctl: unknown command %q\n", cmd)
-		flag.Usage()
-		os.Exit(2)
+		fmt.Fprintf(stderr, "midasctl: unknown command %q\n", cmd)
+		fs.Usage()
+		return 2
 	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "midasctl: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "midasctl: %v\n", err)
+		return 1
 	}
+	return 0
 }
 
-func printPricing() error {
-	fmt.Println(experiments.Table1Pricing().Render())
+func printPricing(w io.Writer) error {
+	fmt.Fprintln(w, experiments.Table1Pricing().Render())
 	return nil
 }
 
-func printTable2() error {
+func printTable2(w io.Writer) error {
 	t, err := experiments.Table2R2()
 	if err != nil {
 		return err
 	}
-	fmt.Println(t.Render())
+	fmt.Fprintln(w, t.Render())
 	return nil
 }
 
-func printTable3(opts experiments.MREOptions) error {
+func printTable3(w io.Writer, opts experiments.MREOptions) error {
 	_, t, err := experiments.Table3MRE(opts)
 	if err != nil {
 		return err
 	}
-	fmt.Println(t.Render())
+	fmt.Fprintln(w, t.Render())
 	return nil
 }
 
-func printTable4(opts experiments.MREOptions) error {
+func printTable4(w io.Writer, opts experiments.MREOptions) error {
 	_, t, err := experiments.Table4MRE(opts)
 	if err != nil {
 		return err
 	}
-	fmt.Println(t.Render())
+	fmt.Fprintln(w, t.Render())
 	return nil
 }
 
-func printFig3(seed int64) error {
+func printFig3(w io.Writer, seed int64) error {
 	_, t, err := experiments.RunFig3(experiments.Fig3Options{PolicyChanges: 5, Seed: seed})
 	if err != nil {
 		return err
 	}
-	fmt.Println(t.Render())
+	fmt.Fprintln(w, t.Render())
 	return nil
 }
 
-func printExample31(seed int64) error {
+func printExample31(w io.Writer, seed int64) error {
 	_, t, err := experiments.RunExample31(experiments.Example31Options{Plans: 2000, Seed: seed})
 	if err != nil {
 		return err
 	}
-	fmt.Println(t.Render())
+	fmt.Fprintln(w, t.Render())
 	return nil
 }
 
-func printAblations(seed int64) error {
+func printAblations(w io.Writer, seed int64) error {
 	opts := experiments.AblationOptions{Reps: 3, Seed: seed}
-	for _, run := range []func(experiments.AblationOptions) (*experiments.Table, error){
+	for _, ablation := range []func(experiments.AblationOptions) (*experiments.Table, error){
 		experiments.AblationWindowGrowth,
 		experiments.AblationR2Threshold,
 		experiments.AblationRecency,
 		experiments.AblationComposite,
 		experiments.AblationOptimizer,
 	} {
-		t, err := run(opts)
+		t, err := ablation(opts)
 		if err != nil {
 			return err
 		}
-		fmt.Println(t.Render())
+		fmt.Fprintln(w, t.Render())
 	}
 	return nil
 }
 
-func printScenarios(seed int64, events int) error {
+func printScenarios(w io.Writer, seed int64, events int) error {
 	_, t, err := experiments.RunScenarios(experiments.ScenarioOptions{Seed: seed, Events: events})
 	if err != nil {
 		return err
 	}
-	fmt.Println(t.Render())
+	fmt.Fprintln(w, t.Render())
 	return nil
 }
 
-func runQuery(seed int64, sf float64, q tpch.QueryID) error {
-	fmt.Printf("Running %v end to end at SF %v (full relational execution)\n\n", q, sf)
+func runQuery(w io.Writer, seed int64, sf float64, q tpch.QueryID) error {
+	fmt.Fprintf(w, "Running %v end to end at SF %v (full relational execution)\n\n", q, sf)
 	fed, err := federation.DefaultTopology(seed)
 	if err != nil {
 		return err
@@ -212,7 +231,7 @@ func runQuery(seed int64, sf float64, q tpch.QueryID) error {
 	if err != nil {
 		return err
 	}
-	fmt.Println("bootstrapping history with 12 random plan executions...")
+	fmt.Fprintln(w, "bootstrapping history with 12 random plan executions...")
 	if err := sched.Bootstrap(q, 12); err != nil {
 		return err
 	}
@@ -220,29 +239,29 @@ func runQuery(seed int64, sf float64, q tpch.QueryID) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("plan space: %d QEPs, Pareto set: %d\n", dec.PlanSpace, dec.ParetoSize)
-	fmt.Printf("chosen plan: %v\n", dec.Plan)
-	fmt.Printf("estimated:   %.2f s, $%.5f\n", dec.Estimated[0], dec.Estimated[1])
-	fmt.Printf("measured:    %.2f s, $%.5f\n", dec.Outcome.TimeS, dec.Outcome.MoneyUSD)
+	fmt.Fprintf(w, "plan space: %d QEPs, Pareto set: %d\n", dec.PlanSpace, dec.ParetoSize)
+	fmt.Fprintf(w, "chosen plan: %v\n", dec.Plan)
+	fmt.Fprintf(w, "estimated:   %.2f s, $%.5f\n", dec.Estimated[0], dec.Estimated[1])
+	fmt.Fprintf(w, "measured:    %.2f s, $%.5f\n", dec.Outcome.TimeS, dec.Outcome.MoneyUSD)
 	if dec.Outcome.Result != nil {
-		fmt.Printf("\nresult (%d rows):\n", len(dec.Outcome.Result.Rows))
+		fmt.Fprintf(w, "\nresult (%d rows):\n", len(dec.Outcome.Result.Rows))
 		for i, row := range dec.Outcome.Result.Rows {
 			if i == 10 {
-				fmt.Println("  ...")
+				fmt.Fprintln(w, "  ...")
 				break
 			}
-			fmt.Printf("  %v\n", row)
+			fmt.Fprintf(w, "  %v\n", row)
 		}
 	}
 	return nil
 }
 
-func printGen(sf float64, seed int64) error {
+func printGen(w io.Writer, sf float64, seed int64) error {
 	db, err := tpch.Generate(sf, tpch.GenOptions{Seed: seed})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("TPC-H population at SF %v (seed %d):\n", sf, seed)
+	fmt.Fprintf(w, "TPC-H population at SF %v (seed %d):\n", sf, seed)
 	for _, table := range []string{"region", "nation", "supplier", "customer", "part", "partsupp", "orders", "lineitem"} {
 		rows, err := db.TableRows(table)
 		if err != nil {
@@ -252,9 +271,9 @@ func printGen(sf float64, seed int64) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("  %-9s %9d rows  %10.1f KiB\n", table, rows, bytes/1024)
+		fmt.Fprintf(w, "  %-9s %9d rows  %10.1f KiB\n", table, rows, bytes/1024)
 	}
-	fmt.Printf("  total     %21.1f MiB\n", db.TotalBytes()/1024/1024)
+	fmt.Fprintf(w, "  total     %21.1f MiB\n", db.TotalBytes()/1024/1024)
 	return nil
 }
 
@@ -262,51 +281,51 @@ func printGen(sf float64, seed int64) error {
 // member for its own health. A member that cannot be reached is
 // reported as such rather than failing the whole status — that is
 // exactly the situation an operator runs this command in.
-func printClusterStatus(addr string) error {
+func printClusterStatus(w io.Writer, addr string) error {
 	client := &http.Client{Timeout: 5 * time.Second}
 	var table server.ClusterResponse
 	if err := getJSON(client, addr+"/v1/cluster", &table); err != nil {
 		return fmt.Errorf("%s: %w (is midasd running in cluster mode?)", addr, err)
 	}
-	fmt.Printf("cluster as seen by %s (routing epoch %d, %d members)\n\n",
+	fmt.Fprintf(w, "cluster as seen by %s (routing epoch %d, %d members)\n\n",
 		table.Node, table.Epoch, len(table.Members))
 
-	fmt.Println("members:")
+	fmt.Fprintln(w, "members:")
 	for _, m := range table.Members {
 		var health server.ClusterHealthResponse
 		if err := getJSON(client, m.Addr+"/v1/cluster/health", &health); err != nil {
-			fmt.Printf("  %-12s %-28s UNREACHABLE (%v)\n", m.ID, m.Addr, err)
+			fmt.Fprintf(w, "  %-12s %-28s UNREACHABLE (%v)\n", m.ID, m.Addr, err)
 			continue
 		}
-		fmt.Printf("  %-12s %-28s up      epoch=%d", m.ID, m.Addr, health.Epoch)
+		fmt.Fprintf(w, "  %-12s %-28s up      epoch=%d", m.ID, m.Addr, health.Epoch)
 		if health.Epoch != table.Epoch {
-			fmt.Printf(" (STALE, expected %d)", table.Epoch)
+			fmt.Fprintf(w, " (STALE, expected %d)", table.Epoch)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 		for _, fed := range sortedKeys(health.Replication) {
-			fmt.Printf("      serves %-12s replication=%s\n", fed, health.Replication[fed])
+			fmt.Fprintf(w, "      serves %-12s replication=%s\n", fed, health.Replication[fed])
 		}
 		for _, peer := range sortedKeys(health.Peers) {
 			ph := health.Peers[peer]
-			fmt.Printf("      sees   %-12s %-8s", peer, ph.Status)
+			fmt.Fprintf(w, "      sees   %-12s %-8s", peer, ph.Status)
 			if ph.Misses > 0 {
-				fmt.Printf(" misses=%d", ph.Misses)
+				fmt.Fprintf(w, " misses=%d", ph.Misses)
 			}
 			if ph.RTTMS > 0 {
-				fmt.Printf(" rtt=%.1fms", ph.RTTMS)
+				fmt.Fprintf(w, " rtt=%.1fms", ph.RTTMS)
 			}
-			fmt.Println()
+			fmt.Fprintln(w)
 		}
 	}
 
-	fmt.Println("\nplacements:")
+	fmt.Fprintln(w, "\nplacements:")
 	for _, fed := range sortedKeys(table.Placements) {
 		p := table.Placements[fed]
-		fmt.Printf("  %-16s owner=%-12s", fed, p.Owner)
+		fmt.Fprintf(w, "  %-16s owner=%-12s", fed, p.Owner)
 		if p.Standby != "" {
-			fmt.Printf(" standby=%-12s", p.Standby)
+			fmt.Fprintf(w, " standby=%-12s", p.Standby)
 		}
-		fmt.Printf(" state@%s=%s\n", table.Node, p.State)
+		fmt.Fprintf(w, " state@%s=%s\n", table.Node, p.State)
 	}
 	return nil
 }
@@ -332,27 +351,27 @@ func sortedKeys[V any](m map[string]V) []string {
 	return keys
 }
 
-func runAll(opts experiments.MREOptions, seed int64, sf float64) error {
-	if err := printPricing(); err != nil {
+func runAll(w io.Writer, opts experiments.MREOptions, seed int64, sf float64) error {
+	if err := printPricing(w); err != nil {
 		return err
 	}
-	if err := printTable2(); err != nil {
+	if err := printTable2(w); err != nil {
 		return err
 	}
-	if err := printTable3(opts); err != nil {
+	if err := printTable3(w, opts); err != nil {
 		return err
 	}
-	if err := printTable4(opts); err != nil {
+	if err := printTable4(w, opts); err != nil {
 		return err
 	}
-	if err := printFig3(seed); err != nil {
+	if err := printFig3(w, seed); err != nil {
 		return err
 	}
-	if err := printExample31(seed); err != nil {
+	if err := printExample31(w, seed); err != nil {
 		return err
 	}
-	if err := printAblations(seed); err != nil {
+	if err := printAblations(w, seed); err != nil {
 		return err
 	}
-	return runQuery(seed, sf, tpch.QueryQ12)
+	return runQuery(w, seed, sf, tpch.QueryQ12)
 }

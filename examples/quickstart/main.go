@@ -94,7 +94,7 @@ func run(w io.Writer) error {
 		obs := hist.At(i)
 		all = append(all, regression.Sample{X: obs.X, C: obs.Costs[0]})
 	}
-	full, err := regression.Fit(all, regression.FitOptions{})
+	full, err := regression.Fit(all)
 	if err != nil {
 		return err
 	}

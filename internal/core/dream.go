@@ -467,10 +467,6 @@ type MetricEstimate struct {
 	Metric string
 	Value  float64 // ĉₙ(p): the predicted cost
 	R2     float64 // fit quality of the model that produced Value
-	// StdErr is the OLS standard error of a new observation at the
-	// plan's features; 0 when the window had no residual degrees of
-	// freedom (treat as unknown width, not certainty).
-	StdErr float64
 	Model  *regression.Model
 }
 
@@ -523,15 +519,14 @@ func (e *Estimator) EstimateSnapshot(s *Snapshot, x []float64) (*Estimate, error
 		Refits:     fit.refits,
 	}
 	for n := range fit.models {
-		v, se, err := fit.models[n].PredictWithInterval(x)
+		v, err := fit.models[n].Predict(x)
 		if err != nil {
 			return nil, err
 		}
 		est.Metrics[n] = MetricEstimate{
 			Metric: s.metricName(n),
 			Value:  v,
-			R2:     fit.r2s[n],
-			StdErr: se,
+			R2:     fit.models[n].R2,
 			Model:  fit.models[n],
 		}
 	}
@@ -543,7 +538,6 @@ func (e *Estimator) EstimateSnapshot(s *Snapshot, x []float64) (*Estimate, error
 // what the model cache stores, keyed by (history, version).
 type windowFit struct {
 	models     []*regression.Model
-	r2s        []float64
 	windowSize int
 	converged  bool
 	// refits counts the model fits the search performed. Estimates
@@ -557,9 +551,9 @@ type windowFit struct {
 // appends ĉₙ(p) for every metric, in metric order, to dst and returns
 // the extended slice. The values are bit-identical to
 // EstimateSnapshot(s, x).Values() and the errors are the same; what it
-// skips is the per-metric diagnostics (R², model, the prediction
-// interval behind StdErr), which a scheduler scoring one plan among
-// thousands never reads. An error leaves nothing appended.
+// skips is the per-metric diagnostics (R², model), which a scheduler
+// scoring one plan among thousands never reads. An error leaves nothing
+// appended.
 func (e *Estimator) PredictSnapshot(dst []float64, s *Snapshot, x []float64) ([]float64, error) {
 	models, err := e.Models(s, len(x), 1)
 	if err != nil {

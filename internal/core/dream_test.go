@@ -363,31 +363,6 @@ func TestPropertyExactOnLinearData(t *testing.T) {
 	}
 }
 
-func TestEstimateCarriesStdErr(t *testing.T) {
-	h := mustHistory(t, 1, "time")
-	rng := stats.NewRNG(31)
-	for i := 0; i < 40; i++ {
-		x := rng.Uniform(1, 10)
-		if err := h.Append(Observation{X: []float64{x}, Costs: []float64{5 + 2*x + rng.Normal(0, 1)}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	e := mustEstimator(t, Config{RequiredR2: 0.95, MMax: 30})
-	est, err := e.EstimateCostValue(h, []float64{5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	se := est.Metrics[0].StdErr
-	if math.IsNaN(se) || se < 0 {
-		t.Fatalf("StdErr = %v", se)
-	}
-	// With real residual noise and a grown window the error bar should
-	// be informative (neither zero nor absurd).
-	if est.WindowSize > regression.MinObservations(1)+1 && (se < 0.3 || se > 5) {
-		t.Errorf("StdErr = %v at window %d, want ≈1", se, est.WindowSize)
-	}
-}
-
 // TestBoundedHistory pins what a retention bound changes and what it
 // must not: Len, Version and every index keep counting from the first
 // observation, Base follows RetainedBase, and an estimator whose window

@@ -59,10 +59,7 @@ func (e *Estimator) searchWindowIncremental(s *Snapshot, minM, mmax int) (*windo
 		return nil
 	}
 
-	fit := &windowFit{
-		models: make([]*regression.Model, nMetrics),
-		r2s:    make([]float64, nMetrics),
-	}
+	fit := &windowFit{models: make([]*regression.Model, nMetrics)}
 	m := minM
 	if err := feed(total-m, total); err != nil {
 		return nil, err
@@ -97,11 +94,9 @@ func (e *Estimator) searchWindowIncremental(s *Snapshot, minM, mmax int) (*windo
 
 	// Materialize owned models from the final window: the only
 	// allocations of the whole search, and independent of how far the
-	// window grew. All K models share one interval factor.
-	factor := fitter.SharedFactor()
+	// window grew.
 	for n := 0; n < nMetrics; n++ {
-		fit.models[n] = fitter.Model(n, factor)
-		fit.r2s[n] = fitter.R2(n)
+		fit.models[n] = fitter.Model(n)
 	}
 	fit.windowSize = m
 	e.incrementalSteps.Add(uint64(fitter.N()))

@@ -25,13 +25,7 @@ import (
 // per metric per window size, over the m most recent observations.
 func searchWindowReference(e *Estimator, s *Snapshot, minM, mmax int) (*windowFit, error) {
 	nMetrics := len(s.owner.metrics)
-	fit := &windowFit{
-		models: make([]*regression.Model, nMetrics),
-		r2s:    make([]float64, nMetrics),
-	}
-	for i := range fit.r2s {
-		fit.r2s[i] = -1 // "R²n ← ∅" (Algorithm 1 line 3): no model yet
-	}
+	fit := &windowFit{models: make([]*regression.Model, nMetrics)}
 
 	m := minM
 	for {
@@ -42,13 +36,12 @@ func searchWindowReference(e *Estimator, s *Snapshot, minM, mmax int) (*windowFi
 			for i, o := range window {
 				samples[i] = regression.Sample{X: o.X, C: o.Costs[n]}
 			}
-			model, err := regression.Fit(samples, regression.FitOptions{})
+			model, err := regression.Fit(samples)
 			if err != nil {
 				return nil, fmt.Errorf("core: metric %q window %d: %w", s.metricName(n), m, err)
 			}
 			fit.refits++
 			fit.models[n] = model
-			fit.r2s[n] = model.R2
 			if model.R2 < e.cfg.RequiredR2 {
 				allGood = false
 			}
@@ -98,10 +91,10 @@ func compareSearches(t *testing.T, e *Estimator, s *Snapshot) {
 			inc.windowSize, inc.converged, inc.refits, ref.windowSize, ref.converged, ref.refits)
 	}
 	for n := range ref.models {
-		if !close9(inc.r2s[n], ref.r2s[n]) {
-			t.Fatalf("metric %d R²: %v (incremental) vs %v (reference)", n, inc.r2s[n], ref.r2s[n])
-		}
 		im, rm := inc.models[n], ref.models[n]
+		if !close9(im.R2, rm.R2) {
+			t.Fatalf("metric %d R²: %v (incremental) vs %v (reference)", n, im.R2, rm.R2)
+		}
 		if im.Ridge != rm.Ridge {
 			t.Fatalf("metric %d ridge: %v (incremental) vs %v (reference)", n, im.Ridge, rm.Ridge)
 		}
@@ -112,9 +105,6 @@ func compareSearches(t *testing.T, e *Estimator, s *Snapshot) {
 			if !close9(im.Beta[j], rm.Beta[j]) {
 				t.Fatalf("metric %d β[%d]: %v (incremental) vs %v (reference)", n, j, im.Beta[j], rm.Beta[j])
 			}
-		}
-		if !close9(im.SSE, rm.SSE) || !close9(im.SST, rm.SST) {
-			t.Fatalf("metric %d SSE/SST: %v/%v vs %v/%v", n, im.SSE, im.SST, rm.SSE, rm.SST)
 		}
 	}
 }
@@ -413,7 +403,7 @@ func windowFailsBar(t *testing.T, s *Snapshot, w int, bar float64) bool {
 		for i, o := range window {
 			samples[i] = regression.Sample{X: o.X, C: o.Costs[n]}
 		}
-		model, err := regression.Fit(samples, regression.FitOptions{})
+		model, err := regression.Fit(samples)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -615,7 +615,7 @@ func (m *Map) Execute(ctx *Context) (*Relation, error) {
 }
 
 // ---------------------------------------------------------------------------
-// Sort and Limit
+// Sort
 
 // Sort orders rows stably with a comparison function.
 type Sort struct {
@@ -646,25 +646,6 @@ func (s *Sort) Execute(ctx *Context) (*Relation, error) {
 	ctx.Stats.RowsProcessed += len(perm)
 	ctx.Stats.Stages++
 	return out, nil
-}
-
-// Limit keeps the first N rows.
-type Limit struct {
-	In Node
-	N  int
-}
-
-// Execute implements Node.
-func (l *Limit) Execute(ctx *Context) (*Relation, error) {
-	in, err := l.In.Execute(ctx)
-	if err != nil {
-		return nil, err
-	}
-	sel := make([]int32, min(l.N, in.Len()))
-	for k := range sel {
-		sel[k] = int32(in.row(k))
-	}
-	return &Relation{Schema: in.Schema, Cols: in.Cols, sel: sel}, nil
 }
 
 // ---------------------------------------------------------------------------

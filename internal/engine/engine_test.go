@@ -271,29 +271,23 @@ func TestMap(t *testing.T) {
 	}
 }
 
-func TestSortAndLimit(t *testing.T) {
+func TestSort(t *testing.T) {
 	tables := map[string]*Relation{"t": testRelation()}
-	plan := &Limit{
-		N: 2,
-		In: &Sort{
-			In: &Scan{Table: "t"},
-			Less: func(b *Binder) func(i, j int) bool {
-				v := val(b)
-				return func(i, j int) bool { return v(i) > v(j) }
-			},
+	plan := &Sort{
+		In: &Scan{Table: "t"},
+		Less: func(b *Binder) func(i, j int) bool {
+			v := val(b)
+			return func(i, j int) bool { return v(i) > v(j) }
 		},
 	}
 	rel, _ := run(t, plan, tables)
-	if len(rel.Rows) != 2 {
-		t.Fatalf("limit kept %d rows, want 2", len(rel.Rows))
-	}
-	if rel.Rows[0][2] != 50.0 || rel.Rows[1][2] != 40.0 {
-		t.Errorf("sorted rows = %v", rel.Rows)
-	}
-	// Limit larger than input is a no-op.
-	rel, _ = run(t, &Limit{N: 99, In: &Scan{Table: "t"}}, tables)
 	if len(rel.Rows) != 5 {
-		t.Errorf("oversized limit kept %d rows, want 5", len(rel.Rows))
+		t.Fatalf("sort kept %d rows, want 5", len(rel.Rows))
+	}
+	for k, want := range []float64{50, 40, 30, 20, 10} {
+		if rel.Rows[k][2] != want {
+			t.Fatalf("sorted rows = %v", rel.Rows)
+		}
 	}
 }
 

@@ -70,7 +70,7 @@ func Table2R2() (*Table, error) {
 		},
 	}
 	for m := 4; m <= 10; m++ {
-		model, err := regression.Fit(paperTable2Data[:m], regression.FitOptions{})
+		model, err := regression.Fit(paperTable2Data[:m])
 		if err != nil {
 			return nil, fmt.Errorf("experiments: table 2 fit at M=%d: %w", m, err)
 		}

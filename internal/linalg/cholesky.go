@@ -81,18 +81,6 @@ func (ch *Cholesky) Factorize(a *Matrix, ridge float64) error {
 	return nil
 }
 
-// Size returns the dimension of the factored matrix (0 before the
-// first successful Factorize).
-func (ch *Cholesky) Size() int { return ch.n }
-
-// Clone returns an independent copy of the factor, safe to retain
-// after the receiver is refactored or recycled.
-func (ch *Cholesky) Clone() *Cholesky {
-	out := &Cholesky{n: ch.n, l: make([]float64, ch.n*ch.n)}
-	copy(out.l, ch.l[:ch.n*ch.n])
-	return out
-}
-
 // SolveVecInto solves (L·Lᵀ)·x = b into dst, which must have length n
 // and may alias b. No allocation: this is the per-metric
 // back-substitution of the shared-Gram solve.
@@ -132,30 +120,4 @@ func (ch *Cholesky) SolveVec(b []float64) ([]float64, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// QuadForm evaluates vᵀ·(L·Lᵀ)⁻¹·v = ‖L⁻¹v‖², the quadratic form of
-// the prediction-interval width, with a single forward substitution.
-// It allocates its own scratch, so one factor may serve concurrent
-// callers.
-func (ch *Cholesky) QuadForm(v []float64) (float64, error) {
-	n := ch.n
-	if n == 0 {
-		return 0, fmt.Errorf("%w: quadratic form against an empty factor", ErrShape)
-	}
-	if len(v) != n {
-		return 0, fmt.Errorf("%w: %dx%d factor, vector %d", ErrShape, n, n, len(v))
-	}
-	y := make([]float64, n)
-	l := ch.l
-	var quad float64
-	for i := 0; i < n; i++ {
-		s := v[i]
-		for k := 0; k < i; k++ {
-			s -= l[i*n+k] * y[k]
-		}
-		y[i] = s / l[i*n+i]
-		quad += y[i] * y[i]
-	}
-	return quad, nil
 }

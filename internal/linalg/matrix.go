@@ -12,8 +12,6 @@ package linalg
 import (
 	"errors"
 	"fmt"
-	"math"
-	"strings"
 )
 
 // ErrSingular is returned when a factorization meets a (numerically)
@@ -39,26 +37,8 @@ func New(rows, cols int) *Matrix {
 	return &Matrix{rows: rows, cols: cols, data: make([]float64, rows*cols)}
 }
 
-// FromRows builds a matrix from a slice of equal-length rows.
-func FromRows(rows [][]float64) (*Matrix, error) {
-	if len(rows) == 0 || len(rows[0]) == 0 {
-		return nil, fmt.Errorf("%w: empty row set", ErrShape)
-	}
-	m := New(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != m.cols {
-			return nil, fmt.Errorf("%w: row %d has %d columns, want %d", ErrShape, i, len(r), m.cols)
-		}
-		copy(m.data[i*m.cols:(i+1)*m.cols], r)
-	}
-	return m, nil
-}
-
 // Rows returns the number of rows.
 func (m *Matrix) Rows() int { return m.rows }
-
-// Cols returns the number of columns.
-func (m *Matrix) Cols() int { return m.cols }
 
 // At returns the element at row i, column j.
 func (m *Matrix) At(i, j int) float64 { return m.data[i*m.cols+j] }
@@ -66,33 +46,10 @@ func (m *Matrix) At(i, j int) float64 { return m.data[i*m.cols+j] }
 // Set assigns the element at row i, column j.
 func (m *Matrix) Set(i, j int, v float64) { m.data[i*m.cols+j] = v }
 
-// Clone returns a deep copy of m.
-func (m *Matrix) Clone() *Matrix {
-	c := New(m.rows, m.cols)
-	copy(c.data, m.data)
-	return c
-}
-
-// Row returns a copy of row i.
-func (m *Matrix) Row(i int) []float64 {
-	out := make([]float64, m.cols)
-	copy(out, m.data[i*m.cols:(i+1)*m.cols])
-	return out
-}
-
 // RowView returns row i as a view into m's storage, for reading in a
 // loop that must not allocate: a later write to m shows through it.
 func (m *Matrix) RowView(i int) []float64 {
 	return m.data[i*m.cols : (i+1)*m.cols : (i+1)*m.cols]
-}
-
-// Col returns a copy of column j.
-func (m *Matrix) Col(j int) []float64 {
-	out := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		out[i] = m.data[i*m.cols+j]
-	}
-	return out
 }
 
 // T returns the transpose of m as a new matrix.
@@ -145,18 +102,6 @@ func (m *Matrix) MulVec(v []float64) ([]float64, error) {
 	return out, nil
 }
 
-// Add returns m + n.
-func (m *Matrix) Add(n *Matrix) (*Matrix, error) {
-	if m.rows != n.rows || m.cols != n.cols {
-		return nil, fmt.Errorf("%w: %dx%d + %dx%d", ErrShape, m.rows, m.cols, n.rows, n.cols)
-	}
-	out := New(m.rows, m.cols)
-	for i := range m.data {
-		out.data[i] = m.data[i] + n.data[i]
-	}
-	return out, nil
-}
-
 // AddOuter adds the outer product v·vᵀ to the square matrix m in
 // place — the rank-1 Gram update (AᵀA += a·aᵀ) at the heart of the
 // incremental window search.
@@ -185,34 +130,4 @@ func (m *Matrix) Zero() {
 	for i := range m.data {
 		m.data[i] = 0
 	}
-}
-
-// Equal reports whether m and n have the same shape and all elements
-// within tol of each other.
-func (m *Matrix) Equal(n *Matrix, tol float64) bool {
-	if m.rows != n.rows || m.cols != n.cols {
-		return false
-	}
-	for i := range m.data {
-		if math.Abs(m.data[i]-n.data[i]) > tol {
-			return false
-		}
-	}
-	return true
-}
-
-// String renders the matrix for debugging.
-func (m *Matrix) String() string {
-	var b strings.Builder
-	for i := 0; i < m.rows; i++ {
-		b.WriteString("[")
-		for j := 0; j < m.cols; j++ {
-			if j > 0 {
-				b.WriteString(" ")
-			}
-			fmt.Fprintf(&b, "%.6g", m.At(i, j))
-		}
-		b.WriteString("]\n")
-	}
-	return b.String()
 }

@@ -17,36 +17,34 @@ func TestNewPanicsOnBadDims(t *testing.T) {
 	New(0, 3)
 }
 
-func TestFromRows(t *testing.T) {
-	m, err := FromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
-	if err != nil {
-		t.Fatal(err)
+// matrixOf builds a matrix from equal-length rows with New and Set.
+func matrixOf(rows [][]float64) *Matrix {
+	m := New(len(rows), len(rows[0]))
+	for i, r := range rows {
+		for j, v := range r {
+			m.Set(i, j, v)
+		}
 	}
-	if m.Rows() != 3 || m.Cols() != 2 {
-		t.Fatalf("got %dx%d, want 3x2", m.Rows(), m.Cols())
-	}
-	if m.At(2, 1) != 6 {
-		t.Errorf("At(2,1) = %v, want 6", m.At(2, 1))
-	}
+	return m
 }
 
-func TestFromRowsRagged(t *testing.T) {
-	if _, err := FromRows([][]float64{{1, 2}, {3}}); !errors.Is(err, ErrShape) {
-		t.Fatalf("ragged rows: got %v, want ErrShape", err)
-	}
-	if _, err := FromRows(nil); !errors.Is(err, ErrShape) {
-		t.Fatalf("nil rows: got %v, want ErrShape", err)
+func TestRowView(t *testing.T) {
+	m := matrixOf([][]float64{{1, 2}, {3, 4}})
+	v := m.RowView(0)
+	m.Set(0, 1, 7) // must show through, and an append must not reach row 1
+	if len(v) != 2 || v[1] != 7 || append(v, 0)[0] != 1 || m.At(1, 0) != 3 {
+		t.Errorf("RowView(0) = %v", v)
 	}
 }
 
 func TestTranspose(t *testing.T) {
-	m, _ := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
+	m := matrixOf([][]float64{{1, 2, 3}, {4, 5, 6}})
 	tr := m.T()
-	if tr.Rows() != 3 || tr.Cols() != 2 {
-		t.Fatalf("transpose shape %dx%d, want 3x2", tr.Rows(), tr.Cols())
+	if tr.Rows() != 3 || tr.cols != 2 {
+		t.Fatalf("transpose shape %dx%d, want 3x2", tr.Rows(), tr.cols)
 	}
 	for i := 0; i < m.Rows(); i++ {
-		for j := 0; j < m.Cols(); j++ {
+		for j := 0; j < m.cols; j++ {
 			if m.At(i, j) != tr.At(j, i) {
 				t.Errorf("T mismatch at (%d,%d)", i, j)
 			}
@@ -55,8 +53,8 @@ func TestTranspose(t *testing.T) {
 }
 
 func TestMul(t *testing.T) {
-	a, _ := FromRows([][]float64{{1, 2}, {3, 4}})
-	b, _ := FromRows([][]float64{{5, 6}, {7, 8}})
+	a := matrixOf([][]float64{{1, 2}, {3, 4}})
+	b := matrixOf([][]float64{{5, 6}, {7, 8}})
 	p, err := a.Mul(b)
 	if err != nil {
 		t.Fatal(err)
@@ -80,7 +78,7 @@ func TestMulShapeError(t *testing.T) {
 }
 
 func TestMulVec(t *testing.T) {
-	a, _ := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
+	a := matrixOf([][]float64{{1, 2, 3}, {4, 5, 6}})
 	v, err := a.MulVec([]float64{1, 1, 1})
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +93,7 @@ func TestMulVec(t *testing.T) {
 
 func TestSolveKnownSystem(t *testing.T) {
 	// 2x + y = 5; x + 3y = 10  =>  x = 1, y = 3.
-	a, _ := FromRows([][]float64{{2, 1}, {1, 3}})
+	a := matrixOf([][]float64{{2, 1}, {1, 3}})
 	ch, err := factor(a, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -110,7 +108,7 @@ func TestSolveKnownSystem(t *testing.T) {
 }
 
 func TestSolveSingular(t *testing.T) {
-	a, _ := FromRows([][]float64{{1, 2}, {2, 4}})
+	a := matrixOf([][]float64{{1, 2}, {2, 4}})
 	if _, err := factor(a, 0); !errors.Is(err, ErrSingular) {
 		t.Fatalf("got %v, want ErrSingular", err)
 	}
@@ -122,7 +120,7 @@ func TestSolveSingular(t *testing.T) {
 // TestSolveNeedsPivoting: a system Gaussian elimination solves only by
 // swapping rows is indefinite, and Cholesky refuses it.
 func TestSolveNeedsPivoting(t *testing.T) {
-	a, _ := FromRows([][]float64{{0, 1}, {1, 0}})
+	a := matrixOf([][]float64{{0, 1}, {1, 0}})
 	x, err := gaussSolve(a, []float64{2, 3})
 	if err != nil {
 		t.Fatal(err)
@@ -132,52 +130,6 @@ func TestSolveNeedsPivoting(t *testing.T) {
 	}
 	if _, err := factor(a, 0); !errors.Is(err, ErrSingular) {
 		t.Fatalf("Cholesky of an indefinite matrix: got %v, want ErrSingular", err)
-	}
-}
-
-func TestAdd(t *testing.T) {
-	a, _ := FromRows([][]float64{{1, 2}, {3, 4}})
-	b, _ := FromRows([][]float64{{10, 20}, {30, 40}})
-	s, err := a.Add(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.At(1, 1) != 44 {
-		t.Errorf("Add(1,1) = %v, want 44", s.At(1, 1))
-	}
-	if _, err := a.Add(New(3, 3)); !errors.Is(err, ErrShape) {
-		t.Errorf("Add shape mismatch: got %v, want ErrShape", err)
-	}
-}
-
-func TestRowColClone(t *testing.T) {
-	a, _ := FromRows([][]float64{{1, 2}, {3, 4}})
-	r := a.Row(1)
-	r[0] = 99 // must not alias
-	if a.At(1, 0) != 3 {
-		t.Error("Row aliases the matrix")
-	}
-	b := a.Clone()
-	v := b.RowView(0)
-	b.Set(0, 1, 7) // must show through, and an append must not reach row 1
-	if len(v) != 2 || v[1] != 7 || append(v, 0)[0] != 1 || b.At(1, 0) != 3 {
-		t.Errorf("RowView(0) = %v of %v", v, b)
-	}
-	c := a.Col(1)
-	if c[0] != 2 || c[1] != 4 {
-		t.Errorf("Col = %v, want [2 4]", c)
-	}
-	cl := a.Clone()
-	cl.Set(0, 0, -1)
-	if a.At(0, 0) != 1 {
-		t.Error("Clone aliases the matrix")
-	}
-}
-
-func TestStringSmoke(t *testing.T) {
-	a, _ := FromRows([][]float64{{1, 2}})
-	if got := a.String(); got == "" {
-		t.Error("String returned empty")
 	}
 }
 
@@ -252,11 +204,18 @@ func TestPropertyTransposeInvolution(t *testing.T) {
 			}
 			rect = append(rect, r)
 		}
-		m, err := FromRows(rect)
-		if err != nil {
-			return true
+		tt := matrixOf(rect).T().T()
+		if tt.Rows() != len(rect) {
+			return false
 		}
-		return m.T().T().Equal(m, 0)
+		for i, r := range rect {
+			for j, v := range r {
+				if tt.At(i, j) != v {
+					return false
+				}
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)

@@ -50,7 +50,7 @@ func (LeastSquares) Name() string { return "least-squares" }
 
 // Train implements Learner.
 func (LeastSquares) Train(samples []regression.Sample) (Predictor, error) {
-	m, err := regression.Fit(samples, regression.FitOptions{})
+	m, err := regression.Fit(samples)
 	if err != nil {
 		return nil, fmt.Errorf("ml: least-squares: %w", err)
 	}

@@ -1,7 +1,6 @@
 package regression
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/linalg"
@@ -54,17 +53,15 @@ type IncrementalFitter struct {
 	colSums  []float64      // scratch: Gram row 0 (column sums of A) before the update
 
 	// Solve outputs, overwritten by the next Solve or AddObservation.
-	// Metric m's beta, sse, sst and r2 are valid once done[m] is set:
-	// Solve clears every flag, metric sets one.
-	chol     linalg.Cholesky
-	beta     []float64 // K stacked coefficient vectors
-	betac    []float64 // scratch: mean-shifted coefficients for the SSE form
-	sse, sst []float64 // per metric error decomposition
-	r2       []float64
-	done     []bool
-	ridge    float64 // effective regularizer of the last Solve
-	fellBack bool    // last Solve needed the automatic ridge fallback
-	solved   bool
+	// Metric m's beta and r2 are valid once done[m] is set: Solve clears
+	// every flag, metric sets one.
+	chol   linalg.Cholesky
+	beta   []float64 // K stacked coefficient vectors
+	betac  []float64 // scratch: mean-shifted coefficients for the SSE form
+	r2     []float64
+	done   []bool
+	ridge  float64 // regularizer of the last Solve: 0 or the fallback's
+	solved bool
 }
 
 // NewIncrementalFitter returns an empty fitter for l features and k
@@ -95,8 +92,6 @@ func (f *IncrementalFitter) Reset(l, k int) {
 	f.betac = resizeZero(f.betac, p)
 	f.row = resizeZero(f.row, p)
 	f.colSums = resizeZero(f.colSums, p)
-	f.sse = resizeZero(f.sse, k)
-	f.sst = resizeZero(f.sst, k)
 	f.r2 = resizeZero(f.r2, k)
 	if cap(f.done) < k {
 		f.done = make([]bool, k)
@@ -110,7 +105,7 @@ func (f *IncrementalFitter) Reset(l, k int) {
 		f.acc[i].Reset()
 	}
 	f.l, f.k, f.n = l, k, 0
-	f.ridge, f.fellBack, f.solved = 0, false, false
+	f.ridge, f.solved = 0, false
 }
 
 func resizeZero(s []float64, n int) []float64 {
@@ -123,12 +118,6 @@ func resizeZero(s []float64, n int) []float64 {
 	}
 	return s
 }
-
-// Dim returns the feature dimension L.
-func (f *IncrementalFitter) Dim() int { return f.l }
-
-// Metrics returns the metric count K.
-func (f *IncrementalFitter) Metrics() int { return f.k }
 
 // N returns the number of observations folded in.
 func (f *IncrementalFitter) N() int { return f.n }
@@ -177,34 +166,27 @@ func (f *IncrementalFitter) AddObservation(x []float64, costs []float64) error {
 // shared Gram. Each metric's back-substitution and closed-form error
 // decomposition wait until R2, Beta or Model first asks for it, so the
 // results are the same whichever metrics are read, in whatever order.
-// The ridge semantics mirror Fit exactly: an explicit opts.Ridge is
-// applied up front; a singular plain window retries once with
-// RidgeFallback unless DisableRidgeFallback is set. Solve allocates
-// nothing, so it can run once per growth step of a window search.
-func (f *IncrementalFitter) Solve(opts FitOptions) error {
+// Like Fit, a singular window retries once with RidgeFallback. Solve
+// allocates nothing, so it can run once per growth step of a window
+// search. The empty FitOptions is there only because the frozen bench/
+// passes one; ROADMAP 1(a) drops it with the next benchmark PR.
+func (f *IncrementalFitter) Solve(FitOptions) error {
 	if f.n < MinObservations(f.l) {
 		return fmt.Errorf("%w: have %d, need at least %d for %d variables",
 			ErrTooFewObservations, f.n, MinObservations(f.l), f.l)
 	}
 	f.solved = false
-	ridge := opts.Ridge
-	fellBack := false
-	err := f.chol.Factorize(f.gram, ridge)
-	if errors.Is(err, linalg.ErrSingular) && ridge == 0 && !opts.DisableRidgeFallback {
-		ridge = fallbackRidge(f.gram)
-		fellBack = true
-		err = f.chol.Factorize(f.gram, ridge)
-	}
+	ridge, err := factorize(&f.chol, f.gram)
 	if err != nil {
 		return err
 	}
 	clear(f.done)
-	f.ridge, f.fellBack, f.solved = ridge, fellBack, true
+	f.ridge, f.solved = ridge, true
 	return nil
 }
 
 // metric back-substitutes metric m against the last Solve's factor and
-// derives its SSE and R², once per Solve.
+// derives its R², once per Solve.
 func (f *IncrementalFitter) metric(m int) {
 	if f.done[m] {
 		return
@@ -247,7 +229,6 @@ func (f *IncrementalFitter) metric(m int) {
 		sse = 0
 	}
 	sst := f.acc[m].SumSquaredDeviations()
-	f.sse[m], f.sst[m] = sse, sst
 	// Same convention as stats.RSquared: a constant response carries no
 	// variance to explain.
 	switch {
@@ -285,53 +266,21 @@ func (f *IncrementalFitter) Beta(m int) []float64 {
 	return f.beta[m*p : (m+1)*p]
 }
 
-// Ridge reports the effective regularizer of the last Solve and
-// whether it came from the automatic singular-window fallback.
-func (f *IncrementalFitter) Ridge() (ridge float64, fellBack bool) {
+// Ridge reports the regularizer of the last Solve: 0 for a plain fit,
+// positive when the window was singular and took the RidgeFallback.
+func (f *IncrementalFitter) Ridge() float64 {
 	f.mustSolved("Ridge")
-	return f.ridge, f.fellBack
+	return f.ridge
 }
 
 // Model materializes an owned *Model for metric m from the last Solve
-// — identical in shape and semantics to what the batch Fit returns,
-// including the retained Cholesky factor for prediction intervals
-// (omitted after a ridge fallback, matching Fit). The returned model
-// is independent of the fitter's scratch. factor, if non-nil, is used
-// as the shared interval factor; pass the result of SharedFactor()
-// once per Solve so K sibling models share one copy.
-func (f *IncrementalFitter) Model(m int, factor *linalg.Cholesky) *Model {
+// — identical in shape and semantics to what the batch Fit returns and
+// independent of the fitter's scratch.
+func (f *IncrementalFitter) Model(m int) *Model {
 	f.mustSolved("Model")
 	f.metric(m)
 	p := f.l + 1
 	beta := make([]float64, p)
 	copy(beta, f.beta[m*p:(m+1)*p])
-	out := &Model{
-		Beta:  beta,
-		R2:    f.r2[m],
-		SSE:   f.sse[m],
-		SST:   f.sst[m],
-		N:     f.n,
-		L:     f.l,
-		Ridge: f.ridge,
-		chol:  factor,
-	}
-	if dof := out.N - out.L - 1; dof > 0 && out.N > 1 {
-		out.AdjustedR2 = 1 - (1-out.R2)*float64(out.N-1)/float64(dof)
-		out.sigma2 = out.SSE / float64(dof)
-	} else {
-		out.AdjustedR2 = out.R2
-	}
-	return out
-}
-
-// SharedFactor clones the last Solve's Cholesky factor for retention
-// beyond the fitter's lifetime, or returns nil after a ridge fallback
-// (whose factor carries no usable interval geometry — the same
-// contract as the batch Fit).
-func (f *IncrementalFitter) SharedFactor() *linalg.Cholesky {
-	f.mustSolved("SharedFactor")
-	if f.fellBack {
-		return nil
-	}
-	return f.chol.Clone()
+	return &Model{Beta: beta, R2: f.r2[m], N: f.n, L: f.l, Ridge: f.ridge}
 }

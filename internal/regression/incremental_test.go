@@ -34,8 +34,8 @@ func close9(a, b float64) bool {
 }
 
 // compareToBatch fits every metric of the window both ways and fails on
-// any divergence in coefficients, R², SSE, SST, or ridge behavior.
-func compareToBatch(t *testing.T, obs []multiSample, opts FitOptions) {
+// any divergence in coefficients, R², or ridge behavior.
+func compareToBatch(t *testing.T, obs []multiSample) {
 	t.Helper()
 	l, k := len(obs[0].x), len(obs[0].costs)
 	f := NewIncrementalFitter(l, k)
@@ -44,17 +44,16 @@ func compareToBatch(t *testing.T, obs []multiSample, opts FitOptions) {
 			t.Fatal(err)
 		}
 	}
-	incErr := f.Solve(opts)
+	incErr := f.Solve(FitOptions{})
 	for m := 0; m < k; m++ {
-		batch, batchErr := Fit(metricView(obs, m), opts)
+		batch, batchErr := Fit(metricView(obs, m))
 		if (incErr == nil) != (batchErr == nil) {
 			t.Fatalf("metric %d: solve disagreement: incremental %v, batch %v", m, incErr, batchErr)
 		}
 		if incErr != nil {
 			continue
 		}
-		ridge, _ := f.Ridge()
-		if ridge != batch.Ridge {
+		if ridge := f.Ridge(); ridge != batch.Ridge {
 			t.Fatalf("metric %d: ridge %v (incremental) vs %v (batch)", m, ridge, batch.Ridge)
 		}
 		for j, want := range batch.Beta {
@@ -64,14 +63,6 @@ func compareToBatch(t *testing.T, obs []multiSample, opts FitOptions) {
 		}
 		if !close9(f.R2(m), batch.R2) {
 			t.Fatalf("metric %d R²: %v (incremental) vs %v (batch)", m, f.R2(m), batch.R2)
-		}
-		model := f.Model(m, f.SharedFactor())
-		if !close9(model.SSE, batch.SSE) || !close9(model.SST, batch.SST) {
-			t.Fatalf("metric %d SSE/SST: %v/%v (incremental) vs %v/%v (batch)",
-				m, model.SSE, model.SST, batch.SSE, batch.SST)
-		}
-		if !close9(model.AdjustedR2, batch.AdjustedR2) {
-			t.Fatalf("metric %d adjusted R²: %v vs %v", m, model.AdjustedR2, batch.AdjustedR2)
 		}
 	}
 }
@@ -119,7 +110,7 @@ func TestIncrementalMatchesBatchOnPaperData(t *testing.T) {
 		for i, s := range paperTable2[:m] {
 			obs[i] = multiSample{x: s.X, costs: []float64{s.C}}
 		}
-		compareToBatch(t, obs, FitOptions{})
+		compareToBatch(t, obs)
 	}
 }
 
@@ -135,7 +126,7 @@ func TestPropertyIncrementalMatchesBatch(t *testing.T) {
 		n := MinObservations(l) + int(nRaw%30)
 		noise := float64(noiseRaw%10) / 2
 		obs := linearWindow(rng, n, l, k, noise, collinear)
-		compareToBatch(t, obs, FitOptions{})
+		compareToBatch(t, obs)
 		return !t.Failed()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
@@ -165,7 +156,7 @@ func TestIncrementalMatchesBatchAsWindowGrows(t *testing.T) {
 			t.Fatalf("m=%d: %v", m, err)
 		}
 		for metric := 0; metric < 2; metric++ {
-			batch, err := Fit(metricView(window, metric), FitOptions{})
+			batch, err := Fit(metricView(window, metric))
 			if err != nil {
 				t.Fatalf("m=%d: %v", m, err)
 			}
@@ -215,7 +206,7 @@ func TestIncrementalLargeMeanSmallSpread(t *testing.T) {
 	if err := f.Solve(FitOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	batch, err := Fit(metricView(obs, 0), FitOptions{})
+	batch, err := Fit(metricView(obs, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,19 +219,11 @@ func TestIncrementalLargeMeanSmallSpread(t *testing.T) {
 	if math.Abs(f.R2(0)-batch.R2) > 1e-6 {
 		t.Fatalf("R² %v (incremental) vs %v (batch)", f.R2(0), batch.R2)
 	}
-	model := f.Model(0, f.SharedFactor())
-	if rel := math.Abs(model.SSE-batch.SSE) / (1 + batch.SSE); rel > 1e-6 {
-		t.Fatalf("SSE %v (incremental) vs %v (batch), rel %v", model.SSE, batch.SSE, rel)
-	}
 }
 
-func TestIncrementalExplicitRidge(t *testing.T) {
-	rng := stats.NewRNG(9)
-	obs := linearWindow(rng, 20, 2, 1, 1, false)
-	compareToBatch(t, obs, FitOptions{Ridge: 0.1})
-}
-
-func TestIncrementalSingularHardFailure(t *testing.T) {
+// TestIncrementalSingularFallsBackToRidge: an exactly collinear window
+// solves with the same positive fallback ridge the batch Fit takes.
+func TestIncrementalSingularFallsBackToRidge(t *testing.T) {
 	rng := stats.NewRNG(10)
 	obs := linearWindow(rng, 12, 2, 1, 0, true)
 	f := NewIncrementalFitter(2, 1)
@@ -249,19 +232,15 @@ func TestIncrementalSingularHardFailure(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := f.Solve(FitOptions{DisableRidgeFallback: true}); err == nil {
-		t.Fatal("singular window accepted with the fallback disabled")
-	}
-	// With the fallback allowed it must solve, flag the ridge, and skip
-	// the interval factor — exactly like the batch path.
 	if err := f.Solve(FitOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if ridge, fellBack := f.Ridge(); ridge <= 0 || !fellBack {
-		t.Fatalf("Ridge() = %v, %v; want a positive fallback ridge", ridge, fellBack)
+	batch, err := Fit(metricView(obs, 0))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if f.SharedFactor() != nil {
-		t.Fatal("fallback fit retained an interval factor")
+	if ridge := f.Ridge(); ridge <= 0 || ridge != batch.Ridge {
+		t.Fatalf("Ridge() = %v, batch %v; want the same positive fallback ridge", ridge, batch.Ridge)
 	}
 }
 
@@ -277,25 +256,24 @@ func TestIncrementalModelPredictsLikeBatch(t *testing.T) {
 	if err := f.Solve(FitOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	factor := f.SharedFactor()
 	for m := 0; m < 2; m++ {
-		batch, err := Fit(metricView(obs, m), FitOptions{})
+		batch, err := Fit(metricView(obs, m))
 		if err != nil {
 			t.Fatal(err)
 		}
-		model := f.Model(m, factor)
+		model := f.Model(m)
 		for trial := 0; trial < 10; trial++ {
 			x := []float64{rng.Uniform(0, 10), rng.Uniform(0, 10)}
-			wantP, wantSE, err := batch.PredictWithInterval(x)
+			want, err := batch.Predict(x)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotP, gotSE, err := model.PredictWithInterval(x)
+			got, err := model.Predict(x)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !close9(gotP, wantP) || !close9(gotSE, wantSE) {
-				t.Fatalf("metric %d at %v: pred/SE %v/%v vs batch %v/%v", m, x, gotP, gotSE, wantP, wantSE)
+			if !close9(got, want) {
+				t.Fatalf("metric %d at %v: pred %v vs batch %v", m, x, got, want)
 			}
 		}
 	}
@@ -346,7 +324,7 @@ func TestIncrementalResetReuses(t *testing.T) {
 	if err := f.Solve(FitOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	batch, err := Fit(metricView(obs, 0), FitOptions{})
+	batch, err := Fit(metricView(obs, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,10 +336,9 @@ func TestIncrementalResetReuses(t *testing.T) {
 // eagerFit is one Solve's results for every metric, as eagerSolve
 // computes them.
 type eagerFit struct {
-	beta         [][]float64
-	sse, sst, r2 []float64
-	ridge        float64
-	fellBack     bool
+	beta  [][]float64
+	r2    []float64
+	ridge float64
 }
 
 // eagerSolve is a copy of the fitter's Solve from before metrics were
@@ -369,24 +346,21 @@ type eagerFit struct {
 // indexed as i*n+k, then every metric back-substituted and scored at
 // once. TestIncrementalSolveLazyMatchesEager holds the lazy fitter to
 // its bits. It reads f's state and changes none of it.
-func eagerSolve(f *IncrementalFitter, opts FitOptions) (*eagerFit, error) {
+func eagerSolve(f *IncrementalFitter) (*eagerFit, error) {
 	if f.n < MinObservations(f.l) {
 		return nil, ErrTooFewObservations
 	}
-	ridge := opts.Ridge
-	fellBack := false
-	l, err := eagerFactor(f.gram, ridge)
-	if errors.Is(err, linalg.ErrSingular) && ridge == 0 && !opts.DisableRidgeFallback {
+	var ridge float64
+	l, err := eagerFactor(f.gram, 0)
+	if errors.Is(err, linalg.ErrSingular) {
 		ridge = fallbackRidge(f.gram)
-		fellBack = true
 		l, err = eagerFactor(f.gram, ridge)
 	}
 	if err != nil {
 		return nil, err
 	}
 	p := f.l + 1
-	out := &eagerFit{ridge: ridge, fellBack: fellBack,
-		sse: make([]float64, f.k), sst: make([]float64, f.k), r2: make([]float64, f.k)}
+	out := &eagerFit{ridge: ridge, r2: make([]float64, f.k)}
 	for m := 0; m < f.k; m++ {
 		b := f.rhs[m*p : (m+1)*p]
 		beta := make([]float64, p)
@@ -423,7 +397,6 @@ func eagerSolve(f *IncrementalFitter, opts FitOptions) (*eagerFit, error) {
 			sse = 0
 		}
 		sst := f.acc[m].SumSquaredDeviations()
-		out.sse[m], out.sst[m] = sse, sst
 		switch {
 		case sst != 0:
 			out.r2[m] = 1 - sse/sst
@@ -474,13 +447,13 @@ func eagerFactor(a *linalg.Matrix, ridge float64) ([]float64, error) {
 }
 
 // TestIncrementalSolveLazyMatchesEager: after every Solve, each metric's
-// coefficients, R², SSE, SST and the ridge read back from the lazy
-// fitter carry exactly eagerSolve's bits — whichever metrics are read,
-// in whatever order, however many observations arrive between a partial
-// read and the next Solve. Histories are random (any width, some
-// collinear), served-shape (the query's two table sizes constant, so
-// every plain window is singular and takes the ridge fallback, as the
-// window search's do), and solved with an explicit ridge now and then.
+// coefficients, R² and the ridge read back from the lazy fitter carry
+// exactly eagerSolve's bits — whichever metrics are read, in whatever
+// order, however many observations arrive between a partial read and
+// the next Solve. Histories are random (any width, some collinear) and
+// served-shape (the query's two table sizes constant, so every plain
+// window is singular and takes the ridge fallback, as the window
+// search's do).
 func TestIncrementalSolveLazyMatchesEager(t *testing.T) {
 	rng := stats.NewRNG(28)
 	bits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
@@ -495,10 +468,6 @@ func TestIncrementalSolveLazyMatchesEager(t *testing.T) {
 		} else {
 			obs = linearWindow(rng, 40, l, k, rng.Uniform(0, 5), trial%5 == 0)
 		}
-		opts := FitOptions{}
-		if trial%7 == 0 {
-			opts.Ridge = 1e-3
-		}
 		f := NewIncrementalFitter(l, k)
 		for i, o := range obs {
 			if err := f.AddObservation(o.x, o.costs); err != nil {
@@ -507,18 +476,18 @@ func TestIncrementalSolveLazyMatchesEager(t *testing.T) {
 			if i+1 < MinObservations(l) {
 				continue
 			}
-			want, wantErr := eagerSolve(f, opts)
-			if err := f.Solve(opts); (err == nil) != (wantErr == nil) {
+			want, wantErr := eagerSolve(f)
+			if err := f.Solve(FitOptions{}); (err == nil) != (wantErr == nil) {
 				t.Fatalf("trial %d, n %d: Solve %v, eager %v", trial, i+1, err, wantErr)
 			}
 			if wantErr != nil {
 				continue
 			}
-			ridge, fb := f.Ridge()
-			if !bits(ridge, want.ridge) || fb != want.fellBack {
-				t.Fatalf("trial %d, n %d: ridge %v/%v, eager %v/%v", trial, i+1, ridge, fb, want.ridge, want.fellBack)
+			ridge := f.Ridge()
+			if !bits(ridge, want.ridge) {
+				t.Fatalf("trial %d, n %d: ridge %v, eager %v", trial, i+1, ridge, want.ridge)
 			}
-			if fb {
+			if ridge > 0 {
 				fellBack++
 			}
 			// Read a random subset of the metrics in a random order —
@@ -527,7 +496,7 @@ func TestIncrementalSolveLazyMatchesEager(t *testing.T) {
 			for _, m := range rng.Perm(k)[:int(rng.Uniform(0, float64(k)+1))] {
 				var model *Model
 				if rng.Uniform(0, 1) < 0.5 {
-					model = f.Model(m, nil)
+					model = f.Model(m)
 				}
 				if !bits(f.R2(m), want.r2[m]) {
 					t.Fatalf("trial %d, n %d, metric %d: R² %v, eager %v", trial, i+1, m, f.R2(m), want.r2[m])
@@ -538,11 +507,16 @@ func TestIncrementalSolveLazyMatchesEager(t *testing.T) {
 					}
 				}
 				if model == nil {
-					model = f.Model(m, nil)
+					model = f.Model(m)
 				}
-				if !bits(model.SSE, want.sse[m]) || !bits(model.SST, want.sst[m]) || !bits(model.R2, want.r2[m]) {
-					t.Fatalf("trial %d, n %d, metric %d: SSE/SST/R² %v/%v/%v, eager %v/%v/%v", trial, i+1, m,
-						model.SSE, model.SST, model.R2, want.sse[m], want.sst[m], want.r2[m])
+				if !bits(model.R2, want.r2[m]) || !bits(model.Ridge, want.ridge) {
+					t.Fatalf("trial %d, n %d, metric %d: model R²/ridge %v/%v, eager %v/%v", trial, i+1, m,
+						model.R2, model.Ridge, want.r2[m], want.ridge)
+				}
+				for j, b := range model.Beta {
+					if !bits(b, want.beta[m][j]) {
+						t.Fatalf("trial %d, n %d, metric %d: model β[%d] %v, eager %v", trial, i+1, m, j, b, want.beta[m][j])
+					}
 				}
 			}
 		}
@@ -588,7 +562,7 @@ func BenchmarkIncrementalVsBatchFit(b *testing.B) {
 			for w := minM; w <= m; w++ {
 				window := obs[m-w:]
 				for metric := 0; metric < k; metric++ {
-					if _, err := Fit(metricView(window, metric), FitOptions{}); err != nil {
+					if _, err := Fit(metricView(window, metric)); err != nil {
 						b.Fatal(err)
 					}
 				}

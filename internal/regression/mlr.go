@@ -31,10 +31,21 @@ var ErrDimension = errors.New("regression: inconsistent feature dimensions")
 // observations are common in small DREAM windows), as a fraction of
 // the normal matrix's dominant diagonal entry: scaling keeps the
 // fallback meaningful — and solvable — whether the features are unit
-// booleans or hundred-megabyte data sizes. Both the batch and the
-// incremental solver use the same rule so their fallback behavior is
-// identical.
+// booleans or hundred-megabyte data sizes.
 const RidgeFallback = 1e-8
+
+// factorize factors the normal matrix ata into ch, retrying once with
+// the scaled RidgeFallback when ata is singular, and returns the ridge
+// it took. The batch and the incremental solver both factor through
+// it, so their fallback behavior is identical.
+func factorize(ch *linalg.Cholesky, ata *linalg.Matrix) (float64, error) {
+	err := ch.Factorize(ata, 0)
+	if !errors.Is(err, linalg.ErrSingular) {
+		return 0, err
+	}
+	ridge := fallbackRidge(ata)
+	return ridge, ch.Factorize(ata, ridge)
+}
 
 // fallbackRidge returns the scaled automatic regularizer for a
 // singular normal matrix.
@@ -64,26 +75,11 @@ type Model struct {
 	Beta []float64
 	// R2 is the coefficient of determination on the training samples.
 	R2 float64
-	// AdjustedR2 penalizes R2 for the number of predictors.
-	AdjustedR2 float64
-	// SSE and SST are the error decomposition on the training samples.
-	SSE float64
-	SST float64
 	// N is the number of training samples; L the number of variables.
 	N, L int
 	// Ridge is the diagonal regularizer that was needed to make the
 	// normal equations solvable (0 for a plain OLS fit).
 	Ridge float64
-	// sigma2 is the residual variance estimate SSE/(N−L−1); chol the
-	// Cholesky factor of the solved normal matrix, both retained for
-	// prediction intervals. The factor replaces the old eagerly-computed
-	// (AᵀA)⁻¹: the interval's quadratic form needs one triangular solve,
-	// not a whole inverse, and plan sweeps never ask for intervals on
-	// most models they fit. It is nil when the fit needed the automatic
-	// ridge fallback (the unregularized normal matrix carries no usable
-	// interval geometry, matching the old nil-inverse behavior).
-	sigma2 float64
-	chol   *linalg.Cholesky
 }
 
 // Predict evaluates the fitted equation ĉ = β̂₀ + Σ β̂ᵢxᵢ (eq. 6).
@@ -99,19 +95,15 @@ func (m *Model) Predict(x []float64) (float64, error) {
 	return c, nil
 }
 
-// FitOptions tunes the solver.
-type FitOptions struct {
-	// Ridge adds λ·I to AᵀA before solving. Zero requests plain OLS
-	// with an automatic tiny-λ retry if the window is singular
-	// (collinear observations are common in small DREAM windows).
-	Ridge float64
-	// DisableRidgeFallback fails hard on singular windows instead of
-	// retrying with regularization.
-	DisableRidgeFallback bool
-}
+// FitOptions is empty, kept only because the frozen bench/ calls
+// IncrementalFitter.Solve with it; ROADMAP 1(a) drops it with the next
+// benchmark PR.
+type FitOptions struct{}
 
-// Fit solves the normal equations over the given samples.
-func Fit(samples []Sample, opts FitOptions) (*Model, error) {
+// Fit solves the normal equations over the given samples. A singular
+// window (collinear observations are common in small DREAM windows)
+// retries once with the RidgeFallback regularizer.
+func Fit(samples []Sample) (*Model, error) {
 	if len(samples) == 0 {
 		return nil, ErrTooFewObservations
 	}
@@ -149,18 +141,9 @@ func Fit(samples []Sample, opts FitOptions) (*Model, error) {
 	}
 
 	// The normal matrix is SPD whenever the window is non-singular, so a
-	// Cholesky factorization both solves the system and hands the
-	// prediction-interval path its factor for free.
-	ridge := opts.Ridge
-	fellBack := false
+	// Cholesky factorization solves the system.
 	ch := &linalg.Cholesky{}
-	err = ch.Factorize(ata, ridge)
-	if errors.Is(err, linalg.ErrSingular) && ridge == 0 && !opts.DisableRidgeFallback {
-		// Singular window: regularize just enough to get a solution.
-		ridge = fallbackRidge(ata)
-		fellBack = true
-		err = ch.Factorize(ata, ridge)
-	}
+	ridge, err := factorize(ch, ata)
 	if err != nil {
 		return nil, err
 	}
@@ -173,65 +156,9 @@ func Fit(samples []Sample, opts FitOptions) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	sse, err := stats.SSE(c, fitted)
-	if err != nil {
-		return nil, err
-	}
-	sst, err := stats.SST(c)
-	if err != nil {
-		return nil, err
-	}
 	r2, err := stats.RSquared(c, fitted)
 	if err != nil {
 		return nil, err
 	}
-
-	m := &Model{
-		Beta:  beta,
-		R2:    r2,
-		SSE:   sse,
-		SST:   sst,
-		N:     len(samples),
-		L:     l,
-		Ridge: ridge,
-	}
-	if dof := m.N - m.L - 1; dof > 0 && m.N > 1 {
-		m.AdjustedR2 = 1 - (1-r2)*float64(m.N-1)/float64(dof)
-		m.sigma2 = sse / float64(dof)
-	} else {
-		m.AdjustedR2 = r2
-	}
-	if !fellBack {
-		m.chol = ch
-	}
-	return m, nil
-}
-
-// PredictWithInterval returns the point estimate plus the standard
-// error of a *new* observation at x: sqrt(σ̂²·(1 + xᵀ(AᵀA)⁻¹x)). The
-// caller multiplies by the desired quantile (≈2 for a 95% band). A zero
-// standard error means the model had no residual degrees of freedom or
-// the normal matrix was not invertible; treat such intervals as
-// unknown-width rather than perfectly tight. The quadratic form is
-// evaluated from the stored Cholesky factor (one triangular solve), so
-// models that never serve intervals never pay for an inverse.
-func (m *Model) PredictWithInterval(x []float64) (pred, stderr float64, err error) {
-	pred, err = m.Predict(x)
-	if err != nil {
-		return 0, 0, err
-	}
-	if m.sigma2 <= 0 || m.chol == nil {
-		return pred, 0, nil
-	}
-	aug := make([]float64, len(x)+1)
-	aug[0] = 1
-	copy(aug[1:], x)
-	quad, err := m.chol.QuadForm(aug)
-	if err != nil {
-		return 0, 0, err
-	}
-	if quad < 0 {
-		quad = 0 // numerical guard: (AᵀA)⁻¹ is PSD in exact arithmetic
-	}
-	return pred, math.Sqrt(m.sigma2 * (1 + quad)), nil
+	return &Model{Beta: beta, R2: r2, N: len(samples), L: l, Ridge: ridge}, nil
 }

@@ -39,7 +39,7 @@ var paperTable2R2 = map[int]float64{
 
 func TestFitReproducesPaperTable2(t *testing.T) {
 	for m := 4; m <= 10; m++ {
-		model, err := Fit(paperTable2[:m], FitOptions{})
+		model, err := Fit(paperTable2[:m])
 		if err != nil {
 			t.Fatalf("M=%d: %v", m, err)
 		}
@@ -58,7 +58,7 @@ func TestFitRecoversKnownCoefficients(t *testing.T) {
 		x1, x2 := rng.Uniform(0, 10), rng.Uniform(0, 10)
 		samples = append(samples, Sample{X: []float64{x1, x2}, C: 3 + 2*x1 - x2})
 	}
-	m, err := Fit(samples, FitOptions{})
+	m, err := Fit(samples)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestFitWithNoise(t *testing.T) {
 		x := rng.Uniform(0, 100)
 		samples = append(samples, Sample{X: []float64{x}, C: 10 + 0.5*x + rng.Normal(0, 1)})
 	}
-	m, err := Fit(samples, FitOptions{})
+	m, err := Fit(samples)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,9 +97,6 @@ func TestFitWithNoise(t *testing.T) {
 	if m.R2 < 0.99 {
 		t.Errorf("R² = %v, want > 0.99 on low-noise data", m.R2)
 	}
-	if m.AdjustedR2 > m.R2 {
-		t.Errorf("adjusted R² %v exceeds R² %v", m.AdjustedR2, m.R2)
-	}
 }
 
 func TestFitTooFewObservations(t *testing.T) {
@@ -108,10 +105,10 @@ func TestFitTooFewObservations(t *testing.T) {
 		{X: []float64{2, 3}, C: 2},
 		{X: []float64{3, 4}, C: 3},
 	}
-	if _, err := Fit(samples, FitOptions{}); !errors.Is(err, ErrTooFewObservations) {
+	if _, err := Fit(samples); !errors.Is(err, ErrTooFewObservations) {
 		t.Fatalf("got %v, want ErrTooFewObservations", err)
 	}
-	if _, err := Fit(nil, FitOptions{}); !errors.Is(err, ErrTooFewObservations) {
+	if _, err := Fit(nil); !errors.Is(err, ErrTooFewObservations) {
 		t.Fatalf("nil samples: got %v, want ErrTooFewObservations", err)
 	}
 }
@@ -123,7 +120,7 @@ func TestFitDimensionMismatch(t *testing.T) {
 		{X: []float64{3, 4}, C: 3},
 		{X: []float64{4, 5}, C: 4},
 	}
-	if _, err := Fit(samples, FitOptions{}); !errors.Is(err, ErrDimension) {
+	if _, err := Fit(samples); !errors.Is(err, ErrDimension) {
 		t.Fatalf("got %v, want ErrDimension", err)
 	}
 }
@@ -135,7 +132,7 @@ func TestFitSingularFallsBackToRidge(t *testing.T) {
 		x := float64(i)
 		samples = append(samples, Sample{X: []float64{x, 2 * x}, C: 5 * x})
 	}
-	m, err := Fit(samples, FitOptions{})
+	m, err := Fit(samples)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,33 +145,6 @@ func TestFitSingularFallsBackToRidge(t *testing.T) {
 	}
 	if math.Abs(pred-15) > 0.1 {
 		t.Errorf("ridge prediction = %v, want ≈15", pred)
-	}
-}
-
-func TestFitSingularHardFailure(t *testing.T) {
-	var samples []Sample
-	for i := 1; i <= 8; i++ {
-		x := float64(i)
-		samples = append(samples, Sample{X: []float64{x, 2 * x}, C: 5 * x})
-	}
-	if _, err := Fit(samples, FitOptions{DisableRidgeFallback: true}); err == nil {
-		t.Fatal("expected error with ridge fallback disabled")
-	}
-}
-
-func TestExplicitRidge(t *testing.T) {
-	rng := stats.NewRNG(3)
-	var samples []Sample
-	for i := 0; i < 30; i++ {
-		x := rng.Uniform(0, 10)
-		samples = append(samples, Sample{X: []float64{x}, C: 2 * x})
-	}
-	m, err := Fit(samples, FitOptions{Ridge: 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Ridge != 0.1 {
-		t.Errorf("Ridge = %v, want 0.1", m.Ridge)
 	}
 }
 
@@ -207,7 +177,7 @@ func TestPropertyPerfectModelAlwaysR2One(t *testing.T) {
 			x := rng.Uniform(0, 100)
 			samples[i] = Sample{X: []float64{x}, C: b0 + b1*x}
 		}
-		m, err := Fit(samples, FitOptions{})
+		m, err := Fit(samples)
 		if err != nil {
 			return false
 		}
@@ -234,7 +204,7 @@ func TestPropertyR2Bounds(t *testing.T) {
 			x2 := rng.Uniform(0, 10)
 			samples[i] = Sample{X: []float64{x1, x2}, C: 1 + x1 + x2 + rng.Normal(0, sigma)}
 		}
-		m, err := Fit(samples, FitOptions{})
+		m, err := Fit(samples)
 		if err != nil {
 			return true // singular tiny windows are allowed to fail
 		}
@@ -244,78 +214,5 @@ func TestPropertyR2Bounds(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestPredictWithInterval(t *testing.T) {
-	rng := stats.NewRNG(17)
-	var samples []Sample
-	for i := 0; i < 60; i++ {
-		x := rng.Uniform(0, 10)
-		samples = append(samples, Sample{X: []float64{x}, C: 5 + 2*x + rng.Normal(0, 1)})
-	}
-	m, err := Fit(samples, FitOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Interior point: stderr close to the noise sigma.
-	pred, se, err := m.PredictWithInterval([]float64{5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(pred-15) > 1 {
-		t.Errorf("pred = %v, want ≈15", pred)
-	}
-	if se < 0.7 || se > 1.5 {
-		t.Errorf("interior stderr = %v, want ≈1", se)
-	}
-	// Extrapolation point: wider interval.
-	_, seFar, err := m.PredictWithInterval([]float64{50})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seFar <= se {
-		t.Errorf("extrapolation stderr %v not wider than interior %v", seFar, se)
-	}
-	// Coverage: ~95% of fresh observations inside ±2σ̂.
-	inside := 0
-	const trials = 400
-	for i := 0; i < trials; i++ {
-		x := rng.Uniform(0, 10)
-		truth := 5 + 2*x + rng.Normal(0, 1)
-		p, s, err := m.PredictWithInterval([]float64{x})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if truth >= p-2*s && truth <= p+2*s {
-			inside++
-		}
-	}
-	if frac := float64(inside) / trials; frac < 0.90 || frac > 0.995 {
-		t.Errorf("±2σ coverage = %v, want ≈0.95", frac)
-	}
-	// Dimension error propagates.
-	if _, _, err := m.PredictWithInterval([]float64{1, 2}); err == nil {
-		t.Error("wrong dimension accepted")
-	}
-}
-
-func TestPredictWithIntervalDegenerate(t *testing.T) {
-	// Minimal window: zero residual dof → stderr 0 (unknown), not NaN.
-	samples := []Sample{
-		{X: []float64{1}, C: 1},
-		{X: []float64{2}, C: 2},
-		{X: []float64{3}, C: 3.1},
-	}
-	m, err := Fit(samples, FitOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, se, err := m.PredictWithInterval([]float64{2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.IsNaN(se) {
-		t.Error("stderr is NaN on degenerate fit")
 	}
 }

@@ -153,7 +153,7 @@ func TestLearners(t *testing.T) {
 			t.Errorf("%s predicts %v, want ≈27", l.Name(), v)
 		}
 	}
-	m, err := regression.Fit(samples, regression.FitOptions{})
+	m, err := regression.Fit(samples)
 	if err != nil {
 		t.Fatal(err)
 	}
