@@ -70,9 +70,10 @@ test:
 test-cpus:
 	$(GO) test -race -cpu 1,2,4 ./internal/core ./internal/ires ./internal/server ./internal/moo
 
-## test-cluster: the control-plane tests (ownership moves, chaos, failover, replication streams, drain) under the race detector, five passes — their interleavings differ run to run
+## test-cluster: the control-plane tests (ownership moves, chaos, failover, replication streams, drain) and all of internal/cluster (the detector's and the replicator's goroutines) under the race detector, five passes — their interleavings differ run to run
 test-cluster:
 	$(GO) test -race -count=5 -run '$(CLUSTER_PATTERN)' ./internal/server
+	$(GO) test -race -count=5 ./internal/cluster
 
 ## test-short: quick feedback loop without the race detector
 test-short:

@@ -98,12 +98,9 @@ type Detector struct {
 	// for RTT histograms.
 	OnProbe func(peer Member, rtt time.Duration, err error)
 
+	// mu guards the peer states; the map itself is fixed at NewDetector.
 	mu    sync.Mutex
 	peers map[string]*peerState
-
-	stop    chan struct{}
-	done    sync.WaitGroup
-	started bool
 }
 
 type peerState struct {
@@ -118,14 +115,13 @@ type peerState struct {
 }
 
 // NewDetector builds a detector over peers (the probing node excluded
-// by the caller). Call Start to begin probing.
+// by the caller). Run probes them.
 func NewDetector(cfg DetectorConfig, peers []Member, probe Probe) *Detector {
 	cfg.setDefaults()
 	d := &Detector{
 		cfg:   cfg,
 		probe: probe,
 		peers: make(map[string]*peerState, len(peers)),
-		stop:  make(chan struct{}),
 	}
 	for _, m := range peers {
 		d.peers[m.ID] = &peerState{member: m, gap: cfg.ProbeInterval}
@@ -133,56 +129,38 @@ func NewDetector(cfg DetectorConfig, peers []Member, probe Probe) *Detector {
 	return d
 }
 
-// Start launches one probe goroutine per peer. Idempotent.
-func (d *Detector) Start() {
-	d.mu.Lock()
-	if d.started {
-		d.mu.Unlock()
-		return
-	}
-	d.started = true
-	states := make([]*peerState, 0, len(d.peers))
+// Run probes every peer, one goroutine each, until ctx ends, and
+// returns once those goroutines have. Call it once.
+func (d *Detector) Run(ctx context.Context) {
+	var wg sync.WaitGroup
 	for _, p := range d.peers {
-		states = append(states, p)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			d.watch(ctx, p)
+		}()
 	}
-	d.mu.Unlock()
-	for _, p := range states {
-		d.done.Add(1)
-		go d.watch(p)
-	}
+	wg.Wait()
 }
 
-// Stop halts probing and waits for the probe goroutines to exit.
-func (d *Detector) Stop() {
-	d.mu.Lock()
-	if !d.started {
-		d.mu.Unlock()
-		return
-	}
-	select {
-	case <-d.stop:
-	default:
-		close(d.stop)
-	}
-	d.mu.Unlock()
-	d.done.Wait()
-}
-
-// watch is one peer's probe loop.
-func (d *Detector) watch(p *peerState) {
-	defer d.done.Done()
+// watch is one peer's probe loop. A probe cut short because ctx ended
+// is not a miss: the detector is stopping, not the peer.
+func (d *Detector) watch(ctx context.Context, p *peerState) {
 	timer := time.NewTimer(d.cfg.ProbeInterval)
 	defer timer.Stop()
 	for {
 		select {
-		case <-d.stop:
+		case <-ctx.Done():
 			return
 		case <-timer.C:
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), d.cfg.ProbeInterval)
+		probeCtx, cancel := context.WithTimeout(ctx, d.cfg.ProbeInterval)
 		began := time.Now()
-		err := d.probe(ctx, p.member)
+		err := d.probe(probeCtx, p.member)
 		cancel()
+		if ctx.Err() != nil {
+			return
+		}
 		rtt := time.Since(began)
 		if d.OnProbe != nil {
 			d.OnProbe(p.member, rtt, err)

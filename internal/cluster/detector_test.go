@@ -30,6 +30,20 @@ func (f *fakeProbe) set(id string, failing bool) {
 	f.fail[id] = failing
 }
 
+// start runs d until stop is called; stop returns once Run has.
+func start(d *Detector) (stop func()) {
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		d.Run(ctx)
+		close(done)
+	}()
+	return func() {
+		cancel()
+		<-done
+	}
+}
+
 func waitStatus(t *testing.T, d *Detector, id string, want PeerStatus) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -58,8 +72,7 @@ func TestDetectorTransitions(t *testing.T) {
 		transitions = append(transitions, peer.ID+":"+from.String()+"->"+to.String())
 		mu.Unlock()
 	}
-	d.Start()
-	defer d.Stop()
+	defer start(d)()
 
 	// All healthy: stays up.
 	time.Sleep(20 * time.Millisecond)
@@ -105,8 +118,7 @@ func TestDetectorSnapshotAndUnknownPeer(t *testing.T) {
 		SuspectAfter:  1,
 		DownAfter:     2,
 	}, []Member{{ID: "b", Addr: "http://b"}}, fp.probe)
-	d.Start()
-	defer d.Stop()
+	defer start(d)()
 
 	waitStatus(t, d, "b", PeerDown)
 	snap := d.Snapshot()
@@ -135,8 +147,7 @@ func TestDetectorProbeCallbackAndStop(t *testing.T) {
 		}
 		seen.Add(1)
 	}
-	d.Start()
-	d.Start() // idempotent
+	stop := start(d)
 	deadline := time.Now().Add(5 * time.Second)
 	for seen.Load() < 3 && time.Now().Before(deadline) {
 		time.Sleep(2 * time.Millisecond)
@@ -144,8 +155,34 @@ func TestDetectorProbeCallbackAndStop(t *testing.T) {
 	if seen.Load() < 3 {
 		t.Fatalf("observed only %d probes", seen.Load())
 	}
-	d.Stop()
-	d.Stop() // idempotent
+	stop()
+
+	// A probe in flight when Run's context ends is cut with it — Run
+	// returns well inside the probe's own deadline — and is no miss.
+	landed := make(chan struct{})
+	var once sync.Once
+	probe := func(ctx context.Context, _ Member) error {
+		once.Do(func() { close(landed) })
+		<-ctx.Done()
+		return ctx.Err()
+	}
+	const interval = 200 * time.Millisecond
+	d = NewDetector(DetectorConfig{ProbeInterval: interval, SuspectAfter: 1, DownAfter: 2},
+		[]Member{{ID: "b"}}, probe)
+	d.OnProbe = func(Member, time.Duration, error) { t.Error("a probe cut by the context was observed") }
+	d.OnTransition = func(peer Member, from, to PeerStatus) {
+		t.Errorf("spurious transition %s: %v -> %v", peer.ID, from, to)
+	}
+	stop = start(d)
+	<-landed
+	began := time.Now()
+	stop()
+	if took := time.Since(began); took >= interval/2 {
+		t.Fatalf("Run returned %v after its context ended, the blocked probe was waited out", took)
+	}
+	if h := d.Snapshot()["b"]; h.Misses != 0 || h.Status != PeerUp {
+		t.Fatalf("peer after a cut probe: %+v, want up with no misses", h)
+	}
 }
 
 func TestDetectorConfigDefaults(t *testing.T) {

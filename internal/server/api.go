@@ -123,8 +123,8 @@ type FederationStats struct {
 	// PlansEstimated reads the realized pruning ratio.
 	PlansEstimated int64 `json:"plans_estimated"`
 	PlanSpace      int64 `json:"plan_space"`
-	// HistoryTruncated counts /v1/history responses that dropped
-	// observations to the page limit.
+	// HistoryTruncated counts /v1/history responses that stopped short
+	// of observation 0, by `limit` or at `base`.
 	HistoryTruncated int64 `json:"history_truncated"`
 	// Checkpoints and CheckpointFailures count history WAL fsyncs
 	// (periodic, admin-triggered and drain-time).
@@ -141,16 +141,6 @@ type StatsResponse struct {
 	UptimeS     float64                    `json:"uptime_s"`
 	Draining    bool                       `json:"draining"`
 	Federations map[string]FederationStats `json:"federations"`
-	// Cluster is present only in cluster mode.
-	Cluster *ClusterStats `json:"cluster,omitempty"`
-}
-
-// ClusterStats is the cluster slice of GET /v1/stats.
-type ClusterStats struct {
-	Node    string   `json:"node"`
-	Epoch   uint64   `json:"epoch"`
-	Members int      `json:"members"`
-	Owned   []string `json:"owned"`
 }
 
 // ErrorResponse carries a non-2xx outcome.

@@ -44,7 +44,6 @@ import (
 	"hash/fnv"
 	"io"
 	"math/rand"
-	"net"
 	"net/http"
 	"path/filepath"
 	"sort"
@@ -168,6 +167,9 @@ type clusterState struct {
 	cfg   ClusterConfig
 	self  cluster.Member
 	table atomic.Pointer[cluster.Table]
+	// commitMu serializes commit, the table's only writer, so a table is
+	// on disk before another commit can find it in force and return.
+	commitMu sync.Mutex
 	// repl holds one Replicator per federation when Replicate is on;
 	// it doubles as each tenant store's histstore.Mirror. streams holds,
 	// per federation, the connection its shard bytes leave through
@@ -180,7 +182,7 @@ type clusterState struct {
 
 	// routes persists every committed routing table so a restart recovers
 	// the last known placements from disk before any gossip arrives. Nil
-	// when the server has no durable store directory.
+	// when the server has no durable store directory; it holds no handle.
 	routes *cluster.RouteLog
 	// detector is the peer failure detector; nil unless AutoFailover.
 	detector *cluster.Detector
@@ -192,14 +194,6 @@ type clusterState struct {
 	// from the replica.
 	peerMu   sync.Mutex
 	peerRepl map[string]map[string]string
-
-	// accepted is the standby half of replstream.go: the upgraded
-	// connections this node is reading batches from, each with a
-	// goroutine acceptedWG counts. acceptedClosed is set by closeStreams.
-	acceptedMu     sync.Mutex
-	accepted       map[net.Conn]struct{}
-	acceptedClosed bool
-	acceptedWG     sync.WaitGroup
 
 	// rebalanceKick wakes the rebalance loop (buffered 1: a kick during
 	// a rebalance coalesces into one more pass; nil without
@@ -249,7 +243,6 @@ func newClusterState(cfg *ClusterConfig, storeDir string) (*clusterState, error)
 		self:     self,
 		repl:     make(map[string]*cluster.Replicator),
 		streams:  make(map[string]*replStream),
-		accepted: make(map[net.Conn]struct{}),
 		client:   &http.Client{Timeout: c.PeerTimeout},
 		peerRepl: make(map[string]map[string]string),
 	}
@@ -271,33 +264,31 @@ func newClusterState(cfg *ClusterConfig, storeDir string) (*clusterState, error)
 }
 
 // commit is the one place a routing table is installed: next maps the
-// table in force to its successor (nil keeps it), retried until the swap
-// lands, and every table installed is persisted. Persistence failures are
+// table in force to its successor (nil keeps it), and every table
+// installed is persisted before commit returns. Persistence failures are
 // logged and counted, not propagated: the table is already in force and
 // on its way to the peers; losing the disk copy only weakens the next
 // restart, it cannot be allowed to wedge routing now. Returns the table
 // in force afterwards and whether next installed it.
 func (cs *clusterState) commit(next func(cur *cluster.Table) *cluster.Table) (*cluster.Table, bool) {
-	for {
-		cur := cs.table.Load()
-		tab := next(cur)
-		if tab == nil {
-			return cur, false
-		}
-		if !cs.table.CompareAndSwap(cur, tab) {
-			continue
-		}
-		if cs.routes == nil {
-			return tab, true
-		}
-		// srv (and with it the counter) is nil only for a table driven
-		// without a server, as the unit tests do.
-		if err := cs.routes.Append(tab.Epoch(), tab.Overrides()); err != nil && cs.srv != nil {
-			cs.routePersistErrs.Inc()
-			cs.srv.log.Warn("persisting routing table failed", "epoch", tab.Epoch(), "error", err.Error())
-		}
+	cs.commitMu.Lock()
+	defer cs.commitMu.Unlock()
+	cur := cs.table.Load()
+	tab := next(cur)
+	if tab == nil {
+		return cur, false
+	}
+	cs.table.Store(tab)
+	if cs.routes == nil {
 		return tab, true
 	}
+	// srv (and with it the counter) is nil only for a table driven
+	// without a server, as the unit tests do.
+	if err := cs.routes.Commit(tab.Epoch(), tab.Overrides()); err != nil && cs.srv != nil {
+		cs.routePersistErrs.Inc()
+		cs.srv.log.Warn("persisting routing table failed", "epoch", tab.Epoch(), "error", err.Error())
+	}
+	return tab, true
 }
 
 // owns reports whether this node is fed's owner under the current
@@ -543,7 +534,7 @@ func (s *Server) registerClusterMetrics() {
 	cs.rebalances = reg.Counter("midas_cluster_rebalances_total",
 		"Federations handed back to their ring-computed owner by the rebalance loop.")
 	cs.routePersistErrs = reg.Counter("midas_cluster_route_persist_failures_total",
-		"Routing-table commits whose durable append failed (in-memory routing unaffected).")
+		"Routing-table commits whose durable write failed (in-memory routing unaffected).")
 	if cs.detector != nil {
 		for _, m := range cs.cfg.Peers {
 			if m.ID == cs.self.ID {

@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -46,17 +47,31 @@ type testNode struct {
 type connTracker struct {
 	net.Listener
 	mu    sync.Mutex
-	conns []net.Conn
+	conns []*trackedConn
+}
+
+// trackedConn records whether net/http handed the connection over to a
+// handler (an upgraded replication stream) and whether it is closed.
+type trackedConn struct {
+	*net.TCPConn
+	hijacked, closed atomic.Bool
+}
+
+func (c *trackedConn) Close() error {
+	c.closed.Store(true)
+	return c.TCPConn.Close()
 }
 
 func (l *connTracker) Accept() (net.Conn, error) {
 	c, err := l.Listener.Accept()
-	if err == nil {
-		l.mu.Lock()
-		l.conns = append(l.conns, c)
-		l.mu.Unlock()
+	if err != nil {
+		return nil, err
 	}
-	return c, err
+	tc := &trackedConn{TCPConn: c.(*net.TCPConn)}
+	l.mu.Lock()
+	l.conns = append(l.conns, tc)
+	l.mu.Unlock()
+	return tc, nil
 }
 
 // newTestNode serves h on a fresh loopback port, or on addr when a test
@@ -74,9 +89,27 @@ func newTestNode(t *testing.T, addr string, h http.Handler) *testNode {
 	}
 	n := &testNode{Server: ts, ln: &connTracker{Listener: ts.Listener}}
 	ts.Listener = n.ln
+	ts.Config.ConnState = func(c net.Conn, st http.ConnState) {
+		if st == http.StateHijacked {
+			c.(*trackedConn).hijacked.Store(true)
+		}
+	}
 	ts.Start()
 	t.Cleanup(ts.Close)
 	return n
+}
+
+// acceptedStreams counts the upgraded connections n is serving.
+func (n *testNode) acceptedStreams() int {
+	n.ln.mu.Lock()
+	defer n.ln.mu.Unlock()
+	open := 0
+	for _, c := range n.ln.conns {
+		if c.hijacked.Load() && !c.closed.Load() {
+			open++
+		}
+	}
+	return open
 }
 
 func (n *testNode) Kill() {
@@ -764,33 +797,21 @@ func testClusterReplicationTakeover(t *testing.T, bootstrap int) {
 	}
 }
 
-// TestClusterStatsAndResponseEpochs covers the epoch-stamped stats
-// surface in cluster mode.
-func TestClusterStatsEpochStamp(t *testing.T) {
+// TestClusterViewEpochStamp covers the node's epoch-stamped view in
+// cluster mode: GET /v1/cluster names the node, its epoch and its
+// members, and the placements it reports active are exactly the tenants
+// the state machine holds active.
+func TestClusterViewEpochStamp(t *testing.T) {
 	tc := newTestCluster(t, 2, []string{"alpha", "beta"})
-	resp, err := http.Get(tc.https[0].URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
+	cr := getClusterTable(t, tc.https[0].URL)
+	if cr.Node != "n0" || cr.Epoch != 1 || len(cr.Members) != 2 {
+		t.Fatalf("cluster view node=%q epoch=%d members=%v", cr.Node, cr.Epoch, cr.Members)
 	}
-	defer resp.Body.Close()
-	var sr StatsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
-		t.Fatal(err)
-	}
-	if sr.Cluster == nil {
-		t.Fatal("cluster stats absent in cluster mode")
-	}
-	if sr.Cluster.Node != "n0" || sr.Cluster.Epoch != 1 || sr.Cluster.Members != 2 {
-		t.Fatalf("cluster stats %+v", sr.Cluster)
-	}
-	owned := 0
 	for _, fed := range []string{"alpha", "beta"} {
-		if tc.servers[0].tenants[fed].state.Load() == tenantActive {
-			owned++
+		active := tc.servers[0].tenants[fed].state.Load() == tenantActive
+		if (cr.Placements[fed].State == "active") != active {
+			t.Fatalf("%s placed %+v, state machine active=%v", fed, cr.Placements[fed], active)
 		}
-	}
-	if len(sr.Cluster.Owned) != owned {
-		t.Fatalf("stats report %d owned, state machine says %d", len(sr.Cluster.Owned), owned)
 	}
 }
 
@@ -947,7 +968,7 @@ func (g *gatedSched) DropHistories() {
 // background — the resolver of a handoff whose activation outcome is
 // unknown, a stale-owner demotion — belongs to the server's lifetime.
 // Drain ends it and waits for it, so once Drain returns nothing changes a
-// tenant's state, activates a tenant or appends to the closed route log.
+// tenant's state, activates a tenant or writes a routing table.
 func TestDrainWaitsForControlPlane(t *testing.T) {
 	// Two federations the ring places on n0, the node drained: one to
 	// hand off, one for a takeover elsewhere to make stale.
@@ -1048,6 +1069,7 @@ func TestDrainWaitsForControlPlane(t *testing.T) {
 		err         error
 		states      map[string]int32
 		opens       int32
+		epoch       uint64
 		persistErrs float64
 	}
 	take := func() snapshot {
@@ -1056,6 +1078,7 @@ func TestDrainWaitsForControlPlane(t *testing.T) {
 			sn.states[name] = tn.state.Load()
 			sn.opens += gated[name].opens.Load()
 		}
+		sn.epoch = src.cluster.table.Load().Epoch()
 		sn.persistErrs = src.cluster.routePersistErrs.Value()
 		return sn
 	}
@@ -1096,8 +1119,43 @@ func TestDrainWaitsForControlPlane(t *testing.T) {
 	if after.opens != atReturn.opens {
 		t.Errorf("%d activations after Drain returned", after.opens-atReturn.opens)
 	}
+	if after.epoch != atReturn.epoch {
+		t.Errorf("routing table went epoch %d → %d after Drain returned", atReturn.epoch, after.epoch)
+	}
 	if after.persistErrs != 0 {
 		t.Errorf("midas_cluster_route_persist_failures_total = %v, want 0", after.persistErrs)
+	}
+}
+
+// TestClusterNewFailureReleasesFiles: a New that fails after the
+// cluster state is built — on a tenant with an unknown topology — leaves
+// no file open, the routing table's included.
+func TestClusterNewFailureReleasesFiles(t *testing.T) {
+	openFiles := func() int {
+		fds, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skipf("no per-process fd table: %v", err)
+		}
+		return len(fds)
+	}
+	cfg := Config{
+		Federations: []FederationSpec{{Name: "alpha", Topology: "no-such-topology"}},
+		Store:       StoreConfig{Dir: t.TempDir()},
+		Cluster:     &ClusterConfig{NodeID: "n0", Peers: []cluster.Member{{ID: "n0", Addr: "http://127.0.0.1:1"}}},
+	}
+	newFails := func() {
+		t.Helper()
+		if _, err := New(cfg); err == nil {
+			t.Fatal("New accepted an unknown topology")
+		}
+	}
+	// Whatever the runtime opens once for good (its poller) is open
+	// before the count starts.
+	newFails()
+	before := openFiles()
+	newFails()
+	if after := openFiles(); after > before {
+		t.Fatalf("a failed New left %d more files open (%d -> %d)", after-before, before, after)
 	}
 }
 
@@ -1125,14 +1183,12 @@ func TestAdoptTableMergesEqualEpochs(t *testing.T) {
 
 	dir := t.TempDir()
 	cs := mk(dir)
-	t.Cleanup(func() { cs.routes.Close() })
 	persisted := func(branch string) {
 		t.Helper()
 		log, err := cluster.OpenRouteLog(filepath.Join(dir, "_cluster", "routes.wal"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer log.Close()
 		tab := cs.table.Load()
 		if epoch, ov := log.Last(); epoch != tab.Epoch() || !overridesEqual(ov, tab.Overrides()) {
 			t.Fatalf("after %s the route log recovers epoch %d %v, the table in force is epoch %d %v",

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -230,5 +231,46 @@ func TestClusterHealthEndpoint(t *testing.T) {
 	}
 	if _, ok := ch.Peers[tc.members[1-owner].ID]; !ok {
 		t.Fatalf("peers section missing %s: %+v", tc.members[1-owner].ID, ch.Peers)
+	}
+}
+
+// TestDrainCutsHungProbe: the failure detector probes under the server's
+// lifetime, so Drain cuts a probe the peer never answers instead of
+// waiting out its ProbeInterval deadline, and the cut probe is no miss.
+func TestDrainCutsHungProbe(t *testing.T) {
+	landed := make(chan struct{})
+	var once sync.Once
+	peer := newTestNode(t, "", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/cluster/health" {
+			writeJSON(w, http.StatusOK, RouteUpdate{})
+			return
+		}
+		once.Do(func() { close(landed) })
+		<-r.Context().Done()
+	}))
+	srv, err := NewWithSchedulers(Config{Cluster: &ClusterConfig{
+		NodeID:        "n0",
+		Peers:         []cluster.Member{{ID: "n0", Addr: "http://127.0.0.1:1"}, {ID: "n1", Addr: peer.URL}},
+		AutoFailover:  true,
+		ProbeInterval: 500 * time.Millisecond,
+	}}, map[string]QueryScheduler{"alpha": &stubSched{}}, tpch.AllQueries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drainAtCleanup(t, srv)
+	select {
+	case <-landed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the detector never probed the peer")
+	}
+	began := time.Now()
+	if err := srv.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(began); took >= 100*time.Millisecond {
+		t.Fatalf("Drain took %v with a probe in flight, want it cut at once", took)
+	}
+	if h := srv.cluster.detector.Snapshot()["n1"]; h.Misses != 0 {
+		t.Fatalf("the cut probe counted as a miss: %+v", h)
 	}
 }

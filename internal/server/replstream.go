@@ -39,6 +39,7 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -228,6 +229,19 @@ func (st *replStream) drop() {
 	}
 }
 
+// closeStreams ends outbound replication on this node for good: the
+// streams it dialled are closed and dial no more. A ship in flight
+// finishes or fails first (within PeerTimeout). The streams it accepted
+// belong to the server's lifetime and end with it.
+func (cs *clusterState) closeStreams() {
+	for _, st := range cs.streams {
+		st.mu.Lock()
+		st.closed = true
+		st.drop()
+		st.mu.Unlock()
+	}
+}
+
 // dialStream opens a connection to the peer at addr and upgrades it to
 // fed's replication stream. The whole handshake runs under PeerTimeout
 // and ends with the server's lifetime.
@@ -284,8 +298,8 @@ func (cs *clusterState) dialStream(addr, fed string) (net.Conn, error) {
 
 // handleReplicateStream (POST /v1/admin/replicate/stream?federation=)
 // turns the connection into the federation's replication stream: it
-// checks what can be checked once, takes the connection over, answers
-// 101 and returns. The batches are served by a goroutine the server owns
+// checks what can be checked once, takes the connection over and
+// returns. A goroutine the server owns answers 101 and serves the batches
 // (serveReplicaStream) until the sender hangs up or Drain closes it.
 func (s *Server) handleReplicateStream(w http.ResponseWriter, r *http.Request) {
 	fed := r.URL.Query().Get("federation")
@@ -322,22 +336,20 @@ func (s *Server) handleReplicateStream(w http.ResponseWriter, r *http.Request) {
 		conn.Close()
 		return
 	}
-	if !s.cluster.trackStream(conn) {
+	// Drain ending the lifetime closes the connection — net/http's Close
+	// and Shutdown do not know hijacked ones — and waits for the goroutine.
+	served := s.spawn(func() {
+		stop := context.AfterFunc(s.lifeCtx, func() { conn.Close() })
+		defer stop()
+		defer conn.Close()
+		_, err := io.WriteString(conn, "HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: "+replStreamProto+"\r\n\r\n")
+		if err == nil && conn.SetDeadline(time.Time{}) == nil {
+			t.serveReplicaStream(conn)
+		}
+	})
+	if !served {
 		conn.Close() // Drain got in between the flag and here
-		return
 	}
-	_, err = io.WriteString(conn, "HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: "+replStreamProto+"\r\n\r\n")
-	if err == nil {
-		err = conn.SetDeadline(time.Time{})
-	}
-	if err != nil {
-		s.cluster.untrackStream(conn)
-		return
-	}
-	go func() {
-		defer s.cluster.untrackStream(conn)
-		t.serveReplicaStream(conn)
-	}()
 }
 
 // serveReplicaStream reads batches off an upgraded connection and
@@ -444,51 +456,4 @@ func (t *tenant) servedQuery(name []byte) (tpch.QueryID, bool) {
 		}
 	}
 	return 0, false
-}
-
-// ---------------------------------------------------------------------
-// Lifetime
-// ---------------------------------------------------------------------
-
-// trackStream registers an accepted stream so closeStreams can end it;
-// false once closeStreams ran.
-func (cs *clusterState) trackStream(conn net.Conn) bool {
-	cs.acceptedMu.Lock()
-	defer cs.acceptedMu.Unlock()
-	if cs.acceptedClosed {
-		return false
-	}
-	cs.accepted[conn] = struct{}{}
-	cs.acceptedWG.Add(1)
-	return true
-}
-
-// untrackStream closes an accepted stream and forgets it.
-func (cs *clusterState) untrackStream(conn net.Conn) {
-	conn.Close()
-	cs.acceptedMu.Lock()
-	delete(cs.accepted, conn)
-	cs.acceptedMu.Unlock()
-	cs.acceptedWG.Done()
-}
-
-// closeStreams ends replication on this node for good: the streams it
-// dialled are closed and dial no more, the ones it accepted are closed
-// and their goroutines waited for — net/http's Close and Shutdown do not
-// know hijacked connections. A ship in flight finishes or fails first
-// (within PeerTimeout).
-func (cs *clusterState) closeStreams() {
-	for _, st := range cs.streams {
-		st.mu.Lock()
-		st.closed = true
-		st.drop()
-		st.mu.Unlock()
-	}
-	cs.acceptedMu.Lock()
-	cs.acceptedClosed = true
-	for conn := range cs.accepted {
-		conn.Close() // its goroutine's next read or write fails
-	}
-	cs.acceptedMu.Unlock()
-	cs.acceptedWG.Wait()
 }

@@ -32,14 +32,6 @@ func streamState(srv *Server, fed string) (peer string, open, closed bool) {
 	return st.peer, st.conn != nil, st.closed
 }
 
-// acceptedStreams counts the upgraded connections srv is serving.
-func acceptedStreams(srv *Server) int {
-	cs := srv.cluster
-	cs.acceptedMu.Lock()
-	defer cs.acceptedMu.Unlock()
-	return len(cs.accepted)
-}
-
 // streamGoroutines counts the goroutines, process-wide, that are inside
 // the standby's batch loop.
 func streamGoroutines() int {
@@ -165,7 +157,7 @@ func TestDrainClosesStreams(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		chaosSubmit(t, https[owner].URL)
 	}
-	if n := acceptedStreams(servers[standby]); n != 1 {
+	if n := https[standby].acceptedStreams(); n != 1 {
 		t.Fatalf("standby serves %d streams after acked writes, want 1", n)
 	}
 	if n := streamGoroutines(); n < 1 {
@@ -175,7 +167,7 @@ func TestDrainClosesStreams(t *testing.T) {
 	if err := servers[standby].Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if n := acceptedStreams(servers[standby]); n != 0 {
+	if n := https[standby].acceptedStreams(); n != 0 {
 		t.Fatalf("%d accepted streams survive Drain", n)
 	}
 	if after := streamGoroutines(); after > before {
@@ -225,7 +217,7 @@ func TestStreamRedialsMovedStandby(t *testing.T) {
 	if peer, open, _ := streamState(servers[owner], "paper"); !open || peer != old.Addr {
 		t.Fatalf("stream open=%v to %q, want open to the standby %q", open, peer, old.Addr)
 	}
-	waitFor(t, 15*time.Second, func() bool { return acceptedStreams(servers[oldIdx]) == 1 }, nil)
+	waitFor(t, 15*time.Second, func() bool { return https[oldIdx].acceptedStreams() == 1 }, nil)
 
 	ring, err := cluster.NewRing([]cluster.Member{members[owner], members[movedIdx]}, 0)
 	if err != nil {
@@ -235,7 +227,7 @@ func TestStreamRedialsMovedStandby(t *testing.T) {
 	cs.table.Store(moved.WithEpochAtLeast(cs.table.Load().Epoch() + 1))
 
 	chaosSubmit(t, https[owner].URL) // redials, is refused (the new standby holds nothing), degrades
-	waitFor(t, 15*time.Second, func() bool { return acceptedStreams(servers[oldIdx]) == 0 }, nil)
+	waitFor(t, 15*time.Second, func() bool { return https[oldIdx].acceptedStreams() == 0 }, nil)
 	waitFor(t, 15*time.Second, func() bool { return cs.repl["paper"].Streaming("Q12") }, nil)
 	for i := 0; i < 2; i++ {
 		chaosSubmit(t, https[owner].URL)
@@ -447,7 +439,7 @@ func TestReplicateStreamHandshake(t *testing.T) {
 	}
 	// A clean handshake upgrades; a batch for a query the federation does
 	// not serve is refused in the ack and the stream ends.
-	idle := acceptedStreams(servers[standby])
+	idle := https[standby].acceptedStreams()
 	conn = dialUpgrade(t, https[standby].URL, "paper", "")
 	br := bufio.NewReader(conn)
 	resp, err := http.ReadResponse(br, nil)
@@ -467,7 +459,7 @@ func TestReplicateStreamHandshake(t *testing.T) {
 	if rest, err := io.ReadAll(br); err != nil || !strings.Contains(string(rest), tpch.QueryQ13.String()) {
 		t.Fatalf("after a refused batch: %q, %v; want the error text, then EOF", rest, err)
 	}
-	waitFor(t, 15*time.Second, func() bool { return acceptedStreams(servers[standby]) == idle }, nil)
+	waitFor(t, 15*time.Second, func() bool { return https[standby].acceptedStreams() == idle }, nil)
 	for _, srv := range servers {
 		if err := srv.Drain(context.Background()); err != nil {
 			t.Fatal(err)

@@ -29,10 +29,12 @@
 //	POST /v1/admin/checkpoint fsync every history's WAL now
 //	GET  /healthz             liveness (503 while draining)
 //	GET  /readyz              readiness (503 while draining or mid-handoff)
+//	GET  /metrics             Prometheus text exposition
 //
 // Cluster mode only:
 //
 //	GET  /v1/cluster          epoch-versioned routing table
+//	GET  /v1/cluster/health   peer probe target: epoch, replication health
 //	POST /v1/admin/handoff    live-migrate a federation to a peer
 //	POST /v1/admin/takeover   promote this standby after an owner death
 //	POST /v1/admin/route      table gossip (server-to-server)
@@ -54,7 +56,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -313,7 +314,7 @@ func newServer(cfg Config, tenants map[string]*tenant, cs *clusterState) *Server
 				cs.rebalanceKick = make(chan struct{}, 1)
 				s.spawn(s.rebalanceLoop)
 			}
-			cs.detector.Start()
+			s.spawn(func() { cs.detector.Run(s.lifeCtx) })
 		}
 	}
 	if cfg.Store.CheckpointInterval > 0 {
@@ -324,8 +325,7 @@ func newServer(cfg Config, tenants map[string]*tenant, cs *clusterState) *Server
 
 // spawn runs f in a goroutine the server's lifetime owns: Drain cancels
 // lifeCtx and returns only after f has. It refuses (false, f not run)
-// once Drain has begun — the rule trackStream applies to accepted
-// replication streams.
+// once Drain has begun.
 func (s *Server) spawn(f func()) bool {
 	s.lifeMu.Lock()
 	defer s.lifeMu.Unlock()
@@ -352,14 +352,12 @@ func (s *Server) pause(d time.Duration) bool {
 	}
 }
 
-// stopBackground ends the lifetime: the failure detector stops probing,
-// and every spawned goroutine — loops, handoff resolution, promotions,
-// demotions, table exchanges — has returned when this does.
+// stopBackground ends the lifetime: every spawned goroutine — loops,
+// the failure detector, accepted replication streams, handoff
+// resolution, promotions, demotions, table exchanges — has returned when
+// this does.
 func (s *Server) stopBackground() {
 	s.lifeStop()
-	if cs := s.cluster; cs != nil && cs.detector != nil {
-		cs.detector.Stop()
-	}
 	s.lifeWG.Wait()
 }
 
@@ -507,12 +505,12 @@ func (s *Server) Drain(ctx context.Context) error {
 			return fmt.Errorf("server: drain aborted, federation %q: %w", t.name, err)
 		}
 	}
-	// Stop the background work before the final checkpoint so a late
-	// checkpoint tick, a demotion or a handoff commit cannot race the
-	// store and route-log closes below.
+	// Stop the background work — accepted replication streams, which
+	// append to the stores, included — before the final checkpoint so a
+	// late checkpoint tick, a demotion or a handoff commit cannot race
+	// the store closes below.
 	s.stopBackground()
-	// Replication streams are hijacked connections with goroutines of
-	// their own, appending to the stores closed below: end them first.
+	// The streams this node dialled close and dial no more.
 	if s.cluster != nil {
 		s.cluster.closeStreams()
 	}
@@ -521,11 +519,6 @@ func (s *Server) Drain(ctx context.Context) error {
 	err := s.checkpointAll()
 	for _, t := range s.tenants {
 		if cerr := t.closeStore(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}
-	if cs := s.cluster; cs != nil && cs.routes != nil {
-		if cerr := cs.routes.Close(); cerr != nil && err == nil {
 			err = cerr
 		}
 	}
@@ -1059,22 +1052,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			children = append(children, h)
 		}
 		resp.Federations[name] = t.stats.snapshot(metrics.Merged(children...))
-	}
-	if cs := s.cluster; cs != nil {
-		tab := cs.table.Load()
-		owned := make([]string, 0, len(s.tenants))
-		for name, t := range s.tenants {
-			if t.state.Load() == tenantActive {
-				owned = append(owned, name)
-			}
-		}
-		sort.Strings(owned)
-		resp.Cluster = &ClusterStats{
-			Node:    cs.self.ID,
-			Epoch:   tab.Epoch(),
-			Members: tab.Ring().Size(),
-			Owned:   owned,
-		}
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

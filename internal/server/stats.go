@@ -50,7 +50,7 @@ func (t *tenantStats) register(reg *metrics.Registry, federation string) {
 	counter("midas_sweeps_started_total",
 		"Plan sweeps actually run; completed - coalesced requests led one.", &t.sweeps)
 	counter("midas_history_responses_truncated_total",
-		"GET /v1/history responses that dropped observations to the page limit.", &t.histTruncated)
+		"GET /v1/history responses that stopped short of observation 0, by limit or at base.", &t.histTruncated)
 	counter("midas_checkpoints_total",
 		"Tenant history checkpoints (periodic, admin and drain-time).", &t.checkpoints)
 	counter("midas_checkpoint_failures_total",
