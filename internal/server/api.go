@@ -130,7 +130,8 @@ type FederationStats struct {
 	// (periodic, admin-triggered and drain-time).
 	Checkpoints        int64 `json:"checkpoints"`
 	CheckpointFailures int64 `json:"checkpoint_failures"`
-	// Latency percentiles (ms) over the most recent completions.
+	// Latency percentiles (ms): lifetime estimates from the tenant's
+	// request-duration histogram.
 	P50MS float64 `json:"p50_ms"`
 	P90MS float64 `json:"p90_ms"`
 	P99MS float64 `json:"p99_ms"`

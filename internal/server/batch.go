@@ -16,9 +16,11 @@ import (
 // the per-query sweep batcher, its serving stats and (when durable)
 // its history store.
 type tenant struct {
-	name    string
-	sched   QueryScheduler
-	queries map[tpch.QueryID]bool
+	name  string
+	sched QueryScheduler
+	// queries are the served queries in the spec's order, the order every
+	// activation opens and bootstraps them in.
+	queries []tpch.QueryID
 	stats   *tenantStats
 	// store is the tenant's durable history root; nil when running in
 	// memory. The scheduler owns the flow of data through it — the
@@ -42,9 +44,12 @@ type tenant struct {
 	// ownerHint names the new owner while state is sending — the routing
 	// table only learns it once the move commits.
 	ownerHint atomic.Pointer[cluster.Member]
-	// bootstrap is the spec's per-query bootstrap target, replayed when
-	// a cold tenant activates (handoff in, takeover).
+	// bootstrap is the spec's per-query bootstrap target, which every
+	// activation tops each history up to.
 	bootstrap int
+	// attachChaos attaches the spec's fault schedule to the tenant's
+	// cloud; the first successful activation runs it and clears it.
+	attachChaos func()
 	// stateMu serializes the transitions and guards activated, the
 	// channel requests held during an inbound handoff wait on; closed
 	// when the handoff resolves.
@@ -77,8 +82,9 @@ func (t *tenant) beginReceiving() bool {
 	return true
 }
 
-// finishReceiving resolves an inbound handoff to final (tenantActive on
-// success, tenantRemote on abort) and releases every held request.
+// finishReceiving resolves an activation — a boot's, an inbound
+// handoff's, a takeover's — to final (tenantActive on success,
+// tenantRemote on abort) and releases every held request.
 func (t *tenant) finishReceiving(final int32) {
 	t.stateMu.Lock()
 	defer t.stateMu.Unlock()
@@ -136,17 +142,13 @@ func (t *tenant) waitActive(ctx context.Context) bool {
 	}
 }
 
-// newTenant builds a tenant that serves name's queries, or — cold, a
-// cluster node that does not own the federation — redirects them.
+// newTenant builds a tenant that serves name's queries, or — cold — one
+// that stays remote until an activation opens it.
 func newTenant(name string, sched QueryScheduler, queries []tpch.QueryID, cold bool) *tenant {
-	qs := make(map[tpch.QueryID]bool, len(queries))
-	for _, q := range queries {
-		qs[q] = true
-	}
 	t := &tenant{
 		name:    name,
 		sched:   sched,
-		queries: qs,
+		queries: queries,
 		stats:   &tenantStats{},
 		pending: make(map[tpch.QueryID]*sweepBatch),
 	}
@@ -184,6 +186,15 @@ func (t *tenant) closeStore() error {
 		return nil
 	}
 	return t.store.Close()
+}
+
+// releaseState drops the scheduler's in-memory histories and closes the
+// tenant's WAL handles; the next activation rebuilds from disk.
+func (t *tenant) releaseState() error {
+	if hd, ok := t.sched.(historyDropper); ok {
+		hd.DropHistories()
+	}
+	return t.closeStore()
 }
 
 // sweepBatch is one in-flight plan sweep that any number of concurrent

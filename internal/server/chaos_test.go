@@ -336,7 +336,7 @@ func TestChaosKillTargetMidShip(t *testing.T) {
 	submit("Q12")
 
 	want := make(map[tpch.QueryID]*core.Snapshot)
-	for q := range servers[owner].tenants["paper"].queries {
+	for _, q := range servers[owner].tenants["paper"].queries {
 		want[q] = servers[owner].tenants["paper"].sched.History(q).Snapshot()
 	}
 	if status, body := handoff(); status != http.StatusOK {

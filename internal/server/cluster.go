@@ -759,7 +759,7 @@ func (s *Server) handleHandoff(w http.ResponseWriter, r *http.Request) {
 	epoch, moved, err := s.handoffTenant(r.Context(), t, target)
 	if err != nil {
 		status := http.StatusInternalServerError
-		if t.state.Load() != tenantSending && t.state.Load() != tenantActive {
+		if errors.Is(err, errHandoffConflict) {
 			status = http.StatusConflict
 		}
 		writeError(w, status, "handoff of %q to %s failed: %v", fed, target.ID, err)
@@ -776,6 +776,11 @@ func (s *Server) handleHandoff(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// errHandoffConflict refuses a handoff of a federation that is not this
+// node's to send now: another handoff of it is in flight, or it is not
+// active here. handleHandoff answers it with 409.
+var errHandoffConflict = errors.New("conflict")
+
 // handoffTenant runs the source half of a live migration: prepare the
 // target (it now holds requests), begin sending (new requests now chase
 // the target), drain in-flight ones, stream every shard, activate the
@@ -791,11 +796,11 @@ func (s *Server) handleHandoff(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handoffTenant(ctx context.Context, t *tenant, target cluster.Member) (uint64, map[string]int, error) {
 	cs := s.cluster
 	if !t.sendMu.TryLock() {
-		return 0, nil, errors.New("another handoff of this federation is in flight")
+		return 0, nil, fmt.Errorf("%w: another handoff of this federation is in flight", errHandoffConflict)
 	}
 	defer t.sendMu.Unlock()
 	if st := t.state.Load(); st != tenantActive {
-		return 0, nil, fmt.Errorf("federation is %s here, not active", tenantStateName(st))
+		return 0, nil, fmt.Errorf("%w: federation is %s here, not active", errHandoffConflict, tenantStateName(st))
 	}
 	s.log.Info("handoff started", "federation", t.name, "target", target.ID)
 
@@ -806,7 +811,7 @@ func (s *Server) handoffTenant(ctx context.Context, t *tenant, target cluster.Me
 	if !t.beginSending(target) {
 		// A stale-owner demotion began sending first.
 		s.abortTarget(t, target)
-		return 0, nil, fmt.Errorf("federation is %s here, not active", tenantStateName(t.state.Load()))
+		return 0, nil, fmt.Errorf("%w: federation is %s here, not active", errHandoffConflict, tenantStateName(t.state.Load()))
 	}
 	fail := func(err error) (uint64, map[string]int, error) {
 		s.rollback(t, target)
@@ -828,7 +833,7 @@ func (s *Server) handoffTenant(ctx context.Context, t *tenant, target cluster.Me
 	moved := make(map[string]int, len(t.queries))
 	if t.store != nil {
 		st := cs.streams[t.name]
-		for _, q := range sortedQueries(t) {
+		for _, q := range t.queries {
 			if err := st.shipShard(target, t.store, q.String(), replHandoff, nil); err != nil {
 				return fail(fmt.Errorf("ship %v: %w", q, err))
 			}
@@ -939,22 +944,10 @@ func (s *Server) stopServing(t *tenant) {
 	if rep := cs.repl[t.name]; rep != nil {
 		rep.DisarmAll()
 	}
-	s.releaseTenantState(t)
+	if err := t.releaseState(); err != nil {
+		s.log.Warn("closing store on ownership release", "federation", t.name, "error", err.Error())
+	}
 	t.finishSending(true)
-}
-
-// releaseTenantState drops the scheduler's in-memory histories and
-// closes the tenant's WAL handles; the next activation (handoff back,
-// takeover) rebuilds from disk.
-func (s *Server) releaseTenantState(t *tenant) {
-	if hd, ok := t.sched.(historyDropper); ok {
-		hd.DropHistories()
-	}
-	if t.store != nil {
-		if err := t.store.Close(); err != nil {
-			s.log.Warn("closing store on ownership release", "federation", t.name, "error", err.Error())
-		}
-	}
 }
 
 // drainInflight waits for the tenant's in-flight requests to finish;
@@ -969,15 +962,6 @@ func (t *tenant) drainInflight(ctx context.Context) error {
 		}
 	}
 	return nil
-}
-
-func sortedQueries(t *tenant) []tpch.QueryID {
-	qs := make([]tpch.QueryID, 0, len(t.queries))
-	for q := range t.queries {
-		qs = append(qs, q)
-	}
-	sort.Slice(qs, func(i, j int) bool { return qs[i] < qs[j] })
-	return qs
 }
 
 // ---------------------------------------------------------------------
@@ -1035,7 +1019,7 @@ func (s *Server) handleHandoffActivate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, "federation %q is %s, not receiving", fed, tenantStateName(st))
 		return
 	}
-	if err := s.activateTenant(t); err != nil {
+	if err := activateTenant(t, nil); err != nil {
 		t.finishReceiving(tenantRemote)
 		writeError(w, http.StatusInternalServerError, "activating %q: %v", fed, err)
 		return
@@ -1099,7 +1083,7 @@ func (s *Server) handleTakeover(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	recovered := make(map[string]int, len(t.queries))
-	for _, q := range sortedQueries(t) {
+	for _, q := range t.queries {
 		if h := t.sched.History(q); h != nil {
 			recovered[q.String()] = h.Len()
 		}
@@ -1113,29 +1097,53 @@ func (s *Server) handleTakeover(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// activateTenant materializes a cold tenant's serving state: open each
-// query's history (recovering whatever the store holds — the replica a
-// handoff or an owner's stream wrote, or nothing) and bootstrap any
-// shortfall below the spec's target, exactly like a warm boot.
-func (s *Server) activateTenant(t *tenant) error {
-	qs := sortedQueries(t)
+// activateTenant is the one routine that opens a tenant: at boot for
+// the tenants this node owns, on a handoff's target and on a promoted
+// standby. It opens each query's history in the spec's order
+// (recovering whatever the store holds: this node's own WAL, the replica
+// a handoff or an owner's stream wrote, or nothing), bootstraps the
+// shortfall below the spec's target in the same order, and then asks
+// fence, when non-nil, whether the activation still stands. The first
+// activation that succeeds attaches the spec's chaos, so every bootstrap
+// trains on the clean cloud. A failure releases everything the
+// activation opened before it returns — the scheduler's histories are
+// dropped, the store's shards closed — so a tenant left remote holds no
+// live history and its store takes replica batches again.
+func activateTenant(t *tenant, fence func() error) error {
+	err := openHistories(t)
+	if err == nil && fence != nil {
+		err = fence()
+	}
+	if err != nil {
+		return errors.Join(err, t.releaseState())
+	}
+	if t.attachChaos != nil {
+		t.attachChaos()
+		t.attachChaos = nil
+	}
+	return nil
+}
+
+// openHistories opens every query's history before any bootstrap
+// executes. Opening recovers durable state, so a corrupt shard fails the
+// activation, not a request, and fails it before anything is appended
+// to the other shards.
+func openHistories(t *tenant) error {
 	if op, ok := t.sched.(historyOpener); ok {
-		for _, q := range qs {
+		for _, q := range t.queries {
 			if _, err := op.OpenHistory(q); err != nil {
 				return err
 			}
 		}
 	}
-	if bs, ok := t.sched.(bootstrapper); ok {
-		for _, q := range qs {
-			h := t.sched.History(q)
-			if h == nil {
-				continue
-			}
-			if need := t.bootstrap - h.Len(); need > 0 {
-				if err := bs.Bootstrap(q, need); err != nil {
-					return err
-				}
+	bs, ok := t.sched.(bootstrapper)
+	if !ok {
+		return nil
+	}
+	for _, q := range t.queries {
+		if h := t.sched.History(q); h != nil && h.Len() < t.bootstrap {
+			if err := bs.Bootstrap(q, t.bootstrap-h.Len()); err != nil {
+				return fmt.Errorf("bootstrap %v: %w", q, err)
 			}
 		}
 	}
@@ -1219,7 +1227,7 @@ func (s *Server) syncTenant(t *tenant) bool {
 		return true
 	}
 	healthy := true
-	for _, q := range sortedQueries(t) {
+	for _, q := range t.queries {
 		shard := q.String()
 		if rep.Streaming(shard) {
 			continue

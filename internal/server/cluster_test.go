@@ -1128,8 +1128,10 @@ func TestDrainWaitsForControlPlane(t *testing.T) {
 }
 
 // TestClusterNewFailureReleasesFiles: a New that fails after the
-// cluster state is built — on a tenant with an unknown topology — leaves
-// no file open, the routing table's included.
+// cluster state is built leaves no file open, the routing table's
+// included — on a tenant with an unknown topology, and on an owned
+// tenant whose activation fails on a corrupt Q13 header after Q12 is
+// open.
 func TestClusterNewFailureReleasesFiles(t *testing.T) {
 	openFiles := func() int {
 		fds, err := os.ReadDir("/proc/self/fd")
@@ -1138,24 +1140,42 @@ func TestClusterNewFailureReleasesFiles(t *testing.T) {
 		}
 		return len(fds)
 	}
-	cfg := Config{
-		Federations: []FederationSpec{{Name: "alpha", Topology: "no-such-topology"}},
-		Store:       StoreConfig{Dir: t.TempDir()},
-		Cluster:     &ClusterConfig{NodeID: "n0", Peers: []cluster.Member{{ID: "n0", Addr: "http://127.0.0.1:1"}}},
+	dir := t.TempDir()
+	q13 := filepath.Join(dir, "alpha", "Q13")
+	if err := os.MkdirAll(q13, 0o755); err != nil {
+		t.Fatal(err)
 	}
-	newFails := func() {
-		t.Helper()
-		if _, err := New(cfg); err == nil {
-			t.Fatal("New accepted an unknown topology")
-		}
+	if err := os.WriteFile(filepath.Join(q13, "snapshot.json"), []byte("{corrupt"), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	// Whatever the runtime opens once for good (its poller) is open
-	// before the count starts.
-	newFails()
-	before := openFiles()
-	newFails()
-	if after := openFiles(); after > before {
-		t.Fatalf("a failed New left %d more files open (%d -> %d)", after-before, before, after)
+	for _, tc := range []struct {
+		name string
+		spec FederationSpec
+	}{
+		{"unknown topology", FederationSpec{Name: "alpha", Topology: "no-such-topology"}},
+		{"corrupt Q13 header", FederationSpec{Name: "alpha", SF: 0.05, NodeChoices: []int{1, 2}, Bootstrap: 4, Queries: []string{"Q12", "Q13"}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{
+				Federations: []FederationSpec{tc.spec},
+				Store:       StoreConfig{Dir: dir},
+				Cluster:     &ClusterConfig{NodeID: "n0", Peers: []cluster.Member{{ID: "n0", Addr: "http://127.0.0.1:1"}}},
+			}
+			newFails := func() {
+				t.Helper()
+				if _, err := New(cfg); err == nil {
+					t.Fatal("New accepted the spec")
+				}
+			}
+			// Whatever the runtime opens once for good (its poller) is open
+			// before the count starts.
+			newFails()
+			before := openFiles()
+			newFails()
+			if after := openFiles(); after > before {
+				t.Fatalf("a failed New left %d more files open (%d -> %d)", after-before, before, after)
+			}
+		})
 	}
 }
 

@@ -14,8 +14,10 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
+	"maps"
 	"net/http"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/cluster"
@@ -81,7 +83,7 @@ func (cs *clusterState) replHealth(t *tenant) string {
 		return "off"
 	}
 	health := "streaming"
-	for _, q := range sortedQueries(t) {
+	for _, q := range t.queries {
 		shard := q.String()
 		if rep.Degraded(shard) {
 			return "degraded"
@@ -128,7 +130,7 @@ func (s *Server) handleClusterHealth(w http.ResponseWriter, r *http.Request) {
 // fenced independently.
 func (s *Server) autoFailover(dead cluster.Member) {
 	cs := s.cluster
-	for _, name := range sortedTenantNames(s.tenants) {
+	for _, name := range slices.Sorted(maps.Keys(s.tenants)) {
 		tab := cs.table.Load()
 		if standby, ok := tab.Standby(name); tab.Owner(name).ID != dead.ID || !ok || standby.ID != cs.self.ID {
 			continue
@@ -169,7 +171,7 @@ var errNotRemote = errors.New("tenant is not remote on this node")
 // With dead set the promotion is fenced on the routing epoch observed
 // before activation: if the table moved while shipped state was being
 // opened — another node promoted first and its exchange arrived, or the
-// owner turned out alive and moved the tenant — the promotion aborts
+// owner turned out alive and moved the tenant — the activation fails
 // and releases what it opened, rather than committing a second owner on
 // top of a table it no longer understands. Two nodes fencing on the
 // SAME observed epoch can still both commit (neither sees the other's
@@ -185,22 +187,23 @@ func (s *Server) promote(t *tenant, dead *cluster.Member) (uint64, error) {
 	}
 	t.activateMu.Lock()
 	defer t.activateMu.Unlock()
-	if err := s.activateTenant(t); err != nil {
+	var tab *cluster.Table
+	err := activateTenant(t, func() error {
+		// Opening shipped state takes real time, and the table may have
+		// moved underneath it.
+		tab = cs.table.Load()
+		if dead != nil && (tab.Epoch() != fence || tab.Owner(t.name).ID != dead.ID) {
+			return fmt.Errorf("routing table moved during activation (fence %d, epoch %d, owner %s)",
+				fence, tab.Epoch(), tab.Owner(t.name).ID)
+		}
+		return nil
+	})
+	if err != nil {
 		t.finishReceiving(tenantRemote)
 		if dead != nil {
 			s.log.Warn("auto-promotion failed", "federation", t.name, "error", err.Error())
 		}
 		return 0, err
-	}
-	// Re-check the fence after activation: opening shipped state takes
-	// real time, and the table may have moved underneath it.
-	tab := cs.table.Load()
-	if dead != nil && (tab.Epoch() != fence || tab.Owner(t.name).ID != dead.ID) {
-		s.releaseTenantState(t)
-		t.finishReceiving(tenantRemote)
-		s.log.Warn("auto-promotion fenced off", "federation", t.name,
-			"fence", fence, "epoch", tab.Epoch(), "owner", tab.Owner(t.name).ID)
-		return 0, errors.New("routing table moved during activation")
 	}
 	if dead != nil {
 		cs.autoTakeovers.Inc()
@@ -250,7 +253,7 @@ func (s *Server) rebalanceOnce() {
 	cs := s.cluster
 	cs.rebalancing.Store(true)
 	defer cs.rebalancing.Store(false)
-	for _, name := range sortedTenantNames(s.tenants) {
+	for _, name := range slices.Sorted(maps.Keys(s.tenants)) {
 		t := s.tenants[name]
 		tab := cs.table.Load()
 		ringOwner := tab.Ring().Owner(name)
@@ -283,16 +286,4 @@ func (s *Server) rebalanceOnce() {
 			}
 		}
 	}
-}
-
-// sortedTenantNames fixes iteration order wherever tenants are walked
-// for side effects, so promotions and rebalances happen in a
-// deterministic sequence.
-func sortedTenantNames(tenants map[string]*tenant) []string {
-	names := make([]string, 0, len(tenants))
-	for name := range tenants {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -63,9 +63,10 @@ type FederationSpec struct {
 	// four studied queries).
 	Queries []string `json:"queries,omitempty"`
 	// Chaos names a fault-injection profile ("none", "outages",
-	// "stragglers", "price-spikes", "autoscale", "mixed") applied to the
-	// tenant's cloud after boot: bootstrap trains on the well-behaved
-	// cloud, serving weathers the faults. Empty means none.
+	// "stragglers", "price-spikes", "autoscale", "mixed") attached to the
+	// tenant's cloud after its first activation, wherever that runs (boot,
+	// handoff, takeover): bootstrap trains on the well-behaved cloud,
+	// serving weathers the faults. Empty means none.
 	Chaos string `json:"chaos,omitempty"`
 	// ChaosSeed seeds the fault schedule (default: Seed), so a chaosed
 	// deployment is as replayable as a clean one.
@@ -133,20 +134,17 @@ type calibrations map[int64]*federation.Calibration
 
 // buildTenant assembles the spec's scheduler: topology, calibration,
 // scaled executor, DREAM model, and — with a store configured — the
-// tenant's durable history root. Every served query is then opened
-// (recovering whatever the store holds) and bootstrapped only up to
-// the shortfall: a warm-started tenant whose recovered history already
-// meets the bootstrap target executes nothing before serving.
-//
-// cold builds the tenant without opening or bootstrapping histories —
-// the shape of a cluster node that does not own the federation. The
-// scheduler assembly itself is deterministic (same spec, same seed →
-// same topology, calibration and models on every node), so a cold
-// tenant activated later by a handoff or takeover decides exactly as a
-// warm-built one would. mirror, when non-nil, receives every WAL
-// append of the tenant's store (cluster replication). calibs, when
-// non-nil, is consulted before calibrating and remembers the result.
-func buildTenant(spec FederationSpec, storeCfg StoreConfig, reg *metrics.Registry, cold bool, mirror histstore.Mirror, calibs calibrations) (*tenant, error) {
+// tenant's durable history root. It opens no history: the tenant comes
+// back cold and remote, and only activateTenant opens it — at boot on
+// the node that owns it, later on a handoff's target or a promoted
+// standby. The assembly is deterministic (same spec, same seed → same
+// topology, calibration and models on every node), and every activation
+// opens and bootstraps the same way, so a tenant activated by a handoff
+// or takeover decides exactly as one activated at boot would. mirror,
+// when non-nil, receives every WAL append of the tenant's store (cluster
+// replication). calibs, when non-nil, is consulted before calibrating
+// and remembers the result.
+func buildTenant(spec FederationSpec, storeCfg StoreConfig, reg *metrics.Registry, mirror histstore.Mirror, calibs calibrations) (*tenant, error) {
 	sp := spec.withDefaults()
 	if sp.Name == "" {
 		return nil, fmt.Errorf("server: federation spec without a name")
@@ -210,46 +208,21 @@ func buildTenant(spec FederationSpec, storeCfg StoreConfig, reg *metrics.Registr
 		}
 		schedCfg.Store = store
 	}
-	// From here on a failed build must release the store's WAL handles.
-	fail := func(err error) (*tenant, error) {
-		if store != nil {
-			store.Close()
-		}
-		return nil, err
-	}
 	sched, err := ires.NewSchedulerWithConfig(fed, exec, model, schedCfg)
 	if err != nil {
-		return fail(fmt.Errorf("server: federation %q: %w", sp.Name, err))
+		// The store has opened no shard, so it holds no file to release.
+		return nil, fmt.Errorf("server: federation %q: %w", sp.Name, err)
 	}
-	if !cold {
-		for _, q := range queries {
-			// Opening here recovers durable state, so corruption fails
-			// the boot (not a request), and a warm start only
-			// bootstraps the shortfall below the target.
-			h, err := sched.OpenHistory(q)
-			if err != nil {
-				return fail(fmt.Errorf("server: federation %q: %w", sp.Name, err))
-			}
-			if need := sp.Bootstrap - h.Len(); need > 0 {
-				if err := sched.Bootstrap(q, need); err != nil {
-					return fail(fmt.Errorf("server: federation %q: bootstrap %v: %w", sp.Name, q, err))
-				}
-			}
-		}
-	}
-	// Chaos attaches only after bootstrap so the model trains on the
-	// well-behaved cloud and the faults land on serving, where they are
-	// measured. The schedule is seeded, so a chaosed tenant replays.
+	t := newTenant(sp.Name, sched, queries, true)
+	t.store = store
+	t.bootstrap = sp.Bootstrap
 	if chaosProfile.Enabled() {
 		chaosSeed := sp.ChaosSeed
 		if chaosSeed == 0 {
 			chaosSeed = sp.Seed
 		}
-		scenario.AttachChaos(fed, chaosProfile, chaosSeed)
+		t.attachChaos = func() { scenario.AttachChaos(fed, chaosProfile, chaosSeed) }
 	}
-	t := newTenant(sp.Name, sched, queries, cold)
-	t.store = store
-	t.bootstrap = sp.Bootstrap
 	return t, nil
 }
 

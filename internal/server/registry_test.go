@@ -81,13 +81,13 @@ func TestSpecDefaults(t *testing.T) {
 }
 
 func TestSpecValidation(t *testing.T) {
-	if _, err := buildTenant(FederationSpec{}, StoreConfig{}, nil, false, nil, nil); err == nil {
+	if _, err := buildTenant(FederationSpec{}, StoreConfig{}, nil, nil, nil); err == nil {
 		t.Fatal("nameless spec should error")
 	}
-	if _, err := buildTenant(FederationSpec{Name: "x", Topology: "mars"}, StoreConfig{}, nil, false, nil, nil); err == nil {
+	if _, err := buildTenant(FederationSpec{Name: "x", Topology: "mars"}, StoreConfig{}, nil, nil, nil); err == nil {
 		t.Fatal("unknown topology should error")
 	}
-	if _, err := buildTenant(FederationSpec{Name: "x", Queries: []string{"Q1"}}, StoreConfig{}, nil, false, nil, nil); err == nil {
+	if _, err := buildTenant(FederationSpec{Name: "x", Queries: []string{"Q1"}}, StoreConfig{}, nil, nil, nil); err == nil {
 		t.Fatal("unstudied query should error")
 	}
 	if _, err := New(Config{}); err == nil {
@@ -143,8 +143,11 @@ func TestCalibrationMemoDecidesIdentically(t *testing.T) {
 	run := func(calibs calibrations) string {
 		var out strings.Builder
 		for _, sp := range specs {
-			tn, err := buildTenant(sp, StoreConfig{}, nil, false, nil, calibs)
+			tn, err := buildTenant(sp, StoreConfig{}, nil, nil, calibs)
 			if err != nil {
+				t.Fatal(err)
+			}
+			if err := activateTenant(tn, nil); err != nil {
 				t.Fatal(err)
 			}
 			for i := 0; i < 5; i++ {

@@ -450,7 +450,7 @@ func (t *tenant) appendReplica(kind byte, query []byte, from uint64, frames []by
 
 // servedQuery resolves a query name off the wire without allocating.
 func (t *tenant) servedQuery(name []byte) (tpch.QueryID, bool) {
-	for q := range t.queries {
+	for _, q := range t.queries {
 		if q.String() == string(name) {
 			return q, true
 		}

@@ -56,6 +56,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -218,9 +219,9 @@ func New(cfg Config) (*Server, error) {
 		seen[name] = true
 	}
 	// The cluster state recovers the persisted routing table (if any)
-	// here, before tenants are built — the owned/cold decisions below
-	// must reflect the placements this node last committed, not the
-	// ring's defaults.
+	// here, before tenants are built — which tenants activate below must
+	// reflect the placements this node last committed, not the ring's
+	// defaults.
 	cs, err := newClusterState(cfg.Cluster, cfg.Store.Dir)
 	if err != nil {
 		return nil, err
@@ -235,26 +236,26 @@ func New(cfg Config) (*Server, error) {
 	}
 	calibs := make(calibrations)
 	for i := range cfg.Federations {
-		// In cluster mode every node builds every tenant — the
-		// scheduler assembly is deterministic, so activation after a
-		// handoff or takeover only has to open histories — but only
-		// the ring owner's tenants open and bootstrap theirs now.
-		owned := cs == nil || cs.owns(cfg.Federations[i].Name)
 		var mirror histstore.Mirror
 		if cs != nil {
 			mirror = cs.newStream(cfg.Federations[i].Name)
 		}
-		t, err := buildTenant(cfg.Federations[i], cfg.Store, cfg.Metrics, !owned, mirror, calibs)
+		t, err := buildTenant(cfg.Federations[i], cfg.Store, cfg.Metrics, mirror, calibs)
 		if err != nil {
 			closeBuilt()
 			return nil, err
 		}
-		if _, dup := tenants[t.name]; dup {
-			_ = t.closeStore()
-			closeBuilt()
-			return nil, fmt.Errorf("server: duplicate federation name %q", t.name)
-		}
 		tenants[t.name] = t
+		// In cluster mode every node builds every tenant, but opens only
+		// the ones it owns, through the activation a handoff or takeover
+		// runs for the others later.
+		if cs == nil || cs.owns(t.name) {
+			if err := activateTenant(t, nil); err != nil {
+				closeBuilt()
+				return nil, fmt.Errorf("server: federation %q: %w", t.name, err)
+			}
+			t.finishReceiving(tenantActive)
+		}
 	}
 	return newServer(cfg, tenants, cs), nil
 }
@@ -406,7 +407,7 @@ func (s *Server) registerMetrics() {
 		// label resolution allocates, so the hot path reads this map
 		// (immutable once serving starts) instead of calling With.
 		t.latency = make(map[tpch.QueryID]*metrics.Histogram, len(t.queries))
-		for q := range t.queries {
+		for _, q := range t.queries {
 			t.latency[q] = s.reqSeconds.With(t.name, q.String())
 		}
 	}
@@ -799,7 +800,7 @@ func (s *Server) serveSubmit(ctx context.Context, sc *serveScratch, body []byte,
 	if err != nil {
 		return writeErrorBuf(resp, http.StatusBadRequest, "%v", err)
 	}
-	if !t.queries[q] {
+	if !slices.Contains(t.queries, q) {
 		return writeErrorBuf(resp, http.StatusBadRequest, "federation %q does not serve %v", t.name, q)
 	}
 	if s.cluster != nil {
@@ -966,7 +967,7 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if !t.queries[q] {
+	if !slices.Contains(t.queries, q) {
 		writeError(w, http.StatusBadRequest, "federation %q does not serve %v", t.name, q)
 		return
 	}
