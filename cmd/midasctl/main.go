@@ -223,11 +223,11 @@ func runQuery(w io.Writer, seed int64, sf float64, q tpch.QueryID) error {
 		return err
 	}
 	exec := federation.NewFullExecutor(fed, db)
-	model, err := ires.NewDREAMModel(core.Config{MMax: 3 * (federation.FeatureDim + 2)})
+	model, err := ires.NewDREAMModel(core.Config{MMax: ires.MMax})
 	if err != nil {
 		return err
 	}
-	sched, err := ires.NewScheduler(fed, exec, model, []int{1, 2, 4}, seed)
+	sched, err := ires.NewSchedulerWithConfig(fed, exec, model, ires.SchedulerConfig{NodeChoices: []int{1, 2, 4}, Seed: seed})
 	if err != nil {
 		return err
 	}

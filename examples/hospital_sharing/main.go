@@ -22,7 +22,6 @@ import (
 	"os"
 	"slices"
 
-	"repro/internal/core"
 	"repro/internal/federation"
 	"repro/internal/ires"
 	"repro/internal/tpch"
@@ -57,20 +56,11 @@ func run(w io.Writer) error {
 
 	// Calibrate engine statistics once, then run the shared dataset at
 	// ≈100 MiB scale.
-	cal, err := federation.Calibrate(fed, 0.004, seed)
+	cal, err := federation.Calibrate(fed, federation.CalibrationSF, seed)
 	if err != nil {
 		return err
 	}
-	exec, err := federation.NewScaledExecutor(fed, cal, 0.1)
-	if err != nil {
-		return err
-	}
-
-	model, err := ires.NewDREAMModel(core.Config{MMax: 3 * (federation.FeatureDim + 2)})
-	if err != nil {
-		return err
-	}
-	sched, err := ires.NewScheduler(fed, exec, model, []int{1, 2, 4, 8}, seed)
+	sched, err := ires.NewDREAMScheduler(fed, cal, 0.1, ires.SchedulerConfig{NodeChoices: []int{1, 2, 4, 8}, Seed: seed})
 	if err != nil {
 		return err
 	}

@@ -21,7 +21,6 @@ import (
 	"os"
 	"sort"
 
-	"repro/internal/core"
 	"repro/internal/federation"
 	"repro/internal/ires"
 	"repro/internal/moo"
@@ -66,19 +65,11 @@ func run(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	cal, err := federation.Calibrate(fed, 0.004, seed)
+	cal, err := federation.Calibrate(fed, federation.CalibrationSF, seed)
 	if err != nil {
 		return err
 	}
-	exec, err := federation.NewScaledExecutor(fed, cal, 0.1)
-	if err != nil {
-		return err
-	}
-	model, err := ires.NewDREAMModel(core.Config{MMax: 3 * (federation.FeatureDim + 2)})
-	if err != nil {
-		return err
-	}
-	sched, err := ires.NewScheduler(fed, exec, model, []int{1, 2, 4, 8, 16}, seed)
+	sched, err := ires.NewDREAMScheduler(fed, cal, 0.1, ires.SchedulerConfig{NodeChoices: []int{1, 2, 4, 8, 16}, Seed: seed})
 	if err != nil {
 		return err
 	}

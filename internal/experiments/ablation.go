@@ -89,7 +89,6 @@ func AblationWindowGrowth(opts AblationOptions) (*Table, error) {
 		Title:  "Ablation: DREAM window growth policy (Q12, 100 MiB).",
 		Header: []string{"Growth", "Time MRE", "Mean window", "Mean refits"},
 	}
-	mmax := 3 * (federation.FeatureDim + 2)
 	for _, tc := range []struct {
 		name   string
 		growth core.GrowthPolicy
@@ -97,7 +96,7 @@ func AblationWindowGrowth(opts AblationOptions) (*Table, error) {
 		{"grow-by-one (paper)", core.GrowByOne},
 		{"doubling", core.Doubling},
 	} {
-		mre, win, refits, err := runDREAMVariant(core.Config{Growth: tc.growth, MMax: mmax}, opts, tpch.QueryQ12, nil)
+		mre, win, refits, err := runDREAMVariant(core.Config{Growth: tc.growth, MMax: ires.MMax}, opts, tpch.QueryQ12, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -117,9 +116,8 @@ func AblationR2Threshold(opts AblationOptions) (*Table, error) {
 		Title:  "Ablation: DREAM R²require threshold (Q12, 100 MiB).",
 		Header: []string{"R²require", "Time MRE", "Mean window"},
 	}
-	mmax := 3 * (federation.FeatureDim + 2)
 	for _, r2 := range []float64{0.6, 0.7, 0.8, 0.9, 0.95} {
-		mre, win, _, err := runDREAMVariant(core.Config{RequiredR2: r2, MMax: mmax}, opts, tpch.QueryQ12, nil)
+		mre, win, _, err := runDREAMVariant(core.Config{RequiredR2: r2, MMax: ires.MMax}, opts, tpch.QueryQ12, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -167,16 +165,15 @@ func AblationRecency(opts AblationOptions) (*Table, error) {
 		Title:  "Ablation: DREAM window selection (Q12, 100 MiB).",
 		Header: []string{"Window policy", "Time MRE"},
 	}
-	mmax := 3 * (federation.FeatureDim + 2)
 	for _, tc := range []struct {
 		name string
 		cfg  core.Config
 		wrap func(*ires.DREAMModel, int64) ires.CostModel
 	}{
-		{"most recent (paper)", core.Config{MMax: mmax}, nil},
+		{"most recent (paper)", core.Config{MMax: ires.MMax}, nil},
 		// Every call builds a fresh shuffled history, so a fit cached
 		// under its identity could never be hit.
-		{"uniform sample", core.Config{MMax: mmax, CacheSize: -1}, func(d *ires.DREAMModel, seed int64) ires.CostModel {
+		{"uniform sample", core.Config{MMax: ires.MMax, CacheSize: -1}, func(d *ires.DREAMModel, seed int64) ires.CostModel {
 			return shuffledHistoryModel{dream: d, seed: seed}
 		}},
 	} {
@@ -202,7 +199,7 @@ func AblationComposite(opts AblationOptions) (*Table, error) {
 			"composite predicts each operator separately and reassembles time = max(preps) + ship + final",
 		},
 	}
-	cfg := core.Config{MMax: 3 * (federation.FeatureDim + 2)}
+	cfg := core.Config{MMax: ires.MMax}
 	sums := map[string]float64{}
 	for rep := 0; rep < opts.Reps; rep++ {
 		seed := opts.Seed + int64(rep)*601
@@ -247,7 +244,7 @@ func AblationOptimizer(opts AblationOptions) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	cal, err := federation.Calibrate(fed, 0.004, opts.Seed)
+	cal, err := federation.Calibrate(fed, federation.CalibrationSF, opts.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -257,11 +254,12 @@ func AblationOptimizer(opts AblationOptions) (*Table, error) {
 	}
 	// CacheSize -1: the wall-time contrast below is about estimation
 	// cost, so each path must pay its own window searches.
-	dream, err := ires.NewDREAMModel(core.Config{MMax: 3 * (federation.FeatureDim + 2), CacheSize: -1})
+	dream, err := ires.NewDREAMModel(core.Config{MMax: ires.MMax, CacheSize: -1})
 	if err != nil {
 		return nil, err
 	}
-	sched, err := ires.NewScheduler(fed, exec, dream, []int{1, 2, 4, 8, 16}, opts.Seed)
+	choices := []int{1, 2, 4, 8, 16}
+	sched, err := ires.NewSchedulerWithConfig(fed, exec, dream, ires.SchedulerConfig{NodeChoices: choices, Seed: opts.Seed})
 	if err != nil {
 		return nil, err
 	}
@@ -293,7 +291,7 @@ func AblationOptimizer(opts AblationOptions) (*Table, error) {
 	// The exhaustive baseline: enumerate, estimate every plan, reduce to
 	// the Pareto set.
 	start = time.Now()
-	plans, err := fed.EnumeratePlans(tpch.QueryQ12, sched.NodeChoices)
+	plans, err := fed.EnumeratePlans(tpch.QueryQ12, choices)
 	if err != nil {
 		return nil, err
 	}

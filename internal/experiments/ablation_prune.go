@@ -6,7 +6,6 @@ import (
 	"math"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/federation"
 	"repro/internal/ires"
 	"repro/internal/tpch"
@@ -49,19 +48,11 @@ func pruneStack(seed int64, maxNodes int, prune ires.PrunePolicy) (*ires.Schedul
 	if err != nil {
 		return nil, err
 	}
-	cal, err := federation.Calibrate(fed, 0.004, seed)
+	cal, err := federation.Calibrate(fed, federation.CalibrationSF, seed)
 	if err != nil {
 		return nil, err
 	}
-	exec, err := federation.NewScaledExecutor(fed, cal, 0.05)
-	if err != nil {
-		return nil, err
-	}
-	model, err := ires.NewDREAMModel(core.Config{MMax: 3 * (federation.FeatureDim + 2)})
-	if err != nil {
-		return nil, err
-	}
-	return ires.NewSchedulerWithConfig(fed, exec, model, ires.SchedulerConfig{
+	return ires.NewDREAMScheduler(fed, cal, 0.05, ires.SchedulerConfig{
 		NodeChoices: federation.NodeRange(maxNodes),
 		Seed:        seed,
 		Prune:       prune,

@@ -76,14 +76,13 @@ func RunExample31(opts Example31Options) (*Example31Result, *Table, error) {
 		features = append(features, x)
 	}
 
-	mmax := 3 * (federation.FeatureDim + 2)
 	// CacheSize -1: this study measures Algorithm 1's per-plan cost, so
 	// every estimate must pay its own window search.
-	dream, err := ires.NewDREAMModel(core.Config{MMax: mmax, CacheSize: -1})
+	dream, err := ires.NewDREAMModel(core.Config{MMax: ires.MMax, CacheSize: -1})
 	if err != nil {
 		return nil, nil, err
 	}
-	dreamCached, err := ires.NewDREAMModel(core.Config{MMax: mmax})
+	dreamCached, err := ires.NewDREAMModel(core.Config{MMax: ires.MMax})
 	if err != nil {
 		return nil, nil, err
 	}

@@ -2,9 +2,9 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/federation"
 	"repro/internal/ires"
 	"repro/internal/moo"
@@ -45,19 +45,11 @@ func RunFig3(opts Fig3Options) (*Fig3Result, *Table, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	cal, err := federation.Calibrate(fed, 0.004, opts.Seed)
+	cal, err := federation.Calibrate(fed, federation.CalibrationSF, opts.Seed)
 	if err != nil {
 		return nil, nil, err
 	}
-	exec, err := federation.NewScaledExecutor(fed, cal, 0.1)
-	if err != nil {
-		return nil, nil, err
-	}
-	dream, err := ires.NewDREAMModel(core.Config{MMax: 3 * (federation.FeatureDim + 2)})
-	if err != nil {
-		return nil, nil, err
-	}
-	sched, err := ires.NewScheduler(fed, exec, dream, []int{1, 2, 4, 8, 16}, opts.Seed)
+	sched, err := ires.NewDREAMScheduler(fed, cal, 0.1, ires.SchedulerConfig{NodeChoices: []int{1, 2, 4, 8, 16}, Seed: opts.Seed})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -92,11 +84,11 @@ func RunFig3(opts Fig3Options) (*Fig3Result, *Table, error) {
 
 		// Score both picks with the same model estimates to compare
 		// decision quality.
-		gaScore, err := planScore(sched, gaPlan, pol)
+		gaScore, err := moo.WeightedSum(ga.Costs[slices.Index(ga.Plans, gaPlan)], pol.Weights)
 		if err != nil {
 			return nil, nil, err
 		}
-		wsmScore, err := planScore(sched, wsm.Plan, pol)
+		wsmScore, err := moo.WeightedSum(wsm.Costs, pol.Weights)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -131,18 +123,4 @@ func RunFig3(opts Fig3Options) (*Fig3Result, *Table, error) {
 		},
 	}
 	return res, t, nil
-}
-
-// planScore estimates a plan with the scheduler's model and scalarizes
-// it under the policy.
-func planScore(s *ires.Scheduler, p federation.Plan, pol ires.Policy) (float64, error) {
-	x, err := s.Exec.Features(p)
-	if err != nil {
-		return 0, err
-	}
-	c, err := s.Model.EstimateSnapshot(s.History(p.Query).Snapshot(), x)
-	if err != nil {
-		return 0, err
-	}
-	return moo.WeightedSum(c, pol.Weights)
 }

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/cloud"
-	"repro/internal/core"
 	"repro/internal/federation"
 	"repro/internal/ires"
 	"repro/internal/scenario"
@@ -93,19 +92,11 @@ func scenarioStack(spec scenario.Spec, queries []string) (*ires.Scheduler, *fede
 	if err != nil {
 		return nil, nil, err
 	}
-	cal, err := federation.Calibrate(fed, 0.004, spec.Seed)
+	cal, err := federation.Calibrate(fed, federation.CalibrationSF, spec.Seed)
 	if err != nil {
 		return nil, nil, err
 	}
-	exec, err := federation.NewScaledExecutor(fed, cal, 0.1)
-	if err != nil {
-		return nil, nil, err
-	}
-	model, err := ires.NewDREAMModel(core.Config{MMax: 3 * (federation.FeatureDim + 2)})
-	if err != nil {
-		return nil, nil, err
-	}
-	sched, err := ires.NewScheduler(fed, exec, model, []int{1, 2, 4}, spec.Seed)
+	sched, err := ires.NewDREAMScheduler(fed, cal, 0.1, ires.SchedulerConfig{NodeChoices: []int{1, 2, 4}, Seed: spec.Seed})
 	if err != nil {
 		return nil, nil, err
 	}

@@ -3,8 +3,8 @@ package federation
 import "testing"
 
 // BenchmarkCalibrate is one tenant build's dominant cost: generate the
-// SF 0.004 database every midasd tenant calibrates on (internal/server's
-// calibSF), convert its tables and run the four studied queries once.
+// CalibrationSF database every midasd tenant calibrates on, convert its
+// tables and run the four studied queries once.
 // `make bench-boot` runs it at -cpu 1,2; `make profile-boot` profiles it.
 func BenchmarkCalibrate(b *testing.B) {
 	fed, err := DefaultTopology(1)
@@ -13,7 +13,7 @@ func BenchmarkCalibrate(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for b.Loop() {
-		if _, err := Calibrate(fed, 0.004, 42); err != nil {
+		if _, err := Calibrate(fed, CalibrationSF, 42); err != nil {
 			b.Fatal(err)
 		}
 	}

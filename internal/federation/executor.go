@@ -147,6 +147,10 @@ type Calibration struct {
 	tblByte map[string]float64      // table bytes per unit SF
 }
 
+// CalibrationSF is the scale of the TPC-H database every scheduler stack
+// calibrates on (TestCalibrationGolden pins Calibrate's output at it).
+const CalibrationSF = 0.004
+
 // Calibrate runs every studied query once over a calibration database
 // and normalizes the measured statistics per unit of scale factor.
 func Calibrate(fed *Federation, calibSF float64, seed int64) (*Calibration, error) {

@@ -36,7 +36,7 @@ func TestSchedulerSurvivesTransientFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cal, err := federation.Calibrate(fed, 0.004, 51)
+	cal, err := federation.Calibrate(fed, federation.CalibrationSF, 51)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestSchedulerSurvivesTransientFailures(t *testing.T) {
 		t.Fatal(err)
 	}
 	flaky := &flakyExecutor{Executor: inner}
-	s, err := NewScheduler(fed, flaky, dreamModel(t), []int{1, 2, 4}, 51)
+	s, err := NewSchedulerWithConfig(fed, flaky, dreamModel(t), SchedulerConfig{NodeChoices: []int{1, 2, 4}, Seed: 51})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@ import (
 // the given model-cache size (0 = default, negative disables).
 func stackModel(t *testing.T, cacheSize int) *DREAMModel {
 	t.Helper()
-	model, err := NewDREAMModel(core.Config{MMax: 3 * (federation.FeatureDim + 2), CacheSize: cacheSize})
+	model, err := NewDREAMModel(core.Config{MMax: MMax, CacheSize: cacheSize})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func wideStack(t *testing.T, seed int64, maxNodes int, model CostModel, cfg Sche
 // executor.
 func stackOn(t *testing.T, fed *federation.Federation, seed int64, model CostModel, cfg SchedulerConfig) *Scheduler {
 	t.Helper()
-	cal, err := federation.Calibrate(fed, 0.004, seed)
+	cal, err := federation.Calibrate(fed, federation.CalibrationSF, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestSubmitContextCancelled(t *testing.T) {
 
 	// Example 3.1's lattice, 96 chunks: the model cancels the request
 	// while it scores the third one.
-	dream, err := NewDREAMModel(core.Config{MMax: 3 * (federation.FeatureDim + 2)})
+	dream, err := NewDREAMModel(core.Config{MMax: MMax})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestEstimateLoopStopsAtFirstFailure(t *testing.T) {
 
 	const failAt = sweepChunk + 44 // 0-based plan index
 	model := &scriptedModel{failFrom: failAt + 1}
-	s.Model = model
+	s.model = model
 	_, err = s.PlanSweep(context.Background(), tpch.QueryQ12)
 	if err == nil || !strings.Contains(err.Error(), plans[failAt].String()) {
 		t.Fatalf("err = %v, want a failure naming plan %d (%v)", err, failAt, plans[failAt])
@@ -300,9 +300,9 @@ func TestEstimateLoopStopsAtFirstFailure(t *testing.T) {
 
 	// A feature failure further on does not mask the model's earlier one.
 	model = &scriptedModel{failFrom: failAt + 1}
-	s.Model = model
-	exec := s.Exec
-	s.Exec = failingFeatures{Executor: exec, failAt: plans[failAt+9]}
+	s.model = model
+	exec := s.exec
+	s.exec = failingFeatures{Executor: exec, failAt: plans[failAt+9]}
 	_, err = s.PlanSweep(context.Background(), tpch.QueryQ12)
 	if err == nil || !strings.Contains(err.Error(), "estimating "+plans[failAt].String()) || model.calls != failAt+1 {
 		t.Fatalf("err = %v after %d calls, want the model failure at plan %d", err, model.calls, failAt)
@@ -310,12 +310,12 @@ func TestEstimateLoopStopsAtFirstFailure(t *testing.T) {
 	// On its own it is reported for its plan, and the model sees exactly
 	// the plans before it.
 	model = &scriptedModel{}
-	s.Model = model
+	s.model = model
 	_, err = s.PlanSweep(context.Background(), tpch.QueryQ12)
 	if err == nil || !strings.Contains(err.Error(), "features of "+plans[failAt+9].String()) || model.calls != failAt+9 {
 		t.Fatalf("err = %v after %d calls, want the feature failure at plan %d", err, model.calls, failAt+9)
 	}
-	s.Exec = exec
+	s.exec = exec
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -324,7 +324,7 @@ func TestEstimateLoopStopsAtFirstFailure(t *testing.T) {
 			cancel()
 		}
 	}}
-	s.Model = model
+	s.model = model
 	if _, err := s.PlanSweep(ctx, tpch.QueryQ12); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -368,15 +368,15 @@ func TestSweepRefusesCostlessModel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.Model = tc.model
+		s.model = tc.model
 		want := "model returned no costs for " + plans[0].String()
 		for name, run := range map[string]func() error{
 			"PlanSweep":   func() error { _, err := s.PlanSweep(context.Background(), tpch.QueryQ12); return err },
 			"Submit":      func() error { _, err := s.Submit(tpch.QueryQ12, Policy{}); return err },
 			"OptimizeWSM": func() error { _, err := s.OptimizeWSM(tpch.QueryQ12, Policy{}); return err },
 			"GreedyPrune": func() error {
-				s.Prune = GreedyPrune(64)
-				defer func() { s.Prune = nil }()
+				s.prune = GreedyPrune(64)
+				defer func() { s.prune = nil }()
 				_, err := s.PlanSweep(context.Background(), tpch.QueryQ12)
 				return err
 			},
@@ -434,7 +434,7 @@ func TestSweepFailureNamesPlan(t *testing.T) {
 				t.Fatal(err)
 			}
 			if tc.sizeFails {
-				s.Exec = failingSizer{s.Exec}
+				s.exec = failingSizer{s.exec}
 			}
 			if got := s.sweeper(tpch.QueryQ12, s.History(tpch.QueryQ12), nil, new(sweepBuf)).linear != nil; got != linear {
 				t.Fatalf("%s: linear route %v, want %v", tc.name, got, linear)
@@ -456,7 +456,7 @@ func TestSweepFailureNamesPlan(t *testing.T) {
 
 	// A walk that fails mid-sweep names its failing chunk's first plan in
 	// lattice order: at 2,048 plans chunk 3 starts at left row 8, side 0.
-	dream, err := NewDREAMModel(core.Config{MMax: 3 * (federation.FeatureDim + 2)})
+	dream, err := NewDREAMModel(core.Config{MMax: MMax})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -514,10 +514,10 @@ func TestSweepCountsLookupsPerPlan(t *testing.T) {
 
 // recordExecution executes p and appends the measurement to q's
 // history — the six-metric breakdown when breakdown is set, which
-// Scheduler.Record cannot write — and returns what it appended.
+// the scheduler's record cannot write — and returns what it appended.
 func recordExecution(t *testing.T, s *Scheduler, q tpch.QueryID, p federation.Plan, breakdown bool) (core.Observation, *federation.Outcome) {
 	t.Helper()
-	out, err := s.Exec.Execute(p)
+	out, err := s.exec.Execute(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -565,7 +565,7 @@ func (m *versionModel) EstimateSnapshot(s *core.Snapshot, x []float64) ([]float6
 // even when an observation is appended after the first plan.
 func TestSweepScoresOneSnapshot(t *testing.T) {
 	const q = tpch.QueryQ12
-	cfg := core.Config{MMax: 3 * (federation.FeatureDim + 2)}
+	cfg := core.Config{MMax: MMax}
 	for _, tc := range []struct {
 		name      string
 		breakdown bool
@@ -695,7 +695,7 @@ func TestBatchedSweepMatchesPerPlan(t *testing.T) {
 	const maxNodes = 12 // 288 plans
 	const q = tpch.QueryQ12
 	dreamCfg := func(cacheSize int) core.Config {
-		return core.Config{MMax: 3 * (federation.FeatureDim + 2), CacheSize: cacheSize}
+		return core.Config{MMax: MMax, CacheSize: cacheSize}
 	}
 	models := []struct {
 		name              string
@@ -740,7 +740,7 @@ func TestBatchedSweepMatchesPerPlan(t *testing.T) {
 					}
 					s := wideStack(t, 21, maxNodes, model, cfg)
 					if i == 1 {
-						s.Exec, s.Model = perPlanExecutor{s.Exec}, perPlanModel{s.Model}
+						s.exec, s.model = perPlanExecutor{s.exec}, perPlanModel{s.model}
 					}
 					if !m.breakdown {
 						if err := s.Bootstrap(q, 24); err != nil {
@@ -794,21 +794,21 @@ func TestBatchedSweepMatchesPerPlan(t *testing.T) {
 				}
 				// Figure 3's optimizers share the loop: the weighted sum
 				// scores the lattice in chunks, the GA in batches of one.
-				var wsm [2]*WSMResult
-				var ga [2]string
+				var wsm, ga [2]string
 				for i, s := range stacks {
-					var err error
-					if wsm[i], err = s.OptimizeWSM(q, Policy{Weights: []float64{2, 1}}); err != nil {
+					w, err := s.OptimizeWSM(q, Policy{Weights: []float64{2, 1}})
+					if err != nil {
 						t.Fatal(err)
 					}
+					wsm[i] = fmt.Sprintf("%+v", *w)
 					res, err := s.OptimizeGA(q, moo.NSGAIIConfig{PopSize: 24, Generations: 10, Seed: 3})
 					if err != nil {
 						t.Fatal(err)
 					}
 					ga[i] = fmt.Sprintf("%+v %v %d", res.Plans, res.Costs, res.ModelEvaluations)
 				}
-				if *wsm[0] != *wsm[1] || ga[0] != ga[1] {
-					t.Fatalf("optimizers diverge:\nbatched:  %+v %s\nper plan: %+v %s", *wsm[0], ga[0], *wsm[1], ga[1])
+				if wsm[0] != wsm[1] || ga[0] != ga[1] {
+					t.Fatalf("optimizers diverge:\nbatched:  %s %s\nper plan: %s %s", wsm[0], ga[0], wsm[1], ga[1])
 				}
 			})
 		}
@@ -819,7 +819,7 @@ func TestBatchedSweepMatchesPerPlan(t *testing.T) {
 // scheduler with default node choices.
 func TestSchedulerWithConfigDefaults(t *testing.T) {
 	s := buildStack(t, 3, SchedulerConfig{})
-	if len(s.NodeChoices) == 0 {
+	if len(s.nodeChoices) == 0 {
 		t.Fatal("default node choices not applied")
 	}
 	if err := s.Bootstrap(tpch.QueryQ14, 20); err != nil {

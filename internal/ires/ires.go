@@ -33,7 +33,7 @@ var ErrNoHistory = errors.New("ires: no history for query")
 // of a plan with feature vector x from the history snapshot s. The
 // scheduler takes one snapshot per round and scores every plan of the
 // round against it, so observations appended concurrently (by other
-// rounds or by Record) cannot split one Pareto comparison across
+// rounds or by Bootstrap) cannot split one Pareto comparison across
 // history versions.
 //
 // EstimateSnapshot must be safe for concurrent use: one round scores its
@@ -231,24 +231,19 @@ type HistoryStore interface {
 	Sync() error
 }
 
-// Scheduler is the MIDAS/IReS pipeline instance.
+// Scheduler is the MIDAS/IReS pipeline instance. Everything it is
+// built from is fixed by its constructor.
 type Scheduler struct {
-	Fed   *federation.Federation
-	Exec  federation.Executor
-	Model CostModel
-	// NodeChoices is the cluster-size menu used when enumerating QEPs.
-	NodeChoices []int
-	// Store, when non-nil, owns every query history: OpenHistory
-	// recovers prior observations and persists new ones. Set it before
-	// the first query is touched (histories already created in memory
-	// are not migrated). Nil keeps the paper's in-memory behavior.
-	Store HistoryStore
-	// Prune selects which QEPs of the lattice PlanSweep estimates
-	// (see PrunePolicy). Nil means FullSweep(): every plan, in lattice
-	// order — the paper's behavior. The bundled policies are
-	// deterministic, so the byte-identical-decisions guarantee holds
-	// for pruned sweeps too.
-	Prune PrunePolicy
+	fed   *federation.Federation
+	exec  federation.Executor
+	model CostModel
+	// nodeChoices is the cluster-size menu used when enumerating QEPs.
+	nodeChoices []int
+	// store, when non-nil, owns every query history (SchedulerConfig.Store).
+	store HistoryStore
+	// prune selects which QEPs of the lattice PlanSweep estimates
+	// (SchedulerConfig.Prune); nil means FullSweep().
+	prune PrunePolicy
 
 	histMu    sync.Mutex
 	histories map[tpch.QueryID]*core.History
@@ -256,7 +251,7 @@ type Scheduler struct {
 	rng       *stats.RNG
 
 	// planCache holds each query's QEP lattice: the space depends only
-	// on the query and NodeChoices, both fixed for the scheduler's
+	// on the query and nodeChoices, both fixed for the scheduler's
 	// lifetime, so it is built once and shared (lattices are immutable).
 	planMu    sync.RWMutex
 	planCache map[tpch.QueryID]*federation.PlanLattice
@@ -269,32 +264,8 @@ type Scheduler struct {
 	featCache map[federation.Plan][]float64
 
 	// obs is the scheduler's observation-only instrumentation; nil
-	// unless InstrumentScheduler was called (see metrics.go).
+	// unless SchedulerConfig.Metrics was set (see metrics.go).
 	obs *schedulerObs
-}
-
-// NewScheduler assembles a scheduler.
-func NewScheduler(fed *federation.Federation, exec federation.Executor, model CostModel, nodeChoices []int, seed int64) (*Scheduler, error) {
-	if fed == nil || exec == nil || model == nil {
-		return nil, errors.New("ires: nil dependency")
-	}
-	if len(nodeChoices) == 0 {
-		nodeChoices = []int{1, 2, 4, 8, 16}
-	}
-	// Fail at assembly, not mid-sweep: a malformed cluster-size menu
-	// (duplicates, non-positive sizes) would otherwise surface as a
-	// lattice error on the first request.
-	if err := federation.ValidateNodeChoices(nodeChoices); err != nil {
-		return nil, err
-	}
-	return &Scheduler{
-		Fed:         fed,
-		Exec:        exec,
-		Model:       model,
-		NodeChoices: nodeChoices,
-		histories:   make(map[tpch.QueryID]*core.History),
-		rng:         stats.NewRNG(seed),
-	}, nil
 }
 
 // SchedulerConfig bundles the scheduler assembly knobs.
@@ -305,9 +276,10 @@ type SchedulerConfig struct {
 	// Seed drives the scheduler's own randomness (Bootstrap sampling).
 	Seed int64
 	// Prune selects which QEPs of the lattice PlanSweep estimates. Nil
-	// keeps the default FullSweep() — every plan, byte-identical to the
-	// historic eager enumeration. See GreedyPrune for the bounded-budget
-	// policy.
+	// keeps the default FullSweep() — every plan, in lattice order, the
+	// paper's behavior. See GreedyPrune for the bounded-budget policy.
+	// The bundled policies are deterministic, so the byte-identical-
+	// decisions guarantee holds for pruned sweeps too.
 	Prune PrunePolicy
 	// Store injects a durable history store (see HistoryStore): query
 	// histories are recovered from it at first touch and every recorded
@@ -319,30 +291,67 @@ type SchedulerConfig struct {
 	// Store bounds the histories it opens by its own setting.
 	Retain int
 	// Metrics, when non-nil, registers the scheduler's observation-only
-	// instruments (sweep duration, plans estimated, DREAM window and
-	// model-cache series) on the given registry, labeled with
-	// MetricsFederation. See Scheduler.InstrumentScheduler.
+	// instruments on the given registry, every series labeled with
+	// MetricsFederation: sweep duration, plans estimated, plan space and
+	// sweep errors, plus — for a model that implements EstimatorStatser —
+	// DREAM's window-search and model-cache series, read at scrape time.
+	// At most one scheduler per (registry, MetricsFederation) pair.
 	Metrics *metrics.Registry
 	// MetricsFederation is the value of the "federation" label on every
 	// metric series this scheduler emits (empty = "default").
 	MetricsFederation string
 }
 
-// NewSchedulerWithConfig assembles a scheduler from a SchedulerConfig:
-// NewScheduler plus the store, retention, prune policy and metrics
-// registry.
+// NewSchedulerWithConfig assembles a scheduler around the given
+// federation, executor and Modelling module.
 func NewSchedulerWithConfig(fed *federation.Federation, exec federation.Executor, model CostModel, cfg SchedulerConfig) (*Scheduler, error) {
-	s, err := NewScheduler(fed, exec, model, cfg.NodeChoices, cfg.Seed)
+	if fed == nil || exec == nil || model == nil {
+		return nil, errors.New("ires: nil dependency")
+	}
+	nodeChoices := cfg.NodeChoices
+	if len(nodeChoices) == 0 {
+		nodeChoices = []int{1, 2, 4, 8, 16}
+	}
+	// Fail at assembly, not mid-sweep: a malformed cluster-size menu
+	// (duplicates, non-positive sizes) would otherwise surface as a
+	// lattice error on the first request.
+	if err := federation.ValidateNodeChoices(nodeChoices); err != nil {
+		return nil, err
+	}
+	s := &Scheduler{
+		fed:         fed,
+		exec:        exec,
+		model:       model,
+		nodeChoices: nodeChoices,
+		store:       cfg.Store,
+		prune:       cfg.Prune,
+		histories:   make(map[tpch.QueryID]*core.History),
+		retain:      cfg.Retain,
+		rng:         stats.NewRNG(cfg.Seed),
+	}
+	if cfg.Metrics != nil {
+		s.instrument(cfg.Metrics, cfg.MetricsFederation)
+	}
+	return s, nil
+}
+
+// MMax caps Algorithm 1's window in the paper's DREAM stack at three
+// times the statistical minimum L+2: no estimate reads further back.
+const MMax = 3 * (federation.FeatureDim + 2)
+
+// NewDREAMScheduler assembles the paper's MIDAS stack over fed: a
+// ScaledExecutor replaying cal at scale sf, DREAM with Mmax = MMax as
+// the Modelling module, and cfg for the rest.
+func NewDREAMScheduler(fed *federation.Federation, cal *federation.Calibration, sf float64, cfg SchedulerConfig) (*Scheduler, error) {
+	exec, err := federation.NewScaledExecutor(fed, cal, sf)
 	if err != nil {
 		return nil, err
 	}
-	s.Store = cfg.Store
-	s.retain = cfg.Retain
-	s.Prune = cfg.Prune
-	if cfg.Metrics != nil {
-		s.InstrumentScheduler(cfg.Metrics, cfg.MetricsFederation)
+	model, err := NewDREAMModel(core.Config{MMax: MMax})
+	if err != nil {
+		return nil, err
 	}
-	return s, nil
+	return NewSchedulerWithConfig(fed, exec, model, cfg)
 }
 
 // OpenHistory returns (creating — or, with a Store, recovering — if
@@ -358,8 +367,8 @@ func (s *Scheduler) OpenHistory(q tpch.QueryID) (*core.History, error) {
 		return h, nil
 	}
 	var err error
-	if s.Store != nil {
-		h, err = s.Store.OpenHistory(q.String(), federation.FeatureDim, federation.Metrics)
+	if s.store != nil {
+		h, err = s.store.OpenHistory(q.String(), federation.FeatureDim, federation.Metrics)
 	} else if h, err = core.NewHistory(federation.FeatureDim, federation.Metrics...); err == nil {
 		h.SetRetain(s.retain)
 	}
@@ -371,10 +380,10 @@ func (s *Scheduler) OpenHistory(q tpch.QueryID) (*core.History, error) {
 }
 
 // History returns the execution history of a query, or nil when nothing
-// has opened it yet (OpenHistory, and through it Bootstrap, Record and
-// the sweeps). A pure lookup: it never creates a history and never
-// touches the Store, so a read cannot turn a shard this scheduler does
-// not own — a standby's replica — into a live one.
+// has opened it yet (OpenHistory, and through it Bootstrap, the sweeps
+// and DecideFromSweep). A pure lookup: it never creates a history and
+// never touches the store, so a read cannot turn a shard this scheduler
+// does not own — a standby's replica — into a live one.
 func (s *Scheduler) History(q tpch.QueryID) *core.History {
 	s.histMu.Lock()
 	defer s.histMu.Unlock()
@@ -382,13 +391,13 @@ func (s *Scheduler) History(q tpch.QueryID) *core.History {
 }
 
 // Checkpoint is a durability point: every observation recorded so far
-// is fsynced through the attached Store; without one it is a no-op. It
+// is fsynced through the attached store; without one it is a no-op. It
 // is safe to call while requests append concurrently.
 func (s *Scheduler) Checkpoint() error {
-	if s.Store == nil {
+	if s.store == nil {
 		return nil
 	}
-	if err := s.Store.Sync(); err != nil {
+	if err := s.store.Sync(); err != nil {
 		return fmt.Errorf("ires: checkpointing: %w", err)
 	}
 	return nil
@@ -418,7 +427,7 @@ func (s *Scheduler) lattice(q tpch.QueryID) (*federation.PlanLattice, error) {
 	if ok {
 		return lat, nil
 	}
-	lat, err := s.Fed.PlanLattice(q, s.NodeChoices)
+	lat, err := s.fed.PlanLattice(q, s.nodeChoices)
 	if err != nil {
 		return nil, err
 	}
@@ -449,7 +458,7 @@ func (s *Scheduler) features(p federation.Plan) ([]float64, error) {
 	if ok {
 		return x, nil
 	}
-	x, err := s.Exec.Features(p)
+	x, err := s.exec.Features(p)
 	if err != nil {
 		return nil, err
 	}
@@ -462,8 +471,8 @@ func (s *Scheduler) features(p federation.Plan) ([]float64, error) {
 	return x, nil
 }
 
-// Record appends one completed execution to the query's history.
-func (s *Scheduler) Record(q tpch.QueryID, x []float64, costs []float64) error {
+// record appends one completed execution to the query's history.
+func (s *Scheduler) record(q tpch.QueryID, x []float64, costs []float64) error {
 	h, err := s.OpenHistory(q)
 	if err != nil {
 		return err
@@ -487,7 +496,7 @@ func (s *Scheduler) Bootstrap(q tpch.QueryID, n int) error {
 	}
 	for i := 0; i < n; i++ {
 		p := plans[s.rng.Intn(len(plans))]
-		out, err := s.Exec.Execute(p)
+		out, err := s.exec.Execute(p)
 		if err != nil {
 			return err
 		}
@@ -495,7 +504,7 @@ func (s *Scheduler) Bootstrap(q tpch.QueryID, n int) error {
 		if err != nil {
 			return err
 		}
-		if err := s.Record(q, x, out.Costs()); err != nil {
+		if err := s.record(q, x, out.Costs()); err != nil {
 			return err
 		}
 	}
@@ -605,7 +614,7 @@ func (s *Scheduler) PlanSweep(ctx context.Context, q tpch.QueryID) (sw *Sweep, e
 	if err != nil {
 		return nil, err
 	}
-	pruner := s.Prune
+	pruner := s.prune
 	if pruner == nil {
 		pruner = FullSweep()
 	}
@@ -689,7 +698,7 @@ func (s *Scheduler) DecideFromSweep(sw *Sweep, pol Policy) (*Decision, error) {
 		return nil, err
 	}
 	chosen := sw.Plans[sw.FrontIdx[best]]
-	out, err := s.Exec.Execute(chosen)
+	out, err := s.exec.Execute(chosen)
 	if err != nil {
 		return nil, err
 	}
@@ -697,7 +706,7 @@ func (s *Scheduler) DecideFromSweep(sw *Sweep, pol Policy) (*Decision, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := s.Record(sw.Query, x, out.Costs()); err != nil {
+	if err := s.record(sw.Query, x, out.Costs()); err != nil {
 		return nil, err
 	}
 	// Sweeps built by hand (tests, embedders) may leave the bookkeeping

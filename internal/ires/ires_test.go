@@ -21,7 +21,7 @@ func testScheduler(t *testing.T, model CostModel, seed int64) *Scheduler {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cal, err := federation.Calibrate(fed, 0.004, seed)
+	cal, err := federation.Calibrate(fed, federation.CalibrationSF, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func testScheduler(t *testing.T, model CostModel, seed int64) *Scheduler {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewScheduler(fed, exec, model, []int{1, 2, 4, 8}, seed)
+	s, err := NewSchedulerWithConfig(fed, exec, model, SchedulerConfig{NodeChoices: []int{1, 2, 4, 8}, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func dreamModel(t *testing.T) *DREAMModel {
 }
 
 func TestNewSchedulerValidation(t *testing.T) {
-	if _, err := NewScheduler(nil, nil, nil, nil, 0); err == nil {
+	if _, err := NewSchedulerWithConfig(nil, nil, nil, SchedulerConfig{}); err == nil {
 		t.Error("nil dependencies accepted")
 	}
 }

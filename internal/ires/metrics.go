@@ -13,9 +13,8 @@ import (
 // instruments record what the pipeline did (sweep wall time, plans
 // scored, Algorithm 1's window behavior) after the fact and are never
 // read back by any decision path, so a metered scheduler produces
-// byte-identical decisions to an unmetered one — the determinism tests
-// in parallel_test.go run against an instrumented scheduler to pin
-// that down.
+// byte-identical decisions to an unmetered one
+// (TestInstrumentedDecisionsIdentical pins that down).
 
 // EstimatorStatser is implemented by Modelling modules that expose
 // their core estimator's instrumentation (the DREAM variants do); the
@@ -42,17 +41,10 @@ type schedulerObs struct {
 	bound          sync.Map              // tpch.QueryID → *sweepSeries
 }
 
-// InstrumentScheduler registers the scheduler's metrics on reg, with
-// every series labeled by the given federation name (the serving
-// layer's tenant name; any non-empty string works for embedders).
-// DREAM-backed models additionally publish window-search, fitted
-// window-size and model-cache series read from the estimator at scrape
-// time. Call at assembly time, before the scheduler serves requests,
-// and at most once per (registry, federation) pair.
-func (s *Scheduler) InstrumentScheduler(reg *metrics.Registry, federation string) {
-	if reg == nil {
-		return
-	}
+// instrument registers the scheduler's metrics on reg (see
+// SchedulerConfig.Metrics), with every series labeled by the given
+// federation name.
+func (s *Scheduler) instrument(reg *metrics.Registry, federation string) {
 	if federation == "" {
 		federation = "default"
 	}
@@ -71,7 +63,7 @@ func (s *Scheduler) InstrumentScheduler(reg *metrics.Registry, federation string
 			"Plan sweeps that failed (cancelled, timed out, or estimation error).",
 			"federation", "query"),
 	}
-	if es, ok := s.Model.(EstimatorStatser); ok {
+	if es, ok := s.model.(EstimatorStatser); ok {
 		reg.CounterFunc("midas_window_searches_total",
 			"Completed Algorithm 1 window searches (one per estimated history version when the model cache is on).",
 			func() float64 { return float64(es.EstimatorStats().WindowSearches) },

@@ -131,11 +131,10 @@ func TestSweepSeriesBoundLazily(t *testing.T) {
 	}
 }
 
-// TestInstrumentSchedulerNilRegistry: a nil registry is a no-op, not a
-// panic.
+// TestInstrumentSchedulerNilRegistry: a config without a registry
+// leaves the scheduler uninstrumented, whatever its MetricsFederation.
 func TestInstrumentSchedulerNilRegistry(t *testing.T) {
-	s := buildStack(t, 7, SchedulerConfig{NodeChoices: []int{1, 2}, Seed: 7})
-	s.InstrumentScheduler(nil, "x")
+	s := buildStack(t, 7, SchedulerConfig{NodeChoices: []int{1, 2}, Seed: 7, MetricsFederation: "x"})
 	if s.obs != nil {
 		t.Fatal("nil registry should leave the scheduler uninstrumented")
 	}

@@ -124,18 +124,18 @@ func (s *Scheduler) OptimizeGA(q tpch.QueryID, cfg moo.NSGAIIConfig) (*GAResult,
 		return nil, fmt.Errorf("%w: %v", ErrNoHistory, q)
 	}
 	leftTable, rightTable := q.Tables()
-	leftSite, err := s.Fed.SiteOf(leftTable)
+	leftSite, err := s.fed.SiteOf(leftTable)
 	if err != nil {
 		return nil, err
 	}
-	rightSite, err := s.Fed.SiteOf(rightTable)
+	rightSite, err := s.fed.SiteOf(rightTable)
 	if err != nil {
 		return nil, err
 	}
 	prob := &planProblem{
 		round:    s.sweeper(q, h, nil, new(sweepBuf)),
 		query:    q,
-		choices:  s.NodeChoices,
+		choices:  s.nodeChoices,
 		maxLeft:  leftSite.MaxNodes,
 		maxRight: rightSite.MaxNodes,
 		cache:    make(map[federation.Plan][]float64),
@@ -164,6 +164,8 @@ func (s *Scheduler) OptimizeGA(q tpch.QueryID, cfg moo.NSGAIIConfig) (*GAResult,
 // WSMResult reports one run of the Weighted Sum Model path.
 type WSMResult struct {
 	Plan federation.Plan
+	// Costs is the model's cost vector of Plan.
+	Costs []float64
 	// ModelEvaluations counts plan estimations; the WSM path pays this
 	// again for every policy change.
 	ModelEvaluations int
@@ -173,12 +175,6 @@ type WSMResult struct {
 // every enumerated plan, scalarize with the current weights, return the
 // argmin. There is no reusable artifact — a changed policy reruns this.
 func (s *Scheduler) OptimizeWSM(q tpch.QueryID, pol Policy) (*WSMResult, error) {
-	return s.OptimizeWSMContext(context.Background(), q, pol)
-}
-
-// OptimizeWSMContext is OptimizeWSM with cancellation: the per-plan
-// estimation sweep observes ctx and aborts early when it is cancelled.
-func (s *Scheduler) OptimizeWSMContext(ctx context.Context, q tpch.QueryID, pol Policy) (*WSMResult, error) {
 	h, err := s.OpenHistory(q)
 	if err != nil {
 		return nil, err
@@ -194,7 +190,7 @@ func (s *Scheduler) OptimizeWSMContext(ctx context.Context, q tpch.QueryID, pol 
 	if len(plans) == 0 {
 		return nil, moo.ErrNoPlans
 	}
-	costs, err := s.sweeper(q, h, nil, new(sweepBuf)).estimate(ctx, plans)
+	costs, err := s.sweeper(q, h, nil, new(sweepBuf)).estimate(context.Background(), plans)
 	if err != nil {
 		return nil, err
 	}
@@ -210,5 +206,5 @@ func (s *Scheduler) OptimizeWSMContext(ctx context.Context, q tpch.QueryID, pol 
 	if err != nil {
 		return nil, err
 	}
-	return &WSMResult{Plan: plans[idx], ModelEvaluations: len(plans)}, nil
+	return &WSMResult{Plan: plans[idx], Costs: rows[idx], ModelEvaluations: len(plans)}, nil
 }

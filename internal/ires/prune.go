@@ -81,9 +81,9 @@ func (b *sweepBuf) release() {
 // takes the linear route; any other pair — a decorator that hides
 // either capability, a custom model — is scored plan by plan.
 func (s *Scheduler) sweeper(q tpch.QueryID, h *core.History, lat *federation.PlanLattice, buf *sweepBuf) *planSweeper {
-	ps := &planSweeper{lat: lat, exec: s.Exec, model: s.Model, snap: h.Snapshot(), buf: buf}
-	sizer, sized := s.Exec.(federation.InputSizer)
-	if m, ok := s.Model.(LinearCostModel); ok && sized {
+	ps := &planSweeper{lat: lat, exec: s.exec, model: s.model, snap: h.Snapshot(), buf: buf}
+	sizer, sized := s.exec.(federation.InputSizer)
+	if m, ok := s.model.(LinearCostModel); ok && sized {
 		lb, rb, err := sizer.InputBytes(q)
 		ps.linear, ps.leftMiB, ps.rightMiB, ps.sizeErr = m, lb/(1024*1024), rb/(1024*1024), err
 	}

@@ -195,7 +195,7 @@ func TestSchedulerRejectsBadNodeChoices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cal, err := federation.Calibrate(fed, 0.004, 1)
+	cal, err := federation.Calibrate(fed, federation.CalibrationSF, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,13 +203,13 @@ func TestSchedulerRejectsBadNodeChoices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	model, err := NewDREAMModel(core.Config{MMax: 3 * (federation.FeatureDim + 2)})
+	model, err := NewDREAMModel(core.Config{MMax: MMax})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, choices := range [][]int{{0}, {-1, 2}, {2, 2}} {
-		if _, err := NewScheduler(fed, exec, model, choices, 1); err == nil {
-			t.Errorf("NewScheduler accepted node choices %v", choices)
+		if _, err := NewSchedulerWithConfig(fed, exec, model, SchedulerConfig{NodeChoices: choices, Seed: 1}); err == nil {
+			t.Errorf("NewSchedulerWithConfig accepted node choices %v", choices)
 		}
 	}
 }

@@ -17,7 +17,7 @@ func storeScheduler(t *testing.T, dir string, seed int64) *Scheduler {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cal, err := federation.Calibrate(fed, 0.004, seed)
+	cal, err := federation.Calibrate(fed, federation.CalibrationSF, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestRecordPersistsWithoutCheckpoint(t *testing.T) {
 	x := make([]float64, federation.FeatureDim)
 	for i := 0; i < 9; i++ {
 		x[0] = float64(i)
-		if err := a.Record(tpch.QueryQ13, x, []float64{float64(i), 1}); err != nil {
+		if err := a.record(tpch.QueryQ13, x, []float64{float64(i), 1}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -132,7 +132,7 @@ func TestRecordPersistsWithoutCheckpoint(t *testing.T) {
 // unchanged: no store, Checkpoint succeeds and does nothing.
 func TestCheckpointWithoutStoreIsNoop(t *testing.T) {
 	s := testScheduler(t, dreamModel(t), 1)
-	if err := s.Record(tpch.QueryQ12,
+	if err := s.record(tpch.QueryQ12,
 		make([]float64, federation.FeatureDim), []float64{1, 1}); err != nil {
 		t.Fatal(err)
 	}

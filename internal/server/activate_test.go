@@ -148,7 +148,7 @@ func TestClusterFailedActivationReleasesShards(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full serving stack")
 	}
-	spec := FederationSpec{Name: "paper", SF: 0.05, NodeChoices: []int{1, 2}, Bootstrap: 4, Queries: []string{"Q12", "Q13"}}
+	spec := FederationSpec{Name: "paper", SF: 0.05, NodeChoices: []int{1, 2}, Bootstrap: 7, Queries: []string{"Q12", "Q13"}}
 	dirs := [2]string{t.TempDir(), t.TempDir()}
 	servers, nodes, owner := newActivationPair(t, spec, dirs)
 	standby := 1 - owner

@@ -164,15 +164,10 @@ func (t *tenant) registerMetrics(reg *metrics.Registry) {
 	t.stats.register(reg, t.name)
 }
 
-// checkpoint fsyncs the tenant's histories when its scheduler supports
-// it; schedulers without the Checkpointer capability (or without a
-// store) have nothing to sync.
+// checkpoint fsyncs the tenant's histories; a scheduler without a store
+// has nothing to sync.
 func (t *tenant) checkpoint() error {
-	cp, ok := t.sched.(Checkpointer)
-	if !ok {
-		return nil
-	}
-	if err := cp.Checkpoint(); err != nil {
+	if err := t.sched.Checkpoint(); err != nil {
 		t.stats.checkpointErr.Add(1)
 		return err
 	}

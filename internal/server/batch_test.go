@@ -399,6 +399,57 @@ func TestRequestTimeout504(t *testing.T) {
 	}
 }
 
+// deadlineSched sends how far off its context's deadline was when
+// each sweep began (0: no deadline).
+type deadlineSched struct {
+	stubSched
+	left chan time.Duration
+}
+
+func (s *deadlineSched) PlanSweep(ctx context.Context, q tpch.QueryID) (*ires.Sweep, error) {
+	var left time.Duration
+	if d, ok := ctx.Deadline(); ok {
+		left = time.Until(d)
+	}
+	s.left <- left
+	return s.stubSched.PlanSweep(ctx, q)
+}
+
+// TestRequestTimeoutOnlyShortens: a request's timeout_ms shortens the
+// server's deadline and never removes or collapses it — not even a
+// value whose conversion to a time.Duration would overflow.
+func TestRequestTimeoutOnlyShortens(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		server   time.Duration
+		ms       int64
+		min, max time.Duration // 0, 0: no deadline
+	}{
+		{"shorter", time.Minute, 2000, time.Second, 2 * time.Second},
+		{"longer", time.Minute, 120_000, 50 * time.Second, time.Minute},
+		{"max int64", time.Minute, 9223372036854775807, 50 * time.Second, time.Minute},
+		{"wraps to microseconds", time.Minute, 9223372036854776, 50 * time.Second, time.Minute},
+		{"no server deadline", -1, 2000, time.Second, 2 * time.Second},
+		{"no server deadline, max int64", -1, 9223372036854775807, 0, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			stub := &deadlineSched{left: make(chan time.Duration, 1)}
+			srv, err := NewWithSchedulers(Config{RequestTimeout: tc.server}, map[string]QueryScheduler{"test": stub}, tpch.AllQueries)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(srv.Handler())
+			defer ts.Close()
+			if resp, body := postQuery(t, ts.URL, QueryRequest{Query: "Q12", TimeoutMS: tc.ms}); resp.StatusCode != http.StatusOK {
+				t.Fatalf("status = %d, body %s", resp.StatusCode, body)
+			}
+			if left := <-stub.left; left < tc.min || left > tc.max {
+				t.Fatalf("sweep deadline %v away, want within [%v, %v]", left, tc.min, tc.max)
+			}
+		})
+	}
+}
+
 // TestQueueFull429 verifies bounded admission: with a depth-1 queue and
 // the only slot held by a blocked request, the next submission is shed
 // with 429 instead of queueing.

@@ -45,6 +45,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"net/url"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -804,8 +805,7 @@ func (s *Server) handoffTenant(ctx context.Context, t *tenant, target cluster.Me
 	}
 	s.log.Info("handoff started", "federation", t.name, "target", target.ID)
 
-	fedQ := "?federation=" + t.name
-	if err := cs.post(target.Addr + "/v1/admin/handoff/prepare" + fedQ); err != nil {
+	if err := cs.post(handoffStep(target, "prepare", url.Values{"federation": {t.name}})); err != nil {
 		return 0, nil, fmt.Errorf("prepare: %w", err)
 	}
 	if !t.beginSending(target) {
@@ -846,16 +846,16 @@ func (s *Server) handoffTenant(ctx context.Context, t *tenant, target cluster.Me
 	// Activation commits the move: the target opens the shipped state,
 	// flips its tenant active and bumps the routing epoch.
 	epoch := cs.table.Load().Epoch() + 1
-	url := fmt.Sprintf("%s/v1/admin/handoff/activate%s&epoch=%d", target.Addr, fedQ, epoch)
-	if err := cs.post(url); err != nil {
+	activate := handoffStep(target, "activate", url.Values{"federation": {t.name}, "epoch": {strconv.FormatUint(epoch, 10)}})
+	if err := cs.post(activate); err != nil {
 		// A failed POST does not mean a failed activation: opening the
 		// shipped shards can outlive PeerTimeout, and the ack may have
 		// been lost after the target committed. Reverting to active
 		// while the target serves at a higher epoch would fork the
 		// federation's history, so settle the outcome first.
-		got, known := s.settle(t, target, epoch, url)
+		got, known := s.settle(t, target, epoch, activate)
 		for try := 1; !known && try < 3 && s.pause(250*time.Millisecond); try++ {
-			got, known = s.settle(t, target, epoch, url)
+			got, known = s.settle(t, target, epoch, activate)
 		}
 		switch {
 		case !known:
@@ -864,7 +864,7 @@ func (s *Server) handoffTenant(ctx context.Context, t *tenant, target cluster.Me
 			// the target answers.
 			s.spawn(func() {
 				for settled := false; !settled && s.pause(cs.cfg.SyncInterval); {
-					_, settled = s.settle(t, target, epoch, url)
+					_, settled = s.settle(t, target, epoch, activate)
 				}
 			})
 			return 0, nil, fmt.Errorf("activate outcome unknown (target unreachable), resolving in background: %w", err)
@@ -923,9 +923,15 @@ func (s *Server) rollback(t *tenant, target cluster.Member) {
 
 // abortTarget tells a prepared target to go back to remote.
 func (s *Server) abortTarget(t *tenant, target cluster.Member) {
-	if err := s.cluster.post(target.Addr + "/v1/admin/handoff/abort?federation=" + t.name); err != nil {
+	if err := s.cluster.post(handoffStep(target, "abort", url.Values{"federation": {t.name}})); err != nil {
 		s.log.Warn("handoff abort failed", "federation", t.name, "error", err.Error())
 	}
+}
+
+// handoffStep is the URL of one handoff control step on target, its
+// query escaped: a federation name may hold any character.
+func handoffStep(target cluster.Member, step string, query url.Values) string {
+	return target.Addr + "/v1/admin/handoff/" + step + "?" + query.Encode()
 }
 
 // stopServing is the one way a node stops serving a federation it has

@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 	"strings"
@@ -409,6 +410,28 @@ func TestClusterHandoffMovesOwnership(t *testing.T) {
 	}, func() string { return "the exchange never reached the third node" })
 	if cr.Placements["alpha"].Owner != tc.members[target].ID {
 		t.Fatalf("third node places alpha on %q", cr.Placements["alpha"].Owner)
+	}
+}
+
+// TestClusterHandoffEscapesFederationName: a federation whose name
+// needs URL escaping hands off like any other — every control step the
+// source sends its target names the federation intact.
+func TestClusterHandoffEscapesFederationName(t *testing.T) {
+	const fed = "a&b+c d"
+	tc := newTestCluster(t, 2, []string{fed})
+	owner := tc.ownerIdx(t, fed)
+	target := 1 - owner
+	q := url.Values{"federation": {fed}, "target": {tc.members[target].ID}}
+	status, body := postStatus(t, tc.https[owner].URL+"/v1/admin/handoff?"+q.Encode())
+	if status != http.StatusOK {
+		t.Fatalf("handoff = %d: %s", status, body)
+	}
+	if got := tc.ownerIdx(t, fed); got != target {
+		t.Fatalf("node %d owns %q after the handoff, want node %d", got, fed, target)
+	}
+	resp, body2 := postQueryNoRedirect(t, tc.https[target].URL, QueryRequest{Federation: fed, Query: "Q12", Weights: []float64{1, 1}})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("new owner returned %d: %s", resp.StatusCode, body2)
 	}
 }
 
@@ -1153,7 +1176,7 @@ func TestClusterNewFailureReleasesFiles(t *testing.T) {
 		spec FederationSpec
 	}{
 		{"unknown topology", FederationSpec{Name: "alpha", Topology: "no-such-topology"}},
-		{"corrupt Q13 header", FederationSpec{Name: "alpha", SF: 0.05, NodeChoices: []int{1, 2}, Bootstrap: 4, Queries: []string{"Q12", "Q13"}}},
+		{"corrupt Q13 header", FederationSpec{Name: "alpha", SF: 0.05, NodeChoices: []int{1, 2}, Bootstrap: 7, Queries: []string{"Q12", "Q13"}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := Config{

@@ -17,6 +17,7 @@ import (
 	"repro/internal/histstore"
 	"repro/internal/ires"
 	"repro/internal/metrics"
+	"repro/internal/regression"
 	"repro/internal/scenario"
 	"repro/internal/tpch"
 )
@@ -36,6 +37,10 @@ type QueryScheduler interface {
 	// when the scheduler holds none (a tenant another node owns). It
 	// must not create or open one.
 	History(q tpch.QueryID) *core.History
+	// Checkpoint fsyncs every observation recorded so far (periodic,
+	// admin and drain-time checkpoints); a scheduler without durable
+	// state returns nil.
+	Checkpoint() error
 }
 
 var _ QueryScheduler = (*ires.Scheduler)(nil)
@@ -109,10 +114,6 @@ func (sp *FederationSpec) queries() ([]tpch.QueryID, error) {
 	return out, nil
 }
 
-// dreamMMax caps Algorithm 1's window for every hosted tenant at three
-// times the statistical minimum L+2: no estimate reads further back.
-const dreamMMax = 3 * (federation.FeatureDim + 2)
-
 // topologies are the federations a spec can name. Their sites cap at 16,
 // 4 and 12 nodes, so no node-choice menu reaches more than 128 plans: a
 // full sweep is all a tenant ever needs (TestServedLatticeBound).
@@ -120,10 +121,6 @@ var topologies = map[string]func(seed int64) (*federation.Federation, error){
 	"default":    federation.DefaultTopology,
 	"threecloud": federation.ThreeCloudTopology,
 }
-
-// calibSF is the scale of the TPC-H database every tenant calibrates
-// its executor on.
-const calibSF = 0.004
 
 // calibrations remembers, for the length of one New, the calibration of
 // each seed already paid for. Calibrating generates a TPC-H database and
@@ -133,11 +130,11 @@ const calibSF = 0.004
 type calibrations map[int64]*federation.Calibration
 
 // buildTenant assembles the spec's scheduler: topology, calibration,
-// scaled executor, DREAM model, and — with a store configured — the
-// tenant's durable history root. It opens no history: the tenant comes
-// back cold and remote, and only activateTenant opens it — at boot on
-// the node that owns it, later on a handoff's target or a promoted
-// standby. The assembly is deterministic (same spec, same seed → same
+// ires.NewDREAMScheduler, and — with a store configured — the tenant's
+// durable history root. It opens no history: the tenant comes back cold
+// and remote, and only activateTenant opens it — at boot on the node
+// that owns it, later on a handoff's target or a promoted standby. The
+// assembly is deterministic (same spec, same seed → same
 // topology, calibration and models on every node), and every activation
 // opens and bootstraps the same way, so a tenant activated by a handoff
 // or takeover decides exactly as one activated at boot would. mirror,
@@ -148,6 +145,11 @@ func buildTenant(spec FederationSpec, storeCfg StoreConfig, reg *metrics.Registr
 	sp := spec.withDefaults()
 	if sp.Name == "" {
 		return nil, fmt.Errorf("server: federation spec without a name")
+	}
+	// Fewer executions than the regression needs would leave every
+	// submission without a fit, and nothing recorded ever after.
+	if least := regression.MinObservations(federation.FeatureDim); sp.Bootstrap < least {
+		return nil, fmt.Errorf("server: federation %q: bootstrap %d is below the regression minimum %d", sp.Name, sp.Bootstrap, least)
 	}
 	queries, err := sp.queries()
 	if err != nil {
@@ -167,21 +169,13 @@ func buildTenant(spec FederationSpec, storeCfg StoreConfig, reg *metrics.Registr
 	}
 	cal := calibs[sp.Seed]
 	if cal == nil {
-		cal, err = federation.Calibrate(fed, calibSF, sp.Seed)
+		cal, err = federation.Calibrate(fed, federation.CalibrationSF, sp.Seed)
 		if err != nil {
 			return nil, fmt.Errorf("server: federation %q: calibrate: %w", sp.Name, err)
 		}
 		if calibs != nil {
 			calibs[sp.Seed] = cal
 		}
-	}
-	exec, err := federation.NewScaledExecutor(fed, cal, sp.SF)
-	if err != nil {
-		return nil, fmt.Errorf("server: federation %q: %w", sp.Name, err)
-	}
-	model, err := ires.NewDREAMModel(core.Config{MMax: dreamMMax})
-	if err != nil {
-		return nil, fmt.Errorf("server: federation %q: %w", sp.Name, err)
 	}
 	schedCfg := ires.SchedulerConfig{
 		NodeChoices:       sp.NodeChoices,
@@ -208,7 +202,7 @@ func buildTenant(spec FederationSpec, storeCfg StoreConfig, reg *metrics.Registr
 		}
 		schedCfg.Store = store
 	}
-	sched, err := ires.NewSchedulerWithConfig(fed, exec, model, schedCfg)
+	sched, err := ires.NewDREAMScheduler(fed, cal, sp.SF, schedCfg)
 	if err != nil {
 		// The store has opened no shard, so it holds no file to release.
 		return nil, fmt.Errorf("server: federation %q: %w", sp.Name, err)

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/federation"
 	"repro/internal/ires"
+	"repro/internal/regression"
 	"repro/internal/tpch"
 )
 
@@ -89,6 +90,15 @@ func TestSpecValidation(t *testing.T) {
 	}
 	if _, err := buildTenant(FederationSpec{Name: "x", Queries: []string{"Q1"}}, StoreConfig{}, nil, nil, nil); err == nil {
 		t.Fatal("unstudied query should error")
+	}
+	// A bootstrap too short for one regression fit would boot a tenant
+	// whose every submission fails (0 still means the default).
+	least := regression.MinObservations(federation.FeatureDim)
+	for _, n := range []int{-1, 1, least - 1} {
+		_, err := buildTenant(FederationSpec{Name: "x", Bootstrap: n}, StoreConfig{}, nil, nil, nil)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("minimum %d", least)) {
+			t.Errorf("bootstrap %d: err = %v, want one naming the minimum %d", n, err, least)
+		}
 	}
 	if _, err := New(Config{}); err == nil {
 		t.Fatal("empty config should error")

@@ -1,11 +1,12 @@
 // Package server exposes the IReS scheduler pipeline as a long-running
 // federation query service — the serving layer of the reproduction's
 // "heavy traffic" story. It hosts a registry of named federations (each
-// with its own scheduler and histories), admits requests through a
-// bounded queue, and batches concurrent submissions of the same query
-// so they share one plan sweep through the snapshot/cache estimation
-// pipeline: the expensive, policy-independent half of a round is paid
-// once per batch, while selection and execution stay per-request.
+// with its own scheduler and histories), bounds each federation's
+// in-flight submissions (past Config.QueueDepth a request gets 429),
+// and batches concurrent submissions of the same query so they share
+// one plan sweep through the snapshot/cache estimation pipeline: the
+// expensive, policy-independent half of a round is paid once per batch,
+// while selection and execution stay per-request.
 //
 // With Config.Store.Dir set, every tenant's histories are durable: one
 // histstore root per federation, observations written ahead to a WAL as
@@ -55,6 +56,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"slices"
 	"strconv"
@@ -411,14 +413,6 @@ func (s *Server) registerMetrics() {
 			t.latency[q] = s.reqSeconds.With(t.name, q.String())
 		}
 	}
-}
-
-// Checkpointer is the optional scheduler capability behind periodic,
-// admin and drain-time checkpoints; ires.Scheduler implements it (a
-// no-op without an attached store). Stub schedulers without it simply
-// have nothing to sync.
-type Checkpointer interface {
-	Checkpoint() error
 }
 
 // checkpointLoop checkpoints every tenant on the configured period
@@ -830,9 +824,15 @@ func (s *Server) serveSubmit(ctx context.Context, sc *serveScratch, body []byte,
 	}
 
 	timeout := s.cfg.RequestTimeout
-	if sc.req.TimeoutMS > 0 {
-		if d := time.Duration(sc.req.TimeoutMS) * time.Millisecond; timeout <= 0 || d < timeout {
-			timeout = d
+	if ms := sc.req.TimeoutMS; ms > 0 {
+		// Compared in milliseconds, so no value can wrap on conversion:
+		// a request only ever shortens the server's deadline.
+		most := int64(math.MaxInt64 / time.Millisecond)
+		if timeout > 0 {
+			most = int64((timeout - 1) / time.Millisecond) // the longest shorter one
+		}
+		if ms <= most {
+			timeout = time.Duration(ms) * time.Millisecond
 		}
 	}
 	if timeout > 0 {

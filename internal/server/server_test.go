@@ -90,6 +90,8 @@ func (s *stubSched) History(q tpch.QueryID) *core.History {
 	return s.hist
 }
 
+func (s *stubSched) Checkpoint() error { return nil }
+
 func (s *stubSched) calls() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -408,19 +410,11 @@ func TestPrunePolicyOnTheWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cal, err := federation.Calibrate(fed, calibSF, 3)
+	cal, err := federation.Calibrate(fed, federation.CalibrationSF, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	exec, err := federation.NewScaledExecutor(fed, cal, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	model, err := ires.NewDREAMModel(core.Config{MMax: dreamMMax})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched, err := ires.NewSchedulerWithConfig(fed, exec, model, ires.SchedulerConfig{
+	sched, err := ires.NewDREAMScheduler(fed, cal, 0.05, ires.SchedulerConfig{
 		NodeChoices: federation.NodeRange(maxNodes),
 		Seed:        3,
 		Prune:       ires.GreedyPrune(64),

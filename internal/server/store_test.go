@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/ires"
 	"repro/internal/tpch"
 )
 
@@ -102,12 +103,12 @@ func TestHistoryPagingAndTruncationStats(t *testing.T) {
 }
 
 // TestHistoryRetainCoversEveryReader pins the bound against the two
-// things that read back into a history: an estimate (dreamMMax newest
+// things that read back into a history: an estimate (ires.MMax newest
 // observations) and a default page of GET /v1/history. Twice over, so
 // the R the rule always keeps covers both with room.
 func TestHistoryRetainCoversEveryReader(t *testing.T) {
-	if historyRetain < 2*dreamMMax || historyRetain < 2*defaultHistoryLimit {
-		t.Fatalf("historyRetain = %d, want ≥ 2·%d (MMax) and ≥ 2·%d (default page)", historyRetain, dreamMMax, defaultHistoryLimit)
+	if historyRetain < 2*ires.MMax || historyRetain < 2*defaultHistoryLimit {
+		t.Fatalf("historyRetain = %d, want ≥ 2·%d (MMax) and ≥ 2·%d (default page)", historyRetain, ires.MMax, defaultHistoryLimit)
 	}
 }
 
@@ -205,7 +206,7 @@ func TestServeBoundedHistoryAcrossRestart(t *testing.T) {
 	}
 }
 
-// cpSched is a stub scheduler with the Checkpointer capability.
+// cpSched is a stub scheduler that counts its checkpoints.
 type cpSched struct {
 	stubSched
 	cpCalls atomic.Int64

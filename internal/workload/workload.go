@@ -116,7 +116,7 @@ func NewHarness(seed int64) (*Harness, error) {
 	if err != nil {
 		return nil, err
 	}
-	cal, err := federation.Calibrate(fed, 0.004, seed)
+	cal, err := federation.Calibrate(fed, federation.CalibrationSF, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -280,7 +280,7 @@ func (h *Harness) Run(cfg EvalConfig, models []ModelSpec) (*EvalResult, error) {
 func PaperModels(seed int64) ([]ModelSpec, error) {
 	dream, err := ires.NewDREAMModel(core.Config{
 		RequiredR2: core.DefaultRequiredR2,
-		MMax:       3 * (federation.FeatureDim + 2),
+		MMax:       ires.MMax,
 	})
 	if err != nil {
 		return nil, err

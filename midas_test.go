@@ -25,19 +25,11 @@ func TestFullPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cal, err := federation.Calibrate(fed, 0.004, 71)
+	cal, err := federation.Calibrate(fed, federation.CalibrationSF, 71)
 	if err != nil {
 		t.Fatal(err)
 	}
-	exec, err := federation.NewScaledExecutor(fed, cal, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	model, err := ires.NewDREAMModel(core.Config{MMax: 3 * (federation.FeatureDim + 2)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched, err := ires.NewScheduler(fed, exec, model, nil, 71)
+	sched, err := ires.NewDREAMScheduler(fed, cal, 0.1, ires.SchedulerConfig{Seed: 71})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +55,7 @@ func TestSchedulerWithConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cal, err := federation.Calibrate(fed, 0.004, 19)
+	cal, err := federation.Calibrate(fed, federation.CalibrationSF, 19)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +63,7 @@ func TestSchedulerWithConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	model, err := ires.NewDREAMModel(core.Config{MMax: 3 * (federation.FeatureDim + 2), CacheSize: core.DefaultCacheSize})
+	model, err := ires.NewDREAMModel(core.Config{MMax: ires.MMax, CacheSize: core.DefaultCacheSize})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +195,7 @@ func TestThreeCloud(t *testing.T) {
 	if len(fed.Sites) != 3 {
 		t.Fatalf("sites = %d", len(fed.Sites))
 	}
-	cal, err := federation.Calibrate(fed, 0.004, 72)
+	cal, err := federation.Calibrate(fed, federation.CalibrationSF, 72)
 	if err != nil {
 		t.Fatal(err)
 	}

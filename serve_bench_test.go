@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/federation"
 	"repro/internal/histstore"
 	"repro/internal/ires"
@@ -32,15 +31,7 @@ func buildServeScheduler(b testing.TB, store *histstore.Store) *ires.Scheduler {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cal, err := federation.Calibrate(fed, 0.004, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	exec, err := federation.NewScaledExecutor(fed, cal, 0.1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	model, err := ires.NewDREAMModel(core.Config{MMax: 3 * (federation.FeatureDim + 2)})
+	cal, err := federation.Calibrate(fed, federation.CalibrationSF, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -53,7 +44,7 @@ func buildServeScheduler(b testing.TB, store *histstore.Store) *ires.Scheduler {
 		// HistoryStore interface would dodge the scheduler's nil check.
 		cfg.Store = store
 	}
-	sched, err := ires.NewSchedulerWithConfig(fed, exec, model, cfg)
+	sched, err := ires.NewDREAMScheduler(fed, cal, 0.1, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
