@@ -11,8 +11,8 @@ COVER_PKGS ?= $(shell $(GO) list ./internal/...)
 # Q12/Q13 serving sweeps (cached vs uncached), the cold (uncached)
 # window searches the incremental shared-Gram solver owns and the
 # served-shape one (constant table-size columns, R² bar 0.8), the pooled
-# serving hot path, the PlanSweep full-vs-greedy family over the wide
-# (Example 3.1) lattice, SweepRound (one whole 2,048-plan serving cycle:
+# serving hot path, the full PlanSweep over wide lattices up to the
+# Example 3.1 size, SweepRound (one whole 2,048-plan serving cycle:
 # sweep, decide with its window search, release) and internal/moo's
 # ParetoFront shapes. Nothing gates on them: CI's regression gate is
 # `bench -compare` over bench/ against BENCHMARK.json's bounds, and
@@ -30,7 +30,7 @@ CLUSTER_PATTERN ?= Cluster|Chaos|Failover|Stream|Handoff|Adopt|Readyz|Durable|Dr
 # Where the `make profile-*` targets drop their profiles.
 PROFILE_DIR ?= profiles
 
-.PHONY: all build vet fmt-check lint loc linkcheck test test-cpus test-cluster test-short test-bench fuzz-smoke bench bench-smoke bench-sweep bench-boot bench-json ablate-prune scenarios profile-sweep profile-cluster profile-serve profile-boot cover help
+.PHONY: all build vet fmt-check lint loc linkcheck test test-cpus test-cluster test-short test-bench fuzz-smoke bench bench-smoke bench-sweep bench-boot bench-json scenarios profile-sweep profile-cluster profile-serve profile-boot cover help
 
 all: build lint test test-bench
 
@@ -84,7 +84,7 @@ test-bench:
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench ./...
 
-## fuzz-smoke: 20 s of FuzzScan over the one frame decoder, 10 s of FuzzParetoFront against its all-pairs oracle, 10 s of FuzzLinearScoring (arbitrary coefficients, table sizes, plans and node-choice menus: the sweep's linear route against Model.Predict, and its lattice walk against plan-by-plan scoring), 10 s of FuzzReplay (arbitrary bytes as a shard's WAL, whole as wal.log or split across two segments), 10 s of FuzzDecodeRequest (a poisoned body through one pooled request scratch), then 10 s of FuzzReplicateStream (arbitrary bytes after the replication handshake against a reference replica)
+## fuzz-smoke: 20 s of FuzzScan over the one frame decoder, 10 s of FuzzParetoFront against its all-pairs oracle, 10 s of FuzzLinearScoring (arbitrary coefficients, table sizes and node-choice menus: the sweep's lattice walk against Model.Predict plan by plan), 10 s of FuzzReplay (arbitrary bytes as a shard's WAL, whole as wal.log or split across two segments), 10 s of FuzzDecodeRequest (a poisoned body through one pooled request scratch), then 10 s of FuzzReplicateStream (arbitrary bytes after the replication handshake against a reference replica)
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz=FuzzScan -fuzztime=20s ./internal/framelog
 	$(GO) test -run '^$$' -fuzz=FuzzParetoFront -fuzztime=10s ./internal/moo
@@ -108,10 +108,6 @@ bench-sweep:
 ## bench-boot: repeated runs of BenchmarkCalibrate (generate the SF 0.004 calibration database, run the four studied queries on it) at -cpu 1,2 — the cost every boot and cold tenant build pays per federation, for benchstat
 bench-boot:
 	$(GO) test -run '^$$' -bench 'Calibrate' -count 5 -cpu 1,2 ./internal/federation
-
-## ablate-prune: full-vs-GreedyPrune quality smoke — fails if pruned decisions drift past tolerance
-ablate-prune:
-	$(GO) test -run TestAblationPrune -v ./internal/experiments
 
 ## scenarios: the fixed-seed scenario sweep — MRE, regret and p99 per (arrival × chaos) cell
 scenarios:

@@ -458,13 +458,13 @@ func BenchmarkQ13SweepUncached(b *testing.B) { benchPlanSweep(b, tpch.QueryQ13, 
 func BenchmarkQ13SweepCached(b *testing.B)   { benchPlanSweep(b, tpch.QueryQ13, 0) }
 
 // benchWidePlanSweep measures one warm PlanSweep over a WideTopology
-// lattice of 2·maxNodes² QEPs under the given prune policy. The model
-// cache is warmed outside the timer, so the measurement isolates
-// per-plan estimation work — the cost the prune layer exists to cut. Distinct from benchPlanSweep above, which
+// lattice of 2·maxNodes² QEPs. The model cache is warmed outside the
+// timer, so the measurement isolates the per-plan estimation work and
+// the Pareto reduction. Distinct from benchPlanSweep above, which
 // drives OptimizeWSM on the default two-site topology.
-func benchWidePlanSweep(b *testing.B, maxNodes int, prune ires.PrunePolicy) {
+func benchWidePlanSweep(b *testing.B, maxNodes int) {
 	b.Helper()
-	sched := wideScheduler(b, 1, maxNodes, 0.05, prune)
+	sched := wideScheduler(b, 1, maxNodes, 0.05)
 	ctx := context.Background()
 	if _, err := sched.PlanSweep(ctx, tpch.QueryQ12); err != nil {
 		b.Fatal(err)
@@ -480,7 +480,7 @@ func benchWidePlanSweep(b *testing.B, maxNodes int, prune ires.PrunePolicy) {
 // wideScheduler assembles a DREAM scheduler over WideTopology(seed,
 // maxNodes) + NodeRange(maxNodes) — 2·maxNodes² QEPs — with a scaled
 // executor at the given scale factor and a 24-observation Q12 history.
-func wideScheduler(b testing.TB, seed int64, maxNodes int, scale float64, prune ires.PrunePolicy) *ires.Scheduler {
+func wideScheduler(b testing.TB, seed int64, maxNodes int, scale float64) *ires.Scheduler {
 	b.Helper()
 	fed, err := federation.WideTopology(seed, maxNodes)
 	if err != nil {
@@ -501,7 +501,6 @@ func wideScheduler(b testing.TB, seed int64, maxNodes int, scale float64, prune 
 	sched, err := ires.NewSchedulerWithConfig(fed, exec, model, ires.SchedulerConfig{
 		NodeChoices: federation.NodeRange(maxNodes),
 		Seed:        seed,
-		Prune:       prune,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -512,33 +511,23 @@ func wideScheduler(b testing.TB, seed int64, maxNodes int, scale float64, prune 
 	return sched
 }
 
-// BenchmarkPlanSweep is the full sweep against GreedyPrune (default
-// budget) over the sizes that decide where pruning pays: P128, the
-// largest lattice midasd can serve and under GreedyPrune's 256-plan
-// floor, so its Greedy arm is the full sweep; P2048, the end-to-end
-// benchmark's sweep tenant; P8192; and P18432, the paper's Example 3.1
-// regime. docs/performance.md publishes the grid.
+// BenchmarkPlanSweep is the full sweep over the lattice sizes that
+// matter: P128, the largest lattice midasd can serve; P2048, the
+// end-to-end benchmark's sweep tenant; P8192; and P18432, the paper's
+// Example 3.1 regime. docs/performance.md publishes the grid.
 func BenchmarkPlanSweep(b *testing.B) {
-	for _, pol := range []struct {
-		name  string
-		prune ires.PrunePolicy
+	for _, sz := range []struct {
+		name     string
+		maxNodes int
 	}{
-		{"Full", ires.FullSweep()},
-		{"Greedy", ires.GreedyPrune(0)},
+		{"P128", 8},
+		{"P2048", 32},
+		{"P8192", 64},
+		{"P18432", 96},
 	} {
-		for _, sz := range []struct {
-			name     string
-			maxNodes int
-		}{
-			{"P128", 8},
-			{"P2048", 32},
-			{"P8192", 64},
-			{"P18432", 96},
-		} {
-			b.Run(pol.name+"/"+sz.name, func(b *testing.B) {
-				benchWidePlanSweep(b, sz.maxNodes, pol.prune)
-			})
-		}
+		b.Run("Full/"+sz.name, func(b *testing.B) {
+			benchWidePlanSweep(b, sz.maxNodes)
+		})
 	}
 }
 
@@ -550,7 +539,7 @@ func BenchmarkPlanSweep(b *testing.B) {
 // search next to its 2,048 predictions and the Pareto reduction — then
 // ReleaseSweep, so the next round reuses the matrix as a server's does.
 func BenchmarkSweepRound(b *testing.B) {
-	sched := wideScheduler(b, 42, 32, 0.1, nil)
+	sched := wideScheduler(b, 42, 32, 0.1)
 	ctx := context.Background()
 	pol := ires.Policy{Weights: []float64{1, 1}}
 	b.ReportAllocs()

@@ -131,44 +131,6 @@ func TestRunExample31(t *testing.T) {
 	}
 }
 
-// TestAblationPrune is the CI smoke behind `make ablate-prune`: it
-// fails when GreedyPrune's decision quality drifts past PruneTolerance
-// or its sweep-cost reduction at the Example 3.1 regime falls below the
-// 10x the design promises.
-func TestAblationPrune(t *testing.T) {
-	if testing.Short() {
-		t.Skip("prune ablation sweeps an 18k-plan lattice; slow for -short")
-	}
-	rows, tbl, err := AblationPrune(AblationOptions{Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + tbl.Render())
-	if len(rows) != 3 {
-		t.Fatalf("prune ablation rows = %d, want 3", len(rows))
-	}
-	for _, r := range rows {
-		if r.MaxRelDelta > PruneTolerance {
-			t.Errorf("maxNodes=%d: decision drift %.3f exceeds tolerance %.2f",
-				r.MaxNodes, r.MaxRelDelta, PruneTolerance)
-		}
-		if r.FullEstimated != r.PlanSpace {
-			t.Errorf("maxNodes=%d: full sweep estimated %d of %d plans",
-				r.MaxNodes, r.FullEstimated, r.PlanSpace)
-		}
-	}
-	// The largest lattice must reach the paper's Example 3.1 regime and
-	// GreedyPrune must cut its sweep cost by at least 10x.
-	last := rows[len(rows)-1]
-	if last.PlanSpace < 18200 {
-		t.Errorf("largest lattice = %d plans, want >= 18200 (Example 3.1)", last.PlanSpace)
-	}
-	if last.CountReduction < 10 {
-		t.Errorf("count reduction at maxNodes=%d is %.1fx, want >= 10x",
-			last.MaxNodes, last.CountReduction)
-	}
-}
-
 // TestShuffledHistoryModel: the recency ablation's uniform arm sees a
 // sample of the whole history (so it misses a regime change the
 // most-recent window tracks), is a pure function of (seed, history

@@ -206,7 +206,7 @@ func RunScenario(spec scenario.Spec, queries []string) (*ScenarioResult, error) 
 // min-max normalized weighted sum over the whole estimated plan space —
 // the same scalarization shape the selection rule uses, so the regret
 // is unit-free and bounded by the weight sum. ok is false when the
-// chosen plan is not in the sweep (a pruning policy dropped it).
+// chosen plan is not in the sweep.
 func sweepRegret(sw *ires.Sweep, chosen federation.Plan, weights []float64) (float64, bool) {
 	if sw.Costs.Len() == 0 {
 		return 0, false

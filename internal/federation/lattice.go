@@ -12,8 +12,7 @@ import (
 // 2 join placements × the feasible cluster sizes at each site — in one
 // fixed order. Plans() is the whole walk, materialized once and shared
 // (EnumeratePlans hands out the same slice); At(i) is one point of it,
-// for a prune policy that wants a few hundred of the ~18,200 plans of
-// the paper's Example 3.1 regime without touching the rest.
+// computed without touching the rest.
 
 // ErrBadNodeChoices wraps every node-choice validation failure, so
 // callers can distinguish a malformed menu from enumeration errors.

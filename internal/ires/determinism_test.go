@@ -374,15 +374,8 @@ func TestSweepRefusesCostlessModel(t *testing.T) {
 			"PlanSweep":   func() error { _, err := s.PlanSweep(context.Background(), tpch.QueryQ12); return err },
 			"Submit":      func() error { _, err := s.Submit(tpch.QueryQ12, Policy{}); return err },
 			"OptimizeWSM": func() error { _, err := s.OptimizeWSM(tpch.QueryQ12, Policy{}); return err },
-			"GreedyPrune": func() error {
-				s.prune = GreedyPrune(64)
-				defer func() { s.prune = nil }()
-				_, err := s.PlanSweep(context.Background(), tpch.QueryQ12)
-				return err
-			},
 		} {
-			if err := run(); err == nil || !strings.Contains(err.Error(), "model returned no costs for ") ||
-				(name != "GreedyPrune" && !strings.Contains(err.Error(), want)) {
+			if err := run(); err == nil || !strings.Contains(err.Error(), want) {
 				t.Errorf("%s route, %s: err = %v, want %q", tc.route, name, err, want)
 			}
 		}
@@ -670,7 +663,7 @@ func (breakdownStore) Sync() error { return nil }
 func requireSameSweep(t *testing.T, round int, got, want *Sweep) {
 	t.Helper()
 	if len(got.Plans) != len(want.Plans) || got.Costs.Len() != want.Costs.Len() ||
-		got.PlanSpace != want.PlanSpace || got.Policy != want.Policy {
+		got.PlanSpace != want.PlanSpace {
 		t.Fatalf("round %d: sweep shapes differ: %d/%d plans, %d/%d costs", round, len(got.Plans), len(want.Plans), got.Costs.Len(), want.Costs.Len())
 	}
 	for i := range want.Plans {
@@ -686,11 +679,11 @@ func requireSameSweep(t *testing.T, round int, got, want *Sweep) {
 // TestBatchedSweepMatchesPerPlan: DREAM over a sized executor is scored
 // straight from the plans, chunk by chunk, and plan by plan when a
 // decorator hides either capability; the composite and BML are scored
-// plan by plan either way; and nobody can tell from the results. Both
-// prune policies × every bundled model × cache on and off, on a lattice
-// of two chunks: the sweeps (plans, every cost bit, front) and the
-// decisions of 50 rounds (10 where noted) are identical for the bare
-// and the decorated stack, and so are the two Figure 3 optimizers.
+// plan by plan either way; and nobody can tell from the results. Every
+// bundled model × cache on and off, on a lattice of two chunks: the
+// full sweeps (plans, every cost bit, front) and the decisions of 50
+// rounds are identical for the bare and the decorated stack, and so are
+// the two Figure 3 optimizers.
 func TestBatchedSweepMatchesPerPlan(t *testing.T) {
 	const maxNodes = 12 // 288 plans
 	const q = tpch.QueryQ12
@@ -708,7 +701,6 @@ func TestBatchedSweepMatchesPerPlan(t *testing.T) {
 		{"composite-uncached", true, false, func() (CostModel, error) { return NewCompositeDREAMModel(dreamCfg(-1)) }},
 		{"bml", false, false, func() (CostModel, error) { return &BMLModel{Learner: ml.LeastSquares{}, WindowMultiple: 3}, nil }},
 	}
-	policies := []PrunePolicy{FullSweep(), GreedyPrune(270)}
 	pol := Policy{Weights: []float64{1, 1}}
 
 	record := func(t *testing.T, s *Scheduler, p federation.Plan) string {
@@ -718,100 +710,92 @@ func TestBatchedSweepMatchesPerPlan(t *testing.T) {
 	}
 
 	for _, m := range models {
-		for _, prune := range policies {
-			t.Run(m.name+"/"+prune.Name(), func(t *testing.T) {
-				t.Parallel()
-				// Without a cache the per-plan route refits for every plan,
-				// 288 times a sweep: the full sweep pays for 50 rounds of
-				// that, the pruned ones for 10.
-				rounds := 50
-				if m.name != "dream" && m.name != "composite" && prune.Name() != "full" {
-					rounds = 10
+		t.Run(m.name+"/full", func(t *testing.T) {
+			t.Parallel()
+			const rounds = 50
+			var stacks [2]*Scheduler // batched, per plan
+			for i := range stacks {
+				model, err := m.build()
+				if err != nil {
+					t.Fatal(err)
 				}
-				var stacks [2]*Scheduler // batched, per plan
-				for i := range stacks {
-					model, err := m.build()
+				cfg := SchedulerConfig{Seed: 21}
+				if m.breakdown {
+					cfg.Store = breakdownStore{open: map[string]*core.History{}}
+				}
+				s := wideStack(t, 21, maxNodes, model, cfg)
+				if i == 1 {
+					s.exec, s.model = perPlanExecutor{s.exec}, perPlanModel{s.model}
+				}
+				if !m.breakdown {
+					if err := s.Bootstrap(q, 24); err != nil {
+						t.Fatal(err)
+					}
+				} else {
+					plans, err := s.plans(q)
 					if err != nil {
 						t.Fatal(err)
 					}
-					cfg := SchedulerConfig{Seed: 21, Prune: prune}
-					if m.breakdown {
-						cfg.Store = breakdownStore{open: map[string]*core.History{}}
-					}
-					s := wideStack(t, 21, maxNodes, model, cfg)
-					if i == 1 {
-						s.exec, s.model = perPlanExecutor{s.exec}, perPlanModel{s.model}
-					}
-					if !m.breakdown {
-						if err := s.Bootstrap(q, 24); err != nil {
-							t.Fatal(err)
-						}
-					} else {
-						plans, err := s.plans(q)
-						if err != nil {
-							t.Fatal(err)
-						}
-						rng := stats.NewRNG(21)
-						for n := 0; n < 24; n++ {
-							record(t, s, plans[rng.Intn(len(plans))])
-						}
-					}
-					if linear := s.sweeper(q, s.History(q), nil, new(sweepBuf)).linear != nil; linear != (m.linear && i == 0) {
-						t.Fatalf("stack %d takes the linear route: %v", i, linear)
-					}
-					stacks[i] = s
-				}
-				for round := 0; round < rounds; round++ {
-					var sweeps [2]*Sweep
-					var decisions [2]string
-					for i, s := range stacks {
-						sw, err := s.PlanSweep(context.Background(), q)
-						if err != nil {
-							t.Fatalf("round %d route %d: %v", round, i, err)
-						}
-						sweeps[i] = sw
-						if m.breakdown {
-							idx, err := sw.Select(pol)
-							if err != nil {
-								t.Fatal(err)
-							}
-							decisions[i] = record(t, s, sw.Plans[idx])
-							continue
-						}
-						dec, err := s.DecideFromSweep(sw, pol)
-						if err != nil {
-							t.Fatalf("round %d route %d: %v", round, i, err)
-						}
-						decisions[i] = renderDecision(dec)
-					}
-					requireSameSweep(t, round, sweeps[0], sweeps[1])
-					if decisions[0] != decisions[1] {
-						t.Fatalf("round %d decisions diverge:\nbatched:  %s\nper plan: %s", round, decisions[0], decisions[1])
+					rng := stats.NewRNG(21)
+					for n := 0; n < 24; n++ {
+						record(t, s, plans[rng.Intn(len(plans))])
 					}
 				}
-				if m.name != "dream" || prune.Name() != "full" {
-					return
+				if linear := s.sweeper(q, s.History(q), nil, new(sweepBuf)).linear != nil; linear != (m.linear && i == 0) {
+					t.Fatalf("stack %d takes the linear route: %v", i, linear)
 				}
-				// Figure 3's optimizers share the loop: the weighted sum
-				// scores the lattice in chunks, the GA in batches of one.
-				var wsm, ga [2]string
+				stacks[i] = s
+			}
+			for round := 0; round < rounds; round++ {
+				var sweeps [2]*Sweep
+				var decisions [2]string
 				for i, s := range stacks {
-					w, err := s.OptimizeWSM(q, Policy{Weights: []float64{2, 1}})
+					sw, err := s.PlanSweep(context.Background(), q)
 					if err != nil {
-						t.Fatal(err)
+						t.Fatalf("round %d route %d: %v", round, i, err)
 					}
-					wsm[i] = fmt.Sprintf("%+v", *w)
-					res, err := s.OptimizeGA(q, moo.NSGAIIConfig{PopSize: 24, Generations: 10, Seed: 3})
+					sweeps[i] = sw
+					if m.breakdown {
+						idx, err := sw.Select(pol)
+						if err != nil {
+							t.Fatal(err)
+						}
+						decisions[i] = record(t, s, sw.Plans[idx])
+						continue
+					}
+					dec, err := s.DecideFromSweep(sw, pol)
 					if err != nil {
-						t.Fatal(err)
+						t.Fatalf("round %d route %d: %v", round, i, err)
 					}
-					ga[i] = fmt.Sprintf("%+v %v %d", res.Plans, res.Costs, res.ModelEvaluations)
+					decisions[i] = renderDecision(dec)
 				}
-				if wsm[0] != wsm[1] || ga[0] != ga[1] {
-					t.Fatalf("optimizers diverge:\nbatched:  %s %s\nper plan: %s %s", wsm[0], ga[0], wsm[1], ga[1])
+				requireSameSweep(t, round, sweeps[0], sweeps[1])
+				if decisions[0] != decisions[1] {
+					t.Fatalf("round %d decisions diverge:\nbatched:  %s\nper plan: %s", round, decisions[0], decisions[1])
 				}
-			})
-		}
+			}
+			if m.name != "dream" {
+				return
+			}
+			// Figure 3's optimizers share the loop: the weighted sum
+			// scores the lattice in chunks, the GA in batches of one.
+			var wsm, ga [2]string
+			for i, s := range stacks {
+				w, err := s.OptimizeWSM(q, Policy{Weights: []float64{2, 1}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				wsm[i] = fmt.Sprintf("%+v", *w)
+				res, err := s.OptimizeGA(q, moo.NSGAIIConfig{PopSize: 24, Generations: 10, Seed: 3})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ga[i] = fmt.Sprintf("%+v %v %d", res.Plans, res.Costs, res.ModelEvaluations)
+			}
+			if wsm[0] != wsm[1] || ga[0] != ga[1] {
+				t.Fatalf("optimizers diverge:\nbatched:  %s %s\nper plan: %s %s", wsm[0], ga[0], wsm[1], ga[1])
+			}
+		})
 	}
 }
 

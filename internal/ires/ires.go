@@ -241,9 +241,6 @@ type Scheduler struct {
 	nodeChoices []int
 	// store, when non-nil, owns every query history (SchedulerConfig.Store).
 	store HistoryStore
-	// prune selects which QEPs of the lattice PlanSweep estimates
-	// (SchedulerConfig.Prune); nil means FullSweep().
-	prune PrunePolicy
 
 	histMu    sync.Mutex
 	histories map[tpch.QueryID]*core.History
@@ -275,12 +272,6 @@ type SchedulerConfig struct {
 	NodeChoices []int
 	// Seed drives the scheduler's own randomness (Bootstrap sampling).
 	Seed int64
-	// Prune selects which QEPs of the lattice PlanSweep estimates. Nil
-	// keeps the default FullSweep() — every plan, in lattice order, the
-	// paper's behavior. See GreedyPrune for the bounded-budget policy.
-	// The bundled policies are deterministic, so the byte-identical-
-	// decisions guarantee holds for pruned sweeps too.
-	Prune PrunePolicy
 	// Store injects a durable history store (see HistoryStore): query
 	// histories are recovered from it at first touch and every recorded
 	// execution is persisted through it. Nil keeps histories in memory.
@@ -324,7 +315,6 @@ func NewSchedulerWithConfig(fed *federation.Federation, exec federation.Executor
 		model:       model,
 		nodeChoices: nodeChoices,
 		store:       cfg.Store,
-		prune:       cfg.Prune,
 		histories:   make(map[tpch.QueryID]*core.History),
 		retain:      cfg.Retain,
 		rng:         stats.NewRNG(cfg.Seed),
@@ -521,13 +511,9 @@ type Decision struct {
 	Outcome   *federation.Outcome
 	// ParetoSize is the size of the Pareto plan set the choice was made
 	// from; PlanSpace the size of the full QEP lattice; PlansEstimated
-	// the number of QEPs the Modelling module actually scored (equal to
-	// PlanSpace under the default FullSweep, smaller under a pruning
-	// policy).
+	// the number of QEPs the Modelling module scored — all of them, so
+	// equal to PlanSpace unless the sweep was built by hand.
 	ParetoSize, PlanSpace, PlansEstimated int
-	// PrunePolicy names the prune policy that shaped the sweep ("full",
-	// "greedy").
-	PrunePolicy string
 }
 
 // Submit runs one full pipeline round for query q: enumerate QEPs,
@@ -559,9 +545,8 @@ func (s *Scheduler) SubmitContext(ctx context.Context, q tpch.QueryID, pol Polic
 // share one sweep and differ only in selection.
 type Sweep struct {
 	Query tpch.QueryID
-	// Plans holds the QEPs the sweep actually estimated: the whole
-	// lattice under FullSweep (the default), the pruned subset under a
-	// pruning policy.
+	// Plans holds the QEPs the sweep estimated: the whole lattice, in
+	// lattice order.
 	Plans []federation.Plan
 	// Costs is the model cost vector of every plan, row i plan i's: one
 	// flat plans × metrics matrix, read through Costs.Row. ReleaseSweep
@@ -574,24 +559,20 @@ type Sweep struct {
 	// weighted sum compares normalized ones); copies, not views into
 	// Costs.
 	FrontCosts, Normalized [][]float64
-	// PlanSpace is the size of the full QEP lattice the sweep drew
-	// from; PlansEstimated (= len(Plans)) counts the QEPs the prune
-	// policy actually scored, so PlanSpace/PlansEstimated is the live
-	// pruning ratio. Policy names the prune policy ("full" when none
-	// was configured).
+	// PlanSpace is the size of the QEP lattice the sweep drew from;
+	// PlansEstimated (= len(Plans)) counts the QEPs it scored. A sweep
+	// scores every plan, so the two are equal.
 	PlanSpace, PlansEstimated int
-	Policy                    string
 
 	// buf is the pooled scratch Costs lives in; nil once released.
 	buf *sweepBuf
 }
 
-// PlanSweep builds the QEP lattice of q, estimates the plans the
-// configured PrunePolicy selects (default: all of them), each against
-// one history snapshot, and reduces to the Pareto set. The estimation
-// loop observes ctx between chunks of 256 plans. The cost matrix comes
-// from a pool: ReleaseSweep hands it back once the sweep has served its
-// decisions.
+// PlanSweep builds the QEP lattice of q, estimates every plan of it
+// against one history snapshot, and reduces to the Pareto set. The
+// estimation loop observes ctx between chunks of at most 256 plans. The
+// cost matrix comes from a pool: ReleaseSweep hands it back once the
+// sweep has served its decisions.
 func (s *Scheduler) PlanSweep(ctx context.Context, q tpch.QueryID) (sw *Sweep, err error) {
 	if s.obs != nil {
 		began := time.Now()
@@ -614,12 +595,8 @@ func (s *Scheduler) PlanSweep(ctx context.Context, q tpch.QueryID) (sw *Sweep, e
 	if err != nil {
 		return nil, err
 	}
-	pruner := s.prune
-	if pruner == nil {
-		pruner = FullSweep()
-	}
 	buf := sweepPool.Get().(*sweepBuf)
-	plans, costs, err := pruner.sweep(ctx, s.sweeper(q, h, lat, buf))
+	costs, err := s.sweeper(q, h, lat, buf).sweep(ctx)
 	if err != nil {
 		buf.release()
 		return nil, err
@@ -630,6 +607,7 @@ func (s *Scheduler) PlanSweep(ctx context.Context, q tpch.QueryID) (sw *Sweep, e
 		return nil, err
 	}
 	frontCosts := copyRows(costs, frontIdx)
+	plans := lat.Plans()
 	// Normalize so seconds and dollars are comparable before the
 	// weighted sum (Algorithm 2's WeightSum over user policy).
 	return &Sweep{
@@ -641,7 +619,6 @@ func (s *Scheduler) PlanSweep(ctx context.Context, q tpch.QueryID) (sw *Sweep, e
 		Normalized:     moo.NormalizeCosts(frontCosts),
 		PlanSpace:      lat.Size(),
 		PlansEstimated: len(plans),
-		Policy:         pruner.Name(),
 		buf:            buf,
 	}, nil
 }
@@ -709,14 +686,11 @@ func (s *Scheduler) DecideFromSweep(sw *Sweep, pol Policy) (*Decision, error) {
 	if err := s.record(sw.Query, x, out.Costs()); err != nil {
 		return nil, err
 	}
-	// Sweeps built by hand (tests, embedders) may leave the bookkeeping
-	// fields zero; fall back to the pre-pruning interpretation.
-	planSpace, policy := sw.PlanSpace, sw.Policy
+	// A sweep built by hand (tests, embedders) may leave PlanSpace zero:
+	// its plans are then the whole space.
+	planSpace := sw.PlanSpace
 	if planSpace == 0 {
 		planSpace = len(sw.Plans)
-	}
-	if policy == "" {
-		policy = "full"
 	}
 	return &Decision{
 		Plan:           chosen,
@@ -725,7 +699,6 @@ func (s *Scheduler) DecideFromSweep(sw *Sweep, pol Policy) (*Decision, error) {
 		ParetoSize:     len(sw.FrontIdx),
 		PlanSpace:      planSpace,
 		PlansEstimated: len(sw.Plans),
-		PrunePolicy:    policy,
 	}, nil
 }
 

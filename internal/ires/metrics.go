@@ -54,10 +54,10 @@ func (s *Scheduler) instrument(reg *metrics.Registry, federation string) {
 			"Wall time of one plan sweep (enumerate, estimate every QEP, Pareto-reduce).",
 			metrics.DefBuckets, "federation", "query"),
 		plansEstimated: reg.CounterVec("midas_plans_estimated_total",
-			"Query execution plans scored by the Modelling module (after pruning).",
+			"Query execution plans scored by the Modelling module.",
 			"federation", "query"),
 		planSpace: reg.GaugeVec("midas_plan_space",
-			"Size of the full QEP lattice of the most recent sweep; compare with the per-sweep increment of midas_plans_estimated_total to read the live pruning ratio.",
+			"Size of the QEP lattice of the most recent sweep, every plan of which it scores.",
 			"federation", "query"),
 		sweepErrors: reg.CounterVec("midas_sweep_errors_total",
 			"Plan sweeps that failed (cancelled, timed out, or estimation error).",
@@ -129,8 +129,7 @@ func (o *schedulerObs) series(q tpch.QueryID) *sweepSeries {
 }
 
 // observeSweep records one finished (or failed) sweep. planCount is
-// the number of QEPs estimated (after pruning), planSpace the full
-// lattice size.
+// the number of QEPs estimated, planSpace the lattice size.
 func (s *Scheduler) observeSweep(q tpch.QueryID, began time.Time, planCount, planSpace int, err error) {
 	o := s.obs
 	if o == nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/federation"
 	"repro/internal/moo"
@@ -76,7 +77,7 @@ func (p *planProblem) Evaluate(x []float64) []float64 {
 	}
 	var c []float64
 	if costs, err := p.round.estimate(context.Background(), []federation.Plan{plan}); err == nil {
-		c = costs.Row(0)
+		c = slices.Clone(costs.Row(0)) // the round's next estimate reuses the matrix
 	} else {
 		if p.err == nil {
 			p.err = err
@@ -190,7 +191,7 @@ func (s *Scheduler) OptimizeWSM(q tpch.QueryID, pol Policy) (*WSMResult, error) 
 	if len(plans) == 0 {
 		return nil, moo.ErrNoPlans
 	}
-	costs, err := s.sweeper(q, h, nil, new(sweepBuf)).estimate(context.Background(), plans)
+	costs, err := s.sweeper(q, h, lat, new(sweepBuf)).sweep(context.Background())
 	if err != nil {
 		return nil, err
 	}

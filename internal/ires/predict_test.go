@@ -6,10 +6,12 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/federation"
+	"repro/internal/moo"
 	"repro/internal/regression"
 	"repro/internal/tpch"
 )
@@ -177,7 +179,7 @@ func TestPredictOnlyMatchesEstimator(t *testing.T) {
 	}
 }
 
-// predictCosts is the reference the linear kernels are held to: each
+// predictCosts is the reference the lattice walk is held to: each
 // plan's feature row, each model's Predict of it, clamped at zero.
 func predictCosts(t testing.TB, models []*regression.Model, plans []federation.Plan, leftMiB, rightMiB float64) []float64 {
 	t.Helper()
@@ -196,25 +198,13 @@ func predictCosts(t testing.TB, models []*regression.Model, plans []federation.P
 	return out
 }
 
-// requireLinearMatchesPredict fails unless appendLinearCosts, after a
-// prefix, appends exactly predictCosts' bits — where one is a NaN, any
-// NaN. Which NaN an operation on two NaNs returns is the operand order
-// the compiler picked for a commutative add, not part of any contract;
-// from NaN-free coefficients and sizes every NaN is the hardware's one
-// default NaN (Inf·0, Inf−Inf), and those are compared bit for bit.
-func requireLinearMatchesPredict(t testing.TB, models []*regression.Model, plans []federation.Plan, leftMiB, rightMiB float64) {
-	t.Helper()
-	want := predictCosts(t, models, plans, leftMiB, rightMiB)
-	got, err := appendLinearCosts([]float64{42}, models, plans, leftMiB, rightMiB)
-	if err != nil || len(got) != 1+len(want) || got[0] != 42 {
-		t.Fatalf("%d plans, %d metrics: %d values, prefix %v, %v", len(plans), len(models), len(got), got[:1], err)
-	}
-	requireSameBits(t, "linear", got[1:], "Predict", want, models, plans, leftMiB, rightMiB)
-}
-
 // requireSameBits fails unless got and want, k = len(models) costs per
-// plan, have the same bits — any NaN for a NaN when a coefficient or
-// table size is itself NaN (see requireLinearMatchesPredict).
+// plan, have the same bits — where one is a NaN, any NaN when a
+// coefficient or table size is itself NaN. Which NaN an operation on two
+// NaNs returns is the operand order the compiler picked for a
+// commutative add, not part of any contract; from NaN-free coefficients
+// and sizes every NaN is the hardware's one default NaN (Inf·0,
+// Inf−Inf), and those are compared bit for bit.
 func requireSameBits(t testing.TB, gotName string, got []float64, wantName string, want []float64, models []*regression.Model, plans []federation.Plan, leftMiB, rightMiB float64) {
 	t.Helper()
 	nanIn := math.IsNaN(leftMiB) || math.IsNaN(rightMiB)
@@ -245,20 +235,21 @@ func (m fixedLinear) LinearModels(*core.Snapshot, int, int) ([]*regression.Model
 }
 
 // requireWalkMatchesPlans fails unless a full sweep's walk of lat
-// scores exactly appendLinearCosts' bits over lat.Plans() — and so,
-// through requireLinearMatchesPredict, Predict's.
+// scores exactly predictCosts' bits over lat.Plans(); and unless, with
+// its last model swapped for one over 4 features, the walk refuses the
+// models as regression.ErrDimension.
 func requireWalkMatchesPlans(t testing.TB, models []*regression.Model, lat *federation.PlanLattice, leftMiB, rightMiB float64) {
 	t.Helper()
-	ps := &planSweeper{lat: lat, linear: fixedLinear{models: models}, leftMiB: leftMiB, rightMiB: rightMiB, buf: new(sweepBuf)}
-	costs, err := ps.walk(context.Background())
+	walk := func(models []*regression.Model) (moo.CostMatrix, error) {
+		ps := &planSweeper{lat: lat, linear: fixedLinear{models: models}, leftMiB: leftMiB, rightMiB: rightMiB, buf: new(sweepBuf)}
+		return ps.walk(context.Background())
+	}
+	costs, err := walk(models)
 	if err != nil {
 		t.Fatal(err)
 	}
 	plans := lat.Plans()
-	want, err := appendLinearCosts(nil, models, plans, leftMiB, rightMiB)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := predictCosts(t, models, plans, leftMiB, rightMiB)
 	if costs.Len() != len(plans) || costs.Len()*len(models) != len(want) {
 		t.Fatalf("walk scored %d plans, the lattice has %d", costs.Len(), len(plans))
 	}
@@ -266,7 +257,12 @@ func requireWalkMatchesPlans(t testing.TB, models []*regression.Model, lat *fede
 	for i := 0; i < costs.Len(); i++ {
 		got = append(got, costs.Row(i)...)
 	}
-	requireSameBits(t, "walk", got, "plans", want, models, plans, leftMiB, rightMiB)
+	requireSameBits(t, "walk", got, "Predict", want, models, plans, leftMiB, rightMiB)
+
+	short := append(slices.Clone(models[:len(models)-1]), &regression.Model{Beta: make([]float64, 5), L: 4})
+	if _, err := walk(short); !errors.Is(err, regression.ErrDimension) {
+		t.Fatalf("a model over 4 features: %v, want ErrDimension", err)
+	}
 }
 
 // linearModel is a fitted-looking model over the plan features.
@@ -274,25 +270,17 @@ func linearModel(beta []float64) *regression.Model {
 	return &regression.Model{Beta: beta, L: federation.FeatureDim}
 }
 
-// TestLinearScoringMatchesPredict: the linear route scores a plan
-// straight from its node counts, bit for bit as Model.Predict does from
-// its feature row — over random and adversarial coefficients and table
-// sizes (negatives, ±0, denormals, overflow, ±Inf, NaN), both join
-// sides, odd and even metric counts, chunk lengths from 0 to past a
-// sweep chunk, and lattice plans out of lattice order, as GreedyPrune's
-// refinement passes them. A model over other features is ErrDimension
-// with nothing appended.
+// TestLinearScoringMatchesPredict: the linear kernel scores rows of
+// plans straight from their node counts, bit for bit as Model.Predict
+// does from each plan's feature row, clamped — over random and
+// adversarial coefficients, table sizes and node counts (negatives, ±0,
+// denormals, overflow, ±Inf, NaN), both join sides, odd and even metric
+// counts, and left and right axes of any length and order, repeats
+// included. It writes nothing outside its rows. A model over other
+// features is ErrDimension.
 func TestLinearScoringMatchesPredict(t *testing.T) {
 	pool := []float64{0, math.Copysign(0, -1), 1, -1, 0.5, -3.25, 5e-324, -5e-324, 2.2e-308,
 		1e300, -1e300, math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN(), 1e-5, 7, 1 << 20}
-	fed, err := federation.WideTopology(3, 8) // 128 plans: the longer chunks add plans off the lattice
-	if err != nil {
-		t.Fatal(err)
-	}
-	lat, err := fed.PlanLattice(tpch.QueryQ12, federation.NodeRange(8))
-	if err != nil {
-		t.Fatal(err)
-	}
 	rng := rand.New(rand.NewSource(27))
 	draw := func(scale float64) float64 {
 		if rng.Intn(5) == 0 {
@@ -300,6 +288,17 @@ func TestLinearScoringMatchesPredict(t *testing.T) {
 		}
 		return rng.NormFloat64() * scale
 	}
+	axis := func(n int) []int {
+		a := make([]int, n)
+		for i := range a {
+			a[i] = 1 + rng.Intn(96)
+			if rng.Intn(4) == 0 {
+				a[i] = rng.Intn(1 << 16)
+			}
+		}
+		return a
+	}
+	const sentinel = 42
 	for trial := 0; trial < 300; trial++ {
 		k := []int{1, 2, 3, 6, 7}[trial%5]
 		models := make([]*regression.Model, k)
@@ -310,38 +309,49 @@ func TestLinearScoringMatchesPredict(t *testing.T) {
 			}
 			models[mi] = linearModel(beta)
 		}
+		if err := checkLinear(models); err != nil {
+			t.Fatal(err)
+		}
 		leftMiB, rightMiB := math.Abs(rng.NormFloat64()*500), math.Abs(rng.NormFloat64()*50)
 		if trial%7 == 0 {
 			leftMiB, rightMiB = draw(500), draw(50)
 		}
-		all := lat.Plans()
-		for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 255, 256, 257} {
-			plans := make([]federation.Plan, n)
-			for i, at := range rng.Perm(len(all))[:min(n, len(all))] {
-				plans[i] = all[at]
+		for _, n := range []int{0, 1, 2, 3, 5, 8, 9, 40} {
+			left, right := axis(n), axis(1+rng.Intn(9))
+			side := len(left) * len(right) * k
+			out := make([]float64, 1+2*side+1)
+			out[0], out[len(out)-1] = sentinel, sentinel
+			walkLinearCosts(out, models, left, right, 1, side, leftMiB, rightMiB)
+			if out[0] != sentinel || out[len(out)-1] != sentinel {
+				t.Fatalf("%d×%d rows, %d metrics: wrote outside its rows", len(left), len(right), k)
 			}
-			for i := len(all); i < n; i++ {
-				plans[i] = federation.Plan{Query: tpch.QueryQ12, JoinAtLeft: rng.Intn(2) == 0,
-					NodesLeft: rng.Intn(1 << 16), NodesRight: rng.Intn(1 << 16)}
+			plans := make([]federation.Plan, 0, 2*len(left)*len(right))
+			for _, join := range []bool{true, false} {
+				for _, nl := range left {
+					for _, nr := range right {
+						plans = append(plans, federation.Plan{Query: tpch.QueryQ12, JoinAtLeft: join, NodesLeft: nl, NodesRight: nr})
+					}
+				}
 			}
-			requireLinearMatchesPredict(t, models, plans, leftMiB, rightMiB)
+			want := predictCosts(t, models, plans, leftMiB, rightMiB)
+			requireSameBits(t, "kernel", out[1:len(out)-1], "Predict", want, models, plans, leftMiB, rightMiB)
 		}
 	}
 
 	models := []*regression.Model{linearModel(make([]float64, 6)), {Beta: make([]float64, 5), L: 4}}
-	got, err := appendLinearCosts([]float64{42}, models, lat.Plans()[:3], 1, 2)
-	if !errors.Is(err, regression.ErrDimension) || len(got) != 1 {
-		t.Errorf("a model over 4 features: %v, %v", got, err)
+	if err := checkLinear(models); !errors.Is(err, regression.ErrDimension) {
+		t.Errorf("a model over 4 features: %v, want ErrDimension", err)
 	}
 }
 
 // TestLatticeScoringMatchesPlans: a full sweep on the linear route
-// walks the lattice by its axes, bit for bit as appendLinearCosts scores
-// lat.Plans() — over random and adversarial coefficients and table sizes
-// (±0, denormals, overflow, ±Inf, NaN), one to three metrics, sorted,
-// unsorted and asymmetric menus, and lattices of 18, 48, 2,048 and
-// 18,432 plans, whose chunks hold several left rows, one, or a partial
-// last group.
+// walks the lattice by its axes, bit for bit as Model.Predict scores
+// each plan's feature row — over random and adversarial coefficients
+// and table sizes (negatives, ±0, denormals, overflow, ±Inf, NaN), one
+// to seven metrics, sorted, unsorted and asymmetric menus, and lattices
+// of 18, 48, 2,048 and 18,432 plans, whose chunks hold several left
+// rows, one, or a partial last group, for odd and even metric counts.
+// A model over other features is ErrDimension.
 func TestLatticeScoringMatchesPlans(t *testing.T) {
 	pool := []float64{0, math.Copysign(0, -1), 1, -1, 0.5, -3.25, 5e-324, -5e-324, 2.2e-308,
 		1e300, -1e300, math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN(), 1e-5, 7, 1 << 20}
@@ -377,7 +387,7 @@ func TestLatticeScoringMatchesPlans(t *testing.T) {
 			return rng.NormFloat64() * scale
 		}
 		for trial := 0; trial < tc.trials; trial++ {
-			models := make([]*regression.Model, 1+trial%3)
+			models := make([]*regression.Model, []int{1, 2, 3, 6, 7}[trial%5])
 			for mi := range models {
 				beta := make([]float64, federation.FeatureDim+1)
 				for j := range beta {
@@ -390,20 +400,16 @@ func TestLatticeScoringMatchesPlans(t *testing.T) {
 				leftMiB, rightMiB = draw(500), draw(50)
 			}
 			requireWalkMatchesPlans(t, models, tc.lat, leftMiB, rightMiB)
-			if trial < 6 {
-				requireLinearMatchesPredict(t, models, tc.lat.Plans(), leftMiB, rightMiB)
-			}
 		}
 	}
 }
 
 // FuzzLinearScoring decodes arbitrary coefficients (six float64s per
-// metric), table sizes and plans (two int16 node counts and a join byte
-// each) and holds the linear route to Model.Predict's bits; then it
-// decodes a node-choice menu (one byte a size, 1–96, repeats skipped),
-// builds the lattice it gives on a topology whose sites cap at 96 and
-// 24 nodes, and holds the walk of that lattice to appendLinearCosts'
-// bits over its plans.
+// metric) and table sizes, then a node-choice menu (one byte a size,
+// 1–96, repeats skipped); it builds the lattice the menu gives on a
+// topology whose sites cap at 96 and 24 nodes, and holds the walk of
+// that lattice to Model.Predict's bits over its plans, and to
+// ErrDimension for a model over other features.
 func FuzzLinearScoring(f *testing.F) {
 	le := binary.LittleEndian
 	floats := func(vs ...float64) []byte {
@@ -419,10 +425,10 @@ func FuzzLinearScoring(f *testing.F) {
 		f.Fatal(err)
 	}
 	fed.Sites["postgres-azure"].MaxNodes = 24 // Q12's right site: the axes differ
-	f.Add(12.5, 3.0, floats(1, 2, 3, 4, 5, 6, -100, 0.5, 0.25, -7, 2, -1), []byte{1, 0, 2, 0, 1, 16, 0, 3, 0, 0}, []byte{2, 0, 1})
-	f.Add(0.0, negZero, floats(negZero, inf, -inf, nan, 5e-324, 0), []byte{0, 0, 0, 0, 0, 255, 255, 1, 128, 1}, []byte{40, 3, 90, 23, 3, 7})
-	f.Add(1e308, -1e308, floats(1e300, 1e300, 1e300, -1e300, 1e-320, inf), []byte{7, 0, 9, 0, 0}, []byte{30, 31})
-	f.Fuzz(func(t *testing.T, leftMiB, rightMiB float64, coefs, raw, menuRaw []byte) {
+	f.Add(12.5, 3.0, floats(1, 2, 3, 4, 5, 6, -100, 0.5, 0.25, -7, 2, -1), []byte{2, 0, 1})
+	f.Add(0.0, negZero, floats(negZero, inf, -inf, nan, 5e-324, 0), []byte{40, 3, 90, 23, 3, 7})
+	f.Add(1e308, -1e308, floats(1e300, 1e300, 1e300, -1e300, 1e-320, inf), []byte{30, 31})
+	f.Fuzz(func(t *testing.T, leftMiB, rightMiB float64, coefs, menuRaw []byte) {
 		k := min(len(coefs)/(8*(federation.FeatureDim+1)), 9)
 		if k == 0 {
 			return
@@ -435,14 +441,6 @@ func FuzzLinearScoring(f *testing.F) {
 			}
 			models[mi] = linearModel(beta)
 		}
-		plans := make([]federation.Plan, min(len(raw)/5, 1024))
-		for i := range plans {
-			b := raw[5*i:]
-			plans[i] = federation.Plan{JoinAtLeft: b[4]&1 == 1,
-				NodesLeft: int(int16(le.Uint16(b))), NodesRight: int(int16(le.Uint16(b[2:])))}
-		}
-		requireLinearMatchesPredict(t, models, plans, leftMiB, rightMiB)
-
 		var menu []int
 		seen := map[int]bool{}
 		for _, b := range menuRaw {

@@ -1,6 +1,6 @@
 // Package moo implements the multi-objective machinery of the paper's
-// Sections 2.3 and 3: Pareto dominance over cost vectors (eq. 1),
-// Pareto sets/fronts (eq. 4 and eq. 13), the NSGA-II evolutionary
+// Sections 2.3 and 3: Pareto dominance over cost vectors, Pareto
+// sets/fronts (eq. 4 and eq. 13), the NSGA-II evolutionary
 // optimizer the paper applies in the Multi-Objective Optimizer module,
 // the Weighted Sum Model baseline, and the weighted-sum selection under
 // per-metric bounds that Algorithm 2 makes (ArgminWeightedSumWhere with
@@ -12,26 +12,12 @@ package moo
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // ErrDimension is returned when cost vectors of different lengths are
 // compared.
 var ErrDimension = errors.New("moo: mismatched objective dimensions")
-
-// Dominates reports whether cost vector a dominates b: aₙ ≤ bₙ for all
-// objectives (paper eq. 1). Note that a vector dominates itself under
-// this (weak) definition.
-func Dominates(a, b []float64) (bool, error) {
-	if len(a) != len(b) {
-		return false, fmt.Errorf("%w: %d vs %d", ErrDimension, len(a), len(b))
-	}
-	for i := range a {
-		if a[i] > b[i] {
-			return false, nil
-		}
-	}
-	return true, nil
-}
 
 // ParetoDominates is the standard Pareto relation used by NSGA-II:
 // a ≤ b in every objective and a < b in at least one.
@@ -121,15 +107,6 @@ func (m CostMatrix) Row(i int) []float64 {
 	return m.v[i*m.k : (i+1)*m.k : (i+1)*m.k]
 }
 
-// Append returns m followed by the rows of o, which must have m's width
-// unless one of the two is empty. It may reuse m's spare capacity.
-func (m CostMatrix) Append(o CostMatrix) (CostMatrix, error) {
-	if m.k != o.k && m.n > 0 && o.n > 0 {
-		return CostMatrix{}, fmt.Errorf("%w: %d vs %d", ErrDimension, m.k, o.k)
-	}
-	return CostMatrix{n: m.n + o.n, k: max(m.k, o.k), v: append(m.v, o.v...)}, nil
-}
-
 // ParetoFront returns the indices, ascending, of the non-dominated rows
 // of costs — the Pareto set of eq. 13's trade-off space. Ties (identical
 // rows) are all kept. The error is always nil — a CostMatrix cannot be
@@ -141,10 +118,11 @@ func (m CostMatrix) Append(o CostMatrix) (CostMatrix, error) {
 // is Θ(n) (an antichain). NaN components compare as ties in
 // ParetoDominates, which makes dominance non-transitive; for NaN-bearing
 // input the result is deterministic but otherwise unspecified. Two
-// objectives, the served count, take paretoFront2: same indices, always.
+// NaN-free objectives, the served case, take paretoFront2: same indices,
+// O(n log |front|).
 func ParetoFront(costs CostMatrix) ([]int, error) {
 	if costs.k == 2 {
-		return paretoFront2(costs.v), nil
+		return paretoFront2(costs), nil
 	}
 	return paretoFrontRows(costs), nil
 }
@@ -173,45 +151,100 @@ candidates:
 }
 
 // frontBuf is how many front members paretoFront2 holds without
-// touching the heap (3 KB of stack). The lattices midasd serves produce
-// fronts of 1–8 and a 2,048-plan sweep passes through fronts of 64–128
-// on its way to ≈ 40; a longer one spills to append's growth and costs
-// only allocations.
+// touching the heap (3 KB of stack). Measured as the running front's
+// peak over 20 DREAM rounds per lattice: the 30-plan lattices of the
+// default topology reach 1–15 members and the largest midasd serves
+// (128 plans) 2–29; 2,048 plans reach 32–156 and 18,432 plans 96–3,473.
+// There the front often spills to append's growth, which costs only
+// allocations.
 const frontBuf = 128
 
-// dominates2 is paretoDominates for two objectives: a is nowhere worse
-// and somewhere better, with a NaN comparing as a tie.
-func dominates2(a0, a1, b0, b1 float64) bool {
-	return !(a0 > b0) && !(a1 > b1) && (a0 < b0 || a1 < b1)
+// member is one row of paretoFront2's front: its two costs and index.
+type member struct {
+	c0, c1 float64
+	i      int
 }
 
-// paretoFront2 is paretoFrontRows over v's rows of two objectives. The
-// front's costs are copied next to its indices, so the scan every
-// candidate pays — is it dominated by a member? — walks one contiguous
-// array, two compares a member, and both live on the stack up to
-// frontBuf members; the result is the one allocation.
-func paretoFront2(v []float64) []int {
-	var idxBuf [frontBuf]int
-	var costBuf [2 * frontBuf]float64
-	front, fc := idxBuf[:0], costBuf[:0]
-candidates:
-	for i := 0; 2*i < len(v); i++ {
-		c0, c1 := v[2*i], v[2*i+1]
-		for j := 0; j+1 < len(fc); j += 2 {
-			if dominates2(fc[j], fc[j+1], c0, c1) {
-				continue candidates
+// paretoFront2 is paretoFrontRows over rows of two objectives, with the
+// front kept as a staircase (Kung, Luccio & Preparata 1975): members
+// sorted by objective 0, so objective 1 descends, and equal objective 0
+// means an identical row. A candidate's only possible dominator is then
+// the last member whose objective 0 is no greater — one binary search —
+// and the members it dominates are one contiguous run, evicted by one
+// copy. The member that dropped the last candidate is tried before the
+// search: neighbouring plans tend to share a dominator. The front lives
+// on the stack up to frontBuf members; the result is the one
+// allocation. A NaN, which no order holds, hands the whole matrix to
+// paretoFrontRows.
+func paretoFront2(costs CostMatrix) []int {
+	var buf [frontBuf]member
+	front, v := buf[:0], costs.v
+	d := -1 // the member that dropped the last row; -1 once the front changes
+	for i := 0; len(v) >= 2; i++ {
+		c0, c1 := v[0], v[1]
+		v = v[2:]
+		// NaN in either cost — or +Inf beside −Inf, which the scan handles
+		// as well — makes the sum NaN.
+		if s := c0 + c1; s != s {
+			return paretoFrontRows(costs)
+		}
+		if d >= 0 {
+			if m := &front[d]; m.c0 <= c0 && m.c1 <= c1 && (m.c0 < c0 || m.c1 < c1) {
+				continue
 			}
 		}
-		kept := 0
-		for j := range front {
-			if !dominates2(c0, c1, fc[2*j], fc[2*j+1]) {
-				front[kept], fc[2*kept], fc[2*kept+1] = front[j], fc[2*j], fc[2*j+1]
-				kept++
+		// p is the first member whose objective 0 exceeds c0; a row past
+		// the last member's objective 0 skips the search.
+		lo, p := 0, len(front)
+		if p > 0 && front[p-1].c0 <= c0 {
+			lo = p
+		}
+		for lo < p {
+			h := int(uint(lo+p) >> 1)
+			if front[h].c0 <= c0 {
+				lo = h + 1
+			} else {
+				p = h
 			}
 		}
-		front, fc = append(front[:kept], i), append(fc[:2*kept], c0, c1)
+		if p > 0 {
+			if m := &front[p-1]; m.c1 <= c1 {
+				if m.c0 != c0 || m.c1 != c1 {
+					d = p - 1
+					continue // dominated by m
+				}
+				// A copy of a member: every member past it has a lower
+				// objective 1, so it joins its twins and evicts none.
+				front, d = slices.Insert(front, p, member{c0, c1, i}), -1
+				continue
+			}
+		}
+		// The row dominates the members left of p that share its objective
+		// 0 (copies of one row, with a higher objective 1) and those from p
+		// on whose objective 1 is no lower: the run [q, r).
+		q, r := p, p
+		for q > 0 && front[q-1].c0 == c0 {
+			q--
+		}
+		for r < len(front) && front[r].c1 >= c1 {
+			r++
+		}
+		d = -1
+		if r == q {
+			front = slices.Insert(front, q, member{c0, c1, i})
+			continue
+		}
+		front[q] = member{c0, c1, i}
+		if r > q+1 {
+			front = front[:q+1+copy(front[q+1:], front[r:])]
+		}
 	}
-	return append([]int(nil), front...)
+	out := make([]int, len(front))
+	for j, m := range front {
+		out[j] = m.i
+	}
+	slices.Sort(out)
+	return out
 }
 
 // NonDominatedSort partitions costs into fronts F₁, F₂, … where F₁ is

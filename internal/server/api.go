@@ -53,14 +53,11 @@ type QueryResponse struct {
 	MeasuredUSD    float64 `json:"measured_usd"`
 	// ParetoSize and PlanSpace size the Pareto set and the full QEP
 	// lattice the choice was made from; PlansEstimated counts the QEPs
-	// the Modelling module actually scored for this round's sweep
-	// (equal to PlanSpace under the "full" prune policy — all midasd
-	// itself runs — smaller when an embedder's scheduler prunes).
+	// the Modelling module scored for this round's sweep — every plan,
+	// so it equals PlanSpace.
 	ParetoSize     int `json:"pareto_size"`
 	PlanSpace      int `json:"plan_space"`
 	PlansEstimated int `json:"plans_estimated"`
-	// PrunePolicy names the prune policy that shaped this round's sweep.
-	PrunePolicy string `json:"prune_policy"`
 	// Coalesced reports whether this request shared another request's
 	// plan sweep instead of running its own.
 	Coalesced bool `json:"coalesced"`
@@ -118,9 +115,8 @@ type FederationStats struct {
 	Coalesced int64 `json:"coalesced"`
 	Sweeps    int64 `json:"sweeps"`
 	// PlansEstimated totals the QEPs scored by this tenant's Modelling
-	// module across all sweeps (after pruning); PlanSpace is the full
-	// lattice size of the most recent sweep, so PlanSpace×Sweeps vs
-	// PlansEstimated reads the realized pruning ratio.
+	// module across all sweeps; PlanSpace is the lattice size of the
+	// most recent sweep, which every sweep scores in full.
 	PlansEstimated int64 `json:"plans_estimated"`
 	PlanSpace      int64 `json:"plan_space"`
 	// HistoryTruncated counts /v1/history responses that stopped short

@@ -888,7 +888,6 @@ func (s *Server) serveSubmit(ctx context.Context, sc *serveScratch, body []byte,
 		ParetoSize:     dec.ParetoSize,
 		PlanSpace:      dec.PlanSpace,
 		PlansEstimated: dec.PlansEstimated,
-		PrunePolicy:    dec.PrunePolicy,
 		Coalesced:      coalesced,
 		LatencyMS:      float64(latency) / float64(time.Millisecond),
 	}

@@ -373,9 +373,8 @@ func TestServeIntegration(t *testing.T) {
 	if qr.MeasuredTimeS <= 0 || qr.PlanSpace < 2 {
 		t.Fatalf("implausible decision: %+v", qr)
 	}
-	if qr.PrunePolicy != "full" || qr.PlansEstimated != qr.PlanSpace {
-		t.Fatalf("default prune bookkeeping: policy=%q estimated=%d space=%d",
-			qr.PrunePolicy, qr.PlansEstimated, qr.PlanSpace)
+	if qr.PlansEstimated != qr.PlanSpace {
+		t.Fatalf("sweep bookkeeping: estimated=%d space=%d", qr.PlansEstimated, qr.PlanSpace)
 	}
 	// A second submission must land in history: bootstrap(12) + 1.
 	hresp, err := http.Get(ts.URL + "/v1/history/Q12?limit=1")
@@ -394,71 +393,6 @@ func TestServeIntegration(t *testing.T) {
 	resp, _ = postQuery(t, ts.URL, QueryRequest{Query: "Q13"})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unserved query: status = %d", resp.StatusCode)
-	}
-}
-
-// TestPrunePolicyOnTheWire serves an embedder-assembled scheduler that
-// prunes (midasd itself only sweeps in full): the response reports the
-// decision's policy and accounting, and /v1/stats — which reads the
-// decisions, not any configuration — agrees with it.
-func TestPrunePolicyOnTheWire(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-stack serve test")
-	}
-	const maxNodes = 12 // 2×12×12 = 288 plans, past GreedyPrune(64)'s budget
-	fed, err := federation.WideTopology(3, maxNodes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cal, err := federation.Calibrate(fed, federation.CalibrationSF, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched, err := ires.NewDREAMScheduler(fed, cal, 0.05, ires.SchedulerConfig{
-		NodeChoices: federation.NodeRange(maxNodes),
-		Seed:        3,
-		Prune:       ires.GreedyPrune(64),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sched.Bootstrap(tpch.QueryQ12, 24); err != nil {
-		t.Fatal(err)
-	}
-	srv, err := NewWithSchedulers(Config{}, map[string]QueryScheduler{"pruned": sched}, []tpch.QueryID{tpch.QueryQ12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	resp, body := postQuery(t, ts.URL, QueryRequest{Query: "Q12", Weights: []float64{1, 1}})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("submit: %d %s", resp.StatusCode, body)
-	}
-	var qr QueryResponse
-	if err := json.Unmarshal(body, &qr); err != nil {
-		t.Fatal(err)
-	}
-	if qr.PrunePolicy != "greedy" || qr.PlanSpace != 2*maxNodes*maxNodes || qr.PlansEstimated < 1 || qr.PlansEstimated >= qr.PlanSpace {
-		t.Fatalf("prune fields: %+v", qr)
-	}
-
-	sresp, err := http.Get(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sresp.Body.Close()
-	var sr StatsResponse
-	if err := json.NewDecoder(sresp.Body).Decode(&sr); err != nil {
-		t.Fatal(err)
-	}
-	fs, ok := sr.Federations["pruned"]
-	if !ok {
-		t.Fatalf("stats missing tenant: %+v", sr)
-	}
-	if fs.PlanSpace != int64(qr.PlanSpace) || fs.PlansEstimated != int64(qr.PlansEstimated) {
-		t.Fatalf("stats prune fields: %+v vs response %+v", fs, qr)
 	}
 }
 

@@ -19,8 +19,8 @@ type tenantStats struct {
 	histTruncated atomic.Int64
 	checkpoints   atomic.Int64
 	checkpointErr atomic.Int64
-	// plansEstimated totals QEPs scored (after pruning); planSpace holds
-	// the most recent sweep's full lattice size. Both are fed from the
+	// plansEstimated totals QEPs scored; planSpace holds the most
+	// recent sweep's lattice size. Both are fed from the
 	// decision on the serving hot path, so they are plain atomics.
 	plansEstimated atomic.Int64
 	planSpace      atomic.Int64
