@@ -44,7 +44,7 @@ func TestConcurrentEstimateWhileAppending(t *testing.T) {
 		readers    = 8
 		estimates  = 200
 		appends    = 200
-		savePasses = 20
+		readPasses = 20
 	)
 	var wg sync.WaitGroup
 	errc := make(chan error, readers+2)
@@ -80,14 +80,18 @@ func TestConcurrentEstimateWhileAppending(t *testing.T) {
 			}
 		}(r)
 	}
-	// Concurrent persistence: a snapshot must save cleanly mid-append.
+	// A concurrent reader walks every observation of a snapshot taken
+	// mid-append: each is whole and of the history's shape.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for i := 0; i < savePasses; i++ {
-			if err := SaveSnapshot(h.Snapshot(), discard{}); err != nil {
-				errc <- err
-				return
+		for i := 0; i < readPasses; i++ {
+			snap := h.Snapshot()
+			for j := snap.Base(); j < snap.Len(); j++ {
+				if o := snap.At(j); len(o.X) != 1 || len(o.Costs) != 2 {
+					errc <- fmt.Errorf("snapshot observation %d has shape %d/%d, want 1/2", j, len(o.X), len(o.Costs))
+					return
+				}
 			}
 		}
 	}()
@@ -98,10 +102,6 @@ func TestConcurrentEstimateWhileAppending(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-type discard struct{}
-
-func (discard) Write(p []byte) (int, error) { return len(p), nil }
 
 // TestSnapshotImmutableUnderAppend verifies a snapshot is a frozen view:
 // appends after the snapshot do not change what it exposes — not even

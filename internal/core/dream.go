@@ -418,21 +418,18 @@ type EstimatorStats struct {
 	// versions estimated against.
 	WindowSearches uint64
 	// Refits counts MLR fits across all searches — the paper's
-	// Example 3.1 computational-cost signal, cumulative. Each fit is now
-	// a back-substitution against the shared Gram factor rather than a
-	// from-scratch normal-equation solve, so the count stays comparable
-	// across the legacy and incremental paths while the per-fit cost
-	// dropped by roughly the window size.
+	// Example 3.1 computational-cost signal, cumulative: K per round of
+	// window growth (one per metric), each a back-substitution against
+	// the round's shared Gram factor.
 	Refits uint64
 	// IncrementalSteps counts rank-1 observation updates folded into
 	// shared-Gram fitters — the work the incremental search actually
 	// performs per window growth step (O(L²+K·L) each).
 	IncrementalSteps uint64
-	// RefitsAvoided counts the full-window batch refits the legacy
-	// Algorithm 1 loop would have performed that the incremental search
-	// skipped by reusing the accumulated Gram as the window grew: every
-	// growth round after a search's first would have refit each metric
-	// over the whole window from scratch.
+	// RefitsAvoided counts the fits, K per growth round after a
+	// search's first, that reused the Gram accumulated over the smaller
+	// window — reading only the observations the window grew by —
+	// instead of refitting each metric over the whole window.
 	RefitsAvoided uint64
 	// LastWindowSize is the final m of the most recent window search.
 	// Under drift the search needs more observations to reach the

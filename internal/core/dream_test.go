@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -433,14 +432,9 @@ func TestBoundedHistory(t *testing.T) {
 	if full.Base() != 80 || full.Len() != n {
 		t.Errorf("SetRetain on a long history: Base, Len = %d, %d, want 80, %d", full.Base(), full.Len(), n)
 	}
-	// A saved document holds what the history holds.
-	var doc bytes.Buffer
-	if err := SaveSnapshot(full.Snapshot(), &doc); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadHistory(&doc)
-	if err != nil || loaded.Len() != n-80 || fmt.Sprint(loaded.At(0)) != fmt.Sprint(full.At(80)) {
-		t.Errorf("saved bounded history loads as %d observations (err %v), want %d", loaded.Len(), err, n-80)
+	// A snapshot holds what the history holds.
+	if snap := full.Snapshot(); snap.Base() != 80 || snap.Len() != n || fmt.Sprint(snap.At(80)) != fmt.Sprint(full.At(80)) {
+		t.Errorf("snapshot of the bounded history holds [%d, %d), want [80, %d)", snap.Base(), snap.Len(), n)
 	}
 	if _, err := NewHistoryAt(-1, 1, "time_s"); err == nil {
 		t.Error("negative base accepted")

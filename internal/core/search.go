@@ -8,13 +8,11 @@ import (
 
 // The incremental window search.
 //
-// The legacy Algorithm 1 loop paid O(M²·L²·K) per search: every growth
-// step re-ran a batch fit for every metric, rebuilding the m×(L+1)
-// design matrix and recomputing AᵀA from scratch — even though the
-// design matrix is identical across all K metrics of a window, and a
-// most-recent window of size m+1 is the size-m window plus exactly one
-// older observation. Both redundancies fall to the shared-Gram
-// incremental fitter:
+// Algorithm 1 grows a most-recent window until every metric's fit
+// reaches the required R². Two facts make a growth step cheap: the
+// m×(L+1) design matrix is identical across all K metrics of a window,
+// and a window of size m+1 is the size-m window plus exactly one older
+// observation. One shared-Gram incremental fitter exploits both:
 //
 //   - one fitter carries AᵀA and all K right-hand sides, so a growth
 //     step is a single rank-1 update (order-independent Gram sums make
@@ -24,8 +22,8 @@ import (
 //     needs no second pass over the window.
 //
 // Total: O(M·L² + M·(L³ + K·L²)) per search — linear in the window
-// instead of quadratic, and O(1) steady-state allocations thanks to the
-// estimator's fitter pool.
+// (a from-scratch fit per step and metric would be O(M²·L²·K)), and
+// O(1) steady-state allocations thanks to the estimator's fitter pool.
 
 // fitterFor hands out a pooled fitter reshaped for the snapshot's
 // dimensions. Callers must return it with e.fitters.Put when the search

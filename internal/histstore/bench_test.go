@@ -1,10 +1,7 @@
 package histstore
 
 import (
-	"bytes"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -155,40 +152,4 @@ func BenchmarkRecovery(b *testing.B) {
 			})
 		}
 	}
-	b.Run("legacy/n=10000", func(b *testing.B) {
-		const size = 10000
-		shard := filepath.Join(write(b, size, Options{}), "bench")
-		wal, err := os.ReadFile(filepath.Join(shard, walName))
-		if err != nil {
-			b.Fatal(err)
-		}
-		half, err := core.NewHistory(federation.FeatureDim, federation.Metrics...)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for i := 0; i < size/2; i++ {
-			if err := half.Append(benchObs(i)); err != nil {
-				b.Fatal(err)
-			}
-		}
-		var snap bytes.Buffer
-		if err := core.SaveSnapshot(half.Snapshot(), &snap); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			if err := os.WriteFile(filepath.Join(shard, snapshotName), snap.Bytes(), 0o644); err != nil {
-				b.Fatal(err)
-			}
-			if err := os.WriteFile(filepath.Join(shard, walName), wal[len(wal)/2:], 0o644); err != nil {
-				b.Fatal(err)
-			}
-			b.StartTimer()
-			if err := reopen(b, filepath.Dir(shard), size, Options{}).Close(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }

@@ -34,14 +34,7 @@ func FuzzReplay(f *testing.F) {
 			f.Add(seed, false, split)
 		}
 	}
-	var header bytes.Buffer
-	empty, err := core.NewHistory(1, testMetrics...)
-	if err != nil {
-		f.Fatal(err)
-	}
-	if err := core.SaveSnapshot(empty.Snapshot(), &header); err != nil {
-		f.Fatal(err)
-	}
+	header := headerBytes(f, 1, testMetrics)
 	f.Fuzz(func(t *testing.T, wal []byte, withHeader bool, split uint16) {
 		// The segments, oldest first. The later one is named for the
 		// frame count a log cut at a frame boundary would have rolled at.
@@ -58,7 +51,7 @@ func FuzzReplay(f *testing.F) {
 			files[seg.name] = seg.input
 		}
 		if withHeader {
-			files[snapshotName] = header.Bytes()
+			files[snapshotName] = header
 		}
 		dir := writeShardDir(t, "Q12", files)
 		shard := filepath.Join(dir, "Q12")

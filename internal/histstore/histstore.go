@@ -11,9 +11,9 @@
 //	                              from 0 — the history itself, in
 //	                              segments (segments.go): wal.log alone
 //	                              unless Options.Retain rolls and trims
-//	<root>/<name>/snapshot.json   shape header: the core.SaveSnapshot
-//	                              document (internal/core/persist.go)
-//	                              with zero observations, written once
+//	<root>/<name>/snapshot.json   shape header, written once:
+//	                              {version, dim, metrics} and an empty
+//	                              "observations" list
 //
 // Appends flow in through core.HistorySink: OpenHistory returns a
 // *core.History wired so every Append lands in the WAL before it
@@ -27,19 +27,21 @@
 // wrote it, from the same base on, so DREAM's window fit — and every
 // estimate derived from it — is identical too.
 //
-// A shard an older, compacting build wrote (the first observations in
-// snapshot.json, the rest in wal.log) recovers by the same rule and is
-// folded into this layout once, at open.
+// A shard an older, compacting build wrote keeps observations in
+// snapshot.json itself. It is refused at open, before anything in its
+// directory is touched: a build that still folds that layout into the
+// WAL must open it once first.
 package histstore
 
 import (
-	"bufio"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/url"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
@@ -162,7 +164,7 @@ func newStoreObs(reg *metrics.Registry, store string) *storeObs {
 			"Shard checkpoints whose WAL fsync failed; the shard refuses appends afterwards.",
 			"store").With(store),
 		recoverySeconds: reg.HistogramVec("midas_histstore_recovery_seconds",
-			"Duration of one shard open (header check + WAL replay, plus the one-time fold of a compacted layout).",
+			"Duration of one shard open: header check and WAL replay.",
 			fileOpBuckets, "store").With(store),
 		recoveredObs: reg.CounterVec("midas_histstore_recovered_observations_total",
 			"Observations read back from durable state across shard opens.",
@@ -245,6 +247,12 @@ func (s *Store) openShard(name string, dim int, metricNames []string) (*shard, e
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("histstore: shard %q: %w", name, err)
 	}
+	// The header is checked first: a shard this build must refuse is
+	// left exactly as it was found.
+	hasHeader, err := readHeader(filepath.Join(dir, snapshotName), dim, metricNames)
+	if err != nil {
+		return nil, fmt.Errorf("histstore: shard %q: %w", name, err)
+	}
 	starts, err := listSegments(dir)
 	if err != nil {
 		return nil, fmt.Errorf("histstore: shard %q: %w", name, err)
@@ -252,35 +260,21 @@ func (s *Store) openShard(name string, dim int, metricNames []string) (*shard, e
 	if len(starts) == 0 {
 		starts = []uint64{0}
 	}
-	h, hasHeader, err := loadSnapshot(filepath.Join(dir, snapshotName), dim, metricNames)
+	// The history resumes where the oldest segment present starts, and
+	// stays bounded while the replay runs.
+	h, err := core.NewHistoryAt(int(starts[0]), dim, metricNames...)
 	if err != nil {
 		return nil, fmt.Errorf("histstore: shard %q: %w", name, err)
 	}
-	// Observations in snapshot.json itself: only a shard compacted by
-	// an older build has any, and such a build never rolled.
-	compacted := h.Len()
-	switch {
-	case compacted > 0 && (len(starts) > 1 || starts[0] != 0):
-		return nil, fmt.Errorf("histstore: shard %q: snapshot.json holds %d observations beside a rolled wal", name, compacted)
-	case compacted == 0:
-		// The history resumes where the oldest segment present starts,
-		// and stays bounded while the replay runs.
-		if h, err = core.NewHistoryAt(int(starts[0]), dim, metricNames...); err != nil {
-			return nil, fmt.Errorf("histstore: shard %q: %w", name, err)
-		}
-		h.SetRetain(s.opts.Retain)
-	}
-	replayed := compacted
+	h.SetRetain(s.opts.Retain)
 	apply := func(_ int64, p []byte) error {
 		seq, o, err := decodePayload(p)
 		if err != nil {
 			return err
 		}
 		if seq < uint64(h.Len()) {
-			// Already applied: either covered by a compacted snapshot
-			// (an older build's checkpoint, or a fold, that crashed
-			// between its two writes) or a duplicate frame (handoff and
-			// replication streams may deliver overlapping suffixes).
+			// Already applied: a duplicate frame (replica batches may
+			// overlap, and a retried write may append a run again).
 			// Replay is idempotent: skip, don't fail.
 			return nil
 		}
@@ -292,7 +286,6 @@ func (s *Store) openShard(name string, dim int, metricNames []string) (*shard, e
 		if seq > uint64(h.Len()) {
 			return fmt.Errorf("wal sequence gap: frame %d, history has %d observations", seq, h.Len())
 		}
-		replayed++
 		return h.Append(o)
 	}
 	var wal *os.File
@@ -317,19 +310,11 @@ func (s *Store) openShard(name string, dim int, metricNames []string) (*shard, e
 	if torn && s.obs != nil {
 		s.obs.tornTails.Inc()
 	}
-	switch {
-	case compacted > 0:
-		if wal, err = foldShard(dir, h, wal); err == nil {
-			h.SetRetain(s.opts.Retain) // the files shed the prefix as the log rolls
-		}
-	case !hasHeader:
-		err = writeHeader(dir, h)
-	}
-	if err != nil {
-		if wal != nil {
+	if !hasHeader {
+		if err := writeHeader(dir, dim, metricNames); err != nil {
 			wal.Close()
+			return nil, fmt.Errorf("histstore: shard %q: %w", name, err)
 		}
-		return nil, fmt.Errorf("histstore: shard %q: %w", name, err)
 	}
 	sh := &shard{
 		name:    name,
@@ -346,7 +331,7 @@ func (s *Store) openShard(name string, dim int, metricNames []string) (*shard, e
 	h.SetSink(sh)
 	if s.obs != nil {
 		s.obs.recoverySeconds.Observe(time.Since(began).Seconds())
-		s.obs.recoveredObs.Add(float64(replayed))
+		s.obs.recoveredObs.Add(float64(h.Len() - int(starts[0])))
 		s.obs.retainedObs.Add(float64(sh.wal.held(sh.nextSeq)))
 	}
 	return sh, nil
@@ -363,76 +348,52 @@ func scanFile(path string, fn func(off int64, payload []byte) error) error {
 	return err
 }
 
-// loadSnapshot reads the shard's snapshot.json if present (validating
-// its shape against the requested one) or starts an empty history.
-func loadSnapshot(path string, dim int, metrics []string) (h *core.History, found bool, err error) {
-	f, err := os.Open(path)
+// header is a shard's snapshot.json. Version is 1, the only version any
+// build has written, and Observations is empty as written: only a
+// compacting build ever left any in it.
+type header struct {
+	Version      int               `json:"version"`
+	Dim          int               `json:"dim"`
+	Metrics      []string          `json:"metrics"`
+	Observations []json.RawMessage `json:"observations"`
+}
+
+// readHeader checks the shard's snapshot.json, if present, against the
+// requested shape.
+func readHeader(path string, dim int, metrics []string) (found bool, err error) {
+	raw, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
-		h, err := core.NewHistory(dim, metrics...)
-		return h, false, err
+		return false, nil
 	}
 	if err != nil {
-		return nil, false, err
+		return false, err
 	}
-	defer f.Close()
-	if h, err = core.LoadHistory(f); err != nil {
-		return nil, false, err
+	var hdr header
+	if err := json.Unmarshal(raw, &hdr); err != nil {
+		return false, fmt.Errorf("%s: %w", snapshotName, err)
 	}
-	if h.Dim() != dim {
-		return nil, false, fmt.Errorf("snapshot has dim %d, want %d", h.Dim(), dim)
+	switch {
+	case hdr.Version != 1:
+		return false, fmt.Errorf("%s has version %d, want 1", snapshotName, hdr.Version)
+	case len(hdr.Observations) > 0:
+		return false, fmt.Errorf("%s holds %d observations: a compacting build wrote this shard, "+
+			"and an earlier build must open it once to fold them into the WAL", snapshotName, len(hdr.Observations))
+	case hdr.Dim != dim:
+		return false, fmt.Errorf("%s has dim %d, want %d", snapshotName, hdr.Dim, dim)
+	case !slices.Equal(hdr.Metrics, metrics):
+		return false, fmt.Errorf("%s has metrics %q, want %q", snapshotName, hdr.Metrics, metrics)
 	}
-	hm := h.Metrics()
-	if len(hm) != len(metrics) {
-		return nil, false, fmt.Errorf("snapshot has %d metrics, want %d", len(hm), len(metrics))
-	}
-	for i := range hm {
-		if hm[i] != metrics[i] {
-			return nil, false, fmt.Errorf("snapshot metric %d is %q, want %q", i, hm[i], metrics[i])
-		}
-	}
-	return h, true, nil
+	return true, nil
 }
 
-// writeHeader writes the shard's shape header: h's dim and metric names
-// as a snapshot document with zero observations.
-func writeHeader(dir string, h *core.History) error {
-	empty, err := core.NewHistory(h.Dim(), h.Metrics()...)
-	if err != nil {
-		return err
-	}
+// writeHeader writes the shard's shape header, byte for byte what every
+// build since the WAL became the history has written.
+func writeHeader(dir string, dim int, metrics []string) error {
 	return framelog.WriteFileAtomic(filepath.Join(dir, snapshotName), func(w io.Writer) error {
-		return core.SaveSnapshot(empty.Snapshot(), w)
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", " ")
+		return enc.Encode(header{Version: 1, Dim: dim, Metrics: metrics, Observations: []json.RawMessage{}})
 	})
-}
-
-// foldShard rewrites a compacted shard into the one-file layout: every
-// recovered observation as WAL frames 0..Len-1, then the header. A
-// crash between the two writes leaves the old snapshot beside a whole
-// WAL, which replays to the same history (covered frames are skipped by
-// sequence) and folds again at the next open. The replaced inode's
-// handle is closed; the returned one appends to the new file.
-func foldShard(dir string, h *core.History, old *os.File) (*os.File, error) {
-	old.Close()
-	walPath := filepath.Join(dir, walName)
-	snap := h.Snapshot()
-	err := framelog.WriteFileAtomic(walPath, func(w io.Writer) error {
-		bw := bufio.NewWriter(w)
-		var buf []byte
-		for i := 0; i < snap.Len(); i++ {
-			buf = appendFrame(buf[:0], uint64(i), snap.At(i))
-			if _, err := bw.Write(buf); err != nil {
-				return err
-			}
-		}
-		return bw.Flush()
-	})
-	if err == nil {
-		err = writeHeader(dir, h)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("folding compacted snapshot: %w", err)
-	}
-	return os.OpenFile(walPath, os.O_WRONLY|os.O_APPEND, 0o644)
 }
 
 // Sync is the store's durability point: it fsyncs the WAL of every open

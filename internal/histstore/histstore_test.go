@@ -2,14 +2,17 @@ package histstore
 
 import (
 	"bytes"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/federation"
 	"repro/internal/framelog"
 	"repro/internal/metrics"
 )
@@ -63,8 +66,8 @@ func wantPrefix(t *testing.T, h *core.History, n int) {
 
 // wantLayout asserts the shard directory is in the one-file layout:
 // wal.log holds exactly frames 0..n-1 of the test observations' shape
-// and snapshot.json is a header — the right shape, zero observations.
-// It returns the WAL bytes.
+// and snapshot.json is the header of that shape. It returns the WAL
+// bytes.
 func wantLayout(t *testing.T, dir, shard string, n int) []byte {
 	t.Helper()
 	wal, err := os.ReadFile(filepath.Join(dir, shard, walName))
@@ -78,33 +81,50 @@ func wantLayout(t *testing.T, dir, shard string, n int) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hdr, err := core.LoadHistory(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hdr.Len() != 0 || len(raw) >= 1024 {
-		t.Fatalf("snapshot.json holds %d observations in %d bytes, want a header", hdr.Len(), len(raw))
-	}
-	if hdr.Dim() != 1 || len(hdr.Metrics()) != len(testMetrics) {
-		t.Fatalf("header shape = dim %d metrics %v", hdr.Dim(), hdr.Metrics())
+	if want := headerBytes(t, 1, testMetrics); !bytes.Equal(raw, want) {
+		t.Fatalf("snapshot.json = %q, want the header %q", raw, want)
 	}
 	return wal
 }
 
-// compactedSnapshot is the snapshot.json an older, compacting build
-// left behind after checkpointing the first n test observations.
-func compactedSnapshot(t *testing.T, n int) []byte {
+// headerBytes is the snapshot.json writeHeader writes for a shape.
+func headerBytes(t testing.TB, dim int, metrics []string) []byte {
 	t.Helper()
-	h, err := core.NewHistory(1, testMetrics...)
+	dir := t.TempDir()
+	if err := writeHeader(dir, dim, metrics); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, snapshotName))
 	if err != nil {
 		t.Fatal(err)
 	}
-	appendN(t, h, 0, n)
-	var doc bytes.Buffer
-	if err := core.SaveSnapshot(h.Snapshot(), &doc); err != nil {
+	return raw
+}
+
+// readDir reads every file of a directory, by name.
+func readDir(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return doc.Bytes()
+	files := make(map[string][]byte, len(entries))
+	for _, e := range entries {
+		if files[e.Name()], err = os.ReadFile(filepath.Join(dir, e.Name())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return files
+}
+
+// golden reads a committed fixture.
+func golden(t *testing.T, path ...string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join(append([]string{"testdata", "golden"}, path...)...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
 }
 
 // writeShardDir writes a shard directory holding the given files.
@@ -370,11 +390,10 @@ func TestSyncNeverRewritesWAL(t *testing.T) {
 	wantPrefix(t, openHist(t, s2, "Q12"), 12)
 }
 
-// TestRecoverySkipsCoveredFrames: a shard an older build left crashed
-// between its checkpoint's snapshot rename and its WAL compaction — the
-// WAL still holds every frame, the snapshot covers a prefix — and the
-// same shape a fold leaves when it crashes between its two writes.
-// Replay must not duplicate the overlap, and the open folds it.
+// TestRecoverySkipsCoveredFrames: a WAL that holds a run of frames
+// twice — a replica batch shipped again after its ack was lost, or a
+// write retried after a partial one — replays to exactly the history
+// that was appended once, and the open leaves the file as it found it.
 func TestRecoverySkipsCoveredFrames(t *testing.T) {
 	src := t.TempDir()
 	s := openStore(t, src, Options{})
@@ -383,15 +402,18 @@ func TestRecoverySkipsCoveredFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	full := wantLayout(t, src, "Q12", 7)
-	for _, covered := range []int{3, 7} {
-		dir := writeShardDir(t, "Q12", map[string][]byte{snapshotName: compactedSnapshot(t, covered), walName: full})
-		s2 := openStore(t, dir, Options{})
-		wantPrefix(t, openHist(t, s2, "Q12"), 7)
-		if err := s2.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(wantLayout(t, dir, "Q12", 7), full) {
-			t.Fatalf("snapshot covering %d: folded wal.log differs from the log that was never compacted", covered)
+	for _, run := range [][2]int{{2, 5}, {0, 7}, {6, 7}} {
+		retried := append(append(slices.Clip(full[:run[1]*testFrameSize]), full[run[0]*testFrameSize:run[1]*testFrameSize]...), full[run[1]*testFrameSize:]...)
+		dir := writeShardDir(t, "Q12", map[string][]byte{snapshotName: headerBytes(t, 1, testMetrics), walName: retried})
+		for pass := 0; pass < 2; pass++ {
+			s2 := openStore(t, dir, Options{})
+			wantPrefix(t, openHist(t, s2, "Q12"), 7)
+			if err := s2.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if got := readDir(t, filepath.Join(dir, "Q12"))[walName]; !bytes.Equal(got, retried) {
+				t.Fatalf("frames %d..%d twice: open %d changed wal.log (%d → %d bytes)", run[0], run[1]-1, pass, len(retried), len(got))
+			}
 		}
 	}
 }
@@ -475,42 +497,78 @@ func TestCorruptMidFrameTruncates(t *testing.T) {
 	}
 }
 
-// TestDroppedInSnapshotOpens: a document written by core.SaveSnapshot
-// (what the retired History.Save produced) dropped in as a shard's
-// snapshot.json is a valid shard — it opens, its observations are
-// folded into the WAL, and the WAL takes over for everything appended
-// afterwards.
-func TestDroppedInSnapshotOpens(t *testing.T) {
-	dir := writeShardDir(t, "Q12", map[string][]byte{snapshotName: compactedSnapshot(t, 6)})
+// TestCompactedShardRefused: a shard a compacting build wrote — the
+// committed fixture: observations 0..5 in snapshot.json, 6..10 in
+// wal.log — fails to open with an error that says so, and the failed
+// open touches nothing in the directory: not the torn tail of a log it
+// would otherwise cut, not a temp file it would otherwise delete.
+func TestCompactedShardRefused(t *testing.T) {
+	for name, wal := range map[string][]byte{"whole": golden(t, "Q12", walName), "torn": golden(t, "wal-torn.log")} {
+		dir := writeShardDir(t, "Q12", map[string][]byte{
+			snapshotName: golden(t, "Q12", snapshotName), walName: wal, walName + framelog.TmpSuffix: wal[:10],
+		})
+		before := readDir(t, filepath.Join(dir, "Q12"))
+		s := openStore(t, dir, Options{Retain: testRetain})
+		_, err := s.OpenHistory("Q12", 1, testMetrics)
+		if err == nil || !strings.Contains(err.Error(), "compacting build") || !strings.Contains(err.Error(), "6 observations") {
+			t.Fatalf("%s: opening a compacted shard: %v, want the compacting-build refusal", name, err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if after := readDir(t, filepath.Join(dir, "Q12")); !maps.EqualFunc(before, after, bytes.Equal) {
+			t.Fatalf("%s: the refused open changed the directory: %d files → %d", name, len(before), len(after))
+		}
+	}
+}
+
+// TestHeaderRejectsGarbage: a snapshot.json that is not a header of the
+// requested shape fails the open instead of starting an empty history,
+// and the failed open deletes and writes nothing.
+func TestHeaderRejectsGarbage(t *testing.T) {
+	for name, doc := range map[string]string{
+		"not json":     "not json",
+		"version":      `{"version":99,"dim":1,"metrics":["time_s","money_usd"]}`,
+		"dim":          `{"version":1,"dim":2,"metrics":["time_s","money_usd"]}`,
+		"no metrics":   `{"version":1,"dim":1,"metrics":[]}`,
+		"metric names": `{"version":1,"dim":1,"metrics":["money_usd","time_s"]}`,
+		"observations": `{"version":1,"dim":1,"metrics":["time_s","money_usd"],"observations":[{"x":[1],"costs":[1,1]}]}`,
+	} {
+		dir := writeShardDir(t, "Q12", map[string][]byte{snapshotName: []byte(doc)})
+		s := openStore(t, dir, Options{})
+		if _, err := s.OpenHistory("Q12", 1, testMetrics); err == nil {
+			t.Errorf("%s: shard with snapshot.json %s opened", name, doc)
+		}
+		s.Close()
+		if files := readDir(t, filepath.Join(dir, "Q12")); len(files) != 1 || string(files[snapshotName]) != doc {
+			t.Errorf("%s: the failed open left %d files, snapshot.json %q", name, len(files), files[snapshotName])
+		}
+	}
+}
+
+// TestHeaderMatchesGolden pins the header at the serving shape (five
+// features, federation.Metrics) to the bytes every build since the WAL
+// became the history has written, so a directory stays readable by the
+// build before and after: the writer reproduces the committed file, a
+// fresh shard's snapshot.json is it, and the reader takes it back.
+func TestHeaderMatchesGolden(t *testing.T) {
+	want := golden(t, "served-header.json")
+	if got := headerBytes(t, federation.FeatureDim, federation.Metrics); !bytes.Equal(got, want) {
+		t.Fatalf("header = %q, want the committed %q", got, want)
+	}
+	dir := t.TempDir()
 	s := openStore(t, dir, Options{})
-	h := openHist(t, s, "Q12")
-	wantPrefix(t, h, 6)
-	wantLayout(t, dir, "Q12", 6)
-	appendN(t, h, 6, 3)
+	if _, err := s.OpenHistory("Q12", federation.FeatureDim, federation.Metrics); err != nil {
+		t.Fatal(err)
+	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	wantLayout(t, dir, "Q12", 9)
-	s2 := openStore(t, dir, Options{})
-	defer s2.Close()
-	wantPrefix(t, openHist(t, s2, "Q12"), 9)
-	// A garbage document fails the open instead of starting empty, and
-	// the failed open deletes nothing.
-	garbage := filepath.Join(dir, "Q14", snapshotName)
-	if err := os.MkdirAll(filepath.Dir(garbage), 0o755); err != nil {
-		t.Fatal(err)
+	if got := readDir(t, filepath.Join(dir, "Q12"))[snapshotName]; !bytes.Equal(got, want) {
+		t.Fatalf("a fresh shard's snapshot.json = %q, want the committed %q", got, want)
 	}
-	if err := os.WriteFile(garbage, []byte("not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s2.OpenHistory("Q14", 1, testMetrics); err == nil {
-		t.Fatal("shard with a garbage snapshot opened")
-	}
-	if raw, err := os.ReadFile(garbage); err != nil || string(raw) != "not json" {
-		t.Fatalf("failed open touched the snapshot: %q (err %v)", raw, err)
-	}
-	if entries, err := os.ReadDir(filepath.Dir(garbage)); err != nil || len(entries) != 1 {
-		t.Fatalf("failed open left %d files beside the snapshot (err %v)", len(entries)-1, err)
+	if found, err := readHeader(filepath.Join(dir, "Q12", snapshotName), federation.FeatureDim, federation.Metrics); !found || err != nil {
+		t.Fatalf("reading the committed header back: found %v, err %v", found, err)
 	}
 }
 
@@ -679,102 +737,36 @@ func TestShardNameEscaping(t *testing.T) {
 	}
 }
 
-// TestGoldenFixtures pins the on-disk formats against files written by
+// TestGoldenFixtures pins the WAL frame codec against files written by
 // the commit BEFORE the codecs moved onto internal/framelog (its
 // histstore.Open → 6 appends → Checkpoint → 5 appends → Close, plus the
-// same WAL cut 5 bytes into its last frame): today's decoders read
-// them, today's encoders reproduce them byte for byte, and the
-// compacted layout they are in folds into the one-file layout — from
-// every point a crash can interrupt the fold at.
+// same WAL cut 5 bytes into its last frame): wal.log holds frames
+// 6..10. Today's encoder reproduces them byte for byte, and as a
+// segment that starts at 6 — a layout a rolling log leaves — they open
+// to observations 6..10, the torn copy to 6..9 and cut back to whole
+// frames.
 func TestGoldenFixtures(t *testing.T) {
-	golden := func(name string) []byte {
-		raw, err := os.ReadFile(filepath.Join("testdata", "golden", name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return raw
+	suffix := golden(t, "Q12", walName)
+	var frames []byte
+	for i := 6; i <= 10; i++ {
+		frames = appendFrame(frames, uint64(i), obsAt(i))
 	}
-	snap, suffix := golden("Q12/"+snapshotName), golden("Q12/"+walName)
-	// Decode: the parent-written shard recovers whole and is folded —
-	// frames 0..5 re-encoded from the snapshot's observations, frames
-	// 6..10 byte-identical to the fixture's.
-	dir := writeShardDir(t, "Q12", map[string][]byte{snapshotName: snap, walName: suffix})
-	s := openStore(t, dir, Options{})
-	h := openHist(t, s, "Q12")
-	wantPrefix(t, h, 11)
-	folded := wantLayout(t, dir, "Q12", 11)
-	if !bytes.Equal(folded[6*testFrameSize:], suffix) {
-		t.Error("folded wal.log does not end in the fixture's frames")
+	if !bytes.Equal(frames, suffix) {
+		t.Fatal("frames 6..10 encode differently from the parent-written fixture")
 	}
-	// Encode: the snapshot codec still writes the fixture's bytes.
-	first6, err := core.NewHistory(1, testMetrics...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 6; i++ {
-		if err := first6.Append(h.At(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var doc bytes.Buffer
-	if err := core.SaveSnapshot(first6.Snapshot(), &doc); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(doc.Bytes(), snap) {
-		t.Errorf("%s of the recovered prefix differs from the parent-written fixture", snapshotName)
-	}
-	s.Close()
-	// The fold happens once: a second open finds a fixed point and
-	// leaves the log it appends to alone.
-	before, err := os.Stat(filepath.Join(dir, "Q12", walName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s = openStore(t, dir, Options{})
-	wantPrefix(t, openHist(t, s, "Q12"), 11)
-	s.Close()
-	after, err := os.Stat(filepath.Join(dir, "Q12", walName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !os.SameFile(before, after) || !bytes.Equal(wantLayout(t, dir, "Q12", 11), folded) {
-		t.Error("re-opening a folded shard rewrote wal.log")
-	}
-	// Crash points of the fold: during its first write (a leftover temp
-	// file beside the untouched fixture) and between its two (the whole
-	// WAL beside the old snapshot). Both recover and fold to the same.
-	for name, files := range map[string]map[string][]byte{
-		"during the wal rewrite": {snapshotName: snap, walName: suffix, walName + framelog.TmpSuffix: folded[:100]},
-		"between the two writes": {snapshotName: snap, walName: folded},
-	} {
-		dir := writeShardDir(t, "Q12", files)
+	seg := segmentName(6)
+	for name, tc := range map[string]struct {
+		wal []byte
+		n   int
+	}{"whole": {suffix, 11}, "torn": {golden(t, "wal-torn.log"), 10}} {
+		dir := writeShardDir(t, "Q12", map[string][]byte{seg: tc.wal})
 		s := openStore(t, dir, Options{})
-		wantPrefix(t, openHist(t, s, "Q12"), 11)
-		s.Close()
-		if !bytes.Equal(wantLayout(t, dir, "Q12", 11), folded) {
-			t.Errorf("crash %s: folded to a different log", name)
+		wantRange(t, openHist(t, s, "Q12"), 6, tc.n)
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
 		}
-		if _, err := os.Stat(filepath.Join(dir, "Q12", walName+framelog.TmpSuffix)); !os.IsNotExist(err) {
-			t.Errorf("crash %s: temp file survived the open: %v", name, err)
+		if got := readDir(t, filepath.Join(dir, "Q12"))[seg]; !bytes.Equal(got, suffix[:(tc.n-6)*testFrameSize]) {
+			t.Errorf("%s fixture: %s is %d bytes after the open, want frames 6..%d", name, seg, len(got), tc.n-1)
 		}
-	}
-	// The torn fixture recovers its prefix: the tail frame is dropped,
-	// not folded.
-	tornDir := writeShardDir(t, "Q12", map[string][]byte{snapshotName: snap, walName: golden("wal-torn.log")})
-	s = openStore(t, tornDir, Options{})
-	wantPrefix(t, openHist(t, s, "Q12"), 10)
-	s.Close()
-	if !bytes.Equal(wantLayout(t, tornDir, "Q12", 10), folded[:10*testFrameSize]) {
-		t.Error("torn fixture folded to something other than the first 10 frames")
-	}
-	// Encode: the same appends write the same frames.
-	dir = t.TempDir()
-	s = openStore(t, dir, Options{})
-	appendN(t, openHist(t, s, "Q12"), 0, 11)
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(wantLayout(t, dir, "Q12", 11), folded) {
-		t.Errorf("%s differs from the folded parent-written fixture", walName)
 	}
 }

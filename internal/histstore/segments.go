@@ -40,8 +40,7 @@ func segmentName(start uint64) string {
 
 // listSegments returns the start sequences of the segment files in
 // dir, ascending, and deletes leftover temp files on the way: each is a
-// write that never committed (a header, an interrupted fold),
-// and the durable state it was meant to replace is still intact.
+// header write that never committed, and nothing is read from one.
 func listSegments(dir string) ([]uint64, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {

@@ -22,11 +22,10 @@ const testRetain = 8
 func retainedBase(n, retain int) int { return int(core.RetainedBase(uint64(n), uint64(retain))) }
 
 // TestOlderLayoutsShedTheirPrefix: what an earlier build left behind —
-// one wal.log of any length, or a compacted snapshot.json beside a WAL
-// suffix — opens under a retention bound with the history the rule
-// keeps, estimates as the unbounded history does, and is down to at
-// most three segment files after twice the bound in further appends,
-// wal.log gone. Without a bound the same directory never rolls.
+// one wal.log of any length — opens under a retention bound with the
+// history the rule keeps, estimates as the unbounded history does, and
+// is down to at most three segment files after twice the bound in
+// further appends, wal.log gone. Without a bound the same directory never rolls.
 func TestOlderLayoutsShedTheirPrefix(t *testing.T) {
 	const n = 50
 	single := t.TempDir()
@@ -36,12 +35,9 @@ func TestOlderLayoutsShedTheirPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 	wal := wantLayout(t, single, "Q12", n)
-	read := func(path ...string) []byte {
-		raw, err := os.ReadFile(filepath.Join(path...))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return raw
+	header, err := os.ReadFile(filepath.Join(single, "Q12", snapshotName))
+	if err != nil {
+		t.Fatal(err)
 	}
 	est, err := core.NewEstimator(core.Config{MMax: testRetain})
 	if err != nil {
@@ -54,52 +50,41 @@ func TestOlderLayoutsShedTheirPrefix(t *testing.T) {
 		}
 		return fmt.Sprint(e.WindowSize, e.Values())
 	}
-	for name, tc := range map[string]struct {
-		n     int
-		files map[string][]byte
-	}{
-		"single wal.log":     {n, map[string][]byte{snapshotName: read(single, "Q12", snapshotName), walName: wal}},
-		"compacted snapshot": {n, map[string][]byte{snapshotName: compactedSnapshot(t, 30), walName: wal[20*testFrameSize:]}},
-		"committed compacted fixture": {11, map[string][]byte{
-			snapshotName: read("testdata", "golden", "Q12", snapshotName), walName: read("testdata", "golden", "Q12", walName)}},
-	} {
-		t.Run(name, func(t *testing.T) {
-			n := tc.n
-			dir := writeShardDir(t, "Q12", tc.files)
-			s := openStore(t, dir, Options{Retain: testRetain})
-			h := openHist(t, s, "Q12")
-			wantRange(t, h, retainedBase(n, testRetain), n)
-			wantSegments(t, dir, "Q12", []uint64{0}, n) // nothing is rewritten to shed it
-			ref, err := core.NewHistory(1, testMetrics...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			appendN(t, ref, 0, n)
-			if got, want := estimate(h), estimate(ref); got != want {
-				t.Fatalf("estimate %s, a history that was never stored or bounded gives %s", got, want)
-			}
-			appendN(t, h, n, 2*testRetain)
-			starts, err := listSegments(filepath.Join(dir, "Q12"))
-			if err != nil || len(starts) > 3 || starts[0] == 0 {
-				t.Fatalf("after %d further appends the segments start at %v", 2*testRetain, starts)
-			}
-			wantSegments(t, dir, "Q12", liveStarts(testRetain, n+2*testRetain), n+2*testRetain)
-			if err := s.Close(); err != nil {
-				t.Fatal(err)
-			}
-			// Without a bound: the rolled directory opens, from its base,
-			// and its newest segment is from then on the only one to grow.
-			s = openStore(t, dir, Options{})
-			h = openHist(t, s, "Q12")
-			wantRange(t, h, int(starts[0]), n+2*testRetain)
-			appendN(t, h, h.Len(), 3*testRetain)
-			wantRange(t, h, int(starts[0]), n+5*testRetain)
-			wantSegments(t, dir, "Q12", starts, n+5*testRetain)
-			if err := s.Close(); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
+	t.Run("single wal.log", func(t *testing.T) {
+		dir := writeShardDir(t, "Q12", map[string][]byte{snapshotName: header, walName: wal})
+		s := openStore(t, dir, Options{Retain: testRetain})
+		h := openHist(t, s, "Q12")
+		wantRange(t, h, retainedBase(n, testRetain), n)
+		wantSegments(t, dir, "Q12", []uint64{0}, n) // nothing is rewritten to shed it
+		ref, err := core.NewHistory(1, testMetrics...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		appendN(t, ref, 0, n)
+		if got, want := estimate(h), estimate(ref); got != want {
+			t.Fatalf("estimate %s, a history that was never stored or bounded gives %s", got, want)
+		}
+		appendN(t, h, n, 2*testRetain)
+		starts, err := listSegments(filepath.Join(dir, "Q12"))
+		if err != nil || len(starts) > 3 || starts[0] == 0 {
+			t.Fatalf("after %d further appends the segments start at %v", 2*testRetain, starts)
+		}
+		wantSegments(t, dir, "Q12", liveStarts(testRetain, n+2*testRetain), n+2*testRetain)
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		// Without a bound: the rolled directory opens, from its base,
+		// and its newest segment is from then on the only one to grow.
+		s = openStore(t, dir, Options{})
+		h = openHist(t, s, "Q12")
+		wantRange(t, h, int(starts[0]), n+2*testRetain)
+		appendN(t, h, h.Len(), 3*testRetain)
+		wantRange(t, h, int(starts[0]), n+5*testRetain)
+		wantSegments(t, dir, "Q12", starts, n+5*testRetain)
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
 	// Never bounded: one file, byte for byte what it always was.
 	s = openStore(t, single, Options{})
 	h := openHist(t, s, "Q12")

@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"repro/internal/core"
 	"repro/internal/framelog"
 )
 
@@ -79,28 +78,17 @@ func (s *Store) openReplica(name string) (*replica, error) {
 	}
 	// Only the newest segment is read: a log rolls to a segment exactly
 	// when its tail reaches that segment's start, and a promotion replays
-	// (and checks) them all.
-	newest := starts[len(starts)-1]
-	next := newest
-	if raw, err := os.ReadFile(filepath.Join(dir, snapshotName)); err == nil {
-		// Observations in the snapshot itself: an older, compacting build's.
-		h, err := core.LoadHistory(bytes.NewReader(raw))
-		if err != nil {
-			return nil, fmt.Errorf("replica snapshot: %w", err)
-		}
-		next = max(next, uint64(h.Len()))
-	} else if !os.IsNotExist(err) {
-		return nil, err
-	}
+	// (and checks) them all. The tail ends the run of frames continuing
+	// from that start, duplicates skipped: a compacting build's wal.log,
+	// which starts past frame 0, counts as empty, so the next batch finds
+	// a gap and the owner re-arms the replica with a full sync.
+	next := starts[len(starts)-1]
 	// Same torn-tail policy as a real open: the handle comes back cut to
 	// the valid prefix, so the next append starts on a frame boundary.
-	f, _, _, err := framelog.OpenAppend(filepath.Join(dir, segmentName(newest)), maxFramePayload, func(_ int64, p []byte) error {
+	f, _, _, err := framelog.OpenAppend(filepath.Join(dir, segmentName(next)), maxFramePayload, func(_ int64, p []byte) error {
 		seq, err := frameSeq(p)
-		// Replica WALs are written in order, so the last intact frame
-		// defines the tail (duplicates below next were overlap-skipped
-		// at append time and cannot appear).
-		if err == nil && seq >= next {
-			next = seq + 1
+		if err == nil && seq == next {
+			next++
 		}
 		return err
 	})
@@ -123,9 +111,10 @@ func (s *Store) closeReplica(name string) {
 
 // rebaseReplica restarts the named shard's replica at from, holding
 // nothing: whatever an earlier ownership left in the directory — its
-// segments, then the header (or an older build's compacted snapshot)
-// beside them — is removed, oldest segment first, so a crash part-way
-// leaves a contiguous run that still opens. Caller holds s.replMu.
+// segments, then the snapshot.json beside them (an older, compacting
+// build's may hold observations) — is removed, oldest segment first, so
+// a crash part-way leaves a contiguous run that still opens. Caller
+// holds s.replMu.
 func (s *Store) rebaseReplica(name string, from uint64) (*replica, error) {
 	s.closeReplica(name)
 	dir := s.shardDir(name)

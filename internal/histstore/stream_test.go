@@ -383,6 +383,32 @@ func TestReplicaAppendOverlapAndGap(t *testing.T) {
 	}
 }
 
+// TestCompactedReplicaResyncs: a standby's replica a compacting build
+// left — the committed fixture, observations 0..5 in snapshot.json and
+// 6..10 in wal.log — reaches nothing this build can extend: the next
+// append batch, even one that would continue the fixture's frames, is a
+// gap. The full sync the owner answers a gap with rebases it, the old
+// snapshot goes, and the replica promotes to the owner's history.
+func TestCompactedReplicaResyncs(t *testing.T) {
+	dir := writeShardDir(t, "Q12", map[string][]byte{
+		snapshotName: golden(t, "Q12", snapshotName), walName: golden(t, "Q12", walName),
+	})
+	dst := openStore(t, dir, Options{})
+	defer dst.Close()
+	if next, err := dst.AppendReplicaFrames("Q12", 11, testFrames(11, 12), false); !errors.Is(err, ErrReplicaGap) || next != 0 {
+		t.Fatalf("append at 11 onto the compacted replica: next=%d err=%v, want a gap at 0", next, err)
+	}
+	src := openStore(t, t.TempDir(), Options{})
+	defer src.Close()
+	appendN(t, openHist(t, src, "Q12"), 0, 12)
+	syncShard(t, src, dst)
+	files := readDir(t, filepath.Join(dir, "Q12"))
+	if _, ok := files[snapshotName]; ok || len(files) != 1 || !bytes.Equal(files[walName], testFrames(0, 12)) {
+		t.Fatalf("after the full sync the replica holds %d files, want wal.log alone with frames 0..11", len(files))
+	}
+	wantPrefix(t, openHist(t, dst, "Q12"), 12)
+}
+
 // TestReplicaRollsAndTrims: a standby fed one long stream holds what the
 // owner holds — the same segments, by the same rule, without either
 // telling the other — and promotes to the same history.

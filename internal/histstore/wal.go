@@ -21,9 +21,8 @@ import (
 //
 // The sequence number makes replay idempotent: a frame whose
 // observation is already applied — a duplicate from an overlapping
-// replication batch, or one a compacted snapshot from an older build
-// covers — is skipped by seq, and a gap is detected instead of papered
-// over.
+// replication batch or a retried write — is skipped by seq, and a gap
+// is detected instead of papered over.
 
 // maxFramePayload bounds a single record; anything larger in the
 // length field is treated as corruption, not an allocation request.

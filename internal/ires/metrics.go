@@ -73,7 +73,7 @@ func (s *Scheduler) instrument(reg *metrics.Registry, federation string) {
 			func() float64 { return float64(es.EstimatorStats().Refits) },
 			"federation", federation)
 		reg.CounterFunc("midas_window_refits_avoided_total",
-			"Full-window batch refits the legacy Algorithm 1 loop would have run that the incremental shared-Gram search skipped.",
+			"Fits after a window search's first growth round (one per metric per round) that reused the accumulated shared Gram instead of refitting over the whole window.",
 			func() float64 { return float64(es.EstimatorStats().RefitsAvoided) },
 			"federation", federation)
 		reg.CounterFunc("midas_window_incremental_steps_total",

@@ -367,10 +367,14 @@ func TestChaosKillTargetMidShip(t *testing.T) {
 // away from gossip while ownership moves between the other two. While
 // partitioned the bystander serves from a stale table — which must
 // still reach the data via a redirect chain, never lose a request —
-// and after the partition heals one gossip exchange converges it:
+// and within healBound of the heal the retried exchange converges it:
 // exactly one active owner, all tables agreeing.
 func TestChaosGossipPartitionDuringHandoff(t *testing.T) {
-	tc := newTestCluster(t, 3, []string{"alpha"})
+	const (
+		syncInterval = 50 * time.Millisecond
+		healBound    = 40 * syncInterval
+	)
+	tc := newTestClusterCfg(t, 3, []string{"alpha"}, func(_ int, cfg *Config) { cfg.Cluster.SyncInterval = syncInterval })
 	owner := tc.ownerIdx(t, "alpha")
 	target := (owner + 1) % 3
 	third := 3 - owner - target
@@ -379,10 +383,10 @@ func TestChaosGossipPartitionDuringHandoff(t *testing.T) {
 	// switch dropping control-plane traffic would; data-plane requests
 	// still flow. The third node's inbound posts are the partition
 	// proper. The other two refuse posts as well because an exchange is
-	// answered with the receiver's table: the third node's own boot-time
-	// exchange (catchUp, a goroutine that may not have run yet) would
-	// otherwise pull the new table through the partition. The handoff
-	// itself needs no exchange — both ends apply the override.
+	// answered with the receiver's table: the third node's own periodic
+	// exchanges would otherwise pull the new table through the
+	// partition. The handoff itself needs no exchange — both ends apply
+	// the override.
 	var partitioned atomic.Bool
 	partitioned.Store(true)
 	for i := range tc.servers {
@@ -433,15 +437,12 @@ func TestChaosGossipPartitionDuringHandoff(t *testing.T) {
 		t.Fatalf("stale redirect chain ended at %q, want new owner %q", qr.Node, tc.members[target].ID)
 	}
 
-	// Heal, then let the stale node exchange once: the exchange is
-	// bidirectional, so pushing its stale table yields back the newer
-	// one, which it adopts and reconciles against.
+	// Heal: the stale node's next exchange is bidirectional, so pushing
+	// its stale table yields back the newer one, which it adopts and
+	// reconciles against.
 	partitioned.Store(false)
-	if !tc.servers[third].exchange() {
-		t.Fatal("healed node's exchange reached no peer")
-	}
 	var cr ClusterResponse
-	waitFor(t, 5*time.Second, func() bool {
+	waitFor(t, healBound, func() bool {
 		cr = getClusterTable(t, tc.https[third].URL)
 		return cr.Epoch >= 2 && cr.Placements["alpha"].Owner == tc.members[target].ID
 	}, func() string {

@@ -23,9 +23,12 @@ package server
 //     state after the owner dies.
 //
 // Epochs order routing tables: every mutation bumps the epoch, nodes
-// exchange tables after mutations (POST /v1/admin/route), and the higher
-// epoch always wins, so a stale node converges on the first exchange or
-// redirect it sees.
+// exchange tables after mutations (POST /v1/admin/route) and retry every
+// SyncInterval until a round reaches every peer, and the higher epoch
+// always wins, so a stale node converges on the first exchange that
+// reaches it — within about one SyncInterval once a partition heals.
+// Until then a stale owner keeps serving, and acks writes, at its old
+// epoch.
 //
 // Each ownership step has one seam: a tenant moves through
 // beginReceiving/finishReceiving inbound and beginSending/finishSending
@@ -43,7 +46,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
-	"math/rand"
+	"math/rand/v2"
 	"net/http"
 	"net/url"
 	"path/filepath"
@@ -75,7 +78,9 @@ type ClusterConfig struct {
 	// local durability rather than failing writes, and the sync loop
 	// re-arms it with a fresh full sync once the standby answers again.
 	Replicate bool
-	// SyncInterval is the cadence of the standby sync loop (default 2s).
+	// SyncInterval is the cadence of the standby sync loop and of the
+	// routing-table exchange's retries (jittered ½–1½ intervals apart,
+	// until every peer has the node's table); default 2s.
 	SyncInterval time.Duration
 	// PeerTimeout bounds one peer HTTP call, and one batch and its ack on
 	// a replication stream (default 10s).
@@ -433,17 +438,17 @@ func mergeOverrides(a, b map[string]string) map[string]string {
 }
 
 // exchange swaps routing tables with every other member at once and
-// reports whether any answered. Each swap is bidirectional: the peer
-// adopts this node's table if it is newer and answers with whichever
-// table survived on its side, which is adopted here in turn — so one
-// round converges both ends, whichever was stale.
+// reports whether every one answered. Each swap is bidirectional: the
+// peer adopts this node's table if it is newer and answers with
+// whichever table survived on its side, which is adopted here in turn —
+// so one round converges both ends, whichever was stale.
 func (s *Server) exchange() bool {
 	cs := s.cluster
 	tab := cs.table.Load()
 	body, _ := json.Marshal(RouteUpdate{Epoch: tab.Epoch(), Overrides: tab.Overrides()})
 	var (
-		wg      sync.WaitGroup
-		reached atomic.Bool
+		wg     sync.WaitGroup
+		missed atomic.Bool
 	)
 	for _, m := range tab.Ring().Members() {
 		if m.ID == cs.self.ID {
@@ -453,29 +458,41 @@ func (s *Server) exchange() bool {
 		if !s.spawn(func() {
 			defer wg.Done()
 			var peer RouteUpdate
-			if cs.call(s.lifeCtx, http.MethodPost, m.Addr+"/v1/admin/route", body, &peer) == nil {
-				reached.Store(true)
-				s.adopt(peer.Epoch, peer.Overrides)
+			if cs.call(s.lifeCtx, http.MethodPost, m.Addr+"/v1/admin/route", body, &peer) != nil {
+				missed.Store(true)
+				return
 			}
+			s.adopt(peer.Epoch, peer.Overrides)
 		}) {
 			wg.Done()
+			missed.Store(true)
 		}
 	}
 	wg.Wait()
-	return reached.Load()
+	return !missed.Load()
 }
 
-// catchUp exchanges tables at boot until a peer answers, so a restarted
-// node (whose table starts from the persisted copy, or epoch 1 without
-// one) learns about ownership moves it slept through even if no later
-// mutation ever reaches it. The retries are jittered per node, so a
-// whole cluster restarting at once does not retry in lockstep.
-func (s *Server) catchUp() {
+// exchangeLoop exchanges tables at boot and then, every SyncInterval for
+// the server's lifetime, whenever no round has carried the table in
+// force to every peer yet: a restarted node's, a commit's whose own
+// exchange a partition dropped, one adopted and not yet passed on. So a
+// node a partition kept from a takeover learns of it about one interval
+// after the heal, and agreeing tables cost nothing. The waits are
+// jittered per node: a cluster restarting at once is not in lockstep.
+// The generator is a PCG, 16 bytes for the server's lifetime.
+func (s *Server) exchangeLoop() {
 	h := fnv.New64a()
 	h.Write([]byte(s.cluster.self.ID))
-	rng := rand.New(rand.NewSource(int64(h.Sum64())))
+	rng := rand.New(rand.NewPCG(h.Sum64(), 0))
 	every := s.cluster.cfg.SyncInterval
-	for !s.exchange() && s.pause(every/2+time.Duration(rng.Int63n(int64(every)))) {
+	var carried *cluster.Table // the last table a round carried to every peer
+	for {
+		if tab := s.cluster.table.Load(); tab != carried && s.exchange() {
+			carried = tab
+		}
+		if !s.pause(every/2 + time.Duration(rng.Int64N(int64(every)))) {
+			return
+		}
 	}
 }
 

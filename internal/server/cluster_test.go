@@ -142,6 +142,14 @@ func newTestCluster(t *testing.T, n int, feds []string) *testCluster {
 // tests that need extra knobs (auto-failover, durable store dirs).
 func newTestClusterCfg(t *testing.T, n int, feds []string, mutate func(i int, cfg *Config)) *testCluster {
 	t.Helper()
+	return newWrappedTestCluster(t, n, feds, mutate, nil)
+}
+
+// newWrappedTestCluster is newTestClusterCfg serving node i through
+// wrap(i, handler) from its first request on, for tests that inject
+// faults into or count what a node answers.
+func newWrappedTestCluster(t *testing.T, n int, feds []string, mutate func(i int, cfg *Config), wrap func(i int, h http.Handler) http.Handler) *testCluster {
+	t.Helper()
 	tc := &testCluster{}
 	late := make([]*lateHandler, n)
 	for i := 0; i < n; i++ {
@@ -170,6 +178,9 @@ func newTestClusterCfg(t *testing.T, n int, feds []string, mutate func(i int, cf
 		}
 		drainAtCleanup(t, srv)
 		h := srv.Handler()
+		if wrap != nil {
+			h = wrap(i, h)
+		}
 		late[i].h.Store(&h)
 		tc.servers = append(tc.servers, srv)
 	}
@@ -961,6 +972,67 @@ func TestClusterStaleOwnerDemoted(t *testing.T) {
 			t.Fatalf("node %d table epoch=%d owner=%q", i, cr.Epoch, cr.Placements["alpha"].Owner)
 		}
 	}
+}
+
+// TestClusterPartitionedTakeoverHeals: a takeover whose table exchange a
+// partition drops leaves two active owners — the old one serving at
+// epoch 1 — until a table reaches it. The new owner's retried exchange
+// carries it: once the partition heals, exactly one owner is active and
+// both tables name it within healBound.
+func TestClusterPartitionedTakeoverHeals(t *testing.T) {
+	const (
+		syncInterval = 50 * time.Millisecond
+		healBound    = 40 * syncInterval
+	)
+	// Table exchanges (route posts) are dropped while partitioned; the
+	// takeover itself goes through. Each node's boot exchange has been
+	// answered before the partition starts, and the takeover's own
+	// exchange has been dropped before it heals.
+	var partitioned atomic.Bool
+	var answered, dropped [2]atomic.Int32
+	tc := newWrappedTestCluster(t, 2, []string{"alpha"}, func(_ int, cfg *Config) { cfg.Cluster.SyncInterval = syncInterval },
+		func(i int, real http.Handler) http.Handler {
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path == "/v1/admin/route" {
+					if partitioned.Load() {
+						dropped[i].Add(1)
+						http.Error(w, "injected: partitioned", http.StatusServiceUnavailable)
+						return
+					}
+					defer answered[i].Add(1)
+				}
+				real.ServeHTTP(w, r)
+			})
+		})
+	waitFor(t, 5*time.Second, func() bool { return answered[0].Load() > 0 && answered[1].Load() > 0 }, nil)
+	partitioned.Store(true)
+	owner := tc.ownerIdx(t, "alpha")
+	other := 1 - owner
+
+	if status, body := postStatus(t, tc.https[other].URL+"/v1/admin/takeover?federation=alpha"); status != http.StatusOK {
+		t.Fatalf("takeover = %d: %s", status, body)
+	}
+	waitFor(t, 5*time.Second, func() bool { return dropped[owner].Load() > 0 }, nil)
+	if st, epoch := tc.servers[owner].tenants["alpha"].state.Load(), tc.servers[owner].cluster.table.Load().Epoch(); st != tenantActive || epoch != 1 {
+		t.Fatalf("partitioned old owner is %s at epoch %d, want active at 1: the partition leaked", tenantStateName(st), epoch)
+	}
+
+	partitioned.Store(false)
+	healed := time.Now()
+	waitFor(t, healBound, func() bool {
+		return tc.servers[owner].tenants["alpha"].state.Load() == tenantRemote &&
+			tc.servers[other].tenants["alpha"].state.Load() == tenantActive
+	}, func() string {
+		return fmt.Sprintf("%v after the heal: old owner %s at epoch %d, new owner %s at epoch %d", healBound,
+			tenantStateName(tc.servers[owner].tenants["alpha"].state.Load()), tc.servers[owner].cluster.table.Load().Epoch(),
+			tenantStateName(tc.servers[other].tenants["alpha"].state.Load()), tc.servers[other].cluster.table.Load().Epoch())
+	})
+	for i := range tc.https {
+		if cr := getClusterTable(t, tc.https[i].URL); cr.Epoch < 2 || cr.Placements["alpha"].Owner != tc.members[other].ID {
+			t.Fatalf("node %d's table after the heal: epoch %d places alpha on %q", i, cr.Epoch, cr.Placements["alpha"].Owner)
+		}
+	}
+	t.Logf("one owner %v after the heal", time.Since(healed))
 }
 
 // gatedSched is a stub scheduler that counts activations (OpenHistory,

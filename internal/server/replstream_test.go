@@ -143,6 +143,101 @@ func TestStreamStandbyKilledAfterWrites(t *testing.T) {
 	}
 }
 
+// TestStreamCompactedReplicaResyncs: a standby restarts on a replica an
+// older, compacting build left — the first observations in
+// snapshot.json, the rest in wal.log — which reaches as far as the
+// owner's history. That replica counts as empty, so the owner's next
+// append batch finds a gap (409), replication degrades, and the sync
+// loop re-arms the standby with a full sync that rebases the replica:
+// the old snapshot goes, and a takeover promotes every acked write.
+func TestStreamCompactedReplicaResyncs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full serving stack")
+	}
+	servers, https, _, owner := newReplicatedPair(t)
+	standby := 1 - owner
+	cs := servers[owner].cluster
+	rep := cs.repl["paper"]
+	for i := 0; i < 3; i++ {
+		chaosSubmit(t, https[owner].URL)
+	}
+	https[standby].Kill()
+	if err := servers[standby].Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	cs.streams["paper"].hangUp() // the next batch dials the restarted standby
+
+	// The compacted layout of the same 15 observations: 0..12 in the
+	// snapshot, frames 13 and 14 in wal.log.
+	const kept = 13
+	shard := filepath.Join(servers[standby].cfg.Store.Dir, "paper", "Q12")
+	wal, err := os.ReadFile(filepath.Join(shard, "wal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hist := servers[owner].tenants["paper"].sched.History(tpch.QueryQ12).Snapshot()
+	if hist.Len() != 15 || len(wal)%hist.Len() != 0 {
+		t.Fatalf("owner holds %d observations, the standby's wal.log %d bytes", hist.Len(), len(wal))
+	}
+	type obs struct {
+		X     []float64 `json:"x"`
+		Costs []float64 `json:"costs"`
+	}
+	doc := struct {
+		Version      int      `json:"version"`
+		Dim          int      `json:"dim"`
+		Metrics      []string `json:"metrics"`
+		Observations []obs    `json:"observations"`
+	}{Version: 1, Dim: hist.Dim(), Metrics: hist.Metrics()}
+	for i := 0; i < kept; i++ {
+		doc.Observations = append(doc.Observations, obs{hist.At(i).X, hist.At(i).Costs})
+	}
+	snap, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(shard, "snapshot.json"), snap, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(shard, "wal.log"), wal[kept*len(wal)/hist.Len():], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg := servers[standby].cfg
+	cfg.Metrics = nil // a registry backs one Server
+	reborn, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drainAtCleanup(t, reborn)
+	newTestNode(t, https[standby].Listener.Addr().String(), reborn.Handler())
+	if got := replicaSeq(t, reborn.tenants["paper"].store); got != 0 {
+		t.Fatalf("the compacted replica reaches %d, want 0: nothing this build extends", got)
+	}
+	chaosSubmit(t, https[owner].URL)
+	if got := cs.replDegradedN.Value(); got != 1 {
+		t.Fatalf("replication_degraded_total = %v after a batch into the gap, want 1", got)
+	}
+	waitFor(t, 15*time.Second, func() bool { return rep.Streaming("Q12") }, func() string { return "the standby was never re-armed" })
+	chaosSubmit(t, https[owner].URL)
+	acked := chaosHistLen(t, https[owner].URL)
+	if _, err := os.Stat(filepath.Join(shard, "snapshot.json")); !os.IsNotExist(err) {
+		t.Fatalf("the compacted snapshot.json survived the full sync: %v", err)
+	}
+
+	https[owner].Kill()
+	resp, err := http.Post(https[standby].URL+"/v1/admin/takeover?federation=paper", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hr HandoffResponse
+	err = json.NewDecoder(resp.Body).Decode(&hr)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || hr.Observations["Q12"] != acked {
+		t.Fatalf("takeover = %d %+v (%v), want %d observations", resp.StatusCode, hr, err, acked)
+	}
+}
+
 // TestDrainClosesStreams: http.Server.Close does not know a hijacked
 // connection, so Drain ends the streams itself — the accepted ones with
 // their goroutines gone by the time it returns (the stores they append to

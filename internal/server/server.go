@@ -307,7 +307,7 @@ func newServer(cfg Config, tenants map[string]*tenant, cs *clusterState) *Server
 		}
 		s.registerClusterMetrics()
 		if len(cs.cfg.Peers) > 1 {
-			s.spawn(s.catchUp)
+			s.spawn(s.exchangeLoop)
 		}
 		if cs.replicating() {
 			s.spawn(s.syncLoop)

@@ -1,7 +1,6 @@
 package midas
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
@@ -9,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/federation"
+	"repro/internal/histstore"
 	"repro/internal/ires"
 	"repro/internal/ml"
 	"repro/internal/moo"
@@ -92,7 +92,12 @@ func TestSchedulerWithConfig(t *testing.T) {
 }
 
 func TestDREAMAndPersistence(t *testing.T) {
-	h, err := core.NewHistory(1, "time_s")
+	dir := t.TempDir()
+	store, err := histstore.Open(dir, histstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := store.OpenHistory("Q12", 1, []string{"time_s"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,6 +106,9 @@ func TestDREAMAndPersistence(t *testing.T) {
 		if err := h.Append(core.Observation{X: []float64{x}, Costs: []float64{3 * x}}); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
 	}
 	est, err := core.NewEstimator(core.Config{RequiredR2: core.DefaultRequiredR2})
 	if err != nil {
@@ -113,16 +121,21 @@ func TestDREAMAndPersistence(t *testing.T) {
 	if math.Abs(e.Values()[0]-12) > 1e-6 {
 		t.Errorf("estimate = %v, want 12", e.Values()[0])
 	}
-	var buf bytes.Buffer
-	if err := core.SaveSnapshot(h.Snapshot(), &buf); err != nil {
+	// A second store on the directory recovers the history it wrote.
+	store, err = histstore.Open(dir, histstore.Options{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	h2, err := core.LoadHistory(&buf)
+	defer store.Close()
+	h2, err := store.OpenHistory("Q12", 1, []string{"time_s"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if h2.Len() != h.Len() {
-		t.Fatalf("round-trip lost observations: %d vs %d", h2.Len(), h.Len())
+		t.Fatalf("recovery lost observations: %d vs %d", h2.Len(), h.Len())
+	}
+	if e2, err := est.EstimateCostValue(h2, []float64{4}); err != nil || e2.Values()[0] != e.Values()[0] {
+		t.Fatalf("recovered estimate = %v (err %v), want %v", e2, err, e.Values()[0])
 	}
 }
 
