@@ -30,7 +30,7 @@ CLUSTER_PATTERN ?= Cluster|Chaos|Failover|Stream|Handoff|Adopt|Readyz|Durable|Dr
 # Where the `make profile-*` targets drop their profiles.
 PROFILE_DIR ?= profiles
 
-.PHONY: all build vet fmt-check lint loc linkcheck test test-cpus test-cluster test-short test-bench fuzz-smoke bench bench-smoke bench-sweep bench-boot bench-json scenarios profile-sweep profile-cluster profile-serve profile-boot cover help
+.PHONY: all build vet fmt-check lint loc linkcheck test test-cpus test-cluster test-allocs test-short test-bench fuzz-smoke bench bench-smoke bench-sweep bench-boot bench-json scenarios profile-sweep profile-cluster profile-serve profile-boot cover help
 
 all: build lint test test-bench
 
@@ -74,6 +74,10 @@ test-cpus:
 test-cluster:
 	$(GO) test -race -count=5 -run '$(CLUSTER_PATTERN)' ./internal/server
 	$(GO) test -race -count=5 ./internal/cluster
+
+## test-allocs: the allocation budgets (AllocBudget, DoesNotAllocate and ZeroAllocs tests) without the race detector — under it sync.Pool drops entries at random, so those tests skip and every other target runs them there
+test-allocs:
+	$(GO) test -run 'AllocBudget|DoesNotAllocate|ZeroAllocs' ./...
 
 ## test-short: quick feedback loop without the race detector
 test-short:

@@ -28,10 +28,12 @@ type fitKey struct {
 
 // fitEntry is a single-flight cache slot: concurrent estimators racing
 // on a fresh key all wait on one window search instead of fitting the
-// same models in parallel.
+// same models in parallel. It holds the fit itself, so a window search
+// that fills it allocates nothing more for the served shape.
 type fitEntry struct {
+	key  fitKey
 	once sync.Once
-	fit  *windowFit
+	fit  windowFit
 	err  error
 }
 
@@ -43,26 +45,23 @@ type fitEntry struct {
 // the previous call resolved also sits in an atomic slot that a repeat
 // of its key reads without taking mu.
 type fitCache struct {
-	last atomic.Pointer[keyedFit]
+	last atomic.Pointer[fitEntry]
 	hits atomic.Uint64
 
-	mu     sync.Mutex
-	max    int
+	mu sync.Mutex
+	// order is a ring of the cached keys, as long as the bound once
+	// full: the oldest at next.
 	order  []fitKey
+	next   int
 	m      map[fitKey]*fitEntry
 	misses uint64
-}
-
-type keyedFit struct {
-	key   fitKey
-	entry *fitEntry
 }
 
 func newFitCache(max int) *fitCache {
 	if max < 1 {
 		max = 1
 	}
-	return &fitCache{max: max, m: make(map[fitKey]*fitEntry, max)}
+	return &fitCache{order: make([]fitKey, 0, max), m: make(map[fitKey]*fitEntry, max)}
 }
 
 // entry returns k's single-flight slot, inserting an empty one the
@@ -77,7 +76,7 @@ func newFitCache(max int) *fitCache {
 func (c *fitCache) entry(k fitKey, plans int) *fitEntry {
 	if l := c.last.Load(); l != nil && l.key == k {
 		c.hits.Add(uint64(plans))
-		return l.entry
+		return l
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -87,15 +86,17 @@ func (c *fitCache) entry(k fitKey, plans int) *fitEntry {
 	} else {
 		c.misses++
 		c.hits.Add(uint64(plans - 1))
-		e = &fitEntry{}
+		e = &fitEntry{key: k}
 		c.m[k] = e
-		c.order = append(c.order, k)
-		for len(c.order) > c.max {
-			delete(c.m, c.order[0])
-			c.order = c.order[1:]
+		if len(c.order) < cap(c.order) {
+			c.order = append(c.order, k)
+		} else {
+			delete(c.m, c.order[c.next])
+			c.order[c.next] = k
+			c.next = (c.next + 1) % len(c.order)
 		}
 	}
-	c.last.Store(&keyedFit{key: k, entry: e})
+	c.last.Store(e)
 	return e
 }
 

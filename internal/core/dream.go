@@ -224,11 +224,11 @@ func (h *History) Append(o Observation) error {
 	if len(o.Costs) != len(h.metrics) {
 		return fmt.Errorf("%w: got %d costs, want %d", ErrMetricCount, len(o.Costs), len(h.metrics))
 	}
-	x := make([]float64, len(o.X))
-	copy(x, o.X)
-	c := make([]float64, len(o.Costs))
-	copy(c, o.Costs)
-	stored := Observation{X: x, Costs: c}
+	// One array holds both vectors: the features, then the costs.
+	v := make([]float64, len(o.X)+len(o.Costs))
+	n := copy(v, o.X)
+	copy(v[n:], o.Costs)
+	stored := Observation{X: v[:n:n], Costs: v[n:]}
 	h.mu.Lock()
 	sink := h.sink
 	var ticket uint64
@@ -267,9 +267,17 @@ func (h *History) At(i int) Observation {
 // and a trim moves the history to a new array, so the captured range
 // stays valid forever.
 func (h *History) Snapshot() *Snapshot {
+	s := new(Snapshot)
+	h.SnapshotTo(s)
+	return s
+}
+
+// SnapshotTo is Snapshot written into s, for a caller that owns the
+// storage (a pooled scheduling round).
+func (h *History) SnapshotTo(s *Snapshot) {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	return &Snapshot{
+	*s = Snapshot{
 		owner:   h,
 		version: h.version,
 		base:    h.base,
@@ -532,7 +540,11 @@ func (e *Estimator) EstimateSnapshot(s *Snapshot, x []float64) (*Estimate, error
 
 // windowFit is the plan-independent output of Algorithm 1's window
 // search: the fitted per-metric models and the search statistics. It is
-// what the model cache stores, keyed by (history, version).
+// what the model cache stores, keyed by (history, version). Up to
+// fitMetrics models of up to fitCoefs coefficients — the served shape,
+// two metrics over five features, fits — live in it, so a fit is one
+// allocation; a larger one takes its models from the heap. It must not
+// be copied: models points into it.
 type windowFit struct {
 	models     []*regression.Model
 	windowSize int
@@ -542,6 +554,29 @@ type windowFit struct {
 	// Example 3.1 computational-cost signal stays comparable across
 	// cached and uncached runs.
 	refits int
+
+	ptrs  [fitMetrics]*regression.Model
+	store [fitMetrics]regression.Model
+	beta  [fitMetrics * fitCoefs]float64
+}
+
+// The model storage a windowFit holds inline.
+const fitMetrics, fitCoefs = 2, 6
+
+// setModels materializes the fitter's last solve as fit's models: k
+// metrics of p coefficients each, inline when they fit.
+func (fit *windowFit) setModels(fitter *regression.IncrementalFitter, k, p int) {
+	var store []regression.Model
+	var beta []float64
+	if k <= fitMetrics && p <= fitCoefs {
+		fit.models, store, beta = fit.ptrs[:k], fit.store[:k], fit.beta[:k*p]
+	} else {
+		fit.models, store, beta = make([]*regression.Model, k), make([]regression.Model, k), make([]float64, k*p)
+	}
+	for n := range store {
+		store[n] = fitter.ModelInto(n, beta[n*p:(n+1)*p])
+		fit.models[n] = &store[n]
+	}
 }
 
 // PredictSnapshot is EstimateSnapshot reduced to the cost vector: it
@@ -607,11 +642,18 @@ func (e *Estimator) fitFor(s *Snapshot, plans int) (*windowFit, error) {
 	}
 	cache := e.cache.Load()
 	if cache == nil {
-		return e.searchWindow(s, minM)
+		fit := new(windowFit)
+		if err := e.searchWindow(s, minM, fit); err != nil {
+			return nil, err
+		}
+		return fit, nil
 	}
 	ent := cache.entry(fitKey{owner: s.owner, version: s.version}, plans)
-	ent.once.Do(func() { ent.fit, ent.err = e.searchWindow(s, minM) })
-	return ent.fit, ent.err
+	ent.once.Do(func() { ent.err = e.searchWindow(s, minM, &ent.fit) })
+	if ent.err != nil {
+		return nil, ent.err
+	}
+	return &ent.fit, nil
 }
 
 // searchWindow is Algorithm 1's window-growth loop: fit every metric on
@@ -619,8 +661,9 @@ func (e *Estimator) fitFor(s *Snapshot, plans int) (*windowFit, error) {
 // window hits Mmax. The window is the most recent m observations (the
 // new training set "has the updated value and avoids using the expired
 // information"), so it grows at its old end and the search runs
-// incrementally against one shared-Gram fitter.
-func (e *Estimator) searchWindow(s *Snapshot, minM int) (*windowFit, error) {
+// incrementally against one shared-Gram fitter. The result is written
+// into fit.
+func (e *Estimator) searchWindow(s *Snapshot, minM int, fit *windowFit) error {
 	mmax := e.cfg.MMax
 	if mmax == 0 || mmax > len(s.obs) {
 		mmax = len(s.obs)
@@ -628,15 +671,14 @@ func (e *Estimator) searchWindow(s *Snapshot, minM int) (*windowFit, error) {
 	if mmax < minM {
 		mmax = minM
 	}
-	fit, err := e.searchWindowIncremental(s, minM, mmax)
-	if err != nil {
-		return nil, err
+	if err := e.searchWindowIncremental(s, minM, mmax, fit); err != nil {
+		return err
 	}
 	e.windowSearches.Add(1)
 	e.refitsTotal.Add(uint64(fit.refits))
 	e.lastWindowSize.Store(int64(fit.windowSize))
 	e.lastConverged.Store(fit.converged)
-	return fit, nil
+	return nil
 }
 
 func (e *Estimator) grow(m, mmax int) int {

@@ -22,8 +22,9 @@ import (
 //     needs no second pass over the window.
 //
 // Total: O(M·L² + M·(L³ + K·L²)) per search — linear in the window
-// (a from-scratch fit per step and metric would be O(M²·L²·K)), and
-// O(1) steady-state allocations thanks to the estimator's fitter pool.
+// (a from-scratch fit per step and metric would be O(M²·L²·K)), and no
+// steady-state allocation thanks to the estimator's fitter pool: the
+// models go into the windowFit the caller hands in.
 
 // fitterFor hands out a pooled fitter reshaped for the snapshot's
 // dimensions. Callers must return it with e.fitters.Put when the search
@@ -37,8 +38,9 @@ func (e *Estimator) fitterFor(l, k int) *regression.IncrementalFitter {
 }
 
 // searchWindowIncremental runs Algorithm 1's window-growth loop by
-// feeding observations into one shared-Gram fitter as the window grows.
-func (e *Estimator) searchWindowIncremental(s *Snapshot, minM, mmax int) (*windowFit, error) {
+// feeding observations into one shared-Gram fitter as the window grows,
+// and writes the result into fit.
+func (e *Estimator) searchWindowIncremental(s *Snapshot, minM, mmax int, fit *windowFit) error {
 	nMetrics := len(s.owner.metrics)
 	fitter := e.fitterFor(s.Dim(), nMetrics)
 	defer e.fitters.Put(fitter)
@@ -57,15 +59,14 @@ func (e *Estimator) searchWindowIncremental(s *Snapshot, minM, mmax int) (*windo
 		return nil
 	}
 
-	fit := &windowFit{models: make([]*regression.Model, nMetrics)}
 	m := minM
 	if err := feed(total-m, total); err != nil {
-		return nil, err
+		return err
 	}
 	rounds := 0
 	for {
 		if err := fitter.Solve(regression.FitOptions{}); err != nil {
-			return nil, fmt.Errorf("core: window %d: %w", m, err)
+			return fmt.Errorf("core: window %d: %w", m, err)
 		}
 		rounds++
 		fit.refits += nMetrics
@@ -85,19 +86,16 @@ func (e *Estimator) searchWindowIncremental(s *Snapshot, minM, mmax int) (*windo
 		}
 		newM := e.grow(m, mmax)
 		if err := feed(total-newM, total-m); err != nil {
-			return nil, err
+			return err
 		}
 		m = newM
 	}
 
-	// Materialize owned models from the final window: the only
-	// allocations of the whole search, and independent of how far the
-	// window grew.
-	for n := 0; n < nMetrics; n++ {
-		fit.models[n] = fitter.Model(n)
-	}
+	// Materialize owned models from the final window, into fit: the
+	// search allocates nothing, however far the window grew.
+	fit.setModels(fitter, nMetrics, s.Dim()+1)
 	fit.windowSize = m
 	e.incrementalSteps.Add(uint64(fitter.N()))
 	e.refitsAvoided.Add(uint64((rounds - 1) * nMetrics))
-	return fit, nil
+	return nil
 }

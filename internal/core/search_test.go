@@ -78,7 +78,8 @@ func compareSearches(t *testing.T, e *Estimator, s *Snapshot) {
 	if mmax < minM {
 		mmax = minM
 	}
-	inc, incErr := e.searchWindowIncremental(s, minM, mmax)
+	inc := new(windowFit)
+	incErr := e.searchWindowIncremental(s, minM, mmax, inc)
 	ref, refErr := searchWindowReference(e, s, minM, mmax)
 	if (incErr == nil) != (refErr == nil) {
 		t.Fatalf("search disagreement: incremental %v, reference %v", incErr, refErr)

@@ -104,9 +104,56 @@ func Prefix(buf []byte, max int) (n, frames int) {
 // Reader failures and any other fn error abort the scan and are
 // returned as they are; a caller must not truncate on those.
 func Scan(r io.Reader, maxPayload int, mode Mode, fn func(off int64, payload []byte) error) (int64, error) {
-	br := bufio.NewReader(r)
+	return scan(&source{br: bufio.NewReader(r)}, maxPayload, mode, fn)
+}
+
+// ScanBytes is Scan over frames already in memory: each payload fn sees
+// is a view into buf, with no read buffer or copy in between.
+func ScanBytes(buf []byte, maxPayload int, mode Mode, fn func(off int64, payload []byte) error) (int64, error) {
+	return scan(&source{mem: buf}, maxPayload, mode, fn)
+}
+
+// source is where scan reads frames from: a reader through a buffer,
+// or — br nil — the bytes of mem, whose payloads are handed out as
+// views.
+type source struct {
+	br      *bufio.Reader
+	mem     []byte
+	payload []byte // br's payload scratch, reused frame to frame
+}
+
+// header returns the next frame's header without consuming it: fewer
+// than HeaderSize bytes, with io.EOF, at the end of the input.
+func (s *source) header() ([]byte, error) {
+	if s.br != nil {
+		return s.br.Peek(HeaderSize)
+	}
+	if len(s.mem) < HeaderSize {
+		return s.mem, io.EOF
+	}
+	return s.mem[:HeaderSize], nil
+}
+
+// next consumes the header and returns the n payload bytes after it:
+// fewer, with io.EOF or io.ErrUnexpectedEOF, when the input ends first.
+func (s *source) next(n int) ([]byte, error) {
+	if s.br == nil {
+		rest := s.mem[HeaderSize:]
+		if len(rest) < n {
+			return rest, io.ErrUnexpectedEOF
+		}
+		s.mem = rest[n:]
+		return rest[:n:n], nil
+	}
+	_, _ = s.br.Discard(HeaderSize) // cannot fail: header buffered these bytes
+	var err error
+	s.payload, err = readPayload(s.br, s.payload[:0], n)
+	return s.payload, err
+}
+
+// scan is the one frame decoder, Scan's and ScanBytes'.
+func scan(src *source, maxPayload int, mode Mode, fn func(off int64, payload []byte) error) (int64, error) {
 	var off int64
-	var payload []byte
 	corrupt := func(format string, args ...any) (int64, error) {
 		if mode == TruncateTornTail {
 			return off, nil
@@ -114,7 +161,7 @@ func Scan(r io.Reader, maxPayload int, mode Mode, fn func(off int64, payload []b
 		return off, fmt.Errorf("%w at byte %d: %s", ErrCorrupt, off, fmt.Sprintf(format, args...))
 	}
 	for {
-		header, err := br.Peek(HeaderSize)
+		header, err := src.header()
 		switch {
 		case err == io.EOF && len(header) == 0:
 			return off, nil
@@ -128,8 +175,7 @@ func Scan(r io.Reader, maxPayload int, mode Mode, fn func(off int64, payload []b
 		if n == 0 || int64(n) > int64(maxPayload) {
 			return corrupt("payload length %d outside [1, %d]", n, maxPayload)
 		}
-		_, _ = br.Discard(HeaderSize) // cannot fail: Peek buffered these bytes
-		payload, err = readPayload(br, payload[:0], int(n))
+		payload, err := src.next(int(n))
 		switch {
 		case err == io.EOF || err == io.ErrUnexpectedEOF:
 			return corrupt("torn payload (%d of %d bytes)", len(payload), n)

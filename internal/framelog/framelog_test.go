@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -420,6 +422,26 @@ func FuzzScan(f *testing.F) {
 		}
 		if ends[0] != ends[1] {
 			t.Fatalf("modes disagree on the valid prefix: %d vs %d", ends[0], ends[1])
+		}
+		// In memory, the same decoder hands out views: the same frames,
+		// the same end and the same error as through a reader.
+		for _, mode := range []Mode{TruncateTornTail, Strict} {
+			var viaReader, inMemory []int64
+			rEnd, rErr := Scan(bytes.NewReader(data), maxPayload, mode, func(off int64, p []byte) error {
+				viaReader = append(viaReader, off)
+				return nil
+			})
+			mEnd, mErr := ScanBytes(data, maxPayload, mode, func(off int64, p []byte) error {
+				if len(p) > 0 && &p[0] != &data[off+HeaderSize] {
+					t.Fatalf("payload at %d is a copy, not a view", off)
+				}
+				inMemory = append(inMemory, off)
+				return nil
+			})
+			if rEnd != mEnd || !slices.Equal(viaReader, inMemory) || fmt.Sprint(rErr) != fmt.Sprint(mErr) {
+				t.Fatalf("mode %d: Scan ends at %d after %v (%v), ScanBytes at %d after %v (%v)",
+					mode, rEnd, viaReader, rErr, mEnd, inMemory, mErr)
+			}
 		}
 		if len(data) > 0 {
 			got, end, err := scanAll(Append(nil, data), len(data), Strict)

@@ -1,7 +1,6 @@
 package histstore
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -203,7 +202,7 @@ func (s *Store) AppendReplicaFrames(name string, from uint64, frames []byte, reb
 	}
 	var rolls []cut
 	retain := uint64(s.opts.Retain)
-	_, err := framelog.Scan(bytes.NewReader(frames), maxFramePayload, framelog.Strict, func(off int64, p []byte) error {
+	_, err := framelog.ScanBytes(frames, maxFramePayload, framelog.Strict, func(off int64, p []byte) error {
 		got, err := frameSeq(p)
 		if err != nil {
 			return err

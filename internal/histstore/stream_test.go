@@ -555,3 +555,30 @@ func TestMirrorReceivesWALOrder(t *testing.T) {
 		m.mu.Unlock()
 	}
 }
+
+// TestReplicaBatchAllocBudget: a standby applying a one-frame batch —
+// the synchronous ship behind every acked write of a replicated tenant
+// — decodes it in place, with no read buffer and no payload copy.
+func TestReplicaBatchAllocBudget(t *testing.T) {
+	s := openStore(t, t.TempDir(), Options{})
+	defer s.Close()
+	const runs = 100
+	frames := make([][]byte, runs+2) // AllocsPerRun's warm-up call, the runs, and the batch that arms
+	for i := range frames {
+		frames[i] = testFrames(i, i+1)
+	}
+	if _, err := s.AppendReplicaFrames("Q12", 0, frames[0], false); err != nil {
+		t.Fatal(err)
+	}
+	seq := 1
+	allocs := testing.AllocsPerRun(runs, func() {
+		if next, err := s.AppendReplicaFrames("Q12", uint64(seq), frames[seq], false); err != nil || next != uint64(seq+1) {
+			t.Fatalf("batch at %d: next=%d err=%v", seq, next, err)
+		}
+		seq++
+	})
+	t.Logf("%.1f allocs per one-frame batch", allocs)
+	if allocs > 0 {
+		t.Errorf("one-frame replica batch: %.1f allocs, want none", allocs)
+	}
+}

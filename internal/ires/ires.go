@@ -12,6 +12,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -504,9 +505,8 @@ func (s *Scheduler) Bootstrap(q tpch.QueryID, n int) error {
 // Decision reports one scheduling round.
 type Decision struct {
 	Plan federation.Plan
-	// Estimated is the model-predicted cost vector of the chosen plan: a
-	// read-only view into the sweep's FrontCosts, so it outlives
-	// ReleaseSweep.
+	// Estimated is the model-predicted cost vector of the chosen plan, a
+	// copy: it outlives ReleaseSweep.
 	Estimated []float64
 	Outcome   *federation.Outcome
 	// ParetoSize is the size of the Pareto plan set the choice was made
@@ -538,41 +538,43 @@ func (s *Scheduler) SubmitContext(ctx context.Context, q tpch.QueryID, pol Polic
 
 // Sweep is the policy-independent half of a scheduling round: the
 // enumerated plan space, every plan's estimated cost vector, and the
-// Pareto reduction. A Sweep is immutable once built until ReleaseSweep;
-// the front and every Decision outlive it. Any number of policies can be
-// applied to it concurrently — this is the admission hook a serving
-// layer batches on, since concurrent submissions of the same query can
-// share one sweep and differ only in selection.
+// Pareto reduction. A Sweep is immutable once built until ReleaseSweep,
+// which ends it: the header, the matrix and the front all belong to a
+// later sweep then, and only the Decisions made from it outlive it. Any
+// number of policies can be applied to it concurrently before that —
+// this is the admission hook a serving layer batches on, since
+// concurrent submissions of the same query can share one sweep and
+// differ only in selection.
 type Sweep struct {
 	Query tpch.QueryID
 	// Plans holds the QEPs the sweep estimated: the whole lattice, in
 	// lattice order.
 	Plans []federation.Plan
 	// Costs is the model cost vector of every plan, row i plan i's: one
-	// flat plans × metrics matrix, read through Costs.Row. ReleaseSweep
-	// zeroes it.
+	// flat plans × metrics matrix, read through Costs.Row.
 	Costs moo.CostMatrix
 	// FrontIdx indexes the Pareto-optimal plans within Plans.
 	FrontIdx []int
-	// FrontCosts and Normalized are the Pareto set's raw cost vectors
-	// and their min-max rescaling (constraints check raw values, the
-	// weighted sum compares normalized ones); copies, not views into
-	// Costs.
-	FrontCosts, Normalized [][]float64
+	// FrontCosts and Normalized are the Pareto set's raw cost vectors,
+	// row j plan FrontIdx[j]'s, and their min-max rescaling
+	// (constraints check raw values, the weighted sum compares
+	// normalized ones).
+	FrontCosts, Normalized moo.CostMatrix
 	// PlanSpace is the size of the QEP lattice the sweep drew from;
 	// PlansEstimated (= len(Plans)) counts the QEPs it scored. A sweep
 	// scores every plan, so the two are equal.
 	PlanSpace, PlansEstimated int
 
-	// buf is the pooled scratch Costs lives in; nil once released.
+	// buf is the pooled round storage the sweep lives in; nil once
+	// released, and for a sweep built by hand.
 	buf *sweepBuf
 }
 
 // PlanSweep builds the QEP lattice of q, estimates every plan of it
 // against one history snapshot, and reduces to the Pareto set. The
 // estimation loop observes ctx between chunks of at most 256 plans. The
-// cost matrix comes from a pool: ReleaseSweep hands it back once the
-// sweep has served its decisions.
+// sweep — header, cost matrix and front — lives in storage from a pool:
+// ReleaseSweep hands it back once the sweep has served its decisions.
 func (s *Scheduler) PlanSweep(ctx context.Context, q tpch.QueryID) (sw *Sweep, err error) {
 	if s.obs != nil {
 		began := time.Now()
@@ -601,57 +603,55 @@ func (s *Scheduler) PlanSweep(ctx context.Context, q tpch.QueryID) (sw *Sweep, e
 		buf.release()
 		return nil, err
 	}
-	frontIdx, err := moo.ParetoFront(costs)
-	if err != nil {
-		buf.release()
-		return nil, err
-	}
-	frontCosts := copyRows(costs, frontIdx)
+	buf.frontIdx = moo.ParetoFrontInto(buf.frontIdx, costs)
+	raw, normalized := buf.frontRows(costs)
 	plans := lat.Plans()
-	// Normalize so seconds and dollars are comparable before the
-	// weighted sum (Algorithm 2's WeightSum over user policy).
-	return &Sweep{
+	buf.sw = Sweep{
 		Query:          q,
 		Plans:          plans,
 		Costs:          costs,
-		FrontIdx:       frontIdx,
-		FrontCosts:     frontCosts,
-		Normalized:     moo.NormalizeCosts(frontCosts),
+		FrontIdx:       buf.frontIdx,
+		FrontCosts:     raw,
+		Normalized:     normalized,
 		PlanSpace:      lat.Size(),
 		PlansEstimated: len(plans),
 		buf:            buf,
-	}, nil
+	}
+	return &buf.sw, nil
 }
 
-// copyRows copies the rows of costs at idx into one array, so they
-// outlive the matrix.
-func copyRows(costs moo.CostMatrix, idx []int) [][]float64 {
-	out := make([][]float64, len(idx))
-	if len(idx) == 0 {
-		return out
+// frontRows copies the rows of costs at b.frontIdx into b.front, and
+// their min-max rescaling after them: normalized so seconds and dollars
+// are comparable before the weighted sum (Algorithm 2's WeightSum over
+// user policy).
+func (b *sweepBuf) frontRows(costs moo.CostMatrix) (raw, normalized moo.CostMatrix) {
+	if len(b.frontIdx) == 0 {
+		return moo.CostMatrix{}, moo.CostMatrix{}
 	}
-	k := len(costs.Row(idx[0]))
-	flat := make([]float64, len(idx)*k)
-	for i, at := range idx {
-		out[i] = flat[i*k : (i+1)*k : (i+1)*k]
-		copy(out[i], costs.Row(at))
+	k := len(costs.Row(0))
+	n := len(b.frontIdx) * k
+	b.front = slices.Grow(b.front[:0], 2*n)[:n]
+	for i, at := range b.frontIdx {
+		copy(b.front[i*k:], costs.Row(at))
 	}
-	return out
+	raw, _ = moo.FlatCostMatrix(b.front, k) // whole rows of k ≥ 1: no error
+	return raw, moo.NormalizeCosts(b.front[n:n], raw)
 }
 
-// ReleaseSweep hands sw's cost matrix back for a later sweep to reuse,
-// and zeroes sw.Costs. Plans, FrontIdx, FrontCosts, Normalized and every
-// Decision made from sw stay valid, and so do Select and DecideFromSweep.
-// Call it once, after the last reader of sw.Costs is done (a row read
-// from it before is a view into memory the next sweep overwrites); a
-// later call is a no-op. Never calling it is also correct: the matrix is
-// then collected with the sweep.
+// ReleaseSweep ends sw: its header, cost matrix and front go back to
+// the pool for a later sweep to reuse. Every Decision made from sw stays
+// valid; sw itself and every view read from it — Costs, FrontIdx,
+// FrontCosts, Normalized — are memory the next sweep overwrites, and
+// must not be used again, not even by a second ReleaseSweep. Call it
+// once, after the last reader of sw is done. Never calling it is also
+// correct: the storage is then collected with the sweep. A sweep built
+// by hand has nothing to release.
 func (s *Scheduler) ReleaseSweep(sw *Sweep) {
 	if sw == nil || sw.buf == nil {
 		return
 	}
 	buf := sw.buf
-	sw.buf, sw.Costs = nil, moo.CostMatrix{}
+	*sw = Sweep{}
 	buf.release()
 }
 
@@ -664,6 +664,13 @@ func (sw *Sweep) Select(pol Policy) (int, error) {
 		return 0, err
 	}
 	return sw.FrontIdx[best], nil
+}
+
+// decision is a Decision allocated together with room for its estimate:
+// the served two-metric vector needs no allocation of its own.
+type decision struct {
+	Decision
+	estimated [2]float64
 }
 
 // DecideFromSweep finishes a scheduling round on a previously computed
@@ -692,21 +699,22 @@ func (s *Scheduler) DecideFromSweep(sw *Sweep, pol Policy) (*Decision, error) {
 	if planSpace == 0 {
 		planSpace = len(sw.Plans)
 	}
-	return &Decision{
+	d := &decision{Decision: Decision{
 		Plan:           chosen,
-		Estimated:      sw.FrontCosts[best],
 		Outcome:        out,
 		ParetoSize:     len(sw.FrontIdx),
 		PlanSpace:      planSpace,
 		PlansEstimated: len(sw.Plans),
-	}, nil
+	}}
+	d.Estimated = append(d.estimated[:0], sw.FrontCosts.Row(best)...)
+	return &d.Decision, nil
 }
 
 // bestWithConstraints applies Algorithm 2 with constraints evaluated on
 // the raw costs but the weighted sum computed on normalized costs.
-func bestWithConstraints(raw, normalized [][]float64, weights, constraints []float64) (int, error) {
+func bestWithConstraints(raw, normalized moo.CostMatrix, weights, constraints []float64) (int, error) {
 	return moo.ArgminWeightedSumWhere(normalized, weights,
-		func(i int) bool { return moo.WithinBounds(raw[i], constraints) })
+		func(i int) bool { return moo.WithinBounds(raw.Row(i), constraints) })
 }
 
 // Default policy fallbacks, hoisted to package level so an empty
@@ -719,7 +727,7 @@ var (
 // selectFromParetoSet dispatches on the policy's selection strategy.
 // raw carries the model's cost vectors, normalized their min-max
 // rescaling across the set.
-func selectFromParetoSet(raw, normalized [][]float64, pol Policy) (int, error) {
+func selectFromParetoSet(raw, normalized moo.CostMatrix, pol Policy) (int, error) {
 	switch pol.Strategy {
 	case KneeSelection:
 		return moo.KneePoint(raw)

@@ -147,10 +147,11 @@ func TestSubmitWithConstraints(t *testing.T) {
 }
 
 // TestReleasedSweepKeepsDecisions pins what outlives ReleaseSweep: the
-// decision's estimate and the sweep's front, bit for bit, while 50 more
-// rounds reuse the released matrix (each records an execution, so their
-// predictions differ). Under -race the release also poisons the matrix
-// with NaN, so a view into it that survived would fail here at once.
+// decision's estimate, bit for bit, while 50 more rounds reuse the
+// released storage (each records an execution, so their predictions
+// differ). The sweep itself does not: the release empties it, and under
+// -race poisons the front with NaN, so a view into it that survived
+// fails at once instead of reading another sweep's rows.
 func TestReleasedSweepKeepsDecisions(t *testing.T) {
 	s := buildWideStack(t, 42, 16, SchedulerConfig{Seed: 42}) // 512 plans: two chunks
 	if err := s.Bootstrap(tpch.QueryQ12, 24); err != nil {
@@ -165,40 +166,29 @@ func TestReleasedSweepKeepsDecisions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cloneRows := func(rows [][]float64) [][]float64 {
-		out := make([][]float64, len(rows))
-		for i, r := range rows {
-			out[i] = slices.Clone(r)
-		}
-		return out
-	}
-	estimated, frontIdx := slices.Clone(dec.Estimated), slices.Clone(sw.FrontIdx)
-	front, normalized := cloneRows(sw.FrontCosts), cloneRows(sw.Normalized)
+	estimated := slices.Clone(dec.Estimated)
+	front, normalized := sw.FrontCosts, sw.Normalized // views kept past the release
 
 	s.ReleaseSweep(sw)
-	if sw.Costs.Len() != 0 {
-		t.Fatalf("Costs still holds %d rows after the release", sw.Costs.Len())
+	if sw.Costs.Len() != 0 || len(sw.FrontIdx) != 0 || sw.FrontCosts.Len() != 0 || sw.Normalized.Len() != 0 {
+		t.Fatalf("the released sweep still holds %d rows, a front of %d", sw.Costs.Len(), len(sw.FrontIdx))
 	}
-	s.ReleaseSweep(sw) // a no-op: the matrix must not go to two later sweeps
+	if raceEnabled {
+		for i := 0; i < front.Len(); i++ {
+			for j, v := range append(front.Row(i), normalized.Row(i)...) {
+				if !math.IsNaN(v) {
+					t.Fatalf("front row %d value %d reads %v after the release, want the NaN poison", i, j, v)
+				}
+			}
+		}
+	}
 	for round := 0; round < 50; round++ {
 		if _, err := s.Submit(tpch.QueryQ12, pol); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
 	}
-
 	if !equalBits(dec.Estimated, estimated) {
 		t.Errorf("Decision.Estimated %v, was %v", dec.Estimated, estimated)
-	}
-	if !slices.Equal(sw.FrontIdx, frontIdx) {
-		t.Errorf("FrontIdx %v, was %v", sw.FrontIdx, frontIdx)
-	}
-	for i := range front {
-		if !equalBits(sw.FrontCosts[i], front[i]) || !equalBits(sw.Normalized[i], normalized[i]) {
-			t.Errorf("front row %d: %v / %v, was %v / %v", i, sw.FrontCosts[i], sw.Normalized[i], front[i], normalized[i])
-		}
-	}
-	if idx, err := sw.Select(pol); err != nil || sw.Plans[idx] != dec.Plan {
-		t.Errorf("the released sweep selects %v (%v), decided %v", sw.Plans[idx], err, dec.Plan)
 	}
 }
 

@@ -106,8 +106,11 @@ func (r *GAResult) Select(pol Policy) (federation.Plan, error) {
 	if len(r.Plans) == 0 {
 		return federation.Plan{}, moo.ErrNoPlans
 	}
-	normalized := moo.NormalizeCosts(r.Costs)
-	idx, err := selectFromParetoSet(r.Costs, normalized, pol)
+	raw, err := moo.NewCostMatrix(r.Costs)
+	if err != nil {
+		return federation.Plan{}, err
+	}
+	idx, err := selectFromParetoSet(raw, moo.NormalizeCosts(nil, raw), pol)
 	if err != nil {
 		return federation.Plan{}, err
 	}
@@ -199,13 +202,9 @@ func (s *Scheduler) OptimizeWSM(q tpch.QueryID, pol Policy) (*WSMResult, error) 
 	if len(weights) == 0 {
 		weights = []float64{1, 1}
 	}
-	rows := make([][]float64, costs.Len())
-	for i := range rows {
-		rows[i] = costs.Row(i)
-	}
-	idx, err := moo.ArgminWeightedSum(moo.NormalizeCosts(rows), weights)
+	idx, err := moo.ArgminWeightedSum(moo.NormalizeCosts(nil, costs), weights)
 	if err != nil {
 		return nil, err
 	}
-	return &WSMResult{Plan: plans[idx], Costs: rows[idx], ModelEvaluations: len(plans)}, nil
+	return &WSMResult{Plan: plans[idx], Costs: costs.Row(idx), ModelEvaluations: len(plans)}, nil
 }

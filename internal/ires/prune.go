@@ -44,26 +44,37 @@ type planSweeper struct {
 	buf *sweepBuf
 }
 
-// sweepBuf is a sweep's scratch: the backing of its cost matrix.
-// PlanSweep takes one from sweepPool and ReleaseSweep puts it back, so
-// the serving cycle (sweep, decide, release) reuses the 32 KB matrix of
-// a 2,048-plan sweep instead of allocating and collecting it per
-// request. A sync.Pool, not a free list: every GC drains it, so nothing
-// it holds is retained heap.
+// sweepBuf is one round's storage: the Sweep header PlanSweep returns,
+// the planSweeper and its history snapshot, the backing of the cost
+// matrix, and the Pareto front's indices and its raw and normalized
+// rows. PlanSweep takes one from sweepPool and ReleaseSweep puts it
+// back, so the serving cycle (sweep, decide, release) reuses all of it
+// — the 32 KB matrix of a 2,048-plan sweep among it — instead of
+// allocating and collecting it per request. A sync.Pool, not a free
+// list: every GC drains it, so nothing it holds is retained heap.
 type sweepBuf struct {
+	sw    Sweep
+	ps    planSweeper
+	snap  core.Snapshot
 	costs []float64
+	// frontIdx and front back the Pareto front: its indices, then its
+	// raw rows followed by their normalized twins.
+	frontIdx []int
+	front    []float64
 }
 
 var sweepPool = sync.Pool{New: func() any { return new(sweepBuf) }}
 
 // release hands b back to the pool. Under the race detector it first
-// fills the matrix backing with NaN: whatever still reads it — a view
-// kept past ReleaseSweep — then sees a NaN cost and a changed decision.
+// fills the matrix and front backings with NaN: whatever still reads
+// them — a view kept past ReleaseSweep — then sees a NaN cost and a
+// changed decision.
 func (b *sweepBuf) release() {
 	if raceEnabled {
-		v := b.costs[:cap(b.costs)]
-		for i := range v {
-			v[i] = math.NaN()
+		for _, v := range [][]float64{b.costs[:cap(b.costs)], b.front[:cap(b.front)]} {
+			for i := range v {
+				v[i] = math.NaN()
+			}
 		}
 	}
 	sweepPool.Put(b)
@@ -74,9 +85,12 @@ func (b *sweepBuf) release() {
 // while other requests append observations. A LinearCostModel over an
 // executor that knows the query's input sizes (federation.InputSizer)
 // takes the linear route; any other pair — a decorator that hides
-// either capability, a custom model — is scored plan by plan.
+// either capability, a custom model — is scored plan by plan. The
+// planSweeper and the snapshot live in buf.
 func (s *Scheduler) sweeper(q tpch.QueryID, h *core.History, lat *federation.PlanLattice, buf *sweepBuf) *planSweeper {
-	ps := &planSweeper{lat: lat, exec: s.exec, model: s.model, snap: h.Snapshot(), buf: buf}
+	h.SnapshotTo(&buf.snap)
+	ps := &buf.ps
+	*ps = planSweeper{lat: lat, exec: s.exec, model: s.model, snap: &buf.snap, buf: buf}
 	sizer, sized := s.exec.(federation.InputSizer)
 	if m, ok := s.model.(LinearCostModel); ok && sized {
 		lb, rb, err := sizer.InputBytes(q)

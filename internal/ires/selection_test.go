@@ -84,8 +84,11 @@ func TestGASelectStrategies(t *testing.T) {
 // ones — including the fallback to the whole set, and that a selection
 // on the serving path does not allocate.
 func TestBestWithConstraints(t *testing.T) {
-	raw := [][]float64{{90, 1}, {40, 4}, {40, 4}, {10, 9}}
-	normalized := moo.NormalizeCosts(raw)
+	raw, err := moo.NewCostMatrix([][]float64{{90, 1}, {40, 4}, {40, 4}, {10, 9}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	normalized := moo.NormalizeCosts(nil, raw)
 	for _, tc := range []struct {
 		name                 string
 		weights, constraints []float64
@@ -108,7 +111,7 @@ func TestBestWithConstraints(t *testing.T) {
 	if _, err := bestWithConstraints(raw, normalized, []float64{1}, nil); !errors.Is(err, moo.ErrDimension) {
 		t.Errorf("short weights: got %v, want ErrDimension", err)
 	}
-	if _, err := bestWithConstraints(nil, nil, []float64{1, 1}, []float64{20}); !errors.Is(err, moo.ErrNoPlans) {
+	if _, err := bestWithConstraints(moo.CostMatrix{}, moo.CostMatrix{}, []float64{1, 1}, []float64{20}); !errors.Is(err, moo.ErrNoPlans) {
 		t.Errorf("empty set: got %v, want ErrNoPlans", err)
 	}
 
@@ -139,7 +142,11 @@ func TestSelectOnAllNaNSweep(t *testing.T) {
 		{allNaN, Policy{Strategy: LexicographicSelection}},
 		{nanFeasible, Policy{Constraints: []float64{0.5}}},
 	} {
-		sw := &Sweep{FrontIdx: []int{0, 1, 2}[:len(tc.raw)], FrontCosts: tc.raw, Normalized: moo.NormalizeCosts(tc.raw)}
+		raw, err := moo.NewCostMatrix(tc.raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sw := &Sweep{FrontIdx: []int{0, 1, 2}[:len(tc.raw)], FrontCosts: raw, Normalized: moo.NormalizeCosts(nil, raw)}
 		if i, err := sw.Select(tc.pol); !errors.Is(err, moo.ErrIncomparable) {
 			t.Errorf("%+v: Select = %d, %v; want ErrIncomparable", tc.pol, i, err)
 		}

@@ -121,15 +121,23 @@ func (m CostMatrix) Row(i int) []float64 {
 // NaN-free objectives, the served case, take paretoFront2: same indices,
 // O(n log |front|).
 func ParetoFront(costs CostMatrix) ([]int, error) {
-	if costs.k == 2 {
-		return paretoFront2(costs), nil
-	}
-	return paretoFrontRows(costs), nil
+	return ParetoFrontInto(nil, costs), nil
 }
 
-// paretoFrontRows is the running front over Row views, for any width.
-func paretoFrontRows(costs CostMatrix) []int {
-	var front []int
+// ParetoFrontInto is ParetoFront written over dst, whose capacity it
+// reuses when large enough: the form a caller that pools the indices
+// uses.
+func ParetoFrontInto(dst []int, costs CostMatrix) []int {
+	if costs.k == 2 {
+		return paretoFront2(dst, costs)
+	}
+	return paretoFrontRows(dst, costs)
+}
+
+// paretoFrontRows is the running front over Row views, for any width,
+// kept in dst's storage.
+func paretoFrontRows(dst []int, costs CostMatrix) []int {
+	front := dst[:0]
 candidates:
 	for i := 0; i < costs.n; i++ {
 		ci := costs.Row(i)
@@ -173,10 +181,10 @@ type member struct {
 // and the members it dominates are one contiguous run, evicted by one
 // copy. The member that dropped the last candidate is tried before the
 // search: neighbouring plans tend to share a dominator. The front lives
-// on the stack up to frontBuf members; the result is the one
-// allocation. A NaN, which no order holds, hands the whole matrix to
-// paretoFrontRows.
-func paretoFront2(costs CostMatrix) []int {
+// on the stack up to frontBuf members; the result, in dst's storage,
+// is the one allocation when dst is too small. A NaN, which no order
+// holds, hands the whole matrix to paretoFrontRows.
+func paretoFront2(dst []int, costs CostMatrix) []int {
 	var buf [frontBuf]member
 	front, v := buf[:0], costs.v
 	d := -1 // the member that dropped the last row; -1 once the front changes
@@ -186,7 +194,7 @@ func paretoFront2(costs CostMatrix) []int {
 		// NaN in either cost — or +Inf beside −Inf, which the scan handles
 		// as well — makes the sum NaN.
 		if s := c0 + c1; s != s {
-			return paretoFrontRows(costs)
+			return paretoFrontRows(dst, costs)
 		}
 		if d >= 0 {
 			if m := &front[d]; m.c0 <= c0 && m.c1 <= c1 && (m.c0 < c0 || m.c1 < c1) {
@@ -239,7 +247,7 @@ func paretoFront2(costs CostMatrix) []int {
 			front = front[:q+1+copy(front[q+1:], front[r:])]
 		}
 	}
-	out := make([]int, len(front))
+	out := slices.Grow(dst[:0], len(front))[:len(front)]
 	for j, m := range front {
 		out[j] = m.i
 	}

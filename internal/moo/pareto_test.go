@@ -238,8 +238,8 @@ func TestParetoFrontMatchesOracle(t *testing.T) {
 		if !slices.Equal(got, want) {
 			t.Fatalf("trial %d (n=%d, M=%d): front %v, oracle %v\ncosts %v", trial, n, m, got, want, costs)
 		}
-		if packed, _ := NewCostMatrix(costs); m == 2 && !slices.Equal(paretoFrontRows(packed), want) {
-			t.Fatalf("trial %d (n=%d): Row loop %v, oracle %v\ncosts %v", trial, n, paretoFrontRows(packed), want, costs)
+		if packed, _ := NewCostMatrix(costs); m == 2 && !slices.Equal(paretoFrontRows(nil, packed), want) {
+			t.Fatalf("trial %d (n=%d): Row loop %v, oracle %v\ncosts %v", trial, n, paretoFrontRows(nil, packed), want, costs)
 		}
 	}
 }
@@ -385,13 +385,17 @@ func FuzzParetoFront(f *testing.F) {
 		if err != nil {
 			t.Fatalf("rectangular matrix: %v", err)
 		}
+		// A reused destination holding stale indices gives the same front.
+		if into := ParetoFrontInto([]int{-7, -7, -7}, costs); !slices.Equal(into, got) {
+			t.Fatalf("front into a used slice %v, fresh %v", into, got)
+		}
 		for k, idx := range got {
 			if idx < 0 || idx >= n || (k > 0 && idx <= got[k-1]) {
 				t.Fatalf("front %v not strictly ascending within [0,%d)", got, n)
 			}
 		}
 		if m == 2 {
-			if generic := paretoFrontRows(costs); !slices.Equal(got, generic) {
+			if generic := paretoFrontRows(nil, costs); !slices.Equal(got, generic) {
 				t.Fatalf("two-compare front %v, Row loop %v\ncosts %v", got, generic, rows)
 			}
 		}

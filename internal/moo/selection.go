@@ -20,33 +20,38 @@ var ErrObjectiveCount = errors.New("moo: unsupported objective count")
 // the two extreme points. The knee is the "best bang for the buck"
 // plan — moving away from it trades a lot of one objective for little
 // of the other — and needs no user weights at all.
-func KneePoint(costs [][]float64) (int, error) {
-	if len(costs) == 0 {
+func KneePoint(costs CostMatrix) (int, error) {
+	if costs.n == 0 {
 		return 0, ErrNoPlans
 	}
-	nObj, err := rowWidth(costs)
-	if err != nil {
-		return 0, err
+	if costs.k != 2 {
+		return 0, fmt.Errorf("%w: knee selection needs 2 objectives, got %d", ErrObjectiveCount, costs.k)
 	}
-	if nObj != 2 {
-		return 0, fmt.Errorf("%w: knee selection needs 2 objectives, got %d", ErrObjectiveCount, nObj)
-	}
-	if len(costs) == 1 {
+	if costs.n == 1 {
 		return 0, nil
 	}
-	norm := NormalizeCosts(costs)
+	// Normalized axes (NormalizeCosts), computed per read.
+	lo0, hi0 := columnRange(costs, 0)
+	lo1, hi1 := columnRange(costs, 1)
+	norm := func(i int) (float64, float64) {
+		return normalize(costs.v[2*i], lo0, hi0), normalize(costs.v[2*i+1], lo1, hi1)
+	}
 	// Extreme points on the normalized axes.
 	bestF1, bestF2 := 0, 0
-	for i, c := range norm {
-		if c[0] < norm[bestF1][0] || (c[0] == norm[bestF1][0] && c[1] < norm[bestF1][1]) {
+	for i := 0; i < costs.n; i++ {
+		c0, c1 := norm(i)
+		b0, b1 := norm(bestF1)
+		if c0 < b0 || (c0 == b0 && c1 < b1) {
 			bestF1 = i
 		}
-		if c[1] < norm[bestF2][1] || (c[1] == norm[bestF2][1] && c[0] < norm[bestF2][0]) {
+		b0, b1 = norm(bestF2)
+		if c1 < b1 || (c1 == b1 && c0 < b0) {
 			bestF2 = i
 		}
 	}
-	a, b := norm[bestF1], norm[bestF2]
-	dx, dy := b[0]-a[0], b[1]-a[1]
+	a0, a1 := norm(bestF1)
+	b0, b1 := norm(bestF2)
+	dx, dy := b0-a0, b1-a1
 	length := math.Hypot(dx, dy)
 	if length == 0 {
 		// Degenerate set (all identical after normalization): any
@@ -54,10 +59,11 @@ func KneePoint(costs [][]float64) (int, error) {
 		return bestF1, nil
 	}
 	best, bestDist := bestF1, -1.0
-	for i, c := range norm {
+	for i := 0; i < costs.n; i++ {
+		c0, c1 := norm(i)
 		// Perpendicular distance to the extreme-point line; points on
 		// the convex side (toward the ideal point) score positive.
-		dist := math.Abs(dx*(a[1]-c[1])-dy*(a[0]-c[0])) / length
+		dist := math.Abs(dx*(a1-c1)-dy*(a0-c0)) / length
 		if dist > bestDist {
 			best, bestDist = i, dist
 		}
@@ -71,29 +77,25 @@ func KneePoint(costs [][]float64) (int, error) {
 // decreasing priority and must be a permutation prefix (non-repeating,
 // in range). When a priority's objective is NaN on every remaining
 // candidate, the result is ErrIncomparable.
-func Lexicographic(costs [][]float64, order []int, tolerance float64) (int, error) {
-	if len(costs) == 0 {
+func Lexicographic(costs CostMatrix, order []int, tolerance float64) (int, error) {
+	if costs.n == 0 {
 		return 0, ErrNoPlans
 	}
-	nObj, err := rowWidth(costs)
-	if err != nil {
-		return 0, err
-	}
-	if err := CheckLexOrder(order, nObj); err != nil {
+	if err := CheckLexOrder(order, costs.k); err != nil {
 		return 0, err
 	}
 	if tolerance < 0 {
 		tolerance = 0
 	}
-	candidates := make([]int, len(costs))
+	candidates := make([]int, costs.n)
 	for i := range candidates {
 		candidates[i] = i
 	}
 	for _, m := range order {
 		bestVal := math.Inf(1)
 		for _, i := range candidates {
-			if costs[i][m] < bestVal {
-				bestVal = costs[i][m]
+			if v := costs.Row(i)[m]; v < bestVal {
+				bestVal = v
 			}
 		}
 		cut := bestVal * (1 + tolerance)
@@ -102,7 +104,7 @@ func Lexicographic(costs [][]float64, order []int, tolerance float64) (int, erro
 		}
 		next := candidates[:0]
 		for _, i := range candidates {
-			if costs[i][m] <= cut {
+			if costs.Row(i)[m] <= cut {
 				next = append(next, i)
 			}
 		}

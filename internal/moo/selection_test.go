@@ -7,6 +7,24 @@ import (
 	"testing/quick"
 )
 
+// kneeRows and lexRows are KneePoint and Lexicographic over rows held as
+// [][]float64; ragged rows are NewCostMatrix's ErrDimension.
+func kneeRows(rows [][]float64) (int, error) {
+	m, err := NewCostMatrix(rows)
+	if err != nil {
+		return 0, err
+	}
+	return KneePoint(m)
+}
+
+func lexRows(rows [][]float64, order []int, tolerance float64) (int, error) {
+	m, err := NewCostMatrix(rows)
+	if err != nil {
+		return 0, err
+	}
+	return Lexicographic(m, order, tolerance)
+}
+
 func TestKneePoint(t *testing.T) {
 	// A convex front with an obvious knee at (2, 2): the extremes are
 	// (0, 10) and (10, 0), and (2,2) bulges toward the origin.
@@ -17,7 +35,7 @@ func TestKneePoint(t *testing.T) {
 		{4, 1},
 		{10, 0},
 	}
-	i, err := KneePoint(costs)
+	i, err := kneeRows(costs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,18 +45,18 @@ func TestKneePoint(t *testing.T) {
 }
 
 func TestKneePointEdgeCases(t *testing.T) {
-	if _, err := KneePoint(nil); !errors.Is(err, ErrNoPlans) {
+	if _, err := kneeRows(nil); !errors.Is(err, ErrNoPlans) {
 		t.Errorf("empty: got %v, want ErrNoPlans", err)
 	}
-	if _, err := KneePoint([][]float64{{1, 2, 3}}); !errors.Is(err, ErrObjectiveCount) {
+	if _, err := kneeRows([][]float64{{1, 2, 3}}); !errors.Is(err, ErrObjectiveCount) {
 		t.Errorf("3 objectives: got %v, want ErrObjectiveCount", err)
 	}
-	i, err := KneePoint([][]float64{{5, 5}})
+	i, err := kneeRows([][]float64{{5, 5}})
 	if err != nil || i != 0 {
 		t.Errorf("singleton: got %d, %v", i, err)
 	}
 	// Identical points: degenerate but must not error.
-	if _, err := KneePoint([][]float64{{1, 1}, {1, 1}}); err != nil {
+	if _, err := kneeRows([][]float64{{1, 1}, {1, 1}}); err != nil {
 		t.Errorf("identical points: %v", err)
 	}
 }
@@ -50,7 +68,7 @@ func TestLexicographic(t *testing.T) {
 		{20, 0.1},
 	}
 	// Time first with 1% tolerance → plan 1 wins on money tie-break.
-	i, err := Lexicographic(costs, []int{0, 1}, 0.01)
+	i, err := lexRows(costs, []int{0, 1}, 0.01)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +76,7 @@ func TestLexicographic(t *testing.T) {
 		t.Errorf("selected %d, want 1", i)
 	}
 	// Zero tolerance → strict: plan 0.
-	i, err = Lexicographic(costs, []int{0, 1}, 0)
+	i, err = lexRows(costs, []int{0, 1}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +84,7 @@ func TestLexicographic(t *testing.T) {
 		t.Errorf("strict selected %d, want 0", i)
 	}
 	// Money first → plan 2.
-	i, err = Lexicographic(costs, []int{1, 0}, 0.01)
+	i, err = lexRows(costs, []int{1, 0}, 0.01)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,27 +96,27 @@ func TestLexicographic(t *testing.T) {
 func TestLexicographicNegativeValuesAndErrors(t *testing.T) {
 	// Negative costs: tolerance band must widen downward.
 	costs := [][]float64{{-10, 5}, {-9.95, 1}}
-	i, err := Lexicographic(costs, []int{0, 1}, 0.01)
+	i, err := lexRows(costs, []int{0, 1}, 0.01)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if i != 1 {
 		t.Errorf("negative-cost tolerance selected %d, want 1", i)
 	}
-	if _, err := Lexicographic(nil, []int{0}, 0); !errors.Is(err, ErrNoPlans) {
+	if _, err := lexRows(nil, []int{0}, 0); !errors.Is(err, ErrNoPlans) {
 		t.Errorf("got %v, want ErrNoPlans", err)
 	}
-	if _, err := Lexicographic(costs, nil, 0); !errors.Is(err, ErrDimension) {
+	if _, err := lexRows(costs, nil, 0); !errors.Is(err, ErrDimension) {
 		t.Errorf("empty order: got %v, want ErrDimension", err)
 	}
-	if _, err := Lexicographic(costs, []int{0, 0}, 0); !errors.Is(err, ErrDimension) {
+	if _, err := lexRows(costs, []int{0, 0}, 0); !errors.Is(err, ErrDimension) {
 		t.Errorf("repeated objective: got %v, want ErrDimension", err)
 	}
-	if _, err := Lexicographic(costs, []int{7}, 0); !errors.Is(err, ErrDimension) {
+	if _, err := lexRows(costs, []int{7}, 0); !errors.Is(err, ErrDimension) {
 		t.Errorf("out-of-range objective: got %v, want ErrDimension", err)
 	}
 	// Negative tolerance normalizes to 0 rather than erroring.
-	if _, err := Lexicographic(costs, []int{0}, -1); err != nil {
+	if _, err := lexRows(costs, []int{0}, -1); err != nil {
 		t.Errorf("negative tolerance: %v", err)
 	}
 }
@@ -119,11 +137,11 @@ func TestPropertySelectionsInRangeAndSane(t *testing.T) {
 			}
 			costs[i] = []float64{a, b}
 		}
-		k, err := KneePoint(costs)
+		k, err := kneeRows(costs)
 		if err != nil || k < 0 || k >= n {
 			return false
 		}
-		l, err := Lexicographic(costs, []int{0, 1}, 0.05)
+		l, err := lexRows(costs, []int{0, 1}, 0.05)
 		if err != nil || l < 0 || l >= n {
 			return false
 		}
@@ -140,9 +158,9 @@ func TestPropertySelectionsInRangeAndSane(t *testing.T) {
 func TestSelectionRejectsNaNAndRaggedCosts(t *testing.T) {
 	nan := math.NaN()
 	lex := func(order ...int) func([][]float64) (int, error) {
-		return func(c [][]float64) (int, error) { return Lexicographic(c, order, 0.05) }
+		return func(c [][]float64) (int, error) { return lexRows(c, order, 0.05) }
 	}
-	weighted := func(c [][]float64) (int, error) { return ArgminWeightedSum(c, []float64{1, 1}) }
+	weighted := func(c [][]float64) (int, error) { return argminRows(c, []float64{1, 1}) }
 	cases := []struct {
 		name    string
 		sel     func([][]float64) (int, error)
@@ -155,8 +173,8 @@ func TestSelectionRejectsNaNAndRaggedCosts(t *testing.T) {
 		{"lex: a NaN row drops out", lex(0, 1), [][]float64{{nan, 1}, {2, 2}}, 1, nil},
 		{"lex: shorter second row", lex(1, 0), [][]float64{{1, 2}, {3}}, 0, ErrDimension},
 		{"lex: longer second row", lex(0), [][]float64{{1}, {3, 4}}, 0, ErrDimension},
-		{"knee: shorter second row", KneePoint, [][]float64{{1, 2}, {3}}, 0, ErrDimension},
-		{"knee: longer second row", KneePoint, [][]float64{{1, 2}, {3, 4, 5}}, 0, ErrDimension},
+		{"knee: shorter second row", kneeRows, [][]float64{{1, 2}, {3}}, 0, ErrDimension},
+		{"knee: longer second row", kneeRows, [][]float64{{1, 2}, {3, 4, 5}}, 0, ErrDimension},
 		{"weighted: every score NaN", weighted, [][]float64{{nan, 1}, {1, nan}}, 0, ErrIncomparable},
 		{"weighted: a NaN row loses", weighted, [][]float64{{nan, 0}, {1, 1}}, 1, nil},
 	}
@@ -167,7 +185,7 @@ func TestSelectionRejectsNaNAndRaggedCosts(t *testing.T) {
 		}
 	}
 	// Feasible rows compete alone even when all of them are NaN.
-	costs := [][]float64{{nan, 1}, {1, 1}}
+	costs, _ := NewCostMatrix([][]float64{{nan, 1}, {1, 1}})
 	if _, err := ArgminWeightedSumWhere(costs, []float64{1, 1}, func(i int) bool { return i == 0 }); !errors.Is(err, ErrIncomparable) {
 		t.Errorf("all-NaN feasible set: got %v, want ErrIncomparable", err)
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // ErrNoPlans is returned when a selection runs over an empty plan set.
@@ -73,30 +74,28 @@ func scalarize(costs, weights []float64, wSum float64) float64 {
 // index of the first row of scores with the smallest WeightedSum among
 // the rows feasible(i) admits. A nil feasible admits every row; when it
 // admits none the whole set competes (Algorithm 2 line 6). A competing
-// set whose scores are all NaN is ErrIncomparable. The weights are
-// validated and totalled once, not per row, and the loop does not
-// allocate.
-func ArgminWeightedSumWhere(scores [][]float64, weights []float64, feasible func(i int) bool) (int, error) {
-	if len(scores) == 0 {
+// set whose scores are all NaN is ErrIncomparable. The dimension and
+// then the weights are validated and totalled once, not per row, and
+// the loop does not allocate.
+func ArgminWeightedSumWhere(scores CostMatrix, weights []float64, feasible func(i int) bool) (int, error) {
+	if scores.n == 0 {
 		return 0, ErrNoPlans
 	}
-	wSum, wErr := weightTotal(weights)
+	if scores.k != len(weights) {
+		return 0, fmt.Errorf("%w: %d costs vs %d weights", ErrDimension, scores.k, len(weights))
+	}
+	wSum, err := weightTotal(weights)
+	if err != nil {
+		return 0, err
+	}
 	for {
 		best, bestScore, competed := -1, math.Inf(1), false
-		for i, c := range scores {
+		for i := 0; i < scores.n; i++ {
 			if feasible != nil && !feasible(i) {
 				continue
 			}
 			competed = true
-			// Per competing row, dimension before weights: the order
-			// WeightedSum reports them in.
-			if len(c) != len(weights) {
-				return 0, fmt.Errorf("%w: %d costs vs %d weights", ErrDimension, len(c), len(weights))
-			}
-			if wErr != nil {
-				return 0, wErr
-			}
-			if s := scalarize(c, weights, wSum); s < bestScore {
+			if s := scalarize(scores.Row(i), weights, wSum); s < bestScore {
 				best, bestScore = i, s
 			}
 		}
@@ -113,7 +112,7 @@ func ArgminWeightedSumWhere(scores [][]float64, weights []float64, feasible func
 // ArgminWeightedSum returns the index of the plan with the smallest
 // weighted-sum score: the WSM baseline optimizer (paper Figure 3, right
 // path).
-func ArgminWeightedSum(costs [][]float64, weights []float64) (int, error) {
+func ArgminWeightedSum(costs CostMatrix, weights []float64) (int, error) {
 	return ArgminWeightedSumWhere(costs, weights, nil)
 }
 
@@ -132,37 +131,40 @@ func WithinBounds(c, bounds []float64) bool {
 // NormalizeCosts rescales each objective column to [0,1] across the
 // plan set (min-max). WSM comparisons across metrics with different
 // units (seconds vs dollars) are meaningless without this step.
-// Constant columns map to 0. The input is not modified.
-func NormalizeCosts(costs [][]float64) [][]float64 {
-	if len(costs) == 0 {
-		return nil
-	}
-	nObj := len(costs[0])
-	lo := make([]float64, nObj)
-	hi := make([]float64, nObj)
-	for m := 0; m < nObj; m++ {
-		lo[m], hi[m] = math.Inf(1), math.Inf(-1)
-	}
-	for _, c := range costs {
-		for m, v := range c {
-			if v < lo[m] {
-				lo[m] = v
-			}
-			if v > hi[m] {
-				hi[m] = v
-			}
+// Constant columns map to 0. The input is not modified; the result is
+// written over dst, whose capacity is reused when large enough.
+func NormalizeCosts(dst []float64, costs CostMatrix) CostMatrix {
+	out := slices.Grow(dst[:0], len(costs.v))[:len(costs.v)]
+	for m := 0; m < costs.k; m++ {
+		lo, hi := columnRange(costs, m)
+		for i := m; i < len(out); i += costs.k {
+			out[i] = normalize(costs.v[i], lo, hi)
 		}
 	}
-	out := make([][]float64, len(costs))
-	flat := make([]float64, len(costs)*nObj) // the rows are capped views into it
-	for i, c := range costs {
-		row := flat[i*nObj : (i+1)*nObj : (i+1)*nObj]
-		for m, v := range c {
-			if hi[m] > lo[m] {
-				row[m] = (v - lo[m]) / (hi[m] - lo[m])
-			}
+	return CostMatrix{n: costs.n, k: costs.k, v: out}
+}
+
+// columnRange is the smallest and largest value of objective m, NaNs
+// skipped: +Inf and −Inf when there is none.
+func columnRange(costs CostMatrix, m int) (lo, hi float64) {
+	lo, hi = math.Inf(1), math.Inf(-1)
+	for i := m; i < len(costs.v); i += costs.k {
+		v := costs.v[i]
+		if v < lo {
+			lo = v
 		}
-		out[i] = row
+		if v > hi {
+			hi = v
+		}
 	}
-	return out
+	return lo, hi
+}
+
+// normalize is v rescaled from [lo, hi] to [0, 1], or 0 when the range
+// is empty.
+func normalize(v, lo, hi float64) float64 {
+	if hi > lo {
+		return (v - lo) / (hi - lo)
+	}
+	return 0
 }

@@ -39,30 +39,44 @@ func TestWeightedSumErrors(t *testing.T) {
 
 func TestArgminWeightedSum(t *testing.T) {
 	costs := [][]float64{{10, 1}, {1, 10}, {4, 4}}
-	i, err := ArgminWeightedSum(costs, []float64{1, 1})
+	i, err := argminRows(costs, []float64{1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if i != 2 {
 		t.Errorf("balanced weights pick %d, want 2", i)
 	}
-	i, err = ArgminWeightedSum(costs, []float64{1, 0.001})
+	i, err = argminRows(costs, []float64{1, 0.001})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if i != 1 {
 		t.Errorf("time-heavy weights pick %d, want 1", i)
 	}
-	if _, err := ArgminWeightedSum(nil, []float64{1}); !errors.Is(err, ErrNoPlans) {
+	if _, err := argminRows(nil, []float64{1}); !errors.Is(err, ErrNoPlans) {
 		t.Errorf("got %v, want ErrNoPlans", err)
 	}
 }
 
 // algorithm2 is the paper's Algorithm 2 (BestInPareto) the way the
 // scheduler runs it: the weighted-sum winner among the rows within the
-// per-metric bounds, or among all rows when none is.
+// per-metric bounds, or among all rows when none is. Ragged rows are
+// NewCostMatrix's ErrDimension.
 func algorithm2(costs [][]float64, weights, constraints []float64) (int, error) {
-	return ArgminWeightedSumWhere(costs, weights, func(i int) bool { return WithinBounds(costs[i], constraints) })
+	m, err := NewCostMatrix(costs)
+	if err != nil {
+		return 0, err
+	}
+	return ArgminWeightedSumWhere(m, weights, func(i int) bool { return WithinBounds(m.Row(i), constraints) })
+}
+
+// argminRows is ArgminWeightedSum over rows held as [][]float64.
+func argminRows(costs [][]float64, weights []float64) (int, error) {
+	m, err := NewCostMatrix(costs)
+	if err != nil {
+		return 0, err
+	}
+	return ArgminWeightedSum(m, weights)
 }
 
 func TestBestInParetoConstraintsSatisfiable(t *testing.T) {
@@ -130,22 +144,31 @@ func TestBestInParetoErrors(t *testing.T) {
 }
 
 func TestNormalizeCosts(t *testing.T) {
-	norm := NormalizeCosts([][]float64{{0, 100}, {10, 200}, {5, 150}})
+	costs, err := NewCostMatrix([][]float64{{0, 100}, {10, 200}, {5, 150}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Written over a used destination, whose stale values must not show.
+	norm := NormalizeCosts([]float64{7, 7, 7, 7, 7, 7, 7}, costs)
 	want := [][]float64{{0, 0}, {1, 1}, {0.5, 0.5}}
+	if norm.Len() != len(want) {
+		t.Fatalf("%d rows, want %d", norm.Len(), len(want))
+	}
 	for i := range want {
 		for j := range want[i] {
-			if math.Abs(norm[i][j]-want[i][j]) > 1e-12 {
-				t.Errorf("norm[%d][%d] = %v, want %v", i, j, norm[i][j], want[i][j])
+			if got := norm.Row(i)[j]; math.Abs(got-want[i][j]) > 1e-12 {
+				t.Errorf("norm[%d][%d] = %v, want %v", i, j, got, want[i][j])
 			}
 		}
 	}
 	// Constant column maps to zero.
-	norm = NormalizeCosts([][]float64{{5, 1}, {5, 2}})
-	if norm[0][0] != 0 || norm[1][0] != 0 {
+	costs, _ = NewCostMatrix([][]float64{{5, 1}, {5, 2}})
+	norm = NormalizeCosts(nil, costs)
+	if norm.Row(0)[0] != 0 || norm.Row(1)[0] != 0 {
 		t.Errorf("constant column not zeroed: %v", norm)
 	}
-	if NormalizeCosts(nil) != nil {
-		t.Error("nil input should return nil")
+	if NormalizeCosts(nil, CostMatrix{}).Len() != 0 {
+		t.Error("empty input should give an empty matrix")
 	}
 }
 
@@ -255,8 +278,6 @@ func TestSelectionMatchesOracle(t *testing.T) {
 		{name: "zero weights", costs: costs, weights: []float64{0, 0}, wantErr: ErrWeights},
 		{name: "weights of the wrong length", costs: costs, weights: []float64{1}, wantErr: ErrDimension},
 		{name: "dimension reported before weights", costs: costs, weights: []float64{-1}, wantErr: ErrDimension},
-		{name: "ragged feasible row", costs: [][]float64{{1, 1}, {0}}, weights: []float64{1, 1}, wantErr: ErrDimension},
-		{name: "ragged row outside the feasible set is never scored", costs: [][]float64{{1, 1}, {9}}, weights: []float64{1, 1}, constraints: []float64{5}, want: 0},
 		{name: "no plans", weights: []float64{1, 1}, wantErr: ErrNoPlans},
 	}
 	for _, tc := range cases {
@@ -269,7 +290,7 @@ func TestSelectionMatchesOracle(t *testing.T) {
 			t.Errorf("%s: Algorithm 2 = %d, %v; oracle %d, %v", tc.name, got, err, want, wantErr)
 		}
 		if len(tc.constraints) == 0 {
-			got, err := ArgminWeightedSum(tc.costs, tc.weights)
+			got, err := argminRows(tc.costs, tc.weights)
 			if got != want || !sameError(err, wantErr) {
 				t.Errorf("%s: ArgminWeightedSum = %d, %v; oracle %d, %v", tc.name, got, err, want, wantErr)
 			}
@@ -297,7 +318,8 @@ func TestSelectionMatchesOracle(t *testing.T) {
 			constraints[k] = float64(rng.Intn(5))
 		}
 		want, wantErr := bestInParetoOracle(raw, scores, weights, constraints)
-		got, err := ArgminWeightedSumWhere(scores, weights, func(i int) bool { return WithinBounds(raw[i], constraints) })
+		packed, _ := NewCostMatrix(scores)
+		got, err := ArgminWeightedSumWhere(packed, weights, func(i int) bool { return WithinBounds(raw[i], constraints) })
 		if got != want || !sameError(err, wantErr) {
 			t.Fatalf("trial %d: ArgminWeightedSumWhere = %d, %v; oracle %d, %v\nraw %v\nscores %v\nweights %v constraints %v",
 				trial, got, err, want, wantErr, raw, scores, weights, constraints)
@@ -315,7 +337,7 @@ func sameError(a, b error) bool {
 // A selection is per request on the serving path; none of the three
 // entry points may allocate.
 func TestSelectionDoesNotAllocate(t *testing.T) {
-	costs := [][]float64{{9, 1}, {4, 4}, {1, 9}, {6, 2}}
+	costs, _ := NewCostMatrix([][]float64{{9, 1}, {4, 4}, {1, 9}, {6, 2}})
 	weights := []float64{1, 2}
 	for name, constraints := range map[string][]float64{
 		"feasible subset":  {5, 5},
@@ -323,7 +345,7 @@ func TestSelectionDoesNotAllocate(t *testing.T) {
 		"unconstrained":    nil,
 	} {
 		allocs := testing.AllocsPerRun(100, func() {
-			if _, err := algorithm2(costs, weights, constraints); err != nil {
+			if _, err := ArgminWeightedSumWhere(costs, weights, func(i int) bool { return WithinBounds(costs.Row(i), constraints) }); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := ArgminWeightedSum(costs, weights); err != nil {

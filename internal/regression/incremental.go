@@ -17,7 +17,7 @@ import (
 //     O(L² + K·L).
 //   - Solve factors the shared Gram exactly once per window size
 //     (Cholesky, O(L³)); a metric's back-substitution (O(L²)) runs the
-//     first time R2, Beta or Model asks for that metric after the
+//     first time R2, Beta or ModelInto asks for that metric after the
 //     Solve, deriving its SSE algebraically from the
 //     incrementally-maintained centered co-moments so R² needs no
 //     second pass over the window. A window search that stops at the
@@ -164,7 +164,7 @@ func (f *IncrementalFitter) AddObservation(x []float64, costs []float64) error {
 
 // Solve fits the current window: one Cholesky factorization of the
 // shared Gram. Each metric's back-substitution and closed-form error
-// decomposition wait until R2, Beta or Model first asks for it, so the
+// decomposition wait until R2, Beta or ModelInto first asks for it, so the
 // results are the same whichever metrics are read, in whatever order.
 // Like Fit, a singular window retries once with RidgeFallback. Solve
 // allocates nothing, so it can run once per growth step of a window
@@ -273,14 +273,15 @@ func (f *IncrementalFitter) Ridge() float64 {
 	return f.ridge
 }
 
-// Model materializes an owned *Model for metric m from the last Solve
-// — identical in shape and semantics to what the batch Fit returns and
-// independent of the fitter's scratch.
-func (f *IncrementalFitter) Model(m int) *Model {
+// ModelInto materializes metric m's model from the last Solve —
+// identical in shape and semantics to what the batch Fit returns and
+// independent of the fitter's scratch: its coefficients are copied into
+// beta, which must hold L+1 values, storage the caller owns.
+func (f *IncrementalFitter) ModelInto(m int, beta []float64) Model {
 	f.mustSolved("Model")
 	f.metric(m)
 	p := f.l + 1
-	beta := make([]float64, p)
+	beta = beta[:p:p]
 	copy(beta, f.beta[m*p:(m+1)*p])
-	return &Model{Beta: beta, R2: f.r2[m], N: f.n, L: f.l, Ridge: f.ridge}
+	return Model{Beta: beta, R2: f.r2[m], N: f.n, L: f.l, Ridge: f.ridge}
 }

@@ -244,6 +244,12 @@ func TestIncrementalSingularFallsBackToRidge(t *testing.T) {
 	}
 }
 
+// ownedModel is metric m's model in coefficient storage of its own.
+func ownedModel(f *IncrementalFitter, m int) *Model {
+	mdl := f.ModelInto(m, make([]float64, f.l+1))
+	return &mdl
+}
+
 func TestIncrementalModelPredictsLikeBatch(t *testing.T) {
 	rng := stats.NewRNG(11)
 	obs := linearWindow(rng, 30, 2, 2, 1.5, false)
@@ -261,7 +267,7 @@ func TestIncrementalModelPredictsLikeBatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		model := f.Model(m)
+		model := ownedModel(f, m)
 		for trial := 0; trial < 10; trial++ {
 			x := []float64{rng.Uniform(0, 10), rng.Uniform(0, 10)}
 			want, err := batch.Predict(x)
@@ -496,7 +502,7 @@ func TestIncrementalSolveLazyMatchesEager(t *testing.T) {
 			for _, m := range rng.Perm(k)[:int(rng.Uniform(0, float64(k)+1))] {
 				var model *Model
 				if rng.Uniform(0, 1) < 0.5 {
-					model = f.Model(m)
+					model = ownedModel(f, m)
 				}
 				if !bits(f.R2(m), want.r2[m]) {
 					t.Fatalf("trial %d, n %d, metric %d: R² %v, eager %v", trial, i+1, m, f.R2(m), want.r2[m])
@@ -507,7 +513,7 @@ func TestIncrementalSolveLazyMatchesEager(t *testing.T) {
 					}
 				}
 				if model == nil {
-					model = f.Model(m)
+					model = ownedModel(f, m)
 				}
 				if !bits(model.R2, want.r2[m]) || !bits(model.Ridge, want.ridge) {
 					t.Fatalf("trial %d, n %d, metric %d: model R²/ridge %v/%v, eager %v/%v", trial, i+1, m,

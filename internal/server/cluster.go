@@ -616,10 +616,10 @@ func (s *Server) registerClusterMetrics() {
 // passes (submissions and history reads). It returns 0 when the request
 // should be served locally; otherwise the response (redirect or
 // hold-timeout error) is already rendered into resp — a redirect's
-// target, the owner's address plus path, into *location — and the
+// target, the owner's address plus path, into sc.location — and the
 // returned status stands. A submission has already registered in
 // t.inflight, so an outbound handoff's drain cannot miss it.
-func (s *Server) routeTenant(ctx context.Context, t *tenant, path string, location *string, resp *bytes.Buffer) int {
+func (s *Server) routeTenant(ctx context.Context, t *tenant, sc *serveScratch, path string, resp *bytes.Buffer) int {
 	for {
 		switch st := t.state.Load(); st {
 		case tenantActive:
@@ -634,15 +634,16 @@ func (s *Server) routeTenant(ctx context.Context, t *tenant, path string, locati
 					"federation %q handoff still in progress", t.name)
 			}
 		default: // tenantRemote, tenantSending
-			return s.writeRedirect(t, path, location, resp)
+			return s.writeRedirect(t, sc, path, resp)
 		}
 	}
 }
 
-// writeRedirect renders the 307: the owner's URL for path goes in
-// *location (the handlers copy it to the Location header), the body
-// says why.
-func (s *Server) writeRedirect(t *tenant, path string, location *string, resp *bytes.Buffer) int {
+// writeRedirect renders the 307 through the request's scratch: the
+// owner's URL for path goes in sc.location (the handlers copy it to the
+// Location header), the body says why — the bytes writeErrorBuf would
+// render, with no formatting or encoder of its own.
+func (s *Server) writeRedirect(t *tenant, sc *serveScratch, path string, resp *bytes.Buffer) int {
 	cs := s.cluster
 	// Hint before table: a committing handoff updates the table and only
 	// then clears the hint, so a nil hint here means the table read next
@@ -657,9 +658,24 @@ func (s *Server) writeRedirect(t *tenant, path string, location *string, resp *b
 		owner = *hint
 	}
 	cs.redirects.Inc()
-	*location = owner.Addr + path
-	return writeErrorBuf(resp, http.StatusTemporaryRedirect,
-		"federation %q is served by %s (epoch %d)", t.name, owner.ID, tab.Epoch())
+	sc.text = append(append(sc.text[:0], owner.Addr...), path...)
+	sc.location = reuse(sc.location, sc.text)
+	sc.text = strconv.AppendQuote(append(sc.text[:0], "federation "...), t.name)
+	sc.text = append(append(append(sc.text, " is served by "...), owner.ID...), " (epoch "...)
+	sc.text = append(strconv.AppendUint(sc.text, tab.Epoch(), 10), ')')
+	sc.errResp.Error = reuse(sc.errResp.Error, sc.text)
+	sc.dst.w = resp
+	_ = sc.enc.Encode(&sc.errResp)
+	return http.StatusTemporaryRedirect
+}
+
+// reuse returns s when it already reads b, else b as a new string: a
+// scratch string that repeats across requests is allocated once.
+func reuse(s string, b []byte) string {
+	if s == string(b) {
+		return s
+	}
+	return string(b)
 }
 
 // ---------------------------------------------------------------------

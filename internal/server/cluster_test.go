@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -1364,5 +1365,63 @@ func TestAdoptTableMergesEqualEpochs(t *testing.T) {
 	}
 	if t1.Owner("f1").ID != "a" {
 		t.Fatalf("commutative merge f1=%q, want a", t1.Owner("f1").ID)
+	}
+}
+
+// TestRedirectBodyGolden pins a 307's body, byte for byte, and its
+// Location. The federation name needs quoting and JSON's HTML escapes,
+// so the golden holds every escape the body's rendering must reproduce;
+// the request is repeated so that a second rendering through the same
+// pooled scratch is checked too.
+func TestRedirectBodyGolden(t *testing.T) {
+	const fed = `ward<7>&"north"\east`
+	tc := newTestCluster(t, 2, []string{fed})
+	owner := tc.ownerIdx(t, fed)
+	want, err := os.ReadFile(filepath.Join("testdata", "redirect-body.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(QueryRequest{Federation: fed, Query: "Q12", Weights: []float64{1, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		rec := httptest.NewRecorder()
+		tc.servers[1-owner].Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/queries", bytes.NewReader(body)))
+		if rec.Code != http.StatusTemporaryRedirect {
+			t.Fatalf("request %d: status %d, want 307: %s", i, rec.Code, rec.Body.String())
+		}
+		if loc, wantLoc := rec.Header().Get("Location"), tc.members[owner].Addr+"/v1/queries"; loc != wantLoc {
+			t.Errorf("request %d: Location %q, want %q", i, loc, wantLoc)
+		}
+		if !bytes.Equal(rec.Body.Bytes(), want) {
+			t.Errorf("request %d: body %q, golden %q", i, rec.Body.Bytes(), want)
+		}
+	}
+}
+
+// TestRedirectAllocBudget holds a redirected submission — what two of
+// three requests to a three-node cluster are — to a budget. It skips
+// under -race, where sync.Pool drops the request scratch at random.
+func TestRedirectAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	tc := newTestCluster(t, 2, []string{"alpha"})
+	other := tc.servers[1-tc.ownerIdx(t, "alpha")]
+	body := []byte(`{"federation": "alpha", "query": "Q12", "weights": [1, 1]}`)
+	var resp bytes.Buffer
+	allocs := testing.AllocsPerRun(200, func() {
+		resp.Reset()
+		if status := other.ServeSubmit(context.Background(), body, &resp); status != http.StatusTemporaryRedirect {
+			t.Fatalf("status %d, want 307: %s", status, resp.String())
+		}
+	})
+	// The decoded federation and query names; the redirect's Location
+	// and body strings repeat, so the scratch reuses them.
+	const budget = 2
+	t.Logf("%.1f allocs per redirected submission, budget %d", allocs, budget)
+	if allocs > budget {
+		t.Errorf("redirected submission: over the allocation budget")
 	}
 }

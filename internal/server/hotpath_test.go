@@ -13,6 +13,11 @@ import (
 	"repro/internal/tpch"
 )
 
+// raceEnabled is set by race_test.go when the race detector is compiled
+// in: sync.Pool drops entries at random there, so allocation counts mean
+// nothing.
+var raceEnabled bool
+
 // TestServeSubmitPooledConcurrent drives the embedded hot path from
 // many goroutines (run with -race): every request decodes through a
 // pooled scratch, so a response leaking another request's decoded

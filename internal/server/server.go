@@ -637,10 +637,14 @@ type serveScratch struct {
 	buf  bytes.Buffer
 	dst  swapWriter
 	enc  *json.Encoder
-	// location, when set by a cluster redirect, becomes the response's
-	// Location header (the body buffer API has nowhere else to carry
-	// it); cleared at the top of every serveSubmit.
+	// location is the target of the scratch's last cluster redirect, the
+	// Location header of a 307 (the body buffer API has nowhere else to
+	// carry it). It and errResp, the redirect's body, are kept across
+	// requests: a redirect to the same target reuses their strings.
 	location string
+	errResp  ErrorResponse
+	// text is where a redirect assembles those strings.
+	text []byte
 	// rd + dec decode request bodies: a long-lived json.Decoder keeps
 	// its scanner state across requests (json.Unmarshal rebuilds it
 	// per call), so steady-state decoding only allocates the decoded
@@ -703,7 +707,8 @@ func (r *QueryRequest) reset() {
 }
 
 // readBody reads r's body into buf (reusing its capacity), bounded by
-// maxBodyBytes.
+// maxBodyBytes. The bound is checked on every read, the last one too:
+// a reader may hand over its final bytes together with io.EOF.
 func readBody(r *http.Request, buf []byte) ([]byte, error) {
 	for {
 		if len(buf) == cap(buf) {
@@ -711,14 +716,14 @@ func readBody(r *http.Request, buf []byte) ([]byte, error) {
 		}
 		n, err := r.Body.Read(buf[len(buf):cap(buf)])
 		buf = buf[:len(buf)+n]
+		if len(buf) > maxBodyBytes {
+			return buf, fmt.Errorf("body exceeds %d bytes", maxBodyBytes)
+		}
 		if err == io.EOF {
 			return buf, nil
 		}
 		if err != nil {
 			return buf, err
-		}
-		if len(buf) > maxBodyBytes {
-			return buf, fmt.Errorf("body exceeds %d bytes", maxBodyBytes)
 		}
 	}
 }
@@ -735,22 +740,23 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	sc := servePool.Get().(*serveScratch)
 	defer servePool.Put(sc)
 	body, err := readBody(r, sc.body[:0])
-	if cap(body) > cap(sc.body) {
-		sc.body = body // keep the grown buffer for the next request
-	}
 	if err != nil {
+		// A refused body's buffer is not kept: it may be an oversized one.
 		writeError(w, http.StatusBadRequest, "reading request body: %v", err)
 		return
+	}
+	if cap(body) > cap(sc.body) {
+		sc.body = body // keep the grown buffer for the next request
 	}
 	sc.buf.Reset()
 	status := s.serveSubmit(r.Context(), sc, body, &sc.buf)
 	writeBuffered(w, status, sc.location, sc.buf.Bytes())
 }
 
-// writeBuffered sends a response rendered into a buffer; location, when
-// set (a cluster redirect), becomes the Location header.
+// writeBuffered sends a response rendered into a buffer; a 307 (a
+// cluster redirect) carries location as its Location header.
 func writeBuffered(w http.ResponseWriter, status int, location string, body []byte) {
-	if location != "" {
+	if status == http.StatusTemporaryRedirect {
 		w.Header().Set("Location", location)
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -772,7 +778,6 @@ func (s *Server) ServeSubmit(ctx context.Context, body []byte, resp *bytes.Buffe
 }
 
 func (s *Server) serveSubmit(ctx context.Context, sc *serveScratch, body []byte, resp *bytes.Buffer) int {
-	sc.location = ""
 	if err := sc.decodeRequest(body); err != nil {
 		return writeErrorBuf(resp, http.StatusBadRequest, "bad request body: %v", err)
 	}
@@ -798,7 +803,7 @@ func (s *Server) serveSubmit(ctx context.Context, sc *serveScratch, body []byte,
 		return writeErrorBuf(resp, http.StatusBadRequest, "federation %q does not serve %v", t.name, q)
 	}
 	if s.cluster != nil {
-		if status := s.routeTenant(ctx, t, "/v1/queries", &sc.location, resp); status != 0 {
+		if status := s.routeTenant(ctx, t, sc, "/v1/queries", resp); status != 0 {
 			return status
 		}
 	}
@@ -974,10 +979,14 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 		// The same ownership gate as a submission: only the owner holds
 		// the history, and opening a standby's replica shard to answer a
 		// read would end its replication.
-		var location string
-		var buf bytes.Buffer
-		if status := s.routeTenant(r.Context(), t, r.URL.RequestURI(), &location, &buf); status != 0 {
-			writeBuffered(w, status, location, buf.Bytes())
+		sc := servePool.Get().(*serveScratch)
+		sc.buf.Reset()
+		status := s.routeTenant(r.Context(), t, sc, r.URL.RequestURI(), &sc.buf)
+		if status != 0 {
+			writeBuffered(w, status, sc.location, sc.buf.Bytes())
+		}
+		servePool.Put(sc)
+		if status != 0 {
 			return
 		}
 	}

@@ -7,8 +7,10 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"repro/internal/core"
@@ -60,8 +62,8 @@ func (s *stubSched) PlanSweep(ctx context.Context, q tpch.QueryID) (*ires.Sweep,
 		Plans:      []federation.Plan{{Query: q, JoinAtLeft: true, NodesLeft: 1, NodesRight: 1}},
 		Costs:      costs,
 		FrontIdx:   []int{0},
-		FrontCosts: [][]float64{{1, 2}},
-		Normalized: [][]float64{{0, 0}},
+		FrontCosts: costs,
+		Normalized: moo.NormalizeCosts(nil, costs),
 	}, nil
 }
 
@@ -157,6 +159,27 @@ func TestSubmitRoundTrip(t *testing.T) {
 	}
 	if qr.PlanSpace != 1 || qr.ParetoSize != 1 {
 		t.Fatalf("plan space %d pareto %d", qr.PlanSpace, qr.ParetoSize)
+	}
+}
+
+// TestSubmitBodyLimit: a body longer than maxBodyBytes is refused
+// however its reads split — here the last one returns the final bytes
+// together with io.EOF, as net/http's body reader often does — and one
+// of exactly maxBodyBytes is served.
+func TestSubmitBodyLimit(t *testing.T) {
+	srv := newTestServer(t, &stubSched{}, Config{})
+	valid := []byte(`{"query": "Q12", "weights": [1, 1]}`)
+	for _, tc := range []struct{ size, want int }{
+		{maxBodyBytes, http.StatusOK},
+		{maxBodyBytes + 1, http.StatusBadRequest},
+	} {
+		body := append(slices.Clone(valid), bytes.Repeat([]byte(" "), tc.size-len(valid))...)
+		req := httptest.NewRequest(http.MethodPost, "/v1/queries", iotest.DataErrReader(bytes.NewReader(body)))
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, req)
+		if rec.Code != tc.want {
+			t.Errorf("%d-byte body: status %d, want %d: %.200s", tc.size, rec.Code, tc.want, rec.Body.String())
+		}
 	}
 }
 

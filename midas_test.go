@@ -180,14 +180,18 @@ func TestMOO(t *testing.T) {
 	if len(front) != 3 {
 		t.Errorf("front = %v, want 3 members", front)
 	}
-	k, err := moo.KneePoint(costs[:3])
+	firstThree, err := moo.NewCostMatrix(costs[:3])
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, err := moo.KneePoint(firstThree)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if k != 1 {
 		t.Errorf("knee = %d, want 1", k)
 	}
-	l, err := moo.Lexicographic(costs, []int{1, 0}, 0)
+	l, err := moo.Lexicographic(m, []int{1, 0}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

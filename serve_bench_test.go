@@ -127,27 +127,37 @@ var raceEnabled bool
 
 // TestServeSubmitAllocBudget is the regression gate on the pooled
 // request path: allocations per submission are deterministic, so they
-// are a test, not a benchmark to compare. Two configurations — the
-// no-deadline floor BenchmarkServeHotPath times, and what midasd runs:
-// the default Config (30 s request deadline) under a cancellable
-// context, as net/http hands every handler.
+// are a test, not a benchmark to compare. Three configurations — the
+// no-deadline floor BenchmarkServeHotPath times; what midasd runs on a
+// coalesced request, the default Config (30 s request deadline) under a
+// cancellable context as net/http hands every handler; and the same
+// without the pinned sweep, a server.New tenant of Q12 alone where each
+// request leads its own sweep and window search, as the `solo` workload
+// serves them. The first two budgets are 4 apart: context.WithTimeout's
+// allocations.
 func TestServeSubmitAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	fixed := newFixedSweepSched(t, nil)
+	cold, err := server.New(server.Config{Federations: []server.FederationSpec{{Name: "solo", Queries: []string{"Q12"}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cold.Drain(context.Background())
 	cancellable, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	for _, tc := range []struct {
 		name   string
-		cfg    server.Config
+		srv    *server.Server
 		ctx    context.Context
 		budget float64
 	}{
-		{"no-deadline", noDeadline, context.Background(), 7},
-		{"default-config", server.Config{}, cancellable, 11},
+		{"no-deadline", newServeBench(t, noDeadline, fixed), context.Background(), 6},
+		{"default-config", newServeBench(t, server.Config{}, fixed), cancellable, 10},
+		{"served-cold", cold, cancellable, 11},
 	} {
-		srv := newServeBench(t, tc.cfg, fixed)
+		srv := tc.srv
 		var resp bytes.Buffer
 		allocs := testing.AllocsPerRun(200, func() {
 			resp.Reset()
@@ -166,12 +176,14 @@ func TestServeSubmitAllocBudget(t *testing.T) {
 // both shapes of caller. Both score on the linear route, with no
 // feature rows. The serving cycle — PlanSweep, DecideFromSweep,
 // ReleaseSweep, what a server runs per shared sweep — finds last round's
-// cost matrix in the pool, so it allocates a few KB. A library
-// PlanSweep that keeps its sweep misses the pool every time: its count
-// does not scale with the lattice, and neither does anything but the
-// matrix in bytes — an object count alone would price 48 KB of per-plan
-// row headers at 1. Deterministic, hence a test with pinned figures and
-// no baseline to compare against.
+// storage in the pool (sweep header, cost matrix, front), so it
+// allocates only what the round keeps: the window fit of the new
+// history version, the recorded observation, the outcome and the
+// decision. A library PlanSweep that keeps its sweep misses the pool
+// every time: its count does not scale with the lattice, and neither
+// does anything but the matrix in bytes — an object count alone would
+// price 48 KB of per-plan row headers at 1. Deterministic, hence a test
+// with pinned figures and no baseline to compare against.
 func TestPlanSweepAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -206,8 +218,9 @@ func TestPlanSweepAllocBudget(t *testing.T) {
 	if large-small > 2 {
 		t.Errorf("2,048 plans cost %.0f allocations more than 18: the count scales with the lattice again", large-small)
 	}
-	// The pool miss (the buffer and its matrix) and the front's copy.
-	const keepBudget = 12
+	// The pool miss: the round's storage, its matrix, the front's indices
+	// and the front's rows.
+	const keepBudget = 4
 	if large > keepBudget {
 		t.Errorf("kept 2,048-plan sweep: %.1f allocs, budget %d", large, keepBudget)
 	}
@@ -230,7 +243,7 @@ func TestPlanSweepAllocBudget(t *testing.T) {
 		}
 		sched.ReleaseSweep(sw)
 	})
-	const serveBudget, serveBytesBudget = 23, 4 << 10
+	const serveBudget, serveBytesBudget = 4, 1536
 	if served > serveBudget || servedBytes > serveBytesBudget {
 		t.Errorf("2,048-plan serving cycle: %.1f allocs (budget %d), %.0f B (budget %d)",
 			served, serveBudget, servedBytes, serveBytesBudget)
