@@ -541,10 +541,9 @@ func (e *Estimator) EstimateSnapshot(s *Snapshot, x []float64) (*Estimate, error
 // windowFit is the plan-independent output of Algorithm 1's window
 // search: the fitted per-metric models and the search statistics. It is
 // what the model cache stores, keyed by (history, version). Up to
-// fitMetrics models of up to fitCoefs coefficients — the served shape,
-// two metrics over five features, fits — live in it, so a fit is one
-// allocation; a larger one takes its models from the heap. It must not
-// be copied: models points into it.
+// InlineMetrics models over up to InlineFeatures features live in it, so
+// a fit is one allocation; a larger one takes its models from the heap.
+// It must not be copied: models points into it.
 type windowFit struct {
 	models     []*regression.Model
 	windowSize int
@@ -555,20 +554,27 @@ type windowFit struct {
 	// cached and uncached runs.
 	refits int
 
-	ptrs  [fitMetrics]*regression.Model
-	store [fitMetrics]regression.Model
-	beta  [fitMetrics * fitCoefs]float64
+	ptrs  [InlineMetrics]*regression.Model
+	store [InlineMetrics]regression.Model
+	beta  [InlineMetrics * fitCoefs]float64
 }
 
-// The model storage a windowFit holds inline.
-const fitMetrics, fitCoefs = 2, 6
+// InlineMetrics and InlineFeatures are the model shape a window fit holds
+// inline: the served one, two cost metrics over five plan features. A
+// caller that stores an estimate beside its own record sizes it by
+// InlineMetrics, so one change of the served shape reaches both.
+const InlineMetrics, InlineFeatures = 2, 5
+
+// fitCoefs is the coefficients of one inline model: β₀ and one per
+// feature.
+const fitCoefs = InlineFeatures + 1
 
 // setModels materializes the fitter's last solve as fit's models: k
 // metrics of p coefficients each, inline when they fit.
 func (fit *windowFit) setModels(fitter *regression.IncrementalFitter, k, p int) {
 	var store []regression.Model
 	var beta []float64
-	if k <= fitMetrics && p <= fitCoefs {
+	if k <= InlineMetrics && p <= fitCoefs {
 		fit.models, store, beta = fit.ptrs[:k], fit.store[:k], fit.beta[:k*p]
 	} else {
 		fit.models, store, beta = make([]*regression.Model, k), make([]regression.Model, k), make([]float64, k*p)

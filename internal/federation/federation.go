@@ -178,7 +178,9 @@ func (f *Federation) EnumeratePlans(q tpch.QueryID, nodeChoices []int) ([]Plan, 
 	return lat.Plans(), nil
 }
 
-// FeatureDim is the length of plan feature vectors.
+// FeatureDim is the length of plan feature vectors. The estimator holds
+// models over up to core.InlineFeatures features without allocating;
+// raising this past it moves every window fit to the heap.
 const FeatureDim = 5
 
 // Features maps a plan plus data sizes to the estimation feature vector
@@ -206,6 +208,7 @@ func AppendFeatures(dst []float64, p Plan, leftMiB, rightMiB float64) []float64 
 }
 
 // Metrics are the two cost objectives of every experiment in the paper.
+// Up to core.InlineMetrics of them are estimated without allocating.
 var Metrics = []string{"time_s", "money_usd"}
 
 // BreakdownMetrics extends Metrics with the per-operator timings of a

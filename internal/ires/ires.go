@@ -667,10 +667,10 @@ func (sw *Sweep) Select(pol Policy) (int, error) {
 }
 
 // decision is a Decision allocated together with room for its estimate:
-// the served two-metric vector needs no allocation of its own.
+// a vector of the served shape's metrics needs no allocation of its own.
 type decision struct {
 	Decision
-	estimated [2]float64
+	estimated [core.InlineMetrics]float64
 }
 
 // DecideFromSweep finishes a scheduling round on a previously computed

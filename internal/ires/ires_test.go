@@ -149,9 +149,11 @@ func TestSubmitWithConstraints(t *testing.T) {
 // TestReleasedSweepKeepsDecisions pins what outlives ReleaseSweep: the
 // decision's estimate, bit for bit, while 50 more rounds reuse the
 // released storage (each records an execution, so their predictions
-// differ). The sweep itself does not: the release empties it, and under
-// -race poisons the front with NaN, so a view into it that survived
-// fails at once instead of reading another sweep's rows.
+// differ). The sweep itself does not: the release empties it, drops the
+// round's history and model from the pooled buffer, and under -race
+// poisons the front's rows with NaN and its indices with -1, so a view
+// into it that survived fails at once instead of reading another
+// sweep's rows.
 func TestReleasedSweepKeepsDecisions(t *testing.T) {
 	s := buildWideStack(t, 42, 16, SchedulerConfig{Seed: 42}) // 512 plans: two chunks
 	if err := s.Bootstrap(tpch.QueryQ12, 24); err != nil {
@@ -167,13 +169,22 @@ func TestReleasedSweepKeepsDecisions(t *testing.T) {
 		t.Fatal(err)
 	}
 	estimated := slices.Clone(dec.Estimated)
-	front, normalized := sw.FrontCosts, sw.Normalized // views kept past the release
+	front, normalized, frontIdx := sw.FrontCosts, sw.Normalized, sw.FrontIdx // views kept past the release
+	buf := sw.buf
 
 	s.ReleaseSweep(sw)
 	if sw.Costs.Len() != 0 || len(sw.FrontIdx) != 0 || sw.FrontCosts.Len() != 0 || sw.Normalized.Len() != 0 {
 		t.Fatalf("the released sweep still holds %d rows, a front of %d", sw.Costs.Len(), len(sw.FrontIdx))
 	}
+	if buf.ps != (planSweeper{}) || buf.snap.Len() != 0 {
+		t.Fatalf("the pooled buffer still holds the round's planSweeper or its snapshot of %d observations", buf.snap.Len())
+	}
 	if raceEnabled {
+		for j, i := range frontIdx {
+			if i != -1 {
+				t.Fatalf("front index %d reads %d after the release, want the -1 poison", j, i)
+			}
+		}
 		for i := 0; i < front.Len(); i++ {
 			for j, v := range append(front.Row(i), normalized.Row(i)...) {
 				if !math.IsNaN(v) {
@@ -338,5 +349,15 @@ func TestOptimizersrequireHistory(t *testing.T) {
 	}
 	if _, err := s.OptimizeWSM(tpch.QueryQ12, Policy{}); !errors.Is(err, ErrNoHistory) {
 		t.Errorf("WSM without history: got %v, want ErrNoHistory", err)
+	}
+}
+
+// TestServedShapeInline: the federation's plan features and cost metrics
+// fit the shape a window fit and a Decision hold inline, so a served
+// round takes no model or estimate storage from the heap.
+func TestServedShapeInline(t *testing.T) {
+	if federation.FeatureDim > core.InlineFeatures || len(federation.Metrics) > core.InlineMetrics {
+		t.Errorf("plans have %d features and %d metrics; the inline shape is %d features, %d metrics",
+			federation.FeatureDim, len(federation.Metrics), core.InlineFeatures, core.InlineMetrics)
 	}
 }

@@ -65,16 +65,24 @@ type sweepBuf struct {
 
 var sweepPool = sync.Pool{New: func() any { return new(sweepBuf) }}
 
-// release hands b back to the pool. Under the race detector it first
-// fills the matrix and front backings with NaN: whatever still reads
-// them — a view kept past ReleaseSweep — then sees a NaN cost and a
-// changed decision.
+// release hands b back to the pool. It first drops the round's header,
+// planSweeper and snapshot, so a pooled buffer keeps no history,
+// lattice, executor or model reachable. Under the race detector it also
+// fills the matrix and front backings with NaN and the front's indices
+// with -1: whatever still reads them — a view kept past ReleaseSweep —
+// then sees a NaN cost or an index out of range instead of a later
+// sweep's values.
 func (b *sweepBuf) release() {
+	b.sw, b.ps, b.snap = Sweep{}, planSweeper{}, core.Snapshot{}
 	if raceEnabled {
 		for _, v := range [][]float64{b.costs[:cap(b.costs)], b.front[:cap(b.front)]} {
 			for i := range v {
 				v[i] = math.NaN()
 			}
+		}
+		idx := b.frontIdx[:cap(b.frontIdx)]
+		for i := range idx {
+			idx[i] = -1
 		}
 	}
 	sweepPool.Put(b)

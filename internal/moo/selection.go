@@ -30,28 +30,20 @@ func KneePoint(costs CostMatrix) (int, error) {
 	if costs.n == 1 {
 		return 0, nil
 	}
-	// Normalized axes (NormalizeCosts), computed per read.
-	lo0, hi0 := columnRange(costs, 0)
-	lo1, hi1 := columnRange(costs, 1)
-	norm := func(i int) (float64, float64) {
-		return normalize(costs.v[2*i], lo0, hi0), normalize(costs.v[2*i+1], lo1, hi1)
-	}
+	norm := NormalizeCosts(nil, costs)
 	// Extreme points on the normalized axes.
 	bestF1, bestF2 := 0, 0
-	for i := 0; i < costs.n; i++ {
-		c0, c1 := norm(i)
-		b0, b1 := norm(bestF1)
-		if c0 < b0 || (c0 == b0 && c1 < b1) {
+	for i := 0; i < norm.Len(); i++ {
+		c, b1, b2 := norm.Row(i), norm.Row(bestF1), norm.Row(bestF2)
+		if c[0] < b1[0] || (c[0] == b1[0] && c[1] < b1[1]) {
 			bestF1 = i
 		}
-		b0, b1 = norm(bestF2)
-		if c1 < b1 || (c1 == b1 && c0 < b0) {
+		if c[1] < b2[1] || (c[1] == b2[1] && c[0] < b2[0]) {
 			bestF2 = i
 		}
 	}
-	a0, a1 := norm(bestF1)
-	b0, b1 := norm(bestF2)
-	dx, dy := b0-a0, b1-a1
+	a, b := norm.Row(bestF1), norm.Row(bestF2)
+	dx, dy := b[0]-a[0], b[1]-a[1]
 	length := math.Hypot(dx, dy)
 	if length == 0 {
 		// Degenerate set (all identical after normalization): any
@@ -59,11 +51,11 @@ func KneePoint(costs CostMatrix) (int, error) {
 		return bestF1, nil
 	}
 	best, bestDist := bestF1, -1.0
-	for i := 0; i < costs.n; i++ {
-		c0, c1 := norm(i)
+	for i := 0; i < norm.Len(); i++ {
+		c := norm.Row(i)
 		// Perpendicular distance to the extreme-point line; points on
 		// the convex side (toward the ideal point) score positive.
-		dist := math.Abs(dx*(a1-c1)-dy*(a0-c0)) / length
+		dist := math.Abs(dx*(a[1]-c[1])-dy*(a[0]-c[0])) / length
 		if dist > bestDist {
 			best, bestDist = i, dist
 		}
