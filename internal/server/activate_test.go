@@ -141,9 +141,10 @@ func TestClusterTakeoverBootstrapsLikeWarmOwner(t *testing.T) {
 }
 
 // TestClusterFailedActivationReleasesShards: an activation that fails
-// on a corrupt shard header — by takeover, or by a handoff's activate —
-// leaves the tenant remote with nothing open, so the node goes on taking
-// the federation's replica batches.
+// on a corrupt shard header — by takeover, or by a handoff's activate,
+// which takes the remote tenant as it finds it — leaves the tenant remote
+// with nothing open, so the node goes on taking the federation's replica
+// batches.
 func TestClusterFailedActivationReleasesShards(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full serving stack")
@@ -166,12 +167,7 @@ func TestClusterFailedActivationReleasesShards(t *testing.T) {
 		activate func() (int, string)
 	}{
 		{"takeover", func() (int, string) { return postStatus(t, url+"takeover?federation=paper") }},
-		{"handoff", func() (int, string) {
-			if status, body := postStatus(t, url+"handoff/prepare?federation=paper"); status != http.StatusOK {
-				t.Fatalf("prepare = %d: %s", status, body)
-			}
-			return postStatus(t, url+"handoff/activate?federation=paper&epoch=2")
-		}},
+		{"handoff", func() (int, string) { return postStatus(t, url+"handoff/activate?federation=paper&epoch=2") }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if status, body := tc.activate(); status != http.StatusInternalServerError {
@@ -191,76 +187,23 @@ func TestClusterFailedActivationReleasesShards(t *testing.T) {
 }
 
 // TestClusterHandoffConflictIs409: a handoff refused because another
-// one of the same federation is in flight is a conflict, whether the
-// first is still preparing its target (the source active) or already
-// sending (the source redirecting).
+// one of the same federation is in flight — the first waiting on its
+// activate, the source sending — is a conflict.
 func TestClusterHandoffConflictIs409(t *testing.T) {
 	tc := newTestCluster(t, 2, []string{"alpha"})
 	owner := tc.ownerIdx(t, "alpha")
 	target := 1 - owner
-	gates := map[string]chan struct{}{
-		"/v1/admin/handoff/prepare":  make(chan struct{}),
-		"/v1/admin/handoff/activate": make(chan struct{}),
+	gate := gateActivate(t, tc, target)
+	first := startHandoff(tc, "alpha", owner, target)
+	gate.await(t)
+	if st := tc.servers[owner].tenants["alpha"].state.Load(); st != tenantSending {
+		t.Fatalf("source is %s at the activate, want sending", tenantStateName(st))
 	}
-	entered := make(chan string, len(gates))
-	released := make(map[string]bool)
-	release := func(path string) {
-		if !released[path] {
-			released[path] = true
-			close(gates[path])
-		}
-	}
-	// Before the node's Close, which waits for the handler.
-	t.Cleanup(func() {
-		for path := range gates {
-			release(path)
-		}
-	})
-	real := tc.servers[target].Handler()
-	h := http.Handler(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if g, ok := gates[r.URL.Path]; ok {
-			entered <- r.URL.Path
-			<-g
-		}
-		real.ServeHTTP(w, r)
-	}))
-	tc.late[target].h.Store(&h)
-
 	handoff := tc.https[owner].URL + "/v1/admin/handoff?federation=alpha&target=" + tc.members[target].ID
-	first := make(chan int, 1)
-	go func() {
-		resp, err := http.Post(handoff, "", nil)
-		if err != nil {
-			first <- 0
-			return
-		}
-		resp.Body.Close()
-		first <- resp.StatusCode
-	}()
-	src := tc.servers[owner].tenants["alpha"]
-	for _, step := range []struct {
-		path  string
-		state int32
-	}{
-		{"/v1/admin/handoff/prepare", tenantActive},
-		{"/v1/admin/handoff/activate", tenantSending},
-	} {
-		select {
-		case got := <-entered:
-			if got != step.path {
-				t.Fatalf("target saw %s, want %s", got, step.path)
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatalf("the first handoff never reached %s", step.path)
-		}
-		if st := src.state.Load(); st != step.state {
-			t.Fatalf("source is %s at %s, want %s", tenantStateName(st), step.path, tenantStateName(step.state))
-		}
-		if status, body := postStatus(t, handoff); status != http.StatusConflict {
-			t.Errorf("second handoff during %s = %d: %s, want 409", step.path, status, body)
-		}
-		release(step.path)
+	if status, body := postStatus(t, handoff); status != http.StatusConflict {
+		t.Errorf("second handoff during the activate = %d: %s, want 409", status, body)
 	}
+	gate.decide(true)
 	if status := <-first; status != http.StatusOK {
 		t.Fatalf("first handoff = %d", status)
 	}

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/cluster"
 	"repro/internal/histstore"
 	"repro/internal/ires"
 	"repro/internal/metrics"
@@ -31,114 +30,73 @@ type tenant struct {
 	latency map[tpch.QueryID]*metrics.Histogram
 
 	// inflight counts the tenant's submissions from registration (before
-	// the drain flag and the ownership state are loaded) to completion.
-	// It is the admission bound (compared with QueueDepth), what Drain
-	// waits on after setting draining, and what an outbound handoff
-	// waits on after flipping state to sending.
+	// the drain flag and the ownership state are loaded) to completion,
+	// less the ones an ownership move holds (Server.hold). It is the
+	// admission bound (compared with QueueDepth), what Drain waits on
+	// after setting draining, and what an outbound handoff waits on after
+	// flipping state to sending.
 	inflight atomic.Int64
 
 	// Cluster-mode ownership state (see cluster.go). The zero state is
 	// tenantActive, so standalone servers never touch any of this. Only
-	// newTenant and the four transitions below write state or ownerHint.
+	// newTenant and the transitions below write state.
 	state atomic.Int32
-	// ownerHint names the new owner while state is sending — the routing
-	// table only learns it once the move commits.
-	ownerHint atomic.Pointer[cluster.Member]
 	// bootstrap is the spec's per-query bootstrap target, which every
 	// activation tops each history up to.
 	bootstrap int
 	// attachChaos attaches the spec's fault schedule to the tenant's
 	// cloud; the first successful activation runs it and clears it.
 	attachChaos func()
-	// stateMu serializes the transitions and guards activated, the
-	// channel requests held during an inbound handoff wait on; closed
-	// when the handoff resolves.
-	stateMu   sync.Mutex
-	activated chan struct{}
-	// activateMu single-flights inbound activation (handoff activate,
-	// takeover) and serializes it against abort: a retried activate —
-	// the source re-sends after a lost ack, activation being idempotent
-	// — blocks here until the first attempt resolves instead of racing
-	// a second OpenHistory pass over the same shards.
+	// stateMu serializes the transitions and guards held, the channel the
+	// requests an ownership move holds wait on; closed when it resolves.
+	stateMu sync.Mutex
+	held    chan struct{}
+	// activateMu single-flights inbound activation (Server.activate): a
+	// retried activate — the source re-sends after a lost ack, activation
+	// being idempotent — blocks here until the first attempt resolves
+	// instead of racing a second OpenHistory pass over the same shards.
 	activateMu sync.Mutex
-	// sendMu single-flights outbound handoffs: a second one is refused
-	// before it could prepare — and later abort — a target of its own.
-	sendMu sync.Mutex
+	// fenced, which activateMu guards, is the highest epoch a handoff's
+	// activate has ended at here, or the table's epoch at boot, when the
+	// outcome of one minted before is unknown: one at or below it is
+	// refused (Server.handleHandoffActivate).
+	fenced uint64
 
 	mu      sync.Mutex
 	pending map[tpch.QueryID]*sweepBatch
 }
 
-// beginReceiving flips the tenant remote→receiving and opens the
-// activation channel requests will wait on. False when the tenant is
-// not remote (already active here, or another handoff is in flight).
-func (t *tenant) beginReceiving() bool {
+// beginReceiving flips the tenant remote→receiving for an activation;
+// beginSending flips it active→sending for an outbound move. Either
+// opens the channel the requests that arrive meanwhile wait on, and is
+// false when the tenant is not in the state it leaves (another move is
+// under way). Whoever begins a move owns the state until it calls
+// finish.
+func (t *tenant) beginReceiving() bool { return t.begin(tenantRemote, tenantReceiving) }
+
+func (t *tenant) beginSending() bool { return t.begin(tenantActive, tenantSending) }
+
+func (t *tenant) begin(from, to int32) bool {
 	t.stateMu.Lock()
 	defer t.stateMu.Unlock()
-	if !t.state.CompareAndSwap(tenantRemote, tenantReceiving) {
+	if !t.state.CompareAndSwap(from, to) {
 		return false
 	}
-	t.activated = make(chan struct{})
+	t.held = make(chan struct{})
 	return true
 }
 
-// finishReceiving resolves an activation — a boot's, an inbound
-// handoff's, a takeover's — to final (tenantActive on success,
-// tenantRemote on abort) and releases every held request.
-func (t *tenant) finishReceiving(final int32) {
+// finish resolves a move — a boot's activation, an inbound handoff's, a
+// takeover's, an outbound handoff, a demotion — to final and releases
+// every held request: tenantActive serves them here, tenantRemote
+// redirects them to the owner the table names by then.
+func (t *tenant) finish(final int32) {
 	t.stateMu.Lock()
 	defer t.stateMu.Unlock()
 	t.state.Store(final)
-	if t.activated != nil {
-		close(t.activated)
-		t.activated = nil
-	}
-}
-
-// beginSending flips the tenant active→sending: new requests redirect at
-// owner, named by the hint before the state says so. False when the
-// tenant is not active (an outbound move is already under way). Whoever
-// begins sending owns the state until its finishSending.
-func (t *tenant) beginSending(owner cluster.Member) bool {
-	t.stateMu.Lock()
-	defer t.stateMu.Unlock()
-	if t.state.Load() != tenantActive {
-		return false
-	}
-	t.ownerHint.Store(&owner)
-	t.state.Store(tenantSending)
-	return true
-}
-
-// finishSending resolves an outbound move: remote once it committed
-// (moved — the table names the new owner by now), active again when it
-// did not.
-func (t *tenant) finishSending(moved bool) {
-	t.stateMu.Lock()
-	defer t.stateMu.Unlock()
-	if moved {
-		t.state.Store(tenantRemote)
-	} else {
-		t.state.Store(tenantActive)
-	}
-	t.ownerHint.Store(nil)
-}
-
-// waitActive blocks a request while an inbound handoff resolves.
-// Returns true when the wait ended (re-check the state), false when
-// ctx expired first.
-func (t *tenant) waitActive(ctx context.Context) bool {
-	t.stateMu.Lock()
-	ch := t.activated
-	t.stateMu.Unlock()
-	if ch == nil {
-		return true // already resolved between the state load and here
-	}
-	select {
-	case <-ch:
-		return true
-	case <-ctx.Done():
-		return false
+	if t.held != nil {
+		close(t.held)
+		t.held = nil
 	}
 }
 

@@ -141,12 +141,18 @@ func chaosHistLen(t *testing.T, url string) int {
 	return hr.Len
 }
 
-// TestChaosKillTargetMidHandoff kills the handoff target at the worst
-// moment — the prepare round-trip, before any state has crossed. The
-// handoff is all-or-nothing: the source must report failure, stay the
-// one active owner at the old epoch, and keep serving.
+// TestChaosKillTargetMidHandoff kills the handoff target's control
+// endpoint at the activate that would commit the move, while the target
+// still answers /v1/cluster. The source cannot know whether an activate
+// of its will yet run there, so it neither serves nor redirects: it
+// reports the outcome unknown and holds the federation — no second
+// owner, no epoch moved, a submission past its deadline answered 503.
+// Once the endpoint is back, the background settle re-sends the activate
+// and the whole move commits, on one owner.
 func TestChaosKillTargetMidHandoff(t *testing.T) {
-	tc := newTestCluster(t, 2, []string{"alpha"})
+	tc := newTestClusterCfg(t, 2, []string{"alpha"}, func(_ int, cfg *Config) {
+		cfg.Cluster.SyncInterval = 20 * time.Millisecond
+	})
 	owner := tc.ownerIdx(t, "alpha")
 	target := 1 - owner
 
@@ -171,56 +177,49 @@ func TestChaosKillTargetMidHandoff(t *testing.T) {
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode == http.StatusOK {
-		t.Fatalf("handoff to a dead target succeeded: %s", body)
+	if resp.StatusCode == http.StatusOK || !strings.Contains(string(body), "outcome unknown") {
+		t.Fatalf("handoff to a dead target = %d %s, want the outcome unknown", resp.StatusCode, body)
 	}
 
-	// All-or-nothing: the source reverted to active, the target never
-	// materialized the tenant, the epoch never moved.
-	if st := tc.servers[owner].tenants["alpha"].state.Load(); st != tenantActive {
-		t.Fatalf("source tenant is %s after failed handoff, want active", tenantStateName(st))
+	// Nothing moved: the source holds, the target never materialized the
+	// tenant, the epoch stayed.
+	if st := tc.servers[owner].tenants["alpha"].state.Load(); st != tenantSending {
+		t.Fatalf("source tenant is %s with the outcome unknown, want sending", tenantStateName(st))
 	}
 	if st := tc.servers[target].tenants["alpha"].state.Load(); st != tenantRemote {
-		t.Fatalf("target tenant is %s after failed handoff, want remote", tenantStateName(st))
+		t.Fatalf("target tenant is %s with its control endpoint dead, want remote", tenantStateName(st))
 	}
 	for i := range tc.https {
 		if cr := getClusterTable(t, tc.https[i].URL); cr.Epoch != 1 {
-			t.Fatalf("node %d epoch %d after aborted handoff, want 1", i, cr.Epoch)
+			t.Fatalf("node %d epoch %d with the outcome unknown, want 1", i, cr.Epoch)
 		}
 	}
-
-	// The source still serves; the revived target still redirects to it.
-	req := QueryRequest{Federation: "alpha", Query: "Q12", Weights: []float64{1, 1}}
-	resp2, body2 := postQueryNoRedirect(t, tc.https[owner].URL, req)
-	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("owner returned %d after aborted handoff: %s", resp2.StatusCode, body2)
+	if res := <-submitAsync(tc.https[owner].URL, 50); res.err != nil || res.status != http.StatusServiceUnavailable {
+		t.Fatalf("submission to the holding source = %d %v, want 503", res.status, res.err)
 	}
+
+	// The endpoint comes back: the re-sent activate commits the move.
 	dead.Store(false)
-	resp2, _ = postQueryNoRedirect(t, tc.https[target].URL, req)
-	if resp2.StatusCode != http.StatusTemporaryRedirect {
-		t.Fatalf("revived target returned %d, want redirect to the unmoved owner", resp2.StatusCode)
-	}
-
-	// And the aborted handoff left nothing sticky: the same move retried
-	// against the healthy target completes.
-	resp3, err := http.Post(tc.https[owner].URL+"/v1/admin/handoff?federation=alpha&target="+tc.members[target].ID, "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp3.Body)
-	resp3.Body.Close()
-	if resp3.StatusCode != http.StatusOK {
-		t.Fatalf("retried handoff = %d", resp3.StatusCode)
-	}
+	src := tc.servers[owner].tenants["alpha"]
+	waitFor(t, 10*time.Second, func() bool { return src.state.Load() == tenantRemote },
+		func() string { return "the source never settled the handoff" })
 	if st := tc.servers[target].tenants["alpha"].state.Load(); st != tenantActive {
-		t.Fatalf("target is %s after retried handoff, want active", tenantStateName(st))
+		t.Fatalf("target is %s after the settled handoff, want active", tenantStateName(st))
+	}
+	res := <-submitAsync(tc.https[owner].URL, 0)
+	if res.err != nil || res.status != http.StatusTemporaryRedirect || res.location != tc.members[target].Addr+"/v1/queries" {
+		t.Fatalf("old owner answered %d to %q (%v), want a 307 to the target", res.status, res.location, res.err)
+	}
+	res = <-submitAsync(tc.https[target].URL, 0)
+	if res.err != nil || res.status != http.StatusOK || res.qr.Node != tc.members[target].ID || res.qr.Epoch < 2 {
+		t.Fatalf("new owner answered %d from %q at epoch %d (%v)", res.status, res.qr.Node, res.qr.Epoch, res.err)
 	}
 }
 
 // killAfterHandoffAck is the source's end of a replication stream that
 // kills the target — listener and every connection, the stream's own
-// included — the moment the ack of the first handoff batch has been read:
-// one shard across, the rest still to come.
+// included — the moment the ack of the first sync batch, a handoff's
+// first shard, has been read: one shard across, the rest still to come.
 type killAfterHandoffAck struct {
 	net.Conn
 	target  *testNode
@@ -230,8 +229,8 @@ type killAfterHandoffAck struct {
 
 func (c *killAfterHandoffAck) Write(p []byte) (int, error) {
 	// A batch's first write starts with its header; frames that follow in
-	// a write of their own start with a frame's length word, far from 2.
-	if !c.killed && len(p) >= replBatchHeader && p[4] == replHandoff {
+	// a write of their own start with a frame's length word, far from 1.
+	if !c.killed && len(p) >= replBatchHeader && p[4] == replSync {
 		c.pending = true
 	}
 	return c.Conn.Write(p)
@@ -247,8 +246,8 @@ func (c *killAfterHandoffAck) Read(p []byte) (int, error) {
 }
 
 // TestChaosKillTargetMidShip kills the handoff target with one of two
-// shards received — later than TestChaosKillTargetMidHandoff's prepare,
-// after bytes have crossed. The source reports failure, stays the one
+// shards received — earlier than TestChaosKillTargetMidHandoff's
+// activate, after bytes have crossed. The source reports failure, stays the one
 // active owner at the old epoch and keeps serving; once the target is
 // back the sync loop re-arms it as standby, and the same handoff retried
 // completes with the target's histories equal to the source's: each

@@ -11,12 +11,12 @@ package server
 //
 // Ownership moves two ways:
 //
-//   - POST /v1/admin/handoff — a live migration. The owner drains the
-//     tenant's in-flight requests, streams every query shard (its
-//     WAL, CRC-framed) to the target, and the target activates under
-//     a bumped routing epoch. Requests arriving mid-handoff are
-//     redirected to the target, which holds them until activation;
-//     nobody observes an error.
+//   - POST /v1/admin/handoff — a live migration. The owner holds the
+//     tenant's new requests, drains the in-flight ones, streams every
+//     query shard (its WAL, CRC-framed) to the target, and the target
+//     activates it under a bumped routing epoch, as a takeover would.
+//     The held requests then chase the new owner (or, if the move
+//     failed, are served where they are); nobody observes an error.
 //   - POST /v1/admin/takeover — disaster recovery. A standby that has
 //     been receiving the owner's WAL frames synchronously (see
 //     Replicate and replstream.go) promotes itself from the replicated
@@ -31,10 +31,10 @@ package server
 // epoch.
 //
 // Each ownership step has one seam: a tenant moves through
-// beginReceiving/finishReceiving inbound and beginSending/finishSending
-// outbound (batch.go); a node starts serving through becomeOwner and
-// stops through stopServing; a table is installed only by commit and
-// swapped with peers only by exchange; and every goroutine the control
+// beginReceiving or beginSending and then finish (batch.go); a node
+// starts serving through activate and stops through stopServing; a
+// table is installed only by commit and swapped with peers only by
+// exchange; and every goroutine the control
 // plane starts is spawned under the server's lifetime, which Drain ends
 // and waits out.
 
@@ -129,11 +129,11 @@ const (
 	tenantActive int32 = iota
 	// tenantRemote: another node owns it; requests get 307.
 	tenantRemote
-	// tenantReceiving: an inbound handoff or takeover is materializing
-	// state here; requests are held until activation.
+	// tenantReceiving: an activation (a handoff's, a takeover's) is
+	// opening state here; requests are held until it resolves.
 	tenantReceiving
-	// tenantSending: an outbound handoff is draining and streaming
-	// state away; requests are redirected at the target.
+	// tenantSending: an outbound handoff or a demotion is draining and
+	// streaming state away; requests are held until it resolves.
 	tenantSending
 )
 
@@ -330,8 +330,8 @@ func (cs *clusterState) newStream(fed string) histstore.Mirror {
 
 // call is one peer HTTP call; body, when non-nil, is sent as JSON. Any
 // non-2xx status becomes an error carrying the peer's body (the peers
-// speak ErrorResponse JSON), and a 2xx body is decoded into out when out
-// is non-nil.
+// speak ErrorResponse JSON), a 409 one wrapping errConflict, and a
+// 2xx body is decoded into out when out is non-nil.
 func (cs *clusterState) call(ctx context.Context, method, url string, body []byte, out any) error {
 	req, err := http.NewRequestWithContext(ctx, method, url, bytes.NewReader(body))
 	if err != nil {
@@ -347,7 +347,11 @@ func (cs *clusterState) call(ctx context.Context, method, url string, body []byt
 	defer resp.Body.Close()
 	if resp.StatusCode/100 != 2 {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return fmt.Errorf("%s: %s: %s", url, resp.Status, bytes.TrimSpace(msg))
+		err := fmt.Errorf("%s: %s: %s", url, resp.Status, bytes.TrimSpace(msg))
+		if resp.StatusCode == http.StatusConflict {
+			err = fmt.Errorf("%w: %w", errConflict, err)
+		}
+		return err
 	}
 	if out == nil {
 		return nil
@@ -509,9 +513,9 @@ func (s *Server) adopt(epoch uint64, overrides map[string]string) {
 	}
 	tab := cs.table.Load()
 	for _, t := range s.tenants {
-		if owner := tab.Owner(t.name); owner.ID != cs.self.ID && t.state.Load() == tenantActive {
+		if tab.Owner(t.name).ID != cs.self.ID && t.state.Load() == tenantActive {
 			// Demotion drains: keep it off the exchange's request path.
-			s.spawn(func() { s.demote(t, owner) })
+			s.spawn(func() { s.demote(t) })
 		}
 	}
 }
@@ -614,29 +618,62 @@ func (s *Server) registerClusterMetrics() {
 
 // routeTenant is the ownership gate every tenant-addressed request
 // passes (submissions and history reads). It returns 0 when the request
-// should be served locally; otherwise the response (redirect or
-// hold-timeout error) is already rendered into resp — a redirect's
-// target, the owner's address plus path, into sc.location — and the
-// returned status stands. A submission has already registered in
-// t.inflight, so an outbound handoff's drain cannot miss it.
-func (s *Server) routeTenant(ctx context.Context, t *tenant, sc *serveScratch, path string, resp *bytes.Buffer) int {
+// should be served locally; otherwise the response (a redirect, or 503
+// when the request's wait ran out) is already rendered into resp — a
+// redirect's target, the owner's address plus path, into sc.location —
+// and the returned status stands. While an ownership move is under way
+// on this node, inbound or outbound, the request is held here until the
+// move resolves: it completes in milliseconds, and only then does any
+// table name the node that will serve the request. inflight, when
+// non-nil, is a submission's registration count in t.inflight (taken
+// before this load, so an outbound handoff's drain cannot miss it), which
+// a hold updates; deadline, unless zero, ends the wait.
+func (s *Server) routeTenant(ctx context.Context, t *tenant, inflight *int64, deadline time.Time, sc *serveScratch, path string, resp *bytes.Buffer) int {
 	for {
-		switch st := t.state.Load(); st {
+		switch t.state.Load() {
 		case tenantActive:
 			return 0
-		case tenantReceiving:
-			// An inbound handoff is materializing this tenant here; it
-			// completes in milliseconds, so holding the request beats
-			// bouncing the client back to a source that is already
-			// redirecting forward.
-			if !t.waitActive(ctx) {
-				return writeErrorBuf(resp, http.StatusServiceUnavailable,
-					"federation %q handoff still in progress", t.name)
-			}
-		default: // tenantRemote, tenantSending
+		case tenantRemote:
 			return s.writeRedirect(t, sc, path, resp)
 		}
+		if !s.hold(ctx, t, inflight, deadline) {
+			return writeErrorBuf(resp, http.StatusServiceUnavailable,
+				"federation %q handoff still in progress", t.name)
+		}
 	}
+}
+
+// hold waits until the move under way on t resolves (true: route again),
+// or until deadline, ctx or the server's lifetime ends (false). A
+// submission (inflight non-nil) leaves t.inflight while it waits — the
+// move's own drain must not wait for the requests the move holds — and
+// re-registers before its caller reloads the state, updating *inflight,
+// so a released burst is admitted against QueueDepth like any other.
+func (s *Server) hold(ctx context.Context, t *tenant, inflight *int64, deadline time.Time) bool {
+	t.stateMu.Lock()
+	held := t.held
+	t.stateMu.Unlock()
+	if held == nil {
+		return true // resolved between the state load and here
+	}
+	if inflight != nil {
+		t.inflight.Add(-1)
+		defer func() { *inflight = t.inflight.Add(1) }()
+	}
+	var expired <-chan time.Time
+	if !deadline.IsZero() {
+		timer := time.NewTimer(time.Until(deadline))
+		defer timer.Stop()
+		expired = timer.C
+	}
+	select {
+	case <-held:
+		return true
+	case <-expired:
+	case <-ctx.Done():
+	case <-s.lifeCtx.Done():
+	}
+	return false
 }
 
 // writeRedirect renders the 307 through the request's scratch: the
@@ -644,20 +681,9 @@ func (s *Server) routeTenant(ctx context.Context, t *tenant, sc *serveScratch, p
 // Location header), the body says why — the bytes writeErrorBuf would
 // render, with no formatting or encoder of its own.
 func (s *Server) writeRedirect(t *tenant, sc *serveScratch, path string, resp *bytes.Buffer) int {
-	cs := s.cluster
-	// Hint before table: a committing handoff updates the table and only
-	// then clears the hint, so a nil hint here means the table read next
-	// already names the new owner — the other order can pair a stale
-	// table with a cleared hint and redirect the client at this node.
-	hint := t.ownerHint.Load()
-	tab := cs.table.Load()
+	tab := s.cluster.table.Load()
 	owner := tab.Owner(t.name)
-	if owner.ID == cs.self.ID && hint != nil {
-		// Mid-handoff the table still points here; the hint set before
-		// the tenant entered sending names the real destination.
-		owner = *hint
-	}
-	cs.redirects.Inc()
+	s.cluster.redirects.Inc()
 	sc.text = append(append(sc.text[:0], owner.Addr...), path...)
 	sc.location = reuse(sc.location, sc.text)
 	sc.text = strconv.AppendQuote(append(sc.text[:0], "federation "...), t.name)
@@ -792,11 +818,7 @@ func (s *Server) handleHandoff(w http.ResponseWriter, r *http.Request) {
 	began := time.Now()
 	epoch, moved, err := s.handoffTenant(r.Context(), t, target)
 	if err != nil {
-		status := http.StatusInternalServerError
-		if errors.Is(err, errHandoffConflict) {
-			status = http.StatusConflict
-		}
-		writeError(w, status, "handoff of %q to %s failed: %v", fed, target.ID, err)
+		writeError(w, errStatus(err), "handoff of %q to %s failed: %v", fed, target.ID, err)
 		return
 	}
 	cs.handoffSeconds.Observe(time.Since(began).Seconds())
@@ -810,50 +832,47 @@ func (s *Server) handleHandoff(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// errHandoffConflict refuses a handoff of a federation that is not this
-// node's to send now: another handoff of it is in flight, or it is not
-// active here. handleHandoff answers it with 409.
-var errHandoffConflict = errors.New("conflict")
+// errConflict is a refusal answered with 409: of a move the federation's
+// state here rules out (a handoff of one that is not active, an
+// activation of one that is not remote), or of a handoff's activate the
+// target will not run. call wraps a peer's 409 in it.
+var errConflict = errors.New("conflict")
 
-// handoffTenant runs the source half of a live migration: prepare the
-// target (it now holds requests), begin sending (new requests now chase
-// the target), drain in-flight ones, stream every shard, activate the
-// target under a bumped epoch, then stop serving here. The target must
-// be holding before the source starts redirecting: until prepare lands
-// it is still remote and answers 307 back at this node, and a client
-// bounced between the two at loopback speed burns its whole redirect
-// budget inside one scheduling delay. Any failure before activation
-// rolls back — the handoff is all-or-nothing. Activation itself is the
-// one step whose failure cannot be taken at face value (the target may
-// have committed and the ack been lost), so an activate error is settled
-// by asking the target before anything is reverted.
+// errStatus is the status a failed ownership move answers with.
+func errStatus(err error) int {
+	if errors.Is(err, errConflict) {
+		return http.StatusConflict
+	}
+	return http.StatusInternalServerError
+}
+
+// handoffTenant runs the source half of a live migration: begin sending
+// (from here the federation's requests wait on this node), drain the
+// in-flight ones, ship every shard to the target, where the tenant stays
+// remote, and activate it there under a bumped epoch, then stop serving
+// here; the held requests follow the table to the target. Nothing is
+// redirected before the target serves, so no client is bounced between
+// two nodes that each name the other. Any failure before activation
+// rolls back — the handoff is all-or-nothing, and the target has nothing
+// to undo: a replica is the next transfer's to replace. Activation itself
+// is the one step whose failure cannot be taken at face value (the target
+// may have committed and the ack been lost, or the request may still be
+// on its way), so an activate error is settled with the target before
+// anything is reverted.
 func (s *Server) handoffTenant(ctx context.Context, t *tenant, target cluster.Member) (uint64, map[string]int, error) {
 	cs := s.cluster
-	if !t.sendMu.TryLock() {
-		return 0, nil, fmt.Errorf("%w: another handoff of this federation is in flight", errHandoffConflict)
-	}
-	defer t.sendMu.Unlock()
-	if st := t.state.Load(); st != tenantActive {
-		return 0, nil, fmt.Errorf("%w: federation is %s here, not active", errHandoffConflict, tenantStateName(st))
+	if !t.beginSending() {
+		return 0, nil, fmt.Errorf("%w: federation is %s here, not active", errConflict, tenantStateName(t.state.Load()))
 	}
 	s.log.Info("handoff started", "federation", t.name, "target", target.ID)
-
-	if err := cs.post(handoffStep(target, "prepare", url.Values{"federation": {t.name}})); err != nil {
-		return 0, nil, fmt.Errorf("prepare: %w", err)
-	}
-	if !t.beginSending(target) {
-		// A stale-owner demotion began sending first.
-		s.abortTarget(t, target)
-		return 0, nil, fmt.Errorf("%w: federation is %s here, not active", errHandoffConflict, tenantStateName(t.state.Load()))
-	}
 	fail := func(err error) (uint64, map[string]int, error) {
-		s.rollback(t, target)
+		s.rollback(t)
 		return 0, nil, err
 	}
 
 	// Drain: requests that loaded state before the flip finish under
-	// the old owner; everything after redirects. The inflight counter
-	// is incremented before the state load, so a zero here proves no
+	// the old owner; everything after is held. The inflight counter is
+	// incremented before the state load, so a zero here proves no
 	// straggler is still appending history.
 	if err := t.drainInflight(ctx); err != nil {
 		return fail(fmt.Errorf("drain: %w", err))
@@ -867,7 +886,7 @@ func (s *Server) handoffTenant(ctx context.Context, t *tenant, target cluster.Me
 	if t.store != nil {
 		st := cs.streams[t.name]
 		for _, q := range t.queries {
-			if err := st.shipShard(target, t.store, q.String(), replHandoff, nil); err != nil {
+			if err := st.shipShard(target, t.store, q.String(), nil); err != nil {
 				return fail(fmt.Errorf("ship %v: %w", q, err))
 			}
 			if h := t.sched.History(q); h != nil {
@@ -879,7 +898,8 @@ func (s *Server) handoffTenant(ctx context.Context, t *tenant, target cluster.Me
 	// Activation commits the move: the target opens the shipped state,
 	// flips its tenant active and bumps the routing epoch.
 	epoch := cs.table.Load().Epoch() + 1
-	activate := handoffStep(target, "activate", url.Values{"federation": {t.name}, "epoch": {strconv.FormatUint(epoch, 10)}})
+	activate := target.Addr + "/v1/admin/handoff/activate?" +
+		url.Values{"federation": {t.name}, "epoch": {strconv.FormatUint(epoch, 10)}}.Encode()
 	if err := cs.post(activate); err != nil {
 		// A failed POST does not mean a failed activation: opening the
 		// shipped shards can outlive PeerTimeout, and the ack may have
@@ -887,14 +907,11 @@ func (s *Server) handoffTenant(ctx context.Context, t *tenant, target cluster.Me
 		// while the target serves at a higher epoch would fork the
 		// federation's history, so settle the outcome first.
 		got, known := s.settle(t, target, epoch, activate)
-		for try := 1; !known && try < 3 && s.pause(250*time.Millisecond); try++ {
-			got, known = s.settle(t, target, epoch, activate)
-		}
 		switch {
 		case !known:
-			// Target unreachable: the tenant stays sending and settle
-			// runs every SyncInterval, for the server's lifetime, until
-			// the target answers.
+			// Target unreachable: the tenant stays sending, its requests
+			// held, and settle runs every SyncInterval, for the server's
+			// lifetime, until the target answers.
 			s.spawn(func() {
 				for settled := false; !settled && s.pause(cs.cfg.SyncInterval); {
 					_, settled = s.settle(t, target, epoch, activate)
@@ -909,28 +926,44 @@ func (s *Server) handoffTenant(ctx context.Context, t *tenant, target cluster.Me
 	return s.commitHandoff(t, target, epoch), moved, nil
 }
 
-// settle resolves, once, a handoff whose activate POST failed: ask the
-// target which state its tenant is in, then act. Active commits the
-// source half; remote rolls it back; still receiving — or no answer —
-// re-sends the activate, idempotent on the target, and commits if it
-// lands. Returns the committed epoch (0: rolled back) and false while
-// the outcome is unknown, the tenant still sending: redirecting at the
-// target is right whichever way the move ends.
+// settle resolves, once, a handoff whose activate POST failed. It
+// re-sends the activate, idempotent on the target: success commits. A
+// refusal (409) is final — none of this handoff's activates can run on
+// the target after it — and the target's table decides: placed here, it
+// never activated, so roll back, stepping to the epoch it fenced so the
+// next handoff mints a newer one; placed elsewhere, the move committed and
+// may have moved on since, so adopt the newer table and stop serving.
+// Returns the committed epoch (0: rolled back) and false while the outcome
+// is unknown, the tenant still sending and its requests held.
 func (s *Server) settle(t *tenant, target cluster.Member, epoch uint64, activateURL string) (uint64, bool) {
-	var cr ClusterResponse
-	state := ""
-	if s.cluster.call(s.lifeCtx, http.MethodGet, target.Addr+"/v1/cluster", nil, &cr) == nil {
-		state = cr.Placements[t.name].State
+	cs := s.cluster
+	err := cs.post(activateURL)
+	if err == nil {
+		return s.commitHandoff(t, target, epoch), true
 	}
-	if state == "remote" {
-		s.rollback(t, target)
+	var cr ClusterResponse
+	if !errors.Is(err, errConflict) || cs.call(s.lifeCtx, http.MethodGet, target.Addr+"/v1/cluster", nil, &cr) != nil {
+		return 0, false
+	}
+	if cr.Placements[t.name].Owner == cs.self.ID {
+		cs.commit(func(cur *cluster.Table) *cluster.Table {
+			if cur.Epoch() >= epoch {
+				return nil
+			}
+			return cur.WithEpochAtLeast(epoch)
+		})
+		s.rollback(t)
 		s.log.Warn("handoff rolled back, target never activated", "federation", t.name, "target", target.ID)
 		return 0, true
 	}
-	if state == "active" || s.cluster.post(activateURL) == nil {
-		return s.commitHandoff(t, target, epoch), true
+	// adopt leaves a sending tenant alone, so only this node can stop it
+	// serving, and only once its table has moved on too.
+	if s.exchange(); cs.owns(t.name) {
+		return 0, false
 	}
-	return 0, false
+	s.stopServing(t)
+	s.log.Info("handoff complete", "federation", t.name, "target", target.ID, "owner", cr.Placements[t.name].Owner)
+	return cs.table.Load().Epoch(), true
 }
 
 // commitHandoff commits the source half of a handoff the target has
@@ -946,30 +979,22 @@ func (s *Server) commitHandoff(t *tenant, target cluster.Member, epoch uint64) u
 	return got
 }
 
-// rollback undoes an outbound handoff that did not commit: serve here
-// again, then tell the target to let go of the requests it holds — in
-// that order, because released they chase the table back to this node.
-func (s *Server) rollback(t *tenant, target cluster.Member) {
-	t.finishSending(false)
-	s.abortTarget(t, target)
-}
-
-// abortTarget tells a prepared target to go back to remote.
-func (s *Server) abortTarget(t *tenant, target cluster.Member) {
-	if err := s.cluster.post(handoffStep(target, "abort", url.Values{"federation": {t.name}})); err != nil {
-		s.log.Warn("handoff abort failed", "federation", t.name, "error", err.Error())
+// rollback ends an outbound move that did not commit here: serve again —
+// unless a table adopted meanwhile places the federation elsewhere (adopt
+// leaves a sending tenant alone), in which case stop serving it. Reports
+// whether this node serves it again.
+func (s *Server) rollback(t *tenant) bool {
+	if s.cluster.owns(t.name) {
+		t.finish(tenantActive)
+		return true
 	}
-}
-
-// handoffStep is the URL of one handoff control step on target, its
-// query escaped: a federation name may hold any character.
-func handoffStep(target cluster.Member, step string, query url.Values) string {
-	return target.Addr + "/v1/admin/handoff/" + step + "?" + query.Encode()
+	s.stopServing(t)
+	return false
 }
 
 // stopServing is the one way a node stops serving a federation it has
 // begun sending: drain the in-flight requests, stop replicating, release
-// local state, then finishSending.
+// local state, then release the held requests to the table's owner.
 func (s *Server) stopServing(t *tenant) {
 	cs := s.cluster
 	ctx, cancel := context.WithTimeout(s.lifeCtx, cs.cfg.PeerTimeout)
@@ -986,51 +1011,51 @@ func (s *Server) stopServing(t *tenant) {
 	if err := t.releaseState(); err != nil {
 		s.log.Warn("closing store on ownership release", "federation", t.name, "error", err.Error())
 	}
-	t.finishSending(true)
+	t.finish(tenantRemote)
 }
 
 // drainInflight waits for the tenant's in-flight requests to finish;
 // by the time it returns, every request routed before the state flip
 // has completed (or ctx expired).
 func (t *tenant) drainInflight(ctx context.Context) error {
+	tick := time.NewTicker(500 * time.Microsecond)
+	defer tick.Stop()
 	for t.inflight.Load() > 0 {
 		select {
 		case <-ctx.Done():
 			return fmt.Errorf("%d requests still in flight: %w", t.inflight.Load(), ctx.Err())
-		case <-time.After(500 * time.Microsecond):
+		case <-tick.C:
 		}
 	}
 	return nil
 }
 
-// ---------------------------------------------------------------------
-// Handoff: target side
-// ---------------------------------------------------------------------
-
-// handleHandoffPrepare flips the tenant remote→receiving: from here
-// until activate (or abort), this node holds the federation's requests
-// instead of redirecting them back at the sending source.
-func (s *Server) handleHandoffPrepare(w http.ResponseWriter, r *http.Request) {
-	fed := r.URL.Query().Get("federation")
-	t, ok := s.tenants[fed]
-	if !ok {
-		writeError(w, http.StatusNotFound, "server: unknown federation %q", fed)
+// demote stops serving a federation an adopted table has moved
+// elsewhere. beginSending makes it single-entry and yields to a handoff
+// already sending; rollback keeps serving if the table moved back
+// meanwhile.
+func (s *Server) demote(t *tenant) {
+	if !t.beginSending() || s.rollback(t) {
 		return
 	}
-	if !t.beginReceiving() {
-		writeError(w, http.StatusConflict, "federation %q is %s here", fed, tenantStateName(t.state.Load()))
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "receiving"})
+	tab := s.cluster.table.Load()
+	s.log.Warn("demoted stale ownership", "federation", t.name,
+		"owner", tab.Owner(t.name).ID, "epoch", tab.Epoch())
 }
 
-// handleHandoffActivate commits an inbound handoff: open the shipped
-// state, start serving, bump the routing epoch. Idempotent — a source
-// whose ack was lost (activation can outlive its PeerTimeout) re-sends
-// the activate, and a tenant already activated by this handoff answers
-// with the committed epoch instead of an error. activateMu single-
-// flights the commit, so the retry waits for the first attempt rather
-// than racing a second open of the same shards.
+// ---------------------------------------------------------------------
+// Inbound ownership
+// ---------------------------------------------------------------------
+
+// handleHandoffActivate (POST /v1/admin/handoff/activate?federation=&epoch=)
+// commits an inbound handoff: the source has shipped its shards to this
+// node's remote tenant, which activate opens and serves from at epoch or
+// later. Idempotent — a source whose ack was lost (activation can outlive
+// its PeerTimeout) re-sends the activate, and a tenant already active
+// answers with the committed epoch instead of an error. Once an activate
+// at epoch has ended here, either way, no other at epoch or below runs:
+// the refusal (409) is how the source learns that a late copy of its
+// request can no longer activate the federation behind its back.
 func (s *Server) handleHandoffActivate(w http.ResponseWriter, r *http.Request) {
 	cs := s.cluster
 	fed := r.URL.Query().Get("federation")
@@ -1044,67 +1069,62 @@ func (s *Server) handleHandoffActivate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad epoch: %v", err)
 		return
 	}
-	t.activateMu.Lock()
-	defer t.activateMu.Unlock()
-	switch st := t.state.Load(); st {
-	case tenantActive:
+	got, err := s.activate(t, epoch, func() error {
+		if epoch <= t.fenced {
+			return fmt.Errorf("%w: an activate at epoch %d or later has ended here", errConflict, t.fenced)
+		}
+		return nil
+	}, cs.handoffsIn)
+	if errors.Is(err, errConflict) && t.state.Load() == tenantActive {
 		// Retried commit: re-assert the override at the requested epoch
 		// and report success again.
-		got := cs.applyOverride(fed, cs.self.ID, epoch)
-		writeJSON(w, http.StatusOK, map[string]uint64{"epoch": got})
-		return
-	case tenantReceiving:
-	default:
-		writeError(w, http.StatusConflict, "federation %q is %s, not receiving", fed, tenantStateName(st))
+		got, err = cs.applyOverride(fed, cs.self.ID, epoch), nil
+	}
+	if err != nil {
+		writeError(w, errStatus(err), "activating %q: %v", fed, err)
 		return
 	}
-	if err := activateTenant(t, nil); err != nil {
-		t.finishReceiving(tenantRemote)
-		writeError(w, http.StatusInternalServerError, "activating %q: %v", fed, err)
-		return
-	}
-	got := s.becomeOwner(t, epoch, cs.handoffsIn)
 	s.log.Info("handoff received", "federation", fed, "epoch", got)
 	writeJSON(w, http.StatusOK, map[string]uint64{"epoch": got})
 }
 
-// becomeOwner is the tail of every inbound ownership change, a handoff's
-// activation or a promotion: pin the federation on this node at epoch or
-// later, serve the requests held meanwhile, count the change and
-// exchange tables. Returns the committed epoch.
-func (s *Server) becomeOwner(t *tenant, epoch uint64, counter *metrics.Counter) uint64 {
+// activate is the one routine an inbound ownership change runs — a
+// handoff's activate, an operator takeover, an auto-promotion. It holds
+// the federation's requests (beginReceiving), asks fence whether the move
+// may run, opens its local state (activateTenant) and asks fence again —
+// opening takes real time, and the table may have moved underneath it —
+// then pins the federation on this node at minEpoch or one past the
+// table, whichever is later, before serving the held requests, counting
+// the change and exchanging tables. It returns the committed epoch; a
+// failure leaves the tenant remote with nothing open. Either way it
+// raises t.fenced to minEpoch.
+func (s *Server) activate(t *tenant, minEpoch uint64, fence func() error, counter *metrics.Counter) (uint64, error) {
 	cs := s.cluster
-	got := cs.applyOverride(t.name, cs.self.ID, epoch)
-	t.finishReceiving(tenantActive)
+	t.activateMu.Lock()
+	defer t.activateMu.Unlock()
+	defer func() { t.fenced = max(t.fenced, minEpoch) }()
+	if !t.beginReceiving() {
+		return 0, fmt.Errorf("%w: federation is %s here, not remote", errConflict, tenantStateName(t.state.Load()))
+	}
+	err := fence()
+	if err == nil {
+		err = activateTenant(t, fence)
+	}
+	if err != nil {
+		t.finish(tenantRemote)
+		return 0, err
+	}
+	got := cs.applyOverride(t.name, cs.self.ID, minEpoch)
+	t.finish(tenantActive)
 	counter.Inc()
 	s.spawn(func() { s.exchange() })
-	return got
+	return got, nil
 }
 
-// handleHandoffAbort rolls the target back to remote after a failed
-// handoff; held requests chase the (reverted) owner. Serialized with
-// activation: an abort racing an in-flight activate waits, then finds
-// the tenant active and leaves it alone — the source only aborts after
-// verifying the target did not activate.
-func (s *Server) handleHandoffAbort(w http.ResponseWriter, r *http.Request) {
-	fed := r.URL.Query().Get("federation")
-	t, ok := s.tenants[fed]
-	if !ok {
-		writeError(w, http.StatusNotFound, "server: unknown federation %q", fed)
-		return
-	}
-	t.activateMu.Lock()
-	if t.state.Load() == tenantReceiving {
-		t.finishReceiving(tenantRemote)
-	}
-	t.activateMu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]string{"status": "aborted"})
-}
-
-// handleTakeover (POST /v1/admin/takeover?federation=) promotes this
-// node to fed's owner from locally replicated state — the operator's
-// recovery path after the owner died: promote with no eligibility gate
-// and no fence.
+// handleTakeover (POST /v1/admin/takeover?federation=) makes this node
+// fed's owner from locally replicated state — the operator's recovery
+// path after the owner died: activate with no eligibility gate and no
+// fence.
 func (s *Server) handleTakeover(w http.ResponseWriter, r *http.Request) {
 	fed := r.URL.Query().Get("federation")
 	t, ok := s.tenants[fed]
@@ -1112,13 +1132,9 @@ func (s *Server) handleTakeover(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "server: unknown federation %q", fed)
 		return
 	}
-	epoch, err := s.promote(t, nil)
-	switch {
-	case errors.Is(err, errNotRemote):
-		writeError(w, http.StatusConflict, "federation %q is %s here", fed, tenantStateName(t.state.Load()))
-		return
-	case err != nil:
-		writeError(w, http.StatusInternalServerError, "takeover of %q: %v", fed, err)
+	epoch, err := s.activate(t, 0, func() error { return nil }, s.cluster.takeovers)
+	if err != nil {
+		writeError(w, errStatus(err), "takeover of %q: %v", fed, err)
 		return
 	}
 	recovered := make(map[string]int, len(t.queries))
@@ -1137,8 +1153,8 @@ func (s *Server) handleTakeover(w http.ResponseWriter, r *http.Request) {
 }
 
 // activateTenant is the one routine that opens a tenant: at boot for
-// the tenants this node owns, on a handoff's target and on a promoted
-// standby. It opens each query's history in the spec's order
+// the tenants this node owns, and in activate for the rest. It opens each
+// query's history in the spec's order
 // (recovering whatever the store holds: this node's own WAL, the replica
 // a handoff or an owner's stream wrote, or nothing), bootstraps the
 // shortfall below the spec's target in the same order, and then asks
@@ -1187,23 +1203,6 @@ func openHistories(t *tenant) error {
 		}
 	}
 	return nil
-}
-
-// demote stops serving a federation an adopted table has moved
-// elsewhere: redirect new requests at the new owner, then stopServing.
-// beginSending makes it single-entry and yields to a handoff already
-// sending.
-func (s *Server) demote(t *tenant, owner cluster.Member) {
-	if !t.beginSending(owner) {
-		return
-	}
-	if s.cluster.owns(t.name) {
-		t.finishSending(false) // the table moved back meanwhile; keep serving
-		return
-	}
-	s.stopServing(t)
-	s.log.Warn("demoted stale ownership", "federation", t.name,
-		"owner", owner.ID, "epoch", s.cluster.table.Load().Epoch())
 }
 
 // ---------------------------------------------------------------------
@@ -1275,7 +1274,7 @@ func (s *Server) syncTenant(t *tenant) bool {
 		// in flight buffer locally and ship only after the standby acks
 		// the state they extend. Acks do not wait on a held stream, so a
 		// hung standby slows only this sync.
-		err := cs.streams[t.name].shipShard(standby, t.store, shard, replSync, func(next uint64) { rep.Hold(shard, next) })
+		err := cs.streams[t.name].shipShard(standby, t.store, shard, func(next uint64) { rep.Hold(shard, next) })
 		if err != nil {
 			rep.Disarm(shard)
 			s.log.Warn("standby sync failed", "federation", t.name, "query", shard,

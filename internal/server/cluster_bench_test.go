@@ -132,8 +132,8 @@ func BenchmarkReplicatedAppend(b *testing.B) {
 
 // BenchmarkHandoff prices one live migration: a federation handed back
 // and forth between two durable nodes (benchPair, no replication) by the
-// operator's POST, so an op is prepare, drain, the shard's trip, activate
-// and the target's open — with no request in flight. obs=20 is a shard a
+// operator's POST, so an op is drain, the shard's trip, activate and the
+// target's open — with no request in flight. obs=20 is a shard a
 // few frames long; rolled is the largest a served history gets, two
 // segments two observations short of the third roll. wire-B/op counts
 // every byte either listener carried, the operator's request and the

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -303,7 +304,8 @@ func TestClusterRoutingAndRedirect(t *testing.T) {
 
 func TestReadyzTracksDrainAndHandoff(t *testing.T) {
 	tc := newTestCluster(t, 2, []string{"alpha"})
-	other := 1 - tc.ownerIdx(t, "alpha")
+	owner := tc.ownerIdx(t, "alpha")
+	other := 1 - owner
 
 	getStatus := func(url string) (int, map[string]string) {
 		t.Helper()
@@ -316,24 +318,20 @@ func TestReadyzTracksDrainAndHandoff(t *testing.T) {
 		_ = json.NewDecoder(resp.Body).Decode(&m)
 		return resp.StatusCode, m
 	}
-	if code, _ := getStatus(tc.https[other].URL); code != http.StatusOK {
+	if code, _ := getStatus(tc.https[owner].URL); code != http.StatusOK {
 		t.Fatalf("idle readyz = %d", code)
 	}
-	// A prepared (receiving) handoff flips readiness off…
-	resp, err := http.Post(tc.https[other].URL+"/v1/admin/handoff/prepare?federation=alpha", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("prepare = %d", resp.StatusCode)
-	}
-	code, m := getStatus(tc.https[other].URL)
+	// A handoff waiting on its activate (the source sending) flips the
+	// source's readiness off…
+	gate := gateActivate(t, tc, other)
+	handoff := startHandoff(tc, "alpha", owner, other)
+	gate.await(t)
+	code, m := getStatus(tc.https[owner].URL)
 	if code != http.StatusServiceUnavailable || m["status"] != "handoff" {
 		t.Fatalf("mid-handoff readyz = %d %v", code, m)
 	}
 	// …and liveness stays on.
-	resp, err = http.Get(tc.https[other].URL + "/healthz")
+	resp, err := http.Get(tc.https[owner].URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,14 +339,15 @@ func TestReadyzTracksDrainAndHandoff(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("mid-handoff healthz = %d", resp.StatusCode)
 	}
-	// Abort restores readiness.
-	resp, err = http.Post(tc.https[other].URL+"/v1/admin/handoff/abort?federation=alpha", "", nil)
-	if err != nil {
-		t.Fatal(err)
+	// A failed activation ends the handoff and restores readiness.
+	gate.decide(false)
+	if status := <-handoff; status == http.StatusOK {
+		t.Fatal("handoff with a failed activation succeeded")
 	}
-	resp.Body.Close()
-	if code, _ := getStatus(tc.https[other].URL); code != http.StatusOK {
-		t.Fatalf("post-abort readyz = %d", code)
+	for i := range tc.https {
+		if code, m := getStatus(tc.https[i].URL); code != http.StatusOK {
+			t.Fatalf("node %d readyz after the failed handoff = %d %v", i, code, m)
+		}
 	}
 	// Draining flips it off for good.
 	if err := tc.servers[other].Drain(context.Background()); err != nil {
@@ -764,6 +763,9 @@ func testClusterReplicationTakeover(t *testing.T, bootstrap int) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// The killed owner too: its loops and its WAL handles outlive the
+		// listener until a Drain ends them.
+		drainAtCleanup(t, srv)
 		h := srv.Handler()
 		late[i].h.Store(&h)
 		servers = append(servers, srv)
@@ -927,6 +929,474 @@ func TestClusterHandoffActivateAckLost(t *testing.T) {
 	if qr.Node != tc.members[target].ID || qr.Epoch < 2 {
 		t.Fatalf("post-handoff response node=%q epoch=%d", qr.Node, qr.Epoch)
 	}
+}
+
+// activateGate holds every activate POST a node receives until the test
+// gives its verdict: true passes it to the real handler; false passes it
+// with the federation's scheduler failing to open, so the activation
+// fails — and fences its epoch — as one on a corrupt shard does. Once
+// the verdicts are closed (decide), every activate passes.
+type activateGate struct {
+	// entered gets one send per activate that arrives, while its buffer
+	// has room; a handler never waits on the test to look.
+	entered chan struct{}
+	verdict chan bool
+}
+
+// gateActivate puts an activateGate in front of node i.
+func gateActivate(t *testing.T, tc *testCluster, i int) *activateGate {
+	g := &activateGate{entered: make(chan struct{}, 8), verdict: make(chan bool)}
+	stop := make(chan struct{})
+	t.Cleanup(func() { close(stop) }) // before the node's Close, which waits for the handler
+	real := tc.servers[i].Handler()
+	h := http.Handler(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/admin/handoff/activate" {
+			select {
+			case g.entered <- struct{}{}:
+			default:
+			}
+			select {
+			case pass, ok := <-g.verdict:
+				if ok && !pass {
+					sched := tc.servers[i].tenants[r.URL.Query().Get("federation")].sched.(*stubSched)
+					sched.setFailOpen(errors.New("injected: activation failed"))
+					defer sched.setFailOpen(nil)
+				}
+			case <-stop:
+			}
+		}
+		real.ServeHTTP(w, r)
+	}))
+	tc.late[i].h.Store(&h)
+	return g
+}
+
+// decide gives one held activate its verdict and passes every later one,
+// such as the source's re-send.
+func (g *activateGate) decide(pass bool) {
+	g.verdict <- pass
+	close(g.verdict)
+}
+
+// await blocks until an activate has reached the gate.
+func (g *activateGate) await(t *testing.T) {
+	t.Helper()
+	select {
+	case <-g.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the handoff never reached its activate")
+	}
+}
+
+// startHandoff asks node from to hand fed to node to, in the
+// background; the channel receives the answer's status (0: no answer).
+func startHandoff(tc *testCluster, fed string, from, to int) <-chan int {
+	status := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(tc.https[from].URL+"/v1/admin/handoff?federation="+url.QueryEscape(fed)+"&target="+tc.members[to].ID, "", nil)
+		if err != nil {
+			status <- 0
+			return
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		status <- resp.StatusCode
+	}()
+	return status
+}
+
+// submitResult is what one submission sent from a goroutine got back.
+type submitResult struct {
+	status   int
+	location string
+	qr       QueryResponse
+	err      error
+}
+
+// submitAsync posts one alpha submission to url without following
+// redirects, in the background.
+func submitAsync(url string, timeoutMS int64) <-chan submitResult {
+	out := make(chan submitResult, 1)
+	go func() {
+		body, _ := json.Marshal(QueryRequest{Federation: "alpha", Query: "Q12", Weights: []float64{1, 1}, TimeoutMS: timeoutMS})
+		resp, err := noRedirectClient.Post(url+"/v1/queries", "application/json", bytes.NewReader(body))
+		if err != nil {
+			out <- submitResult{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		res := submitResult{status: resp.StatusCode, location: resp.Header.Get("Location")}
+		if res.status == http.StatusOK {
+			res.err = json.NewDecoder(resp.Body).Decode(&res.qr)
+		}
+		out <- res
+	}()
+	return out
+}
+
+// TestClusterHandoffHoldsAtSource: while a handoff waits on its
+// activate, the source holds the federation's submissions — no 307 at a
+// target that does not serve yet — and a held submission does not keep
+// the move's drain waiting. One whose deadline passes first gets 503.
+// Released by the commit, a held submission completes on the target
+// after one redirect; released by a failed activation, it is served
+// where it waited.
+func TestClusterHandoffHoldsAtSource(t *testing.T) {
+	for _, commit := range []bool{true, false} {
+		t.Run(fmt.Sprintf("commit=%v", commit), func(t *testing.T) {
+			tc := newTestCluster(t, 2, []string{"alpha"})
+			owner := tc.ownerIdx(t, "alpha")
+			target := 1 - owner
+			gate := gateActivate(t, tc, target)
+			handoff := startHandoff(tc, "alpha", owner, target)
+			gate.await(t)
+			src := tc.servers[owner].tenants["alpha"]
+			if st := src.state.Load(); st != tenantSending {
+				t.Fatalf("source is %s at the activate, want sending", tenantStateName(st))
+			}
+
+			held := submitAsync(tc.https[owner].URL, 0)
+			expired := <-submitAsync(tc.https[owner].URL, 50)
+			if expired.err != nil || expired.status != http.StatusServiceUnavailable {
+				t.Fatalf("a submission past its deadline mid-handoff = %d %v, want 503", expired.status, expired.err)
+			}
+			select {
+			case res := <-held:
+				t.Fatalf("the source answered %d (Location %q) while the activate was pending, want it held", res.status, res.location)
+			default:
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			if err := src.drainInflight(ctx); err != nil {
+				t.Fatalf("a held submission kept the drain waiting: %v", err)
+			}
+
+			gate.decide(commit)
+			status := <-handoff
+			res := <-held
+			if res.err != nil {
+				t.Fatal(res.err)
+			}
+			if !commit {
+				if status == http.StatusOK {
+					t.Fatal("handoff with a failed activation succeeded")
+				}
+				if res.status != http.StatusOK || res.qr.Node != tc.members[owner].ID {
+					t.Fatalf("held submission after the rollback = %d from %q, want 200 from the source", res.status, res.qr.Node)
+				}
+				return
+			}
+			if status != http.StatusOK {
+				t.Fatalf("handoff = %d", status)
+			}
+			if res.status != http.StatusTemporaryRedirect || res.location != tc.members[target].Addr+"/v1/queries" {
+				t.Fatalf("held submission after the commit = %d to %q, want 307 to the target", res.status, res.location)
+			}
+			res = <-submitAsync(tc.members[target].Addr, 0)
+			if res.err != nil || res.status != http.StatusOK || res.qr.Node != tc.members[target].ID {
+				t.Fatalf("the redirected submission = %d from %q (%v), want 200 from the target", res.status, res.qr.Node, res.err)
+			}
+		})
+	}
+}
+
+// TestClusterHandoffSettleAfterTargetMovedOn: the source loses the ack of
+// an activate the target committed and cannot read the target's table,
+// so the move is settled in the background. Meanwhile the target hands
+// the federation on to a third node. When the source finally reads the
+// target's table, the target is remote — but the table names the third
+// node, so the move committed: the source must stop serving, not roll
+// back into a second owner that no later table would ever demote.
+func TestClusterHandoffSettleAfterTargetMovedOn(t *testing.T) {
+	tc := newTestClusterCfg(t, 3, []string{"alpha"}, func(_ int, cfg *Config) {
+		cfg.Cluster.SyncInterval = 20 * time.Millisecond
+	})
+	src := tc.ownerIdx(t, "alpha")
+	mid, last := (src+1)%3, (src+2)%3
+
+	// While blind, every activate mid receives runs, but its caller gets
+	// a 502, and mid's /v1/cluster answers 502 too.
+	var blind atomic.Bool
+	blind.Store(true)
+	real := tc.servers[mid].Handler()
+	wrapped := http.Handler(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case !blind.Load():
+		case r.URL.Path == "/v1/admin/handoff/activate":
+			real.ServeHTTP(httptest.NewRecorder(), r)
+			http.Error(w, "injected: ack lost", http.StatusBadGateway)
+			return
+		case r.URL.Path == "/v1/cluster":
+			http.Error(w, "injected: unreachable", http.StatusBadGateway)
+			return
+		}
+		real.ServeHTTP(w, r)
+	}))
+	tc.late[mid].h.Store(&wrapped)
+
+	if status := <-startHandoff(tc, "alpha", src, mid); status == http.StatusOK {
+		t.Fatal("handoff whose activate was never acked succeeded")
+	}
+	if st := tc.servers[mid].tenants["alpha"].state.Load(); st != tenantActive {
+		t.Fatalf("mid is %s after its activate, want active", tenantStateName(st))
+	}
+	if st := tc.servers[src].tenants["alpha"].state.Load(); st != tenantSending {
+		t.Fatalf("source is %s with the outcome unknown, want sending", tenantStateName(st))
+	}
+	if status := <-startHandoff(tc, "alpha", mid, last); status != http.StatusOK {
+		t.Fatalf("mid's handoff on to the third node = %d", status)
+	}
+
+	blind.Store(false)
+	srcTenant := tc.servers[src].tenants["alpha"]
+	waitFor(t, 10*time.Second, func() bool { return srcTenant.state.Load() != tenantSending },
+		func() string { return "the source never settled the handoff" })
+	for i, srv := range tc.servers {
+		want := int32(tenantRemote)
+		if i == last {
+			want = tenantActive
+		}
+		if st := srv.tenants["alpha"].state.Load(); st != want {
+			t.Errorf("node %d is %s, want %s", i, tenantStateName(st), tenantStateName(want))
+		}
+	}
+	resp, body := postQueryNoRedirect(t, tc.https[src].URL, QueryRequest{Federation: "alpha", Query: "Q12", Weights: []float64{1, 1}})
+	if resp.StatusCode != http.StatusTemporaryRedirect || resp.Header.Get("Location") != tc.members[last].Addr+"/v1/queries" {
+		t.Fatalf("source answered %d (Location %q): %s, want a 307 to the third node", resp.StatusCode, resp.Header.Get("Location"), body)
+	}
+}
+
+// TestClusterHandoffLateActivateRefused: the source's first activate
+// reaches the target's handler only after the source has given up on it
+// — its POST timed out, the re-send failed opening the federation, the
+// next was refused, and the source, reading the target's table, rolled
+// back and serves again. The late activate must not open the federation
+// behind the source's back: the target refuses it, and the writes the
+// source acks after the rollback stay the federation's.
+func TestClusterHandoffLateActivateRefused(t *testing.T) {
+	tc := newTestClusterCfg(t, 2, []string{"alpha"}, func(_ int, cfg *Config) {
+		cfg.Cluster.PeerTimeout = 300 * time.Millisecond
+		cfg.Cluster.SyncInterval = 20 * time.Millisecond
+	})
+	owner := tc.ownerIdx(t, "alpha")
+	target := 1 - owner
+	sched := tc.servers[target].tenants["alpha"].sched.(*stubSched)
+
+	// The first activate waits until the target's table has been read;
+	// the second fails opening the federation; the rest go through.
+	read := make(chan struct{})
+	markRead := sync.OnceFunc(func() { close(read) })
+	t.Cleanup(markRead) // before the node's Close, which waits for the handler
+	late := make(chan int, 1)
+	var activates atomic.Int32
+	real := tc.servers[target].Handler()
+	h := http.Handler(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case r.URL.Path == "/v1/cluster":
+			real.ServeHTTP(w, r)
+			markRead()
+			return
+		case r.URL.Path != "/v1/admin/handoff/activate":
+		default:
+			switch activates.Add(1) {
+			case 1:
+				<-read
+				rec := httptest.NewRecorder()
+				real.ServeHTTP(rec, r)
+				late <- rec.Code
+				return
+			case 2:
+				sched.setFailOpen(errors.New("injected: activation failed"))
+				defer sched.setFailOpen(nil)
+			}
+		}
+		real.ServeHTTP(w, r)
+	}))
+	tc.late[target].h.Store(&h)
+
+	if status := <-startHandoff(tc, "alpha", owner, target); status == http.StatusOK {
+		t.Fatal("handoff whose activate timed out and then failed succeeded")
+	}
+	select {
+	case code := <-late:
+		if code != http.StatusConflict {
+			t.Fatalf("the late activate = %d, want 409", code)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the late activate never ran")
+	}
+	src := tc.servers[owner].tenants["alpha"]
+	waitFor(t, 10*time.Second, func() bool { return src.state.Load() == tenantActive },
+		func() string { return "the source never rolled back" })
+	res := <-submitAsync(tc.https[owner].URL, 0)
+	if res.err != nil || res.status != http.StatusOK || res.qr.Node != tc.members[owner].ID {
+		t.Fatalf("submission after the rollback = %d from %q (%v), want 200 from the source", res.status, res.qr.Node, res.err)
+	}
+	time.Sleep(200 * time.Millisecond) // ten exchange intervals for a stray activation to surface
+	if st := tc.servers[target].tenants["alpha"].state.Load(); st != tenantRemote {
+		t.Fatalf("target is %s after refusing the late activate, want remote", tenantStateName(st))
+	}
+	if st := src.state.Load(); st != tenantActive {
+		t.Fatalf("source is %s after acking a write, want active", tenantStateName(st))
+	}
+	for i := range tc.https {
+		if cr := getClusterTable(t, tc.https[i].URL); cr.Placements["alpha"].Owner != tc.members[owner].ID {
+			t.Fatalf("node %d places alpha on %q, want the source", i, cr.Placements["alpha"].Owner)
+		}
+	}
+}
+
+// TestClusterHandoffActivateFence: a handoff's activate at an epoch no
+// later than the target's fence is refused before anything opens: epoch
+// 0, which names no handoff; one minted before the target booted; one
+// re-sent after an activate at its epoch failed there. A newer one
+// activates, and re-sent, answers again with the committed epoch.
+func TestClusterHandoffActivateFence(t *testing.T) {
+	tc := newTestCluster(t, 2, []string{"alpha"})
+	target := 1 - tc.ownerIdx(t, "alpha")
+	tn := tc.servers[target].tenants["alpha"]
+	sched := tn.sched.(*stubSched)
+	activate := tc.https[target].URL + "/v1/admin/handoff/activate?federation=alpha&epoch="
+	sched.setFailOpen(errors.New("injected: activation failed"))
+	for _, c := range []struct {
+		epoch string
+		want  int
+	}{
+		{"0", http.StatusConflict},
+		{"1", http.StatusConflict},
+		{"2", http.StatusInternalServerError},
+		{"2", http.StatusConflict},
+	} {
+		if status, body := postStatus(t, activate+c.epoch); status != c.want {
+			t.Fatalf("activate at epoch %s = %d: %s, want %d", c.epoch, status, body, c.want)
+		}
+		if st := tn.state.Load(); st != tenantRemote {
+			t.Fatalf("target is %s after a refused activate, want remote", tenantStateName(st))
+		}
+	}
+	sched.setFailOpen(nil)
+	if status, body := postStatus(t, activate+"2"); status != http.StatusConflict {
+		t.Fatalf("activate re-sent after a failure at its epoch = %d: %s, want 409", status, body)
+	}
+	for range 2 {
+		if status, body := postStatus(t, activate+"3"); status != http.StatusOK || !strings.Contains(body, `"epoch":3`) {
+			t.Fatalf("activate at a newer epoch = %d: %s, want 200 at epoch 3", status, body)
+		}
+	}
+	if st := tn.state.Load(); st != tenantActive {
+		t.Fatalf("target is %s after the newer activate, want active", tenantStateName(st))
+	}
+}
+
+// TestClusterHeldSubmissionsRespectQueueDepth: the submissions a
+// handoff holds at its source leave the in-flight count while they wait
+// — the move's drain must not wait on them — but released by the
+// rollback they are admitted against QueueDepth like any others: with
+// sweeps stalled, QueueDepth of them run and the rest get 429.
+func TestClusterHeldSubmissionsRespectQueueDepth(t *testing.T) {
+	const depth, held = 2, 5
+	tc := newTestClusterCfg(t, 2, []string{"alpha"}, func(_ int, cfg *Config) { cfg.QueueDepth = depth })
+	owner := tc.ownerIdx(t, "alpha")
+	target := 1 - owner
+	stall := make(chan struct{})
+	sched := tc.servers[owner].tenants["alpha"].sched.(*stubSched)
+	sched.mu.Lock()
+	sched.block = stall
+	sched.mu.Unlock()
+	unstall := sync.OnceFunc(func() { close(stall) })
+	t.Cleanup(unstall)
+
+	gate := gateActivate(t, tc, target)
+	handoff := startHandoff(tc, "alpha", owner, target)
+	gate.await(t)
+	results := make(chan submitResult, held)
+	for range held {
+		go func() { results <- <-submitAsync(tc.https[owner].URL, 0) }()
+	}
+	time.Sleep(100 * time.Millisecond) // for every submission to reach the hold
+	gate.decide(false)
+	if status := <-handoff; status == http.StatusOK {
+		t.Fatal("handoff with a failed activation succeeded")
+	}
+	next := func() submitResult {
+		t.Helper()
+		select {
+		case res := <-results:
+			if res.err != nil {
+				t.Fatal(res.err)
+			}
+			return res
+		case <-time.After(10 * time.Second):
+			t.Fatal("a released submission never answered")
+		}
+		return submitResult{}
+	}
+	for range held - depth {
+		if res := next(); res.status != http.StatusTooManyRequests {
+			t.Fatalf("released submission = %d, want 429 past QueueDepth %d", res.status, depth)
+		}
+	}
+	unstall()
+	for range depth {
+		if res := next(); res.status != http.StatusOK || res.qr.Node != tc.members[owner].ID {
+			t.Fatalf("admitted submission = %d from %q, want 200 from the source", res.status, res.qr.Node)
+		}
+	}
+}
+
+// TestClusterConcurrentHandoffsToOneNode: two owners each hand a
+// federation to the same node at once, both minting their activate's
+// epoch from the same table. Both moves commit — an activate is fenced
+// only by the ones of its own federation — and every table converges on
+// the target owning both.
+func TestClusterConcurrentHandoffsToOneNode(t *testing.T) {
+	ring, err := cluster.NewRing([]cluster.Member{{ID: "n0"}, {ID: "n1"}, {ID: "n2"}}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feds := make(map[int]string) // owner index → a federation it owns
+	for i := 0; len(feds) < 2; i++ {
+		name := fmt.Sprintf("fed%d", i)
+		switch owner := ring.Owner(name).ID; owner {
+		case "n0", "n1":
+			if idx := int(owner[1] - '0'); feds[idx] == "" {
+				feds[idx] = name
+			}
+		}
+	}
+	tc := newTestCluster(t, 3, []string{feds[0], feds[1]})
+	gate := gateActivate(t, tc, 2)
+	first := startHandoff(tc, feds[0], 0, 2)
+	second := startHandoff(tc, feds[1], 1, 2)
+	gate.await(t)
+	gate.await(t)
+	gate.decide(true)
+	for i, status := range []int{<-first, <-second} {
+		if status != http.StatusOK {
+			t.Fatalf("handoff of %s = %d, want both to commit", feds[i], status)
+		}
+	}
+	for i := range 2 {
+		if st := tc.servers[2].tenants[feds[i]].state.Load(); st != tenantActive {
+			t.Fatalf("%s is %s on the target, want active", feds[i], tenantStateName(st))
+		}
+		if st := tc.servers[i].tenants[feds[i]].state.Load(); st != tenantRemote {
+			t.Fatalf("%s is %s on its source, want remote", feds[i], tenantStateName(st))
+		}
+	}
+	var tables []ClusterResponse
+	waitFor(t, 10*time.Second, func() bool {
+		tables = tables[:0]
+		for i := range tc.https {
+			tables = append(tables, getClusterTable(t, tc.https[i].URL))
+		}
+		for _, cr := range tables {
+			if cr.Epoch != tables[0].Epoch || cr.Placements[feds[0]].Owner != "n2" || cr.Placements[feds[1]].Owner != "n2" {
+				return false
+			}
+		}
+		return true
+	}, func() string { return fmt.Sprintf("tables never converged on n2 owning both: %+v", tables) })
 }
 
 // TestClusterStaleOwnerDemoted exercises the split-brain convergence
@@ -1107,8 +1577,8 @@ func TestDrainWaitsForControlPlane(t *testing.T) {
 	srcH := src.Handler()
 	late[0].h.Store(&srcH)
 
-	// The target never activates and, at first, never answers how its
-	// activation went; later its answer hangs until answer closes.
+	// The target never answers an activate: at first it fails at once,
+	// later it hangs until answer closes, then acks it.
 	var hang atomic.Bool
 	entered, answer := make(chan struct{}), make(chan struct{})
 	var enter sync.Once
@@ -1117,12 +1587,12 @@ func TestDrainWaitsForControlPlane(t *testing.T) {
 	real := dst.Handler()
 	dstH := http.Handler(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch {
-		case r.URL.Path == "/v1/admin/handoff/activate", r.URL.Path == "/v1/cluster" && !hang.Load():
+		case r.URL.Path == "/v1/admin/handoff/activate" && !hang.Load():
 			http.Error(w, "injected: target unreachable", http.StatusBadGateway)
-		case r.URL.Path == "/v1/cluster":
+		case r.URL.Path == "/v1/admin/handoff/activate":
 			enter.Do(func() { close(entered) })
 			<-answer
-			writeJSON(w, http.StatusOK, ClusterResponse{Placements: map[string]ClusterPlacement{moving: {State: "active"}}})
+			writeJSON(w, http.StatusOK, map[string]uint64{"epoch": 2})
 		default:
 			real.ServeHTTP(w, r)
 		}
@@ -1229,14 +1699,26 @@ func TestDrainWaitsForControlPlane(t *testing.T) {
 // tenant whose activation fails on a corrupt Q13 header after Q12 is
 // open.
 func TestClusterNewFailureReleasesFiles(t *testing.T) {
+	dir := t.TempDir()
+	// Only the descriptors open on the data directory count: other tests'
+	// sockets and files come and go in the same process.
+	root, err := filepath.EvalSymlinks(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
 	openFiles := func() int {
 		fds, err := os.ReadDir("/proc/self/fd")
 		if err != nil {
 			t.Skipf("no per-process fd table: %v", err)
 		}
-		return len(fds)
+		n := 0
+		for _, fd := range fds {
+			if path, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); err == nil && strings.HasPrefix(path, root+string(filepath.Separator)) {
+				n++
+			}
+		}
+		return n
 	}
-	dir := t.TempDir()
 	q13 := filepath.Join(dir, "alpha", "Q13")
 	if err := os.MkdirAll(q13, 0o755); err != nil {
 		t.Fatal(err)

@@ -151,64 +151,40 @@ func (s *Server) autoFailover(dead cluster.Member) {
 				"hint", "operator can still POST /v1/admin/takeover")
 			continue
 		}
-		// promote logs a failure, unless someone else got here first.
-		if epoch, err := s.promote(s.tenants[name], &dead); err == nil {
-			s.log.Warn("auto-promoted federation after owner death",
-				"federation", name, "owner", dead.ID, "epoch", epoch)
-		}
+		s.promote(s.tenants[name], dead)
 	}
 }
 
-// errNotRemote: an operator takeover or inbound handoff got here first.
-var errNotRemote = errors.New("tenant is not remote on this node")
-
-// promote is the one activation path from locally replicated state —
-// the manual POST /v1/admin/takeover (dead nil: no fence) and the
-// detector's auto-promotion (dead set) both end here. The receiving
-// state holds requests that arrive mid-promotion. It returns the
-// committed epoch.
-//
-// With dead set the promotion is fenced on the routing epoch observed
-// before activation: if the table moved while shipped state was being
-// opened — another node promoted first and its exchange arrived, or the
-// owner turned out alive and moved the tenant — the activation fails
-// and releases what it opened, rather than committing a second owner on
-// top of a table it no longer understands. Two nodes fencing on the
-// SAME observed epoch can still both commit (neither sees the other's
-// move until an exchange); they mint equal epochs, and the commutative
-// equal-epoch merge in adoptTable settles on one owner while demote
-// stands the loser down — the documented settle path, reached only
-// through a window the fence already made narrow.
-func (s *Server) promote(t *tenant, dead *cluster.Member) (uint64, error) {
+// promote is the detector's auto-promotion of t after its owner, dead,
+// died: the activation an operator takeover runs, fenced on the routing
+// epoch observed before it. If the table moved while shipped state was
+// being opened — another node promoted first and its exchange arrived,
+// or the owner turned out alive and moved the tenant — the activation
+// fails and releases what it opened, rather than committing a second
+// owner on top of a table it no longer understands. Two nodes fencing
+// on the SAME observed epoch can still both commit (neither sees the
+// other's move until an exchange); they mint equal epochs, and the
+// commutative equal-epoch merge in adoptTable settles on one owner
+// while demote stands the loser down — the documented settle path,
+// reached only through a window the fence already made narrow.
+func (s *Server) promote(t *tenant, dead cluster.Member) {
 	cs := s.cluster
-	fence := cs.table.Load().Epoch()
-	if !t.beginReceiving() {
-		return 0, errNotRemote
-	}
-	t.activateMu.Lock()
-	defer t.activateMu.Unlock()
-	var tab *cluster.Table
-	err := activateTenant(t, func() error {
-		// Opening shipped state takes real time, and the table may have
-		// moved underneath it.
-		tab = cs.table.Load()
-		if dead != nil && (tab.Epoch() != fence || tab.Owner(t.name).ID != dead.ID) {
+	observed := cs.table.Load().Epoch()
+	epoch, err := s.activate(t, 0, func() error {
+		if tab := cs.table.Load(); tab.Epoch() != observed || tab.Owner(t.name).ID != dead.ID {
 			return fmt.Errorf("routing table moved during activation (fence %d, epoch %d, owner %s)",
-				fence, tab.Epoch(), tab.Owner(t.name).ID)
+				observed, tab.Epoch(), tab.Owner(t.name).ID)
 		}
 		return nil
-	})
-	if err != nil {
-		t.finishReceiving(tenantRemote)
-		if dead != nil {
-			s.log.Warn("auto-promotion failed", "federation", t.name, "error", err.Error())
-		}
-		return 0, err
-	}
-	if dead != nil {
+	}, cs.takeovers)
+	switch {
+	case err == nil:
 		cs.autoTakeovers.Inc()
+		s.log.Warn("auto-promoted federation after owner death",
+			"federation", t.name, "owner", dead.ID, "epoch", epoch)
+	case !errors.Is(err, errConflict): // not when someone else got here first
+		s.log.Warn("auto-promotion failed", "federation", t.name, "error", err.Error())
 	}
-	return s.becomeOwner(t, tab.Epoch()+1, cs.takeovers), nil
 }
 
 // kickRebalance wakes the rebalance loop; a kick while one is queued

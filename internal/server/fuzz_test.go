@@ -89,8 +89,8 @@ func encodeKind(kind byte, query string, from uint64, frames []byte) []byte {
 // FuzzReplicateStream: whatever bytes follow the handshake, a standby's
 // batch loop does not panic, allocates nothing on the word of an oversized
 // length, acks each whole batch with the verdict its kind earns — an
-// append or a sync AppendReplicaFrames', a handoff nobody prepared and a
-// kind nobody defined a refusal — and stops at the first
+// append or a sync AppendReplicaFrames', a kind nobody defined a refusal
+// — and stops at the first
 // refusal, so its replica is file for file, byte for byte, the one a
 // reference store builds from the accepted batches alone.
 func FuzzReplicateStream(f *testing.F) {
@@ -114,10 +114,10 @@ func FuzzReplicateStream(f *testing.F) {
 		encodeBatch("Q12", 0, []byte("00\r\x000000")), // a frame that claims 864 KB
 		// A sync rebases onto whatever came before it, and appends run on.
 		append(append(append([]byte(nil), whole...), encodeKind(replSync, "Q12", 2, frames[2*fs:5*fs])...), encodeBatch("Q12", 5, frames[5*fs:])...),
-		append(encodeKind(replSync, "Q12", 3, frames[2*fs:5*fs]), whole...),                 // a sync whose frames start before its from
-		append(encodeKind(replSync, "Q12", 1<<63, nil), whole...),                           // an empty sync, far away: the append after it is a gap
-		append(append([]byte(nil), whole...), encodeKind(replHandoff, "Q12", 0, frames)...), // nobody prepared a handoff
-		append(append([]byte(nil), whole...), encodeKind(7, "Q12", 4, frames[4*fs:])...),    // no such kind
+		append(encodeKind(replSync, "Q12", 3, frames[2*fs:5*fs]), whole...),              // a sync whose frames start before its from
+		append(encodeKind(replSync, "Q12", 1<<63, nil), whole...),                        // an empty sync, far away: the append after it is a gap
+		append(append([]byte(nil), whole...), encodeKind(2, "Q12", 0, frames)...),        // a handoff batch's old kind
+		append(append([]byte(nil), whole...), encodeKind(7, "Q12", 4, frames[4*fs:])...), // no such kind
 	} {
 		f.Add(seed)
 	}
@@ -162,11 +162,7 @@ func FuzzReplicateStream(f *testing.F) {
 			}
 			// The reference tenant is remote, like the one under test.
 			if kind > replSync {
-				status := http.StatusBadRequest
-				if kind == replHandoff {
-					status = http.StatusConflict
-				}
-				want = append(want, verdict{status, 0})
+				want = append(want, verdict{http.StatusBadRequest, 0})
 				break
 			}
 			next, err := ref.store.AppendReplicaFrames("Q12", from, batch, kind == replSync)

@@ -15,7 +15,7 @@ package server
 // then, in lock step, any number of
 //
 //	batch   size uint32 LE  byte count of everything after this word
-//	        kind uint8      replAppend, replSync or replHandoff
+//	        kind uint8      replAppend or replSync
 //	        from uint64 LE  WAL sequence of the first frame
 //	        qlen uint8      length of the query name
 //	        query           qlen bytes ("Q12")
@@ -27,10 +27,11 @@ package server
 //	        text              mlen bytes
 //
 // The kind says what the receiver must be and do. An append extends the
-// replica (the tenant must not be active here). A sync or a handoff batch
-// opens a shard transfer (the tenant must be remote, or receiving): the
-// replica is rebased — emptied and restarted at from — before the frames
-// are appended, and a shard longer than one batch continues as appends.
+// replica (the tenant must not be active here). A sync opens a shard
+// transfer — a standby's arming or a handoff's, alike — and needs the
+// tenant remote: the replica is rebased — emptied and restarted at from —
+// before the frames are appended, and a shard longer than one batch
+// continues as appends.
 //
 // Either end closes the connection after any ack but 200; the owner's
 // replicator then degrades the shard and the standby sync loop re-arms it
@@ -63,9 +64,8 @@ const (
 	replStreamPath  = "/v1/admin/replicate/stream"
 
 	// Batch kinds.
-	replAppend  = 0
-	replSync    = 1
-	replHandoff = 2
+	replAppend = 0
+	replSync   = 1
 
 	replBatchFixed  = 1 + 8 + 1          // kind, from, qlen: what size counts before the query
 	replBatchHeader = 4 + replBatchFixed // with the size word
@@ -123,16 +123,15 @@ func (st *replStream) ship(shard string, from uint64, frames []byte, count int) 
 }
 
 // shipShard moves one open shard of store to peer whole: the cut (arm is
-// histstore.ExportShard's) goes out as a batch of the given kind, which
-// rebases the receiver's replica, and whatever of it does not fit one
-// batch follows as appends cut on frame boundaries — each under its own
-// PeerTimeout.
-func (st *replStream) shipShard(peer cluster.Member, store *histstore.Store, shard string, kind byte, arm func(next uint64)) error {
+// histstore.ExportShard's) goes out as a sync batch, which rebases the
+// receiver's replica, and whatever of it does not fit one batch follows
+// as appends cut on frame boundaries — each under its own PeerTimeout.
+func (st *replStream) shipShard(peer cluster.Member, store *histstore.Store, shard string, arm func(next uint64)) error {
 	from, frames, err := store.ExportShard(shard, arm)
 	if err != nil {
 		return err
 	}
-	for {
+	for kind := byte(replSync); ; {
 		n, count := framelog.Prefix(frames, cluster.MaxBufferedBytes)
 		if n == 0 && len(frames) > 0 {
 			return fmt.Errorf("shard %s/%s does not end on a frame boundary", st.fed, shard)
@@ -415,7 +414,7 @@ func (t *tenant) serveReplicaStream(conn net.Conn) {
 // appendReplica applies one batch to this node's replica of the named
 // shard. The status is what the ack carries: 409 tells the sender its
 // batch does not fit what this node is or holds (the federation is served
-// here, no handoff is expected, frames are missing) and, for an owner,
+// or being activated here, frames are missing) and, for an owner,
 // that a full sync must re-arm the stream.
 func (t *tenant) appendReplica(kind byte, query []byte, from uint64, frames []byte) (int, uint64, error) {
 	q, ok := t.servedQuery(query)
@@ -430,8 +429,6 @@ func (t *tenant) appendReplica(kind byte, query []byte, from uint64, frames []by
 		fits = st != tenantActive
 	case replSync:
 		fits, rebase = st == tenantRemote, true
-	case replHandoff:
-		fits, rebase = st == tenantReceiving, true
 	default:
 		return http.StatusBadRequest, 0, fmt.Errorf("unknown batch kind %d", kind)
 	}

@@ -586,9 +586,10 @@ func shardFiles(t *testing.T, dir string) map[string][]byte {
 // TestStreamKindsAndTenantStates: the kind of a batch says what the
 // receiver must be for the federation — what the import endpoint's mode
 // parameter used to — and what happens to the replica. A batch of frames
-// 2..5 meets a replica holding 0..2: an append extends it, a sync or a
-// handoff replaces it, a refusal (409: wrong state, 400: no such kind)
-// leaves it alone and ends the stream.
+// 2..5 meets a replica holding 0..2: an append extends it, a sync (a
+// standby's or a handoff's) replaces it, a refusal (409: wrong state,
+// 400: no such kind — 2, a handoff batch's before handoffs shipped as
+// syncs, included) leaves it alone and ends the stream.
 func TestStreamKindsAndTenantStates(t *testing.T) {
 	frames, fs := walFrames(t, 6)
 	extended := map[string][]byte{"wal.log": frames}
@@ -608,11 +609,7 @@ func TestStreamKindsAndTenantStates(t *testing.T) {
 		{replSync, tenantReceiving, http.StatusConflict, untouched},
 		{replSync, tenantSending, http.StatusConflict, untouched},
 		{replSync, tenantActive, http.StatusConflict, untouched},
-		{replHandoff, tenantReceiving, http.StatusOK, rebased},
-		{replHandoff, tenantRemote, http.StatusConflict, untouched},
-		{replHandoff, tenantSending, http.StatusConflict, untouched},
-		{replHandoff, tenantActive, http.StatusConflict, untouched},
-		{replHandoff + 1, tenantRemote, http.StatusBadRequest, untouched},
+		{replSync + 1, tenantRemote, http.StatusBadRequest, untouched},
 	} {
 		name := fmt.Sprintf("kind %d while %s", c.kind, tenantStateName(c.state))
 		dir := t.TempDir()
@@ -704,7 +701,7 @@ func TestShipShardLongerThanOneBatch(t *testing.T) {
 	tn := standbyTenant(t, dir)
 	st, done := pipeStream(tn, batches-1)
 	armed := uint64(0)
-	err = st.shipShard(pipePeer, src, "Q12", replSync, func(next uint64) { armed = next })
+	err = st.shipShard(pipePeer, src, "Q12", func(next uint64) { armed = next })
 	if err == nil || armed != n {
 		t.Fatalf("ship into a dying standby = %v (armed at %d), want an error after the cut at %d", err, armed, n)
 	}
@@ -721,7 +718,7 @@ func TestShipShardLongerThanOneBatch(t *testing.T) {
 	// The next round, into the restarted standby: a rebase again.
 	tn = standbyTenant(t, dir)
 	st, done = pipeStream(tn, -1)
-	if err := st.shipShard(pipePeer, src, "Q12", replSync, nil); err != nil {
+	if err := st.shipShard(pipePeer, src, "Q12", nil); err != nil {
 		t.Fatal(err)
 	}
 	st.drop()

@@ -44,8 +44,9 @@
 //	                          shipping, standby syncs, handoffs —
 //	                          upgraded to a stream (server-to-server,
 //	                          see replstream.go)
-//	POST /v1/admin/handoff/{prepare,activate,abort}
-//	                          handoff control steps (server-to-server)
+//	POST /v1/admin/handoff/activate
+//	                          serve a federation whose shards a handoff
+//	                          shipped here (server-to-server)
 package server
 
 import (
@@ -118,9 +119,10 @@ type Config struct {
 	// saturating its queue cannot head-of-line-block the others.
 	QueueDepth int
 	// RequestTimeout caps one submission end to end — the plan sweep it
-	// leads included — unless the request carries its own shorter
-	// timeout_ms (default 30s; negative disables the per-request
-	// deadline entirely). Expiry → 504.
+	// leads and any wait for an ownership move included — unless the
+	// request carries its own shorter timeout_ms (default 30s; negative
+	// disables the per-request deadline entirely). Expiry → 504, or 503
+	// while the move still holds the request.
 	RequestTimeout time.Duration
 	// Store makes tenant histories durable; the zero value keeps them
 	// in memory.
@@ -146,7 +148,7 @@ type Config struct {
 
 func (c *Config) setDefaults() {
 	// A negative RequestTimeout is meaningful: no per-request deadline,
-	// which also keeps context.WithTimeout's allocations off the hot
+	// which also keeps context.WithDeadline's allocations off the hot
 	// path for embedders that bound requests elsewhere.
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 1024
@@ -256,7 +258,7 @@ func New(cfg Config) (*Server, error) {
 				closeBuilt()
 				return nil, fmt.Errorf("server: federation %q: %w", t.name, err)
 			}
-			t.finishReceiving(tenantActive)
+			t.finish(tenantActive)
 		}
 	}
 	return newServer(cfg, tenants, cs), nil
@@ -300,6 +302,9 @@ func newServer(cfg Config, tenants map[string]*tenant, cs *clusterState) *Server
 	s.registerMetrics()
 	if cs != nil {
 		cs.srv = s
+		for _, t := range tenants {
+			t.fenced = cs.table.Load().Epoch()
+		}
 		if cs.cfg.AutoFailover && len(cs.cfg.Peers) > 1 {
 			// The detector must exist before registerClusterMetrics so
 			// the peer-health gauges can read it.
@@ -378,7 +383,7 @@ func (s *Server) registerMetrics() {
 	for _, t := range s.tenants {
 		t := t
 		reg.GaugeFunc("midas_admission_queue_depth",
-			"Submissions to this federation currently in flight (held and redirected ones included).",
+			"Submissions to this federation currently in flight (redirected ones included, ones an ownership move holds not).",
 			func() float64 { return float64(t.inflight.Load()) },
 			"federation", t.name)
 		reg.GaugeFunc("midas_admission_queue_capacity",
@@ -459,9 +464,7 @@ func (s *Server) Handler() http.Handler {
 		mux.HandleFunc("GET /v1/cluster", s.handleCluster)
 		mux.HandleFunc("GET /v1/cluster/health", s.handleClusterHealth)
 		mux.HandleFunc("POST /v1/admin/handoff", s.handleHandoff)
-		mux.HandleFunc("POST /v1/admin/handoff/prepare", s.handleHandoffPrepare)
 		mux.HandleFunc("POST /v1/admin/handoff/activate", s.handleHandoffActivate)
-		mux.HandleFunc("POST /v1/admin/handoff/abort", s.handleHandoffAbort)
 		mux.HandleFunc("POST /v1/admin/route", s.handleRoute)
 		mux.HandleFunc("POST "+replStreamPath, s.handleReplicateStream)
 		mux.HandleFunc("POST /v1/admin/takeover", s.handleTakeover)
@@ -802,8 +805,26 @@ func (s *Server) serveSubmit(ctx context.Context, sc *serveScratch, body []byte,
 	if !slices.Contains(t.queries, q) {
 		return writeErrorBuf(resp, http.StatusBadRequest, "federation %q does not serve %v", t.name, q)
 	}
+	// The deadline counts from here, so a request an ownership move holds
+	// spends its own budget waiting.
+	timeout := s.cfg.RequestTimeout
+	if ms := sc.req.TimeoutMS; ms > 0 {
+		// Compared in milliseconds, so no value can wrap on conversion:
+		// a request only ever shortens the server's deadline.
+		most := int64(math.MaxInt64 / time.Millisecond)
+		if timeout > 0 {
+			most = int64((timeout - 1) / time.Millisecond) // the longest shorter one
+		}
+		if ms <= most {
+			timeout = time.Duration(ms) * time.Millisecond
+		}
+	}
+	var deadline time.Time
+	if timeout > 0 {
+		deadline = time.Now().Add(timeout)
+	}
 	if s.cluster != nil {
-		if status := s.routeTenant(ctx, t, sc, "/v1/queries", resp); status != 0 {
+		if status := s.routeTenant(ctx, t, &inflight, deadline, sc, "/v1/queries", resp); status != 0 {
 			return status
 		}
 	}
@@ -828,21 +849,9 @@ func (s *Server) serveSubmit(ctx context.Context, sc *serveScratch, body []byte,
 		return writeErrorBuf(resp, http.StatusTooManyRequests, "admission queue full (depth %d)", s.cfg.QueueDepth)
 	}
 
-	timeout := s.cfg.RequestTimeout
-	if ms := sc.req.TimeoutMS; ms > 0 {
-		// Compared in milliseconds, so no value can wrap on conversion:
-		// a request only ever shortens the server's deadline.
-		most := int64(math.MaxInt64 / time.Millisecond)
-		if timeout > 0 {
-			most = int64((timeout - 1) / time.Millisecond) // the longest shorter one
-		}
-		if ms <= most {
-			timeout = time.Duration(ms) * time.Millisecond
-		}
-	}
 	if timeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
+		ctx, cancel = context.WithDeadline(ctx, deadline)
 		defer cancel()
 	}
 
@@ -981,7 +990,7 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 		// read would end its replication.
 		sc := servePool.Get().(*serveScratch)
 		sc.buf.Reset()
-		status := s.routeTenant(r.Context(), t, sc, r.URL.RequestURI(), &sc.buf)
+		status := s.routeTenant(r.Context(), t, nil, time.Time{}, sc, r.URL.RequestURI(), &sc.buf)
 		if status != 0 {
 			writeBuffered(w, status, sc.location, sc.buf.Bytes())
 		}

@@ -31,7 +31,24 @@ type stubSched struct {
 	// started is closed when the first sweep begins.
 	started   chan struct{}
 	failSweep error
-	hist      *core.History
+	// failOpen, while set, fails every OpenHistory: an activation fails
+	// the way it does on a corrupt shard.
+	failOpen error
+	hist     *core.History
+}
+
+// OpenHistory opens nothing; it fails while failOpen is set.
+func (s *stubSched) OpenHistory(tpch.QueryID) (*core.History, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return nil, s.failOpen
+}
+
+// setFailOpen sets failOpen (nil: activations succeed again).
+func (s *stubSched) setFailOpen(err error) {
+	s.mu.Lock()
+	s.failOpen = err
+	s.mu.Unlock()
 }
 
 func (s *stubSched) PlanSweep(ctx context.Context, q tpch.QueryID) (*ires.Sweep, error) {
