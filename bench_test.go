@@ -80,8 +80,8 @@ func BenchmarkTable4MRE1GiB(b *testing.B) {
 	benchMRE(b, 1, "t4", "Table 4: Comparison of mean relative error with 1GiB TPC-H dataset.")
 }
 
-// BenchmarkFig3MOQPApproaches contrasts GA-based MOQP with repeated
-// Weighted Sum Model optimization (paper Figure 3).
+// BenchmarkFig3MOQPApproaches contrasts GA-based MOQP and the exact
+// sweep with repeated Weighted Sum Model optimization (paper Figure 3).
 func BenchmarkFig3MOQPApproaches(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_, t, err := experiments.RunFig3(experiments.Fig3Options{PolicyChanges: 5, Seed: int64(i)})
@@ -148,7 +148,7 @@ func BenchmarkAblationComposite(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationOptimizer: NSGA-II vs exhaustive Pareto enumeration.
+// BenchmarkAblationOptimizer: NSGA-II vs the exhaustive PlanSweep.
 func BenchmarkAblationOptimizer(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		t, err := experiments.AblationOptimizer(experiments.AblationOptions{Reps: 1, Seed: int64(i)})
@@ -397,9 +397,9 @@ func BenchmarkWindowSearchServed(b *testing.B) {
 // version.
 
 // benchPlanSweep builds a scheduler with the given model-cache size,
-// bootstraps a history, and measures full plan-space sweeps via
-// OptimizeWSM (estimate every QEP + weighted-sum selection; no
-// execution, so the history — and the model fit — stay fixed).
+// bootstraps a history, and measures the served sweep: PlanSweep
+// (estimate every QEP, reduce to the Pareto set) then ReleaseSweep. No
+// execution, so the history — and the model fit — stay fixed.
 func benchPlanSweep(b *testing.B, q tpch.QueryID, cacheSize int) {
 	b.Helper()
 	fed, err := federation.DefaultTopology(1)
@@ -431,12 +431,14 @@ func benchPlanSweep(b *testing.B, q tpch.QueryID, cacheSize int) {
 	if err := sched.Bootstrap(q, 30); err != nil {
 		b.Fatal(err)
 	}
-	pol := ires.Policy{Weights: []float64{1, 1}}
+	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sched.OptimizeWSM(q, pol); err != nil {
+		sw, err := sched.PlanSweep(ctx, q)
+		if err != nil {
 			b.Fatal(err)
 		}
+		sched.ReleaseSweep(sw)
 	}
 }
 
@@ -461,7 +463,7 @@ func BenchmarkQ13SweepCached(b *testing.B)   { benchPlanSweep(b, tpch.QueryQ13, 
 // lattice of 2·maxNodes² QEPs. The model cache is warmed outside the
 // timer, so the measurement isolates the per-plan estimation work and
 // the Pareto reduction. Distinct from benchPlanSweep above, which
-// drives OptimizeWSM on the default two-site topology.
+// releases each sweep and runs on the default two-site topology.
 func benchWidePlanSweep(b *testing.B, maxNodes int) {
 	b.Helper()
 	sched := wideScheduler(b, 1, maxNodes, 0.05)

@@ -12,7 +12,8 @@
 //	table2      print Table 2 (R² vs window size, exact-match check)
 //	table3      print Table 3 (MRE at 100 MiB)
 //	table4      print Table 4 (MRE at 1 GiB)
-//	fig3        print the Figure 3 comparison (GA vs WSM MOQP)
+//	fig3        print the Figure 3 comparison (NSGA-II, the exact sweep
+//	            and the weighted sum, at 30 and 18,432 plans)
 //	example31   print the Example 3.1 estimation-throughput study
 //	ablations   print the five design-choice ablations: window growth,
 //	            R² threshold, recency, composite and optimizer

@@ -1,21 +1,20 @@
 // Multi-Objective Query Processing, two ways (the paper's Figure 3).
 //
-// Given the same estimated plan space, this example contrasts:
+// It first shows the paper's optimizer, NSGA-II, on a textbook problem
+// (Schaffer's two-objective function), so the machinery can be seen
+// working without the federation around it.
 //
-//  1. the GA path — NSGA-II searches the plan space once, producing a
-//     Pareto plan set; each user policy then just selects inside it
-//     (Algorithm 2);
-//  2. the Weighted Sum Model path — every policy change re-scalarizes
-//     and re-optimizes the whole space.
-//
-// It also shows the raw optimizer on a textbook problem (Schaffer's
-// two-objective function) so the NSGA-II machinery can be seen working
-// without the federation around it.
+// It then shows the path the scheduler runs on the federated plan
+// space: one exact sweep scores every plan once and keeps its Pareto
+// set, and each user policy just selects inside it (Algorithm 2) —
+// beside the Weighted Sum Model, which scalarizes the whole space again
+// for every policy.
 //
 // Run with: go run ./examples/moqp_pareto
 package main
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -59,7 +58,7 @@ func run(w io.Writer) error {
 	}
 	fmt.Fprintln(w)
 
-	// Part 2: the same machinery on the federated plan space.
+	// Part 2: the federated plan space, as the scheduler optimizes it.
 	const seed = 23
 	fed, err := federation.DefaultTopology(seed)
 	if err != nil {
@@ -77,14 +76,15 @@ func run(w io.Writer) error {
 		return err
 	}
 
-	ga, err := sched.OptimizeGA(tpch.QueryQ14, moo.NSGAIIConfig{PopSize: 40, Generations: 20, Seed: seed})
+	sw, err := sched.PlanSweep(context.Background(), tpch.QueryQ14)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "GA path: Pareto plan set of %d plans, built with %d model evaluations (paid once)\n",
-		len(ga.Plans), ga.ModelEvaluations)
-	for i, p := range ga.Plans {
-		fmt.Fprintf(w, "  %-34v est time %7.2f s   est money $%.5f\n", p, ga.Costs[i][0], ga.Costs[i][1])
+	defer sched.ReleaseSweep(sw)
+	fmt.Fprintf(w, "exact sweep: %d plans scored once, Pareto plan set of %d plans\n", len(sw.Plans), len(sw.FrontIdx))
+	for j, i := range sw.FrontIdx {
+		c := sw.FrontCosts.Row(j)
+		fmt.Fprintf(w, "  %-34v est time %7.2f s   est money $%.5f\n", sw.Plans[i], c[0], c[1])
 	}
 	fmt.Fprintln(w)
 
@@ -96,22 +96,21 @@ func run(w io.Writer) error {
 		{"balanced", ires.Policy{Weights: []float64{0.5, 0.5}}},
 		{"cheap (90% money)", ires.Policy{Weights: []float64{0.1, 0.9}}},
 	}
-	fmt.Fprintln(w, "policy changes: GA selects within the precomputed set; WSM re-optimizes")
-	totalWSM := 0
+	fmt.Fprintln(w, "policy changes: BestInPareto selects within the Pareto set; WSM scores every plan again")
+	normalized := moo.NormalizeCosts(nil, sw.Costs)
 	for _, pc := range policies {
-		gaPlan, err := ga.Select(pc.pol)
+		best, err := sw.Select(pc.pol)
 		if err != nil {
 			return err
 		}
-		wsm, err := sched.OptimizeWSM(tpch.QueryQ14, pc.pol)
+		wsm, err := moo.ArgminWeightedSum(normalized, pc.pol.Weights)
 		if err != nil {
 			return err
 		}
-		totalWSM += wsm.ModelEvaluations
-		fmt.Fprintf(w, "  %-18s GA→ %-32v WSM→ %-32v (+%d evals)\n",
-			pc.name, gaPlan, wsm.Plan, wsm.ModelEvaluations)
+		fmt.Fprintf(w, "  %-18s Pareto→ %-32v WSM→ %-32v (+%d evals)\n",
+			pc.name, sw.Plans[best], sw.Plans[wsm], len(sw.Plans))
 	}
-	fmt.Fprintf(w, "\ntotals: GA %d evaluations once; WSM %d evaluations across %d policies\n",
-		ga.ModelEvaluations, totalWSM, len(policies))
+	fmt.Fprintf(w, "\ntotals: the sweep pays %d evaluations once; WSM pays %d across %d policies\n",
+		len(sw.Plans), len(policies)*len(sw.Plans), len(policies))
 	return nil
 }

@@ -2,12 +2,15 @@ package experiments
 
 import (
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/federation"
 	"repro/internal/ires"
+	"repro/internal/moo"
 	"repro/internal/tpch"
 )
 
@@ -84,6 +87,10 @@ func TestRunMRESmall(t *testing.T) {
 	}
 }
 
+// TestRunFig3 checks the three Figure 3 approaches at both lattice
+// sizes: the exact sweep pays the plan space once, the weighted sum
+// pays it for every policy, and the GA pays at most the plan space once
+// for a front that lies on or behind the exact one.
 func TestRunFig3(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Fig3 run is slow for -short")
@@ -92,15 +99,40 @@ func TestRunFig3(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.GAEvaluations <= 0 || res.WSMEvaluations <= 0 {
-		t.Fatalf("evaluation counts: %+v", res)
+	if len(res.Lattices) != 2 || res.Lattices[1].PlanSpace != 18432 {
+		t.Fatalf("lattices: %+v", res.Lattices)
 	}
-	// The WSM path must pay per policy; the GA path pays once.
-	if res.WSMEvaluations < res.Policies {
-		t.Errorf("WSM evaluations %d < policies %d", res.WSMEvaluations, res.Policies)
+	for _, l := range res.Lattices {
+		ga, exact, wsm := l.Evaluations[0], l.Evaluations[1], l.Evaluations[2]
+		if exact != l.PlanSpace || wsm != res.Policies*l.PlanSpace {
+			t.Errorf("%d plans: exact evaluations %d, WSM %d; want the plan space once and %d times",
+				l.PlanSpace, exact, wsm, res.Policies)
+		}
+		if ga <= 0 || ga > l.PlanSpace {
+			t.Errorf("%d plans: GA evaluations %d", l.PlanSpace, ga)
+		}
+		if coverage := float64(l.Covered) / float64(len(l.Exact.FrontIdx)); coverage < 0 || coverage > 1 {
+			t.Errorf("%d plans: coverage %v", l.PlanSpace, coverage)
+		}
+		onExact := make(map[federation.Plan]bool)
+		for _, i := range l.Exact.FrontIdx {
+			onExact[l.Exact.Plans[i]] = true
+		}
+		for i, p := range l.GA.Plans {
+			if onExact[p] {
+				continue
+			}
+			c := l.GA.Costs.Row(i)
+			if !slices.ContainsFunc(l.Exact.FrontIdx, func(j int) bool {
+				d, _ := moo.ParetoDominates(l.Exact.Costs.Row(j), c)
+				return d
+			}) {
+				t.Errorf("%d plans: GA plan %v %v is neither on the exact front nor dominated by it", l.PlanSpace, p, c)
+			}
+		}
 	}
-	if len(tbl.Rows) != 2 {
-		t.Errorf("Fig3 table rows = %d, want 2", len(tbl.Rows))
+	if len(tbl.Rows) != 6 {
+		t.Errorf("Fig3 table rows = %d, want 6", len(tbl.Rows))
 	}
 }
 

@@ -118,66 +118,6 @@ func TestCachedSubmitMatchesUncached(t *testing.T) {
 	}
 }
 
-// TestCachedOptimizeWSMMatchesUncached covers the weighted-sum path of
-// Figure 3 under the same contract.
-func TestCachedOptimizeWSMMatchesUncached(t *testing.T) {
-	choices := []int{1, 2, 3, 4, 6, 8, 12, 16}
-	uncached := buildStackOn(t, 7, stackModel(t, -1), SchedulerConfig{NodeChoices: choices, Seed: 7})
-	cached := buildStack(t, 7, SchedulerConfig{NodeChoices: choices, Seed: 7})
-	if err := uncached.Bootstrap(tpch.QueryQ13, 25); err != nil {
-		t.Fatal(err)
-	}
-	if err := cached.Bootstrap(tpch.QueryQ13, 25); err != nil {
-		t.Fatal(err)
-	}
-	pol := Policy{Weights: []float64{2, 1}}
-	a, err := uncached.OptimizeWSM(tpch.QueryQ13, pol)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := cached.OptimizeWSM(tpch.QueryQ13, pol)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Plan != b.Plan {
-		t.Fatalf("WSM plans diverge: uncached %+v, cached %+v", a.Plan, b.Plan)
-	}
-	if a.ModelEvaluations != b.ModelEvaluations {
-		t.Fatalf("evaluation counts diverge: %d vs %d", a.ModelEvaluations, b.ModelEvaluations)
-	}
-}
-
-// TestCachedOptimizeGAMatchesUncached: NSGA-II over the plan problem
-// returns the same Pareto set whether each distinct plan's estimate
-// comes from the cached fit or a fresh window search.
-func TestCachedOptimizeGAMatchesUncached(t *testing.T) {
-	choices := []int{1, 2, 4, 8, 16}
-	uncached := buildStackOn(t, 11, stackModel(t, -1), SchedulerConfig{NodeChoices: choices, Seed: 11})
-	cached := buildStack(t, 11, SchedulerConfig{NodeChoices: choices, Seed: 11})
-	if err := uncached.Bootstrap(tpch.QueryQ12, 25); err != nil {
-		t.Fatal(err)
-	}
-	if err := cached.Bootstrap(tpch.QueryQ12, 25); err != nil {
-		t.Fatal(err)
-	}
-	cfg := moo.NSGAIIConfig{PopSize: 24, Generations: 10, Seed: 3}
-	a, err := uncached.OptimizeGA(tpch.QueryQ12, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := cached.OptimizeGA(tpch.QueryQ12, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, want := fmt.Sprintf("%+v %+v", b.Plans, b.Costs), fmt.Sprintf("%+v %+v", a.Plans, a.Costs)
-	if got != want {
-		t.Fatalf("GA results diverge:\nuncached: %s\ncached:   %s", want, got)
-	}
-	if a.ModelEvaluations != b.ModelEvaluations {
-		t.Fatalf("distinct-plan evaluation counts diverge: %d vs %d", a.ModelEvaluations, b.ModelEvaluations)
-	}
-}
-
 // TestSubmitContextCancelled: a cancelled context aborts the estimation
 // loop instead of running the full plan sweep — before the first chunk
 // when it is cancelled already, at the next chunk boundary when it is
@@ -294,9 +234,6 @@ func TestEstimateLoopStopsAtFirstFailure(t *testing.T) {
 	if model.calls != failAt+1 {
 		t.Fatalf("model saw %d calls, want the loop to stop after %d", model.calls, failAt+1)
 	}
-	if _, err := s.OptimizeWSM(tpch.QueryQ12, Policy{}); err == nil || !strings.Contains(err.Error(), "scripted failure") {
-		t.Fatalf("OptimizeWSM err = %v, want the model failure", err)
-	}
 
 	// A feature failure further on does not mask the model's earlier one.
 	model = &scriptedModel{failFrom: failAt + 1}
@@ -371,9 +308,8 @@ func TestSweepRefusesCostlessModel(t *testing.T) {
 		s.model = tc.model
 		want := "model returned no costs for " + plans[0].String()
 		for name, run := range map[string]func() error{
-			"PlanSweep":   func() error { _, err := s.PlanSweep(context.Background(), tpch.QueryQ12); return err },
-			"Submit":      func() error { _, err := s.Submit(tpch.QueryQ12, Policy{}); return err },
-			"OptimizeWSM": func() error { _, err := s.OptimizeWSM(tpch.QueryQ12, Policy{}); return err },
+			"PlanSweep": func() error { _, err := s.PlanSweep(context.Background(), tpch.QueryQ12); return err },
+			"Submit":    func() error { _, err := s.Submit(tpch.QueryQ12, Policy{}); return err },
 		} {
 			if err := run(); err == nil || !strings.Contains(err.Error(), want) {
 				t.Errorf("%s route, %s: err = %v, want %q", tc.route, name, err, want)
@@ -662,8 +598,7 @@ func (breakdownStore) Sync() error { return nil }
 // cost bit and the front.
 func requireSameSweep(t *testing.T, round int, got, want *Sweep) {
 	t.Helper()
-	if len(got.Plans) != len(want.Plans) || got.Costs.Len() != want.Costs.Len() ||
-		got.PlanSpace != want.PlanSpace {
+	if len(got.Plans) != len(want.Plans) || got.Costs.Len() != want.Costs.Len() {
 		t.Fatalf("round %d: sweep shapes differ: %d/%d plans, %d/%d costs", round, len(got.Plans), len(want.Plans), got.Costs.Len(), want.Costs.Len())
 	}
 	for i := range want.Plans {
@@ -682,8 +617,7 @@ func requireSameSweep(t *testing.T, round int, got, want *Sweep) {
 // plan by plan either way; and nobody can tell from the results. Every
 // bundled model × cache on and off, on a lattice of two chunks: the
 // full sweeps (plans, every cost bit, front) and the decisions of 50
-// rounds are identical for the bare and the decorated stack, and so are
-// the two Figure 3 optimizers.
+// rounds are identical for the bare and the decorated stack.
 func TestBatchedSweepMatchesPerPlan(t *testing.T) {
 	const maxNodes = 12 // 288 plans
 	const q = tpch.QueryQ12
@@ -773,27 +707,6 @@ func TestBatchedSweepMatchesPerPlan(t *testing.T) {
 				if decisions[0] != decisions[1] {
 					t.Fatalf("round %d decisions diverge:\nbatched:  %s\nper plan: %s", round, decisions[0], decisions[1])
 				}
-			}
-			if m.name != "dream" {
-				return
-			}
-			// Figure 3's optimizers share the loop: the weighted sum
-			// scores the lattice in chunks, the GA in batches of one.
-			var wsm, ga [2]string
-			for i, s := range stacks {
-				w, err := s.OptimizeWSM(q, Policy{Weights: []float64{2, 1}})
-				if err != nil {
-					t.Fatal(err)
-				}
-				wsm[i] = fmt.Sprintf("%+v", *w)
-				res, err := s.OptimizeGA(q, moo.NSGAIIConfig{PopSize: 24, Generations: 10, Seed: 3})
-				if err != nil {
-					t.Fatal(err)
-				}
-				ga[i] = fmt.Sprintf("%+v %v %d", res.Plans, res.Costs, res.ModelEvaluations)
-			}
-			if wsm[0] != wsm[1] || ga[0] != ga[1] {
-				t.Fatalf("optimizers diverge:\nbatched:  %s %s\nper plan: %s %s", wsm[0], ga[0], wsm[1], ga[1])
 			}
 		})
 	}

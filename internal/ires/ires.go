@@ -510,10 +510,9 @@ type Decision struct {
 	Estimated []float64
 	Outcome   *federation.Outcome
 	// ParetoSize is the size of the Pareto plan set the choice was made
-	// from; PlanSpace the size of the full QEP lattice; PlansEstimated
-	// the number of QEPs the Modelling module scored — all of them, so
-	// equal to PlanSpace unless the sweep was built by hand.
-	ParetoSize, PlanSpace, PlansEstimated int
+	// from; PlanSpace the number of QEPs the sweep scored — the whole
+	// lattice.
+	ParetoSize, PlanSpace int
 }
 
 // Submit runs one full pipeline round for query q: enumerate QEPs,
@@ -560,10 +559,6 @@ type Sweep struct {
 	// (constraints check raw values, the weighted sum compares
 	// normalized ones).
 	FrontCosts, Normalized moo.CostMatrix
-	// PlanSpace is the size of the QEP lattice the sweep drew from;
-	// PlansEstimated (= len(Plans)) counts the QEPs it scored. A sweep
-	// scores every plan, so the two are equal.
-	PlanSpace, PlansEstimated int
 
 	// buf is the pooled round storage the sweep lives in; nil once
 	// released, and for a sweep built by hand.
@@ -579,11 +574,11 @@ func (s *Scheduler) PlanSweep(ctx context.Context, q tpch.QueryID) (sw *Sweep, e
 	if s.obs != nil {
 		began := time.Now()
 		defer func() {
-			planCount, planSpace := 0, 0
+			plans := 0
 			if sw != nil {
-				planCount, planSpace = len(sw.Plans), sw.PlanSpace
+				plans = len(sw.Plans)
 			}
-			s.observeSweep(q, began, planCount, planSpace, err)
+			s.observeSweep(q, began, plans, err)
 		}()
 	}
 	h, err := s.OpenHistory(q)
@@ -605,17 +600,14 @@ func (s *Scheduler) PlanSweep(ctx context.Context, q tpch.QueryID) (sw *Sweep, e
 	}
 	buf.frontIdx = moo.ParetoFrontInto(buf.frontIdx, costs)
 	raw, normalized := buf.frontRows(costs)
-	plans := lat.Plans()
 	buf.sw = Sweep{
-		Query:          q,
-		Plans:          plans,
-		Costs:          costs,
-		FrontIdx:       buf.frontIdx,
-		FrontCosts:     raw,
-		Normalized:     normalized,
-		PlanSpace:      lat.Size(),
-		PlansEstimated: len(plans),
-		buf:            buf,
+		Query:      q,
+		Plans:      lat.Plans(),
+		Costs:      costs,
+		FrontIdx:   buf.frontIdx,
+		FrontCosts: raw,
+		Normalized: normalized,
+		buf:        buf,
 	}
 	return &buf.sw, nil
 }
@@ -693,18 +685,11 @@ func (s *Scheduler) DecideFromSweep(sw *Sweep, pol Policy) (*Decision, error) {
 	if err := s.record(sw.Query, x, out.Costs()); err != nil {
 		return nil, err
 	}
-	// A sweep built by hand (tests, embedders) may leave PlanSpace zero:
-	// its plans are then the whole space.
-	planSpace := sw.PlanSpace
-	if planSpace == 0 {
-		planSpace = len(sw.Plans)
-	}
 	d := &decision{Decision: Decision{
-		Plan:           chosen,
-		Outcome:        out,
-		ParetoSize:     len(sw.FrontIdx),
-		PlanSpace:      planSpace,
-		PlansEstimated: len(sw.Plans),
+		Plan:       chosen,
+		Outcome:    out,
+		ParetoSize: len(sw.FrontIdx),
+		PlanSpace:  len(sw.Plans),
 	}}
 	d.Estimated = append(d.estimated[:0], sw.FrontCosts.Row(best)...)
 	return &d.Decision, nil

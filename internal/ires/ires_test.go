@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/federation"
-	"repro/internal/moo"
 	"repro/internal/tpch"
 )
 
@@ -253,102 +252,6 @@ func TestBMLModelEmptyHistory(t *testing.T) {
 func TestDREAMModelName(t *testing.T) {
 	if dreamModel(t).Name() != "dream" {
 		t.Error("DREAM model name wrong")
-	}
-}
-
-func TestOptimizeGAAndSelect(t *testing.T) {
-	s := testScheduler(t, dreamModel(t), 5)
-	if err := s.Bootstrap(tpch.QueryQ14, 40); err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.OptimizeGA(tpch.QueryQ14, moo.NSGAIIConfig{PopSize: 30, Generations: 15, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Plans) == 0 {
-		t.Fatal("GA produced no Pareto plans")
-	}
-	if res.ModelEvaluations == 0 {
-		t.Error("no model evaluations counted")
-	}
-	// The decoded plans must be valid members of the plan space.
-	for _, p := range res.Plans {
-		if p.NodesLeft < 1 || p.NodesRight < 1 {
-			t.Errorf("invalid plan %v in front", p)
-		}
-	}
-	// Policy selection works and differs (or not) by weights without
-	// re-running the GA.
-	fast, err := res.Select(Policy{Weights: []float64{1, 0.001}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cheap, err := res.Select(Policy{Weights: []float64{0.001, 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = fast
-	_ = cheap
-	if _, err := (&GAResult{}).Select(Policy{}); !errors.Is(err, moo.ErrNoPlans) {
-		t.Errorf("empty GA result select: got %v, want ErrNoPlans", err)
-	}
-}
-
-func TestOptimizeWSM(t *testing.T) {
-	s := testScheduler(t, dreamModel(t), 6)
-	if err := s.Bootstrap(tpch.QueryQ12, 40); err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.OptimizeWSM(tpch.QueryQ12, Policy{Weights: []float64{1, 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.ModelEvaluations == 0 {
-		t.Error("WSM did not count evaluations")
-	}
-	if res.Plan.NodesLeft < 1 {
-		t.Errorf("invalid WSM plan %v", res.Plan)
-	}
-}
-
-func TestGAAmortizesAcrossPolicyChanges(t *testing.T) {
-	// The paper's Figure 3 argument: with the GA path, K policy changes
-	// need one optimization; with WSM, K full re-optimizations.
-	s := testScheduler(t, dreamModel(t), 7)
-	if err := s.Bootstrap(tpch.QueryQ12, 40); err != nil {
-		t.Fatal(err)
-	}
-	ga, err := s.OptimizeGA(tpch.QueryQ12, moo.NSGAIIConfig{PopSize: 30, Generations: 15, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const K = 5
-	gaEvals := ga.ModelEvaluations // paid once
-	wsmEvals := 0
-	for k := 0; k < K; k++ {
-		w := float64(k+1) / K
-		res, err := s.OptimizeWSM(tpch.QueryQ12, Policy{Weights: []float64{w, 1 - w + 0.01}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		wsmEvals += res.ModelEvaluations
-		if _, err := ga.Select(Policy{Weights: []float64{w, 1 - w + 0.01}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	t.Logf("GA evals (once): %d; WSM evals (%d policies): %d", gaEvals, K, wsmEvals)
-	if wsmEvals <= 0 || gaEvals <= 0 {
-		t.Fatal("evaluation counting broken")
-	}
-}
-
-func TestOptimizersrequireHistory(t *testing.T) {
-	s := testScheduler(t, dreamModel(t), 8)
-	if _, err := s.OptimizeGA(tpch.QueryQ12, moo.NSGAIIConfig{PopSize: 10, Generations: 2}); !errors.Is(err, ErrNoHistory) {
-		t.Errorf("GA without history: got %v, want ErrNoHistory", err)
-	}
-	if _, err := s.OptimizeWSM(tpch.QueryQ12, Policy{}); !errors.Is(err, ErrNoHistory) {
-		t.Errorf("WSM without history: got %v, want ErrNoHistory", err)
 	}
 }
 

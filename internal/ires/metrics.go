@@ -128,9 +128,10 @@ func (o *schedulerObs) series(q tpch.QueryID) *sweepSeries {
 	return ss.(*sweepSeries)
 }
 
-// observeSweep records one finished (or failed) sweep. planCount is
-// the number of QEPs estimated, planSpace the lattice size.
-func (s *Scheduler) observeSweep(q tpch.QueryID, began time.Time, planCount, planSpace int, err error) {
+// observeSweep records one finished (or failed) sweep of plans QEPs:
+// the whole lattice, so the count is both the plans estimated and the
+// plan space.
+func (s *Scheduler) observeSweep(q tpch.QueryID, began time.Time, plans int, err error) {
 	o := s.obs
 	if o == nil {
 		return
@@ -141,6 +142,6 @@ func (s *Scheduler) observeSweep(q tpch.QueryID, began time.Time, planCount, pla
 	}
 	ss := o.series(q)
 	ss.seconds.Observe(time.Since(began).Seconds())
-	ss.plans.Add(float64(planCount))
-	ss.space.Set(float64(planSpace))
+	ss.plans.Add(float64(plans))
+	ss.space.Set(float64(plans))
 }

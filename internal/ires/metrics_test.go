@@ -126,7 +126,7 @@ func TestSweepSeriesBoundLazily(t *testing.T) {
 	}
 
 	began := time.Now()
-	if allocs := testing.AllocsPerRun(100, func() { s.observeSweep(tpch.QueryQ12, began, 18, 18, nil) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(100, func() { s.observeSweep(tpch.QueryQ12, began, 18, nil) }); allocs != 0 {
 		t.Errorf("a repeat observeSweep allocates %.1f times, want 0", allocs)
 	}
 }

@@ -21,7 +21,7 @@ import (
 // the measured grid.
 
 // planSweeper is one scheduling round's estimator: the lattice it
-// sweeps (nil for the GA's plans) and how plans are scored, bound to
+// sweeps and how plans are scored, bound to
 // the round's query and history snapshot. A sweep takes one of two
 // routes. With a LinearCostModel and an InputSizer executor, linear is
 // set and walk applies the model's coefficients straight to the
@@ -112,23 +112,24 @@ func (s *Scheduler) sweeper(q tpch.QueryID, h *core.History, lat *federation.Pla
 const sweepChunk = 256
 
 // sweep scores the whole lattice in lattice order: walk on the linear
-// route, estimate over lat.Plans() otherwise.
+// route, estimate otherwise.
 func (ps *planSweeper) sweep(ctx context.Context) (moo.CostMatrix, error) {
 	if ps.linear != nil {
 		return ps.walk(ctx)
 	}
-	return ps.estimate(ctx, ps.lat.Plans())
+	return ps.estimate(ctx)
 }
 
-// estimate scores plans one by one and returns their cost vectors
-// positionally, as the rows of one flat matrix, clamped at zero:
+// estimate scores the lattice's plans one by one and returns their cost
+// vectors positionally, as the rows of one flat matrix, clamped at zero:
 // negative predictions are meaningless for time/money, and the clamp
 // keeps dominance computations sane. Each plan's features come from the
 // executor, its cost vector from the model against the round's
 // snapshot. Every vector must have the first one's length, and a
 // failure names its plan — always the one with the lowest position,
 // nothing past it scored. ctx is checked every sweepChunk plans.
-func (ps *planSweeper) estimate(ctx context.Context, plans []federation.Plan) (moo.CostMatrix, error) {
+func (ps *planSweeper) estimate(ctx context.Context) (moo.CostMatrix, error) {
+	plans := ps.lat.Plans()
 	flat := ps.matrix(len(plans) * len(federation.Metrics))
 	k := 0 // cost-vector length, fixed by the first plan
 	for i, p := range plans {
@@ -174,7 +175,7 @@ func (ps *planSweeper) matrix(n int) []float64 {
 
 // walk is a full sweep on the linear route: the whole lattice scored
 // by its axes into one matrix in lattice order, bit for bit what
-// estimate over lat.Plans() gives. A chunk is whole rows of the left
+// estimate gives. A chunk is whole rows of the left
 // axis, both sides — at most sweepChunk plans, at least one row — and
 // costs a ctx check and one fit lookup counted as the chunk's plans; a
 // failure names the chunk's first plan in lattice order.

@@ -32,53 +32,6 @@ func TestSubmitSelectionStrategies(t *testing.T) {
 	}
 }
 
-// TestGASelectStrategies exercises the strategies on a precomputed GA
-// Pareto set and checks they make characteristically different picks.
-func TestGASelectStrategies(t *testing.T) {
-	s := testScheduler(t, dreamModel(t), 42)
-	if err := s.Bootstrap(tpch.QueryQ14, 40); err != nil {
-		t.Fatal(err)
-	}
-	ga, err := s.OptimizeGA(tpch.QueryQ14, moo.NSGAIIConfig{PopSize: 40, Generations: 20, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ga.Plans) < 2 {
-		t.Skip("front too small to differentiate strategies")
-	}
-	knee, err := ga.Select(Policy{Strategy: KneeSelection})
-	if err != nil {
-		t.Fatal(err)
-	}
-	timeFirst, err := ga.Select(Policy{Strategy: LexicographicSelection, LexOrder: []int{0, 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	moneyFirst, err := ga.Select(Policy{Strategy: LexicographicSelection, LexOrder: []int{1, 0}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Lexicographic time-first must pick a plan at least as fast (by
-	// the model's own costs) as money-first.
-	costOf := func(p interface{ String() string }) []float64 {
-		for i := range ga.Plans {
-			if ga.Plans[i].String() == p.String() {
-				return ga.Costs[i]
-			}
-		}
-		t.Fatalf("plan %v not in front", p)
-		return nil
-	}
-	tf, mf := costOf(timeFirst), costOf(moneyFirst)
-	if tf[0] > mf[0]*1.05 {
-		t.Errorf("time-first pick (%v s) slower than money-first (%v s)", tf[0], mf[0])
-	}
-	if mf[1] > tf[1]*1.05 {
-		t.Errorf("money-first pick ($%v) dearer than time-first ($%v)", mf[1], tf[1])
-	}
-	_ = knee // knee needs no policy input; its validity is selecting at all
-}
-
 // TestBestWithConstraints pins Algorithm 2 as the scheduler applies it
 // — constraints on the raw costs, the weighted sum on the normalized
 // ones — including the fallback to the whole set, and that a selection

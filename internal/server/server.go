@@ -881,7 +881,7 @@ func (s *Server) serveSubmit(ctx context.Context, sc *serveScratch, body []byte,
 	} else {
 		// Sweep-leader requests account for the sweep's estimation work
 		// exactly once; coalesced followers shared it.
-		t.stats.plansEstimated.Add(int64(dec.PlansEstimated))
+		t.stats.plansEstimated.Add(int64(dec.PlanSpace))
 		t.stats.planSpace.Store(int64(dec.PlanSpace))
 	}
 	t.latency[q].Observe(latency.Seconds())
@@ -901,7 +901,7 @@ func (s *Server) serveSubmit(ctx context.Context, sc *serveScratch, body []byte,
 		MeasuredUSD:    dec.Outcome.MoneyUSD,
 		ParetoSize:     dec.ParetoSize,
 		PlanSpace:      dec.PlanSpace,
-		PlansEstimated: dec.PlansEstimated,
+		PlansEstimated: dec.PlanSpace,
 		Coalesced:      coalesced,
 		LatencyMS:      float64(latency) / float64(time.Millisecond),
 	}
