@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"slices"
@@ -50,6 +51,40 @@ func TestOptimizeGAAndSelect(t *testing.T) {
 	}
 	if _, err := (&ires.Sweep{}).Select(ires.Policy{}); !errors.Is(err, moo.ErrNoPlans) {
 		t.Errorf("empty GA front select: got %v, want ErrNoPlans", err)
+	}
+}
+
+// TestGAAmortizesAcrossPolicyChanges: the paper's Figure 3 argument.
+// With the GA, K policy changes need one optimization and K selections
+// in its front; with the weighted sum, K sweeps of the whole lattice.
+func TestGAAmortizesAcrossPolicyChanges(t *testing.T) {
+	st := testStack(t, 7, defaultMenu, 0, tpch.QueryQ12, 40)
+	front, gaEvals, err := optimizeGA(st, moo.NSGAIIConfig{PopSize: 30, Generations: 15, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const K = 5
+	wsmEvals := 0
+	for k := 0; k < K; k++ {
+		w := float64(k+1) / K
+		pol := ires.Policy{Weights: []float64{w, 1 - w + 0.01}}
+		sw, err := st.sched.PlanSweep(context.Background(), st.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := moo.ArgminWeightedSum(moo.NormalizeCosts(nil, sw.Costs), pol.Weights); err != nil {
+			t.Fatal(err)
+		}
+		wsmEvals += len(sw.Plans)
+		st.sched.ReleaseSweep(sw)
+		if _, err := front.Select(pol); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Logf("GA evals (once): %d; WSM evals (%d policies): %d", gaEvals, K, wsmEvals)
+	if gaEvals <= 0 || gaEvals > st.lat.Size() || wsmEvals != K*st.lat.Size() {
+		t.Errorf("GA paid %d evaluations, WSM %d, on a %d-plan lattice: want at most the lattice once, and %d times",
+			gaEvals, wsmEvals, st.lat.Size(), K)
 	}
 }
 

@@ -255,6 +255,18 @@ func TestDREAMModelName(t *testing.T) {
 	}
 }
 
+// TestOptimizersrequireHistory: the decision path's plan search,
+// PlanSweep, and the round built on it refuse a query with no history.
+func TestOptimizersrequireHistory(t *testing.T) {
+	s := testScheduler(t, dreamModel(t), 8)
+	if _, err := s.PlanSweep(context.Background(), tpch.QueryQ12); !errors.Is(err, ErrNoHistory) {
+		t.Errorf("PlanSweep without history: got %v, want ErrNoHistory", err)
+	}
+	if _, err := s.Submit(tpch.QueryQ12, Policy{}); !errors.Is(err, ErrNoHistory) {
+		t.Errorf("Submit without history: got %v, want ErrNoHistory", err)
+	}
+}
+
 // TestServedShapeInline: the federation's plan features and cost metrics
 // fit the shape a window fit and a Decision hold inline, so a served
 // round takes no model or estimate storage from the heap.
