@@ -52,11 +52,11 @@ fmt-check:
 ## lint: vet + gofmt check
 lint: vet fmt-check
 
-## loc: non-test Go lines per package and in total, over every non-test .go file outside bench/
+## loc: non-test Go lines per package and in total, over every non-test .go file outside bench/, plus the control plane's subtotal (server/{cluster,control,failover,replstream}.go and internal/cluster)
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -print0 | xargs -0 wc -l | \
-		awk '$$2 != "total" { dir = $$2; sub(/\/[^\/]*$$/, "", dir); lines[dir] += $$1; sum += $$1 } \
-			END { for (d in lines) printf "%7d  %s\n", lines[d], d | "sort -k2"; close("sort -k2"); printf "%7d  total\n", sum }'
+		awk '$$2 != "total" { dir = $$2; sub(/\/[^\/]*$$/, "", dir); lines[dir] += $$1; sum += $$1; if ($$2 ~ /^[.]\/internal\/(server\/(cluster|control|failover|replstream)[.]go|cluster\/)/) plane += $$1 } \
+			END { for (d in lines) printf "%7d  %s\n", lines[d], d | "sort -k2"; close("sort -k2"); printf "%7d  control plane\n%7d  total\n", plane, sum }'
 
 ## linkcheck: validate markdown cross-links and anchors (offline, no external URLs)
 linkcheck:

@@ -132,7 +132,7 @@ func newFlagSet(o *options) *flag.FlagSet {
 	fs.StringVar(&o.cluster.NodeID, "node-id", "", "this node's name in -cluster-peers (cluster mode)")
 	fs.StringVar(&o.clusterPeers, "cluster-peers", "", `cluster membership as "id=url,id=url,..." including this node; empty = standalone`)
 	fs.BoolVar(&o.cluster.Replicate, "cluster-replicate", false, "ship each owned federation's WAL to its standby synchronously")
-	fs.DurationVar(&o.cluster.SyncInterval, "cluster-sync-interval", 2*time.Second, "cadence of the standby sync loop, which re-arms degraded replication streams with a full shard sync (with -cluster-replicate), and of routing-table exchange retries (every ½–1½ intervals, jittered, until every peer has the node's current table)")
+	fs.DurationVar(&o.cluster.SyncInterval, "cluster-sync-interval", 2*time.Second, "cadence of the control loop: a pass every ½–1½ intervals (jittered) re-arms degraded replication streams with a full shard sync (with -cluster-replicate), settles, demotes, promotes, rebalances and exchanges routing tables until every peer has the node's current one")
 	fs.BoolVar(&o.cluster.AutoFailover, "cluster-auto-failover", false, "probe peers and auto-promote this node's standby federations when their owner is confirmed dead")
 	fs.DurationVar(&o.cluster.ProbeInterval, "cluster-probe-interval", time.Second, "failure-detector probe cadence and per-probe deadline (requires -cluster-auto-failover)")
 	fs.IntVar(&o.cluster.SuspectAfter, "cluster-suspect-after", 3, "consecutive probe misses before a peer is suspect (pauses rebalancing)")

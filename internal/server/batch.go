@@ -61,6 +61,9 @@ type tenant struct {
 	// outcome of one minted before is unknown: one at or below it is
 	// refused (Server.handleHandoffActivate).
 	fenced uint64
+	// unsettled is an outbound handoff whose activate outcome is unknown:
+	// the control loop settles it every pass until the target answers.
+	unsettled atomic.Pointer[activation]
 
 	mu      sync.Mutex
 	pending map[tpch.QueryID]*sweepBatch

@@ -249,7 +249,7 @@ func (c *killAfterHandoffAck) Read(p []byte) (int, error) {
 // shards received — earlier than TestChaosKillTargetMidHandoff's
 // activate, after bytes have crossed. The source reports failure, stays the one
 // active owner at the old epoch and keeps serving; once the target is
-// back the sync loop re-arms it as standby, and the same handoff retried
+// back the control loop re-arms it as standby, and the same handoff retried
 // completes with the target's histories equal to the source's: each
 // transfer's rebase replaced the copy the dead one left, it did not merge
 // with it.
@@ -317,7 +317,7 @@ func TestChaosKillTargetMidShip(t *testing.T) {
 	}
 
 	// Revive the target on its data directory and address. It comes back
-	// remote; the sync loop finds it and re-arms it as standby.
+	// remote; the control loop finds it and re-arms it as standby.
 	if err := servers[target].Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}

@@ -22,21 +22,19 @@ package server
 //     Replicate and replstream.go) promotes itself from the replicated
 //     state after the owner dies.
 //
-// Epochs order routing tables: every mutation bumps the epoch, nodes
-// exchange tables after mutations (POST /v1/admin/route) and retry every
-// SyncInterval until a round reaches every peer, and the higher epoch
-// always wins, so a stale node converges on the first exchange that
-// reaches it — within about one SyncInterval once a partition heals.
-// Until then a stale owner keeps serving, and acks writes, at its old
-// epoch.
+// Epochs order routing tables: every mutation bumps the epoch, the
+// control loop (control.go) exchanges tables (POST /v1/admin/route) until
+// the table in force has reached every peer, and the higher epoch always
+// wins, so a stale node converges on the first exchange that reaches it —
+// within about one SyncInterval once a partition heals. Until then a
+// stale owner keeps serving, and acks writes, at its old epoch.
 //
 // Each ownership step has one seam: a tenant moves through
 // beginReceiving or beginSending and then finish (batch.go); a node
 // starts serving through activate and stops through stopServing; a
 // table is installed only by commit and swapped with peers only by
-// exchange; and every goroutine the control
-// plane starts is spawned under the server's lifetime, which Drain ends
-// and waits out.
+// exchange; and every goroutine the control plane starts is spawned
+// under the server's lifetime, which Drain ends and waits out.
 
 import (
 	"bytes"
@@ -44,9 +42,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
-	"math/rand/v2"
+	"maps"
 	"net/http"
 	"net/url"
 	"path/filepath"
@@ -75,12 +72,13 @@ type ClusterConfig struct {
 	// synchronously: an acked write is on the standby before the
 	// response leaves, so a SIGKILLed owner loses nothing a takeover
 	// cannot serve. When the standby is down, replication degrades to
-	// local durability rather than failing writes, and the sync loop
+	// local durability rather than failing writes, and the control loop
 	// re-arms it with a fresh full sync once the standby answers again.
 	Replicate bool
-	// SyncInterval is the cadence of the standby sync loop and of the
-	// routing-table exchange's retries (jittered ½–1½ intervals apart,
-	// until every peer has the node's table); default 2s.
+	// SyncInterval is the control loop's cadence: its passes — which
+	// exchange tables, arm standbys, settle, demote, promote and
+	// rebalance — come jittered ½–1½ intervals apart, and at once after a
+	// table commit or a detector transition; default 2s.
 	SyncInterval time.Duration
 	// PeerTimeout bounds one peer HTTP call, and one batch and its ack on
 	// a replication stream (default 10s).
@@ -172,6 +170,7 @@ type historyDropper interface {
 type clusterState struct {
 	cfg   ClusterConfig
 	self  cluster.Member
+	peers []cluster.Member // every other member
 	table atomic.Pointer[cluster.Table]
 	// commitMu serializes commit, the table's only writer, so a table is
 	// on disk before another commit can find it in force and return.
@@ -201,11 +200,16 @@ type clusterState struct {
 	peerMu   sync.Mutex
 	peerRepl map[string]map[string]string
 
-	// rebalanceKick wakes the rebalance loop (buffered 1: a kick during
-	// a rebalance coalesces into one more pass; nil without
-	// AutoRebalance); rebalancing is 1 while a pass runs.
-	rebalanceKick chan struct{}
-	rebalancing   atomic.Bool
+	// kick wakes the control loop (buffered 1, see kickLoop); steps
+	// counts the steps it launched that have not returned; passes counts
+	// the passes it completed that began with none running; transitions
+	// counts the detector's transitions, after each of which a rebalance
+	// is due; rebalancing counts the rebalance handoffs under way.
+	kick        chan struct{}
+	steps       atomic.Int32
+	passes      atomic.Uint64
+	transitions atomic.Uint64
+	rebalancing atomic.Int32
 
 	redirects        *metrics.Counter
 	handoffsOut      *metrics.Counter
@@ -251,6 +255,12 @@ func newClusterState(cfg *ClusterConfig, storeDir string) (*clusterState, error)
 		streams:  make(map[string]*replStream),
 		client:   &http.Client{Timeout: c.PeerTimeout},
 		peerRepl: make(map[string]map[string]string),
+		kick:     make(chan struct{}, 1),
+	}
+	for _, m := range ring.Members() {
+		if m.ID != self.ID {
+			cs.peers = append(cs.peers, m)
+		}
 	}
 	if storeDir != "" {
 		// "_cluster" cannot collide with a federation's directory: tenant
@@ -271,7 +281,8 @@ func newClusterState(cfg *ClusterConfig, storeDir string) (*clusterState, error)
 
 // commit is the one place a routing table is installed: next maps the
 // table in force to its successor (nil keeps it), and every table
-// installed is persisted before commit returns. Persistence failures are
+// installed is persisted before commit returns and kicks the control
+// loop, which carries it to the peers. Persistence failures are
 // logged and counted, not propagated: the table is already in force and
 // on its way to the peers; losing the disk copy only weakens the next
 // restart, it cannot be allowed to wedge routing now. Returns the table
@@ -285,6 +296,7 @@ func (cs *clusterState) commit(next func(cur *cluster.Table) *cluster.Table) (*c
 		return cur, false
 	}
 	cs.table.Store(tab)
+	defer cs.kickLoop() // once the table is on disk
 	if cs.routes == nil {
 		return tab, true
 	}
@@ -392,8 +404,9 @@ func (cs *clusterState) applyOverride(fed, node string, minEpoch uint64) uint64 
 // deterministically — union, lexicographically smaller member ID on a
 // per-federation conflict, so every node computes the same table
 // regardless of arrival order — and bumps past both inputs so the
-// merged table wins everywhere. Server.adopt squares local tenant state
-// with the adopted table.
+// merged table wins everywhere. The control loop then demotes what the
+// adopted table places elsewhere: how a former owner that slept through
+// a takeover or handoff stops serving.
 func (cs *clusterState) adoptTable(epoch uint64, overrides map[string]string) bool {
 	_, adopted := cs.commit(func(cur *cluster.Table) *cluster.Table {
 		switch {
@@ -401,26 +414,12 @@ func (cs *clusterState) adoptTable(epoch uint64, overrides map[string]string) bo
 			return nil
 		case epoch > cur.Epoch():
 			return cur.WithOverrides(epoch, overrides)
-		case overridesEqual(cur.Overrides(), overrides):
+		case maps.Equal(cur.Overrides(), overrides):
 			return nil
 		}
 		return cur.WithOverrides(epoch+1, mergeOverrides(cur.Overrides(), overrides))
 	})
 	return adopted
-}
-
-// overridesEqual reports whether two override maps place the same
-// federations on the same members.
-func overridesEqual(a, b map[string]string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for fed, id := range a {
-		if b[fed] != id {
-			return false
-		}
-	}
-	return true
 }
 
 // mergeOverrides unions two override sets; a federation present in both
@@ -441,83 +440,21 @@ func mergeOverrides(a, b map[string]string) map[string]string {
 	return out
 }
 
-// exchange swaps routing tables with every other member at once and
-// reports whether every one answered. Each swap is bidirectional: the
-// peer adopts this node's table if it is newer and answers with
-// whichever table survived on its side, which is adopted here in turn —
-// so one round converges both ends, whichever was stale.
-func (s *Server) exchange() bool {
+// exchange swaps routing tables with one peer. The swap is
+// bidirectional: the peer adopts this node's table if it is newer and
+// answers with whichever table survived on its side, which is adopted
+// here in turn — so one exchange converges both ends, whichever was
+// stale.
+func (s *Server) exchange(peer cluster.Member) error {
 	cs := s.cluster
 	tab := cs.table.Load()
 	body, _ := json.Marshal(RouteUpdate{Epoch: tab.Epoch(), Overrides: tab.Overrides()})
-	var (
-		wg     sync.WaitGroup
-		missed atomic.Bool
-	)
-	for _, m := range tab.Ring().Members() {
-		if m.ID == cs.self.ID {
-			continue
-		}
-		wg.Add(1)
-		if !s.spawn(func() {
-			defer wg.Done()
-			var peer RouteUpdate
-			if cs.call(s.lifeCtx, http.MethodPost, m.Addr+"/v1/admin/route", body, &peer) != nil {
-				missed.Store(true)
-				return
-			}
-			s.adopt(peer.Epoch, peer.Overrides)
-		}) {
-			wg.Done()
-			missed.Store(true)
-		}
+	var got RouteUpdate
+	if err := cs.call(s.lifeCtx, http.MethodPost, peer.Addr+"/v1/admin/route", body, &got); err != nil {
+		return err
 	}
-	wg.Wait()
-	return !missed.Load()
-}
-
-// exchangeLoop exchanges tables at boot and then, every SyncInterval for
-// the server's lifetime, whenever no round has carried the table in
-// force to every peer yet: a restarted node's, a commit's whose own
-// exchange a partition dropped, one adopted and not yet passed on. So a
-// node a partition kept from a takeover learns of it about one interval
-// after the heal, and agreeing tables cost nothing. The waits are
-// jittered per node: a cluster restarting at once is not in lockstep.
-// The generator is a PCG, 16 bytes for the server's lifetime.
-func (s *Server) exchangeLoop() {
-	h := fnv.New64a()
-	h.Write([]byte(s.cluster.self.ID))
-	rng := rand.New(rand.NewPCG(h.Sum64(), 0))
-	every := s.cluster.cfg.SyncInterval
-	var carried *cluster.Table // the last table a round carried to every peer
-	for {
-		if tab := s.cluster.table.Load(); tab != carried && s.exchange() {
-			carried = tab
-		}
-		if !s.pause(every/2 + time.Duration(rng.Int64N(int64(every)))) {
-			return
-		}
-	}
-}
-
-// adopt installs a peer's table (adoptTable) and squares local tenant
-// state with it: a tenant this node still serves that the table places
-// elsewhere is demoted. This is the convergence path for a former owner
-// that slept through a takeover or handoff — a restarted node boots at
-// epoch 1 with its ring-owned tenants active, and without this step it
-// would keep serving stale state after a peer hands it the newer table.
-func (s *Server) adopt(epoch uint64, overrides map[string]string) {
-	cs := s.cluster
-	if !cs.adoptTable(epoch, overrides) {
-		return
-	}
-	tab := cs.table.Load()
-	for _, t := range s.tenants {
-		if tab.Owner(t.name).ID != cs.self.ID && t.state.Load() == tenantActive {
-			// Demotion drains: keep it off the exchange's request path.
-			s.spawn(func() { s.demote(t) })
-		}
-	}
+	cs.adoptTable(got.Epoch, got.Overrides)
+	return nil
 }
 
 // registerClusterMetrics publishes the midas_cluster_* series.
@@ -554,14 +491,11 @@ func (s *Server) registerClusterMetrics() {
 	cs.autoBlocked = reg.Counter("midas_cluster_auto_takeovers_blocked_total",
 		"Auto-promotions the eligibility gate refused (replication degraded or never reported healthy).")
 	cs.rebalances = reg.Counter("midas_cluster_rebalances_total",
-		"Federations handed back to their ring-computed owner by the rebalance loop.")
+		"Federations handed back to their ring-computed owner by the control loop's rebalancing.")
 	cs.routePersistErrs = reg.Counter("midas_cluster_route_persist_failures_total",
 		"Routing-table commits whose durable write failed (in-memory routing unaffected).")
 	if cs.detector != nil {
-		for _, m := range cs.cfg.Peers {
-			if m.ID == cs.self.ID {
-				continue
-			}
+		for _, m := range cs.peers {
 			peer := m.ID
 			reg.GaugeFunc("midas_cluster_peer_up",
 				"1 while the failure detector's last probe of the peer succeeded, else 0.",
@@ -587,9 +521,9 @@ func (s *Server) registerClusterMetrics() {
 			"Failure-detector probe round trips, by peer (failures included, capped at the probe timeout).",
 			metrics.ExponentialBuckets(1e-4, 4, 10), "peer")
 		reg.GaugeFunc("midas_cluster_rebalance_active",
-			"1 while a rebalance pass is moving tenants, else 0.",
+			"1 while a rebalance handoff is moving a tenant, else 0.",
 			func() float64 {
-				if cs.rebalancing.Load() {
+				if cs.rebalancing.Load() > 0 {
 					return 1
 				}
 				return 0
@@ -786,7 +720,7 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad route update: %v", err)
 		return
 	}
-	s.adopt(upd.Epoch, upd.Overrides)
+	s.cluster.adoptTable(upd.Epoch, upd.Overrides)
 	tab := s.cluster.table.Load()
 	writeJSON(w, http.StatusOK, RouteUpdate{Epoch: tab.Epoch(), Overrides: tab.Overrides()})
 }
@@ -897,33 +831,38 @@ func (s *Server) handoffTenant(ctx context.Context, t *tenant, target cluster.Me
 	}
 	// Activation commits the move: the target opens the shipped state,
 	// flips its tenant active and bumps the routing epoch.
-	epoch := cs.table.Load().Epoch() + 1
-	activate := target.Addr + "/v1/admin/handoff/activate?" +
-		url.Values{"federation": {t.name}, "epoch": {strconv.FormatUint(epoch, 10)}}.Encode()
-	if err := cs.post(activate); err != nil {
+	a := &activation{target: target, epoch: cs.table.Load().Epoch() + 1}
+	a.url = target.Addr + "/v1/admin/handoff/activate?" +
+		url.Values{"federation": {t.name}, "epoch": {strconv.FormatUint(a.epoch, 10)}}.Encode()
+	if err := cs.post(a.url); err != nil {
 		// A failed POST does not mean a failed activation: opening the
 		// shipped shards can outlive PeerTimeout, and the ack may have
 		// been lost after the target committed. Reverting to active
 		// while the target serves at a higher epoch would fork the
 		// federation's history, so settle the outcome first.
-		got, known := s.settle(t, target, epoch, activate)
+		got, known := s.settle(t, a)
 		switch {
 		case !known:
 			// Target unreachable: the tenant stays sending, its requests
-			// held, and settle runs every SyncInterval, for the server's
-			// lifetime, until the target answers.
-			s.spawn(func() {
-				for settled := false; !settled && s.pause(cs.cfg.SyncInterval); {
-					_, settled = s.settle(t, target, epoch, activate)
-				}
-			})
+			// held, and the control loop settles it every pass, for the
+			// server's lifetime, until the target answers.
+			t.unsettled.Store(a)
+			cs.kickLoop()
 			return 0, nil, fmt.Errorf("activate outcome unknown (target unreachable), resolving in background: %w", err)
 		case got == 0:
 			return 0, nil, fmt.Errorf("activate: %w", err)
 		}
 		return got, moved, nil
 	}
-	return s.commitHandoff(t, target, epoch), moved, nil
+	return s.commitHandoff(t, a), moved, nil
+}
+
+// activation is one handoff's activate: the target, the epoch it mints
+// and the URL that asks for it.
+type activation struct {
+	target cluster.Member
+	epoch  uint64
+	url    string
 }
 
 // settle resolves, once, a handoff whose activate POST failed. It
@@ -935,54 +874,55 @@ func (s *Server) handoffTenant(ctx context.Context, t *tenant, target cluster.Me
 // may have moved on since, so adopt the newer table and stop serving.
 // Returns the committed epoch (0: rolled back) and false while the outcome
 // is unknown, the tenant still sending and its requests held.
-func (s *Server) settle(t *tenant, target cluster.Member, epoch uint64, activateURL string) (uint64, bool) {
+func (s *Server) settle(t *tenant, a *activation) (uint64, bool) {
 	cs := s.cluster
-	err := cs.post(activateURL)
+	err := cs.post(a.url)
 	if err == nil {
-		return s.commitHandoff(t, target, epoch), true
+		return s.commitHandoff(t, a), true
 	}
 	var cr ClusterResponse
-	if !errors.Is(err, errConflict) || cs.call(s.lifeCtx, http.MethodGet, target.Addr+"/v1/cluster", nil, &cr) != nil {
+	if !errors.Is(err, errConflict) || cs.call(s.lifeCtx, http.MethodGet, a.target.Addr+"/v1/cluster", nil, &cr) != nil {
 		return 0, false
 	}
 	if cr.Placements[t.name].Owner == cs.self.ID {
 		cs.commit(func(cur *cluster.Table) *cluster.Table {
-			if cur.Epoch() >= epoch {
+			if cur.Epoch() >= a.epoch {
 				return nil
 			}
-			return cur.WithEpochAtLeast(epoch)
+			return cur.WithEpochAtLeast(a.epoch)
 		})
 		s.rollback(t)
-		s.log.Warn("handoff rolled back, target never activated", "federation", t.name, "target", target.ID)
+		s.log.Warn("handoff rolled back, target never activated", "federation", t.name, "target", a.target.ID)
 		return 0, true
 	}
-	// adopt leaves a sending tenant alone, so only this node can stop it
-	// serving, and only once its table has moved on too.
-	if s.exchange(); cs.owns(t.name) {
+	// Demotion leaves a sending tenant alone, so only this node can stop
+	// it serving, and only once its table has moved on too: the target's
+	// table carries the move.
+	if s.exchange(a.target); cs.owns(t.name) {
 		return 0, false
 	}
 	s.stopServing(t)
-	s.log.Info("handoff complete", "federation", t.name, "target", target.ID, "owner", cr.Placements[t.name].Owner)
+	s.log.Info("handoff complete", "federation", t.name, "target", a.target.ID, "owner", cr.Placements[t.name].Owner)
 	return cs.table.Load().Epoch(), true
 }
 
 // commitHandoff commits the source half of a handoff the target has
-// activated: pin the federation on the target, stop serving it here and
-// exchange tables. Returns the committed epoch.
-func (s *Server) commitHandoff(t *tenant, target cluster.Member, epoch uint64) uint64 {
+// activated: pin the federation on the target (the commit's kick carries
+// the table to the peers) and stop serving it here. Returns the
+// committed epoch.
+func (s *Server) commitHandoff(t *tenant, a *activation) uint64 {
 	cs := s.cluster
-	got := cs.applyOverride(t.name, target.ID, epoch)
+	got := cs.applyOverride(t.name, a.target.ID, a.epoch)
 	s.stopServing(t)
 	cs.handoffsOut.Inc()
-	s.spawn(func() { s.exchange() })
-	s.log.Info("handoff complete", "federation", t.name, "target", target.ID, "epoch", got)
+	s.log.Info("handoff complete", "federation", t.name, "target", a.target.ID, "epoch", got)
 	return got
 }
 
 // rollback ends an outbound move that did not commit here: serve again —
-// unless a table adopted meanwhile places the federation elsewhere (adopt
-// leaves a sending tenant alone), in which case stop serving it. Reports
-// whether this node serves it again.
+// unless a table adopted meanwhile places the federation elsewhere
+// (demotion leaves a sending tenant alone), in which case stop serving
+// it. Reports whether this node serves it again.
 func (s *Server) rollback(t *tenant) bool {
 	if s.cluster.owns(t.name) {
 		t.finish(tenantActive)
@@ -1030,10 +970,10 @@ func (t *tenant) drainInflight(ctx context.Context) error {
 	return nil
 }
 
-// demote stops serving a federation an adopted table has moved
-// elsewhere. beginSending makes it single-entry and yields to a handoff
-// already sending; rollback keeps serving if the table moved back
-// meanwhile.
+// demote is the control loop's step for a federation served here that
+// the table places elsewhere. beginSending makes it single-entry and
+// yields to a handoff already sending; rollback keeps serving if the
+// table moved back meanwhile.
 func (s *Server) demote(t *tenant) {
 	if !t.beginSending() || s.rollback(t) {
 		return
@@ -1094,8 +1034,9 @@ func (s *Server) handleHandoffActivate(w http.ResponseWriter, r *http.Request) {
 // may run, opens its local state (activateTenant) and asks fence again —
 // opening takes real time, and the table may have moved underneath it —
 // then pins the federation on this node at minEpoch or one past the
-// table, whichever is later, before serving the held requests, counting
-// the change and exchanging tables. It returns the committed epoch; a
+// table, whichever is later (the commit's kick carries the table to the
+// peers), before serving the held requests and counting the change. It
+// returns the committed epoch; a
 // failure leaves the tenant remote with nothing open. Either way it
 // raises t.fenced to minEpoch.
 func (s *Server) activate(t *tenant, minEpoch uint64, fence func() error, counter *metrics.Counter) (uint64, error) {
@@ -1117,7 +1058,6 @@ func (s *Server) activate(t *tenant, minEpoch uint64, fence func() error, counte
 	got := cs.applyOverride(t.name, cs.self.ID, minEpoch)
 	t.finish(tenantActive)
 	counter.Inc()
-	s.spawn(func() { s.exchange() })
 	return got, nil
 }
 
@@ -1206,62 +1146,20 @@ func openHistories(t *tenant) error {
 }
 
 // ---------------------------------------------------------------------
-// Standby sync loop
+// Standby arming
 // ---------------------------------------------------------------------
 
-// syncLoop keeps every owned tenant's standby armed: any shard whose
-// replication stream is not currently streaming (never armed, or
-// degraded by a standby outage) gets a fresh full sync — hold at the
-// cut, ship, release — after which the synchronous frame stream
-// resumes. A standby that keeps failing (down, hung, partitioned) is
-// retried under exponential backoff — up to 2^5 intervals between
-// attempts — so a dead peer costs one slow ship per backoff window
-// instead of one per tick. Holding a stream no longer blocks acks (see
-// cluster.Replicator.Hold), so even an in-flight failed attempt never
-// stalls the write path. Runs until the server's lifetime context ends.
-func (s *Server) syncLoop() {
-	cs := s.cluster
-	tick := time.NewTicker(cs.cfg.SyncInterval)
-	defer tick.Stop()
-	// Per-tenant backoff state, touched only by this goroutine.
-	skip := make(map[string]int)
-	fails := make(map[string]int)
-	for {
-		select {
-		case <-s.lifeCtx.Done():
-			return
-		case <-tick.C:
-			for _, t := range s.tenants {
-				if skip[t.name] > 0 {
-					skip[t.name]--
-					continue
-				}
-				if s.syncTenant(t) {
-					fails[t.name] = 0
-					continue
-				}
-				fails[t.name]++
-				n := fails[t.name]
-				if n > 5 {
-					n = 5
-				}
-				skip[t.name] = 1 << n
-			}
-		}
-	}
-}
-
-// syncTenant full-syncs every non-streaming shard of one owned tenant
-// to its standby. Returns false when any shard's sync failed, so the
-// loop can back off instead of re-attempting every tick.
-func (s *Server) syncTenant(t *tenant) bool {
+// syncTenant is the control loop's arm step: it full-syncs every shard
+// of one owned tenant whose replication stream is not streaming (never
+// armed, or degraded by a standby outage) to its standby — hold at the
+// cut, ship, release — after which the synchronous frame stream resumes.
+// Returns false when any shard's sync failed, so the loop backs off: a
+// standby that keeps failing (down, hung, partitioned) costs one slow
+// ship per backoff window, not one per pass.
+func (s *Server) syncTenant(t *tenant, standby cluster.Member) bool {
 	cs := s.cluster
 	rep := cs.repl[t.name]
-	if rep == nil || t.store == nil || t.state.Load() != tenantActive {
-		return true
-	}
-	standby, ok := cs.table.Load().Standby(t.name)
-	if !ok {
+	if t.state.Load() != tenantActive {
 		return true
 	}
 	healthy := true

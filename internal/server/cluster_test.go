@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -781,7 +782,7 @@ func testClusterReplicationTakeover(t *testing.T, bootstrap int) {
 	}
 	standby := 1 - owner
 
-	// Wait for the sync loop to arm the replication stream.
+	// Wait for the control loop to arm the replication stream.
 	rep := servers[owner].cluster.repl["paper"]
 	waitFor(t, 15*time.Second, func() bool { return rep.Streaming("Q12") },
 		func() string { return "replication never armed" })
@@ -1232,7 +1233,9 @@ func TestClusterHandoffLateActivateRefused(t *testing.T) {
 	if res.err != nil || res.status != http.StatusOK || res.qr.Node != tc.members[owner].ID {
 		t.Fatalf("submission after the rollback = %d from %q (%v), want 200 from the source", res.status, res.qr.Node, res.err)
 	}
-	time.Sleep(200 * time.Millisecond) // ten exchange intervals for a stray activation to surface
+	for _, srv := range tc.servers { // for a stray activation to surface
+		waitPasses(t, srv, 2)
+	}
 	if st := tc.servers[target].tenants["alpha"].state.Load(); st != tenantRemote {
 		t.Fatalf("target is %s after refusing the late activate, want remote", tenantStateName(st))
 	}
@@ -1788,7 +1791,7 @@ func TestAdoptTableMergesEqualEpochs(t *testing.T) {
 			t.Fatal(err)
 		}
 		tab := cs.table.Load()
-		if epoch, ov := log.Last(); epoch != tab.Epoch() || !overridesEqual(ov, tab.Overrides()) {
+		if epoch, ov := log.Last(); epoch != tab.Epoch() || !maps.Equal(ov, tab.Overrides()) {
 			t.Fatalf("after %s the route log recovers epoch %d %v, the table in force is epoch %d %v",
 				branch, epoch, ov, tab.Epoch(), tab.Overrides())
 		}
@@ -1841,7 +1844,7 @@ func TestAdoptTableMergesEqualEpochs(t *testing.T) {
 	cs2.adoptTable(2, ovB)
 	cs2.adoptTable(2, ovA)
 	t1, t2 := cs1.table.Load(), cs2.table.Load()
-	if t1.Epoch() != t2.Epoch() || !overridesEqual(t1.Overrides(), t2.Overrides()) {
+	if t1.Epoch() != t2.Epoch() || !maps.Equal(t1.Overrides(), t2.Overrides()) {
 		t.Fatalf("merge not commutative: epoch %d vs %d, overrides %v vs %v",
 			t1.Epoch(), t2.Epoch(), t1.Overrides(), t2.Overrides())
 	}

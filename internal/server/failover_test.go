@@ -76,9 +76,9 @@ func TestAutoFailoverPromotesStandby(t *testing.T) {
 }
 
 // TestAutoRebalanceReturnsTenantToRingOwner moves a federation off its
-// ring owner by operator handoff, then kicks the rebalancer on the new
-// (non-ring) owner and asserts it hands the federation back to the live
-// ring owner on its own — no second operator action.
+// ring owner by operator handoff, then fires a detector transition on the
+// new (non-ring) owner and asserts its control loop hands the federation
+// back to the live ring owner on its own — no second operator action.
 func TestAutoRebalanceReturnsTenantToRingOwner(t *testing.T) {
 	tc := newTestClusterCfg(t, 2, []string{"alpha"}, func(i int, cfg *Config) {
 		autoFailoverKnobs(cfg.Cluster)
@@ -99,10 +99,10 @@ func TestAutoRebalanceReturnsTenantToRingOwner(t *testing.T) {
 		t.Fatal("handoff did not move alpha")
 	}
 
-	// Both peers are up and alpha sits off its ring placement: one kick
-	// (in production, any detector transition) must drift it home.
+	// Both peers are up and alpha sits off its ring placement: one
+	// detector transition must drift it home.
 	waitPeerUp(t, tc.servers[other], tc.members[ringOwner].ID)
-	tc.servers[other].kickRebalance()
+	tc.servers[other].cluster.detector.OnTransition(tc.members[ringOwner], cluster.PeerDown, cluster.PeerUp)
 
 	// The target serves before the source's handoff returns and counts it.
 	waitFor(t, 15*time.Second, func() bool {

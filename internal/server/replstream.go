@@ -34,7 +34,7 @@ package server
 // continues as appends.
 //
 // Either end closes the connection after any ack but 200; the owner's
-// replicator then degrades the shard and the standby sync loop re-arms it
+// replicator then degrades the shard and the control loop re-arms it
 // with a full sync, exactly as after a failed request.
 
 import (
@@ -93,7 +93,7 @@ type replStream struct {
 	cs  *clusterState
 	fed string
 	// seconds times every ship, failures and dials included; bound by
-	// registerClusterMetrics before the sync loop can arm anything.
+	// registerClusterMetrics before the control loop can arm anything.
 	seconds *metrics.Histogram
 
 	// mu serializes sends (a batch and its ack) and guards the rest.

@@ -59,7 +59,7 @@ func replicaSeq(t testing.TB, store *histstore.Store) int {
 // every connection, as SIGKILL leaves them — after the stream has carried
 // writes. The next write still acks, well inside PeerTimeout, on local
 // durability; the owner says so on /readyz; and once the standby is back
-// the sync loop re-arms the stream without losing a frame.
+// the control loop re-arms the stream without losing a frame.
 func TestStreamStandbyKilledAfterWrites(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full serving stack")
@@ -290,7 +290,7 @@ func TestDrainClosesStreams(t *testing.T) {
 // table names *now*. The standby is a function of ring and owner, so it
 // moves when membership does: the owner's table is swapped for one whose
 // ring lacks the old standby. The next ship must leave the old connection
-// and dial the new standby, which refuses the gap; the sync loop then arms
+// and dial the new standby, which refuses the gap; the control loop then arms
 // it and frames flow there.
 func TestStreamRedialsMovedStandby(t *testing.T) {
 	if testing.Short() {
@@ -532,6 +532,7 @@ func TestReplicateStreamHandshake(t *testing.T) {
 	if status := readStatusLine(t, conn); !strings.Contains(status, " 400 ") {
 		t.Fatalf("handshake with trailing bytes answered %q, want 400", status)
 	}
+	io.Copy(io.Discard, conn) // until the standby has closed it, so idle does not count it
 	// A clean handshake upgrades; a batch for a query the federation does
 	// not serve is refused in the ack and the stream ends.
 	idle := https[standby].acceptedStreams()

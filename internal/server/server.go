@@ -312,16 +312,9 @@ func newServer(cfg Config, tenants map[string]*tenant, cs *clusterState) *Server
 		}
 		s.registerClusterMetrics()
 		if len(cs.cfg.Peers) > 1 {
-			s.spawn(s.exchangeLoop)
-		}
-		if cs.replicating() {
-			s.spawn(s.syncLoop)
+			s.spawn(s.controlLoop)
 		}
 		if cs.detector != nil {
-			if cs.cfg.AutoRebalance {
-				cs.rebalanceKick = make(chan struct{}, 1)
-				s.spawn(s.rebalanceLoop)
-			}
 			s.spawn(func() { cs.detector.Run(s.lifeCtx) })
 		}
 	}
@@ -348,22 +341,10 @@ func (s *Server) spawn(f func()) bool {
 	return true
 }
 
-// pause waits d, or less when the lifetime ends first (false).
-func (s *Server) pause(d time.Duration) bool {
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-s.lifeCtx.Done():
-		return false
-	case <-timer.C:
-		return true
-	}
-}
-
-// stopBackground ends the lifetime: every spawned goroutine — loops,
-// the failure detector, accepted replication streams, handoff
-// resolution, promotions, demotions, table exchanges — has returned when
-// this does.
+// stopBackground ends the lifetime: every spawned goroutine — the
+// control loop and the steps it started, the failure detector, accepted
+// replication streams, the checkpoint loop — has returned when this
+// does.
 func (s *Server) stopBackground() {
 	s.lifeStop()
 	s.lifeWG.Wait()
@@ -484,9 +465,9 @@ func (s *Server) inflight() int64 {
 // Drain stops admitting work and waits for in-flight requests to
 // complete, or for ctx to expire. New submissions — and health checks —
 // get 503 immediately, so load balancers rotate the instance out while
-// accepted work finishes. The background work already under way (handoff
-// resolution, promotions, demotions, table exchanges, the loops) ends
-// before Drain returns, and no new work starts.
+// accepted work finishes. The background work already under way (the
+// control loop and its steps, the loops) ends before Drain returns, and
+// no new work starts.
 func (s *Server) Drain(ctx context.Context) error {
 	s.lifeMu.Lock()
 	s.draining.Store(true)

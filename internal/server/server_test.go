@@ -32,16 +32,25 @@ type stubSched struct {
 	started   chan struct{}
 	failSweep error
 	// failOpen, while set, fails every OpenHistory: an activation fails
-	// the way it does on a corrupt shard.
-	failOpen error
-	hist     *core.History
+	// the way it does on a corrupt shard. openCalls counts OpenHistory.
+	failOpen  error
+	openCalls int
+	hist      *core.History
 }
 
 // OpenHistory opens nothing; it fails while failOpen is set.
 func (s *stubSched) OpenHistory(tpch.QueryID) (*core.History, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.openCalls++
 	return nil, s.failOpen
+}
+
+// opened reports how many times OpenHistory ran.
+func (s *stubSched) opened() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.openCalls
 }
 
 // setFailOpen sets failOpen (nil: activations succeed again).
