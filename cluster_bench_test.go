@@ -26,8 +26,7 @@ func BenchmarkRouteLookup(b *testing.B) {
 	}
 	tab := cluster.NewTable(ring)
 	// An override exercises the map probe a moved federation pays.
-	tab, ok := tab.WithOverride("tenant-3", members[0].ID)
-	if !ok {
+	if tab = tab.Pin("tenant-3", members[0].ID, 0); tab == nil {
 		b.Fatal("override rejected")
 	}
 	feds := [...]string{"tenant-0", "tenant-1", "tenant-2", "tenant-3", "paper", "analytics"}

@@ -301,9 +301,6 @@ func clusterConfig(o *options) (*server.ClusterConfig, error) {
 		}
 		cfg.Peers = append(cfg.Peers, cluster.Member{ID: id, Addr: strings.TrimRight(url, "/")})
 	}
-	if cfg.AutoRebalance && !cfg.AutoFailover {
-		return nil, fmt.Errorf("-cluster-auto-rebalance requires -cluster-auto-failover (the rebalancer rides the failure detector)")
-	}
 	return &cfg, nil
 }
 

@@ -79,8 +79,6 @@ type PeerHealth struct {
 	Misses int
 	// RTT is the last successful probe's round trip (0 before one).
 	RTT time.Duration
-	// LastUp is when the peer last answered (zero before it ever has).
-	LastUp time.Time
 }
 
 // Detector is a heartbeat/suspicion failure detector: one goroutine per
@@ -108,7 +106,6 @@ type peerState struct {
 	status PeerStatus
 	misses int
 	rtt    time.Duration
-	lastUp time.Time
 	// gap is the current probe interval; grows exponentially while the
 	// peer is down.
 	gap time.Duration
@@ -178,7 +175,6 @@ func (d *Detector) record(p *peerState, err error, rtt time.Duration) time.Durat
 		p.misses = 0
 		p.status = PeerUp
 		p.rtt = rtt
-		p.lastUp = time.Now()
 		p.gap = d.cfg.ProbeInterval
 	} else {
 		p.misses++
@@ -240,7 +236,6 @@ func (d *Detector) Snapshot() map[string]PeerHealth {
 			Status: p.status,
 			Misses: p.misses,
 			RTT:    p.rtt,
-			LastUp: p.lastUp,
 		}
 	}
 	return out

@@ -2,8 +2,9 @@
 // behind midasd's multi-node mode: a consistent-hash ring with virtual
 // nodes that maps federation names to owning replicas, an
 // epoch-versioned routing table layered on top (copy-on-write, safe to
-// publish through an atomic pointer), and a WAL-frame replicator that
-// ships appends to a standby.
+// publish through an atomic pointer), a WAL-frame replicator that ships
+// appends to a standby, and the ownership policy: the table's algebra
+// (Pin, Adopt, Fence) and the control loop's pure decision (Loop).
 //
 // The ring is deterministic: every node that knows the same member set
 // computes the same placement, so the cluster needs no coordinator —

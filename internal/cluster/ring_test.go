@@ -172,39 +172,39 @@ func TestTableOverridesAndEpochs(t *testing.T) {
 			break
 		}
 	}
-	t1, ok := t0.WithOverride(fed, target)
-	if !ok {
-		t.Fatal("override to a known member rejected")
+	t1 := t0.Pin(fed, target, 0)
+	if t1 == nil {
+		t.Fatal("pin to a known member rejected")
 	}
 	if t1.Epoch() != 2 {
-		t.Fatalf("epoch after override = %d, want 2", t1.Epoch())
+		t.Fatalf("epoch after pin = %d, want 2", t1.Epoch())
 	}
 	if got := t1.Owner(fed).ID; got != target {
-		t.Fatalf("overridden owner = %s, want %s", got, target)
+		t.Fatalf("pinned owner = %s, want %s", got, target)
 	}
 	// Original table untouched (copy-on-write).
 	if got := t0.Owner(fed); got != ringOwner {
 		t.Fatalf("t0 mutated: owner now %v", got)
 	}
-	// Standby of an overridden tenant differs from the new owner.
+	// Standby of a pinned tenant differs from the new owner.
 	if sb, ok := t1.Standby(fed); !ok || sb.ID == target {
-		t.Fatalf("standby %v invalid for overridden owner %s", sb, target)
+		t.Fatalf("standby %v invalid for pinned owner %s", sb, target)
 	}
 	// Unknown member rejected.
-	if _, ok := t1.WithOverride(fed, "nope"); ok {
-		t.Error("override to unknown member accepted")
+	if t1.Pin(fed, "nope", 0) != nil {
+		t.Error("pin to unknown member accepted")
 	}
-	// Epoch adoption never goes backwards.
-	if t2 := t1.WithEpochAtLeast(1); t2.Epoch() != t1.Epoch() {
-		t.Errorf("WithEpochAtLeast lowered the epoch to %d", t2.Epoch())
+	// A fence never goes backwards.
+	if t1.Fence(1) != nil {
+		t.Error("Fence(1) lowered the epoch")
 	}
-	if t2 := t1.WithEpochAtLeast(9); t2.Epoch() != 9 || t2.Owner(fed).ID != target {
-		t.Errorf("WithEpochAtLeast(9) = epoch %d owner %s", t2.Epoch(), t2.Owner(fed).ID)
+	if t2 := t1.Fence(9); t2.Epoch() != 9 || t2.Owner(fed).ID != target {
+		t.Errorf("Fence(9) = epoch %d owner %s", t2.Epoch(), t2.Owner(fed).ID)
 	}
 	// Round-trip the override set through the wire form.
-	t3 := t0.WithOverrides(t1.Epoch(), t1.Overrides())
+	t3 := t0.Adopt(t1.Epoch(), t1.Overrides())
 	if t3.Owner(fed).ID != target || t3.Epoch() != t1.Epoch() {
-		t.Errorf("WithOverrides round-trip: epoch %d owner %s", t3.Epoch(), t3.Owner(fed).ID)
+		t.Errorf("Adopt round-trip: epoch %d owner %s", t3.Epoch(), t3.Owner(fed).ID)
 	}
 }
 
@@ -215,7 +215,7 @@ func TestOwnerLookupZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab, _ := NewTable(r).WithOverride("federation-0003", "n1")
+	tab := NewTable(r).Pin("federation-0003", "n1", 0)
 	keys := tenantNames(16)
 	var sink Member
 	allocs := testing.AllocsPerRun(1000, func() {

@@ -1,15 +1,22 @@
 package cluster
 
+import (
+	"maps"
+	"math"
+	"slices"
+)
+
 // Table is one immutable version of the cluster routing state: the
 // ring, an epoch counter, and a set of overrides recording tenants that
 // have been handed off away from their ring position. Tables are
-// copy-on-write — mutators return a new *Table with a higher epoch —
-// so a server can publish the current table through an atomic pointer
-// and route lookups stay lock-free and allocation-free.
+// copy-on-write, so a server can publish the current table through an
+// atomic pointer and route lookups stay lock-free and allocation-free.
 //
-// Epochs order tables: when two nodes disagree (mid-handoff gossip
-// races), the higher epoch wins. Epoch 1 is the boot table; every
-// override bump increments it.
+// Epochs order tables: the higher epoch wins. Epoch 1 is the boot table.
+// Three methods are the whole algebra of ownership — Pin a move, Adopt a
+// peer's table, Fence past an epoch — and each returns a successor at a
+// higher epoch, or nil when the table in force stands. None mints an
+// epoch past math.MaxUint64: a table there takes no further change.
 type Table struct {
 	ring      *Ring
 	epoch     uint64
@@ -47,55 +54,16 @@ func (t *Table) Standby(fed string) (Member, bool) {
 
 // Member resolves a member ID.
 func (t *Table) Member(id string) (Member, bool) {
-	for _, m := range t.ring.members {
-		if m.ID == id {
-			return m, true
-		}
+	if idx, ok := t.memberIndex(id); ok {
+		return t.ring.members[idx], true
 	}
 	return Member{}, false
 }
 
 // memberIndex returns the position of id in the sorted member set.
 func (t *Table) memberIndex(id string) (int32, bool) {
-	for i, m := range t.ring.members {
-		if m.ID == id {
-			return int32(i), true
-		}
-	}
-	return 0, false
-}
-
-// WithOverride returns a copy of t at epoch+1 in which fed is owned by
-// member ownerID. An override matching the ring placement is recorded
-// anyway: the epoch bump is the point (it invalidates stale tables),
-// and a later ring change must not silently move the tenant back.
-// Returns t unchanged if ownerID is not a member.
-func (t *Table) WithOverride(fed, ownerID string) (*Table, bool) {
-	idx, ok := t.memberIndex(ownerID)
-	if !ok {
-		return t, false
-	}
-	nt := &Table{
-		ring:      t.ring,
-		epoch:     t.epoch + 1,
-		overrides: make(map[string]int32, len(t.overrides)+1),
-	}
-	for k, v := range t.overrides {
-		nt.overrides[k] = v
-	}
-	nt.overrides[fed] = idx
-	return nt, true
-}
-
-// WithEpochAtLeast returns t if its epoch already reaches e, or a copy
-// bumped to e. Used when adopting gossip: a node that learns of epoch e
-// must never again publish a lower one.
-func (t *Table) WithEpochAtLeast(e uint64) *Table {
-	if t.epoch >= e {
-		return t
-	}
-	nt := &Table{ring: t.ring, epoch: e, overrides: t.overrides}
-	return nt
+	i := slices.IndexFunc(t.ring.members, func(m Member) bool { return m.ID == id })
+	return int32(i), i >= 0
 }
 
 // Overrides returns a copy of the override map (federation -> member
@@ -111,18 +79,59 @@ func (t *Table) Overrides() map[string]string {
 	return out
 }
 
-// WithOverrides returns a copy of t at exactly epoch e with the given
-// override set (federation -> member ID); unknown member IDs are
-// dropped. Used to adopt a peer's gossiped table wholesale.
-func (t *Table) WithOverrides(e uint64, overrides map[string]string) *Table {
-	nt := &Table{ring: t.ring, epoch: e}
-	if len(overrides) > 0 {
-		nt.overrides = make(map[string]int32, len(overrides))
-		for fed, id := range overrides {
-			if idx, ok := t.memberIndex(id); ok {
-				nt.overrides[fed] = idx
-			}
+// Pin returns a copy of t in which fed is owned by member id, at
+// max(epoch+1, minEpoch): one ownership change bumps the epoch once. An
+// override matching the ring placement is recorded anyway, so a later
+// ring change cannot silently move the federation back. Nil — t stands —
+// when t already places fed on id at minEpoch or later (the move's
+// exchange beat the local pin), when id is not a member, or when t's
+// epoch has no successor.
+func (t *Table) Pin(fed, id string, minEpoch uint64) *Table {
+	idx, ok := t.memberIndex(id)
+	if !ok || t.epoch == math.MaxUint64 || t.epoch >= minEpoch && t.Owner(fed).ID == id {
+		return nil
+	}
+	overrides := make(map[string]int32, len(t.overrides)+1)
+	maps.Copy(overrides, t.overrides)
+	overrides[fed] = idx
+	return &Table{ring: t.ring, epoch: max(t.epoch+1, minEpoch), overrides: overrides}
+}
+
+// Adopt returns the table to install on learning of a peer's (epoch,
+// overrides), unknown member IDs dropped, or nil when t stands. A newer
+// epoch wins whole. Epochs are minted as local epoch+1 with no global
+// allocator, so two moves can mint distinct tables at one epoch: at t's
+// own epoch a different override set merges — union, the smaller member
+// ID on a conflict, so every node merging the same tables in any order
+// computes one table — at an epoch past both, so the merge wins
+// everywhere.
+func (t *Table) Adopt(epoch uint64, overrides map[string]string) *Table {
+	in := make(map[string]int32, len(overrides))
+	for fed, id := range overrides {
+		if idx, ok := t.memberIndex(id); ok {
+			in[fed] = idx
 		}
 	}
-	return nt
+	if epoch > t.epoch {
+		return &Table{ring: t.ring, epoch: epoch, overrides: in}
+	}
+	if epoch < t.epoch || epoch == math.MaxUint64 || maps.Equal(in, t.overrides) {
+		return nil
+	}
+	for fed, idx := range t.overrides {
+		if cur, ok := in[fed]; !ok || idx < cur { // members are sorted by ID
+			in[fed] = idx
+		}
+	}
+	return &Table{ring: t.ring, epoch: epoch + 1, overrides: in}
+}
+
+// Fence returns a copy of t at epoch, or nil when t's epoch reaches it
+// already: a node that learns of an epoch never again mints one at or
+// below it.
+func (t *Table) Fence(epoch uint64) *Table {
+	if t.epoch >= epoch {
+		return nil
+	}
+	return &Table{ring: t.ring, epoch: epoch, overrides: t.overrides}
 }

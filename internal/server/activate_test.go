@@ -42,7 +42,7 @@ func newActivationPair(t *testing.T, spec FederationSpec, dirs [2]string) (serve
 	}
 	owner = -1
 	for i, srv := range servers {
-		if srv.tenants[spec.Name].state.Load() == tenantActive {
+		if srv.tenants[spec.Name].state.Load() == cluster.Active {
 			owner = i
 		}
 	}
@@ -173,7 +173,7 @@ func TestClusterFailedActivationReleasesShards(t *testing.T) {
 			if status, body := tc.activate(); status != http.StatusInternalServerError {
 				t.Fatalf("activation on a corrupt Q13 header = %d: %s", status, body)
 			}
-			if st := tn.state.Load(); st != tenantRemote {
+			if st := tn.state.Load(); st != cluster.Remote {
 				t.Errorf("tenant is %s after the failed activation, want remote", tenantStateName(st))
 			}
 			if tn.sched.History(tpch.QueryQ12) != nil {
@@ -196,7 +196,7 @@ func TestClusterHandoffConflictIs409(t *testing.T) {
 	gate := gateActivate(t, tc, target)
 	first := startHandoff(tc, "alpha", owner, target)
 	gate.await(t)
-	if st := tc.servers[owner].tenants["alpha"].state.Load(); st != tenantSending {
+	if st := tc.servers[owner].tenants["alpha"].state.Load(); st != cluster.Sending {
 		t.Fatalf("source is %s at the activate, want sending", tenantStateName(st))
 	}
 	handoff := tc.https[owner].URL + "/v1/admin/handoff?federation=alpha&target=" + tc.members[target].ID

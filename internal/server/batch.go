@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/cluster"
 	"repro/internal/histstore"
 	"repro/internal/ires"
 	"repro/internal/metrics"
@@ -38,7 +39,7 @@ type tenant struct {
 	inflight atomic.Int64
 
 	// Cluster-mode ownership state (see cluster.go). The zero state is
-	// tenantActive, so standalone servers never touch any of this. Only
+	// cluster.Active, so standalone servers never touch any of this. Only
 	// newTenant and the transitions below write state.
 	state atomic.Int32
 	// bootstrap is the spec's per-query bootstrap target, which every
@@ -75,9 +76,9 @@ type tenant struct {
 // false when the tenant is not in the state it leaves (another move is
 // under way). Whoever begins a move owns the state until it calls
 // finish.
-func (t *tenant) beginReceiving() bool { return t.begin(tenantRemote, tenantReceiving) }
+func (t *tenant) beginReceiving() bool { return t.begin(cluster.Remote, cluster.Receiving) }
 
-func (t *tenant) beginSending() bool { return t.begin(tenantActive, tenantSending) }
+func (t *tenant) beginSending() bool { return t.begin(cluster.Active, cluster.Sending) }
 
 func (t *tenant) begin(from, to int32) bool {
 	t.stateMu.Lock()
@@ -91,7 +92,7 @@ func (t *tenant) begin(from, to int32) bool {
 
 // finish resolves a move — a boot's activation, an inbound handoff's, a
 // takeover's, an outbound handoff, a demotion — to final and releases
-// every held request: tenantActive serves them here, tenantRemote
+// every held request: cluster.Active serves them here, cluster.Remote
 // redirects them to the owner the table names by then.
 func (t *tenant) finish(final int32) {
 	t.stateMu.Lock()
@@ -114,7 +115,7 @@ func newTenant(name string, sched QueryScheduler, queries []tpch.QueryID, cold b
 		pending: make(map[tpch.QueryID]*sweepBatch),
 	}
 	if cold {
-		t.state.Store(tenantRemote)
+		t.state.Store(cluster.Remote)
 	}
 	return t
 }

@@ -92,7 +92,7 @@ func newReplicatedNodes(t *testing.T, spec FederationSpec, n int, mutate func(*C
 	}
 	owner = -1
 	for i, srv := range servers {
-		if srv.tenants[spec.Name].state.Load() == tenantActive {
+		if srv.tenants[spec.Name].state.Load() == cluster.Active {
 			owner = i
 		}
 	}
@@ -183,10 +183,10 @@ func TestChaosKillTargetMidHandoff(t *testing.T) {
 
 	// Nothing moved: the source holds, the target never materialized the
 	// tenant, the epoch stayed.
-	if st := tc.servers[owner].tenants["alpha"].state.Load(); st != tenantSending {
+	if st := tc.servers[owner].tenants["alpha"].state.Load(); st != cluster.Sending {
 		t.Fatalf("source tenant is %s with the outcome unknown, want sending", tenantStateName(st))
 	}
-	if st := tc.servers[target].tenants["alpha"].state.Load(); st != tenantRemote {
+	if st := tc.servers[target].tenants["alpha"].state.Load(); st != cluster.Remote {
 		t.Fatalf("target tenant is %s with its control endpoint dead, want remote", tenantStateName(st))
 	}
 	for i := range tc.https {
@@ -201,9 +201,9 @@ func TestChaosKillTargetMidHandoff(t *testing.T) {
 	// The endpoint comes back: the re-sent activate commits the move.
 	dead.Store(false)
 	src := tc.servers[owner].tenants["alpha"]
-	waitFor(t, 10*time.Second, func() bool { return src.state.Load() == tenantRemote },
+	waitFor(t, 10*time.Second, func() bool { return src.state.Load() == cluster.Remote },
 		func() string { return "the source never settled the handoff" })
-	if st := tc.servers[target].tenants["alpha"].state.Load(); st != tenantActive {
+	if st := tc.servers[target].tenants["alpha"].state.Load(); st != cluster.Active {
 		t.Fatalf("target is %s after the settled handoff, want active", tenantStateName(st))
 	}
 	res := <-submitAsync(tc.https[owner].URL, 0)
@@ -305,7 +305,7 @@ func TestChaosKillTargetMidShip(t *testing.T) {
 	if !killed {
 		t.Fatal("fault injection never fired")
 	}
-	if st := servers[owner].tenants["paper"].state.Load(); st != tenantActive {
+	if st := servers[owner].tenants["paper"].state.Load(); st != cluster.Active {
 		t.Fatalf("source tenant is %s after the failed handoff, want active", tenantStateName(st))
 	}
 	if cr := getClusterTable(t, https[owner].URL); cr.Epoch != 1 || cr.Placements["paper"].Owner != members[owner].ID {
@@ -328,7 +328,7 @@ func TestChaosKillTargetMidShip(t *testing.T) {
 		t.Fatal(err)
 	}
 	newTestNode(t, https[target].Listener.Addr().String(), reborn.Handler())
-	if st := reborn.tenants["paper"].state.Load(); st != tenantRemote {
+	if st := reborn.tenants["paper"].state.Load(); st != cluster.Remote {
 		t.Fatalf("revived target is %s, want remote", tenantStateName(st))
 	}
 	waitStreaming(t, servers[owner], "paper")
@@ -341,7 +341,7 @@ func TestChaosKillTargetMidShip(t *testing.T) {
 	if status, body := handoff(); status != http.StatusOK {
 		t.Fatalf("retried handoff = %d: %s", status, body)
 	}
-	if st := reborn.tenants["paper"].state.Load(); st != tenantActive {
+	if st := reborn.tenants["paper"].state.Load(); st != cluster.Active {
 		t.Fatalf("target is %s after the retried handoff, want active", tenantStateName(st))
 	}
 	for q, src := range want {
@@ -452,7 +452,7 @@ func TestChaosGossipPartitionDuringHandoff(t *testing.T) {
 	// table names it.
 	active := 0
 	for i, srv := range tc.servers {
-		if srv.tenants["alpha"].state.Load() == tenantActive {
+		if srv.tenants["alpha"].state.Load() == cluster.Active {
 			active++
 			if i != target {
 				t.Fatalf("node %d active, want only %d", i, target)
@@ -641,8 +641,8 @@ func TestChaosProbePartitionFalsePositive(t *testing.T) {
 		submitBoth()
 		// Settled: the false-positive promotion committed AND the demoted
 		// real owner is back to remote — exactly one active owner.
-		return servers[standby].tenants["paper"].state.Load() == tenantActive &&
-			servers[owner].tenants["paper"].state.Load() == tenantRemote
+		return servers[standby].tenants["paper"].state.Load() == cluster.Active &&
+			servers[owner].tenants["paper"].state.Load() == cluster.Remote
 	}, func() string {
 		return fmt.Sprintf("cluster never settled after probe partition: owner=%s standby=%s",
 			tenantStateName(servers[owner].tenants["paper"].state.Load()),
@@ -700,7 +700,7 @@ func TestChaosAutoPromotionDeterminism(t *testing.T) {
 	waitPeerReplStreaming(t, servers[standby], members[owner].ID, "paper")
 	https[owner].Kill()
 
-	waitFor(t, 20*time.Second, func() bool { return servers[standby].tenants["paper"].state.Load() == tenantActive }, func() string {
+	waitFor(t, 20*time.Second, func() bool { return servers[standby].tenants["paper"].state.Load() == cluster.Active }, func() string {
 		return fmt.Sprintf("standby never auto-promoted (state %s, owner judged %v)",
 			tenantStateName(servers[standby].tenants["paper"].state.Load()),
 			servers[standby].cluster.detector.Status(members[owner].ID))

@@ -29,12 +29,14 @@ package server
 // within about one SyncInterval once a partition heals. Until then a
 // stale owner keeps serving, and acks writes, at its old epoch.
 //
-// Each ownership step has one seam: a tenant moves through
-// beginReceiving or beginSending and then finish (batch.go); a node
-// starts serving through activate and stops through stopServing; a
-// table is installed only by commit and swapped with peers only by
-// exchange; and every goroutine the control plane starts is spawned
-// under the server's lifetime, which Drain ends and waits out.
+// What ownership does is decided in internal/cluster — the table's
+// algebra (Pin, Adopt, Fence) and the control loop's decision
+// (cluster.Loop) — and carried out here, one seam per step: a tenant
+// moves through beginReceiving or beginSending and then finish
+// (batch.go); a node starts serving through activate and stops through
+// stopServing; a table is installed only by commit and swapped with
+// peers only by exchange; and every goroutine the control plane starts
+// is spawned under the server's lifetime, which Drain ends and waits out.
 
 import (
 	"bytes"
@@ -43,7 +45,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"maps"
+	"math"
 	"net/http"
 	"net/url"
 	"path/filepath"
@@ -90,7 +92,8 @@ type ClusterConfig struct {
 	// who prefers paging to automation keeps the manual path.
 	AutoFailover bool
 	// ProbeInterval is the failure detector's probe cadence and each
-	// probe's deadline (default 1s).
+	// probe's deadline (default 1s). It and the two thresholds below are
+	// the detector's: cluster.DetectorConfig applies their defaults.
 	ProbeInterval time.Duration
 	// SuspectAfter / DownAfter are the consecutive-miss thresholds for
 	// the suspect and down verdicts (defaults 3 and 2×SuspectAfter).
@@ -109,41 +112,17 @@ func (c *ClusterConfig) setDefaults() {
 	if c.PeerTimeout <= 0 {
 		c.PeerTimeout = 10 * time.Second
 	}
-	if c.ProbeInterval <= 0 {
-		c.ProbeInterval = time.Second
-	}
-	if c.SuspectAfter <= 0 {
-		c.SuspectAfter = 3
-	}
-	if c.DownAfter <= c.SuspectAfter {
-		c.DownAfter = 2 * c.SuspectAfter
-	}
 }
-
-// Tenant ownership states. The zero value is active so standalone
-// servers never touch the state machine.
-const (
-	// tenantActive: this node owns the federation and serves it.
-	tenantActive int32 = iota
-	// tenantRemote: another node owns it; requests get 307.
-	tenantRemote
-	// tenantReceiving: an activation (a handoff's, a takeover's) is
-	// opening state here; requests are held until it resolves.
-	tenantReceiving
-	// tenantSending: an outbound handoff or a demotion is draining and
-	// streaming state away; requests are held until it resolves.
-	tenantSending
-)
 
 func tenantStateName(st int32) string {
 	switch st {
-	case tenantActive:
+	case cluster.Active:
 		return "active"
-	case tenantRemote:
+	case cluster.Remote:
 		return "remote"
-	case tenantReceiving:
+	case cluster.Receiving:
 		return "receiving"
-	case tenantSending:
+	case cluster.Sending:
 		return "sending"
 	}
 	return "unknown"
@@ -239,6 +218,9 @@ func newClusterState(cfg *ClusterConfig, storeDir string) (*clusterState, error)
 	}
 	c := *cfg
 	c.setDefaults()
+	if c.AutoRebalance && !c.AutoFailover {
+		return nil, errors.New("server: cluster: AutoRebalance requires AutoFailover (the rebalancer rides the failure detector)")
+	}
 	ring, err := cluster.NewRing(c.Peers, 0)
 	if err != nil {
 		return nil, fmt.Errorf("server: cluster: %w", err)
@@ -271,8 +253,8 @@ func newClusterState(cfg *ClusterConfig, storeDir string) (*clusterState, error)
 			return nil, fmt.Errorf("server: cluster: %w", err)
 		}
 		cs.routes = log
-		if epoch, overrides := log.Last(); epoch > table.Epoch() {
-			table = table.WithOverrides(epoch, overrides)
+		if recovered := table.Adopt(log.Last()); recovered != nil {
+			table = recovered
 		}
 	}
 	cs.table.Store(table)
@@ -286,19 +268,19 @@ func newClusterState(cfg *ClusterConfig, storeDir string) (*clusterState, error)
 // logged and counted, not propagated: the table is already in force and
 // on its way to the peers; losing the disk copy only weakens the next
 // restart, it cannot be allowed to wedge routing now. Returns the table
-// in force afterwards and whether next installed it.
-func (cs *clusterState) commit(next func(cur *cluster.Table) *cluster.Table) (*cluster.Table, bool) {
+// in force afterwards.
+func (cs *clusterState) commit(next func(cur *cluster.Table) *cluster.Table) *cluster.Table {
 	cs.commitMu.Lock()
 	defer cs.commitMu.Unlock()
 	cur := cs.table.Load()
 	tab := next(cur)
 	if tab == nil {
-		return cur, false
+		return cur
 	}
 	cs.table.Store(tab)
 	defer cs.kickLoop() // once the table is on disk
 	if cs.routes == nil {
-		return tab, true
+		return tab
 	}
 	// srv (and with it the counter) is nil only for a table driven
 	// without a server, as the unit tests do.
@@ -306,7 +288,7 @@ func (cs *clusterState) commit(next func(cur *cluster.Table) *cluster.Table) (*c
 		cs.routePersistErrs.Inc()
 		cs.srv.log.Warn("persisting routing table failed", "epoch", tab.Epoch(), "error", err.Error())
 	}
-	return tab, true
+	return tab
 }
 
 // owns reports whether this node is fed's owner under the current
@@ -377,69 +359,6 @@ func (cs *clusterState) post(url string) error {
 	return cs.call(cs.srv.lifeCtx, http.MethodPost, url, nil, nil)
 }
 
-// applyOverride pins fed to node in the routing table, bumping the
-// epoch to at least minEpoch, and returns the resulting epoch.
-// Idempotent: a table that already places fed on node at minEpoch or
-// later (the move's exchange beat the local apply) is left untouched, so
-// one ownership change bumps the cluster-wide epoch exactly once.
-func (cs *clusterState) applyOverride(fed, node string, minEpoch uint64) uint64 {
-	tab, _ := cs.commit(func(cur *cluster.Table) *cluster.Table {
-		if cur.Epoch() >= minEpoch && cur.Owner(fed).ID == node {
-			return nil
-		}
-		next, ok := cur.WithOverride(fed, node)
-		if !ok {
-			return nil // unknown member: keep the table
-		}
-		return next.WithEpochAtLeast(minEpoch)
-	})
-	return tab.Epoch()
-}
-
-// adoptTable installs a gossiped table if its epoch is newer. Epochs
-// are minted as local-epoch+1 with no global allocator, so two
-// concurrent ownership changes (of different federations, or of the
-// same one after a partition) can produce distinct tables at the SAME
-// epoch; adopting one at an equal epoch merges the override sets
-// deterministically — union, lexicographically smaller member ID on a
-// per-federation conflict, so every node computes the same table
-// regardless of arrival order — and bumps past both inputs so the
-// merged table wins everywhere. The control loop then demotes what the
-// adopted table places elsewhere: how a former owner that slept through
-// a takeover or handoff stops serving.
-func (cs *clusterState) adoptTable(epoch uint64, overrides map[string]string) bool {
-	_, adopted := cs.commit(func(cur *cluster.Table) *cluster.Table {
-		switch {
-		case epoch < cur.Epoch():
-			return nil
-		case epoch > cur.Epoch():
-			return cur.WithOverrides(epoch, overrides)
-		case maps.Equal(cur.Overrides(), overrides):
-			return nil
-		}
-		return cur.WithOverrides(epoch+1, mergeOverrides(cur.Overrides(), overrides))
-	})
-	return adopted
-}
-
-// mergeOverrides unions two override sets; a federation present in both
-// with different owners resolves to the lexicographically smaller
-// member ID. The merge is commutative, so nodes merging the same pair
-// of tables in either order agree; the losing owner is demoted when it
-// adopts the merged table.
-func mergeOverrides(a, b map[string]string) map[string]string {
-	out := make(map[string]string, len(a)+len(b))
-	for fed, id := range a {
-		out[fed] = id
-	}
-	for fed, id := range b {
-		if cur, ok := out[fed]; !ok || id < cur {
-			out[fed] = id
-		}
-	}
-	return out
-}
-
 // exchange swaps routing tables with one peer. The swap is
 // bidirectional: the peer adopts this node's table if it is newer and
 // answers with whichever table survived on its side, which is adopted
@@ -453,7 +372,7 @@ func (s *Server) exchange(peer cluster.Member) error {
 	if err := cs.call(s.lifeCtx, http.MethodPost, peer.Addr+"/v1/admin/route", body, &got); err != nil {
 		return err
 	}
-	cs.adoptTable(got.Epoch, got.Overrides)
+	cs.commit(func(cur *cluster.Table) *cluster.Table { return cur.Adopt(got.Epoch, got.Overrides) })
 	return nil
 }
 
@@ -472,7 +391,7 @@ func (s *Server) registerClusterMetrics() {
 		func() float64 {
 			n := 0
 			for _, t := range s.tenants {
-				if t.state.Load() == tenantActive {
+				if t.state.Load() == cluster.Active {
 					n++
 				}
 			}
@@ -565,9 +484,9 @@ func (s *Server) registerClusterMetrics() {
 func (s *Server) routeTenant(ctx context.Context, t *tenant, inflight *int64, deadline time.Time, sc *serveScratch, path string, resp *bytes.Buffer) int {
 	for {
 		switch t.state.Load() {
-		case tenantActive:
+		case cluster.Active:
 			return 0
-		case tenantRemote:
+		case cluster.Remote:
 			return s.writeRedirect(t, sc, path, resp)
 		}
 		if !s.hold(ctx, t, inflight, deadline) {
@@ -676,7 +595,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.cluster != nil {
 		for name, t := range s.tenants {
-			if st := t.state.Load(); st == tenantReceiving || st == tenantSending {
+			if st := t.state.Load(); st == cluster.Receiving || st == cluster.Sending {
 				writeJSON(w, http.StatusServiceUnavailable,
 					map[string]string{"status": "handoff", "federation": name})
 				return
@@ -703,7 +622,7 @@ func (s *Server) degradedFederations() []string {
 	}
 	var out []string
 	for name, t := range s.tenants {
-		if t.state.Load() == tenantActive && s.cluster.replHealth(t) == "degraded" {
+		if t.state.Load() == cluster.Active && s.cluster.replHealth(t) == "degraded" {
 			out = append(out, name)
 		}
 	}
@@ -716,12 +635,15 @@ func (s *Server) degradedFederations() []string {
 // survived.
 func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 	var upd RouteUpdate
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&upd); err != nil {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&upd)
+	if err == nil && upd.Epoch == math.MaxUint64 {
+		err = errNoSuccessor
+	}
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad route update: %v", err)
 		return
 	}
-	s.cluster.adoptTable(upd.Epoch, upd.Overrides)
-	tab := s.cluster.table.Load()
+	tab := s.cluster.commit(func(cur *cluster.Table) *cluster.Table { return cur.Adopt(upd.Epoch, upd.Overrides) })
 	writeJSON(w, http.StatusOK, RouteUpdate{Epoch: tab.Epoch(), Overrides: tab.Overrides()})
 }
 
@@ -771,6 +693,10 @@ func (s *Server) handleHandoff(w http.ResponseWriter, r *http.Request) {
 // activation of one that is not remote), or of a handoff's activate the
 // target will not run. call wraps a peer's 409 in it.
 var errConflict = errors.New("conflict")
+
+// errNoSuccessor refuses an epoch from outside that no table could
+// follow: a node adopting it could never commit another move.
+var errNoSuccessor = errors.New("epoch has no successor")
 
 // errStatus is the status a failed ownership move answers with.
 func errStatus(err error) int {
@@ -885,12 +811,7 @@ func (s *Server) settle(t *tenant, a *activation) (uint64, bool) {
 		return 0, false
 	}
 	if cr.Placements[t.name].Owner == cs.self.ID {
-		cs.commit(func(cur *cluster.Table) *cluster.Table {
-			if cur.Epoch() >= a.epoch {
-				return nil
-			}
-			return cur.WithEpochAtLeast(a.epoch)
-		})
+		cs.commit(func(cur *cluster.Table) *cluster.Table { return cur.Fence(a.epoch) })
 		s.rollback(t)
 		s.log.Warn("handoff rolled back, target never activated", "federation", t.name, "target", a.target.ID)
 		return 0, true
@@ -912,7 +833,7 @@ func (s *Server) settle(t *tenant, a *activation) (uint64, bool) {
 // committed epoch.
 func (s *Server) commitHandoff(t *tenant, a *activation) uint64 {
 	cs := s.cluster
-	got := cs.applyOverride(t.name, a.target.ID, a.epoch)
+	got := cs.commit(func(cur *cluster.Table) *cluster.Table { return cur.Pin(t.name, a.target.ID, a.epoch) }).Epoch()
 	s.stopServing(t)
 	cs.handoffsOut.Inc()
 	s.log.Info("handoff complete", "federation", t.name, "target", a.target.ID, "epoch", got)
@@ -925,7 +846,7 @@ func (s *Server) commitHandoff(t *tenant, a *activation) uint64 {
 // it. Reports whether this node serves it again.
 func (s *Server) rollback(t *tenant) bool {
 	if s.cluster.owns(t.name) {
-		t.finish(tenantActive)
+		t.finish(cluster.Active)
 		return true
 	}
 	s.stopServing(t)
@@ -951,7 +872,7 @@ func (s *Server) stopServing(t *tenant) {
 	if err := t.releaseState(); err != nil {
 		s.log.Warn("closing store on ownership release", "federation", t.name, "error", err.Error())
 	}
-	t.finish(tenantRemote)
+	t.finish(cluster.Remote)
 }
 
 // drainInflight waits for the tenant's in-flight requests to finish;
@@ -1005,6 +926,9 @@ func (s *Server) handleHandoffActivate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	epoch, err := strconv.ParseUint(r.URL.Query().Get("epoch"), 10, 64)
+	if err == nil && epoch == math.MaxUint64 {
+		err = errNoSuccessor
+	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad epoch: %v", err)
 		return
@@ -1015,10 +939,10 @@ func (s *Server) handleHandoffActivate(w http.ResponseWriter, r *http.Request) {
 		}
 		return nil
 	}, cs.handoffsIn)
-	if errors.Is(err, errConflict) && t.state.Load() == tenantActive {
+	if errors.Is(err, errConflict) && t.state.Load() == cluster.Active {
 		// Retried commit: re-assert the override at the requested epoch
 		// and report success again.
-		got, err = cs.applyOverride(fed, cs.self.ID, epoch), nil
+		got, err = cs.commit(func(cur *cluster.Table) *cluster.Table { return cur.Pin(fed, cs.self.ID, epoch) }).Epoch(), nil
 	}
 	if err != nil {
 		writeError(w, errStatus(err), "activating %q: %v", fed, err)
@@ -1052,11 +976,11 @@ func (s *Server) activate(t *tenant, minEpoch uint64, fence func() error, counte
 		err = activateTenant(t, fence)
 	}
 	if err != nil {
-		t.finish(tenantRemote)
+		t.finish(cluster.Remote)
 		return 0, err
 	}
-	got := cs.applyOverride(t.name, cs.self.ID, minEpoch)
-	t.finish(tenantActive)
+	got := cs.commit(func(cur *cluster.Table) *cluster.Table { return cur.Pin(t.name, cs.self.ID, minEpoch) }).Epoch()
+	t.finish(cluster.Active)
 	counter.Inc()
 	return got, nil
 }
@@ -1159,7 +1083,7 @@ func openHistories(t *tenant) error {
 func (s *Server) syncTenant(t *tenant, standby cluster.Member) bool {
 	cs := s.cluster
 	rep := cs.repl[t.name]
-	if t.state.Load() != tenantActive {
+	if t.state.Load() != cluster.Active {
 		return true
 	}
 	healthy := true

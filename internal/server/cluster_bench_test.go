@@ -82,7 +82,7 @@ func benchPair(b *testing.B, spec FederationSpec, replicate bool) (servers [2]*S
 		h := srv.Handler()
 		late[i].h.Store(&h)
 		servers[i] = srv
-		if srv.tenants[spec.Name].state.Load() == tenantActive {
+		if srv.tenants[spec.Name].state.Load() == cluster.Active {
 			owner = i
 		}
 	}

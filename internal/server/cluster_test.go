@@ -203,7 +203,7 @@ func drainAtCleanup(t *testing.T, srv *Server) {
 func (tc *testCluster) ownerIdx(t *testing.T, fed string) int {
 	t.Helper()
 	for i, srv := range tc.servers {
-		if srv.tenants[fed].state.Load() == tenantActive {
+		if srv.tenants[fed].state.Load() == cluster.Active {
 			return i
 		}
 	}
@@ -598,7 +598,7 @@ func testClusterMigrationDeterminism(t *testing.T, bootstrap int) {
 	}
 	owner := -1
 	for i, srv := range servers {
-		if srv.tenants["paper"].state.Load() == tenantActive {
+		if srv.tenants["paper"].state.Load() == cluster.Active {
 			owner = i
 		}
 	}
@@ -773,7 +773,7 @@ func testClusterReplicationTakeover(t *testing.T, bootstrap int) {
 	}
 	owner := -1
 	for i, srv := range servers {
-		if srv.tenants["paper"].state.Load() == tenantActive {
+		if srv.tenants["paper"].state.Load() == cluster.Active {
 			owner = i
 		}
 	}
@@ -846,7 +846,7 @@ func TestClusterViewEpochStamp(t *testing.T) {
 		t.Fatalf("cluster view node=%q epoch=%d members=%v", cr.Node, cr.Epoch, cr.Members)
 	}
 	for _, fed := range []string{"alpha", "beta"} {
-		active := tc.servers[0].tenants[fed].state.Load() == tenantActive
+		active := tc.servers[0].tenants[fed].state.Load() == cluster.Active
 		if (cr.Placements[fed].State == "active") != active {
 			t.Fatalf("%s placed %+v, state machine active=%v", fed, cr.Placements[fed], active)
 		}
@@ -903,10 +903,10 @@ func TestClusterHandoffActivateAckLost(t *testing.T) {
 	}
 
 	// Exactly one owner: source remote, target active.
-	if st := tc.servers[owner].tenants["alpha"].state.Load(); st != tenantRemote {
+	if st := tc.servers[owner].tenants["alpha"].state.Load(); st != cluster.Remote {
 		t.Fatalf("source tenant is %s, want remote", tenantStateName(st))
 	}
-	if st := tc.servers[target].tenants["alpha"].state.Load(); st != tenantActive {
+	if st := tc.servers[target].tenants["alpha"].state.Load(); st != cluster.Active {
 		t.Fatalf("target tenant is %s, want active", tenantStateName(st))
 	}
 
@@ -1052,7 +1052,7 @@ func TestClusterHandoffHoldsAtSource(t *testing.T) {
 			handoff := startHandoff(tc, "alpha", owner, target)
 			gate.await(t)
 			src := tc.servers[owner].tenants["alpha"]
-			if st := src.state.Load(); st != tenantSending {
+			if st := src.state.Load(); st != cluster.Sending {
 				t.Fatalf("source is %s at the activate, want sending", tenantStateName(st))
 			}
 
@@ -1138,10 +1138,10 @@ func TestClusterHandoffSettleAfterTargetMovedOn(t *testing.T) {
 	if status := <-startHandoff(tc, "alpha", src, mid); status == http.StatusOK {
 		t.Fatal("handoff whose activate was never acked succeeded")
 	}
-	if st := tc.servers[mid].tenants["alpha"].state.Load(); st != tenantActive {
+	if st := tc.servers[mid].tenants["alpha"].state.Load(); st != cluster.Active {
 		t.Fatalf("mid is %s after its activate, want active", tenantStateName(st))
 	}
-	if st := tc.servers[src].tenants["alpha"].state.Load(); st != tenantSending {
+	if st := tc.servers[src].tenants["alpha"].state.Load(); st != cluster.Sending {
 		t.Fatalf("source is %s with the outcome unknown, want sending", tenantStateName(st))
 	}
 	if status := <-startHandoff(tc, "alpha", mid, last); status != http.StatusOK {
@@ -1150,12 +1150,12 @@ func TestClusterHandoffSettleAfterTargetMovedOn(t *testing.T) {
 
 	blind.Store(false)
 	srcTenant := tc.servers[src].tenants["alpha"]
-	waitFor(t, 10*time.Second, func() bool { return srcTenant.state.Load() != tenantSending },
+	waitFor(t, 10*time.Second, func() bool { return srcTenant.state.Load() != cluster.Sending },
 		func() string { return "the source never settled the handoff" })
 	for i, srv := range tc.servers {
-		want := int32(tenantRemote)
+		want := int32(cluster.Remote)
 		if i == last {
-			want = tenantActive
+			want = cluster.Active
 		}
 		if st := srv.tenants["alpha"].state.Load(); st != want {
 			t.Errorf("node %d is %s, want %s", i, tenantStateName(st), tenantStateName(want))
@@ -1227,7 +1227,7 @@ func TestClusterHandoffLateActivateRefused(t *testing.T) {
 		t.Fatal("the late activate never ran")
 	}
 	src := tc.servers[owner].tenants["alpha"]
-	waitFor(t, 10*time.Second, func() bool { return src.state.Load() == tenantActive },
+	waitFor(t, 10*time.Second, func() bool { return src.state.Load() == cluster.Active },
 		func() string { return "the source never rolled back" })
 	res := <-submitAsync(tc.https[owner].URL, 0)
 	if res.err != nil || res.status != http.StatusOK || res.qr.Node != tc.members[owner].ID {
@@ -1236,10 +1236,10 @@ func TestClusterHandoffLateActivateRefused(t *testing.T) {
 	for _, srv := range tc.servers { // for a stray activation to surface
 		waitPasses(t, srv, 2)
 	}
-	if st := tc.servers[target].tenants["alpha"].state.Load(); st != tenantRemote {
+	if st := tc.servers[target].tenants["alpha"].state.Load(); st != cluster.Remote {
 		t.Fatalf("target is %s after refusing the late activate, want remote", tenantStateName(st))
 	}
-	if st := src.state.Load(); st != tenantActive {
+	if st := src.state.Load(); st != cluster.Active {
 		t.Fatalf("source is %s after acking a write, want active", tenantStateName(st))
 	}
 	for i := range tc.https {
@@ -1273,7 +1273,7 @@ func TestClusterHandoffActivateFence(t *testing.T) {
 		if status, body := postStatus(t, activate+c.epoch); status != c.want {
 			t.Fatalf("activate at epoch %s = %d: %s, want %d", c.epoch, status, body, c.want)
 		}
-		if st := tn.state.Load(); st != tenantRemote {
+		if st := tn.state.Load(); st != cluster.Remote {
 			t.Fatalf("target is %s after a refused activate, want remote", tenantStateName(st))
 		}
 	}
@@ -1286,7 +1286,7 @@ func TestClusterHandoffActivateFence(t *testing.T) {
 			t.Fatalf("activate at a newer epoch = %d: %s, want 200 at epoch 3", status, body)
 		}
 	}
-	if st := tn.state.Load(); st != tenantActive {
+	if st := tn.state.Load(); st != cluster.Active {
 		t.Fatalf("target is %s after the newer activate, want active", tenantStateName(st))
 	}
 }
@@ -1380,10 +1380,10 @@ func TestClusterConcurrentHandoffsToOneNode(t *testing.T) {
 		}
 	}
 	for i := range 2 {
-		if st := tc.servers[2].tenants[feds[i]].state.Load(); st != tenantActive {
+		if st := tc.servers[2].tenants[feds[i]].state.Load(); st != cluster.Active {
 			t.Fatalf("%s is %s on the target, want active", feds[i], tenantStateName(st))
 		}
-		if st := tc.servers[i].tenants[feds[i]].state.Load(); st != tenantRemote {
+		if st := tc.servers[i].tenants[feds[i]].state.Load(); st != cluster.Remote {
 			t.Fatalf("%s is %s on its source, want remote", feds[i], tenantStateName(st))
 		}
 	}
@@ -1424,7 +1424,7 @@ func TestClusterStaleOwnerDemoted(t *testing.T) {
 
 	// The exchange carries the epoch-2 table to the old owner, which
 	// demotes the now-stale tenant (both async; poll).
-	waitFor(t, 5*time.Second, func() bool { return tc.servers[owner].tenants["alpha"].state.Load() == tenantRemote }, func() string {
+	waitFor(t, 5*time.Second, func() bool { return tc.servers[owner].tenants["alpha"].state.Load() == cluster.Remote }, func() string {
 		return fmt.Sprintf("old owner never demoted; state=%s table-epoch=%d",
 			tenantStateName(tc.servers[owner].tenants["alpha"].state.Load()),
 			tc.servers[owner].cluster.table.Load().Epoch())
@@ -1487,15 +1487,15 @@ func TestClusterPartitionedTakeoverHeals(t *testing.T) {
 		t.Fatalf("takeover = %d: %s", status, body)
 	}
 	waitFor(t, 5*time.Second, func() bool { return dropped[owner].Load() > 0 }, nil)
-	if st, epoch := tc.servers[owner].tenants["alpha"].state.Load(), tc.servers[owner].cluster.table.Load().Epoch(); st != tenantActive || epoch != 1 {
+	if st, epoch := tc.servers[owner].tenants["alpha"].state.Load(), tc.servers[owner].cluster.table.Load().Epoch(); st != cluster.Active || epoch != 1 {
 		t.Fatalf("partitioned old owner is %s at epoch %d, want active at 1: the partition leaked", tenantStateName(st), epoch)
 	}
 
 	partitioned.Store(false)
 	healed := time.Now()
 	waitFor(t, healBound, func() bool {
-		return tc.servers[owner].tenants["alpha"].state.Load() == tenantRemote &&
-			tc.servers[other].tenants["alpha"].state.Load() == tenantActive
+		return tc.servers[owner].tenants["alpha"].state.Load() == cluster.Remote &&
+			tc.servers[other].tenants["alpha"].state.Load() == cluster.Active
 	}, func() string {
 		return fmt.Sprintf("%v after the heal: old owner %s at epoch %d, new owner %s at epoch %d", healBound,
 			tenantStateName(tc.servers[owner].tenants["alpha"].state.Load()), tc.servers[owner].cluster.table.Load().Epoch(),
@@ -1676,7 +1676,7 @@ func TestDrainWaitsForControlPlane(t *testing.T) {
 	if atReturn.err != nil {
 		t.Fatal(atReturn.err)
 	}
-	if got := atReturn.states[stale]; got != tenantRemote {
+	if got := atReturn.states[stale]; got != cluster.Remote {
 		t.Errorf("%s is %s when Drain returns, want remote: the demotion under way was not waited for", stale, tenantStateName(got))
 	}
 	after := take()
@@ -1760,12 +1760,10 @@ func TestClusterNewFailureReleasesFiles(t *testing.T) {
 	}
 }
 
-// TestAdoptTableMergesEqualEpochs pins the equal-epoch merge: epochs
-// are minted locally, so two concurrent moves can produce distinct
-// tables at the same epoch, and adoption must merge them the same way
-// on every node rather than ignoring one side. Every table a commit
-// installs — override, newer table, merge — is the one a restart
-// recovers from the route log.
+// TestAdoptTableMergesEqualEpochs: every table a commit installs — a
+// pin, an equal-epoch merge, a newer table, a fence — is the one a
+// restart recovers from the route log. The algebra itself is checked in
+// internal/cluster (TestTableAlgebraConverges).
 func TestAdoptTableMergesEqualEpochs(t *testing.T) {
 	mk := func(dir string) *clusterState {
 		cs, err := newClusterState(&ClusterConfig{
@@ -1784,72 +1782,87 @@ func TestAdoptTableMergesEqualEpochs(t *testing.T) {
 
 	dir := t.TempDir()
 	cs := mk(dir)
-	persisted := func(branch string) {
-		t.Helper()
+	for _, step := range []struct {
+		branch string
+		next   func(cur *cluster.Table) *cluster.Table
+		epoch  uint64
+	}{
+		{"a pin", func(cur *cluster.Table) *cluster.Table { return cur.Pin("f1", "b", 2) }, 2},
+		{"an equal-epoch merge", func(cur *cluster.Table) *cluster.Table { return cur.Adopt(2, map[string]string{"f2": "c"}) }, 3},
+		{"a newer table", func(cur *cluster.Table) *cluster.Table { return cur.Adopt(6, map[string]string{"f3": "b"}) }, 6},
+		{"a fence", func(cur *cluster.Table) *cluster.Table { return cur.Fence(9) }, 9},
+	} {
+		tab := cs.commit(step.next)
+		if tab.Epoch() != step.epoch || tab != cs.table.Load() {
+			t.Fatalf("after %s the table in force is epoch %d, want %d", step.branch, cs.table.Load().Epoch(), step.epoch)
+		}
 		log, err := cluster.OpenRouteLog(filepath.Join(dir, "_cluster", "routes.wal"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		tab := cs.table.Load()
 		if epoch, ov := log.Last(); epoch != tab.Epoch() || !maps.Equal(ov, tab.Overrides()) {
 			t.Fatalf("after %s the route log recovers epoch %d %v, the table in force is epoch %d %v",
-				branch, epoch, ov, tab.Epoch(), tab.Overrides())
+				step.branch, epoch, ov, tab.Epoch(), tab.Overrides())
+		}
+		if got := mk(dir).table.Load(); got.Epoch() != tab.Epoch() || !maps.Equal(got.Overrides(), tab.Overrides()) {
+			t.Fatalf("after %s a restart recovers epoch %d %v, want epoch %d %v",
+				step.branch, got.Epoch(), got.Overrides(), tab.Epoch(), tab.Overrides())
 		}
 	}
-	if got := cs.applyOverride("f1", "b", 2); got != 2 {
-		t.Fatalf("applyOverride epoch = %d", got)
-	}
-	persisted("an override")
-	// A disjoint same-epoch table merges: union, epoch bumped past both.
-	if !cs.adoptTable(2, map[string]string{"f2": "c"}) {
-		t.Fatal("same-epoch disjoint table not adopted")
-	}
-	persisted("an equal-epoch merge")
-	tab := cs.table.Load()
-	if tab.Epoch() != 3 || tab.Owner("f1").ID != "b" || tab.Owner("f2").ID != "c" {
-		t.Fatalf("merged table epoch=%d f1=%q f2=%q", tab.Epoch(), tab.Owner("f1").ID, tab.Owner("f2").ID)
-	}
-	// Adopting an identical table is a no-op, not an epoch bump.
-	if cs.adoptTable(tab.Epoch(), tab.Overrides()) {
-		t.Fatal("identical table adopted")
-	}
-	// A same-federation conflict resolves to the smaller member ID.
-	if !cs.adoptTable(3, map[string]string{"f1": "a", "f2": "c"}) {
-		t.Fatal("same-epoch conflicting table not adopted")
-	}
-	tab = cs.table.Load()
-	if tab.Epoch() != 4 || tab.Owner("f1").ID != "a" {
-		t.Fatalf("conflict merge epoch=%d f1=%q", tab.Epoch(), tab.Owner("f1").ID)
-	}
-	// Stale epochs are refused.
-	if cs.adoptTable(1, map[string]string{"f1": "c"}) {
-		t.Fatal("stale table adopted")
-	}
-	// A newer table is adopted whole.
-	if !cs.adoptTable(6, map[string]string{"f3": "b"}) {
-		t.Fatal("newer table not adopted")
-	}
-	persisted("a newer table")
-	if tab = cs.table.Load(); tab.Epoch() != 6 || tab.Owner("f3").ID != "b" || tab.Owner("f1").ID != tab.Ring().Owner("f1").ID {
-		t.Fatalf("adopted table epoch=%d overrides %v", tab.Epoch(), tab.Overrides())
-	}
+}
 
-	// The merge is commutative: two nodes seeing the same pair of
-	// same-epoch tables in opposite orders converge on one table.
-	ovA := map[string]string{"f1": "b", "f3": "c"}
-	ovB := map[string]string{"f1": "a", "f2": "b"}
-	cs1, cs2 := mk(""), mk("")
-	cs1.adoptTable(2, ovA)
-	cs1.adoptTable(2, ovB)
-	cs2.adoptTable(2, ovB)
-	cs2.adoptTable(2, ovA)
-	t1, t2 := cs1.table.Load(), cs2.table.Load()
-	if t1.Epoch() != t2.Epoch() || !maps.Equal(t1.Overrides(), t2.Overrides()) {
-		t.Fatalf("merge not commutative: epoch %d vs %d, overrides %v vs %v",
-			t1.Epoch(), t2.Epoch(), t1.Overrides(), t2.Overrides())
+// TestClusterEpochWithoutSuccessorRefused: an epoch of 2⁶⁴−1 from
+// outside, whether a peer's table or a handoff's activate, is refused
+// with 400 and leaves the table where it was. Adopted, it would leave no
+// epoch for the node's next move to mint: that move would wrap the table
+// to epoch 0 and the next exchange would undo it.
+func TestClusterEpochWithoutSuccessorRefused(t *testing.T) {
+	tc := newTestCluster(t, 2, []string{"alpha"})
+	remote := 1 - tc.ownerIdx(t, "alpha")
+	node := tc.https[remote].URL
+	before := tc.servers[remote].cluster.table.Load()
+	resp, err := http.Post(node+"/v1/admin/route", "application/json",
+		strings.NewReader(`{"epoch":18446744073709551615,"overrides":{"alpha":"n0"}}`))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if t1.Owner("f1").ID != "a" {
-		t.Fatalf("commutative merge f1=%q, want a", t1.Owner("f1").ID)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("route update at epoch 2^64-1 = %d, want 400", resp.StatusCode)
+	}
+	if status, body := postStatus(t, node+"/v1/admin/handoff/activate?federation=alpha&epoch=18446744073709551615"); status != http.StatusBadRequest {
+		t.Fatalf("activate at epoch 2^64-1 = %d: %s, want 400", status, body)
+	}
+	if tab := tc.servers[remote].cluster.table.Load(); tab != before {
+		t.Fatalf("table moved to epoch %d %v, want epoch %d kept", tab.Epoch(), tab.Overrides(), before.Epoch())
+	}
+	if st := tc.servers[remote].tenants["alpha"].state.Load(); st != cluster.Remote {
+		t.Fatalf("alpha is %s after a refused activate, want remote", tenantStateName(st))
+	}
+	// The next move still mints an epoch above the last.
+	if status, body := postStatus(t, node+"/v1/admin/takeover?federation=alpha"); status != http.StatusOK {
+		t.Fatalf("takeover = %d: %s", status, body)
+	}
+	if got := tc.servers[remote].cluster.table.Load().Epoch(); got != before.Epoch()+1 {
+		t.Fatalf("takeover committed epoch %d, want %d", got, before.Epoch()+1)
+	}
+}
+
+// TestClusterAutoRebalanceRequiresAutoFailover: rebalancing rides the
+// failure detector, so a config asking for it without AutoFailover is
+// refused by both constructors rather than silently never rebalancing.
+func TestClusterAutoRebalanceRequiresAutoFailover(t *testing.T) {
+	cfg := Config{Cluster: &ClusterConfig{
+		NodeID:        "a",
+		Peers:         []cluster.Member{{ID: "a", Addr: "http://a"}, {ID: "b", Addr: "http://b"}},
+		AutoRebalance: true,
+	}}
+	if _, err := NewWithSchedulers(cfg, map[string]QueryScheduler{"alpha": &stubSched{}}, tpch.AllQueries); err == nil || !strings.Contains(err.Error(), "AutoFailover") {
+		t.Fatalf("NewWithSchedulers = %v, want an AutoFailover error", err)
+	}
+	cfg.Federations = []FederationSpec{{Name: "alpha"}}
+	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "AutoFailover") {
+		t.Fatalf("New = %v, want an AutoFailover error", err)
 	}
 }
 

@@ -21,66 +21,6 @@ func waitPasses(t testing.TB, srv *Server, n uint64) {
 	})
 }
 
-// TestNextStepInvariants runs nextStep over every view there is — each
-// tenant state times every combination of the thirteen flags — and checks
-// the rules the control plane's safety rests on, plus which step each
-// gap gets.
-func TestNextStepInvariants(t *testing.T) {
-	const flags = 13
-	counts := make(map[step]int)
-	for state := tenantActive; state <= tenantSending; state++ {
-		for bits := 0; bits < 1<<flags; bits++ {
-			bit := func(i int) bool { return bits&(1<<i) != 0 }
-			v := view{
-				state:       state,
-				placedHere:  bit(0),
-				unsettled:   bit(1),
-				standbyHere: bit(2),
-				ownerDown:   bit(3),
-				dealtWith:   bit(4),
-				eligible:    bit(5),
-				rebalance:   bit(6),
-				anySuspect:  bit(7),
-				offRing:     bit(8),
-				ringOwnerUp: bit(9),
-				armNeeded:   bit(10),
-				backedOff:   bit(11),
-				inFlight:    bit(12),
-			}
-			got := nextStep(v)
-			counts[got]++
-			active, remote := v.state == tenantActive, v.state == tenantRemote
-			for _, rule := range []struct {
-				broken bool
-				what   string
-			}{
-				{v.inFlight && got != stepNone, "a step for a federation with one in flight"},
-				{got == stepPromote && !(remote && v.standbyHere && v.ownerDown && v.eligible), "promote unless remote, standby here, owner down and eligible"},
-				{got == stepPromote && (v.dealtWith || !v.backedOff), "promote over a death already dealt with, or inside the backoff"},
-				{got == stepBlock && !(remote && v.standbyHere && v.ownerDown && !v.eligible && !v.dealtWith), "block unless an ineligible promotion is due, once per death"},
-				{got == stepDemote && !(active && !v.placedHere), "demote unless active and placed elsewhere"},
-				{got == stepRebalance && (v.anySuspect || !v.rebalance), "rebalance while a peer is suspect or without a due transition"},
-				{got == stepRebalance && !(active && v.placedHere && v.offRing && v.ringOwnerUp), "rebalance unless active here, off the ring and its ring owner up"},
-				{got == stepArm && !(active && v.placedHere && v.armNeeded && v.backedOff), "arm unless owned here, not streaming and backed off"},
-				{got == stepSettle && !v.unsettled, "settle without an unknown handoff"},
-				{!v.inFlight && active && !v.placedHere && got != stepDemote, "no demotion of a stale owner"},
-				{!v.inFlight && v.unsettled && !(active && !v.placedHere) && got != stepSettle, "no settle of an unknown handoff"},
-			} {
-				if rule.broken {
-					t.Fatalf("nextStep(%+v) = %d: %s", v, got, rule.what)
-				}
-			}
-		}
-	}
-	// nextStep returns one step, so a federation never gets two in a pass;
-	// every step is reachable.
-	for k := stepNone; k <= stepArm; k++ {
-		if counts[k] == 0 {
-			t.Errorf("step %d is never chosen", k)
-		}
-	}
-}
-
 // TestFailoverRetriesFailedPromotion: the standby's first activation
 // after the owner dies fails (its shards do not open). The owner stays
 // down, so a later pass retries it, and once the fault clears the standby
@@ -101,7 +41,7 @@ func TestFailoverRetriesFailedPromotion(t *testing.T) {
 		func() string { return "the standby never tried to promote" })
 	sched.setFailOpen(nil)
 	tn := srv.tenants["alpha"]
-	waitFor(t, 10*time.Second, func() bool { return tn.state.Load() == tenantActive }, func() string {
+	waitFor(t, 10*time.Second, func() bool { return tn.state.Load() == cluster.Active }, func() string {
 		return fmt.Sprintf("standby is %s after a failed promotion, want it retried", tenantStateName(tn.state.Load()))
 	})
 	if got := srv.cluster.autoTakeovers.Value(); got != 1 {
@@ -144,7 +84,7 @@ func TestFailoverEligibilityGate(t *testing.T) {
 			waitFor(t, 15*time.Second, func() bool { return cs.detector.Status(tc.members[owner].ID) == cluster.PeerDown },
 				func() string { return "the detector never judged the owner down" })
 			waitPasses(t, srv, 5)
-			if st := srv.tenants["alpha"].state.Load(); st != tenantRemote {
+			if st := srv.tenants["alpha"].state.Load(); st != cluster.Remote {
 				t.Fatalf("standby is %s with the owner's stream %s, want remote", tenantStateName(st), report)
 			}
 			if got := cs.autoBlocked.Value(); got != 1 {

@@ -33,9 +33,7 @@ func (s *Server) initDetector() {
 		DownAfter:     cs.cfg.DownAfter,
 	}, cs.peers, s.probePeer)
 	d.OnProbe = func(peer cluster.Member, rtt time.Duration, err error) {
-		if cs.probeSeconds != nil {
-			cs.probeSeconds.With(peer.ID).Observe(rtt.Seconds())
-		}
+		cs.probeSeconds.With(peer.ID).Observe(rtt.Seconds())
 	}
 	d.OnTransition = func(peer cluster.Member, from, to cluster.PeerStatus) {
 		s.log.Warn("peer status changed", "peer", peer.ID,
@@ -99,7 +97,7 @@ func (s *Server) handleClusterHealth(w http.ResponseWriter, r *http.Request) {
 		Replication: make(map[string]string),
 	}
 	for name, t := range s.tenants {
-		if t.state.Load() == tenantActive {
+		if t.state.Load() == cluster.Active {
 			resp.Replication[name] = cs.replHealth(t)
 		}
 	}
@@ -125,7 +123,7 @@ func (s *Server) handleClusterHealth(w http.ResponseWriter, r *http.Request) {
 // owner on top of a table it no longer understands. Two nodes fencing
 // on the SAME observed epoch can still both commit (neither sees the
 // other's move until an exchange); they mint equal epochs, and the
-// commutative equal-epoch merge in adoptTable settles on one owner
+// commutative equal-epoch merge in Table.Adopt settles on one owner
 // while demote stands the loser down — the documented settle path,
 // reached only through a window the fence already made narrow. A failure
 // is returned for the loop to retry under its backoff.

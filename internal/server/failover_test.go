@@ -51,7 +51,7 @@ func TestAutoFailoverPromotesStandby(t *testing.T) {
 	// from the survivor's point of view.
 	tc.https[owner].Kill()
 
-	waitFor(t, 15*time.Second, func() bool { return tc.servers[survivor].tenants["alpha"].state.Load() == tenantActive }, func() string {
+	waitFor(t, 15*time.Second, func() bool { return tc.servers[survivor].tenants["alpha"].state.Load() == cluster.Active }, func() string {
 		return fmt.Sprintf("standby never auto-promoted (state %s, peer %v)",
 			tenantStateName(tc.servers[survivor].tenants["alpha"].state.Load()),
 			tc.servers[survivor].cluster.detector.Status(tc.members[owner].ID))
@@ -106,7 +106,7 @@ func TestAutoRebalanceReturnsTenantToRingOwner(t *testing.T) {
 
 	// The target serves before the source's handoff returns and counts it.
 	waitFor(t, 15*time.Second, func() bool {
-		return tc.servers[ringOwner].tenants["alpha"].state.Load() == tenantActive && tc.servers[other].cluster.rebalances.Value() > 0
+		return tc.servers[ringOwner].tenants["alpha"].state.Load() == cluster.Active && tc.servers[other].cluster.rebalances.Value() > 0
 	}, func() string {
 		return fmt.Sprintf("rebalancer never returned alpha to the ring owner (state there: %s)",
 			tenantStateName(tc.servers[ringOwner].tenants["alpha"].state.Load()))
@@ -177,7 +177,7 @@ func TestDurableRoutingSurvivesRestart(t *testing.T) {
 
 	// Before any gossip: the tenant is remote, the table is the
 	// committed one, and requests 307 at the real owner.
-	if st := reborn.tenants["alpha"].state.Load(); st != tenantRemote {
+	if st := reborn.tenants["alpha"].state.Load(); st != cluster.Remote {
 		t.Fatalf("restarted former owner boots alpha %s, want remote", tenantStateName(st))
 	}
 	tab := reborn.cluster.table.Load()

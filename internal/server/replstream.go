@@ -426,9 +426,9 @@ func (t *tenant) appendReplica(kind byte, query []byte, from uint64, frames []by
 	var fits, rebase bool
 	switch st := t.state.Load(); kind {
 	case replAppend:
-		fits = st != tenantActive
+		fits = st != cluster.Active
 	case replSync:
-		fits, rebase = st == tenantRemote, true
+		fits, rebase = st == cluster.Remote, true
 	default:
 		return http.StatusBadRequest, 0, fmt.Errorf("unknown batch kind %d", kind)
 	}

@@ -318,8 +318,7 @@ func TestStreamRedialsMovedStandby(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	moved, _ := cluster.NewTable(ring).WithOverride("paper", members[owner].ID)
-	cs.table.Store(moved.WithEpochAtLeast(cs.table.Load().Epoch() + 1))
+	cs.table.Store(cluster.NewTable(ring).Pin("paper", members[owner].ID, cs.table.Load().Epoch()+1))
 
 	chaosSubmit(t, https[owner].URL) // redials, is refused (the new standby holds nothing), degrades
 	waitFor(t, 15*time.Second, func() bool { return https[oldIdx].acceptedStreams() == 0 }, nil)
@@ -602,15 +601,15 @@ func TestStreamKindsAndTenantStates(t *testing.T) {
 		want  int
 		files map[string][]byte
 	}{
-		{replAppend, tenantRemote, http.StatusOK, extended},
-		{replAppend, tenantReceiving, http.StatusOK, extended}, // a long handoff's continuation
-		{replAppend, tenantSending, http.StatusOK, extended},
-		{replAppend, tenantActive, http.StatusConflict, untouched},
-		{replSync, tenantRemote, http.StatusOK, rebased},
-		{replSync, tenantReceiving, http.StatusConflict, untouched},
-		{replSync, tenantSending, http.StatusConflict, untouched},
-		{replSync, tenantActive, http.StatusConflict, untouched},
-		{replSync + 1, tenantRemote, http.StatusBadRequest, untouched},
+		{replAppend, cluster.Remote, http.StatusOK, extended},
+		{replAppend, cluster.Receiving, http.StatusOK, extended}, // a long handoff's continuation
+		{replAppend, cluster.Sending, http.StatusOK, extended},
+		{replAppend, cluster.Active, http.StatusConflict, untouched},
+		{replSync, cluster.Remote, http.StatusOK, rebased},
+		{replSync, cluster.Receiving, http.StatusConflict, untouched},
+		{replSync, cluster.Sending, http.StatusConflict, untouched},
+		{replSync, cluster.Active, http.StatusConflict, untouched},
+		{replSync + 1, cluster.Remote, http.StatusBadRequest, untouched},
 	} {
 		name := fmt.Sprintf("kind %d while %s", c.kind, tenantStateName(c.state))
 		dir := t.TempDir()

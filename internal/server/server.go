@@ -65,6 +65,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/federation"
 	"repro/internal/histstore"
 	"repro/internal/ires"
@@ -258,7 +259,7 @@ func New(cfg Config) (*Server, error) {
 				closeBuilt()
 				return nil, fmt.Errorf("server: federation %q: %w", t.name, err)
 			}
-			t.finish(tenantActive)
+			t.finish(cluster.Active)
 		}
 	}
 	return newServer(cfg, tenants, cs), nil
