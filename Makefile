@@ -88,15 +88,20 @@ test-bench:
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench ./...
 
-## fuzz-smoke: 20 s of FuzzScan over the one frame decoder, 10 s of FuzzParetoFront against its all-pairs oracle, 10 s of FuzzLinearScoring (arbitrary coefficients, table sizes and node-choice menus: the sweep's lattice walk against Model.Predict plan by plan), 10 s of FuzzReplay (arbitrary bytes as a shard's WAL, whole as wal.log or split across two segments), 10 s of FuzzDecodeRequest (a poisoned body through one pooled request scratch), 10 s of FuzzReplicateStream (arbitrary bytes after the replication handshake against a reference replica), then 10 s of FuzzAdopt (arbitrary Adopt/Pin/Fence sequences over the routing table: huge epochs, unknown members, empty override sets)
+## fuzz-smoke: run each fuzz target the recipe lists (package:target:time), one after another
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz=FuzzScan -fuzztime=20s ./internal/framelog
-	$(GO) test -run '^$$' -fuzz=FuzzParetoFront -fuzztime=10s ./internal/moo
-	$(GO) test -run '^$$' -fuzz=FuzzLinearScoring -fuzztime=10s ./internal/ires
-	$(GO) test -run '^$$' -fuzz=FuzzReplay -fuzztime=10s ./internal/histstore
-	$(GO) test -run '^$$' -fuzz=FuzzDecodeRequest -fuzztime=10s ./internal/server
-	$(GO) test -run '^$$' -fuzz=FuzzReplicateStream -fuzztime=10s ./internal/server
-	$(GO) test -run '^$$' -fuzz=FuzzAdopt -fuzztime=10s ./internal/cluster
+	@set -e; for entry in \
+		framelog:FuzzScan:20s \
+		moo:FuzzParetoFront:10s \
+		ires:FuzzLinearScoring:10s \
+		histstore:FuzzReplay:10s \
+		server:FuzzDecodeRequest:10s \
+		server:FuzzReplicateStream:10s \
+		cluster:FuzzAdopt:10s; do \
+		set -- $$(echo $$entry | tr : ' '); \
+		echo "fuzz-smoke: $$2 in internal/$$1 for $$3"; \
+		$(GO) test -run '^$$' -fuzz=$$2 -fuzztime=$$3 ./internal/$$1; \
+	done
 
 ## bench: run every benchmark properly (slow)
 bench:

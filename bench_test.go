@@ -84,7 +84,7 @@ func BenchmarkTable4MRE1GiB(b *testing.B) {
 // sweep with repeated Weighted Sum Model optimization (paper Figure 3).
 func BenchmarkFig3MOQPApproaches(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, t, err := experiments.RunFig3(experiments.Fig3Options{PolicyChanges: 5, Seed: int64(i)})
+		_, t, err := experiments.RunFig3(int64(i))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -107,7 +107,7 @@ func BenchmarkExample31PlanSpace(b *testing.B) {
 // BenchmarkAblationWindowGrowth: grow-by-one vs doubling windows.
 func BenchmarkAblationWindowGrowth(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, err := experiments.AblationWindowGrowth(experiments.AblationOptions{Reps: 1, Seed: int64(i)})
+		t, err := experiments.AblationWindowGrowth(int64(i))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -118,7 +118,7 @@ func BenchmarkAblationWindowGrowth(b *testing.B) {
 // BenchmarkAblationR2Threshold: sweep of R²require.
 func BenchmarkAblationR2Threshold(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, err := experiments.AblationR2Threshold(experiments.AblationOptions{Reps: 1, Seed: int64(i)})
+		t, err := experiments.AblationR2Threshold(int64(i))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -129,7 +129,7 @@ func BenchmarkAblationR2Threshold(b *testing.B) {
 // BenchmarkAblationRecency: most-recent window vs uniform sampling.
 func BenchmarkAblationRecency(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, err := experiments.AblationRecency(experiments.AblationOptions{Reps: 1, Seed: int64(i)})
+		t, err := experiments.AblationRecency(int64(i))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -140,22 +140,11 @@ func BenchmarkAblationRecency(b *testing.B) {
 // BenchmarkAblationComposite: monolithic vs operator-level DREAM.
 func BenchmarkAblationComposite(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, err := experiments.AblationComposite(experiments.AblationOptions{Reps: 1, Seed: int64(i)})
+		t, err := experiments.AblationComposite(int64(i))
 		if err != nil {
 			b.Fatal(err)
 		}
 		logTableOnce(b, "ab-comp", t)
-	}
-}
-
-// BenchmarkAblationOptimizer: NSGA-II vs the exhaustive PlanSweep.
-func BenchmarkAblationOptimizer(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := experiments.AblationOptimizer(experiments.AblationOptions{Reps: 1, Seed: int64(i)})
-		if err != nil {
-			b.Fatal(err)
-		}
-		logTableOnce(b, "ab-opt", t)
 	}
 }
 

@@ -6,27 +6,7 @@
 //
 //	midasctl [flags] <command>
 //
-// Commands:
-//
-//	pricing     print Table 1 (instance pricing)
-//	table2      print Table 2 (R² vs window size, exact-match check)
-//	table3      print Table 3 (MRE at 100 MiB)
-//	table4      print Table 4 (MRE at 1 GiB)
-//	fig3        print the Figure 3 comparison (NSGA-II, the exact sweep
-//	            and the weighted sum, at 30 and 18,432 plans)
-//	example31   print the Example 3.1 estimation-throughput study
-//	ablations   print the five design-choice ablations: window growth,
-//	            R² threshold, recency, composite and optimizer
-//	scenarios   print the scenario sweep: MRE, regret and latency
-//	            percentiles per (arrival process × chaos profile) cell
-//	run-query   run one full pipeline round (enumerate→estimate→
-//	            optimize→select→execute) and print the decision
-//	gen         print generator statistics for a scale factor
-//	cluster-status
-//	            print per-peer health and the routing table of the
-//	            midasd cluster at -addr
-//	all         pricing through ablations, in paper order, then
-//	            run-query on Q12 (not scenarios, gen or cluster-status)
+// `midasctl -h` lists the commands and the flags.
 package main
 
 import (
@@ -37,6 +17,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"slices"
 	"sort"
 	"time"
 
@@ -68,8 +49,42 @@ func run(args []string, stdout, stderr io.Writer) int {
 		events = fs.Int("events", 120, "events per scenario for the scenarios sweep")
 		addr   = fs.String("addr", "http://127.0.0.1:8080", "midasd base URL for cluster-status")
 	)
+	var q tpch.QueryID
+	var cmds []command
+	for _, a := range experiments.Artefacts {
+		cmds = append(cmds, command{a.Name, a.Doc, func(w io.Writer) error {
+			tables, err := a.Run(experiments.MREOptions{Reps: *reps, HistorySize: *hist, TestQueries: *tests, Seed: *seed})
+			return printTables(w, tables, err)
+		}})
+	}
+	cmds = append(cmds,
+		command{"run-query", "run one full pipeline round (enumerate→estimate→optimize→select→execute) and print the decision", func(w io.Writer) error {
+			return runQuery(w, *seed, *sf, q)
+		}},
+		command{"scenarios", "print the scenario sweep: MRE, regret and latency percentiles per (arrival process × chaos profile) cell", func(w io.Writer) error {
+			_, t, err := experiments.RunScenarios(experiments.ScenarioOptions{Seed: *seed, Events: *events})
+			return printTables(w, []*experiments.Table{t}, err)
+		}},
+		command{"gen", "print generator statistics for a scale factor", func(w io.Writer) error { return printGen(w, *sf, *seed) }},
+		command{"cluster-status", "print per-peer health and the routing table of the midasd cluster at -addr", func(w io.Writer) error {
+			return printClusterStatus(w, *addr)
+		}},
+	)
+	artefacts := cmds[:len(experiments.Artefacts)]
+	cmds = append(cmds, command{"all", "the paper's artefacts above in order, then run-query on Q12", func(w io.Writer) error {
+		for _, c := range artefacts {
+			if err := c.run(w); err != nil {
+				return err
+			}
+		}
+		return runQuery(w, *seed, *sf, tpch.QueryQ12)
+	}})
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: midasctl [flags] <pricing|table2|table3|table4|fig3|example31|ablations|scenarios|run-query|gen|cluster-status|all>\n")
+		fmt.Fprintf(stderr, "usage: midasctl [flags] <command>\n\ncommands:\n")
+		for _, c := range cmds {
+			fmt.Fprintf(stderr, "  %-15s %s\n", c.name, c.doc)
+		}
+		fmt.Fprintf(stderr, "\nflags:\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -97,119 +112,35 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "midasctl: bad -query: %v\n", err)
 		return 2
 	}
-
-	opts := experiments.MREOptions{Reps: *reps, HistorySize: *hist, TestQueries: *tests, Seed: *seed}
-	switch cmd := fs.Arg(0); cmd {
-	case "pricing":
-		err = printPricing(stdout)
-	case "table2":
-		err = printTable2(stdout)
-	case "table3":
-		err = printTable3(stdout, opts)
-	case "table4":
-		err = printTable4(stdout, opts)
-	case "fig3":
-		err = printFig3(stdout, *seed)
-	case "example31":
-		err = printExample31(stdout, *seed)
-	case "ablations":
-		err = printAblations(stdout, *seed)
-	case "scenarios":
-		err = printScenarios(stdout, *seed, *events)
-	case "run-query":
-		err = runQuery(stdout, *seed, *sf, q)
-	case "gen":
-		err = printGen(stdout, *sf, *seed)
-	case "cluster-status":
-		err = printClusterStatus(stdout, *addr)
-	case "all":
-		err = runAll(stdout, opts, *seed, *sf)
-	default:
-		fmt.Fprintf(stderr, "midasctl: unknown command %q\n", cmd)
+	i := slices.IndexFunc(cmds, func(c command) bool { return c.name == fs.Arg(0) })
+	if i < 0 {
+		fmt.Fprintf(stderr, "midasctl: unknown command %q\n", fs.Arg(0))
 		fs.Usage()
 		return 2
 	}
-	if err != nil {
+	if err := cmds[i].run(stdout); err != nil {
 		fmt.Fprintf(stderr, "midasctl: %v\n", err)
 		return 1
 	}
 	return 0
 }
 
-func printPricing(w io.Writer) error {
-	fmt.Fprintln(w, experiments.Table1Pricing().Render())
-	return nil
+// command is one midasctl command: its name, its line of help and what
+// it runs, given stdout.
+type command struct {
+	name, doc string
+	run       func(w io.Writer) error
 }
 
-func printTable2(w io.Writer) error {
-	t, err := experiments.Table2R2()
+// printTables prints the tables an experiment returned, or passes on
+// its error.
+func printTables(w io.Writer, tables []*experiments.Table, err error) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintln(w, t.Render())
-	return nil
-}
-
-func printTable3(w io.Writer, opts experiments.MREOptions) error {
-	_, t, err := experiments.Table3MRE(opts)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w, t.Render())
-	return nil
-}
-
-func printTable4(w io.Writer, opts experiments.MREOptions) error {
-	_, t, err := experiments.Table4MRE(opts)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w, t.Render())
-	return nil
-}
-
-func printFig3(w io.Writer, seed int64) error {
-	_, t, err := experiments.RunFig3(experiments.Fig3Options{PolicyChanges: 5, Seed: seed})
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w, t.Render())
-	return nil
-}
-
-func printExample31(w io.Writer, seed int64) error {
-	_, t, err := experiments.RunExample31(experiments.Example31Options{Plans: 2000, Seed: seed})
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w, t.Render())
-	return nil
-}
-
-func printAblations(w io.Writer, seed int64) error {
-	opts := experiments.AblationOptions{Reps: 3, Seed: seed}
-	for _, ablation := range []func(experiments.AblationOptions) (*experiments.Table, error){
-		experiments.AblationWindowGrowth,
-		experiments.AblationR2Threshold,
-		experiments.AblationRecency,
-		experiments.AblationComposite,
-		experiments.AblationOptimizer,
-	} {
-		t, err := ablation(opts)
-		if err != nil {
-			return err
-		}
+	for _, t := range tables {
 		fmt.Fprintln(w, t.Render())
 	}
-	return nil
-}
-
-func printScenarios(w io.Writer, seed int64, events int) error {
-	_, t, err := experiments.RunScenarios(experiments.ScenarioOptions{Seed: seed, Events: events})
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w, t.Render())
 	return nil
 }
 
@@ -350,29 +281,4 @@ func sortedKeys[V any](m map[string]V) []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-func runAll(w io.Writer, opts experiments.MREOptions, seed int64, sf float64) error {
-	if err := printPricing(w); err != nil {
-		return err
-	}
-	if err := printTable2(w); err != nil {
-		return err
-	}
-	if err := printTable3(w, opts); err != nil {
-		return err
-	}
-	if err := printTable4(w, opts); err != nil {
-		return err
-	}
-	if err := printFig3(w, seed); err != nil {
-		return err
-	}
-	if err := printExample31(w, seed); err != nil {
-		return err
-	}
-	if err := printAblations(w, seed); err != nil {
-		return err
-	}
-	return runQuery(w, seed, sf, tpch.QueryQ12)
 }

@@ -44,12 +44,13 @@ type DetectorConfig struct {
 	// DownAfter is the consecutive missed probes before a suspect peer
 	// is declared down (default 2×SuspectAfter).
 	DownAfter int
-	// MaxBackoff caps the probe gap for a down peer. Probing a corpse
-	// backs off exponentially — interval, 2×, 4×, … — so a long outage
-	// costs a trickle of probes, not a steady hammer; one answered probe
-	// resets the cadence (default 8×ProbeInterval).
-	MaxBackoff time.Duration
 }
+
+// maxBackoff caps the probe gap for a down peer, in ProbeIntervals.
+// Probing a corpse backs off exponentially — interval, 2×, 4×, 8× — so
+// a long outage costs a trickle of probes, not a steady hammer; one
+// answered probe resets the cadence.
+const maxBackoff = 8
 
 func (c *DetectorConfig) setDefaults() {
 	if c.ProbeInterval <= 0 {
@@ -60,9 +61,6 @@ func (c *DetectorConfig) setDefaults() {
 	}
 	if c.DownAfter <= c.SuspectAfter {
 		c.DownAfter = 2 * c.SuspectAfter
-	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = 8 * c.ProbeInterval
 	}
 }
 
@@ -183,9 +181,7 @@ func (d *Detector) record(p *peerState, err error, rtt time.Duration) time.Durat
 			p.status = PeerDown
 			// Exponential backoff while dead, capped: the detector keeps
 			// watching for a comeback without hammering the corpse.
-			if p.gap *= 2; p.gap > d.cfg.MaxBackoff {
-				p.gap = d.cfg.MaxBackoff
-			}
+			p.gap = min(2*p.gap, maxBackoff*d.cfg.ProbeInterval)
 		case p.misses >= d.cfg.SuspectAfter:
 			p.status = PeerSuspect
 		}

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -194,8 +195,18 @@ func TestDetectorConfigDefaults(t *testing.T) {
 	if c.SuspectAfter != 3 || c.DownAfter != 6 {
 		t.Fatalf("threshold defaults: %d/%d", c.SuspectAfter, c.DownAfter)
 	}
-	if c.MaxBackoff != 8*time.Second {
-		t.Fatalf("backoff default: %v", c.MaxBackoff)
+	// A down peer's probe gap doubles from the interval and stops
+	// growing at 8 intervals.
+	d := NewDetector(DetectorConfig{}, []Member{{ID: "b"}}, nil)
+	p := d.peers["b"]
+	var gaps []time.Duration
+	for i := 0; i < c.DownAfter+4; i++ {
+		if gap := d.record(p, errors.New("miss"), 0); p.status == PeerDown {
+			gaps = append(gaps, gap)
+		}
+	}
+	if want := []time.Duration{2 * time.Second, 4 * time.Second, 8 * time.Second, 8 * time.Second, 8 * time.Second}; !slices.Equal(gaps, want) {
+		t.Fatalf("down peer's probe gaps %v, want %v", gaps, want)
 	}
 	// DownAfter must always exceed SuspectAfter.
 	c2 := DetectorConfig{SuspectAfter: 5, DownAfter: 2}

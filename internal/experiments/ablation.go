@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/federation"
 	"repro/internal/ires"
 	"repro/internal/stats"
 	"repro/internal/tpch"
@@ -15,28 +14,19 @@ import (
 // returns a Table plus the raw numbers so benches and tests can assert
 // on them.
 
-// AblationOptions is shared by the ablation studies.
-type AblationOptions struct {
-	Reps int
-	Seed int64
-}
-
-func (o *AblationOptions) setDefaults() {
-	if o.Reps <= 0 {
-		o.Reps = 3
-	}
-}
+// ablationReps is how many independent repetitions each ablation
+// averages over.
+const ablationReps = 3
 
 // runDREAMVariant scores one DREAM configuration with the standard
-// workload protocol, averaged over reps, and reports mean MRE plus the
-// mean converged window size. wrap, when non-nil, decorates each rep's
-// DREAM model (given the rep's seed) before it is scored.
-func runDREAMVariant(cfg core.Config, opts AblationOptions, q tpch.QueryID, wrap func(*ires.DREAMModel, int64) ires.CostModel) (mre float64, meanWindow float64, refits float64, err error) {
-	opts.setDefaults()
+// workload protocol, averaged over the repetitions, and reports mean
+// MRE plus the mean converged window size. wrap, when non-nil, decorates
+// each rep's DREAM model (given the rep's seed) before it is scored.
+func runDREAMVariant(cfg core.Config, base int64, q tpch.QueryID, wrap func(*ires.DREAMModel, int64) ires.CostModel) (mre float64, meanWindow float64, refits float64, err error) {
 	var mreSum, windowSum, refitSum float64
 	var windowN int
-	for rep := 0; rep < opts.Reps; rep++ {
-		seed := opts.Seed + int64(rep)*977
+	for rep := 0; rep < ablationReps; rep++ {
+		seed := base + int64(rep)*977
 		h, err := workload.NewHarness(seed)
 		if err != nil {
 			return 0, 0, 0, err
@@ -77,12 +67,12 @@ func runDREAMVariant(cfg core.Config, opts AblationOptions, q tpch.QueryID, wrap
 	if windowN == 0 {
 		return 0, 0, 0, fmt.Errorf("experiments: no window probes succeeded")
 	}
-	return mreSum / float64(opts.Reps), windowSum / float64(windowN), refitSum / float64(windowN), nil
+	return mreSum / ablationReps, windowSum / float64(windowN), refitSum / float64(windowN), nil
 }
 
 // AblationWindowGrowth contrasts the paper's grow-by-one schedule with
 // doubling.
-func AblationWindowGrowth(opts AblationOptions) (*Table, error) {
+func AblationWindowGrowth(seed int64) (*Table, error) {
 	t := &Table{
 		Title:  "Ablation: DREAM window growth policy (Q12, 100 MiB).",
 		Header: []string{"Growth", "Time MRE", "Mean window", "Mean refits"},
@@ -94,7 +84,7 @@ func AblationWindowGrowth(opts AblationOptions) (*Table, error) {
 		{"grow-by-one (paper)", core.GrowByOne},
 		{"doubling", core.Doubling},
 	} {
-		mre, win, refits, err := runDREAMVariant(core.Config{Growth: tc.growth, MMax: ires.MMax}, opts, tpch.QueryQ12, nil)
+		mre, win, refits, err := runDREAMVariant(core.Config{Growth: tc.growth, MMax: ires.MMax}, seed, tpch.QueryQ12, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -109,13 +99,13 @@ func AblationWindowGrowth(opts AblationOptions) (*Table, error) {
 }
 
 // AblationR2Threshold sweeps the R²require knob (paper default 0.8).
-func AblationR2Threshold(opts AblationOptions) (*Table, error) {
+func AblationR2Threshold(seed int64) (*Table, error) {
 	t := &Table{
 		Title:  "Ablation: DREAM R²require threshold (Q12, 100 MiB).",
 		Header: []string{"R²require", "Time MRE", "Mean window"},
 	}
 	for _, r2 := range []float64{0.6, 0.7, 0.8, 0.9, 0.95} {
-		mre, win, _, err := runDREAMVariant(core.Config{RequiredR2: r2, MMax: ires.MMax}, opts, tpch.QueryQ12, nil)
+		mre, win, _, err := runDREAMVariant(core.Config{RequiredR2: r2, MMax: ires.MMax}, seed, tpch.QueryQ12, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -158,7 +148,7 @@ func (m shuffledHistoryModel) EstimateSnapshot(s *core.Snapshot, x []float64) ([
 // AblationRecency contrasts DREAM's most-recent window with a uniform
 // sample over all history — isolating how much of DREAM's accuracy
 // comes from recency rather than window size.
-func AblationRecency(opts AblationOptions) (*Table, error) {
+func AblationRecency(seed int64) (*Table, error) {
 	t := &Table{
 		Title:  "Ablation: DREAM window selection (Q12, 100 MiB).",
 		Header: []string{"Window policy", "Time MRE"},
@@ -175,7 +165,7 @@ func AblationRecency(opts AblationOptions) (*Table, error) {
 			return shuffledHistoryModel{dream: d, seed: seed}
 		}},
 	} {
-		mre, _, _, err := runDREAMVariant(tc.cfg, opts, tpch.QueryQ12, tc.wrap)
+		mre, _, _, err := runDREAMVariant(tc.cfg, seed, tpch.QueryQ12, tc.wrap)
 		if err != nil {
 			return nil, err
 		}
@@ -188,8 +178,7 @@ func AblationRecency(opts AblationOptions) (*Table, error) {
 // regression over end-to-end plan time) with the operator-level
 // composite model (per-piece regressions reassembled through the plan's
 // max/sum structure, the way IReS models per operator).
-func AblationComposite(opts AblationOptions) (*Table, error) {
-	opts.setDefaults()
+func AblationComposite(seed int64) (*Table, error) {
 	t := &Table{
 		Title:  "Ablation: monolithic vs operator-level DREAM (Q12, 100 MiB).",
 		Header: []string{"Model", "Time MRE"},
@@ -199,9 +188,9 @@ func AblationComposite(opts AblationOptions) (*Table, error) {
 	}
 	cfg := core.Config{MMax: ires.MMax}
 	sums := map[string]float64{}
-	for rep := 0; rep < opts.Reps; rep++ {
-		seed := opts.Seed + int64(rep)*601
-		h, err := workload.NewHarness(seed)
+	for rep := 0; rep < ablationReps; rep++ {
+		repSeed := seed + int64(rep)*601
+		h, err := workload.NewHarness(repSeed)
 		if err != nil {
 			return nil, err
 		}
@@ -214,7 +203,7 @@ func AblationComposite(opts AblationOptions) (*Table, error) {
 			return nil, err
 		}
 		res, err := h.Run(workload.EvalConfig{
-			Query: tpch.QueryQ12, SF: 0.1, Seed: seed,
+			Query: tpch.QueryQ12, SF: 0.1, Seed: repSeed,
 			RecordBreakdown: true,
 		}, []workload.ModelSpec{
 			{Name: "monolithic", Model: mono},
@@ -228,36 +217,7 @@ func AblationComposite(opts AblationOptions) (*Table, error) {
 		}
 	}
 	for _, name := range []string{"monolithic", "composite"} {
-		t.Rows = append(t.Rows, []string{name, fmt.Sprintf("%.3f", sums[name]/float64(opts.Reps))})
+		t.Rows = append(t.Rows, []string{name, fmt.Sprintf("%.3f", sums[name]/ablationReps)})
 	}
 	return t, nil
-}
-
-// AblationOptimizer compares NSGA-II with the exhaustive sweep the
-// scheduler serves, PlanSweep, on the same estimated plan space — Figure
-// 3's two Pareto sets without the policy changes: model evaluations,
-// front size, the share of the exact front found, and wall time.
-func AblationOptimizer(opts AblationOptions) (*Table, error) {
-	// CacheSize -1: the wall-time contrast below is about estimation
-	// cost, so each path must pay its own window searches.
-	st, err := newStack(federation.DefaultTopology, opts.Seed, defaultMenu, -1, tpch.QueryQ12, 40)
-	if err != nil {
-		return nil, err
-	}
-	l, err := fig3On(st, Fig3Options{Seed: opts.Seed})
-	if err != nil {
-		return nil, err
-	}
-	ms := func(ns int64) string { return fmt.Sprintf("%.2f ms", float64(ns)/1e6) }
-	front := len(l.Exact.FrontIdx)
-	return &Table{
-		Title:  "Ablation: Multi-Objective Optimizer choice (Q12 plan space).",
-		Header: []string{"Optimizer", "Model evaluations", "Front size", "Front coverage", "Wall time"},
-		Rows: [][]string{
-			{"NSGA-II 40×25", fmt.Sprint(l.Evaluations[0]), fmt.Sprint(len(l.GA.Plans)),
-				fmt.Sprintf("%.2f (%d of %d)", float64(l.Covered)/float64(front), l.Covered, front), ms(l.BuildNS[0])},
-			{"PlanSweep (exhaustive)", fmt.Sprint(l.Evaluations[1]), fmt.Sprint(front), "1.00 (exact)", ms(l.BuildNS[1])},
-		},
-		Notes: []string{"front coverage: the share of the exact Pareto front an optimizer's front holds; Figure 3 measures it at 18,432 plans too"},
-	}, nil
 }

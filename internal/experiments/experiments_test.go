@@ -95,9 +95,12 @@ func TestRunFig3(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Fig3 run is slow for -short")
 	}
-	res, tbl, err := RunFig3(Fig3Options{PolicyChanges: 3, Seed: 4})
+	res, tbl, err := RunFig3(4)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if res.Policies != 5 {
+		t.Fatalf("%d policy changes, want 5", res.Policies)
 	}
 	if len(res.Lattices) != 2 || res.Lattices[1].PlanSpace != 18432 {
 		t.Fatalf("lattices: %+v", res.Lattices)
@@ -217,33 +220,25 @@ func TestAblations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ablations are slow for -short")
 	}
-	opts := AblationOptions{Reps: 1, Seed: 6}
-	growth, err := AblationWindowGrowth(opts)
+	growth, err := AblationWindowGrowth(6)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(growth.Rows) != 2 {
 		t.Errorf("growth ablation rows = %d", len(growth.Rows))
 	}
-	r2, err := AblationR2Threshold(opts)
+	r2, err := AblationR2Threshold(6)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(r2.Rows) != 5 {
 		t.Errorf("r2 ablation rows = %d", len(r2.Rows))
 	}
-	rec, err := AblationRecency(opts)
+	rec, err := AblationRecency(6)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rec.Rows) != 2 {
 		t.Errorf("recency ablation rows = %d", len(rec.Rows))
-	}
-	opt, err := AblationOptimizer(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(opt.Rows) != 2 {
-		t.Errorf("optimizer ablation rows = %d", len(opt.Rows))
 	}
 }

@@ -12,13 +12,8 @@ import (
 	"repro/internal/tpch"
 )
 
-// Fig3Options tunes the MOQP-approach comparison.
-type Fig3Options struct {
-	// PolicyChanges is how many times the user policy changes (default 5).
-	PolicyChanges int
-	// Seed drives the federation and workload.
-	Seed int64
-}
+// fig3Policies is how many times the user policy changes.
+const fig3Policies = 5
 
 // Fig3Result carries the numbers behind the Figure 3 comparison, one
 // entry per lattice: the default one, then Example 3.1's 18,432 plans.
@@ -53,12 +48,10 @@ var defaultMenu = []int{1, 2, 4, 8, 16}
 // exact sweep the scheduler serves — with a per-policy Algorithm 2
 // selection, versus a Weighted Sum Model optimization rerun for every
 // policy. It measures them on the default lattice and at Example 3.1's
-// scale (WideTopology and NodeRange(96): 18,432 plans).
-func RunFig3(opts Fig3Options) (*Fig3Result, *Table, error) {
-	if opts.PolicyChanges <= 0 {
-		opts.PolicyChanges = 5
-	}
-	res := &Fig3Result{Policies: opts.PolicyChanges}
+// scale (WideTopology and NodeRange(96): 18,432 plans). seed drives the
+// federation and the workload.
+func RunFig3(seed int64) (*Fig3Result, *Table, error) {
+	res := &Fig3Result{Policies: fig3Policies}
 	t := &Table{
 		Title:  "Figure 3: MOQP approaches across policy changes (Q12, 100 MiB).",
 		Header: []string{"Plans", "Approach", "Model evaluations", "Per-policy step", "Policy agreement", "Front coverage"},
@@ -69,11 +62,11 @@ func RunFig3(opts Fig3Options) (*Fig3Result, *Table, error) {
 		topology func(seed int64) (*federation.Federation, error)
 		menu     []int
 	}{{federation.DefaultTopology, defaultMenu}, {wide, federation.NodeRange(96)}} {
-		st, err := newStack(space.topology, opts.Seed, space.menu, 0, tpch.QueryQ12, 40)
+		st, err := newStack(space.topology, seed, space.menu, 0, tpch.QueryQ12, 40)
 		if err != nil {
 			return nil, nil, err
 		}
-		l, err := fig3On(st, opts)
+		l, err := fig3On(st, seed)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -96,10 +89,10 @@ func RunFig3(opts Fig3Options) (*Fig3Result, *Table, error) {
 }
 
 // fig3On runs the three approaches on st's lattice.
-func fig3On(st *stack, opts Fig3Options) (*Fig3Lattice, error) {
+func fig3On(st *stack, seed int64) (*Fig3Lattice, error) {
 	l := &Fig3Lattice{PlanSpace: st.lat.Size()}
 	start := time.Now()
-	ga, evaluations, err := optimizeGA(st, moo.NSGAIIConfig{PopSize: 40, Generations: 25, Seed: opts.Seed})
+	ga, evaluations, err := optimizeGA(st, moo.NSGAIIConfig{PopSize: 40, Generations: 25, Seed: seed})
 	if err != nil {
 		return nil, err
 	}
@@ -116,8 +109,8 @@ func fig3On(st *stack, opts Fig3Options) (*Fig3Lattice, error) {
 		}
 	}
 
-	for k := 0; k < opts.PolicyChanges; k++ {
-		w := float64(k+1) / float64(opts.PolicyChanges+1)
+	for k := 0; k < fig3Policies; k++ {
+		w := float64(k+1) / float64(fig3Policies+1)
 		pol := ires.Policy{Weights: []float64{w, 1 - w}}
 		// The Weighted Sum Model (Figure 3, right) pays the whole lattice
 		// again for every policy: sweep it, take the argmin of the

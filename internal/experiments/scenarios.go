@@ -26,10 +26,6 @@ type ScenarioOptions struct {
 	Seed int64
 	// Events per scenario (default 120).
 	Events int
-	// Specs overrides the standard scenario.Matrix grid.
-	Specs []scenario.Spec
-	// Queries is the mix each scenario draws from (default Q12+Q13).
-	Queries []string
 }
 
 func (o *ScenarioOptions) setDefaults() {
@@ -39,13 +35,10 @@ func (o *ScenarioOptions) setDefaults() {
 	if o.Events <= 0 {
 		o.Events = 120
 	}
-	if len(o.Specs) == 0 {
-		o.Specs = scenario.Matrix(o.Seed)
-	}
-	if len(o.Queries) == 0 {
-		o.Queries = []string{"Q12", "Q13"}
-	}
 }
+
+// scenarioQueries is the mix each scenario of the sweep draws from.
+var scenarioQueries = []string{"Q12", "Q13"}
 
 // DecisionPoint is the deterministic signature of one scheduling round
 // — everything that is a pure function of (history, plan space), and
@@ -242,15 +235,15 @@ func sweepRegret(sw *ires.Sweep, chosen federation.Plan, weights []float64) (flo
 	return chosenScore - best, true
 }
 
-// RunScenarios sweeps the scenario grid and renders the table the
-// nightly CI job publishes.
+// RunScenarios sweeps the standard scenario.Matrix grid and renders the
+// table the nightly CI job publishes.
 func RunScenarios(opts ScenarioOptions) ([]ScenarioResult, *Table, error) {
 	opts.setDefaults()
 	var rows []ScenarioResult
-	for _, spec := range opts.Specs {
+	for _, spec := range scenario.Matrix(opts.Seed) {
 		spec.Events = opts.Events
-		spec.Queries = opts.Queries
-		r, err := RunScenario(spec, opts.Queries)
+		spec.Queries = scenarioQueries
+		r, err := RunScenario(spec, scenarioQueries)
 		if err != nil {
 			return nil, nil, fmt.Errorf("scenario %s: %w", spec.Name, err)
 		}

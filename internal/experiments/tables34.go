@@ -147,21 +147,3 @@ func MRETable(res *MREResult, title string) *Table {
 	}
 	return t
 }
-
-// Table3MRE reproduces the paper's Table 3 (100 MiB TPC-H dataset).
-func Table3MRE(opts MREOptions) (*MREResult, *Table, error) {
-	res, err := RunMRE(0.1, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, MRETable(res, "Table 3: Comparison of mean relative error with 100MiB TPC-H dataset."), nil
-}
-
-// Table4MRE reproduces the paper's Table 4 (1 GiB TPC-H dataset).
-func Table4MRE(opts MREOptions) (*MREResult, *Table, error) {
-	res, err := RunMRE(1, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, MRETable(res, "Table 4: Comparison of mean relative error with 1GiB TPC-H dataset."), nil
-}

@@ -7,6 +7,39 @@ import (
 	"repro/internal/engine"
 )
 
+// twoSites is DefaultTopology's deployment, the one every topology here
+// starts from, with clusters of up to hiveNodes and pgNodes VMs.
+func twoSites(seed int64, hiveNodes, pgNodes int) Config {
+	hiveSite := &Site{
+		Name:     "hive-aws",
+		Provider: cloud.Amazon(),
+		Engine:   engine.Hive(),
+		Instance: "a1.xlarge",
+		MaxNodes: hiveNodes,
+		Load:     cloud.NewLoadProcess(seed + 1),
+	}
+	pgSite := &Site{
+		Name:     "postgres-azure",
+		Provider: cloud.Microsoft(),
+		Engine:   engine.Postgres(),
+		Instance: "B2MS",
+		MaxNodes: pgNodes,
+		Load:     cloud.NewLoadProcess(seed + 2),
+	}
+	return Config{
+		Sites: []*Site{hiveSite, pgSite},
+		Catalog: map[string]string{
+			"lineitem": hiveSite.Name,
+			"customer": hiveSite.Name,
+			"orders":   pgSite.Name,
+			"part":     pgSite.Name,
+		},
+		DefaultLink: cloud.Link{BandwidthMiBps: 110, LatencyS: 0.07},
+		NoiseStd:    0.10,
+		Seed:        seed + 3,
+	}
+}
+
 // DefaultTopology reproduces the paper's experimental setup as a
 // two-site federation: a Hive deployment (on Amazon instances) holding
 // the large fact tables and a PostgreSQL deployment (on Microsoft
@@ -20,34 +53,7 @@ import (
 // Q12 = lineitem(A) ⋈ orders(B), Q13 = orders(B) ⟕ customer(A),
 // Q14/Q17 = lineitem(A) ⋈ part(B): all cross-site.
 func DefaultTopology(seed int64) (*Federation, error) {
-	hiveSite := &Site{
-		Name:     "hive-aws",
-		Provider: cloud.Amazon(),
-		Engine:   engine.Hive(),
-		Instance: "a1.xlarge",
-		MaxNodes: 16,
-		Load:     cloud.NewLoadProcess(seed + 1),
-	}
-	pgSite := &Site{
-		Name:     "postgres-azure",
-		Provider: cloud.Microsoft(),
-		Engine:   engine.Postgres(),
-		Instance: "B2MS",
-		MaxNodes: 4, // PostgreSQL does not scale out; small pool
-		Load:     cloud.NewLoadProcess(seed + 2),
-	}
-	return New(Config{
-		Sites: []*Site{hiveSite, pgSite},
-		Catalog: map[string]string{
-			"lineitem": hiveSite.Name,
-			"customer": hiveSite.Name,
-			"orders":   pgSite.Name,
-			"part":     pgSite.Name,
-		},
-		DefaultLink: cloud.Link{BandwidthMiBps: 110, LatencyS: 0.07},
-		NoiseStd:    0.10,
-		Seed:        seed + 3,
-	})
+	return New(twoSites(seed, 16, 4)) // PostgreSQL does not scale out; small pool
 }
 
 // WideTopology is the default two-site deployment scaled out until the
@@ -62,34 +68,7 @@ func WideTopology(seed int64, maxNodes int) (*Federation, error) {
 	if maxNodes < 1 {
 		return nil, fmt.Errorf("federation: wide topology needs maxNodes >= 1, got %d", maxNodes)
 	}
-	hiveSite := &Site{
-		Name:     "hive-aws",
-		Provider: cloud.Amazon(),
-		Engine:   engine.Hive(),
-		Instance: "a1.xlarge",
-		MaxNodes: maxNodes,
-		Load:     cloud.NewLoadProcess(seed + 1),
-	}
-	pgSite := &Site{
-		Name:     "postgres-azure",
-		Provider: cloud.Microsoft(),
-		Engine:   engine.Postgres(),
-		Instance: "B2MS",
-		MaxNodes: maxNodes,
-		Load:     cloud.NewLoadProcess(seed + 2),
-	}
-	return New(Config{
-		Sites: []*Site{hiveSite, pgSite},
-		Catalog: map[string]string{
-			"lineitem": hiveSite.Name,
-			"customer": hiveSite.Name,
-			"orders":   pgSite.Name,
-			"part":     pgSite.Name,
-		},
-		DefaultLink: cloud.Link{BandwidthMiBps: 110, LatencyS: 0.07},
-		NoiseStd:    0.10,
-		Seed:        seed + 3,
-	})
+	return New(twoSites(seed, maxNodes, maxNodes))
 }
 
 // ThreeCloudTopology extends the default deployment with a third site —
@@ -104,22 +83,7 @@ func WideTopology(seed int64, maxNodes int) (*Federation, error) {
 //
 // Q12/Q14/Q17 stay AWS↔Azure; Q13 becomes Azure↔GCP.
 func ThreeCloudTopology(seed int64) (*Federation, error) {
-	hiveSite := &Site{
-		Name:     "hive-aws",
-		Provider: cloud.Amazon(),
-		Engine:   engine.Hive(),
-		Instance: "a1.xlarge",
-		MaxNodes: 16,
-		Load:     cloud.NewLoadProcess(seed + 1),
-	}
-	pgSite := &Site{
-		Name:     "postgres-azure",
-		Provider: cloud.Microsoft(),
-		Engine:   engine.Postgres(),
-		Instance: "B2MS",
-		MaxNodes: 4,
-		Load:     cloud.NewLoadProcess(seed + 2),
-	}
+	cfg := twoSites(seed, 16, 4)
 	sparkSite := &Site{
 		Name:     "spark-gcp",
 		Provider: cloud.Google(),
@@ -128,21 +92,12 @@ func ThreeCloudTopology(seed int64) (*Federation, error) {
 		MaxNodes: 12,
 		Load:     cloud.NewLoadProcess(seed + 4),
 	}
-	return New(Config{
-		Sites: []*Site{hiveSite, pgSite, sparkSite},
-		Catalog: map[string]string{
-			"lineitem": hiveSite.Name,
-			"customer": sparkSite.Name,
-			"orders":   pgSite.Name,
-			"part":     pgSite.Name,
-		},
-		Links: map[string]cloud.Link{
-			// Intra-continent pairs are faster than the default.
-			"hive-aws→spark-gcp": {BandwidthMiBps: 220, LatencyS: 0.03},
-			"spark-gcp→hive-aws": {BandwidthMiBps: 220, LatencyS: 0.03},
-		},
-		DefaultLink: cloud.Link{BandwidthMiBps: 110, LatencyS: 0.07},
-		NoiseStd:    0.10,
-		Seed:        seed + 3,
-	})
+	cfg.Sites = append(cfg.Sites, sparkSite)
+	cfg.Catalog["customer"] = sparkSite.Name
+	cfg.Links = map[string]cloud.Link{
+		// Intra-continent pairs are faster than the default.
+		"hive-aws→spark-gcp": {BandwidthMiBps: 220, LatencyS: 0.03},
+		"spark-gcp→hive-aws": {BandwidthMiBps: 220, LatencyS: 0.03},
+	}
+	return New(cfg)
 }

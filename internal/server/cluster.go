@@ -291,6 +291,18 @@ func (cs *clusterState) commit(next func(cur *cluster.Table) *cluster.Table) *cl
 	return tab
 }
 
+// pin commits fed's move to member id at minEpoch or later and returns
+// the epoch in force. A move the table in force refuses — at the top
+// epoch, no table can follow it — leaves fed where that table places
+// it, and pin answers errConflict.
+func (cs *clusterState) pin(fed, id string, minEpoch uint64) (uint64, error) {
+	tab := cs.commit(func(cur *cluster.Table) *cluster.Table { return cur.Pin(fed, id, minEpoch) })
+	if owner := tab.Owner(fed).ID; owner != id {
+		return 0, fmt.Errorf("%w: the table at epoch %d places %q on %s", errConflict, tab.Epoch(), fed, owner)
+	}
+	return tab.Epoch(), nil
+}
+
 // owns reports whether this node is fed's owner under the current
 // table.
 func (cs *clusterState) owns(fed string) bool {
@@ -694,13 +706,14 @@ func (s *Server) handleHandoff(w http.ResponseWriter, r *http.Request) {
 // target will not run. call wraps a peer's 409 in it.
 var errConflict = errors.New("conflict")
 
-// errNoSuccessor refuses an epoch from outside that no table could
-// follow: a node adopting it could never commit another move.
+// errNoSuccessor refuses an epoch that no table could follow: one from
+// outside (400), since a node adopting it could never commit another
+// move, or the one a handoff would mint at the top epoch (409).
 var errNoSuccessor = errors.New("epoch has no successor")
 
 // errStatus is the status a failed ownership move answers with.
 func errStatus(err error) int {
-	if errors.Is(err, errConflict) {
+	if errors.Is(err, errConflict) || errors.Is(err, errNoSuccessor) {
 		return http.StatusConflict
 	}
 	return http.StatusInternalServerError
@@ -718,9 +731,13 @@ func errStatus(err error) int {
 // is the one step whose failure cannot be taken at face value (the target
 // may have committed and the ack been lost, or the request may still be
 // on its way), so an activate error is settled with the target before
-// anything is reverted.
+// anything is reverted. A table at the top epoch has no epoch left to
+// mint, so the handoff is refused before anything is held.
 func (s *Server) handoffTenant(ctx context.Context, t *tenant, target cluster.Member) (uint64, map[string]int, error) {
 	cs := s.cluster
+	if cs.table.Load().Epoch() == math.MaxUint64 {
+		return 0, nil, errNoSuccessor
+	}
 	if !t.beginSending() {
 		return 0, nil, fmt.Errorf("%w: federation is %s here, not active", errConflict, tenantStateName(t.state.Load()))
 	}
@@ -758,6 +775,9 @@ func (s *Server) handoffTenant(ctx context.Context, t *tenant, target cluster.Me
 	// Activation commits the move: the target opens the shipped state,
 	// flips its tenant active and bumps the routing epoch.
 	a := &activation{target: target, epoch: cs.table.Load().Epoch() + 1}
+	if a.epoch == 0 { // the table reached the top epoch during the ship
+		return fail(errNoSuccessor)
+	}
 	a.url = target.Addr + "/v1/admin/handoff/activate?" +
 		url.Values{"federation": {t.name}, "epoch": {strconv.FormatUint(a.epoch, 10)}}.Encode()
 	if err := cs.post(a.url); err != nil {
@@ -780,7 +800,8 @@ func (s *Server) handoffTenant(ctx context.Context, t *tenant, target cluster.Me
 		}
 		return got, moved, nil
 	}
-	return s.commitHandoff(t, a), moved, nil
+	got, err := s.commitHandoff(t, a)
+	return got, moved, err
 }
 
 // activation is one handoff's activate: the target, the epoch it mints
@@ -804,7 +825,8 @@ func (s *Server) settle(t *tenant, a *activation) (uint64, bool) {
 	cs := s.cluster
 	err := cs.post(a.url)
 	if err == nil {
-		return s.commitHandoff(t, a), true
+		got, _ := s.commitHandoff(t, a)
+		return got, true
 	}
 	var cr ClusterResponse
 	if !errors.Is(err, errConflict) || cs.call(s.lifeCtx, http.MethodGet, a.target.Addr+"/v1/cluster", nil, &cr) != nil {
@@ -830,14 +852,21 @@ func (s *Server) settle(t *tenant, a *activation) (uint64, bool) {
 // commitHandoff commits the source half of a handoff the target has
 // activated: pin the federation on the target (the commit's kick carries
 // the table to the peers) and stop serving it here. Returns the
-// committed epoch.
-func (s *Server) commitHandoff(t *tenant, a *activation) uint64 {
+// committed epoch. If this node's table refuses the pin, the table in
+// force decides, as in a rollback, and the control loop carries it to
+// the target.
+func (s *Server) commitHandoff(t *tenant, a *activation) (uint64, error) {
 	cs := s.cluster
-	got := cs.commit(func(cur *cluster.Table) *cluster.Table { return cur.Pin(t.name, a.target.ID, a.epoch) }).Epoch()
+	got, err := cs.pin(t.name, a.target.ID, a.epoch)
+	if err != nil {
+		s.rollback(t)
+		s.log.Warn("handoff refused by the routing table", "federation", t.name, "target", a.target.ID, "error", err.Error())
+		return 0, err
+	}
 	s.stopServing(t)
 	cs.handoffsOut.Inc()
 	s.log.Info("handoff complete", "federation", t.name, "target", a.target.ID, "epoch", got)
-	return got
+	return got, nil
 }
 
 // rollback ends an outbound move that did not commit here: serve again —
@@ -942,7 +971,7 @@ func (s *Server) handleHandoffActivate(w http.ResponseWriter, r *http.Request) {
 	if errors.Is(err, errConflict) && t.state.Load() == cluster.Active {
 		// Retried commit: re-assert the override at the requested epoch
 		// and report success again.
-		got, err = cs.commit(func(cur *cluster.Table) *cluster.Table { return cur.Pin(fed, cs.self.ID, epoch) }).Epoch(), nil
+		got, err = cs.pin(fed, cs.self.ID, epoch)
 	}
 	if err != nil {
 		writeError(w, errStatus(err), "activating %q: %v", fed, err)
@@ -960,8 +989,8 @@ func (s *Server) handleHandoffActivate(w http.ResponseWriter, r *http.Request) {
 // then pins the federation on this node at minEpoch or one past the
 // table, whichever is later (the commit's kick carries the table to the
 // peers), before serving the held requests and counting the change. It
-// returns the committed epoch; a
-// failure leaves the tenant remote with nothing open. Either way it
+// returns the committed epoch; a failure, a pin the table refuses
+// included, leaves the tenant remote with nothing open. Either way it
 // raises t.fenced to minEpoch.
 func (s *Server) activate(t *tenant, minEpoch uint64, fence func() error, counter *metrics.Counter) (uint64, error) {
 	cs := s.cluster
@@ -975,11 +1004,16 @@ func (s *Server) activate(t *tenant, minEpoch uint64, fence func() error, counte
 	if err == nil {
 		err = activateTenant(t, fence)
 	}
+	var got uint64
+	if err == nil {
+		if got, err = cs.pin(t.name, cs.self.ID, minEpoch); err != nil {
+			err = errors.Join(err, t.releaseState())
+		}
+	}
 	if err != nil {
 		t.finish(cluster.Remote)
 		return 0, err
 	}
-	got := cs.commit(func(cur *cluster.Table) *cluster.Table { return cur.Pin(t.name, cs.self.ID, minEpoch) }).Epoch()
 	t.finish(cluster.Active)
 	counter.Inc()
 	return got, nil

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"maps"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -1845,6 +1846,77 @@ func TestClusterEpochWithoutSuccessorRefused(t *testing.T) {
 	}
 	if got := tc.servers[remote].cluster.table.Load().Epoch(); got != before.Epoch()+1 {
 		t.Fatalf("takeover committed epoch %d, want %d", got, before.Epoch()+1)
+	}
+}
+
+// topEpoch brings node i's table to epoch 2^64-1 with alpha placed on
+// member owner: a table at 2^64-2, then a different override set at the
+// same epoch, which merges one past it.
+func topEpoch(t *testing.T, tc *testCluster, i int, owner string) {
+	t.Helper()
+	for _, body := range []string{`{"epoch":18446744073709551614,"overrides":{"alpha":"` + owner + `"}}`, `{"epoch":18446744073709551614}`} {
+		resp, err := http.Post(tc.https[i].URL+"/v1/admin/route", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("route update %s = %d", body, resp.StatusCode)
+		}
+	}
+	if tab := tc.servers[i].cluster.table.Load(); tab.Epoch() != math.MaxUint64 || tab.Owner("alpha").ID != owner {
+		t.Fatalf("table at epoch %d placing alpha on %s, want 2^64-1 and %s", tab.Epoch(), tab.Owner("alpha").ID, owner)
+	}
+}
+
+// TestClusterActivationRefusedAtTopEpoch: at epoch 2^64-1 no pin can
+// commit, so a takeover of a federation the table places on the other
+// node is refused with 409 and leaves the tenant remote, not active
+// beside the owner.
+func TestClusterActivationRefusedAtTopEpoch(t *testing.T) {
+	tc := newTestCluster(t, 2, []string{"alpha"})
+	owner := tc.ownerIdx(t, "alpha")
+	remote := 1 - owner
+	topEpoch(t, tc, remote, tc.members[owner].ID)
+	if status, body := postStatus(t, tc.https[remote].URL+"/v1/admin/takeover?federation=alpha"); status != http.StatusConflict {
+		t.Fatalf("takeover at the top epoch = %d: %s, want 409", status, body)
+	}
+	if st := tc.servers[remote].tenants["alpha"].state.Load(); st != cluster.Remote {
+		t.Fatalf("alpha is %s after a refused takeover, want remote", tenantStateName(st))
+	}
+	if got := tc.servers[remote].cluster.table.Load().Owner("alpha").ID; got != tc.members[owner].ID {
+		t.Fatalf("table places alpha on %s, want %s", got, tc.members[owner].ID)
+	}
+}
+
+// TestClusterHandoffRefusedAtTopEpoch: a handoff at epoch 2^64-1 would
+// mint epoch 0, so it is refused with 409 before anything is held or
+// sent to the target, and the source keeps serving.
+func TestClusterHandoffRefusedAtTopEpoch(t *testing.T) {
+	var activates [2]atomic.Int32
+	tc := newWrappedTestCluster(t, 2, []string{"alpha"}, nil, func(i int, real http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/admin/handoff/activate" {
+				activates[i].Add(1)
+			}
+			real.ServeHTTP(w, r)
+		})
+	})
+	owner := tc.ownerIdx(t, "alpha")
+	topEpoch(t, tc, owner, tc.members[owner].ID)
+	url := tc.https[owner].URL + "/v1/admin/handoff?federation=alpha&target=" + tc.members[1-owner].ID
+	if status, body := postStatus(t, url); status != http.StatusConflict {
+		t.Fatalf("handoff at the top epoch = %d: %s, want 409", status, body)
+	}
+	if n := activates[1-owner].Load(); n != 0 {
+		t.Fatalf("the target was asked to activate %d times", n)
+	}
+	if st := tc.servers[owner].tenants["alpha"].state.Load(); st != cluster.Active {
+		t.Fatalf("alpha is %s at the source after a refused handoff, want active", tenantStateName(st))
+	}
+	resp, body := postQueryNoRedirect(t, tc.https[owner].URL, QueryRequest{Federation: "alpha", Query: "Q12", Weights: []float64{1, 1}})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("source answered %d after a refused handoff: %s", resp.StatusCode, body)
 	}
 }
 

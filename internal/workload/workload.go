@@ -33,55 +33,53 @@ type ModelSpec struct {
 // EvalConfig parameterizes one evaluation run.
 type EvalConfig struct {
 	Query tpch.QueryID
-	// SF is the nominal data scale (0.1 ≈ 100 MiB, 1 ≈ 1 GiB).
+	// SF is the nominal data scale (0.1 ≈ 100 MiB, 1 ≈ 1 GiB); each
+	// execution runs at SF ± sfJitter.
 	SF float64
-	// SFJitter is the relative spread of per-execution data sizes
-	// around SF (default 0.3 → ±30%), modelling medical data that
-	// accumulates between runs.
-	SFJitter float64
 	// HistorySize is the number of seed executions (default 60).
 	HistorySize int
 	// TestQueries is the number of scored predictions (default 40).
 	TestQueries int
-	// NodeChoices is the cluster-size menu (default 1..16 powers of 2).
-	NodeChoices []int
 	// RecordBreakdown records per-operator timings alongside the total
 	// costs (federation.BreakdownMetrics instead of federation.Metrics),
 	// enabling operator-level models such as ires.CompositeDREAMModel.
 	// The scored metrics stay (time, money): every model's Estimate
 	// must return a vector whose first two entries are those.
 	RecordBreakdown bool
-	// RecurringPlans restricts the workload to a recurring menu of this
-	// many plan configurations (default 3), drawn once per run. This
-	// mirrors the paper's evaluation: the same four queries are executed
-	// over and over on one deployment, so history and test plans come
-	// from the same small configuration set and the estimation signal is
-	// data size and load drift, not extrapolation across cluster shapes.
-	// Zero or negative uses the full enumerated plan space.
-	RecurringPlans int
 	// Seed drives plan draws and size jitter.
 	Seed int64
 }
 
+// The protocol's fixed shape.
+const (
+	// sfJitter is the relative spread of per-execution data sizes
+	// around SF (±30%), modelling medical data that accumulates between
+	// runs.
+	sfJitter = 0.3
+	// recurringPlans is the size of the recurring menu of plan
+	// configurations, drawn once per run. This mirrors the paper's
+	// evaluation: the same four queries are executed over and over on
+	// one deployment, so history and test plans come from the same
+	// small configuration set and the estimation signal is data size
+	// and load drift, not extrapolation across cluster shapes.
+	recurringPlans = 3
+)
+
+// nodeChoices is the cluster-size menu. The paper's evaluation cluster
+// was a fixed 3-node private cloud: its history varies data sizes over
+// a narrow menu of cluster shapes. A wide node range ({1..16}) turns
+// cost into a strongly nonlinear function of the node features, which
+// no MLR window — DREAM's or the baselines' — can extrapolate; the
+// plan-search experiments (Figure 3 / Example 3.1) are where the full
+// configuration space is exercised.
+var nodeChoices = []int{1, 2, 4}
+
 func (c *EvalConfig) setDefaults() {
-	if c.SFJitter == 0 {
-		c.SFJitter = 0.3
-	}
 	if c.HistorySize == 0 {
 		c.HistorySize = 60
 	}
 	if c.TestQueries == 0 {
 		c.TestQueries = 40
-	}
-	if len(c.NodeChoices) == 0 {
-		// The paper's evaluation cluster was a fixed 3-node private
-		// cloud: its history varies data sizes over a narrow menu of
-		// cluster shapes. A wide node range ({1..16}) turns cost into a
-		// strongly nonlinear function of the node features, which no
-		// MLR window — DREAM's or the baselines' — can extrapolate;
-		// the plan-search experiments (Figure 3 / Example 3.1) are
-		// where the full configuration space is exercised.
-		c.NodeChoices = []int{1, 2, 4}
 	}
 }
 
@@ -135,20 +133,16 @@ func (h *Harness) Run(cfg EvalConfig, models []ModelSpec) (*EvalResult, error) {
 	cfg.setDefaults()
 	rng := stats.NewRNG(cfg.Seed)
 
-	plans, err := h.Fed.EnumeratePlans(cfg.Query, cfg.NodeChoices)
+	plans, err := h.Fed.EnumeratePlans(cfg.Query, nodeChoices)
 	if err != nil {
 		return nil, err
 	}
 	if len(plans) == 0 {
 		return nil, fmt.Errorf("workload: query %v has no plans", cfg.Query)
 	}
-	recurring := cfg.RecurringPlans
-	if recurring == 0 {
-		recurring = 3
-	}
-	if recurring > 0 && recurring < len(plans) {
-		menu := make([]federation.Plan, 0, recurring)
-		for _, idx := range rng.Perm(len(plans))[:recurring] {
+	if recurringPlans < len(plans) {
+		menu := make([]federation.Plan, 0, recurringPlans)
+		for _, idx := range rng.Perm(len(plans))[:recurringPlans] {
 			menu = append(menu, plans[idx])
 		}
 		plans = menu
@@ -162,46 +156,6 @@ func (h *Harness) Run(cfg EvalConfig, models []ModelSpec) (*EvalResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	costsOf := func(out *federation.Outcome) []float64 {
-		if cfg.RecordBreakdown {
-			return out.BreakdownCosts()
-		}
-		return out.Costs()
-	}
-
-	// execute runs one plan at a jittered size and returns (features,
-	// outcome).
-	execute := func(p federation.Plan) ([]float64, *federation.Outcome, error) {
-		sf := cfg.SF * rng.Uniform(1-cfg.SFJitter, 1+cfg.SFJitter)
-		exec, err := federation.NewScaledExecutor(h.Fed, h.Cal, sf)
-		if err != nil {
-			return nil, nil, err
-		}
-		x, err := exec.Features(p)
-		if err != nil {
-			return nil, nil, err
-		}
-		out, err := exec.Execute(p)
-		if err != nil {
-			return nil, nil, err
-		}
-		return x, out, nil
-	}
-
-	// Seed phase.
-	for i := 0; i < cfg.HistorySize; i++ {
-		p := plans[rng.Intn(len(plans))]
-		x, out, err := execute(p)
-		if err != nil {
-			return nil, err
-		}
-		if err := history.Append(core.Observation{X: x, Costs: costsOf(out)}); err != nil {
-			return nil, err
-		}
-	}
-
-	// Test phase: every model predicts the same plan from the same
-	// history before the measured outcome is revealed and appended.
 	type tally struct {
 		timeActual, timePred   []float64
 		moneyActual, moneyPred []float64
@@ -211,10 +165,13 @@ func (h *Harness) Run(cfg EvalConfig, models []ModelSpec) (*EvalResult, error) {
 	for _, m := range models {
 		tallies[m.Name] = &tally{}
 	}
-	for i := 0; i < cfg.TestQueries; i++ {
+	// The seed phase executes HistorySize plans, each at a jittered
+	// size. In the test phase after it, every model predicts the same
+	// plan from the same history before the measured outcome is
+	// revealed and appended.
+	for i := 0; i < cfg.HistorySize+cfg.TestQueries; i++ {
 		p := plans[rng.Intn(len(plans))]
-		sf := cfg.SF * rng.Uniform(1-cfg.SFJitter, 1+cfg.SFJitter)
-		exec, err := federation.NewScaledExecutor(h.Fed, h.Cal, sf)
+		exec, err := federation.NewScaledExecutor(h.Fed, h.Cal, cfg.SF*rng.Uniform(1-sfJitter, 1+sfJitter))
 		if err != nil {
 			return nil, err
 		}
@@ -222,21 +179,27 @@ func (h *Harness) Run(cfg EvalConfig, models []ModelSpec) (*EvalResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		preds := make(map[string][]float64, len(models))
-		snap := history.Snapshot()
-		for _, m := range models {
-			c, err := m.Model.EstimateSnapshot(snap, x)
-			if err != nil {
-				tallies[m.Name].failures++
-				continue
+		var preds map[string][]float64
+		if i >= cfg.HistorySize {
+			preds = make(map[string][]float64, len(models))
+			snap := history.Snapshot()
+			for _, m := range models {
+				c, err := m.Model.EstimateSnapshot(snap, x)
+				if err != nil {
+					tallies[m.Name].failures++
+					continue
+				}
+				preds[m.Name] = c
 			}
-			preds[m.Name] = c
 		}
 		out, err := exec.Execute(p)
 		if err != nil {
 			return nil, err
 		}
-		actual := costsOf(out)
+		actual := out.Costs()
+		if cfg.RecordBreakdown {
+			actual = out.BreakdownCosts()
+		}
 		for name, c := range preds {
 			ta := tallies[name]
 			ta.timeActual = append(ta.timeActual, actual[0])
