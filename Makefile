@@ -13,15 +13,17 @@ COVER_PKGS ?= $(shell $(GO) list ./internal/...)
 # served-shape one (constant table-size columns, R² bar 0.8), the pooled
 # serving hot path, the full PlanSweep over wide lattices up to the
 # Example 3.1 size, SweepRound (one whole 2,048-plan serving cycle:
-# sweep, decide with its window search, release) and internal/moo's
-# ParetoFront shapes. Nothing gates on them: CI's regression gate is
-# `bench -compare` over bench/ against BENCHMARK.json's bounds, and
-# allocation budgets are ordinary tests (TestServeSubmitAllocBudget;
-# TestPlanSweepAllocBudget for a serving cycle that releases its sweep
-# and a library sweep that keeps it). The fsync-bound ServeDurable and
+# sweep, decide with its window search, release), HistoryPage (one
+# 50-observation GET /v1/history page through the handler) and
+# internal/moo's ParetoFront shapes. Nothing gates on them: CI's
+# regression gate is `bench -compare` over bench/ against
+# BENCHMARK.json's bounds, and allocation budgets are ordinary tests
+# (TestServeSubmitAllocBudget; TestPlanSweepAllocBudget for a serving
+# cycle that releases its sweep and a library sweep that keeps it;
+# TestHistoryPageAllocBudget). The fsync-bound ServeDurable and
 # WALAppendDurable benchmarks are left out — fsync latency is hardware
 # noise.
-SWEEP_PATTERN ?= Q1[23]Sweep|WindowSearch(Cold|Served)|DREAMEstimateUncached|ServeHotPath|PlanSweep|SweepRound|ParetoFront|RouteLookup
+SWEEP_PATTERN ?= Q1[23]Sweep|WindowSearch(Cold|Served)|DREAMEstimateUncached|ServeHotPath|HistoryPage|PlanSweep|SweepRound|ParetoFront|RouteLookup
 SWEEP_COUNT ?= 5
 
 # The control-plane tests `make test-cluster` repeats under -race.
@@ -97,6 +99,7 @@ fuzz-smoke:
 		histstore:FuzzReplay:10s \
 		server:FuzzDecodeRequest:10s \
 		server:FuzzReplicateStream:10s \
+		server:FuzzHistoryPage:10s \
 		cluster:FuzzAdopt:10s; do \
 		set -- $$(echo $$entry | tr : ' '); \
 		echo "fuzz-smoke: $$2 in internal/$$1 for $$3"; \

@@ -3,6 +3,7 @@ package midas
 import (
 	"context"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -54,31 +55,35 @@ func BenchmarkTable2R2Growth(b *testing.B) {
 	}
 }
 
-// benchMRE runs one Tables-3/4 campaign per iteration.
-func benchMRE(b *testing.B, sf float64, key, title string) {
+// benchArtefact runs the experiments.Artefacts entry of that name per
+// iteration — the computation `midasctl <name>` prints — on a small
+// campaign.
+func benchArtefact(b *testing.B, name string) {
 	b.Helper()
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunMRE(sf, experiments.MREOptions{
-			Reps: 3, HistorySize: 60, TestQueries: 30, Seed: int64(i) * 31,
+	i := slices.IndexFunc(experiments.Artefacts, func(a experiments.Artefact) bool { return a.Name == name })
+	if i < 0 {
+		b.Fatalf("no artefact %q", name)
+	}
+	for n := 0; n < b.N; n++ {
+		tables, err := experiments.Artefacts[i].Run(experiments.MREOptions{
+			Reps: 3, HistorySize: 60, TestQueries: 30, Seed: int64(n) * 31,
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		logTableOnce(b, key, experiments.MRETable(res, title))
+		for _, t := range tables {
+			logTableOnce(b, t.Title, t)
+		}
 	}
 }
 
 // BenchmarkTable3MRE100MiB regenerates the MRE comparison at the
 // paper's 100 MiB scale (paper Table 3).
-func BenchmarkTable3MRE100MiB(b *testing.B) {
-	benchMRE(b, 0.1, "t3", "Table 3: Comparison of mean relative error with 100MiB TPC-H dataset.")
-}
+func BenchmarkTable3MRE100MiB(b *testing.B) { benchArtefact(b, "table3") }
 
 // BenchmarkTable4MRE1GiB regenerates the MRE comparison at the paper's
 // 1 GiB scale (paper Table 4).
-func BenchmarkTable4MRE1GiB(b *testing.B) {
-	benchMRE(b, 1, "t4", "Table 4: Comparison of mean relative error with 1GiB TPC-H dataset.")
-}
+func BenchmarkTable4MRE1GiB(b *testing.B) { benchArtefact(b, "table4") }
 
 // BenchmarkFig3MOQPApproaches contrasts GA-based MOQP and the exact
 // sweep with repeated Weighted Sum Model optimization (paper Figure 3).

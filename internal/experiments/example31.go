@@ -111,11 +111,14 @@ func RunExample31(opts Example31Options) (*Example31Result, *Table, error) {
 	}
 	res.BMLNS = time.Since(start).Nanoseconds()
 
+	// Per plan in ns and the extrapolation to three significant digits:
+	// the cached fit costs tens of ns a plan, which fixed µs and s
+	// columns round to zero.
 	perPlan := func(total int64) string {
-		return fmt.Sprintf("%.1f µs", float64(total)/1e3/float64(res.PlansEstimated))
+		return fmt.Sprintf("%.0f ns", float64(total)/float64(res.PlansEstimated))
 	}
 	extrapolate := func(total int64) string {
-		return fmt.Sprintf("%.2f s", float64(total)/1e9/float64(res.PlansEstimated)*float64(res.PaperPlanCount))
+		return fmt.Sprintf("%.3g s", float64(total)/1e9/float64(res.PlansEstimated)*float64(res.PaperPlanCount))
 	}
 	t := &Table{
 		Title:  "Example 3.1: estimating equivalent QEPs of one query (70 vCPU × 260 GB ⇒ 18,200 QEPs).",

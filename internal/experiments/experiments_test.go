@@ -166,6 +166,26 @@ func TestRunExample31(t *testing.T) {
 	}
 }
 
+// TestExample31CachedRowNonZero: at midasctl's default seed every row
+// of the printed study, the cached fit's too, shows a non-zero per-plan
+// cost and extrapolation — a figure that rounds to zero says nothing.
+func TestExample31CachedRowNonZero(t *testing.T) {
+	if testing.Short() {
+		t.Skip("Example 3.1 run is slow for -short")
+	}
+	_, tbl, err := RunExample31(Example31Options{Plans: 200, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range tbl.Rows {
+		for _, cell := range row[2:] {
+			if v, err := strconv.ParseFloat(strings.Fields(cell)[0], 64); err != nil || v <= 0 {
+				t.Errorf("%s: cell %q is not a positive figure", row[0], cell)
+			}
+		}
+	}
+}
+
 // TestShuffledHistoryModel: the recency ablation's uniform arm sees a
 // sample of the whole history (so it misses a regime change the
 // most-recent window tracks), is a pure function of (seed, history

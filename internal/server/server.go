@@ -557,10 +557,19 @@ func (s *Server) tenantFor(name string) (*tenant, error) {
 	return t, nil
 }
 
+// writeJSON encodes v before it writes the header, so a value that
+// does not encode (a NaN, say) answers 500 with an error body, not the
+// status asked for with an empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	var body bytes.Buffer
+	if err := json.NewEncoder(&body).Encode(v); err != nil {
+		body.Reset()
+		status = http.StatusInternalServerError
+		_ = json.NewEncoder(&body).Encode(ErrorResponse{Error: fmt.Sprintf("encoding response: %v", err)})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(body.Bytes())
 }
 
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
@@ -952,7 +961,8 @@ func (s *Server) submit(ctx context.Context, t *tenant, q tpch.QueryID, pol ires
 }
 
 func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
-	t, err := s.tenantFor(r.URL.Query().Get("federation"))
+	params := r.URL.Query()
+	t, err := s.tenantFor(params.Get("federation"))
 	if err != nil {
 		writeError(w, http.StatusNotFound, "%v", err)
 		return
@@ -989,13 +999,12 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "federation %q has no open history for %v on this node", t.name, q)
 		return
 	}
-	snap := h.Snapshot()
 	// Paged, most recent first: a serving dashboard cares about now,
 	// and a warm multi-thousand-observation history must not be
 	// serialized whole by default. offset skips the newest entries, so
 	// offset+limit walks back in time page by page.
 	limit := defaultHistoryLimit
-	if s := r.URL.Query().Get("limit"); s != "" {
+	if s := params.Get("limit"); s != "" {
 		n, err := strconv.Atoi(s)
 		if err != nil || n < 0 {
 			writeError(w, http.StatusBadRequest, "bad limit %q", s)
@@ -1004,7 +1013,7 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 		limit = n
 	}
 	offset := 0
-	if s := r.URL.Query().Get("offset"); s != "" {
+	if s := params.Get("offset"); s != "" {
 		n, err := strconv.Atoi(s)
 		if err != nil || n < 0 {
 			writeError(w, http.StatusBadRequest, "bad offset %q", s)
@@ -1012,32 +1021,21 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 		}
 		offset = n
 	}
-	total := snap.Len()
-	if offset > total {
-		offset = total
-	}
-	// Observations at or before the offset that are still held.
-	page := max(total-offset-snap.Base(), 0)
-	if limit < page {
-		page = limit
-	}
-	resp := HistoryResponse{
-		Federation:   t.name,
-		Query:        q.String(),
-		Len:          total,
-		Base:         snap.Base(),
-		Offset:       offset,
-		Metrics:      snap.Metrics(),
-		Observations: make([]ObservationJSON, 0, page),
-	}
-	for i := total - 1 - offset; i >= total-offset-page; i-- {
-		obs := snap.At(i)
-		resp.Observations = append(resp.Observations, ObservationJSON{X: obs.X, Costs: obs.Costs})
-	}
-	if resp.Truncated = page < total-offset; resp.Truncated {
+	p := pagePool.Get().(*historyPage)
+	defer p.release()
+	body, truncated, err := p.render(h, t.name, q.String(), limit, offset)
+	if truncated {
 		t.stats.histTruncated.Add(1)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "%v", err)
+		return
+	}
+	hdr := w.Header()
+	hdr.Set("Content-Type", "application/json")
+	hdr.Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"testing"
 
@@ -302,4 +303,76 @@ func BenchmarkServeDurable(b *testing.B) {
 	b.Run("wal", func(b *testing.B) { benchServeDurable(b, histstore.Options{}, false) })
 	b.Run("fsync", func(b *testing.B) { benchServeDurable(b, histstore.Options{Fsync: true}, false) })
 	b.Run("fsync/readers", func(b *testing.B) { benchServeDurable(b, histstore.Options{Fsync: true}, true) })
+}
+
+// ---------------------------------------------------------------------------
+// History read: GET /v1/history/Q12?limit=50, the page the `durable`
+// workload reads as one request in ten, through srv.Handler() on a
+// history of bootstrapped and served observations.
+
+// newHistoryBench serves submissions into the bench tenant's Q12
+// history until it holds more than one page, and returns the tenant's
+// handler with a page request.
+func newHistoryBench(tb testing.TB) (http.Handler, *http.Request) {
+	tb.Helper()
+	srv := newServeBench(tb, noDeadline, newFixedSweepSched(tb, nil))
+	var resp bytes.Buffer
+	for i := 0; i < 40; i++ {
+		resp.Reset()
+		if status := srv.ServeSubmit(context.Background(), serveBody, &resp); status != http.StatusOK {
+			tb.Fatalf("submit = %d: %s", status, resp.String())
+		}
+	}
+	return srv.Handler(), httptest.NewRequest(http.MethodGet, "/v1/history/Q12?limit=50", nil)
+}
+
+// pageSink is a ResponseWriter that keeps only the status and the body
+// length, so a measurement counts the handler's work and no recorder's.
+type pageSink struct {
+	header    http.Header
+	status, n int
+}
+
+func (s *pageSink) Header() http.Header         { return s.header }
+func (s *pageSink) WriteHeader(status int)      { s.status = status }
+func (s *pageSink) Write(p []byte) (int, error) { s.n += len(p); return len(p), nil }
+
+// serve runs one request through h into the emptied sink.
+func (s *pageSink) serve(tb testing.TB, h http.Handler, r *http.Request) {
+	clear(s.header)
+	s.status, s.n = 0, 0
+	h.ServeHTTP(s, r)
+	if s.status != http.StatusOK || s.n == 0 {
+		tb.Fatalf("history page: status %d, %d bytes", s.status, s.n)
+	}
+}
+
+// BenchmarkHistoryPage times one 50-observation page: query parsing,
+// snapshot, rendering and the write, without a network in the way.
+func BenchmarkHistoryPage(b *testing.B) {
+	h, req := newHistoryBench(b)
+	sink := &pageSink{header: make(http.Header)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sink.serve(b, h, req)
+	}
+}
+
+// TestHistoryPageAllocBudget gates the page's allocations: the parsed
+// query string, the two header values, the metric names' copy, the
+// mux's path match and the length's digits. The body buffer is pooled
+// and no observation allocates.
+func TestHistoryPageAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	h, req := newHistoryBench(t)
+	sink := &pageSink{header: make(http.Header)}
+	allocs := testing.AllocsPerRun(200, func() { sink.serve(t, h, req) })
+	const budget = 10
+	t.Logf("%.1f allocs per 50-observation page (%d bytes), budget %d", allocs, sink.n, budget)
+	if allocs > budget {
+		t.Errorf("history page: %.1f allocs, budget %d", allocs, budget)
+	}
 }
