@@ -100,6 +100,7 @@ fuzz-smoke:
 		server:FuzzDecodeRequest:10s \
 		server:FuzzReplicateStream:10s \
 		server:FuzzHistoryPage:10s \
+		server:FuzzSubmitResponse:10s \
 		cluster:FuzzAdopt:10s; do \
 		set -- $$(echo $$entry | tr : ' '); \
 		echo "fuzz-smoke: $$2 in internal/$$1 for $$3"; \

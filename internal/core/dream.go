@@ -17,6 +17,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -38,6 +39,11 @@ var ErrInsufficientHistory = errors.New("core: insufficient history")
 // ErrMetricCount is returned when an observation's cost vector does not
 // match the history's metric set.
 var ErrMetricCount = errors.New("core: observation metric count mismatch")
+
+// ErrNonFinite is returned when an observation carries a NaN or ±Inf
+// feature or cost: no regression fits one, and no JSON page or
+// response can carry it.
+var ErrNonFinite = errors.New("core: observation value is not finite")
 
 // Observation is one completed execution: the feature vector that was
 // known before running (data sizes, node counts, …) and the cost vector
@@ -210,7 +216,8 @@ func (h *History) SetSink(sink HistorySink) {
 	h.mu.Unlock()
 }
 
-// Append records a completed execution. With a sink attached the
+// Append records a completed execution; an observation holding a NaN or
+// ±Inf is refused with ErrNonFinite. With a sink attached the
 // observation is persisted first (write-ahead): a sink error aborts the
 // append and the in-memory history is unchanged. The sink's durability
 // wait runs after the history lock is released, so concurrent appenders
@@ -223,6 +230,12 @@ func (h *History) Append(o Observation) error {
 	}
 	if len(o.Costs) != len(h.metrics) {
 		return fmt.Errorf("%w: got %d costs, want %d", ErrMetricCount, len(o.Costs), len(h.metrics))
+	}
+	if err := checkFinite("feature", o.X); err != nil {
+		return err
+	}
+	if err := checkFinite("cost", o.Costs); err != nil {
+		return err
 	}
 	// One array holds both vectors: the features, then the costs.
 	v := make([]float64, len(o.X)+len(o.Costs))
@@ -248,6 +261,16 @@ func (h *History) Append(o Observation) error {
 	if sink != nil {
 		if err := sink.WaitObservation(ticket); err != nil {
 			return fmt.Errorf("core: history sink: %w", err)
+		}
+	}
+	return nil
+}
+
+// checkFinite refuses the first NaN or ±Inf in vs, naming it.
+func checkFinite(what string, vs []float64) error {
+	for i, v := range vs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("%w: %s %d is %v", ErrNonFinite, what, i, v)
 		}
 	}
 	return nil

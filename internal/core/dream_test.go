@@ -79,6 +79,29 @@ func TestHistoryAppendValidation(t *testing.T) {
 	}
 }
 
+// TestHistoryRefusesNonFinite: a NaN or ±Inf feature or cost is
+// refused with ErrNonFinite and leaves the history and its version
+// untouched.
+func TestHistoryRefusesNonFinite(t *testing.T) {
+	h := mustHistory(t, 2, "time", "money")
+	for _, o := range []Observation{
+		{X: []float64{math.NaN(), 1}, Costs: []float64{1, 1}},
+		{X: []float64{1, math.Inf(-1)}, Costs: []float64{1, 1}},
+		{X: []float64{1, 1}, Costs: []float64{math.Inf(1), 1}},
+		{X: []float64{1, 1}, Costs: []float64{1, math.NaN()}},
+	} {
+		if err := h.Append(o); !errors.Is(err, ErrNonFinite) {
+			t.Errorf("Append(%v) = %v, want ErrNonFinite", o, err)
+		}
+	}
+	if h.Len() != 0 || h.Version() != 0 {
+		t.Errorf("refused appends left Len %d, Version %d", h.Len(), h.Version())
+	}
+	if err := h.Append(Observation{X: []float64{math.MaxFloat64, -0.0}, Costs: []float64{5e-324, 1}}); err != nil {
+		t.Fatalf("finite extremes refused: %v", err)
+	}
+}
+
 func TestHistoryCopiesInputs(t *testing.T) {
 	h := mustHistory(t, 1, "time")
 	x := []float64{1}

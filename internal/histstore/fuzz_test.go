@@ -2,6 +2,7 @@ package histstore
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -19,7 +20,8 @@ import (
 // file alone, and one that succeeds leaves the closed segment alone,
 // cuts the newest to a prefix and recovers exactly the contiguous
 // 0..k-1 run of frames the surviving files hold between them — never a
-// history with a hole, and a fixed point of a second open.
+// history with a hole or a non-finite value, and a fixed point of a
+// second open.
 func FuzzReplay(f *testing.F) {
 	var whole, gap, wrongDim []byte
 	for i := 0; i < 4; i++ {
@@ -27,8 +29,10 @@ func FuzzReplay(f *testing.F) {
 	}
 	gap = appendFrame(append(gap, whole[:testFrameSize]...), 2, obsAt(2))
 	wrongDim = appendFrame(wrongDim, 0, core.Observation{X: []float64{1, 2}, Costs: []float64{3, 4}})
+	nan := appendFrame(append([]byte(nil), whole[:2*testFrameSize]...), 2, core.Observation{X: []float64{2}, Costs: []float64{math.NaN(), 6}})
+	nan = appendFrame(nan, 3, obsAt(3))
 	for _, seed := range [][]byte{nil, whole, whole[:len(whole)-5], append(whole[:2*testFrameSize:2*testFrameSize], whole...), gap, wrongDim,
-		{0xff, 0xff, 0x0f, 0x00, 1, 2, 3, 4, 5}, make([]byte, 64)} {
+		{0xff, 0xff, 0x0f, 0x00, 1, 2, 3, 4, 5}, make([]byte, 64), nan} {
 		for _, split := range []uint16{0, 1, testFrameSize, 2 * testFrameSize, 2*testFrameSize + 3} {
 			f.Add(seed, true, split)
 			f.Add(seed, false, split)
@@ -117,6 +121,14 @@ func FuzzReplay(f *testing.F) {
 		}
 		if int(next) != h.Len() || h.Base() != 0 {
 			t.Fatalf("the files hold %d observations, the history [%d, %d)", next, h.Base(), h.Len())
+		}
+		for i := 0; i < h.Len(); i++ {
+			o := h.At(i)
+			for _, v := range append(append([]float64(nil), o.X...), o.Costs...) {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Fatalf("observation %d = %+v was loaded", i, o)
+				}
+			}
 		}
 		h2, closeStore, err := open()
 		closeStore()

@@ -2,7 +2,9 @@ package histstore
 
 import (
 	"bytes"
+	"errors"
 	"maps"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -494,6 +496,38 @@ func TestCorruptMidFrameTruncates(t *testing.T) {
 	// must have been truncated so new appends extend the valid prefix.
 	if fi, err := os.Stat(walPath); err != nil || fi.Size() != int64(2*frameSize) {
 		t.Fatalf("wal size = %v (err %v), want %d", fi.Size(), err, 2*frameSize)
+	}
+}
+
+// TestNonFiniteFrameIsCorrupt: a CRC-valid frame carrying a NaN or ±Inf
+// is corrupt wherever it is read — the torn point of a log's tail, a
+// failed open in a closed segment, a refused replica batch — so no
+// store ever loads a value History.Append would refuse.
+func TestNonFiniteFrameIsCorrupt(t *testing.T) {
+	bad := func(seq int, v float64) []byte {
+		o := obsAt(seq)
+		o.Costs[1] = v
+		return appendFrame(nil, uint64(seq), o)
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		tail := append(append(testFrames(0, 2), bad(2, v)...), testFrames(3, 4)...)
+		dir := writeShardDir(t, "Q12", map[string][]byte{walName: tail})
+		s := openStore(t, dir, Options{})
+		wantPrefix(t, openHist(t, s, "Q12"), 2)
+		s.Close()
+
+		dir = writeShardDir(t, "Q12", map[string][]byte{walName: tail, segmentName(4): testFrames(4, 5)})
+		s = openStore(t, dir, Options{})
+		if _, err := s.OpenHistory("Q12", 1, testMetrics); !errors.Is(err, framelog.ErrCorrupt) {
+			t.Errorf("%v in a closed segment: open error %v, want ErrCorrupt", v, err)
+		}
+		s.Close()
+
+		s = openStore(t, t.TempDir(), Options{})
+		if next, err := s.AppendReplicaFrames("Q12", 0, tail, false); !errors.Is(err, framelog.ErrCorrupt) || next != 0 {
+			t.Errorf("%v in a replica batch: next %d, error %v; want 0, ErrCorrupt", v, next, err)
+		}
+		s.Close()
 	}
 }
 

@@ -43,9 +43,10 @@ func appendFrame(buf []byte, seq uint64, o core.Observation) []byte {
 	return framelog.Finish(buf, at)
 }
 
-// frameSeq validates a CRC-checked payload's shape and returns its
-// sequence number without decoding the observation — all a replica,
-// which only forwards the bytes, needs. A misshapen payload is
+// frameSeq validates a CRC-checked payload's shape and values and
+// returns its sequence number without decoding the observation — all a
+// replica, which only forwards the bytes, needs. A misshapen payload,
+// or one carrying a NaN or ±Inf that History.Append would refuse, is
 // framelog.ErrCorrupt: the scan's policy decides what that means.
 func frameSeq(p []byte) (uint64, error) {
 	if len(p) < 12 {
@@ -56,8 +57,17 @@ func frameSeq(p []byte) (uint64, error) {
 	if len(p) != 12+8*(nx+nc) {
 		return 0, fmt.Errorf("%w: payload size disagrees with counts", framelog.ErrCorrupt)
 	}
+	for at := 12; at < len(p); at += 8 {
+		// All exponent bits set: ±Inf or a NaN.
+		if binary.LittleEndian.Uint64(p[at:])&expMask == expMask {
+			return 0, fmt.Errorf("%w: value %d is not finite", framelog.ErrCorrupt, (at-12)/8)
+		}
+	}
 	return binary.LittleEndian.Uint64(p), nil
 }
+
+// expMask selects a float64's exponent bits.
+const expMask = 0x7ff << 52
 
 // decodePayload parses a CRC-validated payload.
 func decodePayload(p []byte) (seq uint64, o core.Observation, err error) {

@@ -544,7 +544,7 @@ func (s *Server) hold(ctx context.Context, t *tenant, inflight *int64, deadline 
 // writeRedirect renders the 307 through the request's scratch: the
 // owner's URL for path goes in sc.location (the handlers copy it to the
 // Location header), the body says why — the bytes writeErrorBuf would
-// render, with no formatting or encoder of its own.
+// render, appended without formatting.
 func (s *Server) writeRedirect(t *tenant, sc *serveScratch, path string, resp *bytes.Buffer) int {
 	tab := s.cluster.table.Load()
 	owner := tab.Owner(t.name)
@@ -554,9 +554,7 @@ func (s *Server) writeRedirect(t *tenant, sc *serveScratch, path string, resp *b
 	sc.text = strconv.AppendQuote(append(sc.text[:0], "federation "...), t.name)
 	sc.text = append(append(append(sc.text, " is served by "...), owner.ID...), " (epoch "...)
 	sc.text = append(strconv.AppendUint(sc.text, tab.Epoch(), 10), ')')
-	sc.errResp.Error = reuse(sc.errResp.Error, sc.text)
-	sc.dst.w = resp
-	_ = sc.enc.Encode(&sc.errResp)
+	resp.Write(appendErrorBody(resp.AvailableBuffer(), sc.text))
 	return http.StatusTemporaryRedirect
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -13,6 +14,8 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/framelog"
 	"repro/internal/histstore"
 )
 
@@ -92,7 +95,8 @@ func encodeKind(kind byte, query string, from uint64, frames []byte) []byte {
 // append or a sync AppendReplicaFrames', a kind nobody defined a refusal
 // — and stops at the first
 // refusal, so its replica is file for file, byte for byte, the one a
-// reference store builds from the accepted batches alone.
+// reference store builds from the accepted batches alone, and a
+// takeover opening it loads no NaN or ±Inf.
 func FuzzReplicateStream(f *testing.F) {
 	frames, fs := walFrames(f, 8)
 	whole := append(encodeBatch("Q12", 0, frames[:fs]), encodeBatch("Q12", 1, frames[fs:4*fs])...)
@@ -118,6 +122,7 @@ func FuzzReplicateStream(f *testing.F) {
 		append(encodeKind(replSync, "Q12", 1<<63, nil), whole...),                        // an empty sync, far away: the append after it is a gap
 		append(append([]byte(nil), whole...), encodeKind(2, "Q12", 0, frames)...),        // a handoff batch's old kind
 		append(append([]byte(nil), whole...), encodeKind(7, "Q12", 4, frames[4*fs:])...), // no such kind
+		append(append([]byte(nil), whole...), encodeBatch("Q12", 4, nanFrame(4))...),     // CRC-valid, not finite
 	} {
 		f.Add(seed)
 	}
@@ -219,5 +224,38 @@ func FuzzReplicateStream(f *testing.F) {
 				t.Fatalf("%s: replica holds %d bytes (%v), the reference %d", filepath.Base(name), len(gotBytes), err, len(wantBytes))
 			}
 		}
+		promoted, err := histstore.Open(dir, histstore.Options{Retain: historyRetain})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer promoted.Close()
+		h, err := promoted.OpenHistory("Q12", 2, []string{"time", "money"})
+		if errors.Is(err, core.ErrNonFinite) {
+			t.Fatalf("the replica stored a frame History.Append refuses: %v", err)
+		}
+		if err != nil {
+			return // a replica a takeover refuses loads nothing
+		}
+		for i := h.Base(); i < h.Len(); i++ {
+			o := h.At(i)
+			for _, v := range append(append([]float64(nil), o.X...), o.Costs...) {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Fatalf("a takeover loaded observation %d = %+v", i, o)
+				}
+			}
+		}
 	})
+}
+
+// nanFrame is a WAL frame of seq in walFrames' shape whose first cost
+// is NaN: its CRC holds, its value is refused.
+func nanFrame(seq uint64) []byte {
+	b, at := framelog.Begin(nil)
+	b = binary.LittleEndian.AppendUint64(b, seq)
+	b = binary.LittleEndian.AppendUint16(b, 2)
+	b = binary.LittleEndian.AppendUint16(b, 2)
+	for _, v := range []float64{float64(seq), 1, math.NaN(), 3} {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	return framelog.Finish(b, at)
 }

@@ -1,12 +1,10 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"strconv"
 	"sync"
-	"unicode/utf8"
 
 	"repro/internal/core"
 )
@@ -55,8 +53,8 @@ func (p *historyPage) release() {
 // observations, newest first, after skipping offset from the newest end
 // (an offset past the end is clamped to it). truncated reports a page
 // that stopped short of observation 0, by limit or at the base. It
-// fails on a value JSON cannot carry (NaN, ±Inf), naming the
-// observation.
+// fails on a value JSON cannot carry (NaN, ±Inf — History.Append
+// refuses them, so none should be held), naming the observation.
 func (p *historyPage) render(h *core.History, fed, query string, limit, offset int) (body []byte, truncated bool, err error) {
 	snap := &p.snap
 	h.SnapshotTo(snap)
@@ -131,47 +129,4 @@ func (p *historyPage) appendColumns(b []byte, vs []float64, column int) ([]byte,
 		*c = renderedFloat{bits: math.Float64bits(f), start: start, end: len(b)}
 	}
 	return append(b, ']'), nil
-}
-
-// appendJSONFloat appends f exactly as encoding/json writes a float64 —
-// the shortest round-trip digits in 'f' format, or in 'e' format below
-// 1e-6 and from 1e21 up, with a one-digit negative exponent unpadded
-// (e-07 → e-7) — and reports false for NaN and ±Inf, which JSON cannot
-// carry. An integer below 2⁵³ in magnitude is written by AppendInt,
-// which prints the same digits faster; −0 is not one ('f' writes "-0").
-func appendJSONFloat(b []byte, f float64) ([]byte, bool) {
-	if f > -(1<<53) && f < 1<<53 && f == math.Trunc(f) && (f != 0 || !math.Signbit(f)) {
-		return strconv.AppendInt(b, int64(f), 10), true
-	}
-	if math.IsNaN(f) || math.IsInf(f, 0) {
-		return b, false
-	}
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
-	return b, true
-}
-
-// appendJSONString appends s quoted as encoding/json writes it, HTML
-// escapes included. A name of plain printable ASCII without '"', '\\',
-// '<', '>' or '&' — every federation, query and metric name in practice
-// — is copied between quotes; any other goes through json.Marshal.
-func appendJSONString(b []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			q, _ := json.Marshal(s) // a string always marshals
-			return append(b, q...)
-		}
-	}
-	b = append(b, '"')
-	b = append(b, s...)
-	return append(b, '"')
 }

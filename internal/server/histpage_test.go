@@ -4,13 +4,14 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"math"
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"slices"
 	"strconv"
-	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -156,11 +157,12 @@ func firstDiff(a, b []byte) int {
 	return min(len(a), len(b))
 }
 
-// TestHistoryPageNonFiniteIs500: a page holding a value JSON cannot
-// carry answers 500 with an error that names the federation, the query
-// and the observation — not 200 with an empty body. A page that skips
-// the value is served.
-func TestHistoryPageNonFiniteIs500(t *testing.T) {
+// TestHistoryPageNeverCarriesNonFinite: a value JSON cannot carry never
+// reaches a page. History.Append refuses it, so every page over the
+// history answers 200 with the finite observations alone; and were one
+// held, the renderer would refuse it, naming the observation and the
+// column, rather than answer 200 with an empty body.
+func TestHistoryPageNeverCarriesNonFinite(t *testing.T) {
 	stub := &stubSched{}
 	h := stub.History(tpch.QueryQ13)
 	for i := 0; i < 5; i++ {
@@ -171,36 +173,27 @@ func TestHistoryPageNonFiniteIs500(t *testing.T) {
 		case 1:
 			x[2] = math.Inf(-1)
 		}
-		if err := h.Append(core.Observation{X: x, Costs: costs}); err != nil {
-			t.Fatal(err)
+		err := h.Append(core.Observation{X: x, Costs: costs})
+		if refused := i == 1 || i == 3; refused != errors.Is(err, core.ErrNonFinite) {
+			t.Fatalf("observation %d: Append = %v", i, err)
 		}
 	}
 	handler := newTestServer(t, stub, Config{}).Handler()
-	get := func(query string) *httptest.ResponseRecorder {
+	for _, query := range []string{"", "?offset=1", "?offset=2&limit=1", "?limit=1"} {
 		rec := httptest.NewRecorder()
 		handler.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/history/Q13"+query, nil))
-		return rec
+		var page HistoryResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &page); err != nil || rec.Code != http.StatusOK {
+			t.Fatalf("%q: status %d, body %q (%v)", query, rec.Code, rec.Body, err)
+		}
+		if page.Len != 3 {
+			t.Errorf("%q: len %d, want the 3 finite observations", query, page.Len)
+		}
 	}
-	for query, want := range map[string]string{
-		"":                  `federation "test", Q13, observation 3: costs: value 0 is NaN`,
-		"?offset=2":         `federation "test", Q13, observation 1: x: value 2 is -Inf`,
-		"?offset=2&limit=1": "",
-		"?limit=1":          "",
-	} {
-		rec := get(query)
-		if want == "" {
-			if rec.Code != http.StatusOK {
-				t.Errorf("%q skips the non-finite values: status %d: %s", query, rec.Code, rec.Body)
-			}
-			continue
-		}
-		var er ErrorResponse
-		if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil {
-			t.Fatalf("%q: status %d, body %q: %v", query, rec.Code, rec.Body, err)
-		}
-		if rec.Code != http.StatusInternalServerError || !strings.Contains(er.Error, want) {
-			t.Errorf("%q: status %d, error %q; want 500 naming %q", query, rec.Code, er.Error, want)
-		}
+	p := pagePool.Get().(*historyPage)
+	defer p.release()
+	if _, err := p.appendColumns(nil, []float64{1, math.Inf(1)}, 0); err == nil || err.Error() != "value 1 is +Inf, which JSON cannot carry" {
+		t.Errorf("appendColumns over +Inf: %v", err)
 	}
 }
 
@@ -221,9 +214,10 @@ func TestWriteJSONRefusesUnencodable(t *testing.T) {
 	}
 }
 
-// FuzzHistoryPage: for any observation values (raw bits, NaN and ±Inf
-// included), names and paging, the appended page is byte for byte what
-// encoding/json writes, and fails exactly when encoding/json does.
+// FuzzHistoryPage: for any observation values (raw bits; History.Append
+// refuses exactly the NaN and ±Inf among them), names and paging, the
+// appended page is byte for byte what encoding/json writes, and fails
+// exactly when encoding/json does.
 func FuzzHistoryPage(f *testing.F) {
 	seed := func(vals ...float64) []byte {
 		var b []byte
@@ -245,8 +239,10 @@ func FuzzHistoryPage(f *testing.F) {
 			t.Skip(err)
 		}
 		for i := 0; i+5 <= len(vals); i += 5 {
-			if err := h.Append(core.Observation{X: vals[i : i+3], Costs: vals[i+3 : i+5]}); err != nil {
-				t.Fatal(err)
+			err := h.Append(core.Observation{X: vals[i : i+3], Costs: vals[i+3 : i+5]})
+			finite := !slices.ContainsFunc(vals[i:i+5], func(v float64) bool { return math.IsNaN(v) || math.IsInf(v, 0) })
+			if finite != (err == nil) {
+				t.Fatalf("Append(%v) = %v", vals[i:i+5], err)
 			}
 		}
 		h.SetRetain(int(retain))

@@ -58,9 +58,8 @@ func TestServeSubmitPooledConcurrent(t *testing.T) {
 }
 
 // TestServeSubmitDecoderIsolation: a malformed body must fail its own
-// request only. The pooled decoder buffers input across requests, so a
-// poisoned buffer (trailing garbage, truncated JSON) would otherwise
-// corrupt the next request that borrows the same scratch.
+// request only; the next request that borrows the same pooled scratch
+// (and the names and slices it kept) decodes cleanly.
 func TestServeSubmitDecoderIsolation(t *testing.T) {
 	srv := newTestServer(t, &stubSched{}, Config{})
 	var resp bytes.Buffer

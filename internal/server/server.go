@@ -557,6 +557,11 @@ func (s *Server) tenantFor(name string) (*tenant, error) {
 	return t, nil
 }
 
+// jsonContentType is the Content-Type of every JSON response, one
+// read-only slice shared by all of them: Header().Set would allocate a
+// new one per response.
+var jsonContentType = []string{"application/json"}
+
 // writeJSON encodes v before it writes the header, so a value that
 // does not encode (a NaN, say) answers 500 with an error body, not the
 // status asked for with an empty body.
@@ -567,7 +572,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 		status = http.StatusInternalServerError
 		_ = json.NewEncoder(&body).Encode(ErrorResponse{Error: fmt.Sprintf("encoding response: %v", err)})
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	_, _ = w.Write(body.Bytes())
 }
@@ -620,75 +625,28 @@ func policyOf(req *QueryRequest) (ires.Policy, error) {
 const maxBodyBytes = 1 << 20
 
 // serveScratch is the pooled per-request hot-path state: the HTTP
-// body buffer, the decoded request (slice capacities reused across
-// requests), the response buffer + object, and a long-lived encoder.
-// One request holds at most one scratch from decode to respond, so the
-// pool's steady-state size tracks peak concurrency.
+// body buffer, the decoded request (names and slice capacities reused
+// across requests) and the response buffer. One request holds at most
+// one scratch from decode to respond, so the pool's steady-state size
+// tracks peak concurrency.
 type serveScratch struct {
 	body []byte
 	req  QueryRequest
-	resp QueryResponse
 	buf  bytes.Buffer
-	dst  swapWriter
-	enc  *json.Encoder
 	// location is the target of the scratch's last cluster redirect, the
 	// Location header of a 307 (the body buffer API has nowhere else to
-	// carry it). It and errResp, the redirect's body, are kept across
-	// requests: a redirect to the same target reuses their strings.
+	// carry it), kept across requests: a redirect to the same target
+	// reuses the string.
 	location string
-	errResp  ErrorResponse
-	// text is where a redirect assembles those strings.
+	// text is where a redirect assembles its target and message.
 	text []byte
-	// rd + dec decode request bodies: a long-lived json.Decoder keeps
-	// its scanner state across requests (json.Unmarshal rebuilds it
-	// per call), so steady-state decoding only allocates the decoded
-	// values themselves.
-	rd  *bytes.Reader
-	dec *json.Decoder
 }
 
-// decodeRequest decodes one body into sc.req through the pooled
-// decoder, enforcing Unmarshal's single-value semantics: trailing
-// non-whitespace is an error, not silently buffered input for the
-// next request that borrows this scratch.
-func (sc *serveScratch) decodeRequest(body []byte) error {
-	sc.req.reset()
-	sc.rd.Reset(body)
-	if err := sc.dec.Decode(&sc.req); err != nil {
-		// The decoder's buffer now holds an undefined tail; rebuild it
-		// so the next request starts clean (error path only).
-		sc.dec = json.NewDecoder(sc.rd)
-		return err
-	}
-	// Token skips trailing whitespace and answers io.EOF only when
-	// nothing else follows. (More() cannot tell: it reports false for a
-	// stray '}' or ']' exactly as for end of input, and would leave that
-	// byte buffered in front of the next request's body.)
-	if _, err := sc.dec.Token(); err != io.EOF {
-		sc.dec = json.NewDecoder(sc.rd)
-		return errors.New("trailing data after JSON value")
-	}
-	return nil
-}
-
-// swapWriter lets one long-lived json.Encoder target a different
-// destination per request (an Encoder binds its writer at
-// construction).
-type swapWriter struct{ w io.Writer }
-
-func (s *swapWriter) Write(p []byte) (int, error) { return s.w.Write(p) }
-
-var servePool = sync.Pool{New: func() any {
-	sc := &serveScratch{}
-	sc.enc = json.NewEncoder(&sc.dst)
-	sc.rd = bytes.NewReader(nil)
-	sc.dec = json.NewDecoder(sc.rd)
-	return sc
-}}
+var servePool = sync.Pool{New: func() any { return new(serveScratch) }}
 
 // reset clears the decoded request while keeping slice capacity, so
-// json.Unmarshal appends into the existing arrays. Needed because
-// Unmarshal leaves fields absent from the body untouched.
+// a decode appends into the existing arrays. Needed because
+// json.Unmarshal leaves fields absent from the body untouched.
 func (r *QueryRequest) reset() {
 	r.Federation = ""
 	r.Query = ""
@@ -726,7 +684,7 @@ func readBody(r *http.Request, buf []byte) ([]byte, error) {
 // status — the buffer-level twin of writeError. Error paths may
 // allocate; only the success path is held allocation-free.
 func writeErrorBuf(resp *bytes.Buffer, status int, format string, args ...any) int {
-	_ = json.NewEncoder(resp).Encode(ErrorResponse{Error: fmt.Sprintf(format, args...)})
+	resp.Write(appendErrorBody(resp.AvailableBuffer(), fmt.Sprintf(format, args...)))
 	return status
 }
 
@@ -753,7 +711,7 @@ func writeBuffered(w http.ResponseWriter, status int, location string, body []by
 	if status == http.StatusTemporaryRedirect {
 		w.Header().Set("Location", location)
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	_, _ = w.Write(body)
 }
@@ -866,18 +824,7 @@ func (s *Server) serveSubmit(ctx context.Context, sc *serveScratch, body []byte,
 		s.logRequest(ctx, t.name, q, nil, coalesced, latency, http.StatusInternalServerError, err)
 		return writeErrorBuf(resp, http.StatusInternalServerError, "%v", err)
 	}
-	t.stats.completed.Add(1)
-	if coalesced {
-		t.stats.coalesced.Add(1)
-	} else {
-		// Sweep-leader requests account for the sweep's estimation work
-		// exactly once; coalesced followers shared it.
-		t.stats.plansEstimated.Add(int64(dec.PlanSpace))
-		t.stats.planSpace.Store(int64(dec.PlanSpace))
-	}
-	t.latency[q].Observe(latency.Seconds())
-	s.logRequest(ctx, t.name, q, dec, coalesced, latency, http.StatusOK, nil)
-	sc.resp = QueryResponse{
+	r := QueryResponse{
 		Federation: t.name,
 		Query:      q.String(),
 		Plan: PlanJSON{
@@ -897,11 +844,30 @@ func (s *Server) serveSubmit(ctx context.Context, sc *serveScratch, body []byte,
 		LatencyMS:      float64(latency) / float64(time.Millisecond),
 	}
 	if cs := s.cluster; cs != nil {
-		sc.resp.Node = cs.self.ID
-		sc.resp.Epoch = cs.table.Load().Epoch()
+		r.Node = cs.self.ID
+		r.Epoch = cs.table.Load().Epoch()
 	}
-	sc.dst.w = resp
-	_ = sc.enc.Encode(&sc.resp)
+	out, err := appendQueryResponse(resp.AvailableBuffer(), &r)
+	if err != nil {
+		// A value JSON cannot carry: the round ran, but its answer
+		// cannot be sent, and a 200 with no body would hide that.
+		err = fmt.Errorf("federation %q, %v: %w", t.name, q, err)
+		t.stats.failed.Add(1)
+		s.logRequest(ctx, t.name, q, dec, coalesced, latency, http.StatusInternalServerError, err)
+		return writeErrorBuf(resp, http.StatusInternalServerError, "%v", err)
+	}
+	resp.Write(out)
+	t.stats.completed.Add(1)
+	if coalesced {
+		t.stats.coalesced.Add(1)
+	} else {
+		// Sweep-leader requests account for the sweep's estimation work
+		// exactly once; coalesced followers shared it.
+		t.stats.plansEstimated.Add(int64(dec.PlanSpace))
+		t.stats.planSpace.Store(int64(dec.PlanSpace))
+	}
+	t.latency[q].Observe(latency.Seconds())
+	s.logRequest(ctx, t.name, q, dec, coalesced, latency, http.StatusOK, nil)
 	return http.StatusOK
 }
 
@@ -1032,7 +998,7 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	hdr := w.Header()
-	hdr.Set("Content-Type", "application/json")
+	hdr["Content-Type"] = jsonContentType
 	hdr.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(body)

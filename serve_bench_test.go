@@ -135,7 +135,8 @@ var raceEnabled bool
 // without the pinned sweep, a server.New tenant of Q12 alone where each
 // request leads its own sweep and window search, as the `solo` workload
 // serves them. The first two budgets are 4 apart: context.WithTimeout's
-// allocations.
+// allocations. The request's names are reused from the last one and the
+// response is appended into the caller's buffer, so neither allocates.
 func TestServeSubmitAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -154,9 +155,9 @@ func TestServeSubmitAllocBudget(t *testing.T) {
 		ctx    context.Context
 		budget float64
 	}{
-		{"no-deadline", newServeBench(t, noDeadline, fixed), context.Background(), 6},
-		{"default-config", newServeBench(t, server.Config{}, fixed), cancellable, 10},
-		{"served-cold", cold, cancellable, 11},
+		{"no-deadline", newServeBench(t, noDeadline, fixed), context.Background(), 5},
+		{"default-config", newServeBench(t, server.Config{}, fixed), cancellable, 9},
+		{"served-cold", cold, cancellable, 10},
 	} {
 		srv := tc.srv
 		var resp bytes.Buffer
@@ -360,9 +361,9 @@ func BenchmarkHistoryPage(b *testing.B) {
 }
 
 // TestHistoryPageAllocBudget gates the page's allocations: the parsed
-// query string, the two header values, the metric names' copy, the
-// mux's path match and the length's digits. The body buffer is pooled
-// and no observation allocates.
+// query string, the Content-Length value, the metric names' copy, the
+// mux's path match and the length's digits. The body buffer is pooled,
+// the Content-Type value shared, and no observation allocates.
 func TestHistoryPageAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
