@@ -12,8 +12,11 @@ COVER_PKGS ?= $(shell $(GO) list ./internal/...)
 # window searches the incremental shared-Gram solver owns and the
 # served-shape one (constant table-size columns, R² bar 0.8), the pooled
 # serving hot path, the full PlanSweep over wide lattices up to the
-# Example 3.1 size, SweepRound (one whole 2,048-plan serving cycle:
-# sweep, decide with its window search, release), HistoryPage (one
+# Example 3.1 size (its candidates/op is how many cost vectors the
+# Pareto reduction examined: the lattice's row ends, or every plan when
+# the fit's node coefficients disagree in sign), SweepRound (one whole
+# 2,048-plan serving cycle: sweep, decide with its window search,
+# release), HistoryPage (one
 # 50-observation GET /v1/history page through the handler) and
 # internal/moo's ParetoFront shapes. Nothing gates on them: CI's
 # regression gate is `bench -compare` over bench/ against
@@ -96,6 +99,7 @@ fuzz-smoke:
 		framelog:FuzzScan:20s \
 		moo:FuzzParetoFront:10s \
 		ires:FuzzLinearScoring:10s \
+		ires:FuzzLinearFront:10s \
 		histstore:FuzzReplay:10s \
 		server:FuzzDecodeRequest:10s \
 		server:FuzzReplicateStream:10s \

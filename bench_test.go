@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/federation"
 	"repro/internal/ires"
+	"repro/internal/metrics"
 	"repro/internal/moo"
 	"repro/internal/stats"
 	"repro/internal/tpch"
@@ -456,27 +458,50 @@ func BenchmarkQ13SweepCached(b *testing.B)   { benchPlanSweep(b, tpch.QueryQ13, 
 // benchWidePlanSweep measures one warm PlanSweep over a WideTopology
 // lattice of 2·maxNodes² QEPs. The model cache is warmed outside the
 // timer, so the measurement isolates the per-plan estimation work and
-// the Pareto reduction. Distinct from benchPlanSweep above, which
-// releases each sweep and runs on the default two-site topology.
+// the Pareto reduction; candidates/op is how many cost vectors the
+// reduction examined (midas_pareto_candidates_total), the whole lattice
+// unless it read the front from the lattice's row ends. Distinct from
+// benchPlanSweep above, which releases each sweep and runs on the
+// default two-site topology.
 func benchWidePlanSweep(b *testing.B, maxNodes int) {
 	b.Helper()
-	sched := wideScheduler(b, 1, maxNodes, 0.05)
+	reg := metrics.NewRegistry()
+	sched := wideScheduler(b, 1, maxNodes, 0.05, reg)
 	ctx := context.Background()
 	if _, err := sched.PlanSweep(ctx, tpch.QueryQ12); err != nil {
 		b.Fatal(err)
 	}
+	before := candidates(b, reg)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sched.PlanSweep(ctx, tpch.QueryQ12); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.StopTimer()
+	b.ReportMetric((candidates(b, reg)-before)/float64(b.N), "candidates/op")
+}
+
+// candidates scrapes reg for the Q12 Pareto candidates a scheduler
+// instrumented on it has counted.
+func candidates(b *testing.B, reg *metrics.Registry) float64 {
+	b.Helper()
+	var text strings.Builder
+	if err := reg.WritePrometheus(&text); err != nil {
+		b.Fatal(err)
+	}
+	sc, err := metrics.ParseText(strings.NewReader(text.String()))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return sc.Values[`midas_pareto_candidates_total{federation="default",query="Q12"}`]
 }
 
 // wideScheduler assembles a DREAM scheduler over WideTopology(seed,
 // maxNodes) + NodeRange(maxNodes) — 2·maxNodes² QEPs — with a scaled
-// executor at the given scale factor and a 24-observation Q12 history.
-func wideScheduler(b testing.TB, seed int64, maxNodes int, scale float64) *ires.Scheduler {
+// executor at the given scale factor and a 24-observation Q12 history,
+// instrumented on reg unless it is nil.
+func wideScheduler(b testing.TB, seed int64, maxNodes int, scale float64, reg *metrics.Registry) *ires.Scheduler {
 	b.Helper()
 	fed, err := federation.WideTopology(seed, maxNodes)
 	if err != nil {
@@ -497,6 +522,7 @@ func wideScheduler(b testing.TB, seed int64, maxNodes int, scale float64) *ires.
 	sched, err := ires.NewSchedulerWithConfig(fed, exec, model, ires.SchedulerConfig{
 		NodeChoices: federation.NodeRange(maxNodes),
 		Seed:        seed,
+		Metrics:     reg,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -535,7 +561,7 @@ func BenchmarkPlanSweep(b *testing.B) {
 // search next to its 2,048 predictions and the Pareto reduction — then
 // ReleaseSweep, so the next round reuses the matrix as a server's does.
 func BenchmarkSweepRound(b *testing.B) {
-	sched := wideScheduler(b, 42, 32, 0.1)
+	sched := wideScheduler(b, 42, 32, 0.1, nil)
 	ctx := context.Background()
 	pol := ires.Policy{Weights: []float64{1, 1}}
 	b.ReportAllocs()

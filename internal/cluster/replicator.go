@@ -9,7 +9,9 @@ import (
 // to the standby. from is the sequence number of the first frame in the
 // batch; frames is the concatenated on-disk framing (len+crc+payload,
 // exactly as histstore wrote them); count is how many frames the batch
-// holds. A non-nil error degrades the shard's replication.
+// holds. A non-nil error degrades the shard's replication. frames is
+// the Replicator's buffer, which it fills again once ship returns: ship
+// must not retain it, nor any slice of it, after the call.
 type ShipFunc func(shard string, from uint64, frames []byte, count int) error
 
 // replState is a shard's replication mode.
@@ -43,6 +45,7 @@ type replShard struct {
 	state replState
 
 	buf      []byte // concatenated frames not yet handed to ship
+	spare    []byte // the last shipped batch's storage, emptied, for buf
 	bufFrom  uint64 // seq of the first frame in buf
 	bufCount int
 	synced   uint64 // every seq < synced is on the standby
@@ -165,6 +168,11 @@ func (r *Replicator) Streaming(shard string) bool {
 	return s.state == replStreaming
 }
 
+// maxSpareBytes bounds the shipped batch a shard keeps to buffer the
+// next one in: a serving-shape batch is a few frames of under 100 B, and
+// an 8 MiB batch shipped after a stall is not worth retaining.
+const maxSpareBytes = 64 << 10
+
 // MaxBufferedBytes bounds the frames buffered for shipment per shard —
 // and so the largest batch a ShipFunc is ever handed, which is what lets
 // the standby refuse anything longer. A held stream no longer blocks
@@ -225,7 +233,8 @@ func (r *Replicator) waitShipped(shard string, s *replShard, upto uint64) {
 			continue
 		}
 		batch, from, count := s.buf, s.bufFrom, s.bufCount
-		s.buf, s.bufFrom, s.bufCount = nil, from+uint64(count), 0
+		s.buf, s.bufFrom, s.bufCount = s.spare, from+uint64(count), 0
+		s.spare = nil
 		s.shipping = true
 		s.mu.Unlock()
 
@@ -233,6 +242,9 @@ func (r *Replicator) waitShipped(shard string, s *replShard, upto uint64) {
 
 		s.mu.Lock()
 		s.shipping = false
+		if cap(batch) <= maxSpareBytes {
+			s.spare = batch[:0]
+		}
 		if err != nil {
 			r.degrade(shard, s, err)
 			s.mu.Lock()

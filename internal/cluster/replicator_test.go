@@ -272,3 +272,43 @@ func TestReleaseShipsHeldBufferBeforeReturning(t *testing.T) {
 		t.Fatal("released shard not streaming")
 	}
 }
+
+// TestReplicatorZeroAllocs: in the steady state of a streaming shard —
+// one frame appended, then waited for, which ships it — the frame
+// buffer is the last shipped batch's storage, so an acked write
+// allocates nothing here; and a batch past maxSpareBytes is not kept.
+func TestReplicatorZeroAllocs(t *testing.T) {
+	var shipped int
+	r := NewReplicator(func(shard string, from uint64, frames []byte, count int) error {
+		shipped += count
+		return nil
+	})
+	arm(r, "Q12", 0)
+	frame := make([]byte, 76)
+	seq := uint64(0)
+	write := func() {
+		r.AppendFrame("Q12", seq, frame)
+		if err := r.WaitFrame("Q12", seq); err != nil {
+			t.Fatal(err)
+		}
+		seq++
+	}
+	if allocs := testing.AllocsPerRun(100, write); allocs != 0 {
+		t.Errorf("an acked write allocates %.1f times, want 0", allocs)
+	}
+	if shipped != int(seq) {
+		t.Fatalf("shipped %d frames of %d", shipped, seq)
+	}
+
+	big := make([]byte, maxSpareBytes+1)
+	r.AppendFrame("Q12", seq, big)
+	if err := r.WaitFrame("Q12", seq); err != nil {
+		t.Fatal(err)
+	}
+	s := r.shard("Q12")
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if cap(s.spare) > maxSpareBytes || cap(s.buf) > maxSpareBytes {
+		t.Errorf("a %d-byte batch is retained: spare %d, buffer %d bytes", len(big), cap(s.spare), cap(s.buf))
+	}
+}

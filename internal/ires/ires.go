@@ -284,8 +284,8 @@ type SchedulerConfig struct {
 	Retain int
 	// Metrics, when non-nil, registers the scheduler's observation-only
 	// instruments on the given registry, every series labeled with
-	// MetricsFederation: sweep duration, plans estimated, plan space and
-	// sweep errors, plus — for a model that implements EstimatorStatser —
+	// MetricsFederation: sweep duration, plans estimated, plan space,
+	// Pareto candidates and sweep errors, plus — for a model that implements EstimatorStatser —
 	// DREAM's window-search and model-cache series, read at scrape time.
 	// At most one scheduler per (registry, MetricsFederation) pair.
 	Metrics *metrics.Registry
@@ -571,6 +571,7 @@ type Sweep struct {
 // sweep — header, cost matrix and front — lives in storage from a pool:
 // ReleaseSweep hands it back once the sweep has served its decisions.
 func (s *Scheduler) PlanSweep(ctx context.Context, q tpch.QueryID) (sw *Sweep, err error) {
+	candidates := 0
 	if s.obs != nil {
 		began := time.Now()
 		defer func() {
@@ -578,7 +579,7 @@ func (s *Scheduler) PlanSweep(ctx context.Context, q tpch.QueryID) (sw *Sweep, e
 			if sw != nil {
 				plans = len(sw.Plans)
 			}
-			s.observeSweep(q, began, plans, err)
+			s.observeSweep(q, began, plans, candidates, err)
 		}()
 	}
 	h, err := s.OpenHistory(q)
@@ -593,12 +594,13 @@ func (s *Scheduler) PlanSweep(ctx context.Context, q tpch.QueryID) (sw *Sweep, e
 		return nil, err
 	}
 	buf := sweepPool.Get().(*sweepBuf)
-	costs, err := s.sweeper(q, h, lat, buf).sweep(ctx)
+	ps := s.sweeper(q, h, lat, buf)
+	costs, err := ps.sweep(ctx)
 	if err != nil {
 		buf.release()
 		return nil, err
 	}
-	buf.frontIdx = moo.ParetoFrontInto(buf.frontIdx, costs)
+	candidates = ps.front(costs)
 	raw, normalized := buf.frontRows(costs)
 	buf.sw = Sweep{
 		Query:      q,

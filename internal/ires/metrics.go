@@ -37,6 +37,7 @@ type schedulerObs struct {
 	sweepSeconds   *metrics.HistogramVec // {federation, query}
 	plansEstimated *metrics.CounterVec   // {federation, query}
 	planSpace      *metrics.GaugeVec     // {federation, query}
+	candidates     *metrics.CounterVec   // {federation, query}
 	sweepErrors    *metrics.CounterVec   // {federation, query}
 	bound          sync.Map              // tpch.QueryID → *sweepSeries
 }
@@ -58,6 +59,9 @@ func (s *Scheduler) instrument(reg *metrics.Registry, federation string) {
 			"federation", "query"),
 		planSpace: reg.GaugeVec("midas_plan_space",
 			"Size of the QEP lattice of the most recent sweep, every plan of which it scores.",
+			"federation", "query"),
+		candidates: reg.CounterVec("midas_pareto_candidates_total",
+			"Cost vectors the Pareto reduction examined: every plan's, or on the linear route with ordered rows each row's best end and its ties.",
 			"federation", "query"),
 		sweepErrors: reg.CounterVec("midas_sweep_errors_total",
 			"Plan sweeps that failed (cancelled, timed out, or estimation error).",
@@ -104,12 +108,13 @@ func (s *Scheduler) instrument(reg *metrics.Registry, federation string) {
 	}
 }
 
-// sweepSeries is one query's three sweep instruments, bound once: With
+// sweepSeries is one query's sweep instruments, bound once: With
 // resolves its labels through a string-keyed map on every call.
 type sweepSeries struct {
-	seconds *metrics.Histogram
-	plans   *metrics.Counter
-	space   *metrics.Gauge
+	seconds    *metrics.Histogram
+	plans      *metrics.Counter
+	space      *metrics.Gauge
+	candidates *metrics.Counter
 }
 
 // series returns q's sweep instruments, binding them on q's first
@@ -121,17 +126,18 @@ func (o *schedulerObs) series(q tpch.QueryID) *sweepSeries {
 	}
 	query := q.String()
 	ss, _ := o.bound.LoadOrStore(q, &sweepSeries{
-		seconds: o.sweepSeconds.With(o.federation, query),
-		plans:   o.plansEstimated.With(o.federation, query),
-		space:   o.planSpace.With(o.federation, query),
+		seconds:    o.sweepSeconds.With(o.federation, query),
+		plans:      o.plansEstimated.With(o.federation, query),
+		space:      o.planSpace.With(o.federation, query),
+		candidates: o.candidates.With(o.federation, query),
 	})
 	return ss.(*sweepSeries)
 }
 
-// observeSweep records one finished (or failed) sweep of plans QEPs:
+// observeSweep records one finished (or failed) sweep of plans QEPs —
 // the whole lattice, so the count is both the plans estimated and the
-// plan space.
-func (s *Scheduler) observeSweep(q tpch.QueryID, began time.Time, plans int, err error) {
+// plan space — whose Pareto reduction examined candidates of them.
+func (s *Scheduler) observeSweep(q tpch.QueryID, began time.Time, plans, candidates int, err error) {
 	o := s.obs
 	if o == nil {
 		return
@@ -144,4 +150,5 @@ func (s *Scheduler) observeSweep(q tpch.QueryID, began time.Time, plans int, err
 	ss.seconds.Observe(time.Since(began).Seconds())
 	ss.plans.Add(float64(plans))
 	ss.space.Set(float64(plans))
+	ss.candidates.Add(float64(candidates))
 }

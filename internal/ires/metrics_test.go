@@ -79,7 +79,7 @@ func TestInstrumentedDecisionsIdentical(t *testing.T) {
 	}
 }
 
-// TestSweepSeriesBoundLazily: a query's three sweep instruments are
+// TestSweepSeriesBoundLazily: a query's sweep instruments are
 // bound on its first successful sweep, so a repeat allocates nothing,
 // and the scrape holds exactly the series resolving them through With
 // on every sweep did — none for a query that was never swept, the error
@@ -109,12 +109,14 @@ func TestSweepSeriesBoundLazily(t *testing.T) {
 	}
 	var got []string
 	for id := range sc.Values {
-		if (strings.HasPrefix(id, "midas_sweep_") || strings.HasPrefix(id, "midas_plan")) && !strings.Contains(id, "_bucket{") {
+		if (strings.HasPrefix(id, "midas_sweep_") || strings.HasPrefix(id, "midas_plan") || strings.HasPrefix(id, "midas_pareto_")) &&
+			!strings.Contains(id, "_bucket{") {
 			got = append(got, id)
 		}
 	}
 	slices.Sort(got)
 	want := []string{
+		`midas_pareto_candidates_total{federation="t",query="Q12"}`,
 		`midas_plan_space{federation="t",query="Q12"}`,
 		`midas_plans_estimated_total{federation="t",query="Q12"}`,
 		`midas_sweep_duration_seconds_count{federation="t",query="Q12"}`,
@@ -126,7 +128,7 @@ func TestSweepSeriesBoundLazily(t *testing.T) {
 	}
 
 	began := time.Now()
-	if allocs := testing.AllocsPerRun(100, func() { s.observeSweep(tpch.QueryQ12, began, 18, nil) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(100, func() { s.observeSweep(tpch.QueryQ12, began, 18, 18, nil) }); allocs != 0 {
 		t.Errorf("a repeat observeSweep allocates %.1f times, want 0", allocs)
 	}
 }

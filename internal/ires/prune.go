@@ -16,9 +16,17 @@ import (
 
 // A sweep scores every plan of one query's lattice, in lattice order,
 // against one history snapshot: what midasd serves, and the paper's
-// Example 3.1 regime (≈18,200 QEPs per query) alike — the Pareto
-// reduction after it is O(n log |front|), and docs/performance.md has
-// the measured grid.
+// Example 3.1 regime (≈18,200 QEPs per query) alike. The Pareto
+// reduction after it reads the lattice's structure where the linear
+// route allows: when both metrics' node coefficients β₄ agree in sign,
+// every (side, left-size) row is ordered alike in both metrics along
+// the ascending right axis, so only each row's best end and its ties
+// can be Pareto-optimal, and the staircase scan (moo.ParetoFrontInto)
+// examines those 2·|L| rows and their ties instead of all 2·|L|·|R|.
+// Any other sweep — signs that disagree, non-finite or overflowing
+// terms, an unsorted axis, other than two metrics, the per-plan route —
+// hands the whole matrix to the scan, O(n log |front|).
+// docs/performance.md has the measured grid.
 
 // planSweeper is one scheduling round's estimator: the lattice it
 // sweeps and how plans are scored, bound to
@@ -39,6 +47,10 @@ type planSweeper struct {
 	// route, sizeErr the executor's failure to say.
 	leftMiB, rightMiB float64
 	sizeErr           error
+	// ordered is set by a walk whose every chunk passed rowsOrdered: each
+	// (side, left-size) row of its matrix is ordered alike in both
+	// metrics, so front may read the rows' ends alone.
+	ordered bool
 	// buf is the round's scratch: the backing of every matrix it
 	// returns, so a matrix is valid until the round's next one.
 	buf *sweepBuf
@@ -46,8 +58,9 @@ type planSweeper struct {
 
 // sweepBuf is one round's storage: the Sweep header PlanSweep returns,
 // the planSweeper and its history snapshot, the backing of the cost
-// matrix, and the Pareto front's indices and its raw and normalized
-// rows. PlanSweep takes one from sweepPool and ReleaseSweep puts it
+// matrix, the Pareto front's indices and its raw and normalized rows,
+// and the candidates of a front read from row ends when they outgrow
+// the stack. PlanSweep takes one from sweepPool and ReleaseSweep puts it
 // back, so the serving cycle (sweep, decide, release) reuses all of it
 // — the 32 KB matrix of a 2,048-plan sweep among it — instead of
 // allocating and collecting it per request. A sync.Pool, not a free
@@ -61,6 +74,10 @@ type sweepBuf struct {
 	// raw rows followed by their normalized twins.
 	frontIdx []int
 	front    []float64
+	// candCosts and candAt hold rowEndsFront's candidate rows and their
+	// lattice indices past candidateBuf of them.
+	candCosts []float64
+	candAt    []int
 }
 
 var sweepPool = sync.Pool{New: func() any { return new(sweepBuf) }}
@@ -184,7 +201,7 @@ func (ps *planSweeper) walk(ctx context.Context) (moo.CostMatrix, error) {
 	left, right := lat.Axes()
 	rows := walkRows(len(right))
 	var flat []float64
-	k := 0
+	k, ordered := 0, true
 	for lo := 0; lo < len(left); lo += rows {
 		if err := ctx.Err(); err != nil {
 			return moo.CostMatrix{}, err
@@ -212,8 +229,10 @@ func (ps *planSweeper) walk(ctx context.Context) (moo.CostMatrix, error) {
 			return moo.CostMatrix{}, fmt.Errorf("ires: model returned %d costs for %d plans, want %d each",
 				len(models)*n, n, k)
 		}
+		ordered = ordered && rowsOrdered(models, left[lo:hi], right, ps.leftMiB, ps.rightMiB)
 		walkLinearCosts(flat, models, left[lo:hi], right, lo*len(right)*k, len(left)*len(right)*k, ps.leftMiB, ps.rightMiB)
 	}
+	ps.ordered = ordered
 	return moo.FlatCostMatrix(flat, k)
 }
 
@@ -249,19 +268,137 @@ func walkLinearCosts(out []float64, models []*regression.Model, left, right []in
 			x := float64(nl)
 			ua, ub := a[0]+a[1]*x, b[0]+b[1]*x
 			o := at + li*w
-			s0, s1 := out[o:o+w], out[side+o:side+o+w]
+			s0, s1 := out[o+lo:o+w], out[side+o+lo:side+o+w]
 			for ri, nr := range right {
 				y := float64(nr)
 				ta, tb := ua+a[2]*y, ub+b[2]*y
-				r0, r1 := s0[ri*k+lo:], s1[ri*k+lo:]
-				r0[d] = clampCost(tb + bj1)
-				r0[0] = clampCost(ta + aj1)
-				r1[d] = clampCost(tb + bj0)
-				r1[0] = clampCost(ta + aj0)
+				j := ri * k
+				s0[j+d] = clampCost(tb + bj1)
+				s0[j] = clampCost(ta + aj1)
+				s1[j+d] = clampCost(tb + bj0)
+				s1[j] = clampCost(ta + aj0)
 			}
 		}
 	}
 }
+
+// rowsOrdered reports whether every row walkLinearCosts scores from
+// models over left × right — one side, one left size, the right axis
+// in order — is ordered alike in both of two metrics: each metric's
+// value along the row is clamp(((t₀ + β₃·nl) + β₄·nr) + β₅·join), and
+// when the right axis strictly ascends and no partial sum can overflow,
+// rounding, the adds and the clamp are all monotone, so the value moves
+// with β₄'s sign (±0 moves with either). Two metrics whose β₄ agree
+// then rise together or fall together, and a row's best end weakly
+// dominates the rest of it. Anything else — signs that disagree, a
+// non-finite term, an empty, unsorted or repeating axis, other than two
+// metrics — is false.
+func rowsOrdered(models []*regression.Model, left, right []int, leftMiB, rightMiB float64) bool {
+	if len(models) != 2 || len(right) == 0 {
+		return false
+	}
+	for i := 1; i < len(right); i++ {
+		if right[i] <= right[i-1] {
+			return false
+		}
+	}
+	x := 0.0
+	for _, nl := range left {
+		x = max(x, math.Abs(float64(nl)))
+	}
+	y := max(math.Abs(float64(right[0])), math.Abs(float64(right[len(right)-1])))
+	rise, fall := false, false
+	for _, m := range models {
+		t := linearTerms(m, leftMiB, rightMiB)
+		// Every partial sum is at most this in magnitude, give or take
+		// its roundings; NaN and ±Inf fail the test too.
+		if !(math.Abs(t[0])+math.Abs(t[1])*x+math.Abs(t[2])*y+math.Abs(t[3]) <= math.MaxFloat64/2) {
+			return false
+		}
+		rise, fall = rise || t[2] > 0, fall || t[2] < 0
+	}
+	return !(rise && fall)
+}
+
+// candidateBuf is how many candidate rows rowEndsFront holds on the
+// stack (3 KB); more go to the sweepBuf's pooled storage. A 2,048-plan
+// lattice has 64 row ends, the 18,432-plan one 192.
+const candidateBuf = 128
+
+// front reduces costs, the round's matrix, to its Pareto front's
+// indices in ps.buf.frontIdx, ascending, and returns how many rows the
+// reduction examined: the row ends and their ties after an ordered
+// walk, every row otherwise. Either way the indices are
+// moo.ParetoFront(costs)'s.
+func (ps *planSweeper) front(costs moo.CostMatrix) int {
+	b := ps.buf
+	if !ps.ordered {
+		b.frontIdx = moo.ParetoFrontInto(b.frontIdx, costs)
+		return costs.Len()
+	}
+	_, right := ps.lat.Axes()
+	return b.rowEndsFront(costs, len(right))
+}
+
+// rowEndsFront is moo.ParetoFrontInto into b.frontIdx for a two-metric
+// costs whose every run of n rows from a multiple of n is ordered alike
+// in both metrics (rowsOrdered). Each run's best end weakly dominates
+// the rest of it, so only that end and its copies, a contiguous run of
+// equal rows, can be on the front, and a row any other row dominates is
+// dominated by that row's run end too: the front of those candidates,
+// mapped back to their indices, is the front of costs. It returns the
+// candidate count.
+func (b *sweepBuf) rowEndsFront(costs moo.CostMatrix, n int) int {
+	total := 0
+	for r := 0; r < costs.Len(); r += n {
+		_, m := bestEnd(costs, r, n)
+		total += m
+	}
+	var stackCosts [2 * candidateBuf]float64
+	var stackAt [candidateBuf]int
+	cand, at := stackCosts[:0], stackAt[:0]
+	if total > candidateBuf {
+		b.candCosts = slices.Grow(b.candCosts[:0], 2*total)
+		b.candAt = slices.Grow(b.candAt[:0], total)
+		cand, at = b.candCosts, b.candAt
+	}
+	for r := 0; r < costs.Len(); r += n {
+		i, m := bestEnd(costs, r, n)
+		for ; m > 0; i, m = i+1, m-1 {
+			cand, at = append(cand, costs.Row(i)...), append(at, i)
+		}
+	}
+	front, _ := moo.FlatCostMatrix(cand, 2) // whole rows of two: no error
+	b.frontIdx = moo.ParetoFrontInto(b.frontIdx, front)
+	for j, c := range b.frontIdx {
+		b.frontIdx[j] = at[c]
+	}
+	return total
+}
+
+// bestEnd returns the first index and the length of the run of rows at
+// the best end of the ordered run of n rows from r: the first row and
+// its copies when it is no worse than the last in both metrics, else
+// the last row and its copies.
+func bestEnd(costs moo.CostMatrix, r, n int) (first, count int) {
+	lo, hi := costs.Row(r), costs.Row(r+n-1)
+	if lo[0] <= hi[0] && lo[1] <= hi[1] {
+		i := r + 1
+		for i < r+n && sameCosts(costs.Row(i), lo) {
+			i++
+		}
+		return r, i - r
+	}
+	i := r + n - 2
+	for i >= r && sameCosts(costs.Row(i), hi) {
+		i--
+	}
+	return i + 1, r + n - 1 - i
+}
+
+// sameCosts reports whether two-metric rows a and b are equal in both
+// metrics, as dominance compares them (−0 equals +0).
+func sameCosts(a, b []float64) bool { return a[0] == b[0] && a[1] == b[1] }
 
 // checkLinear is regression.ErrDimension unless every model is over
 // FeatureDim features.

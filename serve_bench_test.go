@@ -205,7 +205,7 @@ func TestPlanSweepAllocBudget(t *testing.T) {
 		return allocs, size
 	}
 	keep := func(maxNodes int) (allocs, size float64) {
-		sched := wideScheduler(t, 42, maxNodes, 0.1)
+		sched := wideScheduler(t, 42, maxNodes, 0.1, nil)
 		// Two collections empty the pool: every sweep below misses it.
 		runtime.GC()
 		runtime.GC()
@@ -233,7 +233,7 @@ func TestPlanSweepAllocBudget(t *testing.T) {
 			largeBytes, bytesBudget, perPlan, perPlanBudget)
 	}
 
-	sched := wideScheduler(t, 42, 32, 0.1)
+	sched := wideScheduler(t, 42, 32, 0.1, nil)
 	pol := ires.Policy{Weights: []float64{1, 1}}
 	served, servedBytes := measure("serving cycle", 2048, func() {
 		sw, err := sched.PlanSweep(ctx, tpch.QueryQ12)
