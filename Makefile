@@ -100,6 +100,7 @@ fuzz-smoke:
 		moo:FuzzParetoFront:10s \
 		ires:FuzzLinearScoring:10s \
 		ires:FuzzLinearFront:10s \
+		federation:FuzzCostUnder:10s \
 		histstore:FuzzReplay:10s \
 		server:FuzzDecodeRequest:10s \
 		server:FuzzReplicateStream:10s \

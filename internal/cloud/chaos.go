@@ -16,7 +16,7 @@ import (
 // pool resizes. All faults are expressed as multiplicative windows —
 // a load multiplier applied after the LoadProcess clamp (so an outage
 // is not clamped back into the normal operating range) or a price
-// multiplier consulted by Cluster.Cost and TransferCost.
+// multiplier read through Provider.PriceFactor.
 //
 // A zero profile injects nothing; the exported helpers below hold the
 // named profiles the scenario matrix runs.
@@ -227,7 +227,7 @@ func (s *SiteChaos) step(t int) {
 
 func (s *SiteChaos) window(lo, hi int) int {
 	if hi <= lo {
-		return maxInt(lo, 1)
+		return max(lo, 1)
 	}
 	return lo + s.rng.Intn(hi-lo+1)
 }
@@ -244,11 +244,4 @@ func (s *SiteChaos) Counts() FaultCounts {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.counts
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -1,8 +1,8 @@
 // Package cloud models the federation substrate the paper's system runs
 // on: cloud service providers with heterogeneous instance catalogs and
-// pay-as-you-go pricing (paper Table 1), per-site clusters of virtual
-// machines, a wide-area transfer model between sites, and time-varying
-// load processes that create the variance DREAM is designed to absorb.
+// pay-as-you-go pricing (paper Table 1), a wide-area transfer model
+// between sites, and time-varying load processes that create the
+// variance DREAM is designed to absorb.
 //
 // The paper ran on a private cloud; this package is the documented
 // substitution (see DESIGN.md): it reproduces the *variance classes*
@@ -47,13 +47,14 @@ type Provider struct {
 }
 
 // AttachChaos routes this provider's pricing through a per-site fault
-// injector; Cluster.Cost and TransferCost multiply by its PriceFactor.
-// A nil injector detaches.
+// injector: PriceFactor reads its spike windows. A nil injector
+// detaches.
 func (p *Provider) AttachChaos(sc *SiteChaos) { p.chaos.Store(sc) }
 
-// priceFactor is the active price multiplier (1 when no chaos is
-// attached or no spike window is open).
-func (p *Provider) priceFactor() float64 {
+// PriceFactor is the active multiplier on the provider's list prices,
+// compute and egress alike (1 when no chaos is attached or no spike
+// window is open).
+func (p *Provider) PriceFactor() float64 {
 	if sc := p.chaos.Load(); sc != nil {
 		return sc.PriceFactor()
 	}
@@ -118,38 +119,6 @@ func Google() *Provider {
 	}
 }
 
-// Cluster is a homogeneous group of VMs rented at one provider.
-type Cluster struct {
-	Provider *Provider
-	Type     InstanceType
-	Nodes    int
-}
-
-// NewCluster validates and builds a cluster.
-func NewCluster(p *Provider, instanceName string, nodes int) (*Cluster, error) {
-	if nodes <= 0 {
-		return nil, fmt.Errorf("cloud: cluster needs at least one node, got %d", nodes)
-	}
-	it, err := p.Instance(instanceName)
-	if err != nil {
-		return nil, err
-	}
-	return &Cluster{Provider: p, Type: it, Nodes: nodes}, nil
-}
-
-// PricePerHour returns the aggregate rental price.
-func (c *Cluster) PricePerHour() float64 { return float64(c.Nodes) * c.Type.PricePerHour }
-
-// Cost returns the pay-as-you-go monetary cost of occupying the whole
-// cluster for the given number of seconds. Billing is per-second, the
-// granularity all three providers converged on.
-func (c *Cluster) Cost(seconds float64) float64 {
-	if seconds < 0 {
-		return 0
-	}
-	return c.PricePerHour() * seconds / 3600 * c.Provider.priceFactor()
-}
-
 // Link models a wide-area connection between two sites.
 type Link struct {
 	// BandwidthMiBps is the sustained throughput in MiB/s.
@@ -167,14 +136,28 @@ func (l Link) TransferTime(bytes float64) float64 {
 	return l.LatencyS + bytes/(l.BandwidthMiBps*1024*1024)
 }
 
-// TransferCost returns the egress charge for shipping bytes out of the
-// source provider.
+// TransferCost returns the egress charge, at list price, for shipping
+// bytes out of the source provider.
 func TransferCost(from *Provider, bytes float64) float64 {
 	if bytes <= 0 {
 		return 0
 	}
-	return from.EgressPerGiB * bytes / (1024 * 1024 * 1024) * from.priceFactor()
+	return from.EgressPerGiB * bytes / (1024 * 1024 * 1024)
 }
+
+// The load process's parameters. They make the drift the *dominant*
+// variance source (walk + diurnal swing well above the white noise),
+// matching the paper's premise that long-gone observations are expired
+// information rather than extra signal.
+const (
+	WalkStd              = 0.12     // σ of the random walk's step per tick
+	JumpProb             = 0.06     // per-tick probability of a persistent level shift
+	JumpStd              = 0.40     // σ of a jump
+	DiurnalAmplitude     = 0.2      // amplitude of the sinusoidal component
+	DiurnalPeriod        = 120      // the sinusoid's period in ticks
+	NoiseStd             = 0.05     // σ of the per-tick white noise
+	MinFactor, MaxFactor = 0.4, 3.0 // the clamp; chaos multiplies after it
+)
 
 // LoadProcess is a time-varying multiplicative load factor for one
 // site. It combines a random walk (tenant churn), occasional persistent
@@ -183,22 +166,6 @@ func TransferCost(from *Provider, bytes float64) float64 {
 // "variability of environment" of the paper's Section 1. Values are
 // clamped to [MinFactor, MaxFactor].
 type LoadProcess struct {
-	// Walk step standard deviation per tick; default 0.12.
-	WalkStd float64
-	// JumpProb is the per-tick probability of a persistent level shift;
-	// default 0.06.
-	JumpProb float64
-	// JumpStd is the standard deviation of a jump; default 0.40.
-	JumpStd float64
-	// DiurnalAmplitude of the sinusoidal component; default 0.2.
-	DiurnalAmplitude float64
-	// DiurnalPeriod in ticks; default 120.
-	DiurnalPeriod float64
-	// NoiseStd of the per-observation white noise; default 0.05.
-	NoiseStd float64
-	// MinFactor/MaxFactor clamp the factor; defaults 0.4 and 3.0.
-	MinFactor, MaxFactor float64
-
 	mu    sync.Mutex
 	rng   *stats.RNG
 	walk  float64
@@ -217,23 +184,9 @@ func (lp *LoadProcess) AttachChaos(sc *SiteChaos) {
 	lp.mu.Unlock()
 }
 
-// NewLoadProcess returns a load process with the given seed; zero
-// fields take the documented defaults. The defaults make the drift the
-// *dominant* variance source (walk + diurnal swing well above the white
-// noise), matching the paper's premise that long-gone observations are
-// expired information rather than extra signal.
+// NewLoadProcess returns a load process with the given seed.
 func NewLoadProcess(seed int64) *LoadProcess {
-	return &LoadProcess{
-		WalkStd:          0.12,
-		JumpProb:         0.06,
-		JumpStd:          0.40,
-		DiurnalAmplitude: 0.2,
-		DiurnalPeriod:    120,
-		NoiseStd:         0.05,
-		MinFactor:        0.4,
-		MaxFactor:        3.0,
-		rng:              stats.NewRNG(seed),
-	}
+	return &LoadProcess{rng: stats.NewRNG(seed)}
 }
 
 // Tick advances simulated time one step and returns the current load
@@ -243,9 +196,9 @@ func (lp *LoadProcess) Tick() float64 {
 	lp.mu.Lock()
 	defer lp.mu.Unlock()
 	lp.tick++
-	lp.walk += lp.rng.Normal(0, lp.WalkStd)
-	if lp.JumpProb > 0 && lp.rng.Bernoulli(lp.JumpProb) {
-		lp.walk += lp.rng.Normal(0, lp.JumpStd)
+	lp.walk += lp.rng.Normal(0, WalkStd)
+	if lp.rng.Bernoulli(JumpProb) {
+		lp.walk += lp.rng.Normal(0, JumpStd)
 	}
 	// Keep the walk itself loosely bounded so factors cannot drift
 	// beyond recovery over long experiments.
@@ -255,14 +208,14 @@ func (lp *LoadProcess) Tick() float64 {
 	if lp.walk < -0.6 {
 		lp.walk = -0.6
 	}
-	diurnal := lp.DiurnalAmplitude * math.Sin(2*math.Pi*float64(lp.tick)/lp.DiurnalPeriod)
-	noise := lp.rng.Normal(0, lp.NoiseStd)
+	diurnal := DiurnalAmplitude * math.Sin(2*math.Pi*float64(lp.tick)/DiurnalPeriod)
+	noise := lp.rng.Normal(0, NoiseStd)
 	f := 1 + lp.walk + diurnal + noise
-	if f < lp.MinFactor {
-		f = lp.MinFactor
+	if f < MinFactor {
+		f = MinFactor
 	}
-	if f > lp.MaxFactor {
-		f = lp.MaxFactor
+	if f > MaxFactor {
+		f = MaxFactor
 	}
 	if lp.chaos != nil {
 		f *= lp.chaos.advance(lp.tick)

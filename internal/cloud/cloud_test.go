@@ -92,33 +92,6 @@ func TestGoogleCatalogNonEmpty(t *testing.T) {
 	}
 }
 
-func TestCluster(t *testing.T) {
-	c, err := NewCluster(Amazon(), "a1.xlarge", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantHourly := 3 * 0.0197
-	if math.Abs(c.PricePerHour()-wantHourly) > 1e-12 {
-		t.Errorf("PricePerHour = %v, want %v", c.PricePerHour(), wantHourly)
-	}
-	// One hour costs the hourly price; zero/negative duration is free.
-	if math.Abs(c.Cost(3600)-wantHourly) > 1e-12 {
-		t.Errorf("Cost(3600) = %v, want %v", c.Cost(3600), wantHourly)
-	}
-	if c.Cost(-5) != 0 {
-		t.Error("negative duration should cost 0")
-	}
-}
-
-func TestNewClusterValidation(t *testing.T) {
-	if _, err := NewCluster(Amazon(), "a1.medium", 0); err == nil {
-		t.Error("zero nodes accepted")
-	}
-	if _, err := NewCluster(Amazon(), "nope", 2); !errors.Is(err, ErrUnknownInstance) {
-		t.Errorf("got %v, want ErrUnknownInstance", err)
-	}
-}
-
 func TestLinkTransferTime(t *testing.T) {
 	l := Link{BandwidthMiBps: 100, LatencyS: 0.05}
 	// 100 MiB at 100 MiB/s = 1s + latency.
@@ -146,8 +119,8 @@ func TestLoadProcessBounds(t *testing.T) {
 	lp := NewLoadProcess(1)
 	for i := 0; i < 5000; i++ {
 		f := lp.Tick()
-		if f < lp.MinFactor || f > lp.MaxFactor {
-			t.Fatalf("tick %d: factor %v outside [%v, %v]", i, f, lp.MinFactor, lp.MaxFactor)
+		if f < MinFactor || f > MaxFactor {
+			t.Fatalf("tick %d: factor %v outside [%v, %v]", i, f, MinFactor, MaxFactor)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"time"
@@ -9,6 +8,7 @@ import (
 	"repro/internal/cloud"
 	"repro/internal/federation"
 	"repro/internal/ires"
+	"repro/internal/moo"
 	"repro/internal/scenario"
 	"repro/internal/stats"
 	"repro/internal/tpch"
@@ -59,14 +59,13 @@ type ScenarioResult struct {
 	// MRETime / MREMoney are the paper's eq. 15 mean relative error of
 	// the chosen plan's predicted vs measured cost, per metric.
 	MRETime, MREMoney float64
-	// Regret is the mean post-hoc regret of the chosen plan: after the
-	// measurement lands and the model refits, the whole plan space is
-	// re-scored, every cost vector min-max normalized over the sweep,
-	// and the chosen plan's normalized weighted score compared against
-	// the best one. 0 means the choice is still optimal under the refit
-	// model; the scale is weight-sum-bounded, so cells are comparable.
-	// Steady-state scenarios should hug 0; chaos makes decisions that
-	// age badly.
+	// Regret is the mean true regret of the chosen plan: every plan of
+	// the menu is priced by the oracle (ScaledExecutor.CostUnder) under
+	// the loads and prices the decision's execution drew, noise aside,
+	// every cost vector min-max normalized over the menu, and the chosen
+	// plan's normalized weighted score compared against the best one.
+	// 0 means the choice was optimal for the cloud it met; the scale is
+	// weight-sum-bounded, so cells are comparable.
 	Regret float64
 	// P50TimeS / P99TimeS are percentiles of the measured execution
 	// times — p99 is where outages and stragglers live.
@@ -77,10 +76,15 @@ type ScenarioResult struct {
 	Decisions []DecisionPoint
 }
 
+// scenarioNodeChoices is the cluster-size menu of every scenario stack.
+var scenarioNodeChoices = []int{1, 2, 4}
+
 // scenarioStack builds one serving stack for a scenario, bootstrapped
 // on the well-behaved cloud; chaos attaches only after bootstrap, so
-// every campaign starts from an honestly trained model.
-func scenarioStack(spec scenario.Spec, queries []string) (*ires.Scheduler, *federation.Federation, error) {
+// every campaign starts from an honestly trained model. The oracle
+// prices plans on the scheduler's federation as its executor does,
+// without drawing anything.
+func scenarioStack(spec scenario.Spec, queries []string) (*ires.Scheduler, *federation.ScaledExecutor, error) {
 	fed, err := federation.DefaultTopology(spec.Seed)
 	if err != nil {
 		return nil, nil, err
@@ -89,7 +93,11 @@ func scenarioStack(spec scenario.Spec, queries []string) (*ires.Scheduler, *fede
 	if err != nil {
 		return nil, nil, err
 	}
-	sched, err := ires.NewDREAMScheduler(fed, cal, 0.1, ires.SchedulerConfig{NodeChoices: []int{1, 2, 4}, Seed: spec.Seed})
+	oracle, err := federation.NewScaledExecutor(fed, cal, 0.1)
+	if err != nil {
+		return nil, nil, err
+	}
+	sched, err := ires.NewDREAMScheduler(fed, cal, oracle.SF, ires.SchedulerConfig{NodeChoices: scenarioNodeChoices, Seed: spec.Seed})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -102,7 +110,7 @@ func scenarioStack(spec scenario.Spec, queries []string) (*ires.Scheduler, *fede
 			return nil, nil, err
 		}
 	}
-	return sched, fed, nil
+	return sched, oracle, nil
 }
 
 // RunScenario executes one scenario campaign and reports its row.
@@ -118,14 +126,14 @@ func RunScenario(spec scenario.Spec, queries []string) (*ScenarioResult, error) 
 	if err != nil {
 		return nil, err
 	}
-	sched, fed, err := scenarioStack(spec, queries)
+	sched, oracle, err := scenarioStack(spec, queries)
 	if err != nil {
 		return nil, err
 	}
+	fed := oracle.Fed
 	chaos := scenario.AttachChaos(fed, profile, spec.Seed)
 	defer scenario.DetachChaos(fed)
 
-	ctx := context.Background()
 	pol := ires.Policy{Weights: []float64{1, 1}}
 	res := &ScenarioResult{Spec: spec, Events: len(events)}
 	var estT, measT, estM, measM, times []float64
@@ -163,18 +171,15 @@ func RunScenario(spec scenario.Spec, queries []string) (*ScenarioResult, error) 
 			ParetoSize: dec.ParetoSize,
 		})
 
-		// Post-hoc regret: re-score the whole plan space with the model
-		// as it stands *after* this measurement landed, and ask how far
-		// the choice sits above the new best under the selection rule's
-		// own normalized weighted score.
-		sw, err := sched.PlanSweep(ctx, q)
+		menu, err := fed.EnumeratePlans(q, scenarioNodeChoices)
 		if err != nil {
 			return nil, err
 		}
-		if r, ok := sweepRegret(sw, dec.Plan, pol.Weights); ok {
-			regretSum += r
+		r, err := oracleRegret(oracle, menu, dec.Plan, dec.Outcome.Env, pol.Weights)
+		if err != nil {
+			return nil, err
 		}
-		sched.ReleaseSweep(sw)
+		regretSum += r
 	}
 
 	if res.MRETime, err = stats.MRE(measT, estT); err != nil {
@@ -195,44 +200,45 @@ func RunScenario(spec scenario.Spec, queries []string) (*ScenarioResult, error) 
 	return res, nil
 }
 
-// sweepRegret scores the chosen plan against the sweep's best under a
-// min-max normalized weighted sum over the whole estimated plan space —
-// the same scalarization shape the selection rule uses, so the regret
-// is unit-free and bounded by the weight sum. ok is false when the
-// chosen plan is not in the sweep.
-func sweepRegret(sw *ires.Sweep, chosen federation.Plan, weights []float64) (float64, bool) {
-	if sw.Costs.Len() == 0 {
-		return 0, false
-	}
-	lo := append([]float64(nil), sw.Costs.Row(0)...)
-	hi := append([]float64(nil), sw.Costs.Row(0)...)
-	for i := 1; i < sw.Costs.Len(); i++ {
-		for d, v := range sw.Costs.Row(i) {
-			lo[d] = math.Min(lo[d], v)
-			hi[d] = math.Max(hi[d], v)
+// oracleRegret scores the chosen plan against the best plan of the
+// menu under the environment its execution drew, noise aside: each
+// plan's true cost comes from the oracle, every cost vector is min-max
+// normalized over the menu, and the regret is the chosen plan's
+// weighted score minus the best one's — the selection rule's own
+// scalarization, so it is unit-free and bounded by the weight sum.
+func oracleRegret(oracle *federation.ScaledExecutor, menu []federation.Plan, chosen federation.Plan, env federation.Env, weights []float64) (float64, error) {
+	env = env.Noiseless()
+	costs := make([][]float64, len(menu))
+	chosenAt := -1
+	for i, p := range menu {
+		out, err := oracle.CostUnder(p, env)
+		if err != nil {
+			return 0, err
+		}
+		costs[i] = out.Costs()
+		if p == chosen {
+			chosenAt = i
 		}
 	}
-	score := func(c []float64) float64 {
-		s := 0.0
-		for d, v := range c {
-			if span := hi[d] - lo[d]; span > 0 {
-				s += weights[d] * (v - lo[d]) / span
-			}
+	if chosenAt < 0 {
+		return 0, fmt.Errorf("experiments: chosen plan %v is not in the menu", chosen)
+	}
+	m, err := moo.NewCostMatrix(costs)
+	if err != nil {
+		return 0, err
+	}
+	norm := moo.NormalizeCosts(nil, m)
+	score := func(i int) (s float64) {
+		for d, v := range norm.Row(i) {
+			s += weights[d] * v
 		}
 		return s
 	}
-	chosenScore, best := math.Inf(1), math.Inf(1)
-	for i, p := range sw.Plans {
-		s := score(sw.Costs.Row(i))
-		best = math.Min(best, s)
-		if p == chosen {
-			chosenScore = s
-		}
+	best := math.Inf(1)
+	for i := range costs {
+		best = math.Min(best, score(i))
 	}
-	if math.IsInf(chosenScore, 1) {
-		return 0, false
-	}
-	return chosenScore - best, true
+	return score(chosenAt) - best, nil
 }
 
 // RunScenarios sweeps the standard scenario.Matrix grid and renders the
@@ -256,7 +262,7 @@ func RunScenarios(opts ScenarioOptions) ([]ScenarioResult, *Table, error) {
 			"p50 time", "p99 time", "Faults (out/str/spk/rsz)"},
 		Notes: []string{
 			"MRE is the paper's eq. 15 relative error of the chosen plan's prediction",
-			"regret is the chosen plan's normalized weighted-score excess over the refit model's best plan (0 = still optimal)",
+			"regret is the chosen plan's normalized weighted-score excess over the best plan's true cost under the loads and prices it met, noise aside (0 = optimal)",
 			"faults count injected chaos windows: outages/stragglers/price spikes/pool resizes",
 		},
 	}

@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"repro/internal/cloud"
+	"repro/internal/federation"
 	"repro/internal/scenario"
+	"repro/internal/tpch"
 )
 
 // One spec per arrival kind, crossed with distinct chaos profiles, so
@@ -104,5 +106,51 @@ func TestRunScenariosRendersTable(t *testing.T) {
 func TestRunScenarioRejectsUnknownChaos(t *testing.T) {
 	if _, err := RunScenario(scenario.Spec{Chaos: "nope", Seed: 1}, []string{"Q12"}); err == nil {
 		t.Fatal("unknown chaos profile must error")
+	}
+}
+
+// oracleRegret over a menu: every plan's regret lies in [0, weight sum],
+// the best plan's is 0, and a plan outside the menu is an error.
+func TestOracleRegret(t *testing.T) {
+	fed, err := federation.DefaultTopology(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cal, err := federation.Calibrate(fed, federation.CalibrationSF, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle, err := federation.NewScaledExecutor(fed, cal, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	menu, err := fed.EnumeratePlans(tpch.QueryQ12, scenarioNodeChoices)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := oracle.Execute(menu[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	weights := []float64{1, 1}
+	optimal := 0
+	for _, p := range menu {
+		r, err := oracleRegret(oracle, menu, p, out.Env, weights)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r < 0 || r > 2 {
+			t.Fatalf("%v: regret %v outside [0, 2]", p, r)
+		}
+		if r == 0 {
+			optimal++
+		}
+	}
+	if optimal == 0 {
+		t.Fatal("no plan of the menu has regret 0")
+	}
+	outside := federation.Plan{Query: tpch.QueryQ12, NodesLeft: 3, NodesRight: 3}
+	if _, err := oracleRegret(oracle, menu, outside, out.Env, weights); err == nil {
+		t.Fatal("a plan outside the menu was scored")
 	}
 }

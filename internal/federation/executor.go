@@ -107,7 +107,7 @@ func (e *FullExecutor) Execute(p Plan) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	out, err := e.Fed.cost(p.Query, p, pc)
+	out, err := e.Fed.execute(p, pc)
 	if err != nil {
 		return nil, err
 	}
@@ -128,8 +128,11 @@ func (e *FullExecutor) InputBytes(q tpch.QueryID) (leftBytes, rightBytes float64
 }
 
 // Features implements Executor.
-func (e *FullExecutor) Features(p Plan) ([]float64, error) {
-	lb, rb, err := e.InputBytes(p.Query)
+func (e *FullExecutor) Features(p Plan) ([]float64, error) { return sizedFeatures(e, p) }
+
+// sizedFeatures is Features(p, s.InputBytes(p.Query)).
+func sizedFeatures(s InputSizer, p Plan) ([]float64, error) {
+	lb, rb, err := s.InputBytes(p.Query)
 	if err != nil {
 		return nil, err
 	}
@@ -223,13 +226,39 @@ func NewScaledExecutor(fed *Federation, cal *Calibration, sf float64) (*ScaledEx
 	return &ScaledExecutor{Fed: fed, Cal: cal, SF: sf}, nil
 }
 
+// pieces returns q's calibrated statistics rescaled to the executor's
+// scale factor.
+func (e *ScaledExecutor) pieces(q tpch.QueryID) (pieces, error) {
+	pc, ok := e.Cal.PerSF[q]
+	if !ok {
+		return pieces{}, fmt.Errorf("federation: query %v not calibrated", q)
+	}
+	return scalePieces(pc, e.SF), nil
+}
+
 // Execute implements Executor.
 func (e *ScaledExecutor) Execute(p Plan) (*Outcome, error) {
-	pc, ok := e.Cal.PerSF[p.Query]
-	if !ok {
-		return nil, fmt.Errorf("federation: query %v not calibrated", p.Query)
+	pc, err := e.pieces(p.Query)
+	if err != nil {
+		return nil, err
 	}
-	return e.Fed.cost(p.Query, p, scalePieces(pc, e.SF))
+	return e.Fed.execute(p, pc)
+}
+
+// CostUnder is the oracle: the outcome p would have under env, with
+// nothing drawn from the federation — no load tick, no noise. Execute(p)
+// equals CostUnder(p, out.Env) bit for bit; env.Noiseless() gives the
+// plan's cost under the loads and prices alone.
+func (e *ScaledExecutor) CostUnder(p Plan, env Env) (*Outcome, error) {
+	pc, err := e.pieces(p.Query)
+	if err != nil {
+		return nil, err
+	}
+	left, right, err := e.Fed.sites(p)
+	if err != nil {
+		return nil, err
+	}
+	return e.Fed.costUnder(p, left, right, pc, env), nil
 }
 
 // InputBytes implements InputSizer.
@@ -247,10 +276,4 @@ func (e *ScaledExecutor) InputBytes(q tpch.QueryID) (leftBytes, rightBytes float
 }
 
 // Features implements Executor.
-func (e *ScaledExecutor) Features(p Plan) ([]float64, error) {
-	lb, rb, err := e.InputBytes(p.Query)
-	if err != nil {
-		return nil, err
-	}
-	return Features(p, lb, rb), nil
-}
+func (e *ScaledExecutor) Features(p Plan) ([]float64, error) { return sizedFeatures(e, p) }

@@ -20,6 +20,8 @@ package federation
 import (
 	"errors"
 	"fmt"
+	"math"
+	"strings"
 	"sync"
 
 	"repro/internal/cloud"
@@ -46,6 +48,9 @@ type Site struct {
 	MaxNodes int
 	// Load is this site's time-varying load process.
 	Load *cloud.LoadProcess
+
+	// instanceType is Instance resolved in Provider's catalog by New.
+	instanceType cloud.InstanceType
 }
 
 // Federation is the MIDAS topology.
@@ -56,32 +61,24 @@ type Federation struct {
 	Links map[string]cloud.Link
 	// DefaultLink is used for unlisted site pairs.
 	DefaultLink cloud.Link
-	// NoiseStd is the sigma of the multiplicative log-normal execution
-	// noise (0 disables noise).
-	NoiseStd float64
 
+	// rngMu guards rng, the execution noise every draw takes from.
 	rngMu sync.Mutex
 	rng   *stats.RNG
-
-	// clusterMu guards clusterCache, the per-(site, size) cluster
-	// handles cost() reuses across executions (see cluster).
-	clusterMu    sync.RWMutex
-	clusterCache map[clusterKey]*cloud.Cluster
 }
 
-// clusterKey identifies one cached cluster handle.
-type clusterKey struct {
-	site  string
-	nodes int
-}
+// noiseStd is the sigma of the multiplicative log-normal execution
+// noise on each timed piece of an execution.
+const noiseStd = 0.10
 
 // Config assembles a Federation.
 type Config struct {
-	Sites       []*Site
-	Catalog     map[string]string
+	Sites   []*Site
+	Catalog map[string]string
+	// Links and DefaultLink are Federation's; a zero DefaultLink takes
+	// 120 MiB/s at 80 ms.
 	Links       map[string]cloud.Link
 	DefaultLink cloud.Link
-	NoiseStd    float64
 	Seed        int64
 }
 
@@ -95,19 +92,23 @@ func New(cfg Config) (*Federation, error) {
 		Catalog:     make(map[string]string, len(cfg.Catalog)),
 		Links:       cfg.Links,
 		DefaultLink: cfg.DefaultLink,
-		NoiseStd:    cfg.NoiseStd,
 		rng:         stats.NewRNG(cfg.Seed),
 	}
-	if f.DefaultLink.BandwidthMiBps == 0 {
+	if f.DefaultLink == (cloud.Link{}) {
 		f.DefaultLink = cloud.Link{BandwidthMiBps: 120, LatencyS: 0.08}
+	}
+	if badLink(f.DefaultLink) {
+		return nil, fmt.Errorf("federation: bad default link %+v", f.DefaultLink)
 	}
 	for _, s := range cfg.Sites {
 		if s.Name == "" || s.Provider == nil || s.Load == nil {
 			return nil, fmt.Errorf("federation: site %+v incompletely specified", s)
 		}
-		if _, err := s.Provider.Instance(s.Instance); err != nil {
+		it, err := s.Provider.Instance(s.Instance)
+		if err != nil {
 			return nil, err
 		}
+		s.instanceType = it
 		if s.MaxNodes <= 0 {
 			return nil, fmt.Errorf("federation: site %q has no capacity", s.Name)
 		}
@@ -122,7 +123,21 @@ func New(cfg Config) (*Federation, error) {
 		}
 		f.Catalog[table] = site
 	}
+	for key, l := range cfg.Links {
+		if from, to, _ := strings.Cut(key, "→"); f.Sites[from] == nil || f.Sites[to] == nil {
+			return nil, fmt.Errorf("%w: link %q is not \"from→to\" between two sites", ErrUnknownSite, key)
+		}
+		if badLink(l) {
+			return nil, fmt.Errorf("federation: bad link %q %+v", key, l)
+		}
+	}
 	return f, nil
+}
+
+// badLink reports whether no transfer crosses l in finite time: its
+// bandwidth must be positive and its latency non-negative, both finite.
+func badLink(l cloud.Link) bool {
+	return !(l.BandwidthMiBps > 0 && l.LatencyS >= 0) || math.IsInf(l.BandwidthMiBps+l.LatencyS, 1)
 }
 
 // SiteOf returns the site owning a table.
@@ -231,7 +246,8 @@ type Outcome struct {
 	// Breakdown diagnostics.
 	LeftTimeS, RightTimeS, ShipTimeS, FinalTimeS float64
 	ShippedBytes                                 float64
-	LoadLeft, LoadRight                          float64
+	// Env is the environment the execution ran under.
+	Env Env
 }
 
 // Costs returns the cost vector in Metrics order.
@@ -242,43 +258,6 @@ func (o *Outcome) BreakdownCosts() []float64 {
 	return []float64{o.TimeS, o.MoneyUSD, o.LeftTimeS, o.RightTimeS, o.ShipTimeS, o.FinalTimeS}
 }
 
-// cluster returns the (site, size) cluster handle, built once and
-// cached: a Cluster is immutable (provider, instance type, node count
-// — all fixed for the federation's lifetime), and rebuilding two of
-// them per execution put cloud.NewCluster on the serving hot path's
-// allocation profile.
-func (f *Federation) cluster(s *Site, nodes int) (*cloud.Cluster, error) {
-	key := clusterKey{site: s.Name, nodes: nodes}
-	f.clusterMu.RLock()
-	c, ok := f.clusterCache[key]
-	f.clusterMu.RUnlock()
-	if ok {
-		return c, nil
-	}
-	c, err := cloud.NewCluster(s.Provider, s.Instance, nodes)
-	if err != nil {
-		return nil, err
-	}
-	f.clusterMu.Lock()
-	if f.clusterCache == nil {
-		f.clusterCache = make(map[clusterKey]*cloud.Cluster)
-	}
-	f.clusterCache[key] = c
-	f.clusterMu.Unlock()
-	return c, nil
-}
-
-// noiseFactor draws one multiplicative noise sample. Safe for
-// concurrent use: executions from many goroutines share one noise RNG.
-func (f *Federation) noiseFactor() float64 {
-	if f.NoiseStd <= 0 {
-		return 1
-	}
-	f.rngMu.Lock()
-	defer f.rngMu.Unlock()
-	return f.rng.LogNormal(0, f.NoiseStd)
-}
-
 // pieces are the operator statistics of one federated execution, either
 // measured (FullExecutor) or rescaled from calibration (ScaledExecutor).
 type pieces struct {
@@ -286,69 +265,114 @@ type pieces struct {
 	leftPrepBytes, rightPrepBytes     float64
 }
 
-// cost turns execution pieces into an Outcome under current load and
-// fresh noise. Prep runs at the two sites in parallel; the remote prep
-// result ships to the join site; the final plan runs there.
-func (f *Federation) cost(q tpch.QueryID, p Plan, pc pieces) (*Outcome, error) {
-	leftTable, rightTable := q.Tables()
-	leftSite, err := f.SiteOf(leftTable)
+// Env is the state of the federation one execution meets: the load
+// factors and price multipliers of the plan's two sites, and the noise
+// on each timed piece. Execution draws it; ScaledExecutor.CostUnder
+// prices any plan under it.
+type Env struct {
+	LoadLeft, LoadRight   float64
+	PriceLeft, PriceRight float64
+	// NoiseLeft, NoiseRight, NoiseShip and NoiseFinal multiply the left
+	// prep, right prep, shipping and final times; NoiseShip is 1 when
+	// the two tables share a site.
+	NoiseLeft, NoiseRight, NoiseShip, NoiseFinal float64
+}
+
+// Noiseless returns env with every noise factor 1: the loads and prices
+// alone.
+func (env Env) Noiseless() Env {
+	env.NoiseLeft, env.NoiseRight, env.NoiseShip, env.NoiseFinal = 1, 1, 1, 1
+	return env
+}
+
+// sites resolves the sites holding p's two tables and checks that p's
+// clusters fit them.
+func (f *Federation) sites(p Plan) (left, right *Site, err error) {
+	leftTable, rightTable := p.Query.Tables()
+	if left, err = f.SiteOf(leftTable); err != nil {
+		return nil, nil, err
+	}
+	if right, err = f.SiteOf(rightTable); err != nil {
+		return nil, nil, err
+	}
+	if p.NodesLeft < 1 || p.NodesLeft > left.MaxNodes {
+		return nil, nil, fmt.Errorf("federation: plan %v exceeds %q capacity %d", p, left.Name, left.MaxNodes)
+	}
+	if p.NodesRight < 1 || p.NodesRight > right.MaxNodes {
+		return nil, nil, fmt.Errorf("federation: plan %v exceeds %q capacity %d", p, right.Name, right.MaxNodes)
+	}
+	return left, right, nil
+}
+
+// execute draws the environment for one execution of p over the given
+// pieces and prices it there.
+func (f *Federation) execute(p Plan, pc pieces) (*Outcome, error) {
+	left, right, err := f.sites(p)
 	if err != nil {
 		return nil, err
 	}
-	rightSite, err := f.SiteOf(rightTable)
-	if err != nil {
-		return nil, err
-	}
-	if p.NodesLeft < 1 || p.NodesLeft > leftSite.MaxNodes {
-		return nil, fmt.Errorf("federation: plan %v exceeds %q capacity %d", p, leftSite.Name, leftSite.MaxNodes)
-	}
-	if p.NodesRight < 1 || p.NodesRight > rightSite.MaxNodes {
-		return nil, fmt.Errorf("federation: plan %v exceeds %q capacity %d", p, rightSite.Name, rightSite.MaxNodes)
-	}
+	return f.costUnder(p, left, right, pc, f.draw(left, right)), nil
+}
 
-	loadLeft := leftSite.Load.Tick()
-	loadRight := rightSite.Load.Tick()
+// draw moves the federation one execution forward: it ticks both
+// sites' loads, then takes the noise factors from the shared RNG (left,
+// right, shipping — only when the tables live apart — and final), then
+// reads both providers' price multipliers. It is the only place an
+// execution takes a lock or a random number.
+func (f *Federation) draw(left, right *Site) Env {
+	env := Env{LoadLeft: left.Load.Tick(), LoadRight: right.Load.Tick(), NoiseShip: 1}
+	f.rngMu.Lock()
+	env.NoiseLeft = f.rng.LogNormal(0, noiseStd)
+	env.NoiseRight = f.rng.LogNormal(0, noiseStd)
+	if left.Name != right.Name {
+		env.NoiseShip = f.rng.LogNormal(0, noiseStd)
+	}
+	env.NoiseFinal = f.rng.LogNormal(0, noiseStd)
+	f.rngMu.Unlock()
+	env.PriceLeft = left.Provider.PriceFactor()
+	env.PriceRight = right.Provider.PriceFactor()
+	return env
+}
 
-	out := &Outcome{LoadLeft: loadLeft, LoadRight: loadRight}
-	out.LeftTimeS = leftSite.Engine.SimulateSeconds(pc.leftStats, p.NodesLeft, loadLeft) * f.noiseFactor()
-	out.RightTimeS = rightSite.Engine.SimulateSeconds(pc.rightStats, p.NodesRight, loadRight) * f.noiseFactor()
+// costUnder prices plan p, over the given pieces at its sites left and
+// right, under env. Prep runs at the two sites in parallel; the remote
+// prep result ships to the join site; the final plan runs there. Money
+// is per-second VM rental at both sites plus egress for the shipped
+// result, at list price times the site's price multiplier. It is pure:
+// no lock, no random number, no write.
+func (f *Federation) costUnder(p Plan, left, right *Site, pc pieces, env Env) *Outcome {
+	out := &Outcome{Env: env}
+	out.LeftTimeS = left.Engine.SimulateSeconds(pc.leftStats, p.NodesLeft, env.LoadLeft) * env.NoiseLeft
+	out.RightTimeS = right.Engine.SimulateSeconds(pc.rightStats, p.NodesRight, env.LoadRight) * env.NoiseRight
 
-	joinSite, joinNodes, joinLoad := rightSite, p.NodesRight, loadRight
-	shipFrom, shipBytes := leftSite, pc.leftPrepBytes
+	joinSite, joinNodes, joinLoad := right, p.NodesRight, env.LoadRight
+	shipFrom, shipBytes, shipPrice := left, pc.leftPrepBytes, env.PriceLeft
 	if p.JoinAtLeft {
-		joinSite, joinNodes, joinLoad = leftSite, p.NodesLeft, loadLeft
-		shipFrom, shipBytes = rightSite, pc.rightPrepBytes
+		joinSite, joinNodes, joinLoad = left, p.NodesLeft, env.LoadLeft
+		shipFrom, shipBytes, shipPrice = right, pc.rightPrepBytes, env.PriceRight
 	}
 	out.ShippedBytes = shipBytes
-	if shipFrom.Name != joinSite.Name {
-		out.ShipTimeS = f.link(shipFrom.Name, joinSite.Name).TransferTime(shipBytes) * f.noiseFactor()
+	ships := left.Name != right.Name
+	if ships {
+		out.ShipTimeS = f.link(shipFrom.Name, joinSite.Name).TransferTime(shipBytes) * env.NoiseShip
 	}
-	out.FinalTimeS = joinSite.Engine.SimulateSeconds(pc.finalStats, joinNodes, joinLoad) * f.noiseFactor()
+	out.FinalTimeS = joinSite.Engine.SimulateSeconds(pc.finalStats, joinNodes, joinLoad) * env.NoiseFinal
+	out.TimeS = max(out.LeftTimeS, out.RightTimeS) + out.ShipTimeS + out.FinalTimeS
 
-	prepTime := out.LeftTimeS
-	if out.RightTimeS > prepTime {
-		prepTime = out.RightTimeS
-	}
-	out.TimeS = prepTime + out.ShipTimeS + out.FinalTimeS
-
-	leftCluster, err := f.cluster(leftSite, p.NodesLeft)
-	if err != nil {
-		return nil, err
-	}
-	rightCluster, err := f.cluster(rightSite, p.NodesRight)
-	if err != nil {
-		return nil, err
-	}
-	leftBusy := out.LeftTimeS
-	rightBusy := out.RightTimeS
+	leftBusy, rightBusy := out.LeftTimeS, out.RightTimeS+out.FinalTimeS
 	if p.JoinAtLeft {
-		leftBusy += out.FinalTimeS
-	} else {
-		rightBusy += out.FinalTimeS
+		leftBusy, rightBusy = out.LeftTimeS+out.FinalTimeS, out.RightTimeS
 	}
-	out.MoneyUSD = leftCluster.Cost(leftBusy) + rightCluster.Cost(rightBusy)
-	if shipFrom.Name != joinSite.Name {
-		out.MoneyUSD += cloud.TransferCost(shipFrom.Provider, shipBytes)
+	out.MoneyUSD = rent(p.NodesLeft, left, leftBusy, env.PriceLeft) + rent(p.NodesRight, right, rightBusy, env.PriceRight)
+	if ships {
+		out.MoneyUSD += cloud.TransferCost(shipFrom.Provider, shipBytes) * shipPrice
 	}
-	return out, nil
+	return out
+}
+
+// rent is the charge for occupying nodes VMs at site s for busy
+// seconds at price multiplier price. Billing is per second, the
+// granularity all three providers converged on.
+func rent(nodes int, s *Site, busy, price float64) float64 {
+	return float64(nodes) * s.instanceType.PricePerHour * busy / 3600 * price
 }

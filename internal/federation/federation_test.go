@@ -148,16 +148,32 @@ func TestFullExecutorAnswersMatchReference(t *testing.T) {
 	}
 }
 
-func TestPlanChoiceChangesCostNotAnswer(t *testing.T) {
-	fed := defaultFed(t)
-	fed.NoiseStd = 0 // deterministic for the comparison
-	db := smallDB(t)
-	ex := NewFullExecutor(fed, db)
-	a, err := ex.Execute(Plan{Query: tpch.QueryQ12, JoinAtLeft: true, NodesLeft: 4, NodesRight: 1})
+// fullCostUnder is what ScaledExecutor.CostUnder is for a full
+// execution: p's measured pieces priced under env.
+func fullCostUnder(t *testing.T, ex *FullExecutor, p Plan, env Env) *Outcome {
+	t.Helper()
+	_, pc, err := ex.run(p.Query)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ex.Execute(Plan{Query: tpch.QueryQ12, JoinAtLeft: false, NodesLeft: 1, NodesRight: 1})
+	left, right, err := ex.Fed.sites(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ex.Fed.costUnder(p, left, right, pc, env)
+}
+
+func TestPlanChoiceChangesCostNotAnswer(t *testing.T) {
+	fed := defaultFed(t)
+	db := smallDB(t)
+	ex := NewFullExecutor(fed, db)
+	pa := Plan{Query: tpch.QueryQ12, JoinAtLeft: true, NodesLeft: 4, NodesRight: 1}
+	pb := Plan{Query: tpch.QueryQ12, JoinAtLeft: false, NodesLeft: 1, NodesRight: 1}
+	a, err := ex.Execute(pa)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := ex.Execute(pb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +187,10 @@ func TestPlanChoiceChangesCostNotAnswer(t *testing.T) {
 			}
 		}
 	}
-	if a.TimeS == b.TimeS && a.MoneyUSD == b.MoneyUSD {
+	// Under one shared environment, without noise, only the plans differ.
+	env := a.Env.Noiseless()
+	ca, cb := fullCostUnder(t, ex, pa, env), fullCostUnder(t, ex, pb, env)
+	if ca.TimeS == cb.TimeS && ca.MoneyUSD == cb.MoneyUSD {
 		t.Error("different plans have identical costs — plan space is degenerate")
 	}
 }
@@ -203,7 +222,6 @@ func TestFullExecutorFeatures(t *testing.T) {
 
 func TestCalibrationAndScaledExecutor(t *testing.T) {
 	fed := defaultFed(t)
-	fed.NoiseStd = 0
 	cal, err := Calibrate(fed, 0.005, 21)
 	if err != nil {
 		t.Fatal(err)
@@ -224,18 +242,19 @@ func TestCalibrationAndScaledExecutor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	so, err := scaled.Execute(plan)
+	// Under the full execution's own environment, the scaled replay
+	// differs from it only by the statistics' rescaling.
+	so, err := scaled.CostUnder(plan, fo.Env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Loads tick independently between the two executions, so compare
-	// with a tolerant bound driven by the load clamp range.
 	if so.TimeS <= 0 || fo.TimeS <= 0 {
 		t.Fatal("non-positive times")
 	}
-	ratio := so.TimeS / fo.TimeS
-	if ratio < 0.2 || ratio > 5 {
-		t.Errorf("scaled/full time ratio = %v — calibration drifted", ratio)
+	for _, c := range [][2]float64{{so.TimeS, fo.TimeS}, {so.MoneyUSD, fo.MoneyUSD}} {
+		if ratio := c[0] / c[1]; math.Abs(ratio-1) > 1e-6 {
+			t.Errorf("scaled/full cost ratio = %v — calibration drifted", ratio)
+		}
 	}
 
 	// Scaling up the SF must scale the data-dependent cost up.
@@ -243,7 +262,7 @@ func TestCalibrationAndScaledExecutor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bo, err := scaledBig.Execute(plan)
+	bo, err := scaledBig.CostUnder(plan, fo.Env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +359,6 @@ func TestOutcomeCostsOrder(t *testing.T) {
 
 func TestMoneyDependsOnClusterSize(t *testing.T) {
 	fed := defaultFed(t)
-	fed.NoiseStd = 0
 	cal, err := Calibrate(fed, 0.005, 31)
 	if err != nil {
 		t.Fatal(err)
@@ -349,30 +367,46 @@ func TestMoneyDependsOnClusterSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	small, err := se.Execute(Plan{Query: tpch.QueryQ14, JoinAtLeft: true, NodesLeft: 1, NodesRight: 1})
+	pSmall := Plan{Query: tpch.QueryQ14, JoinAtLeft: true, NodesLeft: 1, NodesRight: 1}
+	pBig := Plan{Query: tpch.QueryQ14, JoinAtLeft: true, NodesLeft: 16, NodesRight: 1}
+	drawn, err := se.Execute(pSmall)
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := se.Execute(Plan{Query: tpch.QueryQ14, JoinAtLeft: true, NodesLeft: 16, NodesRight: 1})
+	// Both plans under one environment, without noise: the cluster size
+	// is the only difference.
+	env := drawn.Env.Noiseless()
+	small, err := se.CostUnder(pSmall, env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// More nodes: faster (hive side parallelism) but the money/time
-	// tradeoff must be real — the 16-node run must not be cheaper AND
-	// slower-or-equal simultaneously; typically it is faster and more
-	// expensive per active second.
+	big, err := se.CostUnder(pBig, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// More nodes: faster (hive side parallelism) but dearer — sixteen
+	// VMs bill more per busy second than the time they save.
 	if big.TimeS >= small.TimeS {
 		t.Errorf("16 nodes not faster: %v vs %v", big.TimeS, small.TimeS)
+	}
+	if big.MoneyUSD <= small.MoneyUSD {
+		t.Errorf("16 nodes not dearer: $%v vs $%v", big.MoneyUSD, small.MoneyUSD)
 	}
 }
 
 func TestShippingAccounted(t *testing.T) {
 	fed := defaultFed(t)
-	fed.NoiseStd = 0
 	ex := NewFullExecutor(fed, smallDB(t))
-	out, err := ex.Execute(Plan{Query: tpch.QueryQ12, JoinAtLeft: true, NodesLeft: 2, NodesRight: 1})
+	p := Plan{Query: tpch.QueryQ12, JoinAtLeft: true, NodesLeft: 2, NodesRight: 1}
+	drawn, err := ex.Execute(p)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Without noise, the shipping time is the link's transfer time: the
+	// right (orders) site ships to the left (lineitem) one.
+	out := fullCostUnder(t, ex, p, drawn.Env.Noiseless())
+	if want := fed.link("postgres-azure", "hive-aws").TransferTime(out.ShippedBytes); out.ShipTimeS != want {
+		t.Errorf("noiseless ship time %v, want the link's %v", out.ShipTimeS, want)
 	}
 	// Cross-site plan must ship bytes and spend transfer time.
 	if out.ShippedBytes <= 0 {
@@ -380,5 +414,99 @@ func TestShippingAccounted(t *testing.T) {
 	}
 	if out.ShipTimeS <= 0 {
 		t.Error("no ship time for a cross-site join")
+	}
+}
+
+// TestNewRejectsBadLinks: a link no transfer can cross in finite time,
+// or one between sites the federation does not have, is refused at
+// construction — not found later as a +Inf ship time History refuses.
+func TestNewRejectsBadLinks(t *testing.T) {
+	site := func(name string) *Site {
+		return &Site{
+			Name: name, Provider: cloud.Amazon(), Engine: engine.Hive(),
+			Instance: "a1.large", MaxNodes: 4, Load: cloud.NewLoadProcess(1),
+		}
+	}
+	good := cloud.Link{BandwidthMiBps: 100, LatencyS: 0.05}
+	for _, tc := range []struct {
+		name        string
+		links       map[string]cloud.Link
+		defaultLink cloud.Link
+		ok          bool
+	}{
+		{name: "valid", links: map[string]cloud.Link{"a→b": good, "b→a": {BandwidthMiBps: 1}}, ok: true},
+		{name: "valid-default", defaultLink: good, ok: true},
+		{name: "zero-bandwidth", links: map[string]cloud.Link{"a→b": {LatencyS: 0.05}}},
+		{name: "negative-bandwidth", links: map[string]cloud.Link{"a→b": {BandwidthMiBps: -1}}},
+		{name: "nan-bandwidth", links: map[string]cloud.Link{"a→b": {BandwidthMiBps: math.NaN()}}},
+		{name: "inf-bandwidth", links: map[string]cloud.Link{"a→b": {BandwidthMiBps: math.Inf(1)}}},
+		{name: "negative-latency", links: map[string]cloud.Link{"a→b": {BandwidthMiBps: 100, LatencyS: -0.01}}},
+		{name: "nan-latency", links: map[string]cloud.Link{"a→b": {BandwidthMiBps: 100, LatencyS: math.NaN()}}},
+		{name: "inf-latency", links: map[string]cloud.Link{"a→b": {BandwidthMiBps: 100, LatencyS: math.Inf(1)}}},
+		{name: "unknown-from", links: map[string]cloud.Link{"x→b": good}},
+		{name: "unknown-to", links: map[string]cloud.Link{"a→x": good}},
+		{name: "not-a-pair", links: map[string]cloud.Link{"a-b": good}},
+		{name: "bad-default", defaultLink: cloud.Link{LatencyS: 0.05}},
+		{name: "negative-default-latency", defaultLink: cloud.Link{BandwidthMiBps: 100, LatencyS: -1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := New(Config{
+				Sites:       []*Site{site("a"), site("b")},
+				Links:       tc.links,
+				DefaultLink: tc.defaultLink,
+			})
+			if tc.ok && err != nil {
+				t.Fatalf("valid links refused: %v", err)
+			}
+			if !tc.ok && err == nil {
+				t.Fatal("bad link accepted")
+			}
+		})
+	}
+}
+
+// TestPriceSpikeScalesMoney: a price spike at both sites reaches an
+// execution's money through its environment, compute and egress alike,
+// and leaves its times alone.
+func TestPriceSpikeScalesMoney(t *testing.T) {
+	fed := defaultFed(t)
+	cal, err := Calibrate(fed, CalibrationSF, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	se, err := NewScaledExecutor(fed, cal, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof := cloud.ChaosProfile{Name: "always-spike", SpikeProb: 1, SpikeMinT: 10, SpikeMaxT: 10, SpikeFactor: 3}
+	chaos := cloud.NewChaos(prof, 5)
+	for _, site := range fed.Sites {
+		sc := chaos.Site(site.Name)
+		site.Load.AttachChaos(sc)
+		site.Provider.AttachChaos(sc)
+	}
+	for _, p := range []Plan{
+		{Query: tpch.QueryQ12, JoinAtLeft: true, NodesLeft: 4, NodesRight: 2},
+		{Query: tpch.QueryQ14, JoinAtLeft: false, NodesLeft: 16, NodesRight: 1},
+	} {
+		spiked, err := se.Execute(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if spiked.Env.PriceLeft != 3 || spiked.Env.PriceRight != 3 {
+			t.Fatalf("%v: drew prices %v/%v inside a ×3 spike", p, spiked.Env.PriceLeft, spiked.Env.PriceRight)
+		}
+		calm := spiked.Env
+		calm.PriceLeft, calm.PriceRight = 1, 1
+		base, err := se.CostUnder(p, calm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := spiked.MoneyUSD, 3*base.MoneyUSD; math.Abs(got-want) > 1e-12*want {
+			t.Errorf("%v: spiked money $%v, want 3 × $%v", p, got, base.MoneyUSD)
+		}
+		if spiked.TimeS != base.TimeS {
+			t.Errorf("%v: the spike moved the time: %v vs %v", p, spiked.TimeS, base.TimeS)
+		}
 	}
 }

@@ -89,7 +89,7 @@ func outcomeDigest(outs []*Outcome) string {
 		for _, v := range []float64{
 			o.TimeS, o.MoneyUSD,
 			o.LeftTimeS, o.RightTimeS, o.ShipTimeS, o.FinalTimeS,
-			o.ShippedBytes, o.LoadLeft, o.LoadRight,
+			o.ShippedBytes, o.Env.LoadLeft, o.Env.LoadRight,
 		} {
 			var b [8]byte
 			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))

@@ -35,7 +35,6 @@ func twoSites(seed int64, hiveNodes, pgNodes int) Config {
 			"part":     pgSite.Name,
 		},
 		DefaultLink: cloud.Link{BandwidthMiBps: 110, LatencyS: 0.07},
-		NoiseStd:    0.10,
 		Seed:        seed + 3,
 	}
 }

@@ -55,7 +55,6 @@ func TestThreeCloudEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fed.NoiseStd = 0
 	db, err := tpch.Generate(0.005, tpch.GenOptions{Seed: 10})
 	if err != nil {
 		t.Fatal(err)

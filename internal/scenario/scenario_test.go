@@ -94,13 +94,13 @@ func TestAttachChaosWiresEverySite(t *testing.T) {
 		t.Fatal("enabled profile returned nil injector")
 	}
 	for name, site := range fed.Sites {
-		if f := site.Load.Tick(); f <= site.Load.MaxFactor {
+		if f := site.Load.Tick(); f <= cloud.MaxFactor {
 			t.Fatalf("site %s: outage not visible through Tick, factor %v", name, f)
 		}
 	}
 	DetachChaos(fed)
 	for name, site := range fed.Sites {
-		if f := site.Load.Tick(); f > site.Load.MaxFactor {
+		if f := site.Load.Tick(); f > cloud.MaxFactor {
 			t.Fatalf("site %s: chaos still attached after detach, factor %v", name, f)
 		}
 	}
