@@ -75,8 +75,9 @@ const noiseStd = 0.10
 type Config struct {
 	Sites   []*Site
 	Catalog map[string]string
-	// Links and DefaultLink are Federation's; a zero DefaultLink takes
-	// 120 MiB/s at 80 ms.
+	// Links and DefaultLink are as in Federation; New refuses a link no
+	// transfer crosses in finite time. A zero DefaultLink takes 120 MiB/s
+	// at 80 ms.
 	Links       map[string]cloud.Link
 	DefaultLink cloud.Link
 	Seed        int64
