@@ -11,7 +11,9 @@ COVER_PKGS ?= $(shell $(GO) list ./internal/...)
 # Q12/Q13 serving sweeps (cached vs uncached), the cold (uncached)
 # window searches the incremental shared-Gram solver owns and the
 # served-shape one (constant table-size columns, R² bar 0.8), the pooled
-# serving hot path, the full PlanSweep over wide lattices up to the
+# serving hot path, ServeServedCold (the `solo` workload's request
+# in-process: a server.New tenant of Q12, each request leading its own
+# sweep under a fresh cancellable context), the full PlanSweep over wide lattices up to the
 # Example 3.1 size (its candidates/op is how many cost vectors the
 # Pareto reduction examined: the lattice's row ends, or every plan when
 # the fit's node coefficients disagree in sign), SweepRound (one whole
@@ -26,7 +28,7 @@ COVER_PKGS ?= $(shell $(GO) list ./internal/...)
 # TestHistoryPageAllocBudget). The fsync-bound ServeDurable and
 # WALAppendDurable benchmarks are left out — fsync latency is hardware
 # noise.
-SWEEP_PATTERN ?= Q1[23]Sweep|WindowSearch(Cold|Served)|DREAMEstimateUncached|ServeHotPath|HistoryPage|PlanSweep|SweepRound|ParetoFront|RouteLookup
+SWEEP_PATTERN ?= Q1[23]Sweep|WindowSearch(Cold|Served)|DREAMEstimateUncached|ServeHotPath|ServeServedCold|HistoryPage|PlanSweep|SweepRound|ParetoFront|RouteLookup
 SWEEP_COUNT ?= 5
 
 # The control-plane tests `make test-cluster` repeats under -race.

@@ -157,8 +157,11 @@ func (t *tenant) releaseState() error {
 // sweepBatch is one in-flight plan sweep that any number of concurrent
 // submissions of the same query share. The leader runs the sweep and
 // publishes (sweep, err, abandoned) before closing done; followers only
-// wait.
+// wait. Batches are pooled: the last release hands one back.
 type sweepBatch struct {
+	// done is made, under the tenant's mu, by the first follower to
+	// join, so a batch nobody waits on never has one; the leader reads
+	// it under the same lock as it retires the batch from pending.
 	done  chan struct{}
 	sweep *ires.Sweep
 	err   error
@@ -172,6 +175,8 @@ type sweepBatch struct {
 	// through release; the last one releases the sweep.
 	users atomic.Int32
 }
+
+var batchPool = sync.Pool{New: func() any { return new(sweepBatch) }}
 
 // sweepReleaser is the optional scheduler capability behind sweep reuse
 // (ires.Scheduler has it): a released sweep's cost matrix backs a later
@@ -197,7 +202,7 @@ func (t *tenant) sharedSweep(ctx context.Context, q tpch.QueryID) (*sweepBatch, 
 		t.mu.Lock()
 		b, ok := t.pending[q]
 		if !ok {
-			b = &sweepBatch{done: make(chan struct{})}
+			b = batchPool.Get().(*sweepBatch)
 			b.users.Store(1)
 			t.pending[q] = b
 			t.mu.Unlock()
@@ -207,14 +212,21 @@ func (t *tenant) sharedSweep(ctx context.Context, q tpch.QueryID) (*sweepBatch, 
 			b.abandoned = b.err != nil && ctx.Err() != nil
 			t.mu.Lock()
 			delete(t.pending, q)
+			done := b.done
 			t.mu.Unlock()
-			close(b.done)
+			if done != nil {
+				close(done)
+			}
 			return t.hold(b, false)
 		}
+		if b.done == nil {
+			b.done = make(chan struct{})
+		}
+		done := b.done
 		b.users.Add(1)
 		t.mu.Unlock()
 		select {
-		case <-b.done:
+		case <-done:
 			if !b.abandoned {
 				return t.hold(b, true)
 			}
@@ -230,22 +242,25 @@ func (t *tenant) sharedSweep(ctx context.Context, q tpch.QueryID) (*sweepBatch, 
 }
 
 // hold returns a finished batch to a caller that keeps it, or lets go of
-// a failed one.
+// a failed one (reading its error first: the release may recycle it).
 func (t *tenant) hold(b *sweepBatch, coalesced bool) (*sweepBatch, bool, error) {
-	if b.err != nil {
+	if err := b.err; err != nil {
 		t.release(b)
-		return nil, coalesced, b.err
+		return nil, coalesced, err
 	}
 	return b, coalesced, nil
 }
 
 // release lets go of one hold on b. The last one out releases the sweep
-// when the scheduler can take it back.
+// when the scheduler can take it back, and returns b to the pool: no
+// one can find it any more, as it left pending before its leader let go.
 func (t *tenant) release(b *sweepBatch) {
-	if b.users.Add(-1) != 0 || b.sweep == nil {
+	if b.users.Add(-1) != 0 {
 		return
 	}
-	if r, ok := t.sched.(sweepReleaser); ok {
+	if r, ok := t.sched.(sweepReleaser); ok && b.sweep != nil {
 		r.ReleaseSweep(b.sweep)
 	}
+	*b = sweepBatch{}
+	batchPool.Put(b)
 }

@@ -380,6 +380,73 @@ func TestSubmitHammer(t *testing.T) {
 	}
 }
 
+// TestDeadlineHammer submits one query from many goroutines against a
+// slow sweep, every other request with a deadline shorter than the
+// sweep: such a request gives up while it follows (arming its deadline
+// to wait) or answers 504 after the sweep it led. Pooled batches and
+// deadlines are reused throughout; the -race detector watches, and every
+// sweep must still be released exactly once, after its last decision.
+func TestDeadlineHammer(t *testing.T) {
+	rc := &releaseCounter{
+		afterSweep: func() { spin(2 * time.Millisecond) },
+		decided:    make(map[*ires.Sweep]int),
+		released:   make(map[*ires.Sweep]int),
+		atRelease:  make(map[*ires.Sweep]int),
+	}
+	srv, err := NewWithSchedulers(Config{QueueDepth: 4096}, map[string]QueryScheduler{"test": rc}, tpch.AllQueries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bodies := [][]byte{[]byte(`{"query": "Q12"}`), []byte(`{"query": "Q12", "timeout_ms": 1}`)}
+	const clients, perClient = 16, 40
+	var ok, expired atomic.Int64
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var resp bytes.Buffer
+			for i := 0; i < perClient; i++ {
+				resp.Reset()
+				switch status := srv.ServeSubmit(context.Background(), bodies[(c+i)%2], &resp); status {
+				case http.StatusOK:
+					ok.Add(1)
+				case http.StatusGatewayTimeout:
+					expired.Add(1)
+				default:
+					t.Errorf("status %d: %s", status, resp.String())
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	st := srv.tenants["test"].stats
+	t.Logf("%d ok, %d expired; %d sweeps, %d coalesced", ok.Load(), expired.Load(), st.sweeps.Load(), st.coalesced.Load())
+	if ok.Load()+expired.Load() != clients*perClient || st.timeouts.Load() != expired.Load() {
+		t.Fatalf("%d ok + %d expired of %d, %d timeouts counted", ok.Load(), expired.Load(), clients*perClient, st.timeouts.Load())
+	}
+	if ok.Load() < clients*perClient/2 {
+		t.Fatalf("only %d requests without a deadline answered 200", ok.Load())
+	}
+	if expired.Load() == 0 {
+		t.Fatal("no request gave up: the hammer exercised no deadline")
+	}
+	rc.rmu.Lock()
+	defer rc.rmu.Unlock()
+	if int64(len(rc.released)) != st.sweeps.Load() {
+		t.Fatalf("%d sweeps released of %d run", len(rc.released), st.sweeps.Load())
+	}
+	for sw, n := range rc.released {
+		if n != 1 || rc.atRelease[sw] != rc.decided[sw] {
+			t.Fatalf("sweep released %d times, after %d of its %d decisions", n, rc.atRelease[sw], rc.decided[sw])
+		}
+	}
+	if len(srv.tenants["test"].pending) != 0 {
+		t.Fatal("a batch is still pending")
+	}
+}
+
 // TestRequestTimeout504 verifies that a submission whose budget expires
 // while its sweep is still running surfaces as 504, and that the
 // timeout is counted.
@@ -396,6 +463,57 @@ func TestRequestTimeout504(t *testing.T) {
 	}
 	if got := srv.tenants["test"].stats.timeouts.Load(); got != 1 {
 		t.Fatalf("timeouts = %d", got)
+	}
+}
+
+// busySweepSched is a stub whose sweep holds the CPU for spin without
+// ever yielding, and which counts the decisions it is asked for.
+type busySweepSched struct {
+	stubSched
+	spin    time.Duration
+	decides atomic.Int64
+}
+
+func (s *busySweepSched) PlanSweep(ctx context.Context, q tpch.QueryID) (*ires.Sweep, error) {
+	spin(s.spin)
+	return s.stubSched.PlanSweep(ctx, q)
+}
+
+// spin holds the CPU for d, as a CPU-bound sweep does.
+func spin(d time.Duration) {
+	for start := time.Now(); time.Since(start) < d; {
+	}
+}
+
+func (s *busySweepSched) DecideFromSweep(sw *ires.Sweep, pol ires.Policy) (*ires.Decision, error) {
+	s.decides.Add(1)
+	return s.stubSched.DecideFromSweep(sw, pol)
+}
+
+// TestDeadlinePassedDuringSweepIs504: a deadline that passes while the
+// request's own sweep holds the only processor has expired, even though
+// no timer can have run yet to say so. The request answers 504 without
+// executing, so it records nothing.
+func TestDeadlinePassedDuringSweepIs504(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	stub := &busySweepSched{spin: 3 * time.Millisecond}
+	srv, err := NewWithSchedulers(Config{}, map[string]QueryScheduler{"test": stub}, tpch.AllQueries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := []byte(`{"query": "Q12", "timeout_ms": 1}`)
+	const calls = 20
+	for i := 0; i < calls; i++ {
+		var resp bytes.Buffer
+		if status := srv.ServeSubmit(context.Background(), body, &resp); status != http.StatusGatewayTimeout {
+			t.Fatalf("call %d: status = %d, body %s", i, status, resp.String())
+		}
+	}
+	if n := stub.decides.Load(); n != 0 {
+		t.Fatalf("DecideFromSweep ran %d times past the deadline", n)
+	}
+	if got := srv.tenants["test"].stats.timeouts.Load(); got != calls {
+		t.Fatalf("timeouts = %d, want %d", got, calls)
 	}
 }
 

@@ -542,7 +542,7 @@ func (s *Server) hold(ctx context.Context, t *tenant, inflight *int64, deadline 
 }
 
 // writeRedirect renders the 307 through the request's scratch: the
-// owner's URL for path goes in sc.location (the handlers copy it to the
+// owner's URL for path goes in sc.location (the handlers hand it to the
 // Location header), the body says why — the bytes writeErrorBuf would
 // render, appended without formatting.
 func (s *Server) writeRedirect(t *tenant, sc *serveScratch, path string, resp *bytes.Buffer) int {
@@ -550,7 +550,7 @@ func (s *Server) writeRedirect(t *tenant, sc *serveScratch, path string, resp *b
 	owner := tab.Owner(t.name)
 	s.cluster.redirects.Inc()
 	sc.text = append(append(sc.text[:0], owner.Addr...), path...)
-	sc.location = reuse(sc.location, sc.text)
+	sc.location[0] = reuse(sc.location[0], sc.text)
 	sc.text = strconv.AppendQuote(append(sc.text[:0], "federation "...), t.name)
 	sc.text = append(append(append(sc.text, " is served by "...), owner.ID...), " (epoch "...)
 	sc.text = append(strconv.AppendUint(sc.text, tab.Epoch(), 10), ')')

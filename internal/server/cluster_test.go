@@ -1995,3 +1995,34 @@ func TestRedirectAllocBudget(t *testing.T) {
 		t.Errorf("redirected submission: over the allocation budget")
 	}
 }
+
+// headerWriter is a ResponseWriter that keeps one header map and
+// discards the rest, so writing a response through it allocates only
+// what the handler's own code does.
+type headerWriter http.Header
+
+func (w headerWriter) Header() http.Header         { return http.Header(w) }
+func (w headerWriter) WriteHeader(int)             {}
+func (w headerWriter) Write(b []byte) (int, error) { return len(b), nil }
+
+// TestRedirectHeaderDoesNotAllocate: a 307's Location header is the
+// scratch's own value slice, assigned as the Content-Type is, not a new
+// one per redirect.
+func TestRedirectHeaderDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	w := headerWriter{}
+	var sc serveScratch
+	sc.location[0] = "http://owner/v1/queries"
+	body := []byte(`{"error":"moved"}`)
+	allocs := testing.AllocsPerRun(200, func() {
+		writeBuffered(w, http.StatusTemporaryRedirect, sc.location[:], body)
+	})
+	if allocs != 0 {
+		t.Errorf("writing a 307 allocates %.1f times", allocs)
+	}
+	if got := http.Header(w).Get("Location"); got != sc.location[0] {
+		t.Errorf("Location = %q, want %q", got, sc.location[0])
+	}
+}

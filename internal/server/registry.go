@@ -28,7 +28,9 @@ import (
 type QueryScheduler interface {
 	// PlanSweep runs the policy-independent half of a round (enumerate,
 	// estimate, Pareto-reduce); the result is shared across coalesced
-	// submissions.
+	// submissions. ctx carries the leading request's deadline and is
+	// valid only for the call: the server reuses it once PlanSweep
+	// returns, so nothing may keep it.
 	PlanSweep(ctx context.Context, q tpch.QueryID) (*ires.Sweep, error)
 	// DecideFromSweep selects under one request's policy, executes the
 	// winner and records the outcome.

@@ -149,8 +149,7 @@ type Config struct {
 
 func (c *Config) setDefaults() {
 	// A negative RequestTimeout is meaningful: no per-request deadline,
-	// which also keeps context.WithDeadline's allocations off the hot
-	// path for embedders that bound requests elsewhere.
+	// for embedders that bound requests elsewhere.
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 1024
 	}
@@ -633,16 +632,100 @@ type serveScratch struct {
 	body []byte
 	req  QueryRequest
 	buf  bytes.Buffer
-	// location is the target of the scratch's last cluster redirect, the
-	// Location header of a 307 (the body buffer API has nowhere else to
-	// carry it), kept across requests: a redirect to the same target
-	// reuses the string.
-	location string
+	// location holds the target of the scratch's last cluster redirect,
+	// the Location header of a 307 (the body buffer API has nowhere else
+	// to carry it), kept across requests: a redirect to the same target
+	// reuses the string, and location[:] is the header's value slice,
+	// assigned like jsonContentType (net/http copies the header map when
+	// the handler writes the status, so the slice is not read after).
+	location [1]string
 	// text is where a redirect assembles its target and message.
 	text []byte
+	// deadline is the submission's deadline while one is being served.
+	deadline lazyDeadline
 }
 
 var servePool = sync.Pool{New: func() any { return new(serveScratch) }}
+
+// lazyDeadline is a submission's deadline as the context.Context the
+// scheduler sees, without the cost of one until something waits on it.
+// Err reads the clock, so a deadline that passed while the request
+// held the processor has expired even before any timer could run to
+// say so. Only Done — a caller about to wait — arms the timer: once,
+// context.WithDeadline(parent, deadline), whose channel and error it
+// answers with from then on. Everything else matches that context:
+// Deadline is the earlier of the parent's and its own, Err the parent's
+// error or DeadlineExceeded, and Value the parent's. It is valid from
+// serveSubmit's set to its release, and so only for the calls made
+// with it.
+type lazyDeadline struct {
+	parent   context.Context
+	deadline time.Time
+	armed    atomic.Pointer[armedDeadline]
+}
+
+// armedDeadline is the context a lazyDeadline's Done armed.
+type armedDeadline struct {
+	ctx    context.Context
+	cancel context.CancelFunc
+}
+
+// set makes d the deadline of a submission under parent.
+func (d *lazyDeadline) set(parent context.Context, deadline time.Time) {
+	d.parent, d.deadline = parent, deadline
+}
+
+// release stops an armed timer and drops the parent, before the
+// scratch holding d goes back to the pool.
+func (d *lazyDeadline) release() {
+	if a := d.armed.Swap(nil); a != nil {
+		a.cancel()
+	}
+	d.parent = nil
+}
+
+func (d *lazyDeadline) Deadline() (time.Time, bool) {
+	if p, ok := d.parent.Deadline(); ok && p.Before(d.deadline) {
+		return p, true
+	}
+	return d.deadline, true
+}
+
+func (d *lazyDeadline) Done() <-chan struct{} {
+	a := d.armed.Load()
+	if a == nil {
+		ctx, cancel := context.WithDeadline(d.parent, d.deadline)
+		a = &armedDeadline{ctx: ctx, cancel: cancel}
+		if !d.armed.CompareAndSwap(nil, a) {
+			cancel() // another waiter armed it first
+			a = d.armed.Load()
+		}
+	}
+	return a.ctx.Done()
+}
+
+func (d *lazyDeadline) Err() error {
+	if a := d.armed.Load(); a != nil {
+		return a.ctx.Err()
+	}
+	if err := d.parent.Err(); err != nil {
+		return err
+	}
+	if !time.Now().Before(d.deadline) {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
+// Value is the parent's, read through the armed context once there is
+// one: that context answers the context package's own lookup with
+// itself, so a context derived from d hangs on its timer directly.
+func (d *lazyDeadline) Value(key any) any {
+	if a := d.armed.Load(); a != nil {
+		return a.ctx.Value(key)
+	}
+	return d.parent.Value(key)
+}
 
 // reset clears the decoded request while keeping slice capacity, so
 // a decode appends into the existing arrays. Needed because
@@ -702,14 +785,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	sc.buf.Reset()
 	status := s.serveSubmit(r.Context(), sc, body, &sc.buf)
-	writeBuffered(w, status, sc.location, sc.buf.Bytes())
+	writeBuffered(w, status, sc.location[:], sc.buf.Bytes())
 }
 
 // writeBuffered sends a response rendered into a buffer; a 307 (a
-// cluster redirect) carries location as its Location header.
-func writeBuffered(w http.ResponseWriter, status int, location string, body []byte) {
+// cluster redirect) carries location as its Location header's values.
+func writeBuffered(w http.ResponseWriter, status int, location []string, body []byte) {
 	if status == http.StatusTemporaryRedirect {
-		w.Header().Set("Location", location)
+		w.Header()["Location"] = location
 	}
 	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
@@ -798,14 +881,17 @@ func (s *Server) serveSubmit(ctx context.Context, sc *serveScratch, body []byte,
 		return writeErrorBuf(resp, http.StatusTooManyRequests, "admission queue full (depth %d)", s.cfg.QueueDepth)
 	}
 
+	// The round runs under the deadline; the log lines keep the
+	// request's own context, which outlives the pooled one.
+	roundCtx := ctx
 	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithDeadline(ctx, deadline)
-		defer cancel()
+		sc.deadline.set(ctx, deadline)
+		defer sc.deadline.release()
+		roundCtx = &sc.deadline
 	}
 
 	began := time.Now()
-	dec, coalesced, err := s.submit(ctx, t, q, pol)
+	dec, coalesced, err := s.submit(roundCtx, t, q, pol)
 	latency := time.Since(began)
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) {
@@ -950,7 +1036,7 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 		sc.buf.Reset()
 		status := s.routeTenant(r.Context(), t, nil, time.Time{}, sc, r.URL.RequestURI(), &sc.buf)
 		if status != 0 {
-			writeBuffered(w, status, sc.location, sc.buf.Bytes())
+			writeBuffered(w, status, sc.location[:], sc.buf.Bytes())
 		}
 		servePool.Put(sc)
 		if status != 0 {

@@ -121,6 +121,32 @@ func BenchmarkServeHotPath(b *testing.B) {
 	}
 }
 
+// BenchmarkServeServedCold is the `solo` workload's request without the
+// transport: a server.New tenant of Q12 alone under the default Config,
+// so every request leads its own sweep and window search, each under a
+// fresh cancellable context as net/http hands every handler one. It is
+// the in-process layer number beside solo's end-to-end one.
+func BenchmarkServeServedCold(b *testing.B) {
+	srv, err := server.New(server.Config{Federations: []server.FederationSpec{{Name: "solo", Queries: []string{"Q12"}}}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Drain(context.Background())
+	body := []byte(`{"federation":"solo","query":"Q12","weights":[1,1]}`)
+	var resp bytes.Buffer
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		resp.Reset()
+		ctx, cancel := context.WithCancel(context.Background())
+		status := srv.ServeSubmit(ctx, body, &resp)
+		cancel()
+		if status != http.StatusOK {
+			b.Fatalf("submit = %d: %s", status, resp.String())
+		}
+	}
+}
+
 // raceEnabled is set by race_test.go when the race detector is
 // compiled in: sync.Pool drops entries at random there, so allocation
 // counts mean nothing.
@@ -128,15 +154,18 @@ var raceEnabled bool
 
 // TestServeSubmitAllocBudget is the regression gate on the pooled
 // request path: allocations per submission are deterministic, so they
-// are a test, not a benchmark to compare. Three configurations — the
+// are a test, not a benchmark to compare. Four configurations — the
 // no-deadline floor BenchmarkServeHotPath times; what midasd runs on a
 // coalesced request, the default Config (30 s request deadline) under a
-// cancellable context as net/http hands every handler; and the same
-// without the pinned sweep, a server.New tenant of Q12 alone where each
-// request leads its own sweep and window search, as the `solo` workload
-// serves them. The first two budgets are 4 apart: context.WithTimeout's
-// allocations. The request's names are reused from the last one and the
-// response is appended into the caller's buffer, so neither allocates.
+// long-lived cancellable context; the same under a fresh cancellable
+// context per call, as net/http hands every handler one; and a
+// server.New tenant of Q12 alone where each request leads its own sweep
+// and window search, as the `solo` workload serves them. The first two
+// budgets are equal: a deadline nothing waits on allocates nothing, nor
+// does it hang a child on the request's context. The third pays only
+// for the context it is handed (context.WithCancel's 2). The request's
+// names are reused from the last one and the response is appended into
+// the caller's buffer, so neither allocates.
 func TestServeSubmitAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -149,21 +178,31 @@ func TestServeSubmitAllocBudget(t *testing.T) {
 	defer cold.Drain(context.Background())
 	cancellable, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	defaults := newServeBench(t, server.Config{}, fixed)
 	for _, tc := range []struct {
-		name   string
-		srv    *server.Server
+		name string
+		srv  *server.Server
+		// ctx is the context of every call; nil: a fresh cancellable one
+		// per call.
 		ctx    context.Context
 		budget float64
 	}{
-		{"no-deadline", newServeBench(t, noDeadline, fixed), context.Background(), 5},
-		{"default-config", newServeBench(t, server.Config{}, fixed), cancellable, 9},
-		{"served-cold", cold, cancellable, 10},
+		{"no-deadline", newServeBench(t, noDeadline, fixed), context.Background(), 3},
+		{"default-config", defaults, cancellable, 3},
+		{"fresh-context", defaults, nil, 5},
+		{"served-cold", cold, cancellable, 4},
 	} {
 		srv := tc.srv
 		var resp bytes.Buffer
 		allocs := testing.AllocsPerRun(200, func() {
 			resp.Reset()
-			if status := srv.ServeSubmit(tc.ctx, serveBody, &resp); status != http.StatusOK {
+			ctx := tc.ctx
+			if ctx == nil {
+				var cancel context.CancelFunc
+				ctx, cancel = context.WithCancel(context.Background())
+				defer cancel()
+			}
+			if status := srv.ServeSubmit(ctx, serveBody, &resp); status != http.StatusOK {
 				t.Fatalf("submit = %d: %s", status, resp.String())
 			}
 		})
