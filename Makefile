@@ -19,8 +19,9 @@ COVER_PKGS ?= $(shell $(GO) list ./internal/...)
 # the fit's node coefficients disagree in sign), SweepRound (one whole
 # 2,048-plan serving cycle: sweep, decide with its window search,
 # release), HistoryPage (one
-# 50-observation GET /v1/history page through the handler) and
-# internal/moo's ParetoFront shapes. Nothing gates on them: CI's
+# 50-observation GET /v1/history page through the handler),
+# internal/moo's ParetoFront shapes and internal/histstore's Recovery
+# (one shard's WAL replayed into its history, unbounded and retained). Nothing gates on them: CI's
 # regression gate is `bench -compare` over bench/ against
 # BENCHMARK.json's bounds, and allocation budgets are ordinary tests
 # (TestServeSubmitAllocBudget; TestPlanSweepAllocBudget for a serving
@@ -28,7 +29,7 @@ COVER_PKGS ?= $(shell $(GO) list ./internal/...)
 # TestHistoryPageAllocBudget). The fsync-bound ServeDurable and
 # WALAppendDurable benchmarks are left out — fsync latency is hardware
 # noise.
-SWEEP_PATTERN ?= Q1[23]Sweep|WindowSearch(Cold|Served)|DREAMEstimateUncached|ServeHotPath|ServeServedCold|HistoryPage|PlanSweep|SweepRound|ParetoFront|RouteLookup
+SWEEP_PATTERN ?= Q1[23]Sweep|WindowSearch(Cold|Served)|DREAMEstimateUncached|ServeHotPath|ServeServedCold|HistoryPage|PlanSweep|SweepRound|ParetoFront|RouteLookup|Recovery
 SWEEP_COUNT ?= 5
 
 # The control-plane tests `make test-cluster` repeats under -race.
@@ -122,9 +123,9 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
-## bench-sweep: repeated runs of the sweep + cold-search micro-benchmarks, for benchstat
+## bench-sweep: repeated runs of the sweep, cold-search and WAL-replay micro-benchmarks, for benchstat
 bench-sweep:
-	$(GO) test -run '^$$' -bench '$(SWEEP_PATTERN)' -benchtime 10x -count $(SWEEP_COUNT) . ./internal/moo
+	$(GO) test -run '^$$' -bench '$(SWEEP_PATTERN)' -benchtime 10x -count $(SWEEP_COUNT) . ./internal/moo ./internal/histstore
 
 ## bench-boot: repeated runs of BenchmarkCalibrate (generate the SF 0.004 calibration database, run the four studied queries on it) at -cpu 1,2 — the cost every boot and cold tenant build pays per federation, for benchstat
 bench-boot:

@@ -70,7 +70,9 @@ type HistorySink interface {
 	// do their own (brief) synchronization and I/O and return. An error
 	// aborts the append: the observation is NOT added to the in-memory
 	// history (durable state is never behind a state the caller
-	// observed).
+	// observed). o is a view into the history's array, valid only for
+	// the call (a failed append reuses its place): an implementation
+	// copies whatever it keeps.
 	RecordObservation(o Observation) (ticket uint64, err error)
 	// WaitObservation blocks until the ticketed observation is durable
 	// to the sink's configured level (e.g. its covering fsync has
@@ -87,6 +89,10 @@ type HistorySink interface {
 // newest ones, from index Base on, while Len and every index keep
 // counting from the first.
 //
+// The observations held live in one pointer-free array, Dim+NumMetrics
+// values each — the features, then the costs — so an observation costs
+// its values and nothing else, and an append copies into spare capacity.
+//
 // A History is safe for concurrent use: appends take a write lock and
 // bump a version counter, reads take a read lock. Concurrent estimators
 // should grab a Snapshot once and work against that immutable view, so
@@ -95,11 +101,13 @@ type HistorySink interface {
 type History struct {
 	metrics []string
 	dim     int
+	width   int // values per observation: dim features, then the costs
 
 	mu      sync.RWMutex
-	base    int // index of obs[0]
-	obs     []Observation
-	retain  int // 0 = keep everything; see SetRetain
+	base    int       // index of the first observation in vals
+	n       int       // observations held: len(vals)/width
+	vals    []float64 // the observations held, oldest first
+	retain  int       // 0 = keep everything; see SetRetain
 	version uint64
 	sink    HistorySink
 }
@@ -126,7 +134,7 @@ func NewHistoryAt(base, dim int, metrics ...string) (*History, error) {
 	}
 	ms := make([]string, len(metrics))
 	copy(ms, metrics)
-	return &History{metrics: ms, dim: dim, base: base, version: uint64(base)}, nil
+	return &History{metrics: ms, dim: dim, width: dim + len(ms), base: base, version: uint64(base)}, nil
 }
 
 // Metrics returns the metric names in cost-vector order.
@@ -144,7 +152,7 @@ func (h *History) Dim() int { return h.dim }
 func (h *History) Len() int {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	return h.base + len(h.obs)
+	return h.base + h.n
 }
 
 // Base returns the index of the oldest observation still held: 0 unless
@@ -183,15 +191,17 @@ func (h *History) SetRetain(retain int) {
 }
 
 // trimLocked drops what RetainedBase allows by copying the observations
-// kept into a fresh array — snapshots taken earlier keep reading the old
-// one — sized so that appends up to the next trim never reallocate.
+// kept into a fresh array of exactly their size — snapshots taken
+// earlier keep reading the old one. Appends then grow it as any slice
+// grows, so a bounded history holds its observations plus the slack of
+// one growth step.
 func (h *History) trimLocked() {
-	keep := int(RetainedBase(uint64(h.base+len(h.obs)), uint64(h.retain)))
+	keep := int(RetainedBase(uint64(h.base+h.n), uint64(h.retain)))
 	if keep <= h.base {
 		return
 	}
-	kept := h.obs[keep-h.base:]
-	h.obs = append(make([]Observation, 0, 2*h.retain), kept...) // len(kept) < 2·retain
+	h.vals = append([]float64(nil), h.vals[(keep-h.base)*h.width:]...)
+	h.n -= keep - h.base
 	h.base = keep
 }
 
@@ -216,14 +226,14 @@ func (h *History) SetSink(sink HistorySink) {
 	h.mu.Unlock()
 }
 
-// Append records a completed execution; an observation holding a NaN or
-// ±Inf is refused with ErrNonFinite. With a sink attached the
-// observation is persisted first (write-ahead): a sink error aborts the
-// append and the in-memory history is unchanged. The sink's durability
-// wait runs after the history lock is released, so concurrent appenders
-// coalesce onto shared flushes; a wait error means the observation is
-// in memory but its durability is unconfirmed — the caller must not
-// acknowledge the write.
+// Append records a completed execution, copying o's values; an
+// observation holding a NaN or ±Inf is refused with ErrNonFinite. With a
+// sink attached the observation is persisted first (write-ahead): a sink
+// error aborts the append and the in-memory history is unchanged. The
+// sink's durability wait runs after the history lock is released, so
+// concurrent appenders coalesce onto shared flushes; a wait error means
+// the observation is in memory but its durability is unconfirmed — the
+// caller must not acknowledge the write.
 func (h *History) Append(o Observation) error {
 	if len(o.X) != h.dim {
 		return fmt.Errorf("core: observation has %d features, history wants %d", len(o.X), h.dim)
@@ -237,24 +247,24 @@ func (h *History) Append(o Observation) error {
 	if err := checkFinite("cost", o.Costs); err != nil {
 		return err
 	}
-	// One array holds both vectors: the features, then the costs.
-	v := make([]float64, len(o.X)+len(o.Costs))
-	n := copy(v, o.X)
-	copy(v[n:], o.Costs)
-	stored := Observation{X: v[:n:n], Costs: v[n:]}
 	h.mu.Lock()
+	// The values go past the end every snapshot was cut at, so no reader
+	// sees them until n counts them.
+	at := len(h.vals)
+	h.vals = append(append(h.vals, o.X...), o.Costs...)
 	sink := h.sink
 	var ticket uint64
 	if sink != nil {
 		var err error
-		if ticket, err = sink.RecordObservation(stored); err != nil {
+		if ticket, err = sink.RecordObservation(h.obsAt(h.vals, at)); err != nil {
+			h.vals = h.vals[:at]
 			h.mu.Unlock()
 			return fmt.Errorf("core: history sink: %w", err)
 		}
 	}
-	h.obs = append(h.obs, stored)
+	h.n++
 	h.version++
-	if h.retain > 0 && (h.base+len(h.obs))%h.retain == 0 {
+	if h.retain > 0 && (h.base+h.n)%h.retain == 0 {
 		h.trimLocked()
 	}
 	h.mu.Unlock()
@@ -276,19 +286,29 @@ func checkFinite(what string, vs []float64) error {
 	return nil
 }
 
+// obsAt is the observation whose values start at vals[at]: capped views,
+// so an append to either vector cannot reach the next one.
+func (h *History) obsAt(vals []float64, at int) Observation {
+	x, end := at+h.dim, at+h.width
+	return Observation{X: vals[at:x:x], Costs: vals[x:end:end]}
+}
+
 // At returns the i-th observation ever appended, oldest first; i must
-// not be below Base.
+// not be below Base. Its vectors are views into the history: read only.
 func (h *History) At(i int) Observation {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	return h.obs[i-h.base]
+	if i < h.base || i >= h.base+h.n {
+		panic(fmt.Sprintf("core: observation %d outside [%d, %d)", i, h.base, h.base+h.n))
+	}
+	return h.obsAt(h.vals, (i-h.base)*h.width)
 }
 
 // Snapshot captures an immutable view of the current history. The
 // returned snapshot is safe to read without locking while other
-// goroutines keep appending: observations are never mutated in place
-// and a trim moves the history to a new array, so the captured range
-// stays valid forever.
+// goroutines keep appending: values are never written where a snapshot
+// can see them (appends go past its end, a trim moves the history to a
+// new array), so the captured range stays valid forever.
 func (h *History) Snapshot() *Snapshot {
 	s := new(Snapshot)
 	h.SnapshotTo(s)
@@ -304,7 +324,8 @@ func (h *History) SnapshotTo(s *Snapshot) {
 		owner:   h,
 		version: h.version,
 		base:    h.base,
-		obs:     h.obs[:len(h.obs):len(h.obs)],
+		n:       h.n,
+		vals:    h.vals[:len(h.vals):len(h.vals)],
 	}
 }
 
@@ -314,19 +335,25 @@ type Snapshot struct {
 	owner   *History
 	version uint64
 	base    int
-	obs     []Observation
+	n       int       // observations held
+	vals    []float64 // their values, as History holds them
 }
 
 // Len returns the number of observations appended when the snapshot was
 // taken; the snapshot holds those from Base on.
-func (s *Snapshot) Len() int { return s.base + len(s.obs) }
+func (s *Snapshot) Len() int { return s.base + s.n }
 
 // Base returns the index of the oldest observation the snapshot holds.
 func (s *Snapshot) Base() int { return s.base }
 
 // At returns the i-th observation ever appended, oldest first; i must
-// not be below Base.
-func (s *Snapshot) At(i int) Observation { return s.obs[i-s.base] }
+// not be below Base. Its vectors are views into the snapshot: read only.
+func (s *Snapshot) At(i int) Observation {
+	if i < s.base || i >= s.base+s.n {
+		panic(fmt.Sprintf("core: observation %d outside [%d, %d)", i, s.base, s.base+s.n))
+	}
+	return s.owner.obsAt(s.vals, (i-s.base)*s.owner.width)
+}
 
 // Dim returns the feature dimension L.
 func (s *Snapshot) Dim() int { return s.owner.dim }
@@ -338,10 +365,12 @@ func (s *Snapshot) Metrics() []string { return s.owner.Metrics() }
 // Metrics makes.
 func (s *Snapshot) NumMetrics() int { return len(s.owner.metrics) }
 
+// MetricName returns the name of metric n, without the copy Metrics
+// makes.
+func (s *Snapshot) MetricName(n int) string { return s.owner.metrics[n] }
+
 // Version reports the history version the snapshot was taken at.
 func (s *Snapshot) Version() uint64 { return s.version }
-
-func (s *Snapshot) metricName(n int) string { return s.owner.metrics[n] }
 
 // GrowthPolicy selects how the window expands when fit quality is
 // insufficient. The paper's Algorithm 1 uses GrowByOne; Doubling is an
@@ -552,7 +581,7 @@ func (e *Estimator) EstimateSnapshot(s *Snapshot, x []float64) (*Estimate, error
 			return nil, err
 		}
 		est.Metrics[n] = MetricEstimate{
-			Metric: s.metricName(n),
+			Metric: s.MetricName(n),
 			Value:  v,
 			R2:     fit.models[n].R2,
 			Model:  fit.models[n],
@@ -666,8 +695,8 @@ func (s *Snapshot) checkDim(dim int) error {
 // the fit: the cache counts that many lookups.
 func (e *Estimator) fitFor(s *Snapshot, plans int) (*windowFit, error) {
 	minM := regression.MinObservations(s.Dim())
-	if len(s.obs) < minM {
-		return nil, fmt.Errorf("%w: have %d observations, need %d", ErrInsufficientHistory, len(s.obs), minM)
+	if s.n < minM {
+		return nil, fmt.Errorf("%w: have %d observations, need %d", ErrInsufficientHistory, s.n, minM)
 	}
 	cache := e.cache.Load()
 	if cache == nil {
@@ -694,8 +723,8 @@ func (e *Estimator) fitFor(s *Snapshot, plans int) (*windowFit, error) {
 // into fit.
 func (e *Estimator) searchWindow(s *Snapshot, minM int, fit *windowFit) error {
 	mmax := e.cfg.MMax
-	if mmax == 0 || mmax > len(s.obs) {
-		mmax = len(s.obs)
+	if mmax == 0 || mmax > s.n {
+		mmax = s.n
 	}
 	if mmax < minM {
 		mmax = minM

@@ -45,14 +45,16 @@ func (e *Estimator) searchWindowIncremental(s *Snapshot, minM, mmax int, fit *wi
 	fitter := e.fitterFor(s.Dim(), nMetrics)
 	defer e.fitters.Put(fitter)
 
-	obs := s.obs
-	total := len(obs)
-	// feed folds obs[from:to) into the fitter. Observation order never
-	// affects the Gram sums, so growing the window at its old end needs
-	// no special handling.
+	dim, width := s.Dim(), s.owner.width
+	vals := s.vals
+	total := s.n
+	// feed folds observations [from, to) of the snapshot into the
+	// fitter, walking the flat array with a running offset. Observation
+	// order never affects the Gram sums, so growing the window at its old
+	// end needs no special handling.
 	feed := func(from, to int) error {
-		for i := from; i < to; i++ {
-			if err := fitter.AddObservation(obs[i].X, obs[i].Costs); err != nil {
+		for at := from * width; at < to*width; at += width {
+			if err := fitter.AddObservation(vals[at:at+dim], vals[at+dim:at+width]); err != nil {
 				return err
 			}
 		}

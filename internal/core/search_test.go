@@ -21,6 +21,15 @@ import (
 // histories, which is what lets the hot path be fast without being a
 // second source of truth.
 
+// newest returns the m newest observations of s, oldest first.
+func newest(s *Snapshot, m int) []Observation {
+	window := make([]Observation, m)
+	for i := range window {
+		window[i] = s.At(s.Len() - m + i)
+	}
+	return window
+}
+
 // searchWindowReference is Algorithm 1 as written: one batch MLR fit
 // per metric per window size, over the m most recent observations.
 func searchWindowReference(e *Estimator, s *Snapshot, minM, mmax int) (*windowFit, error) {
@@ -29,7 +38,7 @@ func searchWindowReference(e *Estimator, s *Snapshot, minM, mmax int) (*windowFi
 
 	m := minM
 	for {
-		window := s.obs[s.Len()-m:]
+		window := newest(s, m)
 		allGood := true
 		for n := 0; n < nMetrics; n++ {
 			samples := make([]regression.Sample, len(window))
@@ -38,7 +47,7 @@ func searchWindowReference(e *Estimator, s *Snapshot, minM, mmax int) (*windowFi
 			}
 			model, err := regression.Fit(samples)
 			if err != nil {
-				return nil, fmt.Errorf("core: metric %q window %d: %w", s.metricName(n), m, err)
+				return nil, fmt.Errorf("core: metric %q window %d: %w", s.MetricName(n), m, err)
 			}
 			fit.refits++
 			fit.models[n] = model
@@ -397,7 +406,7 @@ func TestWindowSearchInvariants(t *testing.T) {
 // it, too close to call against the incremental fit.
 func windowFailsBar(t *testing.T, s *Snapshot, w int, bar float64) bool {
 	t.Helper()
-	window := s.obs[len(s.obs)-w:]
+	window := newest(s, w)
 	fails := false
 	for n := 0; n < s.NumMetrics(); n++ {
 		samples := make([]regression.Sample, w)

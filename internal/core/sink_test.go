@@ -23,7 +23,8 @@ func (s *recordingSink) RecordObservation(o Observation) (uint64, error) {
 	if s.failAfter > 0 && len(s.obs) >= s.failAfter {
 		return 0, errSinkFull
 	}
-	s.obs = append(s.obs, o)
+	// o is a view into the history, valid only for the call: keep a copy.
+	s.obs = append(s.obs, Observation{X: append([]float64(nil), o.X...), Costs: append([]float64(nil), o.Costs...)})
 	return uint64(len(s.obs) - 1), nil
 }
 

@@ -101,9 +101,10 @@ func FuzzReplay(f *testing.F) {
 		// the successor to what precedes it, and the history is exactly
 		// their first occurrences.
 		next := uint64(0)
+		var scratch []float64
 		for i, seg := range segs {
 			end, err := framelog.Scan(bytes.NewReader(survived[i]), maxFramePayload, framelog.Strict, func(_ int64, p []byte) error {
-				seq, o, err := decodePayload(p)
+				seq, o, err := decodePayload(p, &scratch)
 				if err != nil || seq > next {
 					t.Fatalf("surviving frame seq %d in %s after %d observations (err %v)", seq, seg.name, next, err)
 				}

@@ -267,8 +267,10 @@ func (s *Store) openShard(name string, dim int, metricNames []string) (*shard, e
 		return nil, fmt.Errorf("histstore: shard %q: %w", name, err)
 	}
 	h.SetRetain(s.opts.Retain)
+	// Every frame is decoded into one scratch array; Append copies it.
+	var scratch []float64
 	apply := func(_ int64, p []byte) error {
-		seq, o, err := decodePayload(p)
+		seq, o, err := decodePayload(p, &scratch)
 		if err != nil {
 			return err
 		}
@@ -516,7 +518,8 @@ var _ core.HistorySink = (*shard)(nil)
 // to in-memory order by construction, and so never fsyncs, a roll apart:
 // whatever the append still has to wait for — the covering fsync, the
 // mirror — the caller waits for in WaitObservation, after releasing
-// that lock.
+// that lock. o is a view into the history: the frame copies its values
+// and nothing keeps o.
 func (sh *shard) RecordObservation(o core.Observation) (uint64, error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()

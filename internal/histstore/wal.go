@@ -69,21 +69,19 @@ func frameSeq(p []byte) (uint64, error) {
 // expMask selects a float64's exponent bits.
 const expMask = 0x7ff << 52
 
-// decodePayload parses a CRC-validated payload.
-func decodePayload(p []byte) (seq uint64, o core.Observation, err error) {
+// decodePayload parses a CRC-validated payload into *scratch, which it
+// grows when the payload needs more room and otherwise reuses, so a
+// replay decodes every frame into one array: o's vectors are views into
+// it, valid until the next call with the same scratch.
+func decodePayload(p []byte, scratch *[]float64) (seq uint64, o core.Observation, err error) {
 	if seq, err = frameSeq(p); err != nil {
 		return 0, o, err
 	}
-	o.X = make([]float64, binary.LittleEndian.Uint16(p[8:]))
-	o.Costs = make([]float64, binary.LittleEndian.Uint16(p[10:]))
-	at := 12
-	for i := range o.X {
-		o.X[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[at:]))
-		at += 8
+	vals := (*scratch)[:0]
+	for at := 12; at < len(p); at += 8 {
+		vals = append(vals, math.Float64frombits(binary.LittleEndian.Uint64(p[at:])))
 	}
-	for i := range o.Costs {
-		o.Costs[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[at:]))
-		at += 8
-	}
-	return seq, o, nil
+	*scratch = vals
+	nx := int(binary.LittleEndian.Uint16(p[8:]))
+	return seq, core.Observation{X: vals[:nx:nx], Costs: vals[nx:len(vals):len(vals)]}, nil
 }

@@ -76,11 +76,11 @@ func (p *historyPage) render(h *core.History, fed, query string, limit, offset i
 	b = append(b, `,"truncated":`...)
 	b = strconv.AppendBool(b, truncated)
 	b = append(b, `,"metrics":[`...)
-	for n, m := range snap.Metrics() {
+	for n := range snap.NumMetrics() {
 		if n > 0 {
 			b = append(b, ',')
 		}
-		b = appendJSONString(b, m)
+		b = appendJSONString(b, snap.MetricName(n))
 	}
 	b = append(b, `],"observations":[`...)
 	p.prev = p.prev[:0]

@@ -783,6 +783,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if cap(body) > cap(sc.body) {
 		sc.body = body // keep the grown buffer for the next request
 	}
+	// Read to its end, the body is closed at once: net/http then has
+	// nothing to drain after the handler returns, and skips the drain's
+	// io.CopyN and its LimitedReader.
+	r.Body.Close()
 	sc.buf.Reset()
 	status := s.serveSubmit(r.Context(), sc, body, &sc.buf)
 	writeBuffered(w, status, sc.location[:], sc.buf.Bytes())

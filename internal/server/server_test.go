@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"testing/iotest"
@@ -206,6 +208,42 @@ func TestSubmitBodyLimit(t *testing.T) {
 		if rec.Code != tc.want {
 			t.Errorf("%d-byte body: status %d, want %d: %.200s", tc.size, rec.Code, tc.want, rec.Body.String())
 		}
+	}
+}
+
+// closeRecorder is a request body that records whether it was closed
+// and whether it had been read to its end by then.
+type closeRecorder struct {
+	io.Reader
+	eof, closed, closedAtEOF bool
+}
+
+func (b *closeRecorder) Read(p []byte) (int, error) {
+	n, err := b.Reader.Read(p)
+	if err == io.EOF {
+		b.eof = true
+	}
+	return n, err
+}
+
+func (b *closeRecorder) Close() error {
+	b.closed, b.closedAtEOF = true, b.eof
+	return nil
+}
+
+// TestSubmitClosesRequestBody: a submission closes its body once it has
+// read it to the end, so net/http drains nothing after the handler.
+func TestSubmitClosesRequestBody(t *testing.T) {
+	srv := newTestServer(t, &stubSched{}, Config{})
+	body := &closeRecorder{Reader: strings.NewReader(`{"query": "Q12", "weights": [1, 1]}`)}
+	req := httptest.NewRequest(http.MethodPost, "/v1/queries", body)
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+	}
+	if !body.closed || !body.closedAtEOF {
+		t.Errorf("body closed %v (after reading it to its end %v), want both", body.closed, body.closedAtEOF)
 	}
 }
 
