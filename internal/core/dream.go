@@ -295,13 +295,12 @@ func (h *History) obsAt(vals []float64, at int) Observation {
 
 // At returns the i-th observation ever appended, oldest first; i must
 // not be below Base. Its vectors are views into the history: read only.
+// It reads through a snapshot, whose capped view makes an index outside
+// the held range panic instead of reading the array's spare capacity.
 func (h *History) At(i int) Observation {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	if i < h.base || i >= h.base+h.n {
-		panic(fmt.Sprintf("core: observation %d outside [%d, %d)", i, h.base, h.base+h.n))
-	}
-	return h.obsAt(h.vals, (i-h.base)*h.width)
+	var s Snapshot
+	h.SnapshotTo(&s)
+	return s.At(i)
 }
 
 // Snapshot captures an immutable view of the current history. The
@@ -349,9 +348,6 @@ func (s *Snapshot) Base() int { return s.base }
 // At returns the i-th observation ever appended, oldest first; i must
 // not be below Base. Its vectors are views into the snapshot: read only.
 func (s *Snapshot) At(i int) Observation {
-	if i < s.base || i >= s.base+s.n {
-		panic(fmt.Sprintf("core: observation %d outside [%d, %d)", i, s.base, s.base+s.n))
-	}
 	return s.owner.obsAt(s.vals, (i-s.base)*s.owner.width)
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"sync"
@@ -129,10 +130,17 @@ func TestSnapshotSurvivesSpareCapacityWrites(t *testing.T) {
 		i++
 		return h.Append(servedObservation(i))
 	}
-	// Append until the array has room to spare.
-	for cap(h.vals) == len(h.vals) || i < retain+1 {
+	// Append until the array has room for every append up to the next
+	// trim, so that the trim below starts from the array the snapshot
+	// shares.
+	const width = InlineFeatures + InlineMetrics
+	untilTrim := func() int { return retain - h.Len()%retain }
+	for h.Len() < 2*retain || untilTrim() < 4 || cap(h.vals)-len(h.vals) < untilTrim()*width {
 		if err := appendOne(); err != nil {
 			t.Fatal(err)
+		}
+		if i > 100*retain {
+			t.Fatal("the array never had room up to the next trim")
 		}
 	}
 	s := h.Snapshot()
@@ -160,6 +168,12 @@ func TestSnapshotSurvivesSpareCapacityWrites(t *testing.T) {
 	}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
+	var once sync.Once
+	stopReader := func() {
+		once.Do(func() { close(stop) })
+		wg.Wait()
+	}
+	defer stopReader()
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -192,18 +206,28 @@ func TestSnapshotSurvivesSpareCapacityWrites(t *testing.T) {
 	if &h.vals[:1][0] != shared {
 		t.Fatal("the appends moved the history: nothing was written into spare capacity")
 	}
-	// Then on past the next trim.
+	// The refused observation left nothing behind: the newest two read
+	// back as appended around it.
+	for back, want := range []Observation{servedObservation(i), servedObservation(i - 2)} {
+		if got := h.At(h.Len() - 1 - back); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("observation %d = %v, appended %v", h.Len()-1-back, got, want)
+		}
+	}
+	// Then on up to the next trim, which must start from the shared
+	// array and leave it as it was.
 	for base := h.Base(); h.Base() == base; {
+		if &h.vals[:1][0] != shared {
+			t.Fatal("the history moved before the trim")
+		}
 		if err := appendOne(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	close(stop)
-	wg.Wait()
+	stopReader()
 	if err := check(); err != nil {
 		t.Fatal(err)
 	}
-	if s.Len() != len(want)/(InlineFeatures+InlineMetrics)+s.Base() {
+	if s.Len() != len(want)/width+s.Base() {
 		t.Fatalf("snapshot Len %d, Base %d for %d values", s.Len(), s.Base(), len(want))
 	}
 }

@@ -212,10 +212,10 @@ func TestSubmitBodyLimit(t *testing.T) {
 }
 
 // closeRecorder is a request body that records whether it was closed
-// and whether it had been read to its end by then.
+// after being read to its end.
 type closeRecorder struct {
 	io.Reader
-	eof, closed, closedAtEOF bool
+	eof, closedAtEOF bool
 }
 
 func (b *closeRecorder) Read(p []byte) (int, error) {
@@ -227,7 +227,7 @@ func (b *closeRecorder) Read(p []byte) (int, error) {
 }
 
 func (b *closeRecorder) Close() error {
-	b.closed, b.closedAtEOF = true, b.eof
+	b.closedAtEOF = b.eof
 	return nil
 }
 
@@ -242,8 +242,8 @@ func TestSubmitClosesRequestBody(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 	}
-	if !body.closed || !body.closedAtEOF {
-		t.Errorf("body closed %v (after reading it to its end %v), want both", body.closed, body.closedAtEOF)
+	if !body.closedAtEOF {
+		t.Error("the handler did not close the body it had read to its end")
 	}
 }
 
