@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"math"
+	"os"
+	"path/filepath"
 	"slices"
 	"strconv"
 	"strings"
@@ -11,7 +13,6 @@ import (
 	"repro/internal/federation"
 	"repro/internal/ires"
 	"repro/internal/moo"
-	"repro/internal/tpch"
 )
 
 func TestTableRender(t *testing.T) {
@@ -62,29 +63,56 @@ func TestTable2MatchesPaperExactly(t *testing.T) {
 	}
 }
 
+// smallCampaign is the Tables 3–4 campaign the goldens pin: two
+// repetitions of a 40-execution history and 15 scored test queries.
+var smallCampaign = MREOptions{Reps: 2, HistorySize: 40, TestQueries: 15, Seed: 9}
+
+// checkArtefactGolden runs the registry's artefact name under opts and
+// compares what `midasctl` would print for it with testdata/golden.
+func checkArtefactGolden(t *testing.T, name string, opts MREOptions, golden string) {
+	t.Helper()
+	want, err := os.ReadFile(filepath.Join("testdata", golden))
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := slices.IndexFunc(Artefacts, func(a Artefact) bool { return a.Name == name })
+	if i < 0 {
+		t.Fatalf("no artefact %q", name)
+	}
+	tables, err := Artefacts[i].Run(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got strings.Builder
+	for _, tbl := range tables {
+		got.WriteString(tbl.Render())
+		got.WriteString("\n")
+	}
+	if got.String() != string(want) {
+		t.Errorf("%s differs from testdata/%s\n--- got\n%s--- want\n%s", name, golden, got.String(), want)
+	}
+}
+
+// The campaign goldens pin Tables 3–4 on the small campaign and the
+// four ablations byte for byte. After an intended change, regenerate
+// them with
+//
+//	go run ./cmd/midasctl -reps 2 -history 40 -tests 15 -seed 9 table3 > internal/experiments/testdata/table3-small.golden
+//	go run ./cmd/midasctl -reps 2 -history 40 -tests 15 -seed 9 table4 > internal/experiments/testdata/table4-small.golden
+//	go run ./cmd/midasctl -seed 42 ablations > internal/experiments/testdata/ablations-42.golden
+
 func TestRunMRESmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("MRE campaign is slow for -short")
 	}
-	res, err := RunMRE(0.1, MREOptions{Reps: 2, HistorySize: 40, TestQueries: 15, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
+	checkArtefactGolden(t, "table3", smallCampaign, "table3-small.golden")
+}
+
+func TestRunMRESmallAt1GiB(t *testing.T) {
+	if testing.Short() {
+		t.Skip("MRE campaign is slow for -short")
 	}
-	for _, q := range tpch.AllQueries {
-		perModel := res.MRE[q]
-		if len(perModel) != len(ModelOrder) {
-			t.Fatalf("%v scored %d models, want %d", q, len(perModel), len(ModelOrder))
-		}
-		for name, v := range perModel {
-			if math.IsNaN(v) || v < 0 {
-				t.Errorf("%v %s MRE = %v", q, name, v)
-			}
-		}
-	}
-	tbl := MRETable(res, "test")
-	if len(tbl.Rows) != len(tpch.AllQueries) {
-		t.Errorf("MRE table rows = %d", len(tbl.Rows))
-	}
+	checkArtefactGolden(t, "table4", smallCampaign, "table4-small.golden")
 }
 
 // TestRunFig3 checks the three Figure 3 approaches at both lattice
@@ -240,25 +268,5 @@ func TestAblations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ablations are slow for -short")
 	}
-	growth, err := AblationWindowGrowth(6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(growth.Rows) != 2 {
-		t.Errorf("growth ablation rows = %d", len(growth.Rows))
-	}
-	r2, err := AblationR2Threshold(6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r2.Rows) != 5 {
-		t.Errorf("r2 ablation rows = %d", len(r2.Rows))
-	}
-	rec, err := AblationRecency(6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rec.Rows) != 2 {
-		t.Errorf("recency ablation rows = %d", len(rec.Rows))
-	}
+	checkArtefactGolden(t, "ablations", MREOptions{Seed: 42}, "ablations-42.golden")
 }
