@@ -111,49 +111,9 @@ func BenchmarkExample31PlanSpace(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationWindowGrowth: grow-by-one vs doubling windows.
-func BenchmarkAblationWindowGrowth(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := experiments.AblationWindowGrowth(int64(i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		logTableOnce(b, "ab-growth", t)
-	}
-}
-
-// BenchmarkAblationR2Threshold: sweep of R²require.
-func BenchmarkAblationR2Threshold(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := experiments.AblationR2Threshold(int64(i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		logTableOnce(b, "ab-r2", t)
-	}
-}
-
-// BenchmarkAblationRecency: most-recent window vs uniform sampling.
-func BenchmarkAblationRecency(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := experiments.AblationRecency(int64(i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		logTableOnce(b, "ab-rec", t)
-	}
-}
-
-// BenchmarkAblationComposite: monolithic vs operator-level DREAM.
-func BenchmarkAblationComposite(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := experiments.AblationComposite(int64(i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		logTableOnce(b, "ab-comp", t)
-	}
-}
+// BenchmarkAblations runs the four design-choice ablations: window
+// growth, R² threshold, recency and monolithic vs composite DREAM.
+func BenchmarkAblations(b *testing.B) { benchArtefact(b, "ablations") }
 
 // ---------------------------------------------------------------------------
 // Micro-benchmarks of the core components.

@@ -6,7 +6,9 @@
 // DREAM — on identical drifting federated workloads, and prints the
 // Mean Relative Error of their execution-time estimates (eq. 15).
 //
-// The full-strength campaign (more repetitions, both scales) runs via
+// It is one repetition of the Table 3 campaign (experiments.RunMRE,
+// Reps 1): one history per query, every model scored on it. The
+// full-strength campaign (more repetitions, both scales) runs via
 // `midasctl table3` / `midasctl table4` or the root benchmarks.
 //
 // Run with: go run ./examples/estimation_study
@@ -17,8 +19,8 @@ import (
 	"io"
 	"os"
 
+	"repro/internal/experiments"
 	"repro/internal/tpch"
-	"repro/internal/workload"
 )
 
 func main() {
@@ -29,40 +31,25 @@ func main() {
 }
 
 func run(w io.Writer) error {
-	const seed = 5
+	res, err := experiments.RunMRE(0.1, experiments.MREOptions{ // ≈100 MiB
+		Reps: 1, HistorySize: 60, TestQueries: 30, Seed: 5,
+	})
+	if err != nil {
+		return err
+	}
 	fmt.Fprintln(w, "Mini Table 3: MRE of execution-time estimates, 100 MiB federation")
 	fmt.Fprintln(w)
 	fmt.Fprintf(w, "%-6s", "Query")
-	names := []string{"BMLN", "BML2N", "BML3N", "BML", "DREAM"}
-	for _, n := range names {
+	for _, n := range experiments.ModelOrder {
 		fmt.Fprintf(w, "%8s", n)
 	}
 	fmt.Fprintln(w)
-
 	for _, q := range tpch.AllQueries {
-		h, err := workload.NewHarness(seed + int64(q))
-		if err != nil {
-			return err
-		}
-		models, err := workload.PaperModels(seed + int64(q))
-		if err != nil {
-			return err
-		}
-		res, err := h.Run(workload.EvalConfig{
-			Query:       q,
-			SF:          0.1, // ≈100 MiB
-			HistorySize: 60,
-			TestQueries: 30,
-			Seed:        seed + int64(q),
-		}, models)
-		if err != nil {
-			return err
-		}
 		fmt.Fprintf(w, "%-6d", int(q))
 		best := ""
 		bestV := -1.0
-		for _, n := range names {
-			v := res.Scores[n].TimeMRE
+		for _, n := range experiments.ModelOrder {
+			v := res.MRE[q][n]
 			if best == "" || v < bestV {
 				best, bestV = n, v
 			}

@@ -10,112 +10,158 @@ import (
 	"repro/internal/workload"
 )
 
-// Ablation runners for the design choices DESIGN.md calls out. Each
-// returns a Table plus the raw numbers so benches and tests can assert
-// on them.
+// The ablations of the design choices DESIGN.md calls out.
 
 // ablationReps is how many independent repetitions each ablation
 // averages over.
 const ablationReps = 3
 
-// runDREAMVariant scores one DREAM configuration with the standard
-// workload protocol, averaged over the repetitions, and reports mean
-// MRE plus the mean converged window size. wrap, when non-nil, decorates
-// each rep's DREAM model (given the rep's seed) before it is scored.
-func runDREAMVariant(cfg core.Config, base int64, q tpch.QueryID, wrap func(*ires.DREAMModel, int64) ires.CostModel) (mre float64, meanWindow float64, refits float64, err error) {
-	var mreSum, windowSum, refitSum float64
-	var windowN int
-	for rep := 0; rep < ablationReps; rep++ {
-		seed := base + int64(rep)*977
-		h, err := workload.NewHarness(seed)
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		dream, err := ires.NewDREAMModel(cfg)
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		var model ires.CostModel = dream
-		if wrap != nil {
-			model = wrap(dream, seed)
-		}
-		res, err := h.Run(workload.EvalConfig{
-			Query: q, SF: 0.1, Seed: seed,
-		}, []workload.ModelSpec{{Name: "variant", Model: model}})
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		mreSum += res.Scores["variant"].TimeMRE
+// An ablationRow is one DREAM configuration of an ablation table, and
+// the name of its model in the shared cells.
+type ablationRow struct {
+	label string
+	cfg   core.Config
+	// uniform scores the configuration on a seeded shuffle of the
+	// history (shuffledHistoryModel) instead of the history itself.
+	uniform bool
+}
 
-		// Probe converged window sizes on the final history.
+// sharedAblations are the ablations whose variants are scored side by
+// side on one history per repetition. A table prints, after the label,
+// the first len(header)-1 of: time MRE, mean window, mean refits.
+var sharedAblations = []struct {
+	title  string
+	header []string
+	rows   []ablationRow
+}{
+	// The paper's grow-by-one schedule against doubling.
+	{"Ablation: DREAM window growth policy (Q12, 100 MiB).", []string{"Growth", "Time MRE", "Mean window", "Mean refits"}, []ablationRow{
+		{label: "grow-by-one (paper)", cfg: core.Config{Growth: core.GrowByOne, MMax: ires.MMax}},
+		{label: "doubling", cfg: core.Config{Growth: core.Doubling, MMax: ires.MMax}},
+	}},
+	// A sweep of R²require around the paper's 0.8.
+	{"Ablation: DREAM R²require threshold (Q12, 100 MiB).", []string{"R²require", "Time MRE", "Mean window"}, []ablationRow{
+		{label: "0.60", cfg: core.Config{RequiredR2: 0.6, MMax: ires.MMax}},
+		{label: "0.70", cfg: core.Config{RequiredR2: 0.7, MMax: ires.MMax}},
+		{label: "0.80", cfg: core.Config{RequiredR2: 0.8, MMax: ires.MMax}},
+		{label: "0.90", cfg: core.Config{RequiredR2: 0.9, MMax: ires.MMax}},
+		{label: "0.95", cfg: core.Config{RequiredR2: 0.95, MMax: ires.MMax}},
+	}},
+	// DREAM's most-recent window against a uniform sample over all
+	// history: how much of DREAM's accuracy comes from recency rather
+	// than window size. Every call of the uniform arm builds a fresh
+	// shuffled history, so a fit cached under its identity could never
+	// be hit.
+	{"Ablation: DREAM window selection (Q12, 100 MiB).", []string{"Window policy", "Time MRE"}, []ablationRow{
+		{label: "most recent (paper)", cfg: core.Config{MMax: ires.MMax}},
+		{label: "uniform sample", cfg: core.Config{MMax: ires.MMax, CacheSize: -1}, uniform: true},
+	}},
+}
+
+// Ablations runs the four design-choice ablations and returns their
+// tables. The window-growth, R² and recency variants share one history
+// per repetition (Q12 at 100 MiB, seed + rep·977) and are scored on it
+// side by side. The composite ablation records per-operator costs, so
+// it draws histories of its own (seed + rep·601). That is six runs of
+// the protocol in all.
+func Ablations(seed int64) ([]*Table, error) {
+	var cells []cell
+	for rep := 0; rep < ablationReps; rep++ {
+		repSeed := seed + int64(rep)*977
+		var models []workload.ModelSpec
+		for _, a := range sharedAblations {
+			for _, r := range a.rows {
+				dream, err := ires.NewDREAMModel(r.cfg)
+				if err != nil {
+					return nil, err
+				}
+				var m ires.CostModel = dream
+				if r.uniform {
+					m = shuffledHistoryModel{dream: dream, seed: repSeed}
+				}
+				models = append(models, workload.ModelSpec{Name: r.label, Model: m})
+			}
+		}
+		cells = append(cells, cell{cfg: workload.EvalConfig{Query: tpch.QueryQ12, SF: 0.1, Seed: repSeed}, rep: rep, models: models})
+	}
+	for rep := 0; rep < ablationReps; rep++ {
+		repSeed := seed + int64(rep)*601
+		mono, err := ires.NewDREAMModel(core.Config{MMax: ires.MMax})
+		if err != nil {
+			return nil, err
+		}
+		comp, err := ires.NewCompositeDREAMModel(core.Config{MMax: ires.MMax})
+		if err != nil {
+			return nil, err
+		}
+		cells = append(cells, cell{cfg: workload.EvalConfig{
+			Query: tpch.QueryQ12, SF: 0.1, Seed: repSeed, RecordBreakdown: true,
+		}, rep: rep, models: []workload.ModelSpec{{Name: "monolithic", Model: mono}, {Name: "composite", Model: comp}}})
+	}
+	results, err := runCells(cells)
+	if err != nil {
+		return nil, err
+	}
+	shared, composite := results[:ablationReps], results[ablationReps:]
+
+	var out []*Table
+	for _, a := range sharedAblations {
+		t := &Table{Title: a.title, Header: a.header}
+		for _, r := range a.rows {
+			row := []string{r.label, fmt.Sprintf("%.3f", meanMRE(shared, r.label))}
+			if len(a.header) > 2 {
+				window, refits, err := probeWindow(r.cfg, shared)
+				if err != nil {
+					return nil, err
+				}
+				row = append(row, fmt.Sprintf("%.1f", window), fmt.Sprintf("%.1f", refits))
+			}
+			t.Rows = append(t.Rows, row[:len(a.header)])
+		}
+		out = append(out, t)
+	}
+	// Monolithic DREAM (one regression over end-to-end plan time)
+	// against the operator-level composite (per-piece regressions
+	// reassembled through the plan's max/sum structure, the way IReS
+	// models per operator).
+	t := &Table{
+		Title:  "Ablation: monolithic vs operator-level DREAM (Q12, 100 MiB).",
+		Header: []string{"Model", "Time MRE"},
+		Notes: []string{
+			"composite predicts each operator separately and reassembles time = max(preps) + ship + final",
+		},
+	}
+	for _, name := range []string{"monolithic", "composite"} {
+		t.Rows = append(t.Rows, []string{name, fmt.Sprintf("%.3f", meanMRE(composite, name))})
+	}
+	return append(out, t), nil
+}
+
+// probeWindow is the mean converged window size and refit count of a
+// fresh estimator configured as cfg, probed at the last ten
+// observations of each result's final history.
+func probeWindow(cfg core.Config, results []*workload.EvalResult) (window, refits float64, err error) {
+	var n int
+	for _, res := range results {
 		est, err := core.NewEstimator(cfg)
 		if err != nil {
-			return 0, 0, 0, err
+			return 0, 0, err
 		}
 		hist := res.History
 		for i := 0; i < 10; i++ {
-			obs := hist.At(hist.Len() - 1 - i)
-			e, err := est.EstimateCostValue(hist, obs.X)
+			e, err := est.EstimateCostValue(hist, hist.At(hist.Len()-1-i).X)
 			if err != nil {
 				continue
 			}
-			windowSum += float64(e.WindowSize)
-			refitSum += float64(e.Refits)
-			windowN++
+			window += float64(e.WindowSize)
+			refits += float64(e.Refits)
+			n++
 		}
 	}
-	if windowN == 0 {
-		return 0, 0, 0, fmt.Errorf("experiments: no window probes succeeded")
+	if n == 0 {
+		return 0, 0, fmt.Errorf("experiments: no window probes succeeded")
 	}
-	return mreSum / ablationReps, windowSum / float64(windowN), refitSum / float64(windowN), nil
-}
-
-// AblationWindowGrowth contrasts the paper's grow-by-one schedule with
-// doubling.
-func AblationWindowGrowth(seed int64) (*Table, error) {
-	t := &Table{
-		Title:  "Ablation: DREAM window growth policy (Q12, 100 MiB).",
-		Header: []string{"Growth", "Time MRE", "Mean window", "Mean refits"},
-	}
-	for _, tc := range []struct {
-		name   string
-		growth core.GrowthPolicy
-	}{
-		{"grow-by-one (paper)", core.GrowByOne},
-		{"doubling", core.Doubling},
-	} {
-		mre, win, refits, err := runDREAMVariant(core.Config{Growth: tc.growth, MMax: ires.MMax}, seed, tpch.QueryQ12, nil)
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, []string{
-			tc.name,
-			fmt.Sprintf("%.3f", mre),
-			fmt.Sprintf("%.1f", win),
-			fmt.Sprintf("%.1f", refits),
-		})
-	}
-	return t, nil
-}
-
-// AblationR2Threshold sweeps the R²require knob (paper default 0.8).
-func AblationR2Threshold(seed int64) (*Table, error) {
-	t := &Table{
-		Title:  "Ablation: DREAM R²require threshold (Q12, 100 MiB).",
-		Header: []string{"R²require", "Time MRE", "Mean window"},
-	}
-	for _, r2 := range []float64{0.6, 0.7, 0.8, 0.9, 0.95} {
-		mre, win, _, err := runDREAMVariant(core.Config{RequiredR2: r2, MMax: ires.MMax}, seed, tpch.QueryQ12, nil)
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%.2f", r2),
-			fmt.Sprintf("%.3f", mre),
-			fmt.Sprintf("%.1f", win),
-		})
-	}
-	return t, nil
+	return window / float64(n), refits / float64(n), nil
 }
 
 // shuffledHistoryModel is the recency ablation's uniform-sample arm:
@@ -143,81 +189,4 @@ func (m shuffledHistoryModel) EstimateSnapshot(s *core.Snapshot, x []float64) ([
 		}
 	}
 	return m.dream.EstimateSnapshot(shuffled.Snapshot(), x)
-}
-
-// AblationRecency contrasts DREAM's most-recent window with a uniform
-// sample over all history — isolating how much of DREAM's accuracy
-// comes from recency rather than window size.
-func AblationRecency(seed int64) (*Table, error) {
-	t := &Table{
-		Title:  "Ablation: DREAM window selection (Q12, 100 MiB).",
-		Header: []string{"Window policy", "Time MRE"},
-	}
-	for _, tc := range []struct {
-		name string
-		cfg  core.Config
-		wrap func(*ires.DREAMModel, int64) ires.CostModel
-	}{
-		{"most recent (paper)", core.Config{MMax: ires.MMax}, nil},
-		// Every call builds a fresh shuffled history, so a fit cached
-		// under its identity could never be hit.
-		{"uniform sample", core.Config{MMax: ires.MMax, CacheSize: -1}, func(d *ires.DREAMModel, seed int64) ires.CostModel {
-			return shuffledHistoryModel{dream: d, seed: seed}
-		}},
-	} {
-		mre, _, _, err := runDREAMVariant(tc.cfg, seed, tpch.QueryQ12, tc.wrap)
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, []string{tc.name, fmt.Sprintf("%.3f", mre)})
-	}
-	return t, nil
-}
-
-// AblationComposite contrasts the monolithic DREAM model (one
-// regression over end-to-end plan time) with the operator-level
-// composite model (per-piece regressions reassembled through the plan's
-// max/sum structure, the way IReS models per operator).
-func AblationComposite(seed int64) (*Table, error) {
-	t := &Table{
-		Title:  "Ablation: monolithic vs operator-level DREAM (Q12, 100 MiB).",
-		Header: []string{"Model", "Time MRE"},
-		Notes: []string{
-			"composite predicts each operator separately and reassembles time = max(preps) + ship + final",
-		},
-	}
-	cfg := core.Config{MMax: ires.MMax}
-	sums := map[string]float64{}
-	for rep := 0; rep < ablationReps; rep++ {
-		repSeed := seed + int64(rep)*601
-		h, err := workload.NewHarness(repSeed)
-		if err != nil {
-			return nil, err
-		}
-		mono, err := ires.NewDREAMModel(cfg)
-		if err != nil {
-			return nil, err
-		}
-		comp, err := ires.NewCompositeDREAMModel(cfg)
-		if err != nil {
-			return nil, err
-		}
-		res, err := h.Run(workload.EvalConfig{
-			Query: tpch.QueryQ12, SF: 0.1, Seed: repSeed,
-			RecordBreakdown: true,
-		}, []workload.ModelSpec{
-			{Name: "monolithic", Model: mono},
-			{Name: "composite", Model: comp},
-		})
-		if err != nil {
-			return nil, err
-		}
-		for name, s := range res.Scores {
-			sums[name] += s.TimeMRE
-		}
-	}
-	for _, name := range []string{"monolithic", "composite"} {
-		t.Rows = append(t.Rows, []string{name, fmt.Sprintf("%.3f", sums[name]/ablationReps)})
-	}
-	return t, nil
 }

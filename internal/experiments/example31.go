@@ -40,20 +40,17 @@ func RunExample31(opts Example31Options) (*Example31Result, *Table, error) {
 	if opts.Plans <= 0 {
 		opts.Plans = 2000
 	}
-	h, err := workload.NewHarness(opts.Seed)
-	if err != nil {
-		return nil, nil, err
-	}
-	models, err := workload.PaperModels(opts.Seed)
-	if err != nil {
-		return nil, nil, err
-	}
 	// Build a history with the default protocol, then time estimation
-	// sweeps over the enumerated plan space.
-	evalRes, err := h.Run(workload.EvalConfig{
+	// sweeps over the enumerated plan space. The protocol needs one
+	// model to score; which one does not change the history.
+	scored, err := ires.NewDREAMModel(core.Config{MMax: ires.MMax})
+	if err != nil {
+		return nil, nil, err
+	}
+	h, evalRes, err := runCell(cell{cfg: workload.EvalConfig{
 		Query: tpch.QueryQ12, SF: 0.1, Seed: opts.Seed,
 		HistorySize: 80, TestQueries: 20,
-	}, models)
+	}, models: []workload.ModelSpec{{Name: "DREAM", Model: scored}}})
 	if err != nil {
 		return nil, nil, err
 	}

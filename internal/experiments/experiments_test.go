@@ -4,9 +4,11 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -68,8 +70,12 @@ func TestTable2MatchesPaperExactly(t *testing.T) {
 var smallCampaign = MREOptions{Reps: 2, HistorySize: 40, TestQueries: 15, Seed: 9}
 
 // checkArtefactGolden runs the registry's artefact name under opts and
-// compares what `midasctl` would print for it with testdata/golden.
-func checkArtefactGolden(t *testing.T, name string, opts MREOptions, golden string) {
+// compares what `midasctl` would print for it with testdata/golden. It
+// runs once at each of procs (as GOMAXPROCS), or once as it finds the
+// process when procs is empty or the race detector is on (which makes a
+// serial campaign too slow): the campaign runner's output must not
+// depend on how many cells run at once.
+func checkArtefactGolden(t *testing.T, name string, opts MREOptions, golden string, procs ...int) {
 	t.Helper()
 	want, err := os.ReadFile(filepath.Join("testdata", golden))
 	if err != nil {
@@ -79,22 +85,30 @@ func checkArtefactGolden(t *testing.T, name string, opts MREOptions, golden stri
 	if i < 0 {
 		t.Fatalf("no artefact %q", name)
 	}
-	tables, err := Artefacts[i].Run(opts)
-	if err != nil {
-		t.Fatal(err)
+	if raceEnabled || len(procs) == 0 {
+		procs = []int{runtime.GOMAXPROCS(0)}
 	}
-	var got strings.Builder
-	for _, tbl := range tables {
-		got.WriteString(tbl.Render())
-		got.WriteString("\n")
-	}
-	if got.String() != string(want) {
-		t.Errorf("%s differs from testdata/%s\n--- got\n%s--- want\n%s", name, golden, got.String(), want)
+	for _, p := range procs {
+		prev := runtime.GOMAXPROCS(p)
+		tables, err := Artefacts[i].Run(opts)
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got strings.Builder
+		for _, tbl := range tables {
+			got.WriteString(tbl.Render())
+			got.WriteString("\n")
+		}
+		if got.String() != string(want) {
+			t.Errorf("%s at GOMAXPROCS %d differs from testdata/%s\n--- got\n%s--- want\n%s", name, p, golden, got.String(), want)
+		}
 	}
 }
 
 // The campaign goldens pin Tables 3–4 on the small campaign and the
-// four ablations byte for byte. After an intended change, regenerate
+// four ablations byte for byte; table3 and the ablations at GOMAXPROCS
+// 1 and 4. After an intended change, regenerate
 // them with
 //
 //	go run ./cmd/midasctl -reps 2 -history 40 -tests 15 -seed 9 table3 > internal/experiments/testdata/table3-small.golden
@@ -105,7 +119,7 @@ func TestRunMRESmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("MRE campaign is slow for -short")
 	}
-	checkArtefactGolden(t, "table3", smallCampaign, "table3-small.golden")
+	checkArtefactGolden(t, "table3", smallCampaign, "table3-small.golden", 1, 4)
 }
 
 func TestRunMRESmallAt1GiB(t *testing.T) {
@@ -167,14 +181,27 @@ func TestRunFig3(t *testing.T) {
 	}
 }
 
+// example31At42 is the one Example 3.1 run its tests share: 200 plans
+// at midasctl's default seed.
+var example31At42 = sync.OnceValues(func() (example31Run, error) {
+	res, tbl, err := RunExample31(Example31Options{Plans: 200, Seed: 42})
+	return example31Run{res, tbl}, err
+})
+
+type example31Run struct {
+	res *Example31Result
+	tbl *Table
+}
+
 func TestRunExample31(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Example 3.1 run is slow for -short")
 	}
-	res, tbl, err := RunExample31(Example31Options{Plans: 200, Seed: 5})
+	run, err := example31At42()
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := run.res
 	if res.PaperPlanCount != 18200 {
 		t.Errorf("paper plan count = %d, want 18200", res.PaperPlanCount)
 	}
@@ -189,8 +216,8 @@ func TestRunExample31(t *testing.T) {
 	if res.DreamCachedNS >= res.DreamNS {
 		t.Errorf("cached DREAM (%d ns) not faster than fit-per-plan DREAM (%d ns)", res.DreamCachedNS, res.DreamNS)
 	}
-	if len(tbl.Rows) != 3 {
-		t.Errorf("Example 3.1 table rows = %d, want 3", len(tbl.Rows))
+	if len(run.tbl.Rows) != 3 {
+		t.Errorf("Example 3.1 table rows = %d, want 3", len(run.tbl.Rows))
 	}
 }
 
@@ -201,11 +228,11 @@ func TestExample31CachedRowNonZero(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Example 3.1 run is slow for -short")
 	}
-	_, tbl, err := RunExample31(Example31Options{Plans: 200, Seed: 42})
+	run, err := example31At42()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, row := range tbl.Rows {
+	for _, row := range run.tbl.Rows {
 		for _, cell := range row[2:] {
 			if v, err := strconv.ParseFloat(strings.Fields(cell)[0], 64); err != nil || v <= 0 {
 				t.Errorf("%s: cell %q is not a positive figure", row[0], cell)
@@ -268,5 +295,5 @@ func TestAblations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ablations are slow for -short")
 	}
-	checkArtefactGolden(t, "ablations", MREOptions{Seed: 42}, "ablations-42.golden")
+	checkArtefactGolden(t, "ablations", MREOptions{Seed: 42}, "ablations-42.golden", 1, 4)
 }

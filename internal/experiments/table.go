@@ -43,15 +43,7 @@ var Artefacts = []Artefact{
 		return tables(t, err)
 	}},
 	{"ablations", "print the four design-choice ablations: window growth, R² threshold, recency and composite", func(o MREOptions) ([]*Table, error) {
-		var out []*Table
-		for _, ablation := range []func(int64) (*Table, error){AblationWindowGrowth, AblationR2Threshold, AblationRecency, AblationComposite} {
-			t, err := ablation(o.Seed)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, t)
-		}
-		return out, nil
+		return Ablations(o.Seed)
 	}},
 }
 

@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"repro/internal/tpch"
 	"repro/internal/workload"
@@ -40,91 +38,39 @@ type MREResult struct {
 // RunMRE executes the Tables 3/4 campaign at the given scale factor:
 // for every studied query, evaluate the five Modelling configurations
 // on identical drifting workloads and average the Mean Relative Error
-// over repetitions. Repetitions are fully independent (own federation,
-// drift and workload seeds), so they run in parallel across the
-// (query, repetition) grid.
+// over repetitions. Each (query, repetition) cell is seeded by its
+// grid position (Seed + rep·1000 + query) and owns its federation,
+// drift and workload, so the cells run in parallel.
 func RunMRE(sf float64, opts MREOptions) (*MREResult, error) {
 	opts.setDefaults()
-
-	type cell struct {
-		q      tpch.QueryID
-		scores map[string]workload.ModelScore
-		err    error
-	}
-	// One job per (query, repetition) cell; each job derives its seed
-	// from its grid position so results are identical to a sequential
-	// run regardless of scheduling.
-	total := len(tpch.AllQueries) * opts.Reps
-	var wg sync.WaitGroup
-	workers := runtime.GOMAXPROCS(0)
-	if workers > total {
-		workers = total
-	}
-	idx := make(chan int)
-	results := make([]cell, total)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				q := tpch.AllQueries[i/opts.Reps]
-				rep := i % opts.Reps
-				seed := opts.Seed + int64(rep)*1000 + int64(q)
-				c := cell{q: q}
-				h, err := workload.NewHarness(seed)
-				if err != nil {
-					c.err = err
-					results[i] = c
-					continue
-				}
-				models, err := workload.PaperModels(seed)
-				if err != nil {
-					c.err = err
-					results[i] = c
-					continue
-				}
-				r, err := h.Run(workload.EvalConfig{
-					Query:       q,
-					SF:          sf,
-					HistorySize: opts.HistorySize,
-					TestQueries: opts.TestQueries,
-					Seed:        seed,
-				}, models)
-				if err != nil {
-					c.err = err
-					results[i] = c
-					continue
-				}
-				c.scores = r.Scores
-				results[i] = c
+	var cells []cell
+	for _, q := range tpch.AllQueries {
+		for rep := 0; rep < opts.Reps; rep++ {
+			seed := opts.Seed + int64(rep)*1000 + int64(q)
+			models, err := workload.PaperModels(seed)
+			if err != nil {
+				return nil, err
 			}
-		}()
+			cells = append(cells, cell{cfg: workload.EvalConfig{
+				Query:       q,
+				SF:          sf,
+				HistorySize: opts.HistorySize,
+				TestQueries: opts.TestQueries,
+				Seed:        seed,
+			}, rep: rep, models: models})
+		}
 	}
-	for i := 0; i < total; i++ {
-		idx <- i
+	results, err := runCells(cells)
+	if err != nil {
+		return nil, err
 	}
-	close(idx)
-	wg.Wait()
-
 	res := &MREResult{SF: sf, MRE: make(map[tpch.QueryID]map[string]float64)}
-	sums := make(map[tpch.QueryID]map[string]float64)
-	for _, c := range results {
-		if c.err != nil {
-			return nil, c.err
+	for i, q := range tpch.AllQueries {
+		reps := results[i*opts.Reps : (i+1)*opts.Reps]
+		res.MRE[q] = make(map[string]float64, len(ModelOrder))
+		for _, name := range ModelOrder {
+			res.MRE[q][name] = meanMRE(reps, name)
 		}
-		if sums[c.q] == nil {
-			sums[c.q] = make(map[string]float64)
-		}
-		for name, s := range c.scores {
-			sums[c.q][name] += s.TimeMRE
-		}
-	}
-	for q, perModel := range sums {
-		avg := make(map[string]float64, len(perModel))
-		for name, s := range perModel {
-			avg[name] = s / float64(opts.Reps)
-		}
-		res.MRE[q] = avg
 	}
 	return res, nil
 }

@@ -13,6 +13,7 @@ package workload
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/federation"
@@ -87,9 +88,14 @@ func (c *EvalConfig) setDefaults() {
 type ModelScore struct {
 	// TimeMRE and MoneyMRE are the Mean Relative Errors on the two
 	// metrics (eq. 15); TimeMRE is what the paper's Tables 3/4 report.
+	// An MRE is NaN when it is undefined: no prediction was scored, or
+	// every actual cost was zero.
 	TimeMRE, MoneyMRE float64
 	// Failures counts test queries the model could not score.
 	Failures int
+	// Err is the first failed prediction's error, else the error that
+	// left an MRE undefined; nil when every test query was scored.
+	Err error
 }
 
 // EvalResult is the outcome of one evaluation run.
@@ -160,6 +166,7 @@ func (h *Harness) Run(cfg EvalConfig, models []ModelSpec) (*EvalResult, error) {
 		timeActual, timePred   []float64
 		moneyActual, moneyPred []float64
 		failures               int
+		err                    error
 	}
 	tallies := make(map[string]*tally, len(models))
 	for _, m := range models {
@@ -186,7 +193,11 @@ func (h *Harness) Run(cfg EvalConfig, models []ModelSpec) (*EvalResult, error) {
 			for _, m := range models {
 				c, err := m.Model.EstimateSnapshot(snap, x)
 				if err != nil {
-					tallies[m.Name].failures++
+					ta := tallies[m.Name]
+					if ta.failures == 0 {
+						ta.err = err
+					}
+					ta.failures++
 					continue
 				}
 				preds[m.Name] = c
@@ -219,18 +230,26 @@ func (h *Harness) Run(cfg EvalConfig, models []ModelSpec) (*EvalResult, error) {
 		History: history,
 	}
 	for name, ta := range tallies {
-		score := ModelScore{Failures: ta.failures}
-		if len(ta.timeActual) > 0 {
-			if mre, err := stats.MRE(ta.timeActual, ta.timePred); err == nil {
-				score.TimeMRE = mre
-			}
-			if mre, err := stats.MRE(ta.moneyActual, ta.moneyPred); err == nil {
-				score.MoneyMRE = mre
-			}
-		}
+		score := ModelScore{Failures: ta.failures, Err: ta.err}
+		score.TimeMRE = score.mre(ta.timeActual, ta.timePred)
+		score.MoneyMRE = score.mre(ta.moneyActual, ta.moneyPred)
 		res.Scores[name] = score
 	}
 	return res, nil
+}
+
+// mre is eq. 15 over the scored predictions, or NaN when it is
+// undefined; then the error that left it so is kept in s.Err, unless
+// s.Err already holds one.
+func (s *ModelScore) mre(actual, predicted []float64) float64 {
+	v, err := stats.MRE(actual, predicted)
+	if err != nil {
+		if s.Err == nil {
+			s.Err = fmt.Errorf("workload: undefined MRE: %w", err)
+		}
+		return math.NaN()
+	}
+	return v
 }
 
 // PaperModels returns the five Modelling configurations of the paper's

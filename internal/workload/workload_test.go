@@ -2,8 +2,10 @@ package workload
 
 import (
 	"errors"
+	"math"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/tpch"
 )
 
@@ -27,6 +29,32 @@ func TestRunValidation(t *testing.T) {
 	}
 	if _, err := h.Run(EvalConfig{Query: tpch.QueryQ12, SF: 0}, models); err == nil {
 		t.Error("zero SF accepted")
+	}
+}
+
+// failingModel fails every prediction.
+type failingModel struct{}
+
+var errFailing = errors.New("no prediction")
+
+func (failingModel) Name() string { return "failing" }
+
+func (failingModel) EstimateSnapshot(*core.Snapshot, []float64) ([]float64, error) {
+	return nil, errFailing
+}
+
+// TestRunMarksAFailedModelUnscored: a model that predicted nothing has
+// undefined MREs (NaN, not the perfect 0) and keeps its first error.
+func TestRunMarksAFailedModelUnscored(t *testing.T) {
+	h := newHarness(t, 1)
+	res, err := h.Run(EvalConfig{Query: tpch.QueryQ12, SF: 0.1, HistorySize: 20, TestQueries: 5, Seed: 1},
+		[]ModelSpec{{Name: "failing", Model: failingModel{}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := res.Scores["failing"]
+	if s.Failures != 5 || !math.IsNaN(s.TimeMRE) || !math.IsNaN(s.MoneyMRE) || !errors.Is(s.Err, errFailing) {
+		t.Errorf("score = %+v, want 5 failures, NaN MREs and the model's error", s)
 	}
 }
 
