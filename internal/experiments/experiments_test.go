@@ -108,8 +108,7 @@ func checkArtefactGolden(t *testing.T, name string, opts MREOptions, golden stri
 
 // The campaign goldens pin Tables 3–4 on the small campaign and the
 // four ablations byte for byte; table3 and the ablations at GOMAXPROCS
-// 1 and 4. After an intended change, regenerate
-// them with
+// 1 and 4. After an intended change, regenerate them with
 //
 //	go run ./cmd/midasctl -reps 2 -history 40 -tests 15 -seed 9 table3 > internal/experiments/testdata/table3-small.golden
 //	go run ./cmd/midasctl -reps 2 -history 40 -tests 15 -seed 9 table4 > internal/experiments/testdata/table4-small.golden
