@@ -38,7 +38,7 @@ CLUSTER_PATTERN ?= Cluster|Chaos|Failover|Stream|Handoff|Adopt|Readyz|Durable|Dr
 # Where the `make profile-*` targets drop their profiles.
 PROFILE_DIR ?= profiles
 
-.PHONY: all build vet fmt-check lint loc linkcheck test test-cpus test-cluster test-allocs test-short test-bench fuzz-smoke bench bench-smoke bench-sweep bench-boot bench-json scenarios profile-sweep profile-cluster profile-serve profile-boot cover help
+.PHONY: all build vet fmt-check lint loc linkcheck test test-cpus test-cluster test-allocs test-short test-bench fuzz-smoke bench bench-smoke bench-sweep bench-boot bench-json layers scenarios profile-sweep profile-cluster profile-serve profile-boot cover help
 
 all: build lint test test-bench
 
@@ -130,6 +130,11 @@ bench-sweep:
 ## bench-boot: repeated runs of BenchmarkCalibrate (generate the SF 0.004 calibration database, run the four studied queries on it) at -cpu 1,2 — the cost every boot and cold tenant build pays per federation, for benchstat
 bench-boot:
 	$(GO) test -run '^$$' -bench 'Calibrate' -count 5 -cpu 1,2 ./internal/federation
+
+## layers: the layer ledger — PlanSweep/Full/*, SweepRound, ServeServedCold and ServeHotPath at -cpu 1,2, six runs of at least 0.5 s each, summarised per (benchmark, cpu) into BENCH_layers.json under the checked-out commit (a few minutes; CI runs only the ledger's parse test)
+layers:
+	$(GO) test -run '^$$' -bench '^Benchmark(PlanSweep|SweepRound|ServeServedCold|ServeHotPath)$$' -benchmem -benchtime 0.5s -count 6 -cpu 1,2 . | \
+		$(GO) run ./cmd/benchledger BENCH_layers.json "$$(git describe --always --dirty --abbrev=12)"
 
 ## scenarios: the fixed-seed scenario sweep — MRE, regret and p99 per (arrival × chaos) cell
 scenarios:

@@ -97,7 +97,7 @@ func run(w io.Writer) error {
 		{"cheap (90% money)", ires.Policy{Weights: []float64{0.1, 0.9}}},
 	}
 	fmt.Fprintln(w, "policy changes: BestInPareto selects within the Pareto set; WSM scores every plan again")
-	normalized := moo.NormalizeCosts(nil, sw.Costs)
+	normalized := moo.NormalizeCosts(nil, sw.AllCosts())
 	for _, pc := range policies {
 		best, err := sw.Select(pc.pol)
 		if err != nil {

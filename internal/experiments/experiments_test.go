@@ -162,13 +162,14 @@ func TestRunFig3(t *testing.T) {
 		for _, i := range l.Exact.FrontIdx {
 			onExact[l.Exact.Plans[i]] = true
 		}
+		exactCosts := l.Exact.AllCosts()
 		for i, p := range l.GA.Plans {
 			if onExact[p] {
 				continue
 			}
 			c := l.GA.Costs.Row(i)
 			if !slices.ContainsFunc(l.Exact.FrontIdx, func(j int) bool {
-				d, _ := moo.ParetoDominates(l.Exact.Costs.Row(j), c)
+				d, _ := moo.ParetoDominates(exactCosts.Row(j), c)
 				return d
 			}) {
 				t.Errorf("%d plans: GA plan %v %v is neither on the exact front nor dominated by it", l.PlanSpace, p, c)
@@ -207,9 +208,13 @@ func TestRunExample31(t *testing.T) {
 	if res.DreamNS <= 0 || res.DreamCachedNS <= 0 || res.BMLNS <= 0 {
 		t.Fatalf("timings: %+v", res)
 	}
-	// DREAM's small window must estimate faster than full-history BML.
-	if res.DreamNS >= res.BMLNS {
-		t.Errorf("DREAM (%d ns) not faster than BML (%d ns) per sweep", res.DreamNS, res.BMLNS)
+	if res.PlansEstimated != 200 || res.BMLPlans != 20 {
+		t.Errorf("plans estimated: %d by DREAM, %d by BML; want 200 and 20", res.PlansEstimated, res.BMLPlans)
+	}
+	// DREAM's small window must estimate faster than full-history BML,
+	// per plan: BML estimates fewer of them.
+	if dream, bml := res.DreamNS/int64(res.PlansEstimated), res.BMLNS/int64(res.BMLPlans); dream >= bml {
+		t.Errorf("DREAM (%d ns) not faster than BML (%d ns) per plan", dream, bml)
 	}
 	// The shared window fit must beat refitting per plan.
 	if res.DreamCachedNS >= res.DreamNS {

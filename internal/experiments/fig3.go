@@ -109,6 +109,8 @@ func fig3On(st *stack, seed int64) (*Fig3Lattice, error) {
 		}
 	}
 
+	// Every plan's cost vector, to score the plan each approach picks.
+	scored := [2]moo.CostMatrix{l.GA.AllCosts(), l.Exact.AllCosts()}
 	for k := 0; k < fig3Policies; k++ {
 		w := float64(k+1) / float64(fig3Policies+1)
 		pol := ires.Policy{Weights: []float64{w, 1 - w}}
@@ -120,13 +122,14 @@ func fig3On(st *stack, seed int64) (*Fig3Lattice, error) {
 		if err != nil {
 			return nil, err
 		}
-		idx, err := moo.ArgminWeightedSum(moo.NormalizeCosts(nil, sw.Costs), pol.Weights)
+		costs := sw.AllCosts()
+		idx, err := moo.ArgminWeightedSum(moo.NormalizeCosts(nil, costs), pol.Weights)
 		if err != nil {
 			return nil, err
 		}
 		// The weights passed ArgminWeightedSum's checks, so WeightedSum
 		// cannot fail on them.
-		wsm, _ := moo.WeightedSum(sw.Costs.Row(idx), pol.Weights)
+		wsm, _ := moo.WeightedSum(costs.Row(idx), pol.Weights)
 		l.Evaluations[2] += len(sw.Plans)
 		st.sched.ReleaseSweep(sw)
 		l.StepNS[2] += time.Since(start).Nanoseconds()
@@ -138,7 +141,7 @@ func fig3On(st *stack, seed int64) (*Fig3Lattice, error) {
 				return nil, err
 			}
 			l.StepNS[i] += time.Since(start).Nanoseconds()
-			score, _ := moo.WeightedSum(sw.Costs.Row(idx), pol.Weights)
+			score, _ := moo.WeightedSum(scored[i].Row(idx), pol.Weights)
 			if lo, hi := min(score, wsm), max(score, wsm); hi == 0 || (hi-lo)/hi < 0.10 {
 				l.Agreement[i]++
 			}

@@ -72,7 +72,7 @@ func TestGAAmortizesAcrossPolicyChanges(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := moo.ArgminWeightedSum(moo.NormalizeCosts(nil, sw.Costs), pol.Weights); err != nil {
+		if _, err := moo.ArgminWeightedSum(moo.NormalizeCosts(nil, sw.AllCosts()), pol.Weights); err != nil {
 			t.Fatal(err)
 		}
 		wsmEvals += len(sw.Plans)

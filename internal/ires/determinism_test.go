@@ -595,15 +595,16 @@ func (b breakdownStore) OpenHistory(name string, dim int, _ []string) (*core.His
 func (breakdownStore) Sync() error { return nil }
 
 // requireSameSweep fails unless two sweeps agree on every plan, every
-// cost bit and the front.
+// bit of every plan's cost vector (AllCosts) and the front.
 func requireSameSweep(t *testing.T, round int, got, want *Sweep) {
 	t.Helper()
-	if len(got.Plans) != len(want.Plans) || got.Costs.Len() != want.Costs.Len() {
-		t.Fatalf("round %d: sweep shapes differ: %d/%d plans, %d/%d costs", round, len(got.Plans), len(want.Plans), got.Costs.Len(), want.Costs.Len())
+	gotCosts, wantCosts := got.AllCosts(), want.AllCosts()
+	if len(got.Plans) != len(want.Plans) || gotCosts.Len() != len(got.Plans) || wantCosts.Len() != len(want.Plans) {
+		t.Fatalf("round %d: sweep shapes differ: %d/%d plans, %d/%d costs", round, len(got.Plans), len(want.Plans), gotCosts.Len(), wantCosts.Len())
 	}
 	for i := range want.Plans {
-		if got.Plans[i] != want.Plans[i] || !equalBits(got.Costs.Row(i), want.Costs.Row(i)) {
-			t.Fatalf("round %d: position %d: %v %v, want %v %v", round, i, got.Plans[i], got.Costs.Row(i), want.Plans[i], want.Costs.Row(i))
+		if got.Plans[i] != want.Plans[i] || !equalBits(gotCosts.Row(i), wantCosts.Row(i)) {
+			t.Fatalf("round %d: position %d: %v %v, want %v %v", round, i, got.Plans[i], gotCosts.Row(i), want.Plans[i], wantCosts.Row(i))
 		}
 	}
 	if fmt.Sprint(got.FrontIdx) != fmt.Sprint(want.FrontIdx) {

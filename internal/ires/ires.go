@@ -54,7 +54,9 @@ type CostModel interface {
 // zero, and nothing else. LinearModels returns those models, in
 // cost-vector order, for plans of dim features scored against s — one
 // fit lookup for that many plans, counted as that many lookups — and the
-// caller must treat them as read only.
+// caller must treat them as read only. Every lookup against one
+// snapshot gives models with the same coefficients: a sweep scores all
+// its plans with its first lookup's.
 type LinearCostModel interface {
 	CostModel
 	LinearModels(s *core.Snapshot, dim, plans int) ([]*regression.Model, error)
@@ -510,8 +512,8 @@ type Decision struct {
 	Estimated []float64
 	Outcome   *federation.Outcome
 	// ParetoSize is the size of the Pareto plan set the choice was made
-	// from; PlanSpace the number of QEPs the sweep scored — the whole
-	// lattice.
+	// from; PlanSpace the number of QEPs the sweep reduced to it — the
+	// whole lattice.
 	ParetoSize, PlanSpace int
 }
 
@@ -536,21 +538,25 @@ func (s *Scheduler) SubmitContext(ctx context.Context, q tpch.QueryID, pol Polic
 }
 
 // Sweep is the policy-independent half of a scheduling round: the
-// enumerated plan space, every plan's estimated cost vector, and the
-// Pareto reduction. A Sweep is immutable once built until ReleaseSweep,
-// which ends it: the header, the matrix and the front all belong to a
-// later sweep then, and only the Decisions made from it outlive it. Any
-// number of policies can be applied to it concurrently before that —
-// this is the admission hook a serving layer batches on, since
-// concurrent submissions of the same query can share one sweep and
-// differ only in selection.
+// enumerated plan space, the estimated cost vectors the Pareto
+// reduction needed, and that reduction. A Sweep is immutable once built
+// until ReleaseSweep, which ends it: the header, the matrix and the
+// front all belong to a later sweep then, and only the Decisions made
+// from it outlive it. Any number of policies can be applied to it
+// concurrently before that — this is the admission hook a serving layer
+// batches on, since concurrent submissions of the same query can share
+// one sweep and differ only in selection.
 type Sweep struct {
 	Query tpch.QueryID
-	// Plans holds the QEPs the sweep estimated: the whole lattice, in
-	// lattice order.
+	// Plans holds the plan space the sweep reduced: the whole lattice,
+	// in lattice order.
 	Plans []federation.Plan
-	// Costs is the model cost vector of every plan, row i plan i's: one
-	// flat plans × metrics matrix, read through Costs.Row.
+	// Costs is the model cost vector of every plan, row i plan i's — one
+	// flat plans × metrics matrix, read through Costs.Row — exactly when
+	// the sweep scored every plan: on the per-plan route, and on the
+	// linear route unless its rows were ordered. A linear sweep that
+	// read its front from the rows' ends scored only those, and leaves
+	// Costs empty; AllCosts has every plan's vector either way.
 	Costs moo.CostMatrix
 	// FrontIdx indexes the Pareto-optimal plans within Plans.
 	FrontIdx []int
@@ -565,11 +571,13 @@ type Sweep struct {
 	buf *sweepBuf
 }
 
-// PlanSweep builds the QEP lattice of q, estimates every plan of it
-// against one history snapshot, and reduces to the Pareto set. The
-// estimation loop observes ctx between chunks of at most 256 plans. The
-// sweep — header, cost matrix and front — lives in storage from a pool:
-// ReleaseSweep hands it back once the sweep has served its decisions.
+// PlanSweep builds the QEP lattice of q, estimates its plans against
+// one history snapshot, and reduces them to the Pareto set: every plan,
+// or, on the linear route when the lattice's rows are ordered, only the
+// rows' ends the front can come from. The estimation loop observes ctx
+// between chunks of at most 256 plans. The sweep — header, cost matrix
+// and front — lives in storage from a pool: ReleaseSweep hands it back
+// once the sweep has served its decisions.
 func (s *Scheduler) PlanSweep(ctx context.Context, q tpch.QueryID) (sw *Sweep, err error) {
 	candidates := 0
 	if s.obs != nil {
@@ -595,13 +603,21 @@ func (s *Scheduler) PlanSweep(ctx context.Context, q tpch.QueryID) (sw *Sweep, e
 	}
 	buf := sweepPool.Get().(*sweepBuf)
 	ps := s.sweeper(q, h, lat, buf)
-	costs, err := ps.sweep(ctx)
+	costs, at, err := ps.sweep(ctx)
 	if err != nil {
 		buf.release()
 		return nil, err
 	}
-	candidates = ps.front(costs)
+	buf.frontIdx = moo.ParetoFrontInto(buf.frontIdx, costs)
+	candidates = costs.Len()
 	raw, normalized := buf.frontRows(costs)
+	if at != nil {
+		// costs holds the candidates alone: index the front by plan.
+		for j, c := range buf.frontIdx {
+			buf.frontIdx[j] = at[c]
+		}
+		costs = moo.CostMatrix{}
+	}
 	buf.sw = Sweep{
 		Query:      q,
 		Plans:      lat.Plans(),
@@ -612,6 +628,20 @@ func (s *Scheduler) PlanSweep(ctx context.Context, q tpch.QueryID) (sw *Sweep, e
 		buf:        buf,
 	}
 	return &buf.sw, nil
+}
+
+// AllCosts is every plan's model cost vector, row i plan i's. It is
+// Costs when the sweep scored every plan; otherwise a new matrix that
+// walkLinearCosts, the kernel of the linear route, scores from the
+// sweep's own fit of its snapshot — bit for bit what a sweep scoring
+// every plan gives. Like Costs it must not be called after
+// ReleaseSweep; it is safe to call concurrently.
+func (sw *Sweep) AllCosts() moo.CostMatrix {
+	if sw.Costs.Len() == len(sw.Plans) || sw.buf == nil {
+		return sw.Costs
+	}
+	ps := &sw.buf.ps
+	return ps.walkAll(make([]float64, len(sw.Plans)*len(ps.fit)))
 }
 
 // frontRows copies the rows of costs at b.frontIdx into b.front, and

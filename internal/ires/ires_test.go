@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -175,7 +176,7 @@ func TestReleasedSweepKeepsDecisions(t *testing.T) {
 	if sw.Costs.Len() != 0 || len(sw.FrontIdx) != 0 || sw.FrontCosts.Len() != 0 || sw.Normalized.Len() != 0 {
 		t.Fatalf("the released sweep still holds %d rows, a front of %d", sw.Costs.Len(), len(sw.FrontIdx))
 	}
-	if buf.ps != (planSweeper{}) || buf.snap.Len() != 0 {
+	if !reflect.ValueOf(buf.ps).IsZero() || buf.snap.Len() != 0 {
 		t.Fatalf("the pooled buffer still holds the round's planSweeper or its snapshot of %d observations", buf.snap.Len())
 	}
 	if raceEnabled {

@@ -52,13 +52,13 @@ func (s *Scheduler) instrument(reg *metrics.Registry, federation string) {
 	s.obs = &schedulerObs{
 		federation: federation,
 		sweepSeconds: reg.HistogramVec("midas_sweep_duration_seconds",
-			"Wall time of one plan sweep (enumerate, estimate every QEP, Pareto-reduce).",
+			"Wall time of one plan sweep (enumerate, estimate, Pareto-reduce).",
 			metrics.DefBuckets, "federation", "query"),
 		plansEstimated: reg.CounterVec("midas_plans_estimated_total",
-			"Query execution plans scored by the Modelling module.",
+			"Query execution plans swept by the Modelling module: every plan of each sweep's lattice.",
 			"federation", "query"),
 		planSpace: reg.GaugeVec("midas_plan_space",
-			"Size of the QEP lattice of the most recent sweep, every plan of which it scores.",
+			"Size of the QEP lattice of the most recent sweep, every plan of which it sweeps.",
 			"federation", "query"),
 		candidates: reg.CounterVec("midas_pareto_candidates_total",
 			"Cost vectors the Pareto reduction examined: every plan's, or on the linear route with ordered rows each row's best end and its ties.",
@@ -136,7 +136,8 @@ func (o *schedulerObs) series(q tpch.QueryID) *sweepSeries {
 
 // observeSweep records one finished (or failed) sweep of plans QEPs —
 // the whole lattice, so the count is both the plans estimated and the
-// plan space — whose Pareto reduction examined candidates of them.
+// plan space — whose Pareto reduction examined candidates of them: the
+// plans it scored.
 func (s *Scheduler) observeSweep(q tpch.QueryID, began time.Time, plans, candidates int, err error) {
 	o := s.obs
 	if o == nil {

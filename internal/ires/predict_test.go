@@ -234,15 +234,28 @@ func (m fixedLinear) LinearModels(*core.Snapshot, int, int) ([]*regression.Model
 	return m.models, nil
 }
 
-// requireWalkMatchesPlans fails unless a full sweep's walk of lat
-// scores exactly predictCosts' bits over lat.Plans(); and unless, with
-// its last model swapped for one over 4 features, the walk refuses the
-// models as regression.ErrDimension.
+// requireWalkMatchesPlans fails unless a walk of lat, and the whole
+// lattice its sweep's AllCosts scores, give exactly predictCosts' bits
+// over lat.Plans() — each row-end candidate of an ordered walk its own
+// plan's bits; and unless, with its last model swapped for one over 4
+// features, the walk refuses the models as regression.ErrDimension.
 func requireWalkMatchesPlans(t testing.TB, models []*regression.Model, lat *federation.PlanLattice, leftMiB, rightMiB float64) {
 	t.Helper()
 	walk := func(models []*regression.Model) (moo.CostMatrix, error) {
-		ps := &planSweeper{lat: lat, linear: fixedLinear{models: models}, leftMiB: leftMiB, rightMiB: rightMiB, buf: new(sweepBuf)}
-		return ps.walk(context.Background())
+		b := new(sweepBuf)
+		b.ps = planSweeper{lat: lat, linear: fixedLinear{models: models}, leftMiB: leftMiB, rightMiB: rightMiB, buf: b}
+		rows, at, err := b.ps.walk(context.Background())
+		if err != nil || at == nil {
+			return rows, err
+		}
+		sw := &Sweep{Plans: lat.Plans(), buf: b}
+		all := sw.AllCosts()
+		for c, i := range at {
+			if !equalBits(rows.Row(c), all.Row(i)) {
+				t.Fatalf("candidate %d, plan %d: %v, the whole lattice's row %v", c, i, rows.Row(c), all.Row(i))
+			}
+		}
+		return all, nil
 	}
 	costs, err := walk(models)
 	if err != nil {
@@ -298,7 +311,6 @@ func TestLinearScoringMatchesPredict(t *testing.T) {
 		}
 		return a
 	}
-	const sentinel = 42
 	for trial := 0; trial < 300; trial++ {
 		k := []int{1, 2, 3, 6, 7}[trial%5]
 		models := make([]*regression.Model, k)
@@ -317,24 +329,7 @@ func TestLinearScoringMatchesPredict(t *testing.T) {
 			leftMiB, rightMiB = draw(500), draw(50)
 		}
 		for _, n := range []int{0, 1, 2, 3, 5, 8, 9, 40} {
-			left, right := axis(n), axis(1+rng.Intn(9))
-			side := len(left) * len(right) * k
-			out := make([]float64, 1+2*side+1)
-			out[0], out[len(out)-1] = sentinel, sentinel
-			walkLinearCosts(out, models, left, right, 1, side, leftMiB, rightMiB)
-			if out[0] != sentinel || out[len(out)-1] != sentinel {
-				t.Fatalf("%d×%d rows, %d metrics: wrote outside its rows", len(left), len(right), k)
-			}
-			plans := make([]federation.Plan, 0, 2*len(left)*len(right))
-			for _, join := range []bool{true, false} {
-				for _, nl := range left {
-					for _, nr := range right {
-						plans = append(plans, federation.Plan{Query: tpch.QueryQ12, JoinAtLeft: join, NodesLeft: nl, NodesRight: nr})
-					}
-				}
-			}
-			want := predictCosts(t, models, plans, leftMiB, rightMiB)
-			requireSameBits(t, "kernel", out[1:len(out)-1], "Predict", want, models, plans, leftMiB, rightMiB)
+			requireKernelMatchesPredict(t, models, axis(n), axis(1+rng.Intn(9)), leftMiB, rightMiB)
 		}
 	}
 
@@ -342,6 +337,31 @@ func TestLinearScoringMatchesPredict(t *testing.T) {
 	if err := checkLinear(models); !errors.Is(err, regression.ErrDimension) {
 		t.Errorf("a model over 4 features: %v, want ErrDimension", err)
 	}
+}
+
+// requireKernelMatchesPredict fails unless walkLinearCosts scores left ×
+// right, both sides, to predictCosts' bits, writing nothing outside its
+// rows.
+func requireKernelMatchesPredict(t testing.TB, models []*regression.Model, left, right []int, leftMiB, rightMiB float64) {
+	t.Helper()
+	const sentinel = 42
+	side := len(left) * len(right) * len(models)
+	out := make([]float64, 1+2*side+1)
+	out[0], out[len(out)-1] = sentinel, sentinel
+	walkLinearCosts(out, models, left, right, 1, side, leftMiB, rightMiB)
+	if out[0] != sentinel || out[len(out)-1] != sentinel {
+		t.Fatalf("%d×%d rows, %d metrics: wrote outside its rows", len(left), len(right), len(models))
+	}
+	plans := make([]federation.Plan, 0, 2*len(left)*len(right))
+	for _, join := range []bool{true, false} {
+		for _, nl := range left {
+			for _, nr := range right {
+				plans = append(plans, federation.Plan{Query: tpch.QueryQ12, JoinAtLeft: join, NodesLeft: nl, NodesRight: nr})
+			}
+		}
+	}
+	want := predictCosts(t, models, plans, leftMiB, rightMiB)
+	requireSameBits(t, "kernel", out[1:len(out)-1], "Predict", want, models, plans, leftMiB, rightMiB)
 }
 
 // TestLatticeScoringMatchesPlans: a full sweep on the linear route

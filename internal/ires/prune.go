@@ -14,18 +14,20 @@ import (
 	"repro/internal/tpch"
 )
 
-// A sweep scores every plan of one query's lattice, in lattice order,
-// against one history snapshot: what midasd serves, and the paper's
-// Example 3.1 regime (≈18,200 QEPs per query) alike. The Pareto
-// reduction after it reads the lattice's structure where the linear
-// route allows: when both metrics' node coefficients β₄ agree in sign,
-// every (side, left-size) row is ordered alike in both metrics along
-// the ascending right axis, so only each row's best end and its ties
-// can be Pareto-optimal, and the staircase scan (moo.ParetoFrontInto)
-// examines those 2·|L| rows and their ties instead of all 2·|L|·|R|.
-// Any other sweep — signs that disagree, non-finite or overflowing
-// terms, an unsorted axis, other than two metrics, the per-plan route —
-// hands the whole matrix to the scan, O(n log |front|).
+// A sweep scores the plans of one query's lattice against one history
+// snapshot: what midasd serves, and the paper's Example 3.1 regime
+// (≈18,200 QEPs per query) alike. On the linear route it reads the
+// lattice's structure before it scores anything: when both metrics'
+// node coefficients β₄ agree in sign, every (side, left-size) row is
+// ordered alike in both metrics along the ascending right axis, so only
+// each row's best end and its ties can be Pareto-optimal (the staircase
+// bound of Kung, Luccio & Preparata, JACM 1975), and the walk scores
+// just those 2·|L| rows, their ties and the row that ends each run of
+// ties, straight into the candidate rows the staircase scan
+// (moo.ParetoFrontInto) reduces. Any other sweep — signs that disagree,
+// non-finite or overflowing terms, an unsorted axis, other than two
+// metrics, the per-plan route — scores all 2·|L|·|R| plans and hands
+// the whole matrix to the scan, O(n log |front|).
 // docs/performance.md has the measured grid.
 
 // planSweeper is one scheduling round's estimator: the lattice it
@@ -47,40 +49,52 @@ type planSweeper struct {
 	// route, sizeErr the executor's failure to say.
 	leftMiB, rightMiB float64
 	sizeErr           error
-	// ordered is set by a walk whose every chunk passed rowsOrdered: each
-	// (side, left-size) row of its matrix is ordered alike in both
-	// metrics, so front may read the rows' ends alone.
-	ordered bool
+	// fit is the models of a walk's first lookup, which it scores every
+	// plan with, and AllCosts too.
+	fit []*regression.Model
 	// buf is the round's scratch: the backing of every matrix it
 	// returns, so a matrix is valid until the round's next one.
 	buf *sweepBuf
 }
 
 // sweepBuf is one round's storage: the Sweep header PlanSweep returns,
-// the planSweeper and its history snapshot, the backing of the cost
-// matrix, the Pareto front's indices and its raw and normalized rows,
-// and the candidates of a front read from row ends when they outgrow
-// the stack. PlanSweep takes one from sweepPool and ReleaseSweep puts it
+// the planSweeper and its history snapshot, the backing of the rows the
+// round scored, the Pareto front's indices and its raw and normalized
+// rows. PlanSweep takes one from sweepPool and ReleaseSweep puts it
 // back, so the serving cycle (sweep, decide, release) reuses all of it
-// — the 32 KB matrix of a 2,048-plan sweep among it — instead of
-// allocating and collecting it per request. A sync.Pool, not a free
-// list: every GC drains it, so nothing it holds is retained heap.
+// instead of allocating and collecting it per request. A sync.Pool, not
+// a free list: every GC drains it, so nothing it holds is retained heap.
 type sweepBuf struct {
-	sw    Sweep
-	ps    planSweeper
-	snap  core.Snapshot
+	sw   Sweep
+	ps   planSweeper
+	snap core.Snapshot
+	// costs backs the rows the round scored — every plan's, or an
+	// ordered walk's candidates — and at the candidates' lattice
+	// indices.
 	costs []float64
+	at    []int
 	// frontIdx and front back the Pareto front: its indices, then its
 	// raw rows followed by their normalized twins.
 	frontIdx []int
 	front    []float64
-	// candCosts and candAt hold rowEndsFront's candidate rows and their
-	// lattice indices past candidateBuf of them.
-	candCosts []float64
-	candAt    []int
+	// rows and rowAt are costs' and at's first backing, inside the
+	// buffer: the 64 candidates of a 2,048-plan lattice fit, and so does
+	// every row of a lattice midasd serves (at most 128 plans), so a
+	// sweep of either that misses the pool allocates no matrix.
+	rows  [2 * candidateBuf]float64
+	rowAt [candidateBuf]int
 }
 
-var sweepPool = sync.Pool{New: func() any { return new(sweepBuf) }}
+// candidateBuf is how many two-metric rows a sweepBuf holds before its
+// matrix backing grows onto the heap (3 KB). A 2,048-plan lattice has
+// 64 row ends, the 18,432-plan one 192.
+const candidateBuf = 128
+
+var sweepPool = sync.Pool{New: func() any {
+	b := new(sweepBuf)
+	b.costs, b.at = b.rows[:0], b.rowAt[:0]
+	return b
+}}
 
 // release hands b back to the pool. It first drops the round's header,
 // planSweeper and snapshot, so a pooled buffer keeps no history,
@@ -128,13 +142,15 @@ func (s *Scheduler) sweeper(q tpch.QueryID, h *core.History, lat *federation.Pla
 // large enough that the check vanishes against the per-plan work.
 const sweepChunk = 256
 
-// sweep scores the whole lattice in lattice order: walk on the linear
-// route, estimate otherwise.
-func (ps *planSweeper) sweep(ctx context.Context) (moo.CostMatrix, error) {
+// sweep scores the round: walk on the linear route, estimate otherwise.
+// It returns the rows the Pareto reduction examines and, when those are
+// not every plan in lattice order, each row's lattice index.
+func (ps *planSweeper) sweep(ctx context.Context) (rows moo.CostMatrix, at []int, err error) {
 	if ps.linear != nil {
 		return ps.walk(ctx)
 	}
-	return ps.estimate(ctx)
+	rows, err = ps.estimate(ctx)
+	return rows, nil, err
 }
 
 // estimate scores the lattice's plans one by one and returns their cost
@@ -190,50 +206,68 @@ func (ps *planSweeper) matrix(n int) []float64 {
 	return ps.buf.costs
 }
 
-// walk is a full sweep on the linear route: the whole lattice scored
-// by its axes into one matrix in lattice order, bit for bit what
-// estimate gives. A chunk is whole rows of the left
-// axis, both sides — at most sweepChunk plans, at least one row — and
-// costs a ctx check and one fit lookup counted as the chunk's plans; a
-// failure names the chunk's first plan in lattice order.
-func (ps *planSweeper) walk(ctx context.Context) (moo.CostMatrix, error) {
+// walk is a sweep on the linear route, bit for bit what estimate gives
+// wherever it scores a plan. It first looks the fit up chunk by chunk —
+// a chunk is whole rows of the left axis, both sides, at most
+// sweepChunk plans and at least one row — at a ctx check and one lookup
+// counted as the chunk's plans each; a failure names the chunk's first
+// plan in lattice order. Every lookup against the round's one snapshot
+// gives the same coefficients (LinearCostModel), so the first lookup's
+// models score the round. When they order the rows over the whole left
+// axis (rowsOrdered), walk scores only the rows' ends (rowEnds) and
+// returns them with their lattice indices. Otherwise it scores every
+// plan into one matrix in lattice order and returns no indices.
+func (ps *planSweeper) walk(ctx context.Context) (moo.CostMatrix, []int, error) {
 	lat := ps.lat
 	left, right := lat.Axes()
 	rows := walkRows(len(right))
-	var flat []float64
-	k, ordered := 0, true
 	for lo := 0; lo < len(left); lo += rows {
 		if err := ctx.Err(); err != nil {
-			return moo.CostMatrix{}, err
+			return moo.CostMatrix{}, nil, err
 		}
 		hi := min(lo+rows, len(left))
 		n := 2 * (hi - lo) * len(right)
 		first := lat.At(lat.Index(0, lo, 0))
 		if ps.sizeErr != nil {
-			return moo.CostMatrix{}, fmt.Errorf("ires: features of %v: %w", first, ps.sizeErr)
+			return moo.CostMatrix{}, nil, fmt.Errorf("ires: features of %v: %w", first, ps.sizeErr)
 		}
 		models, err := ps.linear.LinearModels(ps.snap, federation.FeatureDim, n)
 		if err == nil {
 			err = checkLinear(models)
 		}
 		if err != nil {
-			return moo.CostMatrix{}, fmt.Errorf("ires: estimating %v: %w", first, err)
+			return moo.CostMatrix{}, nil, fmt.Errorf("ires: estimating %v: %w", first, err)
 		}
 		if lo == 0 {
-			if k = len(models); k == 0 {
-				return moo.CostMatrix{}, fmt.Errorf("ires: model returned no costs for %v", first)
+			if len(models) == 0 {
+				return moo.CostMatrix{}, nil, fmt.Errorf("ires: model returned no costs for %v", first)
 			}
-			flat = ps.matrix(lat.Size() * k)[:lat.Size()*k]
+			ps.fit = models
 		}
-		if len(models) != k {
-			return moo.CostMatrix{}, fmt.Errorf("ires: model returned %d costs for %d plans, want %d each",
-				len(models)*n, n, k)
+		if len(models) != len(ps.fit) {
+			return moo.CostMatrix{}, nil, fmt.Errorf("ires: model returned %d costs for %d plans, want %d each",
+				len(models)*n, n, len(ps.fit))
 		}
-		ordered = ordered && rowsOrdered(models, left[lo:hi], right, ps.leftMiB, ps.rightMiB)
-		walkLinearCosts(flat, models, left[lo:hi], right, lo*len(right)*k, len(left)*len(right)*k, ps.leftMiB, ps.rightMiB)
 	}
-	ps.ordered = ordered
-	return moo.FlatCostMatrix(flat, k)
+	if rowsOrdered(ps.fit, left, right, ps.leftMiB, ps.rightMiB) {
+		b := ps.buf
+		b.costs, b.at = rowEnds(b.costs[:0], b.at[:0], ps.fit, left, right, ps.leftMiB, ps.rightMiB)
+		cand, err := moo.FlatCostMatrix(b.costs, 2)
+		return cand, b.at, err
+	}
+	n := lat.Size() * len(ps.fit)
+	return ps.walkAll(ps.matrix(n)[:n]), nil, nil
+}
+
+// walkAll scores every plan of the lattice with the round's fit into
+// flat, which holds Size()·len(fit) values: walkLinearCosts over the
+// whole of both axes.
+func (ps *planSweeper) walkAll(flat []float64) moo.CostMatrix {
+	left, right := ps.lat.Axes()
+	k := len(ps.fit)
+	walkLinearCosts(flat, ps.fit, left, right, 0, len(left)*len(right)*k, ps.leftMiB, ps.rightMiB)
+	costs, _ := moo.FlatCostMatrix(flat, k) // whole rows of k ≥ 1: no error
+	return costs
 }
 
 // walkRows is how many rows of the left axis one chunk of walk scores
@@ -248,11 +282,10 @@ func walkRows(n int) int { return max(1, sweepChunk/(2*n)) }
 // clamp give, without the row. It covers every plan whose left node
 // count is in left, for every right node count in right, on both sides:
 // side 0 (join at left) from out[at], side 1 from out[at+side], k values
-// per plan in lattice order. Each metric's β₀ + β₁·leftMiB + β₂·rightMiB
-// + β₃·nl is summed once per left size and + β₄·nr once per (left,
-// right) pair, then the join term is added for each side: Predict's
-// intermediates in Predict's order. The models must have passed
-// checkLinear.
+// per plan in lattice order. Each metric's leftTerm is computed once per
+// left size and its nodeTerm once per (left, right) pair, then
+// linearCost adds the join term for each side: Predict's intermediates
+// in Predict's order. The models must have passed checkLinear.
 func walkLinearCosts(out []float64, models []*regression.Model, left, right []int, at, side int, leftMiB, rightMiB float64) {
 	k, w := len(models), len(right)*len(models)
 	// Two metrics per pass over the plans — the served pair in one. An
@@ -265,21 +298,77 @@ func walkLinearCosts(out []float64, models []*regression.Model, left, right []in
 		// infinite β₅ still gives NaN.
 		aj1, aj0, bj1, bj0 := a[3]*1, a[3]*0, b[3]*1, b[3]*0
 		for li, nl := range left {
-			x := float64(nl)
-			ua, ub := a[0]+a[1]*x, b[0]+b[1]*x
+			ua, ub := leftTerm(a, nl), leftTerm(b, nl)
 			o := at + li*w
 			s0, s1 := out[o+lo:o+w], out[side+o+lo:side+o+w]
 			for ri, nr := range right {
-				y := float64(nr)
-				ta, tb := ua+a[2]*y, ub+b[2]*y
+				ta, tb := nodeTerm(ua, a[2], nr), nodeTerm(ub, b[2], nr)
 				j := ri * k
-				s0[j+d] = clampCost(tb + bj1)
-				s0[j] = clampCost(ta + aj1)
-				s1[j+d] = clampCost(tb + bj0)
-				s1[j] = clampCost(ta + aj0)
+				s0[j+d] = linearCost(tb, bj1)
+				s0[j] = linearCost(ta, aj1)
+				s1[j+d] = linearCost(tb, bj0)
+				s1[j] = linearCost(ta, aj0)
 			}
 		}
 	}
+}
+
+// rowEnds appends to cand and at what an ordered walk of left × right
+// scores with the two models: for each (side, left-size) row, in
+// lattice order, the cost vectors of its best end and of the run of
+// plans equal to it in both metrics (−0 equals +0, as dominance compares
+// them), in ascending lattice order, two values a plan, and their
+// lattice indices. The best end is the row's first plan when that is no
+// worse than the last in both metrics, else the last. The plan that
+// ends a run is scored to find the run's end, and not appended. Each
+// value is the one walkLinearCosts writes for its plan.
+//
+// When rowsOrdered holds, each row's best end weakly dominates the rest
+// of it, so only that end and its copies can be on the front, and a row
+// any other row dominates is dominated by that row's best end too: the
+// front of the candidates, mapped through at, is the front of the
+// whole lattice.
+func rowEnds(cand []float64, at []int, models []*regression.Model, left, right []int, leftMiB, rightMiB float64) ([]float64, []int) {
+	a, b := linearTerms(models[0], leftMiB, rightMiB), linearTerms(models[1], leftMiB, rightMiB)
+	last := len(right) - 1
+	for side, join := range [2]float64{1, 0} {
+		aj, bj := a[3]*join, b[3]*join
+		for li, nl := range left {
+			ua, ub := leftTerm(a, nl), leftTerm(b, nl)
+			cost := func(ri int) (float64, float64) {
+				return linearCost(nodeTerm(ua, a[2], right[ri]), aj), linearCost(nodeTerm(ub, b[2], right[ri]), bj)
+			}
+			base := (side*len(left) + li) * len(right)
+			lo0, lo1 := cost(0)
+			hi0, hi1 := cost(last)
+			if lo0 <= hi0 && lo1 <= hi1 {
+				cand, at = append(cand, lo0, lo1), append(at, base)
+				for ri := 1; ri <= last; ri++ {
+					c0, c1 := cost(ri)
+					if c0 != lo0 || c1 != lo1 {
+						break
+					}
+					cand, at = append(cand, c0, c1), append(at, base+ri)
+				}
+				continue
+			}
+			// The high end: find where its run starts, then append the run
+			// ascending.
+			from := last
+			for from > 0 {
+				if c0, c1 := cost(from - 1); c0 != hi0 || c1 != hi1 {
+					break
+				}
+				from--
+			}
+			for ri := from; ri < last; ri++ {
+				c0, c1 := cost(ri)
+				cand, at = append(cand, c0, c1), append(at, base+ri)
+			}
+			cand, at = append(cand, hi0, hi1), append(at, base+last)
+		}
+	}
+	return cand, at
 }
 
 // rowsOrdered reports whether every row walkLinearCosts scores from
@@ -320,86 +409,6 @@ func rowsOrdered(models []*regression.Model, left, right []int, leftMiB, rightMi
 	return !(rise && fall)
 }
 
-// candidateBuf is how many candidate rows rowEndsFront holds on the
-// stack (3 KB); more go to the sweepBuf's pooled storage. A 2,048-plan
-// lattice has 64 row ends, the 18,432-plan one 192.
-const candidateBuf = 128
-
-// front reduces costs, the round's matrix, to its Pareto front's
-// indices in ps.buf.frontIdx, ascending, and returns how many rows the
-// reduction examined: the row ends and their ties after an ordered
-// walk, every row otherwise. Either way the indices are
-// moo.ParetoFront(costs)'s.
-func (ps *planSweeper) front(costs moo.CostMatrix) int {
-	b := ps.buf
-	if !ps.ordered {
-		b.frontIdx = moo.ParetoFrontInto(b.frontIdx, costs)
-		return costs.Len()
-	}
-	_, right := ps.lat.Axes()
-	return b.rowEndsFront(costs, len(right))
-}
-
-// rowEndsFront is moo.ParetoFrontInto into b.frontIdx for a two-metric
-// costs whose every run of n rows from a multiple of n is ordered alike
-// in both metrics (rowsOrdered). Each run's best end weakly dominates
-// the rest of it, so only that end and its copies, a contiguous run of
-// equal rows, can be on the front, and a row any other row dominates is
-// dominated by that row's run end too: the front of those candidates,
-// mapped back to their indices, is the front of costs. It returns the
-// candidate count.
-func (b *sweepBuf) rowEndsFront(costs moo.CostMatrix, n int) int {
-	total := 0
-	for r := 0; r < costs.Len(); r += n {
-		_, m := bestEnd(costs, r, n)
-		total += m
-	}
-	var stackCosts [2 * candidateBuf]float64
-	var stackAt [candidateBuf]int
-	cand, at := stackCosts[:0], stackAt[:0]
-	if total > candidateBuf {
-		b.candCosts = slices.Grow(b.candCosts[:0], 2*total)
-		b.candAt = slices.Grow(b.candAt[:0], total)
-		cand, at = b.candCosts, b.candAt
-	}
-	for r := 0; r < costs.Len(); r += n {
-		i, m := bestEnd(costs, r, n)
-		for ; m > 0; i, m = i+1, m-1 {
-			cand, at = append(cand, costs.Row(i)...), append(at, i)
-		}
-	}
-	front, _ := moo.FlatCostMatrix(cand, 2) // whole rows of two: no error
-	b.frontIdx = moo.ParetoFrontInto(b.frontIdx, front)
-	for j, c := range b.frontIdx {
-		b.frontIdx[j] = at[c]
-	}
-	return total
-}
-
-// bestEnd returns the first index and the length of the run of rows at
-// the best end of the ordered run of n rows from r: the first row and
-// its copies when it is no worse than the last in both metrics, else
-// the last row and its copies.
-func bestEnd(costs moo.CostMatrix, r, n int) (first, count int) {
-	lo, hi := costs.Row(r), costs.Row(r+n-1)
-	if lo[0] <= hi[0] && lo[1] <= hi[1] {
-		i := r + 1
-		for i < r+n && sameCosts(costs.Row(i), lo) {
-			i++
-		}
-		return r, i - r
-	}
-	i := r + n - 2
-	for i >= r && sameCosts(costs.Row(i), hi) {
-		i--
-	}
-	return i + 1, r + n - 1 - i
-}
-
-// sameCosts reports whether two-metric rows a and b are equal in both
-// metrics, as dominance compares them (−0 equals +0).
-func sameCosts(a, b []float64) bool { return a[0] == b[0] && a[1] == b[1] }
-
 // checkLinear is regression.ErrDimension unless every model is over
 // FeatureDim features.
 func checkLinear(models []*regression.Model) error {
@@ -413,14 +422,30 @@ func checkLinear(models []*regression.Model) error {
 
 // linearTerms is m's {β₀ + β₁·leftMiB + β₂·rightMiB, β₃, β₄, β₅}: the
 // table-size terms are the same for every plan of a query, and their
-// sum is Predict's first two steps. walkLinearCosts adds the node and
-// join terms to it in Predict's order — no fused multiply-add, no other
-// reassociation, and the join term is multiplied even when it is 0, as
-// Predict does.
+// sum t₀ is Predict's first two steps. One plan's value of one metric is
+// then
+//
+//	linearCost(nodeTerm(leftTerm(t, nl), t[2], nr), t[3]·join)
+//
+// = clamp(((t₀ + β₃·nl) + β₄·nr) + β₅·join): Predict's intermediates in
+// Predict's order — no fused multiply-add, no other reassociation, and
+// the join term multiplied even when it is 0, as Predict does.
+// walkLinearCosts and rowEnds both score through these three, so they
+// agree bit for bit.
 func linearTerms(m *regression.Model, leftMiB, rightMiB float64) [4]float64 {
 	b := m.Beta[:federation.FeatureDim+1]
 	return [4]float64{b[0] + b[1]*leftMiB + b[2]*rightMiB, b[3], b[4], b[5]}
 }
+
+// leftTerm is t₀ + β₃·nl: the part of a metric's value that every plan
+// of one (side, left-size) row shares.
+func leftTerm(t [4]float64, nl int) float64 { return t[0] + t[1]*float64(nl) }
+
+// nodeTerm is u + β₄·nr, u a leftTerm: the part both sides share.
+func nodeTerm(u, b4 float64, nr int) float64 { return u + b4*float64(nr) }
+
+// linearCost is v + j, v a nodeTerm and j = β₅·join, clamped at zero.
+func linearCost(v, j float64) float64 { return clampCost(v + j) }
 
 // clampCost clamps a predicted cost at zero. Not max: −0 and NaN pass
 // through, as clampRows leaves them.

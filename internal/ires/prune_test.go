@@ -51,11 +51,13 @@ func TestSchedulerRejectsBadNodeChoices(t *testing.T) {
 	}
 }
 
-// linearFront scores left × right on both sides, as a walk does, and,
-// when rowsOrdered holds, fails unless rowEndsFront's front of it is
-// moo.ParetoFront of the whole matrix, index for index. It returns
-// whether the rows were ordered, how many rows the reduction examined
-// (the whole matrix when they were not), and the row count.
+// linearFront scores left × right on both sides with walkLinearCosts,
+// as a walk that scores every plan does, and, when rowsOrdered holds,
+// fails unless rowEnds' candidates are in ascending lattice order, each
+// with its plan's bits in that matrix, and their front, mapped to the
+// lattice, is moo.ParetoFront of the whole matrix, index for index. It
+// returns whether the rows were ordered, how many rows the reduction
+// examined (the whole matrix when they were not), and the row count.
 func linearFront(t testing.TB, models []*regression.Model, left, right []int, leftMiB, rightMiB float64) (ordered bool, candidates, rows int) {
 	t.Helper()
 	k := len(models)
@@ -73,13 +75,29 @@ func linearFront(t testing.TB, models []*regression.Model, left, right []int, le
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := new(sweepBuf)
-	candidates = b.rowEndsFront(costs, len(right))
-	if !slices.Equal(b.frontIdx, want) {
-		t.Fatalf("%d×%d rows, β %v, sizes %v/%v: front %v, want %v",
-			len(left), len(right), betas(models), leftMiB, rightMiB, b.frontIdx, want)
+	cand, at := rowEnds(nil, nil, models, left, right, leftMiB, rightMiB)
+	for c, i := range at {
+		if c > 0 && i <= at[c-1] {
+			t.Fatalf("%d×%d rows, β %v: candidates out of lattice order: %v", len(left), len(right), betas(models), at)
+		}
+		if !equalBits(cand[2*c:2*c+2], costs.Row(i)) {
+			t.Fatalf("%d×%d rows, β %v: candidate %d is %v, plan %d scores %v",
+				len(left), len(right), betas(models), c, cand[2*c:2*c+2], i, costs.Row(i))
+		}
 	}
-	return true, candidates, 2 * len(left)
+	reduced, err := moo.FlatCostMatrix(cand, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := moo.ParetoFrontInto(nil, reduced)
+	for j, c := range front {
+		front[j] = at[c]
+	}
+	if !slices.Equal(front, want) {
+		t.Fatalf("%d×%d rows, β %v, sizes %v/%v: front %v, want %v",
+			len(left), len(right), betas(models), leftMiB, rightMiB, front, want)
+	}
+	return true, len(at), 2 * len(left)
 }
 
 // betas is the models' coefficients, for a failure message.
@@ -140,13 +158,85 @@ func TestRowsOrdered(t *testing.T) {
 	}
 }
 
-// TestLinearFrontMatchesParetoFront: the front read from row ends is
-// moo.ParetoFront of the whole matrix, index for index, over random and
-// adversarial coefficients (±0, signs that disagree, values near
-// overflow, ±Inf, NaN), rows clamped to zero (ties), right axes sorted,
-// unsorted, repeating or one size long, and one to three metrics; and
-// with ordered rows and no ties it examines one row end per row.
+// TestWalkDecidesOnTheWholeAxis: a walk decides from its fit, over the
+// whole left axis, whether it scores only the rows' ends. On the
+// 2,048-plan lattice a chunk is four left rows: a node coefficient
+// whose overflow bound holds over the first chunk's sizes but not over
+// all 32 makes the walk score every plan.
+func TestWalkDecidesOnTheWholeAxis(t *testing.T) {
+	fed, err := federation.WideTopology(28, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lat, err := fed.PlanLattice(tpch.QueryQ12, federation.NodeRange(32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	left, right := lat.Axes()
+	walk := func(b3 float64) (moo.CostMatrix, []int) {
+		t.Helper()
+		models := []*regression.Model{
+			linearModel([]float64{5, 0.1, 0.2, b3, 1, 1}),
+			linearModel([]float64{1, 0.01, 0.02, -0.4, 2, 0.5}),
+		}
+		if b3 > 1 && (!rowsOrdered(models, left[:walkRows(len(right))], right, 10, 100) || rowsOrdered(models, left, right, 10, 100)) {
+			t.Fatal("β₃ does not split the first chunk's overflow check from the whole axis'")
+		}
+		b := new(sweepBuf)
+		b.ps = planSweeper{lat: lat, linear: fixedLinear{models: models}, leftMiB: 10, rightMiB: 100, buf: b}
+		costs, at, err := b.ps.walk(t.Context())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return costs, at
+	}
+	if costs, at := walk(0.3); costs.Len() != 64 || len(at) != 64 {
+		t.Errorf("ordered fit: %d rows scored, want the 64 row ends", costs.Len())
+	}
+	if costs, at := walk(math.MaxFloat64 / 50); at != nil || costs.Len() != lat.Size() {
+		t.Errorf("overflow past the first chunk: %d rows scored, want all %d", costs.Len(), lat.Size())
+	}
+}
+
+// TestLinearFrontMatchesParetoFront: the front of the row ends a walk
+// scores is moo.ParetoFront of the whole matrix walkLinearCosts scores,
+// index for index. First over the cases only a scorer of row ends can
+// get wrong — a run of ties at the high end, rows of equal values, ±0,
+// rows one plan long — whose matrices are Predict's bits too, then over random and adversarial coefficients
+// (±0, signs that disagree, values near overflow, ±Inf, NaN), rows
+// clamped to zero (ties), right axes sorted, unsorted, repeating or one
+// size long, and one to three metrics; with ordered rows and no ties it
+// examines one row end per row.
 func TestLinearFrontMatchesParetoFront(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	pair := func(a, b []float64) []*regression.Model {
+		return []*regression.Model{linearModel(a), linearModel(b)}
+	}
+	left, right := []int{1, 2}, []int{1, 2, 3, 5, 8, 13, 21}
+	for _, tc := range []struct {
+		name       string
+		models     []*regression.Model
+		right      []int
+		candidates int
+	}{
+		// Both costs fall along each row and clamp at zero from nr = 5:
+		// every row's best end is its last plan and the three before it.
+		{"tie run at the high end", pair([]float64{10, 0, 0, 0, -2, 0}, []float64{20, 0, 0, 0, -4, 0}), right, 4 * 4},
+		{"β₄ = 0", pair([]float64{3, 0, 0, 1, 0, 0}, []float64{1, 0, 0, 2, 0, 0.5}), right, 4 * 7},
+		{"clamped at 0", pair([]float64{-1e9, 0, 0, 1, 1, 0}, []float64{-1e9, 0, 0, 1, 2, 0}), right, 4 * 7},
+		// Every plan costs −0 in the first metric; in the second, +0
+		// (clamped from −1) with the join at the left and −0 without it.
+		{"±0", pair([]float64{negZero, negZero, negZero, negZero, negZero, negZero},
+			[]float64{negZero, negZero, negZero, negZero, negZero, -1}), right, 4 * 7},
+		{"rows of one plan", pair([]float64{5, 0.1, 0.2, 0.3, 1, 1}, []float64{1, 0.01, 0.02, -0.4, 2, 0.5}), []int{7}, 4},
+	} {
+		requireKernelMatchesPredict(t, tc.models, left, tc.right, 10, 100)
+		ordered, candidates, _ := linearFront(t, tc.models, left, tc.right, 10, 100)
+		if !ordered || candidates != tc.candidates {
+			t.Errorf("%s: ordered %v, %d candidates, want ordered and %d", tc.name, ordered, candidates, tc.candidates)
+		}
+	}
+
 	pool := []float64{0, math.Copysign(0, -1), 1, -1, 0.5, -3.25, 5e-324, 1e300, -1e300, 1e306,
 		math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN()}
 	rng := rand.New(rand.NewSource(47))
@@ -255,10 +345,12 @@ func FuzzLinearFront(f *testing.F) {
 
 // TestPlanSweepReadsRowEnds: on the served shape — DREAM over a sized
 // executor, a 2,048-plan lattice — a sweep whose fits agree in β₄'s
-// sign reads its front from the 64 row ends, one that does not from all
+// sign scores and reduces only the 64 row ends, one that does not all
 // 2,048 rows, which the candidate counter shows; either way the front
-// is moo.ParetoFront of the sweep's matrix. The first rounds after the
-// bootstrap disagree, the later ones agree.
+// is moo.ParetoFront of every plan's cost vector, walkLinearCosts'
+// whole matrix (AllCosts), and Costs holds that matrix exactly when the
+// sweep scored every plan. The first rounds after the bootstrap
+// disagree, the later ones agree.
 func TestPlanSweepReadsRowEnds(t *testing.T) {
 	reg := metrics.NewRegistry()
 	s := buildWideStack(t, 42, 32, SchedulerConfig{Seed: 42, Metrics: reg, MetricsFederation: "t"})
@@ -271,10 +363,14 @@ func TestPlanSweepReadsRowEnds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if front, _ := moo.ParetoFront(sw.Costs); !slices.Equal(sw.FrontIdx, front) {
+		if front, _ := moo.ParetoFront(sw.AllCosts()); !slices.Equal(sw.FrontIdx, front) {
 			t.Fatalf("round %d: front %v, want %v", round, sw.FrontIdx, front)
 		}
-		if want += len(sw.Plans); sw.buf.ps.ordered {
+		ends := sw.Costs.Len() == 0
+		if !ends && sw.Costs.Len() != len(sw.Plans) {
+			t.Fatalf("round %d: Costs holds %d of %d plans", round, sw.Costs.Len(), len(sw.Plans))
+		}
+		if want += len(sw.Plans); ends {
 			want, ordered = want-len(sw.Plans)+64, ordered+1
 		}
 		if _, err := s.DecideFromSweep(sw, Policy{Weights: []float64{1, 1}}); err != nil {

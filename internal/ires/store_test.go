@@ -91,12 +91,13 @@ func TestSchedulerWarmStartFromStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if swB.Costs.Len() != swA.Costs.Len() {
-		t.Fatalf("sweep sizes differ: %d vs %d", swB.Costs.Len(), swA.Costs.Len())
+	costsA, costsB := swA.AllCosts(), swB.AllCosts()
+	if costsB.Len() != costsA.Len() || costsA.Len() != len(swA.Plans) {
+		t.Fatalf("sweep sizes differ: %d vs %d of %d plans", costsB.Len(), costsA.Len(), len(swA.Plans))
 	}
-	for i := 0; i < swA.Costs.Len(); i++ {
-		for j, ca := range swA.Costs.Row(i) {
-			if cb := swB.Costs.Row(i)[j]; ca != cb {
+	for i := 0; i < costsA.Len(); i++ {
+		for j, ca := range costsA.Row(i) {
+			if cb := costsB.Row(i)[j]; ca != cb {
 				t.Fatalf("plan %d cost %d: restarted %v != original %v", i, j, cb, ca)
 			}
 		}

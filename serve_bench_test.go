@@ -221,11 +221,16 @@ func TestServeSubmitAllocBudget(t *testing.T) {
 // storage in the pool (sweep header, cost matrix, front), so it
 // allocates only what the round keeps: the window fit of the new
 // history version, the outcome and the decision (the recorded
-// observation is copied into the history's spare capacity). A library PlanSweep that keeps its sweep misses the pool
-// every time: its count does not scale with the lattice, and neither
-// does anything but the matrix in bytes — an object count alone would
-// price 48 KB of per-plan row headers at 1. Deterministic, hence a test
-// with pinned figures and no baseline to compare against.
+// observation is copied into the history's spare capacity). A library
+// PlanSweep that keeps its sweep misses the pool every time: its count
+// does not scale with the lattice. In bytes, a sweep that scores every
+// plan — the bootstrap history's fits disagree in β₄'s sign — pays for
+// the matrix alone beyond that: an object count alone would price 48 KB
+// of per-plan row headers at 1. Once the fits agree, a sweep scores
+// only the 64 row ends, into the round's own storage, so what it
+// allocates is that storage and the front: the 32 KB matrix is gone,
+// and its budget is a sixth of the full sweep's. Deterministic, hence a
+// test with pinned figures and no baseline to compare against.
 func TestPlanSweepAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -244,37 +249,64 @@ func TestPlanSweepAllocBudget(t *testing.T) {
 		t.Logf("%s, %d plans: %.1f allocs, %.0f B", what, plans, allocs, size)
 		return allocs, size
 	}
-	keep := func(maxNodes int) (allocs, size float64) {
+	pol := ires.Policy{Weights: []float64{1, 1}}
+	// keep measures a kept sweep of a fresh 2·maxNodes² lattice, after
+	// serving cycles until a sweep scores only row ends when rowEnds is
+	// set.
+	keep := func(what string, maxNodes int, rowEnds bool) (allocs, size float64) {
 		sched := wideScheduler(t, 42, maxNodes, 0.1, nil)
+		for round := 0; ; round++ {
+			sw, err := sched.PlanSweep(ctx, tpch.QueryQ12)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if full := sw.Costs.Len() == len(sw.Plans); full != rowEnds {
+				sched.ReleaseSweep(sw)
+				break
+			}
+			if round == 50 {
+				t.Fatalf("%s: 50 rounds, and every sweep scored all %d plans", what, len(sw.Plans))
+			}
+			if _, err := sched.DecideFromSweep(sw, pol); err != nil {
+				t.Fatal(err)
+			}
+			sched.ReleaseSweep(sw)
+		}
 		// Two collections empty the pool: every sweep below misses it.
 		runtime.GC()
 		runtime.GC()
-		return measure("kept sweep", 2*maxNodes*maxNodes, func() {
+		return measure(what, 2*maxNodes*maxNodes, func() {
 			if _, err := sched.PlanSweep(ctx, tpch.QueryQ12); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
-	small, smallBytes := keep(3)
-	large, largeBytes := keep(32)
-	if large-small > 2 {
-		t.Errorf("2,048 plans cost %.0f allocations more than 18: the count scales with the lattice again", large-small)
+	small, smallBytes := keep("kept sweep", 3, false)
+	large, largeBytes := keep("kept sweep, every plan", 32, false)
+	ends, endsBytes := keep("kept sweep, row ends", 32, true)
+	if max(large, ends)-small > 2 {
+		t.Errorf("2,048 plans cost %.0f allocations more than 18: the count scales with the lattice again", max(large, ends)-small)
 	}
-	// The pool miss: the round's storage, its matrix, the front's indices
-	// and the front's rows.
+	// The pool miss: the round's storage, its matrix when it outgrows
+	// that, the front's indices and the front's rows.
 	const keepBudget = 4
-	if large > keepBudget {
-		t.Errorf("kept 2,048-plan sweep: %.1f allocs, budget %d", large, keepBudget)
+	if large > keepBudget || ends > keepBudget {
+		t.Errorf("kept 2,048-plan sweep: %.1f allocs scoring every plan, %.1f scoring row ends, budget %d", large, ends, keepBudget)
 	}
 	// Per plan: len(federation.Metrics)·8 B of matrix, and slack.
 	const bytesBudget, perPlanBudget = 40 << 10, 20
 	if perPlan := (largeBytes - smallBytes) / (2048 - 18); largeBytes > bytesBudget || perPlan > perPlanBudget {
-		t.Errorf("kept 2,048-plan sweep: %.0f B (budget %d), %.1f B per plan over the 18-plan sweep (budget %d)",
+		t.Errorf("kept 2,048-plan sweep of every plan: %.0f B (budget %d), %.1f B per plan over the 18-plan sweep (budget %d)",
 			largeBytes, bytesBudget, perPlan, perPlanBudget)
+	}
+	// The round's storage with room for 128 candidate rows, the front's
+	// indices and rows, and slack: no matrix.
+	const endsBytesBudget = bytesBudget / 6
+	if endsBytes > endsBytesBudget {
+		t.Errorf("kept 2,048-plan sweep of row ends: %.0f B, budget %d", endsBytes, endsBytesBudget)
 	}
 
 	sched := wideScheduler(t, 42, 32, 0.1, nil)
-	pol := ires.Policy{Weights: []float64{1, 1}}
 	served, servedBytes := measure("serving cycle", 2048, func() {
 		sw, err := sched.PlanSweep(ctx, tpch.QueryQ12)
 		if err != nil {
