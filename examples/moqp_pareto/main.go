@@ -5,10 +5,10 @@
 // working without the federation around it.
 //
 // It then shows the path the scheduler runs on the federated plan
-// space: one exact sweep scores every plan once and keeps its Pareto
-// set, and each user policy just selects inside it (Algorithm 2) —
-// beside the Weighted Sum Model, which scalarizes the whole space again
-// for every policy.
+// space: one exact sweep decides over every plan once and keeps its
+// Pareto set, and each user policy just selects inside it (Algorithm 2)
+// — beside the Weighted Sum Model, which scalarizes the whole space
+// again for every policy.
 //
 // Run with: go run ./examples/moqp_pareto
 package main

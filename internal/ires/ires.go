@@ -32,8 +32,8 @@ var ErrNoHistory = errors.New("ires: no history for query")
 
 // CostModel is the Modelling module contract: predict the cost vector
 // of a plan with feature vector x from the history snapshot s. The
-// scheduler takes one snapshot per round and scores every plan of the
-// round against it, so observations appended concurrently (by other
+// scheduler takes one snapshot per round and scores the round's plans
+// against it, so observations appended concurrently (by other
 // rounds or by Bootstrap) cannot split one Pareto comparison across
 // history versions.
 //

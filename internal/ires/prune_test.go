@@ -202,11 +202,12 @@ func TestWalkDecidesOnTheWholeAxis(t *testing.T) {
 // scores is moo.ParetoFront of the whole matrix walkLinearCosts scores,
 // index for index. First over the cases only a scorer of row ends can
 // get wrong — a run of ties at the high end, rows of equal values, ±0,
-// rows one plan long — whose matrices are Predict's bits too, then over random and adversarial coefficients
-// (±0, signs that disagree, values near overflow, ±Inf, NaN), rows
-// clamped to zero (ties), right axes sorted, unsorted, repeating or one
-// size long, and one to three metrics; with ordered rows and no ties it
-// examines one row end per row.
+// rows one plan long — whose matrices are Predict's bits too, then over
+// random and adversarial coefficients (±0, signs that disagree, values
+// near overflow, ±Inf, NaN), rows clamped to zero (ties), right axes
+// sorted, unsorted, repeating or one size long, and one to three
+// metrics; with ordered rows and no ties it examines one row end per
+// row.
 func TestLinearFrontMatchesParetoFront(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	pair := func(a, b []float64) []*regression.Model {
