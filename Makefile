@@ -131,9 +131,9 @@ bench-sweep:
 bench-boot:
 	$(GO) test -run '^$$' -bench 'Calibrate' -count 5 -cpu 1,2 ./internal/federation
 
-## layers: the layer ledger — PlanSweep/Full/*, SweepRound, ServeServedCold and ServeHotPath at -cpu 1,2, six runs of at least 0.5 s each, summarised per (benchmark, cpu) into BENCH_layers.json under the checked-out commit (a few minutes; CI runs only the ledger's parse test)
+## layers: the layer ledger — PlanSweep/Full/*, SweepRound, ServeServedCold, ServeHotPath, HistoryPage/Repeat and HistoryPage/Polled at -cpu 1,2, six runs of at least 0.5 s each, summarised per (benchmark, cpu) into BENCH_layers.json under the checked-out commit (a few minutes; CI runs only the ledger's parse test)
 layers:
-	$(GO) test -run '^$$' -bench '^Benchmark(PlanSweep|SweepRound|ServeServedCold|ServeHotPath)$$' -benchmem -benchtime 0.5s -count 6 -cpu 1,2 . | \
+	$(GO) test -run '^$$' -bench '^Benchmark(PlanSweep|SweepRound|ServeServedCold|ServeHotPath|HistoryPage)$$' -benchmem -benchtime 0.5s -count 6 -cpu 1,2 . | \
 		$(GO) run ./cmd/benchledger BENCH_layers.json "$$(git describe --always --dirty --abbrev=12)"
 
 ## scenarios: the fixed-seed scenario sweep — MRE, regret and p99 per (arrival × chaos) cell

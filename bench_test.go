@@ -420,23 +420,28 @@ func BenchmarkQ13SweepCached(b *testing.B)   { benchPlanSweep(b, tpch.QueryQ13, 
 // timer, so the measurement isolates the per-plan estimation work and
 // the Pareto reduction; candidates/op is how many cost vectors the
 // reduction examined (midas_pareto_candidates_total), the whole lattice
-// unless it read the front from the lattice's row ends. Distinct from
-// benchPlanSweep above, which releases each sweep and runs on the
-// default two-site topology.
+// unless it read the front from the lattice's row ends. Each sweep is
+// released as a server releases it, so the next reuses its storage.
+// Distinct from benchPlanSweep above, which runs on the default
+// two-site topology.
 func benchWidePlanSweep(b *testing.B, maxNodes int) {
 	b.Helper()
 	reg := metrics.NewRegistry()
 	sched := wideScheduler(b, 1, maxNodes, 0.05, reg)
 	ctx := context.Background()
-	if _, err := sched.PlanSweep(ctx, tpch.QueryQ12); err != nil {
+	sw, err := sched.PlanSweep(ctx, tpch.QueryQ12)
+	if err != nil {
 		b.Fatal(err)
 	}
+	sched.ReleaseSweep(sw)
 	before := candidates(b, reg)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sched.PlanSweep(ctx, tpch.QueryQ12); err != nil {
+		sw, err := sched.PlanSweep(ctx, tpch.QueryQ12)
+		if err != nil {
 			b.Fatal(err)
 		}
+		sched.ReleaseSweep(sw)
 	}
 	b.StopTimer()
 	b.ReportMetric((candidates(b, reg)-before)/float64(b.N), "candidates/op")

@@ -29,6 +29,9 @@ type tenant struct {
 	// latency holds the pre-bound per-query request-latency histograms
 	// (see Server.registerMetrics); immutable once serving starts.
 	latency map[tpch.QueryID]*metrics.Histogram
+	// pages holds each served query's history-page cost cache, in
+	// queries' order.
+	pages []costSlot
 
 	// inflight counts the tenant's submissions from registration (before
 	// the drain flag and the ownership state are loaded) to completion,
@@ -112,6 +115,7 @@ func newTenant(name string, sched QueryScheduler, queries []tpch.QueryID, cold b
 		sched:   sched,
 		queries: queries,
 		stats:   &tenantStats{},
+		pages:   make([]costSlot, len(queries)),
 		pending: make(map[tpch.QueryID]*sweepBatch),
 	}
 	if cold {

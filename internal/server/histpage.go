@@ -22,14 +22,18 @@ import (
 const maxPooledPage = 64 << 10
 
 // historyPage is the pooled per-read state: the body buffer, a snapshot
-// header, and per column the previous observation's value and where
-// its bytes sit in the buffer — a history's table-size columns repeat
-// from one observation to the next, and a repeated value is copied, not
-// formatted again.
+// header, per column the previous observation's value and where its
+// bytes sit in the buffer — a history's table-size columns repeat from
+// one observation to the next, and a repeated value is copied, not
+// formatted again — and the cost record this read writes for its
+// query's cache (see costSlot). hits counts the costs copied from the
+// cache by the last render.
 type historyPage struct {
 	buf  []byte
 	snap core.Snapshot
 	prev []renderedFloat
+	rec  costRecord
+	hits int
 }
 
 type renderedFloat struct {
@@ -39,14 +43,77 @@ type renderedFloat struct {
 
 var pagePool = sync.Pool{New: func() any { return new(historyPage) }}
 
-// release returns p to the pool unless its buffer outgrew the bound;
-// the snapshot header is cleared so the pool does not pin the history's
-// observations.
+// release returns p to the pool unless its buffer or its cost record
+// outgrew the bound; the snapshot header is cleared so the pool does
+// not pin the history's observations.
 func (p *historyPage) release() {
 	p.snap = core.Snapshot{}
-	if cap(p.buf) <= maxPooledPage {
+	if cap(p.buf) <= maxPooledPage && p.rec.size() <= maxPooledPage {
 		pagePool.Put(p)
 	}
+}
+
+// costSlot is one served query's cost cache: the record of the page
+// last rendered for it. A dashboard polls the newest page, and each
+// poll sees only the few observations appended since the last one, so
+// most of a page's costs were formatted by the read before; their text
+// is copied instead (shortest-float formatting is most of a page's
+// cost). The slot is taken with TryLock alone: a reader that finds it
+// busy renders without the cache and leaves it as it was, so no reader
+// waits on another.
+type costSlot struct {
+	mu  sync.Mutex
+	rec costRecord
+}
+
+// costRecord is the JSON text of a page's costs in render order —
+// newest observation first, each one's costs in column order — with the
+// bits each text came from. newest is the index of the page's newest
+// observation and metrics the costs per observation, so the record
+// names each cost by (observation, column). A cost is copied only when
+// its bits are the recorded ones, so a copied page is byte-identical to
+// a formatted one whatever happened to the history between the reads.
+type costRecord struct {
+	newest, metrics int
+	bits            []uint64
+	ends            []uint32 // cost k's text is text[ends[k-1]:ends[k]]
+	text            []byte
+}
+
+// lookup returns the text of observation i's cost in column j of m, if
+// r records it from the same bits; a nil r records nothing.
+func (r *costRecord) lookup(i, j, m int, bits uint64) ([]byte, bool) {
+	if r == nil || m != r.metrics || i > r.newest {
+		return nil, false
+	}
+	k := (r.newest-i)*m + j
+	if k >= len(r.bits) || r.bits[k] != bits {
+		return nil, false
+	}
+	var start uint32
+	if k > 0 {
+		start = r.ends[k-1]
+	}
+	return r.text[start:r.ends[k]], true
+}
+
+// reset empties r, keeping its storage, for a page whose newest
+// observation is newest.
+func (r *costRecord) reset(newest, metrics int) {
+	r.newest, r.metrics = newest, metrics
+	r.bits, r.ends, r.text = r.bits[:0], r.ends[:0], r.text[:0]
+}
+
+// add records the next cost in render order.
+func (r *costRecord) add(bits uint64, text []byte) {
+	r.bits = append(r.bits, bits)
+	r.text = append(r.text, text...)
+	r.ends = append(r.ends, uint32(len(r.text)))
+}
+
+// size is the heap r holds, in bytes.
+func (r *costRecord) size() int {
+	return cap(r.text) + 8*cap(r.bits) + 4*cap(r.ends)
 }
 
 // render writes the page of h, fed's history of query: up to limit
@@ -55,7 +122,27 @@ func (p *historyPage) release() {
 // that stopped short of observation 0, by limit or at the base. It
 // fails on a value JSON cannot carry (NaN, ±Inf — History.Append
 // refuses them, so none should be held), naming the observation.
-func (p *historyPage) render(h *core.History, fed, query string, limit, offset int) (body []byte, truncated bool, err error) {
+//
+// slot is the query's cost cache, or nil. When render takes it, the
+// page copies the costs it records and, once written, leaves its own
+// record there; the slot's old record becomes p's scratch, so each
+// query holds one record and reading allocates nothing for it. A record
+// past maxPooledPage is not kept.
+func (p *historyPage) render(h *core.History, fed, query string, limit, offset int, slot *costSlot) (body []byte, truncated bool, err error) {
+	if slot == nil || !slot.mu.TryLock() {
+		return p.write(h, fed, query, limit, offset, nil)
+	}
+	defer slot.mu.Unlock()
+	body, truncated, err = p.write(h, fed, query, limit, offset, &slot.rec)
+	if err == nil && p.rec.size() <= maxPooledPage {
+		slot.rec, p.rec = p.rec, slot.rec
+	}
+	return body, truncated, err
+}
+
+// write renders the page into p.buf, copying from cache the costs it
+// records and, with a cache, recording every cost in p.rec.
+func (p *historyPage) write(h *core.History, fed, query string, limit, offset int, cache *costRecord) (body []byte, truncated bool, err error) {
 	snap := &p.snap
 	h.SnapshotTo(snap)
 	total := snap.Len()
@@ -84,17 +171,21 @@ func (p *historyPage) render(h *core.History, fed, query string, limit, offset i
 	}
 	b = append(b, `],"observations":[`...)
 	p.prev = p.prev[:0]
+	p.hits = 0
+	if cache != nil {
+		p.rec.reset(total-1-offset, snap.NumMetrics())
+	}
 	for i := total - 1 - offset; i >= total-offset-page; i-- {
 		if i != total-1-offset {
 			b = append(b, ',')
 		}
 		obs := snap.At(i)
 		b = append(b, `{"x":`...)
-		if b, err = p.appendColumns(b, obs.X, 0); err != nil {
+		if b, err = p.appendColumns(b, obs.X); err != nil {
 			return nil, truncated, fmt.Errorf("federation %q, %s, observation %d: x: %w", fed, query, i, err)
 		}
 		b = append(b, `,"costs":`...)
-		if b, err = p.appendColumns(b, obs.Costs, len(obs.X)); err != nil {
+		if b, err = p.appendCosts(b, obs.Costs, i, cache); err != nil {
 			return nil, truncated, fmt.Errorf("federation %q, %s, observation %d: costs: %w", fed, query, i, err)
 		}
 		b = append(b, '}')
@@ -105,10 +196,10 @@ func (p *historyPage) render(h *core.History, fed, query string, limit, offset i
 }
 
 // appendColumns appends vs as a JSON array (History.Append stores no
-// nil slice, so there is no null to write); column numbers its first
-// value among the observation's columns for the repeated-value cache.
-func (p *historyPage) appendColumns(b []byte, vs []float64, column int) ([]byte, error) {
-	for len(p.prev) < column+len(vs) {
+// nil slice, so there is no null to write), copying a value that
+// repeats the previous observation's in the same column.
+func (p *historyPage) appendColumns(b []byte, vs []float64) ([]byte, error) {
+	for len(p.prev) < len(vs) {
 		p.prev = append(p.prev, renderedFloat{}) // end 0: nothing rendered yet
 	}
 	b = append(b, '[')
@@ -116,7 +207,7 @@ func (p *historyPage) appendColumns(b []byte, vs []float64, column int) ([]byte,
 		if j > 0 {
 			b = append(b, ',')
 		}
-		c := &p.prev[column+j]
+		c := &p.prev[j]
 		if bits := math.Float64bits(f); c.end > 0 && bits == c.bits {
 			b = append(b, b[c.start:c.end]...)
 			continue
@@ -124,9 +215,37 @@ func (p *historyPage) appendColumns(b []byte, vs []float64, column int) ([]byte,
 		start := len(b)
 		var ok bool
 		if b, ok = appendJSONFloat(b, f); !ok {
-			return nil, fmt.Errorf("value %d is %v, which JSON cannot carry", j, f)
+			return nil, unencodable(j, f)
 		}
 		*c = renderedFloat{bits: math.Float64bits(f), start: start, end: len(b)}
 	}
 	return append(b, ']'), nil
+}
+
+// appendCosts appends observation i's costs as a JSON array, copying
+// each one cache records from the same bits; with a cache, it records
+// every cost's bits and text in p.rec.
+func (p *historyPage) appendCosts(b []byte, costs []float64, i int, cache *costRecord) ([]byte, error) {
+	b = append(b, '[')
+	for j, f := range costs {
+		if j > 0 {
+			b = append(b, ',')
+		}
+		bits := math.Float64bits(f)
+		start := len(b)
+		if text, ok := cache.lookup(i, j, len(costs), bits); ok {
+			b = append(b, text...)
+			p.hits++
+		} else if b, ok = appendJSONFloat(b, f); !ok {
+			return nil, unencodable(j, f)
+		}
+		if cache != nil {
+			p.rec.add(bits, b[start:])
+		}
+	}
+	return append(b, ']'), nil
+}
+
+func unencodable(j int, f float64) error {
+	return fmt.Errorf("value %d is %v, which JSON cannot carry", j, f)
 }

@@ -1028,7 +1028,8 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if !slices.Contains(t.queries, q) {
+	slot := slices.Index(t.queries, q)
+	if slot < 0 {
 		writeError(w, http.StatusBadRequest, "federation %q does not serve %v", t.name, q)
 		return
 	}
@@ -1079,7 +1080,7 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 	}
 	p := pagePool.Get().(*historyPage)
 	defer p.release()
-	body, truncated, err := p.render(h, t.name, q.String(), limit, offset)
+	body, truncated, err := p.render(h, t.name, q.String(), limit, offset, &t.pages[slot])
 	if truncated {
 		t.stats.histTruncated.Add(1)
 	}

@@ -17,7 +17,8 @@ import (
 // it names still exists in this package: a function Benchmark<first
 // segment>, whose string literals hold each further segment of the
 // name (the sub-benchmarks' names), so a renamed or deleted benchmark
-// cannot leave stale rows behind.
+// cannot leave stale rows behind. In the newest run, each benchmark an
+// alloc test gates reads no more allocs/op than that test's budget.
 func TestLayerLedger(t *testing.T) {
 	data, err := os.ReadFile("BENCH_layers.json")
 	if err != nil {
@@ -29,10 +30,11 @@ func TestLayerLedger(t *testing.T) {
 			Go     string `json:"go"`
 			NProc  int    `json:"nproc"`
 			Rows   []struct {
-				Benchmark string  `json:"benchmark"`
-				Procs     int     `json:"cpu"`
-				Samples   int     `json:"samples"`
-				NsPerOp   float64 `json:"ns_per_op"`
+				Benchmark   string  `json:"benchmark"`
+				Procs       int     `json:"cpu"`
+				Samples     int     `json:"samples"`
+				NsPerOp     float64 `json:"ns_per_op"`
+				AllocsPerOp float64 `json:"allocs_per_op"`
 			} `json:"rows"`
 		} `json:"runs"`
 	}
@@ -62,6 +64,31 @@ func TestLayerLedger(t *testing.T) {
 					t.Errorf("run %q: Benchmark%s names no sub-benchmark %q", run.Commit, segments[0], seg)
 				}
 			}
+		}
+	}
+	newest := ledger.Runs[len(ledger.Runs)-1]
+	for _, gate := range []struct {
+		benchmark string // with its sub-benchmarks
+		budget    float64
+		test      string
+	}{
+		{"ServeHotPath", hotPathAllocBudget, "TestServeSubmitAllocBudget no-deadline"},
+		{"ServeServedCold", servedColdAllocBudget + withCancelAllocs, "TestServeSubmitAllocBudget served-cold, plus the benchmark's context.WithCancel"},
+		{"HistoryPage", historyPageAllocBudget, "TestHistoryPageAllocBudget"},
+	} {
+		rows := 0
+		for _, row := range newest.Rows {
+			if name, _, _ := strings.Cut(row.Benchmark, "/"); name != gate.benchmark {
+				continue
+			}
+			rows++
+			if row.AllocsPerOp > gate.budget {
+				t.Errorf("run %q, %s at -cpu %d: %v allocs/op, over the budget of %v (%s)",
+					newest.Commit, row.Benchmark, row.Procs, row.AllocsPerOp, gate.budget, gate.test)
+			}
+		}
+		if rows == 0 {
+			t.Errorf("run %q has no Benchmark%s row", newest.Commit, gate.benchmark)
 		}
 	}
 }

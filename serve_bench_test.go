@@ -147,6 +147,18 @@ func BenchmarkServeServedCold(b *testing.B) {
 	}
 }
 
+// The allocation budgets of the serving paths the layer ledger times:
+// the alloc tests gate them, and TestLayerLedger holds the ledger's
+// newest rows to them.
+const (
+	hotPathAllocBudget     = 2 // TestServeSubmitAllocBudget, no-deadline
+	servedColdAllocBudget  = 3 // TestServeSubmitAllocBudget, served-cold
+	historyPageAllocBudget = 6 // TestHistoryPageAllocBudget
+	// withCancelAllocs is what the fresh context.WithCancel that
+	// BenchmarkServeServedCold makes per call allocates.
+	withCancelAllocs = 2
+)
+
 // raceEnabled is set by race_test.go when the race detector is
 // compiled in: sync.Pool drops entries at random there, so allocation
 // counts mean nothing.
@@ -188,10 +200,10 @@ func TestServeSubmitAllocBudget(t *testing.T) {
 		ctx    context.Context
 		budget float64
 	}{
-		{"no-deadline", newServeBench(t, noDeadline, fixed), context.Background(), 2},
+		{"no-deadline", newServeBench(t, noDeadline, fixed), context.Background(), hotPathAllocBudget},
 		{"default-config", defaults, cancellable, 2},
 		{"fresh-context", defaults, nil, 4},
-		{"served-cold", cold, cancellable, 3},
+		{"served-cold", cold, cancellable, servedColdAllocBudget},
 	} {
 		srv := tc.srv
 		var resp bytes.Buffer
@@ -384,19 +396,28 @@ func BenchmarkServeDurable(b *testing.B) {
 // history of bootstrapped and served observations.
 
 // newHistoryBench serves submissions into the bench tenant's Q12
-// history until it holds more than one page, and returns the tenant's
-// handler with a page request.
-func newHistoryBench(tb testing.TB) (http.Handler, *http.Request) {
+// history until it holds more than one page, bounded as midasd bounds a
+// served history, and returns the server, its handler and a page
+// request.
+func newHistoryBench(tb testing.TB) (*server.Server, http.Handler, *http.Request) {
 	tb.Helper()
-	srv := newServeBench(tb, noDeadline, newFixedSweepSched(tb, nil))
+	sched := newFixedSweepSched(tb, nil)
+	sched.History(tpch.QueryQ12).SetRetain(1024)
+	srv := newServeBench(tb, noDeadline, sched)
+	submitN(tb, srv, 40)
+	return srv, srv.Handler(), httptest.NewRequest(http.MethodGet, "/v1/history/Q12?limit=50", nil)
+}
+
+// submitN serves n submissions through srv.
+func submitN(tb testing.TB, srv *server.Server, n int) {
+	tb.Helper()
 	var resp bytes.Buffer
-	for i := 0; i < 40; i++ {
+	for range n {
 		resp.Reset()
 		if status := srv.ServeSubmit(context.Background(), serveBody, &resp); status != http.StatusOK {
 			tb.Fatalf("submit = %d: %s", status, resp.String())
 		}
 	}
-	return srv.Handler(), httptest.NewRequest(http.MethodGet, "/v1/history/Q12?limit=50", nil)
 }
 
 // pageSink is a ResponseWriter that keeps only the status and the body
@@ -422,12 +443,27 @@ func (s *pageSink) serve(tb testing.TB, h http.Handler, r *http.Request) {
 
 // BenchmarkHistoryPage times one 50-observation page: query parsing,
 // snapshot, rendering and the write, without a network in the way.
+// Repeat re-reads one page, so once warm every cost is copied from the
+// query's cost cache. Polled is the durable workload's dashboard: a read
+// after every nine untimed submissions, so 41 of the page's 50
+// observations were on the read before.
 func BenchmarkHistoryPage(b *testing.B) {
-	h, req := newHistoryBench(b)
+	b.Run("Repeat", func(b *testing.B) { benchHistoryPage(b, 0) })
+	b.Run("Polled", func(b *testing.B) { benchHistoryPage(b, 9) })
+}
+
+// benchHistoryPage reads the page after every appends submissions.
+func benchHistoryPage(b *testing.B, appends int) {
+	srv, h, req := newHistoryBench(b)
 	sink := &pageSink{header: make(http.Header)}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		if appends > 0 {
+			b.StopTimer()
+			submitN(b, srv, appends)
+			b.StartTimer()
+		}
 		sink.serve(b, h, req)
 	}
 }
@@ -440,12 +476,11 @@ func TestHistoryPageAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	h, req := newHistoryBench(t)
+	_, h, req := newHistoryBench(t)
 	sink := &pageSink{header: make(http.Header)}
 	allocs := testing.AllocsPerRun(200, func() { sink.serve(t, h, req) })
-	const budget = 6
-	t.Logf("%.1f allocs per 50-observation page (%d bytes), budget %d", allocs, sink.n, budget)
-	if allocs > budget {
-		t.Errorf("history page: %.1f allocs, budget %d", allocs, budget)
+	t.Logf("%.1f allocs per 50-observation page (%d bytes), budget %d", allocs, sink.n, historyPageAllocBudget)
+	if allocs > historyPageAllocBudget {
+		t.Errorf("history page: %.1f allocs, budget %d", allocs, historyPageAllocBudget)
 	}
 }
