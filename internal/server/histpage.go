@@ -69,21 +69,21 @@ type costSlot struct {
 // costRecord is the JSON text of a page's costs in render order —
 // newest observation first, each one's costs in column order — with the
 // bits each text came from. newest is the index of the page's newest
-// observation and metrics the costs per observation, so the record
-// names each cost by (observation, column). A cost is copied only when
-// its bits are the recorded ones, so a copied page is byte-identical to
-// a formatted one whatever happened to the history between the reads.
+// observation, so the record names each cost by (observation, column).
+// A cost is copied only when its bits are the recorded ones, so a copied
+// page is byte-identical to a formatted one whatever happened to the
+// history between the reads.
 type costRecord struct {
-	newest, metrics int
-	bits            []uint64
-	ends            []uint32 // cost k's text is text[ends[k-1]:ends[k]]
-	text            []byte
+	newest int
+	bits   []uint64
+	ends   []uint32 // cost k's text is text[ends[k-1]:ends[k]]
+	text   []byte
 }
 
 // lookup returns the text of observation i's cost in column j of m, if
 // r records it from the same bits; a nil r records nothing.
 func (r *costRecord) lookup(i, j, m int, bits uint64) ([]byte, bool) {
-	if r == nil || m != r.metrics || i > r.newest {
+	if r == nil || i > r.newest {
 		return nil, false
 	}
 	k := (r.newest-i)*m + j
@@ -99,8 +99,8 @@ func (r *costRecord) lookup(i, j, m int, bits uint64) ([]byte, bool) {
 
 // reset empties r, keeping its storage, for a page whose newest
 // observation is newest.
-func (r *costRecord) reset(newest, metrics int) {
-	r.newest, r.metrics = newest, metrics
+func (r *costRecord) reset(newest int) {
+	r.newest = newest
 	r.bits, r.ends, r.text = r.bits[:0], r.ends[:0], r.text[:0]
 }
 
@@ -173,7 +173,7 @@ func (p *historyPage) write(h *core.History, fed, query string, limit, offset in
 	p.prev = p.prev[:0]
 	p.hits = 0
 	if cache != nil {
-		p.rec.reset(total-1-offset, snap.NumMetrics())
+		p.rec.reset(total - 1 - offset)
 	}
 	for i := total - 1 - offset; i >= total-offset-page; i-- {
 		if i != total-1-offset {
