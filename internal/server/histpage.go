@@ -123,13 +123,13 @@ func (r *costRecord) size() int {
 // fails on a value JSON cannot carry (NaN, ±Inf — History.Append
 // refuses them, so none should be held), naming the observation.
 //
-// slot is the query's cost cache, or nil. When render takes it, the
-// page copies the costs it records and, once written, leaves its own
-// record there; the slot's old record becomes p's scratch, so each
-// query holds one record and reading allocates nothing for it. A record
-// past maxPooledPage is not kept.
+// slot is the query's cost cache. When render takes it, the page
+// copies the costs it records and, once written, leaves its own record
+// there; the slot's old record becomes p's scratch, so each query holds
+// one record and reading allocates nothing for it. A record past
+// maxPooledPage is not kept.
 func (p *historyPage) render(h *core.History, fed, query string, limit, offset int, slot *costSlot) (body []byte, truncated bool, err error) {
-	if slot == nil || !slot.mu.TryLock() {
+	if !slot.mu.TryLock() {
 		return p.write(h, fed, query, limit, offset, nil)
 	}
 	defer slot.mu.Unlock()

@@ -255,7 +255,7 @@ func FuzzHistoryPage(f *testing.F) {
 		return b
 	}
 	f.Add(seed(edgeFloats...), "main", "time_s", uint16(50), uint16(0), uint8(0))
-	f.Add(seed(1e15, 1e15, 1e15, math.Copysign(0, -1), 3, 1e-7, 1e21), "a<b>&c", "m ", uint16(3), uint16(1), uint8(2))
+	f.Add(seed(1e15, 1e15, 1e15, math.Copysign(0, -1), 3, 1e-7, 1e21), "a<b>&c", "m\u2028", uint16(3), uint16(1), uint8(2))
 	f.Add(seed(1, math.NaN(), 2, math.Inf(1)), "x", "y", uint16(9), uint16(0), uint8(1))
 	f.Fuzz(func(t *testing.T, raw []byte, fed, metric string, limit, offset uint16, retain uint8) {
 		var vals []float64
