@@ -181,11 +181,11 @@ func (p *historyPage) write(h *core.History, fed, query string, limit, offset in
 		}
 		obs := snap.At(i)
 		b = append(b, `{"x":`...)
-		if b, err = p.appendColumns(b, obs.X); err != nil {
+		if b, err = p.appendColumns(b, obs.X, 0, i, nil); err != nil {
 			return nil, truncated, fmt.Errorf("federation %q, %s, observation %d: x: %w", fed, query, i, err)
 		}
 		b = append(b, `,"costs":`...)
-		if b, err = p.appendCosts(b, obs.Costs, i, cache); err != nil {
+		if b, err = p.appendColumns(b, obs.Costs, len(obs.X), i, cache); err != nil {
 			return nil, truncated, fmt.Errorf("federation %q, %s, observation %d: costs: %w", fed, query, i, err)
 		}
 		b = append(b, '}')
@@ -195,11 +195,14 @@ func (p *historyPage) write(h *core.History, fed, query string, limit, offset in
 	return b, truncated, nil
 }
 
-// appendColumns appends vs as a JSON array (History.Append stores no
-// nil slice, so there is no null to write), copying a value that
-// repeats the previous observation's in the same column.
-func (p *historyPage) appendColumns(b []byte, vs []float64) ([]byte, error) {
-	for len(p.prev) < len(vs) {
+// appendColumns appends vs, observation i's values from column on, as a
+// JSON array (History.Append stores no nil slice, so there is no null
+// to write). A value is copied, not formatted, when cache records it
+// from the same bits or when it repeats the previous observation's in
+// the same column; with a cache, every value's bits and text go into
+// p.rec.
+func (p *historyPage) appendColumns(b []byte, vs []float64, column, i int, cache *costRecord) ([]byte, error) {
+	for len(p.prev) < column+len(vs) {
 		p.prev = append(p.prev, renderedFloat{}) // end 0: nothing rendered yet
 	}
 	b = append(b, '[')
@@ -207,36 +210,17 @@ func (p *historyPage) appendColumns(b []byte, vs []float64) ([]byte, error) {
 		if j > 0 {
 			b = append(b, ',')
 		}
-		c := &p.prev[j]
-		if bits := math.Float64bits(f); c.end > 0 && bits == c.bits {
-			b = append(b, b[c.start:c.end]...)
-			continue
-		}
-		start := len(b)
-		var ok bool
-		if b, ok = appendJSONFloat(b, f); !ok {
-			return nil, unencodable(j, f)
-		}
-		*c = renderedFloat{bits: math.Float64bits(f), start: start, end: len(b)}
-	}
-	return append(b, ']'), nil
-}
-
-// appendCosts appends observation i's costs as a JSON array, copying
-// each one cache records from the same bits; with a cache, it records
-// every cost's bits and text in p.rec.
-func (p *historyPage) appendCosts(b []byte, costs []float64, i int, cache *costRecord) ([]byte, error) {
-	b = append(b, '[')
-	for j, f := range costs {
-		if j > 0 {
-			b = append(b, ',')
-		}
 		bits := math.Float64bits(f)
 		start := len(b)
-		if text, ok := cache.lookup(i, j, len(costs), bits); ok {
+		c := &p.prev[column+j]
+		if text, ok := cache.lookup(i, j, len(vs), bits); ok {
 			b = append(b, text...)
 			p.hits++
-		} else if b, ok = appendJSONFloat(b, f); !ok {
+		} else if c.end > 0 && bits == c.bits {
+			b = append(b, b[c.start:c.end]...)
+		} else if b, ok = appendJSONFloat(b, f); ok {
+			*c = renderedFloat{bits: bits, start: start, end: len(b)}
+		} else {
 			return nil, unencodable(j, f)
 		}
 		if cache != nil {

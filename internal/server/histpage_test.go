@@ -215,11 +215,11 @@ func TestHistoryPageNeverCarriesNonFinite(t *testing.T) {
 	}
 	p := pagePool.Get().(*historyPage)
 	defer p.release()
-	if _, err := p.appendColumns(nil, []float64{1, math.Inf(1)}); err == nil || err.Error() != "value 1 is +Inf, which JSON cannot carry" {
+	if _, err := p.appendColumns(nil, []float64{1, math.Inf(1)}, 0, 0, nil); err == nil || err.Error() != "value 1 is +Inf, which JSON cannot carry" {
 		t.Errorf("appendColumns over +Inf: %v", err)
 	}
-	if _, err := p.appendCosts(nil, []float64{math.NaN()}, 0, &costRecord{}); err == nil || err.Error() != "value 0 is NaN, which JSON cannot carry" {
-		t.Errorf("appendCosts over NaN: %v", err)
+	if _, err := p.appendColumns(nil, []float64{math.NaN()}, 0, 0, &costRecord{}); err == nil || err.Error() != "value 0 is NaN, which JSON cannot carry" {
+		t.Errorf("appendColumns over NaN with a cache: %v", err)
 	}
 }
 
