@@ -58,9 +58,11 @@ func (p *historyPage) release() {
 // poll sees only the few observations appended since the last one, so
 // most of a page's costs were formatted by the read before; their text
 // is copied instead (shortest-float formatting is most of a page's
-// cost). The slot is taken with TryLock alone: a reader that finds it
-// busy renders without the cache and leaves it as it was, so no reader
-// waits on another.
+// cost). A read that shares no observation with the record gains
+// nothing and still records its costs, which makes it about a tenth
+// slower than a page rendered without a cache. The slot is taken with
+// TryLock alone: a reader that finds it busy renders without the cache
+// and leaves it as it was, so no reader waits on another.
 type costSlot struct {
 	mu  sync.Mutex
 	rec costRecord
