@@ -127,13 +127,14 @@ bench-smoke:
 bench-sweep:
 	$(GO) test -run '^$$' -bench '$(SWEEP_PATTERN)' -benchtime 10x -count $(SWEEP_COUNT) . ./internal/moo ./internal/histstore
 
-## bench-boot: repeated runs of BenchmarkCalibrate (generate the SF 0.004 calibration database, run the four studied queries on it) at -cpu 1,2 — the cost every boot and cold tenant build pays per federation, for benchstat
+## bench-boot: repeated runs of BenchmarkCalibrate (generate the SF 0.004 calibration database, run the four studied queries on it) and of BenchmarkTenantBuild (one cold server.New of solo's spec, then Drain) at -cpu 1,2 — the cost every boot and cold tenant build pays per federation, for benchstat
 bench-boot:
-	$(GO) test -run '^$$' -bench 'Calibrate' -count 5 -cpu 1,2 ./internal/federation
+	$(GO) test -run '^$$' -bench 'Calibrate' -benchmem -count 5 -cpu 1,2 ./internal/federation
+	$(GO) test -run '^$$' -bench '^BenchmarkTenantBuild$$' -benchmem -count 5 -cpu 1,2 .
 
-## layers: the layer ledger — PlanSweep/Full/*, SweepRound, ServeServedCold, ServeHotPath, HistoryPage/Repeat and HistoryPage/Polled at -cpu 1,2, six runs of at least 0.5 s each, summarised per (benchmark, cpu) into BENCH_layers.json under the checked-out commit (a few minutes; CI runs only the ledger's parse test)
+## layers: the layer ledger — PlanSweep/Full/*, SweepRound, ServeServedCold, ServeHotPath, HistoryPage/Repeat, HistoryPage/Polled and TenantBuild at -cpu 1,2, six runs of at least 0.5 s each, summarised per (benchmark, cpu) into BENCH_layers.json under the checked-out commit (a few minutes; CI runs only the ledger's parse test)
 layers:
-	$(GO) test -run '^$$' -bench '^Benchmark(PlanSweep|SweepRound|ServeServedCold|ServeHotPath|HistoryPage)$$' -benchmem -benchtime 0.5s -count 6 -cpu 1,2 . | \
+	$(GO) test -run '^$$' -bench '^Benchmark(PlanSweep|SweepRound|ServeServedCold|ServeHotPath|HistoryPage|TenantBuild)$$' -benchmem -benchtime 0.5s -count 6 -cpu 1,2 . | \
 		$(GO) run ./cmd/benchledger BENCH_layers.json "$$(git describe --always --dirty --abbrev=12)"
 
 ## scenarios: the fixed-seed scenario sweep — MRE, regret and p99 per (arrival × chaos) cell

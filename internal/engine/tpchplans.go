@@ -33,7 +33,7 @@ func ToRelation(db *tpch.Database, table string) (*Relation, error) {
 			orderKey[i], partKey[i] = int64(l.OrderKey), int64(l.PartKey)
 			qty[i], price[i], disc[i] = l.Quantity, l.ExtendedPrice, l.Discount
 			ship[i], commit[i], receipt[i] = int64(l.ShipDate), int64(l.CommitDate), int64(l.ReceiptDate)
-			mode[i] = l.ShipMode
+			mode[i] = l.ShipMode.String()
 		}
 		rel.Schema = Schema{
 			"l_orderkey", "l_partkey", "l_quantity", "l_extendedprice",

@@ -18,3 +18,29 @@ func BenchmarkCalibrate(b *testing.B) {
 		}
 	}
 }
+
+// calibrateAllocBudget holds one calibration's allocations (1,367 at
+// seed 42): the generated tables, a few hundred shared strings, the
+// typed columns and the engine's operators. A per-row string or pointer
+// back in the generator fails it: the customer names alone are 600
+// rows at CalibrationSF, and the generator that gave every name,
+// comment, part attribute and lineitem code its own string made 11,776.
+const calibrateAllocBudget = 1500
+
+// TestCalibrateAllocBudget holds Calibrate at the served calibration
+// scale to calibrateAllocBudget allocations.
+func TestCalibrateAllocBudget(t *testing.T) {
+	fed, err := DefaultTopology(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := Calibrate(fed, CalibrationSF, 42); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%v allocations per Calibrate", allocs)
+	if allocs > calibrateAllocBudget {
+		t.Errorf("Calibrate allocates %v objects, over the budget of %d", allocs, calibrateAllocBudget)
+	}
+}

@@ -58,11 +58,14 @@ func (p *historyPage) release() {
 // poll sees only the few observations appended since the last one, so
 // most of a page's costs were formatted by the read before; their text
 // is copied instead (shortest-float formatting is most of a page's
-// cost). A read that shares no observation with the record gains
-// nothing and still records its costs, which makes it about a tenth
-// slower than a page rendered without a cache. The slot is taken with
-// TryLock alone: a reader that finds it busy renders without the cache
-// and leaves it as it was, so no reader waits on another.
+// cost). A newest page that shares no observation with the record
+// gains nothing and still records its costs, which makes it about a
+// tenth slower than a page rendered without a cache. An older page (at
+// an offset, starting below the record's newest observation) copies
+// what it shares and records nothing, so it neither pays for recording
+// nor evicts the poller's record. The slot is taken with TryLock alone:
+// a reader that finds it busy renders without the cache and leaves it
+// as it was, so no reader waits on another.
 type costSlot struct {
 	mu  sync.Mutex
 	rec costRecord
@@ -127,28 +130,32 @@ func (r *costRecord) size() int {
 //
 // slot is the query's cost cache. When render takes it, the page
 // copies the costs it records and, once written, leaves its own record
-// there; the slot's old record becomes p's scratch, so each query holds
-// one record and reading allocates nothing for it. A record past
-// maxPooledPage is not kept.
+// there unless the page is an older one than the record's; the slot's
+// old record becomes p's scratch, so each query holds one record and
+// reading allocates nothing for it. A record past maxPooledPage is not
+// kept.
 func (p *historyPage) render(h *core.History, fed, query string, limit, offset int, slot *costSlot) (body []byte, truncated bool, err error) {
+	h.SnapshotTo(&p.snap)
+	offset = min(offset, p.snap.Len())
 	if !slot.mu.TryLock() {
-		return p.write(h, fed, query, limit, offset, nil)
+		return p.write(fed, query, limit, offset, nil, nil)
 	}
 	defer slot.mu.Unlock()
-	body, truncated, err = p.write(h, fed, query, limit, offset, &slot.rec)
+	if offset > 0 && p.snap.Len()-1-offset < slot.rec.newest {
+		return p.write(fed, query, limit, offset, &slot.rec, nil)
+	}
+	body, truncated, err = p.write(fed, query, limit, offset, &slot.rec, &p.rec)
 	if err == nil && p.rec.size() <= maxPooledPage {
 		slot.rec, p.rec = p.rec, slot.rec
 	}
 	return body, truncated, err
 }
 
-// write renders the page into p.buf, copying from cache the costs it
-// records and, with a cache, recording every cost in p.rec.
-func (p *historyPage) write(h *core.History, fed, query string, limit, offset int, cache *costRecord) (body []byte, truncated bool, err error) {
+// write renders the page of p.snap into p.buf, copying from cache the
+// costs it records and recording every cost in rec; either may be nil.
+func (p *historyPage) write(fed, query string, limit, offset int, cache, rec *costRecord) (body []byte, truncated bool, err error) {
 	snap := &p.snap
-	h.SnapshotTo(snap)
 	total := snap.Len()
-	offset = min(offset, total)
 	// Observations at or before the offset that are still held.
 	page := min(max(total-offset-snap.Base(), 0), limit)
 	truncated = page < total-offset
@@ -174,8 +181,8 @@ func (p *historyPage) write(h *core.History, fed, query string, limit, offset in
 	b = append(b, `],"observations":[`...)
 	p.prev = p.prev[:0]
 	p.hits = 0
-	if cache != nil {
-		p.rec.reset(total - 1 - offset)
+	if rec != nil {
+		rec.reset(total - 1 - offset)
 	}
 	for i := total - 1 - offset; i >= total-offset-page; i-- {
 		if i != total-1-offset {
@@ -183,11 +190,11 @@ func (p *historyPage) write(h *core.History, fed, query string, limit, offset in
 		}
 		obs := snap.At(i)
 		b = append(b, `{"x":`...)
-		if b, err = p.appendColumns(b, obs.X, 0, i, nil); err != nil {
+		if b, err = p.appendColumns(b, obs.X, 0, i, nil, nil); err != nil {
 			return nil, truncated, fmt.Errorf("federation %q, %s, observation %d: x: %w", fed, query, i, err)
 		}
 		b = append(b, `,"costs":`...)
-		if b, err = p.appendColumns(b, obs.Costs, len(obs.X), i, cache); err != nil {
+		if b, err = p.appendColumns(b, obs.Costs, len(obs.X), i, cache, rec); err != nil {
 			return nil, truncated, fmt.Errorf("federation %q, %s, observation %d: costs: %w", fed, query, i, err)
 		}
 		b = append(b, '}')
@@ -201,9 +208,8 @@ func (p *historyPage) write(h *core.History, fed, query string, limit, offset in
 // JSON array (History.Append stores no nil slice, so there is no null
 // to write). A value is copied, not formatted, when cache records it
 // from the same bits or when it repeats the previous observation's in
-// the same column; with a cache, every value's bits and text go into
-// p.rec.
-func (p *historyPage) appendColumns(b []byte, vs []float64, column, i int, cache *costRecord) ([]byte, error) {
+// the same column; with a rec, every value's bits and text go into it.
+func (p *historyPage) appendColumns(b []byte, vs []float64, column, i int, cache, rec *costRecord) ([]byte, error) {
 	for len(p.prev) < column+len(vs) {
 		p.prev = append(p.prev, renderedFloat{}) // end 0: nothing rendered yet
 	}
@@ -225,8 +231,8 @@ func (p *historyPage) appendColumns(b []byte, vs []float64, column, i int, cache
 		} else {
 			return nil, unencodable(j, f)
 		}
-		if cache != nil {
-			p.rec.add(bits, b[start:])
+		if rec != nil {
+			rec.add(bits, b[start:])
 		}
 	}
 	return append(b, ']'), nil

@@ -215,10 +215,10 @@ func TestHistoryPageNeverCarriesNonFinite(t *testing.T) {
 	}
 	p := pagePool.Get().(*historyPage)
 	defer p.release()
-	if _, err := p.appendColumns(nil, []float64{1, math.Inf(1)}, 0, 0, nil); err == nil || err.Error() != "value 1 is +Inf, which JSON cannot carry" {
+	if _, err := p.appendColumns(nil, []float64{1, math.Inf(1)}, 0, 0, nil, nil); err == nil || err.Error() != "value 1 is +Inf, which JSON cannot carry" {
 		t.Errorf("appendColumns over +Inf: %v", err)
 	}
-	if _, err := p.appendColumns(nil, []float64{math.NaN()}, 0, 0, &costRecord{}); err == nil || err.Error() != "value 0 is NaN, which JSON cannot carry" {
+	if _, err := p.appendColumns(nil, []float64{math.NaN()}, 0, 0, &costRecord{}, &p.rec); err == nil || err.Error() != "value 0 is NaN, which JSON cannot carry" {
 		t.Errorf("appendColumns over NaN with a cache: %v", err)
 	}
 }
@@ -368,6 +368,27 @@ func TestHistoryPageCostCache(t *testing.T) {
 		cachePage(t, h, &slot, 50, 0)
 		if hits := cachePage(t, h, &slot, 50, 5); hits != 45*2 {
 			t.Fatalf("five older: %d costs copied, want %d", hits, 45*2)
+		}
+	})
+	t.Run("offset read between polls", func(t *testing.T) {
+		// An older page, overlapping the poller's record or not, leaves
+		// the record as it was, so the next poll still copies.
+		for _, offset := range []int{5, 50} {
+			var slot costSlot
+			h := costHistory(t, 120, measured)
+			cachePage(t, h, &slot, 50, 0)
+			newest, bits := slot.rec.newest, slices.Clone(slot.rec.bits)
+			hits := cachePage(t, h, &slot, 50, offset)
+			if want := max(50-offset, 0) * 2; hits != want {
+				t.Fatalf("offset %d: %d costs copied, want %d", offset, hits, want)
+			}
+			if slot.rec.newest != newest || !slices.Equal(slot.rec.bits, bits) {
+				t.Fatalf("offset %d moved the record: newest %d → %d", offset, newest, slot.rec.newest)
+			}
+			appendCostRows(t, h, 120, 129, measured)
+			if hits := cachePage(t, h, &slot, 50, 0); hits != 41*2 {
+				t.Fatalf("offset %d, then a poll after nine appends: %d costs copied, want %d", offset, hits, 41*2)
+			}
 		}
 	})
 	t.Run("limit beyond the cached page", func(t *testing.T) {

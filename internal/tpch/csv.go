@@ -82,7 +82,7 @@ func (db *Database) WriteCSV(table string, w io.Writer) error {
 				f64(l.Quantity), f64(l.ExtendedPrice), f64(l.Discount), f64(l.Tax),
 				string(l.ReturnFlag), string(l.LineStatus),
 				l.ShipDate.String(), l.CommitDate.String(), l.ReceiptDate.String(),
-				l.ShipInstruct, l.ShipMode,
+				l.ShipInstruct.String(), l.ShipMode.String(),
 			}); err != nil {
 				return err
 			}

@@ -65,7 +65,10 @@ func TestWriteCSVLineitemContent(t *testing.T) {
 	if !strings.Contains(row[10], "-") {
 		t.Errorf("shipdate %q not ISO formatted", row[10])
 	}
-	if row[14] != l.ShipMode {
+	if row[13] != l.ShipInstruct.String() {
+		t.Errorf("shipinstruct = %s, want %s", row[13], l.ShipInstruct)
+	}
+	if row[14] != l.ShipMode.String() {
 		t.Errorf("shipmode = %s, want %s", row[14], l.ShipMode)
 	}
 }

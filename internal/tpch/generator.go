@@ -3,7 +3,6 @@ package tpch
 import (
 	"fmt"
 	"strconv"
-	"strings"
 
 	"repro/internal/stats"
 )
@@ -24,11 +23,11 @@ var OrderPriorities = []string{"1-URGENT", "2-HIGH", "3-MEDIUM", "4-NOT SPECIFIE
 
 // Containers and Brands/Types use the spec's generative vocabulary.
 var (
-	containerSizes  = []string{"SM", "LG", "MED", "JUMBO", "WRAP"}
-	containerShapes = []string{"CASE", "BOX", "BAG", "JAR", "PKG", "PACK", "CAN", "DRUM"}
-	typeSyllable1   = []string{"STANDARD", "SMALL", "MEDIUM", "LARGE", "ECONOMY", "PROMO"}
-	typeSyllable2   = []string{"ANODIZED", "BURNISHED", "PLATED", "POLISHED", "BRUSHED"}
-	typeSyllable3   = []string{"TIN", "NICKEL", "BRASS", "STEEL", "COPPER"}
+	containerSizes  = [...]string{"SM", "LG", "MED", "JUMBO", "WRAP"}
+	containerShapes = [...]string{"CASE", "BOX", "BAG", "JAR", "PKG", "PACK", "CAN", "DRUM"}
+	typeSyllable1   = [...]string{"STANDARD", "SMALL", "MEDIUM", "LARGE", "ECONOMY", "PROMO"}
+	typeSyllable2   = [...]string{"ANODIZED", "BURNISHED", "PLATED", "POLISHED", "BRUSHED"}
+	typeSyllable3   = [...]string{"TIN", "NICKEL", "BRASS", "STEEL", "COPPER"}
 	segments        = []string{"AUTOMOBILE", "BUILDING", "FURNITURE", "MACHINERY", "HOUSEHOLD"}
 	shipInstructs   = []string{"DELIVER IN PERSON", "COLLECT COD", "NONE", "TAKE BACK RETURN"}
 	regionNames     = []string{"AFRICA", "AMERICA", "ASIA", "EUROPE", "MIDDLE EAST"}
@@ -78,10 +77,11 @@ func Generate(sf float64, opts GenOptions) (*Database, error) {
 	nSupp := scaled(baseSupplier, sf)
 
 	db.Customers = make([]Customer, nCust)
+	custNames := numberedNames("Customer#", nCust, 9)
 	for i := range db.Customers {
 		db.Customers[i] = Customer{
 			CustKey:    int32(i + 1),
-			Name:       numbered("Customer#", i+1, 9),
+			Name:       custNames[i],
 			NationKey:  int32(rng.Intn(len(nationNames))),
 			AcctBal:    rng.Uniform(-999.99, 9999.99),
 			MktSegment: segments[rng.Intn(len(segments))],
@@ -89,29 +89,51 @@ func Generate(sf float64, opts GenOptions) (*Database, error) {
 	}
 
 	db.Suppliers = make([]Supplier, nSupp)
+	suppNames := numberedNames("Supplier#", nSupp, 9)
 	for i := range db.Suppliers {
 		db.Suppliers[i] = Supplier{
 			SuppKey:   int32(i + 1),
-			Name:      numbered("Supplier#", i+1, 9),
+			Name:      suppNames[i],
 			NationKey: int32(rng.Intn(len(nationNames))),
 		}
 	}
 
+	// A part's manufacturer, brand, type and container each take one of
+	// at most 150 values: each is built the first time it is drawn and
+	// shared by every part that draws it again.
+	var (
+		mfgrs      [5]string
+		brands     [5][5]string
+		types      [len(typeSyllable1)][len(typeSyllable2)][len(typeSyllable3)]string
+		containers [len(containerSizes)][len(containerShapes)]string
+	)
 	db.Parts = make([]Part, nPart)
+	partNames := numberedNames("part ", nPart, 0)
 	for i := range db.Parts {
-		mfgr := rng.Intn(5) + 1
-		brand := mfgr*10 + rng.Intn(5) + 1
+		m, b := rng.Intn(5), rng.Intn(5)
+		t1, t2, t3 := rng.Intn(len(typeSyllable1)), rng.Intn(len(typeSyllable2)), rng.Intn(len(typeSyllable3))
+		size := int32(rng.Intn(50) + 1)
+		cs, cp := rng.Intn(len(containerSizes)), rng.Intn(len(containerShapes))
+		if mfgrs[m] == "" {
+			mfgrs[m] = numbered("Manufacturer#", m+1)
+		}
+		if brands[m][b] == "" {
+			brands[m][b] = numbered("Brand#", (m+1)*10+b+1)
+		}
+		if types[t1][t2][t3] == "" {
+			types[t1][t2][t3] = typeSyllable1[t1] + " " + typeSyllable2[t2] + " " + typeSyllable3[t3]
+		}
+		if containers[cs][cp] == "" {
+			containers[cs][cp] = containerSizes[cs] + " " + containerShapes[cp]
+		}
 		db.Parts[i] = Part{
-			PartKey: int32(i + 1),
-			Name:    numbered("part ", i+1, 0),
-			Mfgr:    numbered("Manufacturer#", mfgr, 0),
-			Brand:   numbered("Brand#", brand, 0),
-			Type: typeSyllable1[rng.Intn(len(typeSyllable1))] + " " +
-				typeSyllable2[rng.Intn(len(typeSyllable2))] + " " +
-				typeSyllable3[rng.Intn(len(typeSyllable3))],
-			Size: int32(rng.Intn(50) + 1),
-			Container: containerSizes[rng.Intn(len(containerSizes))] + " " +
-				containerShapes[rng.Intn(len(containerShapes))],
+			PartKey:     int32(i + 1),
+			Name:        partNames[i],
+			Mfgr:        mfgrs[m],
+			Brand:       brands[m][b],
+			Type:        types[t1][t2][t3],
+			Size:        size,
+			Container:   containers[cs][cp],
 			RetailPrice: 900 + float64((i+1)%200)/10 + rng.Uniform(0, 100),
 		}
 	}
@@ -133,6 +155,11 @@ func Generate(sf float64, opts GenOptions) (*Database, error) {
 	db.Orders = make([]Order, nOrders)
 	db.Lineitems = make([]Lineitem, 0, nOrders*maxLines)
 	statuses := []byte{'F', 'O', 'P'}
+	// Every order's comment is appended to one buffer; commentEnds[i] is
+	// where order i's ends. The comments are sliced out of one string
+	// once the orders are drawn.
+	comments := make([]byte, 0, nOrders*meanCommentLen)
+	commentEnds := make([]int, nOrders)
 	for i := range db.Orders {
 		od := Date(rng.Intn(lastOrderDay + 1))
 		o := Order{
@@ -141,8 +168,9 @@ func Generate(sf float64, opts GenOptions) (*Database, error) {
 			OrderStatus:   statuses[rng.Intn(len(statuses))],
 			OrderDate:     od,
 			OrderPriority: OrderPriorities[rng.Intn(len(OrderPriorities))],
-			Comment:       genComment(rng),
 		}
+		comments = appendComment(comments, rng)
+		commentEnds[i] = len(comments)
 		nLines := rng.Intn(maxLines) + 1
 		var total float64
 		for ln := 0; ln < nLines; ln++ {
@@ -165,8 +193,8 @@ func Generate(sf float64, opts GenOptions) (*Database, error) {
 				ShipDate:      ship,
 				CommitDate:    commit,
 				ReceiptDate:   receipt,
-				ShipInstruct:  shipInstructs[rng.Intn(len(shipInstructs))],
-				ShipMode:      ShipModes[rng.Intn(len(ShipModes))],
+				ShipInstruct:  ShipInstruct(rng.Intn(len(shipInstructs))),
+				ShipMode:      ShipMode(rng.Intn(len(ShipModes))),
 			}
 			total += li.ExtendedPrice * (1 - li.Discount) * (1 + li.Tax)
 			db.Lineitems = append(db.Lineitems, li)
@@ -174,25 +202,58 @@ func Generate(sf float64, opts GenOptions) (*Database, error) {
 		o.TotalPrice = total
 		db.Orders[i] = o
 	}
+	text, start := string(comments), 0
+	for i, end := range commentEnds {
+		db.Orders[i].Comment = text[start:end]
+		start = end
+	}
 	return db, nil
 }
 
 // maxLines is the most lineitems an order has (the spec's 1–7).
 const maxLines = 7
 
-// numbered returns prefix followed by n, zero-padded to width digits
-// (fmt's "%0*d" for the non-negative n the generator names rows with).
-func numbered(prefix string, n, width int) string {
-	var digits [20]byte
-	d := strconv.AppendInt(digits[:0], int64(n), 10)
-	var sb strings.Builder
-	sb.Grow(len(prefix) + max(width, len(d)))
-	sb.WriteString(prefix)
-	for i := len(d); i < width; i++ {
-		sb.WriteByte('0')
+// numbered returns prefix followed by n (fmt's "%d").
+func numbered(prefix string, n int) string {
+	var buf [32]byte
+	return string(appendNumbered(buf[:0], prefix, n, 0))
+}
+
+// numberedNames returns prefix followed by n, zero-padded to width
+// digits, for n = 1..count: the unique names of a table's rows, sliced
+// out of one string.
+func numberedNames(prefix string, count, width int) []string {
+	buf := make([]byte, 0, count*(len(prefix)+max(width, digits(count))))
+	for n := 1; n <= count; n++ {
+		buf = appendNumbered(buf, prefix, n, width)
 	}
-	sb.Write(d)
-	return sb.String()
+	text := string(buf)
+	names := make([]string, count)
+	for i := range names {
+		w := len(prefix) + max(width, digits(i+1))
+		names[i], text = text[:w], text[w:]
+	}
+	return names
+}
+
+// appendNumbered appends prefix followed by n, zero-padded to width
+// digits (fmt's "%0*d" for the non-negative n the generator names rows
+// with).
+func appendNumbered(buf []byte, prefix string, n, width int) []byte {
+	buf = append(buf, prefix...)
+	for i := digits(n); i < width; i++ {
+		buf = append(buf, '0')
+	}
+	return strconv.AppendInt(buf, int64(n), 10)
+}
+
+// digits returns the number of decimal digits of the non-negative n.
+func digits(n int) int {
+	d := 1
+	for ; n >= 10; n /= 10 {
+		d++
+	}
+	return d
 }
 
 // scaled returns max(1, base·sf).
@@ -204,19 +265,29 @@ func scaled(base int, sf float64) int {
 	return n
 }
 
-// genComment emits a short pseudo-text comment; ~5% of order comments
-// contain the "special … requests" pattern Q13 filters out, mirroring
-// the selectivity of the spec's text grammar.
-func genComment(rng *stats.RNG) string {
+// appendComment appends a short pseudo-text comment; ~5% of order
+// comments contain the "special … requests" pattern Q13 filters out,
+// mirroring the selectivity of the spec's text grammar.
+func appendComment(buf []byte, rng *stats.RNG) []byte {
 	if rng.Bernoulli(0.05) {
-		return commentWords[rng.Intn(len(commentWords))] + " special " +
-			commentWords[rng.Intn(len(commentWords))] + " requests"
+		buf = append(buf, commentWords[rng.Intn(len(commentWords))]...)
+		buf = append(buf, " special "...)
+		buf = append(buf, commentWords[rng.Intn(len(commentWords))]...)
+		return append(buf, " requests"...)
 	}
-	a := commentWords[rng.Intn(len(commentWords))]
-	b := commentWords[rng.Intn(len(commentWords))]
-	c := commentWords[rng.Intn(len(commentWords))]
-	return a + " " + b + " " + c
+	for w := range 3 {
+		if w > 0 {
+			buf = append(buf, ' ')
+		}
+		buf = append(buf, commentWords[rng.Intn(len(commentWords))]...)
+	}
+	return buf
 }
+
+// meanCommentLen sizes the comment buffer: an order's comment averages
+// about 25 bytes (three of commentWords, 7.6 bytes on average, and two
+// spaces), so the buffer seldom grows.
+const meanCommentLen = 26
 
 // statusCutoff is the spec's "current date", 1995-06-17: lines received
 // by it may be returned, lines shipped after it are still open.

@@ -46,7 +46,8 @@ func Q12(db *Database, p Q12Params) []Q12Row {
 	groups := make(map[string]*Q12Row)
 	for i := range db.Lineitems {
 		l := &db.Lineitems[i]
-		if !modes[l.ShipMode] ||
+		mode := l.ShipMode.String()
+		if !modes[mode] ||
 			l.CommitDate >= l.ReceiptDate ||
 			l.ShipDate >= l.CommitDate ||
 			l.ReceiptDate < p.StartDate || l.ReceiptDate >= end {
@@ -56,10 +57,10 @@ func Q12(db *Database, p Q12Params) []Q12Row {
 		if !ok {
 			continue
 		}
-		g := groups[l.ShipMode]
+		g := groups[mode]
 		if g == nil {
-			g = &Q12Row{ShipMode: l.ShipMode}
-			groups[l.ShipMode] = g
+			g = &Q12Row{ShipMode: mode}
+			groups[mode] = g
 		}
 		if op == "1-URGENT" || op == "2-HIGH" {
 			g.HighLineCount++

@@ -95,9 +95,23 @@ type Lineitem struct {
 	ShipDate      Date
 	CommitDate    Date
 	ReceiptDate   Date
-	ShipInstruct  string
-	ShipMode      string
+	ShipInstruct  ShipInstruct
+	ShipMode      ShipMode
 }
+
+// ShipInstruct is a Lineitem's shipping instruction, a code into the
+// spec's four instructions. A code, not a string, keeps Lineitem free
+// of pointers, so the garbage collector never scans the lineitem table.
+type ShipInstruct uint8
+
+// String returns the instruction's text, e.g. "DELIVER IN PERSON".
+func (s ShipInstruct) String() string { return shipInstructs[s] }
+
+// ShipMode is a Lineitem's shipping mode, a code into ShipModes.
+type ShipMode uint8
+
+// String returns the mode's text, e.g. "MAIL".
+func (m ShipMode) String() string { return ShipModes[m] }
 
 // Part mirrors TPC-H PART.
 type Part struct {

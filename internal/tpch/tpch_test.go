@@ -1,6 +1,8 @@
 package tpch
 
 import (
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -332,5 +334,63 @@ func TestPropertyGeneratorScalesMonotonically(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestLineitemHoldsNoPointer: a Lineitem is numbers and codes, so the
+// lineitem table, a calibration's largest allocation, holds nothing the
+// garbage collector must scan.
+func TestLineitemHoldsNoPointer(t *testing.T) {
+	if path := pointerIn(reflect.TypeOf(Lineitem{}), "Lineitem"); path != "" {
+		t.Errorf("%s holds a pointer", path)
+	}
+}
+
+// pointerIn returns the path of the first field of typ that is or holds
+// a pointer (a string, slice, map, interface, ...), or "" if none does.
+func pointerIn(typ reflect.Type, path string) string {
+	switch typ.Kind() {
+	case reflect.Struct:
+		for i := range typ.NumField() {
+			f := typ.Field(i)
+			if p := pointerIn(f.Type, path+"."+f.Name); p != "" {
+				return p
+			}
+		}
+		return ""
+	case reflect.Array:
+		return pointerIn(typ.Elem(), path+"[0]")
+	case reflect.Bool,
+		reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return ""
+	}
+	return path
+}
+
+// TestShipCodesNameTheVocabulary: every instruction and mode a lineitem
+// draws reads back through String as one of the spec's words, and each
+// word is drawn.
+func TestShipCodesNameTheVocabulary(t *testing.T) {
+	db := genSmall(t, 0.002, 5)
+	instructs, modes := map[string]bool{}, map[string]bool{}
+	for _, l := range db.Lineitems {
+		instructs[l.ShipInstruct.String()] = true
+		modes[l.ShipMode.String()] = true
+	}
+	for _, c := range []struct {
+		name  string
+		drawn map[string]bool
+		vocab []string
+	}{{"instruction", instructs, shipInstructs}, {"mode", modes, ShipModes}} {
+		if len(c.drawn) != len(c.vocab) {
+			t.Errorf("%d distinct %ss drawn, want %d", len(c.drawn), c.name, len(c.vocab))
+		}
+		for w := range c.drawn {
+			if !slices.Contains(c.vocab, w) {
+				t.Errorf("%s %q is not in the vocabulary", c.name, w)
+			}
+		}
 	}
 }

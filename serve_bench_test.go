@@ -147,6 +147,28 @@ func BenchmarkServeServedCold(b *testing.B) {
 	}
 }
 
+// BenchmarkTenantBuild is one cold tenant build, what a boot pays per
+// federation before it serves: server.New of the `solo` workload's spec
+// (Q12 alone; the calibration database generated and the four studied
+// queries run on it, the scheduler built and bootstrapped), then Drain.
+// Nothing outlives an op, so every op is as cold as a boot. It is the
+// layer number beside the benchmark's setup_s; BenchmarkCalibrate
+// (`./internal/federation`) times the calibration alone.
+func BenchmarkTenantBuild(b *testing.B) {
+	cfg := server.Config{Federations: []server.FederationSpec{{Name: "solo", Queries: []string{"Q12"}}}}
+	ctx := context.Background()
+	b.ReportAllocs()
+	for b.Loop() {
+		srv, err := server.New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := srv.Drain(ctx); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // The allocation budgets of the serving paths the layer ledger times:
 // the alloc tests gate them, and TestLayerLedger holds the ledger's
 // newest rows to them.
