@@ -115,10 +115,10 @@ func Generate(sf float64, opts GenOptions) (*Database, error) {
 		size := int32(rng.Intn(50) + 1)
 		cs, cp := rng.Intn(len(containerSizes)), rng.Intn(len(containerShapes))
 		if mfgrs[m] == "" {
-			mfgrs[m] = numbered("Manufacturer#", m+1)
+			mfgrs[m] = "Manufacturer#" + strconv.Itoa(m+1)
 		}
 		if brands[m][b] == "" {
-			brands[m][b] = numbered("Brand#", (m+1)*10+b+1)
+			brands[m][b] = "Brand#" + strconv.Itoa((m+1)*10+b+1)
 		}
 		if types[t1][t2][t3] == "" {
 			types[t1][t2][t3] = typeSyllable1[t1] + " " + typeSyllable2[t2] + " " + typeSyllable3[t3]
@@ -213,19 +213,17 @@ func Generate(sf float64, opts GenOptions) (*Database, error) {
 // maxLines is the most lineitems an order has (the spec's 1–7).
 const maxLines = 7
 
-// numbered returns prefix followed by n (fmt's "%d").
-func numbered(prefix string, n int) string {
-	var buf [32]byte
-	return string(appendNumbered(buf[:0], prefix, n, 0))
-}
-
 // numberedNames returns prefix followed by n, zero-padded to width
-// digits, for n = 1..count: the unique names of a table's rows, sliced
-// out of one string.
+// digits (fmt's "%0*d"), for n = 1..count: the unique names of a
+// table's rows, sliced out of one string.
 func numberedNames(prefix string, count, width int) []string {
 	buf := make([]byte, 0, count*(len(prefix)+max(width, digits(count))))
 	for n := 1; n <= count; n++ {
-		buf = appendNumbered(buf, prefix, n, width)
+		buf = append(buf, prefix...)
+		for range width - digits(n) {
+			buf = append(buf, '0')
+		}
+		buf = strconv.AppendInt(buf, int64(n), 10)
 	}
 	text := string(buf)
 	names := make([]string, count)
@@ -234,17 +232,6 @@ func numberedNames(prefix string, count, width int) []string {
 		names[i], text = text[:w], text[w:]
 	}
 	return names
-}
-
-// appendNumbered appends prefix followed by n, zero-padded to width
-// digits (fmt's "%0*d" for the non-negative n the generator names rows
-// with).
-func appendNumbered(buf []byte, prefix string, n, width int) []byte {
-	buf = append(buf, prefix...)
-	for i := digits(n); i < width; i++ {
-		buf = append(buf, '0')
-	}
-	return strconv.AppendInt(buf, int64(n), 10)
 }
 
 // digits returns the number of decimal digits of the non-negative n.

@@ -2,7 +2,6 @@ package tpch
 
 import (
 	"reflect"
-	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -367,30 +366,4 @@ func pointerIn(typ reflect.Type, path string) string {
 		return ""
 	}
 	return path
-}
-
-// TestShipCodesNameTheVocabulary: every instruction and mode a lineitem
-// draws reads back through String as one of the spec's words, and each
-// word is drawn.
-func TestShipCodesNameTheVocabulary(t *testing.T) {
-	db := genSmall(t, 0.002, 5)
-	instructs, modes := map[string]bool{}, map[string]bool{}
-	for _, l := range db.Lineitems {
-		instructs[l.ShipInstruct.String()] = true
-		modes[l.ShipMode.String()] = true
-	}
-	for _, c := range []struct {
-		name  string
-		drawn map[string]bool
-		vocab []string
-	}{{"instruction", instructs, shipInstructs}, {"mode", modes, ShipModes}} {
-		if len(c.drawn) != len(c.vocab) {
-			t.Errorf("%d distinct %ss drawn, want %d", len(c.drawn), c.name, len(c.vocab))
-		}
-		for w := range c.drawn {
-			if !slices.Contains(c.vocab, w) {
-				t.Errorf("%s %q is not in the vocabulary", c.name, w)
-			}
-		}
-	}
 }
