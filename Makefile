@@ -8,7 +8,8 @@ COVER_FLOOR ?= 60
 COVER_PKGS ?= $(shell $(GO) list ./internal/...)
 
 # The micro-benchmarks `make bench-sweep` prints for benchstat: the
-# Q12/Q13 serving sweeps (cached vs uncached), the cold (uncached)
+# Q12/Q13 serving sweeps (cached, and uncached: a window search every
+# sweep), the cold (uncached)
 # window searches the incremental shared-Gram solver owns and the
 # served-shape one (constant table-size columns, R² bar 0.8), the pooled
 # serving hot path, ServeServedCold (the `solo` workload's request

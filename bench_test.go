@@ -352,10 +352,11 @@ func BenchmarkWindowSearchServed(b *testing.B) {
 // window search per chunk of plans vs. one cached model fit per history
 // version.
 
-// benchPlanSweep builds a scheduler with the given model-cache size,
-// bootstraps a history, and measures the served sweep: PlanSweep
-// (estimate every QEP, reduce to the Pareto set) then ReleaseSweep. No
-// execution, so the history — and the model fit — stay fixed.
+// benchPlanSweep builds a scheduler with the model cache on, or off for
+// a negative cacheSize, bootstraps a history, and measures the served
+// sweep: PlanSweep (estimate every QEP, reduce to the Pareto set) then
+// ReleaseSweep. No execution, so the history — and the model fit — stay
+// fixed.
 func benchPlanSweep(b *testing.B, q tpch.QueryID, cacheSize int) {
 	b.Helper()
 	fed, err := federation.DefaultTopology(1)
@@ -398,11 +399,10 @@ func benchPlanSweep(b *testing.B, q tpch.QueryID, cacheSize int) {
 	}
 }
 
-// BenchmarkQ12SweepUncached runs without the model cache: every chunk of
-// 256 plans — here the whole 88-plan sweep — pays one Algorithm 1 window
-// search, so it reads one search above Cached. The seed's behaviour, a
-// search per plan, is gone from sweeps; what a refit per plan costs is
-// measured by BenchmarkDREAMEstimateUncached.
+// BenchmarkQ12SweepUncached runs without the model cache: every sweep
+// pays its one Algorithm 1 window search, so it reads one search above
+// Cached. What a refit per plan costs is measured by
+// BenchmarkDREAMEstimateUncached.
 func BenchmarkQ12SweepUncached(b *testing.B) { benchPlanSweep(b, tpch.QueryQ12, -1) }
 
 // BenchmarkQ12SweepCached shares one cached model fit per history

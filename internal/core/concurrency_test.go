@@ -2,9 +2,11 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // seedHistory builds a 1-feature history with n noisy-linear
@@ -245,10 +247,11 @@ func TestCacheReusesFitAcrossPlans(t *testing.T) {
 	}
 }
 
-// TestCacheEviction keeps the cache bounded as history versions grow.
+// TestCacheEviction: every append moves the history to a version the
+// cache does not hold.
 func TestCacheEviction(t *testing.T) {
 	h := seedHistory(t, 40)
-	est, err := NewEstimator(Config{MMax: 15, CacheSize: 2})
+	est, err := NewEstimator(Config{MMax: 15})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,27 +374,74 @@ func hammerFitCache(t *testing.T, est *Estimator, during func(histories []*Histo
 	return n.Load(), len(seen)
 }
 
-// TestFitCacheHammer pins the lock-free repeat-key path to the cache's
-// contract under -race: one window search per (history, version) no
-// matter how many goroutines race on a fresh key, a hit or a miss
-// counted for every call, and nothing cached surviving SetCacheSize.
+// TestFitCacheHammer pins the cache's one slot to its contract under
+// -race: a window search for every miss and for no hit, a hit or a miss
+// counted for every call, every estimate the uncached one, and nothing
+// cached surviving SetCacheSize. Keys alternate, so a key may miss
+// again after another took the slot.
 func TestFitCacheHammer(t *testing.T) {
-	t.Run("one search per key", func(t *testing.T) {
-		est, err := NewEstimator(Config{MMax: 12, CacheSize: 1024}) // room for every key: no eviction
+	t.Run("one search per miss", func(t *testing.T) {
+		est, err := NewEstimator(Config{MMax: 12})
 		if err != nil {
 			t.Fatal(err)
 		}
-		calls, keys := hammerFitCache(t, est, nil)
+		calls, _ := hammerFitCache(t, est, nil)
 		st := est.Stats()
-		if st.WindowSearches != uint64(keys) || st.CacheMisses != uint64(keys) {
-			t.Errorf("%d window searches, %d misses for %d distinct (history, version) keys", st.WindowSearches, st.CacheMisses, keys)
+		if st.WindowSearches != st.CacheMisses {
+			t.Errorf("%d window searches for %d misses", st.WindowSearches, st.CacheMisses)
 		}
 		if st.CacheHits+st.CacheMisses != calls {
 			t.Errorf("hits %d + misses %d != %d calls", st.CacheHits, st.CacheMisses, calls)
 		}
 	})
+	t.Run("single flight", func(t *testing.T) {
+		est, err := NewEstimator(Config{MMax: 12})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := NewEstimator(Config{MMax: 12, CacheSize: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := seedHistory(t, 30).Snapshot()
+		x := []float64{4}
+		want, err := ref.PredictSnapshot(nil, s, x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const goroutines = 16
+		var (
+			wg    sync.WaitGroup
+			start = make(chan struct{})
+			errc  = make(chan error, goroutines)
+		)
+		for range goroutines {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				got, err := est.PredictSnapshot(nil, s, x)
+				if err == nil && fmt.Sprint(got) != fmt.Sprint(want) {
+					err = fmt.Errorf("got %v, uncached reference %v", got, want)
+				}
+				errc <- err
+			}()
+		}
+		close(start)
+		wg.Wait()
+		close(errc)
+		for err := range errc {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if st := est.Stats(); st.WindowSearches != 1 || st.CacheMisses != 1 || st.CacheHits != goroutines-1 {
+			t.Errorf("%d lookups of one fresh key: %d window searches, %d misses, %d hits; want 1, 1, %d",
+				goroutines, st.WindowSearches, st.CacheMisses, st.CacheHits, goroutines-1)
+		}
+	})
 	t.Run("SetCacheSize drops every fit", func(t *testing.T) {
-		est, err := NewEstimator(Config{MMax: 12, CacheSize: 1024})
+		est, err := NewEstimator(Config{MMax: 12})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -402,20 +452,13 @@ func TestFitCacheHammer(t *testing.T) {
 				if err != nil {
 					return err
 				}
-				again, err := est.fitFor(s, 1)
-				if err != nil {
-					return err
-				}
-				if again != before {
-					return fmt.Errorf("resize %d: a repeated key was searched twice within one cache", i)
-				}
-				est.SetCacheSize(1024)
+				est.SetCacheSize(0)
 				after, err := est.fitFor(s, 1)
 				if err != nil {
 					return err
 				}
 				if after == before {
-					return fmt.Errorf("resize %d: a fit cached before SetCacheSize was served after it", i)
+					return fmt.Errorf("reset %d: a fit cached before SetCacheSize was served after it", i)
 				}
 			}
 			return nil
@@ -426,11 +469,45 @@ func TestFitCacheHammer(t *testing.T) {
 	})
 }
 
+// TestFitCacheReleasesOldHistory: the cache pins only the history of
+// its last lookup. Once a lookup on history B has run, history A is
+// collectable.
+func TestFitCacheReleasesOldHistory(t *testing.T) {
+	est, err := NewEstimator(Config{MMax: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	collected := make(chan struct{})
+	func() {
+		a := seedHistory(t, 30)
+		runtime.AddCleanup(a, func(ch chan struct{}) { close(ch) }, collected)
+		if _, err := est.EstimateCostValue(a, []float64{2}); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	if _, err := est.EstimateCostValue(seedHistory(t, 30), []float64{2}); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.After(5 * time.Second)
+	for done := false; !done; {
+		runtime.GC()
+		select {
+		case <-collected:
+			done = true
+		case <-deadline:
+			t.Error("history A still reachable after a lookup on history B")
+			done = true
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	runtime.KeepAlive(est) // the cache must be live while A is collected
+}
+
 // TestFitCacheCachesErrors: a window search that fails for one plan
 // fails identically, and without searching again, for every plan of the
 // same version — on the repeat-key path too.
 func TestFitCacheCachesErrors(t *testing.T) {
-	c := newFitCache(4)
+	c := new(fitCache)
 	k := fitKey{owner: seedHistory(t, 1), version: 1}
 	boom := fmt.Errorf("singular")
 	searches := 0
@@ -441,7 +518,7 @@ func TestFitCacheCachesErrors(t *testing.T) {
 			t.Fatalf("call %d: err = %v", i, ent.err)
 		}
 	}
-	if hits, misses := c.stats(); searches != 1 || hits != 4 || misses != 1 {
+	if hits, misses := c.hits.Load(), c.misses.Load(); searches != 1 || hits != 4 || misses != 1 {
 		t.Errorf("searches %d, hits %d, misses %d; want 1, 4, 1", searches, hits, misses)
 	}
 }

@@ -391,11 +391,11 @@ type Config struct {
 	MMax int
 	// Growth selects the window growth schedule.
 	Growth GrowthPolicy
-	// CacheSize bounds the per-(history, version) model cache: the
-	// window search of Algorithm 1 does not depend on the plan being
-	// estimated, so its fitted models are reused for every plan
-	// estimated against the same history version. Zero selects
-	// DefaultCacheSize; a negative value disables caching.
+	// CacheSize switches the model cache: the window search of
+	// Algorithm 1 does not depend on the plan being estimated, so the
+	// estimator keeps the last fit it looked up and reuses it for every
+	// plan estimated against the same history version. A negative value
+	// disables the cache; any other value keeps the one fit.
 	CacheSize int
 }
 
@@ -409,9 +409,9 @@ type Estimator struct {
 	// far the window grows; each in-flight search owns one fitter.
 	fitters sync.Pool
 
-	// cache is nil when caching is disabled. It is read once per
-	// estimated plan, hence a pointer load and not a mutex; SetCacheSize
-	// swaps in a fresh cache, which drops every fit the old one held.
+	// cache is nil when caching is disabled. It is read once per fit
+	// lookup, hence a pointer load and not a mutex; SetCacheSize swaps in
+	// an empty cache, which drops the fit the old one held.
 	cache atomic.Pointer[fitCache]
 
 	// Observation-only instrumentation counters (see Stats): they are
@@ -441,18 +441,15 @@ func NewEstimator(cfg Config) (*Estimator, error) {
 	return e, nil
 }
 
-// SetCacheSize resizes (or, with a negative n, disables) the model
-// cache. Resizing drops all cached fits. Zero restores
-// DefaultCacheSize.
+// SetCacheSize disables the model cache when n is negative and
+// otherwise turns it on, empty: either way the cached fit and the
+// cache's counters are dropped.
 func (e *Estimator) SetCacheSize(n int) {
 	if n < 0 {
 		e.cache.Store(nil)
 		return
 	}
-	if n == 0 {
-		n = DefaultCacheSize
-	}
-	e.cache.Store(newFitCache(n))
+	e.cache.Store(new(fitCache))
 }
 
 // CacheStats reports model-cache hits and misses since construction or
@@ -462,7 +459,7 @@ func (e *Estimator) CacheStats() (hits, misses uint64) {
 	if cache == nil {
 		return 0, 0
 	}
-	return cache.stats()
+	return cache.hits.Load(), cache.misses.Load()
 }
 
 // EstimatorStats is a point-in-time view of the estimator's
@@ -470,8 +467,8 @@ func (e *Estimator) CacheStats() (hits, misses uint64) {
 // to see Algorithm 1 working (and drifting) in a live process.
 type EstimatorStats struct {
 	// WindowSearches counts completed runs of the window-growth loop;
-	// with the model cache on, this is the number of distinct history
-	// versions estimated against.
+	// with the model cache on, one per cache miss: a version looked up
+	// again after another took the cache's one slot is searched again.
 	WindowSearches uint64
 	// Refits counts MLR fits across all searches — the paper's
 	// Example 3.1 computational-cost signal, cumulative: K per round of
@@ -659,7 +656,7 @@ func (e *Estimator) PredictSnapshot(dst []float64, s *Snapshot, x []float64) ([]
 // 1 selects for the snapshot: what PredictSnapshot evaluates, for a caller
 // that scores plans of dim features with them itself. It is one fit
 // lookup (the checks, the cache, the single-flight wait), which the
-// model cache counts as plans ≥ 1 lookups, so a chunk reads on the hit
+// model cache counts as plans ≥ 1 lookups, so a sweep reads on the hit
 // ratio as its plans looked up one by one would. With caching off it
 // runs one window search, which never depended on the plan. The models
 // are shared with every other caller: read only.
@@ -708,6 +705,62 @@ func (e *Estimator) fitFor(s *Snapshot, plans int) (*windowFit, error) {
 		return nil, ent.err
 	}
 	return &ent.fit, nil
+}
+
+// fitKey identifies one immutable history state.
+type fitKey struct {
+	owner   *History
+	version uint64
+}
+
+// fitEntry is the model cache's slot: the window fit of one history
+// version, filled once. Concurrent estimators racing on a
+// fresh key all wait on one window search instead of fitting the same
+// models in parallel, and a failed search fails identically, without
+// refitting, for every lookup of the key. It holds the fit itself, so a
+// window search that fills it allocates nothing more for the served
+// shape.
+type fitEntry struct {
+	key  fitKey
+	once sync.Once
+	fit  windowFit
+	err  error
+}
+
+// fitCache is the model cache: one slot, the last fit looked up. A
+// scheduling round estimates every plan of a query against one history
+// version (paper Example 3.1: ≈18,200 plans), and every served request
+// appends an observation, so the next round asks for a newer version
+// and never again for an older one. One slot serves the round and pins
+// no history but the last one looked up.
+type fitCache struct {
+	last         atomic.Pointer[fitEntry]
+	hits, misses atomic.Uint64
+}
+
+// entry returns k's slot, installing an empty one when the cache holds
+// another key. plans ≥ 1 is how many plans the caller scores through
+// the slot, and the counters move by that many lookups — one miss and
+// plans−1 hits when the slot is installed, plans hits otherwise — so a
+// sweep reads on the hit ratio exactly as its plans looked up one by one
+// would. The caller computes through the slot's once.
+func (c *fitCache) entry(k fitKey, plans int) *fitEntry {
+	var fresh *fitEntry
+	for {
+		last := c.last.Load()
+		if last != nil && last.key == k {
+			c.hits.Add(uint64(plans))
+			return last
+		}
+		if fresh == nil {
+			fresh = &fitEntry{key: k}
+		}
+		if c.last.CompareAndSwap(last, fresh) {
+			c.misses.Add(1)
+			c.hits.Add(uint64(plans - 1))
+			return fresh
+		}
+	}
 }
 
 // searchWindow is Algorithm 1's window-growth loop: fit every metric on

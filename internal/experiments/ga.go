@@ -25,8 +25,8 @@ type stack struct {
 
 // newStack builds the topology at seed and calibrates it, assembles the
 // paper's DREAM scheduler over it (scale 0.1, Mmax = ires.MMax, the
-// given model-cache size and node menu) and bootstraps q with runs
-// executions.
+// model cache on unless cacheSize is negative, and the node menu) and
+// bootstraps q with runs executions.
 func newStack(topology func(seed int64) (*federation.Federation, error), seed int64, choices []int, cacheSize int, q tpch.QueryID, runs int) (*stack, error) {
 	fed, err := topology(seed)
 	if err != nil {

@@ -17,7 +17,7 @@ import (
 )
 
 // stackModel builds the DREAM Modelling module of the stacks below with
-// the given model-cache size (0 = default, negative disables).
+// the model cache on, or off for a negative cacheSize.
 func stackModel(t *testing.T, cacheSize int) *DREAMModel {
 	t.Helper()
 	model, err := NewDREAMModel(core.Config{MMax: MMax, CacheSize: cacheSize})
@@ -118,10 +118,10 @@ func TestCachedSubmitMatchesUncached(t *testing.T) {
 	}
 }
 
-// TestSubmitContextCancelled: a cancelled context aborts the estimation
-// loop instead of running the full plan sweep — before the first chunk
-// when it is cancelled already, at the next chunk boundary when it is
-// cancelled mid-sweep.
+// TestSubmitContextCancelled: a context cancelled before the round
+// aborts it instead of running the plan sweep. (A cancel mid-sweep
+// stops the per-plan route at its next chunk boundary:
+// TestEstimateLoopStopsAtFirstFailure.)
 func TestSubmitContextCancelled(t *testing.T) {
 	s := buildStack(t, 5, SchedulerConfig{})
 	if err := s.Bootstrap(tpch.QueryQ12, 20); err != nil {
@@ -133,54 +133,17 @@ func TestSubmitContextCancelled(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-
-	// Example 3.1's lattice, 96 chunks: the model cancels the request
-	// while it scores the third one.
-	dream, err := NewDREAMModel(core.Config{MMax: MMax})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel = context.WithCancel(context.Background())
-	defer cancel()
-	model := &countingLinearModel{DREAMModel: dream}
-	model.onChunk = func() error {
-		if model.chunks == 3 {
-			cancel()
-		}
-		return nil
-	}
-	wide := wideStack(t, 5, 96, model, SchedulerConfig{Seed: 5})
-	if err := wide.Bootstrap(tpch.QueryQ12, 24); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := wide.SubmitContext(ctx, tpch.QueryQ12, Policy{}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	// The full sweep walks the lattice by whole rows of its left axis:
-	// a chunk is one row of 96 right sizes on both sides, 192 plans.
-	if perChunk := 2 * 96; model.chunks != 3 || model.rows != 3*perChunk {
-		t.Fatalf("%d of 18,432 plans scored in %d chunks after a cancel during chunk 3, want %d in 3",
-			model.rows, model.chunks, 3*perChunk)
-	}
 }
 
-// countingLinearModel is a DREAM model that counts the chunks and plans
-// the linear route asks it to score, calling onChunk before each chunk:
-// an error it returns is the chunk's lookup failure.
+// countingLinearModel is a DREAM model that records the plans of every
+// fit lookup the linear route makes.
 type countingLinearModel struct {
 	*DREAMModel
-	chunks, rows int
-	onChunk      func() error
+	lookups []int
 }
 
 func (m *countingLinearModel) LinearModels(s *core.Snapshot, dim, plans int) ([]*regression.Model, error) {
-	m.chunks++
-	m.rows += plans
-	if m.onChunk != nil {
-		if err := m.onChunk(); err != nil {
-			return nil, err
-		}
-	}
+	m.lookups = append(m.lookups, plans)
 	return m.DREAMModel.LinearModels(s, dim, plans)
 }
 
@@ -339,7 +302,7 @@ var errScriptedSize = errors.New("scripted size failure")
 func (failingSizer) InputBytes(tpch.QueryID) (float64, float64, error) { return 0, 0, errScriptedSize }
 func (failingSizer) Features(federation.Plan) ([]float64, error)       { return nil, errScriptedSize }
 
-// TestSweepFailureNamesPlan: a sweep that cannot score its first chunk
+// TestSweepFailureNamesPlan: a sweep that cannot score its first plan
 // says why and for which plan, the same on the linear route and the
 // per-plan route. An executor that cannot size the query is the first
 // plan's feature failure, and the model is never asked (no lookup
@@ -382,32 +345,30 @@ func TestSweepFailureNamesPlan(t *testing.T) {
 			}
 		}
 	}
+}
 
-	// A walk that fails mid-sweep names its failing chunk's first plan in
-	// lattice order: at 2,048 plans chunk 3 starts at left row 8, side 0.
-	dream, err := NewDREAMModel(core.Config{MMax: MMax})
-	if err != nil {
-		t.Fatal(err)
-	}
-	errChunk := errors.New("scripted chunk failure")
-	model := &countingLinearModel{DREAMModel: dream}
-	model.onChunk = func() error {
-		if model.chunks == 3 {
-			return errChunk
+// TestWalkLooksFitUpOnce: a walk looks its fit up once per sweep,
+// counted as the lattice's plans, at 2,048 plans and at Example 3.1's
+// 18,432; the window search depends on the history alone, so one fit
+// scores every plan.
+func TestWalkLooksFitUpOnce(t *testing.T) {
+	for _, maxNodes := range []int{32, 96} {
+		model := &countingLinearModel{DREAMModel: stackModel(t, 0)}
+		s := wideStack(t, 5, maxNodes, model, SchedulerConfig{Seed: 5})
+		if err := s.Bootstrap(tpch.QueryQ12, 24); err != nil {
+			t.Fatal(err)
 		}
-		return nil
-	}
-	s := wideStack(t, 5, 32, model, SchedulerConfig{Seed: 5})
-	if err := s.Bootstrap(tpch.QueryQ12, 24); err != nil {
-		t.Fatal(err)
-	}
-	lat, err := s.lattice(tpch.QueryQ12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = s.PlanSweep(context.Background(), tpch.QueryQ12)
-	if want := "ires: estimating " + lat.At(lat.Index(0, 8, 0)).String(); err == nil || !strings.HasPrefix(err.Error(), want) || !errors.Is(err, errChunk) {
-		t.Errorf("chunk 3 of a walk fails: err = %v, want %q… wrapping %v", err, want, errChunk)
+		for round := range 2 {
+			model.lookups = nil
+			sw, err := s.PlanSweep(context.Background(), tpch.QueryQ12)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := 2 * maxNodes * maxNodes; len(sw.Plans) != n || fmt.Sprint(model.lookups) != fmt.Sprint([]int{n}) {
+				t.Errorf("%d plans, round %d: lookups for %v plans, want one for %d", len(sw.Plans), round, model.lookups, n)
+			}
+			s.ReleaseSweep(sw)
+		}
 	}
 }
 
@@ -415,8 +376,8 @@ func TestSweepFailureNamesPlan(t *testing.T) {
 // model cache — one miss and n−1 hits on a fresh history version — and
 // one window search, on the linear and the per-plan route alike, so
 // core.cache_hit_ratio and midas_model_cache_hits_total mean the same
-// whichever route a round takes. At 2,048 plans a walk's chunk is four
-// left rows, at 18,432 one.
+// whichever route a round takes. A walk makes its one lookup for the
+// whole lattice.
 func TestSweepCountsLookupsPerPlan(t *testing.T) {
 	for _, maxNodes := range []int{32, 96} {
 		n := 2 * maxNodes * maxNodes

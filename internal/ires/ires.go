@@ -55,8 +55,8 @@ type CostModel interface {
 // cost-vector order, for plans of dim features scored against s — one
 // fit lookup for that many plans, counted as that many lookups — and the
 // caller must treat them as read only. Every lookup against one
-// snapshot gives models with the same coefficients: a sweep scores all
-// its plans with its first lookup's.
+// snapshot gives models with the same coefficients: a sweep looks them
+// up once, for all its plans.
 type LinearCostModel interface {
 	CostModel
 	LinearModels(s *core.Snapshot, dim, plans int) ([]*regression.Model, error)
@@ -82,9 +82,9 @@ func NewDREAMModel(cfg core.Config) (*DREAMModel, error) {
 // Name implements CostModel.
 func (m *DREAMModel) Name() string { return "dream" }
 
-// SetModelCacheSize resizes the model cache core.Config.CacheSize sized
-// at construction; it stays only because bench/trace.go's tracedModel
-// forwards to it.
+// SetModelCacheSize switches the model cache as core.Config.CacheSize
+// does (negative off, otherwise on and empty); it stays only because
+// bench/trace.go's tracedModel forwards to it.
 func (m *DREAMModel) SetModelCacheSize(n int) { m.Est.SetCacheSize(n) }
 
 // Estimate is EstimateSnapshot against h's current snapshot; it stays
@@ -574,8 +574,9 @@ type Sweep struct {
 // PlanSweep builds the QEP lattice of q, estimates its plans against
 // one history snapshot, and reduces them to the Pareto set: every plan,
 // or, on the linear route when the lattice's rows are ordered, only the
-// rows' ends the front can come from. The estimation loop observes ctx
-// between chunks of at most 256 plans. The sweep — header, cost matrix
+// rows' ends the front can come from. It observes ctx before the
+// linear route's one fit lookup, and the per-plan route between chunks
+// of at most 256 plans. The sweep — header, cost matrix
 // and front — lives in storage from a pool: ReleaseSweep hands it back
 // once the sweep has served its decisions.
 func (s *Scheduler) PlanSweep(ctx context.Context, q tpch.QueryID) (sw *Sweep, err error) {

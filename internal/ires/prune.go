@@ -49,7 +49,7 @@ type planSweeper struct {
 	// route, sizeErr the executor's failure to say.
 	leftMiB, rightMiB float64
 	sizeErr           error
-	// fit is the models of a walk's first lookup, which it scores every
+	// fit is the models of a walk's one lookup, which it scores every
 	// plan with, and AllCosts too.
 	fit []*regression.Model
 	// buf is the round's scratch: the backing of every matrix it
@@ -207,48 +207,35 @@ func (ps *planSweeper) matrix(n int) []float64 {
 }
 
 // walk is a sweep on the linear route, bit for bit what estimate gives
-// wherever it scores a plan. It first looks the fit up chunk by chunk —
-// a chunk is whole rows of the left axis, both sides, at most
-// sweepChunk plans and at least one row — at a ctx check and one lookup
-// counted as the chunk's plans each; a failure names the chunk's first
-// plan in lattice order. Every lookup against the round's one snapshot
-// gives the same coefficients (LinearCostModel), so the first lookup's
-// models score the round. When they order the rows over the whole left
-// axis (rowsOrdered), walk scores only the rows' ends (rowEnds) and
-// returns them with their lattice indices. Otherwise it scores every
-// plan into one matrix in lattice order and returns no indices.
+// wherever it scores a plan. After one ctx check it looks the fit up
+// once, counted as the lattice's plans: every lookup against the
+// round's one snapshot gives the same coefficients (LinearCostModel), so
+// one fit scores the round. A failure names the lattice's first plan.
+// When the fit orders the rows over the whole left axis (rowsOrdered),
+// walk scores only the rows' ends (rowEnds) and returns them with their
+// lattice indices. Otherwise it scores every plan into one matrix in
+// lattice order and returns no indices.
 func (ps *planSweeper) walk(ctx context.Context) (moo.CostMatrix, []int, error) {
-	lat := ps.lat
-	left, right := lat.Axes()
-	rows := walkRows(len(right))
-	for lo := 0; lo < len(left); lo += rows {
-		if err := ctx.Err(); err != nil {
-			return moo.CostMatrix{}, nil, err
-		}
-		hi := min(lo+rows, len(left))
-		n := 2 * (hi - lo) * len(right)
-		first := lat.At(lat.Index(0, lo, 0))
-		if ps.sizeErr != nil {
-			return moo.CostMatrix{}, nil, fmt.Errorf("ires: features of %v: %w", first, ps.sizeErr)
-		}
-		models, err := ps.linear.LinearModels(ps.snap, federation.FeatureDim, n)
-		if err == nil {
-			err = checkLinear(models)
-		}
-		if err != nil {
-			return moo.CostMatrix{}, nil, fmt.Errorf("ires: estimating %v: %w", first, err)
-		}
-		if lo == 0 {
-			if len(models) == 0 {
-				return moo.CostMatrix{}, nil, fmt.Errorf("ires: model returned no costs for %v", first)
-			}
-			ps.fit = models
-		}
-		if len(models) != len(ps.fit) {
-			return moo.CostMatrix{}, nil, fmt.Errorf("ires: model returned %d costs for %d plans, want %d each",
-				len(models)*n, n, len(ps.fit))
-		}
+	if err := ctx.Err(); err != nil {
+		return moo.CostMatrix{}, nil, err
 	}
+	lat := ps.lat
+	first := lat.At(0)
+	if ps.sizeErr != nil {
+		return moo.CostMatrix{}, nil, fmt.Errorf("ires: features of %v: %w", first, ps.sizeErr)
+	}
+	models, err := ps.linear.LinearModels(ps.snap, federation.FeatureDim, lat.Size())
+	if err == nil {
+		err = checkLinear(models)
+	}
+	if err != nil {
+		return moo.CostMatrix{}, nil, fmt.Errorf("ires: estimating %v: %w", first, err)
+	}
+	if len(models) == 0 {
+		return moo.CostMatrix{}, nil, fmt.Errorf("ires: model returned no costs for %v", first)
+	}
+	ps.fit = models
+	left, right := lat.Axes()
 	if rowsOrdered(ps.fit, left, right, ps.leftMiB, ps.rightMiB) {
 		b := ps.buf
 		b.costs, b.at = rowEnds(b.costs[:0], b.at[:0], ps.fit, left, right, ps.leftMiB, ps.rightMiB)
@@ -269,11 +256,6 @@ func (ps *planSweeper) walkAll(flat []float64) moo.CostMatrix {
 	costs, _ := moo.FlatCostMatrix(flat, k) // whole rows of k ≥ 1: no error
 	return costs
 }
-
-// walkRows is how many rows of the left axis one chunk of walk scores
-// when the right axis has n sizes: as many as fit in sweepChunk plans
-// over both sides, at least one.
-func walkRows(n int) int { return max(1, sweepChunk/(2*n)) }
 
 // walkLinearCosts writes the cost vectors the per-metric models give
 // whole rows of a lattice, each value clamped at zero: bit for bit what

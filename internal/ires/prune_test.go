@@ -160,9 +160,9 @@ func TestRowsOrdered(t *testing.T) {
 
 // TestWalkDecidesOnTheWholeAxis: a walk decides from its fit, over the
 // whole left axis, whether it scores only the rows' ends. On the
-// 2,048-plan lattice a chunk is four left rows: a node coefficient
-// whose overflow bound holds over the first chunk's sizes but not over
-// all 32 makes the walk score every plan.
+// 2,048-plan lattice, a node coefficient whose overflow bound holds over
+// the first four left sizes but not over all 32 makes the walk score
+// every plan.
 func TestWalkDecidesOnTheWholeAxis(t *testing.T) {
 	fed, err := federation.WideTopology(28, 32)
 	if err != nil {
@@ -179,8 +179,8 @@ func TestWalkDecidesOnTheWholeAxis(t *testing.T) {
 			linearModel([]float64{5, 0.1, 0.2, b3, 1, 1}),
 			linearModel([]float64{1, 0.01, 0.02, -0.4, 2, 0.5}),
 		}
-		if b3 > 1 && (!rowsOrdered(models, left[:walkRows(len(right))], right, 10, 100) || rowsOrdered(models, left, right, 10, 100)) {
-			t.Fatal("β₃ does not split the first chunk's overflow check from the whole axis'")
+		if b3 > 1 && (!rowsOrdered(models, left[:4], right, 10, 100) || rowsOrdered(models, left, right, 10, 100)) {
+			t.Fatal("β₃ does not split the first four sizes' overflow check from the whole axis'")
 		}
 		b := new(sweepBuf)
 		b.ps = planSweeper{lat: lat, linear: fixedLinear{models: models}, leftMiB: 10, rightMiB: 100, buf: b}
@@ -194,7 +194,7 @@ func TestWalkDecidesOnTheWholeAxis(t *testing.T) {
 		t.Errorf("ordered fit: %d rows scored, want the 64 row ends", costs.Len())
 	}
 	if costs, at := walk(math.MaxFloat64 / 50); at != nil || costs.Len() != lat.Size() {
-		t.Errorf("overflow past the first chunk: %d rows scored, want all %d", costs.Len(), lat.Size())
+		t.Errorf("overflow past the first four sizes: %d rows scored, want all %d", costs.Len(), lat.Size())
 	}
 }
 

@@ -63,7 +63,7 @@ func TestSchedulerWithConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	model, err := ires.NewDREAMModel(core.Config{MMax: ires.MMax, CacheSize: core.DefaultCacheSize})
+	model, err := ires.NewDREAMModel(core.Config{MMax: ires.MMax})
 	if err != nil {
 		t.Fatal(err)
 	}
