@@ -714,12 +714,11 @@ type fitKey struct {
 }
 
 // fitEntry is the model cache's slot: the window fit of one history
-// version, filled once. Concurrent estimators racing on a
-// fresh key all wait on one window search instead of fitting the same
-// models in parallel, and a failed search fails identically, without
-// refitting, for every lookup of the key. It holds the fit itself, so a
-// window search that fills it allocates nothing more for the served
-// shape.
+// version, filled once. Concurrent estimators racing on a fresh key all
+// wait on one window search instead of fitting the same models in
+// parallel, and a failed search fails identically, without refitting,
+// for every lookup of the key. It holds the fit itself, so a window
+// search that fills it allocates nothing more for the served shape.
 type fitEntry struct {
 	key  fitKey
 	once sync.Once
@@ -743,7 +742,7 @@ type fitCache struct {
 // the slot, and the counters move by that many lookups — one miss and
 // plans−1 hits when the slot is installed, plans hits otherwise — so a
 // sweep reads on the hit ratio exactly as its plans looked up one by one
-// would. The caller computes through the slot's once.
+// would. The caller fills the slot through its once.
 func (c *fitCache) entry(k fitKey, plans int) *fitEntry {
 	var fresh *fitEntry
 	for {

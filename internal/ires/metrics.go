@@ -69,7 +69,7 @@ func (s *Scheduler) instrument(reg *metrics.Registry, federation string) {
 	}
 	if es, ok := s.model.(EstimatorStatser); ok {
 		reg.CounterFunc("midas_window_searches_total",
-			"Completed Algorithm 1 window searches (one per estimated history version when the model cache is on).",
+			"Completed Algorithm 1 window searches (one per model-cache miss when the cache is on).",
 			func() float64 { return float64(es.EstimatorStats().WindowSearches) },
 			"federation", federation)
 		reg.CounterFunc("midas_window_refits_total",
