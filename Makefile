@@ -105,6 +105,7 @@ fuzz-smoke:
 		ires:FuzzLinearScoring:10s \
 		ires:FuzzLinearFront:10s \
 		federation:FuzzCostUnder:10s \
+		stats:FuzzRNGMatchesMathRand:10s \
 		histstore:FuzzReplay:10s \
 		server:FuzzDecodeRequest:10s \
 		server:FuzzReplicateStream:10s \
@@ -128,14 +129,15 @@ bench-smoke:
 bench-sweep:
 	$(GO) test -run '^$$' -bench '$(SWEEP_PATTERN)' -benchtime 10x -count $(SWEEP_COUNT) . ./internal/moo ./internal/histstore
 
-## bench-boot: repeated runs of BenchmarkCalibrate (generate the SF 0.004 calibration database, run the four studied queries on it) and of BenchmarkTenantBuild (one cold server.New of solo's spec, then Drain) at -cpu 1,2 — the cost every boot and cold tenant build pays per federation, for benchstat
+## bench-boot: repeated runs of BenchmarkCalibrate (generate the SF 0.004 calibration database, run the four studied queries on it) and of BenchmarkTenantBuild (one cold server.New of solo's spec, then Drain) at -cpu 1,2 — the cost every boot and cold tenant build pays per federation — and of BenchmarkRNGDraw (one draw of the generator's: Intn at a constant n, Below at a hoisted bound, Float64, math/rand's Intn beside them) at -cpu 1, for benchstat
 bench-boot:
 	$(GO) test -run '^$$' -bench 'Calibrate' -benchmem -count 5 -cpu 1,2 ./internal/federation
 	$(GO) test -run '^$$' -bench '^BenchmarkTenantBuild$$' -benchmem -count 5 -cpu 1,2 .
+	$(GO) test -run '^$$' -bench '^BenchmarkRNGDraw$$' -count 5 -cpu 1 ./internal/stats
 
-## layers: the layer ledger — PlanSweep/Full/*, SweepRound, ServeServedCold, ServeHotPath, HistoryPage/Repeat, HistoryPage/Polled and TenantBuild at -cpu 1,2, six runs of at least 0.5 s each, summarised per (benchmark, cpu) into BENCH_layers.json under the checked-out commit (a few minutes; CI runs only the ledger's parse test)
+## layers: the layer ledger — PlanSweep/Full/*, SweepRound, ServeServedCold, ServeHotPath, HistoryPage/Repeat, HistoryPage/Polled, TenantBuild and WindowSearchServed (with its ridged/op and window/op) at -cpu 1,2, six runs of at least 0.5 s each, summarised per (benchmark, cpu) into BENCH_layers.json under the checked-out commit (a few minutes; CI runs only the ledger's parse test)
 layers:
-	$(GO) test -run '^$$' -bench '^Benchmark(PlanSweep|SweepRound|ServeServedCold|ServeHotPath|HistoryPage|TenantBuild)$$' -benchmem -benchtime 0.5s -count 6 -cpu 1,2 . | \
+	$(GO) test -run '^$$' -bench '^Benchmark(PlanSweep|SweepRound|ServeServedCold|ServeHotPath|HistoryPage|TenantBuild|WindowSearchServed)$$' -benchmem -benchtime 0.5s -count 6 -cpu 1,2 . | \
 		$(GO) run ./cmd/benchledger BENCH_layers.json "$$(git describe --always --dirty --abbrev=12)"
 
 ## scenarios: the fixed-seed scenario sweep — MRE, regret and p99 per (arrival × chaos) cell

@@ -495,19 +495,15 @@ func (a *Aggregate) Execute(ctx *Context) (*Relation, error) {
 
 	// first holds each group's first row (its key values); counts and
 	// sums hold na accumulators per group.
-	groups := make(map[string]int32)
+	groups := newGroupIndex(keys)
 	var first []int32
 	var counts []int64
 	var sums []float64
-	var key []byte
 	n := in.Len()
 	for k := 0; k < n; k++ {
 		i := in.row(k)
-		key = groupKey(key[:0], keys, i)
-		g, ok := groups[string(key)]
-		if !ok {
-			g = int32(len(first))
-			groups[string(key)] = g
+		g, isNew := groups.group(i, int32(len(first)))
+		if isNew {
 			first = append(first, int32(i))
 			for range na {
 				counts, sums = append(counts, 0), append(sums, 0)
@@ -564,6 +560,53 @@ func (a *Aggregate) Execute(ctx *Context) (*Relation, error) {
 	ctx.Stats.RowsProcessed += n
 	ctx.Stats.Stages++
 	return out, nil
+}
+
+// groupIndex numbers an Aggregate's groups in first-seen order. A
+// single Int column groups on its value, with nulls a group of their
+// own; any other key on its groupKey bytes.
+type groupIndex struct {
+	keys  []*Column
+	byKey map[string]int32
+	byInt map[int64]int32 // set when keys is one Int column
+	null  int32           // byInt's null group, or -1
+	buf   []byte
+}
+
+func newGroupIndex(keys []*Column) *groupIndex {
+	x := &groupIndex{keys: keys, null: -1}
+	if len(keys) == 1 && keys[0].Kind == Int {
+		x.byInt = make(map[int64]int32)
+	} else {
+		x.byKey = make(map[string]int32)
+	}
+	return x
+}
+
+// group returns row i's group and whether it is new; a new group is
+// numbered next.
+func (x *groupIndex) group(i int, next int32) (int32, bool) {
+	if x.byInt == nil {
+		x.buf = groupKey(x.buf[:0], x.keys, i)
+		if g, ok := x.byKey[string(x.buf)]; ok {
+			return g, false
+		}
+		x.byKey[string(x.buf)] = next
+		return next, true
+	}
+	c := x.keys[0]
+	if c.IsNull(i) {
+		if x.null < 0 {
+			x.null = next
+			return next, true
+		}
+		return x.null, false
+	}
+	if g, ok := x.byInt[c.Ints[i]]; ok {
+		return g, false
+	}
+	x.byInt[c.Ints[i]] = next
+	return next, true
 }
 
 // groupKey appends row i's group key to b: per column a tag byte (0 for

@@ -19,13 +19,15 @@ func BenchmarkCalibrate(b *testing.B) {
 	}
 }
 
-// calibrateAllocBudget holds one calibration's allocations (1,367 at
+// calibrateAllocBudget holds one calibration's allocations (755 at
 // seed 42): the generated tables, a few hundred shared strings, the
 // typed columns and the engine's operators. A per-row string or pointer
 // back in the generator fails it: the customer names alone are 600
 // rows at CalibrationSF, and the generator that gave every name,
 // comment, part attribute and lineitem code its own string made 11,776.
-const calibrateAllocBudget = 1500
+// So does a string per group in Aggregate: Q13 groups ~600 customers,
+// and building each one's key made 1,367.
+const calibrateAllocBudget = 800
 
 // TestCalibrateAllocBudget holds Calibrate at the served calibration
 // scale to calibrateAllocBudget allocations.

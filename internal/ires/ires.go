@@ -609,7 +609,7 @@ func (s *Scheduler) PlanSweep(ctx context.Context, q tpch.QueryID) (sw *Sweep, e
 		buf.release()
 		return nil, err
 	}
-	buf.frontIdx = moo.ParetoFrontInto(buf.frontIdx, costs)
+	buf.frontIdx = buf.stairs.ParetoFrontInto(buf.frontIdx, costs)
 	candidates = costs.Len()
 	raw, normalized := buf.frontRows(costs)
 	if at != nil {

@@ -77,6 +77,9 @@ type sweepBuf struct {
 	// raw rows followed by their normalized twins.
 	frontIdx []int
 	front    []float64
+	// stairs holds a two-metric front that outgrows moo's stack buffer
+	// (the 18,432-plan lattice's), so the next reduction reuses it.
+	stairs moo.Staircase
 	// rows and rowAt are costs' and at's first backing, inside the
 	// buffer: the 64 candidates of a 2,048-plan lattice fit, and so does
 	// every row of a lattice midasd serves (at most 128 plans), so a

@@ -128,8 +128,23 @@ func ParetoFront(costs CostMatrix) ([]int, error) {
 // reuses when large enough: the form a caller that pools the indices
 // uses.
 func ParetoFrontInto(dst []int, costs CostMatrix) []int {
+	var s Staircase
+	return s.ParetoFrontInto(dst, costs)
+}
+
+// Staircase is the storage of a two-objective front that outgrows the
+// stack buffer, kept between calls: a caller that pools one beside dst
+// reduces a matrix whose front has been that large before without
+// allocating. The zero value is ready to use.
+type Staircase struct {
+	spill []member
+}
+
+// ParetoFrontInto is the package's ParetoFrontInto with a front past
+// frontBuf members kept in s.
+func (s *Staircase) ParetoFrontInto(dst []int, costs CostMatrix) []int {
 	if costs.k == 2 {
-		return paretoFront2(dst, costs)
+		return paretoFront2(dst, costs, s)
 	}
 	return paretoFrontRows(dst, costs)
 }
@@ -163,8 +178,8 @@ candidates:
 // peak over 20 DREAM rounds per lattice: the 30-plan lattices of the
 // default topology reach 1–15 members and the largest midasd serves
 // (128 plans) 2–29; 2,048 plans reach 32–156 and 18,432 plans 96–3,473.
-// There the front often spills to append's growth, which costs only
-// allocations.
+// There the front often spills to the Staircase's storage, which grows
+// by append and is reused by the next call.
 const frontBuf = 128
 
 // member is one row of paretoFront2's front: its two costs and index.
@@ -181,10 +196,11 @@ type member struct {
 // and the members it dominates are one contiguous run, evicted by one
 // copy. The member that dropped the last candidate is tried before the
 // search: neighbouring plans tend to share a dominator. The front lives
-// on the stack up to frontBuf members; the result, in dst's storage,
-// is the one allocation when dst is too small. A NaN, which no order
-// holds, hands the whole matrix to paretoFrontRows.
-func paretoFront2(dst []int, costs CostMatrix) []int {
+// on the stack up to frontBuf members and then in s.spill, which it
+// leaves there for the next call; the result, in dst's storage, is the
+// one allocation when dst is too small. A NaN, which no order holds,
+// hands the whole matrix to paretoFrontRows.
+func paretoFront2(dst []int, costs CostMatrix, s *Staircase) []int {
 	var buf [frontBuf]member
 	front, v := buf[:0], costs.v
 	d := -1 // the member that dropped the last row; -1 once the front changes
@@ -223,7 +239,7 @@ func paretoFront2(dst []int, costs CostMatrix) []int {
 				}
 				// A copy of a member: every member past it has a lower
 				// objective 1, so it joins its twins and evicts none.
-				front, d = slices.Insert(front, p, member{c0, c1, i}), -1
+				front, d = slices.Insert(s.room(front), p, member{c0, c1, i}), -1
 				continue
 			}
 		}
@@ -239,7 +255,7 @@ func paretoFront2(dst []int, costs CostMatrix) []int {
 		}
 		d = -1
 		if r == q {
-			front = slices.Insert(front, q, member{c0, c1, i})
+			front = slices.Insert(s.room(front), q, member{c0, c1, i})
 			continue
 		}
 		front[q] = member{c0, c1, i}
@@ -253,6 +269,20 @@ func paretoFront2(dst []int, costs CostMatrix) []int {
 	}
 	slices.Sort(out)
 	return out
+}
+
+// room returns front with room for one more member. A full front moves
+// to s.spill, grown to twice its length unless it already has that
+// room: after one call as large, a front spills without allocating.
+// Only member values are copied, so no pointer to a caller's stack
+// buffer reaches s.
+func (s *Staircase) room(front []member) []member {
+	if len(front) < cap(front) {
+		return front
+	}
+	s.spill = slices.Grow(s.spill[:0], 2*len(front))[:len(front)]
+	copy(s.spill, front)
+	return s.spill
 }
 
 // NonDominatedSort partitions costs into fronts F₁, F₂, … where F₁ is

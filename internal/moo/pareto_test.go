@@ -409,6 +409,36 @@ func FuzzParetoFront(f *testing.F) {
 	})
 }
 
+// TestStaircaseReuse reduces matrices of fronts below and past frontBuf
+// members with one Staircase, as a pooled sweep buffer does: each front
+// is the Row loop's, and once a front as large has been reduced, the
+// next reduction into a large enough dst allocates nothing.
+func TestStaircaseReuse(t *testing.T) {
+	var s Staircase
+	var dst []int
+	rng := rand.New(rand.NewSource(3))
+	for _, n := range []int{300, 40, 1000, 129, 2048, 700} {
+		for _, shape := range []string{"antichain", "front64", "random"} {
+			costs := paretoBenchCosts(shape, n)
+			if shape == "random" {
+				flat := make([]float64, 2*n)
+				for i := range flat {
+					flat[i] = float64(rng.Intn(n))
+				}
+				costs, _ = FlatCostMatrix(flat, 2)
+			}
+			dst = s.ParetoFrontInto(dst, costs)
+			if want := paretoFrontRows(nil, costs); !slices.Equal(dst, want) {
+				t.Fatalf("%s/%d: front %v, Row loop %v", shape, n, dst, want)
+			}
+		}
+	}
+	costs := paretoBenchCosts("antichain", 2048)
+	if allocs := testing.AllocsPerRun(5, func() { dst = s.ParetoFrontInto(dst, costs) }); allocs != 0 {
+		t.Errorf("a 2,048-member front with a used Staircase: %v allocs, want 0", allocs)
+	}
+}
+
 // paretoBenchCosts builds n two-objective rows of the named shape:
 // front1 has one row dominating all others and placed last (the order
 // that made the all-pairs loop quadratic), front64 has a 64-row

@@ -76,15 +76,31 @@ func Generate(sf float64, opts GenOptions) (*Database, error) {
 	nPart := scaled(basePart, sf)
 	nSupp := scaled(baseSupplier, sf)
 
+	// A draw at a variable n takes a bound made once, here: Intn at a
+	// non-constant n would divide twice per draw.
+	lastOrderDay := int(MakeDate(1998, 8, 2)) // orders span 1992-01-01 .. 1998-08-02 per the spec
+	var (
+		nationBound   = stats.NewBound(len(nationNames))
+		segmentBound  = stats.NewBound(len(segments))
+		custBound     = stats.NewBound(nCust)
+		partBound     = stats.NewBound(nPart)
+		suppBound     = stats.NewBound(nSupp)
+		dayBound      = stats.NewBound(lastOrderDay + 1)
+		priorityBound = stats.NewBound(len(OrderPriorities))
+		instructBound = stats.NewBound(len(shipInstructs))
+		modeBound     = stats.NewBound(len(ShipModes))
+		wordBound     = stats.NewBound(len(commentWords))
+	)
+
 	db.Customers = make([]Customer, nCust)
 	custNames := numberedNames("Customer#", nCust, 9)
 	for i := range db.Customers {
 		db.Customers[i] = Customer{
 			CustKey:    int32(i + 1),
 			Name:       custNames[i],
-			NationKey:  int32(rng.Intn(len(nationNames))),
+			NationKey:  int32(rng.Below(nationBound)),
 			AcctBal:    rng.Uniform(-999.99, 9999.99),
-			MktSegment: segments[rng.Intn(len(segments))],
+			MktSegment: segments[rng.Below(segmentBound)],
 		}
 	}
 
@@ -94,7 +110,7 @@ func Generate(sf float64, opts GenOptions) (*Database, error) {
 		db.Suppliers[i] = Supplier{
 			SuppKey:   int32(i + 1),
 			Name:      suppNames[i],
-			NationKey: int32(rng.Intn(len(nationNames))),
+			NationKey: int32(rng.Below(nationBound)),
 		}
 	}
 
@@ -143,33 +159,31 @@ func Generate(sf float64, opts GenOptions) (*Database, error) {
 		for s := 0; s < 4; s++ {
 			db.PartSupps = append(db.PartSupps, PartSupp{
 				PartKey:    int32(i + 1),
-				SuppKey:    int32(rng.Intn(nSupp) + 1),
+				SuppKey:    int32(rng.Below(suppBound) + 1),
 				AvailQty:   int32(rng.Intn(9999) + 1),
 				SupplyCost: rng.Uniform(1, 1000),
 			})
 		}
 	}
 
-	// Orders span 1992-01-01 .. 1998-08-02 per the spec.
-	lastOrderDay := int(MakeDate(1998, 8, 2))
 	db.Orders = make([]Order, nOrders)
 	db.Lineitems = make([]Lineitem, 0, nOrders*maxLines)
-	statuses := []byte{'F', 'O', 'P'}
+	statuses := [...]byte{'F', 'O', 'P'}
 	// Every order's comment is appended to one buffer; commentEnds[i] is
 	// where order i's ends. The comments are sliced out of one string
 	// once the orders are drawn.
 	comments := make([]byte, 0, nOrders*meanCommentLen)
 	commentEnds := make([]int, nOrders)
 	for i := range db.Orders {
-		od := Date(rng.Intn(lastOrderDay + 1))
+		od := Date(rng.Below(dayBound))
 		o := Order{
 			OrderKey:      int32(i + 1),
-			CustKey:       int32(rng.Intn(nCust) + 1),
+			CustKey:       int32(rng.Below(custBound) + 1),
 			OrderStatus:   statuses[rng.Intn(len(statuses))],
 			OrderDate:     od,
-			OrderPriority: OrderPriorities[rng.Intn(len(OrderPriorities))],
+			OrderPriority: OrderPriorities[rng.Below(priorityBound)],
 		}
-		comments = appendComment(comments, rng)
+		comments = appendComment(comments, rng, wordBound)
 		commentEnds[i] = len(comments)
 		nLines := rng.Intn(maxLines) + 1
 		var total float64
@@ -181,8 +195,8 @@ func Generate(sf float64, opts GenOptions) (*Database, error) {
 			receipt := ship.AddDays(rng.Intn(30) + 1)
 			li := Lineitem{
 				OrderKey:      o.OrderKey,
-				PartKey:       int32(rng.Intn(nPart) + 1),
-				SuppKey:       int32(rng.Intn(nSupp) + 1),
+				PartKey:       int32(rng.Below(partBound) + 1),
+				SuppKey:       int32(rng.Below(suppBound) + 1),
 				LineNumber:    int32(ln + 1),
 				Quantity:      qty,
 				ExtendedPrice: price,
@@ -193,8 +207,8 @@ func Generate(sf float64, opts GenOptions) (*Database, error) {
 				ShipDate:      ship,
 				CommitDate:    commit,
 				ReceiptDate:   receipt,
-				ShipInstruct:  ShipInstruct(rng.Intn(len(shipInstructs))),
-				ShipMode:      ShipMode(rng.Intn(len(ShipModes))),
+				ShipInstruct:  ShipInstruct(rng.Below(instructBound)),
+				ShipMode:      ShipMode(rng.Below(modeBound)),
 			}
 			total += li.ExtendedPrice * (1 - li.Discount) * (1 + li.Tax)
 			db.Lineitems = append(db.Lineitems, li)
@@ -254,19 +268,20 @@ func scaled(base int, sf float64) int {
 
 // appendComment appends a short pseudo-text comment; ~5% of order
 // comments contain the "special … requests" pattern Q13 filters out,
-// mirroring the selectivity of the spec's text grammar.
-func appendComment(buf []byte, rng *stats.RNG) []byte {
+// mirroring the selectivity of the spec's text grammar. words is
+// NewBound(len(commentWords)).
+func appendComment(buf []byte, rng *stats.RNG, words stats.Bound) []byte {
 	if rng.Bernoulli(0.05) {
-		buf = append(buf, commentWords[rng.Intn(len(commentWords))]...)
+		buf = append(buf, commentWords[rng.Below(words)]...)
 		buf = append(buf, " special "...)
-		buf = append(buf, commentWords[rng.Intn(len(commentWords))]...)
+		buf = append(buf, commentWords[rng.Below(words)]...)
 		return append(buf, " requests"...)
 	}
 	for w := range 3 {
 		if w > 0 {
 			buf = append(buf, ' ')
 		}
-		buf = append(buf, commentWords[rng.Intn(len(commentWords))]...)
+		buf = append(buf, commentWords[rng.Below(words)]...)
 	}
 	return buf
 }

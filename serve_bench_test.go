@@ -356,6 +356,21 @@ func TestPlanSweepAllocBudget(t *testing.T) {
 		t.Errorf("2,048-plan serving cycle: %.1f allocs (budget %d), %.0f B (budget %d)",
 			served, serveBudget, servedBytes, serveBytesBudget)
 	}
+
+	// BenchmarkPlanSweep/Full/P18432's sweep scores every plan, and its
+	// front outgrows moo's stack buffer: the pooled buffer keeps that
+	// staircase, so a released sweep allocates nothing.
+	wide := wideScheduler(t, 1, 96, 0.05, nil)
+	released, _ := measure("released sweep", 18432, func() {
+		sw, err := wide.PlanSweep(ctx, tpch.QueryQ12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wide.ReleaseSweep(sw)
+	})
+	if released != 0 {
+		t.Errorf("released 18,432-plan sweep: %.1f allocs, want 0", released)
+	}
 }
 
 // benchServeDurable is BenchmarkServeHotPath against a real WAL, from
