@@ -86,7 +86,7 @@ func (b Bagging) Train(samples []regression.Sample) (Predictor, error) {
 	if bags <= 0 {
 		bags = 10
 	}
-	rng := stats.NewRNG(b.Seed)
+	rng, pick := stats.NewRNG(b.Seed), stats.NewBound(len(samples))
 	members := make([]Predictor, 0, bags)
 	// A bootstrap draw may be degenerate (e.g. one sample repeated);
 	// those members are skipped. Training fails only if every draw is
@@ -94,7 +94,7 @@ func (b Bagging) Train(samples []regression.Sample) (Predictor, error) {
 	for i := 0; i < bags; i++ {
 		boot := make([]regression.Sample, len(samples))
 		for j := range boot {
-			boot[j] = samples[rng.Intn(len(samples))]
+			boot[j] = samples[rng.Below(pick)]
 		}
 		m, err := LeastSquares{}.Train(boot)
 		if err != nil {

@@ -82,7 +82,8 @@ func NSGAII(p Problem, cfg NSGAIIConfig) (*Result, error) {
 	if cfg.EtaMutation <= 0 {
 		cfg.EtaMutation = 20
 	}
-	rng := stats.NewRNG(cfg.Seed)
+	// pop holds cfg.PopSize individuals in every generation.
+	rng, pick := stats.NewRNG(cfg.Seed), stats.NewBound(cfg.PopSize)
 
 	evals := 0
 	pop := evalBatch(p, randomPopulation(cfg.PopSize, lo, hi, rng))
@@ -95,8 +96,8 @@ func NSGAII(p Problem, cfg NSGAIIConfig) (*Result, error) {
 		}
 		childXs := make([][]float64, 0, cfg.PopSize)
 		for len(childXs) < cfg.PopSize {
-			p1 := tournament(pop, ranks, crowd, rng)
-			p2 := tournament(pop, ranks, crowd, rng)
+			p1 := tournament(pop, ranks, crowd, rng, pick)
+			p2 := tournament(pop, ranks, crowd, rng, pick)
 			c1, c2 := sbxCrossover(p1.X, p2.X, lo, hi, cfg, rng)
 			polynomialMutate(c1, lo, hi, cfg, rng)
 			polynomialMutate(c2, lo, hi, cfg, rng)
@@ -207,9 +208,10 @@ func assignCrowding(costs [][]float64, front []int, crowd []float64) {
 }
 
 // tournament is the binary crowded-comparison tournament: lower rank
-// wins; ties break on larger crowding distance.
-func tournament(pop []Individual, ranks []int, crowd []float64, rng *stats.RNG) Individual {
-	a, b := rng.Intn(len(pop)), rng.Intn(len(pop))
+// wins; ties break on larger crowding distance. pick is
+// stats.NewBound(len(pop)).
+func tournament(pop []Individual, ranks []int, crowd []float64, rng *stats.RNG, pick stats.Bound) Individual {
+	a, b := rng.Below(pick), rng.Below(pick)
 	switch {
 	case ranks[a] < ranks[b]:
 		return pop[a]
