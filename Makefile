@@ -7,39 +7,13 @@ GO ?= go
 COVER_FLOOR ?= 60
 COVER_PKGS ?= $(shell $(GO) list ./internal/...)
 
-# The micro-benchmarks `make bench-sweep` prints for benchstat: the
-# Q12/Q13 serving sweeps (cached, and uncached: a window search every
-# sweep), the cold (uncached)
-# window searches the incremental shared-Gram solver owns and the
-# served-shape one (constant table-size columns, R² bar 0.8), the pooled
-# serving hot path, ServeServedCold (the `solo` workload's request
-# in-process: a server.New tenant of Q12, each request leading its own
-# sweep under a fresh cancellable context), the full PlanSweep over wide lattices up to the
-# Example 3.1 size (its candidates/op is how many cost vectors the
-# Pareto reduction examined: the lattice's row ends, or every plan when
-# the fit's node coefficients disagree in sign), SweepRound (one whole
-# 2,048-plan serving cycle: sweep, decide with its window search,
-# release), HistoryPage (one
-# 50-observation GET /v1/history page through the handler),
-# internal/moo's ParetoFront shapes and internal/histstore's Recovery
-# (one shard's WAL replayed into its history, unbounded and retained). Nothing gates on them: CI's
-# regression gate is `bench -compare` over bench/ against
-# BENCHMARK.json's bounds, and allocation budgets are ordinary tests
-# (TestServeSubmitAllocBudget; TestPlanSweepAllocBudget for a serving
-# cycle that releases its sweep and a library sweep that keeps it;
-# TestHistoryPageAllocBudget). The fsync-bound ServeDurable and
-# WALAppendDurable benchmarks are left out — fsync latency is hardware
-# noise.
-SWEEP_PATTERN ?= Q1[23]Sweep|WindowSearch(Cold|Served)|DREAMEstimateUncached|ServeHotPath|ServeServedCold|HistoryPage|PlanSweep|SweepRound|ParetoFront|RouteLookup|Recovery
-SWEEP_COUNT ?= 5
-
 # The control-plane tests `make test-cluster` repeats under -race.
 CLUSTER_PATTERN ?= Cluster|Chaos|Failover|Stream|Handoff|Adopt|Readyz|Durable|Drain
 
 # Where the `make profile-*` targets drop their profiles.
 PROFILE_DIR ?= profiles
 
-.PHONY: all build vet fmt-check lint loc linkcheck test test-cpus test-cluster test-allocs test-short test-bench fuzz-smoke bench bench-smoke bench-sweep bench-boot bench-json layers scenarios profile-sweep profile-cluster profile-serve profile-boot cover help
+.PHONY: all build vet fmt-check lint loc linkcheck test test-cpus test-cluster test-allocs test-short test-bench fuzz-smoke bench bench-smoke bench-json layers scenarios profile-sweep profile-cluster profile-serve profile-boot cover help
 
 all: build lint test test-bench
 
@@ -125,20 +99,16 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
-## bench-sweep: repeated runs of the sweep, cold-search and WAL-replay micro-benchmarks, for benchstat
-bench-sweep:
-	$(GO) test -run '^$$' -bench '$(SWEEP_PATTERN)' -benchtime 10x -count $(SWEEP_COUNT) . ./internal/moo ./internal/histstore
-
-## bench-boot: repeated runs of BenchmarkCalibrate (generate the SF 0.004 calibration database, run the four studied queries on it) and of BenchmarkTenantBuild (one cold server.New of solo's spec, then Drain) at -cpu 1,2 — the cost every boot and cold tenant build pays per federation — and of BenchmarkRNGDraw (one draw of the generator's: Intn at a constant n, Below at a hoisted bound, Float64, math/rand's Intn beside them) at -cpu 1, for benchstat
-bench-boot:
-	$(GO) test -run '^$$' -bench 'Calibrate' -benchmem -count 5 -cpu 1,2 ./internal/federation
-	$(GO) test -run '^$$' -bench '^BenchmarkTenantBuild$$' -benchmem -count 5 -cpu 1,2 .
-	$(GO) test -run '^$$' -bench '^BenchmarkRNGDraw$$' -count 5 -cpu 1 ./internal/stats
-
-## layers: the layer ledger — PlanSweep/Full/*, SweepRound, ServeServedCold, ServeHotPath, HistoryPage/Repeat, HistoryPage/Polled, TenantBuild and WindowSearchServed (with its ridged/op and window/op) at -cpu 1,2, six runs of at least 0.5 s each, summarised per (benchmark, cpu) into BENCH_layers.json under the checked-out commit (a few minutes; CI runs only the ledger's parse test)
+## layers: the layer ledger, the one command that times a layer (~N min on a 2-core VM) — every layer's benchmarks at -cpu 1,2, six runs of at least 0.5 s each, summarised per (package, benchmark, cpu) into BENCH_layers.json under the checked-out commit, and that run rendered into docs/performance.md's generated table. Recovery runs n=10000 and retain=1024/n=100000 only (every timing round writes a size's store again) and ServeDurable only wal (fsync latency is the disk's noise). -cpu 2 only raises GOMAXPROCS: a serial benchmark's second P serves the runtime and the GC, and only ServeDurable/wal's RunParallel loop spreads over both cores. There is no -cpu 4 row: on 2 cores it would time oversubscription. CI runs only the ledger's tests.
 layers:
-	$(GO) test -run '^$$' -bench '^Benchmark(PlanSweep|SweepRound|ServeServedCold|ServeHotPath|HistoryPage|TenantBuild|WindowSearchServed)$$' -benchmem -benchtime 0.5s -count 6 -cpu 1,2 . | \
-		$(GO) run ./cmd/benchledger BENCH_layers.json "$$(git describe --always --dirty --abbrev=12)"
+	@for spec in \
+		'^Benchmark(PlanSweep|SweepRound|ServeServedCold|ServeHotPath|HistoryPage|TenantBuild|WindowSearchServed|WindowSearchCold|RouteLookup|ParetoFront|WALAppend|Calibrate|RNGDraw|ReplicatedAppend)$$ . ./internal/moo ./internal/histstore ./internal/federation ./internal/stats ./internal/server' \
+		'^BenchmarkServeDurable$$/^wal$$ .' \
+		'^BenchmarkRecovery$$/^n=10000$$ ./internal/histstore' \
+		'^BenchmarkRecovery$$/^retain=1024$$/^n=100000$$ ./internal/histstore'; do \
+		set -- $$spec; pattern=$$1; shift; \
+		$(GO) test -run '^$$' -bench "$$pattern" -benchmem -benchtime 0.5s -count 6 -cpu 1,2 "$$@"; \
+	done | $(GO) run ./cmd/benchledger BENCH_layers.json "$$(git describe --always --dirty --abbrev=12)"
 
 ## scenarios: the fixed-seed scenario sweep — MRE, regret and p99 per (arrival × chaos) cell
 scenarios:

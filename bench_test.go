@@ -146,65 +146,6 @@ func BenchmarkDREAMEstimate(b *testing.B) {
 	}
 }
 
-// benchDREAMEstimateUncached measures Algorithm 1 with the model cache
-// disabled over the realistic federated history. The workload knobs
-// stay outside the function so the two named variants below keep their
-// meanings (and their comparability across commits) stable.
-func benchDREAMEstimateUncached(b *testing.B, timeNoise, moneyNoise, requiredR2 float64) {
-	b.Helper()
-	h, err := core.NewHistory(federation.FeatureDim, federation.Metrics...)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := stats.NewRNG(1)
-	for i := 0; i < 120; i++ {
-		x := []float64{rng.Uniform(50, 150), rng.Uniform(5, 15), float64(rng.Intn(4) + 1), float64(rng.Intn(4) + 1), float64(rng.Intn(2))}
-		costs := []float64{10 + 0.1*x[0], 0.01 + 0.001*x[0]}
-		if timeNoise > 0 {
-			costs[0] += rng.Normal(0, timeNoise)
-		}
-		if moneyNoise > 0 {
-			costs[1] += rng.Normal(0, moneyNoise)
-		}
-		if err := h.Append(core.Observation{X: x, Costs: costs}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	est, err := core.NewEstimator(core.Config{RequiredR2: requiredR2, MMax: 21, CacheSize: -1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	x := []float64{100, 10, 2, 2, 1}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := est.EstimateCostValue(h, x); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkDREAMEstimateUncached is the same measurement as
-// BenchmarkDREAMEstimate with the model cache disabled — the seed
-// repo's sequential estimation path, kept (workload unchanged since
-// PR 1, so comparisons across commits stay meaningful) as
-// the baseline the parallel pipeline is judged against. On this
-// near-clean data the search converges at the minimal window, so it
-// measures the fixed per-estimate cost, not window growth.
-func BenchmarkDREAMEstimateUncached(b *testing.B) {
-	benchDREAMEstimateUncached(b, 2, 0, 0) // PR-1 workload: σ=2 on time, exact money, default R²require
-}
-
-// BenchmarkDREAMEstimateUncachedCold is the cost every cold tenant,
-// restart recovery and cache-thrashing workload pays per estimate when
-// conditions drift: noise high enough (and R²require strict enough)
-// that the window search actually grows to Mmax. This is the regime
-// the incremental shared-Gram solver attacks (~11x over the legacy
-// per-window loop).
-func BenchmarkDREAMEstimateUncachedCold(b *testing.B) {
-	benchDREAMEstimateUncached(b, 6, 0.06, 0.999)
-}
-
 // ---------------------------------------------------------------------------
 // Cold window searches: Algorithm 1 with nothing amortized — no model
 // cache, and data noisy enough that every search grows its window all
@@ -348,72 +289,8 @@ func BenchmarkWindowSearchServed(b *testing.B) {
 
 // ---------------------------------------------------------------------------
 // Plan-space estimation (paper Example 3.1): sweep every enumerated QEP
-// of a query through the Modelling module, with a full Algorithm 1
-// window search per chunk of plans vs. one cached model fit per history
-// version.
-
-// benchPlanSweep builds a scheduler with the model cache on, or off for
-// a negative cacheSize, bootstraps a history, and measures the served
-// sweep: PlanSweep (estimate every QEP, reduce to the Pareto set) then
-// ReleaseSweep. No execution, so the history — and the model fit — stay
-// fixed.
-func benchPlanSweep(b *testing.B, q tpch.QueryID, cacheSize int) {
-	b.Helper()
-	fed, err := federation.DefaultTopology(1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cal, err := federation.Calibrate(fed, 0.004, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	exec, err := federation.NewScaledExecutor(fed, cal, 0.1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	model, err := ires.NewDREAMModel(core.Config{
-		MMax:      3 * (federation.FeatureDim + 2),
-		CacheSize: cacheSize,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	sched, err := ires.NewSchedulerWithConfig(fed, exec, model, ires.SchedulerConfig{
-		NodeChoices: []int{1, 2, 3, 4, 5, 6, 8, 10, 12, 14, 16},
-		Seed:        1,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := sched.Bootstrap(q, 30); err != nil {
-		b.Fatal(err)
-	}
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sw, err := sched.PlanSweep(ctx, q)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sched.ReleaseSweep(sw)
-	}
-}
-
-// BenchmarkQ12SweepUncached runs without the model cache: every sweep
-// pays its one Algorithm 1 window search, so it reads one search above
-// Cached. What a refit per plan costs is measured by
-// BenchmarkDREAMEstimateUncached.
-func BenchmarkQ12SweepUncached(b *testing.B) { benchPlanSweep(b, tpch.QueryQ12, -1) }
-
-// BenchmarkQ12SweepCached shares one cached model fit per history
-// version across the sweep (the default configuration).
-func BenchmarkQ12SweepCached(b *testing.B) { benchPlanSweep(b, tpch.QueryQ12, 0) }
-
-// BenchmarkQ13SweepUncached / Cached repeat the contrast on the
-// second-largest plan space (one search per sweep there too; the
-// per-plan refit cost is BenchmarkDREAMEstimateUncached's).
-func BenchmarkQ13SweepUncached(b *testing.B) { benchPlanSweep(b, tpch.QueryQ13, -1) }
-func BenchmarkQ13SweepCached(b *testing.B)   { benchPlanSweep(b, tpch.QueryQ13, 0) }
+// of a query through the Modelling module and reduce it to its Pareto
+// set.
 
 // benchWidePlanSweep measures one warm PlanSweep over a WideTopology
 // lattice of 2·maxNodes² QEPs. The model cache is warmed outside the
@@ -422,8 +299,6 @@ func BenchmarkQ13SweepCached(b *testing.B)   { benchPlanSweep(b, tpch.QueryQ13, 
 // reduction examined (midas_pareto_candidates_total), the whole lattice
 // unless it read the front from the lattice's row ends. Each sweep is
 // released as a server releases it, so the next reuses its storage.
-// Distinct from benchPlanSweep above, which runs on the default
-// two-site topology.
 func benchWidePlanSweep(b *testing.B, maxNodes int) {
 	b.Helper()
 	reg := metrics.NewRegistry()
@@ -574,15 +449,6 @@ func (z zdt1Bench) Evaluate(x []float64) []float64 {
 	}
 	h := 1 - math.Sqrt(f1/g)
 	return []float64{f1, g * h}
-}
-
-// BenchmarkTPCHGenerate measures the data generator at SF 0.01.
-func BenchmarkTPCHGenerate(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := tpch.Generate(0.01, tpch.GenOptions{Seed: int64(i)}); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkFederatedQ12Execution measures one full relational execution

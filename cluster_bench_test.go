@@ -25,8 +25,13 @@ func BenchmarkRouteLookup(b *testing.B) {
 		b.Fatal(err)
 	}
 	tab := cluster.NewTable(ring)
-	// An override exercises the map probe a moved federation pays.
-	if tab = tab.Pin("tenant-3", members[0].ID, 0); tab == nil {
+	// An override exercises the map probe a moved federation pays: a pin
+	// of tenant-3 to a member the ring does not place it on.
+	moved := members[0].ID
+	if tab.Owner("tenant-3").ID == moved {
+		moved = members[1].ID
+	}
+	if tab = tab.Pin("tenant-3", moved, 0); tab == nil {
 		b.Fatal("override rejected")
 	}
 	feds := [...]string{"tenant-0", "tenant-1", "tenant-2", "tenant-3", "paper", "analytics"}

@@ -1,19 +1,20 @@
 // Command benchledger keeps the layer ledger, BENCH_layers.json: it
 // reads `go test -bench` output on stdin, echoes it to stdout, and
-// summarises it per (benchmark, GOMAXPROCS) — the median ns/op and its
-// interquartile range, the median B/op, allocs/op and custom units —
-// into one run labelled with the given commit, which replaces a run of
-// the same commit in the ledger or is appended to it. A run also
+// summarises it per (package, benchmark, GOMAXPROCS) — the median ns/op
+// and its interquartile range, the median B/op, allocs/op and custom
+// units — into one run labelled with the given commit, which replaces a
+// run of the same commit in the ledger or is appended to it. A run also
 // records the Go version, the number of CPUs and the CPU model the
-// benchmarks ran on.
+// benchmarks ran on. The ledger's newest run is then rendered as a table
+// into the marked block of docs/performance.md beside the ledger.
 //
 // Usage:
 //
 //	go test -run '^$' -bench ... -benchmem -count 6 -cpu 1,2 . | benchledger BENCH_layers.json <commit>
 //
-// `make layers` runs it over the sweep and serving layers' benchmarks.
-// It exits 1, leaving the ledger as it was, when the input holds a
-// failure or no benchmark line.
+// `make layers` runs it over every layer's benchmarks. It exits 1,
+// leaving the ledger and the document as they were, when the input
+// holds a failure or no benchmark line, or the document has no block.
 package main
 
 import (
@@ -22,7 +23,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"os"
+	"path/filepath"
 	"runtime"
 	"slices"
 	"strconv"
@@ -47,6 +50,9 @@ type Run struct {
 
 // Row summarises the samples of one benchmark at one GOMAXPROCS.
 type Row struct {
+	// Pkg is the benchmark's import path; runs recorded before it
+	// existed hold root-package rows only.
+	Pkg         string             `json:"pkg,omitempty"`
 	Benchmark   string             `json:"benchmark"`
 	Procs       int                `json:"cpu"`
 	Samples     int                `json:"samples"`
@@ -75,13 +81,14 @@ func main() {
 }
 
 // summarise reads benchmark output and returns its rows, in the order
-// each (benchmark, GOMAXPROCS) first appears.
+// each (package, benchmark, GOMAXPROCS) first appears.
 func summarise(r io.Reader) (Run, error) {
 	type key struct {
-		benchmark string
-		procs     int
+		pkg, benchmark string
+		procs          int
 	}
 	var run Run
+	var pkg string
 	samples := map[key]map[string][]float64{} // unit → values
 	var rows []Row
 	sc := bufio.NewScanner(r)
@@ -90,6 +97,9 @@ func summarise(r io.Reader) (Run, error) {
 		if cpu, ok := strings.CutPrefix(line, "cpu: "); ok {
 			run.CPU = cpu
 		}
+		if p, ok := strings.CutPrefix(line, "pkg: "); ok {
+			pkg = p
+		}
 		if strings.HasPrefix(line, "FAIL") || strings.HasPrefix(line, "--- FAIL") {
 			return Run{}, fmt.Errorf("the benchmarks failed: %s", line)
 		}
@@ -97,7 +107,8 @@ func summarise(r io.Reader) (Run, error) {
 		if !ok {
 			continue
 		}
-		k := key{row.Benchmark, row.Procs}
+		row.Pkg = pkg
+		k := key{pkg, row.Benchmark, row.Procs}
 		if samples[k] == nil {
 			samples[k] = map[string][]float64{}
 			rows = append(rows, row)
@@ -113,7 +124,7 @@ func summarise(r io.Reader) (Run, error) {
 		return Run{}, errors.New("no benchmark line in the input")
 	}
 	for _, row := range rows {
-		byUnit := samples[key{row.Benchmark, row.Procs}]
+		byUnit := samples[key{row.Pkg, row.Benchmark, row.Procs}]
 		row.Samples = len(byUnit["ns/op"])
 		for unit, vs := range byUnit {
 			q, err := stats.Quantiles(vs, 0.25, 0.5, 0.75)
@@ -173,7 +184,9 @@ func parseLine(line string) (Row, map[string]float64, bool) {
 }
 
 // record puts run into the ledger at path, in place of a run of the
-// same commit or after the others, creating the file if need be.
+// same commit or after the others, creating the file if need be, and
+// renders the ledger's newest run into the block of the document
+// docs/performance.md beside it.
 func record(path string, run Run) error {
 	var ledger Ledger
 	switch data, err := os.ReadFile(path); {
@@ -190,9 +203,85 @@ func record(path string, run Run) error {
 	} else {
 		ledger.Runs = append(ledger.Runs, run)
 	}
+	docPath := filepath.Join(filepath.Dir(path), "docs", "performance.md")
+	doc, err := os.ReadFile(docPath)
+	if err != nil {
+		return err
+	}
+	if doc, err = rewriteBlock(doc, render(ledger.Runs[len(ledger.Runs)-1])); err != nil {
+		return fmt.Errorf("%s: %w", docPath, err)
+	}
 	data, err := json.MarshalIndent(ledger, "", "  ")
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		return err
+	}
+	return os.WriteFile(docPath, doc, 0o644)
+}
+
+// The lines that open and close the document's generated block.
+const (
+	blockBegin = "<!-- begin benchledger: the newest run of BENCH_layers.json, rewritten by `make layers` -->\n"
+	blockEnd   = "<!-- end benchledger -->\n"
+)
+
+// rewriteBlock returns doc with the lines between its block's markers
+// replaced by table.
+func rewriteBlock(doc []byte, table string) ([]byte, error) {
+	head, rest, ok := strings.Cut(string(doc), blockBegin)
+	if !ok {
+		return nil, fmt.Errorf("no line %q", strings.TrimSpace(blockBegin))
+	}
+	_, tail, ok := strings.Cut(rest, blockEnd)
+	if !ok {
+		return nil, fmt.Errorf("no line %q after the block's first", strings.TrimSpace(blockEnd))
+	}
+	return []byte(head + blockBegin + table + blockEnd + tail), nil
+}
+
+// render returns run as a markdown table, one line per row.
+func render(run Run) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "Commit `%s`, %s, %d × %s. Each row is the median of its samples; IQR is the interquartile range of time/op.\n\n",
+		run.Commit, run.Go, run.NProc, run.CPU)
+	b.WriteString("| package | benchmark | -cpu | samples | time/op | IQR | B/op | allocs/op | other |\n")
+	b.WriteString("|---|---|--:|--:|--:|--:|--:|--:|---|\n")
+	for _, row := range run.Rows {
+		pkg := "."
+		if _, dir, ok := strings.Cut(row.Pkg, "/"); ok {
+			pkg = dir
+		}
+		var units []string
+		for _, unit := range slices.Sorted(maps.Keys(row.Units)) {
+			units = append(units, fmt.Sprintf("%g %s", row.Units[unit], unit))
+		}
+		fmt.Fprintf(&b, "| %s | %s | %d | %d | %s | %s | %g | %g | %s |\n", pkg, row.Benchmark, row.Procs, row.Samples,
+			duration(row.NsPerOp), duration(row.NsPerOpIQR), row.BytesPerOp, row.AllocsPerOp, strings.Join(units, ", "))
+	}
+	b.WriteString("\n")
+	return b.String()
+}
+
+// duration formats ns nanoseconds in the largest unit it fills, to
+// three or four significant digits.
+func duration(ns float64) string {
+	value, unit := ns, "ns"
+	for _, u := range []struct {
+		scale float64
+		name  string
+	}{{1e9, "s"}, {1e6, "ms"}, {1e3, "µs"}} {
+		if ns >= u.scale {
+			value, unit = ns/u.scale, u.name
+			break
+		}
+	}
+	decimals := 0
+	if value < 10 {
+		decimals = 2
+	} else if value < 100 {
+		decimals = 1
+	}
+	return strconv.FormatFloat(value, 'f', decimals, 64) + " " + unit
 }

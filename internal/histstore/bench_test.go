@@ -78,11 +78,12 @@ func BenchmarkWALAppendDurable(b *testing.B) {
 	}
 }
 
-// BenchmarkRecovery measures a cold open replaying the WAL — linear in
-// the history without a retention bound, flat with one, export-B being
-// what a handoff or standby sync of the opened shard ships — and
-// (legacy) the one-time open-plus-fold of a directory an older build
-// compacted: half the observations in snapshot.json, half in wal.log.
+// BenchmarkRecovery measures a cold open replaying the WAL: linear in
+// the history without a retention bound (n=N), flat with the server's
+// bound (retain=1024/n=N). export-B is what a handoff or standby sync
+// of the opened shard ships. Every timing round of a size writes its
+// store again, so the n=1000000 setup costs far more than its opens;
+// `make layers` runs n=10000 and retain=1024/n=100000.
 func BenchmarkRecovery(b *testing.B) {
 	// write fills a fresh store with size observations and closes it.
 	write := func(b *testing.B, size int, opts Options) string {
