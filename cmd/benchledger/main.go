@@ -241,47 +241,100 @@ func rewriteBlock(doc []byte, table string) ([]byte, error) {
 	return []byte(head + blockBegin + table + blockEnd + tail), nil
 }
 
-// render returns run as a markdown table, one line per row.
+// render returns run as a markdown table, one line per benchmark: its
+// median time/op [interquartile range] at each -cpu of the run side by
+// side, then its B/op, allocs/op and other units, "/"-joined where they
+// differ by -cpu.
 func render(run Run) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Commit `%s`, %s, %d × %s. Each row is the median of its samples; IQR is the interquartile range of time/op.\n\n",
-		run.Commit, run.Go, run.NProc, run.CPU)
-	b.WriteString("| package | benchmark | -cpu | samples | time/op | IQR | B/op | allocs/op | other |\n")
-	b.WriteString("|---|---|--:|--:|--:|--:|--:|--:|---|\n")
+	type line struct {
+		pkg, benchmark string
+		rows           []Row
+	}
+	var lines []*line
+	var procs []int
 	for _, row := range run.Rows {
+		if !slices.Contains(procs, row.Procs) {
+			procs = append(procs, row.Procs)
+		}
+		i := slices.IndexFunc(lines, func(l *line) bool { return l.pkg == row.Pkg && l.benchmark == row.Benchmark })
+		if i < 0 {
+			i, lines = len(lines), append(lines, &line{pkg: row.Pkg, benchmark: row.Benchmark})
+		}
+		lines[i].rows = append(lines[i].rows, row)
+	}
+	slices.Sort(procs)
+	var b strings.Builder
+	fmt.Fprintf(&b, "Commit `%s`, %s, %d × %s. Each figure is the median of a row's samples; brackets hold the interquartile range of time/op.\n\n| package | benchmark |",
+		run.Commit, run.Go, run.NProc, run.CPU)
+	for _, p := range procs {
+		fmt.Fprintf(&b, " time/op at -cpu %d |", p)
+	}
+	b.WriteString(" B/op | allocs/op | other |\n|---|---|" + strings.Repeat("--:|", len(procs)+2) + "---|\n")
+	for _, l := range lines {
 		pkg := "."
-		if _, dir, ok := strings.Cut(row.Pkg, "/"); ok {
+		if _, dir, ok := strings.Cut(l.pkg, "/"); ok {
 			pkg = dir
 		}
-		var units []string
-		for _, unit := range slices.Sorted(maps.Keys(row.Units)) {
-			units = append(units, fmt.Sprintf("%g %s", row.Units[unit], unit))
+		fmt.Fprintf(&b, "| %s | %s |", pkg, l.benchmark)
+		slices.SortFunc(l.rows, func(x, y Row) int { return x.Procs - y.Procs })
+		units := map[string]bool{}
+		for _, p := range procs {
+			cell := "—"
+			if i := slices.IndexFunc(l.rows, func(r Row) bool { return r.Procs == p }); i >= 0 {
+				cell = duration(l.rows[i].NsPerOp) + " [" + duration(l.rows[i].NsPerOpIQR) + "]"
+			}
+			b.WriteString(" " + cell + " |")
 		}
-		fmt.Fprintf(&b, "| %s | %s | %d | %d | %s | %s | %g | %g | %s |\n", pkg, row.Benchmark, row.Procs, row.Samples,
-			duration(row.NsPerOp), duration(row.NsPerOpIQR), row.BytesPerOp, row.AllocsPerOp, strings.Join(units, ", "))
+		for _, r := range l.rows {
+			for unit := range r.Units {
+				units[unit] = true
+			}
+		}
+		var other []string
+		for _, unit := range slices.Sorted(maps.Keys(units)) {
+			other = append(other, byProcs(l.rows, func(r Row) string { return number(r.Units[unit]) })+" "+unit)
+		}
+		fmt.Fprintf(&b, " %s | %s | %s |\n", byProcs(l.rows, func(r Row) string { return size(r.BytesPerOp) }),
+			byProcs(l.rows, func(r Row) string { return number(r.AllocsPerOp) }), strings.Join(other, ", "))
 	}
 	b.WriteString("\n")
 	return b.String()
 }
 
-// duration formats ns nanoseconds in the largest unit it fills, to
-// three or four significant digits.
-func duration(ns float64) string {
-	value, unit := ns, "ns"
-	for _, u := range []struct {
-		scale float64
-		name  string
-	}{{1e9, "s"}, {1e6, "ms"}, {1e3, "µs"}} {
-		if ns >= u.scale {
-			value, unit = ns/u.scale, u.name
-			break
-		}
+// byProcs formats one value of each row, in -cpu order, "/"-joined
+// unless all agree.
+func byProcs(rows []Row, format func(Row) string) string {
+	out := make([]string, len(rows))
+	for i, r := range rows {
+		out[i] = format(r)
+	}
+	if len(slices.Compact(slices.Clone(out))) == 1 {
+		return out[0]
+	}
+	return strings.Join(out, "/")
+}
+
+// number formats v in as few digits as keep it exact.
+func number(v float64) string { return strconv.FormatFloat(v, 'f', -1, 64) }
+
+// duration formats ns nanoseconds to three or four significant digits.
+func duration(ns float64) string { return scaled(ns, "ns", "µs", "ms", "s") }
+
+// size formats a byte count to three or four significant digits.
+func size(bytes float64) string { return scaled(bytes, "B", "kB", "MB", "GB") }
+
+// scaled formats v in the largest of the units, each 1,000 times the
+// last, that it fills.
+func scaled(v float64, units ...string) string {
+	unit := 0
+	for unit < len(units)-1 && v >= 1000 {
+		v, unit = v/1000, unit+1
 	}
 	decimals := 0
-	if value < 10 {
+	if v < 10 {
 		decimals = 2
-	} else if value < 100 {
+	} else if v < 100 {
 		decimals = 1
 	}
-	return strconv.FormatFloat(value, 'f', decimals, 64) + " " + unit
+	return strconv.FormatFloat(v, 'f', decimals, 64) + " " + units[unit]
 }

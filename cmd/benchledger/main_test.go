@@ -90,16 +90,18 @@ func TestRecord(t *testing.T) {
 	}
 }
 
-// TestRecordRendersBlock: a two-row run lands in the block as a table
-// of two lines, and the text around the block stays byte-identical. A
-// document without a block leaves the ledger as it was.
+// TestRecordRendersBlock: a run lands in the block as a table of one
+// line per benchmark, its -cpu rows side by side, and the text around
+// the block stays byte-identical. A document without a block leaves the
+// ledger as it was.
 func TestRecordRendersBlock(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "ledger.json")
 	docPath, head, tail := writeDoc(t, dir)
 	run := Run{Commit: "c0ffee", Go: "go1.24.0", NProc: 2, CPU: "Test CPU", Rows: []Row{
+		{Pkg: "repro", Benchmark: "SweepRound", Procs: 2, Samples: 6, NsPerOp: 9409.5, NsPerOpIQR: 781.75, BytesPerOp: 878, AllocsPerOp: 3},
 		{Pkg: "repro", Benchmark: "SweepRound", Procs: 1, Samples: 6, NsPerOp: 11160.5, NsPerOpIQR: 732, BytesPerOp: 858.5, AllocsPerOp: 3},
-		{Pkg: "repro/internal/moo", Benchmark: "ParetoFront/antichain/n18432", Procs: 2, Samples: 6, NsPerOp: 7.2e8, NsPerOpIQR: 1.5e7, Units: map[string]float64{"z/op": 2, "a/op": 1.5}},
+		{Pkg: "repro/internal/moo", Benchmark: "ParetoFront/antichain/n18432", Procs: 1, Samples: 6, NsPerOp: 7.2e8, NsPerOpIQR: 1.5e7, BytesPerOp: 3.2e6, Units: map[string]float64{"z/op": 2, "a/op": 1.5}},
 	}}
 	if err := record(path, run); err != nil {
 		t.Fatal(err)
@@ -109,11 +111,11 @@ func TestRecordRendersBlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := head + blockBegin +
-		"Commit `c0ffee`, go1.24.0, 2 × Test CPU. Each row is the median of its samples; IQR is the interquartile range of time/op.\n\n" +
-		"| package | benchmark | -cpu | samples | time/op | IQR | B/op | allocs/op | other |\n" +
-		"|---|---|--:|--:|--:|--:|--:|--:|---|\n" +
-		"| . | SweepRound | 1 | 6 | 11.2 µs | 732 ns | 858.5 | 3 |  |\n" +
-		"| internal/moo | ParetoFront/antichain/n18432 | 2 | 6 | 720 ms | 15.0 ms | 0 | 0 | 1.5 a/op, 2 z/op |\n" +
+		"Commit `c0ffee`, go1.24.0, 2 × Test CPU. Each figure is the median of a row's samples; brackets hold the interquartile range of time/op.\n\n" +
+		"| package | benchmark | time/op at -cpu 1 | time/op at -cpu 2 | B/op | allocs/op | other |\n" +
+		"|---|---|--:|--:|--:|--:|---|\n" +
+		"| . | SweepRound | 11.2 µs [732 ns] | 9.41 µs [782 ns] | 858 B/878 B | 3 |  |\n" +
+		"| internal/moo | ParetoFront/antichain/n18432 | 720 ms [15.0 ms] | — | 3.20 MB | 0 | 1.5 a/op, 2 z/op |\n" +
 		"\n" + blockEnd + tail
 	if string(doc) != want {
 		t.Errorf("document:\n%s\nwant:\n%s", doc, want)
