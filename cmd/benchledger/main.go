@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"io"
 	"maps"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -331,9 +332,11 @@ func scaled(v float64, units ...string) string {
 		v, unit = v/1000, unit+1
 	}
 	decimals := 0
-	if v < 10 {
+	switch {
+	case unit == 0 && v == math.Trunc(v): // a whole count of the base unit: 8 B, not 8.00 B
+	case v < 10:
 		decimals = 2
-	} else if v < 100 {
+	case v < 100:
 		decimals = 1
 	}
 	return strconv.FormatFloat(v, 'f', decimals, 64) + " " + units[unit]
