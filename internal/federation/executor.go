@@ -154,9 +154,14 @@ type Calibration struct {
 // calibrates on (TestCalibrationGolden pins Calibrate's output at it).
 const CalibrationSF = 0.004
 
-// Calibrate runs every studied query once over a calibration database
-// and normalizes the measured statistics per unit of scale factor.
-func Calibrate(fed *Federation, calibSF float64, seed int64) (*Calibration, error) {
+// Calibrate runs each of queries — every studied query when none is
+// given — once over a calibration database and normalizes the measured
+// statistics per unit of scale factor. A query's statistics do not
+// depend on which others are calibrated beside it.
+func Calibrate(fed *Federation, calibSF float64, seed int64, queries ...tpch.QueryID) (*Calibration, error) {
+	if len(queries) == 0 {
+		queries = tpch.AllQueries
+	}
 	db, err := tpch.Generate(calibSF, tpch.GenOptions{Seed: seed})
 	if err != nil {
 		return nil, err
@@ -164,10 +169,10 @@ func Calibrate(fed *Federation, calibSF float64, seed int64) (*Calibration, erro
 	full := NewFullExecutor(fed, db)
 	cal := &Calibration{
 		SF:      calibSF,
-		PerSF:   make(map[tpch.QueryID]pieces, len(tpch.AllQueries)),
+		PerSF:   make(map[tpch.QueryID]pieces, len(queries)),
 		tblByte: make(map[string]float64),
 	}
-	for _, q := range tpch.AllQueries {
+	for _, q := range queries {
 		_, pc, err := full.run(q)
 		if err != nil {
 			return nil, err

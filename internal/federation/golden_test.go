@@ -80,6 +80,35 @@ func TestCalibrationGolden(t *testing.T) {
 	}
 }
 
+// TestCalibrateSubsetMatchesAll: a calibration of any non-empty subset
+// of the studied queries holds, bit for bit, what the all-four
+// calibration holds for those queries, and no other query.
+func TestCalibrateSubsetMatchesAll(t *testing.T) {
+	for _, seed := range []int64{1, 42, 99} {
+		all, err := Calibrate(defaultFed(t), CalibrationSF, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for mask := 1; mask < 1<<len(tpch.AllQueries); mask++ {
+			var subset []tpch.QueryID
+			want := &Calibration{SF: all.SF, PerSF: make(map[tpch.QueryID]pieces), tblByte: all.tblByte}
+			for i, q := range tpch.AllQueries {
+				if mask&(1<<i) != 0 {
+					subset = append(subset, q)
+					want.PerSF[q] = all.PerSF[q]
+				}
+			}
+			got, err := Calibrate(defaultFed(t), CalibrationSF, seed, subset...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got.PerSF) != len(subset) || calibrationDigest(got) != calibrationDigest(want) {
+				t.Errorf("seed %d, %v: the calibration differs from the all-four one's", seed, subset)
+			}
+		}
+	}
+}
+
 // outcomeDigest is a SHA-256 over a sequence of outcomes: every field
 // of each, floats by their bits, the answer (if any) by its schema and
 // rows.

@@ -10,6 +10,7 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"repro/internal/cloud"
 	"repro/internal/core"
@@ -124,12 +125,59 @@ var topologies = map[string]func(seed int64) (*federation.Federation, error){
 	"threecloud": federation.ThreeCloudTopology,
 }
 
-// calibrations remembers, for the length of one New, the calibration of
-// each seed already paid for. Calibrating generates a TPC-H database and
-// runs the four queries over it — nearly all of a tenant build — and
-// reads nothing of the topology, so every tenant sharing the seed shares
-// the result, which is read-only once built.
-type calibrations map[int64]*federation.Calibration
+// calibrations holds, for the length of one New, one calibration per
+// seed, over the union of the queries the specs with that seed serve,
+// made when the first of those specs is built. Calibrating generates a
+// TPC-H database and runs the queries over it — nearly all of a tenant
+// build — and reads nothing of the topology, so every tenant sharing the
+// seed shares the result, which is read-only once built.
+type calibrations map[int64]*seedCalibration
+
+type seedCalibration struct {
+	queries []tpch.QueryID
+	cal     *federation.Calibration
+}
+
+// newCalibrations plans the calibrations of specs. A spec whose queries
+// do not resolve adds none: building it reports the error.
+func newCalibrations(specs []FederationSpec) calibrations {
+	calibs := make(calibrations)
+	for i := range specs {
+		sp := specs[i].withDefaults()
+		queries, err := sp.queries()
+		if err != nil {
+			continue
+		}
+		sc := calibs[sp.Seed]
+		if sc == nil {
+			sc = &seedCalibration{}
+			calibs[sp.Seed] = sc
+		}
+		for _, q := range queries {
+			if !slices.Contains(sc.queries, q) {
+				sc.queries = append(sc.queries, q)
+			}
+		}
+	}
+	return calibs
+}
+
+// calibration returns the seed's calibration, calibrating it on first
+// use; a seed calibs did not plan is calibrated for queries alone.
+func (calibs calibrations) calibration(fed *federation.Federation, seed int64, queries []tpch.QueryID) (*federation.Calibration, error) {
+	sc := calibs[seed]
+	if sc == nil {
+		return federation.Calibrate(fed, federation.CalibrationSF, seed, queries...)
+	}
+	if sc.cal == nil {
+		cal, err := federation.Calibrate(fed, federation.CalibrationSF, seed, sc.queries...)
+		if err != nil {
+			return nil, err
+		}
+		sc.cal = cal
+	}
+	return sc.cal, nil
+}
 
 // buildTenant assembles the spec's scheduler: topology, calibration,
 // ires.NewDREAMScheduler, and — with a store configured — the tenant's
@@ -141,8 +189,8 @@ type calibrations map[int64]*federation.Calibration
 // opens and bootstraps the same way, so a tenant activated by a handoff
 // or takeover decides exactly as one activated at boot would. mirror,
 // when non-nil, receives every WAL append of the tenant's store (cluster
-// replication). calibs, when non-nil, is consulted before calibrating
-// and remembers the result.
+// replication). calibs supplies the calibration; a nil one calibrates
+// the spec's queries alone.
 func buildTenant(spec FederationSpec, storeCfg StoreConfig, reg *metrics.Registry, mirror histstore.Mirror, calibs calibrations) (*tenant, error) {
 	sp := spec.withDefaults()
 	if sp.Name == "" {
@@ -169,15 +217,9 @@ func buildTenant(spec FederationSpec, storeCfg StoreConfig, reg *metrics.Registr
 	if err != nil {
 		return nil, fmt.Errorf("server: federation %q: %w", sp.Name, err)
 	}
-	cal := calibs[sp.Seed]
-	if cal == nil {
-		cal, err = federation.Calibrate(fed, federation.CalibrationSF, sp.Seed)
-		if err != nil {
-			return nil, fmt.Errorf("server: federation %q: calibrate: %w", sp.Name, err)
-		}
-		if calibs != nil {
-			calibs[sp.Seed] = cal
-		}
+	cal, err := calibs.calibration(fed, sp.Seed, queries)
+	if err != nil {
+		return nil, fmt.Errorf("server: federation %q: calibrate: %w", sp.Name, err)
 	}
 	schedCfg := ires.SchedulerConfig{
 		NodeChoices:       sp.NodeChoices,

@@ -3,9 +3,12 @@ package server
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/federation"
 	"repro/internal/ires"
 	"repro/internal/regression"
@@ -103,6 +106,13 @@ func TestSpecValidation(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Fatal("empty config should error")
 	}
+	// The calibration plan skips a spec whose queries do not resolve;
+	// building it still reports them.
+	bad := []FederationSpec{{Name: "ok", Queries: []string{"Q12"}, Bootstrap: 12}, {Name: "x", Queries: []string{"Q1"}}}
+	if _, err := New(Config{Federations: bad}); err == nil ||
+		err.Error() != `server: federation "x": tpch: unknown query "Q1" (studied: Q12, Q13, Q14, Q17)` {
+		t.Fatalf("unstudied query in New: err = %v", err)
+	}
 	// Duplicate names must surface as an error before any tenant (and
 	// its per-federation metric series) is built — not as a duplicate-
 	// collector panic from the second twin's registration.
@@ -140,8 +150,33 @@ func TestServedLatticeBound(t *testing.T) {
 	}
 }
 
+// TestNewCalibrationsUnion: each seed is calibrated once, for the union
+// of the queries its specs serve, in the order they first appear; a spec
+// that names no query serves all four.
+func TestNewCalibrationsUnion(t *testing.T) {
+	calibs := newCalibrations([]FederationSpec{
+		{Name: "a", Queries: []string{"Q14"}},
+		{Name: "b", Queries: []string{"Q12", "Q14"}},
+		{Name: "c", Seed: 7},
+		{Name: "d", Seed: 9, Queries: []string{"Q1"}},
+	})
+	want := map[int64][]tpch.QueryID{
+		42: {tpch.QueryQ14, tpch.QueryQ12},
+		7:  tpch.AllQueries,
+	}
+	if len(calibs) != len(want) {
+		t.Fatalf("%d seeds planned, want %d", len(calibs), len(want))
+	}
+	for seed, qs := range want {
+		if sc := calibs[seed]; sc == nil || !slices.Equal(sc.queries, qs) || sc.cal != nil {
+			t.Errorf("seed %d: planned %+v, want %v and nothing calibrated yet", seed, sc, qs)
+		}
+	}
+}
+
 // TestCalibrationMemoDecidesIdentically: New calibrates once per seed,
-// not once per tenant. Two specs sharing it — on different topologies,
+// not once per tenant, and only the queries the seed's specs serve. Two
+// specs sharing it — on different topologies,
 // since the claim is that calibration reads none of it — must decide
 // byte-identically whether the second reuses the first's calibration or
 // pays for its own.
@@ -174,12 +209,61 @@ func TestCalibrationMemoDecidesIdentically(t *testing.T) {
 		}
 		return out.String()
 	}
-	memo := make(calibrations)
+	memo := newCalibrations(specs)
 	with, without := run(memo), run(nil)
-	if len(memo) != 1 {
-		t.Fatalf("memo holds %d calibrations for two specs sharing a seed, want 1", len(memo))
+	if len(memo) != 1 || memo[42].cal == nil || !slices.Equal(memo[42].queries, []tpch.QueryID{tpch.QueryQ12}) {
+		t.Fatalf("memo holds %d calibrations for two Q12 specs sharing a seed, want one of Q12", len(memo))
 	}
 	if with != without {
 		t.Fatalf("decisions differ with the memo:\n%s\nwithout:\n%s", with, without)
+	}
+}
+
+// idleTenantHeapBound is the live heap a tenant this node does not own
+// may hold: its federation, scheduler and metric series, with the
+// seed's calibration shared. Its generators hold no state until they
+// draw; when each held math/rand's 4.9 KB register from birth, an idle
+// tenant held about XX KB.
+const idleTenantHeapBound = 16 << 10
+
+// TestIdleTenantHeap builds a cluster node that owns none of its
+// federations and holds the live heap each of them adds to
+// idleTenantHeapBound.
+func TestIdleTenantHeap(t *testing.T) {
+	members := []cluster.Member{{ID: "n0", Addr: "http://127.0.0.1:1"}, {ID: "n1", Addr: "http://127.0.0.1:1"}}
+	ring, err := cluster.NewRing(members, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const k = 16
+	var specs []FederationSpec
+	for i := 0; len(specs) < k; i++ {
+		if name := fmt.Sprintf("fed%d", i); ring.Owner(name).ID == "n1" {
+			specs = append(specs, FederationSpec{Name: name, Queries: []string{"Q12"}})
+		}
+	}
+	live := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := live()
+	srv, err := New(Config{Federations: specs, Cluster: &ClusterConfig{NodeID: "n0", Peers: members}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	perTenant := int64(live()-before) / k
+	for _, sp := range specs {
+		if st := srv.tenants[sp.Name].state.Load(); st == cluster.Active {
+			t.Fatalf("%s is active on the node that owns none", sp.Name)
+		}
+	}
+	if err := srv.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d B of live heap per idle tenant, bound %d", perTenant, idleTenantHeapBound)
+	if perTenant > idleTenantHeapBound {
+		t.Errorf("an idle tenant holds %d B of live heap, over the bound of %d", perTenant, idleTenantHeapBound)
 	}
 }

@@ -238,7 +238,7 @@ func New(cfg Config) (*Server, error) {
 			_ = t.closeStore()
 		}
 	}
-	calibs := make(calibrations)
+	calibs := newCalibrations(cfg.Federations)
 	for i := range cfg.Federations {
 		var mirror histstore.Mirror
 		if cs != nil {

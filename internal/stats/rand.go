@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"sync"
 )
 
 // RNG draws the distributions the simulators need from math/rand's
@@ -20,10 +21,10 @@ type RNG struct {
 	r   *rand.Rand
 }
 
-// NewRNG returns a deterministic generator for the given seed.
+// NewRNG returns a deterministic generator for the given seed. It holds
+// no generator state until its first draw.
 func NewRNG(seed int64) *RNG {
-	g := &RNG{}
-	g.src.Seed(seed)
+	g := &RNG{src: source{seed: seed}}
 	g.r = rand.New(&g.src)
 	return g
 }
@@ -123,25 +124,46 @@ const (
 // source is math/rand's generator with its register kept in output
 // order: vec holds the outputs of the current 607-draw cycle and next
 // indexes the one to return next, so a draw is a load and an index bump.
+// The register is built from seed on the first draw, so a generator
+// that never draws (an idle tenant's) holds 40 bytes, not 4.9 KB. It is
+// a slice, not an array pointer, so that the draw's bounds check is its
+// only check: next == len(vec) both ends a cycle and finds no register.
 // It is a rand.Source64 so that a rand.Rand can draw from the same state.
 type source struct {
 	next int
-	vec  [rngLen]int64
+	vec  []int64 // nil until the first draw, then rngLen long
+	seed int64
 }
 
-// Seed makes the first cycle the first 607 outputs of a fresh
-// rand.NewSource(seed), so the stream is math/rand's by construction.
+// seeders are math/rand sources kept for seeding registers: Seed resets
+// all of a source's state, so one serves every seed in turn.
+var seeders = sync.Pool{New: func() any { return rand.NewSource(0) }}
+
+// Seed restarts the stream at seed. The first cycle is the first 607
+// outputs of rand.NewSource(seed), so the stream is math/rand's by
+// construction; a source that has drawn rebuilds its register now, in
+// place, and one that has not waits for its first draw.
 func (s *source) Seed(seed int64) {
-	src := rand.NewSource(seed).(rand.Source64)
+	s.seed, s.next = seed, len(s.vec)
+	if s.vec != nil {
+		s.fill()
+	}
+}
+
+// fill makes the register the first cycle of seed's stream.
+func (s *source) fill() {
+	src := seeders.Get().(rand.Source64)
+	src.Seed(s.seed)
 	for i := range s.vec {
 		s.vec[i] = int64(src.Uint64())
 	}
+	seeders.Put(src)
 	s.next = 0
 }
 
 // Uint64 returns the next 64-bit output.
 func (s *source) Uint64() (x uint64) {
-	if s.next == rngLen {
+	if s.next == len(s.vec) {
 		s.refill()
 	}
 	x = uint64(s.vec[s.next])
@@ -152,14 +174,20 @@ func (s *source) Uint64() (x uint64) {
 // Int63 returns the next output with its top bit cleared.
 func (s *source) Int63() int64 { return int64(s.Uint64() &^ (1 << 63)) }
 
-// refill overwrites the cycle with the next one: y[k+607] = y[k] +
-// y[k+334], where y[k+334] is still in the old cycle for k < 273 and
-// already in the new one, at k−273, after. It is kept out of line so
-// that Uint64, which calls it once a cycle, inlines.
+// refill builds the register on the first draw, and on every later
+// cycle overwrites it with the next one: y[k+607] = y[k] + y[k+334],
+// where y[k+334] is still in the old cycle for k < 273 and already in
+// the new one, at k−273, after. It is kept out of line so that Uint64,
+// which calls it once a cycle, inlines.
 //
 //go:noinline
 func (s *source) refill() {
-	v := &s.vec
+	if s.vec == nil {
+		s.vec = make([]int64, rngLen)
+		s.fill()
+		return
+	}
+	v := (*[rngLen]int64)(s.vec)
 	for k := 0; k < rngTap; k++ {
 		v[k] += v[k+rngLen-rngTap]
 	}

@@ -4,9 +4,15 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 )
+
+// raceEnabled is set by race_test.go when the race detector is compiled
+// in: sync.Pool drops entries at random there, so allocation counts mean
+// nothing.
+var raceEnabled bool
 
 // rngSeeds are the seeds the stream is checked at: zero, the signs, the
 // values math/rand's seeding reduces mod 2³¹−1 to each other and to 0,
@@ -106,6 +112,14 @@ type replay []int64
 func (r *replay) Int63() int64 { v := (*r)[0]; *r = (*r)[1:]; return v }
 func (r *replay) Seed(int64)   {}
 
+// builtRNG returns NewRNG(seed) with its register built, as its first
+// draw would build it, for a test to write draws into.
+func builtRNG(seed int64) *RNG {
+	g := NewRNG(seed)
+	g.src.refill()
+	return g
+}
+
 // TestBelowRejectsAsInt31n puts the 31-bit draws around Int31n's
 // rejection bound — which a random stream reaches about once in 2³¹
 // draws at most n — into the generator's register, and holds Intn and
@@ -128,7 +142,7 @@ func TestBelowRejectsAsInt31n(t *testing.T) {
 				func(g *RNG) int { return g.Intn(n) },
 				func(g *RNG) int { return g.Below(NewBound(n)) },
 			} {
-				g := NewRNG(1)
+				g := builtRNG(1)
 				for i, v := range draws {
 					// Top bit set: Int63 must clear it.
 					g.src.vec[i] = v<<32 | 0x5a5a5a5a | math.MinInt64
@@ -148,7 +162,7 @@ func TestFloat64RedrawsOne(t *testing.T) {
 	draws := []int64{math.MaxInt64, math.MaxInt64 - 255, 1<<62 + 12345}
 	words := slices.Clone(replay(draws))
 	want := rand.New(&words).Float64()
-	g := NewRNG(1)
+	g := builtRNG(1)
 	copy(g.src.vec[:], draws)
 	if got := g.Float64(); got != want || len(words) != 0 || g.src.next != len(draws) {
 		t.Errorf("Float64 = %v after %d draws, want %v after %d", got, g.src.next, want, len(draws)-len(words))
@@ -176,6 +190,71 @@ func TestRNGIntnPanicsAsMathRand(t *testing.T) {
 		if got := panicOf(func() { g.Below(b) }); got != want {
 			t.Errorf("Below(NewBound(%d)) panicked with %v, want %v", n, got, want)
 		}
+	}
+}
+
+// TestReseedMatchesNewRNG: a generator re-seeded through rand.Rand,
+// before its first draw and after many, draws what NewRNG of the new
+// seed draws.
+func TestReseedMatchesNewRNG(t *testing.T) {
+	for _, drawn := range []int{0, 1, rngLen, 5000} {
+		g := NewRNG(7)
+		for range drawn {
+			g.Float64()
+		}
+		for _, seed := range rngSeeds {
+			g.r.Seed(seed)
+			want := NewRNG(seed)
+			for i := range 2 * rngLen {
+				if got, w := g.src.Uint64(), want.src.Uint64(); got != w {
+					t.Fatalf("re-seeded to %d after %d draws: draw %d is %x, want %x", seed, drawn, i, got, w)
+				}
+			}
+		}
+	}
+}
+
+// allocated runs f runs times and returns the objects and bytes it
+// allocated per run, rounded down as testing.AllocsPerRun rounds.
+func allocated(runs int, f func(i int)) (objects, bytes uint64) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range runs {
+		f(i)
+	}
+	runtime.ReadMemStats(&after)
+	n := uint64(runs)
+	return (after.Mallocs - before.Mallocs) / n, (after.TotalAlloc - before.TotalAlloc) / n
+}
+
+// TestNewRNGAllocBudget holds a generator's memory to what it draws
+// with: NewRNG allocates the RNG and its rand.Rand but no register, the
+// first draw allocates the register alone (its seeding source is
+// pooled), and re-seeding a generator that has drawn allocates nothing.
+func TestNewRNGAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	// One P, as testing.AllocsPerRun runs, set before the pool of seeding
+	// sources is filled: a change of GOMAXPROCS empties it.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	NewRNG(0).Float64()
+	const runs, register = 100, rngLen * 8
+	gs := make([]*RNG, runs)
+	objects, bytes := allocated(runs, func(i int) { gs[i] = NewRNG(int64(i)) })
+	t.Logf("NewRNG: %d objects, %d B", objects, bytes)
+	if objects > 2 || bytes >= register {
+		t.Errorf("NewRNG allocates %d objects, %d B: want at most 2 and under the %d B register", objects, bytes, register)
+	}
+	objects, bytes = allocated(runs, func(i int) { gs[i].Float64() })
+	t.Logf("first draw: %d objects, %d B", objects, bytes)
+	if objects != 1 || bytes < register || bytes >= 2*register {
+		t.Errorf("first draw allocates %d objects, %d B: want the %d B register alone", objects, bytes, register)
+	}
+	g := gs[0]
+	objects, bytes = allocated(runs, func(i int) { g.r.Seed(int64(i)); g.Float64() })
+	if objects != 0 {
+		t.Errorf("re-seeding a drawn generator allocates %d objects, %d B: want none", objects, bytes)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/federation"
 	"repro/internal/histstore"
 	"repro/internal/ires"
@@ -149,8 +150,8 @@ func BenchmarkServeServedCold(b *testing.B) {
 
 // BenchmarkTenantBuild is one cold tenant build, what a boot pays per
 // federation before it serves: server.New of the `solo` workload's spec
-// (Q12 alone; the calibration database generated and the four studied
-// queries run on it, the scheduler built and bootstrapped), then Drain.
+// (Q12 alone; the calibration database generated and Q12, the one query
+// served, run on it, the scheduler built and bootstrapped), then Drain.
 // Nothing outlives an op, so every op is as cold as a boot. It is the
 // layer number beside the benchmark's setup_s; BenchmarkCalibrate
 // (`./internal/federation`) times the calibration alone.
@@ -434,15 +435,16 @@ func BenchmarkServeDurable(b *testing.B) {
 
 // newHistoryBench serves submissions into the bench tenant's Q12
 // history until it holds more than one page, bounded as midasd bounds a
-// served history, and returns the server, its handler and a page
-// request.
-func newHistoryBench(tb testing.TB) (*server.Server, http.Handler, *http.Request) {
+// served history, and returns the server, that history, the server's
+// handler and a page request.
+func newHistoryBench(tb testing.TB) (*server.Server, *core.History, http.Handler, *http.Request) {
 	tb.Helper()
 	sched := newFixedSweepSched(tb, nil)
-	sched.History(tpch.QueryQ12).SetRetain(1024)
+	hist := sched.History(tpch.QueryQ12)
+	hist.SetRetain(1024)
 	srv := newServeBench(tb, noDeadline, sched)
 	submitN(tb, srv, 40)
-	return srv, srv.Handler(), httptest.NewRequest(http.MethodGet, "/v1/history/Q12?limit=50", nil)
+	return srv, hist, srv.Handler(), httptest.NewRequest(http.MethodGet, "/v1/history/Q12?limit=50", nil)
 }
 
 // submitN serves n submissions through srv.
@@ -489,16 +491,35 @@ func BenchmarkHistoryPage(b *testing.B) {
 	b.Run("Polled", func(b *testing.B) { benchHistoryPage(b, 9) })
 }
 
-// benchHistoryPage reads the page after every appends submissions.
+// historyPollCycle is how many reads a Polled run makes before the
+// observations it appends repeat.
+const historyPollCycle = 64
+
+// benchHistoryPage reads the page after every appends observations. The
+// observations are served ones, recorded at setup and appended straight
+// to the history between reads, so the untimed work per read is a few
+// slice copies rather than appends served submissions.
 func benchHistoryPage(b *testing.B, appends int) {
-	srv, h, req := newHistoryBench(b)
+	srv, hist, h, req := newHistoryBench(b)
+	// The served observations the reads cycle through.
+	submitN(b, srv, appends*historyPollCycle)
+	recorded := make([]core.Observation, appends*historyPollCycle)
+	for i := range recorded {
+		recorded[i] = hist.At(hist.Len() - len(recorded) + i)
+	}
 	sink := &pageSink{header: make(http.Header)}
 	b.ReportAllocs()
 	b.ResetTimer()
+	next := 0
 	for i := 0; i < b.N; i++ {
 		if appends > 0 {
 			b.StopTimer()
-			submitN(b, srv, appends)
+			for range appends {
+				if err := hist.Append(recorded[next]); err != nil {
+					b.Fatal(err)
+				}
+				next = (next + 1) % len(recorded)
+			}
 			b.StartTimer()
 		}
 		sink.serve(b, h, req)
@@ -513,7 +534,7 @@ func TestHistoryPageAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	_, h, req := newHistoryBench(t)
+	_, _, h, req := newHistoryBench(t)
 	sink := &pageSink{header: make(http.Header)}
 	allocs := testing.AllocsPerRun(200, func() { sink.serve(t, h, req) })
 	t.Logf("%.1f allocs per 50-observation page (%d bytes), budget %d", allocs, sink.n, historyPageAllocBudget)
