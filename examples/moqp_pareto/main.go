@@ -81,10 +81,11 @@ func run(w io.Writer) error {
 		return err
 	}
 	defer sched.ReleaseSweep(sw)
-	fmt.Fprintf(w, "exact sweep: %d plans scored once, Pareto plan set of %d plans\n", len(sw.Plans), len(sw.FrontIdx))
+	lat := sw.Lattice
+	fmt.Fprintf(w, "exact sweep: %d plans scored once, Pareto plan set of %d plans\n", lat.Size(), len(sw.FrontIdx))
 	for j, i := range sw.FrontIdx {
 		c := sw.FrontCosts.Row(j)
-		fmt.Fprintf(w, "  %-34v est time %7.2f s   est money $%.5f\n", sw.Plans[i], c[0], c[1])
+		fmt.Fprintf(w, "  %-34v est time %7.2f s   est money $%.5f\n", lat.At(i), c[0], c[1])
 	}
 	fmt.Fprintln(w)
 
@@ -108,9 +109,9 @@ func run(w io.Writer) error {
 			return err
 		}
 		fmt.Fprintf(w, "  %-18s Pareto→ %-32v WSM→ %-32v (+%d evals)\n",
-			pc.name, sw.Plans[best], sw.Plans[wsm], len(sw.Plans))
+			pc.name, lat.At(best), lat.At(wsm), lat.Size())
 	}
 	fmt.Fprintf(w, "\ntotals: the sweep pays %d evaluations once; WSM pays %d across %d policies\n",
-		len(sw.Plans), len(policies)*len(sw.Plans), len(policies))
+		lat.Size(), len(policies)*lat.Size(), len(policies))
 	return nil
 }

@@ -160,7 +160,7 @@ func TestRunFig3(t *testing.T) {
 		}
 		onExact := make(map[federation.Plan]bool)
 		for _, i := range l.Exact.FrontIdx {
-			onExact[l.Exact.Plans[i]] = true
+			onExact[l.Exact.Lattice.At(i)] = true
 		}
 		exactCosts := l.Exact.AllCosts()
 		for i, p := range l.GA.Plans {

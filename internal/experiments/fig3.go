@@ -28,8 +28,9 @@ type Fig3Lattice struct {
 	// GA is NSGA-II's Pareto set and Exact the scheduler's sweep of the
 	// whole lattice: the two sets a policy selects in. Covered counts
 	// the plans of Exact's front that GA holds.
-	GA, Exact *ires.Sweep
-	Covered   int
+	GA      *GAFront
+	Exact   *ires.Sweep
+	Covered int
 	// The per-approach numbers, indexed GA, exact sweep, weighted sum:
 	// the model evaluations paid across every policy, the wall time of
 	// building the Pareto set once (none for the weighted sum) and of
@@ -102,9 +103,9 @@ func fig3On(st *stack, seed int64) (*Fig3Lattice, error) {
 	if l.Exact, err = st.sched.PlanSweep(context.TODO(), st.query); err != nil {
 		return nil, err
 	}
-	l.Evaluations[1], l.BuildNS[1] = len(l.Exact.Plans), time.Since(start).Nanoseconds()
+	l.Evaluations[1], l.BuildNS[1] = l.Exact.Lattice.Size(), time.Since(start).Nanoseconds()
 	for _, i := range l.Exact.FrontIdx {
-		if slices.Contains(l.GA.Plans, l.Exact.Plans[i]) {
+		if slices.Contains(l.GA.Plans, l.Exact.Lattice.At(i)) {
 			l.Covered++
 		}
 	}
@@ -130,11 +131,11 @@ func fig3On(st *stack, seed int64) (*Fig3Lattice, error) {
 		// The weights passed ArgminWeightedSum's checks, so WeightedSum
 		// cannot fail on them.
 		wsm, _ := moo.WeightedSum(costs.Row(idx), pol.Weights)
-		l.Evaluations[2] += len(sw.Plans)
+		l.Evaluations[2] += sw.Lattice.Size()
 		st.sched.ReleaseSweep(sw)
 		l.StepNS[2] += time.Since(start).Nanoseconds()
 
-		for i, sw := range []*ires.Sweep{l.GA, l.Exact} {
+		for i, sw := range []*ires.Sweep{l.GA.Sweep, l.Exact} {
 			start := time.Now()
 			idx, err := sw.Select(pol)
 			if err != nil {

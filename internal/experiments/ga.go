@@ -115,12 +115,21 @@ func (p *planProblem) Evaluate(x []float64) []float64 {
 	return c
 }
 
+// GAFront is NSGA-II's deduplicated Pareto set. Its plans are lattice
+// points, but only a few of them, so it lists them rather than holding a
+// lattice; the sweep it embeds is built by hand over that list — every
+// plan on the front, row j plan j's — so a policy selects in it through
+// Sweep.Select, as in the scheduler's own sweep, and the index Select
+// returns is a position in Plans.
+type GAFront struct {
+	*ires.Sweep
+	Plans []federation.Plan
+}
+
 // optimizeGA runs NSGA-II once over st's lattice against the current
-// history snapshot. It returns the deduplicated front as a sweep built
-// by hand — every plan on its front — so a policy selects in it through
-// Sweep.Select, as in the scheduler's own sweep, and the number of
+// history snapshot. It returns the deduplicated front and the number of
 // distinct plans it scored.
-func optimizeGA(st *stack, cfg moo.NSGAIIConfig) (*ires.Sweep, int, error) {
+func optimizeGA(st *stack, cfg moo.NSGAIIConfig) (*GAFront, int, error) {
 	h := st.sched.History(st.query)
 	if h == nil || h.Len() == 0 {
 		return nil, 0, fmt.Errorf("%w: %v", ires.ErrNoHistory, st.query)
@@ -133,20 +142,21 @@ func optimizeGA(st *stack, cfg moo.NSGAIIConfig) (*ires.Sweep, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	sw := &ires.Sweep{Query: st.query}
+	front := &GAFront{Sweep: &ires.Sweep{Query: st.query}}
+	sw := front.Sweep
 	var rows [][]float64
 	for _, ind := range res.Front {
 		plan := prob.decode(ind.X)
-		if slices.Contains(sw.Plans, plan) {
+		if slices.Contains(front.Plans, plan) {
 			continue
 		}
-		sw.FrontIdx = append(sw.FrontIdx, len(sw.Plans))
-		sw.Plans = append(sw.Plans, plan)
+		sw.FrontIdx = append(sw.FrontIdx, len(front.Plans))
+		front.Plans = append(front.Plans, plan)
 		rows = append(rows, prob.cache[plan])
 	}
 	if sw.Costs, err = moo.NewCostMatrix(rows); err != nil {
 		return nil, 0, err
 	}
 	sw.FrontCosts, sw.Normalized = sw.Costs, moo.NormalizeCosts(nil, sw.Costs)
-	return sw, len(prob.cache), nil
+	return front, len(prob.cache), nil
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"testing"
 
 	"repro/internal/federation"
@@ -21,6 +20,16 @@ func testStack(t *testing.T, seed int64, choices []int, cacheSize int, q tpch.Qu
 		t.Fatal(err)
 	}
 	return st
+}
+
+// onLattice reports whether p is a point of lat.
+func onLattice(lat *federation.PlanLattice, p federation.Plan) bool {
+	for i := range lat.Size() {
+		if lat.At(i) == p {
+			return true
+		}
+	}
+	return false
 }
 
 // TestOptimizeGAAndSelect: the GA needs a history, returns lattice plans
@@ -40,7 +49,7 @@ func TestOptimizeGAAndSelect(t *testing.T) {
 		t.Fatalf("GA front of %d plans from %d evaluations", len(front.Plans), evaluations)
 	}
 	for _, p := range front.Plans {
-		if !slices.Contains(st.lat.Plans(), p) {
+		if !onLattice(st.lat, p) {
 			t.Errorf("plan %v in the front is not in the lattice", p)
 		}
 	}
@@ -75,7 +84,7 @@ func TestGAAmortizesAcrossPolicyChanges(t *testing.T) {
 		if _, err := moo.ArgminWeightedSum(moo.NormalizeCosts(nil, sw.AllCosts()), pol.Weights); err != nil {
 			t.Fatal(err)
 		}
-		wsmEvals += len(sw.Plans)
+		wsmEvals += sw.Lattice.Size()
 		st.sched.ReleaseSweep(sw)
 		if _, err := front.Select(pol); err != nil {
 			t.Fatal(err)
@@ -102,7 +111,7 @@ func TestGADecodesLatticePlans(t *testing.T) {
 			t.Errorf("seed %d: %d model evaluations on a %d-plan lattice", seed, evaluations, st.lat.Size())
 		}
 		for _, p := range front.Plans {
-			if !slices.Contains(st.lat.Plans(), p) {
+			if !onLattice(st.lat, p) {
 				t.Errorf("seed %d: plan %v in the front is not in the lattice", seed, p)
 			}
 		}

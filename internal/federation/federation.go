@@ -184,14 +184,18 @@ func (p Plan) String() string {
 // its one deterministic order (join-at-left first, then per-site sizes
 // in menu order). Node choices beyond a site's MaxNodes are skipped;
 // empty, non-positive, or duplicate menus are rejected (see
-// ValidateNodeChoices). The slice is shared with the lattice — treat it
-// as read-only.
+// ValidateNodeChoices). Each call builds a fresh slice from At; a
+// scheduler never holds one, it reads its PlanLattice by position.
 func (f *Federation) EnumeratePlans(q tpch.QueryID, nodeChoices []int) ([]Plan, error) {
 	lat, err := f.PlanLattice(q, nodeChoices)
 	if err != nil {
 		return nil, err
 	}
-	return lat.Plans(), nil
+	plans := make([]Plan, lat.Size())
+	for i := range plans {
+		plans[i] = lat.At(i)
+	}
+	return plans, nil
 }
 
 // FeatureDim is the length of plan feature vectors. The estimator holds

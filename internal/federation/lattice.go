@@ -3,16 +3,15 @@ package federation
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/tpch"
 )
 
 // A PlanLattice is the validated descriptor of one query's QEP space —
 // 2 join placements × the feasible cluster sizes at each site — in one
-// fixed order. Plans() is the whole walk, materialized once and shared
-// (EnumeratePlans hands out the same slice); At(i) is one point of it,
-// computed without touching the rest.
+// fixed order. It holds only its two axes and is read by position: At(i)
+// is one point, computed without touching the rest, and nothing keeps
+// the whole walk.
 
 // ErrBadNodeChoices wraps every node-choice validation failure, so
 // callers can distinguish a malformed menu from enumeration errors.
@@ -65,10 +64,6 @@ type PlanLattice struct {
 	// left and right hold the in-capacity cluster sizes per site, in
 	// menu order — the axes of the lattice.
 	left, right []int
-
-	// plans materializes the full walk on first use of Plans().
-	plansOnce sync.Once
-	plans     []Plan
 }
 
 // PlanLattice validates nodeChoices and builds the QEP lattice for q.
@@ -131,9 +126,8 @@ func (l *PlanLattice) Dims() (sides, left, right int) {
 func (l *PlanLattice) Axes() (left, right []int) { return l.left, l.right }
 
 // Index maps a lattice point to its flat position in iteration order
-// (side-major, then left axis, then right axis — the order At and Plans
-// share). side 0 is join-at-left, matching the historic EnumeratePlans
-// order.
+// (side-major, then left axis, then right axis — the order of At and of
+// EnumeratePlans). side 0 is join-at-left.
 func (l *PlanLattice) Index(side, li, ri int) int {
 	return side*len(l.left)*len(l.right) + li*len(l.right) + ri
 }
@@ -152,18 +146,4 @@ func (l *PlanLattice) At(i int) Plan {
 		NodesLeft:  l.left[rem/len(l.right)],
 		NodesRight: l.right[rem%len(l.right)],
 	}
-}
-
-// Plans materializes the full lattice walk once and returns the shared
-// slice. Callers must treat it as read-only; it is the batch form
-// EnumeratePlans hands out.
-func (l *PlanLattice) Plans() []Plan {
-	l.plansOnce.Do(func() {
-		plans := make([]Plan, l.Size())
-		for i := range plans {
-			plans[i] = l.At(i)
-		}
-		l.plans = plans
-	})
-	return l.plans
 }

@@ -52,7 +52,7 @@ func TestEnumeratePlansRejectsBadMenus(t *testing.T) {
 }
 
 // TestLatticeAtMatchesEnumerate pins the positional view: At(i) is the
-// i-th plan of the batch slice, over the whole lattice.
+// i-th plan EnumeratePlans lists, over the whole lattice.
 func TestLatticeAtMatchesEnumerate(t *testing.T) {
 	fed := defaultFed(t)
 	choices := []int{1, 2, 4, 8, 16} // 8 and 16 exceed postgres-azure capacity

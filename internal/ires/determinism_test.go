@@ -179,20 +179,20 @@ func TestEstimateLoopStopsAtFirstFailure(t *testing.T) {
 	if err := s.Bootstrap(tpch.QueryQ12, 20); err != nil {
 		t.Fatal(err)
 	}
-	plans, err := s.plans(tpch.QueryQ12)
+	lat, err := s.lattice(tpch.QueryQ12)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(plans) <= sweepChunk || len(plans) > 2*sweepChunk {
-		t.Fatalf("%d plans, want two chunks of %d", len(plans), sweepChunk)
+	if lat.Size() <= sweepChunk || lat.Size() > 2*sweepChunk {
+		t.Fatalf("%d plans, want two chunks of %d", lat.Size(), sweepChunk)
 	}
 
 	const failAt = sweepChunk + 44 // 0-based plan index
 	model := &scriptedModel{failFrom: failAt + 1}
 	s.model = model
 	_, err = s.PlanSweep(context.Background(), tpch.QueryQ12)
-	if err == nil || !strings.Contains(err.Error(), plans[failAt].String()) {
-		t.Fatalf("err = %v, want a failure naming plan %d (%v)", err, failAt, plans[failAt])
+	if err == nil || !strings.Contains(err.Error(), lat.At(failAt).String()) {
+		t.Fatalf("err = %v, want a failure naming plan %d (%v)", err, failAt, lat.At(failAt))
 	}
 	if model.calls != failAt+1 {
 		t.Fatalf("model saw %d calls, want the loop to stop after %d", model.calls, failAt+1)
@@ -202,9 +202,9 @@ func TestEstimateLoopStopsAtFirstFailure(t *testing.T) {
 	model = &scriptedModel{failFrom: failAt + 1}
 	s.model = model
 	exec := s.exec
-	s.exec = failingFeatures{Executor: exec, failAt: plans[failAt+9]}
+	s.exec = failingFeatures{Executor: exec, failAt: lat.At(failAt + 9)}
 	_, err = s.PlanSweep(context.Background(), tpch.QueryQ12)
-	if err == nil || !strings.Contains(err.Error(), "estimating "+plans[failAt].String()) || model.calls != failAt+1 {
+	if err == nil || !strings.Contains(err.Error(), "estimating "+lat.At(failAt).String()) || model.calls != failAt+1 {
 		t.Fatalf("err = %v after %d calls, want the model failure at plan %d", err, model.calls, failAt)
 	}
 	// On its own it is reported for its plan, and the model sees exactly
@@ -212,7 +212,7 @@ func TestEstimateLoopStopsAtFirstFailure(t *testing.T) {
 	model = &scriptedModel{}
 	s.model = model
 	_, err = s.PlanSweep(context.Background(), tpch.QueryQ12)
-	if err == nil || !strings.Contains(err.Error(), "features of "+plans[failAt+9].String()) || model.calls != failAt+9 {
+	if err == nil || !strings.Contains(err.Error(), "features of "+lat.At(failAt+9).String()) || model.calls != failAt+9 {
 		t.Fatalf("err = %v after %d calls, want the feature failure at plan %d", err, model.calls, failAt+9)
 	}
 	s.exec = exec
@@ -264,12 +264,12 @@ func TestSweepRefusesCostlessModel(t *testing.T) {
 		if err := s.Bootstrap(tpch.QueryQ12, 20); err != nil {
 			t.Fatal(err)
 		}
-		plans, err := s.plans(tpch.QueryQ12)
+		lat, err := s.lattice(tpch.QueryQ12)
 		if err != nil {
 			t.Fatal(err)
 		}
 		s.model = tc.model
-		want := "model returned no costs for " + plans[0].String()
+		want := "model returned no costs for " + lat.At(0).String()
 		for name, run := range map[string]func() error{
 			"PlanSweep": func() error { _, err := s.PlanSweep(context.Background(), tpch.QueryQ12); return err },
 			"Submit":    func() error { _, err := s.Submit(tpch.QueryQ12, Policy{}); return err },
@@ -331,13 +331,13 @@ func TestSweepFailureNamesPlan(t *testing.T) {
 			if got := s.sweeper(tpch.QueryQ12, s.History(tpch.QueryQ12), nil, new(sweepBuf)).linear != nil; got != linear {
 				t.Fatalf("%s: linear route %v, want %v", tc.name, got, linear)
 			}
-			plans, err := s.plans(tpch.QueryQ12)
+			lat, err := s.lattice(tpch.QueryQ12)
 			if err != nil {
 				t.Fatal(err)
 			}
 			before := dream.EstimatorStats()
 			_, err = s.PlanSweep(context.Background(), tpch.QueryQ12)
-			if want := tc.prefix + plans[0].String(); err == nil || !strings.HasPrefix(err.Error(), want) || !errors.Is(err, tc.cause) {
+			if want := tc.prefix + lat.At(0).String(); err == nil || !strings.HasPrefix(err.Error(), want) || !errors.Is(err, tc.cause) {
 				t.Errorf("%s, linear %v: err = %v, want %q… wrapping %v", tc.name, linear, err, want, tc.cause)
 			}
 			if after := dream.EstimatorStats(); after != before {
@@ -364,8 +364,8 @@ func TestWalkLooksFitUpOnce(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if n := 2 * maxNodes * maxNodes; len(sw.Plans) != n || fmt.Sprint(model.lookups) != fmt.Sprint([]int{n}) {
-				t.Errorf("%d plans, round %d: lookups for %v plans, want one for %d", len(sw.Plans), round, model.lookups, n)
+			if n := 2 * maxNodes * maxNodes; sw.Lattice.Size() != n || fmt.Sprint(model.lookups) != fmt.Sprint([]int{n}) {
+				t.Errorf("%d plans, round %d: lookups for %v plans, want one for %d", sw.Lattice.Size(), round, model.lookups, n)
 			}
 			s.ReleaseSweep(sw)
 		}
@@ -394,9 +394,9 @@ func TestSweepCountsLookupsPerPlan(t *testing.T) {
 			}
 			after := dream.EstimatorStats()
 			if hits, misses, searches := after.CacheHits-before.CacheHits, after.CacheMisses-before.CacheMisses,
-				after.WindowSearches-before.WindowSearches; len(sw.Plans) != n || misses != 1 || hits != uint64(n-1) || searches != 1 {
+				after.WindowSearches-before.WindowSearches; sw.Lattice.Size() != n || misses != 1 || hits != uint64(n-1) || searches != 1 {
 				t.Errorf("linear %v: %d plans: %d misses, %d hits, %d window searches; want %d: 1, %d, 1",
-					linear, len(sw.Plans), misses, hits, searches, n, n-1)
+					linear, sw.Lattice.Size(), misses, hits, searches, n, n-1)
 			}
 		}
 	}
@@ -478,13 +478,13 @@ func TestSweepScoresOneSnapshot(t *testing.T) {
 			sc.Store = breakdownStore{open: map[string]*core.History{}}
 		}
 		s := buildStackOn(t, 9, model, sc)
-		plans, err := s.plans(q)
+		lat, err := s.lattice(q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		rng := stats.NewRNG(9)
 		for n := 0; n < 24; n++ {
-			model.obs, _ = recordExecution(t, s, q, plans[rng.Intn(len(plans))], tc.breakdown)
+			model.obs, _ = recordExecution(t, s, q, lat.At(rng.Intn(lat.Size())), tc.breakdown)
 		}
 		h := s.History(q)
 		model.h = h
@@ -492,8 +492,8 @@ func TestSweepScoresOneSnapshot(t *testing.T) {
 		if _, err := s.PlanSweep(context.Background(), q); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if len(model.versions) != len(plans) || h.Version() != before+1 {
-			t.Fatalf("%s: %d of %d plans scored, history version %d → %d", tc.name, len(model.versions), len(plans), before, h.Version())
+		if len(model.versions) != lat.Size() || h.Version() != before+1 {
+			t.Fatalf("%s: %d of %d plans scored, history version %d → %d", tc.name, len(model.versions), lat.Size(), before, h.Version())
 		}
 		for i, v := range model.versions {
 			if v != before {
@@ -560,12 +560,13 @@ func (breakdownStore) Sync() error { return nil }
 func requireSameSweep(t *testing.T, round int, got, want *Sweep) {
 	t.Helper()
 	gotCosts, wantCosts := got.AllCosts(), want.AllCosts()
-	if len(got.Plans) != len(want.Plans) || gotCosts.Len() != len(got.Plans) || wantCosts.Len() != len(want.Plans) {
-		t.Fatalf("round %d: sweep shapes differ: %d/%d plans, %d/%d costs", round, len(got.Plans), len(want.Plans), gotCosts.Len(), wantCosts.Len())
+	n := want.Lattice.Size()
+	if got.Lattice.Size() != n || gotCosts.Len() != n || wantCosts.Len() != n {
+		t.Fatalf("round %d: sweep shapes differ: %d/%d plans, %d/%d costs", round, got.Lattice.Size(), n, gotCosts.Len(), wantCosts.Len())
 	}
-	for i := range want.Plans {
-		if got.Plans[i] != want.Plans[i] || !equalBits(gotCosts.Row(i), wantCosts.Row(i)) {
-			t.Fatalf("round %d: position %d: %v %v, want %v %v", round, i, got.Plans[i], gotCosts.Row(i), want.Plans[i], wantCosts.Row(i))
+	for i := range n {
+		if g, w := got.Lattice.At(i), want.Lattice.At(i); g != w || !equalBits(gotCosts.Row(i), wantCosts.Row(i)) {
+			t.Fatalf("round %d: position %d: %v %v, want %v %v", round, i, g, gotCosts.Row(i), w, wantCosts.Row(i))
 		}
 	}
 	if fmt.Sprint(got.FrontIdx) != fmt.Sprint(want.FrontIdx) {
@@ -628,13 +629,13 @@ func TestBatchedSweepMatchesPerPlan(t *testing.T) {
 						t.Fatal(err)
 					}
 				} else {
-					plans, err := s.plans(q)
+					lat, err := s.lattice(q)
 					if err != nil {
 						t.Fatal(err)
 					}
 					rng := stats.NewRNG(21)
 					for n := 0; n < 24; n++ {
-						record(t, s, plans[rng.Intn(len(plans))])
+						record(t, s, lat.At(rng.Intn(lat.Size())))
 					}
 				}
 				if linear := s.sweeper(q, s.History(q), nil, new(sweepBuf)).linear != nil; linear != (m.linear && i == 0) {
@@ -656,7 +657,7 @@ func TestBatchedSweepMatchesPerPlan(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						decisions[i] = record(t, s, sw.Plans[idx])
+						decisions[i] = record(t, s, sw.Lattice.At(idx))
 						continue
 					}
 					dec, err := s.DecideFromSweep(sw, pol)

@@ -433,16 +433,6 @@ func (s *Scheduler) lattice(q tpch.QueryID) (*federation.PlanLattice, error) {
 	return lat, nil
 }
 
-// plans returns q's enumerated QEP space — the lattice's batch form
-// (shared slice, treat as read-only).
-func (s *Scheduler) plans(q tpch.QueryID) ([]federation.Plan, error) {
-	lat, err := s.lattice(q)
-	if err != nil {
-		return nil, err
-	}
-	return lat.Plans(), nil
-}
-
 // features returns p's estimation feature vector through featCache.
 func (s *Scheduler) features(p federation.Plan) ([]float64, error) {
 	s.featMu.RLock()
@@ -480,15 +470,15 @@ func (s *Scheduler) Bootstrap(q tpch.QueryID, n int) error {
 	if _, err := s.OpenHistory(q); err != nil {
 		return err
 	}
-	plans, err := s.plans(q)
+	lat, err := s.lattice(q)
 	if err != nil {
 		return err
 	}
-	if len(plans) == 0 {
-		return fmt.Errorf("ires: query %v has no feasible plans", q)
-	}
+	// A lattice is never empty: PlanLattice refuses a site without a
+	// feasible size.
+	b := stats.NewBound(lat.Size())
 	for i := 0; i < n; i++ {
-		p := plans[s.rng.Intn(len(plans))]
+		p := lat.At(s.rng.Below(b))
 		out, err := s.exec.Execute(p)
 		if err != nil {
 			return err
@@ -537,9 +527,9 @@ func (s *Scheduler) SubmitContext(ctx context.Context, q tpch.QueryID, pol Polic
 	return s.DecideFromSweep(sw, pol)
 }
 
-// Sweep is the policy-independent half of a scheduling round: the
-// enumerated plan space, the estimated cost vectors the Pareto
-// reduction needed, and that reduction. A Sweep is immutable once built
+// Sweep is the policy-independent half of a scheduling round: the plan
+// lattice, the estimated cost vectors the Pareto reduction needed, and
+// that reduction. A Sweep is immutable once built
 // until ReleaseSweep, which ends it: the header, the matrix and the
 // front all belong to a later sweep then, and only the Decisions made
 // from it outlive it. Any number of policies can be applied to it
@@ -548,9 +538,10 @@ func (s *Scheduler) SubmitContext(ctx context.Context, q tpch.QueryID, pol Polic
 // one sweep and differ only in selection.
 type Sweep struct {
 	Query tpch.QueryID
-	// Plans holds the plan space the sweep reduced: the whole lattice,
-	// in lattice order.
-	Plans []federation.Plan
+	// Lattice is the plan space the sweep reduced, read by position:
+	// plan i is Lattice.At(i), and Lattice.Size() plans were decided
+	// over. A sweep built by hand may leave it nil.
+	Lattice *federation.PlanLattice
 	// Costs is the model cost vector of every plan, row i plan i's — one
 	// flat plans × metrics matrix, read through Costs.Row — exactly when
 	// the sweep scored every plan: on the per-plan route, and on the
@@ -558,7 +549,7 @@ type Sweep struct {
 	// read its front from the rows' ends scored only those, and leaves
 	// Costs empty; AllCosts has every plan's vector either way.
 	Costs moo.CostMatrix
-	// FrontIdx indexes the Pareto-optimal plans within Plans.
+	// FrontIdx holds the lattice positions of the Pareto-optimal plans.
 	FrontIdx []int
 	// FrontCosts and Normalized are the Pareto set's raw cost vectors,
 	// row j plan FrontIdx[j]'s, and their min-max rescaling
@@ -586,7 +577,7 @@ func (s *Scheduler) PlanSweep(ctx context.Context, q tpch.QueryID) (sw *Sweep, e
 		defer func() {
 			plans := 0
 			if sw != nil {
-				plans = len(sw.Plans)
+				plans = sw.Lattice.Size()
 			}
 			s.observeSweep(q, began, plans, candidates, err)
 		}()
@@ -621,7 +612,7 @@ func (s *Scheduler) PlanSweep(ctx context.Context, q tpch.QueryID) (sw *Sweep, e
 	}
 	buf.sw = Sweep{
 		Query:      q,
-		Plans:      lat.Plans(),
+		Lattice:    lat,
 		Costs:      costs,
 		FrontIdx:   buf.frontIdx,
 		FrontCosts: raw,
@@ -638,11 +629,11 @@ func (s *Scheduler) PlanSweep(ctx context.Context, q tpch.QueryID) (sw *Sweep, e
 // every plan gives. Like Costs it must not be called after
 // ReleaseSweep; it is safe to call concurrently.
 func (sw *Sweep) AllCosts() moo.CostMatrix {
-	if sw.Costs.Len() == len(sw.Plans) || sw.buf == nil {
+	if sw.buf == nil || sw.Costs.Len() == sw.Lattice.Size() {
 		return sw.Costs
 	}
 	ps := &sw.buf.ps
-	return ps.walkAll(make([]float64, len(sw.Plans)*len(ps.fit)))
+	return ps.walkAll(make([]float64, sw.Lattice.Size()*len(ps.fit)))
 }
 
 // frontRows copies the rows of costs at b.frontIdx into b.front, and
@@ -681,8 +672,9 @@ func (s *Scheduler) ReleaseSweep(sw *Sweep) {
 }
 
 // Select applies a policy to the sweep's Pareto set and returns the
-// index (into sw.Plans) of the chosen plan. It does not execute
-// anything and is safe to call concurrently.
+// chosen plan's FrontIdx entry — on a PlanSweep its lattice position i,
+// the plan sw.Lattice.At(i). It does not execute anything and is safe to
+// call concurrently.
 func (sw *Sweep) Select(pol Policy) (int, error) {
 	best, err := selectFromParetoSet(sw.FrontCosts, sw.Normalized, pol)
 	if err != nil {
@@ -706,7 +698,7 @@ func (s *Scheduler) DecideFromSweep(sw *Sweep, pol Policy) (*Decision, error) {
 	if err != nil {
 		return nil, err
 	}
-	chosen := sw.Plans[sw.FrontIdx[best]]
+	chosen := sw.Lattice.At(sw.FrontIdx[best])
 	out, err := s.exec.Execute(chosen)
 	if err != nil {
 		return nil, err
@@ -722,7 +714,7 @@ func (s *Scheduler) DecideFromSweep(sw *Sweep, pol Policy) (*Decision, error) {
 		Plan:       chosen,
 		Outcome:    out,
 		ParetoSize: len(sw.FrontIdx),
-		PlanSpace:  len(sw.Plans),
+		PlanSpace:  sw.Lattice.Size(),
 	}}
 	d.Estimated = append(d.estimated[:0], sw.FrontCosts.Row(best)...)
 	return &d.Decision, nil

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -277,3 +278,67 @@ func TestServedShapeInline(t *testing.T) {
 			federation.FeatureDim, len(federation.Metrics), core.InlineFeatures, core.InlineMetrics)
 	}
 }
+
+// TestLatticeTenantHeap: a scheduler holds each query's plan space as
+// the lattice's two axes, not as a list of its plans. Over Example 3.1's
+// lattice — WideTopology(42, 96) and NodeRange(96), 18,432 plans per
+// query, whose plan list alone is 576 KiB — a scheduler that bootstraps
+// every studied query and serves one round of each adds under
+// latticeTenantHeapBound of live heap per query.
+func TestLatticeTenantHeap(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow memory distorts heap sizes")
+	}
+	const maxNodes = 96
+	fed, err := federation.WideTopology(42, maxNodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cal, err := federation.Calibrate(fed, federation.CalibrationSF, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := func() uint64 {
+		var ms runtime.MemStats
+		// Twice: the first collection moves the sweep pool's storage to
+		// its victim cache, the second drops it. It is round storage,
+		// which a server reuses across its tenants, not a tenant's.
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := live()
+	s, err := NewDREAMScheduler(fed, cal, 0.1, SchedulerConfig{NodeChoices: federation.NodeRange(maxNodes), Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range tpch.AllQueries {
+		if err := s.Bootstrap(q, 20); err != nil {
+			t.Fatal(err)
+		}
+		sw, err := s.PlanSweep(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := sw.Lattice.Size(); n != 2*maxNodes*maxNodes {
+			t.Fatalf("%v: %d plans, want %d", q, n, 2*maxNodes*maxNodes)
+		}
+		if _, err := s.DecideFromSweep(sw, Policy{}); err != nil {
+			t.Fatal(err)
+		}
+		s.ReleaseSweep(sw)
+	}
+	perQuery := int64(live()-before) / int64(len(tpch.AllQueries))
+	runtime.KeepAlive(s)
+	t.Logf("%d B of live heap per query, bound %d", perQuery, latticeTenantHeapBound)
+	if perQuery > latticeTenantHeapBound {
+		t.Errorf("a served query holds %d B of live heap, over the bound of %d", perQuery, latticeTenantHeapBound)
+	}
+}
+
+// latticeTenantHeapBound is the live heap one served query of Example
+// 3.1's lattice may add — its lattice, history, the features of the plans
+// it ran and its share of the scheduler and the model fit, about 12 KiB
+// — with room to spare: a ninth of what a list of its 18,432 plans costs.
+const latticeTenantHeapBound = 64 << 10

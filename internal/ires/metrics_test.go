@@ -157,8 +157,8 @@ func TestSweepHistogramResolvesSweeps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sw.Plans) != 2048 {
-		t.Fatalf("swept %d plans, want 2048", len(sw.Plans))
+	if sw.Lattice.Size() != 2048 {
+		t.Fatalf("swept %d plans, want 2048", sw.Lattice.Size())
 	}
 
 	var buf strings.Builder

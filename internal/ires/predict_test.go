@@ -236,7 +236,7 @@ func (m fixedLinear) LinearModels(*core.Snapshot, int, int) ([]*regression.Model
 
 // requireWalkMatchesPlans fails unless a walk of lat, and the whole
 // lattice its sweep's AllCosts scores, give exactly predictCosts' bits
-// over lat.Plans() — each row-end candidate of an ordered walk its own
+// over the lattice's plans — each row-end candidate of an ordered walk its own
 // plan's bits; and unless, with its last model swapped for one over 4
 // features, the walk refuses the models as regression.ErrDimension.
 func requireWalkMatchesPlans(t testing.TB, models []*regression.Model, lat *federation.PlanLattice, leftMiB, rightMiB float64) {
@@ -248,7 +248,7 @@ func requireWalkMatchesPlans(t testing.TB, models []*regression.Model, lat *fede
 		if err != nil || at == nil {
 			return rows, err
 		}
-		sw := &Sweep{Plans: lat.Plans(), buf: b}
+		sw := &Sweep{Lattice: lat, buf: b}
 		all := sw.AllCosts()
 		for c, i := range at {
 			if !equalBits(rows.Row(c), all.Row(i)) {
@@ -261,7 +261,7 @@ func requireWalkMatchesPlans(t testing.TB, models []*regression.Model, lat *fede
 	if err != nil {
 		t.Fatal(err)
 	}
-	plans := lat.Plans()
+	plans := latticePlans(lat)
 	want := predictCosts(t, models, plans, leftMiB, rightMiB)
 	if costs.Len() != len(plans) || costs.Len()*len(models) != len(want) {
 		t.Fatalf("walk scored %d plans, the lattice has %d", costs.Len(), len(plans))
@@ -276,6 +276,15 @@ func requireWalkMatchesPlans(t testing.TB, models []*regression.Model, lat *fede
 	if _, err := walk(short); !errors.Is(err, regression.ErrDimension) {
 		t.Fatalf("a model over 4 features: %v, want ErrDimension", err)
 	}
+}
+
+// latticePlans lists lat's plans in lattice order.
+func latticePlans(lat *federation.PlanLattice) []federation.Plan {
+	plans := make([]federation.Plan, lat.Size())
+	for i := range plans {
+		plans[i] = lat.At(i)
+	}
+	return plans
 }
 
 // linearModel is a fitted-looking model over the plan features.

@@ -165,10 +165,11 @@ func (ps *planSweeper) sweep(ctx context.Context) (rows moo.CostMatrix, at []int
 // failure names its plan — always the one with the lowest position,
 // nothing past it scored. ctx is checked every sweepChunk plans.
 func (ps *planSweeper) estimate(ctx context.Context) (moo.CostMatrix, error) {
-	plans := ps.lat.Plans()
-	flat := ps.matrix(len(plans) * len(federation.Metrics))
+	n := ps.lat.Size()
+	flat := ps.matrix(n * len(federation.Metrics))
 	k := 0 // cost-vector length, fixed by the first plan
-	for i, p := range plans {
+	for i := range n {
+		p := ps.lat.At(i)
 		if i%sweepChunk == 0 {
 			if err := ctx.Err(); err != nil {
 				return moo.CostMatrix{}, err

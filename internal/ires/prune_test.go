@@ -368,11 +368,11 @@ func TestPlanSweepReadsRowEnds(t *testing.T) {
 			t.Fatalf("round %d: front %v, want %v", round, sw.FrontIdx, front)
 		}
 		ends := sw.Costs.Len() == 0
-		if !ends && sw.Costs.Len() != len(sw.Plans) {
-			t.Fatalf("round %d: Costs holds %d of %d plans", round, sw.Costs.Len(), len(sw.Plans))
+		if !ends && sw.Costs.Len() != sw.Lattice.Size() {
+			t.Fatalf("round %d: Costs holds %d of %d plans", round, sw.Costs.Len(), sw.Lattice.Size())
 		}
-		if want += len(sw.Plans); ends {
-			want, ordered = want-len(sw.Plans)+64, ordered+1
+		if want += sw.Lattice.Size(); ends {
+			want, ordered = want-sw.Lattice.Size()+64, ordered+1
 		}
 		if _, err := s.DecideFromSweep(sw, Policy{Weights: []float64{1, 1}}); err != nil {
 			t.Fatal(err)

@@ -92,8 +92,8 @@ func TestSchedulerWarmStartFromStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	costsA, costsB := swA.AllCosts(), swB.AllCosts()
-	if costsB.Len() != costsA.Len() || costsA.Len() != len(swA.Plans) {
-		t.Fatalf("sweep sizes differ: %d vs %d of %d plans", costsB.Len(), costsA.Len(), len(swA.Plans))
+	if costsB.Len() != costsA.Len() || costsA.Len() != swA.Lattice.Size() {
+		t.Fatalf("sweep sizes differ: %d vs %d of %d plans", costsB.Len(), costsA.Len(), swA.Lattice.Size())
 	}
 	for i := 0; i < costsA.Len(); i++ {
 		for j, ca := range costsA.Row(i) {

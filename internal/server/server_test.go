@@ -87,7 +87,6 @@ func (s *stubSched) PlanSweep(ctx context.Context, q tpch.QueryID) (*ires.Sweep,
 	}
 	return &ires.Sweep{
 		Query:      q,
-		Plans:      []federation.Plan{{Query: q, JoinAtLeft: true, NodesLeft: 1, NodesRight: 1}},
 		Costs:      costs,
 		FrontIdx:   []int{0},
 		FrontCosts: costs,
@@ -101,11 +100,11 @@ func (s *stubSched) DecideFromSweep(sw *ires.Sweep, pol ires.Policy) (*ires.Deci
 		return nil, err
 	}
 	return &ires.Decision{
-		Plan:       sw.Plans[idx],
+		Plan:       federation.Plan{Query: sw.Query, JoinAtLeft: true, NodesLeft: 1, NodesRight: 1},
 		Estimated:  sw.Costs.Row(idx),
 		Outcome:    &federation.Outcome{TimeS: 1, MoneyUSD: 2},
 		ParetoSize: len(sw.FrontIdx),
-		PlanSpace:  len(sw.Plans),
+		PlanSpace:  sw.Costs.Len(),
 	}, nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -29,6 +30,14 @@ import (
 // durable store, bootstrapped so serving starts warm.
 func buildServeScheduler(b testing.TB, store *histstore.Store) *ires.Scheduler {
 	b.Helper()
+	fed, cal := calibratedServeTopology(b)
+	return buildServeSchedulerOn(b, fed, cal, store)
+}
+
+// calibratedServeTopology is the serving scheduler's federation,
+// calibrated.
+func calibratedServeTopology(b testing.TB) (*federation.Federation, *federation.Calibration) {
+	b.Helper()
 	fed, err := federation.DefaultTopology(1)
 	if err != nil {
 		b.Fatal(err)
@@ -37,6 +46,13 @@ func buildServeScheduler(b testing.TB, store *histstore.Store) *ires.Scheduler {
 	if err != nil {
 		b.Fatal(err)
 	}
+	return fed, cal
+}
+
+// buildServeSchedulerOn is buildServeScheduler over a federation
+// calibrated already.
+func buildServeSchedulerOn(b testing.TB, fed *federation.Federation, cal *federation.Calibration, store *histstore.Store) *ires.Scheduler {
+	b.Helper()
 	cfg := ires.SchedulerConfig{
 		NodeChoices: []int{1, 2, 4},
 		Seed:        1,
@@ -77,7 +93,12 @@ func (f *fixedSweepSched) ReleaseSweep(*ires.Sweep) {}
 // sweep.
 func newFixedSweepSched(b testing.TB, store *histstore.Store) *fixedSweepSched {
 	b.Helper()
-	sched := buildServeScheduler(b, store)
+	return pinSweep(b, buildServeScheduler(b, store))
+}
+
+// pinSweep pins sched's Q12 sweep.
+func pinSweep(b testing.TB, sched *ires.Scheduler) *fixedSweepSched {
+	b.Helper()
 	sw, err := sched.PlanSweep(context.Background(), tpch.QueryQ12)
 	if err != nil {
 		b.Fatal(err)
@@ -295,12 +316,12 @@ func TestPlanSweepAllocBudget(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if full := sw.Costs.Len() == len(sw.Plans); full != rowEnds {
+			if full := sw.Costs.Len() == sw.Lattice.Size(); full != rowEnds {
 				sched.ReleaseSweep(sw)
 				break
 			}
 			if round == 50 {
-				t.Fatalf("%s: 50 rounds, and every sweep scored all %d plans", what, len(sw.Plans))
+				t.Fatalf("%s: 50 rounds, and every sweep scored all %d plans", what, sw.Lattice.Size())
 			}
 			if _, err := sched.DecideFromSweep(sw, pol); err != nil {
 				t.Fatal(err)
@@ -433,18 +454,36 @@ func BenchmarkServeDurable(b *testing.B) {
 // workload reads as one request in ten, through srv.Handler() on a
 // history of bootstrapped and served observations.
 
-// newHistoryBench serves submissions into the bench tenant's Q12
-// history until it holds more than one page, bounded as midasd bounds a
-// served history, and returns the server, that history, the server's
-// handler and a page request.
-func newHistoryBench(tb testing.TB) (*server.Server, *core.History, http.Handler, *http.Request) {
+// historyBench is one one-tenant server, the Q12 history it serves and
+// its handler.
+type historyBench struct {
+	srv  *server.Server
+	hist *core.History
+	h    http.Handler
+}
+
+// historyPage is the page request every history bench serves.
+func historyPage() *http.Request {
+	return httptest.NewRequest(http.MethodGet, "/v1/history/Q12?limit=50", nil)
+}
+
+// newHistoryBenches builds n history benches over one calibrated
+// federation, each with a Q12 history of its own. It serves submissions
+// into each history until it holds more than one page, bounded as
+// midasd bounds a served history.
+func newHistoryBenches(tb testing.TB, n int) []historyBench {
 	tb.Helper()
-	sched := newFixedSweepSched(tb, nil)
-	hist := sched.History(tpch.QueryQ12)
-	hist.SetRetain(1024)
-	srv := newServeBench(tb, noDeadline, sched)
-	submitN(tb, srv, 40)
-	return srv, hist, srv.Handler(), httptest.NewRequest(http.MethodGet, "/v1/history/Q12?limit=50", nil)
+	fed, cal := calibratedServeTopology(tb)
+	benches := make([]historyBench, n)
+	for i := range benches {
+		sched := pinSweep(tb, buildServeSchedulerOn(tb, fed, cal, nil))
+		hist := sched.History(tpch.QueryQ12)
+		hist.SetRetain(1024)
+		srv := newServeBench(tb, noDeadline, sched)
+		submitN(tb, srv, 40)
+		benches[i] = historyBench{srv: srv, hist: hist, h: srv.Handler()}
+	}
+	return benches
 }
 
 // submitN serves n submissions through srv.
@@ -483,46 +522,62 @@ func (s *pageSink) serve(tb testing.TB, h http.Handler, r *http.Request) {
 // BenchmarkHistoryPage times one 50-observation page: query parsing,
 // snapshot, rendering and the write, without a network in the way.
 // Repeat re-reads one page, so once warm every cost is copied from the
-// query's cost cache. Polled is the durable workload's dashboard: a read
-// after every nine untimed submissions, so 41 of the page's 50
-// observations were on the read before.
+// query's cost cache. Polled is the durable workload's dashboard: each
+// read comes nine untimed observations after its history's last read,
+// so 41 of the page's 50 observations were on the read before.
 func BenchmarkHistoryPage(b *testing.B) {
 	b.Run("Repeat", func(b *testing.B) { benchHistoryPage(b, 0) })
 	b.Run("Polled", func(b *testing.B) { benchHistoryPage(b, 9) })
 }
 
-// historyPollCycle is how many reads a Polled run makes before the
-// observations it appends repeat.
+// historyPollCycle is how many independent histories a Polled run reads
+// in turn. It stops the timer once per cycle, to append to each of them:
+// a timer stop reads MemStats, stopping the world, which would cost more
+// than the page itself if every read paid one.
 const historyPollCycle = 64
 
-// benchHistoryPage reads the page after every appends observations. The
-// observations are served ones, recorded at setup and appended straight
-// to the history between reads, so the untimed work per read is a few
-// slice copies rather than appends served submissions.
+// benchHistoryPage reads a page after every appends observations its
+// history gains, or, at none, one page over and over. The observations
+// are served ones, recorded at setup and appended straight to the
+// histories between cycles, so the untimed work per read is a few slice
+// copies rather than appends served submissions.
 func benchHistoryPage(b *testing.B, appends int) {
-	srv, hist, h, req := newHistoryBench(b)
-	// The served observations the reads cycle through.
-	submitN(b, srv, appends*historyPollCycle)
+	n := 1
+	if appends > 0 {
+		n = historyPollCycle
+	}
+	benches := newHistoryBenches(b, n)
+	// The served observations the appends cycle through.
+	src := benches[0]
+	submitN(b, src.srv, appends*historyPollCycle)
 	recorded := make([]core.Observation, appends*historyPollCycle)
 	for i := range recorded {
-		recorded[i] = hist.At(hist.Len() - len(recorded) + i)
+		o := src.hist.At(src.hist.Len() - len(recorded) + i) // views: copy them
+		recorded[i] = core.Observation{X: slices.Clone(o.X), Costs: slices.Clone(o.Costs)}
 	}
+	req := historyPage()
 	sink := &pageSink{header: make(http.Header)}
+	for _, hb := range benches {
+		sink.serve(b, hb.h, req) // each history's last read
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	next := 0
 	for i := 0; i < b.N; i++ {
-		if appends > 0 {
+		k := i % len(benches)
+		if appends > 0 && k == 0 {
 			b.StopTimer()
-			for range appends {
-				if err := hist.Append(recorded[next]); err != nil {
-					b.Fatal(err)
+			for _, hb := range benches {
+				for range appends {
+					if err := hb.hist.Append(recorded[next]); err != nil {
+						b.Fatal(err)
+					}
+					next = (next + 1) % len(recorded)
 				}
-				next = (next + 1) % len(recorded)
 			}
 			b.StartTimer()
 		}
-		sink.serve(b, h, req)
+		sink.serve(b, benches[k].h, req)
 	}
 }
 
@@ -534,7 +589,7 @@ func TestHistoryPageAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	_, _, h, req := newHistoryBench(t)
+	h, req := newHistoryBenches(t, 1)[0].h, historyPage()
 	sink := &pageSink{header: make(http.Header)}
 	allocs := testing.AllocsPerRun(200, func() { sink.serve(t, h, req) })
 	t.Logf("%.1f allocs per 50-observation page (%d bytes), budget %d", allocs, sink.n, historyPageAllocBudget)
