@@ -99,7 +99,7 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
-## layers: the layer ledger, the one command that times a layer (347 s on a 2-core VM, over the 5 min it should take: 384 timed runs of 0.5 s or more; HistoryPage/Polled's untimed appends and timer stops take 1.7 s a run) — every layer's benchmarks at -cpu 1,2, six runs each, summarised per (package, benchmark, cpu) into BENCH_layers.json under the checked-out commit, that run rendered into docs/performance.md's generated table. Recovery runs n=10000 and retain=1024/n=100000 only (every timing round writes a size's store again), ServeDurable only wal (fsync latency is the disk's noise). -cpu 2 only raises GOMAXPROCS: every loop but ServeDurable/wal's RunParallel is serial, so the second P serves the runtime, the GC and ReplicatedAppend's standby side. There is no -cpu 4 row: on 2 cores it would time oversubscription. CI runs only the ledger's tests.
+## layers: the layer ledger, the one command that times a layer (307 s on a 2-core VM, over the 5 min it should take: 384 timed runs of 0.5 s or more, ≈ 0.8 s of wall each) — every layer's benchmarks at -cpu 1,2, six runs each, summarised per (package, benchmark, cpu) into BENCH_layers.json under the checked-out commit, that run rendered into docs/performance.md's generated table. Recovery runs n=10000 and retain=1024/n=100000 only (every timing round writes a size's store again), ServeDurable only wal (fsync latency is the disk's noise). -cpu 2 only raises GOMAXPROCS: every loop but ServeDurable/wal's RunParallel is serial, so the second P serves the runtime, the GC and ReplicatedAppend's standby side. There is no -cpu 4 row: on 2 cores it would time oversubscription. CI runs only the ledger's tests.
 layers:
 	@for spec in \
 		'^Benchmark(PlanSweep|SweepRound|ServeServedCold|ServeHotPath|HistoryPage|TenantBuild|WindowSearchServed|WindowSearchCold|RouteLookup|ParetoFront|WALAppend|Calibrate|RNGDraw|ReplicatedAppend)$$ . ./internal/moo ./internal/histstore ./internal/federation ./internal/stats ./internal/server' \
